@@ -15,9 +15,9 @@ import (
 // federation the columnar pipeline serves end to end. disableBatch
 // forces the row pipeline on the same data, for byte-identity
 // comparisons.
-func batchLake(t *testing.T, disableBatch bool) (*Lake, *httptest.Server) {
+func batchLake(t *testing.T, disableBatch bool, opts ...Option) (*Lake, *httptest.Server) {
 	t.Helper()
-	l, err := Open(t.TempDir())
+	l, err := Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,15 @@ func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
 		"SELECT * FROM rel:hotels_a, rel:hotels_b",
 		"SELECT city, stars FROM rel:hotels_a, rel:hotels_b LIMIT 700",
 	} {
-		code, wantLines := ndjsonQuery(t, rowSrv, fmt.Sprintf(`{"sql":%q}`, sql))
+		// Both sides run the sequential union: without an ORDER BY the
+		// row sequence is only defined at fan-in 1, and the default
+		// width is the machine's CPU count.
+		code, wantLines := ndjsonQuery(t, rowSrv, fmt.Sprintf(`{"sql":%q,"fanin":1}`, sql))
 		if code != http.StatusOK {
 			t.Fatalf("%s: row status = %d", sql, code)
 		}
 		for _, batchRows := range []int{1, 7, 1024} {
-			body := fmt.Sprintf(`{"sql":%q,"batch_rows":%d}`, sql, batchRows)
+			body := fmt.Sprintf(`{"sql":%q,"batch_rows":%d,"fanin":1}`, sql, batchRows)
 			code, gotLines := ndjsonQuery(t, batchSrv, body)
 			if code != http.StatusOK {
 				t.Fatalf("%s batch_rows=%d: status = %d", sql, batchRows, code)
@@ -159,8 +162,10 @@ func TestMetricsBatchSeries(t *testing.T) {
 // TestQuerySQLBatchMatchesRow: the materializing QuerySQL entry point
 // (the Collect bridge) returns identical tables from both pipelines.
 func TestQuerySQLBatchMatchesRow(t *testing.T) {
-	rowLake, _ := batchLake(t, true)
-	colLake, _ := batchLake(t, false)
+	// Fan-in 1 on both: cell-for-cell equality needs the sequential
+	// union's row order, not arrival order.
+	rowLake, _ := batchLake(t, true, WithFanIn(1, 0))
+	colLake, _ := batchLake(t, false, WithFanIn(1, 0))
 	ctx := context.Background()
 	const sql = "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40"
 	want, err := rowLake.QuerySQL(ctx, "dana", sql)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,10 +18,9 @@ import (
 func testLake(t *testing.T) *Lake {
 	t.Helper()
 	t0 := time.Date(2026, 6, 12, 12, 0, 0, 0, time.UTC)
-	n := 0
+	var n atomic.Int64 // the lake reads its clock from concurrent ingests and passes
 	l, err := Open(t.TempDir(), WithClock(func() time.Time {
-		n++
-		return t0.Add(time.Duration(n) * time.Second)
+		return t0.Add(time.Duration(n.Add(1)) * time.Second)
 	}))
 	if err != nil {
 		t.Fatal(err)

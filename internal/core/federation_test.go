@@ -1,16 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,9 +26,9 @@ import (
 // memberLake opens a lake holding one relational table named tableName
 // and serves its REST API from an httptest server; user "dana" is
 // registered.
-func memberLake(t *testing.T, tableName string, rows, mod int) (*Lake, *httptest.Server) {
+func memberLake(t *testing.T, tableName string, rows, mod int, opts ...Option) (*Lake, *httptest.Server) {
 	t.Helper()
-	l, err := Open(t.TempDir())
+	l, err := Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,6 +550,90 @@ func TestHTTPShardsKnob(t *testing.T) {
 		resp, body := post(bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", bad, resp.StatusCode, body)
+		}
+	}
+}
+
+// logSink is a goroutine-safe log destination: server goroutines write,
+// the test reads once the servers have shut down.
+type logSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+// lines returns the logged records with the given msg.
+func (s *logSink) lines(t *testing.T, msg string) []map[string]any {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []map[string]any
+	for _, ln := range strings.Split(strings.TrimSpace(s.buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatalf("log line %q: %v", ln, err)
+		}
+		if rec["msg"] == msg {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// TestFederationRequestIDCrossesTheHop: one federated query leaves the
+// same request_id on the coordinator's access-log line and on every
+// member's access-log and audit lines, so an operator joins the hops
+// on it.
+func TestFederationRequestIDCrossesTheHop(t *testing.T) {
+	var eastLog, westLog, fedLog logSink
+	logTo := func(s *logSink) Option { return WithLogger(slog.New(slog.NewJSONHandler(s, nil))) }
+	_, eastSrv := memberLake(t, "hotels_a", 30, 7, logTo(&eastLog))
+	_, westSrv := memberLake(t, "hotels_b", 20, 5, logTo(&westLog))
+	fed := federatedLake(t, eastSrv.URL, westSrv.URL, logTo(&fedLog))
+	fedSrv := httptest.NewServer(fed.HTTPHandler())
+
+	req, err := http.NewRequest(http.MethodPost, fedSrv.URL+"/v1/query",
+		strings.NewReader(`{"sql":"SELECT city, price FROM east:hotels_a, west:hotels_b"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Lake-User", "dana")
+	req.Header.Set("Accept", "application/x-ndjson")
+	req.Header.Set("X-Request-ID", "fed-trace-7")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || strings.Count(string(body), "\n") != 52 { // header + 50 rows + stats
+		t.Fatalf("federated answer: %v\n%s", err, body)
+	}
+	// Close returns once every handler has, access-log line included.
+	fedSrv.Close()
+	eastSrv.Close()
+	westSrv.Close()
+
+	// The coordinator audits nothing for a remote source (the member
+	// owns the dataset and records the access), so its line to join on
+	// is the access log's.
+	want := map[string][]string{"coordinator": {"request"}, "east": {"request", "audit"}, "west": {"request", "audit"}}
+	for name, sink := range map[string]*logSink{"coordinator": &fedLog, "east": &eastLog, "west": &westLog} {
+		for _, msg := range want[name] {
+			var ids []any
+			for _, rec := range sink.lines(t, msg) {
+				if rec["route"] == "/v1/query" || rec["action"] == "query" {
+					ids = append(ids, rec["request_id"])
+				}
+			}
+			if len(ids) != 1 || ids[0] != "fed-trace-7" {
+				t.Errorf("%s: request_id on the query's %q lines = %v, want one fed-trace-7", name, msg, ids)
+			}
 		}
 	}
 }

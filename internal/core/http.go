@@ -15,6 +15,7 @@ import (
 	"golake/internal/discovery"
 	"golake/internal/explore"
 	"golake/internal/maintain"
+	"golake/internal/ndjson"
 	"golake/internal/obs"
 	"golake/internal/query"
 	"golake/internal/table"
@@ -705,9 +706,10 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 // the Accept header.
 const ndjsonContentType = "application/x-ndjson"
 
-// ndjsonFlushEvery bounds how many rows may sit in the response buffer
-// before a chunk is flushed to the client.
-const ndjsonFlushEvery = 64
+// ndjsonRowsPerWrite is how many rows of a row-shaped stream go out in
+// one write — about 16 KiB of typical rows (a batch stream is written a
+// batch at a time).
+const ndjsonRowsPerWrite = 512
 
 // Per-request fan-in bounds: a request may widen concurrency only up to
 // these caps, so one query cannot ask the server for unbounded
@@ -877,52 +879,52 @@ type batchStreamer interface {
 }
 
 // streamNDJSON writes a query stream as chunked NDJSON: a header
-// object {"columns":[...]}, then one JSON array per row, flushed every
-// ndjsonFlushEvery rows so the first rows reach the client while the
-// scan is still running. A mid-stream failure terminates the stream
-// with a final {"error":{...}} line instead of a silent truncation; a
-// cleanly-ended stream terminates with a {"stats":{...}} trailer
-// carrying the per-source execution counters when the caller supplies
-// them — clients distinguish rows (arrays) from the header and
-// trailers (objects) by the first byte of each line. Time spent
-// encoding rows onto the wire is accumulated into the stream's
-// "serialize" trace span (when the iterator carries one) so the stats
-// trailer accounts for it.
+// object {"columns":[...]}, then one JSON array per row. A mid-stream
+// failure terminates the stream with a final {"error":{...}} line
+// instead of a silent truncation; a cleanly-ended stream terminates
+// with a {"stats":{...}} trailer carrying the per-source execution
+// counters when the caller supplies them — clients distinguish rows
+// (arrays) from the header and trailers (objects) by the first byte of
+// each line.
 //
-// A stream with a columnar face is drained batch-wise: each batch's
-// vectors are walked through one reused scratch row instead of
-// materializing a fresh []string per row. The wire bytes are identical
-// either way — each line is still the JSON array of the row's cells.
+// Row lines are appended into one reused buffer (ndjson.AppendRow,
+// byte-identical to json.Encoder) and reach the client one write and
+// one flush per batch; a stream without a columnar face is written
+// ndjsonRowsPerWrite rows at a time. The header is flushed on its own
+// and so is the first batch, so a client holds the columns and the
+// first rows while the scan is still running. Encoding and writing are
+// timed once per write into the stream's "serialize" trace span (when
+// the iterator carries one) so the stats trailer accounts for them.
 func streamNDJSON(w http.ResponseWriter, ctx context.Context, st query.RowIterator, stats func() query.ExecStats) {
 	defer st.Close()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	var serialize time.Duration
-	encode := func(v any) error {
-		start := time.Now()
-		err := enc.Encode(v)
-		serialize += time.Since(start)
-		return err
-	}
-	if err := encode(map[string]any{"columns": orEmpty(st.Columns())}); err != nil {
-		return
-	}
 	flusher, _ := w.(http.Flusher)
+	var serialize time.Duration
+	var buf []byte
+	// write encodes n rows and sends them as one flushed write. False
+	// means the client is gone and nobody is left to read a trailer.
+	write := func(n int, row func(i int) []string) bool {
+		start := time.Now()
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = ndjson.AppendRow(buf, row(i))
+		}
+		_, err := w.Write(buf)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		serialize += time.Since(start)
+		return err == nil
+	}
+	start := time.Now()
+	err := json.NewEncoder(w).Encode(map[string]any{"columns": orEmpty(st.Columns())})
 	if flusher != nil {
 		flusher.Flush()
 	}
-	n := 0
-	emit := func(row []string) (ok bool) {
-		if err := encode(row); err != nil {
-			// The client is gone; nobody is left to read a trailer.
-			return false
-		}
-		n++
-		if n%ndjsonFlushEvery == 0 && flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	serialize += time.Since(start)
+	if err != nil {
+		return
 	}
 	if bs, ok := st.(batchStreamer); ok && bs.BatchOutput() {
 		scratch := make([]string, len(st.Columns()))
@@ -935,24 +937,29 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st query.RowIterat
 				writeNDJSONError(w, err)
 				return
 			}
-			for i, bn := 0, b.Len(); i < bn; i++ {
-				b.CopyRow(scratch, i)
-				if !emit(scratch) {
-					return
-				}
+			if !write(b.Len(), func(i int) []string { b.CopyRow(scratch, i); return scratch }) {
+				return
 			}
 		}
 	} else {
+		pending := make([]query.Row, 0, ndjsonRowsPerWrite)
 		for {
 			row, err := st.Next(ctx)
+			if err == nil {
+				pending = append(pending, row)
+				if len(pending) < cap(pending) {
+					continue
+				}
+			}
+			if len(pending) > 0 && !write(len(pending), func(i int) []string { return pending[i] }) {
+				return
+			}
+			pending = pending[:0]
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				writeNDJSONError(w, err)
-				return
-			}
-			if !emit(row) {
 				return
 			}
 		}
@@ -963,7 +970,7 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st query.RowIterat
 		sa.AddSpan("serialize", serialize)
 	}
 	if stats != nil {
-		_ = enc.Encode(map[string]any{"stats": stats()})
+		_ = json.NewEncoder(w).Encode(map[string]any{"stats": stats()})
 	}
 	if flusher != nil {
 		flusher.Flush()

@@ -149,24 +149,33 @@ func (r *rowsIterator) Close() error {
 	return r.in.Close()
 }
 
+// BatchScanner is a row source that can also hand its rows over
+// column-major (a remote member's stream decodes the wire that way).
+// NextBatch is BatchIterator.Next with up to rows rows per batch.
+type BatchScanner interface {
+	RowIterator
+	NextBatch(ctx context.Context, rows int) (*Batch, error)
+}
+
 // batchesIterator adapts a row stream to the batch interface — the
 // source-side adapter that lets row-oriented sources participate in a
 // vectorized pipeline.
 type batchesIterator struct {
 	in     RowIterator
+	scan   BatchScanner // in's own batch face, when it has one
 	rows   int
 	closed bool
 }
 
-// Batches adapts a RowIterator to a BatchIterator, accumulating up to
-// rows rows per batch (DefaultBatchRows when rows <= 0) and inferring
-// each column's kind per batch via the table package's tolerant
-// inference.
+// Batches adapts a RowIterator to a BatchIterator of up to rows rows
+// per batch (DefaultBatchRows when rows <= 0): a BatchScanner's own
+// batches when in is one, else its rows accumulated into column runs.
 func Batches(in RowIterator, rows int) BatchIterator {
 	if rows <= 0 {
 		rows = DefaultBatchRows
 	}
-	return &batchesIterator{in: in, rows: rows}
+	scan, _ := in.(BatchScanner)
+	return &batchesIterator{in: in, scan: scan, rows: rows}
 }
 
 func (b *batchesIterator) Columns() []string { return b.in.Columns() }
@@ -174,6 +183,9 @@ func (b *batchesIterator) Columns() []string { return b.in.Columns() }
 func (b *batchesIterator) Next(ctx context.Context) (*Batch, error) {
 	if b.closed {
 		return nil, io.EOF
+	}
+	if b.scan != nil {
+		return b.scan.NextBatch(ctx, b.rows)
 	}
 	cols := b.in.Columns()
 	var cells [][]string
@@ -206,7 +218,7 @@ func (b *batchesIterator) Next(ctx context.Context) (*Batch, error) {
 	}
 	vecs := make([]*Vector, len(cols))
 	for j := range vecs {
-		vecs[j] = NewVector(table.InferKind(cells[j]), cells[j])
+		vecs[j] = NewVector(cells[j])
 	}
 	return NewBatch(cols, vecs), nil
 }

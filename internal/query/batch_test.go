@@ -81,7 +81,10 @@ func TestBatchRowEquivalence(t *testing.T) {
 	rowEng.DisableBatch = true
 	ctx := context.Background()
 	for _, tc := range equivalenceQueries {
-		rst, err := rowEng.Query(ctx, Request{SQL: tc.sql})
+		// The reference is the sequential union: the sequence contract
+		// the comment above states holds at fan-in 1 only, and the
+		// default width is the machine's CPU count.
+		rst, err := rowEng.Query(ctx, Request{SQL: tc.sql, FanIn: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +240,7 @@ func (s *blockingBatchSource) Next(ctx context.Context) (*Batch, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return NewBatch(s.cols, []*Vector{NewVector(table.KindString, []string{"x"})}), nil
+	return NewBatch(s.cols, []*Vector{NewVector([]string{"x"})}), nil
 }
 
 func (s *blockingBatchSource) Close() error {
@@ -299,7 +302,7 @@ type ctxBlindBatchSource struct {
 func (s *ctxBlindBatchSource) Columns() []string { return s.cols }
 
 func (s *ctxBlindBatchSource) Next(context.Context) (*Batch, error) {
-	return NewBatch(s.cols, []*Vector{NewVector(table.KindString, []string{"x"})}), nil
+	return NewBatch(s.cols, []*Vector{NewVector([]string{"x"})}), nil
 }
 
 func (s *ctxBlindBatchSource) Close() error { return nil }

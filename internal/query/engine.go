@@ -226,11 +226,9 @@ func (e *Engine) resolveBatchRows(req Request) int {
 
 // batchEligible reports whether the columnar pipeline can serve the
 // query: every FROM item must resolve to the relational store (the one
-// member store with a batch scan) or a remote member lake (whose row
-// stream re-batches through the Batches adapter, keeping the central
-// filter/union/sort stages vectorized). Anything else — document,
-// graph, file, or mixed sources — falls back to the row pipeline
-// unchanged.
+// member store with a batch scan) or a remote member lake (whose
+// stream decodes into batches). Anything else — document, graph, file,
+// or mixed sources — falls back to the row pipeline unchanged.
 func (e *Engine) batchEligible(q *Query) bool {
 	if e.DisableBatch || len(q.Sources) == 0 {
 		return false
@@ -503,10 +501,10 @@ func (e *Engine) streamBatches(ctx context.Context, q *Query, env execEnv, opts 
 			return nil, nil, nil, nil, err
 		}
 		if kind == "remote" {
-			// A member lake ships rows over NDJSON; re-batch them so the
-			// central filter/union/sort stages stay vectorized. The
-			// pushed projection includes predicate columns, so the
-			// central filter re-evaluates exactly what the member did.
+			// A member lake's stream decodes its NDJSON straight into
+			// batches. The pushed projection includes predicate
+			// columns, so the central filter re-evaluates exactly what
+			// the member did.
 			it, err := e.openRemote(ctx, name, q, env)
 			if err != nil {
 				closeAll()
@@ -572,7 +570,7 @@ func batchPushableColumns(name string, q *Query, e *Engine) []string {
 // relBatchIterator adapts a relational store cursor to the batch
 // pipeline: each Next pulls one column-wise batch from the snapshot —
 // zero-copy runs when nothing was pushed down — and wraps the runs as
-// typed vectors carrying the table's column kinds.
+// vectors.
 type relBatchIterator struct {
 	cur  *polystore.Cursor
 	rows int
@@ -588,10 +586,9 @@ func (r *relBatchIterator) Next(ctx context.Context) (*Batch, error) {
 	if n == 0 {
 		return nil, io.EOF
 	}
-	kinds := r.cur.Kinds()
 	vecs := make([]*Vector, len(cells))
 	for j := range cells {
-		vecs[j] = NewVector(kinds[j], cells[j])
+		vecs[j] = NewVector(cells[j])
 	}
 	return NewBatch(r.cur.Columns(), vecs), nil
 }

@@ -1,10 +1,6 @@
 package query
 
-import (
-	"strconv"
-
-	"golake/internal/table"
-)
+import "strconv"
 
 // Bitmap is a fixed-length bit set — the null and validity masks of the
 // columnar batch layer. The zero value is unusable; allocate with
@@ -50,10 +46,8 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// Vector is one typed column of a Batch: a run of cells with the
-// column's inferred kind (int64 / float64 / string, per
-// internal/table's inference), a null bitmap, and lazily materialized
-// typed mirrors for the numeric kinds.
+// Vector is one column of a Batch: a run of cells, a null bitmap, and
+// lazily materialized typed mirrors for numeric predicates.
 //
 // The string cells are authoritative: they are zero-copy references
 // into the store snapshot and carry the exact wire representation, so
@@ -68,10 +62,6 @@ func (b *Bitmap) Count() int {
 // Vectors flow through single-consumer pipelines; the lazy mirrors are
 // not synchronized.
 type Vector struct {
-	// Kind is the column's inferred type (table.KindInt, KindFloat,
-	// KindString, ...). It is advisory: accessors work on any vector.
-	Kind table.Kind
-
 	// cells is the backing run; nil marks an all-null pad vector (a
 	// projected column the source lacks).
 	cells []string
@@ -84,17 +74,17 @@ type Vector struct {
 	nulls   *Bitmap
 }
 
-// NewVector wraps a cell run as a vector of the given kind. The slice
-// is referenced, not copied.
-func NewVector(kind table.Kind, cells []string) *Vector {
-	return &Vector{Kind: kind, cells: cells, n: len(cells)}
+// NewVector wraps a cell run as a vector. The slice is referenced, not
+// copied.
+func NewVector(cells []string) *Vector {
+	return &Vector{cells: cells, n: len(cells)}
 }
 
 // NullVector returns an all-null pad vector of n cells — what
 // projection and union substitute for a column a source lacks. Its
 // cells read as the empty string, the pipeline's null encoding.
 func NullVector(n int) *Vector {
-	return &Vector{Kind: table.KindUnknown, n: n}
+	return &Vector{n: n}
 }
 
 // Len returns the vector's cell count.

@@ -1,15 +1,17 @@
 // Package remote makes another golake a member store of this one: a
 // Client speaks the existing POST /v1/query NDJSON protocol to a member
 // lake's base URL and adapts the framed stream (header line, row
-// arrays, stats/error trailer) into the query engine's RowIterator
-// contract. The engine pushes predicates, projections, and limits down
-// as an ordinary SELECT statement, so to the member the federated hop
-// is just another query — and to the engine's fan-in machinery a remote
+// arrays, stats/error trailer) into the query engine's iterator
+// contracts — batches for the columnar pipeline, rows for the rest.
+// The engine pushes predicates, projections, and limits down as an
+// ordinary SELECT statement, so to the member the federated hop is
+// just another query — and to the engine's fan-in machinery a remote
 // lake is just a slow member store, which is exactly what the
 // backpressure design was built for.
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,6 +19,7 @@ import (
 	"net/http"
 	"time"
 
+	"golake/internal/obs"
 	"golake/internal/query"
 	"golake/lakeerr"
 )
@@ -31,6 +34,10 @@ const (
 	// retry doubles it, capped at maxRetryBackoff.
 	DefaultRetryBackoff = 50 * time.Millisecond
 	maxRetryBackoff     = time.Second
+	// idleConnsPerMember is each client's keep-alive pool: wide enough
+	// that a coordinator's concurrent streams to one member (fan-in
+	// pullers, sharded scans) each find their connection again.
+	idleConnsPerMember = 32
 )
 
 // Options tunes one member-lake client.
@@ -50,9 +57,10 @@ type Options struct {
 	// requesting user still rides along in X-Lake-User for auditing.
 	Token string
 	// Client overrides the HTTP client (tests inject transports here).
-	// Nil uses a plain &http.Client{} — per-request timeouts come from
-	// Timeout, not http.Client.Timeout, so streams may outlive slow
-	// first bytes.
+	// Nil gives the client a transport of its own, so its keep-alive
+	// pool is neither shared with nor closed by anything else in the
+	// process — per-request timeouts come from Timeout, not
+	// http.Client.Timeout, so streams may outlive slow first bytes.
 	Client *http.Client
 }
 
@@ -84,7 +92,9 @@ type Client struct {
 func New(member, baseURL string, opts Options) *Client {
 	hc := opts.Client
 	if hc == nil {
-		hc = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = idleConnsPerMember
+		hc = &http.Client{Transport: tr}
 	}
 	return &Client{member: member, baseURL: baseURL, opts: opts, http: hc}
 }
@@ -155,7 +165,7 @@ func (c *Client) OpenStream(ctx context.Context, spec query.RemoteSpec) (query.R
 		c.finish(lakeerr.CodeOf(err), 0, start)
 		return nil, err
 	}
-	st := &stream{client: c, resp: resp, cancel: cancel, dec: json.NewDecoder(resp.Body), start: start}
+	st := &stream{client: c, resp: resp, cancel: cancel, br: bufio.NewReaderSize(resp.Body, readBufferSize), start: start}
 	if err := st.readHeader(sctx); err != nil {
 		_ = st.Close()
 		return nil, err
@@ -196,6 +206,11 @@ func (c *Client) connect(ctx context.Context, spec query.RemoteSpec, body []byte
 		}
 		if c.opts.Token != "" {
 			req.Header.Set("Authorization", "Bearer "+c.opts.Token)
+		}
+		if id := obs.RequestID(ctx); id != "" {
+			// The member's log and audit lines for this sub-query join
+			// the coordinator's on one ID.
+			req.Header.Set("X-Request-ID", id)
 		}
 		resp, err := c.http.Do(req)
 		if err == nil {

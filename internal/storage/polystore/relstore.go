@@ -195,11 +195,6 @@ rows:
 	return nil, false
 }
 
-// Kinds returns the per-column inferred kinds of the cursor's output,
-// aligned with Columns — the type information the columnar pipeline
-// attaches to its vectors without re-inferring per batch.
-func (c *Cursor) Kinds() []table.Kind { return c.kinds }
-
 // NextBatch returns up to max rows column-wise: cells[j] is the run of
 // output column j, n the number of rows (0 when the scan is done).
 // This is the store-side batch scan of the columnar pipeline: without
