@@ -603,8 +603,8 @@ func status(lake *golake.Lake, metrics bool) error {
 			fmt.Printf("last snapshot: %s\n", d.LastSnapshot.Format(time.RFC3339))
 		}
 		if r := d.Replay; r != nil {
-			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes)\n",
-				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes)
+			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes) in %s\n",
+				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes, r.Duration.Round(time.Microsecond))
 		}
 	}
 	if metrics {

@@ -554,11 +554,14 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user string) (*Ing
 		return nil, lakeerr.Errorf(lakeerr.CodeConflict,
 			"%w: %s collides with %s on name %q", ErrExists, path, prev, polystore.DerivedName(path))
 	}
-	pl, err := l.Poly.Ingest(path, data)
+	// A CSV is parsed and typed once: placement hands the table it
+	// parsed (nil for anything else, an unparseable CSV included) on to
+	// extraction.
+	pl, parsed, err := l.Poly.IngestParsed(path, data)
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	md, err := extract.Extract(path, data)
+	md, err := extract.ExtractParsed(path, data, parsed)
 	if err != nil {
 		// Raw bytes stay; metadata extraction failure leaves the
 		// object catalogued as swamp-risk (detectable by SwampCheck).

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"golake/internal/maintain"
 	"golake/internal/obs"
 	"golake/internal/query"
 )
@@ -91,6 +92,7 @@ type lakeMetrics struct {
 	replayWALRecs   *obs.Gauge
 	replayWALSkip   *obs.Gauge
 	replayTornBytes *obs.Gauge
+	replayDuration  *obs.Gauge
 }
 
 func newLakeMetrics() *lakeMetrics {
@@ -184,6 +186,8 @@ func newLakeMetrics() *lakeMetrics {
 			"WAL records skipped as unparseable at the last open."),
 		replayTornBytes: r.Gauge("golake_replay_torn_bytes",
 			"Bytes dropped from a torn WAL tail at the last open."),
+		replayDuration: r.Gauge("golake_replay_duration_seconds",
+			"How long the last open spent replaying snapshot and WAL, in seconds."),
 	}
 }
 
@@ -354,14 +358,15 @@ func (m *lakeMetrics) observeCheckpoint(d time.Duration) {
 }
 
 // observeReplay records the crash-recovery stats of the last open.
-func (m *lakeMetrics) observeReplay(snapshotDatasets, walRecords, walSkipped int, tornBytes int64) {
+func (m *lakeMetrics) observeReplay(rs maintain.ReplayStats) {
 	if m == nil {
 		return
 	}
-	m.replaySnapshot.Set(float64(snapshotDatasets))
-	m.replayWALRecs.Set(float64(walRecords))
-	m.replayWALSkip.Set(float64(walSkipped))
-	m.replayTornBytes.Set(float64(tornBytes))
+	m.replaySnapshot.Set(float64(rs.SnapshotDatasets))
+	m.replayWALRecs.Set(float64(rs.WALRecords))
+	m.replayWALSkip.Set(float64(rs.WALSkipped))
+	m.replayTornBytes.Set(float64(rs.TornBytes))
+	m.replayDuration.Set(rs.Duration.Seconds())
 }
 
 // observeRetry records one scheduler backoff event.

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"golake/internal/persist"
 )
@@ -312,4 +315,72 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// The last reopen's duration is one figure in three places: the
+// golake_replay_duration_seconds gauge, GET /v1/maintenance's replay
+// block, and the "persist: replayed" log line.
+func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
+	ctx := context.Background()
+	mem := persist.NewMemory()
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AddUser("dana", RoleDataScientist)
+	if _, err := l.Ingest(ctx, "raw/orders.csv", []byte("id,total\n1,10\n2,20\n"), "erp", "dana"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(l.HTTPHandler())
+	_, body := scrape(t, srv)
+	srv.Close()
+	if line := grepLines(body, "golake_replay_duration_seconds "); !strings.HasSuffix(line, " 0") {
+		t.Errorf("a lake opened on an empty backend replayed nothing, gauge line %q", line)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	re, err := Open(t.TempDir(), WithPersistence(mem),
+		WithLogger(slog.New(slog.NewJSONHandler(&logs, nil))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	replay := re.MaintenanceStatus().Durability.Replay
+	if replay == nil || replay.Duration <= 0 {
+		t.Fatalf("replay stats = %+v, want a positive duration", replay)
+	}
+	srv = httptest.NewServer(re.HTTPHandler())
+	defer srv.Close()
+	_, body = scrape(t, srv)
+	want := fmt.Sprintf("golake_replay_duration_seconds %v", replay.Duration.Seconds())
+	if !strings.Contains(body, want+"\n") {
+		t.Errorf("scrape has %q, want %q", grepLines(body, "golake_replay_duration_seconds "), want)
+	}
+	var status struct {
+		Durability struct {
+			Replay struct {
+				DurationNS int64 `json:"duration_ns"`
+			} `json:"replay"`
+		} `json:"durability"`
+	}
+	_, raw := get(t, srv, "/v1/maintenance", "dana")
+	if err := json.Unmarshal(raw, &status); err != nil {
+		t.Fatalf("maintenance status: %v in %s", err, raw)
+	}
+	if got := time.Duration(status.Durability.Replay.DurationNS); got != replay.Duration {
+		t.Errorf("GET /v1/maintenance replay duration = %v, want %v", got, replay.Duration)
+	}
+	var logged struct {
+		Duration int64 `json:"duration"`
+	}
+	line := grepLines(logs.String(), `"persist: replayed"`)
+	if err := json.Unmarshal([]byte(line), &logged); err != nil {
+		t.Fatalf("replayed log line %q: %v", line, err)
+	}
+	if time.Duration(logged.Duration) != replay.Duration {
+		t.Errorf("log line duration = %v, want %v", time.Duration(logged.Duration), replay.Duration)
+	}
 }

@@ -328,6 +328,7 @@ func (l *Lake) buildSnapshot() (*lakeSnapshot, error) {
 // failures and a corrupt snapshot blob (impossible under the atomic
 // checkpoint protocol) abort the open.
 func (p *persister) restore(l *Lake) error {
+	start := time.Now()
 	snapBytes, err := p.backend.ReadSnapshot()
 	if err != nil {
 		return lakeerr.Wrap(lakeerr.CodeUnavailable, err)
@@ -373,16 +374,18 @@ func (p *persister) restore(l *Lake) error {
 	}
 	l.rebuildIndexesFromCoverage()
 	if replayed {
+		rs.Duration = time.Since(start)
 		p.mu.Lock()
 		p.replay = &rs
 		p.mu.Unlock()
-		l.metrics.observeReplay(rs.SnapshotDatasets, int(rs.WALRecords), int(rs.WALSkipped), rs.TornBytes)
+		l.metrics.observeReplay(rs)
 		if l.logger != nil {
 			l.logger.Info("persist: replayed",
 				"snapshot_datasets", rs.SnapshotDatasets,
 				"wal_records", rs.WALRecords,
 				"wal_skipped", rs.WALSkipped,
-				"torn_bytes", rs.TornBytes)
+				"torn_bytes", rs.TornBytes,
+				"duration", rs.Duration)
 		}
 	}
 	// Compact what was just replayed so the next open starts from a

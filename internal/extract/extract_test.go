@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -243,5 +244,29 @@ func TestSklumaStopwordsAndNumbers(t *testing.T) {
 	}
 	if md.TopicHint != "unknown" {
 		t.Errorf("topic = %q", md.TopicHint)
+	}
+}
+
+func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
+	path, data := "raw/orders.csv", []byte("id,total,city\n1,9.5,berlin\n2,3.0,paris\n")
+	want, err := Extract(path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ExtractParsed(path, data, want.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Table != want.Table {
+		t.Error("ExtractParsed parsed again instead of describing the table it was given")
+	}
+	// Rendered, because a string column's moments are NaN.
+	if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+		t.Errorf("ExtractParsed = %s\nExtract       = %s", g, w)
+	}
+	// The table is for CSV objects only; a tree format ignores it.
+	tree, err := ExtractParsed("raw/user.json", []byte(`{"a":1}`), want.Table)
+	if err != nil || tree.Table != nil || tree.Tree == nil {
+		t.Errorf("json with a table: %+v, %v", tree, err)
 	}
 }

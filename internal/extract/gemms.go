@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"golake/internal/storage/filestore"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
 
@@ -90,6 +91,13 @@ type Metadata struct {
 // Extract runs GEMMS-style extraction: detect the format, then dispatch
 // the matching parser.
 func Extract(path string, data []byte) (*Metadata, error) {
+	return ExtractParsed(path, data, nil)
+}
+
+// ExtractParsed is Extract for a caller that may already hold the table
+// a CSV object parses into (nil: parse it here), as ingest does once
+// placement has parsed it; t is not consulted for any other format.
+func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) {
 	format := filestore.Detect(path, data)
 	md := &Metadata{
 		Path:   path,
@@ -101,12 +109,13 @@ func Extract(path string, data []byte) (*Metadata, error) {
 	}
 	switch format {
 	case filestore.FormatCSV:
-		t, err := table.ReadCSV(baseName(path), bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("extract: %s: %w", path, err)
+		if t == nil {
+			var err error
+			if t, err = table.ReadCSV(polystore.DerivedName(path), data); err != nil {
+				return nil, fmt.Errorf("extract: %s: %w", path, err)
+			}
 		}
-		prof := table.ProfileTable(t)
-		md.Schema = prof.Columns
+		md.Schema = table.ProfileTable(t).Columns
 		md.Table = t
 		md.Properties["rows"] = fmt.Sprintf("%d", t.NumRows())
 		md.Properties["columns"] = fmt.Sprintf("%d", t.NumCols())
@@ -247,15 +256,4 @@ func XMLTree(data []byte) (*TreeNode, error) {
 		return nil, fmt.Errorf("xml tree: no root element")
 	}
 	return root, nil
-}
-
-func baseName(path string) string {
-	base := path
-	if i := strings.LastIndex(base, "/"); i >= 0 {
-		base = base[i+1:]
-	}
-	if i := strings.LastIndex(base, "."); i > 0 {
-		base = base[:i]
-	}
-	return base
 }

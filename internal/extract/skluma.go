@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"path"
@@ -10,6 +9,7 @@ import (
 
 	"golake/internal/sketch"
 	"golake/internal/storage/filestore"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
 
@@ -59,7 +59,7 @@ func Skluma(p string, data []byte) (*ContentMetadata, error) {
 	}
 	switch format {
 	case filestore.FormatCSV:
-		t, err := table.ReadCSV(baseName(p), bytes.NewReader(data))
+		t, err := table.ReadCSV(polystore.DerivedName(p), data)
 		if err != nil {
 			return nil, fmt.Errorf("skluma: %s: %w", p, err)
 		}

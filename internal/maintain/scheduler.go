@@ -71,6 +71,9 @@ type ReplayStats struct {
 	// TornBytes is the size of the corrupt/incomplete log tail dropped by
 	// checksum verification; non-zero means the process died mid-append.
 	TornBytes int64 `json:"torn_bytes"`
+	// Duration is how long the recovery took, snapshot read to indexes
+	// rebuilt (the post-replay checkpoint not included).
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // Target is the maintenance surface the scheduler drives. Pass must be

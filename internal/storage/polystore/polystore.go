@@ -85,11 +85,20 @@ func Route(f filestore.Format) Target {
 // Ingest stores the raw object and routes its parsed form to the model
 // store chosen by Route. Use IngestAs to override the target.
 func (p *Poly) Ingest(path string, data []byte) (Placement, error) {
+	pl, _, err := p.IngestParsed(path, data)
+	return pl, err
+}
+
+// IngestParsed is Ingest that also hands back the table it parsed for
+// the relational store (nil for any other placement), the caller's own
+// copy, so that describing the object next needs no second parse.
+func (p *Poly) IngestParsed(path string, data []byte) (Placement, *table.Table, error) {
 	info, err := p.Files.Put(path, data)
 	if err != nil {
-		return Placement{}, err
+		return Placement{}, nil, err
 	}
-	return p.place(path, data, info.Format, Route(info.Format))
+	pl, t := p.place(path, data, info.Format, Route(info.Format))
+	return pl, t, nil
 }
 
 // IngestAs stores the raw object and forces the given target, the
@@ -99,14 +108,15 @@ func (p *Poly) IngestAs(path string, data []byte, target Target) (Placement, err
 	if err != nil {
 		return Placement{}, err
 	}
-	return p.place(path, data, info.Format, target)
+	pl, _ := p.place(path, data, info.Format, target)
+	return pl, nil
 }
 
-func (p *Poly) place(path string, data []byte, format filestore.Format, target Target) (Placement, error) {
-	pl := Placement{Path: path, Format: format, Target: TargetFile}
+func (p *Poly) place(path string, data []byte, format filestore.Format, target Target) (pl Placement, parsed *table.Table) {
+	pl = Placement{Path: path, Format: format, Target: TargetFile}
 	switch target {
 	case TargetRelational:
-		t, err := table.ReadCSV(tableName(path), bytes.NewReader(data))
+		t, err := table.ReadCSV(tableName(path), data)
 		if err != nil {
 			// Unparseable: degrade to file-only, the lake keeps the raw
 			// bytes regardless.
@@ -116,6 +126,7 @@ func (p *Poly) place(path string, data []byte, format filestore.Format, target T
 		p.Rel.Create(t)
 		pl.Target = TargetRelational
 		pl.TableName = t.Name
+		parsed = t
 	case TargetDocument:
 		coll := tableName(path)
 		n, err := p.ingestJSONDocs(coll, data, format)
@@ -134,7 +145,7 @@ func (p *Poly) place(path string, data []byte, format filestore.Format, target T
 	p.mu.Lock()
 	p.placements[path] = pl
 	p.mu.Unlock()
-	return pl, nil
+	return pl, parsed
 }
 
 func (p *Poly) ingestJSONDocs(coll string, data []byte, format filestore.Format) (int, error) {

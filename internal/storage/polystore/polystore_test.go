@@ -235,3 +235,28 @@ func TestRelStoreIsolationAndCRUD(t *testing.T) {
 		t.Errorf("double drop = %v", err)
 	}
 }
+
+func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
+	p := newPoly(t)
+	pl, tbl, err := p.IngestParsed("raw/orders.csv", []byte("id,total\n1,9.5\n2,3.25\n"))
+	if err != nil || pl.Target != TargetRelational || tbl == nil {
+		t.Fatalf("csv: placement %+v, table %v, err %v", pl, tbl, err)
+	}
+	if tbl.Name != "orders" || tbl.NumRows() != 2 || tbl.Meta["source"] != "raw/orders.csv" {
+		t.Errorf("csv: table %v meta %v", tbl, tbl.Meta)
+	}
+	// The table handed back is the caller's; the store has its own copy.
+	tbl.Columns[0].Cells[0] = "clobbered"
+	if stored, _ := p.Rel.Table("orders"); stored.Columns[0].Cells[0] != "1" {
+		t.Error("the table handed back aliases the stored one")
+	}
+	for path, body := range map[string]string{
+		"raw/broken.csv": "a,b\n1\n",
+		"raw/event.json": `{"kind":"click"}`,
+		"raw/notes.txt":  "hello",
+	} {
+		if _, tbl, err := p.IngestParsed(path, []byte(body)); err != nil || tbl != nil {
+			t.Errorf("%s: table %v, err %v, want neither", path, tbl, err)
+		}
+	}
+}

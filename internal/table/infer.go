@@ -6,46 +6,44 @@ import (
 	"time"
 )
 
-// timeLayouts are the timestamp formats recognized by type inference,
-// tried in order.
-var timeLayouts = []string{
-	time.RFC3339,
-	"2006-01-02 15:04:05",
-	"2006-01-02",
-	"01/02/2006",
-	"2006/01/02",
-	time.RFC1123,
-}
-
 // InferKind infers the dominant type of a cell sequence. A column is
 // typed K if at least 95% of its non-null cells parse as K, following
 // the tolerant inference used by lake profilers (Skluma, GOODS): raw
 // data routinely carries a few mistyped cells.
+//
+// A kind is out of the running once its misses exceed 5% of len(cells),
+// which the non-null count cannot outgrow. A parser runs only while its
+// kind is in and on a cell shaped like its input: a failed strconv or
+// time parse allocates its error, eight of them per cell of plain words.
 func InferKind(cells []string) Kind {
 	const tolerance = 0.95
+	maxMiss := len(cells) / 20
 	var nonNull, ints, floats, bools, times int
 	for _, v := range cells {
-		if isNullToken(v) {
+		s := strings.TrimSpace(v)
+		if isNullToken(s) {
 			continue
 		}
-		nonNull++
-		s := strings.TrimSpace(v)
-		if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+		// nonNull counts the cells before this one, so these are misses.
+		out := func(hits int) bool { return nonNull-hits > maxMiss }
+		if out(floats) && out(bools) && out(times) {
+			return KindString
+		}
+		// The kinds are disjoint but for int within float, so skipping
+		// a parser that is out never hands its cell to a later one.
+		shape := numberShape(s)
+		switch {
+		case shape == 2 && !out(ints) && parses(strconv.ParseInt(s, 10, 64)):
 			ints++
 			floats++ // every int is a float
-			continue
-		}
-		if _, err := strconv.ParseFloat(s, 64); err == nil {
+		case shape >= 1 && !out(floats) && parses(strconv.ParseFloat(s, 64)):
 			floats++
-			continue
-		}
-		if isBoolToken(s) {
+		case isBoolToken(s):
 			bools++
-			continue
-		}
-		if parseTime(s) {
+		case !out(times) && parseTime(s):
 			times++
 		}
+		nonNull++
 	}
 	if nonNull == 0 {
 		return KindUnknown
@@ -65,21 +63,71 @@ func InferKind(cells []string) Kind {
 	}
 }
 
-func isBoolToken(s string) bool {
-	switch strings.ToLower(s) {
-	case "true", "false", "yes", "no", "t", "f":
-		return true
+func parses[T any](_ T, err error) bool { return err == nil }
+
+// numberShape is 2 for base-10 integer syntax (ParseInt can then fail on
+// range alone), 1 for what strconv.ParseFloat might still take, else 0.
+// It never refuses what a parser accepts; it refuses words and dates: a
+// number starts with a digit or '.' and takes a sign inside only behind
+// an exponent letter.
+func numberShape(s string) int {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
 	}
-	return false
+	switch {
+	case strings.EqualFold(s, "inf"), strings.EqualFold(s, "infinity"), strings.EqualFold(s, "nan"):
+		return 1
+	case s == "" || ((s[0] < '0' || s[0] > '9') && s[0] != '.'):
+		return 0
+	}
+	shape := 2
+	for i := 0; i < len(s); i++ {
+		switch c, prev := s[i]|0x20, s[max(i, 1)-1]|0x20; {
+		case '0' <= s[i] && s[i] <= '9':
+		case s[i] == '.', s[i] == '_', 'a' <= c && c <= 'f', c == 'x', c == 'p',
+			(s[i] == '+' || s[i] == '-') && (prev == 'e' || prev == 'p'):
+			shape = 1
+		default:
+			return 0
+		}
+	}
+	return shape
 }
 
-func parseTime(s string) bool {
-	for _, layout := range timeLayouts {
-		if _, err := time.Parse(layout, s); err == nil {
+// isBoolToken folds ASCII case only, as strings.ToLower would decide it:
+// at a token's byte length no other string folds to it.
+func isBoolToken(s string) bool {
+	for _, tok := range [...]string{"true", "false", "yes", "no", "t", "f"} {
+		if len(s) == len(tok) && strings.EqualFold(s, tok) {
 			return true
 		}
 	}
 	return false
+}
+
+// parseTime reports whether s is a timestamp in a recognized layout: RFC
+// 3339, "2006-01-02 15:04:05", "2006-01-02", "01/02/2006", "2006/01/02"
+// or RFC 1123. A value has its layout's separators at fixed offsets and
+// no other layout's: bytes 2, 3, 4 and 10 pick the one worth parsing.
+func parseTime(s string) bool {
+	layout := "2006-01-02 15:04:05"
+	switch {
+	case len(s) < 10:
+		return false
+	case s[3] == ',' && strings.IndexByte("mtwfs", s[0]|0x20) >= 0: // a weekday's letter
+		layout = time.RFC1123
+	case s[0] < '0' || s[0] > '9' || (s[2] != '/' && s[4] != '/' && s[4] != '-'):
+		return false
+	case s[2] == '/':
+		layout = "01/02/2006"
+	case s[4] == '/':
+		layout = "2006/01/02"
+	case len(s) == 10:
+		layout = "2006-01-02"
+	case s[10] == 'T':
+		layout = time.RFC3339
+	}
+	return parses(time.Parse(layout, s))
 }
 
 func parseFloat(s string) (float64, bool) {

@@ -24,36 +24,40 @@ type ColumnProfile struct {
 	IsKey bool
 }
 
-// Profile computes the profile of a column.
+// Profile computes the profile of a column: one walk over its cells and
+// one set of its distinct values (one more walk if it is numeric).
 func Profile(c *Column) ColumnProfile {
 	p := ColumnProfile{
 		Name:   c.Name,
 		Kind:   c.Kind,
 		Count:  c.Len(),
-		Nulls:  c.NullCount(),
 		Min:    math.NaN(),
 		Max:    math.NaN(),
 		Mean:   math.NaN(),
 		StdDev: math.NaN(),
 	}
-	p.Distinct = len(c.Distinct())
-	nonNull := p.Count - p.Nulls
-	if nonNull > 0 {
-		p.Uniqueness = float64(p.Distinct) / float64(nonNull)
-		total := 0
-		for _, v := range c.Cells {
-			if !isNullToken(v) {
-				total += len(v)
-			}
+	distinct := make(map[string]struct{}, len(c.Cells))
+	total := 0
+	for _, v := range c.Cells {
+		if isNullToken(v) {
+			p.Nulls++
+			continue
 		}
+		total += len(v)
+		distinct[v] = struct{}{}
+	}
+	p.Distinct = len(distinct)
+	if nonNull := p.Count - p.Nulls; nonNull > 0 {
+		p.Uniqueness = float64(p.Distinct) / float64(nonNull)
 		p.MeanLen = float64(total) / float64(nonNull)
+		// A candidate key, as IsCandidateKey(0.9) has it.
+		p.IsKey = p.Distinct == nonNull && float64(nonNull)/float64(p.Count) >= 0.9
 	}
 	if c.Kind.Numeric() {
 		if xs, frac := c.Floats(); len(xs) > 0 && frac > 0.5 {
 			p.Min, p.Max, p.Mean, p.StdDev = moments(xs)
 		}
 	}
-	p.IsKey = c.IsCandidateKey(0.9)
 	return p
 }
 

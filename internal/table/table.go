@@ -307,16 +307,12 @@ func (t *Table) String() string {
 	return fmt.Sprintf("%s(%d cols, %d rows)", t.Name, t.NumCols(), t.NumRows())
 }
 
-// nullTokens are cell values treated as missing data.
-var nullTokens = map[string]struct{}{
-	"": {}, "null": {}, "NULL": {}, "na": {}, "NA": {}, "n/a": {}, "N/A": {}, "nil": {}, "-": {},
-}
-
+// isNullToken reports whether v, spaces aside, is a value treated as
+// missing data. (The switch compiles to a search by length first.)
 func isNullToken(v string) bool {
-	_, ok := nullTokens[v]
-	if ok {
+	switch strings.TrimSpace(v) {
+	case "", "null", "NULL", "na", "NA", "n/a", "N/A", "nil", "-":
 		return true
 	}
-	_, ok = nullTokens[strings.TrimSpace(v)]
-	return ok
+	return false
 }
