@@ -36,24 +36,6 @@ func relEngine(t *testing.T) *Engine {
 	return NewEngine(p)
 }
 
-// equivalenceQueries are the query shapes the batch/row equivalence
-// property sweeps: SELECT *, explicit projection with null padding,
-// numeric and string predicates, LIMIT, and ORDER BY. limited marks
-// queries whose surviving rows are arrival-order-dependent at fan-in
-// > 1 (LIMIT without ORDER BY) — there the pipelines can only agree on
-// count and membership, exactly as the row pipeline's own widths do.
-var equivalenceQueries = []struct {
-	sql     string
-	limited bool
-}{
-	{sql: "SELECT * FROM rel:hotels_a, rel:hotels_b, rel:hotels_c"},
-	{sql: "SELECT city, price FROM rel:hotels_a, rel:hotels_b, rel:hotels_c"},
-	{sql: "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 20"},
-	{sql: "SELECT city, stars FROM rel:hotels_a, rel:hotels_b WHERE city = 'oslo'"},
-	{sql: "SELECT city FROM rel:hotels_a, rel:hotels_b, rel:hotels_c LIMIT 4", limited: true},
-	{sql: "SELECT * FROM rel:hotels_a WHERE missing = '1'"},
-}
-
 func drainStream(t *testing.T, st *RowStream) [][]string {
 	t.Helper()
 	var out [][]string
@@ -66,117 +48,6 @@ func drainStream(t *testing.T, st *RowStream) [][]string {
 			t.Fatalf("Next: %v", err)
 		}
 		out = append(out, append(Row(nil), row...))
-	}
-}
-
-// TestBatchRowEquivalence is the pinning property test: across batch
-// sizes and fan-in widths, the columnar pipeline's header and rows are
-// byte-identical to the row pipeline's. Sequential widths compare the
-// exact sequence (source-concatenation order is part of the row
-// pipeline's contract); parallel widths compare the sorted multiset,
-// exactly as the row pipeline's own fan-in tests do.
-func TestBatchRowEquivalence(t *testing.T) {
-	e := relEngine(t)
-	rowEng := NewEngine(e.Poly)
-	rowEng.DisableBatch = true
-	ctx := context.Background()
-	for _, tc := range equivalenceQueries {
-		// The reference is the sequential union: the sequence contract
-		// the comment above states holds at fan-in 1 only, and the
-		// default width is the machine's CPU count.
-		rst, err := rowEng.Query(ctx, Request{SQL: tc.sql, FanIn: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHeader := rst.Columns()
-		wantRows := drainStream(t, rst)
-		_ = rst.Close()
-		// For LIMIT-at-width queries the reference is the unlimited row
-		// multiset: any LIMIT-sized subset of it is a correct answer.
-		var universe map[string]bool
-		if tc.limited {
-			unlimited, _, ok := strings.Cut(tc.sql, " LIMIT ")
-			if !ok {
-				t.Fatalf("limited query %q has no LIMIT", tc.sql)
-			}
-			ust, err := rowEng.Query(ctx, Request{SQL: unlimited})
-			if err != nil {
-				t.Fatal(err)
-			}
-			universe = map[string]bool{}
-			for _, row := range drainStream(t, ust) {
-				universe[fmt.Sprint(row)] = true
-			}
-			_ = ust.Close()
-		}
-		for _, batchRows := range []int{1, 7, 1024} {
-			for _, fanIn := range []int{1, 4, 8} {
-				name := fmt.Sprintf("%s/batch=%d/fanin=%d", tc.sql, batchRows, fanIn)
-				st, err := e.Query(ctx, Request{SQL: tc.sql, BatchRows: batchRows, FanIn: fanIn})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.BatchMode() {
-					t.Errorf("%s: batch mode off, want on", name)
-				}
-				if got := st.Columns(); !reflect.DeepEqual(got, wantHeader) {
-					t.Fatalf("%s: header %v, want %v", name, got, wantHeader)
-				}
-				got := drainStream(t, st)
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if tc.limited && fanIn > 1 {
-					if len(got) != len(wantRows) {
-						t.Errorf("%s: %d rows, want %d", name, len(got), len(wantRows))
-					}
-					for _, row := range got {
-						if !universe[fmt.Sprint(row)] {
-							t.Errorf("%s: row %v not in the unlimited result", name, row)
-						}
-					}
-					continue
-				}
-				want := wantRows
-				if fanIn > 1 {
-					got, want = sortedRows(got), sortedRows(want)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: rows %v, want %v", name, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchRowEquivalenceOrdered: with ORDER BY the comparison is
-// exact at every width — the total-order sort makes parallel arrival
-// order irrelevant.
-func TestBatchRowEquivalenceOrdered(t *testing.T) {
-	e := relEngine(t)
-	rowEng := NewEngine(e.Poly)
-	rowEng.DisableBatch = true
-	ctx := context.Background()
-	sql := "SELECT city, price FROM rel:hotels_a, rel:hotels_b, rel:hotels_c"
-	order := []OrderKey{{Column: "price", Desc: true}, {Column: "city"}}
-	rst, err := rowEng.Query(ctx, Request{SQL: sql, Order: order})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainStream(t, rst)
-	_ = rst.Close()
-	for _, batchRows := range []int{1, 7, 1024} {
-		for _, fanIn := range []int{1, 4, 8} {
-			st, err := e.Query(ctx, Request{SQL: sql, Order: order, BatchRows: batchRows, FanIn: fanIn})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainStream(t, st)
-			_ = st.Close()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("batch=%d fanin=%d: rows %v, want %v", batchRows, fanIn, got, want)
-			}
-		}
 	}
 }
 
