@@ -85,7 +85,6 @@ import (
 	"time"
 
 	"golake"
-	"golake/internal/bench"
 	"golake/internal/core"
 	"golake/internal/explore"
 	"golake/internal/table"
@@ -642,7 +641,7 @@ func demo(ctx context.Context) error {
 		return err
 	}
 	lake.AddUser("dana", golake.RoleDataScientist)
-	c := workload.GenerateCorpus(bench.DefaultCorpusSpec())
+	c := workload.GenerateCorpus(workload.DefaultSpec())
 	for _, tbl := range c.Tables {
 		if _, err := lake.Ingest(ctx, "raw/"+tbl.Name+".csv", []byte(table.ToCSV(tbl)), "demo", "dana"); err != nil {
 			return err

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"golake/internal/bench"
 	"golake/internal/discovery"
 	"golake/internal/enrich"
 	"golake/internal/table"
@@ -26,7 +25,7 @@ func main() {
 	fmt.Printf("query table: %s (group %s)\n\n", query.Name, query.Meta["group"])
 
 	// 1. Compare the discovery systems on the same query.
-	for _, d := range bench.Discoverers() {
+	for _, d := range discoverers() {
 		if err := d.Index(c.Tables); err != nil {
 			log.Fatal(err)
 		}
@@ -91,6 +90,21 @@ func main() {
 	fmt.Println("\nDomainNet homographs:")
 	for _, h := range homs {
 		fmt.Printf("  %q spans %d communities (%d attributes)\n", h.Value, h.Communities, len(h.Attributes))
+	}
+}
+
+// discoverers instantiates the survey's Table 3 systems in survey
+// order. The DLN instance is returned untrained; it learns from a join
+// query log once the corpus is indexed.
+func discoverers() []discovery.Discoverer {
+	return []discovery.Discoverer{
+		discovery.NewAurum(),
+		discovery.NewJOSIE(),
+		discovery.NewD3L(),
+		discovery.NewJuneau(discovery.TaskAugment),
+		discovery.NewPEXESO(),
+		discovery.NewRNLIM(),
+		discovery.NewDLN(),
 	}
 }
 

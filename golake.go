@@ -82,12 +82,11 @@
 // sequential source-concatenation union), WithFanIn pins a lake-wide
 // default, and QueryRequest.BufferRows sizes the per-source window.
 //
-// Queries whose FROM list is entirely relational run on a columnar
-// batch pipeline — typed column vectors moved ~1024 rows at a time,
-// vectorized filtering, fan-in shipping whole batches — with output
-// byte-identical to the row pipeline; any other source mix falls back
-// to row mode (the plan says which ran). QueryRequest.BatchRows sizes
-// the batches.
+// Every query runs on one columnar batch pipeline, whatever mix of
+// stores its FROM list names — column vectors moved ~1024 rows at a
+// time, vectorized filtering, fan-in shipping whole batches; rows are
+// materialized only at the output. QueryRequest.BatchRows sizes the
+// batches.
 //
 // Plan introspection rides on the same request: EXPLAIN SELECT ... (or
 // QueryRequest.Explain) returns a rowless stream whose Plan() carries

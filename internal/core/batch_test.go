@@ -9,13 +9,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"golake/internal/query"
 )
 
-// batchLake assembles a lake over relational-only sources — the
-// federation the columnar pipeline serves end to end. disableBatch
-// forces the row pipeline on the same data, for byte-identity
-// comparisons.
-func batchLake(t *testing.T, disableBatch bool, opts ...Option) (*Lake, *httptest.Server) {
+// batchLake assembles a lake over two relational sources with
+// overlapping headers, 600 rows in all.
+func batchLake(t *testing.T, opts ...Option) (*Lake, *httptest.Server) {
 	t.Helper()
 	l, err := Open(t.TempDir(), opts...)
 	if err != nil {
@@ -37,7 +37,6 @@ func batchLake(t *testing.T, disableBatch bool, opts ...Option) (*Lake, *httptes
 	if _, err := l.Ingest(ctx, "raw/hotels_b.csv", []byte(b.String()), "erp", "dana"); err != nil {
 		t.Fatal(err)
 	}
-	l.Engine.DisableBatch = disableBatch
 	srv := httptest.NewServer(l.HTTPHandler())
 	t.Cleanup(srv.Close)
 	return l, srv
@@ -69,7 +68,7 @@ func ndjsonQuery(t *testing.T, srv *httptest.Server, body string) (int, []string
 // invalid query (400), not a silent clamp — mirroring the fan-in
 // knobs.
 func TestV1QueryBatchRowsValidation(t *testing.T) {
-	_, srv := batchLake(t, false)
+	_, srv := batchLake(t)
 	for _, body := range []string{
 		`{"sql":"SELECT city FROM rel:hotels_a","batch_rows":-1}`,
 		`{"sql":"SELECT city FROM rel:hotels_a","batch_rows":9999999}`,
@@ -96,39 +95,50 @@ func TestV1QueryBatchRowsValidation(t *testing.T) {
 }
 
 // TestV1QueryBatchNDJSONByteIdentity pins the serialization contract:
-// the NDJSON a batch-mode stream produces is byte-identical to the row
-// pipeline's, at every batch size — only the stats trailer (timings)
-// may differ.
+// at every batch size, the NDJSON stream's header and row lines are
+// byte-identical to encoding/json over the JSON envelope's columns and
+// rows — only the stats trailer (timings) may differ.
 func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
-	_, rowSrv := batchLake(t, true)
-	_, batchSrv := batchLake(t, false)
+	_, srv := batchLake(t)
 	for _, sql := range []string{
 		"SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40",
 		"SELECT * FROM rel:hotels_a, rel:hotels_b",
 		"SELECT city, stars FROM rel:hotels_a, rel:hotels_b LIMIT 700",
 	} {
-		// Both sides run the sequential union: without an ORDER BY the
-		// row sequence is only defined at fan-in 1, and the default
-		// width is the machine's CPU count.
-		code, wantLines := ndjsonQuery(t, rowSrv, fmt.Sprintf(`{"sql":%q,"fanin":1}`, sql))
-		if code != http.StatusOK {
-			t.Fatalf("%s: row status = %d", sql, code)
+		// Fan-in 1 throughout: without an ORDER BY the row sequence is
+		// only defined for the sequential union.
+		resp, data := do(t, srv, http.MethodPost, "/v1/query", "dana", fmt.Sprintf(`{"sql":%q,"fanin":1}`, sql))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: JSON status = %d (%s)", sql, resp.StatusCode, data)
+		}
+		var env struct {
+			Columns []string   `json:"columns"`
+			Rows    [][]string `json:"rows"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		header, _ := json.Marshal(map[string]any{"columns": env.Columns})
+		wantLines := []string{string(header)}
+		for _, row := range env.Rows {
+			line, _ := json.Marshal(row)
+			wantLines = append(wantLines, string(line))
 		}
 		for _, batchRows := range []int{1, 7, 1024} {
 			body := fmt.Sprintf(`{"sql":%q,"batch_rows":%d,"fanin":1}`, sql, batchRows)
-			code, gotLines := ndjsonQuery(t, batchSrv, body)
+			code, gotLines := ndjsonQuery(t, srv, body)
 			if code != http.StatusOK {
 				t.Fatalf("%s batch_rows=%d: status = %d", sql, batchRows, code)
 			}
-			if len(gotLines) != len(wantLines) {
-				t.Fatalf("%s batch_rows=%d: %d lines, want %d", sql, batchRows, len(gotLines), len(wantLines))
-			}
 			// Everything but the final stats trailer must match byte for
-			// byte; an error trailer anywhere fails the length check above
-			// or the comparison here.
-			for i := 0; i < len(wantLines)-1; i++ {
-				if gotLines[i] != wantLines[i] {
-					t.Fatalf("%s batch_rows=%d: line %d = %q, want %q", sql, batchRows, i, gotLines[i], wantLines[i])
+			// byte; an error trailer anywhere fails the length check or
+			// the comparison.
+			if len(gotLines) != len(wantLines)+1 {
+				t.Fatalf("%s batch_rows=%d: %d lines, want %d rows plus header and trailer", sql, batchRows, len(gotLines), len(env.Rows))
+			}
+			for i, want := range wantLines {
+				if gotLines[i] != want {
+					t.Fatalf("%s batch_rows=%d: line %d = %q, want %q", sql, batchRows, i, gotLines[i], want)
 				}
 			}
 		}
@@ -138,7 +148,7 @@ func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
 // TestMetricsBatchSeries: an executed batch-mode query shows up in the
 // golake_query_batch_rows / _fill_ratio histograms on the next scrape.
 func TestMetricsBatchSeries(t *testing.T) {
-	_, srv := batchLake(t, false)
+	_, srv := batchLake(t)
 	resp, _ := do(t, srv, http.MethodPost, "/v1/query", "dana",
 		`{"sql":"SELECT city FROM rel:hotels_a, rel:hotels_b","batch_rows":64}`)
 	if resp.StatusCode != http.StatusOK {
@@ -160,31 +170,40 @@ func TestMetricsBatchSeries(t *testing.T) {
 }
 
 // TestQuerySQLBatchMatchesRow: the materializing QuerySQL entry point
-// (the Collect bridge) returns identical tables from both pipelines.
+// (Collect, draining batch-wise) returns exactly the rows the row
+// cursor of Lake.Query serves for the same statement.
 func TestQuerySQLBatchMatchesRow(t *testing.T) {
-	// Fan-in 1 on both: cell-for-cell equality needs the sequential
-	// union's row order, not arrival order.
-	rowLake, _ := batchLake(t, true, WithFanIn(1, 0))
-	colLake, _ := batchLake(t, false, WithFanIn(1, 0))
+	// Fan-in 1: cell-for-cell equality needs the sequential union's row
+	// order, not arrival order.
+	l, _ := batchLake(t, WithFanIn(1, 0))
 	ctx := context.Background()
 	const sql = "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40"
-	want, err := rowLake.QuerySQL(ctx, "dana", sql)
+	st, err := l.Query(ctx, "dana", query.Request{SQL: sql, BatchRows: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := colLake.QuerySQL(ctx, "dana", sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Columns) != len(want.Columns) {
-		t.Fatalf("columns = %d, want %d", len(got.Columns), len(want.Columns))
-	}
-	for j := range want.Columns {
-		if got.Columns[j].Name != want.Columns[j].Name {
-			t.Fatalf("column %d = %q, want %q", j, got.Columns[j].Name, want.Columns[j].Name)
+	var want [][]string
+	for {
+		row, err := st.Next(ctx)
+		if err == io.EOF {
+			break
 		}
-		if fmt.Sprint(got.Columns[j].Cells) != fmt.Sprint(want.Columns[j].Cells) {
-			t.Errorf("column %q cells differ", want.Columns[j].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	_ = st.Close()
+	got, err := l.QuerySQL(ctx, "dana", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != len(want) || len(want) == 0 {
+		t.Fatalf("QuerySQL %d rows, cursor %d", got.NumRows(), len(want))
+	}
+	for i, row := range want {
+		if fmt.Sprint(got.Row(i)) != fmt.Sprint(row) {
+			t.Errorf("row %d: QuerySQL %v, cursor %v", i, got.Row(i), row)
 		}
 	}
 }

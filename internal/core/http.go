@@ -706,11 +706,6 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 // the Accept header.
 const ndjsonContentType = "application/x-ndjson"
 
-// ndjsonRowsPerWrite is how many rows of a row-shaped stream go out in
-// one write — about 16 KiB of typical rows (a batch stream is written a
-// batch at a time).
-const ndjsonRowsPerWrite = 512
-
 // Per-request fan-in bounds: a request may widen concurrency only up to
 // these caps, so one query cannot ask the server for unbounded
 // goroutines or buffer memory. batch_rows is capped for the same
@@ -727,8 +722,8 @@ const (
 // typed execution options of query.Request. fanin/buffer_rows absent
 // means the lake default (fan-in on, one puller per CPU, unless
 // WithFanIn pinned a width); fanin 1 forces the sequential union.
-// batch_rows sizes the columnar pipeline's batches (absent = the lake
-// default; ignored on queries that fall back to row mode). shards
+// batch_rows sizes the pipeline's batches (absent = the lake
+// default). shards
 // range-partitions each relational scan into that many cursors drained
 // through the same fan-in (absent or 1 = one cursor per table). order
 // entries sort the result ({"column": ..., "desc": ...}); explain
@@ -858,12 +853,12 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 // pre-v1 semantics: sequential union (unless WithFanIn), JSON envelope
 // only, no Request knobs.
 func (l *Lake) handleQueryLegacy(w http.ResponseWriter, r *http.Request, sql string) {
-	it, err := l.QueryStream(r.Context(), userOf(r), sql)
+	st, err := l.queryLegacy(r.Context(), userOf(r), sql, l.Engine.FanIn)
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	res, err := query.Collect(r.Context(), it)
+	res, err := query.Collect(r.Context(), st)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -871,11 +866,12 @@ func (l *Lake) handleQueryLegacy(w http.ResponseWriter, r *http.Request, sql str
 	writeJSON(w, http.StatusOK, tableJSON(res))
 }
 
-// batchStreamer is the columnar face a stream may expose (RowStream
-// does, when the engine picked the batch pipeline end-to-end).
-type batchStreamer interface {
-	BatchOutput() bool
+// batchStream is what streamNDJSON drains: a query stream's header and
+// its batches (a RowStream, or a test's fake).
+type batchStream interface {
+	Columns() []string
 	NextBatch(ctx context.Context) (*query.Batch, error)
+	Close() error
 }
 
 // streamNDJSON writes a query stream as chunked NDJSON: a header
@@ -889,34 +885,17 @@ type batchStreamer interface {
 //
 // Row lines are appended into one reused buffer (ndjson.AppendRow,
 // byte-identical to json.Encoder) and reach the client one write and
-// one flush per batch; a stream without a columnar face is written
-// ndjsonRowsPerWrite rows at a time. The header is flushed on its own
-// and so is the first batch, so a client holds the columns and the
-// first rows while the scan is still running. Encoding and writing are
-// timed once per write into the stream's "serialize" trace span (when
-// the iterator carries one) so the stats trailer accounts for them.
-func streamNDJSON(w http.ResponseWriter, ctx context.Context, st query.RowIterator, stats func() query.ExecStats) {
+// one flush per batch. The header is flushed on its own and so is the
+// first batch, so a client holds the columns and the first rows while
+// the scan is still running. Encoding and writing are timed once per
+// write into the stream's "serialize" trace span (when the stream
+// carries one) so the stats trailer accounts for them.
+func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, stats func() query.ExecStats) {
 	defer st.Close()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var serialize time.Duration
-	var buf []byte
-	// write encodes n rows and sends them as one flushed write. False
-	// means the client is gone and nobody is left to read a trailer.
-	write := func(n int, row func(i int) []string) bool {
-		start := time.Now()
-		buf = buf[:0]
-		for i := 0; i < n; i++ {
-			buf = ndjson.AppendRow(buf, row(i))
-		}
-		_, err := w.Write(buf)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		serialize += time.Since(start)
-		return err == nil
-	}
 	start := time.Now()
 	err := json.NewEncoder(w).Encode(map[string]any{"columns": orEmpty(st.Columns())})
 	if flusher != nil {
@@ -926,42 +905,32 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st query.RowIterat
 	if err != nil {
 		return
 	}
-	if bs, ok := st.(batchStreamer); ok && bs.BatchOutput() {
-		scratch := make([]string, len(st.Columns()))
-		for {
-			b, err := bs.NextBatch(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				writeNDJSONError(w, err)
-				return
-			}
-			if !write(b.Len(), func(i int) []string { b.CopyRow(scratch, i); return scratch }) {
-				return
-			}
+	var buf []byte
+	scratch := make([]string, len(st.Columns()))
+	for {
+		b, err := st.NextBatch(ctx)
+		if err == io.EOF {
+			break
 		}
-	} else {
-		pending := make([]query.Row, 0, ndjsonRowsPerWrite)
-		for {
-			row, err := st.Next(ctx)
-			if err == nil {
-				pending = append(pending, row)
-				if len(pending) < cap(pending) {
-					continue
-				}
-			}
-			if len(pending) > 0 && !write(len(pending), func(i int) []string { return pending[i] }) {
-				return
-			}
-			pending = pending[:0]
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				writeNDJSONError(w, err)
-				return
-			}
+		if err != nil {
+			writeNDJSONError(w, err)
+			return
+		}
+		// One batch is one flushed write. A failed write means the
+		// client is gone and nobody is left to read a trailer.
+		start := time.Now()
+		buf = buf[:0]
+		for i := 0; i < b.Len(); i++ {
+			b.CopyRow(scratch, i)
+			buf = ndjson.AppendRow(buf, scratch)
+		}
+		_, err = w.Write(buf)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		serialize += time.Since(start)
+		if err != nil {
+			return
 		}
 	}
 	if sa, ok := st.(interface {

@@ -1101,11 +1101,9 @@ func (l *Lake) Query(ctx context.Context, user string, req query.Request) (*quer
 			st.OnClose(func() {
 				l.metrics.observeQuery(st.Plan(), st.Stats(), st.Err() != nil)
 			})
-			// Batch-mode streams additionally report each batch's size
-			// and fill ratio as it moves through the pipeline.
-			if st.BatchMode() {
-				st.OnBatch(l.metrics.observeBatch)
-			}
+			// Each batch's size and fill ratio is reported as it moves
+			// through the pipeline.
+			st.OnBatch(l.metrics.observeBatch)
 		}
 	}
 	// The engine already parsed the statement; the plan's source list
@@ -1194,13 +1192,18 @@ func (l *Lake) QueryStream(ctx context.Context, user, sql string) (query.RowIter
 //
 // Deprecated: use Query with Request.FanIn/BufferRows.
 func (l *Lake) QueryStreamFanIn(ctx context.Context, user, sql string, opts query.FanInOptions) (query.RowIterator, error) {
-	fanIn := opts.Workers
-	if fanIn <= 1 {
-		// The legacy contract: no explicit width means sequential, not
-		// the Request path's CPU-wide default.
-		fanIn = 1
+	st, err := l.queryLegacy(ctx, user, sql, opts)
+	if err != nil {
+		return nil, err
 	}
-	st, err := l.Query(ctx, user, query.Request{SQL: sql, FanIn: fanIn, BufferRows: opts.BufferRows})
+	return st, nil
+}
+
+// queryLegacy is the pre-Request query contract the deprecated entry
+// points keep: no explicit width means sequential, not the Request
+// path's CPU-wide default, and EXPLAIN has no row result.
+func (l *Lake) queryLegacy(ctx context.Context, user, sql string, opts query.FanInOptions) (*query.RowStream, error) {
+	st, err := l.Query(ctx, user, query.Request{SQL: sql, FanIn: max(opts.Workers, 1), BufferRows: opts.BufferRows})
 	if err != nil {
 		return nil, err
 	}

@@ -165,29 +165,29 @@ func TestNDJSONStreamsBeforeHandlerFinishes(t *testing.T) {
 	}
 }
 
-// failingIterator streams a few rows, then breaks — the mid-stream
-// failure case.
-type failingIterator struct {
+// failingStream streams a few one-row batches, then breaks — the
+// mid-stream failure case.
+type failingStream struct {
 	rows int
 	err  error
 }
 
-func (f *failingIterator) Columns() []string { return []string{"a"} }
+func (f *failingStream) Columns() []string { return []string{"a"} }
 
-func (f *failingIterator) Next(ctx context.Context) ([]string, error) {
+func (f *failingStream) NextBatch(ctx context.Context) (*query.Batch, error) {
 	if f.rows == 0 {
 		return nil, f.err
 	}
 	f.rows--
-	return []string{"x"}, nil
+	return query.NewBatch(f.Columns(), []*query.Vector{query.NewVector([]string{"x"})}), nil
 }
 
-func (f *failingIterator) Close() error { return nil }
+func (f *failingStream) Close() error { return nil }
 
 func TestNDJSONMidStreamErrorEmitsTrailerLine(t *testing.T) {
 	rec := httptest.NewRecorder()
-	it := &failingIterator{rows: 2, err: lakeerr.Errorf(lakeerr.CodeUnavailable, "store went away")}
-	streamNDJSON(rec, context.Background(), query.RowIterator(it), nil)
+	st := &failingStream{rows: 2, err: lakeerr.Errorf(lakeerr.CodeUnavailable, "store went away")}
+	streamNDJSON(rec, context.Background(), st, nil)
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 4 { // header + 2 rows + trailer
 		t.Fatalf("lines = %q", lines)

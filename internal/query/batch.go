@@ -5,8 +5,6 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
-
-	"golake/internal/table"
 )
 
 // DefaultBatchRows is the row capacity of one pipeline batch when
@@ -21,9 +19,8 @@ const DefaultBatchRows = 1024
 // the same physical length; Sel, when non-nil, lists the physical row
 // indexes that are logically present (what a vectorized filter
 // produces — no row is copied to drop a row). Stages hand whole
-// batches downstream, so the per-row interface dispatch and per-row
-// allocations of the row pipeline are paid once per ~1024 rows
-// instead of once per row.
+// batches downstream, so per-row interface dispatch and allocation are
+// paid once per ~1024 rows instead of once per row.
 type Batch struct {
 	cols []string
 	vecs []*Vector
@@ -72,7 +69,7 @@ func (b *Batch) rowIndex(i int) int {
 // Cell returns logical row i of column j in wire form.
 func (b *Batch) Cell(i, j int) string { return b.vecs[j].Cell(b.rowIndex(i)) }
 
-// Row materializes logical row i — the bridge to row-shaped consumers.
+// Row materializes logical row i — RowStream's row cursor.
 func (b *Batch) Row(i int) Row {
 	row := make(Row, len(b.vecs))
 	b.CopyRow(row, i)
@@ -88,9 +85,9 @@ func (b *Batch) CopyRow(dst Row, i int) {
 	}
 }
 
-// BatchIterator is the columnar counterpart of RowIterator: every
-// vectorized stage implements it, moving one Batch per Next instead of
-// one row. Next returns io.EOF after the last batch and never returns
+// BatchIterator is the engine's stage interface: every leaf and stage
+// (scan, filter, union, fan-in, sort, limit) implements it, moving one
+// Batch per Next. Next returns io.EOF after the last batch and never returns
 // an empty batch; any other error terminates the stream. Iterators are
 // single-consumer; Close is idempotent and must be called when done.
 type BatchIterator interface {
@@ -103,79 +100,28 @@ type BatchIterator interface {
 	Close() error
 }
 
-// rowsIterator adapts a batch stream back to the row interface — the
-// sink-side adapter that keeps every row-shaped consumer working on
-// top of a vectorized pipeline.
-type rowsIterator struct {
-	in     BatchIterator
-	b      *Batch
-	pos    int
-	closed bool
-}
-
-// Rows adapts a BatchIterator to a RowIterator: one materialized row
-// per Next, pulled batch-by-batch underneath.
-func Rows(in BatchIterator) RowIterator {
-	return &rowsIterator{in: in}
-}
-
-func (r *rowsIterator) Columns() []string { return r.in.Columns() }
-
-func (r *rowsIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if r.closed {
-		return nil, io.EOF
-	}
-	for r.b == nil || r.pos >= r.b.Len() {
-		b, err := r.in.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		r.b, r.pos = b, 0
-	}
-	row := r.b.Row(r.pos)
-	r.pos++
-	return row, nil
-}
-
-func (r *rowsIterator) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.b = nil
-	return r.in.Close()
-}
-
 // BatchScanner is a row source that can also hand its rows over
-// column-major (a remote member's stream decodes the wire that way).
+// column-major — a remote member's stream decodes the wire that way.
 // NextBatch is BatchIterator.Next with up to rows rows per batch.
 type BatchScanner interface {
 	RowIterator
 	NextBatch(ctx context.Context, rows int) (*Batch, error)
 }
 
-// batchesIterator adapts a row stream to the batch interface — the
-// source-side adapter that lets row-oriented sources participate in a
-// vectorized pipeline.
+// batchesIterator is a remote member's stream as a pipeline leaf.
 type batchesIterator struct {
-	in     RowIterator
-	scan   BatchScanner // in's own batch face, when it has one
+	in     BatchScanner
 	rows   int
 	closed bool
 }
 
-// Batches adapts a RowIterator to a BatchIterator of up to rows rows
-// per batch (DefaultBatchRows when rows <= 0): a BatchScanner's own
-// batches when in is one, else its rows accumulated into column runs.
-func Batches(in RowIterator, rows int) BatchIterator {
+// Batches adapts a BatchScanner to a BatchIterator of up to rows rows
+// per batch (DefaultBatchRows when rows <= 0).
+func Batches(in BatchScanner, rows int) BatchIterator {
 	if rows <= 0 {
 		rows = DefaultBatchRows
 	}
-	scan, _ := in.(BatchScanner)
-	return &batchesIterator{in: in, scan: scan, rows: rows}
+	return &batchesIterator{in: in, rows: rows}
 }
 
 func (b *batchesIterator) Columns() []string { return b.in.Columns() }
@@ -184,43 +130,7 @@ func (b *batchesIterator) Next(ctx context.Context) (*Batch, error) {
 	if b.closed {
 		return nil, io.EOF
 	}
-	if b.scan != nil {
-		return b.scan.NextBatch(ctx, b.rows)
-	}
-	cols := b.in.Columns()
-	var cells [][]string
-	n := 0
-	for n < b.rows {
-		row, err := b.in.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if n > 0 && ctx.Err() != nil {
-				// Transient cancellation: the accumulated rows would be
-				// lost if surfaced now. Per the batch contract an error
-				// terminates the stream, so hand the partial batch back
-				// and let the next call surface the cancellation.
-				break
-			}
-			return nil, err
-		}
-		if cells == nil {
-			cells = make([][]string, len(cols))
-		}
-		for j, v := range row {
-			cells[j] = append(cells[j], v)
-		}
-		n++
-	}
-	if n == 0 {
-		return nil, io.EOF
-	}
-	vecs := make([]*Vector, len(cols))
-	for j := range vecs {
-		vecs[j] = NewVector(cells[j])
-	}
-	return NewBatch(cols, vecs), nil
+	return b.in.NextBatch(ctx, b.rows)
 }
 
 func (b *batchesIterator) Close() error {
@@ -231,64 +141,21 @@ func (b *batchesIterator) Close() error {
 	return b.in.Close()
 }
 
-// batchSource is how row-shaped entry points discover that a stream
-// can also be drained columnar (RowStream implements it when the
-// engine picked the batch pipeline).
-type batchSource interface {
-	BatchOutput() bool
-	NextBatch(ctx context.Context) (*Batch, error)
-	Columns() []string
-	Close() error
-}
-
-// CollectBatches drains a batch stream into a materialized table named
-// "result", appending whole vectors column-wise instead of pulling one
-// row at a time, and closes it afterwards.
-func CollectBatches(ctx context.Context, it BatchIterator) (*table.Table, error) {
-	defer it.Close()
-	out := table.New("result")
-	for _, c := range it.Columns() {
-		out.Columns = append(out.Columns, &table.Column{Name: c})
+// buildBatch fills a k-row batch over cols column by column through
+// cell(i, j), carving every column run out of one backing array — how
+// the snapshot leaves and the sort stage turn records into vectors.
+func buildBatch(cols []string, k int, cell func(i, j int) string) *Batch {
+	cells := make([]string, k*len(cols))
+	vecs := make([]*Vector, len(cols))
+	for j := range vecs {
+		run := cells[j*k : (j+1)*k : (j+1)*k]
+		for i := range run {
+			run[i] = cell(i, j)
+		}
+		vecs[j] = NewVector(run)
 	}
-	for {
-		b, err := it.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j := range out.Columns {
-			out.Columns[j].Cells = b.Vector(j).AppendTo(out.Columns[j].Cells, b.Sel())
-		}
-	}
-	out.InferTypes()
-	return out, nil
-}
-
-// collectBatchSource is CollectBatches over a batchSource (RowStream's
-// columnar face); Collect dispatches here when the stream is batch-
-// shaped so materializing callers get the column-wise drain for free.
-func collectBatchSource(ctx context.Context, it batchSource) (*table.Table, error) {
-	defer it.Close()
-	out := table.New("result")
-	for _, c := range it.Columns() {
-		out.Columns = append(out.Columns, &table.Column{Name: c})
-	}
-	for {
-		b, err := it.NextBatch(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j := range out.Columns {
-			out.Columns[j].Cells = b.Vector(j).AppendTo(out.Columns[j].Cells, b.Sel())
-		}
-	}
-	out.InferTypes()
-	return out, nil
+	// n is set explicitly: a record set with no columns still has rows.
+	return &Batch{cols: cols, vecs: vecs, n: k}
 }
 
 // batchMeter instruments the top of a batch pipeline: batches and rows
@@ -321,10 +188,8 @@ func (m *batchMeter) Next(ctx context.Context) (*Batch, error) {
 
 func (m *batchMeter) Close() error { return m.in.Close() }
 
-// meteredBatchIterator instruments one source's batch scan with the
-// shared per-source counter: rows pulled and time blocked, the same
-// series the row pipeline's meteredIterator records, so Stats are
-// comparable across pipeline modes.
+// meteredBatchIterator instruments one source's batch scan with its
+// per-source counter: rows pulled and time blocked.
 type meteredBatchIterator struct {
 	in BatchIterator
 	c  *sourceCounter

@@ -7,14 +7,27 @@ import (
 	"strconv"
 )
 
-// batchMapping returns the column mapping from one header onto another,
-// or nil when they already match — the identity case every remap helper
-// treats as pass-through.
+// batchMapping returns the column mapping from one header onto another
+// — each target column's index in from, -1 when absent — or nil when
+// the headers already match, the identity every remap treats as
+// pass-through.
 func batchMapping(from, to []string) []int {
 	if slices.Equal(from, to) {
 		return nil
 	}
-	return columnMapping(from, to)
+	idx := make(map[string]int, len(from))
+	for i, c := range from {
+		idx[c] = i
+	}
+	src := make([]int, len(to))
+	for i, c := range to {
+		if j, ok := idx[c]; ok {
+			src[i] = j
+		} else {
+			src[i] = -1
+		}
+	}
+	return src
 }
 
 // remapBatch projects a batch onto a target header through a
@@ -57,49 +70,14 @@ func (b *Batch) head(k int) *Batch {
 	return b.withSel(sel)
 }
 
-// projectBatchIterator remaps whole batches onto a target header.
-type projectBatchIterator struct {
-	in   BatchIterator
-	cols []string
-	src  []int
-}
-
-// ProjectBatches wraps a batch stream with a projection onto cols —
-// the columnar Project: column vectors are rearranged per batch
-// (reordering, dropping extras, null-padding missing columns) without
-// touching a single cell. Empty cols means SELECT * — pass-through, as
-// is a projection that already matches the input header.
-func ProjectBatches(in BatchIterator, cols []string) BatchIterator {
-	if len(cols) == 0 {
-		return in
-	}
-	src := batchMapping(in.Columns(), cols)
-	if src == nil {
-		return in
-	}
-	return &projectBatchIterator{in: in, cols: cols, src: src}
-}
-
-func (p *projectBatchIterator) Columns() []string { return p.cols }
-
-func (p *projectBatchIterator) Next(ctx context.Context) (*Batch, error) {
-	b, err := p.in.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return remapBatch(b, p.cols, p.src), nil
-}
-
-func (p *projectBatchIterator) Close() error { return p.in.Close() }
-
 // boundBatchPredicate is one predicate compiled against a batch
 // stream's header: the column index resolved once, the comparison
 // value parsed once.
 type boundBatchPredicate struct {
 	p   Predicate
 	col int // input column index, -1 when the column is missing
-	// val/valOK cache strconv.ParseFloat(p.Value) — the half of the
-	// row path's per-row re-parse that depends only on the predicate.
+	// val/valOK cache strconv.ParseFloat(p.Value), parsed once per
+	// stream instead of once per cell.
 	val   float64
 	valOK bool
 }
@@ -113,12 +91,11 @@ type filterBatchIterator struct {
 	preds []boundBatchPredicate
 }
 
-// FilterBatches wraps a batch stream with vectorized central predicate
-// evaluation. Selectivity is byte-identical to the row pipeline's
-// Filter: a predicate naming a column the input lacks matches nothing,
-// and every cell follows Predicate.Matches semantics exactly — numeric
-// comparison when both the cell and the value parse as float64, string
-// comparison otherwise.
+// FilterBatches wraps a batch stream with vectorized predicate
+// evaluation — the filter every pipeline leaf runs. A predicate naming
+// a column the input lacks matches nothing, and every cell follows
+// Predicate.Matches semantics exactly: numeric comparison when both the
+// cell and the value parse as float64, string comparison otherwise.
 func FilterBatches(in BatchIterator, preds []Predicate) BatchIterator {
 	if len(preds) == 0 {
 		return in
@@ -170,7 +147,7 @@ func (f *filterBatchIterator) apply(b *Batch) []int {
 	for k := range f.preds {
 		bp := &f.preds[k]
 		if bp.col < 0 {
-			// Missing column matches nothing, like the row Filter.
+			// A missing column matches nothing.
 			return nil
 		}
 		v := b.vecs[bp.col]
@@ -282,7 +259,7 @@ type limitBatchIterator struct {
 // LimitBatches caps a batch stream at n rows; n <= 0 means unlimited.
 // The final batch is truncated by selection, and once the cap is
 // reached the input is closed eagerly, releasing source scans before
-// the consumer calls Close — same contract as the row Limit.
+// the consumer calls Close.
 func LimitBatches(in BatchIterator, n int) BatchIterator {
 	if n <= 0 {
 		return in
@@ -318,7 +295,7 @@ func (l *limitBatchIterator) Close() error {
 
 // unionBatchColumns computes the union header over batch sources: want
 // when projecting explicit columns, otherwise the union of the source
-// headers in first-seen order — the same rule as the row unions.
+// headers in first-seen order.
 func unionBatchColumns(sources []BatchIterator, want []string) []string {
 	cols := want
 	if len(cols) == 0 {
@@ -345,16 +322,19 @@ type unionBatchIterator struct {
 	src    []int
 	cur    int
 	closed bool
-	// err is the sticky mid-stream failure; see unionIterator.
+	// err is the sticky mid-stream failure: once a source errors, every
+	// remaining source is closed eagerly and later Next calls replay the
+	// error instead of pulling from a half-torn-down stream.
 	err error
 }
 
 // UnionBatches merges batch sources by concatenation over a shared
-// header — the sequential fan-in fallback with the row Union's
-// deterministic source order and error semantics. The context is
-// re-checked between batches: one batch can carry ~a thousand rows, so
-// a source that serves batch after batch without ever blocking would
-// otherwise let cancellation ride far past the caller's deadline.
+// header, remapping (and null-padding) each source whole-vector — the
+// fanin=1 union, whose row order is the deterministic concatenation of
+// the sources. Nothing is buffered. The context is re-checked between
+// batches: one batch can carry ~a thousand rows, so a source that
+// serves batch after batch without ever blocking would otherwise let
+// cancellation ride far past the caller's deadline.
 func UnionBatches(sources []BatchIterator, want []string) BatchIterator {
 	u := &unionBatchIterator{cols: unionBatchColumns(sources, want), sources: sources}
 	if len(sources) > 0 {
@@ -389,11 +369,18 @@ func (u *unionBatchIterator) Next(ctx context.Context) (*Batch, error) {
 			continue
 		}
 		if err != nil {
+			// Per-call context cancellation is transient, not a source
+			// failure: surface it without tearing the stream down, so a
+			// later Next with a live context resumes. Gated on the
+			// caller's context — not the error value — so a source's own
+			// internal timeout still counts as a terminal failure,
+			// exactly as the parallel pullers classify it.
 			if ctx.Err() != nil {
 				return nil, err
 			}
-			// Mid-stream failure: sticky, and every remaining source is
-			// released eagerly — the row union's contract.
+			// Mid-stream failure: sticky, and every remaining source —
+			// including not-yet-reached ones — is released right away
+			// instead of relying on the caller's Close.
 			u.err = err
 			_ = u.Close()
 			return nil, err

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"golake/internal/storage/polystore"
-	"golake/internal/table"
 )
 
 // relEngine builds an engine over three relational tables with
@@ -51,18 +51,43 @@ func drainStream(t *testing.T, st *RowStream) [][]string {
 	}
 }
 
-// TestBatchAdapterRoundTrip: Rows(Batches(it)) reproduces the input
-// stream exactly, at any batch size, including sizes that straddle the
-// input length.
+// TestBatchAdapterRoundTrip: RowStream's row cursor reproduces its
+// batch drain exactly, at any batch size, including sizes that straddle
+// a source's length.
 func TestBatchAdapterRoundTrip(t *testing.T) {
-	rows := [][]string{{"a", "1"}, {"b", "2"}, {"c", ""}, {"d", "4"}, {"e", "5"}}
+	e := federatedEngine(t)
+	const sql = "SELECT * FROM rel:hotels_a, doc:hotels_b, graph:hotel"
 	for _, n := range []int{1, 2, 3, 5, 100} {
-		it := Rows(Batches(NewSliceIterator([]string{"k", "v"}, rows), n))
-		got := drain(t, it)
-		if !reflect.DeepEqual(got, rows) {
-			t.Errorf("rows=%d: %v, want %v", n, got, rows)
+		req := Request{SQL: sql, BatchRows: n, FanIn: 1}
+		st, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := it.Close(); err != nil {
+		var want [][]string
+		for {
+			b, err := st.NextBatch(context.Background())
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() > n {
+				t.Errorf("rows=%d: batch of %d rows", n, b.Len())
+			}
+			for i := 0; i < b.Len(); i++ {
+				want = append(want, b.Row(i))
+			}
+		}
+		_ = st.Close()
+		st, err = e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainStream(t, st); !reflect.DeepEqual(got, want) || len(got) != 7 {
+			t.Errorf("rows=%d: %v, want %v", n, got, want)
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,10 +108,14 @@ func TestFilterBatchesMatchesRowFilter(t *testing.T) {
 		{{Column: "missing", Op: "=", Value: "1"}},
 	}
 	for _, ps := range preds {
-		want := drain(t, Filter(NewSliceIterator(cols, cells), ps))
+		var want [][]string
+		for _, row := range cells {
+			if ps[0].Column == "v" && ps[0].Matches(row[0]) {
+				want = append(want, row)
+			}
+		}
 		for _, n := range []int{1, 3, 1024} {
-			it := Rows(FilterBatches(Batches(NewSliceIterator(cols, cells), n), ps))
-			got := drain(t, it)
+			got := drainBatches(t, FilterBatches(rowsSource(cols, cells, n), ps))
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("preds=%v rows=%d: %v, want %v", ps, n, got, want)
 			}
@@ -94,39 +123,14 @@ func TestFilterBatchesMatchesRowFilter(t *testing.T) {
 	}
 }
 
-// blockingBatchSource blocks every Next until its gate opens, then
-// yields single-row batches — the synthetic stalled member store of
-// the batch teardown tests.
-type blockingBatchSource struct {
-	cols   []string
-	gate   chan struct{}
-	closes atomic.Int64
-}
-
-func (s *blockingBatchSource) Columns() []string { return s.cols }
-
-func (s *blockingBatchSource) Next(ctx context.Context) (*Batch, error) {
-	select {
-	case <-s.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return NewBatch(s.cols, []*Vector{NewVector([]string{"x"})}), nil
-}
-
-func (s *blockingBatchSource) Close() error {
-	s.closes.Add(1)
-	return nil
-}
-
 // TestParallelUnionBatchesCloseMidStreamIsLeakFree: closing the
 // parallel batch union with pullers blocked on their sources must
 // unblock and join every puller and close every source.
 func TestParallelUnionBatchesCloseMidStreamIsLeakFree(t *testing.T) {
 	sources := make([]BatchIterator, 4)
-	blocked := make([]*blockingBatchSource, 4)
+	blocked := make([]*gatedSource, 4)
 	for i := range sources {
-		blocked[i] = &blockingBatchSource{cols: []string{"v"}, gate: make(chan struct{})}
+		blocked[i] = &gatedSource{cols: []string{"v"}, gate: make(chan struct{})}
 		sources[i] = blocked[i]
 	}
 	it := ParallelUnionBatches(context.Background(), sources, nil, FanInOptions{Workers: 4}, 8)
@@ -150,7 +154,7 @@ func TestParallelUnionBatchesCloseMidStreamIsLeakFree(t *testing.T) {
 func TestParallelUnionBatchesConsumerCancelUnblocksAndTearsDown(t *testing.T) {
 	sources := make([]BatchIterator, 3)
 	for i := range sources {
-		sources[i] = &blockingBatchSource{cols: []string{"v"}, gate: make(chan struct{})}
+		sources[i] = &gatedSource{cols: []string{"v"}, gate: make(chan struct{})}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	it := ParallelUnionBatches(ctx, sources, nil, FanInOptions{Workers: 3}, 8)
@@ -200,30 +204,13 @@ func TestUnionBatchesChecksContextBetweenBatches(t *testing.T) {
 	}
 }
 
-// countingBatchSource wraps Batches over a counting row source so the
-// test can observe Close propagation through batch stages.
-type countingBatchSource struct {
-	BatchIterator
-	closes atomic.Int64
-}
-
-func (c *countingBatchSource) Close() error {
-	c.closes.Add(1)
-	return c.BatchIterator.Close()
-}
-
 // TestLimitBatchesEagerClose: once the cap is reached the input is
 // closed immediately, releasing source scans before the consumer's
 // Close.
 func TestLimitBatchesEagerClose(t *testing.T) {
-	rows := make([][]string, 100)
-	for i := range rows {
-		rows[i] = []string{fmt.Sprint(i)}
-	}
-	src := &countingBatchSource{BatchIterator: Batches(NewSliceIterator([]string{"v"}, rows), 8)}
-	it := Rows(LimitBatches(src, 10))
-	got := drain(t, it)
-	if len(got) != 10 {
+	src := countSource("", 100, 8)
+	it := LimitBatches(src, 10)
+	if got := drainBatches(t, it); len(got) != 10 {
 		t.Fatalf("got %d rows, want 10", len(got))
 	}
 	if src.closes.Load() == 0 {
@@ -234,20 +221,29 @@ func TestLimitBatchesEagerClose(t *testing.T) {
 	}
 }
 
-// TestBatchPlanAndStats: the plan line says which pipeline ran, EXPLAIN
-// ANALYZE carries the batch count, and Stats reports batches.
+// TestBatchPlanAndStats: the plan line names the columnar pipeline for
+// every mix of stores, EXPLAIN ANALYZE carries the batch count, and
+// Stats reports batches.
 func TestBatchPlanAndStats(t *testing.T) {
 	e := relEngine(t)
 	ctx := context.Background()
-	st, err := e.Query(ctx, Request{SQL: "SELECT city FROM rel:hotels_a", Explain: true})
-	if err != nil {
+	if _, err := e.Poly.Ingest("raw/hotels_d.jsonl", []byte(`{"city":"oslo"}`+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	if s := st.Plan().String(); !strings.Contains(s, "batch: columnar (1024 rows/batch)") {
-		t.Errorf("explain plan missing batch line:\n%s", s)
+	for _, sql := range []string{
+		"SELECT city FROM rel:hotels_a",
+		"SELECT city FROM rel:hotels_a, doc:hotels_d, graph:hotel, file:raw/",
+	} {
+		st, err := e.Query(ctx, Request{SQL: sql, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := st.Plan().String(); !strings.Contains(s, "batch: columnar (1024 rows/batch)") {
+			t.Errorf("explain plan missing batch line:\n%s", s)
+		}
+		_ = st.Close()
 	}
-	_ = st.Close()
-	st, err = e.Query(ctx, Request{SQL: "EXPLAIN ANALYZE SELECT city FROM rel:hotels_a, rel:hotels_b", BatchRows: 2})
+	st, err := e.Query(ctx, Request{SQL: "EXPLAIN ANALYZE SELECT city FROM rel:hotels_a, rel:hotels_b", BatchRows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,27 +259,6 @@ func TestBatchPlanAndStats(t *testing.T) {
 	_ = st.Close()
 	if got := st.Stats().Batches; got < 2 {
 		t.Errorf("Stats().Batches = %d, want >= 2", got)
-	}
-}
-
-// TestBatchModeFallsBackForNonRelSources: a FROM list with any
-// non-relational member runs the row pipeline (and says so in the
-// plan), since only the relational store has a batch scan.
-func TestBatchModeFallsBackForNonRelSources(t *testing.T) {
-	e := federatedEngine(t)
-	st, err := e.Query(context.Background(), Request{SQL: "SELECT city, price FROM rel:hotels_a, doc:hotels_b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.BatchMode() {
-		t.Error("batch mode on for a mixed-store federation")
-	}
-	if s := st.Plan().String(); !strings.Contains(s, "batch: row") {
-		t.Errorf("plan missing row-fallback line:\n%s", s)
-	}
-	if _, err := st.NextBatch(context.Background()); err == nil {
-		t.Error("NextBatch on a row-mode stream should error")
 	}
 }
 
@@ -312,23 +287,107 @@ func TestBatchEarlyCloseReleasesSources(t *testing.T) {
 	}
 }
 
-// TestCollectUsesBatchFace: Collect over a batch-mode stream drains
-// column-wise and returns the same table the row pipeline produces.
+// TestCollectUsesBatchFace: Collect drains column-wise and returns the
+// table the row cursor would have produced, on a mixed-store statement.
 func TestCollectUsesBatchFace(t *testing.T) {
-	e := relEngine(t)
-	rowEng := NewEngine(e.Poly)
-	rowEng.DisableBatch = true
+	e := federatedEngine(t)
 	ctx := context.Background()
-	sql := "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 20"
-	want, err := rowEng.ExecuteSQL(ctx, sql)
+	req := Request{SQL: "SELECT city, price FROM rel:hotels_a, doc:hotels_b, graph:hotel WHERE price > 20", FanIn: 1, BatchRows: 2}
+	st, err := e.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.ExecuteSQL(ctx, sql)
+	want := drainStream(t, st)
+	_ = st.Close()
+	st, err = e.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantCSV, gotCSV := table.ToCSV(want), table.ToCSV(got); wantCSV != gotCSV {
-		t.Errorf("batch collect:\n%s\nwant:\n%s", gotCSV, wantCSV)
+	got, err := Collect(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != len(want) || len(want) != 4 {
+		t.Fatalf("Collect: %d rows, cursor %d (want 4)", got.NumRows(), len(want))
+	}
+	for i, row := range want {
+		if !reflect.DeepEqual(got.Row(i), row) {
+			t.Errorf("row %d: Collect %v, cursor %v", i, got.Row(i), row)
+		}
+	}
+}
+
+// TestMixedQueryAllocationCeiling holds a rel+doc statement over 20k
+// table rows and 4k documents, drained through NextBatch at fan-in 1,
+// to its batch cost: about 8.3k allocations for 12k rows — 4k of them
+// the document store's per-document filter path lookup, 2.4k the text
+// of the matched documents' numeric cells. The row pipeline this
+// replaced spent 33.9k on the same statement.
+func TestMixedQueryAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p, err := polystore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv, docs strings.Builder
+	csv.WriteString("id,v,site\n")
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&csv, "r%d,%d,s%d\n", i, i*7919%1000, i%50)
+	}
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&docs, "{\"id\":\"d%d\",\"v\":%d,\"kind\":\"k%d\"}\n", i, i*31%1000, i%7)
+	}
+	if _, err := p.Ingest("raw/big.csv", []byte(csv.String())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Ingest("raw/events.jsonl", []byte(docs.String())); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(p)
+	ctx := context.Background()
+	rows := 0
+	n := testing.AllocsPerRun(5, func() {
+		st, err := e.Query(ctx, Request{SQL: "SELECT id, v FROM rel:big, doc:events WHERE v > 500", FanIn: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = 0
+		for {
+			b, err := st.NextBatch(ctx)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += b.Len()
+		}
+		_ = st.Close()
+	})
+	if rows < 11000 {
+		t.Fatalf("statement returned %d rows, want the fixture's ~11.9k", rows)
+	}
+	if n > 12000 {
+		t.Errorf("mixed rel+doc statement: %v allocations for %d rows, want <= 12000", n, rows)
+	}
+}
+
+// TestVectorFloatsMatchParseFloat pins the float mirror's shortcuts
+// (the shape test, the short-integer parse) to strconv.ParseFloat, sign
+// of zero included.
+func TestVectorFloatsMatchParseFloat(t *testing.T) {
+	cells := []string{"", "0", "-0", "+7", "007", "-3", "123456789012345", "-12345678901234", "1234567890123456",
+		"9.5", "1e3", "1E-2", ".5", "NaN", "-inf", "Infinity", "infinite", " 5", "5 ", "0x10", "1_000", "abc", "+", "-", "1a", "2e"}
+	f, ok := NewVector(cells).Floats()
+	for i, c := range cells {
+		want, err := strconv.ParseFloat(c, 64)
+		switch {
+		case ok.Get(i) != (err == nil):
+			t.Errorf("%q: parsed=%v, ParseFloat err=%v", c, ok.Get(i), err)
+		case err == nil && math.Float64bits(f[i]) != math.Float64bits(want) && !(math.IsNaN(f[i]) && math.IsNaN(want)):
+			t.Errorf("%q: mirror %v, ParseFloat %v", c, f[i], want)
+		}
 	}
 }

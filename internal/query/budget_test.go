@@ -51,13 +51,9 @@ func TestMemBudgetNilIsUnlimited(t *testing.T) {
 // the budget allows fails with ErrBudgetExceeded instead of buffering
 // the whole input.
 func TestSortBudgetFailsFast(t *testing.T) {
-	rows := make([]Row, 100)
-	for i := range rows {
-		rows[i] = Row{fmt.Sprintf("%03d", 99-i)}
-	}
-	in := NewSliceIterator([]string{"v"}, rows)
+	in := &probeSource{cols: []string{"v"}, n: 100, batch: 16, cell: func(i, _ int) string { return fmt.Sprintf("%03d", 99-i) }}
 	budget := NewMemBudget(50)
-	s := SortWithBudget(in, []OrderKey{{Column: "v"}}, 0, budget)
+	s := sortBatches(in, []OrderKey{{Column: "v"}}, 0, budget, 1024)
 	_, err := s.Next(context.Background())
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Next = %v, want ErrBudgetExceeded", err)
@@ -73,23 +69,19 @@ func TestSortBudgetFailsFast(t *testing.T) {
 // budget completes even over a much larger input, and the charge is
 // returned as rows are emitted.
 func TestSortTopKUnderBudget(t *testing.T) {
-	rows := make([]Row, 1000)
-	for i := range rows {
-		rows[i] = Row{fmt.Sprintf("%04d", i)}
-	}
-	in := NewSliceIterator([]string{"v"}, rows)
+	in := &probeSource{cols: []string{"v"}, n: 1000, batch: 16, cell: func(i, _ int) string { return fmt.Sprintf("%04d", i) }}
 	budget := NewMemBudget(10)
-	s := SortWithBudget(in, []OrderKey{{Column: "v"}}, 10, budget)
+	s := sortBatches(in, []OrderKey{{Column: "v"}}, 10, budget, 3)
 	var got int
 	for {
-		_, err := s.Next(context.Background())
+		b, err := s.Next(context.Background())
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		got++
+		got += b.Len()
 	}
 	if got != 10 {
 		t.Errorf("rows = %d, want 10", got)
@@ -106,16 +98,9 @@ func TestSortTopKUnderBudget(t *testing.T) {
 // the budget surfaces ErrBudgetExceeded from Next and tears down
 // leak-free.
 func TestFanInBudgetSurfacesInBand(t *testing.T) {
-	mk := func(n int) RowIterator {
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{fmt.Sprintf("%d", i)}
-		}
-		return NewSliceIterator([]string{"a"}, rows)
-	}
 	// Budget of 1 row: the very first queued batch overruns it.
-	it := ParallelUnion(context.Background(), []RowIterator{mk(500), mk(500)}, nil,
-		FanInOptions{Workers: 2, BufferRows: 64, Budget: NewMemBudget(1)})
+	it := ParallelUnionBatches(context.Background(), []BatchIterator{countSource("", 500, 8), countSource("", 500, 8)}, nil,
+		FanInOptions{Workers: 2, BufferRows: 64, Budget: NewMemBudget(1)}, 8)
 	var err error
 	for {
 		_, err = it.Next(context.Background())
@@ -205,7 +190,7 @@ func TestStreamDeadlineExpiresMidStream(t *testing.T) {
 }
 
 // TestEngineFaultHook: the chaos hook fails the pipeline at the "open"
-// and "next" stages on demand.
+// and "next" (per batch) stages on demand.
 func TestEngineFaultHook(t *testing.T) {
 	boom := errors.New("injected")
 	e := testEngine(t, 10)
@@ -229,7 +214,7 @@ func TestEngineFaultHook(t *testing.T) {
 		}
 		return nil
 	}
-	st, err := e.Query(context.Background(), Request{SQL: "SELECT v FROM rel:budget_rows"})
+	st, err := e.Query(context.Background(), Request{SQL: "SELECT v FROM rel:budget_rows", BatchRows: 1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

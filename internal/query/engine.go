@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"golake/internal/storage/docstore"
-	"golake/internal/storage/filestore"
-	"golake/internal/storage/graphstore"
 	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
@@ -21,12 +20,15 @@ import (
 // store (or carry an unrecognized prefix).
 var ErrUnknownSource = errors.New("query: unknown source")
 
-// Engine executes parsed queries over a polystore. Execution is a
-// pull-based row-iterator pipeline: per-source scan iterators feed a
-// streaming union-merge, with predicates, projection, and LIMIT as
-// composable stages — so a LIMIT n query stops pulling from the source
-// scans after n rows, and memory stays bounded by one row per stage
-// rather than the full federated result.
+// Engine executes parsed queries over a polystore as one pull-based
+// columnar pipeline: every FROM item opens as a batch leaf (a
+// relational cursor, a remote member's stream, or column runs built
+// from a document, graph or file-listing snapshot) with the WHERE
+// filter at the leaf; a streaming union or parallel fan-in remaps the
+// leaves onto the result header; ORDER BY or LIMIT caps the result.
+// Rows exist only at the output — a LIMIT n query stops pulling from
+// the source scans after n rows, and memory stays bounded by a few
+// batches per stage rather than the full federated result.
 type Engine struct {
 	Poly *polystore.Poly
 	// PushDown controls whether selection predicates and projections
@@ -36,28 +38,23 @@ type Engine struct {
 	PushDown bool
 	// FanIn configures concurrent fan-in across member stores: with
 	// Workers > 1, source scans are opened and drained in parallel
-	// behind bounded per-source buffers (ParallelUnion), so a slow
-	// member store no longer stalls the whole federated stream. The
-	// zero value keeps the sequential union and its deterministic
-	// source-concatenation row order.
+	// behind bounded per-source buffers (ParallelUnionBatches), so a
+	// slow member store no longer stalls the whole federated stream.
+	// Request.FanIn overrides it per query.
 	FanIn FanInOptions
-	// BatchRows sizes the columnar pipeline's batches (0 =
-	// DefaultBatchRows); Request.BatchRows overrides it per query.
+	// BatchRows sizes the pipeline's batches (0 = DefaultBatchRows);
+	// Request.BatchRows overrides it per query.
 	BatchRows int
-	// DisableBatch forces row-mode execution even for queries the
-	// columnar pipeline could serve — the regression/benchmark escape
-	// hatch.
-	DisableBatch bool
 	// Fault is the chaos-test stage hook: when set, it is consulted at
 	// named pipeline points ("open" before the source scans, "next"
-	// before each row the stream serves) and a non-nil return is
+	// before each batch the stream serves) and a non-nil return is
 	// injected as that stage's failure. Nil in production — the check
 	// costs one pointer test per query.
 	Fault func(stage string) error
 	// Remotes maps member-lake names to their stream openers: a FROM
 	// item "east:orders" routes to Remotes["east"] as a pushed-down
 	// sub-query over the /v1/query NDJSON protocol, and the returned
-	// stream joins the union like any local scan — remote lakes are just
+	// stream joins the union like any local leaf — remote lakes are just
 	// slow member stores to the fan-in machinery. Nil for a purely local
 	// engine.
 	Remotes map[string]RemoteOpener
@@ -114,12 +111,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 	plan.MemoryRows = req.MemoryRows
 	plan.Timeout = req.Timeout
 	batchRows := e.resolveBatchRows(req)
-	useBatch := e.batchEligible(q)
-	if useBatch {
-		plan.Batch = fmt.Sprintf("columnar (%d rows/batch)", batchRows)
-	} else {
-		plan.Batch = "row (source without batch scan)"
-	}
+	plan.Batch = fmt.Sprintf("columnar (%d rows/batch)", batchRows)
 	analyze := q.Analyze || req.Analyze
 	if (q.Explain || req.Explain) && !analyze {
 		// plan validated sort keys against an explicit projection; for
@@ -132,45 +124,24 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 				return nil, err
 			}
 		}
-		return &RowStream{it: &emptyIterator{cols: q.Columns}, plan: plan, explain: true}, nil
+		return &RowStream{cols: q.Columns, plan: plan, explain: true}, nil
 	}
 	trace := &Trace{}
 	trace.Add("plan", time.Since(planStart))
-	if analyze {
-		// stream rejects explain-marked queries; run the underlying
-		// SELECT with full instrumentation instead.
-		qq := *q
-		qq.Explain, qq.Analyze = false, false
-		q = &qq
-	}
 	if e.Fault != nil {
 		if err := e.Fault("open"); err != nil {
 			return nil, err
 		}
 	}
 	openStart := time.Now()
-	var it RowIterator
-	var counters []*sourceCounter
-	var bit BatchIterator
-	var bmeter *batchMeter
-	if useBatch {
-		it, bit, bmeter, counters, err = e.streamBatches(ctx, q, env, opts, batchRows)
-	} else {
-		it, counters, err = e.stream(ctx, q, env, opts, true)
-	}
+	st, err := e.streamBatches(ctx, q, env, opts, batchRows)
 	if err != nil {
 		return nil, err
 	}
 	trace.Add("open-sources", time.Since(openStart))
-	st := &RowStream{it: it, bit: bit, bmeter: bmeter, plan: plan, counters: counters, trace: trace}
-	if s, ok := it.(*sortIterator); ok {
-		st.sorter = s
-	}
+	st.plan, st.trace = plan, trace
 	if e.Fault != nil {
-		st.it = &faultIterator{in: it, fault: e.Fault}
-		if bit != nil {
-			st.bit = &faultBatchIterator{in: bit, fault: e.Fault}
-		}
+		st.bit = &faultBatchIterator{in: st.bit, fault: e.Fault}
 	}
 	if !analyze {
 		return st, nil
@@ -179,7 +150,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 	// discard the rows, and hand back a rowless stream whose plan
 	// carries the live counters and span timings.
 	for {
-		if _, err := st.Next(ctx); err != nil {
+		if _, err := st.NextBatch(ctx); err != nil {
 			if err == io.EOF {
 				break
 			}
@@ -190,7 +161,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 	_ = st.Close()
 	stats := st.Stats()
 	plan.Analyzed = &stats
-	return &RowStream{it: &emptyIterator{cols: st.Columns()}, plan: plan, explain: true}, nil
+	return &RowStream{cols: st.Columns(), plan: plan, explain: true}, nil
 }
 
 // resolveFanIn resolves a request's fan-in against the engine
@@ -222,24 +193,6 @@ func (e *Engine) resolveBatchRows(req Request) int {
 		return e.BatchRows
 	}
 	return DefaultBatchRows
-}
-
-// batchEligible reports whether the columnar pipeline can serve the
-// query: every FROM item must resolve to the relational store (the one
-// member store with a batch scan) or a remote member lake (whose
-// stream decodes into batches). Anything else — document, graph, file,
-// or mixed sources — falls back to the row pipeline unchanged.
-func (e *Engine) batchEligible(q *Query) bool {
-	if e.DisableBatch || len(q.Sources) == 0 {
-		return false
-	}
-	for _, src := range q.Sources {
-		kind, _, err := e.resolveKind(src)
-		if err != nil || (kind != "rel" && kind != "remote") {
-			return false
-		}
-	}
-	return true
 }
 
 // CombineLimit composes two row caps; zero means unbounded, otherwise
@@ -320,7 +273,7 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 				for _, pr := range q.Where {
 					sp.Pushdown = append(sp.Pushdown, pr.String())
 				}
-				sp.Project = pushableColumns(name, q, e)
+				sp.Project = batchPushableColumns(name, q, e)
 			}
 		case "remote":
 			member, ds := remoteMember(name)
@@ -351,200 +304,63 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 }
 
 // ExecuteSQL parses and executes a statement, materializing the full
-// result. The context cancels execution between rows.
+// result — Collect over Query at the engine's configured fan-in
+// (sequential when unset), never the CPU-wide Request default. The
+// context cancels execution between batches. EXPLAIN has no row result
+// here; use Query.
 func (e *Engine) ExecuteSQL(ctx context.Context, sql string) (*table.Table, error) {
-	q, err := Parse(sql)
+	st, err := e.Query(ctx, Request{SQL: sql, FanIn: max(e.FanIn.Workers, 1)})
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(ctx, q)
+	if st.ExplainOnly() {
+		_ = st.Close()
+		return nil, fmt.Errorf("%w: EXPLAIN has no row result on this entry point; use Query", ErrSyntax)
+	}
+	return Collect(ctx, st)
 }
 
-// StreamSQL parses a statement and opens its streaming execution with
-// the engine's configured fan-in.
-//
-// Deprecated: use Query, which carries the statement and its execution
-// options in one Request and returns plan/stats introspection.
-func (e *Engine) StreamSQL(ctx context.Context, sql string) (RowIterator, error) {
-	return e.StreamSQLFanIn(ctx, sql, e.FanIn)
-}
-
-// StreamSQLFanIn parses a statement and opens its streaming execution
-// with an explicit fan-in configuration (per-query override of the
-// engine default).
-//
-// Deprecated: use Query with Request.FanIn/BufferRows.
-func (e *Engine) StreamSQLFanIn(ctx context.Context, sql string, opts FanInOptions) (RowIterator, error) {
-	q, err := Parse(sql)
+// streamBatches assembles a query's pipeline: every FROM item opens as
+// one or more filtered batch leaves (in parallel, see
+// openSourcesParallel), each metered for Stats; the union remaps whole
+// vectors onto the result header (null-padding what a source lacks —
+// the projection stage); a meter counts its batches; ORDER BY runs the
+// sort stage (which subsumes LIMIT), otherwise LIMIT slices the final
+// batch. Source resolution errors surface here, before any rows flow;
+// row-level failures (including cancellation) surface from the stream.
+func (e *Engine) streamBatches(ctx context.Context, q *Query, env execEnv, opts FanInOptions, batchRows int) (*RowStream, error) {
+	sources, labels, err := e.openSourcesParallel(ctx, q, env, opts.Workers, batchRows)
 	if err != nil {
 		return nil, err
 	}
-	return e.StreamFanIn(ctx, q, opts)
-}
-
-// Execute runs a parsed query and collects the streamed rows into a
-// table — the thin materializing wrapper over the pipeline that keeps
-// table-shaped callers working. It honors the engine's configured
-// fan-in (sequential when unset), never the CPU-wide Request default.
-func (e *Engine) Execute(ctx context.Context, q *Query) (*table.Table, error) {
-	it, _, err := e.stream(ctx, q, execEnv{order: q.Order, limit: q.Limit}, e.FanIn, false)
-	if err != nil {
-		return nil, err
+	st := &RowStream{counters: make([]*sourceCounter, len(sources))}
+	for i, src := range sources {
+		st.counters[i] = &sourceCounter{source: labels[i]}
+		sources[i] = &meteredBatchIterator{in: src, c: st.counters[i]}
 	}
-	return Collect(ctx, it)
-}
-
-// Stream opens the query's iterator pipeline with the engine's
-// configured fan-in.
-//
-// Deprecated: use Query.
-func (e *Engine) Stream(ctx context.Context, q *Query) (RowIterator, error) {
-	return e.StreamFanIn(ctx, q, e.FanIn)
-}
-
-// StreamFanIn opens a parsed query's pipeline with an explicit fan-in
-// configuration. With Workers > 1 the source scans are both opened and
-// drained concurrently (ParallelUnion); otherwise the pipeline is the
-// sequential union with its deterministic row order.
-//
-// Deprecated: use Query with Request.FanIn/BufferRows.
-func (e *Engine) StreamFanIn(ctx context.Context, q *Query, opts FanInOptions) (RowIterator, error) {
-	it, _, err := e.stream(ctx, q, execEnv{order: q.Order, limit: q.Limit}, opts, false)
-	return it, err
-}
-
-// stream assembles one query pipeline: per-source scan iterators
-// (opened in parallel when fanning in), optionally instrumented with
-// per-source counters, merged by the union, then ordered and capped —
-// ORDER BY with a limit runs as a bounded top-K heap that subsumes the
-// LIMIT stage. Source resolution errors surface here, before any rows
-// flow; row-level failures (including cancellation) surface from Next.
-func (e *Engine) stream(ctx context.Context, q *Query, env execEnv, opts FanInOptions, collectStats bool) (RowIterator, []*sourceCounter, error) {
-	if q.Explain {
-		// Row-shaped entry points have nothing to return for EXPLAIN —
-		// and silently executing the underlying SELECT would be worse.
-		// Query handles explain before reaching here.
-		return nil, nil, fmt.Errorf("%w: EXPLAIN has no row result on this entry point; use Query", ErrSyntax)
-	}
-	order, limit := env.order, env.limit
-	var sources []RowIterator
-	var labels []string
-	var err error
-	if opts.sequential() || len(q.Sources) < 2 {
-		sources, labels, err = e.openSources(ctx, q, env)
-	} else {
-		sources, labels, err = e.openSourcesParallel(ctx, q, env, opts.Workers)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var counters []*sourceCounter
-	if collectStats {
-		counters = make([]*sourceCounter, len(sources))
-		for i, src := range sources {
-			c := &sourceCounter{source: labels[i]}
-			counters[i] = c
-			sources[i] = &meteredIterator{in: src, c: c}
-		}
-	}
-	it := ParallelUnion(ctx, sources, q.Columns, opts)
-	if len(order) > 0 {
+	u := ParallelUnionBatches(ctx, sources, q.Columns, opts, batchRows)
+	st.bmeter = &batchMeter{in: u, capacity: batchRows}
+	if len(env.order) > 0 {
 		// The sort stage runs over the union header; a key addressing a
 		// column that is not in the result would silently compare empty
 		// cells — reject it instead of returning wrongly-ordered rows.
-		if err := validateOrder(order, it.Columns()); err != nil {
-			_ = it.Close()
-			return nil, nil, err
-		}
-		it = SortWithBudget(it, order, limit, opts.Budget)
-	} else {
-		it = Limit(it, limit)
-	}
-	return it, counters, nil
-}
-
-// streamBatches assembles the columnar pipeline for an all-relational
-// query: per-source batch scans fill vectors zero-copy from the store
-// snapshot, the vectorized filter narrows each batch's selection
-// centrally (predicates are evaluated once per vector, not pushed into
-// the cursor), the batch union remaps whole columns onto the result
-// header (null-padding what a source lacks — the projection stage), a
-// meter counts batches for stats and observability, and LIMIT slices
-// the final batch. ORDER BY re-rowifies through the shared top-K sort
-// stage — then the returned BatchIterator is nil and only the row face
-// serves the output. Output is byte-identical to the row pipeline
-// (modulo the arrival-order nondeterminism a parallel fan-in already
-// has).
-func (e *Engine) streamBatches(ctx context.Context, q *Query, env execEnv, opts FanInOptions, batchRows int) (RowIterator, BatchIterator, *batchMeter, []*sourceCounter, error) {
-	order, limit := env.order, env.limit
-	sources := make([]BatchIterator, 0, len(q.Sources))
-	counters := make([]*sourceCounter, 0, len(q.Sources))
-	closeAll := func() {
-		for _, s := range sources {
-			_ = s.Close()
-		}
-	}
-	addSource := func(bi BatchIterator, label string) {
-		bi = FilterBatches(bi, q.Where)
-		c := &sourceCounter{source: label}
-		counters = append(counters, c)
-		sources = append(sources, &meteredBatchIterator{in: bi, c: c})
-	}
-	for _, src := range q.Sources {
-		if err := ctx.Err(); err != nil {
-			closeAll()
-			return nil, nil, nil, nil, err
-		}
-		kind, name, err := e.resolveKind(src) // "rel" or "remote" (batchEligible)
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, nil, err
-		}
-		if kind == "remote" {
-			// A member lake's stream decodes its NDJSON straight into
-			// batches. The pushed projection includes predicate
-			// columns, so the central filter re-evaluates exactly what
-			// the member did.
-			it, err := e.openRemote(ctx, name, q, env)
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, nil, err
-			}
-			addSource(Batches(it, batchRows), src)
-			continue
-		}
-		var proj []string
-		if e.PushDown {
-			proj = batchPushableColumns(name, q, e)
-		}
-		curs, err := e.Poly.Rel.ScanWhereShards(name, nil, proj, env.shards)
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, nil, err
-		}
-		for k, cur := range curs {
-			addSource(&relBatchIterator{cur: cur, rows: batchRows}, shardLabel(src, k, len(curs)))
-		}
-	}
-	u := ParallelUnionBatches(ctx, sources, q.Columns, opts, batchRows)
-	if len(order) > 0 {
-		if err := validateOrder(order, u.Columns()); err != nil {
+		if err := validateOrder(env.order, u.Columns()); err != nil {
 			_ = u.Close()
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
+		st.sorter = sortBatches(st.bmeter, env.order, env.limit, opts.Budget, batchRows)
+		st.bit = st.sorter
+	} else {
+		st.bit = LimitBatches(st.bmeter, env.limit)
 	}
-	meter := &batchMeter{in: u, capacity: batchRows}
-	if len(order) > 0 {
-		return SortBatchesWithBudget(meter, order, limit, opts.Budget), nil, meter, counters, nil
-	}
-	bit := LimitBatches(meter, limit)
-	return Rows(bit), bit, meter, counters, nil
+	st.cols = st.bit.Columns()
+	return st, nil
 }
 
-// batchPushableColumns is the projection the batch pipeline pushes into
-// the store: the requested columns plus the predicate columns (the
-// filter runs centrally over vectors, so its inputs must survive the
-// scan), intersected with what the table has. nil for SELECT *.
+// batchPushableColumns is the projection pushed into the relational
+// store: the requested columns plus the predicate columns (the filter
+// runs at the leaf over vectors, so its inputs must survive the scan),
+// intersected with what the table has. nil for SELECT *.
 func batchPushableColumns(name string, q *Query, e *Engine) []string {
 	want := withPredicateColumns(q)
 	if want == nil {
@@ -654,57 +470,32 @@ func validateOrder(order []OrderKey, cols []string) error {
 	return nil
 }
 
-// openSources resolves and opens every FROM item in order, returning
-// the opened iterators plus a per-iterator stats label (a relational
-// source scanned in K shards contributes K iterators).
-func (e *Engine) openSources(ctx context.Context, q *Query, env execEnv) ([]RowIterator, []string, error) {
-	var sources []RowIterator
-	var labels []string
-	closeAll := func() {
-		for _, s := range sources {
-			_ = s.Close()
-		}
-	}
-	for _, src := range q.Sources {
-		if err := ctx.Err(); err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		its, ls, err := e.openSource(ctx, src, q, env)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		sources = append(sources, its...)
-		labels = append(labels, ls...)
-	}
-	return sources, labels, nil
-}
-
 // openSourcesParallel opens the source scans concurrently, at most
 // workers at a time — member-store snapshots are taken under their
 // stores' read locks and remote opens are network round-trips, so
 // opening is safe and worthwhile to overlap, and a store that is slow
-// to open no longer delays the others. On failure every opened iterator
-// is closed and the error of the lowest-indexed failing source is
-// returned, matching the sequential open's first-error semantics.
-func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv, workers int) ([]RowIterator, []string, error) {
+// to open no longer delays the others. It returns the opened leaves
+// in FROM order plus a per-leaf stats label (a relational source
+// scanned in K shards contributes K leaves). On failure every opened
+// leaf is closed and the error of the lowest-indexed failing source is
+// returned, so the error does not depend on scheduling.
+func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv, workers, batchRows int) ([]BatchIterator, []string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	sources := make([][]RowIterator, len(q.Sources))
+	sources := make([][]BatchIterator, len(q.Sources))
 	labels := make([][]string, len(q.Sources))
 	errs := make([]error, len(q.Sources))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	wg.Add(len(q.Sources))
 	for i, src := range q.Sources {
-		go func(i int, src string) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			sources[i], labels[i], errs[i] = e.openSource(ctx, src, q, env)
-		}(i, src)
+			sources[i], labels[i], errs[i] = e.openSource(ctx, src, q, env, batchRows)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -717,7 +508,7 @@ func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv,
 			return nil, nil, err
 		}
 	}
-	var flatSources []RowIterator
+	var flatSources []BatchIterator
 	var flatLabels []string
 	for i := range sources {
 		flatSources = append(flatSources, sources[i]...)
@@ -726,53 +517,53 @@ func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv,
 	return flatSources, flatLabels, nil
 }
 
-// openSource routes one FROM item to its member store's scan
-// iterator(s): most sources open exactly one, a relational source with
-// env.shards > 1 opens one per range shard of the same snapshot.
-func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execEnv) ([]RowIterator, []string, error) {
+// openSource routes one FROM item to its member store's leaves, each
+// with the WHERE filter on top: most sources open exactly one, a
+// relational source with env.shards > 1 opens one per range shard of
+// the same snapshot.
+func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execEnv, batchRows int) ([]BatchIterator, []string, error) {
 	kind, name, err := e.resolveKind(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	one := func(it RowIterator, err error) ([]RowIterator, []string, error) {
-		if err != nil {
-			return nil, nil, err
-		}
-		return []RowIterator{it}, []string{src}, nil
-	}
+	leaves, labels := make([]BatchIterator, 1), []string{src}
 	switch kind {
 	case "rel":
-		return e.scanRelationalShards(src, name, q, env.shards)
+		leaves, labels, err = e.scanRelational(src, name, q, env.shards, batchRows)
 	case "remote":
-		return one(e.openRemote(ctx, name, q, env))
+		var it BatchScanner
+		if it, err = e.openRemote(ctx, name, q, env); err == nil {
+			leaves[0] = Batches(it, batchRows)
+		}
 	case "doc":
-		return one(e.scanDocument(name, q))
+		leaves[0] = e.scanDocument(name, q, batchRows)
 	case "graph":
-		return one(e.scanGraph(name, q))
+		leaves[0] = e.scanGraph(name, q, batchRows)
 	default:
-		return one(e.scanFiles(name, q))
+		leaves[0] = e.scanFiles(name, batchRows)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, leaf := range leaves {
+		leaves[i] = FilterBatches(leaf, q.Where)
+	}
+	return leaves, labels, nil
 }
 
 // openRemote opens the pushed-down sub-query stream against the member
 // lake a resolved "member:dataset" name addresses. With pushdown the
-// member already filtered and projected, so the stream joins the union
-// directly; without it the central stages wrap it like any other
-// unpushed scan.
-func (e *Engine) openRemote(ctx context.Context, name string, q *Query, env execEnv) (RowIterator, error) {
+// member already filtered and projected; the pushed projection includes
+// the predicate columns, so the leaf filter re-evaluates exactly what
+// the member did. Without pushdown the member streams the bare dataset
+// and the leaf filter and the union's projection do the work.
+func (e *Engine) openRemote(ctx context.Context, name string, q *Query, env execEnv) (BatchScanner, error) {
 	member, ds := remoteMember(name)
 	opener := e.Remotes[member]
 	if opener == nil {
 		return nil, fmt.Errorf("%w: no remote member %q", ErrUnknownSource, member)
 	}
-	it, err := opener.OpenStream(ctx, RemoteSpec{SQL: e.remoteStatement(ds, q, env), User: env.user})
-	if err != nil {
-		return nil, err
-	}
-	if e.PushDown {
-		return it, nil
-	}
-	return central(it, q), nil
+	return opener.OpenStream(ctx, RemoteSpec{SQL: e.remoteStatement(ds, q, env), User: env.user})
 }
 
 // shardLabel names one shard's stats counter: "rel:big[shard 2/4]".
@@ -835,133 +626,51 @@ func splitSource(src string) (kind, name string) {
 	return "", src
 }
 
-// central wraps a source scan with the engine-side stages a store
-// could not evaluate: predicate filtering, then projection onto the
-// requested columns (null-padding the missing ones so union aligns).
-func central(it RowIterator, q *Query) RowIterator {
-	return Project(Filter(it, q.Where), q.Columns)
-}
-
-// relCursorIterator adapts a relational store cursor to the pipeline.
-type relCursorIterator struct {
-	cur *polystore.Cursor
-}
-
-func (r *relCursorIterator) Columns() []string { return r.cur.Columns() }
-
-func (r *relCursorIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	row, ok := r.cur.Next()
-	if !ok {
-		return nil, io.EOF
-	}
-	return row, nil
-}
-
-func (r *relCursorIterator) Close() error { return r.cur.Close() }
-
-// scanRelational streams a relational table. With pushdown the store
-// evaluates compiled predicates and the projection during the scan;
-// without it, every row is pulled and filtered centrally.
-func (e *Engine) scanRelational(name string, q *Query) (RowIterator, error) {
-	its, _, err := e.scanRelationalShards(name, name, q, 1)
-	if err != nil {
-		return nil, err
-	}
-	return its[0], nil
-}
-
-// scanRelationalShards opens a relational scan as shards range-
-// partitioned cursors over one snapshot (one cursor when shards <= 1),
-// each wrapped for the pipeline and labeled for stats. Draining all
-// shards yields exactly the rows the single-cursor scan would — the
-// fan-in just overlaps the ranges in time.
-func (e *Engine) scanRelationalShards(src, name string, q *Query, shards int) ([]RowIterator, []string, error) {
-	var preds []polystore.CellPredicate
+// scanRelational opens a relational scan as shards range-partitioned
+// cursors over one snapshot (one cursor when shards <= 1), each a leaf
+// labeled for stats. Draining all shards yields exactly the rows the
+// single-cursor scan would — the fan-in just overlaps the ranges in
+// time. With pushdown the store projects during the scan.
+func (e *Engine) scanRelational(src, name string, q *Query, shards, batchRows int) ([]BatchIterator, []string, error) {
 	var proj []string
 	if e.PushDown {
-		preds = make([]polystore.CellPredicate, len(q.Where))
-		for i, p := range q.Where {
-			pred := p
-			preds[i] = polystore.CellPredicate{Column: p.Column, Match: pred.Matches}
-		}
-		proj = pushableColumns(name, q, e)
+		proj = batchPushableColumns(name, q, e)
 	}
-	curs, err := e.Poly.Rel.ScanWhereShards(name, preds, proj, shards)
+	curs, err := e.Poly.Rel.ScanWhereShards(name, nil, proj, shards)
 	if err != nil {
 		return nil, nil, err
 	}
-	its := make([]RowIterator, len(curs))
+	its := make([]BatchIterator, len(curs))
 	labels := make([]string, len(curs))
 	for k, cur := range curs {
-		var it RowIterator = &relCursorIterator{cur: cur}
-		if !e.PushDown {
-			it = central(it, q)
-		}
-		its[k] = it
+		its[k] = &relBatchIterator{cur: cur, rows: batchRows}
 		labels[k] = shardLabel(src, k, len(curs))
 	}
 	return its, labels, nil
 }
 
-// pushableColumns returns the projection to push into the store: the
-// requested columns that exist there. The predicate is pushed
-// separately, so its columns need not survive projection.
-func pushableColumns(name string, q *Query, e *Engine) []string {
-	if len(q.Columns) == 0 {
-		return nil // SELECT *
-	}
-	names, err := e.Poly.Rel.ColumnNames(name)
-	if err != nil {
-		return nil
-	}
-	have := make(map[string]bool, len(names))
-	for _, n := range names {
-		have[n] = true
-	}
-	var cols []string
-	for _, c := range q.Columns {
-		if have[c] {
-			cols = append(cols, c)
-		}
-	}
-	return cols
-}
-
-// scanDocument streams a document collection: pushable predicates are
-// evaluated by the store's Find, the matched documents are flattened
-// into rows one Next at a time, and unpushed predicates plus the
-// projection run as central stages.
-func (e *Engine) scanDocument(name string, q *Query) (RowIterator, error) {
+// scanDocument opens a document collection as a leaf: pushable
+// predicates are evaluated by the store's Find (the leaf filter
+// re-checks them with the dialect's semantics), and the matched
+// documents' fields become column runs batch by batch.
+func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterator {
 	coll := e.Poly.Docs.Collection(name)
 	var docs []docstore.Doc
 	if e.PushDown {
 		var filters []docstore.Filter
 		for _, p := range q.Where {
-			f, ok := docFilter(p)
-			if !ok {
-				// Unpushable predicate: evaluated centrally below.
-				continue
+			if f, ok := docFilter(p); ok {
+				filters = append(filters, f)
 			}
-			filters = append(filters, f)
 		}
 		docs = coll.Find(filters...)
 	} else {
 		docs = coll.All()
 	}
 	fields := docFields(docs, withPredicateColumns(q))
-	it := indexIterator(fields, len(docs), func(i int) Row {
-		row := make(Row, len(fields))
-		for j, f := range fields {
-			if v, ok := docs[i][f]; ok {
-				row[j] = fmt.Sprintf("%v", v)
-			}
-		}
-		return row
-	})
-	return central(it, q), nil
+	return &snapshotIterator{cols: fields, n: len(docs), rows: batchRows, cell: func(i, j int) string {
+		return cellText(docs[i][fields[j]])
+	}}
 }
 
 // withPredicateColumns returns the projection extended with predicate
@@ -1046,9 +755,9 @@ func docFields(docs []docstore.Doc, want []string) []string {
 	return fields
 }
 
-// scanGraph streams the nodes of one label, flattening id + properties
-// into rows on the fly.
-func (e *Engine) scanGraph(label string, q *Query) (RowIterator, error) {
+// scanGraph opens the nodes of one label as a leaf: id plus the
+// requested (or all) properties as column runs.
+func (e *Engine) scanGraph(label string, q *Query, batchRows int) BatchIterator {
 	nodes := e.Poly.Graph.NodesByLabel(label)
 	fieldSet := map[string]bool{}
 	if cols := withPredicateColumns(q); cols != nil {
@@ -1068,36 +777,70 @@ func (e *Engine) scanGraph(label string, q *Query) (RowIterator, error) {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
-	it := indexIterator(fields, len(nodes), func(i int) Row {
-		return graphRow(nodes[i], fields)
-	})
-	return central(it, q), nil
+	return &snapshotIterator{cols: fields, n: len(nodes), rows: batchRows, cell: func(i, j int) string {
+		if fields[j] == "id" {
+			return nodes[i].ID
+		}
+		return cellText(nodes[i].Props[fields[j]])
+	}}
 }
 
-func graphRow(n graphstore.Node, fields []string) Row {
-	row := make(Row, len(fields))
-	for j, f := range fields {
-		if f == "id" {
-			row[j] = n.ID
-			continue
-		}
-		if v, ok := n.Props[f]; ok {
-			row[j] = fmt.Sprintf("%v", v)
-		}
-	}
-	return row
-}
-
-// scanFiles streams raw objects under a prefix as (path, size, format)
-// rows.
-func (e *Engine) scanFiles(prefix string, q *Query) (RowIterator, error) {
+// scanFiles opens the raw objects under a prefix as a (path, size,
+// format) leaf.
+func (e *Engine) scanFiles(prefix string, batchRows int) BatchIterator {
 	infos := e.Poly.Files.List(prefix)
-	it := indexIterator([]string{"path", "size", "format"}, len(infos), func(i int) Row {
-		return fileRow(infos[i])
-	})
-	return central(it, q), nil
+	return &snapshotIterator{cols: []string{"path", "size", "format"}, n: len(infos), rows: batchRows, cell: func(i, j int) string {
+		switch j {
+		case 0:
+			return infos[i].Path
+		case 1:
+			return strconv.FormatInt(infos[i].Size, 10)
+		}
+		return string(infos[i].Format)
+	}}
 }
 
-func fileRow(info filestore.ObjectInfo) Row {
-	return Row{info.Path, fmt.Sprintf("%d", info.Size), string(info.Format)}
+// cellText renders a document field or node property as a cell: a
+// string as itself, a number in its shortest form (fmt's %v), and null
+// — like a missing field — as the empty cell, the pipeline's null
+// encoding.
+func cellText(v any) string {
+	switch x := v.(type) {
+	case nil:
+		return ""
+	case string:
+		return x
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return fmt.Sprint(v)
+}
+
+// snapshotIterator serves the n records of a store snapshot (documents,
+// graph nodes, file listings) as batches of up to rows rows, building
+// each batch's column runs through cell.
+type snapshotIterator struct {
+	cols    []string
+	n, rows int
+	pos     int
+	cell    func(i, j int) string
+}
+
+func (s *snapshotIterator) Columns() []string { return s.cols }
+
+func (s *snapshotIterator) Next(ctx context.Context) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if s.pos >= s.n {
+		return nil, io.EOF
+	}
+	base := s.pos
+	s.pos = min(base+s.rows, s.n)
+	return buildBatch(s.cols, s.pos-base, func(i, j int) string { return s.cell(base+i, j) }), nil
+}
+
+func (s *snapshotIterator) Close() error {
+	s.pos = s.n
+	return nil
 }

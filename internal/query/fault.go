@@ -2,29 +2,11 @@ package query
 
 import "context"
 
-// faultIterator is the query-stage half of the chaos harness: it sits
-// on top of the assembled pipeline and consults the engine's Fault
-// hook before each row, so tests can fail a query mid-stream at a
-// chosen row and assert the teardown path (typed trailer error,
+// faultBatchIterator is the query-stage half of the chaos harness: it
+// sits on top of the assembled pipeline and consults the engine's Fault
+// hook before each batch, so tests can fail a query mid-stream at a
+// chosen batch and assert the teardown path (typed trailer error,
 // leak-free pullers, released admission ticket) behaves.
-type faultIterator struct {
-	in    RowIterator
-	fault func(stage string) error
-}
-
-func (f *faultIterator) Columns() []string { return f.in.Columns() }
-
-func (f *faultIterator) Next(ctx context.Context) (Row, error) {
-	if err := f.fault("next"); err != nil {
-		return nil, err
-	}
-	return f.in.Next(ctx)
-}
-
-func (f *faultIterator) Close() error { return f.in.Close() }
-
-// faultBatchIterator is the columnar twin: same hook, consulted once
-// per batch.
 type faultBatchIterator struct {
 	in    BatchIterator
 	fault func(stage string) error

@@ -11,10 +11,10 @@ import (
 // iterator's Columns.
 type Row = []string
 
-// RowIterator is the pull-based unit of query execution: every engine
-// stage (scan, filter, project, union, limit) implements it, so a
-// federated query holds O(1) rows resident instead of materializing
-// every member-store result before the first row reaches the caller.
+// RowIterator is the row face of a query result: a RowStream serves
+// its batches one row at a time through it, and a remote member's
+// stream is one too. The engine's stages are BatchIterators; rows exist
+// only at the output.
 //
 // Next returns io.EOF after the last row; any other error terminates
 // the stream. Iterators are single-consumer and not safe for
@@ -32,348 +32,25 @@ type RowIterator interface {
 	Close() error
 }
 
-// sliceIterator yields pre-materialized rows.
-type sliceIterator struct {
-	cols []string
-	rows [][]string
-	pos  int
-}
-
-// NewSliceIterator returns an iterator over already-materialized rows.
-func NewSliceIterator(cols []string, rows [][]string) RowIterator {
-	return &sliceIterator{cols: cols, rows: rows}
-}
-
-func (s *sliceIterator) Columns() []string { return s.cols }
-
-func (s *sliceIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-func (s *sliceIterator) Close() error {
-	s.rows = nil
-	return nil
-}
-
-// funcIterator adapts a pull function (plus optional cleanup) to the
-// interface; the engine's lazy source flatteners use it.
-type funcIterator struct {
-	cols   []string
-	next   func(ctx context.Context) (Row, error)
-	close  func() error
-	closed bool
-}
-
-func (f *funcIterator) Columns() []string { return f.cols }
-
-func (f *funcIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if f.closed {
-		return nil, io.EOF
-	}
-	return f.next(ctx)
-}
-
-func (f *funcIterator) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.close != nil {
-		return f.close()
-	}
-	return nil
-}
-
-// indexIterator walks n positions, building each row lazily via rowAt
-// — the shared skeleton of the engine's snapshot-backed source
-// flatteners (documents, graph nodes, file listings).
-func indexIterator(cols []string, n int, rowAt func(int) Row) RowIterator {
-	i := 0
-	return &funcIterator{
-		cols: cols,
-		next: func(context.Context) (Row, error) {
-			if i >= n {
-				return nil, io.EOF
-			}
-			row := rowAt(i)
-			i++
-			return row, nil
-		},
-	}
-}
-
-// filterIterator applies conjunctive predicates centrally (the path
-// for stores that cannot evaluate them).
-type filterIterator struct {
-	in    RowIterator
-	preds []Predicate
-	// colIdx resolves predicate columns against the input header once.
-	colIdx map[string]int
-}
-
-// Filter wraps an iterator with central predicate evaluation. A
-// predicate naming a column the input lacks matches nothing, mirroring
-// the materialized engine's semantics.
-func Filter(in RowIterator, preds []Predicate) RowIterator {
-	if len(preds) == 0 {
-		return in
-	}
-	idx := make(map[string]int, len(in.Columns()))
-	for i, c := range in.Columns() {
-		idx[c] = i
-	}
-	return &filterIterator{in: in, preds: preds, colIdx: idx}
-}
-
-func (f *filterIterator) Columns() []string { return f.in.Columns() }
-
-func (f *filterIterator) Next(ctx context.Context) (Row, error) {
-	for {
-		row, err := f.in.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if f.matches(row) {
-			return row, nil
-		}
-	}
-}
-
-func (f *filterIterator) matches(row Row) bool {
-	for _, p := range f.preds {
-		j, ok := f.colIdx[p.Column]
-		if !ok || !p.Matches(row[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *filterIterator) Close() error { return f.in.Close() }
-
-// projectIterator reorders rows onto a target header, null-padding
-// requested-but-missing columns so heterogeneous sources union
-// cleanly.
-type projectIterator struct {
-	in   RowIterator
-	cols []string
-	// src[i] is the input index feeding output column i, or -1 for a
-	// null pad.
-	src []int
-}
-
-// Project wraps an iterator with a projection onto cols (reordering,
-// dropping extras, null-padding missing columns). Empty cols means
-// SELECT * — the input passes through unchanged.
-func Project(in RowIterator, cols []string) RowIterator {
-	if len(cols) == 0 {
-		return in
-	}
-	return &projectIterator{in: in, cols: cols, src: columnMapping(in.Columns(), cols)}
-}
-
-// columnMapping maps each target column onto its index in from, -1
-// when absent.
-func columnMapping(from, to []string) []int {
-	idx := make(map[string]int, len(from))
-	for i, c := range from {
-		idx[c] = i
-	}
-	src := make([]int, len(to))
-	for i, c := range to {
-		if j, ok := idx[c]; ok {
-			src[i] = j
-		} else {
-			src[i] = -1
-		}
-	}
-	return src
-}
-
-func remap(row Row, src []int) Row {
-	out := make(Row, len(src))
-	for i, j := range src {
-		if j >= 0 {
-			out[i] = row[j]
-		}
-	}
-	return out
-}
-
-func (p *projectIterator) Columns() []string { return p.cols }
-
-func (p *projectIterator) Next(ctx context.Context) (Row, error) {
-	row, err := p.in.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return remap(row, p.src), nil
-}
-
-func (p *projectIterator) Close() error { return p.in.Close() }
-
-// limitIterator stops pulling from its input after n rows — LIMIT as a
-// stage, so upstream scans short-circuit instead of being truncated
-// after a full merge.
-type limitIterator struct {
-	in   RowIterator
-	left int
-	done bool
-}
-
-// Limit caps the stream at n rows; n <= 0 means unlimited. Once the
-// cap is reached the input is closed eagerly, releasing source scans
-// before the consumer calls Close.
-func Limit(in RowIterator, n int) RowIterator {
-	if n <= 0 {
-		return in
-	}
-	return &limitIterator{in: in, left: n}
-}
-
-func (l *limitIterator) Columns() []string { return l.in.Columns() }
-
-func (l *limitIterator) Next(ctx context.Context) (Row, error) {
-	if l.done {
-		return nil, io.EOF
-	}
-	row, err := l.in.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	l.left--
-	if l.left == 0 {
-		l.done = true
-		_ = l.in.Close()
-	}
-	return row, nil
-}
-
-func (l *limitIterator) Close() error {
-	l.done = true
-	return l.in.Close()
-}
-
-// unionIterator concatenates source streams, remapping each source's
-// header onto the union header on the fly.
-type unionIterator struct {
-	cols    []string
-	sources []RowIterator
-	// src is the column mapping of the current source, rebuilt on
-	// advance.
-	src    []int
-	cur    int
-	closed bool
-	// err is the sticky mid-stream failure: once a source errors, every
-	// remaining source is closed eagerly and later Next calls replay the
-	// error instead of pulling from a half-torn-down stream.
-	err error
-}
-
-// Union merges sources by concatenation over a shared header: want
-// when projecting explicit columns, otherwise the union of the source
-// headers in first-seen order (the materialized engine's SELECT *
-// semantics). Rows are padded per source as they are pulled; nothing
-// is buffered.
-func Union(sources []RowIterator, want []string) RowIterator {
-	u := &unionIterator{cols: unionColumns(sources, want), sources: sources}
-	if len(sources) > 0 {
-		u.src = columnMapping(sources[0].Columns(), u.cols)
-	}
-	return u
-}
-
-func (u *unionIterator) Columns() []string { return u.cols }
-
-func (u *unionIterator) Next(ctx context.Context) (Row, error) {
-	if u.err != nil {
-		return nil, u.err
-	}
-	if u.closed {
-		return nil, io.EOF
-	}
-	for u.cur < len(u.sources) {
-		row, err := u.sources[u.cur].Next(ctx)
-		if err == io.EOF {
-			_ = u.sources[u.cur].Close()
-			u.cur++
-			if u.cur < len(u.sources) {
-				u.src = columnMapping(u.sources[u.cur].Columns(), u.cols)
-			}
-			continue
-		}
-		if err != nil {
-			// Per-call context cancellation is transient, not a source
-			// failure: surface it without tearing the stream down, so a
-			// later Next with a live context resumes. Gated on the
-			// caller's context — not the error value — so a source's own
-			// internal timeout still counts as a terminal failure,
-			// exactly as the parallel pullers classify it.
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			// Mid-stream failure: release every remaining source scan —
-			// including not-yet-reached ones — right away instead of
-			// relying on the caller's Close, and replay the error on
-			// later Next calls.
-			u.err = err
-			_ = u.Close()
-			return nil, err
-		}
-		return remap(row, u.src), nil
-	}
-	return nil, io.EOF
-}
-
-func (u *unionIterator) Close() error {
-	if u.closed {
-		return nil
-	}
-	u.closed = true
-	var first error
-	for ; u.cur < len(u.sources); u.cur++ {
-		if err := u.sources[u.cur].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Collect drains an iterator into a materialized table named "result"
-// (column types inferred), closing it afterwards — the bridge that
-// keeps materialized callers working on top of the streaming pipeline.
-func Collect(ctx context.Context, it RowIterator) (*table.Table, error) {
-	// A stream with a columnar face drains column-wise: whole vector
-	// runs are appended per batch instead of one cell at a time.
-	if bs, ok := it.(batchSource); ok && bs.BatchOutput() {
-		return collectBatchSource(ctx, bs)
-	}
-	defer it.Close()
+// Collect drains a stream into a materialized table named "result"
+// (column types inferred), appending whole vector runs per batch, and
+// closes it afterwards.
+func Collect(ctx context.Context, st *RowStream) (*table.Table, error) {
+	defer st.Close()
 	out := table.New("result")
-	for _, c := range it.Columns() {
+	for _, c := range st.Columns() {
 		out.Columns = append(out.Columns, &table.Column{Name: c})
 	}
 	for {
-		row, err := it.Next(ctx)
+		b, err := st.NextBatch(ctx)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		for j, v := range row {
-			out.Columns[j].Cells = append(out.Columns[j].Cells, v)
+		for j := range out.Columns {
+			out.Columns[j].Cells = b.Vector(j).AppendTo(out.Columns[j].Cells, b.Sel())
 		}
 	}
 	out.InferTypes()

@@ -10,33 +10,6 @@ import (
 	"golake/internal/table"
 )
 
-// countingIterator counts how many rows downstream stages pull — the
-// probe for LIMIT short-circuiting.
-type countingIterator struct {
-	cols   []string
-	rows   int
-	pulled int
-	closed bool
-}
-
-func (c *countingIterator) Columns() []string { return c.cols }
-
-func (c *countingIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.pulled >= c.rows {
-		return nil, io.EOF
-	}
-	c.pulled++
-	return Row{"x"}, nil
-}
-
-func (c *countingIterator) Close() error {
-	c.closed = true
-	return nil
-}
-
 func drain(t *testing.T, it RowIterator) [][]string {
 	t.Helper()
 	var out [][]string
@@ -53,28 +26,28 @@ func drain(t *testing.T, it RowIterator) [][]string {
 }
 
 func TestLimitShortCircuitsSource(t *testing.T) {
-	src := &countingIterator{cols: []string{"a"}, rows: 100000}
-	it := Limit(Union([]RowIterator{src}, nil), 10)
-	rows := drain(t, it)
+	src := countSource("x", 100000, 1)
+	it := LimitBatches(UnionBatches([]BatchIterator{src}, nil), 10)
+	rows := drainBatches(t, it)
 	if len(rows) != 10 {
 		t.Fatalf("got %d rows, want 10", len(rows))
 	}
-	if src.pulled != 10 {
-		t.Errorf("source scanned %d rows for LIMIT 10, want exactly 10", src.pulled)
+	if n := src.pulled.Load(); n != 10 {
+		t.Errorf("source scanned %d rows for LIMIT 10, want exactly 10", n)
 	}
-	if !src.closed {
+	if src.closes.Load() == 0 {
 		t.Error("reaching the limit must close the source scan eagerly")
 	}
 }
 
 func TestUnionNullPadsAndOrdersColumns(t *testing.T) {
-	a := NewSliceIterator([]string{"city", "price"}, [][]string{{"ams", "10"}})
-	b := NewSliceIterator([]string{"price", "stars"}, [][]string{{"20", "4"}})
-	it := Union([]RowIterator{a, b}, nil)
+	a := rowsSource([]string{"city", "price"}, [][]string{{"ams", "10"}}, 1)
+	b := rowsSource([]string{"price", "stars"}, [][]string{{"20", "4"}}, 1)
+	it := UnionBatches([]BatchIterator{a, b}, nil)
 	if got, want := it.Columns(), []string{"city", "price", "stars"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("union header = %v, want %v", got, want)
 	}
-	rows := drain(t, it)
+	rows := drainBatches(t, it)
 	want := [][]string{{"ams", "10", ""}, {"", "20", "4"}}
 	if !reflect.DeepEqual(rows, want) {
 		t.Errorf("union rows = %v, want %v", rows, want)
@@ -82,10 +55,10 @@ func TestUnionNullPadsAndOrdersColumns(t *testing.T) {
 }
 
 func TestUnionProjectsExplicitColumns(t *testing.T) {
-	a := NewSliceIterator([]string{"city", "price"}, [][]string{{"ams", "10"}})
-	b := NewSliceIterator([]string{"stars"}, [][]string{{"4"}})
-	it := Union([]RowIterator{a, b}, []string{"price", "stars"})
-	rows := drain(t, it)
+	a := rowsSource([]string{"city", "price"}, [][]string{{"ams", "10"}}, 1)
+	b := rowsSource([]string{"stars"}, [][]string{{"4"}}, 1)
+	it := UnionBatches([]BatchIterator{a, b}, []string{"price", "stars"})
+	rows := drainBatches(t, it)
 	want := [][]string{{"10", ""}, {"", "4"}}
 	if !reflect.DeepEqual(rows, want) {
 		t.Errorf("projected union = %v, want %v", rows, want)
@@ -93,19 +66,19 @@ func TestUnionProjectsExplicitColumns(t *testing.T) {
 }
 
 func TestFilterMissingColumnMatchesNothing(t *testing.T) {
-	in := NewSliceIterator([]string{"a"}, [][]string{{"1"}, {"2"}})
-	it := Filter(in, []Predicate{{Column: "ghost", Op: OpEq, Value: "1"}})
-	if rows := drain(t, it); len(rows) != 0 {
+	in := rowsSource([]string{"a"}, [][]string{{"1"}, {"2"}}, 2)
+	it := FilterBatches(in, []Predicate{{Column: "ghost", Op: OpEq, Value: "1"}})
+	if rows := drainBatches(t, it); len(rows) != 0 {
 		t.Errorf("predicate on missing column yielded %v, want nothing", rows)
 	}
 }
 
 func TestCancellationStopsStreamBetweenRows(t *testing.T) {
-	src := &countingIterator{cols: []string{"a"}, rows: 1000}
-	it := Union([]RowIterator{src}, nil)
+	src := countSource("x", 1000, 1)
+	it := UnionBatches([]BatchIterator{src}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	if _, err := it.Next(ctx); err != nil {
-		t.Fatalf("first row: %v", err)
+		t.Fatalf("first batch: %v", err)
 	}
 	cancel()
 	if _, err := it.Next(ctx); err != context.Canceled {
@@ -114,29 +87,29 @@ func TestCancellationStopsStreamBetweenRows(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !src.closed {
+	if src.closes.Load() == 0 {
 		t.Error("Close must release the source scan")
 	}
 }
 
 func TestCloseMidStreamReleasesAllSources(t *testing.T) {
-	a := &countingIterator{cols: []string{"a"}, rows: 10}
-	b := &countingIterator{cols: []string{"a"}, rows: 10}
-	it := Limit(Union([]RowIterator{a, b}, nil), 100)
+	a := countSource("x", 10, 1)
+	b := countSource("y", 10, 1)
+	it := LimitBatches(UnionBatches([]BatchIterator{a, b}, nil), 100)
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.closed || !b.closed {
-		t.Errorf("Close released a=%v b=%v, want both", a.closed, b.closed)
+	if a.closes.Load() == 0 || b.closes.Load() == 0 {
+		t.Errorf("Close released a=%d b=%d times, want both", a.closes.Load(), b.closes.Load())
 	}
 }
 
-// TestExecuteMatchesStreamCollect pins the contract that Execute is a
-// pure collector over Stream: both paths must agree on a federated
-// union with heterogeneous columns, predicates, and a limit.
+// TestExecuteMatchesStreamCollect pins the contract that ExecuteSQL is
+// a pure collector over Query: both agree on a federated union with
+// heterogeneous columns, predicates, and a limit.
 func TestExecuteMatchesStreamCollect(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -158,14 +131,15 @@ func TestExecuteMatchesStreamCollect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		it, err := e.StreamSQL(context.Background(), sql)
+		// ExecuteSQL runs at the engine's fan-in, sequential when unset.
+		st, err := e.Query(context.Background(), Request{SQL: sql, FanIn: 1})
 		if err != nil {
 			t.Fatalf("%s: stream: %v", sql, err)
 		}
-		if got, want := it.Columns(), res.ColumnNames(); !reflect.DeepEqual(got, want) {
+		if got, want := st.Columns(), res.ColumnNames(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: stream header %v, execute header %v", sql, got, want)
 		}
-		rows := drain(t, it)
+		rows := drain(t, st)
 		if len(rows) != res.NumRows() {
 			t.Fatalf("%s: stream %d rows, execute %d", sql, len(rows), res.NumRows())
 		}
@@ -174,17 +148,15 @@ func TestExecuteMatchesStreamCollect(t *testing.T) {
 				t.Errorf("%s: row %d stream %v, execute %v", sql, i, row, res.Row(i))
 			}
 		}
-		if err := it.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestStreamLimitBoundsRelationalScan proves LIMIT is enforced as an
-// iterator stage over the real relational scan: the collected result
-// is O(limit) even though the source table is large, and the engine
-// never materializes the corpus (guarded indirectly by the benchmarks'
-// allocs/op).
+// TestStreamLimitBoundsRelationalScan proves LIMIT is enforced as a
+// pipeline stage over the real relational scan: the result is
+// O(limit) even though the source table is large.
 func TestStreamLimitBoundsRelationalScan(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -196,12 +168,12 @@ func TestStreamLimitBoundsRelationalScan(t *testing.T) {
 		_ = big.AppendRow([]string{"x"})
 	}
 	p.Rel.Create(big)
-	it, err := NewEngine(p).StreamSQL(context.Background(), "SELECT id FROM rel:big LIMIT 7")
+	st, err := NewEngine(p).Query(context.Background(), Request{SQL: "SELECT id FROM rel:big LIMIT 7"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	if rows := drain(t, it); len(rows) != 7 {
+	defer st.Close()
+	if rows := drain(t, st); len(rows) != 7 {
 		t.Fatalf("got %d rows, want 7", len(rows))
 	}
 }

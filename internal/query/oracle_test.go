@@ -254,7 +254,7 @@ func oracle(e *Engine, q *Query) ([]string, [][]string) {
 		}
 		sort.SliceStable(rows, func(a, b int) bool {
 			for _, k := range q.Order {
-				if c := oracleCompareCells(rows[a][at[k.Column]], rows[b][at[k.Column]]); c != 0 {
+				if c := compareCells(rows[a][at[k.Column]], rows[b][at[k.Column]]); c != 0 {
 					return (c < 0) != k.Desc
 				}
 			}
@@ -280,10 +280,11 @@ func oracleRow(cols []string, get func(string) (any, bool)) []string {
 	return row
 }
 
-// oracleCompareCells is the sort's reference order, written out
-// independently of the engine: numbers (NaN excluded) before other
-// cells and compared numerically, text otherwise, text settling ties.
-func oracleCompareCells(a, b string) int {
+// compareCells is the sort's reference order, written out
+// independently of the engine's key comparison: numbers (NaN excluded)
+// before other cells and compared numerically, text otherwise, text
+// settling ties.
+func compareCells(a, b string) int {
 	fa, errA := strconv.ParseFloat(a, 64)
 	fb, errB := strconv.ParseFloat(b, 64)
 	aNum, bNum := errA == nil && !math.IsNaN(fa), errB == nil && !math.IsNaN(fb)

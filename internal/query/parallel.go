@@ -3,32 +3,26 @@ package query
 import (
 	"context"
 	"io"
-	"slices"
 	"sync"
 )
 
 // DefaultFanInBufferRows is the per-source backpressure window of
-// ParallelUnion when FanInOptions.BufferRows is unset: how many rows a
-// puller may run ahead of the consumer before it blocks.
+// ParallelUnionBatches when FanInOptions.BufferRows is unset: how many
+// rows a puller may run ahead of the consumer before it blocks.
 const DefaultFanInBufferRows = 256
-
-// fanInBatchRows is how many rows ride one channel hop. Batching
-// amortizes the synchronization cost per row and lets the remap/null-pad
-// scratch be allocated once per batch instead of once per row.
-const fanInBatchRows = 64
 
 // FanInOptions configures how a federated union drains its member
 // sources.
 type FanInOptions struct {
 	// Workers caps how many sources are drained concurrently. 0 and 1
-	// select the sequential union (today's ordering-stable behavior);
-	// values above the source count are clamped to one puller per
-	// source.
+	// select the sequential union (deterministic source-concatenation
+	// order); values above the source count are clamped to one puller
+	// per source.
 	Workers int
 	// BufferRows bounds how many rows each source may buffer ahead of
-	// the consumer (the backpressure window); the bound is approximate —
-	// a puller may additionally hold one partially built batch in hand,
-	// overshooting by up to one batch. 0 means DefaultFanInBufferRows.
+	// the consumer (the backpressure window), rounded to whole batches
+	// and never below one; a puller may additionally hold the batch it
+	// is about to queue. 0 means DefaultFanInBufferRows.
 	BufferRows int
 	// Budget, when set, is the query's shared memory budget: rows are
 	// charged while they sit in the fan-in queues and released as the
@@ -50,96 +44,72 @@ func (o FanInOptions) bufferRows() int {
 	return o.BufferRows
 }
 
-// rowBatch is the unit crossing a puller→consumer channel hop: a run of
-// already-remapped rows, or the source's terminal state (io.EOF or a
-// real error) after its last rows were delivered.
-type rowBatch struct {
-	rows []Row
-	err  error
+// batchHop is the unit crossing a puller→consumer channel hop: one
+// already-remapped batch, or the source's terminal state (io.EOF or a
+// real error) after its last batch was delivered.
+type batchHop struct {
+	b   *Batch
+	err error
 }
 
-// ParallelUnion merges sources concurrently with bounded buffering: one
-// puller goroutine per source (at most opts.Workers running at once)
-// drains its source into a per-source channel of row batches, and the
-// consumer's Next serves batches in arrival order. Semantics match
-// Union except for row order, which is arrival order rather than
-// source-concatenation order:
+// ParallelUnionBatches merges batch sources concurrently with bounded
+// buffering: one puller goroutine per source (at most opts.Workers
+// running at once) drains its source into a per-source queue, remapping
+// each batch onto the union header, and the consumer's Next serves
+// batches in arrival order. Semantics match UnionBatches except for
+// order, which is arrival order rather than source-concatenation order:
 //
-//   - Backpressure: a source may run at most BufferRows rows ahead of
-//     the consumer; full buffers block the puller, not the consumer.
-//   - A slow source never stalls the others — their rows keep flowing
-//     while it blocks, so wall-clock tracks the slowest source instead
-//     of the sum of sources.
+//   - Backpressure: a source may run at most BufferRows rows (at least
+//     one batch of batchRows) ahead of the consumer; full queues block
+//     the puller, not the consumer.
+//   - A slow source never stalls the others — their batches keep
+//     flowing while it blocks, so wall-clock tracks the slowest source
+//     instead of the sum of sources.
 //   - The first source error is propagated in-band from Next (sticky),
 //     and stops all pullers.
 //   - Close cancels every puller, waits for them to exit, and closes
-//     every source exactly as the sequential union does — leak-free
-//     even mid-stream.
+//     every source exactly once — leak-free even mid-stream.
 //
 // With Workers <= 1 (or fewer than two sources) it returns the
-// sequential Union unchanged, the fanin=1 degenerate case that keeps
-// ordering deterministic.
+// sequential UnionBatches, the fanin=1 case that keeps ordering
+// deterministic.
 //
 // ctx scopes the pullers: it is the stream-open context, and cancelling
 // it tears the fan-in down exactly like Close.
-func ParallelUnion(ctx context.Context, sources []RowIterator, want []string, opts FanInOptions) RowIterator {
+func ParallelUnionBatches(ctx context.Context, sources []BatchIterator, want []string, opts FanInOptions, batchRows int) BatchIterator {
 	if len(sources) < 2 || opts.sequential() {
-		return Union(sources, want)
+		return UnionBatches(sources, want)
 	}
-	cols := unionColumns(sources, want)
-	batchRows := fanInBatchRows
-	if w := opts.bufferRows(); w < batchRows {
-		batchRows = w
+	if batchRows <= 0 {
+		batchRows = DefaultBatchRows
 	}
-	depth := opts.bufferRows() / batchRows
-	if depth < 1 {
-		depth = 1
-	}
+	depth := max(opts.bufferRows()/batchRows, 1)
 	pctx, cancel := context.WithCancel(ctx)
-	p := &parallelUnion{
-		cols:   cols,
+	p := &fanInUnion{
+		cols:   unionBatchColumns(sources, want),
 		pctx:   pctx,
 		cancel: cancel,
 		budget: opts.Budget,
-		queues: make([]chan rowBatch, len(sources)),
+		queues: make([]chan batchHop, len(sources)),
 		// A token is pushed only after its batch is queued, so tokens
 		// never outnumber queued batches and this capacity guarantees
 		// pullers never block on ready.
 		ready: make(chan int, len(sources)*depth),
 	}
 	var sem chan struct{}
-	if opts.Workers > 0 && opts.Workers < len(sources) {
+	if opts.Workers < len(sources) {
 		sem = make(chan struct{}, opts.Workers)
 	}
 	p.wg.Add(len(sources))
 	for i, src := range sources {
-		p.queues[i] = make(chan rowBatch, depth)
-		go p.pull(pctx, i, src, sem, batchRows)
+		p.queues[i] = make(chan batchHop, depth)
+		go p.pull(pctx, i, src, sem)
 	}
 	return p
 }
 
-// unionColumns computes the union header: want when projecting explicit
-// columns, otherwise the union of the source headers in first-seen
-// order (shared with the sequential Union).
-func unionColumns(sources []RowIterator, want []string) []string {
-	cols := want
-	if len(cols) == 0 {
-		seen := map[string]bool{}
-		for _, s := range sources {
-			for _, c := range s.Columns() {
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
-		}
-	}
-	return cols
-}
-
-// parallelUnion is the consumer half of the concurrent fan-in.
-type parallelUnion struct {
+// fanInUnion is the consumer half of the concurrent fan-in.
+type fanInUnion struct {
 	cols []string
 	// pctx scopes the pullers: derived from the stream-open context,
 	// cancelled by Close and on the first source error. Next watches it
@@ -147,11 +117,11 @@ type parallelUnion struct {
 	// consumer whose per-call context is still live.
 	pctx   context.Context
 	cancel context.CancelFunc
-	// budget, when set, holds the charge for rows parked in the
-	// queues; pullers acquire before queueing, the consumer releases
-	// on dequeue.
+	// budget, when set, holds the charge for batches parked in the
+	// queues (charged by row count); pullers acquire before queueing,
+	// the consumer releases on dequeue.
 	budget *MemBudget
-	queues []chan rowBatch
+	queues []chan batchHop
 	// ready carries source indexes in batch-arrival order; the consumer
 	// blocks here, then pops the announced queue.
 	ready chan int
@@ -163,18 +133,16 @@ type parallelUnion struct {
 	closeErr error
 
 	// Consumer-side state (single consumer, no locking needed).
-	cur    []Row
-	curPos int
 	done   int
 	err    error
 	closed bool
 }
 
-// pull drains one source into its queue: acquire a worker slot, batch
-// rows (remapped onto the union header), and finish with the source's
-// terminal state. The source is closed here, so every source is closed
-// exactly once no matter how the stream ends.
-func (p *parallelUnion) pull(ctx context.Context, i int, src RowIterator, sem chan struct{}, batchRows int) {
+// pull drains one source: acquire a worker slot, remap each batch onto
+// the union header, queue it, and finish with the source's terminal
+// state. The source is closed here, exactly once, however the stream
+// ends.
+func (p *fanInUnion) pull(ctx context.Context, i int, src BatchIterator, sem chan struct{}) {
 	defer p.wg.Done()
 	defer func() {
 		if err := src.Close(); err != nil {
@@ -193,47 +161,34 @@ func (p *parallelUnion) pull(ctx context.Context, i int, src RowIterator, sem ch
 			return
 		}
 	}
-	b := newBatcher(src.Columns(), p.cols, batchRows)
+	srcMap := batchMapping(src.Columns(), p.cols)
 	for {
-		row, err := src.Next(ctx)
+		b, err := src.Next(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Torn down by Close/cancel: nobody is reading anymore.
 				return
 			}
-			if rows := b.take(); len(rows) > 0 {
-				if !p.sendRows(ctx, i, rows) {
-					return
-				}
-			}
-			p.send(ctx, i, rowBatch{err: err})
+			p.send(ctx, i, batchHop{err: err})
 			return
 		}
-		b.add(row)
-		if b.full() {
-			if !p.sendRows(ctx, i, b.take()) {
-				return
-			}
+		if err := p.budget.Acquire(b.Len()); err != nil {
+			// Budget exceeded: surface it in-band as this source's
+			// terminal error instead of buffering on.
+			p.send(ctx, i, batchHop{err: err})
+			return
+		}
+		if !p.send(ctx, i, batchHop{b: remapBatch(b, p.cols, srcMap)}) {
+			return
 		}
 	}
 }
 
-// sendRows charges the batch against the memory budget and queues it;
-// an exceeded budget is surfaced in-band as this source's terminal
-// error (the consumer makes it sticky and tears the fan-in down).
-func (p *parallelUnion) sendRows(ctx context.Context, i int, rows []Row) bool {
-	if err := p.budget.Acquire(len(rows)); err != nil {
-		p.send(ctx, i, rowBatch{err: err})
-		return false
-	}
-	return p.send(ctx, i, rowBatch{rows: rows})
-}
-
-// send queues one batch and announces its arrival; false means the
+// send queues one hop and announces its arrival; false means the
 // stream was torn down and the puller should exit.
-func (p *parallelUnion) send(ctx context.Context, i int, b rowBatch) bool {
+func (p *fanInUnion) send(ctx context.Context, i int, h batchHop) bool {
 	select {
-	case p.queues[i] <- b:
+	case p.queues[i] <- h:
 	case <-ctx.Done():
 		return false
 	}
@@ -245,9 +200,9 @@ func (p *parallelUnion) send(ctx context.Context, i int, b rowBatch) bool {
 	}
 }
 
-func (p *parallelUnion) Columns() []string { return p.cols }
+func (p *fanInUnion) Columns() []string { return p.cols }
 
-func (p *parallelUnion) Next(ctx context.Context) (Row, error) {
+func (p *fanInUnion) Next(ctx context.Context) (*Batch, error) {
 	// The sticky error outranks closed — a failed stream must keep
 	// replaying its error after the contractual Close, exactly like the
 	// sequential union, not read as cleanly ended.
@@ -257,18 +212,10 @@ func (p *parallelUnion) Next(ctx context.Context) (Row, error) {
 	if p.closed {
 		return nil, io.EOF
 	}
-	// Check the per-call context even while a buffered batch is in hand,
-	// so cancellation surfaces on the next row — the sequential union's
-	// contract — not after up to a batch of buffered rows.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for {
-		if p.curPos < len(p.cur) {
-			row := p.cur[p.curPos]
-			p.curPos++
-			return row, nil
-		}
 		if p.done == len(p.queues) {
 			return nil, io.EOF
 		}
@@ -280,7 +227,7 @@ func (p *parallelUnion) Next(ctx context.Context) (Row, error) {
 		case <-p.pctx.Done():
 			// The stream-open context was cancelled out from under a
 			// consumer whose per-call context is still live: pullers are
-			// exiting without terminal batches, so waiting on ready would
+			// exiting without terminal hops, so waiting on ready would
 			// hang forever. Serve anything already announced, then
 			// surface the cancellation (sticky).
 			select {
@@ -290,27 +237,30 @@ func (p *parallelUnion) Next(ctx context.Context) (Row, error) {
 				return nil, p.err
 			}
 		}
-		b := <-p.queues[i]
-		// Dequeued rows leave the fan-in buffer: hand their budget
-		// charge back (a downstream buffering stage re-charges its own).
-		p.budget.Release(len(b.rows))
-		if b.err == io.EOF {
+		h := <-p.queues[i]
+		if h.b != nil {
+			// Dequeued batches leave the fan-in buffer: hand their budget
+			// charge back (a downstream buffering stage re-charges its
+			// own).
+			p.budget.Release(h.b.Len())
+		}
+		if h.err == io.EOF {
 			p.done++
 			continue
 		}
-		if b.err != nil {
+		if h.err != nil {
 			// First source error: surface it in-band (sticky) and stop
 			// the remaining pullers, which close their sources on the
 			// way out.
-			p.err = b.err
+			p.err = h.err
 			p.cancel()
-			return nil, b.err
+			return nil, h.err
 		}
-		p.cur, p.curPos = b.rows, 0
+		return h.b, nil
 	}
 }
 
-func (p *parallelUnion) Close() error {
+func (p *fanInUnion) Close() error {
 	if p.closed {
 		return nil
 	}
@@ -320,59 +270,4 @@ func (p *parallelUnion) Close() error {
 	p.closeMu.Lock()
 	defer p.closeMu.Unlock()
 	return p.closeErr
-}
-
-// batcher accumulates remapped rows for one channel hop. The remap
-// scratch is one backing cell array per batch: rows are carved out of
-// it, so the steady state costs two allocations per batch (~batchRows
-// rows) instead of one per row, and null padding is free (fresh backing
-// is zero-valued). When the source header already matches the union
-// header, rows pass through untouched — zero copies, one allocation
-// per batch for the row slice itself.
-type batcher struct {
-	src      []int // nil when the mapping is the identity
-	width    int
-	capacity int
-	cells    []string
-	rows     []Row
-}
-
-func newBatcher(from, to []string, capacity int) *batcher {
-	b := &batcher{width: len(to), capacity: capacity}
-	if !slices.Equal(from, to) {
-		b.src = columnMapping(from, to)
-	}
-	return b
-}
-
-func (b *batcher) add(row Row) {
-	if b.rows == nil {
-		b.rows = make([]Row, 0, b.capacity)
-		if b.src != nil {
-			b.cells = make([]string, b.capacity*b.width)
-		}
-	}
-	if b.src == nil {
-		b.rows = append(b.rows, row)
-		return
-	}
-	out := b.cells[:b.width:b.width]
-	b.cells = b.cells[b.width:]
-	for i, j := range b.src {
-		if j >= 0 {
-			out[i] = row[j]
-		}
-	}
-	b.rows = append(b.rows, out)
-}
-
-func (b *batcher) full() bool { return len(b.rows) >= b.capacity }
-
-// take hands the accumulated rows over and resets the batch; the next
-// add allocates fresh backing, so handed-over rows stay valid for the
-// consumer to retain.
-func (b *batcher) take() []Row {
-	rows := b.rows
-	b.rows, b.cells = nil, nil
-	return rows
 }

@@ -3,10 +3,8 @@ package query
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,130 +37,35 @@ func federatedEngine(t *testing.T) *Engine {
 	return NewEngine(p)
 }
 
-// safeCountingIterator is a goroutine-safe counting source: pullers
-// read it from their own goroutines, the test asserts on the counters.
-type safeCountingIterator struct {
-	cols   []string
-	rows   int
-	prefix string
-	pulled atomic.Int64
-	closes atomic.Int64
-}
-
-func (c *safeCountingIterator) Columns() []string { return c.cols }
-
-func (c *safeCountingIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := c.pulled.Add(1)
-	if int(n) > c.rows {
-		c.pulled.Add(-1)
-		return nil, io.EOF
-	}
-	return Row{fmt.Sprintf("%s%d", c.prefix, n)}, nil
-}
-
-func (c *safeCountingIterator) Close() error {
-	c.closes.Add(1)
-	return nil
-}
-
-// gatedIterator blocks every Next until the gate opens — the synthetic
-// stalled member store.
-type gatedIterator struct {
-	cols   []string
-	gate   chan struct{}
-	rows   []Row
-	pos    int
-	closes atomic.Int64
-}
-
-func (g *gatedIterator) Columns() []string { return g.cols }
-
-func (g *gatedIterator) Next(ctx context.Context) (Row, error) {
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if g.pos >= len(g.rows) {
-		return nil, io.EOF
-	}
-	row := g.rows[g.pos]
-	g.pos++
-	return row, nil
-}
-
-func (g *gatedIterator) Close() error {
-	g.closes.Add(1)
-	return nil
-}
-
-// erroringIterator yields good rows then a terminal error.
-type erroringIterator struct {
-	cols   []string
-	good   int
-	err    error
-	pos    int
-	closes atomic.Int64
-}
-
-func (e *erroringIterator) Columns() []string { return e.cols }
-
-func (e *erroringIterator) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.pos >= e.good {
-		return nil, e.err
-	}
-	e.pos++
-	return Row{"ok"}, nil
-}
-
-func (e *erroringIterator) Close() error {
-	e.closes.Add(1)
-	return nil
-}
-
-func sortedRows(rows [][]string) [][]string {
-	out := append([][]string(nil), rows...)
-	sort.Slice(out, func(i, j int) bool {
-		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])
-	})
-	return out
-}
-
 // TestParallelUnionSetEqualsSequential pins the semantics contract:
 // across fan-in widths and buffer sizes, the parallel union yields
 // exactly the sequential union's header and row multiset —
 // heterogeneous headers, null padding, and explicit projections
 // included. Only the interleaving may differ.
 func TestParallelUnionSetEqualsSequential(t *testing.T) {
-	mkSources := func() []RowIterator {
-		return []RowIterator{
-			NewSliceIterator([]string{"city", "price"}, [][]string{{"ams", "10"}, {"rome", "20"}}),
-			NewSliceIterator([]string{"price", "stars"}, [][]string{{"30", "4"}, {"15", "2"}, {"50", "5"}}),
-			NewSliceIterator([]string{"city"}, [][]string{{"oslo"}}),
-			NewSliceIterator([]string{"stars", "city"}, [][]string{{"1", "bern"}}),
+	mkSources := func() []BatchIterator {
+		return []BatchIterator{
+			rowsSource([]string{"city", "price"}, [][]string{{"ams", "10"}, {"rome", "20"}}, 2),
+			rowsSource([]string{"price", "stars"}, [][]string{{"30", "4"}, {"15", "2"}, {"50", "5"}}, 2),
+			rowsSource([]string{"city"}, [][]string{{"oslo"}}, 2),
+			rowsSource([]string{"stars", "city"}, [][]string{{"1", "bern"}}, 2),
 		}
 	}
 	for _, want := range [][]string{nil, {"price", "city"}} {
-		seq := Union(mkSources(), want)
+		seq := UnionBatches(mkSources(), want)
 		wantHeader := seq.Columns()
-		wantRows := sortedRows(drain(t, seq))
+		wantRows := sortedRows(drainBatches(t, seq))
 		if err := seq.Close(); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
 			for _, buffer := range []int{1, 3, 256} {
-				it := ParallelUnion(context.Background(), mkSources(), want,
-					FanInOptions{Workers: workers, BufferRows: buffer})
+				it := ParallelUnionBatches(context.Background(), mkSources(), want,
+					FanInOptions{Workers: workers, BufferRows: buffer}, 2)
 				if got := it.Columns(); !reflect.DeepEqual(got, wantHeader) {
 					t.Fatalf("workers=%d buffer=%d: header %v, want %v", workers, buffer, got, wantHeader)
 				}
-				got := sortedRows(drain(t, it))
+				got := sortedRows(drainBatches(t, it))
 				if !reflect.DeepEqual(got, wantRows) {
 					t.Errorf("workers=%d buffer=%d want=%v: rows %v, want %v", workers, buffer, want, got, wantRows)
 				}
@@ -179,15 +82,15 @@ func TestParallelUnionSetEqualsSequential(t *testing.T) {
 // union itself, so ordering-sensitive callers keep byte-identical
 // behavior.
 func TestParallelUnionDegeneratesToSequential(t *testing.T) {
-	sources := []RowIterator{
-		NewSliceIterator([]string{"a"}, [][]string{{"1"}}),
-		NewSliceIterator([]string{"a"}, [][]string{{"2"}}),
+	sources := []BatchIterator{
+		rowsSource([]string{"a"}, [][]string{{"1"}}, 1),
+		rowsSource([]string{"a"}, [][]string{{"2"}}, 1),
 	}
-	it := ParallelUnion(context.Background(), sources, nil, FanInOptions{Workers: 1})
-	if _, ok := it.(*unionIterator); !ok {
-		t.Fatalf("Workers=1 returned %T, want the sequential *unionIterator", it)
+	it := ParallelUnionBatches(context.Background(), sources, nil, FanInOptions{Workers: 1}, 1)
+	if _, ok := it.(*unionBatchIterator); !ok {
+		t.Fatalf("Workers=1 returned %T, want the sequential *unionBatchIterator", it)
 	}
-	rows := drain(t, it)
+	rows := drainBatches(t, it)
 	if want := [][]string{{"1"}, {"2"}}; !reflect.DeepEqual(rows, want) {
 		t.Errorf("rows = %v, want %v (concatenation order)", rows, want)
 	}
@@ -198,35 +101,24 @@ func TestParallelUnionDegeneratesToSequential(t *testing.T) {
 // must still reach the consumer.
 func TestParallelUnionSlowSourceDoesNotStallOthers(t *testing.T) {
 	gate := make(chan struct{})
-	blocked := &gatedIterator{cols: []string{"a"}, gate: gate, rows: []Row{{"late"}}}
-	fast1 := &safeCountingIterator{cols: []string{"a"}, rows: 5, prefix: "x"}
-	fast2 := &safeCountingIterator{cols: []string{"a"}, rows: 5, prefix: "y"}
-	it := ParallelUnion(context.Background(), []RowIterator{blocked, fast1, fast2}, nil,
-		FanInOptions{Workers: 3, BufferRows: 8})
+	blocked := &gatedSource{cols: []string{"a"}, gate: gate, rows: []Row{{"late"}}}
+	fast1 := countSource("x", 5, 1)
+	fast2 := countSource("y", 5, 1)
+	it := ParallelUnionBatches(context.Background(), []BatchIterator{blocked, fast1, fast2}, nil,
+		FanInOptions{Workers: 3, BufferRows: 8}, 1)
 	defer it.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var got [][]string
-	for len(got) < 10 { // all 10 fast rows, while the gate stays shut
-		row, err := it.Next(ctx)
+	got := 0
+	for got < 10 { // all 10 fast rows, while the gate stays shut
+		b, err := it.Next(ctx)
 		if err != nil {
-			t.Fatalf("fast rows stalled behind a blocked source: %v (got %d rows)", err, len(got))
+			t.Fatalf("fast rows stalled behind a blocked source: %v (got %d rows)", err, got)
 		}
-		got = append(got, row)
+		got += b.Len()
 	}
 	close(gate) // release the slow source; its row plus EOF must follow
-	rest := [][]string{}
-	for {
-		row, err := it.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = append(rest, row)
-	}
-	if !reflect.DeepEqual(rest, [][]string{{"late"}}) {
+	if rest := drainBatches(t, it); !reflect.DeepEqual(rest, [][]string{{"late"}}) {
 		t.Errorf("after releasing the gate got %v, want [[late]]", rest)
 	}
 }
@@ -235,29 +127,26 @@ func TestParallelUnionSlowSourceDoesNotStallOthers(t *testing.T) {
 // paused consumer must cap how far a fast source can run ahead at
 // roughly BufferRows, not drain it to completion.
 func TestParallelUnionBackpressure(t *testing.T) {
-	src := &safeCountingIterator{cols: []string{"a"}, rows: 100000, prefix: "x"}
-	other := &safeCountingIterator{cols: []string{"a"}, rows: 1, prefix: "y"}
-	const window = 32
-	it := ParallelUnion(context.Background(), []RowIterator{src, other}, nil,
-		FanInOptions{Workers: 2, BufferRows: window})
+	const window, batch = 32, 8
+	src := countSource("x", 100000, batch)
+	other := countSource("y", 1, batch)
+	it := ParallelUnionBatches(context.Background(), []BatchIterator{src, other}, nil,
+		FanInOptions{Workers: 2, BufferRows: window}, batch)
 	defer it.Close()
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Give the puller every chance to overrun; the buffer must stop it.
+	// Give the puller every chance to overrun; the queue must stop it.
 	deadline := time.Now().Add(200 * time.Millisecond)
-	var max int64
+	var most int64
 	for time.Now().Before(deadline) {
-		if n := src.pulled.Load(); n > max {
-			max = n
-		}
+		most = max(most, src.pulled.Load())
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The puller may hold one batch in hand plus a full queue: allow the
-	// window, one extra batch, and the consumer-side batch in flight.
-	limit := int64(window + 2*fanInBatchRows)
-	if max > limit {
-		t.Errorf("paused consumer: source ran %d rows ahead, want <= %d (BufferRows=%d)", max, limit, window)
+	// The puller may hold one batch in hand beside a full queue, and the
+	// consumer holds the batch it was served.
+	if limit := int64(window + 2*batch); most > limit {
+		t.Errorf("paused consumer: source ran %d rows ahead, want <= %d (BufferRows=%d)", most, limit, window)
 	}
 }
 
@@ -267,11 +156,12 @@ func TestParallelUnionBackpressure(t *testing.T) {
 // exactly once.
 func TestParallelUnionErrorPropagatesAndClosesAll(t *testing.T) {
 	boom := errors.New("store exploded")
-	bad := &erroringIterator{cols: []string{"a"}, good: 2, err: boom}
-	good := &safeCountingIterator{cols: []string{"a"}, rows: 100000, prefix: "x"}
-	slow := &gatedIterator{cols: []string{"a"}, gate: make(chan struct{})}
-	it := ParallelUnion(context.Background(), []RowIterator{bad, good, slow}, nil,
-		FanInOptions{Workers: 3, BufferRows: 8})
+	bad := countSource("ok", 100, 1)
+	bad.err, bad.failAfter = boom, 2
+	good := countSource("x", 100000, 1)
+	slow := &gatedSource{cols: []string{"a"}, gate: make(chan struct{})}
+	it := ParallelUnionBatches(context.Background(), []BatchIterator{bad, good, slow}, nil,
+		FanInOptions{Workers: 3, BufferRows: 8}, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var err error
@@ -299,13 +189,13 @@ func TestParallelUnionErrorPropagatesAndClosesAll(t *testing.T) {
 }
 
 // TestParallelUnionCloseMidStreamIsLeakFree: an early Close must stop
-// every puller (including ones blocked on a full buffer and ones
+// every puller (including ones blocked on a full queue and ones
 // blocked inside the source) and close every source.
 func TestParallelUnionCloseMidStreamIsLeakFree(t *testing.T) {
-	fast := &safeCountingIterator{cols: []string{"a"}, rows: 1000000, prefix: "x"}
-	blocked := &gatedIterator{cols: []string{"a"}, gate: make(chan struct{})}
-	it := ParallelUnion(context.Background(), []RowIterator{fast, blocked}, nil,
-		FanInOptions{Workers: 2, BufferRows: 4})
+	fast := countSource("x", 1000000, 4)
+	blocked := &gatedSource{cols: []string{"a"}, gate: make(chan struct{})}
+	it := ParallelUnionBatches(context.Background(), []BatchIterator{fast, blocked}, nil,
+		FanInOptions{Workers: 2, BufferRows: 4}, 4)
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -330,15 +220,14 @@ func TestParallelUnionCloseMidStreamIsLeakFree(t *testing.T) {
 // open context (not just the per-Next one) stops the fan-in leak-free.
 func TestParallelUnionConsumerCancelUnblocksAndTearsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	fast := &safeCountingIterator{cols: []string{"a"}, rows: 1000000, prefix: "x"}
-	it := ParallelUnion(ctx, []RowIterator{fast, &safeCountingIterator{cols: []string{"a"}, rows: 1000000, prefix: "y"}}, nil,
-		FanInOptions{Workers: 2, BufferRows: 4})
+	it := ParallelUnionBatches(ctx, []BatchIterator{countSource("x", 1000000, 4), countSource("y", 1000000, 4)}, nil,
+		FanInOptions{Workers: 2, BufferRows: 4}, 4)
 	if _, err := it.Next(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	// Draining after cancel must terminate (either buffered rows then an
-	// error, or an immediate context error) — never hang.
+	// Draining after cancel must terminate (either buffered batches then
+	// an error, or an immediate context error) — never hang.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -361,14 +250,11 @@ func TestParallelUnionConsumerCancelUnblocksAndTearsDown(t *testing.T) {
 // TestParallelUnionOpenCtxCancelDoesNotHangNext: cancelling the
 // stream-open context while the consumer polls with a different, live
 // context must surface the cancellation — pullers exit without terminal
-// batches, so Next must not wait for them forever.
+// hops, so Next must not wait for them forever.
 func TestParallelUnionOpenCtxCancelDoesNotHangNext(t *testing.T) {
 	openCtx, cancel := context.WithCancel(context.Background())
-	sources := []RowIterator{
-		&safeCountingIterator{cols: []string{"a"}, rows: 1000000, prefix: "x"},
-		&safeCountingIterator{cols: []string{"a"}, rows: 1000000, prefix: "y"},
-	}
-	it := ParallelUnion(openCtx, sources, nil, FanInOptions{Workers: 2, BufferRows: 8})
+	sources := []BatchIterator{countSource("x", 1000000, 8), countSource("y", 1000000, 8)}
+	it := ParallelUnionBatches(openCtx, sources, nil, FanInOptions{Workers: 2, BufferRows: 8}, 8)
 	defer it.Close()
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
@@ -396,38 +282,48 @@ func TestParallelUnionOpenCtxCancelDoesNotHangNext(t *testing.T) {
 	}
 }
 
+// concurrencyProbe is a source that records how many probes are being
+// drained at once: in flight from its first Next to its EOF.
+type concurrencyProbe struct {
+	left           int
+	started        bool
+	inFlight, peak *atomic.Int64
+}
+
+func (c *concurrencyProbe) Columns() []string { return []string{"a"} }
+
+func (c *concurrencyProbe) Next(context.Context) (*Batch, error) {
+	if !c.started {
+		c.started = true
+		cur := c.inFlight.Add(1)
+		for {
+			p := c.peak.Load()
+			if cur <= p || c.peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+	}
+	if c.left == 0 {
+		c.inFlight.Add(-1)
+		return nil, io.EOF
+	}
+	c.left--
+	time.Sleep(time.Millisecond)
+	return NewBatch([]string{"a"}, []*Vector{NewVector([]string{"x"})}), nil
+}
+
+func (c *concurrencyProbe) Close() error { return nil }
+
 // TestParallelUnionWorkersCapLimitsConcurrency: with Workers=2 over
 // four sources, no more than two sources are ever in flight at once.
 func TestParallelUnionWorkersCapLimitsConcurrency(t *testing.T) {
 	var inFlight, peak atomic.Int64
-	mk := func(n int) RowIterator {
-		first := true
-		return &funcIterator{
-			cols: []string{"a"},
-			next: func(ctx context.Context) (Row, error) {
-				if first {
-					first = false
-					cur := inFlight.Add(1)
-					for {
-						p := peak.Load()
-						if cur <= p || peak.CompareAndSwap(p, cur) {
-							break
-						}
-					}
-				}
-				if n == 0 {
-					inFlight.Add(-1)
-					return nil, io.EOF
-				}
-				n--
-				time.Sleep(time.Millisecond)
-				return Row{"x"}, nil
-			},
-		}
+	sources := make([]BatchIterator, 4)
+	for i := range sources {
+		sources[i] = &concurrencyProbe{left: 5, inFlight: &inFlight, peak: &peak}
 	}
-	it := ParallelUnion(context.Background(), []RowIterator{mk(5), mk(5), mk(5), mk(5)}, nil,
-		FanInOptions{Workers: 2, BufferRows: 4})
-	drain(t, it)
+	it := ParallelUnionBatches(context.Background(), sources, nil, FanInOptions{Workers: 2, BufferRows: 4}, 1)
+	drainBatches(t, it)
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,15 +333,16 @@ func TestParallelUnionWorkersCapLimitsConcurrency(t *testing.T) {
 }
 
 // TestUnionErrorClosesAllRemainingSources pins the sequential union's
-// repaired error path: a mid-stream source failure eagerly closes every
+// error path: a mid-stream source failure eagerly closes every
 // remaining source — the current one and the not-yet-reached ones — and
 // the error is sticky across Next calls.
 func TestUnionErrorClosesAllRemainingSources(t *testing.T) {
 	boom := errors.New("scan failed")
-	done := &safeCountingIterator{cols: []string{"a"}, rows: 1, prefix: "x"}
-	bad := &erroringIterator{cols: []string{"a"}, good: 1, err: boom}
-	unreached := &safeCountingIterator{cols: []string{"a"}, rows: 1, prefix: "y"}
-	it := Union([]RowIterator{done, bad, unreached}, nil)
+	done := countSource("x", 1, 1)
+	bad := countSource("ok", 10, 1)
+	bad.err, bad.failAfter = boom, 1
+	unreached := countSource("y", 1, 1)
+	it := UnionBatches([]BatchIterator{done, bad, unreached}, nil)
 	var err error
 	for {
 		if _, err = it.Next(context.Background()); err != nil {
@@ -478,9 +375,9 @@ func TestUnionErrorClosesAllRemainingSources(t *testing.T) {
 
 // TestUnionCloseIdempotent: Close twice closes each source once.
 func TestUnionCloseIdempotent(t *testing.T) {
-	a := &safeCountingIterator{cols: []string{"a"}, rows: 3, prefix: "x"}
-	b := &safeCountingIterator{cols: []string{"a"}, rows: 3, prefix: "y"}
-	it := Union([]RowIterator{a, b}, nil)
+	a := countSource("x", 3, 1)
+	b := countSource("y", 3, 1)
+	it := UnionBatches([]BatchIterator{a, b}, nil)
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -501,26 +398,26 @@ func TestUnionCloseIdempotent(t *testing.T) {
 func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 	e := federatedEngine(t)
 	sql := "SELECT city, price FROM rel:hotels_a, doc:hotels_b, graph:hotel"
-	seqIt, err := e.StreamSQLFanIn(context.Background(), sql, FanInOptions{})
+	seq, err := e.Query(context.Background(), Request{SQL: sql, FanIn: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHeader := seqIt.Columns()
-	wantRows := sortedRows(drain(t, seqIt))
-	_ = seqIt.Close()
+	wantHeader := seq.Columns()
+	wantRows := sortedRows(drain(t, seq))
+	_ = seq.Close()
 	for _, workers := range []int{2, 4, 8} {
-		it, err := e.StreamSQLFanIn(context.Background(), sql, FanInOptions{Workers: workers, BufferRows: 16})
+		st, err := e.Query(context.Background(), Request{SQL: sql, FanIn: workers, BufferRows: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := it.Columns(); !reflect.DeepEqual(got, wantHeader) {
+		if got := st.Columns(); !reflect.DeepEqual(got, wantHeader) {
 			t.Fatalf("workers=%d: header %v, want %v", workers, got, wantHeader)
 		}
-		got := sortedRows(drain(t, it))
+		got := sortedRows(drain(t, st))
 		if !reflect.DeepEqual(got, wantRows) {
 			t.Errorf("workers=%d: rows %v, want %v", workers, got, wantRows)
 		}
-		if err := it.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -532,7 +429,7 @@ func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 func TestEngineParallelOpenSurfacesFirstError(t *testing.T) {
 	e := federatedEngine(t)
 	e.FanIn = FanInOptions{Workers: 4}
-	_, err := e.StreamSQL(context.Background(), "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b")
+	_, err := e.ExecuteSQL(context.Background(), "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b")
 	if !errors.Is(err, polystore.ErrNoTable) {
 		t.Fatalf("parallel open err = %v, want %v", err, polystore.ErrNoTable)
 	}

@@ -312,3 +312,33 @@ func TestExecuteCanceled(t *testing.T) {
 		t.Errorf("canceled execute = %v", err)
 	}
 }
+
+// TestNullFieldsReadAsEmptyCells: a JSON null in a document field or a
+// node property is the pipeline's null — the empty cell, like a missing
+// field — not the text "<nil>"; other values keep their %v text.
+func TestNullFieldsReadAsEmptyCells(t *testing.T) {
+	p, err := polystore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Ingest("raw/nulls.jsonl", []byte(`{"a":null,"b":1000000}`+"\n")); err != nil {
+		t.Fatal(err)
+	}
+	graph := []byte(`{"nodes":[{"id":"n1","label":"thing","props":{"a":null,"b":2.5}}],"edges":[]}`)
+	if _, err := p.IngestAs("raw/things.json", graph, polystore.TargetGraph); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(p)
+	for _, sql := range []string{"SELECT a, b FROM doc:nulls", "SELECT a, b FROM graph:thing"} {
+		res, err := e.ExecuteSQL(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != 1 {
+			t.Fatalf("%s: %d rows", sql, res.NumRows())
+		}
+		if got := res.Row(0); got[0] != "" || (got[1] != "1e+06" && got[1] != "2.5") {
+			t.Errorf("%s: row %q, want [\"\" 1e+06] / [\"\" 2.5]", sql, got)
+		}
+	}
+}

@@ -23,14 +23,15 @@ type RemoteSpec struct {
 
 // RemoteOpener opens streaming scans against one remote member lake.
 // Implementations (internal/remote) speak the /v1/query NDJSON protocol;
-// the engine only requires the returned iterator to know its header
-// eagerly (Columns callable before the first Next), because the union
+// the engine only requires the returned stream to know its header
+// eagerly (Columns callable before the first batch), because the union
 // stage computes the SELECT * result header from the source headers.
 type RemoteOpener interface {
-	// OpenStream executes the sub-query on the member lake. The stream
-	// must honor ctx: cancellation aborts the remote request, and Close
+	// OpenStream executes the sub-query on the member lake; the stream
+	// joins the pipeline as a leaf through its batch face. It must
+	// honor ctx: cancellation aborts the remote request, and Close
 	// releases the connection.
-	OpenStream(ctx context.Context, spec RemoteSpec) (RowIterator, error)
+	OpenStream(ctx context.Context, spec RemoteSpec) (BatchScanner, error)
 	// Describe returns a human-readable endpoint (base URL) for plans.
 	Describe() string
 }

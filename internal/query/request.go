@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -26,9 +25,8 @@ import (
 //     sources concurrently.
 //   - BufferRows sizes the per-source backpressure window (0 =
 //     engine default).
-//   - BatchRows sizes the columnar pipeline's batches (0 = engine
-//     default, then DefaultBatchRows); ignored when the query falls
-//     back to row-mode execution.
+//   - BatchRows sizes the pipeline's batches (0 = engine default,
+//     then DefaultBatchRows).
 //   - Explain plans the query without executing it, like an EXPLAIN
 //     statement.
 //   - Analyze (EXPLAIN ANALYZE) executes the query to completion,
@@ -85,9 +83,7 @@ type Plan struct {
 	// BufferRows is the per-source backpressure window of a parallel
 	// union (0 when sequential).
 	BufferRows int `json:"buffer_rows,omitempty"`
-	// Batch describes the execution mode: "columnar (N rows/batch)"
-	// when the vectorized pipeline serves the query, "row" with the
-	// fallback reason otherwise.
+	// Batch describes the execution mode: "columnar (N rows/batch)".
 	Batch string `json:"batch,omitempty"`
 	// Sort names the sort strategy: "none", "full sort", or
 	// "top-k heap (k=N)".
@@ -224,8 +220,7 @@ type SourceStats struct {
 // ExecStats snapshots a stream's execution: per-source pull counters,
 // the rows actually delivered to the consumer (after sort/limit), the
 // per-stage trace spans, the sort stage's heap high-water mark (0 when
-// the query had no sort), and the number of columnar batches the
-// pipeline moved (0 in row mode).
+// the query had no sort), and the number of batches the union moved.
 type ExecStats struct {
 	Sources      []SourceStats `json:"sources"`
 	RowsOut      int64         `json:"rows_out"`
@@ -251,46 +246,27 @@ func (c *sourceCounter) snapshot() SourceStats {
 	}
 }
 
-// meteredIterator instruments one source scan with its counter.
-type meteredIterator struct {
-	in RowIterator
-	c  *sourceCounter
-}
-
-func (m *meteredIterator) Columns() []string { return m.in.Columns() }
-
-func (m *meteredIterator) Next(ctx context.Context) (Row, error) {
-	start := time.Now()
-	row, err := m.in.Next(ctx)
-	m.c.blockedNs.Add(int64(time.Since(start)))
-	if err == nil {
-		m.c.rows.Add(1)
-	}
-	return row, err
-}
-
-func (m *meteredIterator) Close() error { return m.in.Close() }
-
-// RowStream is the result of Engine.Query / Lake.Query: the familiar
-// pull-based row iterator plus plan introspection (Plan) and live
-// per-source execution stats (Stats). ErrMap, when set, rewrites
-// non-EOF row errors — the Lake installs its lakeerr classifier there
-// so streaming consumers keep dispatching on error codes.
+// RowStream is the result of Engine.Query / Lake.Query: the pipeline's
+// batch drain (NextBatch), a row cursor over it (Next), plan
+// introspection (Plan) and live per-source execution stats (Stats).
+// ErrMap, when set, rewrites non-EOF errors — the Lake installs its
+// lakeerr classifier there so streaming consumers keep dispatching on
+// error codes.
 type RowStream struct {
-	it       RowIterator
+	// bit is the assembled pipeline; nil on an explain-only stream.
+	bit      BatchIterator
+	cols     []string
 	plan     *Plan
 	explain  bool
 	counters []*sourceCounter
 	rowsOut  atomic.Int64
 
-	// bit is the stream's columnar face: set when the batch pipeline
-	// runs end-to-end, so NextBatch can drain whole batches without the
-	// row adapter in between. it and bit share the underlying pipeline
-	// — a consumer picks one drain mode, not both.
-	bit BatchIterator
-	// bmeter counts the pipeline's batches (set whenever the engine
-	// picked batch execution, even when a sort stage re-rowifies the
-	// output) and carries the per-batch observability hook.
+	// cur/pos are the row cursor: the batch Next is serving from.
+	cur *Batch
+	pos int
+
+	// bmeter counts the batches the union moves and carries the
+	// per-batch observability hook.
 	bmeter *batchMeter
 
 	// trace carries the build-time spans the engine recorded (plan,
@@ -300,23 +276,23 @@ type RowStream struct {
 	// sorter is the sort stage's handle when the plan has one, so
 	// Stats can report the sort span and heap high-water mark live.
 	sorter *sortIterator
-	// execStartNs/execDoneNs bracket the execute span: first Next and
+	// execStartNs/execDoneNs bracket the execute span: first pull and
 	// terminal event (EOF, error, or Close), CAS-set so each end is
 	// stamped exactly once and Stats computes the span instead of
 	// storing it.
 	execStartNs atomic.Int64
 	execDoneNs  atomic.Int64
 
-	// errMu guards firstErr, the first non-EOF error Next surfaced —
-	// what Err reports to the metrics fold at close.
+	// errMu guards firstErr, the first non-EOF error the stream
+	// surfaced — what Err reports to the metrics fold at close.
 	errMu    sync.Mutex
 	firstErr error
-	// closeHooks run exactly once, after the underlying iterator is
-	// closed — the Lake folds the final Stats into its metrics here.
+	// closeHooks run exactly once, after the pipeline is closed — the
+	// Lake folds the final Stats into its metrics here.
 	closeHooks []func()
 	closeOnce  sync.Once
 
-	// ErrMap rewrites row-level errors before they surface from Next
+	// ErrMap rewrites errors before they surface from Next/NextBatch
 	// (io.EOF passes through). Nil means errors surface unchanged.
 	ErrMap func(error) error
 
@@ -324,52 +300,23 @@ type RowStream struct {
 	// NextBatch fail with context.DeadlineExceeded once it passes,
 	// independent of the per-call context (an HTTP request context,
 	// for example, carries no query deadline of its own). Set via
-	// SetDeadline before the first Next. deadlineCountdown amortizes
-	// the wall-clock read on the row path: Next re-checks the clock
-	// every deadlineEvery rows instead of every row (NextBatch checks
-	// every batch — batches are already coarse).
-	deadline          time.Time
-	deadlineCountdown int
+	// SetDeadline before the first pull.
+	deadline time.Time
 }
 
-// deadlineEvery bounds how many rows may pass between wall-clock
-// deadline checks on the row path. The open context carries the same
-// deadline and tears the pullers down promptly either way; this only
-// bounds how many already-buffered rows may still surface first.
-const deadlineEvery = 64
+// SetDeadline installs the stream's deadline; zero means none. It is
+// checked on every pull — per batch, and per row on the row cursor —
+// so a query that outlives it fails mid-stream with a typed deadline
+// error rather than running unbounded.
+func (s *RowStream) SetDeadline(t time.Time) { s.deadline = t }
 
-// SetDeadline installs the stream's deadline; zero means none. The
-// deadline is checked between rows (at deadlineEvery granularity) and
-// between batches, so a query that outlives it fails mid-stream with a
-// typed deadline error rather than running unbounded. The next pull
-// after a SetDeadline always checks.
-func (s *RowStream) SetDeadline(t time.Time) {
-	s.deadline = t
-	s.deadlineCountdown = 0
-}
-
-// expired surfaces the stream deadline as the standard context error,
-// so the lakeerr classifier (and ErrMap) route it exactly like a
-// context-level expiry. Row-path callers pay one wall-clock read per
-// deadlineEvery rows.
-func (s *RowStream) expired() error {
-	if s.deadline.IsZero() {
-		return nil
+// check surfaces a cancelled per-call context or a passed stream
+// deadline (as the standard context error, so the lakeerr classifier
+// and ErrMap route it exactly like a context-level expiry).
+func (s *RowStream) check(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if s.deadlineCountdown > 0 {
-		s.deadlineCountdown--
-		return nil
-	}
-	s.deadlineCountdown = deadlineEvery - 1
-	if time.Now().After(s.deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// expiredNow is the batch-path check: batches are coarse already, so
-// every pull reads the clock.
-func (s *RowStream) expiredNow() error {
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		return context.DeadlineExceeded
 	}
@@ -377,82 +324,85 @@ func (s *RowStream) expiredNow() error {
 }
 
 // Columns is the stream's output header.
-func (s *RowStream) Columns() []string { return s.it.Columns() }
+func (s *RowStream) Columns() []string { return s.cols }
 
-// Next returns the next row or io.EOF; see RowIterator. A stream
-// deadline (SetDeadline) that has passed fails the call with a
-// deadline error even while the per-call context is live.
-func (s *RowStream) Next(ctx context.Context) (Row, error) {
-	s.execStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	var row Row
-	err := s.expired()
-	if err == nil {
-		row, err = s.it.Next(ctx)
-	}
-	if err != nil {
-		s.execDoneNs.CompareAndSwap(0, time.Now().UnixNano())
-		if err != io.EOF {
-			if s.ErrMap != nil {
-				err = s.ErrMap(err)
-			}
-			s.errMu.Lock()
-			if s.firstErr == nil {
-				s.firstErr = err
-			}
-			s.errMu.Unlock()
-		}
-		return nil, err
-	}
-	s.rowsOut.Add(1)
-	return row, nil
-}
-
-// BatchMode reports whether the engine executed this query through the
-// columnar batch pipeline (true even when the output is row-shaped,
-// e.g. behind a sort stage).
-func (s *RowStream) BatchMode() bool { return s.bmeter != nil }
-
-// BatchOutput reports whether the stream can be drained batch-wise via
-// NextBatch — true when the batch pipeline runs end-to-end with no
-// re-rowifying stage on top.
-func (s *RowStream) BatchOutput() bool { return s.bit != nil }
-
-// NextBatch returns the next columnar batch or io.EOF; it errors on a
-// stream without batch output (check BatchOutput first). A consumer
-// drains the stream either row-wise via Next or batch-wise via
-// NextBatch — mixing the two mid-stream is not supported.
+// NextBatch returns the next columnar batch or io.EOF — the stream's
+// drain. A consumer drains either batch-wise here or row-wise via
+// Next, not both.
 func (s *RowStream) NextBatch(ctx context.Context) (*Batch, error) {
-	if s.bit == nil {
-		return nil, errors.New("query: stream has no batch output; drain rows via Next")
-	}
-	s.execStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	var b *Batch
-	err := s.expiredNow()
-	if err == nil {
-		b, err = s.bit.Next(ctx)
-	}
+	b, err := s.pull(ctx)
 	if err != nil {
-		s.execDoneNs.CompareAndSwap(0, time.Now().UnixNano())
-		if err != io.EOF {
-			if s.ErrMap != nil {
-				err = s.ErrMap(err)
-			}
-			s.errMu.Lock()
-			if s.firstErr == nil {
-				s.firstErr = err
-			}
-			s.errMu.Unlock()
-		}
 		return nil, err
 	}
 	s.rowsOut.Add(int64(b.Len()))
 	return b, nil
 }
 
+// Next returns the next row or io.EOF; see RowIterator. It is a cursor
+// over NextBatch's batches. A stream deadline (SetDeadline) that has
+// passed fails the call with a deadline error even while the per-call
+// context is live.
+func (s *RowStream) Next(ctx context.Context) (Row, error) {
+	if s.cur == nil || s.pos >= s.cur.Len() {
+		b, err := s.pull(ctx)
+		if err != nil {
+			s.cur = nil
+			return nil, err
+		}
+		s.cur, s.pos = b, 0
+	} else if err := s.check(ctx); err != nil {
+		return nil, s.fail(err)
+	}
+	row := s.cur.Row(s.pos)
+	s.pos++
+	s.rowsOut.Add(1)
+	return row, nil
+}
+
+// pull takes the next batch from the pipeline.
+func (s *RowStream) pull(ctx context.Context) (*Batch, error) {
+	s.execStartNs.CompareAndSwap(0, time.Now().UnixNano())
+	if err := s.check(ctx); err != nil {
+		return nil, s.fail(err)
+	}
+	if s.bit == nil {
+		return nil, s.fail(io.EOF)
+	}
+	b, err := s.bit.Next(ctx)
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	return b, nil
+}
+
+// fail stamps the end of the execute span and, for a real error,
+// rewrites it through ErrMap and records it as the stream's first.
+func (s *RowStream) fail(err error) error {
+	s.execDoneNs.CompareAndSwap(0, time.Now().UnixNano())
+	if err == io.EOF {
+		return err
+	}
+	if s.ErrMap != nil {
+		err = s.ErrMap(err)
+	}
+	s.errMu.Lock()
+	if s.firstErr == nil {
+		s.firstErr = err
+	}
+	s.errMu.Unlock()
+	return err
+}
+
+// BatchOutput reports whether NextBatch drains the stream; every stream
+// has a batch face, so it is always true.
+//
+// Deprecated: call NextBatch directly.
+func (s *RowStream) BatchOutput() bool { return true }
+
 // OnBatch installs fn to observe every batch the pipeline moves (rows
 // is the batch's logical row count, capacity the configured batch
 // size) — the observability layer's hook for batch-size and fill-ratio
-// metrics. No-op on a row-mode stream.
+// metrics. No-op on an explain-only stream.
 func (s *RowStream) OnBatch(fn func(rows, capacity int)) {
 	if s.bmeter != nil {
 		s.bmeter.hook.Store(&fn)
@@ -462,7 +412,11 @@ func (s *RowStream) OnBatch(fn func(rows, capacity int)) {
 // Close releases the stream; idempotent. Close hooks registered with
 // OnClose run exactly once, after the pipeline is released.
 func (s *RowStream) Close() error {
-	err := s.it.Close()
+	var err error
+	if s.bit != nil {
+		err = s.bit.Close()
+	}
+	s.cur = nil
 	s.execDoneNs.CompareAndSwap(0, time.Now().UnixNano())
 	s.closeOnce.Do(func() {
 		for _, fn := range s.closeHooks {
@@ -528,10 +482,3 @@ func (s *RowStream) Stats() ExecStats {
 	}
 	return st
 }
-
-// emptyIterator is the explain-only stream body: a header, no rows.
-type emptyIterator struct{ cols []string }
-
-func (e *emptyIterator) Columns() []string                 { return e.cols }
-func (e *emptyIterator) Next(context.Context) (Row, error) { return nil, io.EOF }
-func (e *emptyIterator) Close() error                      { return nil }

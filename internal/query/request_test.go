@@ -311,7 +311,7 @@ func TestExplainGolden(t *testing.T) {
 	golden := strings.Join([]string{
 		"EXPLAIN SELECT id, total FROM rel:orders, doc:events WHERE total > 10 ORDER BY total DESC LIMIT 5",
 		"  union: parallel fan-in 2 (buffer 256 rows/source)",
-		"  batch: row (source without batch scan)",
+		"  batch: columnar (1024 rows/batch)",
 		"  sort: top-k heap (k=5) [total DESC]",
 		"  limit: 5",
 		"  source rel:orders: rel scan, table orders, pushdown [total > 10], project [id, total]",
@@ -346,27 +346,6 @@ func TestExplainUnknownSourceErrors(t *testing.T) {
 	e := multiSourcePoly(t)
 	if _, err := e.Query(context.Background(), Request{SQL: "EXPLAIN SELECT * FROM ghost"}); !errors.Is(err, ErrUnknownSource) {
 		t.Errorf("explain unknown source = %v", err)
-	}
-}
-
-// TestLegacyShimsStillOrder: the deprecated Stream path executes a
-// statement-level ORDER BY too — parse once, sort everywhere.
-func TestLegacyShimsStillOrder(t *testing.T) {
-	e := multiSourcePoly(t)
-	it, err := e.StreamSQL(context.Background(), "SELECT id, total FROM rel:more_orders ORDER BY total DESC LIMIT 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, it)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-	res, err := e.ExecuteSQL(context.Background(), "SELECT id, total FROM rel:more_orders ORDER BY total DESC LIMIT 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 2 || res.Row(0)[0] != rows[0][0] {
-		t.Errorf("Execute order disagrees with Stream: %v vs %v", res.Row(0), rows[0])
 	}
 }
 
@@ -409,26 +388,25 @@ func TestOrderByUnprojectedColumnErrors(t *testing.T) {
 	ex.Close()
 }
 
-// TestExplainRejectedOnEngineRowEndpoints: the deprecated row-shaped
-// engine entry points refuse EXPLAIN instead of silently executing the
-// underlying SELECT (pre-Request, EXPLAIN was a parse error here).
+// TestExplainRejectedOnEngineRowEndpoints: the table-shaped engine
+// entry point refuses EXPLAIN (and EXPLAIN ANALYZE) instead of
+// returning an empty table (pre-Request, EXPLAIN was a parse error
+// here).
 func TestExplainRejectedOnEngineRowEndpoints(t *testing.T) {
 	e := multiSourcePoly(t)
 	ctx := context.Background()
-	const sql = "EXPLAIN SELECT id FROM rel:more_orders"
-	if _, err := e.ExecuteSQL(ctx, sql); !errors.Is(err, ErrSyntax) {
-		t.Errorf("ExecuteSQL explain = %v, want ErrSyntax", err)
-	}
-	if _, err := e.StreamSQL(ctx, sql); !errors.Is(err, ErrSyntax) {
-		t.Errorf("StreamSQL explain = %v, want ErrSyntax", err)
+	for _, sql := range []string{"EXPLAIN SELECT id FROM rel:more_orders", "EXPLAIN ANALYZE SELECT id FROM rel:more_orders"} {
+		if _, err := e.ExecuteSQL(ctx, sql); !errors.Is(err, ErrSyntax) {
+			t.Errorf("ExecuteSQL %q = %v, want ErrSyntax", sql, err)
+		}
 	}
 }
 
-// TestSortHonorsCancellationMidEmission: cancelling between rows stops
-// a sorted stream even though the buffer is already filled.
+// TestSortHonorsCancellationMidEmission: cancelling between batches
+// stops a sorted stream even though the buffer is already filled.
 func TestSortHonorsCancellationMidEmission(t *testing.T) {
-	in := NewSliceIterator([]string{"v"}, [][]string{{"3"}, {"1"}, {"2"}})
-	s := Sort(in, []OrderKey{{Column: "v"}}, 0)
+	in := rowsSource([]string{"v"}, [][]string{{"3"}, {"1"}, {"2"}}, 3)
+	s := sortBatches(in, []OrderKey{{Column: "v"}}, 0, nil, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	if _, err := s.Next(ctx); err != nil {
 		t.Fatal(err)

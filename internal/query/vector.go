@@ -1,22 +1,21 @@
 package query
 
-import "strconv"
+import (
+	"strconv"
 
-// Bitmap is a fixed-length bit set — the null and validity masks of the
-// columnar batch layer. The zero value is unusable; allocate with
-// NewBitmap.
+	"golake/internal/table"
+)
+
+// Bitmap is a fixed-length bit set — the validity mask of a vector's
+// float mirror. The zero value is unusable; allocate with NewBitmap.
 type Bitmap struct {
 	bits []uint64
-	n    int
 }
 
 // NewBitmap returns an all-zero bitmap of n bits.
 func NewBitmap(n int) *Bitmap {
-	return &Bitmap{bits: make([]uint64, (n+63)/64), n: n}
+	return &Bitmap{bits: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the bitmap's length in bits.
-func (b *Bitmap) Len() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
@@ -24,40 +23,16 @@ func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// SetAll sets every bit.
-func (b *Bitmap) SetAll() {
-	for i := range b.bits {
-		b.bits[i] = ^uint64(0)
-	}
-	// Clear the tail past n so Count stays exact.
-	if rem := uint(b.n) & 63; rem != 0 && len(b.bits) > 0 {
-		b.bits[len(b.bits)-1] &= (1 << rem) - 1
-	}
-}
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Vector is one column of a Batch: a run of cells, a null bitmap, and
-// lazily materialized typed mirrors for numeric predicates.
+// Vector is one column of a Batch: a run of cells and a lazily
+// materialized float64 mirror.
 //
 // The string cells are authoritative: they are zero-copy references
 // into the store snapshot and carry the exact wire representation, so
-// serialization from a vector is byte-identical to the row pipeline no
-// matter how a numeric cell was spelled ("007", "1.0", "+3"). The
-// typed mirrors — Ints and Floats — are parsed once per vector and
-// power vectorized predicate evaluation and future typed operators;
-// cells that fail to parse are marked invalid in the returned bitmap
-// and fall back to string semantics, exactly as the row pipeline's
-// per-row Predicate.Matches does.
+// serialization from a vector reproduces the stored text no matter how
+// a numeric cell was spelled ("007", "1.0", "+3"). The Floats mirror is
+// parsed once per vector and serves numeric predicates and sort keys;
+// cells that fail to parse are marked invalid in its bitmap and fall
+// back to string semantics, exactly as Predicate.Matches does.
 //
 // Vectors flow through single-consumer pipelines; the lazy mirrors are
 // not synchronized.
@@ -67,11 +42,8 @@ type Vector struct {
 	cells []string
 	n     int
 
-	ints    []int64
-	intOK   *Bitmap
 	floats  []float64
 	floatOK *Bitmap
-	nulls   *Bitmap
 }
 
 // NewVector wraps a cell run as a vector. The slice is referenced, not
@@ -98,66 +70,45 @@ func (v *Vector) Cell(i int) string {
 	return v.cells[i]
 }
 
-// Cells returns the backing run, or nil for a pad vector. Callers must
-// not mutate it: it may alias a live store snapshot.
-func (v *Vector) Cells() []string { return v.cells }
-
-// Nulls returns the null bitmap (a set bit marks a null cell),
-// computed on first use. The pipeline encodes null as the empty cell;
-// a pad vector is all-null.
-func (v *Vector) Nulls() *Bitmap {
-	if v.nulls == nil {
-		v.nulls = NewBitmap(v.n)
-		if v.cells == nil {
-			v.nulls.SetAll()
-		} else {
-			for i, c := range v.cells {
-				if c == "" {
-					v.nulls.Set(i)
-				}
-			}
-		}
-	}
-	return v.nulls
-}
-
-// Ints returns the int64 mirror and its validity bitmap (a set bit
-// marks a cell that parsed), materialized on first use.
-func (v *Vector) Ints() ([]int64, *Bitmap) {
-	if v.intOK == nil {
-		v.ints = make([]int64, v.n)
-		v.intOK = NewBitmap(v.n)
-		for i, c := range v.cells {
-			if x, err := strconv.ParseInt(c, 10, 64); err == nil {
-				v.ints[i] = x
-				v.intOK.Set(i)
-			}
-		}
-	}
-	return v.ints, v.intOK
-}
-
-// Floats returns the float64 mirror and its validity bitmap,
-// materialized on first use. Parsing matches the row pipeline's
-// predicate semantics exactly (plain strconv.ParseFloat, no trimming),
-// so vectorized filters keep byte-identical selectivity.
+// Floats returns the float64 mirror and its validity bitmap (a set bit
+// marks a cell that parsed), materialized on first use; read floats[i]
+// only where the bit is set (floats is nil when no cell parsed). Parsing
+// matches Predicate.Matches exactly (plain strconv.ParseFloat, no
+// trimming), so vectorized filters keep its selectivity.
 func (v *Vector) Floats() ([]float64, *Bitmap) {
 	if v.floatOK == nil {
-		v.floats = make([]float64, v.n)
 		v.floatOK = NewBitmap(v.n)
 		for i, c := range v.cells {
-			if f, err := strconv.ParseFloat(c, 64); err == nil {
-				v.floats[i] = f
-				v.floatOK.Set(i)
+			if c == "" {
+				continue
 			}
+			// The shape test spares text cells an allocated parse error,
+			// and short integers the general parser: an integer of up to
+			// 15 digits is exact in a float64.
+			var f float64
+			switch shape := table.NumberShape(c); {
+			case shape == 2 && len(c) <= 15:
+				f = smallInt(c)
+			case shape == 0:
+				continue
+			default:
+				var err error
+				if f, err = strconv.ParseFloat(c, 64); err != nil {
+					continue
+				}
+			}
+			if v.floats == nil {
+				v.floats = make([]float64, v.n)
+			}
+			v.floats[i] = f
+			v.floatOK.Set(i)
 		}
 	}
 	return v.floats, v.floatOK
 }
 
 // AppendTo appends the vector's cells to dst in selection order (every
-// cell when sel is nil) — the column-wise drain CollectBatches and the
-// serialization fast paths use instead of materializing rows.
+// cell when sel is nil) — Collect's column-wise drain.
 func (v *Vector) AppendTo(dst []string, sel []int) []string {
 	if v.cells == nil {
 		n := v.n
@@ -176,4 +127,21 @@ func (v *Vector) AppendTo(dst []string, sel []int) []string {
 		dst = append(dst, v.cells[i])
 	}
 	return dst
+}
+
+// smallInt is strconv.ParseFloat of a signed decimal integer of at most
+// 15 digits, which needs no rounding.
+func smallInt(s string) float64 {
+	neg := s[0] == '-'
+	if s[0] == '-' || s[0] == '+' {
+		s = s[1:]
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		n = n*10 + int64(s[i]-'0')
+	}
+	if neg {
+		return -float64(n)
+	}
+	return float64(n)
 }

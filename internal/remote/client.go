@@ -137,7 +137,7 @@ func (c *Client) backoff() time.Duration {
 // a single row having moved. Connect failures retry with capped
 // exponential backoff; an HTTP error status decodes the member's typed
 // error envelope instead.
-func (c *Client) OpenStream(ctx context.Context, spec query.RemoteSpec) (query.RowIterator, error) {
+func (c *Client) OpenStream(ctx context.Context, spec query.RemoteSpec) (query.BatchScanner, error) {
 	start := time.Now()
 	sctx := ctx
 	cancel := context.CancelFunc(func() {})

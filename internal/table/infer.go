@@ -31,7 +31,7 @@ func InferKind(cells []string) Kind {
 		}
 		// The kinds are disjoint but for int within float, so skipping
 		// a parser that is out never hands its cell to a later one.
-		shape := numberShape(s)
+		shape := NumberShape(s)
 		switch {
 		case shape == 2 && !out(ints) && parses(strconv.ParseInt(s, 10, 64)):
 			ints++
@@ -65,19 +65,22 @@ func InferKind(cells []string) Kind {
 
 func parses[T any](_ T, err error) bool { return err == nil }
 
-// numberShape is 2 for base-10 integer syntax (ParseInt can then fail on
-// range alone), 1 for what strconv.ParseFloat might still take, else 0.
-// It never refuses what a parser accepts; it refuses words and dates: a
-// number starts with a digit or '.' and takes a sign inside only behind
-// an exponent letter.
-func numberShape(s string) int {
+// NumberShape is 2 for base-10 integer syntax (ParseInt can then fail on
+// range alone), 1 for what strconv.ParseFloat might still take, else 0;
+// s must not be empty. It never refuses what a parser accepts; it
+// refuses words and dates without the parse error a failed parse
+// allocates: a number starts with a digit or '.' and takes a sign
+// inside only behind an exponent letter.
+func NumberShape(s string) int {
 	if s[0] == '+' || s[0] == '-' {
 		s = s[1:]
 	}
-	switch {
-	case strings.EqualFold(s, "inf"), strings.EqualFold(s, "infinity"), strings.EqualFold(s, "nan"):
-		return 1
-	case s == "" || ((s[0] < '0' || s[0] > '9') && s[0] != '.'):
+	if s == "" || ((s[0] < '0' || s[0] > '9') && s[0] != '.') {
+		// The parsers spell these in ASCII only, so length decides first.
+		if len(s) == 3 && (strings.EqualFold(s, "inf") || strings.EqualFold(s, "nan")) ||
+			len(s) == 8 && strings.EqualFold(s, "infinity") {
+			return 1
+		}
 		return 0
 	}
 	shape := 2
