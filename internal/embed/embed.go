@@ -22,12 +22,19 @@ import (
 type Model struct {
 	Dim int
 
-	// cooc[value][context] counts how often value appeared in a column
-	// whose context (column identifier) is context.
-	cooc       map[string]map[int]float64
+	// cooc[value] counts, per context (column identifier), how often
+	// value appeared in that column, in ascending context order — so a
+	// token's PPMI terms are summed in one fixed order and its vector
+	// is the same on every call.
+	cooc       map[string][]contextCount
 	contextCnt []float64
 	total      float64
 	vecCache   map[string][]float64
+}
+
+type contextCount struct {
+	ctx int
+	n   float64
 }
 
 // NewModel creates an empty model with the given output dimension
@@ -38,7 +45,7 @@ func NewModel(dim int) *Model {
 	}
 	return &Model{
 		Dim:      dim,
-		cooc:     map[string]map[int]float64{},
+		cooc:     map[string][]contextCount{},
 		vecCache: map[string][]float64{},
 	}
 }
@@ -51,11 +58,11 @@ func (m *Model) AddColumn(values []string) {
 	for _, v := range values {
 		for _, tok := range sketch.Tokenize(v) {
 			row := m.cooc[tok]
-			if row == nil {
-				row = map[int]float64{}
-				m.cooc[tok] = row
+			if n := len(row); n > 0 && row[n-1].ctx == ctx {
+				row[n-1].n++
+			} else {
+				m.cooc[tok] = append(row, contextCount{ctx: ctx, n: 1})
 			}
-			row[ctx]++
 			m.contextCnt[ctx]++
 			m.total++
 		}
@@ -103,13 +110,13 @@ func (m *Model) tokenVector(tok string) []float64 {
 	// PPMI weights folded through a deterministic random projection:
 	// out += ppmi(tok, ctx) * proj(ctx).
 	var rowSum float64
-	for _, c := range row {
-		rowSum += c
+	for _, e := range row {
+		rowSum += e.n
 	}
-	for ctx, c := range row {
-		pxy := c / m.total
+	for _, e := range row {
+		pxy := e.n / m.total
 		px := rowSum / m.total
-		py := m.contextCnt[ctx] / m.total
+		py := m.contextCnt[e.ctx] / m.total
 		if px == 0 || py == 0 {
 			continue
 		}
@@ -117,7 +124,7 @@ func (m *Model) tokenVector(tok string) []float64 {
 		if pmi <= 0 {
 			continue
 		}
-		p := projection(ctx, m.Dim)
+		p := projection(e.ctx, m.Dim)
 		for i := range out {
 			out[i] += pmi * p[i]
 		}

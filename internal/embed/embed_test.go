@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -101,6 +102,29 @@ func TestEmptyValueVector(t *testing.T) {
 	for _, x := range v {
 		if x != 0 {
 			t.Fatalf("vector of empty token set should be zero, got %v", v)
+		}
+	}
+}
+
+// A token's PPMI terms are summed in one fixed order, so recomputing
+// its vector (every AddColumn drops the cache) gives the same bits.
+func TestTokenVectorIsDeterministic(t *testing.T) {
+	m := NewModel(64)
+	for i := 0; i < 24; i++ {
+		col := []string{"shared"}
+		for j := 0; j <= i%5; j++ {
+			col = append(col, fmt.Sprintf("v%d", i*7+j), "shared")
+		}
+		m.AddColumn(col)
+	}
+	want := m.Vector("shared")
+	for round := 0; round < 50; round++ {
+		m.vecCache = map[string][]float64{}
+		got := m.Vector("shared")
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: component %d = %v, first call gave %v", round, i, got[i], want[i])
+			}
 		}
 	}
 }
