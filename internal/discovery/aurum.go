@@ -26,7 +26,7 @@ type Aurum struct {
 	ekg   *metamodel.EKG
 	lsh   *sketch.LSHIndex
 	sigs  map[string]*sketch.MinHash
-	sets  map[string]map[string]struct{}
+	sets  map[string]sketch.Set
 	names map[string][]string // column key -> name tokens
 	keyed map[string]bool     // column key -> is candidate key
 	tfidf *sketch.TFIDF
@@ -41,7 +41,7 @@ func NewAurum() *Aurum {
 		ekg:             metamodel.NewEKG(),
 		lsh:             sketch.NewLSHIndex(16, 8),
 		sigs:            map[string]*sketch.MinHash{},
-		sets:            map[string]map[string]struct{}{},
+		sets:            map[string]sketch.Set{},
 		names:           map[string][]string{},
 		keyed:           map[string]bool{},
 	}

@@ -35,11 +35,11 @@ type D3L struct {
 
 type d3lProfile struct {
 	key       string
-	nameGrams map[string]struct{}
-	values    map[string]struct{}
+	nameGrams sketch.Set
+	values    sketch.Set
 	vector    []float64
-	formats   map[string]struct{}
-	numeric   []float64
+	formats   sketch.Set
+	numeric   []float64 // sorted, for KolmogorovSmirnov
 	isNumeric bool
 }
 
@@ -73,10 +73,10 @@ func (d *D3L) Index(tables []*table.Table) error {
 			p := d.profile(t.Name, c)
 			d.profiles[p.key] = p
 			d.tables[t.Name] = append(d.tables[t.Name], p.key)
-			if err := d.nameLSH.Add(p.key, sketch.NewMinHash(d.nameLSH.SignatureLen(), setSlice(p.nameGrams))); err != nil {
+			if err := d.nameLSH.Add(p.key, sketch.NewMinHash(d.nameLSH.SignatureLen(), p.nameGrams)); err != nil {
 				return err
 			}
-			if err := d.valueLSH.Add(p.key, sketch.NewMinHash(d.valueLSH.SignatureLen(), setSlice(p.values))); err != nil {
+			if err := d.valueLSH.Add(p.key, sketch.NewMinHash(d.valueLSH.SignatureLen(), p.values)); err != nil {
 				return err
 			}
 		}
@@ -104,14 +104,17 @@ func (d *D3L) profile(tableName string, c *table.Column) *d3lProfile {
 		nameGrams: sketch.ToSet(sketch.QGrams(c.Name, 3)),
 		values:    sketch.ToSet(vals),
 		vector:    d.embedModel.ColumnVector(capped(vals, 100)),
-		formats:   map[string]struct{}{},
 	}
-	for _, v := range capped(vals, 200) {
-		p.formats[sketch.RegexPattern(v)] = struct{}{}
+	sample := capped(vals, 200)
+	patterns := make([]string, len(sample))
+	for i, v := range sample {
+		patterns[i] = sketch.RegexPattern(v)
 	}
+	p.formats = sketch.ToSet(patterns)
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
 		if frac > 0.5 {
+			sort.Float64s(xs)
 			p.numeric = xs
 			p.isNumeric = true
 		}
@@ -260,11 +263,11 @@ func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 // candidates unions the LSH buckets of both feature indexes.
 func (d *D3L) candidates(p *d3lProfile) []string {
 	seen := map[string]struct{}{}
-	nameSig := sketch.NewMinHash(d.nameLSH.SignatureLen(), setSlice(p.nameGrams))
+	nameSig := sketch.NewMinHash(d.nameLSH.SignatureLen(), p.nameGrams)
 	for _, c := range d.nameLSH.Query(nameSig, 0, p.key) {
 		seen[c.Key] = struct{}{}
 	}
-	valSig := sketch.NewMinHash(d.valueLSH.SignatureLen(), setSlice(p.values))
+	valSig := sketch.NewMinHash(d.valueLSH.SignatureLen(), p.values)
 	for _, c := range d.valueLSH.Query(valSig, 0, p.key) {
 		seen[c.Key] = struct{}{}
 	}
@@ -310,15 +313,6 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 		out = out[:k]
 	}
 	return out, nil
-}
-
-func setSlice(s map[string]struct{}) []string {
-	out := make([]string, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func capped(vals []string, n int) []string {

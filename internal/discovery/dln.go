@@ -33,10 +33,10 @@ type DLN struct {
 
 type dlnProfile struct {
 	key        string
-	nameGrams  map[string]struct{}
+	nameGrams  sketch.Set
 	uniqueness float64
 	isNumeric  bool
-	sample     map[string]struct{}
+	sample     sketch.Set
 }
 
 // NewDLN creates an untrained instance.

@@ -22,7 +22,7 @@ type JOSIE struct {
 	index *sketch.InvertedIndex
 	// cols maps "table.column" -> its distinct set (the "set file" the
 	// cost model would read).
-	cols map[string]map[string]struct{}
+	cols map[string]sketch.Set
 	// tablesOf maps table name -> its column keys.
 	tablesOf map[string][]string
 	// MaxValuesPerColumn caps indexed set size (0 = unlimited).
@@ -33,7 +33,7 @@ type JOSIE struct {
 func NewJOSIE() *JOSIE {
 	return &JOSIE{
 		index:    sketch.NewInvertedIndex(),
-		cols:     map[string]map[string]struct{}{},
+		cols:     map[string]sketch.Set{},
 		tablesOf: map[string][]string{},
 	}
 }

@@ -45,12 +45,15 @@ type Juneau struct {
 
 type juneauProfile struct {
 	name     string
-	colNames map[string]struct{}
-	colSets  map[string]map[string]struct{}
-	keys     map[string]struct{} // candidate key columns
+	colNames sketch.Set
+	// colSets holds one value set per distinct column name (a repeated
+	// name keeps its last column's values); keySets holds the sets of
+	// the names any of whose columns is a candidate key.
+	colSets  []sketch.Set
+	keySets  []sketch.Set
 	rows     int
 	nullFrac float64
-	metaToks map[string]struct{}
+	metaToks sketch.Set
 }
 
 // NewJuneau creates an instance for the given task.
@@ -87,32 +90,39 @@ func (j *Juneau) Remove(tableName string) {
 }
 
 func juneauProfileOf(t *table.Table) *juneauProfile {
-	p := &juneauProfile{
-		name:     t.Name,
-		colNames: map[string]struct{}{},
-		colSets:  map[string]map[string]struct{}{},
-		keys:     map[string]struct{}{},
-		rows:     t.NumRows(),
-		metaToks: map[string]struct{}{},
-	}
+	p := &juneauProfile{name: t.Name, rows: t.NumRows()}
+	slot := make(map[string]int, len(t.Columns))
+	var names []string
+	var isKey []bool
 	totalCells, nullCells := 0, 0
 	for _, c := range t.Columns {
-		p.colNames[c.Name] = struct{}{}
-		p.colSets[c.Name] = c.Distinct()
-		if c.IsCandidateKey(0.9) {
-			p.keys[c.Name] = struct{}{}
+		i, seen := slot[c.Name]
+		if !seen {
+			i = len(names)
+			slot[c.Name] = i
+			names = append(names, c.Name)
+			p.colSets = append(p.colSets, nil)
+			isKey = append(isKey, false)
 		}
+		p.colSets[i] = sketch.ToSet(c.DistinctSlice())
+		isKey[i] = isKey[i] || c.IsCandidateKey(0.9)
 		totalCells += c.Len()
 		nullCells += c.NullCount()
+	}
+	p.colNames = sketch.ToSet(names)
+	for i, key := range isKey {
+		if key {
+			p.keySets = append(p.keySets, p.colSets[i])
+		}
 	}
 	if totalCells > 0 {
 		p.nullFrac = float64(nullCells) / float64(totalCells)
 	}
+	var toks []string
 	for _, v := range t.Meta {
-		for _, tok := range sketch.Tokenize(v) {
-			p.metaToks[tok] = struct{}{}
-		}
+		toks = append(toks, sketch.Tokenize(v)...)
 	}
+	p.metaToks = sketch.ToSet(toks)
 	return p
 }
 
@@ -140,20 +150,15 @@ func (j *Juneau) signalsFor(q, c *juneauProfile) juneauSignals {
 			}
 		}
 	}
-	for qk := range q.keys {
-		for ck := range c.keys {
-			if sketch.Containment(q.colSets[qk], c.colSets[ck]) >= 0.3 {
+	for _, qk := range q.keySets {
+		for _, ck := range c.keySets {
+			if sketch.Containment(qk, ck) >= 0.3 {
 				s.keyMatch = 1
 			}
 		}
 	}
-	newAttrs := 0
-	for name := range c.colNames {
-		if _, ok := q.colNames[name]; !ok {
-			newAttrs++
-		}
-	}
 	if len(c.colNames) > 0 {
+		newAttrs := len(c.colNames) - sketch.Overlap(c.colNames, q.colNames)
 		s.newAttrRate = float64(newAttrs) / float64(len(c.colNames))
 	}
 	if c.rows > q.rows {

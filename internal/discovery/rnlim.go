@@ -47,8 +47,8 @@ type RNLIM struct {
 type rnlimProfile struct {
 	key       string
 	nameVec   []float64
-	values    map[string]struct{}
-	numeric   []float64
+	values    sketch.Set
+	numeric   []float64 // sorted, for KolmogorovSmirnov
 	isNumeric bool
 }
 
@@ -93,6 +93,7 @@ func (r *RNLIM) profile(tableName string, c *table.Column) *rnlimProfile {
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
 		if frac > 0.5 {
+			sort.Float64s(xs)
 			p.numeric = xs
 			p.isNumeric = true
 		}

@@ -18,7 +18,8 @@ import (
 	"golake/internal/sketch"
 )
 
-// Model maps values to dense vectors of dimension Dim.
+// Model maps values to dense vectors of dimension Dim. Dim must not
+// change once the first column is added.
 type Model struct {
 	Dim int
 
@@ -28,8 +29,12 @@ type Model struct {
 	// is the same on every call.
 	cooc       map[string][]contextCount
 	contextCnt []float64
-	total      float64
-	vecCache   map[string][]float64
+	// signs holds each context's projection row as sign bits, recorded
+	// once when AddColumn opens the context: signWords(Dim) words per
+	// context, bit i set where component i is negative.
+	signs    []uint64
+	total    float64
+	vecCache map[string][]float64
 }
 
 type contextCount struct {
@@ -55,6 +60,7 @@ func NewModel(dim int) *Model {
 func (m *Model) AddColumn(values []string) {
 	ctx := len(m.contextCnt)
 	m.contextCnt = append(m.contextCnt, 0)
+	m.signs = appendProjection(m.signs, ctx, m.Dim)
 	for _, v := range values {
 		for _, tok := range sketch.Tokenize(v) {
 			row := m.cooc[tok]
@@ -101,14 +107,18 @@ func (m *Model) tokenVector(tok string) []float64 {
 		return v
 	}
 	row, known := m.cooc[tok]
-	out := make([]float64, m.Dim)
 	if !known || m.total == 0 {
-		out = hashVector(tok, m.Dim)
+		out := hashVector(tok, m.Dim)
 		m.vecCache[tok] = out
 		return out
 	}
+	out := make([]float64, m.Dim)
 	// PPMI weights folded through a deterministic random projection:
-	// out += ppmi(tok, ctx) * proj(ctx).
+	// out += ppmi(tok, ctx) * proj(ctx), with proj(ctx) = ±scale read
+	// from the context's sign bits. Since pmi·(−s) = −(pmi·s) exactly,
+	// subtracting pmi·s where the sign is negative adds the same bits.
+	words := signWords(m.Dim)
+	scale := 1 / math.Sqrt(float64(m.Dim))
 	var rowSum float64
 	for _, e := range row {
 		rowSum += e.n
@@ -124,9 +134,14 @@ func (m *Model) tokenVector(tok string) []float64 {
 		if pmi <= 0 {
 			continue
 		}
-		p := projection(e.ctx, m.Dim)
+		w := pmi * scale
+		signs := m.signs[e.ctx*words : (e.ctx+1)*words]
 		for i := range out {
-			out[i] += pmi * p[i]
+			if signs[i/64]>>(i%64)&1 != 0 {
+				out[i] -= w
+			} else {
+				out[i] += w
+			}
 		}
 	}
 	normalize(out)
@@ -192,23 +207,25 @@ func (m *Model) Similarity(a, b string) float64 {
 	return sketch.Cosine(m.Vector(a), m.Vector(b))
 }
 
-// projection returns a deterministic ±1/sqrt(dim) random projection row
-// for a context id (sparse Achlioptas-style projection).
-func projection(ctx, dim int) []float64 {
-	out := make([]float64, dim)
+// signWords is the number of uint64 sign words one projection row of
+// dimension dim takes.
+func signWords(dim int) int { return (dim + 63) / 64 }
+
+// appendProjection appends the sign bits of context ctx's deterministic
+// ±1/sqrt(dim) random projection row (sparse Achlioptas-style
+// projection): bit i is set where component i is negative.
+func appendProjection(dst []uint64, ctx, dim int) []uint64 {
+	n := len(dst)
+	dst = append(dst, make([]uint64, signWords(dim))...)
+	row := dst[n:]
 	x := uint64(ctx)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	scale := 1 / math.Sqrt(float64(dim))
-	for i := range out {
+	for i := 0; i < dim; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		if x&1 == 0 {
-			out[i] = scale
-		} else {
-			out[i] = -scale
-		}
+		row[i/64] |= (x & 1) << (i % 64)
 	}
-	return out
+	return dst
 }
 
 func normalize(v []float64) {

@@ -50,7 +50,7 @@ func DefaultD4Config() D4Config {
 func D4(tables []*table.Table, cfg D4Config) []Domain {
 	type colEntry struct {
 		key    string
-		values map[string]struct{}
+		values sketch.Set
 	}
 	var cols []colEntry
 	for _, t := range tables {
@@ -106,7 +106,7 @@ func D4(tables []*table.Table, cfg D4Config) []Domain {
 		}
 		support := map[string]int{}
 		for _, ci := range members {
-			for v := range cols[ci].values {
+			for _, v := range cols[ci].values {
 				support[v]++
 			}
 		}

@@ -234,8 +234,9 @@ func sortedFields(et *EntityType) []string {
 	return out
 }
 
-// tuples renders the per-document value tuples of the given fields.
-func tuples(et *EntityType, fields []string) map[string]struct{} {
+// tuples renders the distinct per-document value tuples of the given
+// fields.
+func tuples(et *EntityType, fields []string) sketch.Set {
 	n := -1
 	for _, f := range fields {
 		vs := et.FieldValues[f]
@@ -246,15 +247,15 @@ func tuples(et *EntityType, fields []string) map[string]struct{} {
 	if n <= 0 {
 		return nil
 	}
-	out := map[string]struct{}{}
-	for i := 0; i < n; i++ {
+	out := make([]string, n)
+	for i := range out {
 		key := ""
 		for _, f := range fields {
 			key += et.FieldValues[f][i] + "\x00"
 		}
-		out[key] = struct{}{}
+		out[i] = key
 	}
-	return out
+	return sketch.ToSet(out)
 }
 
 func combinations(items []string, k int) [][]string {

@@ -47,7 +47,7 @@ func MatchColumns(a, b *table.Column, cfg MatchConfig) float64 {
 		sketch.ToSet(sketch.QGrams(a.Name, 3)),
 		sketch.ToSet(sketch.QGrams(b.Name, 3)),
 	) + 0.5*sketch.LevenshteinSim(a.Name, b.Name)
-	instSim := sketch.ExactJaccard(a.Distinct(), b.Distinct())
+	instSim := sketch.ExactJaccard(sketch.ToSet(a.DistinctSlice()), sketch.ToSet(b.DistinctSlice()))
 	den := cfg.NameWeight + cfg.InstanceWeight
 	if den == 0 {
 		return 0

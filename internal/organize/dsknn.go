@@ -36,11 +36,11 @@ type dsFeatures struct {
 	// numeric features: [numAttrs, fracNumeric, avgDistinct, avgMeanLen]
 	numeric [4]float64
 	// attrNames are the exact attribute names; attrTokens their tokens.
-	attrNames  map[string]struct{}
-	attrTokens map[string]struct{}
+	attrNames  sketch.Set
+	attrTokens sketch.Set
 	// valueSample is a capped sample of distinct values across columns —
 	// the "data-based features" of DS-kNN.
-	valueSample map[string]struct{}
+	valueSample sketch.Set
 }
 
 // NewDSKNN creates an instance with the paper-ish defaults.
@@ -54,15 +54,10 @@ func NewDSKNN() *DSKNN {
 }
 
 func dsProfile(t *table.Table) *dsFeatures {
-	f := &dsFeatures{
-		name:        t.Name,
-		attrNames:   map[string]struct{}{},
-		attrTokens:  map[string]struct{}{},
-		valueSample: map[string]struct{}{},
-	}
+	f := &dsFeatures{name: t.Name}
 	numNumeric := 0
 	var totDistinct, totMeanLen float64
-	var kinds []string
+	var kinds, names, tokens, values []string
 	for _, c := range t.Columns {
 		p := table.Profile(c)
 		if c.Kind.Numeric() {
@@ -71,17 +66,14 @@ func dsProfile(t *table.Table) *dsFeatures {
 		totDistinct += float64(p.Distinct)
 		totMeanLen += p.MeanLen
 		kinds = append(kinds, c.Kind.String())
-		f.attrNames[c.Name] = struct{}{}
-		for _, tok := range sketch.Tokenize(c.Name) {
-			f.attrTokens[tok] = struct{}{}
-		}
-		for i, v := range c.DistinctSlice() {
-			if i >= 100 {
-				break
-			}
-			f.valueSample[v] = struct{}{}
-		}
+		names = append(names, c.Name)
+		tokens = append(tokens, sketch.Tokenize(c.Name)...)
+		distinct := c.DistinctSlice()
+		values = append(values, distinct[:min(len(distinct), 100)]...)
 	}
+	f.attrNames = sketch.ToSet(names)
+	f.attrTokens = sketch.ToSet(tokens)
+	f.valueSample = sketch.ToSet(values)
 	n := float64(t.NumCols())
 	if n > 0 {
 		f.numeric = [4]float64{n, float64(numNumeric) / n, totDistinct / n, totMeanLen / n}

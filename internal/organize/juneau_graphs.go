@@ -112,17 +112,15 @@ func (w *WorkflowGraph) Lineage(id string) []string {
 
 // dependencyNeighborhood collects the variables adjacent to a variable
 // in the dependency graph plus incident edge labels.
-func (w *WorkflowGraph) dependencyNeighborhood(v string) map[string]struct{} {
-	out := map[string]struct{}{}
+func (w *WorkflowGraph) dependencyNeighborhood(v string) sketch.Set {
+	var out []string
 	for _, e := range w.g.OutEdges("v:" + v) {
-		out["->"+e.To] = struct{}{}
-		out["fn:"+e.Label] = struct{}{}
+		out = append(out, "->"+e.To, "fn:"+e.Label)
 	}
 	for _, e := range w.g.InEdges("v:" + v) {
-		out["<-"+e.From] = struct{}{}
-		out["fn:"+e.Label] = struct{}{}
+		out = append(out, "<-"+e.From, "fn:"+e.Label)
 	}
-	return out
+	return sketch.ToSet(out)
 }
 
 // ProvenanceSimilarity approximates Juneau's variable-dependency
@@ -134,10 +132,7 @@ func (w *WorkflowGraph) ProvenanceSimilarity(a, b string) float64 {
 	na := w.dependencyNeighborhood(a)
 	nb := w.dependencyNeighborhood(b)
 	sim := sketch.ExactJaccard(na, nb)
-	if _, ok := na["->v:"+b]; ok && sim < 0.5 {
-		sim = 0.5
-	}
-	if _, ok := na["<-v:"+b]; ok && sim < 0.5 {
+	if (na.Has("->v:"+b) || na.Has("<-v:"+b)) && sim < 0.5 {
 		sim = 0.5
 	}
 	return sim

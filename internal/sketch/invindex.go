@@ -21,14 +21,14 @@ func NewInvertedIndex() *InvertedIndex {
 }
 
 // Add indexes a set under the given ID. Re-adding an ID replaces it.
-func (ix *InvertedIndex) Add(id string, values map[string]struct{}) {
+func (ix *InvertedIndex) Add(id string, values Set) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, ok := ix.sizes[id]; ok {
 		ix.removeLocked(id)
 	}
 	ix.sizes[id] = len(values)
-	for v := range values {
+	for _, v := range values {
 		list := ix.postings[v]
 		pos := sort.SearchStrings(list, id)
 		list = append(list, "")
@@ -82,11 +82,11 @@ type OverlapResult struct {
 // intersection with the query set, excluding skipSelf. Ties break by ID
 // for determinism. This is the JOSIE primitive: exact top-k overlap set
 // similarity without a user-supplied threshold.
-func (ix *InvertedIndex) TopKOverlap(query map[string]struct{}, k int, skipSelf string) []OverlapResult {
+func (ix *InvertedIndex) TopKOverlap(query Set, k int, skipSelf string) []OverlapResult {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	counts := map[string]int{}
-	for v := range query {
+	for _, v := range query {
 		for _, id := range ix.postings[v] {
 			if id != skipSelf {
 				counts[id]++

@@ -9,6 +9,8 @@ package sketch
 import (
 	"hash/fnv"
 	"math"
+	"sort"
+	"strings"
 )
 
 // MinHash is a fixed-size signature of a set of strings whose
@@ -98,38 +100,54 @@ func (m *MinHash) Jaccard(o *MinHash) float64 {
 	return float64(match) / float64(len(m.sig))
 }
 
-// ExactJaccard computes |A∩B| / |A∪B| over string sets.
-func ExactJaccard(a, b map[string]struct{}) float64 {
+// Set is a set of strings held as a sorted, duplicate-free slice, the
+// form every set similarity here takes: two Sets intersect in one merge
+// walk, and a Set is already the sorted value list NewMinHash is fed.
+// Build one with ToSet; the similarity functions rely on the order.
+type Set []string
+
+// ToSet returns the distinct values as a Set. values is not modified.
+func ToSet(values []string) Set {
+	s := append(Set(nil), values...)
+	sort.Strings(s)
+	n := 0
+	for i, v := range s {
+		if i == 0 || v != s[n-1] {
+			s[n] = v
+			n++
+		}
+	}
+	return s[:n]
+}
+
+// Has reports whether v is a member.
+func (s Set) Has(v string) bool {
+	i := sort.SearchStrings(s, v)
+	return i < len(s) && s[i] == v
+}
+
+// ExactJaccard computes |A∩B| / |A∪B|; 0 when both are empty.
+func ExactJaccard(a, b Set) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	inter := 0
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	for v := range small {
-		if _, ok := large[v]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	inter := Overlap(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // Overlap computes |A∩B|, the raw overlap similarity used by JOSIE.
-func Overlap(a, b map[string]struct{}) int {
-	inter := 0
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	for v := range small {
-		if _, ok := large[v]; ok {
+func Overlap(a, b Set) int {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c == 0:
 			inter++
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
 		}
 	}
 	return inter
@@ -137,18 +155,9 @@ func Overlap(a, b map[string]struct{}) int {
 
 // Containment computes |A∩B| / |A|: how much of A is covered by B.
 // Used for PK-FK candidate detection and unionability.
-func Containment(a, b map[string]struct{}) float64 {
+func Containment(a, b Set) float64 {
 	if len(a) == 0 {
 		return 0
 	}
 	return float64(Overlap(a, b)) / float64(len(a))
-}
-
-// ToSet converts a slice to a set.
-func ToSet(values []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		s[v] = struct{}{}
-	}
-	return s
 }

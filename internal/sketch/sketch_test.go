@@ -7,7 +7,21 @@ import (
 	"testing/quick"
 )
 
-func setOf(vs ...string) map[string]struct{} { return ToSet(vs) }
+func setOf(vs ...string) Set { return ToSet(vs) }
+
+func TestToSetSortsAndDedupesACopy(t *testing.T) {
+	in := []string{"b", "a", "b", "", "a"}
+	got := ToSet(in)
+	if fmt.Sprint(got) != fmt.Sprint(Set{"", "a", "b"}) {
+		t.Errorf("ToSet = %q, want [\"\" a b]", got)
+	}
+	if fmt.Sprint(in) != fmt.Sprint([]string{"b", "a", "b", "", "a"}) {
+		t.Errorf("ToSet modified its input: %q", in)
+	}
+	if !got.Has("") || !got.Has("b") || got.Has("c") {
+		t.Errorf("Has on %q is wrong", got)
+	}
+}
 
 func TestExactJaccard(t *testing.T) {
 	a := setOf("a", "b", "c")
@@ -298,12 +312,13 @@ func TestInvertedIndexRemoveAndReplace(t *testing.T) {
 func TestInvertedIndexOverlapProperty(t *testing.T) {
 	f := func(raw [][]byte) bool {
 		ix := NewInvertedIndex()
-		sets := make([]map[string]struct{}, 0, len(raw))
+		sets := make([]Set, 0, len(raw))
 		for i, bs := range raw {
-			s := map[string]struct{}{}
+			var vals []string
 			for _, b := range bs {
-				s[fmt.Sprintf("v%d", b%32)] = struct{}{}
+				vals = append(vals, fmt.Sprintf("v%d", b%32))
 			}
+			s := ToSet(vals)
 			sets = append(sets, s)
 			ix.Add(fmt.Sprintf("s%d", i), s)
 		}

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -147,15 +146,13 @@ func WeightedEuclidean(a, b, w []float64) float64 {
 
 // KolmogorovSmirnov computes the two-sample KS statistic
 // sup_x |F_a(x) - F_b(x)| over empirical CDFs. D3L and RNLIM use it to
-// compare numeric attribute distributions. Returns 1 for empty input.
-func KolmogorovSmirnov(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+// compare numeric attribute distributions. Both samples must be sorted
+// as sort.Float64s orders them; callers sort once when they profile a
+// column, not on every comparison. Returns 1 for empty input.
+func KolmogorovSmirnov(as, bs []float64) float64 {
+	if len(as) == 0 || len(bs) == 0 {
 		return 1
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
 	var i, j int
 	var d float64
 	for i < len(as) && j < len(bs) {

@@ -53,7 +53,7 @@ func TestCorpusKeyOverlapMatchesGroundTruth(t *testing.T) {
 			a, b := c.Tables[i], c.Tables[j]
 			ka, _ := a.Column(c.KeyColumn[a.Name])
 			kb, _ := b.Column(c.KeyColumn[b.Name])
-			ov := sketch.Overlap(ka.Distinct(), kb.Distinct())
+			ov := sketch.Overlap(sketch.ToSet(ka.DistinctSlice()), sketch.ToSet(kb.DistinctSlice()))
 			if c.Joinable[NewPair(a.Name, b.Name)] {
 				sameOverlap += ov
 				if ov == 0 {
