@@ -120,16 +120,25 @@ func RankViolations(t *table.Table, constraints []DiscoveredConstraint) []Violat
 			}
 		}
 	}
-	out := make([]Violation, 0, len(counts))
-	for tr, n := range counts {
-		out = append(out, Violation{Triple: tr, Violations: n})
+	// Rendered once per triple, not twice per comparison.
+	type ranked struct {
+		Violation
+		key string
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Violations != out[j].Violations {
-			return out[i].Violations > out[j].Violations
+	rs := make([]ranked, 0, len(counts))
+	for tr, n := range counts {
+		rs = append(rs, ranked{Violation{Triple: tr, Violations: n}, tr.String()})
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Violations != rs[j].Violations {
+			return rs[i].Violations > rs[j].Violations
 		}
-		return out[i].Triple.String() < out[j].Triple.String()
+		return rs[i].key < rs[j].key
 	})
+	out := make([]Violation, len(rs))
+	for i, r := range rs {
+		out[i] = r.Violation
+	}
 	return out
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"golake/internal/persist"
+	"golake/internal/table"
+	"golake/internal/workload"
 )
 
 // A spreadsheet export's byte-order mark must not become part of the
@@ -89,5 +91,56 @@ func TestIngestAllocationCeiling(t *testing.T) {
 	})
 	if n > 2500 {
 		t.Errorf("Lake.Ingest of 1000x5: %v allocations, want <= 2500", n)
+	}
+}
+
+// One fresh table ingested into a maintained 200-table lake, then the
+// incremental pass that indexes it: about 10 300 allocations (Go 1.24).
+// The pass copies only the fresh table out of the store, builds each
+// similarity kernel's inputs once per column, reads context projections
+// recorded when the context was opened, and renders each violation's
+// sort key once. With a projection row rebuilt per (token, context)
+// pair and map-probing set similarity it took 15 500; copying every
+// table and formatting sort keys per comparison as well, 39 400.
+func TestMaintainIncrementalAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const lakeTables, runs = 200, 10
+	spec := workload.DefaultSpec()
+	spec.NumTables, spec.JoinGroups, spec.RowsPerTable, spec.ExtraCols = lakeTables+runs+1, 8, 100, 2
+	corpus := workload.GenerateCorpus(spec)
+	l, err := Open(t.TempDir(), WithPersistence(persist.NewMemory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AddUser("dana", RoleDataScientist)
+	ctx := context.Background()
+	ingest := func(tb *table.Table) {
+		if _, err := l.Ingest(ctx, "raw/"+tb.Name+".csv", []byte(table.ToCSV(tb)), "generator", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tb := range corpus.Tables[:lakeTables] {
+		ingest(tb)
+	}
+	if _, err := l.Maintain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fresh := corpus.Tables[lakeTables:]
+	n := testing.AllocsPerRun(runs, func() {
+		ingest(fresh[0])
+		fresh = fresh[1:]
+		rep, err := l.MaintainIncremental(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mode != "incremental" || rep.DatasetsReindexed != 1 {
+			t.Fatalf("pass = %s over %d datasets, want incremental over 1", rep.Mode, rep.DatasetsReindexed)
+		}
+	})
+	if n > 14000 {
+		t.Errorf("Ingest + MaintainIncremental of one table into %d: %v allocations, want <= 14000", lakeTables, n)
 	}
 }

@@ -759,33 +759,37 @@ func (l *Lake) runPass(ctx context.Context, wantFull bool) (*MaintenanceReport, 
 		l.pendingPromote = append(pending, l.pendingPromote...)
 		l.mu.Unlock()
 	}
-	tables, err := l.relationalTables()
-	if err != nil {
-		restorePending()
-		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
-	}
-	names := make([]string, len(tables))
-	byName := make(map[string]*table.Table, len(tables))
-	for i, t := range tables {
-		names[i] = t.Name
-		byName[t.Name] = t
-	}
+	// Plan from the names alone and copy out only the tables the plan
+	// reads: every one for a full pass, the new ones for an incremental
+	// pass. Evict holds maintMu too, so no listed name goes away
+	// mid-pass.
+	names := l.Poly.Rel.Names()
 	plan := l.planner.PlanAt(forceSeq, names)
 	if wantFull && !plan.Full {
 		plan = l.planner.FullPlanAt(forceSeq, "requested", names)
 	}
+	fetch := plan.New
+	if plan.Full {
+		fetch = names
+	}
+	tables := make([]*table.Table, len(fetch))
+	for i, name := range fetch {
+		t, err := l.Poly.Rel.Table(name)
+		if err != nil {
+			restorePending()
+			return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
+		}
+		tables[i] = t
+	}
 	var rep *MaintenanceReport
 	var ex *explore.Explorer
+	var err error
 	if plan.Full {
 		// The full pass rescans every placement for zone promotion, a
 		// superset of the drained pending paths.
 		rep, ex, err = l.fullPass(ctx, tables)
 	} else {
-		fresh := make([]*table.Table, len(plan.New))
-		for i, name := range plan.New {
-			fresh[i] = byName[name]
-		}
-		rep, err = l.incrementalPass(ctx, len(tables), fresh, pending)
+		rep, err = l.incrementalPass(ctx, len(names), tables, pending)
 	}
 	if err != nil {
 		restorePending()
@@ -962,18 +966,6 @@ func (l *Lake) Stale() bool {
 // staleLocked is the staleness definition; l.mu must be held.
 func (l *Lake) staleLocked() bool {
 	return !l.maintained || l.ingestGen > l.maintainedGen
-}
-
-func (l *Lake) relationalTables() ([]*table.Table, error) {
-	var out []*table.Table
-	for _, name := range l.Poly.Rel.Names() {
-		t, err := l.Poly.Rel.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // capK bounds an exploration K by the configured maximum.

@@ -68,8 +68,8 @@ type walRecord struct {
 // the exploration indexes from the restored coverage, so the snapshot
 // format survives index-implementation changes.
 type lakeSnapshot struct {
-	Version  int               `json:"version"`
-	Users    map[string]string `json:"users,omitempty"`
+	Version int               `json:"version"`
+	Users   map[string]string `json:"users,omitempty"`
 	// Tokens maps bearer-token digests to user names.
 	Tokens   map[string]string `json:"tokens,omitempty"`
 	Datasets []snapDataset     `json:"datasets,omitempty"`

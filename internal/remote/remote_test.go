@@ -19,11 +19,11 @@ import (
 // memberHandler serves a canned NDJSON stream the way a member lake's
 // POST /v1/query does, recording the request it saw.
 type memberHandler struct {
-	mu    sync.Mutex
-	lines []string // written after the header, verbatim
-	cols  string   // header line; "" suppresses it
+	mu                          sync.Mutex
+	lines                       []string // written after the header, verbatim
+	cols                        string   // header line; "" suppresses it
 	gotAuth, gotUser, gotAccept string
-	calls int
+	calls                       int
 	// abort kills the connection after the rows, before any trailer.
 	abort bool
 }
