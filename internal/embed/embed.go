@@ -115,8 +115,9 @@ func (m *Model) tokenVector(tok string) []float64 {
 	out := make([]float64, m.Dim)
 	// PPMI weights folded through a deterministic random projection:
 	// out += ppmi(tok, ctx) * proj(ctx), with proj(ctx) = ±scale read
-	// from the context's sign bits. Since pmi·(−s) = −(pmi·s) exactly,
-	// subtracting pmi·s where the sign is negative adds the same bits.
+	// from the context's sign bits. pmi·(−s) = −(pmi·s) exactly, so
+	// adding pmi·s with its sign bit flipped where the projection is
+	// negative gives the same bits, without a branch per component.
 	words := signWords(m.Dim)
 	scale := 1 / math.Sqrt(float64(m.Dim))
 	var rowSum float64
@@ -134,14 +135,10 @@ func (m *Model) tokenVector(tok string) []float64 {
 		if pmi <= 0 {
 			continue
 		}
-		w := pmi * scale
+		w := math.Float64bits(pmi * scale)
 		signs := m.signs[e.ctx*words : (e.ctx+1)*words]
 		for i := range out {
-			if signs[i/64]>>(i%64)&1 != 0 {
-				out[i] -= w
-			} else {
-				out[i] += w
-			}
+			out[i] += math.Float64frombits(w ^ signs[i/64]>>(i%64)<<63)
 		}
 	}
 	normalize(out)
