@@ -120,7 +120,7 @@ func RankViolations(t *table.Table, constraints []DiscoveredConstraint) []Violat
 			}
 		}
 	}
-	// Rendered once per triple, not twice per comparison.
+	// Sort on keys rendered once per triple: Triple.String is a Sprintf.
 	type ranked struct {
 		Violation
 		key string
