@@ -729,7 +729,7 @@ func (l *Lake) maintainLocked(ctx context.Context, wantFull bool) (*MaintenanceR
 	if err == nil {
 		// Checkpoint the planner coverage so a reopened lake resumes
 		// incrementally instead of re-running this pass from scratch.
-		l.persistCoverage()
+		l.timeStage("persist", func() error { l.persistCoverage(); return nil })
 	}
 	return rep, err
 }
@@ -827,29 +827,14 @@ func (l *Lake) runPass(ctx context.Context, wantFull bool) (*MaintenanceReport, 
 func (l *Lake) fullPass(ctx context.Context, tables []*table.Table) (*MaintenanceReport, *explore.Explorer, error) {
 	rep := &MaintenanceReport{Tables: len(tables), DatasetsReindexed: len(tables)}
 	ex := explore.NewExplorer()
-	if err := ex.Index(tables); err != nil {
+	if err := l.timeStage("explore", func() error { return ex.Index(tables) }); err != nil {
 		return nil, nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	if err := ctxErr(ctx); err != nil {
+	knn := organize.NewDSKNN()
+	if err := l.profileStages(ctx, rep, knn, tables); err != nil {
 		return nil, nil, err
 	}
-	knn := organize.NewDSKNN()
-	for _, t := range tables {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, err
-		}
-		knn.Add(t)
-		rep.IndexedCols += t.NumCols()
-	}
-	rep.Categories = knn.Categories()
-	for _, t := range tables {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, err
-		}
-		rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, 0.95)...)
-		rep.CleanViolations += cleanViolations(t)
-	}
-	if err := l.promoteCurated(ctx); err != nil {
+	if err := l.timeStage("promote", func() error { return l.promoteCurated(ctx) }); err != nil {
 		return nil, nil, err
 	}
 	l.knn = knn
@@ -867,23 +852,59 @@ func (l *Lake) incrementalPass(ctx context.Context, corpusSize int, fresh []*tab
 	l.mu.RLock()
 	ex := l.Explorer
 	l.mu.RUnlock()
-	if err := ex.Add(fresh...); err != nil {
+	if err := l.timeStage("explore", func() error { return ex.Add(fresh...) }); err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	for _, t := range fresh {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		l.knn.Add(t)
-		rep.IndexedCols += t.NumCols()
-		rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, 0.95)...)
-		rep.CleanViolations += cleanViolations(t)
+	if err := l.profileStages(ctx, rep, l.knn, fresh); err != nil {
+		return nil, err
 	}
-	rep.Categories = l.knn.Categories()
-	if err := l.promotePaths(ctx, pending); err != nil {
+	if err := l.timeStage("promote", func() error { return l.promotePaths(ctx, pending) }); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// profileStages runs a pass's per-dataset stages over tables, one stage
+// after the other so each is timed once: DS-kNN categorisation, relaxed
+// FD discovery, and the CLAMS cleaning triage. It fills the report's
+// columns, categories, RFDs and violations.
+func (l *Lake) profileStages(ctx context.Context, rep *MaintenanceReport, knn *organize.DSKNN, tables []*table.Table) error {
+	stages := []struct {
+		name string
+		run  func(t *table.Table)
+	}{
+		{"knn", func(t *table.Table) {
+			knn.Add(t)
+			rep.IndexedCols += t.NumCols()
+		}},
+		{"rfd", func(t *table.Table) { rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, 0.95)...) }},
+		{"clams", func(t *table.Table) { rep.CleanViolations += cleanViolations(t) }},
+	}
+	for _, st := range stages {
+		err := l.timeStage(st.name, func() error {
+			for _, t := range tables {
+				if err := ctxErr(ctx); err != nil {
+					return err
+				}
+				st.run(t)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	rep.Categories = knn.Categories()
+	return nil
+}
+
+// timeStage runs one stage of a maintenance pass and records its
+// duration in the stage histogram.
+func (l *Lake) timeStage(stage string, run func() error) error {
+	start := time.Now()
+	err := run()
+	l.metrics.observeMaintStage(stage, time.Since(start))
+	return err
 }
 
 // promoteCurated moves every dataset with extracted metadata into the

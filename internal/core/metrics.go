@@ -72,6 +72,7 @@ type lakeMetrics struct {
 	maintDuration *obs.Histogram
 	maintDatasets *obs.Counter
 	maintRetries  *obs.Counter
+	maintStage    *obs.HistogramVec // stage
 
 	// Remote federation: per-member client telemetry, recorded through
 	// the remote.Observer the lake installs on each member client.
@@ -153,6 +154,9 @@ func newLakeMetrics() *lakeMetrics {
 			"Datasets (re)indexed by maintenance passes."),
 		maintRetries: r.Counter("golake_maintenance_retries_total",
 			"Scheduler retries after failed passes (backoff events)."),
+		maintStage: r.HistogramVec("golake_maintenance_stage_duration_seconds",
+			"Time one maintenance pass spent in each stage, in seconds: explore (discovery indexes), knn (DS-kNN categorisation), rfd (relaxed FDs), clams (cleaning triage), promote (zone promotion), persist (coverage record).",
+			nil, "stage"),
 		remoteRequests: r.CounterVec("golake_remote_requests_total",
 			"Remote member-lake queries by member and outcome (ok, aborted, or the failure's error code).",
 			"member", "outcome"),
@@ -320,6 +324,15 @@ func (m *lakeMetrics) observeMaintPass(mode string, d time.Duration, datasets in
 	m.maintPasses.With(mode).Inc()
 	m.maintDuration.Observe(d.Seconds())
 	m.maintDatasets.Add(float64(datasets))
+}
+
+// observeMaintStage records how long one stage of a maintenance pass
+// took; each stage is observed once per pass.
+func (m *lakeMetrics) observeMaintStage(stage string, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.maintStage.With(stage).Observe(d.Seconds())
 }
 
 // observeWALAppend records one WAL append.

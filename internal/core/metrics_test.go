@@ -107,6 +107,32 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 }
 
+// Every stage of a maintenance pass is observed exactly once per pass,
+// full or incremental, however many datasets the pass covers.
+func TestMaintenanceStageHistogram(t *testing.T) {
+	l, srv := metricsLake(t)
+	ctx := context.Background()
+	for _, name := range []string{"refunds", "invoices"} {
+		if _, err := l.Ingest(ctx, "raw/"+name+".csv", []byte("id,amount\n1,5\n2,7\n"), "erp", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := l.MaintainIncremental(ctx)
+	if err != nil || rep.Mode != "incremental" || rep.DatasetsReindexed != 2 {
+		t.Fatalf("pass = %+v, %v; want incremental over 2", rep, err)
+	}
+	_, body := scrape(t, srv)
+	if !strings.Contains(body, "# TYPE golake_maintenance_stage_duration_seconds histogram") {
+		t.Error("stage histogram family missing")
+	}
+	for _, stage := range []string{"explore", "knn", "rfd", "clams", "promote", "persist"} {
+		want := fmt.Sprintf(`golake_maintenance_stage_duration_seconds_count{stage=%q} 2`, stage)
+		if !strings.Contains(body, want) {
+			t.Errorf("missing %s (one full and one incremental pass):\n%s", want, grepLines(body, "golake_maintenance_stage_duration_seconds_count"))
+		}
+	}
+}
+
 func TestMetricsDisabledReturns503(t *testing.T) {
 	l, err := Open(t.TempDir(), WithMetrics(false))
 	if err != nil {

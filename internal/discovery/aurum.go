@@ -26,6 +26,7 @@ type Aurum struct {
 	ekg   *metamodel.EKG
 	lsh   *sketch.LSHIndex
 	sigs  map[string]*sketch.MinHash
+	dict  *sketch.Dict // interns the values of sets
 	sets  map[string]sketch.Set
 	names map[string][]string // column key -> name tokens
 	keyed map[string]bool     // column key -> is candidate key
@@ -41,6 +42,7 @@ func NewAurum() *Aurum {
 		ekg:             metamodel.NewEKG(),
 		lsh:             sketch.NewLSHIndex(16, 8),
 		sigs:            map[string]*sketch.MinHash{},
+		dict:            sketch.NewDict(),
 		sets:            map[string]sketch.Set{},
 		names:           map[string][]string{},
 		keyed:           map[string]bool{},
@@ -63,7 +65,7 @@ func (a *Aurum) Index(tables []*table.Table) error {
 		for _, c := range t.Columns {
 			key := columnKey(t.Name, c.Name)
 			vals := textualValues(c, 0)
-			set := sketch.ToSet(vals)
+			set := a.dict.Set(vals)
 			sig := sketch.NewMinHash(a.lsh.SignatureLen(), vals)
 			a.sigs[key] = sig
 			a.sets[key] = set
@@ -164,7 +166,7 @@ func (a *Aurum) maybePKFK(k1, k2 string, r1, r2 metamodel.ColumnRef) {
 func (a *Aurum) Update(tableName string, c *table.Column) (changed bool, err error) {
 	key := columnKey(tableName, c.Name)
 	newVals := textualValues(c, 0)
-	newSet := sketch.ToSet(newVals)
+	newSet := a.dict.Set(newVals)
 	old, ok := a.sets[key]
 	if ok {
 		drift := 1 - sketch.ExactJaccard(old, newSet)

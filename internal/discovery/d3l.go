@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"golake/internal/embed"
@@ -27,16 +28,23 @@ type D3L struct {
 	MaxDistance float64
 
 	embedModel *embed.Model
-	nameLSH    *sketch.LSHIndex
-	valueLSH   *sketch.LSHIndex
-	profiles   map[string]*d3lProfile
-	tables     map[string][]string
+	// dict interns the name q-grams, values and format patterns of
+	// every indexed column.
+	dict     *sketch.Dict
+	nameLSH  *sketch.LSHIndex
+	valueLSH *sketch.LSHIndex
+	profiles map[string]*d3lProfile
+	tables   map[string][]string
 }
 
 type d3lProfile struct {
 	key       string
 	nameGrams sketch.Set
 	values    sketch.Set
+	// nameSig and valueSig are the LSH signatures, hashed from the
+	// strings once at profile time.
+	nameSig   *sketch.MinHash
+	valueSig  *sketch.MinHash
 	vector    []float64
 	formats   sketch.Set
 	numeric   []float64 // sorted, for KolmogorovSmirnov
@@ -49,6 +57,7 @@ func NewD3L() *D3L {
 		Weights:     [5]float64{1, 1, 1, 1, 1},
 		MaxDistance: 1.6,
 		embedModel:  embed.NewModel(64),
+		dict:        sketch.NewDict(),
 		nameLSH:     sketch.NewLSHIndex(16, 4),
 		valueLSH:    sketch.NewLSHIndex(16, 8),
 		profiles:    map[string]*d3lProfile{},
@@ -70,13 +79,13 @@ func (d *D3L) Index(tables []*table.Table) error {
 	}
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			p := d.profile(t.Name, c)
+			p := d.profile(t.Name, c, d.dict, d.embedModel)
 			d.profiles[p.key] = p
 			d.tables[t.Name] = append(d.tables[t.Name], p.key)
-			if err := d.nameLSH.Add(p.key, sketch.NewMinHash(d.nameLSH.SignatureLen(), p.nameGrams)); err != nil {
+			if err := d.nameLSH.Add(p.key, p.nameSig); err != nil {
 				return err
 			}
-			if err := d.valueLSH.Add(p.key, sketch.NewMinHash(d.valueLSH.SignatureLen(), p.values)); err != nil {
+			if err := d.valueLSH.Add(p.key, p.valueSig); err != nil {
 				return err
 			}
 		}
@@ -97,20 +106,27 @@ func (d *D3L) Remove(tableName string) {
 	delete(d.tables, tableName)
 }
 
-func (d *D3L) profile(tableName string, c *table.Column) *d3lProfile {
+// profile builds one column's profile. Index passes the dictionary and
+// the model, which intern and memoise; a read path profiling a query
+// column that is not indexed passes a Lookup and a Reader, which write
+// nothing.
+func (d *D3L) profile(tableName string, c *table.Column, ids interner, vecs embedder) *d3lProfile {
 	vals := textualValues(c, 0)
+	grams := sketch.QGrams(c.Name, 3)
 	p := &d3lProfile{
 		key:       columnKey(tableName, c.Name),
-		nameGrams: sketch.ToSet(sketch.QGrams(c.Name, 3)),
-		values:    sketch.ToSet(vals),
-		vector:    d.embedModel.ColumnVector(capped(vals, 100)),
+		nameGrams: ids.Set(grams),
+		values:    ids.Set(vals),
+		nameSig:   sketch.NewMinHash(d.nameLSH.SignatureLen(), grams),
+		valueSig:  sketch.NewMinHash(d.valueLSH.SignatureLen(), vals),
+		vector:    vecs.ColumnVector(capped(vals, 100)),
 	}
 	sample := capped(vals, 200)
 	patterns := make([]string, len(sample))
 	for i, v := range sample {
 		patterns[i] = sketch.RegexPattern(v)
 	}
-	p.formats = sketch.ToSet(patterns)
+	p.formats = ids.Set(patterns)
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
 		if frac > 0.5 {
@@ -221,15 +237,13 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 // two LSH indexes; a candidate table's score is the mean, over query
 // columns, of 1 - minimal distance to any of its columns.
 func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
-	perTable := map[string][]float64{}
-	nq := 0
+	// sums adds each table's similarities in query-column order;
+	// bestPerTable is reused from one query column to the next.
+	sums := map[string]float64{}
+	bestPerTable := map[string]float64{}
 	for _, c := range query.Columns {
-		qp, ok := d.profiles[columnKey(query.Name, c.Name)]
-		if !ok {
-			qp = d.profile(query.Name, c)
-		}
-		nq++
-		bestPerTable := map[string]float64{}
+		qp := d.queryProfile(query.Name, c)
+		clear(bestPerTable)
 		for _, key := range d.candidates(qp) {
 			cp := d.profiles[key]
 			tbl, _, err := splitKey(key)
@@ -246,37 +260,35 @@ func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 			}
 		}
 		for tbl, dist := range bestPerTable {
-			perTable[tbl] = append(perTable[tbl], 1-dist/d.MaxDistance)
+			sums[tbl] += 1 - dist/d.MaxDistance
 		}
 	}
-	scores := map[string]float64{}
-	for tbl, sims := range perTable {
-		var sum float64
-		for _, s := range sims {
-			sum += s
-		}
-		scores[tbl] = sum / float64(nq)
+	for tbl, sum := range sums {
+		sums[tbl] = sum / float64(len(query.Columns))
 	}
-	return rankTables(scores, k)
+	return rankTables(sums, k)
 }
 
-// candidates unions the LSH buckets of both feature indexes.
+// queryProfile returns the indexed profile of a query column, or
+// profiles it without writing anything when its table is not indexed.
+func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
+	if p, ok := d.profiles[columnKey(tableName, c.Name)]; ok {
+		return p
+	}
+	return d.profile(tableName, c, d.dict.Lookup(), d.embedModel.Reader())
+}
+
+// candidates unions the LSH buckets of both feature indexes, sorted.
 func (d *D3L) candidates(p *d3lProfile) []string {
-	seen := map[string]struct{}{}
-	nameSig := sketch.NewMinHash(d.nameLSH.SignatureLen(), p.nameGrams)
-	for _, c := range d.nameLSH.Query(nameSig, 0, p.key) {
-		seen[c.Key] = struct{}{}
+	var out []string
+	for _, c := range d.nameLSH.Query(p.nameSig, 0, p.key) {
+		out = append(out, c.Key)
 	}
-	valSig := sketch.NewMinHash(d.valueLSH.SignatureLen(), p.values)
-	for _, c := range d.valueLSH.Query(valSig, 0, p.key) {
-		seen[c.Key] = struct{}{}
+	for _, c := range d.valueLSH.Query(p.valueSig, 0, p.key) {
+		out = append(out, c.Key)
 	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // JoinableColumns implements JoinSearcher via the value-overlap feature
@@ -286,10 +298,7 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 	if err != nil {
 		return nil, err
 	}
-	qp, ok := d.profiles[columnKey(query.Name, column)]
-	if !ok {
-		qp = d.profile(query.Name, c)
-	}
+	qp := d.queryProfile(query.Name, c)
 	var out []ColumnMatch
 	for _, key := range d.candidates(qp) {
 		cp := d.profiles[key]

@@ -17,6 +17,7 @@ package discovery
 
 import (
 	"golake/internal/metamodel"
+	"golake/internal/sketch"
 	"golake/internal/table"
 )
 
@@ -45,6 +46,21 @@ type JoinSearcher interface {
 	// JoinableColumns returns the top-k columns joinable with the given
 	// column of the query table.
 	JoinableColumns(query *table.Table, column string, k int) ([]ColumnMatch, error)
+}
+
+// interner builds a profile's Sets: the owner's *sketch.Dict when
+// indexing, which interns unseen values, or a *sketch.Lookup on a read
+// path, which writes nothing.
+type interner interface {
+	Set(values []string) sketch.Set
+}
+
+// embedder embeds a profile's values: the owner's *embed.Model when
+// indexing, which memoises token vectors, or an embed.Reader on a read
+// path, which writes nothing.
+type embedder interface {
+	Vector(token string) []float64
+	ColumnVector(values []string) []float64
 }
 
 // columnKey renders the canonical "table.column" identifier.

@@ -24,6 +24,7 @@ type DLN struct {
 	// Seed drives negative sampling.
 	Seed int64
 
+	dict     *sketch.Dict // interns name q-grams and sampled values
 	profiles map[string]*dlnProfile
 	tables   map[string][]string
 	metaW    []float64 // metadata-only model weights (incl. bias at 0)
@@ -44,6 +45,7 @@ func NewDLN() *DLN {
 	return &DLN{
 		SampleSize: 64,
 		Seed:       1,
+		dict:       sketch.NewDict(),
 		profiles:   map[string]*dlnProfile{},
 		tables:     map[string][]string{},
 	}
@@ -59,9 +61,9 @@ func (d *DLN) Index(tables []*table.Table) error {
 		for _, c := range t.Columns {
 			p := &dlnProfile{
 				key:       columnKey(t.Name, c.Name),
-				nameGrams: sketch.ToSet(sketch.QGrams(c.Name, 3)),
+				nameGrams: d.dict.Set(sketch.QGrams(c.Name, 3)),
 				isNumeric: c.Kind.Numeric(),
-				sample:    sketch.ToSet(textualValues(c, d.SampleSize)),
+				sample:    d.dict.Set(textualValues(c, d.SampleSize)),
 			}
 			prof := table.Profile(c)
 			p.uniqueness = prof.Uniqueness
@@ -214,12 +216,13 @@ func (d *DLN) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 		qp, ok := d.profiles[qKey]
 		if !ok {
 			prof := table.Profile(c)
+			ids := d.dict.Lookup()
 			qp = &dlnProfile{
 				key:        qKey,
-				nameGrams:  sketch.ToSet(sketch.QGrams(c.Name, 3)),
+				nameGrams:  ids.Set(sketch.QGrams(c.Name, 3)),
 				uniqueness: prof.Uniqueness,
 				isNumeric:  c.Kind.Numeric(),
-				sample:     sketch.ToSet(textualValues(c, d.SampleSize)),
+				sample:     ids.Set(textualValues(c, d.SampleSize)),
 			}
 		}
 		for tbl, keys := range d.tables {

@@ -1,8 +1,10 @@
 package discovery
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"golake/internal/metamodel"
 	"golake/internal/sketch"
@@ -19,6 +21,8 @@ import (
 // top-k semantics, and robustness to skewed posting lists (long lists
 // are walked once, not per candidate).
 type JOSIE struct {
+	// dict interns every indexed value; the index and cols hold ids.
+	dict  *sketch.Dict
 	index *sketch.InvertedIndex
 	// cols maps "table.column" -> its distinct set (the "set file" the
 	// cost model would read).
@@ -32,6 +36,7 @@ type JOSIE struct {
 // NewJOSIE creates an unindexed JOSIE instance.
 func NewJOSIE() *JOSIE {
 	return &JOSIE{
+		dict:     sketch.NewDict(),
 		index:    sketch.NewInvertedIndex(),
 		cols:     map[string]sketch.Set{},
 		tablesOf: map[string][]string{},
@@ -47,7 +52,7 @@ func (j *JOSIE) Index(tables []*table.Table) error {
 	for _, t := range tables {
 		for _, c := range t.Columns {
 			key := columnKey(t.Name, c.Name)
-			set := sketch.ToSet(textualValues(c, j.MaxValuesPerColumn))
+			set := j.dict.Set(textualValues(c, j.MaxValuesPerColumn))
 			j.cols[key] = set
 			j.index.Add(key, set)
 			j.tablesOf[t.Name] = append(j.tablesOf[t.Name], key)
@@ -74,9 +79,8 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 	if err != nil {
 		return nil, err
 	}
-	qset := sketch.ToSet(textualValues(c, j.MaxValuesPerColumn))
 	self := columnKey(query.Name, column)
-	res := j.index.TopKOverlap(qset, k, self)
+	res := j.index.TopKOverlap(j.querySet(self, c), k, self)
 	out := make([]ColumnMatch, 0, len(res))
 	for _, r := range res {
 		tbl, col, err := splitKey(r.ID)
@@ -97,11 +101,11 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 func (j *JOSIE) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 	best := map[string]float64{}
 	for _, c := range query.Columns {
-		qset := sketch.ToSet(textualValues(c, j.MaxValuesPerColumn))
+		self := columnKey(query.Name, c.Name)
+		qset := j.querySet(self, c)
 		if len(qset) == 0 {
 			continue
 		}
-		self := columnKey(query.Name, c.Name)
 		// Over-fetch: several columns of one table may hit.
 		for _, r := range j.index.TopKOverlap(qset, 4*k, self) {
 			tbl, _, err := splitKey(r.ID)
@@ -115,6 +119,15 @@ func (j *JOSIE) RelatedTables(query *table.Table, k int) []metamodel.TableScore 
 		}
 	}
 	return rankTables(best, k)
+}
+
+// querySet returns the indexed set of a query column, or builds it
+// without writing the dictionary when the column is not indexed.
+func (j *JOSIE) querySet(key string, c *table.Column) sketch.Set {
+	if set, ok := j.cols[key]; ok {
+		return set
+	}
+	return j.dict.Lookup().Set(textualValues(c, j.MaxValuesPerColumn))
 }
 
 func splitKey(key string) (tbl, col string, err error) {
@@ -132,11 +145,11 @@ func rankTables(scores map[string]float64, k int) []metamodel.TableScore {
 	for t, s := range scores {
 		out = append(out, metamodel.TableScore{Table: t, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b metamodel.TableScore) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Table < out[j].Table
+		return strings.Compare(a.Table, b.Table)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

@@ -39,6 +39,9 @@ type Juneau struct {
 	// similarity in the paper).
 	ProvenanceSim func(a, b string) float64
 
+	// dict interns the column names, values and metadata tokens of
+	// every indexed table.
+	dict    *sketch.Dict
 	indexed map[string]*juneauProfile
 	order   []string
 }
@@ -58,7 +61,7 @@ type juneauProfile struct {
 
 // NewJuneau creates an instance for the given task.
 func NewJuneau(task SearchTask) *Juneau {
-	return &Juneau{Task: task, indexed: map[string]*juneauProfile{}}
+	return &Juneau{Task: task, dict: sketch.NewDict(), indexed: map[string]*juneauProfile{}}
 }
 
 // Name implements Discoverer.
@@ -67,7 +70,7 @@ func (j *Juneau) Name() string { return "Juneau" }
 // Index implements Discoverer.
 func (j *Juneau) Index(tables []*table.Table) error {
 	for _, t := range tables {
-		p := juneauProfileOf(t)
+		p := juneauProfileOf(t, j.dict)
 		j.indexed[t.Name] = p
 		j.order = append(j.order, t.Name)
 	}
@@ -89,7 +92,9 @@ func (j *Juneau) Remove(tableName string) {
 	j.order = kept
 }
 
-func juneauProfileOf(t *table.Table) *juneauProfile {
+// juneauProfileOf profiles a table, interning through ids: the
+// dictionary when indexing, a Lookup on a read path.
+func juneauProfileOf(t *table.Table, ids interner) *juneauProfile {
 	p := &juneauProfile{name: t.Name, rows: t.NumRows()}
 	slot := make(map[string]int, len(t.Columns))
 	var names []string
@@ -104,12 +109,12 @@ func juneauProfileOf(t *table.Table) *juneauProfile {
 			p.colSets = append(p.colSets, nil)
 			isKey = append(isKey, false)
 		}
-		p.colSets[i] = sketch.ToSet(c.DistinctSlice())
+		p.colSets[i] = ids.Set(c.DistinctSlice())
 		isKey[i] = isKey[i] || c.IsCandidateKey(0.9)
 		totalCells += c.Len()
 		nullCells += c.NullCount()
 	}
-	p.colNames = sketch.ToSet(names)
+	p.colNames = ids.Set(names)
 	for i, key := range isKey {
 		if key {
 			p.keySets = append(p.keySets, p.colSets[i])
@@ -122,7 +127,7 @@ func juneauProfileOf(t *table.Table) *juneauProfile {
 	for _, v := range t.Meta {
 		toks = append(toks, sketch.Tokenize(v)...)
 	}
-	p.metaToks = sketch.ToSet(toks)
+	p.metaToks = ids.Set(toks)
 	return p
 }
 
@@ -194,7 +199,7 @@ func (j *Juneau) score(s juneauSignals) float64 {
 func (j *Juneau) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 	qp, ok := j.indexed[query.Name]
 	if !ok {
-		qp = juneauProfileOf(query)
+		qp = juneauProfileOf(query, j.dict.Lookup())
 	}
 	scores := map[string]float64{}
 	for _, name := range j.order {

@@ -40,6 +40,7 @@ type RNLIM struct {
 	ContainmentFloor float64
 
 	model   *embed.Model
+	dict    *sketch.Dict // interns column values
 	columns map[string]*rnlimProfile
 	tables  map[string][]string
 }
@@ -58,6 +59,7 @@ func NewRNLIM() *RNLIM {
 		EquivalentSim:    0.7,
 		ContainmentFloor: 0.8,
 		model:            embed.NewModel(48),
+		dict:             sketch.NewDict(),
 		columns:          map[string]*rnlimProfile{},
 		tables:           map[string][]string{},
 	}
@@ -75,7 +77,7 @@ func (r *RNLIM) Index(tables []*table.Table) error {
 	}
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			p := r.profile(t.Name, c)
+			p := r.profile(t.Name, c, r.dict, r.model)
 			r.columns[p.key] = p
 			r.tables[t.Name] = append(r.tables[t.Name], p.key)
 		}
@@ -83,12 +85,14 @@ func (r *RNLIM) Index(tables []*table.Table) error {
 	return nil
 }
 
-func (r *RNLIM) profile(tableName string, c *table.Column) *rnlimProfile {
+// profile builds one column's profile: Index passes the dictionary and
+// the model, a read path a Lookup and a Reader, which write nothing.
+func (r *RNLIM) profile(tableName string, c *table.Column, ids interner, vecs embedder) *rnlimProfile {
 	p := &rnlimProfile{
 		key: columnKey(tableName, c.Name),
 		// Group 1 of RNLIM's signals: table and attribute names.
-		nameVec: r.model.Vector(tableName + " " + c.Name),
-		values:  sketch.ToSet(textualValues(c, 500)),
+		nameVec: vecs.Vector(tableName + " " + c.Name),
+		values:  ids.Set(textualValues(c, 500)),
 	}
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
@@ -99,6 +103,15 @@ func (r *RNLIM) profile(tableName string, c *table.Column) *rnlimProfile {
 		}
 	}
 	return p
+}
+
+// queryProfile returns the indexed profile of a query column, or
+// profiles it without writing anything when its table is not indexed.
+func (r *RNLIM) queryProfile(tableName string, c *table.Column) *rnlimProfile {
+	if p, ok := r.columns[columnKey(tableName, c.Name)]; ok {
+		return p
+	}
+	return r.profile(tableName, c, r.dict.Lookup(), r.model.Reader())
 }
 
 // Label classifies the semantic relationship of two attributes.
@@ -166,10 +179,7 @@ func relStrength(rel Relationship) float64 {
 func (r *RNLIM) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 	best := map[string]float64{}
 	for _, c := range query.Columns {
-		qp, ok := r.columns[columnKey(query.Name, c.Name)]
-		if !ok {
-			qp = r.profile(query.Name, c)
-		}
+		qp := r.queryProfile(query.Name, c)
 		for tbl, keys := range r.tables {
 			if tbl == query.Name {
 				continue
@@ -214,10 +224,7 @@ type LabeledPairResult struct {
 func (r *RNLIM) ExplainTable(query *table.Table, candidate string) []LabeledPairResult {
 	var out []LabeledPairResult
 	for _, c := range query.Columns {
-		qp, ok := r.columns[columnKey(query.Name, c.Name)]
-		if !ok {
-			qp = r.profile(query.Name, c)
-		}
+		qp := r.queryProfile(query.Name, c)
 		for _, key := range r.tables[candidate] {
 			rel := r.label(qp, r.columns[key])
 			if rel == RelUnrelated {

@@ -79,11 +79,34 @@ func (m *Model) AddColumn(values []string) {
 
 // Vector returns the embedding of a single token (lowercased). Unknown
 // tokens get a deterministic hash-based vector so that equal unknown
-// strings still match each other.
-func (m *Model) Vector(token string) []float64 {
+// strings still match each other. The token vectors it computes are
+// memoised in the model until the next AddColumn, so Vector writes the
+// model; readers that share it use a Reader.
+func (m *Model) Vector(token string) []float64 { return m.vector(token, true) }
+
+// ColumnVector embeds a whole column as the normalized mean of its
+// value vectors. This is how D3L and ALITE summarize attributes. Like
+// Vector, it memoises token vectors.
+func (m *Model) ColumnVector(values []string) []float64 { return m.columnVector(values, true) }
+
+// Reader embeds with a model other readers share: it uses the token
+// vectors the model has memoised but stores none, so any number of
+// Readers may run at once while nothing writes the model.
+type Reader struct{ m *Model }
+
+// Reader returns a read-only view of the model.
+func (m *Model) Reader() Reader { return Reader{m} }
+
+// Vector is Model.Vector without the memo write.
+func (r Reader) Vector(token string) []float64 { return r.m.vector(token, false) }
+
+// ColumnVector is Model.ColumnVector without the memo write.
+func (r Reader) ColumnVector(values []string) []float64 { return r.m.columnVector(values, false) }
+
+func (m *Model) vector(token string, memo bool) []float64 {
 	toks := sketch.Tokenize(token)
 	if len(toks) == 1 {
-		return m.tokenVector(toks[0])
+		return m.tokenVector(toks[0], memo)
 	}
 	// Multi-token values average their token vectors.
 	out := make([]float64, m.Dim)
@@ -91,7 +114,7 @@ func (m *Model) Vector(token string) []float64 {
 		return out
 	}
 	for _, t := range toks {
-		v := m.tokenVector(t)
+		v := m.tokenVector(t, memo)
 		for i := range out {
 			out[i] += v[i]
 		}
@@ -102,15 +125,21 @@ func (m *Model) Vector(token string) []float64 {
 	return out
 }
 
-func (m *Model) tokenVector(tok string) []float64 {
+func (m *Model) tokenVector(tok string, memo bool) []float64 {
 	if v, ok := m.vecCache[tok]; ok {
 		return v
 	}
+	out := m.computeTokenVector(tok)
+	if memo {
+		m.vecCache[tok] = out
+	}
+	return out
+}
+
+func (m *Model) computeTokenVector(tok string) []float64 {
 	row, known := m.cooc[tok]
 	if !known || m.total == 0 {
-		out := hashVector(tok, m.Dim)
-		m.vecCache[tok] = out
-		return out
+		return hashVector(tok, m.Dim)
 	}
 	out := make([]float64, m.Dim)
 	// PPMI weights folded through a deterministic random projection:
@@ -148,7 +177,6 @@ func (m *Model) tokenVector(tok string) []float64 {
 		// vector so identical values still embed identically.
 		out = hashVector(tok, m.Dim)
 	}
-	m.vecCache[tok] = out
 	return out
 }
 
@@ -178,13 +206,11 @@ func isZero(v []float64) bool {
 	return true
 }
 
-// ColumnVector embeds a whole column as the normalized mean of its
-// value vectors. This is how D3L and ALITE summarize attributes.
-func (m *Model) ColumnVector(values []string) []float64 {
+func (m *Model) columnVector(values []string, memo bool) []float64 {
 	out := make([]float64, m.Dim)
 	n := 0
 	for _, v := range values {
-		vec := m.Vector(v)
+		vec := m.vector(v, memo)
 		for i := range out {
 			out[i] += vec[i]
 		}

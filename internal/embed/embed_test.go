@@ -129,6 +129,33 @@ func TestTokenVectorIsDeterministic(t *testing.T) {
 	}
 }
 
+// A Reader embeds bit for bit as the model does and stores nothing, so
+// readers sharing a model write no shared state.
+func TestReaderMatchesModelAndWritesNothing(t *testing.T) {
+	m := NewModel(32)
+	m.AddColumn([]string{"red", "green"})
+	m.AddColumn([]string{"berlin", "paris green"})
+	cols := [][]string{{"red", "paris green"}, {"never-seen"}}
+	var read [][]float64
+	for _, col := range cols {
+		read = append(read, m.Reader().ColumnVector(col))
+	}
+	if len(m.vecCache) != 0 {
+		t.Fatalf("Reader wrote %d memoised vectors", len(m.vecCache))
+	}
+	for c, col := range cols {
+		want := m.ColumnVector(col)
+		for i := range want {
+			if math.Float64bits(read[c][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("column %d component %d: Reader %v, Model %v", c, i, read[c][i], want[i])
+			}
+		}
+	}
+	if len(m.vecCache) == 0 {
+		t.Error("Model.ColumnVector memoised nothing")
+	}
+}
+
 func TestDefaultDim(t *testing.T) {
 	m := NewModel(0)
 	if m.Dim != 64 {

@@ -53,6 +53,7 @@ func D4(tables []*table.Table, cfg D4Config) []Domain {
 		values sketch.Set
 	}
 	var cols []colEntry
+	ids := sketch.NewDict()
 	for _, t := range tables {
 		for _, c := range t.Columns {
 			if c.Kind.Numeric() || c.Kind == table.KindTime {
@@ -65,7 +66,7 @@ func D4(tables []*table.Table, cfg D4Config) []Domain {
 			if len(vals) == 0 {
 				continue
 			}
-			cols = append(cols, colEntry{key: t.Name + "." + c.Name, values: sketch.ToSet(vals)})
+			cols = append(cols, colEntry{key: t.Name + "." + c.Name, values: ids.Set(vals)})
 		}
 	}
 	// Union-find over similar columns.
@@ -104,7 +105,7 @@ func D4(tables []*table.Table, cfg D4Config) []Domain {
 		if len(members) < 2 {
 			continue // singleton columns carry no cross-column evidence
 		}
-		support := map[string]int{}
+		support := map[uint32]int{}
 		for _, ci := range members {
 			for _, v := range cols[ci].values {
 				support[v]++
@@ -113,7 +114,7 @@ func D4(tables []*table.Table, cfg D4Config) []Domain {
 		var terms []string
 		for v, s := range support {
 			if s >= cfg.MinSupport {
-				terms = append(terms, v)
+				terms = append(terms, ids.Value(v))
 			}
 		}
 		if len(terms) == 0 {

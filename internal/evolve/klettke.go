@@ -124,9 +124,10 @@ func DiffVersions(prev, next *EntityType) []Operation {
 // renameSimilarity combines value-sample overlap and name similarity
 // as rename evidence.
 func renameSimilarity(prev, next *EntityType, rf, af string) float64 {
+	ids := sketch.NewDict()
 	valSim := sketch.ExactJaccard(
-		sketch.ToSet(prev.FieldValues[rf]),
-		sketch.ToSet(next.FieldValues[af]),
+		ids.Set(prev.FieldValues[rf]),
+		ids.Set(next.FieldValues[af]),
 	)
 	nameSim := sketch.LevenshteinSim(rf, af)
 	if valSim > nameSim {
@@ -192,16 +193,17 @@ type InclusionDependency struct {
 // field names.
 func DetectInclusions(a, b *EntityType, maxK int, minCoverage float64) []InclusionDependency {
 	var out []InclusionDependency
+	ids := sketch.NewDict()
 	aFields := sortedFields(a)
 	bFields := sortedFields(b)
 	for k := 1; k <= maxK; k++ {
 		for _, lhs := range combinations(aFields, k) {
-			lhsTuples := tuples(a, lhs)
+			lhsTuples := tuples(a, lhs, ids)
 			if len(lhsTuples) == 0 {
 				continue
 			}
 			for _, rhs := range combinations(bFields, k) {
-				rhsTuples := tuples(b, rhs)
+				rhsTuples := tuples(b, rhs, ids)
 				if len(rhsTuples) == 0 {
 					continue
 				}
@@ -235,8 +237,8 @@ func sortedFields(et *EntityType) []string {
 }
 
 // tuples renders the distinct per-document value tuples of the given
-// fields.
-func tuples(et *EntityType, fields []string) sketch.Set {
+// fields, interned through ids.
+func tuples(et *EntityType, fields []string, ids *sketch.Dict) sketch.Set {
 	n := -1
 	for _, f := range fields {
 		vs := et.FieldValues[f]
@@ -255,7 +257,7 @@ func tuples(et *EntityType, fields []string) sketch.Set {
 		}
 		out[i] = key
 	}
-	return sketch.ToSet(out)
+	return ids.Set(out)
 }
 
 func combinations(items []string, k int) [][]string {

@@ -16,9 +16,12 @@
 package explore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"golake/internal/discovery"
@@ -302,11 +305,11 @@ func rankResults(scores map[string]float64, k int, via string) []Result {
 	for t, s := range scores {
 		out = append(out, Result{Table: t, Score: s, Via: via})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Result) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Table < out[j].Table
+		return strings.Compare(a.Table, b.Table)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

@@ -43,11 +43,12 @@ func MatchColumns(a, b *table.Column, cfg MatchConfig) float64 {
 	if a.Kind.Numeric() != b.Kind.Numeric() && a.Kind != table.KindUnknown && b.Kind != table.KindUnknown {
 		return 0
 	}
+	ids := sketch.NewDict()
 	nameSim := 0.5*sketch.ExactJaccard(
-		sketch.ToSet(sketch.QGrams(a.Name, 3)),
-		sketch.ToSet(sketch.QGrams(b.Name, 3)),
+		ids.Set(sketch.QGrams(a.Name, 3)),
+		ids.Set(sketch.QGrams(b.Name, 3)),
 	) + 0.5*sketch.LevenshteinSim(a.Name, b.Name)
-	instSim := sketch.ExactJaccard(sketch.ToSet(a.DistinctSlice()), sketch.ToSet(b.DistinctSlice()))
+	instSim := sketch.ExactJaccard(ids.Set(a.DistinctSlice()), ids.Set(b.DistinctSlice()))
 	den := cfg.NameWeight + cfg.InstanceWeight
 	if den == 0 {
 		return 0

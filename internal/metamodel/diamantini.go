@@ -108,9 +108,10 @@ func fieldSimilarity(a, b graphstore.Node) float64 {
 	descA, _ := a.Props["description"].(string)
 	descB, _ := b.Props["description"].(string)
 	nameSim := sketch.LevenshteinSim(nameA, nameB)
+	ids := sketch.NewDict()
 	descSim := sketch.ExactJaccard(
-		sketch.ToSet(sketch.Tokenize(descA)),
-		sketch.ToSet(sketch.Tokenize(descB)),
+		ids.Set(sketch.Tokenize(descA)),
+		ids.Set(sketch.Tokenize(descB)),
 	)
 	if nameSim > descSim {
 		return nameSim
@@ -138,7 +139,8 @@ type ThematicView struct {
 
 // ExtractView builds the thematic view for a topic.
 func (m *NetworkModel) ExtractView(topic string) ThematicView {
-	toks := sketch.ToSet(sketch.Tokenize(topic))
+	ids := sketch.NewDict()
+	toks := ids.Set(sketch.Tokenize(topic))
 	view := ThematicView{Topic: topic}
 	seenField := map[string]bool{}
 	seenSource := map[string]bool{}
@@ -153,7 +155,7 @@ func (m *NetworkModel) ExtractView(topic string) ThematicView {
 				text += " " + v
 			}
 		}
-		if sketch.Overlap(toks, sketch.ToSet(sketch.Tokenize(text))) == 0 {
+		if sketch.Overlap(toks, ids.Set(sketch.Tokenize(text))) == 0 {
 			continue
 		}
 		seenField[rep] = true

@@ -97,15 +97,16 @@ func (h *HANDLE) MoveZone(id, zone string) error {
 	return h.g.SetProp(dataID(id), "zone", zone)
 }
 
-// DataInZone lists dataset IDs in a zone, sorted.
+// DataInZone lists dataset IDs in a zone, sorted. It reads each data
+// node's zone in place, copying no property bag.
 func (h *HANDLE) DataInZone(zone string) []string {
-	var out []string
-	for _, n := range h.g.NodesByLabel(handleData) {
-		if z, _ := n.Props["zone"].(string); z == zone {
-			out = append(out, n.ID[len("data:"):])
-		}
+	out := h.g.NodeIDsWhere(handleData, func(p graphstore.Props) bool {
+		z, _ := p["zone"].(string)
+		return z == zone
+	})
+	for i, id := range out {
+		out[i] = id[len("data:"):]
 	}
-	sort.Strings(out)
 	return out
 }
 

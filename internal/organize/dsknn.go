@@ -22,6 +22,9 @@ type DSKNN struct {
 	// count as evidence.
 	MinSim float64
 
+	// dict interns the attribute names, tokens and sampled values of
+	// every categorised dataset.
+	dict       *sketch.Dict
 	features   map[string]*dsFeatures
 	categories map[string]int
 	order      []string
@@ -48,12 +51,13 @@ func NewDSKNN() *DSKNN {
 	return &DSKNN{
 		K:          3,
 		MinSim:     0.55,
+		dict:       sketch.NewDict(),
 		features:   map[string]*dsFeatures{},
 		categories: map[string]int{},
 	}
 }
 
-func dsProfile(t *table.Table) *dsFeatures {
+func dsProfile(t *table.Table, ids *sketch.Dict) *dsFeatures {
 	f := &dsFeatures{name: t.Name}
 	numNumeric := 0
 	var totDistinct, totMeanLen float64
@@ -71,9 +75,9 @@ func dsProfile(t *table.Table) *dsFeatures {
 		distinct := c.DistinctSlice()
 		values = append(values, distinct[:min(len(distinct), 100)]...)
 	}
-	f.attrNames = sketch.ToSet(names)
-	f.attrTokens = sketch.ToSet(tokens)
-	f.valueSample = sketch.ToSet(values)
+	f.attrNames = ids.Set(names)
+	f.attrTokens = ids.Set(tokens)
+	f.valueSample = ids.Set(values)
 	n := float64(t.NumCols())
 	if n > 0 {
 		f.numeric = [4]float64{n, float64(numNumeric) / n, totDistinct / n, totMeanLen / n}
@@ -107,7 +111,7 @@ func (d *DSKNN) Similarity(a, b *dsFeatures) float64 {
 // Add classifies a dataset into an existing or new category and returns
 // the assigned category ID — the incremental k-NN step of DS-kNN.
 func (d *DSKNN) Add(t *table.Table) int {
-	f := dsProfile(t)
+	f := dsProfile(t, d.dict)
 	type scored struct {
 		name string
 		sim  float64

@@ -111,8 +111,9 @@ func (w *WorkflowGraph) Lineage(id string) []string {
 }
 
 // dependencyNeighborhood collects the variables adjacent to a variable
-// in the dependency graph plus incident edge labels.
-func (w *WorkflowGraph) dependencyNeighborhood(v string) sketch.Set {
+// in the dependency graph plus incident edge labels, interned through
+// ids.
+func (w *WorkflowGraph) dependencyNeighborhood(v string, ids *sketch.Dict) sketch.Set {
 	var out []string
 	for _, e := range w.g.OutEdges("v:" + v) {
 		out = append(out, "->"+e.To, "fn:"+e.Label)
@@ -120,7 +121,7 @@ func (w *WorkflowGraph) dependencyNeighborhood(v string) sketch.Set {
 	for _, e := range w.g.InEdges("v:" + v) {
 		out = append(out, "<-"+e.From, "fn:"+e.Label)
 	}
-	return sketch.ToSet(out)
+	return ids.Set(out)
 }
 
 // ProvenanceSimilarity approximates Juneau's variable-dependency
@@ -129,10 +130,15 @@ func (w *WorkflowGraph) dependencyNeighborhood(v string) sketch.Set {
 // function labels). Variables connected by a direct edge get a floor of
 // 0.5.
 func (w *WorkflowGraph) ProvenanceSimilarity(a, b string) float64 {
-	na := w.dependencyNeighborhood(a)
-	nb := w.dependencyNeighborhood(b)
+	ids := sketch.NewDict()
+	na := w.dependencyNeighborhood(a, ids)
+	nb := w.dependencyNeighborhood(b, ids)
 	sim := sketch.ExactJaccard(na, nb)
-	if (na.Has("->v:"+b) || na.Has("<-v:"+b)) && sim < 0.5 {
+	has := func(v string) bool {
+		id, ok := ids.ID(v)
+		return ok && na.Has(id)
+	}
+	if (has("->v:"+b) || has("<-v:"+b)) && sim < 0.5 {
 		sim = 0.5
 	}
 	return sim

@@ -1,9 +1,12 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -130,11 +133,11 @@ func (x *LSHIndex) Query(sig *MinHash, minJaccard float64, skipSelf string) []Ca
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Jaccard != out[j].Jaccard {
-			return out[i].Jaccard > out[j].Jaccard
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if a.Jaccard != b.Jaccard {
+			return cmp.Compare(b.Jaccard, a.Jaccard)
 		}
-		return out[i].Key < out[j].Key
+		return strings.Compare(a.Key, b.Key)
 	})
 	return out
 }

@@ -9,8 +9,6 @@ package sketch
 import (
 	"hash/fnv"
 	"math"
-	"sort"
-	"strings"
 )
 
 // MinHash is a fixed-size signature of a set of strings whose
@@ -43,19 +41,23 @@ func affineParams(k int) (as, bs []uint64) {
 	return as, bs
 }
 
-var paramCache = map[int][2][]uint64{}
+// The generator draws each coordinate's pair in turn, so the parameters
+// for k coordinates are a prefix of those for any larger k: one table,
+// built at init and never written after, serves every signature length
+// up to its size, and readers share it without a lock.
+var affineA, affineB = affineParams(256)
 
 func params(k int) ([]uint64, []uint64) {
-	if p, ok := paramCache[k]; ok {
-		return p[0], p[1]
+	if k <= len(affineA) {
+		return affineA[:k], affineB[:k]
 	}
-	a, b := affineParams(k)
-	paramCache[k] = [2][]uint64{a, b}
-	return a, b
+	return affineParams(k)
 }
 
 // NewMinHash computes a k-coordinate MinHash signature of the given set.
-// k must be positive; typical values are 64-256.
+// k must be positive; typical values are 64-256. The signature depends
+// on the distinct values only, not on their order or repeats, and is
+// computed from the strings, never from ids a Dict assigned.
 func NewMinHash(k int, values []string) *MinHash {
 	if k <= 0 {
 		k = 128
@@ -98,66 +100,4 @@ func (m *MinHash) Jaccard(o *MinHash) float64 {
 		}
 	}
 	return float64(match) / float64(len(m.sig))
-}
-
-// Set is a set of strings held as a sorted, duplicate-free slice, the
-// form every set similarity here takes: two Sets intersect in one merge
-// walk, and a Set is already the sorted value list NewMinHash is fed.
-// Build one with ToSet; the similarity functions rely on the order.
-type Set []string
-
-// ToSet returns the distinct values as a Set. values is not modified.
-func ToSet(values []string) Set {
-	s := append(Set(nil), values...)
-	sort.Strings(s)
-	n := 0
-	for i, v := range s {
-		if i == 0 || v != s[n-1] {
-			s[n] = v
-			n++
-		}
-	}
-	return s[:n]
-}
-
-// Has reports whether v is a member.
-func (s Set) Has(v string) bool {
-	i := sort.SearchStrings(s, v)
-	return i < len(s) && s[i] == v
-}
-
-// ExactJaccard computes |A∩B| / |A∪B|; 0 when both are empty.
-func ExactJaccard(a, b Set) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	inter := Overlap(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// Overlap computes |A∩B|, the raw overlap similarity used by JOSIE.
-func Overlap(a, b Set) int {
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := strings.Compare(a[i], b[j]); {
-		case c == 0:
-			inter++
-			i++
-			j++
-		case c < 0:
-			i++
-		default:
-			j++
-		}
-	}
-	return inter
-}
-
-// Containment computes |A∩B| / |A|: how much of A is covered by B.
-// Used for PK-FK candidate detection and unionability.
-func Containment(a, b Set) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return float64(Overlap(a, b)) / float64(len(a))
 }

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
-// The map-based set similarities the sorted-merge ones replaced, kept
-// verbatim as oracles.
+// The set similarities the id-based ones replaced, kept verbatim as
+// oracles: first over maps, then over sorted string slices merged with
+// strings.Compare.
 
 func refToSet(values []string) map[string]struct{} {
 	s := make(map[string]struct{}, len(values))
@@ -60,6 +63,51 @@ func refContainment(a, b map[string]struct{}) float64 {
 	return float64(refOverlap(a, b)) / float64(len(a))
 }
 
+func refStringSet(values []string) []string {
+	s := append([]string(nil), values...)
+	sort.Strings(s)
+	n := 0
+	for i, v := range s {
+		if i == 0 || v != s[n-1] {
+			s[n] = v
+			n++
+		}
+	}
+	return s[:n]
+}
+
+func refStringOverlap(a, b []string) int {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c == 0:
+			inter++
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
+		}
+	}
+	return inter
+}
+
+func refStringJaccard(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	inter := refStringOverlap(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+func refStringContainment(a, b []string) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	return float64(refStringOverlap(a, b)) / float64(len(a))
+}
+
 // setPair draws two value lists of one shape from a small alphabet, so
 // that duplicates and partial overlaps are common.
 func setPair(rng *rand.Rand, shape int) (a, b []string) {
@@ -99,28 +147,36 @@ func setPair(rng *rand.Rand, shape int) (a, b []string) {
 	}
 }
 
+// The id kernels agree bit for bit with both oracles, whether the
+// second Set is interned or built by a Lookup that sees some of its
+// values for the first time.
 func TestSetSimilarityMatchesMapReference(t *testing.T) {
 	const seed = 20261015
 	rng := rand.New(rand.NewSource(seed))
+	bits := math.Float64bits
 	for i := 0; i < 2000; i++ {
 		shape := i % 5
 		a, b := setPair(rng, shape)
-		sa, sb := ToSet(a), ToSet(b)
 		ma, mb := refToSet(a), refToSet(b)
-		if got, want := ExactJaccard(sa, sb), refExactJaccard(ma, mb); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seed %d case %d (shape %d): ExactJaccard(%q, %q) = %v, want %v", seed, i, shape, a, b, got, want)
-		}
-		if got, want := Overlap(sa, sb), refOverlap(ma, mb); got != want {
-			t.Fatalf("seed %d case %d (shape %d): Overlap(%q, %q) = %d, want %d", seed, i, shape, a, b, got, want)
-		}
-		if got, want := Containment(sa, sb), refContainment(ma, mb); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seed %d case %d (shape %d): Containment(%q, %q) = %v, want %v", seed, i, shape, a, b, got, want)
-		}
-		if got, want := Containment(sb, sa), refContainment(mb, ma); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seed %d case %d (shape %d): Containment(%q, %q) = %v, want %v", seed, i, shape, b, a, got, want)
-		}
-		if len(sa) != len(ma) {
-			t.Fatalf("seed %d case %d (shape %d): ToSet(%q) has %d members, want %d", seed, i, shape, a, len(sa), len(ma))
+		ra, rb := refStringSet(a), refStringSet(b)
+		d := NewDict()
+		sa := d.Set(a)
+		for _, sb := range []Set{d.Lookup().Set(b), d.Set(b)} {
+			if got, want := ExactJaccard(sa, sb), refExactJaccard(ma, mb); bits(got) != bits(want) || bits(got) != bits(refStringJaccard(ra, rb)) {
+				t.Fatalf("seed %d case %d (shape %d): ExactJaccard(%q, %q) = %v, want %v", seed, i, shape, a, b, got, want)
+			}
+			if got, want := Overlap(sa, sb), refOverlap(ma, mb); got != want || got != refStringOverlap(ra, rb) {
+				t.Fatalf("seed %d case %d (shape %d): Overlap(%q, %q) = %d, want %d", seed, i, shape, a, b, got, want)
+			}
+			if got, want := Containment(sa, sb), refContainment(ma, mb); bits(got) != bits(want) || bits(got) != bits(refStringContainment(ra, rb)) {
+				t.Fatalf("seed %d case %d (shape %d): Containment(%q, %q) = %v, want %v", seed, i, shape, a, b, got, want)
+			}
+			if got, want := Containment(sb, sa), refContainment(mb, ma); bits(got) != bits(want) || bits(got) != bits(refStringContainment(rb, ra)) {
+				t.Fatalf("seed %d case %d (shape %d): Containment(%q, %q) = %v, want %v", seed, i, shape, b, a, got, want)
+			}
+			if len(sb) != len(mb) || len(sb) != len(rb) {
+				t.Fatalf("seed %d case %d (shape %d): Set(%q) has %d members, want %d", seed, i, shape, b, len(sb), len(mb))
+			}
 		}
 	}
 }

@@ -3,23 +3,60 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func setOf(vs ...string) Set { return ToSet(vs) }
+// testDict interns every set the tests build, so any two are comparable.
+var testDict = NewDict()
 
-func TestToSetSortsAndDedupesACopy(t *testing.T) {
+func setOf(vs ...string) Set { return testDict.Set(vs) }
+
+func TestDictSetSortsAndDedupes(t *testing.T) {
+	d := NewDict()
 	in := []string{"b", "a", "b", "", "a"}
-	got := ToSet(in)
-	if fmt.Sprint(got) != fmt.Sprint(Set{"", "a", "b"}) {
-		t.Errorf("ToSet = %q, want [\"\" a b]", got)
+	got := d.Set(in)
+	if len(got) != 3 || !slices.IsSorted(got) {
+		t.Errorf("Set(%q) = %v, want 3 sorted ids", in, got)
 	}
 	if fmt.Sprint(in) != fmt.Sprint([]string{"b", "a", "b", "", "a"}) {
-		t.Errorf("ToSet modified its input: %q", in)
+		t.Errorf("Set modified its input: %q", in)
 	}
-	if !got.Has("") || !got.Has("b") || got.Has("c") {
-		t.Errorf("Has on %q is wrong", got)
+	var values []string
+	for _, id := range got {
+		values = append(values, d.Value(id))
+	}
+	slices.Sort(values)
+	if fmt.Sprint(values) != fmt.Sprint([]string{"", "a", "b"}) || d.Len() != 3 {
+		t.Errorf("members %q, Len %d; want [\"\" a b], 3", values, d.Len())
+	}
+	b, _ := d.ID("b")
+	if _, ok := d.ID("c"); ok || !got.Has(b) || got.Has(uint32(d.Len())) {
+		t.Errorf("Has on %v is wrong", got)
+	}
+}
+
+// A Lookup never writes its Dict: known values keep their ids, unseen
+// ones get ids above every interned id, stable within the Lookup.
+func TestLookupLeavesTheDictAlone(t *testing.T) {
+	d := NewDict()
+	known := d.Set([]string{"x", "y"})
+	l := d.Lookup()
+	s := l.Set([]string{"y", "new", "x", "new", "other"})
+	if d.Len() != 2 {
+		t.Fatalf("Lookup wrote the dictionary: Len = %d", d.Len())
+	}
+	if len(s) != 4 || Overlap(s, known) != 2 {
+		t.Errorf("Lookup Set = %v: want 4 members, 2 shared with %v", s, known)
+	}
+	for _, id := range s[2:] {
+		if int(id) < d.Len() {
+			t.Errorf("unseen value got interned-range id %d", id)
+		}
+	}
+	if again := l.Set([]string{"new"}); !s.Has(again[0]) {
+		t.Errorf("unseen value changed id within one Lookup: %v not in %v", again, s)
 	}
 }
 
@@ -318,7 +355,7 @@ func TestInvertedIndexOverlapProperty(t *testing.T) {
 			for _, b := range bs {
 				vals = append(vals, fmt.Sprintf("v%d", b%32))
 			}
-			s := ToSet(vals)
+			s := setOf(vals...)
 			sets = append(sets, s)
 			ix.Add(fmt.Sprintf("s%d", i), s)
 		}
@@ -358,7 +395,7 @@ func TestMinHashAccuracyProperty(t *testing.T) {
 			a = append(a, fmt.Sprintf("e%d", i))
 			b = append(b, fmt.Sprintf("e%d", i+shift))
 		}
-		exact := ExactJaccard(ToSet(a), ToSet(b))
+		exact := ExactJaccard(setOf(a...), setOf(b...))
 		est := NewMinHash(256, a).Jaccard(NewMinHash(256, b))
 		return math.Abs(exact-est) < 0.2
 	}

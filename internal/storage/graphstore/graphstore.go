@@ -227,6 +227,23 @@ func (g *Graph) NodesByLabel(label string) []Node {
 	return out
 }
 
+// NodeIDsWhere returns the IDs of the nodes with the label whose
+// properties satisfy keep, sorted. keep runs under the graph's read lock
+// on the stored bag, which it must not modify or retain; nothing is
+// copied.
+func (g *Graph) NodeIDsWhere(label string, keep func(Props) bool) []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var out []string
+	for _, n := range g.nodes {
+		if n.Label == label && keep(n.Props) {
+			out = append(out, n.ID)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Nodes returns all node IDs, sorted.
 func (g *Graph) Nodes() []string {
 	g.mu.RLock()

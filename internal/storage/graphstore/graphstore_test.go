@@ -191,6 +191,21 @@ func TestNodesByLabelSorted(t *testing.T) {
 	}
 }
 
+func TestNodeIDsWhere(t *testing.T) {
+	g := New()
+	_ = g.AddNode("z", "ds", Props{"zone": "raw"})
+	_ = g.AddNode("a", "ds", Props{"zone": "raw"})
+	_ = g.AddNode("b", "ds", Props{"zone": "curated"})
+	_ = g.AddNode("m", "other", Props{"zone": "raw"})
+	inRaw := func(p Props) bool { return p["zone"] == "raw" }
+	if got := g.NodeIDsWhere("ds", inRaw); fmt.Sprint(got) != "[a z]" {
+		t.Errorf("NodeIDsWhere(ds, raw) = %v, want [a z]", got)
+	}
+	if got := g.NodeIDsWhere("none", inRaw); len(got) != 0 {
+		t.Errorf("NodeIDsWhere(none) = %v, want empty", got)
+	}
+}
+
 // Property: after arbitrary node/edge insertions, every edge's endpoints
 // exist, and NumEdges equals the sum of out-degree.
 func TestGraphInvariants(t *testing.T) {

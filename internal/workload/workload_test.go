@@ -53,7 +53,8 @@ func TestCorpusKeyOverlapMatchesGroundTruth(t *testing.T) {
 			a, b := c.Tables[i], c.Tables[j]
 			ka, _ := a.Column(c.KeyColumn[a.Name])
 			kb, _ := b.Column(c.KeyColumn[b.Name])
-			ov := sketch.Overlap(sketch.ToSet(ka.DistinctSlice()), sketch.ToSet(kb.DistinctSlice()))
+			ids := sketch.NewDict()
+			ov := sketch.Overlap(ids.Set(ka.DistinctSlice()), ids.Set(kb.DistinctSlice()))
 			if c.Joinable[NewPair(a.Name, b.Name)] {
 				sameOverlap += ov
 				if ov == 0 {
