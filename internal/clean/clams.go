@@ -79,47 +79,9 @@ type Violation struct {
 // user, dirtiest first.
 func RankViolations(t *table.Table, constraints []DiscoveredConstraint) []Violation {
 	counts := map[Triple]int{}
-	for _, dc := range constraints {
-		lhs, err := t.Column(dc.Determinant)
-		if err != nil {
-			continue
-		}
-		rhs, err := t.Column(dc.Dependent)
-		if err != nil {
-			continue
-		}
-		groups := map[string][]int{}
-		for i, v := range lhs.Cells {
-			groups[v] = append(groups[v], i)
-		}
-		for gv, rows := range groups {
-			freq := map[string]int{}
-			for _, ri := range rows {
-				freq[rhs.Cells[ri]]++
-			}
-			var majority string
-			best := -1
-			var vals []string
-			for v := range freq {
-				vals = append(vals, v)
-			}
-			sort.Strings(vals)
-			for _, v := range vals {
-				if freq[v] > best {
-					majority, best = v, freq[v]
-				}
-			}
-			for _, ri := range rows {
-				if rhs.Cells[ri] != majority {
-					// The violating hyperedge covers both cells of the
-					// row involved in the constraint.
-					subj := fmt.Sprintf("%s/%d", t.Name, ri)
-					counts[Triple{Subject: subj, Predicate: dc.Dependent, Object: rhs.Cells[ri]}]++
-					counts[Triple{Subject: subj, Predicate: dc.Determinant, Object: gv}]++
-				}
-			}
-		}
-	}
+	eachViolation(t, constraints, func(row int, predicate, object string) {
+		counts[Triple{Subject: fmt.Sprintf("%s/%d", t.Name, row), Predicate: predicate, Object: object}]++
+	})
 	// Sort on keys rendered once per triple: Triple.String is a Sprintf.
 	type ranked struct {
 		Violation
@@ -140,6 +102,61 @@ func RankViolations(t *table.Table, constraints []DiscoveredConstraint) []Violat
 		out[i] = r.Violation
 	}
 	return out
+}
+
+// CountViolations is len(RankViolations(t, constraints)), the number of
+// distinct violating triples, without rendering or ranking them.
+func CountViolations(t *table.Table, constraints []DiscoveredConstraint) int {
+	type cell struct {
+		row               int
+		predicate, object string
+	}
+	seen := map[cell]struct{}{}
+	eachViolation(t, constraints, func(row int, predicate, object string) {
+		seen[cell{row, predicate, object}] = struct{}{}
+	})
+	return len(seen)
+}
+
+// eachViolation walks the violation hypergraph: for every constraint
+// and every row whose dependent value is not its determinant group's
+// majority (the smallest value among tied ones), it visits the
+// violating hyperedge's two cells, dependent first.
+func eachViolation(t *table.Table, constraints []DiscoveredConstraint, visit func(row int, predicate, object string)) {
+	for _, dc := range constraints {
+		lhs, err := t.Column(dc.Determinant)
+		if err != nil {
+			continue
+		}
+		rhs, err := t.Column(dc.Dependent)
+		if err != nil {
+			continue
+		}
+		groups := map[string][]int{}
+		for i, v := range lhs.Cells {
+			groups[v] = append(groups[v], i)
+		}
+		freq := map[string]int{}
+		for gv, rows := range groups {
+			clear(freq)
+			for _, ri := range rows {
+				freq[rhs.Cells[ri]]++
+			}
+			var majority string
+			best := -1
+			for v, n := range freq {
+				if n > best || n == best && v < majority {
+					majority, best = v, n
+				}
+			}
+			for _, ri := range rows {
+				if rhs.Cells[ri] != majority {
+					visit(ri, dc.Dependent, rhs.Cells[ri])
+					visit(ri, dc.Determinant, gv)
+				}
+			}
+		}
+	}
 }
 
 // Oracle answers CLAMS's user-validation question: should this

@@ -937,7 +937,7 @@ func (l *Lake) promotePaths(ctx context.Context, paths []string) error {
 // dataset: discover functional denial constraints from the data and
 // count the triples violating them.
 func cleanViolations(t *table.Table) int {
-	return len(clean.RankViolations(t, clean.DiscoverConstraints(t, 0.9)))
+	return clean.CountViolations(t, clean.DiscoverConstraints(t, 0.9))
 }
 
 // MaintenanceStatus snapshots the maintenance subsystem: pass counters

@@ -16,6 +16,7 @@ import (
 
 	"golake/internal/explore"
 	"golake/internal/persist"
+	"golake/internal/provenance"
 	"golake/internal/storage/filestore"
 	"golake/internal/table"
 	"golake/lakeerr"
@@ -317,6 +318,62 @@ func TestPersistMemoryBackendKeepsDerivedAndAudit(t *testing.T) {
 		w, g := wantAudit[i], gotAudit[i]
 		if g.Kind != w.Kind || g.User != w.User || g.Seq != w.Seq || !g.At.Equal(w.At) {
 			t.Errorf("audit[%d] = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// Audit events used to be written with provenance.Event's field names as
+// JSON keys, in snapshots and in audit WAL records. encoding/json
+// matches keys case-insensitively, so a lake persisted that way reopens
+// with its audit trail, and its next checkpoint writes the short keys.
+func TestPersistCapitalisedAuditKeysStillDecode(t *testing.T) {
+	mem := persist.NewMemory()
+	snap := `{"version":1,"users":{"gov":"governance"},"maintained":false,"ingest_gen":0,"maintained_gen":0,` +
+		`"events":[{"Seq":1,"Kind":"ingest","Entity":"raw/a.csv","Activity":"","System":"files","User":"dana","At":"2026-06-12T10:00:01Z"}]}`
+	if err := mem.Checkpoint([]byte(snap)); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"kind":"audit","event":{"Seq":2,"Kind":"read","Entity":"raw/a.csv","Activity":"job","System":"spark","User":"bob","At":"2026-06-12T10:00:02Z"}}`
+	if err := mem.AppendWAL(persist.EncodeFrame([]byte(rec))); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	got, err := l.Audit(context.Background(), "gov", "raw/a.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []provenance.Event{
+		{Seq: 1, Kind: provenance.EventIngest, Entity: "raw/a.csv", System: "files", User: "dana", At: time.Date(2026, 6, 12, 10, 0, 1, 0, time.UTC)},
+		{Seq: 2, Kind: provenance.EventRead, Entity: "raw/a.csv", Activity: "job", System: "spark", User: "bob", At: time.Date(2026, 6, 12, 10, 0, 2, 0, time.UTC)},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("audit trail = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Seq != w.Seq || g.Kind != w.Kind || g.Entity != w.Entity || g.Activity != w.Activity ||
+			g.System != w.System || g.User != w.User || !g.At.Equal(w.At) {
+			t.Errorf("audit[%d] = %+v, want %+v", i, g, w)
+		}
+	}
+	// Open compacted the replayed WAL into a snapshot in the new form.
+	data, err := mem.ReadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written struct {
+		Events []map[string]any `json:"events"`
+	}
+	if err := json.Unmarshal(data, &written); err != nil || len(written.Events) != 2 {
+		t.Fatalf("snapshot events = %s (%v)", data, err)
+	}
+	for _, ev := range written.Events {
+		if _, ok := ev["seq"]; !ok {
+			t.Errorf("snapshot event keys = %v, want short lowercase keys", ev)
 		}
 	}
 }

@@ -70,24 +70,56 @@ func (d *D3L) Name() string { return "D3L" }
 
 // Index implements Discoverer: profile every column on the five
 // features and index names and values in LSH.
-func (d *D3L) Index(tables []*table.Table) error {
-	// First pass feeds the embedding model (it is corpus-trained).
+func (d *D3L) Index(tables []*table.Table) error { return d.Commit(d.Stage(tables)) }
+
+// D3LStaged is a batch of tables profiled by D3L.Stage, waiting for
+// Commit to add it to the index.
+type D3LStaged struct {
+	embed  *embed.Staged
+	tables []string // table of each column
+	cols   []*d3lColumn
+}
+
+// Stage profiles the tables' columns against the index as it stands:
+// signatures, embedding vectors (the model extended by these columns,
+// as it is corpus-trained), format patterns and sorted numeric samples,
+// all from the columns' strings. It writes nothing the index holds, so
+// it may run while readers query the index, but not while anything
+// writes it; Commit the result before the next Stage.
+func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
+	s := &D3LStaged{}
+	var cols []*table.Column
+	var vals, sample [][]string
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			d.embedModel.AddColumn(textualValues(c, 200))
+			v := textualValues(c, 0)
+			s.tables = append(s.tables, t.Name)
+			cols = append(cols, c)
+			vals = append(vals, v)
+			sample = append(sample, capped(v, 200))
 		}
 	}
-	for _, t := range tables {
-		for _, c := range t.Columns {
-			p := d.profile(t.Name, c, d.dict, d.embedModel)
-			d.profiles[p.key] = p
-			d.tables[t.Name] = append(d.tables[t.Name], p.key)
-			if err := d.nameLSH.Add(p.key, p.nameSig); err != nil {
-				return err
-			}
-			if err := d.valueLSH.Add(p.key, p.valueSig); err != nil {
-				return err
-			}
+	s.embed = d.embedModel.Stage(sample)
+	for i, c := range cols {
+		s.cols = append(s.cols, d.profileColumn(s.tables[i], c, vals[i], s.embed))
+	}
+	return s
+}
+
+// Commit adds a staged batch to the index: the embedding model gains
+// its columns, each column's names, values and formats are interned,
+// and its signatures go into both LSH indexes.
+func (d *D3L) Commit(s *D3LStaged) error {
+	s.embed.Commit()
+	for i, col := range s.cols {
+		p := col.intern(d.dict)
+		d.profiles[p.key] = p
+		d.tables[s.tables[i]] = append(d.tables[s.tables[i]], p.key)
+		if err := d.nameLSH.Add(p.key, p.nameSig); err != nil {
+			return err
+		}
+		if err := d.valueLSH.Add(p.key, p.valueSig); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -106,36 +138,59 @@ func (d *D3L) Remove(tableName string) {
 	delete(d.tables, tableName)
 }
 
-// profile builds one column's profile. Index passes the dictionary and
-// the model, which intern and memoise; a read path profiling a query
-// column that is not indexed passes a Lookup and a Reader, which write
-// nothing.
-func (d *D3L) profile(tableName string, c *table.Column, ids interner, vecs embedder) *d3lProfile {
-	vals := textualValues(c, 0)
-	grams := sketch.QGrams(c.Name, 3)
-	p := &d3lProfile{
-		key:       columnKey(tableName, c.Name),
-		nameGrams: ids.Set(grams),
-		values:    ids.Set(vals),
-		nameSig:   sketch.NewMinHash(d.nameLSH.SignatureLen(), grams),
-		valueSig:  sketch.NewMinHash(d.valueLSH.SignatureLen(), vals),
-		vector:    vecs.ColumnVector(capped(vals, 100)),
+// d3lColumn is what profiling a column computes from its strings alone;
+// intern turns it into the profile the index keeps.
+type d3lColumn struct {
+	key                     string
+	grams, values, patterns []string
+	nameSig, valueSig       *sketch.MinHash
+	vector                  []float64
+	numeric                 []float64
+	isNumeric               bool
+}
+
+// profileColumn profiles one column whose distinct values are vals.
+// Stage passes the staged embedding, which memoises privately; a read
+// path profiling a query column that is not indexed passes a Reader,
+// which writes nothing.
+func (d *D3L) profileColumn(tableName string, c *table.Column, vals []string, vecs embedder) *d3lColumn {
+	col := &d3lColumn{
+		key:      columnKey(tableName, c.Name),
+		grams:    sketch.QGrams(c.Name, 3),
+		values:   vals,
+		vector:   vecs.ColumnVector(capped(vals, 100)),
+		patterns: make([]string, len(capped(vals, 200))),
 	}
-	sample := capped(vals, 200)
-	patterns := make([]string, len(sample))
-	for i, v := range sample {
-		patterns[i] = sketch.RegexPattern(v)
+	col.nameSig = sketch.NewMinHash(d.nameLSH.SignatureLen(), col.grams)
+	col.valueSig = sketch.NewMinHash(d.valueLSH.SignatureLen(), vals)
+	for i := range col.patterns {
+		col.patterns[i] = sketch.RegexPattern(vals[i])
 	}
-	p.formats = ids.Set(patterns)
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
 		if frac > 0.5 {
 			sort.Float64s(xs)
-			p.numeric = xs
-			p.isNumeric = true
+			col.numeric = xs
+			col.isNumeric = true
 		}
 	}
-	return p
+	return col
+}
+
+// intern builds the column's profile: Commit passes the dictionary, a
+// read path a Lookup, which writes nothing.
+func (col *d3lColumn) intern(ids interner) *d3lProfile {
+	return &d3lProfile{
+		key:       col.key,
+		nameGrams: ids.Set(col.grams),
+		values:    ids.Set(col.values),
+		nameSig:   col.nameSig,
+		valueSig:  col.valueSig,
+		vector:    col.vector,
+		formats:   ids.Set(col.patterns),
+		numeric:   col.numeric,
+		isNumeric: col.isNumeric,
+	}
 }
 
 // featureDistances returns the 5 per-feature distances in [0,1].
@@ -275,18 +330,14 @@ func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
 	if p, ok := d.profiles[columnKey(tableName, c.Name)]; ok {
 		return p
 	}
-	return d.profile(tableName, c, d.dict.Lookup(), d.embedModel.Reader())
+	col := d.profileColumn(tableName, c, textualValues(c, 0), d.embedModel.Reader())
+	return col.intern(d.dict.Lookup())
 }
 
 // candidates unions the LSH buckets of both feature indexes, sorted.
 func (d *D3L) candidates(p *d3lProfile) []string {
-	var out []string
-	for _, c := range d.nameLSH.Query(p.nameSig, 0, p.key) {
-		out = append(out, c.Key)
-	}
-	for _, c := range d.valueLSH.Query(p.valueSig, 0, p.key) {
-		out = append(out, c.Key)
-	}
+	out := d.nameLSH.AppendKeys(nil, p.nameSig, p.key)
+	out = d.valueLSH.AppendKeys(out, p.valueSig, p.key)
 	slices.Sort(out)
 	return slices.Compact(out)
 }

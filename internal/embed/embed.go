@@ -23,6 +23,15 @@ import (
 type Model struct {
 	Dim int
 
+	contexts
+	total    float64
+	vecCache map[string][]float64
+}
+
+// contexts is a run of column contexts numbered from base: the model's
+// own start at 0, a Staged's continue after the model's.
+type contexts struct {
+	base int
 	// cooc[value] counts, per context (column identifier), how often
 	// value appeared in that column, in ascending context order — so a
 	// token's PPMI terms are summed in one fixed order and its vector
@@ -30,11 +39,9 @@ type Model struct {
 	cooc       map[string][]contextCount
 	contextCnt []float64
 	// signs holds each context's projection row as sign bits, recorded
-	// once when AddColumn opens the context: signWords(Dim) words per
+	// once when the context is opened: signWords(Dim) words per
 	// context, bit i set where component i is negative.
-	signs    []uint64
-	total    float64
-	vecCache map[string][]float64
+	signs []uint64
 }
 
 type contextCount struct {
@@ -50,31 +57,115 @@ func NewModel(dim int) *Model {
 	}
 	return &Model{
 		Dim:      dim,
-		cooc:     map[string][]contextCount{},
+		contexts: contexts{cooc: map[string][]contextCount{}},
 		vecCache: map[string][]float64{},
 	}
 }
 
-// AddColumn feeds one column of values into the co-occurrence model.
-// Each column is one context; tokens inside values share that context.
-func (m *Model) AddColumn(values []string) {
-	ctx := len(m.contextCnt)
-	m.contextCnt = append(m.contextCnt, 0)
-	m.signs = appendProjection(m.signs, ctx, m.Dim)
+// open adds one column as the next context, counting its tokens into
+// c and *total. toks is scratch for the tokenizer, returned for reuse.
+func (c *contexts) open(values []string, dim int, total *float64, toks []string) []string {
+	i := len(c.contextCnt)
+	ctx := c.base + i
+	c.contextCnt = append(c.contextCnt, 0)
+	c.signs = appendProjection(c.signs, ctx, dim)
 	for _, v := range values {
-		for _, tok := range sketch.Tokenize(v) {
-			row := m.cooc[tok]
+		toks = sketch.AppendTokens(toks[:0], v)
+		for _, tok := range toks {
+			row := c.cooc[tok]
 			if n := len(row); n > 0 && row[n-1].ctx == ctx {
 				row[n-1].n++
 			} else {
-				m.cooc[tok] = append(row, contextCount{ctx: ctx, n: 1})
+				c.cooc[tok] = append(row, contextCount{ctx: ctx, n: 1})
 			}
-			m.contextCnt[ctx]++
-			m.total++
+			c.contextCnt[i]++
+			*total++
 		}
 	}
-	// New data invalidates cached vectors.
-	m.vecCache = map[string][]float64{}
+	return toks
+}
+
+// AddColumn feeds one column of values into the co-occurrence model.
+// Each column is one context; tokens inside values share that context.
+func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
+
+// Staged is a batch of columns counted against a model without changing
+// it: the new contexts are numbered after the model's, and the staged
+// view embeds exactly as the model will once Commit appends them. The
+// staged counts and the vectors the view memoises belong to the Staged
+// alone, so Stage and the view's vectors may run while Readers share
+// the model. A Staged is not safe for concurrent use.
+type Staged struct {
+	m *Model
+	contexts
+	total float64
+	vecs  map[string][]float64
+	toks  []string
+}
+
+// Stage counts the columns' co-occurrences as new contexts of the model
+// and returns the staged view. It reads the model and writes nothing;
+// nothing else may write the model until the Staged is committed.
+func (m *Model) Stage(columns [][]string) *Staged {
+	s := &Staged{
+		m: m,
+		contexts: contexts{
+			base: len(m.contextCnt),
+			cooc: map[string][]contextCount{},
+		},
+		total: m.total,
+		vecs:  map[string][]float64{},
+	}
+	for _, values := range columns {
+		s.toks = s.open(values, m.Dim, &s.total, s.toks)
+	}
+	return s
+}
+
+// Commit appends the staged contexts to the model and installs the
+// token vectors the staged view computed as the model's memo: after it,
+// the model is what AddColumn of each staged column would have left,
+// with those vectors memoised. It panics if the model gained contexts
+// since Stage. The Staged must not be used after Commit.
+func (s *Staged) Commit() {
+	m := s.m
+	if len(m.contextCnt) != s.base {
+		panic("embed: model changed between Stage and Commit")
+	}
+	for tok, row := range s.cooc {
+		if live, ok := m.cooc[tok]; ok {
+			row = append(live, row...)
+		}
+		m.cooc[tok] = row
+	}
+	m.contextCnt = append(m.contextCnt, s.contextCnt...)
+	m.signs = append(m.signs, s.signs...)
+	m.total = s.total
+	m.vecCache = s.vecs
+}
+
+// Vector is Model.Vector over the model with the staged columns added.
+// It memoises token vectors in the Staged.
+func (s *Staged) Vector(token string) []float64 {
+	s.toks = sketch.AppendTokens(s.toks[:0], token)
+	return vector(s, s.m.Dim, s.toks)
+}
+
+// ColumnVector is Model.ColumnVector over the model with the staged
+// columns added. It memoises token vectors in the Staged.
+func (s *Staged) ColumnVector(values []string) []float64 {
+	var out []float64
+	out, s.toks = columnVector(s, s.m.Dim, values, s.toks)
+	return out
+}
+
+func (s *Staged) tokenVector(tok string) []float64 {
+	if v, ok := s.vecs[tok]; ok {
+		return v
+	}
+	v := s.m.ppmiVector(tok, &s.contexts, s.total)
+	s.vecs[tok] = v
+	return v
 }
 
 // Vector returns the embedding of a single token (lowercased). Unknown
@@ -82,12 +173,28 @@ func (m *Model) AddColumn(values []string) {
 // strings still match each other. The token vectors it computes are
 // memoised in the model until the next AddColumn, so Vector writes the
 // model; readers that share it use a Reader.
-func (m *Model) Vector(token string) []float64 { return m.vector(token, true) }
+func (m *Model) Vector(token string) []float64 {
+	var buf [8]string
+	return vector(m, m.Dim, sketch.AppendTokens(buf[:0], token))
+}
 
 // ColumnVector embeds a whole column as the normalized mean of its
 // value vectors. This is how D3L and ALITE summarize attributes. Like
 // Vector, it memoises token vectors.
-func (m *Model) ColumnVector(values []string) []float64 { return m.columnVector(values, true) }
+func (m *Model) ColumnVector(values []string) []float64 {
+	var buf [8]string
+	out, _ := columnVector(m, m.Dim, values, buf[:0])
+	return out
+}
+
+func (m *Model) tokenVector(tok string) []float64 {
+	if v, ok := m.vecCache[tok]; ok {
+		return v
+	}
+	v := m.ppmiVector(tok, nil, m.total)
+	m.vecCache[tok] = v
+	return v
+}
 
 // Reader embeds with a model other readers share: it uses the token
 // vectors the model has memoised but stores none, so any number of
@@ -98,23 +205,43 @@ type Reader struct{ m *Model }
 func (m *Model) Reader() Reader { return Reader{m} }
 
 // Vector is Model.Vector without the memo write.
-func (r Reader) Vector(token string) []float64 { return r.m.vector(token, false) }
+func (r Reader) Vector(token string) []float64 {
+	var buf [8]string
+	return vector(r, r.m.Dim, sketch.AppendTokens(buf[:0], token))
+}
 
 // ColumnVector is Model.ColumnVector without the memo write.
-func (r Reader) ColumnVector(values []string) []float64 { return r.m.columnVector(values, false) }
+func (r Reader) ColumnVector(values []string) []float64 {
+	var buf [8]string
+	out, _ := columnVector(r, r.m.Dim, values, buf[:0])
+	return out
+}
 
-func (m *Model) vector(token string, memo bool) []float64 {
-	toks := sketch.Tokenize(token)
+func (r Reader) tokenVector(tok string) []float64 {
+	if v, ok := r.m.vecCache[tok]; ok {
+		return v
+	}
+	return r.m.ppmiVector(tok, nil, r.m.total)
+}
+
+// tokenVectors is a Model, a Reader or a Staged: where vector and
+// columnVector get each token's vector from.
+type tokenVectors interface {
+	tokenVector(tok string) []float64
+}
+
+// vector embeds one value from its tokens.
+func vector(src tokenVectors, dim int, toks []string) []float64 {
 	if len(toks) == 1 {
-		return m.tokenVector(toks[0], memo)
+		return src.tokenVector(toks[0])
 	}
 	// Multi-token values average their token vectors.
-	out := make([]float64, m.Dim)
+	out := make([]float64, dim)
 	if len(toks) == 0 {
 		return out
 	}
 	for _, t := range toks {
-		v := m.tokenVector(t, memo)
+		v := src.tokenVector(t)
 		for i := range out {
 			out[i] += v[i]
 		}
@@ -125,20 +252,40 @@ func (m *Model) vector(token string, memo bool) []float64 {
 	return out
 }
 
-func (m *Model) tokenVector(tok string, memo bool) []float64 {
-	if v, ok := m.vecCache[tok]; ok {
-		return v
+// columnVector embeds a column; toks is tokenizer scratch, returned for
+// reuse.
+func columnVector(src tokenVectors, dim int, values []string, toks []string) ([]float64, []string) {
+	out := make([]float64, dim)
+	n := 0
+	for _, v := range values {
+		toks = sketch.AppendTokens(toks[:0], v)
+		vec := vector(src, dim, toks)
+		for i := range out {
+			out[i] += vec[i]
+		}
+		n++
 	}
-	out := m.computeTokenVector(tok)
-	if memo {
-		m.vecCache[tok] = out
+	if n > 0 {
+		for i := range out {
+			out[i] /= float64(n)
+		}
 	}
-	return out
+	normalize(out)
+	return out, toks
 }
 
-func (m *Model) computeTokenVector(tok string) []float64 {
-	row, known := m.cooc[tok]
-	if !known || m.total == 0 {
+// ppmiVector computes a token's vector from the model's contexts
+// followed by staged's (nil for the model alone), with total the token
+// count over both.
+func (m *Model) ppmiVector(tok string, staged *contexts, total float64) []float64 {
+	runs := [2]struct {
+		c   *contexts
+		row []contextCount
+	}{{c: &m.contexts, row: m.cooc[tok]}}
+	if staged != nil {
+		runs[1].c, runs[1].row = staged, staged.cooc[tok]
+	}
+	if len(runs[0].row)+len(runs[1].row) == 0 || total == 0 {
 		return hashVector(tok, m.Dim)
 	}
 	out := make([]float64, m.Dim)
@@ -147,27 +294,34 @@ func (m *Model) computeTokenVector(tok string) []float64 {
 	// from the context's sign bits. pmi·(−s) = −(pmi·s) exactly, so
 	// adding pmi·s with its sign bit flipped where the projection is
 	// negative gives the same bits, without a branch per component.
+	// Staged contexts follow the model's, so terms are summed in
+	// ascending context order either way.
 	words := signWords(m.Dim)
 	scale := 1 / math.Sqrt(float64(m.Dim))
 	var rowSum float64
-	for _, e := range row {
-		rowSum += e.n
+	for _, r := range runs {
+		for _, e := range r.row {
+			rowSum += e.n
+		}
 	}
-	for _, e := range row {
-		pxy := e.n / m.total
-		px := rowSum / m.total
-		py := m.contextCnt[e.ctx] / m.total
-		if px == 0 || py == 0 {
-			continue
-		}
-		pmi := math.Log(pxy / (px * py))
-		if pmi <= 0 {
-			continue
-		}
-		w := math.Float64bits(pmi * scale)
-		signs := m.signs[e.ctx*words : (e.ctx+1)*words]
-		for i := range out {
-			out[i] += math.Float64frombits(w ^ signs[i/64]>>(i%64)<<63)
+	for _, r := range runs {
+		for _, e := range r.row {
+			i := e.ctx - r.c.base
+			pxy := e.n / total
+			px := rowSum / total
+			py := r.c.contextCnt[i] / total
+			if px == 0 || py == 0 {
+				continue
+			}
+			pmi := math.Log(pxy / (px * py))
+			if pmi <= 0 {
+				continue
+			}
+			w := math.Float64bits(pmi * scale)
+			signs := r.c.signs[i*words : (i+1)*words]
+			for j := range out {
+				out[j] += math.Float64frombits(w ^ signs[j/64]>>(j%64)<<63)
+			}
 		}
 	}
 	normalize(out)
@@ -204,25 +358,6 @@ func isZero(v []float64) bool {
 		}
 	}
 	return true
-}
-
-func (m *Model) columnVector(values []string, memo bool) []float64 {
-	out := make([]float64, m.Dim)
-	n := 0
-	for _, v := range values {
-		vec := m.vector(v, memo)
-		for i := range out {
-			out[i] += vec[i]
-		}
-		n++
-	}
-	if n > 0 {
-		for i := range out {
-			out[i] /= float64(n)
-		}
-	}
-	normalize(out)
-	return out
 }
 
 // Similarity is the cosine similarity of the two embeddings.

@@ -65,9 +65,12 @@ type Result struct {
 }
 
 // Explorer serves exploration queries over pre-built indexes. Queries
-// and incremental Add calls may run concurrently: reads take the
-// internal lock shared, index mutation takes it exclusive.
+// and incremental Add calls may run concurrently: reads take mu shared,
+// index mutation takes it exclusive. writeMu serialises Index, Add and
+// Remove, so the fields below change only while it is held and a writer
+// may read them without mu.
 type Explorer struct {
+	writeMu sync.Mutex
 	mu      sync.RWMutex
 	corpus  map[string]*table.Table
 	josie   *discovery.JOSIE
@@ -78,10 +81,9 @@ type Explorer struct {
 
 // NewExplorer creates an empty explorer.
 func NewExplorer() *Explorer {
-	return &Explorer{
-		corpus: map[string]*table.Table{},
-		juneau: map[discovery.SearchTask]*discovery.Juneau{},
-	}
+	e := &Explorer{}
+	e.reset()
+	return e
 }
 
 // reset discards every index, leaving the explorer empty.
@@ -97,10 +99,12 @@ func (e *Explorer) reset() {
 
 // Index rebuilds all mode indexes from scratch over the corpus.
 func (e *Explorer) Index(tables []*table.Table) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.reset()
-	return e.addLocked(tables)
+	return e.commitLocked(tables, e.d3l.Stage(tables))
 }
 
 // Add indexes additional tables incrementally — O(new tables) instead
@@ -108,32 +112,34 @@ func (e *Explorer) Index(tables []*table.Table) error {
 // datasets. Tables already indexed are skipped, so a retried pass
 // cannot double-index. The D3L embedding model is corpus-trained;
 // incremental adds extend it without re-embedding older columns, an
-// approximation the next full rebuild squares up.
+// approximation the next full rebuild squares up. D3L profiles the
+// tables before Add takes the exclusive lock, so queries keep being
+// answered meanwhile.
 func (e *Explorer) Add(tables ...*table.Table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.josie == nil {
-		e.reset()
-	}
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	fresh := make([]*table.Table, 0, len(tables))
 	for _, t := range tables {
 		if _, ok := e.corpus[t.Name]; !ok {
 			fresh = append(fresh, t)
 		}
 	}
-	return e.addLocked(fresh)
+	staged := e.d3l.Stage(fresh)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.commitLocked(fresh, staged)
 }
 
-// addLocked indexes tables into the live structures; e.mu must be held
-// exclusively.
-func (e *Explorer) addLocked(tables []*table.Table) error {
+// commitLocked indexes tables, whose D3L profiles are staged, into the
+// live structures; both locks must be held, e.mu exclusively.
+func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStaged) error {
 	for _, t := range tables {
 		e.corpus[t.Name] = t
 	}
 	if err := e.josie.Index(tables); err != nil {
 		return err
 	}
-	if err := e.d3l.Index(tables); err != nil {
+	if err := e.d3l.Commit(staged); err != nil {
 		return err
 	}
 	for _, j := range e.juneau {
@@ -149,11 +155,10 @@ func (e *Explorer) addLocked(tables []*table.Table) error {
 // incremental eviction counterpart of Add, so dropping a dataset does
 // not force a full rebuild. Removing an unindexed table is a no-op.
 func (e *Explorer) Remove(name string) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.josie == nil {
-		return
-	}
 	if _, ok := e.corpus[name]; !ok {
 		return
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"golake/internal/discovery"
@@ -236,6 +237,98 @@ func TestConcurrentAddAndExplore(t *testing.T) {
 	}
 	if got := e.Size(); got != len(c.Tables) {
 		t.Errorf("size = %d, want %d", got, len(c.Tables))
+	}
+}
+
+// Readers explore in every mode while a writer adds tables one at a
+// time and removes and re-adds some. Add profiles D3L columns holding
+// only the writer lock, beside the readers, so this must stay race-free
+// (run with -race; CI runs it repeatedly), and the indexes it leaves
+// must answer exactly as ones built by the same calls with no reader.
+func TestConcurrentExploreDuringAddAndRemove(t *testing.T) {
+	c := workload.GenerateCorpus(workload.CorpusSpec{
+		NumTables: 16, JoinGroups: 4, RowsPerTable: 30,
+		ExtraCols: 1, KeyVocab: 80, KeySample: 25, Seed: 11,
+	})
+	build := func(e *Explorer) error {
+		if err := e.Index(c.Tables[:4]); err != nil {
+			return err
+		}
+		var removed []*table.Table
+		for i, tbl := range c.Tables[4:] {
+			if err := e.Add(tbl); err != nil {
+				return err
+			}
+			if i%3 == 2 {
+				e.Remove(c.Tables[i].Name)
+				removed = append(removed, c.Tables[i])
+			}
+		}
+		return e.Add(removed...)
+	}
+	requests := func(q *table.Table) []Request {
+		return []Request{
+			{Mode: ModeJoinColumn, Query: q, Column: c.KeyColumn[q.Name], K: 4},
+			{Mode: ModePopulate, Query: q, K: 4},
+			{Mode: ModeTask, Query: q, Task: discovery.TaskAugment, K: 4},
+			{Mode: ModeTask, Query: q, Task: discovery.TaskFeatures, K: 4},
+			{Mode: ModeTask, Query: q, Task: discovery.TaskClean, K: 4},
+		}
+	}
+
+	e := NewExplorer()
+	done := make(chan struct{})
+	readerErr := make(chan error, 5)
+	for mode := 0; mode < 5; mode++ {
+		go func(mode int) {
+			var err error
+			defer func() { readerErr <- err }()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				req := requests(c.Tables[(i*5+mode)%len(c.Tables)])[mode]
+				if _, err = e.Explore(req); err != nil && !errors.Is(err, ErrNotIndexed) {
+					return
+				}
+				err = nil
+			}
+		}(mode)
+	}
+	buildErr := build(e)
+	close(done)
+	for i := 0; i < 5; i++ {
+		if err := <-readerErr; err != nil {
+			t.Errorf("reader: %v", err)
+		}
+	}
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+
+	quiet := NewExplorer()
+	if err := build(quiet); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Tables(), quiet.Tables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tables = %v, want %v", got, want)
+	}
+	for _, q := range c.Tables {
+		for _, req := range requests(q) {
+			got, err := e.Explore(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := quiet.Explore(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s mode %d task %d: %v, built without readers %v", q.Name, req.Mode, req.Task, got, want)
+			}
+		}
 	}
 }
 

@@ -31,17 +31,20 @@ const (
 	EventDiscard EventKind = "discard"
 )
 
-// Event is one captured provenance event.
+// Event is one captured provenance event. Its JSON keys are short and
+// lowercase because the lake writes one audit record per event;
+// encoding/json matches keys case-insensitively, so events written
+// with the field names as keys still decode.
 type Event struct {
-	Seq      int
-	Kind     EventKind
-	Entity   string
-	Activity string
+	Seq      int       `json:"seq"`
+	Kind     EventKind `json:"kind"`
+	Entity   string    `json:"entity"`
+	Activity string    `json:"activity,omitempty"`
 	// System identifies the engine that emitted the event (the
 	// cross-system dimension of integrated provenance).
-	System string
-	User   string
-	At     time.Time
+	System string    `json:"system,omitempty"`
+	User   string    `json:"user,omitempty"`
+	At     time.Time `json:"at"`
 }
 
 // ErrUnknownEntity is returned by queries on unrecorded entities.

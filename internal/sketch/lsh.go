@@ -142,6 +142,25 @@ func (x *LSHIndex) Query(sig *MinHash, minJaccard float64, skipSelf string) []Ca
 	return out
 }
 
+// AppendKeys appends the key of every item sharing at least one band
+// bucket with the query signature to dst, skipping skipSelf, and
+// returns the extended slice: Query's candidates without estimating,
+// filtering or sorting them. A key is appended once per band it shares,
+// so dst may repeat it.
+func (x *LSHIndex) AppendKeys(dst []string, sig *MinHash, skipSelf string) []string {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for b := 0; b < x.bands; b++ {
+		h := bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
+		for _, key := range x.buckets[b][h] {
+			if key != skipSelf {
+				dst = append(dst, key)
+			}
+		}
+	}
+	return dst
+}
+
 // Keys returns all indexed keys in sorted order.
 func (x *LSHIndex) Keys() []string {
 	x.mu.RLock()

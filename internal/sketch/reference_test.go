@@ -4,10 +4,83 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 )
+
+// refTokenize and refLevenshtein are Tokenize and Levenshtein as they
+// were before AppendTokens and the ASCII path, kept verbatim as oracles.
+
+func refTokenize(s string) []string {
+	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+}
+
+func refLevenshtein(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	prev := make([]int, len(rb)+1)
+	curr := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		curr[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			curr[j] = min3(prev[j]+1, curr[j-1]+1, prev[j-1]+cost)
+		}
+		prev, curr = curr, prev
+	}
+	return prev[len(rb)]
+}
+
+var textSeeds = []string{
+	"", " ", "Hello, World_42! foo-bar", "c3_v12", "new york", "ALL CAPS",
+	"ÄÖÜ straße", "日本語 テキスト", "İstanbul", "\xff\xfeab", "a\x00b", "x-1.5e3",
+	"5|int,int,string,string", strings.Repeat("ab", 31) + "a", strings.Repeat("z", 64),
+}
+
+// AppendTokens gives Tokenize's old tokens and keeps what dst held.
+func FuzzAppendTokens(f *testing.F) {
+	for _, s := range textSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := refTokenize(s)
+		if got := Tokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+		got := AppendTokens([]string{"kept"}, s)
+		if len(got) == 0 || got[0] != "kept" || !slices.Equal(got[1:], want) {
+			t.Fatalf("AppendTokens([kept], %q) = %q, want kept + %q", s, got, want)
+		}
+	})
+}
+
+// Levenshtein, ASCII path or not, agrees with the rune-slice body.
+func FuzzLevenshtein(f *testing.F) {
+	for i, a := range textSeeds {
+		f.Add(a, textSeeds[(i+3)%len(textSeeds)])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := Levenshtein(a, b), refLevenshtein(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	})
+}
 
 // The set similarities the id-based ones replaced, kept verbatim as
 // oracles: first over maps, then over sorted string slices merged with

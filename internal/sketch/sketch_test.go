@@ -186,6 +186,45 @@ func TestLSHRemoveAndReAdd(t *testing.T) {
 	}
 }
 
+// AppendKeys, sorted and deduplicated, is the key set of Query with no
+// Jaccard floor, and leaves the prefix of dst alone.
+func TestLSHAppendKeysMatchesQuery(t *testing.T) {
+	idx := NewLSHIndex(8, 2)
+	var sigs []*MinHash
+	for i := 0; i < 40; i++ {
+		var vals []string
+		for j := 0; j < 6; j++ {
+			vals = append(vals, fmt.Sprintf("v%d", (i*3+j*j)%25))
+		}
+		sig := NewMinHash(idx.SignatureLen(), vals)
+		sigs = append(sigs, sig)
+		if err := idx.Add(fmt.Sprintf("k%02d", i), sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sig := range sigs {
+		self := fmt.Sprintf("k%02d", i)
+		got := idx.AppendKeys([]string{"prefix"}, sig, self)
+		if got[0] != "prefix" {
+			t.Fatalf("AppendKeys overwrote dst: %q", got)
+		}
+		keys := slices.Clone(got[1:])
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		var want []string
+		for _, c := range idx.Query(sig, 0, self) {
+			want = append(want, c.Key)
+		}
+		slices.Sort(want)
+		if !slices.Equal(keys, want) {
+			t.Errorf("%s: AppendKeys = %q, Query keys = %q", self, keys, want)
+		}
+		if slices.Contains(keys, self) {
+			t.Errorf("%s: AppendKeys returned the skipped key", self)
+		}
+	}
+}
+
 func TestLSHAddWrongLength(t *testing.T) {
 	idx := NewLSHIndex(8, 4)
 	if err := idx.Add("k", NewMinHash(16, []string{"a"})); err == nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // QGrams returns the multiset of character q-grams of s (lowercased),
@@ -28,10 +29,37 @@ func QGrams(s string, q int) []string {
 
 // Tokenize splits text into lowercase word tokens, treating any
 // non-alphanumeric rune as a separator.
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
+func Tokenize(s string) []string { return AppendTokens(nil, s) }
+
+// AppendTokens appends the tokens Tokenize returns for s to dst and
+// returns the extended slice. The tokens are substrings of s, or of its
+// lowercased copy when s has upper-case letters, so a caller that reuses
+// dst allocates nothing for text that is already lowercase.
+func AppendTokens(dst []string, s string) []string {
+	s = strings.ToLower(s)
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		var word bool
+		if r < utf8.RuneSelf {
+			word = 'a' <= r && r <= 'z' || '0' <= r && r <= '9'
+		} else {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
+		}
+		switch {
+		case word && start < 0:
+			start = i
+		case !word && start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // TermFreq counts token occurrences.
@@ -213,6 +241,9 @@ func RegexPattern(s string) string {
 // Levenshtein computes the edit distance between two strings. DS-kNN
 // compares dataset feature strings with it.
 func Levenshtein(a, b string) int {
+	if len(a) < asciiRow && len(b) < asciiRow && isASCII(a) && isASCII(b) {
+		return levenshteinASCII(a, b)
+	}
 	ra, rb := []rune(a), []rune(b)
 	if len(ra) == 0 {
 		return len(rb)
@@ -237,6 +268,47 @@ func Levenshtein(a, b string) int {
 		prev, curr = curr, prev
 	}
 	return prev[len(rb)]
+}
+
+// asciiRow bounds the strings levenshteinASCII takes: both rows of its
+// table fit on the stack.
+const asciiRow = 64
+
+// levenshteinASCII is Levenshtein for ASCII strings shorter than
+// asciiRow bytes, where bytes are runes.
+func levenshteinASCII(a, b string) int {
+	if len(a) == 0 {
+		return len(b)
+	}
+	if len(b) == 0 {
+		return len(a)
+	}
+	var rows [2][asciiRow]int
+	prev, curr := rows[0][:len(b)+1], rows[1][:len(b)+1]
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		curr[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			curr[j] = min3(prev[j]+1, curr[j-1]+1, prev[j-1]+cost)
+		}
+		prev, curr = curr, prev
+	}
+	return prev[len(b)]
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // LevenshteinSim normalizes edit distance to a similarity in [0,1].
