@@ -25,10 +25,10 @@
 //
 // With -persist, the lake's logical state (users, derived tables,
 // audit trails, index coverage) survives across invocations in
-// DIR/.golake via WAL + snapshot: a rerun replays the previous state,
-// ingests only files not already cataloged, and maintenance resumes
-// incrementally instead of re-indexing the corpus. -fsync additionally
-// fsyncs every WAL append.
+// DIR/.golake via WAL, manifest and segments: a rerun replays the
+// previous state, ingests only files not already cataloged, and
+// maintenance resumes incrementally instead of re-indexing the corpus.
+// -fsync additionally fsyncs every WAL append and segment put.
 //
 // Federated queries fan in by default: member-store sources are
 // drained in parallel (one puller per CPU) behind bounded per-source
@@ -97,7 +97,7 @@ func main() {
 	autoMaintain := flag.Duration("auto-maintain", 0,
 		"run background maintenance at this interval (serve mode; 0 disables)")
 	persistFlag := flag.Bool("persist", false,
-		"persist lake state across invocations in DATA/.golake (WAL + snapshot)")
+		"persist lake state across invocations in DATA/.golake (WAL, manifest, segments)")
 	fsync := flag.Bool("fsync", false,
 		"with -persist, fsync every WAL append (crash-durable, slower)")
 	fanIn := flag.Int("fanin", 0,
@@ -596,14 +596,14 @@ func status(lake *golake.Lake, metrics bool) error {
 	if d := st.Durability; d == nil {
 		fmt.Println("durability: off (run with -persist)")
 	} else {
-		fmt.Printf("durability: backend=%s wal=%dB (%d records) snapshot=%dB\n",
-			d.Backend, d.WALBytes, d.WALRecords, d.SnapshotBytes)
+		fmt.Printf("durability: backend=%s wal=%dB (%d records) snapshot=%dB segments=%d (%dB)\n",
+			d.Backend, d.WALBytes, d.WALRecords, d.SnapshotBytes, d.Segments, d.SegmentBytes)
 		if d.LastSnapshot != nil {
 			fmt.Printf("last snapshot: %s\n", d.LastSnapshot.Format(time.RFC3339))
 		}
 		if r := d.Replay; r != nil {
-			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes) in %s\n",
-				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes, r.Duration.Round(time.Microsecond))
+			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes, %d damaged segments) in %s\n",
+				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes, r.DamagedSegments, r.Duration.Round(time.Microsecond))
 		}
 	}
 	if metrics {

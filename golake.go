@@ -171,20 +171,24 @@
 //	lake, _ := golake.Open(dir, golake.WithPersistence(backend))
 //	defer lake.Close() // flushes a final snapshot
 //
-// Every mutating operation (user registration, ingest, derive, evict,
-// provenance event, maintenance coverage) appends one checksummed
-// record to a write-ahead log; when the log outgrows the
-// WithSnapshotEvery threshold — and on Close — a snapshot of the full
-// logical state is installed atomically and the log truncated. Reopen
-// replays snapshot + WAL tail: a crash at any byte boundary loses at
-// most the torn tail record (dropped with a logged warning, never a
-// failed open), and a previously maintained lake comes back with its
-// exploration indexes rebuilt and its first scheduled pass planning
-// incrementally rather than re-indexing the corpus. The fsync policy
-// is the backend's: SyncAlways makes every record crash-durable,
-// SyncNone (the default) leaves flushing to the OS. GET /v1/maintenance
-// reports the durability state (backend, WAL size, last snapshot,
-// replay stats) alongside the pass counters.
+// An ingested or derived table's bytes are stored once, raw, as an
+// immutable checksummed segment before the operation commits. Every
+// mutating operation (user registration, ingest, derive, evict,
+// provenance event, maintenance coverage) then appends one checksummed
+// record to a write-ahead log, naming its segment rather than carrying
+// its bytes; when the log outgrows the WithSnapshotEvery threshold —
+// and on Close — a manifest of the full logical state is installed
+// atomically and the log truncated. Reopen replays manifest + WAL
+// tail, reading each table from its segment: a crash at any byte
+// boundary loses at most the torn tail record (dropped with a logged
+// warning, never a failed open), and a previously maintained lake
+// comes back with its exploration indexes rebuilt and its first
+// scheduled pass planning incrementally rather than re-indexing the
+// corpus. The fsync policy
+// is the backend's: SyncAlways makes every record and segment
+// crash-durable, SyncNone (the default) leaves flushing to the OS. GET
+// /v1/maintenance reports the durability state (backend, WAL size,
+// segments, last snapshot, replay stats) alongside the pass counters.
 package golake
 
 import (
@@ -308,27 +312,28 @@ type ReplayStats = maintain.ReplayStats
 type MetricsRegistry = obs.Registry
 
 // PersistenceBackend is the pluggable durability store a lake writes
-// its WAL and snapshots through; see NewMemoryBackend and
-// NewLocalBackend for the built-ins. The interface is storage-agnostic
-// — a SQLite- or object-store-backed implementation plugs in the same
-// way.
+// its WAL, manifest snapshots and table segments through; see
+// NewMemoryBackend and NewLocalBackend for the built-ins. The
+// interface is storage-agnostic — a SQLite- or object-store-backed
+// implementation plugs in the same way.
 type PersistenceBackend = persist.Backend
 
-// MemoryBackend keeps WAL and snapshot in process memory — durability
-// across lake generations sharing the backend value, not across
-// process restarts. Useful for tests and as the minimal Backend
+// MemoryBackend keeps WAL, snapshot and segments in process memory —
+// durability across lake generations sharing the backend value, not
+// across process restarts. Useful for tests and as the minimal Backend
 // reference implementation.
 type MemoryBackend = persist.Memory
 
-// LocalBackend persists WAL and snapshot as files in a local
-// directory, with atomic snapshot installation and torn-tail-tolerant
-// log recovery.
+// LocalBackend persists WAL, snapshot and segments as files in a local
+// directory (wal.log, snapshot, segments/), with atomic snapshot
+// installation and torn-tail-tolerant log recovery.
 type LocalBackend = persist.Local
 
 // LocalBackendOption configures NewLocalBackend (see WithSync).
 type LocalBackendOption = persist.LocalOption
 
-// SyncPolicy selects when the local backend fsyncs WAL appends.
+// SyncPolicy selects when the local backend fsyncs WAL appends and
+// segment puts.
 type SyncPolicy = persist.Sync
 
 // Fsync policies for NewLocalBackend.
@@ -336,8 +341,8 @@ const (
 	// SyncNone leaves flushing to the OS: fastest, loses recent records
 	// on power failure (not on process crash).
 	SyncNone = persist.SyncNone
-	// SyncAlways fsyncs every WAL append: every acknowledged operation
-	// survives power failure.
+	// SyncAlways fsyncs every WAL append, and every segment put with its
+	// directory: every acknowledged operation survives power failure.
 	SyncAlways = persist.SyncAlways
 )
 

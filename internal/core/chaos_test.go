@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -230,5 +232,58 @@ func TestChaosShedQueriesNeverCorruptState(t *testing.T) {
 	}
 	if got.NumRows() != 3 {
 		t.Errorf("reopened rows = %d, want 3", got.NumRows())
+	}
+}
+
+// TestChaosSegmentPutFailureIsUnavailable: an ingest whose segment put
+// fails — outright or torn — is a typed 503 that changes neither the
+// catalog nor the WAL; once the backend heals the same path ingests
+// fine, and a hard-stopped reopen keeps exactly one segment per
+// dataset.
+func TestChaosSegmentPutFailureIsUnavailable(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	srv := httptest.NewServer(l.HTTPHandler())
+	defer srv.Close()
+	const path = "raw/landing.csv"
+	walBefore, _ := f.WALSize()
+	appendsBefore := f.Appends()
+
+	f.FailNextSegmentPuts(1)
+	if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); !lakeerr.IsUnavailable(err) {
+		t.Errorf("ingest with a failing segment put = %v, want unavailable", err)
+	}
+	f.FailNextSegmentPuts(1)
+	resp, body := do(t, srv, http.MethodPost, "/v1/datasets", "dana",
+		`{"path":"raw/landing.csv","source":"erp","content":"id,v\n1,2\n"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("POST with a failing segment put = %d %s, want 503", resp.StatusCode, body)
+	}
+	f.TornSegmentPut()
+	if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); !lakeerr.IsUnavailable(err) {
+		t.Errorf("ingest with a torn segment put = %v, want unavailable", err)
+	}
+	if f.Injected() != 3 {
+		t.Fatalf("injected %d faults, want 3", f.Injected())
+	}
+	if walAfter, _ := f.WALSize(); walAfter != walBefore || f.Appends() != appendsBefore {
+		t.Errorf("wal %d -> %d bytes, %d -> %d appends; want unchanged", walBefore, walAfter, appendsBefore, f.Appends())
+	}
+	if _, err := l.Catalog.Entry(path); err == nil {
+		t.Error("a failed ingest reached the catalog")
+	}
+
+	f.Heal()
+	if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); err != nil {
+		t.Fatalf("ingest after heal: %v", err)
+	}
+	re := openPersistent(t, dir)
+	defer re.Close()
+	if _, err := re.Metadata(ctx, path); err != nil {
+		t.Errorf("acked dataset missing after reopen: %v", err)
+	}
+	if got := segmentFiles(t, dir); len(got) != 2 {
+		t.Errorf("segment files = %v, want raw/orders.csv's and %s's", got, path)
 	}
 }

@@ -259,12 +259,19 @@ type Lake struct {
 	// O(new data) instead of rescanning every placement.
 	pendingPromote []string
 	// ingestLog / deriveLog record the mutating operations in commit
-	// order; the persistence snapshot serializes them (guarded by mu).
+	// order; the persistence manifest serializes them (guarded by mu).
 	ingestLog []ingestMeta
 	deriveLog []deriveMeta
+	// retired lists the segments of evicted datasets, in eviction order;
+	// a checkpoint deletes them once its manifest no longer names them
+	// (guarded by mu).
+	retired []string
 
-	maintMu  sync.Mutex // serializes Maintain passes
-	ingestMu sync.Mutex // makes the duplicate-path check atomic
+	maintMu sync.Mutex // serializes Maintain passes
+	// ingestMu makes the duplicate-path check atomic. Close takes it
+	// too, so a write that finds the lake writable under it is logged
+	// before the lake closes; taken before maintMu.
+	ingestMu sync.Mutex
 
 	// Incremental-maintenance state. planner tracks per-dataset
 	// coverage; knn is the persistent DS-kNN categorizer incremental
@@ -374,8 +381,10 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		}
 		// The hook persists every provenance event as an audit record;
 		// installed after replay so restored events are not re-appended.
+		// An event raised after Close has no log to land in; the
+		// operation that raised it has already reported the closed lake.
 		l.Tracker.SetHook(func(ev provenance.Event) {
-			l.persistRecord(&walRecord{Kind: recAudit, Event: &ev})
+			_ = l.persistRecord(&walRecord{Kind: recAudit, Event: &ev})
 		})
 	}
 	if o.autoMaintain > 0 {
@@ -397,10 +406,11 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 
 // Close shuts the lake down cleanly: the background maintenance
 // scheduler is stopped first and fully drained (an in-flight pass
-// observes cancellation and returns), and only then — with maintMu held
-// so no pass can slip in between — is the final persistence snapshot
-// flushed and the backend closed. Safe to call more than once; a lake
-// opened without WithAutoMaintain or WithPersistence closes trivially.
+// observes cancellation and returns), and only then — with ingestMu and
+// maintMu held so no write or pass can slip in between — is the final
+// persistence snapshot flushed and the backend closed. Safe to call
+// more than once; a lake opened without WithAutoMaintain or
+// WithPersistence closes trivially.
 func (l *Lake) Close() error {
 	if l.sched != nil {
 		l.sched.Stop()
@@ -411,6 +421,8 @@ func (l *Lake) Close() error {
 		}
 	}
 	if l.pers != nil {
+		l.ingestMu.Lock()
+		defer l.ingestMu.Unlock()
 		l.maintMu.Lock()
 		defer l.maintMu.Unlock()
 		return l.pers.close(l)
@@ -445,7 +457,9 @@ func (l *Lake) AddUser(name string, role Role) {
 	l.mu.Lock()
 	l.users[name] = role
 	l.mu.Unlock()
-	l.persistRecord(&walRecord{Kind: recUser, Name: name, Role: string(role)})
+	// AddUser returns no error; on a closed lake the registration holds
+	// in memory only and is not logged.
+	_ = l.persistRecord(&walRecord{Kind: recUser, Name: name, Role: string(role)})
 }
 
 // AddToken registers a bearer token for an already-registered user.
@@ -461,12 +475,17 @@ func (l *Lake) AddToken(user, token string) error {
 	if token == "" {
 		return lakeerr.Errorf(lakeerr.CodeInvalidQuery, "core: empty bearer token")
 	}
+	// ingestMu orders the registration against Close, as for Ingest.
+	l.ingestMu.Lock()
+	defer l.ingestMu.Unlock()
+	if err := l.writable(); err != nil {
+		return err
+	}
 	h := hashToken(token)
 	l.mu.Lock()
 	l.tokens[h] = user
 	l.mu.Unlock()
-	l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h})
-	return nil
+	return l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h})
 }
 
 // userForToken resolves a bearer token to its registered user.
@@ -513,34 +532,51 @@ type IngestResult struct {
 // raw bytes (routing the parsed form to the matching member store),
 // extract metadata, register it in the GEMMS model, map it onto HANDLE
 // in the raw zone, catalog it, and record provenance. Re-ingesting an
-// existing path is a conflict.
+// existing path is a conflict. On a persistent lake the raw bytes are
+// stored once, as a segment, before anything is applied: if that fails,
+// or the lake is closed, the ingest is unavailable and changes nothing.
 func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, user string) (*IngestResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	// The segment is put before ingestMu, so concurrent ingests overlap
+	// their segment writes and fsyncs.
+	seg, err := l.putSegment(data)
+	if err != nil {
+		return nil, err
+	}
 	// Hold ingestMu across the existence check and the store writes so
 	// two concurrent ingests of the same path cannot both pass the
-	// check and silently overwrite each other.
+	// check and silently overwrite each other. Close may have run since
+	// the put; under ingestMu it cannot run before the record is logged.
 	l.ingestMu.Lock()
-	res, err := l.ingestLocked(path, data, source, user)
+	var res *IngestResult
+	if err = l.writable(); err == nil {
+		res, err = l.ingestLocked(path, data, source, user, seg)
+	}
 	if err != nil {
 		l.ingestMu.Unlock()
+		l.dropSegment(seg)
 		return nil, err
 	}
 	// The WAL record precedes the provenance event so replay sees the
 	// dataset before its audit trail; both land while ingestMu is held,
 	// keeping the log in commit order.
-	l.persistRecord(&walRecord{Kind: recIngest, Path: path, Data: data, Source: source, User: user})
+	err = l.persistRecord(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user})
 	l.ingestMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	l.Tracker.Ingest(path, source, user)
 	l.logAudit(ctx, "ingest", path, user)
 	return res, nil
 }
 
 // ingestLocked runs the ingestion pipeline minus provenance capture and
-// WAL append — the shared body of live Ingest and persistence replay.
-// ingestMu must be held in live operation.
-func (l *Lake) ingestLocked(path string, data []byte, source, user string) (*IngestResult, error) {
+// WAL append — the shared body of live Ingest and persistence replay;
+// seg names the segment holding data ("" without persistence). ingestMu
+// must be held in live operation.
+func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) (*IngestResult, error) {
 	if _, err := l.Catalog.Entry(path); err == nil {
 		return nil, lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
 	}
@@ -586,7 +622,7 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user string) (*Ing
 	l.mu.Lock()
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
-	l.ingestLog = append(l.ingestLog, ingestMeta{path: path, source: source, user: user})
+	l.ingestLog = append(l.ingestLog, ingestMeta{path: path, source: source, user: user, segment: seg})
 	if pl.TableName != "" {
 		l.nameToPath[pl.TableName] = path
 	}
@@ -1394,18 +1430,32 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	// Share ingestMu with Ingest so a concurrent ingest cannot slip a
-	// same-named table in between the existence check and the Create.
-	l.ingestMu.Lock()
-	if err := l.deriveLocked(activity, user, inputs, output); err != nil {
-		l.ingestMu.Unlock()
+	// The output is stored as a CSV segment the way Ingest stores its
+	// bytes: once, before ingestMu.
+	seg, err := l.putSegment([]byte(table.ToCSV(output)))
+	if err != nil {
 		return err
 	}
-	l.persistRecord(&walRecord{
+	// Share ingestMu with Ingest so a concurrent ingest cannot slip a
+	// same-named table in between the existence check and the Create,
+	// and so Close cannot run between the check below and the record.
+	l.ingestMu.Lock()
+	if err = l.writable(); err == nil {
+		err = l.deriveLocked(activity, user, inputs, output, seg)
+	}
+	if err != nil {
+		l.ingestMu.Unlock()
+		l.dropSegment(seg)
+		return err
+	}
+	err = l.persistRecord(&walRecord{
 		Kind: recDerive, Name: output.Name, Activity: activity, User: user,
-		Inputs: inputs, CSV: table.ToCSV(output),
+		Inputs: inputs, Segment: seg,
 	})
 	l.ingestMu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := l.Tracker.Derive(activity, "lake", user, inputs, output.Name); err != nil {
 		return lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
@@ -1416,8 +1466,9 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 // deriveLocked stores a derived table and updates the bookkeeping —
 // the shared body of live Derive and persistence replay (which rebuilds
 // the lineage edges from audit records instead of Tracker.Derive).
-// ingestMu must be held in live operation.
-func (l *Lake) deriveLocked(activity, user string, inputs []string, output *table.Table) error {
+// seg names the segment holding the output as CSV ("" without
+// persistence). ingestMu must be held in live operation.
+func (l *Lake) deriveLocked(activity, user string, inputs []string, output *table.Table, seg string) error {
 	if l.Poly.Rel.Has(output.Name) {
 		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: table %s", ErrExists, output.Name)
 	}
@@ -1440,7 +1491,7 @@ func (l *Lake) deriveLocked(activity, user string, inputs []string, output *tabl
 	l.nameToPath[output.Name] = output.Name
 	l.ingestGen++
 	l.deriveLog = append(l.deriveLog, deriveMeta{
-		name: output.Name, activity: activity, user: user,
+		name: output.Name, activity: activity, user: user, segment: seg,
 		inputs: append([]string(nil), inputs...),
 	})
 	l.mu.Unlock()
@@ -1471,18 +1522,25 @@ func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	// ingestMu serializes against a re-ingest of the same path; maintMu
-	// keeps a maintenance pass from indexing the dataset mid-removal.
+	// ingestMu serializes against a re-ingest of the same path and
+	// against Close; maintMu keeps a maintenance pass from indexing the
+	// dataset mid-removal.
 	l.ingestMu.Lock()
 	l.maintMu.Lock()
-	if err := l.evictLocked(path); err != nil {
+	if err = l.writable(); err == nil {
+		err = l.evictLocked(path)
+	}
+	if err != nil {
 		l.maintMu.Unlock()
 		l.ingestMu.Unlock()
 		return err
 	}
-	l.persistRecord(&walRecord{Kind: recEvict, Path: path, User: user})
+	err = l.persistRecord(&walRecord{Kind: recEvict, Path: path, User: user})
 	l.maintMu.Unlock()
 	l.ingestMu.Unlock()
+	if err != nil {
+		return err
+	}
 	l.Tracker.Discard(path, "lake", user)
 	l.logAudit(ctx, "evict", path, user)
 	return nil
@@ -1512,8 +1570,11 @@ func (l *Lake) evictLocked(path string) error {
 	}
 	kept := l.ingestLog[:0]
 	for _, m := range l.ingestLog {
-		if m.path != path {
+		switch {
+		case m.path != path:
 			kept = append(kept, m)
+		case m.segment != "":
+			l.retired = append(l.retired, m.segment)
 		}
 	}
 	l.ingestLog = kept

@@ -89,6 +89,8 @@ type lakeMetrics struct {
 	walDropped      *obs.Counter
 	checkpoints     *obs.Counter
 	checkpointDur   *obs.Histogram
+	segmentPutDur   *obs.Histogram
+	segmentBytes    *obs.Gauge
 	replaySnapshot  *obs.Gauge
 	replayWALRecs   *obs.Gauge
 	replayWALSkip   *obs.Gauge
@@ -182,6 +184,11 @@ func newLakeMetrics() *lakeMetrics {
 			"Snapshot checkpoints taken (WAL truncations)."),
 		checkpointDur: r.Histogram("golake_checkpoint_duration_seconds",
 			"Checkpoint (snapshot + truncate) duration in seconds.", nil),
+		segmentPutDur: r.Histogram("golake_segment_put_duration_seconds",
+			"Segment put latency in seconds; under SyncAlways it includes the file and directory fsyncs.",
+			nil),
+		segmentBytes: r.Gauge("golake_segment_bytes",
+			"Bytes the stored segments hold, framing included."),
 		replaySnapshot: r.Gauge("golake_replay_snapshot_datasets",
 			"Datasets restored from the snapshot at the last open."),
 		replayWALRecs: r.Gauge("golake_replay_wal_records",
@@ -368,6 +375,22 @@ func (m *lakeMetrics) observeCheckpoint(d time.Duration) {
 	}
 	m.checkpoints.Inc()
 	m.checkpointDur.Observe(d.Seconds())
+}
+
+// observeSegmentPut records one segment put.
+func (m *lakeMetrics) observeSegmentPut(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.segmentPutDur.Observe(d.Seconds())
+}
+
+// setSegmentBytes records the bytes the stored segments hold.
+func (m *lakeMetrics) setSegmentBytes(n int64) {
+	if m == nil {
+		return
+	}
+	m.segmentBytes.Set(float64(n))
 }
 
 // observeReplay records the crash-recovery stats of the last open.

@@ -49,7 +49,7 @@ func scrape(t *testing.T, srv *httptest.Server) (*http.Response, string) {
 }
 
 func TestMetricsEndpointCoversAllLayers(t *testing.T) {
-	_, srv := metricsLake(t)
+	l, srv := metricsLake(t)
 	// One executed query so the engine series have samples.
 	resp, _ := do(t, srv, http.MethodPost, "/v1/query", "dana",
 		`{"sql":"SELECT id FROM rel:orders"}`)
@@ -78,6 +78,10 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		// Maintenance.
 		`golake_maintenance_passes_total{mode="full"} 1`,
 		"golake_maintenance_datasets_reindexed_total 2",
+		// Segments: one put per ingest, and the gauge is the status's
+		// figure.
+		"golake_segment_put_duration_seconds_count 2",
+		fmt.Sprintf("golake_segment_bytes %d\n", l.MaintenanceStatus().Durability.SegmentBytes),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing series %q in scrape:\n%s", want, body)

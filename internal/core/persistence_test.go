@@ -193,9 +193,11 @@ func TestPersistTornWALTailDroppedNotFatal(t *testing.T) {
 
 // TestPersistKillAtEveryWALByte is the kill-at-every-record harness:
 // the WAL of a small lake is truncated at every frame boundary and at
-// every byte offset inside the tail record, and each truncation must
-// reopen cleanly with exactly the datasets whose ingest records
-// survived complete — the torn tail is dropped, never fatal.
+// every byte offset inside the tail record, beside every segment the
+// lake wrote, and each truncation must reopen cleanly with exactly the
+// datasets whose ingest records survived complete — the torn tail is
+// dropped, never fatal — and keep only their segments: a segment whose
+// record was cut away is an orphan, deleted at open.
 func TestPersistKillAtEveryWALByte(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -210,6 +212,11 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 	wal, err := os.ReadFile(filepath.Join(dir, filestore.PersistDir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	segDir := filepath.Join(dir, filestore.PersistDir, "segments")
+	segs, err := os.ReadDir(segDir)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments = %v, %v; want one per ingest", segs, err)
 	}
 	var ends []int
 	for off := 0; off+8 <= len(wal); {
@@ -228,15 +235,24 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 		cuts = append(cuts, c)
 	}
 	for _, cut := range cuts {
-		// A fresh directory holding only the truncated WAL: replay alone
-		// must reconstruct the lake.
+		// A fresh directory holding only the truncated WAL and the
+		// segments: replay alone must reconstruct the lake.
 		cdir := t.TempDir()
 		pdir := filepath.Join(cdir, filestore.PersistDir)
-		if err := os.MkdirAll(pdir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join(pdir, "segments"), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(pdir, "wal.log"), wal[:cut], 0o644); err != nil {
 			t.Fatal(err)
+		}
+		for _, e := range segs {
+			data, err := os.ReadFile(filepath.Join(segDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(pdir, "segments", e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		wantIngests := 0
 		frames, _ := persist.DecodeFrames(wal[:cut])
@@ -251,6 +267,9 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 		re := openPersistent(t, cdir) // Fatal inside if the open fails
 		if got := len(re.Poly.Placements()); got != wantIngests {
 			t.Errorf("cut at %d/%d: %d datasets recovered, want %d", cut, len(wal), got, wantIngests)
+		}
+		if got := re.MaintenanceStatus().Durability.Segments; got != wantIngests {
+			t.Errorf("cut at %d/%d: %d segments kept, want %d", cut, len(wal), got, wantIngests)
 		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("cut at %d: close: %v", cut, err)
@@ -537,8 +556,10 @@ func TestHTTPDurabilityStatusAndEvict(t *testing.T) {
 	}
 	var st struct {
 		Durability *struct {
-			Backend    string `json:"backend"`
-			WALRecords uint64 `json:"wal_records"`
+			Backend      string `json:"backend"`
+			WALRecords   uint64 `json:"wal_records"`
+			Segments     int    `json:"segments"`
+			SegmentBytes int64  `json:"segment_bytes"`
 		} `json:"durability"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -550,6 +571,10 @@ func TestHTTPDurabilityStatusAndEvict(t *testing.T) {
 	}
 	if st.Durability.WALRecords == 0 {
 		t.Error("wal_records = 0, want the ingest counted")
+	}
+	if want := int64(len("id,total\n1,10\n")) + 8; st.Durability.Segments != 1 || st.Durability.SegmentBytes != want {
+		t.Errorf("segments = %d (%d B), want the ingest's one framed segment (%d B)",
+			st.Durability.Segments, st.Durability.SegmentBytes, want)
 	}
 
 	del := func(path, user string) *http.Response {

@@ -45,13 +45,16 @@ type Status struct {
 
 // DurabilityStatus reports the persistence backend's health on the
 // maintenance wire: which backend, how much un-checkpointed WAL has
-// accumulated, when the last snapshot landed, and what the open-time
-// replay did.
+// accumulated, how many segments hold the lake's data, when the last
+// snapshot landed, and what the open-time replay did.
 type DurabilityStatus struct {
-	Backend       string `json:"backend"`
-	WALBytes      int64  `json:"wal_bytes"`
-	WALRecords    uint64 `json:"wal_records"`
-	SnapshotBytes int64  `json:"snapshot_bytes"`
+	Backend    string `json:"backend"`
+	WALBytes   int64  `json:"wal_bytes"`
+	WALRecords uint64 `json:"wal_records"`
+	// SnapshotBytes is the manifest plus every segment.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
+	Segments      int   `json:"segments"`
+	SegmentBytes  int64 `json:"segment_bytes"`
 	// LastSnapshot is absent until the first checkpoint of this process.
 	LastSnapshot *time.Time `json:"last_snapshot,omitempty"`
 	// Replay describes what Open recovered; absent when the lake started
@@ -71,6 +74,9 @@ type ReplayStats struct {
 	// TornBytes is the size of the corrupt/incomplete log tail dropped by
 	// checksum verification; non-zero means the process died mid-append.
 	TornBytes int64 `json:"torn_bytes"`
+	// DamagedSegments counts datasets whose segment was missing or
+	// failed its checksum: they are not served.
+	DamagedSegments int `json:"damaged_segments"`
 	// Duration is how long the recovery took, snapshot read to indexes
 	// rebuilt (the post-replay checkpoint not included).
 	Duration time.Duration `json:"duration_ns"`

@@ -1,13 +1,13 @@
 // Package faulty is the persistence half of the chaos harness: a
 // persist.Backend decorator that injects storage failures on demand —
 // fail every Nth append, fail the next N appends, tear one write in
-// half (a crash mid-append), slow every call down, or fail
-// checkpoints — so tests can drive the lake's durability layer through
-// the failure modes the recovery machinery claims to survive and
-// assert the claims hold: shed or failed queries never corrupt state,
-// transient WAL failures are retried with backoff, a torn tail is
-// dropped on replay instead of failing the open, and a healed backend
-// re-admits traffic.
+// half (a crash mid-append), fail or tear segment puts, slow every call
+// down, or fail checkpoints — so tests can drive the lake's durability
+// layer through the failure modes the recovery machinery claims to
+// survive and assert the claims hold: shed or failed queries never
+// corrupt state, transient WAL failures are retried with backoff, a
+// failed segment put applies nothing, a torn tail is dropped on replay
+// instead of failing the open, and a healed backend re-admits traffic.
 //
 // The wrapper is safe for concurrent use and deterministic: fault
 // programming happens through explicit calls (no randomness), so a
@@ -46,6 +46,12 @@ type Backend struct {
 	tornNext bool
 	// failCheckpoints fails every Checkpoint call.
 	failCheckpoints bool
+	// failNextSegPuts fails the next failNextSegPuts segment puts
+	// without reaching the inner backend.
+	failNextSegPuts int
+	// tornSegPut makes the next segment put store only the first half
+	// of the segment and then report failure.
+	tornSegPut bool
 	// slow is added as a sleep before every inner call; 0 disables.
 	slow time.Duration
 
@@ -83,6 +89,22 @@ func (b *Backend) TornWriteNextAppend() {
 	b.tornNext = true
 }
 
+// FailNextSegmentPuts programs the next n segment puts to fail without
+// reaching the inner backend.
+func (b *Backend) FailNextSegmentPuts(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.failNextSegPuts = n
+}
+
+// TornSegmentPut programs the next segment put to store half the
+// segment and then fail — the image of a crash mid-put.
+func (b *Backend) TornSegmentPut() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tornSegPut = true
+}
+
 // FailCheckpoints toggles failure of every Checkpoint call.
 func (b *Backend) FailCheckpoints(fail bool) {
 	b.mu.Lock()
@@ -108,6 +130,8 @@ func (b *Backend) Heal() {
 	b.failNext = 0
 	b.tornNext = false
 	b.failCheckpoints = false
+	b.failNextSegPuts = 0
+	b.tornSegPut = false
 	b.slow = 0
 }
 
@@ -196,6 +220,43 @@ func (b *Backend) WALSize() (int64, error) {
 func (b *Backend) SnapshotSize() (int64, error) {
 	b.dally()
 	return b.inner.SnapshotSize()
+}
+
+// PutSegment consults the programmed segment faults — torn put first,
+// then fail-next — and otherwise delegates.
+func (b *Backend) PutSegment(name string, data []byte) error {
+	b.dally()
+	b.mu.Lock()
+	switch {
+	case b.tornSegPut:
+		b.tornSegPut = false
+		b.injected++
+		b.mu.Unlock()
+		_ = b.inner.PutSegment(name, data[:len(data)/2])
+		return errInjectedf("torn segment put after %d bytes", len(data)/2)
+	case b.failNextSegPuts > 0:
+		b.failNextSegPuts--
+		b.injected++
+		b.mu.Unlock()
+		return errInjectedf("segment put failed (fail-next)")
+	}
+	b.mu.Unlock()
+	return b.inner.PutSegment(name, data)
+}
+
+func (b *Backend) ReadSegment(name string) ([]byte, error) {
+	b.dally()
+	return b.inner.ReadSegment(name)
+}
+
+func (b *Backend) DeleteSegment(name string) error {
+	b.dally()
+	return b.inner.DeleteSegment(name)
+}
+
+func (b *Backend) ListSegments() ([]persist.SegmentInfo, error) {
+	b.dally()
+	return b.inner.ListSegments()
 }
 
 func (b *Backend) Close() error { return b.inner.Close() }

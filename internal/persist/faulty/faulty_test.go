@@ -124,3 +124,42 @@ func TestSlowIODelays(t *testing.T) {
 		t.Errorf("append after heal took %v", d)
 	}
 }
+
+func TestFailNextSegmentPutsAndTornSegmentPut(t *testing.T) {
+	b := New(persist.NewMemory())
+	b.FailNextSegmentPuts(2)
+	for i := 0; i < 2; i++ {
+		if err := b.PutSegment("s", []byte("0123456789")); !errors.Is(err, ErrInjected) {
+			t.Fatalf("put %d = %v, want injected", i, err)
+		}
+	}
+	if segs, _ := b.ListSegments(); len(segs) != 0 {
+		t.Fatalf("failed puts reached the inner backend: %v", segs)
+	}
+	b.TornSegmentPut()
+	if err := b.PutSegment("torn", []byte("0123456789")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("torn put = %v, want injected", err)
+	}
+	if got, _ := b.ReadSegment("torn"); string(got) != "01234" {
+		t.Fatalf("torn segment = %q, want its first half", got)
+	}
+	// Both faults are spent: the next put goes through whole.
+	if err := b.PutSegment("whole", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteSegment("torn"); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := b.ListSegments(); len(segs) != 1 || segs[0].Name != "whole" || segs[0].Size != 10 {
+		t.Errorf("segments = %v, want whole/10", segs)
+	}
+	if b.Injected() != 3 {
+		t.Errorf("injected = %d, want 3", b.Injected())
+	}
+	b.FailNextSegmentPuts(5)
+	b.TornSegmentPut()
+	b.Heal()
+	if err := b.PutSegment("healed", []byte("x")); err != nil {
+		t.Fatalf("put after heal: %v", err)
+	}
+}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
 // Local is the directory-on-disk Backend: the WAL is one append-only
 // file (wal.log), the snapshot a single blob replaced atomically via
-// write-to-temp + rename. Point it at a directory of its own — by
+// write-to-temp + rename, and each segment one immutable file under
+// segments/. Point it at a directory of its own — by
 // convention `<lakedir>/.golake`, which the lake's filestore skips when
 // re-walking its root — and a hard-stopped process recovers everything
 // up to the torn tail of its last append.
@@ -34,11 +36,12 @@ func WithSync(s Sync) LocalOption {
 const (
 	walFile      = "wal.log"
 	snapshotFile = "snapshot"
+	segmentDir   = "segments"
 )
 
 // NewLocal opens (creating if needed) a local backend rooted at dir.
 func NewLocal(dir string, opts ...LocalOption) (*Local, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, segmentDir), 0o755); err != nil {
 		return nil, fmt.Errorf("persist: open %s: %w", dir, err)
 	}
 	l := &Local{dir: dir}
@@ -162,14 +165,122 @@ func (l *Local) WALSize() (int64, error) {
 
 // SnapshotSize implements Backend.
 func (l *Local) SnapshotSize() (int64, error) {
+	var n int64
 	st, err := os.Stat(filepath.Join(l.dir, snapshotFile))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
+	switch {
+	case err == nil:
+		n = st.Size()
+	case !os.IsNotExist(err):
 		return 0, fmt.Errorf("persist: stat snapshot: %w", err)
 	}
-	return st.Size(), nil
+	segs, err := l.ListSegments()
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range segs {
+		n += s.Size
+	}
+	return n, nil
+}
+
+// segmentPath resolves a segment name to its file. Names arrive from
+// the manifest and the WAL, so anything that could leave segments/ is
+// refused.
+func (l *Local) segmentPath(name string) (string, error) {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return "", fmt.Errorf("persist: invalid segment name %q", name)
+	}
+	return filepath.Join(l.dir, segmentDir, name), nil
+}
+
+// PutSegment implements Backend: the file is created under its final
+// name (never an existing one) and, under SyncAlways, fsynced together
+// with its directory. A crash mid-put leaves a file no record names yet;
+// the lake deletes such orphans when it next opens. The put runs
+// outside l.mu, so it overlaps WAL appends.
+func (l *Local) PutSegment(name string, data []byte) error {
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	path, err := l.segmentPath(name)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: put segment: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("persist: put segment %s: %w", name, err)
+	}
+	if l.sync == SyncAlways {
+		if err := f.Sync(); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("persist: sync segment %s: %w", name, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("persist: close segment %s: %w", name, err)
+	}
+	if l.sync == SyncAlways {
+		syncDir(filepath.Dir(path))
+	}
+	return nil
+}
+
+// ReadSegment implements Backend.
+func (l *Local) ReadSegment(name string) ([]byte, error) {
+	path, err := l.segmentPath(name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("%w: %s", ErrNoSegment, name)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("persist: read segment: %w", err)
+	}
+	return data, nil
+}
+
+// DeleteSegment implements Backend.
+func (l *Local) DeleteSegment(name string) error {
+	path, err := l.segmentPath(name)
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("persist: delete segment: %w", err)
+	}
+	return nil
+}
+
+// ListSegments implements Backend.
+func (l *Local) ListSegments() ([]SegmentInfo, error) {
+	entries, err := os.ReadDir(filepath.Join(l.dir, segmentDir))
+	if err != nil {
+		return nil, fmt.Errorf("persist: list segments: %w", err)
+	}
+	out := make([]SegmentInfo, 0, len(entries))
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		info, err := e.Info()
+		if os.IsNotExist(err) {
+			continue // deleted since the directory was read
+		}
+		if err != nil {
+			return nil, fmt.Errorf("persist: stat segment: %w", err)
+		}
+		out = append(out, SegmentInfo{Name: e.Name(), Size: info.Size()})
+	}
+	return out, nil
 }
 
 // Close implements Backend.
@@ -183,8 +294,9 @@ func (l *Local) Close() error {
 	return l.wal.Close()
 }
 
-// syncDir best-effort fsyncs a directory so the rename of a checkpoint
-// is itself durable; filesystems that reject directory fsync (some
+// syncDir best-effort fsyncs a directory so a checkpoint's rename, or a
+// new segment's entry, is itself durable; filesystems that reject
+// directory fsync (some
 // network mounts) degrade to the OS's own flush.
 func syncDir(dir string) {
 	d, err := os.Open(dir)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -76,6 +77,30 @@ func TestDecodeCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
+// FuzzDecodeFrames: arbitrary bytes never panic the decoder, the
+// payloads it returns plus the torn byte count account for the whole
+// input, and re-encoding the payloads reproduces the intact prefix.
+func FuzzDecodeFrames(f *testing.F) {
+	two := append(EncodeFrame([]byte(`{"kind":"ingest"}`)), EncodeFrame(nil)...)
+	f.Add([]byte{})
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	f.Add(append(append([]byte(nil), two...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payloads, torn := DecodeFrames(data)
+		var intact []byte
+		for _, p := range payloads {
+			intact = append(intact, EncodeFrame(p)...)
+		}
+		if int64(len(intact))+torn != int64(len(data)) {
+			t.Fatalf("%d intact + %d torn bytes, want %d", len(intact), torn, len(data))
+		}
+		if !bytes.Equal(intact, data[:len(intact)]) {
+			t.Fatal("re-encoded payloads differ from the intact prefix")
+		}
+	})
+}
+
 // backends returns a fresh instance of every Backend implementation for
 // the shared contract test.
 func backends(t *testing.T) map[string]Backend {
@@ -132,6 +157,87 @@ func TestBackendContract(t *testing.T) {
 				t.Fatalf("post-checkpoint wal = %q", recs)
 			}
 		})
+	}
+}
+
+// TestBackendSegmentContract: segments are stored, listed in name
+// order, read back and deleted alike on every backend, and
+// SnapshotSize counts them before any snapshot exists.
+func TestBackendSegmentContract(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			if segs, err := b.ListSegments(); err != nil || len(segs) != 0 {
+				t.Fatalf("fresh segments = %v, %v", segs, err)
+			}
+			for _, seg := range []struct{ name, data string }{{"s2", "de"}, {"s1", "abc"}} {
+				if err := b.PutSegment(seg.name, []byte(seg.data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sz, _ := b.SnapshotSize(); sz != 5 {
+				t.Fatalf("SnapshotSize with segments and no snapshot = %d, want 5", sz)
+			}
+			segs, err := b.ListSegments()
+			if err != nil || fmt.Sprint(segs) != "[{s1 3} {s2 2}]" {
+				t.Fatalf("segments = %v, %v", segs, err)
+			}
+			if got, err := b.ReadSegment("s1"); err != nil || string(got) != "abc" {
+				t.Fatalf("s1 = %q, %v", got, err)
+			}
+			if _, err := b.ReadSegment("nope"); !errors.Is(err, ErrNoSegment) {
+				t.Fatalf("missing segment = %v, want ErrNoSegment", err)
+			}
+			if err := b.DeleteSegment("s1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.DeleteSegment("s1"); err != nil {
+				t.Fatalf("deleting a missing segment = %v", err)
+			}
+			if err := b.Checkpoint([]byte("snap")); err != nil {
+				t.Fatal(err)
+			}
+			if sz, _ := b.SnapshotSize(); sz != 6 {
+				t.Fatalf("SnapshotSize = %d, want snapshot 4 + segment 2", sz)
+			}
+		})
+	}
+}
+
+// TestLocalSegmentsSurviveReopen: a segment put under SyncAlways is a
+// file under segments/ a fresh handle reads back; a name that could
+// leave that directory, or one already stored, is refused.
+func TestLocalSegmentsSurviveReopen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "persist")
+	b, err := NewLocal(dir, WithSync(SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutSegment("0001", []byte("raw")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutSegment("0001", []byte("again")); err == nil {
+		t.Error("a put over a stored segment succeeded")
+	}
+	for _, bad := range []string{"", ".", "..", "../snapshot", `a\b`} {
+		if err := b.PutSegment(bad, []byte("x")); err == nil {
+			t.Errorf("put of segment %q succeeded", bad)
+		}
+		if _, err := b.ReadSegment(bad); err == nil {
+			t.Errorf("read of segment %q succeeded", bad)
+		}
+	}
+	b2, err := NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b2.ReadSegment("0001"); err != nil || string(got) != "raw" {
+		t.Fatalf("segment after reopen = %q, %v", got, err)
+	}
+	if err := b2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b2.PutSegment("0002", []byte("x")); err != ErrClosed {
+		t.Fatalf("put after close = %v, want ErrClosed", err)
 	}
 }
 
