@@ -385,7 +385,7 @@ func dispatch(ctx context.Context, lake *golake.Lake, user, cmd string, args []s
 				}
 			}()
 		}
-		fmt.Printf("serving lake REST v1 API on %s under /v1/* (X-Lake-User header selects the user; unversioned routes are deprecated aliases; Prometheus metrics on GET /v1/metrics)\n", addr)
+		fmt.Printf("serving lake REST v1 API on %s under /v1/* (X-Lake-User header selects the user; Prometheus metrics on GET /v1/metrics)\n", addr)
 		srv := &http.Server{
 			Addr:    addr,
 			Handler: lake.HTTPHandler(),

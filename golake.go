@@ -13,7 +13,7 @@
 //	storage      polystore routing over file/KV/document/graph stores
 //	ingestion    metadata extraction (GEMMS, DATAMARAN, Skluma) and
 //	             modeling (GEMMS, HANDLE, data vault, Aurum EKG)
-//	maintenance  organization (GOODS, DS-kNN, KAYAK, Nargesian, Juneau),
+//	maintenance  organization (GOODS, DS-kNN, Nargesian, Juneau),
 //	             discovery (JOSIE, Aurum, D3L, PEXESO, Juneau, DLN),
 //	             integration (Constance, ALITE), enrichment (D4,
 //	             DomainNet, RFDs, CoreDB), cleaning (CLAMS,
@@ -94,9 +94,7 @@
 // and sort strategy; every executed stream exposes the same Plan()
 // plus live Stats().
 //
-// QuerySQL remains the materializing collector over the same pipeline.
-// The older QueryStream/QueryStreamFanIn methods are deprecated shims
-// over Query (they keep their frozen sequential-by-default behavior).
+// QuerySQL is the materializing collector over the same pipeline.
 //
 // Over REST, POST /v1/query accepts {"sql", "order", "limit", "fanin",
 // "buffer_rows", "batch_rows", "explain"} and streams chunked NDJSON when the
@@ -157,7 +155,8 @@
 // The same surface is served over REST by Lake.HTTPHandler: a
 // versioned /v1 API with a structured error envelope (see
 // internal/core's route table), including GET/POST /v1/maintenance for
-// the maintenance subsystem.
+// the maintenance subsystem. Every route lives under /v1, and list
+// endpoints page by cursor.
 //
 // # Durability & recovery
 //
@@ -471,13 +470,6 @@ func NewHashRing(members []string, vnodes int) *HashRing {
 
 // Open assembles a data lake rooted at dir.
 func Open(dir string, opts ...Option) (*Lake, error) { return core.Open(dir, opts...) }
-
-// OpenWithClock assembles a lake with a custom clock.
-//
-// Deprecated: use Open(dir, WithClock(clock)).
-func OpenWithClock(dir string, clock func() time.Time) (*Lake, error) {
-	return core.Open(dir, core.WithClock(clock))
-}
 
 // ParseCSV parses CSV text into a Table.
 func ParseCSV(name, content string) (*Table, error) { return table.ParseCSV(name, content) }

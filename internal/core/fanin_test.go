@@ -65,40 +65,46 @@ func collectSorted(t *testing.T, it query.RowIterator) []string {
 }
 
 // TestLakeWithFanInMatchesSequential pins end-to-end equivalence at the
-// Lake level: WithFanIn changes interleaving, never the result set.
+// Lake level: the fan-in width, per request or lake-wide, changes
+// interleaving, never the result set.
 func TestLakeWithFanInMatchesSequential(t *testing.T) {
-	seqLake := fanInLake(t)
+	seqLake := fanInLake(t, WithFanIn(1, 0))
 	parLake := fanInLake(t, WithFanIn(8, 64))
 	const sql = "SELECT city, price FROM rel:hotels_rel, doc:hotels_doc WHERE price > 40"
-	ctx := context.Background()
-	seqIt, err := seqLake.QueryStream(ctx, "dana", sql)
-	if err != nil {
-		t.Fatal(err)
+	run := func(l *Lake, req query.Request, width int) []string {
+		t.Helper()
+		st, err := l.Query(context.Background(), "dana", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Plan().FanIn; got != width {
+			t.Fatalf("fanin %d/%d: plan width %d, want %d", req.FanIn, l.Engine.FanIn.Workers, got, width)
+		}
+		return collectSorted(t, st)
 	}
-	want := collectSorted(t, seqIt)
+	want := run(seqLake, query.Request{SQL: sql}, 1)
 	if len(want) == 0 {
 		t.Fatal("fixture returned no rows")
 	}
-	parIt, err := parLake.QueryStream(ctx, "dana", sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectSorted(t, parIt)
-	if len(got) != len(want) {
-		t.Fatalf("parallel fan-in returned %d rows, sequential %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: parallel %q, sequential %q", i, got[i], want[i])
+	for _, c := range []struct {
+		l     *Lake
+		req   query.Request
+		width int
+	}{
+		{parLake, query.Request{SQL: sql}, 2},
+		// The per-request width wins over the lake default both ways.
+		{seqLake, query.Request{SQL: sql, FanIn: 4, BufferRows: 32}, 2},
+		{parLake, query.Request{SQL: sql, FanIn: 1}, 1},
+	} {
+		got := run(c.l, c.req, c.width)
+		if len(got) != len(want) {
+			t.Fatalf("fanin %d: %d rows, sequential %d", c.req.FanIn, len(got), len(want))
 		}
-	}
-	// The per-query override must win over the lake default both ways.
-	overrideIt, err := seqLake.QueryStreamFanIn(ctx, "dana", sql, query.FanInOptions{Workers: 4, BufferRows: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := collectSorted(t, overrideIt); len(got) != len(want) {
-		t.Fatalf("per-query fan-in override returned %d rows, want %d", len(got), len(want))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fanin %d: row %d is %q, sequential %q", c.req.FanIn, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -190,25 +196,6 @@ func TestV1QueryFanInValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyQueryAliasIgnoresFanInKnobs: the deprecated /query alias
-// keeps its frozen pre-v1 semantics — the fanin/buffer_rows fields are
-// ignored exactly as unknown fields always were, even at values the v1
-// route would reject.
-func TestLegacyQueryAliasIgnoresFanInKnobs(t *testing.T) {
-	srv := fanInServer(t)
-	resp, data := do(t, srv, http.MethodPost, "/query", "dana",
-		`{"sql":"SELECT city FROM rel:hotels_rel","fanin":10000,"buffer_rows":-1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias rejected ignored fields: %d %s", resp.StatusCode, data)
-	}
-	var out struct {
-		Rows [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil || len(out.Rows) != 300 {
-		t.Fatalf("legacy alias rows = %d (%v), want 300", len(out.Rows), err)
-	}
-}
-
 // TestV1QueryFanInJSONPath: the override also applies to the plain JSON
 // (materializing) response shape.
 func TestV1QueryFanInJSONPath(t *testing.T) {
@@ -230,13 +217,15 @@ func TestV1QueryFanInJSONPath(t *testing.T) {
 	}
 }
 
-// TestQueryStreamFanInCancelReleases: cancelling a fanned-in stream
-// mid-flight must not leak pullers (guarded by -race + the WaitGroup in
-// Close) and must surface a classified error.
+// TestQueryStreamFanInCancelReleases: cancelling a fanned-in query
+// stream mid-flight must not leak pullers (guarded by -race + the
+// WaitGroup in Close) and must surface a classified error.
 func TestQueryStreamFanInCancelReleases(t *testing.T) {
-	l := fanInLake(t, WithFanIn(8, 16))
+	l := fanInLake(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	it, err := l.QueryStream(ctx, "dana", "SELECT city FROM rel:hotels_rel, doc:hotels_doc")
+	it, err := l.Query(ctx, "dana", query.Request{
+		SQL: "SELECT city FROM rel:hotels_rel, doc:hotels_doc", FanIn: 8, BufferRows: 16,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,15 +54,10 @@ import (
 //	GET  /v1/maintenance                 maintenance status snapshot
 //	POST /v1/maintenance                 run a pass now (409 if running)
 //
-// List endpoints paginate with an opaque cursor (next_cursor in the
-// envelope); limit/offset remain as deprecated aliases of the first
-// release.
-//
-// The unversioned routes of the first release (/datasets, /metadata,
-// /related, /query, /lineage, /audit, /swamp) remain as deprecated
-// aliases: same semantics and pre-v1 wire shapes (flat arrays, flat
-// {"error": "message"} failures), plus a Deprecation header pointing
-// at the /v1 successor.
+// List endpoints paginate with limit and an opaque cursor (next_cursor
+// in the envelope); an offset parameter is an invalid query. A path
+// outside /v1/ — the unversioned routes of the first release included
+// — is not_found, in the same envelope.
 func (l *Lake) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/datasets", l.handleDatasetsV1)
@@ -78,27 +73,14 @@ func (l *Lake) HTTPHandler() http.Handler {
 	mux.HandleFunc("GET /v1/maintenance", l.handleMaintenanceStatus)
 	mux.HandleFunc("POST /v1/maintenance", l.handleMaintenanceTrigger)
 	mux.HandleFunc("GET /v1/metrics", l.handleMetrics)
-	// Deprecated pre-v1 aliases.
-	mux.HandleFunc("GET /datasets", deprecated("/v1/datasets", l.handleDatasetsLegacy))
-	mux.HandleFunc("GET /metadata", deprecated("/v1/metadata", l.handleMetadata))
-	mux.HandleFunc("GET /related", deprecated("/v1/related", l.handleRelated))
-	mux.HandleFunc("POST /query", deprecated("/v1/query", l.handleQuery))
-	mux.HandleFunc("GET /lineage", deprecated("/v1/lineage", l.handleLineageLegacy))
-	mux.HandleFunc("GET /audit", deprecated("/v1/audit", l.handleAuditLegacy))
-	mux.HandleFunc("GET /swamp", deprecated("/v1/swamp", l.handleSwamp))
 	return l.recoverMW(l.obsMW(mux))
 }
 
 type ctxKey int
 
-const (
-	// legacyKey marks requests arriving through a deprecated alias, so
-	// writeErr keeps the pre-v1 flat error wire shape for them.
-	legacyKey ctxKey = iota
-	// authUserKey carries the bearer-token-resolved user; it outranks
-	// the spoofable X-Lake-User header in userOf.
-	authUserKey
-)
+// authUserKey carries the bearer-token-resolved user; it outranks the
+// spoofable X-Lake-User header in userOf.
+const authUserKey ctxKey = 0
 
 // authMW resolves bearer credentials: a request carrying
 // "Authorization: Bearer <token>" acts as the token's registered user
@@ -114,33 +96,18 @@ func (l *Lake) authMW(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		// legacyKey is attached inside the mux, below this middleware —
-		// reject by path so alias routes keep their flat error shape.
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			r = r.WithContext(context.WithValue(r.Context(), legacyKey, true))
-		}
 		token, ok := strings.CutPrefix(auth, "Bearer ")
 		if !ok || strings.TrimSpace(token) == "" {
-			writeErr(w, r, lakeerr.Errorf(lakeerr.CodeUnauthorized, "auth: Authorization must be a bearer token"))
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeUnauthorized, "auth: Authorization must be a bearer token"))
 			return
 		}
 		user, ok := l.userForToken(strings.TrimSpace(token))
 		if !ok {
-			writeErr(w, r, lakeerr.Errorf(lakeerr.CodeUnauthorized, "auth: unknown bearer token"))
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeUnauthorized, "auth: unknown bearer token"))
 			return
 		}
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), authUserKey, user)))
 	})
-}
-
-// deprecated marks a legacy alias route with the Deprecation header
-// and a Link to its versioned successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r.WithContext(context.WithValue(r.Context(), legacyKey, true)))
-	}
 }
 
 // recoverMW turns handler panics into a structured internal error
@@ -157,18 +124,12 @@ func (l *Lake) recoverMW(next http.Handler) http.Handler {
 				if l.logger != nil {
 					l.logger.Error("panic", "method", r.Method, "path", r.URL.Path, "panic", rec)
 				}
-				// legacyKey is attached inside the mux, below this
-				// middleware — recover by path so alias routes keep
-				// their flat error shape even on panic.
-				if !strings.HasPrefix(r.URL.Path, "/v1/") {
-					r = r.WithContext(context.WithValue(r.Context(), legacyKey, true))
-				}
 				err := lakeerr.Errorf(lakeerr.CodeInternal, "internal error")
 				if sw.started && strings.HasPrefix(sw.Header().Get("Content-Type"), ndjsonContentType) {
 					writeNDJSONError(sw, err)
 					return
 				}
-				writeErr(sw, r, err)
+				writeErr(sw, err)
 			}
 		}()
 		next.ServeHTTP(sw, r)
@@ -233,8 +194,13 @@ func (l *Lake) obsMW(mux *http.ServeMux) http.Handler {
 			m.httpInFlight.Inc()
 			defer m.httpInFlight.Dec()
 		}
-		next := l.authMW(mux)
-		next.ServeHTTP(sw, r)
+		if route == unmatchedRoute && !strings.HasPrefix(r.URL.Path, "/v1/") {
+			// Every route lives under /v1/, so no method reaches this
+			// path: it is not_found whoever asks, before authentication.
+			writeErr(sw, lakeerr.Errorf(lakeerr.CodeNotFound, "no route %s; the API is served under /v1/", r.URL.Path))
+		} else {
+			l.authMW(mux).ServeHTTP(sw, r)
+		}
 		elapsed := time.Since(start)
 		if m := l.metrics; m != nil {
 			m.httpRequests.With(route, r.Method, statusClass(sw.status)).Inc()
@@ -250,13 +216,17 @@ func (l *Lake) obsMW(mux *http.ServeMux) http.Handler {
 	})
 }
 
+// unmatchedRoute is the metric label of requests no route pattern
+// matches.
+const unmatchedRoute = "unmatched"
+
 // routeOf recovers the matched route pattern for metric labels — the
 // registered pattern, not the raw path, so label cardinality stays
 // bounded no matter what paths clients probe.
 func routeOf(mux *http.ServeMux, r *http.Request) string {
 	_, pattern := mux.Handler(r)
 	if pattern == "" {
-		return "unmatched"
+		return unmatchedRoute
 	}
 	// Patterns read "METHOD /path"; the method is its own label.
 	if _, path, ok := strings.Cut(pattern, " "); ok {
@@ -286,7 +256,7 @@ func statusClass(code int) string {
 func (l *Lake) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := l.Metrics()
 	if reg == nil {
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeUnavailable, "metrics: disabled on this lake (WithMetrics(false))"))
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeUnavailable, "metrics: disabled on this lake (WithMetrics(false))"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -322,13 +292,12 @@ type errBody struct {
 
 // writeErr maps a classified error onto its HTTP status and the
 // structured envelope. Classification comes from the lakeerr taxonomy
-// (errors.As under the hood) — never from message text. Requests
-// through deprecated aliases keep the pre-v1 flat {"error": "msg"}
-// shape. Once the response body has started, the envelope can no
-// longer be framed — writeErr becomes a no-op instead of interleaving
-// an error object into a partial payload (streaming handlers emit
-// their own in-band trailer).
-func writeErr(w http.ResponseWriter, r *http.Request, err error) {
+// (errors.As under the hood) — never from message text. Once the
+// response body has started, the envelope can no longer be framed —
+// writeErr becomes a no-op instead of interleaving an error object
+// into a partial payload (streaming handlers emit their own in-band
+// trailer).
+func writeErr(w http.ResponseWriter, err error) {
 	if sw, ok := w.(*statusWriter); ok && sw.started {
 		return
 	}
@@ -341,10 +310,6 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	if r != nil && r.Context().Value(legacyKey) != nil {
-		writeJSON(w, httpStatus(code), map[string]string{"error": err.Error()})
-		return
 	}
 	writeJSON(w, httpStatus(code), errEnvelope{Error: errBody{
 		Code:    string(code),
@@ -382,14 +347,11 @@ func orEmpty[T any](s []T) []T {
 }
 
 // page is the paginated v1 list envelope. NextCursor, when present, is
-// the opaque token of the following page; clients should prefer it
-// over computing offsets (limit/offset remain supported but are
-// deprecated — offsets shift under concurrent ingest, cursors do not).
+// the opaque token of the following page.
 type page[T any] struct {
 	Items      []T    `json:"items"`
 	Total      int    `json:"total"`
 	Limit      int    `json:"limit"`
-	Offset     int    `json:"offset"`
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
@@ -399,17 +361,18 @@ const (
 )
 
 // pageParams are the decoded pagination inputs of one list request.
-// Cursor is the decoded opaque payload ("" when absent); when set it
-// takes precedence over Offset.
+// Cursor is the decoded opaque payload ("" for the first page).
 type pageParams struct {
-	limit, offset int
-	cursor        string
+	limit  int
+	cursor string
 }
 
-// parsePage reads limit/offset/cursor query parameters, applying the
+// parsePage reads the limit and cursor query parameters, applying the
 // default and maximum bounds. Malformed or negative values are invalid
 // queries, not silent defaults; an explicit limit=0 is honored (an
-// empty page carrying only the total).
+// empty page carrying only the total). An offset parameter is refused
+// rather than ignored: ignoring it would serve an offset-paging client
+// the first page forever.
 func parsePage(r *http.Request) (pageParams, error) {
 	p := pageParams{limit: defaultPageLimit}
 	var err error
@@ -422,11 +385,8 @@ func parsePage(r *http.Request) (pageParams, error) {
 			p.limit = maxPageLimit
 		}
 	}
-	if s := r.URL.Query().Get("offset"); s != "" {
-		p.offset, err = strconv.Atoi(s)
-		if err != nil || p.offset < 0 {
-			return pageParams{}, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "bad offset %q", s)
-		}
+	if r.URL.Query().Has("offset") {
+		return pageParams{}, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "offset paging is not supported; follow next_cursor")
 	}
 	if s := r.URL.Query().Get("cursor"); s != "" {
 		p.cursor, err = decodeCursor(s)
@@ -463,14 +423,11 @@ func decodeCursor(s string) (string, error) {
 }
 
 // paginateKeyset pages key-sorted items, resuming strictly after the
-// cursor's key — a new item landing before the cursor shifts offsets
-// but never repeats or skips what keyset pages already covered. Pages
-// link forward through keyset next-cursors even when the first page
-// was addressed by offset, so clients migrate off offsets by following
-// next_cursor once.
+// cursor's key — a new item landing before the cursor shifts positions
+// but never repeats or skips what earlier pages already covered.
 func paginateKeyset[T any](items []T, key func(T) string, p pageParams) (page[T], error) {
 	total := len(items)
-	start := p.offset
+	start := 0
 	if p.cursor != "" {
 		after, ok := strings.CutPrefix(p.cursor, cursorKeyset)
 		if !ok {
@@ -485,7 +442,7 @@ func paginateKeyset[T any](items []T, key func(T) string, p pageParams) (page[T]
 	if end > total {
 		end = total
 	}
-	pg := page[T]{Items: orEmpty(items[start:end]), Total: total, Limit: p.limit, Offset: start}
+	pg := page[T]{Items: orEmpty(items[start:end]), Total: total, Limit: p.limit}
 	if end < total && end > start {
 		pg.NextCursor = encodeCursor(cursorKeyset + key(items[end-1]))
 	}
@@ -497,7 +454,7 @@ func paginateKeyset[T any](items []T, key func(T) string, p pageParams) (page[T]
 // positions are stable.
 func paginatePositional[T any](items []T, p pageParams) (page[T], error) {
 	total := len(items)
-	start := p.offset
+	start := 0
 	if p.cursor != "" {
 		pos, ok := strings.CutPrefix(p.cursor, cursorPositional)
 		if !ok {
@@ -516,7 +473,7 @@ func paginatePositional[T any](items []T, p pageParams) (page[T], error) {
 	if end > total {
 		end = total
 	}
-	pg := page[T]{Items: orEmpty(items[start:end]), Total: total, Limit: p.limit, Offset: start}
+	pg := page[T]{Items: orEmpty(items[start:end]), Total: total, Limit: p.limit}
 	if end < total && end > start {
 		pg.NextCursor = encodeCursor(cursorPositional + strconv.Itoa(end))
 	}
@@ -544,21 +501,17 @@ func (l *Lake) listDatasets() []datasetEntry {
 func (l *Lake) handleDatasetsV1(w http.ResponseWriter, r *http.Request) {
 	p, err := parsePage(r)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	// Catalog listings are ID-sorted, so dataset pages walk the keyset:
-	// concurrent ingests shift offsets but not cursors.
+	// concurrent ingests shift positions but not cursors.
 	pg, err := paginateKeyset(l.listDatasets(), func(e datasetEntry) string { return e.ID }, p)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, pg)
-}
-
-func (l *Lake) handleDatasetsLegacy(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, l.listDatasets())
 }
 
 // ingestRequest is the POST /v1/datasets body.
@@ -571,12 +524,12 @@ type ingestRequest struct {
 func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 	user := userOf(r)
 	if _, err := l.roleOf(user); err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	var body ingestRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Path == "" {
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body needs path and content"))
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body needs path and content"))
 		return
 	}
 	if body.Source == "" {
@@ -584,7 +537,7 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := l.Ingest(r.Context(), body.Path, []byte(body.Content), body.Source, user)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
@@ -599,11 +552,11 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (l *Lake) handleEvict(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "evict: path parameter required"))
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "evict: path parameter required"))
 		return
 	}
 	if err := l.Evict(r.Context(), userOf(r), path); err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"evicted": path})
@@ -612,7 +565,7 @@ func (l *Lake) handleEvict(w http.ResponseWriter, r *http.Request) {
 func (l *Lake) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	obj, err := l.Metadata(r.Context(), r.URL.Query().Get("id"))
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -631,7 +584,7 @@ func (l *Lake) handleRelated(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := l.RelatedTables(r.Context(), userOf(r), name, k)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, orEmpty(res))
@@ -653,12 +606,12 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// cannot use the 404/403 difference as an existence oracle.
 	user := userOf(r)
 	if _, err := l.roleOf(user); err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	var body exploreRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Table == "" {
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: body needs mode and table"))
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: body needs mode and table"))
 		return
 	}
 	req := explore.Request{K: body.K, Column: body.Column}
@@ -666,7 +619,7 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 	case "join-column":
 		req.Mode = explore.ModeJoinColumn
 		if body.Column == "" {
-			writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: join-column mode needs column"))
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: join-column mode needs column"))
 			return
 		}
 	case "populate", "":
@@ -681,22 +634,22 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 		case "clean":
 			req.Task = discovery.TaskClean
 		default:
-			writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: unknown task %q", body.Task))
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: unknown task %q", body.Task))
 			return
 		}
 	default:
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: unknown mode %q", body.Mode))
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: unknown mode %q", body.Mode))
 		return
 	}
 	t, err := l.Poly.Rel.Table(body.Table)
 	if err != nil {
-		writeErr(w, r, lakeerr.Wrap(lakeerr.CodeNotFound, err))
+		writeErr(w, lakeerr.Wrap(lakeerr.CodeNotFound, err))
 		return
 	}
 	req.Query = t
 	res, err := l.Explore(r.Context(), userOf(r), req)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, orEmpty(res))
@@ -803,20 +756,12 @@ func (b queryRequest) request() (query.Request, error) {
 func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var body queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.SQL == "" {
-		writeErr(w, r, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: bad request body"))
-		return
-	}
-	// The Request knobs are a /v1 capability, like NDJSON streaming:
-	// deprecated aliases keep their frozen pre-v1 semantics — ignored
-	// unknown fields and the sequential union — exactly as they always
-	// did.
-	if r.Context().Value(legacyKey) != nil {
-		l.handleQueryLegacy(w, r, body.SQL)
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: bad request body"))
 		return
 	}
 	req, err := body.request()
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	// Open the stream before committing to either wire shape, so
@@ -825,7 +770,7 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// same stream; they differ only in framing.
 	st, err := l.Query(r.Context(), userOf(r), req)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	if st.ExplainOnly() {
@@ -839,7 +784,7 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := query.Collect(r.Context(), st)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	serStart := time.Now()
@@ -847,23 +792,6 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st.AddSpan("serialize", time.Since(serStart))
 	out["stats"] = st.Stats()
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleQueryLegacy serves the deprecated /query alias with its frozen
-// pre-v1 semantics: sequential union (unless WithFanIn), JSON envelope
-// only, no Request knobs.
-func (l *Lake) handleQueryLegacy(w http.ResponseWriter, r *http.Request, sql string) {
-	st, err := l.queryLegacy(r.Context(), userOf(r), sql, l.Engine.FanIn)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	res, err := query.Collect(r.Context(), st)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tableJSON(res))
 }
 
 // batchStream is what streamNDJSON drains: a query stream's header and
@@ -967,72 +895,50 @@ func tableJSON(t *table.Table) map[string]any {
 	return map[string]any{"columns": orEmpty(t.ColumnNames()), "rows": rows}
 }
 
-func (l *Lake) lineageOf(r *http.Request) ([]string, error) {
-	return l.Lineage(r.Context(), r.URL.Query().Get("entity"))
-}
-
 func (l *Lake) handleLineageV1(w http.ResponseWriter, r *http.Request) {
 	p, err := parsePage(r)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
-	up, err := l.lineageOf(r)
+	up, err := l.Lineage(r.Context(), r.URL.Query().Get("entity"))
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	// Upstream listings come back sorted, so pages walk the keyset: a
 	// derivation recorded mid-walk shifts positions but not cursors.
 	pg, err := paginateKeyset(up, func(e string) string { return e }, p)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, pg)
-}
-
-func (l *Lake) handleLineageLegacy(w http.ResponseWriter, r *http.Request) {
-	up, err := l.lineageOf(r)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, orEmpty(up))
 }
 
 func (l *Lake) handleAuditV1(w http.ResponseWriter, r *http.Request) {
 	p, err := parsePage(r)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	events, err := l.Audit(r.Context(), userOf(r), r.URL.Query().Get("entity"))
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	pg, err := paginatePositional(events, p)
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, pg)
 }
 
-func (l *Lake) handleAuditLegacy(w http.ResponseWriter, r *http.Request) {
-	events, err := l.Audit(r.Context(), userOf(r), r.URL.Query().Get("entity"))
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, orEmpty(events))
-}
-
 func (l *Lake) handleSwamp(w http.ResponseWriter, r *http.Request) {
 	rep, err := l.SwampAudit(r.Context())
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -1048,12 +954,12 @@ func (l *Lake) handleMaintenanceStatus(w http.ResponseWriter, r *http.Request) {
 // next tick — already covers the data.
 func (l *Lake) handleMaintenanceTrigger(w http.ResponseWriter, r *http.Request) {
 	if _, err := l.roleOf(userOf(r)); err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	rep, err := l.TriggerMaintain(r.Context())
 	if err != nil {
-		writeErr(w, r, err)
+		writeErr(w, err)
 		return
 	}
 	// Same wire projection as the status endpoint's last_pass, plus

@@ -76,10 +76,10 @@ func envelope(t *testing.T, body []byte) (code, message string) {
 
 // pageOf decodes the v1 paginated list envelope with raw items.
 type pageOf struct {
-	Items  []json.RawMessage `json:"items"`
-	Total  int               `json:"total"`
-	Limit  int               `json:"limit"`
-	Offset int               `json:"offset"`
+	Items      []json.RawMessage `json:"items"`
+	Total      int               `json:"total"`
+	Limit      int               `json:"limit"`
+	NextCursor string            `json:"next_cursor"`
 }
 
 func TestV1DatasetsPagination(t *testing.T) {
@@ -92,19 +92,27 @@ func TestV1DatasetsPagination(t *testing.T) {
 	if err := json.Unmarshal(body, &pg); err != nil {
 		t.Fatal(err)
 	}
-	if pg.Total != 2 || len(pg.Items) != 2 || pg.Limit != defaultPageLimit || pg.Offset != 0 {
-		t.Errorf("page = total %d items %d limit %d offset %d", pg.Total, len(pg.Items), pg.Limit, pg.Offset)
+	if pg.Total != 2 || len(pg.Items) != 2 || pg.Limit != defaultPageLimit || pg.NextCursor != "" {
+		t.Errorf("page = total %d items %d limit %d cursor %q", pg.Total, len(pg.Items), pg.Limit, pg.NextCursor)
 	}
-	// limit/offset window.
-	_, body = get(t, srv, "/v1/datasets?limit=1&offset=1", "dana")
+	// A limit window links to the rest through next_cursor.
+	_, body = get(t, srv, "/v1/datasets?limit=1", "dana")
 	if err := json.Unmarshal(body, &pg); err != nil {
 		t.Fatal(err)
 	}
-	if pg.Total != 2 || len(pg.Items) != 1 || pg.Offset != 1 {
-		t.Errorf("windowed page = %+v", pg)
+	if pg.Total != 2 || len(pg.Items) != 1 || pg.NextCursor == "" {
+		t.Fatalf("windowed page = %+v", pg)
 	}
-	// Offset past the end yields an empty (not null) items array.
-	_, body = get(t, srv, "/v1/datasets?offset=99", "dana")
+	_, body = get(t, srv, "/v1/datasets?limit=1&cursor="+pg.NextCursor, "dana")
+	pg = pageOf{}
+	if err := json.Unmarshal(body, &pg); err != nil {
+		t.Fatal(err)
+	}
+	if pg.Total != 2 || len(pg.Items) != 1 || pg.NextCursor != "" {
+		t.Errorf("last page = %+v", pg)
+	}
+	// A cursor past the end yields an empty (not null) items array.
+	_, body = get(t, srv, "/v1/datasets?cursor="+encodeCursor(cursorKeyset+"~"), "dana")
 	if !strings.Contains(string(body), `"items":[]`) {
 		t.Errorf("past-end page should encode items as []: %s", body)
 	}
@@ -357,73 +365,102 @@ func TestV1SwampAndEmptyLists(t *testing.T) {
 	if !strings.Contains(string(body), `"Swamp":[]`) {
 		t.Errorf("swamp list should encode as []: %s", body)
 	}
-	// An empty lake's list endpoints all encode [] too.
+	// Empty lists page as "items":[], not null: an empty lake's
+	// catalog, and a dataset with no upstream.
 	empty := testLake(t)
 	esrv := httptest.NewServer(empty.HTTPHandler())
 	defer esrv.Close()
-	for _, path := range []string{"/datasets", "/lineage?entity="} {
-		_, body := get(t, esrv, path, "dana")
-		s := strings.TrimSpace(string(body))
-		if path == "/datasets" && s != "[]" {
-			t.Errorf("legacy %s on empty lake = %q, want []", path, s)
+	for _, c := range []struct {
+		srv  *httptest.Server
+		path string
+	}{
+		{esrv, "/v1/datasets"},
+		{srv, "/v1/lineage?entity=raw/orders.csv"},
+	} {
+		_, body := get(t, c.srv, c.path, "dana")
+		if !strings.Contains(string(body), `"items":[]`) {
+			t.Errorf("%s = %s, want \"items\":[]", c.path, body)
 		}
 	}
 }
 
-func TestLegacyAliasRoutes(t *testing.T) {
+// TestUnversionedRoutesAreNotFound: the first release's unversioned
+// routes answer 404 in the v1 error envelope — without credentials,
+// with a bad bearer token, and behind a panicking handler; the flat
+// {"error":"msg"} shape never appears. A known path asked with the
+// wrong method keeps its 405. List endpoints refuse offset paging with
+// a typed 400 that points at next_cursor.
+func TestUnversionedRoutesAreNotFound(t *testing.T) {
 	srv := apiLake(t)
-	// Legacy routes keep their original wire shapes and statuses, plus
-	// a Deprecation header pointing at the v1 successor.
-	resp, body := get(t, srv, "/datasets", "dana")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy datasets status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy datasets missing Deprecation header")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), "/v1/datasets") {
-		t.Errorf("legacy Link = %q", resp.Header.Get("Link"))
-	}
-	var entries []map[string]string
-	if err := json.Unmarshal(body, &entries); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy datasets = %s (%v)", body, err)
-	}
-	// Flat arrays, not pagination envelopes.
-	resp, body = get(t, srv, "/lineage?entity=raw/orders.csv", "dana")
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
-		t.Errorf("legacy lineage = %d %q", resp.StatusCode, body)
-	}
-	resp, _ = get(t, srv, "/audit?entity=raw/orders.csv", "gov")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy audit status = %d", resp.StatusCode)
-	}
-	// Statuses still derive from the typed taxonomy.
-	checks := []struct {
-		method, path, user, body string
-		status                   int
-	}{
-		{http.MethodGet, "/metadata?id=ghost", "dana", "", http.StatusNotFound},
-		{http.MethodGet, "/related?table=orders&k=2", "dana", "", http.StatusOK},
-		{http.MethodGet, "/related?table=orders", "mallory", "", http.StatusForbidden},
-		{http.MethodGet, "/audit?entity=raw/orders.csv", "dana", "", http.StatusForbidden},
-		{http.MethodPost, "/query", "dana", `not json`, http.StatusBadRequest},
-		{http.MethodGet, "/swamp", "dana", "", http.StatusOK},
-		{http.MethodGet, "/lineage?entity=ghost", "dana", "", http.StatusNotFound},
-	}
-	for _, c := range checks {
-		resp, _ := do(t, srv, c.method, c.path, c.user, c.body)
-		if resp.StatusCode != c.status {
-			t.Errorf("legacy %s %s as %q: status = %d, want %d", c.method, c.path, c.user, resp.StatusCode, c.status)
+	panicking := httptest.NewServer(testLake(t).recoverMW(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("boom")
+	})))
+	defer panicking.Close()
+	send := func(base, method, path, auth string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(`{"sql":"SELECT id FROM rel:orders"}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s missing Deprecation header", c.path)
+		req.Header.Set("X-Lake-User", "gov")
+		if auth != "" {
+			req.Header.Set("Authorization", auth)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/datasets"},
+		{http.MethodGet, "/metadata?id=raw/orders.csv"},
+		{http.MethodGet, "/related?table=orders&k=2"},
+		{http.MethodPost, "/query"},
+		{http.MethodGet, "/lineage?entity=raw/orders.csv"},
+		{http.MethodGet, "/audit?entity=raw/orders.csv"},
+		{http.MethodGet, "/swamp"},
+	} {
+		for _, auth := range []string{"", "Bearer no-such-token"} {
+			resp, body := send(srv.URL, r.method, r.path, auth)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s (auth %q): status = %d, want 404", r.method, r.path, auth, resp.StatusCode)
+			}
+			if code, msg := envelope(t, body); code != "not_found" || msg == "" {
+				t.Errorf("%s %s (auth %q): envelope = %q %q", r.method, r.path, auth, code, msg)
+			}
+			if resp.Header.Get("Deprecation") != "" {
+				t.Errorf("%s %s: Deprecation header still sent", r.method, r.path)
+			}
+		}
+		resp, body := send(panicking.URL, r.method, r.path, "")
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("panicking %s %s: status = %d", r.method, r.path, resp.StatusCode)
+		}
+		if code, _ := envelope(t, body); code != "internal" {
+			t.Errorf("panicking %s %s: code = %q", r.method, r.path, code)
 		}
 	}
-	// Legacy failures keep the pre-v1 flat {"error": "msg"} shape.
-	_, body = get(t, srv, "/metadata?id=ghost", "dana")
-	var flat map[string]string
-	if err := json.Unmarshal(body, &flat); err != nil || flat["error"] == "" {
-		t.Errorf("legacy error shape = %s (%v), want flat string", body, err)
+	if resp, _ := send(srv.URL, http.MethodPut, "/v1/datasets", ""); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /v1/datasets: status = %d, want 405", resp.StatusCode)
+	}
+	for _, path := range []string{
+		"/v1/datasets?offset=1",
+		"/v1/lineage?entity=raw/orders.csv&offset=1",
+		"/v1/audit?entity=raw/orders.csv&offset=1",
+	} {
+		resp, body := get(t, srv, path, "gov")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", path, resp.StatusCode)
+		}
+		if code, msg := envelope(t, body); code != "invalid_query" || !strings.Contains(msg, "next_cursor") {
+			t.Errorf("%s: envelope = %q %q, want invalid_query naming next_cursor", path, code, msg)
+		}
 	}
 }
 
@@ -456,7 +493,6 @@ func TestRecoverMiddleware(t *testing.T) {
 	}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	// A v1 path gets the structured envelope.
 	resp, err := http.Get(srv.URL + "/v1/boom")
 	if err != nil {
 		t.Fatal(err)
@@ -468,17 +504,6 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 	if code, _ := envelope(t, body); code != "internal" {
 		t.Errorf("panic code = %q", code)
-	}
-	// A legacy path keeps the flat pre-v1 error shape even on panic.
-	resp2, err := http.Get(srv.URL + "/boom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body, _ = io.ReadAll(resp2.Body)
-	var flat map[string]string
-	if err := json.Unmarshal(body, &flat); err != nil || flat["error"] == "" {
-		t.Errorf("legacy panic shape = %s (%v), want flat string", body, err)
 	}
 }
 

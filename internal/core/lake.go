@@ -141,8 +141,6 @@ func WithMetrics(enabled bool) Option {
 // to one puller per CPU. Result sets are identical at any width; the
 // interleaving of rows across sources is arrival order unless the
 // query carries an ORDER BY, which makes the output deterministic.
-// The deprecated QueryStream/QueryStreamFanIn shims still read this
-// configuration as their frozen sequential-unless-configured default.
 func WithFanIn(workers, bufferRows int) Option {
 	return func(o *options) {
 		o.fanIn = query.FanInOptions{Workers: workers, BufferRows: bufferRows}
@@ -600,7 +598,7 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) 
 	md, err := extract.ExtractParsed(path, data, parsed)
 	if err != nil {
 		// Raw bytes stay; metadata extraction failure leaves the
-		// object catalogued as swamp-risk (detectable by SwampCheck).
+		// object catalogued as swamp-risk (detectable by SwampAudit).
 		md = &extract.Metadata{Path: path, Format: pl.Format, Properties: map[string]string{}}
 	}
 	obj := metamodel.FromExtraction(md)
@@ -1060,7 +1058,7 @@ func (l *Lake) Explore(ctx context.Context, user string, req explore.Request) ([
 // Query executes a federated query described by one structured
 // request — statement plus typed options (ORDER BY keys, row cap,
 // fan-in width, buffer window, explain) — on behalf of a user, and is
-// the single entry point every other query method shims onto. The
+// the single query entry point (QuerySQL collects over it). The
 // returned stream is pull-based (header from Columns, one row per
 // Next, cancellation honored between rows) and carries introspection:
 // Plan() is the typed execution plan, Stats() the live per-source
@@ -1205,61 +1203,17 @@ func (l *Lake) QuerySQL(ctx context.Context, user, sql string) (*table.Table, er
 	if err != nil {
 		return nil, err
 	}
-	if err := rejectExplain(st); err != nil {
-		return nil, err
+	if st.ExplainOnly() {
+		// Zero rows would read as an empty result.
+		_ = st.Close()
+		return nil, lakeerr.Errorf(lakeerr.CodeInvalidQuery,
+			"core: EXPLAIN has no row result on this endpoint; use Lake.Query and read Plan()")
 	}
 	t, err := query.Collect(ctx, st)
 	if err != nil {
 		return nil, classifyQueryErr(err)
 	}
 	return t, nil
-}
-
-// rejectExplain fails row-shaped entry points handed an EXPLAIN
-// statement: silently returning zero rows would read as an empty
-// result, and the pre-Request API surfaced a parse error here.
-func rejectExplain(st *query.RowStream) error {
-	if !st.ExplainOnly() {
-		return nil
-	}
-	_ = st.Close()
-	return lakeerr.Errorf(lakeerr.CodeInvalidQuery,
-		"core: EXPLAIN has no row result on this endpoint; use Lake.Query and read Plan()")
-}
-
-// QueryStream opens a federated query as a pull-based row stream with
-// the lake's configured fan-in (sequential when WithFanIn is unset —
-// the frozen pre-Request default, not the CPU-wide one).
-//
-// Deprecated: use Query, which carries the statement and its execution
-// options in one query.Request and returns plan/stats introspection.
-func (l *Lake) QueryStream(ctx context.Context, user, sql string) (query.RowIterator, error) {
-	return l.QueryStreamFanIn(ctx, user, sql, l.Engine.FanIn)
-}
-
-// QueryStreamFanIn is QueryStream with a per-query fan-in override.
-//
-// Deprecated: use Query with Request.FanIn/BufferRows.
-func (l *Lake) QueryStreamFanIn(ctx context.Context, user, sql string, opts query.FanInOptions) (query.RowIterator, error) {
-	st, err := l.queryLegacy(ctx, user, sql, opts)
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// queryLegacy is the pre-Request query contract the deprecated entry
-// points keep: no explicit width means sequential, not the Request
-// path's CPU-wide default, and EXPLAIN has no row result.
-func (l *Lake) queryLegacy(ctx context.Context, user, sql string, opts query.FanInOptions) (*query.RowStream, error) {
-	st, err := l.Query(ctx, user, query.Request{SQL: sql, FanIn: max(opts.Workers, 1), BufferRows: opts.BufferRows})
-	if err != nil {
-		return nil, err
-	}
-	if err := rejectExplain(st); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // classifyQueryErr maps engine failures onto the taxonomy: syntax
@@ -1356,16 +1310,6 @@ func (l *Lake) SwampAudit(ctx context.Context) (SwampReport, error) {
 	if err := ctxErr(ctx); err != nil {
 		return SwampReport{}, err
 	}
-	return l.swampCheck(), nil
-}
-
-// SwampCheck audits metadata coverage across the lake.
-//
-// Deprecated: use SwampAudit, which takes a context like every other
-// Lake operation.
-func (l *Lake) SwampCheck() SwampReport { return l.swampCheck() }
-
-func (l *Lake) swampCheck() SwampReport {
 	rep := SwampReport{Swamp: []string{}}
 	for _, pl := range l.Poly.Placements() {
 		rep.Datasets++
@@ -1376,7 +1320,7 @@ func (l *Lake) swampCheck() SwampReport {
 		}
 	}
 	sort.Strings(rep.Swamp)
-	return rep
+	return rep, nil
 }
 
 // hasRealMetadata reports whether extraction produced more than the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -193,24 +192,17 @@ func TestLakeQueryTypedErrors(t *testing.T) {
 	}
 }
 
-// TestExplainRejectedOnRowShapedEndpoints: QuerySQL, the deprecated
-// stream shims, and the legacy /query alias reject EXPLAIN instead of
-// returning a silent empty result.
+// TestExplainRejectedOnRowShapedEndpoints: QuerySQL, which returns
+// rows only, rejects EXPLAIN instead of returning a silent empty result.
 func TestExplainRejectedOnRowShapedEndpoints(t *testing.T) {
 	l := fanInLake(t)
-	ctx := context.Background()
-	const sql = "EXPLAIN SELECT city FROM rel:hotels_rel"
-	if _, err := l.QuerySQL(ctx, "dana", sql); lakeerr.CodeOf(err) != lakeerr.CodeInvalidQuery {
-		t.Errorf("QuerySQL explain = %v, want invalid_query", err)
-	}
-	if _, err := l.QueryStream(ctx, "dana", sql); lakeerr.CodeOf(err) != lakeerr.CodeInvalidQuery {
-		t.Errorf("QueryStream explain = %v, want invalid_query", err)
-	}
-	srv := httptest.NewServer(l.HTTPHandler())
-	defer srv.Close()
-	resp, data := do(t, srv, http.MethodPost, "/query", "dana", `{"sql":"`+sql+`"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("legacy alias explain: status = %d (%s), want 400", resp.StatusCode, data)
+	for _, sql := range []string{
+		"EXPLAIN SELECT city FROM rel:hotels_rel",
+		"EXPLAIN ANALYZE SELECT city FROM rel:hotels_rel",
+	} {
+		if _, err := l.QuerySQL(context.Background(), "dana", sql); lakeerr.CodeOf(err) != lakeerr.CodeInvalidQuery {
+			t.Errorf("QuerySQL %q = %v, want invalid_query", sql, err)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ type FunctionEntry struct {
 	Systems  []string
 	Package  string
 	// Run exercises the function on a small fixture and returns a
-	// one-line result summary; the Table 1 bench sweeps over these.
+	// one-line result summary; a test runs every entry.
 	Run func() (string, error)
 }
 
@@ -73,7 +73,7 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierIngestion, Function: "metadata modeling",
-			Systems: []string{"GEMMS", "HANDLE", "data vault", "Diamantini et al.", "Aurum EKG", "Sawadogo et al."},
+			Systems: []string{"GEMMS", "HANDLE", "data vault", "Aurum EKG"},
 			Package: "internal/metamodel",
 			Run: func() (string, error) {
 				md, err := extract.Extract("demo.csv", []byte("id,city\n1,berlin\n2,paris\n"))
@@ -98,7 +98,7 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierMaintenance, Function: "dataset organization",
-			Systems: []string{"GOODS", "DS-Prox/DS-kNN", "KAYAK", "Nargesian et al.", "RONIN", "Juneau"},
+			Systems: []string{"GOODS", "DS-Prox/DS-kNN", "Nargesian et al.", "Juneau"},
 			Package: "internal/organize",
 			Run: func() (string, error) {
 				tables := fixture()
@@ -114,7 +114,7 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierMaintenance, Function: "related dataset discovery",
-			Systems: []string{"Aurum", "Brackenbury et al.", "JOSIE", "D3L", "Juneau", "PEXESO", "RNLIM", "DLN"},
+			Systems: []string{"Aurum", "JOSIE", "D3L", "Juneau", "PEXESO", "RNLIM", "DLN"},
 			Package: "internal/discovery",
 			Run: func() (string, error) {
 				tables := fixture()

@@ -210,36 +210,6 @@ func TestNDJSONMidStreamErrorEmitsTrailerLine(t *testing.T) {
 	}
 }
 
-// TestLegacyQueryAliasNeverStreams pins the alias contract: the
-// deprecated POST /query keeps its pre-v1 JSON wire shape even when
-// the request's Accept header mentions NDJSON.
-func TestLegacyQueryAliasNeverStreams(t *testing.T) {
-	srv := apiLake(t)
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/query",
-		strings.NewReader(`{"sql":"SELECT id FROM rel:orders"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Lake-User", "dana")
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("legacy Content-Type = %q, want application/json", ct)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	var env struct {
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Rows) != 2 {
-		t.Errorf("legacy query body = %s (%v), want the JSON envelope", body, err)
-	}
-}
-
 func TestNDJSONOpenErrorKeepsEnvelope(t *testing.T) {
 	srv := apiLake(t)
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query",
@@ -263,7 +233,7 @@ func TestNDJSONOpenErrorKeepsEnvelope(t *testing.T) {
 	}
 }
 
-// TestQueryStreamCancellationReleasesCleanly covers the streaming API
+// TestQueryStreamCancellationReleasesCleanly covers the query stream's
 // contract under cancellation: Next surfaces a typed unavailable
 // error, Close is clean, and no goroutines are left behind (the
 // pipeline is pull-based — nothing to leak, pinned here under -race).
@@ -271,7 +241,7 @@ func TestQueryStreamCancellationReleasesCleanly(t *testing.T) {
 	l := bigTableLake(t, 10000)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	it, err := l.QueryStream(ctx, "dana", "SELECT id FROM rel:big")
+	it, err := l.Query(ctx, "dana", query.Request{SQL: "SELECT id FROM rel:big"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +276,7 @@ func TestQueryStreamHonorsMaxResults(t *testing.T) {
 		_ = big.AppendRow([]string{fmt.Sprint(i)})
 	}
 	l.Poly.Rel.Create(big)
-	it, err := l.QueryStream(context.Background(), "dana", "SELECT id FROM rel:big")
+	it, err := l.Query(context.Background(), "dana", query.Request{SQL: "SELECT id FROM rel:big"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +298,7 @@ func TestQueryStreamHonorsMaxResults(t *testing.T) {
 }
 
 // TestV1DatasetsCursorStableUnderConcurrentIngest is the reason
-// cursors exist: an ingest landing between two pages shifts offsets
+// cursors exist: an ingest landing between two pages shifts positions
 // but must not make the cursor walk repeat or skip datasets.
 func TestV1DatasetsCursorStableUnderConcurrentIngest(t *testing.T) {
 	srv := apiLake(t) // raw/orders.csv, raw/payments.csv
@@ -366,15 +336,6 @@ func TestV1DatasetsCursorStableUnderConcurrentIngest(t *testing.T) {
 	}
 	if pg2.Total != 3 {
 		t.Errorf("total = %d, want 3 after the concurrent ingest", pg2.Total)
-	}
-	// The offset walk, by contrast, re-serves orders.csv after the
-	// shift — the instability cursors remove.
-	_, body = get(t, srv, "/v1/datasets?limit=1&offset=1", "dana")
-	if err := json.Unmarshal(body, &pg2); err != nil || len(pg2.Items) != 1 {
-		t.Fatalf("offset page = %s (%v)", body, err)
-	}
-	if pg2.Items[0].ID != "raw/orders.csv" {
-		t.Errorf("offset page = %q (expected the shifted duplicate)", pg2.Items[0].ID)
 	}
 }
 
@@ -431,29 +392,6 @@ func TestV1AuditCursorPagination(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasSuccessorLinks(t *testing.T) {
-	srv := apiLake(t)
-	aliases := []struct{ method, path, user, body, successor string }{
-		{http.MethodGet, "/datasets", "dana", "", "/v1/datasets"},
-		{http.MethodGet, "/metadata?id=raw/orders.csv", "dana", "", "/v1/metadata"},
-		{http.MethodGet, "/related?table=orders&k=2", "dana", "", "/v1/related"},
-		{http.MethodPost, "/query", "dana", `{"sql":"SELECT id FROM rel:orders"}`, "/v1/query"},
-		{http.MethodGet, "/lineage?entity=raw/orders.csv", "dana", "", "/v1/lineage"},
-		{http.MethodGet, "/audit?entity=raw/orders.csv", "gov", "", "/v1/audit"},
-		{http.MethodGet, "/swamp", "dana", "", "/v1/swamp"},
-	}
-	for _, a := range aliases {
-		resp, _ := do(t, srv, a.method, a.path, a.user, a.body)
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", a.method, a.path)
-		}
-		link := resp.Header.Get("Link")
-		if !strings.Contains(link, "<"+a.successor+">") || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("%s %s: Link = %q, want successor %s", a.method, a.path, link, a.successor)
-		}
-	}
-}
-
 // TestWriteErrNeverFiresAfterPartialBody pins the envelope-integrity
 // rule: once a handler has started the body, writeErr is a no-op
 // rather than interleaving an error object into the partial payload.
@@ -461,8 +399,7 @@ func TestWriteErrNeverFiresAfterPartialBody(t *testing.T) {
 	rec := httptest.NewRecorder()
 	sw := &statusWriter{ResponseWriter: rec, status: http.StatusOK}
 	_, _ = sw.Write([]byte(`{"columns":["a"],`))
-	req := httptest.NewRequest(http.MethodGet, "/v1/datasets", nil)
-	writeErr(sw, req, lakeerr.Errorf(lakeerr.CodeInternal, "boom"))
+	writeErr(sw, lakeerr.Errorf(lakeerr.CodeInternal, "boom"))
 	if got := rec.Body.String(); got != `{"columns":["a"],` {
 		t.Errorf("body after late writeErr = %q, want the partial body untouched", got)
 	}

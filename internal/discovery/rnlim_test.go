@@ -5,7 +5,6 @@ import (
 
 	"golake/internal/metamodel"
 	"golake/internal/table"
-	"golake/internal/workload"
 )
 
 func TestRNLIMLabelsRelationships(t *testing.T) {
@@ -61,66 +60,5 @@ func TestRNLIMExplainTable(t *testing.T) {
 	}
 	if !foundCity {
 		t.Errorf("city pair not explained: %+v", expl)
-	}
-}
-
-func TestHumanInLoopTriage(t *testing.T) {
-	c := testCorpus(t)
-	inner := NewJOSIE()
-	asked := map[string]bool{}
-	oracle := func(q string, ts metamodel.TableScore) bool {
-		asked[q+"/"+ts.Table] = true
-		return c.Joinable[workload.NewPair(q, ts.Table)]
-	}
-	h := NewHumanInLoop(inner, oracle)
-	h.AcceptAbove = 1.1 // nothing auto-accepts: everything goes to the oracle
-	h.RejectBelow = 0.05
-	if err := h.Index(c.Tables); err != nil {
-		t.Fatal(err)
-	}
-	if h.Name() != "JOSIE+human" {
-		t.Errorf("name = %q", h.Name())
-	}
-	q := c.Tables[0]
-	res := h.RelatedTables(q, 3)
-	for _, ts := range res {
-		if !c.Joinable[workload.NewPair(q.Name, ts.Table)] {
-			t.Errorf("oracle-passed non-related result %+v", ts)
-		}
-	}
-	if h.Asked == 0 {
-		t.Error("oracle never consulted despite tight accept band")
-	}
-}
-
-func TestHumanInLoopAutoBands(t *testing.T) {
-	c := testCorpus(t)
-	inner := NewJOSIE()
-	h := NewHumanInLoop(inner, func(string, metamodel.TableScore) bool {
-		t.Error("oracle consulted despite wide accept band")
-		return false
-	})
-	h.AcceptAbove = 0.0 // everything auto-accepted
-	if err := h.Index(c.Tables); err != nil {
-		t.Fatal(err)
-	}
-	res := h.RelatedTables(c.Tables[0], 3)
-	if len(res) != 3 {
-		t.Errorf("results = %+v", res)
-	}
-	if h.Asked != 0 {
-		t.Errorf("asked = %d", h.Asked)
-	}
-}
-
-func TestHumanInLoopNilOracleKeepsUncertain(t *testing.T) {
-	c := testCorpus(t)
-	h := NewHumanInLoop(NewJOSIE(), nil)
-	h.AcceptAbove = 0.99
-	if err := h.Index(c.Tables); err != nil {
-		t.Fatal(err)
-	}
-	if res := h.RelatedTables(c.Tables[0], 3); len(res) == 0 {
-		t.Error("nil oracle should keep uncertain candidates")
 	}
 }

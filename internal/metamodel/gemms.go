@@ -3,8 +3,7 @@
 // family: the GEMMS generic metamodel (content / structure / semantics
 // separation), the HANDLE generic model (data - metadata - property on
 // a graph), the data vault conceptual model (hubs, links, satellites),
-// Aurum's enterprise knowledge graph hypergraph, and the
-// evolution-oriented graph model of Sawadogo et al.
+// and Aurum's enterprise knowledge graph hypergraph.
 package metamodel
 
 import (

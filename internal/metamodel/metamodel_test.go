@@ -3,7 +3,6 @@ package metamodel
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"golake/internal/extract"
 	"golake/internal/table"
@@ -280,59 +279,5 @@ func TestEKGHyperedgesAndTableQuery(t *testing.T) {
 	}
 	if names := g.Hyperedges(); len(names) != 3 {
 		t.Errorf("Hyperedges = %v", names)
-	}
-}
-
-func TestGoldmdFeatures(t *testing.T) {
-	now := time.Date(2026, 6, 12, 0, 0, 0, 0, time.UTC)
-	m := NewGoldmd(func() time.Time { return now })
-	if err := m.AddDataset("d1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddDataset("d2"); err != nil {
-		t.Fatal(err)
-	}
-	// Semantic enrichment.
-	_ = m.Enrich("d1", "iot")
-	_ = m.Enrich("d1", "sensor")
-	if tags := m.Tags("d1"); len(tags) != 2 || tags[0] != "iot" {
-		t.Errorf("Tags = %v", tags)
-	}
-	// Indexing.
-	m.Index("d1", "temperature", "berlin")
-	m.Index("d2", "berlin")
-	if got := m.Search("berlin"); len(got) != 2 {
-		t.Errorf("Search = %v", got)
-	}
-	if got := m.Search("ghost"); len(got) != 0 {
-		t.Errorf("Search ghost = %v", got)
-	}
-	// Links.
-	if err := m.LinkSimilar("d1", "d2", 0.8); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.SimilarTo("d2"); len(got) != 1 || got[0] != "d1" {
-		t.Errorf("SimilarTo = %v", got)
-	}
-	// Polymorphism.
-	_ = m.AddRepresentation("d1", "d1-clean", "cleaned")
-	_ = m.AddRepresentation("d1", "d1-agg", "aggregated")
-	if got := m.Representations("d1"); len(got) != 2 {
-		t.Errorf("Representations = %v", got)
-	}
-	// Versioning.
-	v1, _ := m.AddVersion("d1")
-	v2, _ := m.AddVersion("d1")
-	if v1 != 1 || v2 != 2 {
-		t.Errorf("versions = %d, %d", v1, v2)
-	}
-	if got := m.Versions("d1"); len(got) != 2 || got[1] != 2 {
-		t.Errorf("Versions = %v", got)
-	}
-	// Usage tracking.
-	_ = m.LogUsage("d1", "alice", "query")
-	_ = m.LogUsage("d1", "bob", "export")
-	if got := m.UsageCount("d1"); got != 2 {
-		t.Errorf("UsageCount = %d", got)
 	}
 }

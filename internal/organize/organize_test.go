@@ -2,8 +2,6 @@ package organize
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -178,107 +176,6 @@ func TestNavDAGDiscoveryProbabilitySums(t *testing.T) {
 	}
 }
 
-func TestKayakPrimitiveStagesAndExecution(t *testing.T) {
-	p := NewPrimitive("profile-dataset")
-	log := []string{}
-	mk := func(name string) TaskFunc {
-		return func(approx bool) (string, error) {
-			log = append(log, name)
-			if approx {
-				return name + ":preview", nil
-			}
-			return name + ":exact", nil
-		}
-	}
-	p.AddTask("load", mk("load"))
-	p.AddTask("count", mk("count"))
-	p.AddTask("histogram", mk("histogram"))
-	p.AddTask("report", mk("report"))
-	if err := p.After("count", "load"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.After("histogram", "load"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.After("report", "count"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.After("report", "histogram"); err != nil {
-		t.Fatal(err)
-	}
-	stages, err := p.TaskDAG().Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// load | count,histogram | report
-	if len(stages) != 3 || len(stages[1]) != 2 {
-		t.Fatalf("stages = %v", stages)
-	}
-	res, err := p.Execute(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res["report"] != "report:preview" {
-		t.Errorf("approximate result = %q", res["report"])
-	}
-	res, err = p.Execute(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res["report"] != "report:exact" {
-		t.Errorf("exact result = %q", res["report"])
-	}
-}
-
-func TestKayakCycleRejected(t *testing.T) {
-	p := NewPrimitive("p")
-	noop := func(bool) (string, error) { return "", nil }
-	p.AddTask("a", noop)
-	p.AddTask("b", noop)
-	if err := p.After("b", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.After("a", "b"); !errors.Is(err, ErrCycle) {
-		t.Errorf("cycle err = %v", err)
-	}
-	if err := p.After("a", "ghost"); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown err = %v", err)
-	}
-	// Self-dependency is a cycle.
-	if err := p.After("a", "a"); !errors.Is(err, ErrCycle) {
-		t.Errorf("self-dep err = %v", err)
-	}
-}
-
-func TestKayakPipeline(t *testing.T) {
-	mkPrim := func(name string) *Primitive {
-		p := NewPrimitive(name)
-		p.AddTask("t", func(bool) (string, error) { return name, nil })
-		return p
-	}
-	pl := NewPipeline()
-	pl.Add(mkPrim("insert"))
-	pl.Add(mkPrim("profile"))
-	pl.Add(mkPrim("joinability"))
-	if err := pl.After("profile", "insert"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.After("joinability", "profile"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.Run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res["insert/t"] != "insert" {
-		t.Errorf("pipeline results = %v", res)
-	}
-	stages, _ := pl.DAG().Stages()
-	if len(stages) != 3 {
-		t.Errorf("pipeline stages = %v", stages)
-	}
-}
-
 func TestWorkflowGraphLineage(t *testing.T) {
 	w := NewWorkflowGraph()
 	if err := w.AddModule("clean", []string{"raw"}, []string{"cleaned"}); err != nil {
@@ -319,18 +216,6 @@ func TestWorkflowGraphProvenanceSimilarity(t *testing.T) {
 	}
 }
 
-func TestDAGStagesDetectsUnsatisfiable(t *testing.T) {
-	d := NewDAG()
-	d.AddNode("a")
-	d.AddNode("b")
-	// Force a cycle by editing deps directly (AddDep would refuse).
-	d.deps["a"] = []string{"b"}
-	d.deps["b"] = []string{"a"}
-	if _, err := d.Stages(); !errors.Is(err, ErrCycle) {
-		t.Errorf("Stages cycle err = %v", err)
-	}
-}
-
 // Property: at every internal node, Markov transition probabilities
 // over children sum to 1 for arbitrary query vectors.
 func TestNavDAGTransitionProbabilitiesSum(t *testing.T) {
@@ -361,41 +246,4 @@ func TestNavDAGTransitionProbabilitiesSum(t *testing.T) {
 		}
 	}
 	walk(root)
-}
-
-func TestProfilePrimitiveTimeToInsight(t *testing.T) {
-	// Large table: preview samples, exact scans all.
-	rows := "v\n"
-	for i := 0; i < 5000; i++ {
-		rows += fmt.Sprintf("%d\n", i)
-	}
-	tbl, err := table.ParseCSV("big", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := ProfilePrimitive(tbl, 100)
-	exact, err := p.Execute(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact["stats"] != "rows=5000 cols=1 numeric=1" {
-		t.Errorf("exact stats = %q", exact["stats"])
-	}
-	if exact["distinct"] != "distinct~5000" {
-		t.Errorf("exact distinct = %q", exact["distinct"])
-	}
-	approx, err := p.Execute(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx["stats"] != "rows=100 cols=1 numeric=1" {
-		t.Errorf("approx stats = %q", approx["stats"])
-	}
-	if !strings.Contains(approx["distinct"], "estimated") {
-		t.Errorf("approx distinct = %q, want estimate marker", approx["distinct"])
-	}
-	// The estimator scales to the right order of magnitude.
-	if !strings.Contains(approx["distinct"], "5000") {
-		t.Errorf("estimated distinct = %q, want ~5000", approx["distinct"])
-	}
 }

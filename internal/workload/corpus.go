@@ -1,13 +1,13 @@
-// Package workload generates the synthetic evaluation corpora the bench
-// harness runs on. The surveyed discovery systems were evaluated on
-// corpora we cannot ship — web-table crawls (JOSIE, D3L), 100 GitHub log
-// datasets (DATAMARAN), enterprise query logs (DLN) — so this package
-// produces seeded equivalents *with exact ground truth*: which table
-// pairs are joinable/unionable, which log lines came from which
-// template, which cells were dirtied, and which schema operations
-// happened between versions. Ground truth is what lets the benches
-// report precision/recall, which the original corpora could only
-// approximate by manual labeling.
+// Package workload generates the synthetic evaluation corpora the tests
+// and the benchmark run on. The surveyed discovery systems were
+// evaluated on corpora we cannot ship — web-table crawls (JOSIE, D3L),
+// 100 GitHub log datasets (DATAMARAN), enterprise query logs (DLN) — so
+// this package produces seeded equivalents *with exact ground truth*:
+// which table pairs are joinable/unionable, which log lines came from
+// which template, which cells were dirtied, and which schema operations
+// happened between versions. Ground truth is what lets the tests report
+// precision/recall, which the original corpora could only approximate
+// by manual labeling.
 package workload
 
 import (
@@ -304,7 +304,7 @@ func typo(rng *rand.Rand, s string) string {
 	return string(b)
 }
 
-// Notebook models a Juneau/KAYAK data-science workflow for organization
+// Notebook models a Juneau data-science workflow for organization
 // and provenance benchmarks: a chain of derived tables with the
 // operation that produced each.
 type Notebook struct {
