@@ -232,10 +232,6 @@ func parseRemoteFlags(remotes []string, token string) ([]golake.Option, error) {
 // cataloged are skipped, and the maintenance pass resumes
 // incrementally over just the new data.
 func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration, fanIn, fanInBuffer int, persistLake, fsync bool, maxConcurrent int, rateLimit float64, extra []golake.Option) (*golake.Lake, error) {
-	workdir, err := os.MkdirTemp("", "golake-lakectl-*")
-	if err != nil {
-		return nil, err
-	}
 	opts := []golake.Option{
 		golake.WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))),
 	}
@@ -267,7 +263,9 @@ func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration,
 		}
 		opts = append(opts, golake.WithPersistence(backend))
 	}
-	lake, err := golake.Open(workdir, opts...)
+	// The lake writes nothing under dir but .golake, so the data files
+	// it ingests stay as they are.
+	lake, err := golake.Open(dir, opts...)
 	if err != nil {
 		return nil, err
 	}

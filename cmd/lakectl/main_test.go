@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // writeDataDir lays out a small raw-file directory for loadLake.
@@ -38,6 +40,112 @@ func TestLoadLakeIngestsAndMaintains(t *testing.T) {
 	// Maintenance ran: exploration is available.
 	if _, err := lake.RelatedTables(context.Background(), "cli", "orders", 2); err != nil {
 		t.Errorf("explore after load: %v", err)
+	}
+}
+
+// fileState is a data file's content and modification time.
+type fileState struct {
+	data  string
+	mtime time.Time
+}
+
+// dataFiles records every file under dir outside .golake.
+func dataFiles(t *testing.T, dir string) map[string]fileState {
+	t.Helper()
+	out := map[string]fileState{}
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".golake" {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out[p] = fileState{data: string(data), mtime: info.ModTime()}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// loadLake ingests the data directory's files without touching them:
+// every file keeps its content and modification time, with and without
+// -persist.
+func TestLoadLakeLeavesDataFilesUnmodified(t *testing.T) {
+	for _, persist := range []bool{false, true} {
+		dir := writeDataDir(t)
+		old := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
+		for p := range dataFiles(t, dir) {
+			if err := os.Chtimes(p, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dataFiles(t, dir)
+		lake, err := loadLake(context.Background(), dir, "cli", 0, 0, 0, persist, false, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lake.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after := dataFiles(t, dir)
+		if len(after) != len(before) {
+			t.Errorf("persist=%v: data files %d -> %d", persist, len(before), len(after))
+		}
+		for p, was := range before {
+			if now := after[p]; now.data != was.data || !now.mtime.Equal(was.mtime) {
+				t.Errorf("persist=%v: %s changed: %+v -> %+v", persist, p, was, now)
+			}
+		}
+	}
+}
+
+// A -persist rerun restores what earlier runs ingested and ingests only
+// the files it has not seen.
+func TestLoadLakePersistRerunIngestsOnlyNewFiles(t *testing.T) {
+	ctx := context.Background()
+	dir := writeDataDir(t)
+	lake, err := loadLake(ctx, dir, "cli", 0, 0, 0, true, false, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "items.csv"), []byte("sku,qty\na,1\nb,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lake, err = loadLake(ctx, dir, "cli", 0, 0, 0, true, false, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lake.Close()
+	if got := lake.Catalog.List(); len(got) != 4 {
+		t.Errorf("catalog after rerun = %v, want 4 datasets", got)
+	}
+	ingests := 0
+	for _, ev := range lake.Tracker.Events() {
+		if ev.Kind == "ingest" {
+			ingests++
+		}
+	}
+	if ingests != 4 {
+		t.Errorf("%d ingest events over two runs, want 4: a file was ingested twice or not at all", ingests)
+	}
+	if d := lake.MaintenanceStatus().Durability; d == nil || d.Segments != 4 {
+		t.Errorf("durability = %+v, want 4 segments", d)
 	}
 }
 

@@ -160,10 +160,10 @@
 //
 // # Durability & recovery
 //
-// A lake is in-memory by default: Open rebuilds raw-file metadata from
-// the data directory but loses users, derived tables, zones, audit
-// trails, and index coverage on restart. WithPersistence makes the
-// whole logical state durable through a pluggable backend:
+// A lake is in-memory by default, raw bytes included, and loses
+// everything on restart; it writes nothing under its directory.
+// WithPersistence makes the whole logical state durable through a
+// pluggable backend:
 //
 //	backend, _ := golake.NewLocalBackend(
 //		filepath.Join(dir, ".golake"), golake.WithSync(golake.SyncAlways))

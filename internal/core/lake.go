@@ -41,6 +41,7 @@ import (
 	"golake/internal/provenance"
 	"golake/internal/query"
 	"golake/internal/remote"
+	"golake/internal/storage/filestore"
 	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/lakeerr"
@@ -306,10 +307,13 @@ type Lake struct {
 // WithSnapshotEvery is not given.
 const defaultSnapshotEvery = 4 << 20
 
-// Open assembles a lake rooted at dir. With WithPersistence, the
-// backend's snapshot and WAL are replayed before the lake is returned:
-// a previously persisted lake resumes with its datasets, users, audit
-// trail, and maintenance coverage intact.
+// Open assembles a lake rooted at dir. The lake itself writes nothing
+// there: without persistence it keeps everything, raw bytes included, in
+// memory; with WithPersistence the backend (conventionally a Local one at
+// dir/.golake) holds its durable state, and its snapshot and WAL are
+// replayed before the lake is returned: a previously persisted lake
+// resumes with its datasets, users, audit trail, and maintenance
+// coverage intact.
 func Open(dir string, opts ...Option) (*Lake, error) {
 	o := options{pushdown: true, snapshotEvery: defaultSnapshotEvery}
 	for _, opt := range opts {
@@ -530,12 +534,17 @@ type IngestResult struct {
 // raw bytes (routing the parsed form to the matching member store),
 // extract metadata, register it in the GEMMS model, map it onto HANDLE
 // in the raw zone, catalog it, and record provenance. Re-ingesting an
-// existing path is a conflict. On a persistent lake the raw bytes are
-// stored once, as a segment, before anything is applied: if that fails,
-// or the lake is closed, the ingest is unavailable and changes nothing.
+// existing path is a conflict, and a path with a ".." element, an empty
+// one or one under .golake is invalid; either way nothing is written.
+// On a persistent lake the raw bytes are stored once, as a segment,
+// before anything is applied: if that fails, or the lake is closed, the
+// ingest is unavailable and changes nothing.
 func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, user string) (*IngestResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
+	}
+	if _, err := filestore.CleanPath(path); err != nil {
+		return nil, lakeerr.Wrap(lakeerr.CodeInvalidQuery, err)
 	}
 	// The segment is put before ingestMu, so concurrent ingests overlap
 	// their segment writes and fsyncs.
@@ -590,8 +599,9 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) 
 	}
 	// A CSV is parsed and typed once: placement hands the table it
 	// parsed (nil for anything else, an unparseable CSV included) on to
-	// extraction.
-	pl, parsed, err := l.Poly.IngestParsed(path, data)
+	// extraction. A durable lake's file store reads the raw bytes back
+	// from their segment instead of keeping a copy.
+	pl, parsed, err := l.Poly.IngestParsed(path, data, l.segmentReader(seg))
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"golake/internal/organize"
 	"golake/internal/persist"
 	"golake/internal/provenance"
+	"golake/internal/storage/filestore"
 	"golake/internal/table"
 	"golake/lakeerr"
 )
@@ -791,6 +792,15 @@ func (l *Lake) putSegment(data []byte) (string, error) {
 		return "", nil
 	}
 	return l.pers.putSegment(l, data)
+}
+
+// segmentReader reads an ingested object's raw bytes back from its
+// segment; nil without persistence, where the file store keeps them.
+func (l *Lake) segmentReader(seg string) filestore.ReadFunc {
+	if l.pers == nil {
+		return nil
+	}
+	return func() ([]byte, error) { return l.pers.readSegment(seg) }
 }
 
 // dropSegment deletes the segment of an operation that failed before it

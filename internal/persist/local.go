@@ -12,9 +12,9 @@ import (
 // file (wal.log), the snapshot a single blob replaced atomically via
 // write-to-temp + rename, and each segment one immutable file under
 // segments/. Point it at a directory of its own — by
-// convention `<lakedir>/.golake`, which the lake's filestore skips when
-// re-walking its root — and a hard-stopped process recovers everything
-// up to the torn tail of its last append.
+// convention `<lakedir>/.golake`, a path no ingested object may take —
+// and a hard-stopped process recovers everything up to the torn tail of
+// its last append.
 type Local struct {
 	dir  string
 	sync Sync

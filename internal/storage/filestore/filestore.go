@@ -1,18 +1,20 @@
-// Package filestore is the lake's raw-file storage tier: a
-// directory-backed object store with a format registry, stand-in for the
-// HDFS/Azure-Data-Lake-Store file systems the surveyed lakes use
+// Package filestore is the lake's raw-file storage tier, stand-in for
+// the HDFS/Azure-Data-Lake-Store file systems the surveyed lakes use
 // (Sec. 4.1). Objects are immutable byte blobs addressed by a
 // slash-separated logical path; the store records size, a FNV-64a
 // checksum and a detected format for every object, which the ingestion
-// tier reads instead of re-sniffing files.
+// tier reads instead of re-sniffing files. The store itself writes
+// nothing to disk: each object is read back through the ReadFunc it was
+// put with — on a durable lake, from the segment that already holds its
+// bytes — or, without one, from a copy the store keeps in memory.
 package filestore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
+	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -38,9 +40,11 @@ const (
 // ErrNotFound is returned for missing objects.
 var ErrNotFound = errors.New("filestore: object not found")
 
+// ErrInvalidPath is returned for a path CleanPath refuses.
+var ErrInvalidPath = errors.New("filestore: invalid path")
+
 // PersistDir is the reserved subdirectory name where a lake keeps its
-// durability files; the store refuses object paths under it and skips
-// it when recovering metadata.
+// durability files; no object path may lie under it.
 const PersistDir = ".golake"
 
 // ObjectInfo describes a stored object.
@@ -52,83 +56,34 @@ type ObjectInfo struct {
 	Stored   time.Time
 }
 
-// Store is a concurrency-safe object store rooted at a directory.
+// ReadFunc reads an object's bytes back from wherever they are kept.
+type ReadFunc func() ([]byte, error)
+
+type object struct {
+	info ObjectInfo
+	read ReadFunc
+}
+
+// Store is a concurrency-safe object store.
 type Store struct {
-	root string
-
 	mu   sync.RWMutex
-	meta map[string]ObjectInfo
+	objs map[string]object
 }
 
-// Open creates (if needed) and opens a store rooted at dir.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("filestore: open %s: %w", dir, err)
-	}
-	s := &Store{root: dir, meta: map[string]ObjectInfo{}}
-	// Recover metadata for any pre-existing objects. The reserved
-	// PersistDir subdirectory holds the lake's durability files (WAL,
-	// snapshot), not objects, and is never walked.
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			if info.Name() == PersistDir && p != dir {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		rel, relErr := filepath.Rel(dir, p)
-		if relErr != nil {
-			return relErr
-		}
-		data, readErr := os.ReadFile(p)
-		if readErr != nil {
-			return readErr
-		}
-		logical := filepath.ToSlash(rel)
-		s.meta[logical] = ObjectInfo{
-			Path:     logical,
-			Size:     int64(len(data)),
-			Checksum: checksum(data),
-			Format:   Detect(logical, data),
-			Stored:   info.ModTime(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("filestore: recover %s: %w", dir, err)
-	}
-	return s, nil
-}
+// New returns an empty store.
+func New() *Store { return &Store{objs: map[string]object{}} }
 
-// OpenMemory opens a store in a fresh temporary directory; callers own
-// cleanup via os.RemoveAll(Root()). Convenient for tests and examples.
-func OpenMemory() (*Store, error) {
-	dir, err := os.MkdirTemp("", "golake-filestore-*")
-	if err != nil {
-		return nil, fmt.Errorf("filestore: tempdir: %w", err)
-	}
-	return Open(dir)
-}
-
-// Root returns the backing directory.
-func (s *Store) Root() string { return s.root }
-
-// Put stores data under the logical path, overwriting any previous
-// object, and returns its info.
-func (s *Store) Put(path string, data []byte) (ObjectInfo, error) {
-	clean, err := s.cleanPath(path)
+// Put records data under the logical path, overwriting any previous
+// object, and returns its info. Get reads the bytes back through read;
+// with a nil read the store keeps a copy of data itself.
+func (s *Store) Put(path string, data []byte, read ReadFunc) (ObjectInfo, error) {
+	clean, err := CleanPath(path)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	full := filepath.Join(s.root, filepath.FromSlash(clean))
-	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-		return ObjectInfo{}, fmt.Errorf("filestore: put %s: %w", path, err)
-	}
-	if err := os.WriteFile(full, data, 0o644); err != nil {
-		return ObjectInfo{}, fmt.Errorf("filestore: put %s: %w", path, err)
+	if read == nil {
+		kept := bytes.Clone(data)
+		read = func() ([]byte, error) { return bytes.Clone(kept), nil }
 	}
 	info := ObjectInfo{
 		Path:     clean,
@@ -138,24 +93,24 @@ func (s *Store) Put(path string, data []byte) (ObjectInfo, error) {
 		Stored:   time.Now(),
 	}
 	s.mu.Lock()
-	s.meta[clean] = info
+	s.objs[clean] = object{info: info, read: read}
 	s.mu.Unlock()
 	return info, nil
 }
 
 // Get returns the object bytes.
 func (s *Store) Get(path string) ([]byte, error) {
-	clean, err := s.cleanPath(path)
+	clean, err := CleanPath(path)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
-	_, ok := s.meta[clean]
+	obj, ok := s.objs[clean]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	data, err := os.ReadFile(filepath.Join(s.root, filepath.FromSlash(clean)))
+	data, err := obj.read()
 	if err != nil {
 		return nil, fmt.Errorf("filestore: get %s: %w", path, err)
 	}
@@ -164,35 +119,32 @@ func (s *Store) Get(path string) ([]byte, error) {
 
 // Stat returns the recorded info for an object.
 func (s *Store) Stat(path string) (ObjectInfo, error) {
-	clean, err := s.cleanPath(path)
+	clean, err := CleanPath(path)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	info, ok := s.meta[clean]
+	obj, ok := s.objs[clean]
 	if !ok {
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	return info, nil
+	return obj.info, nil
 }
 
 // Delete removes an object; deleting a missing object returns
 // ErrNotFound.
 func (s *Store) Delete(path string) error {
-	clean, err := s.cleanPath(path)
+	clean, err := CleanPath(path)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.meta[clean]; !ok {
+	if _, ok := s.objs[clean]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	delete(s.meta, clean)
-	if err := os.Remove(filepath.Join(s.root, filepath.FromSlash(clean))); err != nil {
-		return fmt.Errorf("filestore: delete %s: %w", path, err)
-	}
+	delete(s.objs, clean)
 	return nil
 }
 
@@ -202,9 +154,9 @@ func (s *Store) List(prefix string) []ObjectInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []ObjectInfo
-	for p, info := range s.meta {
+	for p, obj := range s.objs {
 		if strings.HasPrefix(p, prefix) {
-			out = append(out, info)
+			out = append(out, obj.info)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -215,19 +167,25 @@ func (s *Store) List(prefix string) []ObjectInfo {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.meta)
+	return len(s.objs)
 }
 
-func (s *Store) cleanPath(p string) (string, error) {
-	if strings.Contains(p, "..") {
-		return "", fmt.Errorf("filestore: invalid path %q", p)
+// CleanPath returns the canonical form of a logical object path, or
+// ErrInvalidPath for a path with a ".." element, an empty path, or one
+// under PersistDir. A ".." inside an element, as in "q1..q2.csv", is
+// just part of a name.
+func CleanPath(p string) (string, error) {
+	for _, elem := range strings.Split(p, "/") {
+		if elem == ".." {
+			return "", fmt.Errorf("%w %q: it has a \"..\" element", ErrInvalidPath, p)
+		}
 	}
-	clean := filepath.ToSlash(filepath.Clean("/" + p))[1:]
-	if clean == "" || clean == "." {
-		return "", fmt.Errorf("filestore: invalid path %q", p)
+	clean := path.Clean("/" + p)[1:]
+	if clean == "" {
+		return "", fmt.Errorf("%w %q: it is empty", ErrInvalidPath, p)
 	}
 	if clean == PersistDir || strings.HasPrefix(clean, PersistDir+"/") {
-		return "", fmt.Errorf("filestore: path %q is reserved for lake persistence", p)
+		return "", fmt.Errorf("%w %q: it is reserved for lake persistence", ErrInvalidPath, p)
 	}
 	return clean, nil
 }

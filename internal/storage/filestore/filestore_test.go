@@ -2,24 +2,19 @@ package filestore
 
 import (
 	"errors"
-	"os"
 	"testing"
 	"testing/quick"
 )
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return s
+	return New()
 }
 
 func TestPutGetStatDelete(t *testing.T) {
 	s := newStore(t)
 	data := []byte("a,b\n1,2\n3,4\n")
-	info, err := s.Put("raw/orders.csv", data)
+	info, err := s.Put("raw/orders.csv", data, nil)
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -54,7 +49,7 @@ func TestPutGetStatDelete(t *testing.T) {
 func TestListPrefix(t *testing.T) {
 	s := newStore(t)
 	for _, p := range []string{"zone-raw/a.csv", "zone-raw/b.csv", "zone-clean/c.csv"} {
-		if _, err := s.Put(p, []byte("x,y\n1,2\n")); err != nil {
+		if _, err := s.Put(p, []byte("x,y\n1,2\n"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,43 +68,74 @@ func TestListPrefix(t *testing.T) {
 	}
 }
 
-func TestRecoverExistingObjects(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+func TestInvalidPaths(t *testing.T) {
+	s := newStore(t)
+	for _, p := range []string{"", ".", "/", "../escape", "a/../../b", "a/..", ".golake", ".golake/wal.log", "/.golake/segments/x"} {
+		if _, err := s.Put(p, []byte("x"), nil); !errors.Is(err, ErrInvalidPath) {
+			t.Errorf("Put(%q) err = %v, want ErrInvalidPath", p, err)
+		}
 	}
-	if _, err := s1.Put("x/data.json", []byte(`{"k":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := s2.Stat("x/data.json")
-	if err != nil {
-		t.Fatalf("Stat after reopen: %v", err)
-	}
-	if info.Format != FormatJSON {
-		t.Errorf("recovered Format = %v, want json", info.Format)
+	// ".." inside a name is not a path element.
+	for p, want := range map[string]string{
+		"raw/q1..q2.csv": "raw/q1..q2.csv",
+		"..hidden":       "..hidden",
+		"a../b":          "a../b",
+		"/raw//x.csv":    "raw/x.csv",
+		"raw/./y.csv":    "raw/y.csv",
+		".golake2/z":     ".golake2/z",
+	} {
+		info, err := s.Put(p, []byte("x"), nil)
+		if err != nil || info.Path != want {
+			t.Errorf("Put(%q) = %q, %v; want %q", p, info.Path, err, want)
+		}
 	}
 }
 
-func TestInvalidPaths(t *testing.T) {
+// Get reads an object back through the ReadFunc it was put with, and
+// the store keeps no bytes of its own for it.
+func TestGetReadsThroughReadFunc(t *testing.T) {
 	s := newStore(t)
-	for _, p := range []string{"", ".", "../escape", "a/../../b"} {
-		if _, err := s.Put(p, []byte("x")); err == nil {
-			t.Errorf("Put(%q) should fail", p)
-		}
+	backing := []byte("a,b\n1,2\n")
+	reads := 0
+	read := func() ([]byte, error) { reads++; return backing, nil }
+	info, err := s.Put("raw/t.csv", backing, read)
+	if err != nil || info.Format != FormatCSV || info.Size != int64(len(backing)) {
+		t.Fatalf("Put = %+v, %v", info, err)
+	}
+	if got, err := s.Get("raw/t.csv"); err != nil || string(got) != string(backing) || reads != 1 {
+		t.Errorf("Get = %q, %v after %d reads", got, err, reads)
+	}
+	gone := errors.New("segment gone")
+	if _, err := s.Put("raw/u.csv", backing, func() ([]byte, error) { return nil, gone }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("raw/u.csv"); !errors.Is(err, gone) {
+		t.Errorf("Get with a failing read err = %v, want it wrapped", err)
+	}
+}
+
+// Without a ReadFunc the store keeps its own copy: neither the caller's
+// buffer nor a returned slice can change the stored bytes.
+func TestPutWithoutReadFuncKeepsACopy(t *testing.T) {
+	s := newStore(t)
+	data := []byte("v1")
+	if _, err := s.Put("k", data, nil); err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'X'
+	got, _ := s.Get("k")
+	got[1] = 'Y'
+	if again, _ := s.Get("k"); string(again) != "v1" {
+		t.Errorf("Get = %q, want v1", again)
 	}
 }
 
 func TestPutOverwrite(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.Put("k", []byte("v1")); err != nil {
+	if _, err := s.Put("k", []byte("v1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.Put("k", []byte("v2-longer"))
+	info, err := s.Put("k", []byte("v2-longer"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,20 +180,6 @@ func TestDetectFormats(t *testing.T) {
 	}
 }
 
-func TestOpenMemory(t *testing.T) {
-	s, err := OpenMemory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(s.Root())
-	if _, err := s.Put("a", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.Get("a"); string(got) != "b" {
-		t.Errorf("Get = %q, want b", got)
-	}
-}
-
 // Property: Put then Get returns the same bytes for arbitrary content.
 func TestPutGetRoundTripProperty(t *testing.T) {
 	s := newStore(t)
@@ -175,7 +187,7 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		i++
 		p := "obj/" + string(rune('a'+i%26)) + "x"
-		if _, err := s.Put(p, data); err != nil {
+		if _, err := s.Put(p, data, nil); err != nil {
 			return false
 		}
 		got, err := s.Get(p)

@@ -37,9 +37,9 @@ type Placement struct {
 	Collection string
 }
 
-// Poly bundles the member stores and routes ingested objects. All raw
-// bytes always land in Files (the lake keeps originals); parsed forms
-// go to the model store chosen by Route or by explicit override —
+// Poly bundles the member stores and routes ingested objects. Every
+// raw object is recorded in Files (the lake keeps originals); parsed
+// forms go to the model store chosen by Route or by explicit override —
 // exactly Constance's strategy (Sec. 4.3).
 type Poly struct {
 	Files *filestore.Store
@@ -52,14 +52,12 @@ type Poly struct {
 	placements map[string]Placement
 }
 
-// New assembles a polystore over a file store rooted at dir.
+// New assembles an empty polystore. Its stores live in memory and it
+// writes nothing to disk, so dir is unused and the error always nil;
+// both are kept for existing callers.
 func New(dir string) (*Poly, error) {
-	fs, err := filestore.Open(dir)
-	if err != nil {
-		return nil, err
-	}
 	return &Poly{
-		Files:      fs,
+		Files:      filestore.New(),
 		KV:         kvstore.New(),
 		Docs:       docstore.New(),
 		Graph:      graphstore.New(),
@@ -82,18 +80,21 @@ func Route(f filestore.Format) Target {
 	}
 }
 
-// Ingest stores the raw object and routes its parsed form to the model
-// store chosen by Route. Use IngestAs to override the target.
+// Ingest stores the raw object, keeping a copy of its bytes in memory,
+// and routes its parsed form to the model store chosen by Route. Use
+// IngestAs to override the target.
 func (p *Poly) Ingest(path string, data []byte) (Placement, error) {
-	pl, _, err := p.IngestParsed(path, data)
+	pl, _, err := p.IngestParsed(path, data, nil)
 	return pl, err
 }
 
-// IngestParsed is Ingest that also hands back the table it parsed for
-// the relational store (nil for any other placement), the caller's own
-// copy, so that describing the object next needs no second parse.
-func (p *Poly) IngestParsed(path string, data []byte) (Placement, *table.Table, error) {
-	info, err := p.Files.Put(path, data)
+// IngestParsed is Ingest for a caller that keeps the raw bytes itself:
+// Files reads them back through read (a nil read keeps a copy in
+// memory). It also hands back the table it parsed for the relational
+// store (nil for any other placement), the caller's own copy, so that
+// describing the object next needs no second parse.
+func (p *Poly) IngestParsed(path string, data []byte, read filestore.ReadFunc) (Placement, *table.Table, error) {
+	info, err := p.Files.Put(path, data, read)
 	if err != nil {
 		return Placement{}, nil, err
 	}
@@ -104,7 +105,7 @@ func (p *Poly) IngestParsed(path string, data []byte) (Placement, *table.Table, 
 // IngestAs stores the raw object and forces the given target, the
 // user-override Constance exposes in its UI.
 func (p *Poly) IngestAs(path string, data []byte, target Target) (Placement, error) {
-	info, err := p.Files.Put(path, data)
+	info, err := p.Files.Put(path, data, nil)
 	if err != nil {
 		return Placement{}, err
 	}

@@ -238,7 +238,7 @@ func TestRelStoreIsolationAndCRUD(t *testing.T) {
 
 func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 	p := newPoly(t)
-	pl, tbl, err := p.IngestParsed("raw/orders.csv", []byte("id,total\n1,9.5\n2,3.25\n"))
+	pl, tbl, err := p.IngestParsed("raw/orders.csv", []byte("id,total\n1,9.5\n2,3.25\n"), nil)
 	if err != nil || pl.Target != TargetRelational || tbl == nil {
 		t.Fatalf("csv: placement %+v, table %v, err %v", pl, tbl, err)
 	}
@@ -255,7 +255,7 @@ func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 		"raw/event.json": `{"kind":"click"}`,
 		"raw/notes.txt":  "hello",
 	} {
-		if _, tbl, err := p.IngestParsed(path, []byte(body)); err != nil || tbl != nil {
+		if _, tbl, err := p.IngestParsed(path, []byte(body), nil); err != nil || tbl != nil {
 			t.Errorf("%s: table %v, err %v, want neither", path, tbl, err)
 		}
 	}
