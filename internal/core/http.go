@@ -641,13 +641,7 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: unknown mode %q", body.Mode))
 		return
 	}
-	t, err := l.Poly.Rel.Table(body.Table)
-	if err != nil {
-		writeErr(w, lakeerr.Wrap(lakeerr.CodeNotFound, err))
-		return
-	}
-	req.Query = t
-	res, err := l.Explore(r.Context(), userOf(r), req)
+	res, err := l.exploreStored(r.Context(), user, body.Table, req)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1355,11 +1355,24 @@ func (l *Lake) RelatedTables(ctx context.Context, user, tableName string, k int)
 	if _, err := l.roleOf(user); err != nil {
 		return nil, err
 	}
-	t, err := l.Poly.Rel.Table(tableName)
-	if err != nil {
+	return l.exploreStored(ctx, user, tableName, explore.Request{Mode: explore.ModePopulate, K: k})
+}
+
+// exploreStored answers req with the stored relational table name as
+// its query table, read in place under the store's read lock instead of
+// copied. A missing table is CodeNotFound.
+func (l *Lake) exploreStored(ctx context.Context, user, name string, req explore.Request) ([]explore.Result, error) {
+	var res []explore.Result
+	err := l.Poly.Rel.View(name, func(t *table.Table) error {
+		req.Query = t
+		var err error
+		res, err = l.Explore(ctx, user, req)
+		return err
+	})
+	if errors.Is(err, polystore.ErrNoTable) {
 		return nil, lakeerr.Wrap(lakeerr.CodeNotFound, err)
 	}
-	return l.Explore(ctx, user, explore.Request{Mode: explore.ModePopulate, Query: t, K: k})
+	return res, err
 }
 
 // Lineage answers upstream provenance for a dataset.
@@ -1559,9 +1572,5 @@ func (l *Lake) TaskSearch(ctx context.Context, user, tableName string, task disc
 	if _, err := l.roleOf(user); err != nil {
 		return nil, err
 	}
-	t, err := l.Poly.Rel.Table(tableName)
-	if err != nil {
-		return nil, lakeerr.Wrap(lakeerr.CodeNotFound, err)
-	}
-	return l.Explore(ctx, user, explore.Request{Mode: explore.ModeTask, Query: t, Task: task, K: k})
+	return l.exploreStored(ctx, user, tableName, explore.Request{Mode: explore.ModeTask, Task: task, K: k})
 }

@@ -1,6 +1,9 @@
 package discovery
 
 import (
+	"cmp"
+	"slices"
+
 	"golake/internal/metamodel"
 	"golake/internal/sketch"
 	"golake/internal/table"
@@ -23,14 +26,23 @@ type Aurum struct {
 	// re-indexed column's signature and edges are recomputed.
 	UpdateThreshold float64
 
-	ekg   *metamodel.EKG
-	lsh   *sketch.LSHIndex
-	sigs  map[string]*sketch.MinHash
-	dict  *sketch.Dict // interns the values of sets
-	sets  map[string]sketch.Set
-	names map[string][]string // column key -> name tokens
-	keyed map[string]bool     // column key -> is candidate key
+	ekg  *metamodel.EKG
+	lsh  *sketch.LSHIndex
+	dict *sketch.Dict // interns the values of sets
+	// slots numbers the profiled columns; the LSH index holds slots and
+	// the per-column profile below is indexed by them.
+	slots *columnSlots
+	cols  []aurumColumn
 	tfidf *sketch.TFIDF
+}
+
+// aurumColumn is one profiled column.
+type aurumColumn struct {
+	sig   *sketch.MinHash
+	bands []uint64 // sig's LSH band hashes
+	set   sketch.Set
+	names []string // name tokens
+	keyed bool     // is candidate key
 }
 
 // NewAurum creates an Aurum instance with the survey-typical defaults.
@@ -41,11 +53,8 @@ func NewAurum() *Aurum {
 		UpdateThreshold: 0.2,
 		ekg:             metamodel.NewEKG(),
 		lsh:             sketch.NewLSHIndex(16, 8),
-		sigs:            map[string]*sketch.MinHash{},
 		dict:            sketch.NewDict(),
-		sets:            map[string]sketch.Set{},
-		names:           map[string][]string{},
-		keyed:           map[string]bool{},
+		slots:           newColumnSlots(),
 	}
 }
 
@@ -63,86 +72,108 @@ func (a *Aurum) Index(tables []*table.Table) error {
 	for _, t := range tables {
 		var members []metamodel.ColumnRef
 		for _, c := range t.Columns {
-			key := columnKey(t.Name, c.Name)
-			vals := textualValues(c, 0)
-			set := a.dict.Set(vals)
-			sig := sketch.NewMinHash(a.lsh.SignatureLen(), vals)
-			a.sigs[key] = sig
-			a.sets[key] = set
-			a.names[key] = sketch.Tokenize(c.Name)
-			a.keyed[key] = c.IsCandidateKey(0.9)
-			if err := a.lsh.Add(key, sig); err != nil {
+			slot, err := a.profile(t.Name, c)
+			if err != nil {
 				return err
 			}
-			ref := metamodel.ColumnRef{Table: t.Name, Column: c.Name}
+			ref := a.ref(slot)
 			a.ekg.AddColumn(ref)
 			members = append(members, ref)
-			nameDocs = append(nameDocs, a.names[key])
+			nameDocs = append(nameDocs, a.cols[slot].names)
 		}
 		a.ekg.AddHyperedge(t.Name, members)
 	}
 	a.tfidf = sketch.NewTFIDF(nameDocs)
 	// Materialize edges from LSH candidacy (content) and name
 	// similarity.
-	for key, sig := range a.sigs {
-		tbl, col, err := splitKey(key)
-		if err != nil {
-			return err
+	for slot := range a.cols {
+		ref := a.ref(uint32(slot))
+		for _, cand := range a.similar(uint32(slot)) {
+			a.ekg.Relate(ref, a.ref(cand.slot), "content", cand.jaccard)
 		}
-		ref := metamodel.ColumnRef{Table: tbl, Column: col}
-		for _, cand := range a.lsh.Query(sig, a.MinJaccard, key) {
-			ctbl, ccol, err := splitKey(cand.Key)
-			if err != nil {
-				return err
-			}
-			cref := metamodel.ColumnRef{Table: ctbl, Column: ccol}
-			a.ekg.Relate(ref, cref, "content", cand.Jaccard)
-		}
-		a.relateByName(key, ref)
+		a.relateByName(uint32(slot), ref)
 	}
 	// PK-FK pass: Aurum first infers approximate key attributes, then
 	// checks containment of other columns in them. Keyed columns are a
 	// small fraction of all columns, so this pass stays near-linear.
-	for key, isKey := range a.keyed {
-		if !isKey {
+	for slot, col := range a.cols {
+		if !col.keyed {
 			continue
 		}
-		tbl, col, err := splitKey(key)
-		if err != nil {
-			return err
-		}
-		ref := metamodel.ColumnRef{Table: tbl, Column: col}
-		for okey := range a.sets {
-			if okey == key {
+		ref := a.ref(uint32(slot))
+		for other := range a.cols {
+			if other == slot || a.slots.cols[other].table == a.slots.cols[slot].table {
 				continue
 			}
-			otbl, ocol, err := splitKey(okey)
-			if err != nil || otbl == tbl {
-				continue
-			}
-			a.maybePKFK(key, okey, ref, metamodel.ColumnRef{Table: otbl, Column: ocol})
+			a.maybePKFK(uint32(slot), uint32(other), ref, a.ref(uint32(other)))
 		}
 	}
 	return nil
+}
+
+// profile (re)profiles one column into its slot and the LSH index.
+func (a *Aurum) profile(tableName string, c *table.Column) (uint32, error) {
+	slot := a.slots.add(tableName, c.Name)
+	for int(slot) >= len(a.cols) {
+		a.cols = append(a.cols, aurumColumn{})
+	}
+	vals := textualValues(c, 0)
+	sig := sketch.NewMinHash(a.lsh.SignatureLen(), vals)
+	a.cols[slot] = aurumColumn{
+		sig:   sig,
+		bands: a.lsh.Bands(sig),
+		set:   a.dict.Set(vals),
+		names: sketch.Tokenize(c.Name),
+		keyed: c.IsCandidateKey(0.9),
+	}
+	return slot, a.lsh.Add(slot, a.cols[slot].bands)
+}
+
+func (a *Aurum) ref(slot uint32) metamodel.ColumnRef { return a.slots.cols[slot].ref }
+
+// aurumCandidate is a column sharing an LSH bucket with another, with
+// their estimated Jaccard similarity.
+type aurumCandidate struct {
+	slot    uint32
+	jaccard float64
+}
+
+// similar returns the columns sharing at least one LSH bucket with the
+// column in slot whose estimated Jaccard reaches MinJaccard, most
+// similar first.
+func (a *Aurum) similar(slot uint32) []aurumCandidate {
+	cands := a.lsh.AppendSlots(nil, a.cols[slot].bands)
+	slices.Sort(cands)
+	var out []aurumCandidate
+	for _, c := range slices.Compact(cands) {
+		if c == slot {
+			continue
+		}
+		if est := a.cols[slot].sig.Jaccard(a.cols[c].sig); est >= a.MinJaccard {
+			out = append(out, aurumCandidate{slot: c, jaccard: est})
+		}
+	}
+	slices.SortFunc(out, func(x, y aurumCandidate) int {
+		if x.jaccard != y.jaccard {
+			return cmp.Compare(y.jaccard, x.jaccard)
+		}
+		return a.slots.compare(x.slot, y.slot)
+	})
+	return out
 }
 
 // relateByName adds name-similarity edges against every other column
 // with cosine above threshold. Name vocabulary is tiny compared to
 // values, so a scan is acceptable (Aurum also treats schema signatures
 // as cheap).
-func (a *Aurum) relateByName(key string, ref metamodel.ColumnRef) {
-	qv := a.tfidf.Vector(a.names[key])
-	for okey, toks := range a.names {
-		if okey == key {
+func (a *Aurum) relateByName(slot uint32, ref metamodel.ColumnRef) {
+	qv := a.tfidf.Vector(a.cols[slot].names)
+	for other, col := range a.cols {
+		if uint32(other) == slot {
 			continue
 		}
-		sim := sketch.CosineSparse(qv, a.tfidf.Vector(toks))
-		if sim >= a.MinNameSim {
-			otbl, ocol, err := splitKey(okey)
-			if err != nil {
-				continue
-			}
-			a.ekg.Relate(ref, metamodel.ColumnRef{Table: otbl, Column: ocol}, "name", sim)
+		if sim := sketch.CosineSparse(qv, a.tfidf.Vector(col.names)); sim >= a.MinNameSim {
+			a.ekg.Relate(ref, a.ref(uint32(other)), "name", sim)
 		}
 	}
 }
@@ -150,11 +181,12 @@ func (a *Aurum) relateByName(key string, ref metamodel.ColumnRef) {
 // maybePKFK detects primary-foreign key candidates: one side is an
 // approximate key and the other side's values are mostly contained in
 // it. Empty candidate sets never qualify.
-func (a *Aurum) maybePKFK(k1, k2 string, r1, r2 metamodel.ColumnRef) {
-	s1, s2 := a.sets[k1], a.sets[k2]
-	if a.keyed[k1] && len(s2) > 0 && sketch.Containment(s2, s1) >= 0.8 {
+func (a *Aurum) maybePKFK(k1, k2 uint32, r1, r2 metamodel.ColumnRef) {
+	c1, c2 := &a.cols[k1], &a.cols[k2]
+	s1, s2 := c1.set, c2.set
+	if c1.keyed && len(s2) > 0 && sketch.Containment(s2, s1) >= 0.8 {
 		a.ekg.Relate(r1, r2, "pkfk", sketch.Containment(s2, s1))
-	} else if a.keyed[k2] && len(s1) > 0 && sketch.Containment(s1, s2) >= 0.8 {
+	} else if c2.keyed && len(s1) > 0 && sketch.Containment(s1, s2) >= 0.8 {
 		a.ekg.Relate(r1, r2, "pkfk", sketch.Containment(s1, s2))
 	}
 }
@@ -164,36 +196,24 @@ func (a *Aurum) maybePKFK(k1, k2 string, r1, r2 metamodel.ColumnRef) {
 // when the value drift (Jaccard distance between old and new sets)
 // exceeds UpdateThreshold; otherwise the stored profile stands.
 func (a *Aurum) Update(tableName string, c *table.Column) (changed bool, err error) {
-	key := columnKey(tableName, c.Name)
-	newVals := textualValues(c, 0)
-	newSet := a.dict.Set(newVals)
-	old, ok := a.sets[key]
-	if ok {
-		drift := 1 - sketch.ExactJaccard(old, newSet)
+	if slot := a.slots.slot(tableName, c.Name); slot != sketch.NoSlot {
+		drift := 1 - sketch.ExactJaccard(a.cols[slot].set, a.dict.Set(textualValues(c, 0)))
 		if drift <= a.UpdateThreshold {
 			return false, nil
 		}
 	}
 	ref := metamodel.ColumnRef{Table: tableName, Column: c.Name}
 	a.ekg.RemoveRelations(ref)
-	a.lsh.Remove(key)
-	sig := sketch.NewMinHash(a.lsh.SignatureLen(), newVals)
-	a.sigs[key] = sig
-	a.sets[key] = newSet
-	a.keyed[key] = c.IsCandidateKey(0.9)
-	if err := a.lsh.Add(key, sig); err != nil {
+	slot, err := a.profile(tableName, c)
+	if err != nil {
 		return false, err
 	}
-	for _, cand := range a.lsh.Query(sig, a.MinJaccard, key) {
-		ctbl, ccol, err := splitKey(cand.Key)
-		if err != nil {
-			return false, err
-		}
-		cref := metamodel.ColumnRef{Table: ctbl, Column: ccol}
-		a.ekg.Relate(ref, cref, "content", cand.Jaccard)
-		a.maybePKFK(key, cand.Key, ref, cref)
+	for _, cand := range a.similar(slot) {
+		cref := a.ref(cand.slot)
+		a.ekg.Relate(ref, cref, "content", cand.jaccard)
+		a.maybePKFK(slot, cand.slot, ref, cref)
 	}
-	a.relateByName(key, ref)
+	a.relateByName(slot, ref)
 	return true, nil
 }
 

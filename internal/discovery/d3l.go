@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -33,22 +34,22 @@ type D3L struct {
 	dict     *sketch.Dict
 	nameLSH  *sketch.LSHIndex
 	valueLSH *sketch.LSHIndex
-	profiles map[string]*d3lProfile
-	tables   map[string][]string
+	// slots numbers the indexed columns; both LSH indexes hold slots.
+	slots    *columnSlots
+	profiles []*d3lProfile // slot -> profile; nil while free
 }
 
 type d3lProfile struct {
-	key       string
 	nameGrams sketch.Set
 	values    sketch.Set
-	// nameSig and valueSig are the LSH signatures, hashed from the
-	// strings once at profile time.
-	nameSig   *sketch.MinHash
-	valueSig  *sketch.MinHash
-	vector    []float64
-	formats   sketch.Set
-	numeric   []float64 // sorted, for KolmogorovSmirnov
-	isNumeric bool
+	// nameBands and valueBands are the LSH band hashes of the name and
+	// value signatures, hashed from the strings once at profile time.
+	nameBands  []uint64
+	valueBands []uint64
+	vector     []float64
+	formats    sketch.Set
+	numeric    []float64 // sorted, for KolmogorovSmirnov
+	isNumeric  bool
 }
 
 // NewD3L creates a D3L instance with uniform weights.
@@ -60,8 +61,7 @@ func NewD3L() *D3L {
 		dict:        sketch.NewDict(),
 		nameLSH:     sketch.NewLSHIndex(16, 4),
 		valueLSH:    sketch.NewLSHIndex(16, 8),
-		profiles:    map[string]*d3lProfile{},
-		tables:      map[string][]string{},
+		slots:       newColumnSlots(),
 	}
 }
 
@@ -101,24 +101,27 @@ func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
 	}
 	s.embed = d.embedModel.Stage(sample)
 	for i, c := range cols {
-		s.cols = append(s.cols, d.profileColumn(s.tables[i], c, vals[i], s.embed))
+		s.cols = append(s.cols, d.profileColumn(c, vals[i], s.embed))
 	}
 	return s
 }
 
 // Commit adds a staged batch to the index: the embedding model gains
-// its columns, each column's names, values and formats are interned,
-// and its signatures go into both LSH indexes.
+// its columns, each column takes a slot and has its names, values and
+// formats interned, and its band hashes go into both LSH indexes.
 func (d *D3L) Commit(s *D3LStaged) error {
 	s.embed.Commit()
 	for i, col := range s.cols {
 		p := col.intern(d.dict)
-		d.profiles[p.key] = p
-		d.tables[s.tables[i]] = append(d.tables[s.tables[i]], p.key)
-		if err := d.nameLSH.Add(p.key, p.nameSig); err != nil {
+		slot := d.slots.add(s.tables[i], col.name)
+		for int(slot) >= len(d.profiles) {
+			d.profiles = append(d.profiles, nil)
+		}
+		d.profiles[slot] = p
+		if err := d.nameLSH.Add(slot, p.nameBands); err != nil {
 			return err
 		}
-		if err := d.valueLSH.Add(p.key, p.valueSig); err != nil {
+		if err := d.valueLSH.Add(slot, p.valueBands); err != nil {
 			return err
 		}
 	}
@@ -126,24 +129,24 @@ func (d *D3L) Commit(s *D3LStaged) error {
 }
 
 // Remove drops every indexed column of one table from the profiles and
-// both LSH indexes. The corpus-trained embedding model keeps the evicted
-// columns' contribution until the next full rebuild — an accepted
-// approximation, squared up when a full pass retrains it.
+// both LSH indexes and frees their slots. The corpus-trained embedding
+// model keeps the evicted columns' contribution until the next full
+// rebuild — an accepted approximation, squared up when a full pass
+// retrains it.
 func (d *D3L) Remove(tableName string) {
-	for _, key := range d.tables[tableName] {
-		delete(d.profiles, key)
-		d.nameLSH.Remove(key)
-		d.valueLSH.Remove(key)
+	for _, slot := range d.slots.removeTable(tableName) {
+		d.profiles[slot] = nil
+		d.nameLSH.Remove(slot)
+		d.valueLSH.Remove(slot)
 	}
-	delete(d.tables, tableName)
 }
 
 // d3lColumn is what profiling a column computes from its strings alone;
 // intern turns it into the profile the index keeps.
 type d3lColumn struct {
-	key                     string
+	name                    string
 	grams, values, patterns []string
-	nameSig, valueSig       *sketch.MinHash
+	nameBands, valueBands   []uint64
 	vector                  []float64
 	numeric                 []float64
 	isNumeric               bool
@@ -153,16 +156,16 @@ type d3lColumn struct {
 // Stage passes the staged embedding, which memoises privately; a read
 // path profiling a query column that is not indexed passes a Reader,
 // which writes nothing.
-func (d *D3L) profileColumn(tableName string, c *table.Column, vals []string, vecs embedder) *d3lColumn {
+func (d *D3L) profileColumn(c *table.Column, vals []string, vecs embedder) *d3lColumn {
 	col := &d3lColumn{
-		key:      columnKey(tableName, c.Name),
+		name:     c.Name,
 		grams:    sketch.QGrams(c.Name, 3),
 		values:   vals,
 		vector:   vecs.ColumnVector(capped(vals, 100)),
 		patterns: make([]string, len(capped(vals, 200))),
 	}
-	col.nameSig = sketch.NewMinHash(d.nameLSH.SignatureLen(), col.grams)
-	col.valueSig = sketch.NewMinHash(d.valueLSH.SignatureLen(), vals)
+	col.nameBands = d.nameLSH.Bands(sketch.NewMinHash(d.nameLSH.SignatureLen(), col.grams))
+	col.valueBands = d.valueLSH.Bands(sketch.NewMinHash(d.valueLSH.SignatureLen(), vals))
 	for i := range col.patterns {
 		col.patterns[i] = sketch.RegexPattern(vals[i])
 	}
@@ -181,15 +184,14 @@ func (d *D3L) profileColumn(tableName string, c *table.Column, vals []string, ve
 // read path a Lookup, which writes nothing.
 func (col *d3lColumn) intern(ids interner) *d3lProfile {
 	return &d3lProfile{
-		key:       col.key,
-		nameGrams: ids.Set(col.grams),
-		values:    ids.Set(col.values),
-		nameSig:   col.nameSig,
-		valueSig:  col.valueSig,
-		vector:    col.vector,
-		formats:   ids.Set(col.patterns),
-		numeric:   col.numeric,
-		isNumeric: col.isNumeric,
+		nameGrams:  ids.Set(col.grams),
+		values:     ids.Set(col.values),
+		nameBands:  col.nameBands,
+		valueBands: col.valueBands,
+		vector:     col.vector,
+		formats:    ids.Set(col.patterns),
+		numeric:    col.numeric,
+		isNumeric:  col.isNumeric,
 	}
 }
 
@@ -247,9 +249,8 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 	}
 	var data []example
 	for _, p := range pairs {
-		a, okA := d.profiles[columnKey(p.A.Table, p.A.Column)]
-		b, okB := d.profiles[columnKey(p.B.Table, p.B.Column)]
-		if !okA || !okB {
+		a, b := d.indexed(p.A.Table, p.A.Column), d.indexed(p.B.Table, p.B.Column)
+		if a == nil || b == nil {
 			continue
 		}
 		y := 0.0
@@ -292,54 +293,92 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 // two LSH indexes; a candidate table's score is the mean, over query
 // columns, of 1 - minimal distance to any of its columns.
 func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
-	// sums adds each table's similarities in query-column order;
-	// bestPerTable is reused from one query column to the next.
-	sums := map[string]float64{}
-	bestPerTable := map[string]float64{}
-	for _, c := range query.Columns {
+	self := d.slots.tableID(query.Name)
+	// acc is indexed by table id; seen lists the ids that have a score,
+	// in the order they were first seen.
+	acc := make([]d3lTableScore, d.slots.numTables())
+	marks := make([]bool, d.slots.numSlots())
+	var seen, cands []uint32
+	for ci, c := range query.Columns {
 		qp := d.queryProfile(query.Name, c)
-		clear(bestPerTable)
-		for _, key := range d.candidates(qp) {
-			cp := d.profiles[key]
-			tbl, _, err := splitKey(key)
-			if err != nil || tbl == query.Name {
+		col := int32(ci + 1)
+		cands = d.candidates(cands[:0], marks, qp)
+		for _, slot := range cands {
+			tid := d.slots.cols[slot].table
+			if tid == self {
 				continue
 			}
-			dist := d.Distance(qp, cp)
+			dist := d.Distance(qp, d.profiles[slot])
 			if dist > d.MaxDistance {
 				continue
 			}
-			cur, seen := bestPerTable[tbl]
-			if !seen || dist < cur {
-				bestPerTable[tbl] = dist
+			a := &acc[tid]
+			switch {
+			case a.col == 0:
+				seen = append(seen, tid)
+				a.col, a.best = col, dist
+			case a.col != col:
+				a.sum += 1 - a.best/d.MaxDistance
+				a.col, a.best = col, dist
+			case dist < a.best:
+				a.best = dist
 			}
 		}
-		for tbl, dist := range bestPerTable {
-			sums[tbl] += 1 - dist/d.MaxDistance
-		}
 	}
-	for tbl, sum := range sums {
-		sums[tbl] = sum / float64(len(query.Columns))
+	out := make([]metamodel.TableScore, len(seen))
+	for i, tid := range seen {
+		a := &acc[tid]
+		sum := a.sum + (1 - a.best/d.MaxDistance)
+		out[i] = metamodel.TableScore{Table: d.slots.tables[tid].name, Score: sum / float64(len(query.Columns))}
 	}
-	return rankTables(sums, k)
+	return rankScores(out, k)
+}
+
+// d3lTableScore accumulates one candidate table's score. Each query
+// column's best distance is added to sum when the next column that
+// reaches the table opens (or at the end), so the sum is taken in
+// query-column order.
+type d3lTableScore struct {
+	sum  float64
+	best float64 // minimal distance in query column col
+	col  int32   // 1 + the last query column that reached the table; 0: none
+}
+
+// indexed returns the profile of an indexed column, or nil.
+func (d *D3L) indexed(tableName, column string) *d3lProfile {
+	if slot := d.slots.slot(tableName, column); slot != sketch.NoSlot {
+		return d.profiles[slot]
+	}
+	return nil
 }
 
 // queryProfile returns the indexed profile of a query column, or
 // profiles it without writing anything when its table is not indexed.
 func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
-	if p, ok := d.profiles[columnKey(tableName, c.Name)]; ok {
+	if p := d.indexed(tableName, c.Name); p != nil {
 		return p
 	}
-	col := d.profileColumn(tableName, c, textualValues(c, 0), d.embedModel.Reader())
+	col := d.profileColumn(c, textualValues(c, 0), d.embedModel.Reader())
 	return col.intern(d.dict.Lookup())
 }
 
-// candidates unions the LSH buckets of both feature indexes, sorted.
-func (d *D3L) candidates(p *d3lProfile) []string {
-	out := d.nameLSH.AppendKeys(nil, p.nameSig, p.key)
-	out = d.valueLSH.AppendKeys(out, p.valueSig, p.key)
-	slices.Sort(out)
-	return slices.Compact(out)
+// candidates appends to dst, each once, the slots sharing an LSH bucket
+// of either feature index with p. marks has one entry per slot, all
+// false, and is left so.
+func (d *D3L) candidates(dst []uint32, marks []bool, p *d3lProfile) []uint32 {
+	all := d.nameLSH.AppendSlots(dst, p.nameBands)
+	all = d.valueLSH.AppendSlots(all, p.valueBands)
+	out := all[:len(dst)]
+	for _, slot := range all[len(dst):] {
+		if !marks[slot] {
+			marks[slot] = true
+			out = append(out, slot)
+		}
+	}
+	for _, slot := range out[len(dst):] {
+		marks[slot] = false
+	}
+	return out
 }
 
 // JoinableColumns implements JoinSearcher via the value-overlap feature
@@ -349,25 +388,25 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 	if err != nil {
 		return nil, err
 	}
+	self := d.slots.tableID(query.Name)
 	qp := d.queryProfile(query.Name, c)
 	var out []ColumnMatch
-	for _, key := range d.candidates(qp) {
-		cp := d.profiles[key]
-		tbl, col, err := splitKey(key)
-		if err != nil || tbl == query.Name {
+	for _, slot := range d.candidates(nil, make([]bool, d.slots.numSlots()), qp) {
+		col := d.slots.cols[slot]
+		if col.table == self {
 			continue
 		}
-		sim := sketch.ExactJaccard(qp.values, cp.values)
+		sim := sketch.ExactJaccard(qp.values, d.profiles[slot].values)
 		if sim <= 0 {
 			continue
 		}
-		out = append(out, ColumnMatch{Ref: metamodel.ColumnRef{Table: tbl, Column: col}, Score: sim})
+		out = append(out, ColumnMatch{Ref: col.ref, Score: sim})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b ColumnMatch) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Ref.String() < out[j].Ref.String()
+		return compareRefs(a.Ref, b.Ref)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

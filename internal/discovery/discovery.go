@@ -63,7 +63,8 @@ type embedder interface {
 	ColumnVector(values []string) []float64
 }
 
-// columnKey renders the canonical "table.column" identifier.
+// columnKey renders the "table.column" identifier of DLN's join query
+// logs.
 func columnKey(t, c string) string { return t + "." + c }
 
 // textualValues returns the distinct non-null values of a column,

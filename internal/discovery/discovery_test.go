@@ -359,16 +359,6 @@ func TestDLNUntrainedReturnsNothing(t *testing.T) {
 	}
 }
 
-func TestSplitKey(t *testing.T) {
-	tbl, col, err := splitKey("my.table.column")
-	if err != nil || tbl != "my.table" || col != "column" {
-		t.Errorf("splitKey = %q/%q/%v", tbl, col, err)
-	}
-	if _, _, err := splitKey("nodot"); err == nil {
-		t.Error("malformed key should error")
-	}
-}
-
 func TestPEXESOSemanticMatch(t *testing.T) {
 	// Two columns with disjoint values drawn from the same vocabulary
 	// context should still be joinable semantically after exact-match
@@ -428,16 +418,16 @@ func TestPEXESOGridMatchesBruteForce(t *testing.T) {
 		}
 		return float64(matched) / float64(len(q.values))
 	}
-	keys := make([]string, 0, len(p.columns))
-	for k := range p.columns {
-		keys = append(keys, k)
+	cols := make([]*pexColumn, 0, len(p.columns))
+	for _, col := range p.columns {
+		cols = append(cols, col)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := 0; j < len(keys); j++ {
+	for i := 0; i < len(cols); i++ {
+		for j := 0; j < len(cols); j++ {
 			if i == j {
 				continue
 			}
-			a, b := p.columns[keys[i]], p.columns[keys[j]]
+			a, b := cols[i], cols[j]
 			g := p.Joinability(a, b)
 			bf := brute(a, b)
 			// The grid prunes by adjacency: it may miss matches landing
@@ -445,7 +435,7 @@ func TestPEXESOGridMatchesBruteForce(t *testing.T) {
 			// grid <= brute; exact-value matches guarantee equality for
 			// identical columns.
 			if g > bf+1e-9 {
-				t.Fatalf("grid joinability %v > brute force %v for %s/%s", g, bf, keys[i], keys[j])
+				t.Fatalf("grid joinability %v > brute force %v for %s/%s", g, bf, a.ref, b.ref)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -21,14 +20,12 @@ import (
 // top-k semantics, and robustness to skewed posting lists (long lists
 // are walked once, not per candidate).
 type JOSIE struct {
-	// dict interns every indexed value; the index and cols hold ids.
-	dict  *sketch.Dict
+	// dict interns every indexed value; the index holds ids.
+	dict *sketch.Dict
+	// index holds each column's distinct set (the "set file" the cost
+	// model would read) in the column's slot.
 	index *sketch.InvertedIndex
-	// cols maps "table.column" -> its distinct set (the "set file" the
-	// cost model would read).
-	cols map[string]sketch.Set
-	// tablesOf maps table name -> its column keys.
-	tablesOf map[string][]string
+	slots *columnSlots
 	// MaxValuesPerColumn caps indexed set size (0 = unlimited).
 	MaxValuesPerColumn int
 }
@@ -36,10 +33,9 @@ type JOSIE struct {
 // NewJOSIE creates an unindexed JOSIE instance.
 func NewJOSIE() *JOSIE {
 	return &JOSIE{
-		dict:     sketch.NewDict(),
-		index:    sketch.NewInvertedIndex(),
-		cols:     map[string]sketch.Set{},
-		tablesOf: map[string][]string{},
+		dict:  sketch.NewDict(),
+		index: sketch.NewInvertedIndex(),
+		slots: newColumnSlots(),
 	}
 }
 
@@ -51,11 +47,8 @@ func (j *JOSIE) Name() string { return "JOSIE" }
 func (j *JOSIE) Index(tables []*table.Table) error {
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			key := columnKey(t.Name, c.Name)
 			set := j.dict.Set(textualValues(c, j.MaxValuesPerColumn))
-			j.cols[key] = set
-			j.index.Add(key, set)
-			j.tablesOf[t.Name] = append(j.tablesOf[t.Name], key)
+			j.index.Add(j.slots.add(t.Name, c.Name), set)
 		}
 	}
 	return nil
@@ -65,11 +58,9 @@ func (j *JOSIE) Index(tables []*table.Table) error {
 // eviction path, so removing a dataset does not force a corpus-wide
 // re-index.
 func (j *JOSIE) Remove(tableName string) {
-	for _, key := range j.tablesOf[tableName] {
-		j.index.Remove(key)
-		delete(j.cols, key)
+	for _, slot := range j.slots.removeTable(tableName) {
+		j.index.Remove(slot)
 	}
-	delete(j.tablesOf, tableName)
 }
 
 // JoinableColumns implements JoinSearcher: exact top-k overlap search
@@ -79,18 +70,11 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 	if err != nil {
 		return nil, err
 	}
-	self := columnKey(query.Name, column)
-	res := j.index.TopKOverlap(j.querySet(self, c), k, self)
+	self := j.slots.slot(query.Name, column)
+	res := j.index.TopKOverlap(nil, j.querySet(self, c), k, self, j.slots.compare)
 	out := make([]ColumnMatch, 0, len(res))
 	for _, r := range res {
-		tbl, col, err := splitKey(r.ID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ColumnMatch{
-			Ref:   metamodel.ColumnRef{Table: tbl, Column: col},
-			Score: float64(r.Overlap),
-		})
+		out = append(out, ColumnMatch{Ref: j.slots.cols[r.Slot].ref, Score: float64(r.Overlap)})
 	}
 	return out, nil
 }
@@ -99,44 +83,47 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 // query is the maximum column-pair overlap, normalized by the query
 // column's cardinality.
 func (j *JOSIE) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
-	best := map[string]float64{}
+	selfTable := j.slots.tableID(query.Name)
+	// best is indexed by table id; seen lists the ids with a score.
+	best := make([]float64, j.slots.numTables())
+	var seen []uint32
+	var hits []sketch.OverlapResult
 	for _, c := range query.Columns {
-		self := columnKey(query.Name, c.Name)
+		self := j.slots.slot(query.Name, c.Name)
 		qset := j.querySet(self, c)
 		if len(qset) == 0 {
 			continue
 		}
 		// Over-fetch: several columns of one table may hit.
-		for _, r := range j.index.TopKOverlap(qset, 4*k, self) {
-			tbl, _, err := splitKey(r.ID)
-			if err != nil || tbl == query.Name {
+		hits = j.index.TopKOverlap(hits[:0], qset, 4*k, self, j.slots.compare)
+		for _, r := range hits {
+			tid := j.slots.cols[r.Slot].table
+			if tid == selfTable {
 				continue
 			}
 			score := float64(r.Overlap) / float64(len(qset))
-			if score > best[tbl] {
-				best[tbl] = score
+			if best[tid] == 0 {
+				seen = append(seen, tid)
+			}
+			if score > best[tid] {
+				best[tid] = score
 			}
 		}
 	}
-	return rankTables(best, k)
+	out := make([]metamodel.TableScore, len(seen))
+	for i, tid := range seen {
+		out[i] = metamodel.TableScore{Table: j.slots.tables[tid].name, Score: best[tid]}
+	}
+	return rankScores(out, k)
 }
 
 // querySet returns the indexed set of a query column, or builds it
 // without writing the dictionary when the column is not indexed.
-func (j *JOSIE) querySet(key string, c *table.Column) sketch.Set {
-	if set, ok := j.cols[key]; ok {
-		return set
+func (j *JOSIE) querySet(slot uint32, c *table.Column) sketch.Set {
+	if slot != sketch.NoSlot {
+		return j.index.Set(slot)
 	}
 	return j.dict.Lookup().Set(textualValues(c, j.MaxValuesPerColumn))
-}
-
-func splitKey(key string) (tbl, col string, err error) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '.' {
-			return key[:i], key[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("discovery: malformed column key %q", key)
 }
 
 // rankTables converts a score map into a sorted, truncated result list.
@@ -145,6 +132,12 @@ func rankTables(scores map[string]float64, k int) []metamodel.TableScore {
 	for t, s := range scores {
 		out = append(out, metamodel.TableScore{Table: t, Score: s})
 	}
+	return rankScores(out, k)
+}
+
+// rankScores sorts table scores by descending score, then name, and
+// truncates them to k (k <= 0: all).
+func rankScores(out []metamodel.TableScore, k int) []metamodel.TableScore {
 	slices.SortFunc(out, func(a, b metamodel.TableScore) int {
 		if a.Score != b.Score {
 			return cmp.Compare(b.Score, a.Score)

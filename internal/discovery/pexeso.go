@@ -27,12 +27,12 @@ type PEXESO struct {
 	GridCells int
 
 	model   *embed.Model
-	columns map[string]*pexColumn
-	tables  map[string][]string
+	columns map[metamodel.ColumnRef]*pexColumn
+	tables  map[string][]*pexColumn
 }
 
 type pexColumn struct {
-	key string
+	ref metamodel.ColumnRef
 	// values[i] embeds to vectors[i]; exact is the same distinct value
 	// set as a lookup map for the exact-match short-circuit.
 	values  []string
@@ -49,8 +49,8 @@ func NewPEXESO() *PEXESO {
 		JoinabilityThreshold: 0.5,
 		GridCells:            8,
 		model:                embed.NewModel(32),
-		columns:              map[string]*pexColumn{},
-		tables:               map[string][]string{},
+		columns:              map[metamodel.ColumnRef]*pexColumn{},
+		tables:               map[string][]*pexColumn{},
 	}
 }
 
@@ -74,8 +74,8 @@ func (p *PEXESO) Index(tables []*table.Table) error {
 				continue
 			}
 			pc := p.embedColumn(t.Name, c)
-			p.columns[pc.key] = pc
-			p.tables[t.Name] = append(p.tables[t.Name], pc.key)
+			p.columns[pc.ref] = pc
+			p.tables[t.Name] = append(p.tables[t.Name], pc)
 		}
 	}
 	return nil
@@ -84,7 +84,7 @@ func (p *PEXESO) Index(tables []*table.Table) error {
 func (p *PEXESO) embedColumn(tableName string, c *table.Column) *pexColumn {
 	vals := textualValues(c, 300)
 	pc := &pexColumn{
-		key:   columnKey(tableName, c.Name),
+		ref:   metamodel.ColumnRef{Table: tableName, Column: c.Name},
 		exact: map[string]struct{}{},
 		grid:  map[[2]int][]int{},
 	}
@@ -185,16 +185,16 @@ func (p *PEXESO) RelatedTables(query *table.Table, k int) []metamodel.TableScore
 		if c.Kind.Numeric() {
 			continue
 		}
-		qp, ok := p.columns[columnKey(query.Name, c.Name)]
+		qp, ok := p.columns[metamodel.ColumnRef{Table: query.Name, Column: c.Name}]
 		if !ok {
 			qp = p.embedColumn(query.Name, c)
 		}
-		for tbl, keys := range p.tables {
+		for tbl, cols := range p.tables {
 			if tbl == query.Name {
 				continue
 			}
-			for _, key := range keys {
-				j := p.Joinability(qp, p.columns[key])
+			for _, cand := range cols {
+				j := p.Joinability(qp, cand)
 				if j >= p.JoinabilityThreshold && j > best[tbl] {
 					best[tbl] = j
 				}
@@ -210,32 +210,26 @@ func (p *PEXESO) JoinableColumns(query *table.Table, column string, k int) ([]Co
 	if err != nil {
 		return nil, err
 	}
-	qp, ok := p.columns[columnKey(query.Name, column)]
+	qp, ok := p.columns[metamodel.ColumnRef{Table: query.Name, Column: column}]
 	if !ok {
 		qp = p.embedColumn(query.Name, c)
 	}
 	var out []ColumnMatch
-	for tbl, keys := range p.tables {
+	for tbl, cols := range p.tables {
 		if tbl == query.Name {
 			continue
 		}
-		for _, key := range keys {
-			j := p.Joinability(qp, p.columns[key])
-			if j < p.JoinabilityThreshold {
-				continue
+		for _, cand := range cols {
+			if j := p.Joinability(qp, cand); j >= p.JoinabilityThreshold {
+				out = append(out, ColumnMatch{Ref: cand.ref, Score: j})
 			}
-			_, col, err := splitKey(key)
-			if err != nil {
-				continue
-			}
-			out = append(out, ColumnMatch{Ref: metamodel.ColumnRef{Table: tbl, Column: col}, Score: j})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Ref.String() < out[j].Ref.String()
+		return compareRefs(out[i].Ref, out[j].Ref) < 0
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

@@ -41,12 +41,12 @@ type RNLIM struct {
 
 	model   *embed.Model
 	dict    *sketch.Dict // interns column values
-	columns map[string]*rnlimProfile
-	tables  map[string][]string
+	columns map[metamodel.ColumnRef]*rnlimProfile
+	tables  map[string][]*rnlimProfile
 }
 
 type rnlimProfile struct {
-	key       string
+	ref       metamodel.ColumnRef
 	nameVec   []float64
 	values    sketch.Set
 	numeric   []float64 // sorted, for KolmogorovSmirnov
@@ -60,8 +60,8 @@ func NewRNLIM() *RNLIM {
 		ContainmentFloor: 0.8,
 		model:            embed.NewModel(48),
 		dict:             sketch.NewDict(),
-		columns:          map[string]*rnlimProfile{},
-		tables:           map[string][]string{},
+		columns:          map[metamodel.ColumnRef]*rnlimProfile{},
+		tables:           map[string][]*rnlimProfile{},
 	}
 }
 
@@ -78,8 +78,8 @@ func (r *RNLIM) Index(tables []*table.Table) error {
 	for _, t := range tables {
 		for _, c := range t.Columns {
 			p := r.profile(t.Name, c, r.dict, r.model)
-			r.columns[p.key] = p
-			r.tables[t.Name] = append(r.tables[t.Name], p.key)
+			r.columns[p.ref] = p
+			r.tables[t.Name] = append(r.tables[t.Name], p)
 		}
 	}
 	return nil
@@ -89,7 +89,7 @@ func (r *RNLIM) Index(tables []*table.Table) error {
 // the model, a read path a Lookup and a Reader, which write nothing.
 func (r *RNLIM) profile(tableName string, c *table.Column, ids interner, vecs embedder) *rnlimProfile {
 	p := &rnlimProfile{
-		key: columnKey(tableName, c.Name),
+		ref: metamodel.ColumnRef{Table: tableName, Column: c.Name},
 		// Group 1 of RNLIM's signals: table and attribute names.
 		nameVec: vecs.Vector(tableName + " " + c.Name),
 		values:  ids.Set(textualValues(c, 500)),
@@ -108,7 +108,7 @@ func (r *RNLIM) profile(tableName string, c *table.Column, ids interner, vecs em
 // queryProfile returns the indexed profile of a query column, or
 // profiles it without writing anything when its table is not indexed.
 func (r *RNLIM) queryProfile(tableName string, c *table.Column) *rnlimProfile {
-	if p, ok := r.columns[columnKey(tableName, c.Name)]; ok {
+	if p, ok := r.columns[metamodel.ColumnRef{Table: tableName, Column: c.Name}]; ok {
 		return p
 	}
 	return r.profile(tableName, c, r.dict.Lookup(), r.model.Reader())
@@ -116,8 +116,8 @@ func (r *RNLIM) queryProfile(tableName string, c *table.Column) *rnlimProfile {
 
 // Label classifies the semantic relationship of two attributes.
 func (r *RNLIM) Label(a, b metamodel.ColumnRef) Relationship {
-	pa, okA := r.columns[columnKey(a.Table, a.Column)]
-	pb, okB := r.columns[columnKey(b.Table, b.Column)]
+	pa, okA := r.columns[a]
+	pb, okB := r.columns[b]
 	if !okA || !okB {
 		return RelUnrelated
 	}
@@ -180,12 +180,12 @@ func (r *RNLIM) RelatedTables(query *table.Table, k int) []metamodel.TableScore 
 	best := map[string]float64{}
 	for _, c := range query.Columns {
 		qp := r.queryProfile(query.Name, c)
-		for tbl, keys := range r.tables {
+		for tbl, cols := range r.tables {
 			if tbl == query.Name {
 				continue
 			}
-			for _, key := range keys {
-				s := relStrength(r.label(qp, r.columns[key]))
+			for _, cand := range cols {
+				s := relStrength(r.label(qp, cand))
 				if s > best[tbl] {
 					best[tbl] = s
 				}
@@ -225,20 +225,14 @@ func (r *RNLIM) ExplainTable(query *table.Table, candidate string) []LabeledPair
 	var out []LabeledPairResult
 	for _, c := range query.Columns {
 		qp := r.queryProfile(query.Name, c)
-		for _, key := range r.tables[candidate] {
-			rel := r.label(qp, r.columns[key])
-			if rel == RelUnrelated {
-				continue
+		for _, cand := range r.tables[candidate] {
+			if rel := r.label(qp, cand); rel != RelUnrelated {
+				out = append(out, LabeledPairResult{
+					A:   metamodel.ColumnRef{Table: query.Name, Column: c.Name},
+					B:   cand.ref,
+					Rel: rel,
+				})
 			}
-			tbl, col, err := splitKey(key)
-			if err != nil {
-				continue
-			}
-			out = append(out, LabeledPairResult{
-				A:   metamodel.ColumnRef{Table: query.Name, Column: c.Name},
-				B:   metamodel.ColumnRef{Table: tbl, Column: col},
-				Rel: rel,
-			})
 		}
 	}
 	return out

@@ -242,8 +242,8 @@ func (e *Explorer) populate(q *table.Table, k int) ([]Result, error) {
 	for _, ts := range top {
 		inTop[ts.Table] = true
 		out = append(out, Result{Table: ts.Table, Score: ts.Score, Via: "populate"})
-		for _, col := range e.corpus[ts.Table].ColumnNames() {
-			covered[col] = true
+		for _, col := range e.corpus[ts.Table].Columns {
+			covered[col.Name] = true
 		}
 	}
 	// Coverage extension: a table not in the top-k that joins with a
@@ -262,8 +262,8 @@ func (e *Explorer) populate(q *table.Table, k int) ([]Result, error) {
 				continue
 			}
 			adds := 0
-			for _, col := range cand.ColumnNames() {
-				if !covered[col] {
+			for _, col := range cand.Columns {
+				if !covered[col.Name] {
 					adds++
 				}
 			}
@@ -271,8 +271,8 @@ func (e *Explorer) populate(q *table.Table, k int) ([]Result, error) {
 				continue
 			}
 			inTop[joined.Table] = true
-			for _, col := range cand.ColumnNames() {
-				covered[col] = true
+			for _, col := range cand.Columns {
+				covered[col.Name] = true
 			}
 			out = append(out, Result{Table: joined.Table, Score: joined.Score, Via: "coverage"})
 		}

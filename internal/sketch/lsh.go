@@ -1,12 +1,8 @@
 package sketch
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -15,13 +11,18 @@ import (
 // one band become candidate pairs. Aurum builds its enterprise knowledge
 // graph edges from exactly this candidacy test, turning the O(n^2)
 // all-pairs comparison into a linear scan (Sec. 6.2.1 of the survey).
+//
+// Items are dense uint32 slots the caller assigns, and a signature enters
+// the index as its band hashes (Bands), which the caller computes once
+// and keeps: probing the index hashes nothing.
 type LSHIndex struct {
 	bands int
 	rows  int
 
 	mu      sync.RWMutex
-	buckets []map[uint64][]string // per band: bucket hash -> item keys
-	sigs    map[string]*MinHash
+	buckets []map[uint64][]uint32 // per band: bucket hash -> slots
+	items   [][]uint64            // slot -> its band hashes; nil while free
+	n       int
 }
 
 // NewLSHIndex creates an index for signatures of length bands*rows.
@@ -33,11 +34,10 @@ func NewLSHIndex(bands, rows int) *LSHIndex {
 	idx := &LSHIndex{
 		bands:   bands,
 		rows:    rows,
-		buckets: make([]map[uint64][]string, bands),
-		sigs:    make(map[string]*MinHash),
+		buckets: make([]map[uint64][]uint32, bands),
 	}
 	for i := range idx.buckets {
-		idx.buckets[i] = make(map[uint64][]string)
+		idx.buckets[i] = make(map[uint64][]uint32)
 	}
 	return idx
 }
@@ -45,132 +45,91 @@ func NewLSHIndex(bands, rows int) *LSHIndex {
 // SignatureLen returns the required MinHash length (bands*rows).
 func (x *LSHIndex) SignatureLen() int { return x.bands * x.rows }
 
-// Add inserts an item with its signature. The signature length must
-// equal SignatureLen.
-func (x *LSHIndex) Add(key string, sig *MinHash) error {
+// Bands returns the band hashes of a signature, one per band: what Add
+// indexes and AppendSlots probes. It reads only the index's shape, so
+// it may run beside any other call. The signature length must equal
+// SignatureLen.
+func (x *LSHIndex) Bands(sig *MinHash) []uint64 {
 	if sig.K() != x.SignatureLen() {
-		return fmt.Errorf("sketch: signature length %d, want %d", sig.K(), x.SignatureLen())
+		panic(fmt.Sprintf("sketch: signature length %d, want %d", sig.K(), x.SignatureLen()))
+	}
+	out := make([]uint64, x.bands)
+	for b := range out {
+		out[b] = bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
+	}
+	return out
+}
+
+// Add inserts the item in slot with its band hashes, replacing whatever
+// the slot held. The index keeps bands, which must not be modified
+// afterwards.
+func (x *LSHIndex) Add(slot uint32, bands []uint64) error {
+	if len(bands) != x.bands {
+		return fmt.Errorf("sketch: %d band hashes, want %d", len(bands), x.bands)
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, ok := x.sigs[key]; ok {
-		x.removeLocked(key)
+	x.removeLocked(slot)
+	for int(slot) >= len(x.items) {
+		x.items = append(x.items, nil)
 	}
-	x.sigs[key] = sig
-	for b := 0; b < x.bands; b++ {
-		h := bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
-		x.buckets[b][h] = append(x.buckets[b][h], key)
+	x.items[slot] = bands
+	x.n++
+	for b, h := range bands {
+		x.buckets[b][h] = append(x.buckets[b][h], slot)
 	}
 	return nil
 }
 
-// Remove deletes an item from the index; unknown keys are a no-op.
-// Aurum re-signatures a column only when its values drift past a
-// threshold, which maps to Remove+Add here.
-func (x *LSHIndex) Remove(key string) {
+// Remove empties a slot; an empty slot is a no-op. Aurum re-signatures a
+// column only when its values drift past a threshold, which maps to
+// Remove+Add here.
+func (x *LSHIndex) Remove(slot uint32) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.removeLocked(key)
+	x.removeLocked(slot)
 }
 
-func (x *LSHIndex) removeLocked(key string) {
-	sig, ok := x.sigs[key]
-	if !ok {
+func (x *LSHIndex) removeLocked(slot uint32) {
+	if int(slot) >= len(x.items) || x.items[slot] == nil {
 		return
 	}
-	delete(x.sigs, key)
-	for b := 0; b < x.bands; b++ {
-		h := bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
+	for b, h := range x.items[slot] {
 		list := x.buckets[b][h]
-		for i, k := range list {
-			if k == key {
-				x.buckets[b][h] = append(list[:i], list[i+1:]...)
+		for i, s := range list {
+			if s == slot {
+				list = append(list[:i], list[i+1:]...)
 				break
 			}
 		}
-		if len(x.buckets[b][h]) == 0 {
+		if len(list) == 0 {
 			delete(x.buckets[b], h)
+		} else {
+			x.buckets[b][h] = list
 		}
 	}
+	x.items[slot] = nil
+	x.n--
 }
 
 // Len returns the number of indexed items.
 func (x *LSHIndex) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.sigs)
+	return x.n
 }
 
-// Candidate is a query result: an item key plus its estimated Jaccard
-// similarity to the query signature.
-type Candidate struct {
-	Key     string
-	Jaccard float64
-}
-
-// Query returns all items sharing at least one band bucket with the
-// query signature, with estimated Jaccard >= minJaccard, sorted by
-// descending similarity. The query key itself (if indexed) is excluded
-// when skipSelf is non-empty and equal to the candidate.
-func (x *LSHIndex) Query(sig *MinHash, minJaccard float64, skipSelf string) []Candidate {
+// AppendSlots appends to dst the slot of every item sharing at least one
+// band bucket with the given band hashes and returns the extended slice.
+// A slot is appended once per band it shares, so dst may repeat it; it
+// is neither estimated, filtered nor sorted. bands comes from Bands.
+func (x *LSHIndex) AppendSlots(dst []uint32, bands []uint64) []uint32 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	seen := map[string]struct{}{}
-	var out []Candidate
-	for b := 0; b < x.bands; b++ {
-		h := bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
-		for _, key := range x.buckets[b][h] {
-			if key == skipSelf {
-				continue
-			}
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			est := sig.Jaccard(x.sigs[key])
-			if est >= minJaccard {
-				out = append(out, Candidate{Key: key, Jaccard: est})
-			}
-		}
-	}
-	slices.SortFunc(out, func(a, b Candidate) int {
-		if a.Jaccard != b.Jaccard {
-			return cmp.Compare(b.Jaccard, a.Jaccard)
-		}
-		return strings.Compare(a.Key, b.Key)
-	})
-	return out
-}
-
-// AppendKeys appends the key of every item sharing at least one band
-// bucket with the query signature to dst, skipping skipSelf, and
-// returns the extended slice: Query's candidates without estimating,
-// filtering or sorting them. A key is appended once per band it shares,
-// so dst may repeat it.
-func (x *LSHIndex) AppendKeys(dst []string, sig *MinHash, skipSelf string) []string {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for b := 0; b < x.bands; b++ {
-		h := bandHash(sig.Signature()[b*x.rows : (b+1)*x.rows])
-		for _, key := range x.buckets[b][h] {
-			if key != skipSelf {
-				dst = append(dst, key)
-			}
-		}
+	for b, h := range bands {
+		dst = append(dst, x.buckets[b][h]...)
 	}
 	return dst
-}
-
-// Keys returns all indexed keys in sorted order.
-func (x *LSHIndex) Keys() []string {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	out := make([]string, 0, len(x.sigs))
-	for k := range x.sigs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func bandHash(rows []uint64) uint64 {

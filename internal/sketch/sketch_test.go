@@ -137,99 +137,121 @@ func TestMinHashMismatchedLengths(t *testing.T) {
 }
 
 func TestLSHIndexFindsSimilarItems(t *testing.T) {
-	idx := NewLSHIndex(16, 8) // 128-long signatures, threshold ~0.71... actually (1/16)^(1/8)=0.707
+	idx := NewLSHIndex(16, 8) // 128-long signatures, threshold (1/16)^(1/8) ~ 0.71
 	base := make([]string, 200)
 	for i := range base {
 		base[i] = fmt.Sprintf("t%d", i)
 	}
 	near := append(append([]string{}, base[:190]...), "x1", "x2") // J ~ 0.90
 	far := []string{"q1", "q2", "q3", "q4", "q5"}                 // J ~ 0
-	if err := idx.Add("base", NewMinHash(128, base)); err != nil {
-		t.Fatal(err)
+	for slot, vals := range [][]string{base, near, far} {
+		if err := idx.Add(uint32(slot), idx.Bands(NewMinHash(128, vals))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := idx.Add("near", NewMinHash(128, near)); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Add("far", NewMinHash(128, far)); err != nil {
-		t.Fatal(err)
-	}
-	got := idx.Query(NewMinHash(128, base), 0.5, "base")
-	if len(got) != 1 || got[0].Key != "near" {
-		t.Fatalf("Query = %+v, want [near]", got)
-	}
-	if got[0].Jaccard < 0.6 {
-		t.Errorf("near Jaccard = %v, want > 0.6", got[0].Jaccard)
+	got := idx.AppendSlots(nil, idx.Bands(NewMinHash(128, base)))
+	slices.Sort(got)
+	if got = slices.Compact(got); !slices.Equal(got, []uint32{0, 1}) {
+		t.Fatalf("AppendSlots = %v, want [0 1] (base and near)", got)
 	}
 }
 
 func TestLSHRemoveAndReAdd(t *testing.T) {
 	idx := NewLSHIndex(8, 4)
-	sig := NewMinHash(32, []string{"a", "b", "c"})
-	if err := idx.Add("k", sig); err != nil {
+	bands := idx.Bands(NewMinHash(32, []string{"a", "b", "c"}))
+	if err := idx.Add(7, bands); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", idx.Len())
 	}
-	idx.Remove("k")
+	idx.Remove(7)
 	if idx.Len() != 0 {
 		t.Fatalf("Len after remove = %d, want 0", idx.Len())
 	}
-	if got := idx.Query(sig, 0, ""); len(got) != 0 {
-		t.Errorf("Query after remove = %v, want empty", got)
+	if got := idx.AppendSlots(nil, bands); len(got) != 0 {
+		t.Errorf("AppendSlots after remove = %v, want empty", got)
 	}
-	// Re-add under same key twice: no duplicates.
-	_ = idx.Add("k", sig)
-	_ = idx.Add("k", sig)
+	// Removing an empty slot, or one past every slot, is a no-op.
+	idx.Remove(7)
+	idx.Remove(1000)
+	// Re-add into the same slot twice: no duplicates.
+	_ = idx.Add(7, bands)
+	_ = idx.Add(7, bands)
 	if idx.Len() != 1 {
 		t.Errorf("Len after double add = %d, want 1", idx.Len())
 	}
+	if got := idx.AppendSlots(nil, bands); len(got) != 8 || slices.ContainsFunc(got, func(s uint32) bool { return s != 7 }) {
+		t.Errorf("AppendSlots after double add = %v, want slot 7 once per band", got)
+	}
 }
 
-// AppendKeys, sorted and deduplicated, is the key set of Query with no
-// Jaccard floor, and leaves the prefix of dst alone.
-func TestLSHAppendKeysMatchesQuery(t *testing.T) {
+// AppendSlots, sorted and deduplicated, is exactly the set of slots
+// whose band hashes agree with the probe's on at least one band — the
+// brute-force LSH candidacy test — across removals and slot reuse, and
+// it leaves the prefix of dst alone.
+func TestLSHAppendSlotsMatchesBandScan(t *testing.T) {
 	idx := NewLSHIndex(8, 2)
-	var sigs []*MinHash
-	for i := 0; i < 40; i++ {
+	bands := make([][]uint64, 40) // slot -> band hashes; nil while free
+	sigOf := func(i int) []uint64 {
 		var vals []string
 		for j := 0; j < 6; j++ {
 			vals = append(vals, fmt.Sprintf("v%d", (i*3+j*j)%25))
 		}
-		sig := NewMinHash(idx.SignatureLen(), vals)
-		sigs = append(sigs, sig)
-		if err := idx.Add(fmt.Sprintf("k%02d", i), sig); err != nil {
+		return idx.Bands(NewMinHash(idx.SignatureLen(), vals))
+	}
+	for i := range bands {
+		bands[i] = sigOf(i)
+		if err := idx.Add(uint32(i), bands[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, sig := range sigs {
-		self := fmt.Sprintf("k%02d", i)
-		got := idx.AppendKeys([]string{"prefix"}, sig, self)
-		if got[0] != "prefix" {
-			t.Fatalf("AppendKeys overwrote dst: %q", got)
+	// Free every third slot, then refill some with other signatures.
+	for i := 0; i < len(bands); i += 3 {
+		idx.Remove(uint32(i))
+		bands[i] = nil
+	}
+	for i := 0; i < len(bands); i += 6 {
+		bands[i] = sigOf(100 + i)
+		if err := idx.Add(uint32(i), bands[i]); err != nil {
+			t.Fatal(err)
 		}
-		keys := slices.Clone(got[1:])
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-		var want []string
-		for _, c := range idx.Query(sig, 0, self) {
-			want = append(want, c.Key)
+	}
+	for i := 0; i < 120; i++ {
+		probe := sigOf(i)
+		got := idx.AppendSlots([]uint32{NoSlot}, probe)
+		if got[0] != NoSlot {
+			t.Fatalf("AppendSlots overwrote dst: %v", got)
 		}
-		slices.Sort(want)
-		if !slices.Equal(keys, want) {
-			t.Errorf("%s: AppendKeys = %q, Query keys = %q", self, keys, want)
+		slots := slices.Clone(got[1:])
+		slices.Sort(slots)
+		slots = slices.Compact(slots)
+		var want []uint32
+		for s, bs := range bands {
+			for b := range bs {
+				if bs[b] == probe[b] {
+					want = append(want, uint32(s))
+					break
+				}
+			}
 		}
-		if slices.Contains(keys, self) {
-			t.Errorf("%s: AppendKeys returned the skipped key", self)
+		if !slices.Equal(slots, want) {
+			t.Errorf("probe %d: AppendSlots = %v, band scan = %v", i, slots, want)
 		}
 	}
 }
 
 func TestLSHAddWrongLength(t *testing.T) {
 	idx := NewLSHIndex(8, 4)
-	if err := idx.Add("k", NewMinHash(16, []string{"a"})); err == nil {
-		t.Error("expected error for wrong signature length")
+	if err := idx.Add(0, make([]uint64, 4)); err == nil {
+		t.Error("expected error for the wrong number of band hashes")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Bands of a wrong-length signature did not panic")
+		}
+	}()
+	idx.Bands(NewMinHash(16, []string{"a"}))
 }
 
 func TestQGrams(t *testing.T) {
@@ -345,41 +367,59 @@ func TestLevenshtein(t *testing.T) {
 	}
 }
 
+// bySlot breaks overlap ties by ascending slot.
+func bySlot(a, b uint32) int { return int(a) - int(b) }
+
 func TestInvertedIndexTopK(t *testing.T) {
 	ix := NewInvertedIndex()
-	ix.Add("s1", setOf("a", "b", "c"))
-	ix.Add("s2", setOf("b", "c", "d"))
-	ix.Add("s3", setOf("x", "y"))
-	got := ix.TopKOverlap(setOf("a", "b", "c"), 2, "")
+	ix.Add(1, setOf("a", "b", "c"))
+	ix.Add(2, setOf("b", "c", "d"))
+	ix.Add(3, setOf("x", "y"))
+	got := ix.TopKOverlap(nil, setOf("a", "b", "c"), 2, NoSlot, bySlot)
 	if len(got) != 2 {
 		t.Fatalf("TopK = %v, want 2 results", got)
 	}
-	if got[0].ID != "s1" || got[0].Overlap != 3 {
-		t.Errorf("top result = %+v, want s1/3", got[0])
+	if got[0].Slot != 1 || got[0].Overlap != 3 {
+		t.Errorf("top result = %+v, want 1/3", got[0])
 	}
-	if got[1].ID != "s2" || got[1].Overlap != 2 {
-		t.Errorf("second result = %+v, want s2/2", got[1])
+	if got[1].Slot != 2 || got[1].Overlap != 2 {
+		t.Errorf("second result = %+v, want 2/2", got[1])
 	}
 	// Self exclusion.
-	got = ix.TopKOverlap(setOf("a", "b", "c"), 2, "s1")
-	if len(got) != 1 || got[0].ID != "s2" {
-		t.Errorf("TopK skipSelf = %v, want [s2]", got)
+	got = ix.TopKOverlap(nil, setOf("a", "b", "c"), 2, 1, bySlot)
+	if len(got) != 1 || got[0].Slot != 2 {
+		t.Errorf("TopK skipSelf = %v, want [2]", got)
+	}
+	// Ties follow the caller's order.
+	ix.Add(0, setOf("b", "c"))
+	got = ix.TopKOverlap(nil, setOf("b", "c"), 2, NoSlot, func(a, b uint32) int { return int(b) - int(a) })
+	if len(got) != 2 || got[0].Slot != 2 || got[1].Slot != 1 {
+		t.Errorf("TopK with descending tie-break = %v, want [2 1]", got)
 	}
 }
 
 func TestInvertedIndexRemoveAndReplace(t *testing.T) {
 	ix := NewInvertedIndex()
-	ix.Add("s1", setOf("a", "b"))
-	ix.Add("s1", setOf("c"))
-	if ix.SetSize("s1") != 1 {
-		t.Errorf("SetSize after replace = %d, want 1", ix.SetSize("s1"))
+	ix.Add(4, setOf("a", "b"))
+	ix.Add(4, setOf("c"))
+	if n := len(ix.Set(4)); n != 1 {
+		t.Errorf("set size after replace = %d, want 1", n)
 	}
-	if got := ix.TopKOverlap(setOf("a"), 5, ""); len(got) != 0 {
+	if got := ix.TopKOverlap(nil, setOf("a"), 5, NoSlot, bySlot); len(got) != 0 {
 		t.Errorf("old values still indexed: %v", got)
 	}
-	ix.Remove("s1")
-	if ix.Len() != 0 || ix.Values() != 0 {
+	ix.Remove(4)
+	if ix.Len() != 0 || ix.Values() != 0 || ix.Set(4) != nil {
 		t.Errorf("index not empty after remove: len=%d values=%d", ix.Len(), ix.Values())
+	}
+	// An empty set still takes its slot.
+	ix.Add(2, nil)
+	if ix.Len() != 1 || ix.Set(2) == nil {
+		t.Errorf("empty set not indexed: len=%d", ix.Len())
+	}
+	ix.Remove(2)
+	if ix.Len() != 0 {
+		t.Errorf("len after removing the empty set = %d, want 0", ix.Len())
 	}
 }
 
@@ -396,19 +436,15 @@ func TestInvertedIndexOverlapProperty(t *testing.T) {
 			}
 			s := setOf(vals...)
 			sets = append(sets, s)
-			ix.Add(fmt.Sprintf("s%d", i), s)
+			ix.Add(uint32(i), s)
 		}
 		if len(sets) == 0 {
 			return true
 		}
 		q := sets[0]
-		res := ix.TopKOverlap(q, 0, "")
+		res := ix.TopKOverlap(nil, q, 0, NoSlot, bySlot)
 		for i, r := range res {
-			var idx int
-			if _, err := fmt.Sscanf(r.ID, "s%d", &idx); err != nil {
-				return false
-			}
-			if r.Overlap != Overlap(q, sets[idx]) {
+			if r.Overlap != Overlap(q, sets[r.Slot]) {
 				return false
 			}
 			if i > 0 && res[i-1].Overlap < r.Overlap {

@@ -49,6 +49,20 @@ func (r *RelStore) Table(name string) (*table.Table, error) {
 	return t.Clone(), nil
 }
 
+// View calls fn with the named table itself, not a copy, while holding
+// the store's read lock: fn must not modify the table, keep it after it
+// returns, or write to the store. A missing table is ErrNoTable and fn
+// is not called; otherwise View returns fn's error.
+func (r *RelStore) View(name string, fn func(*table.Table) error) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	t, ok := r.tables[name]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	return fn(t)
+}
+
 // ColumnNames returns the column names of a table without copying its
 // data (the federated engine consults this when planning pushdown).
 func (r *RelStore) ColumnNames(name string) ([]string, error) {
