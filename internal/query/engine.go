@@ -386,7 +386,7 @@ func batchPushableColumns(name string, q *Query, e *Engine) []string {
 // relBatchIterator adapts a relational store cursor to the batch
 // pipeline: each Next pulls one column-wise batch from the snapshot —
 // zero-copy runs when nothing was pushed down — and wraps the runs as
-// vectors.
+// vectors that read the stored columns' float mirrors in place.
 type relBatchIterator struct {
 	cur  *polystore.Cursor
 	rows int
@@ -405,6 +405,7 @@ func (r *relBatchIterator) Next(ctx context.Context) (*Batch, error) {
 	vecs := make([]*Vector, len(cells))
 	for j := range cells {
 		vecs[j] = NewVector(cells[j])
+		vecs[j].mirror, vecs[j].off = r.cur.Mirror(j)
 	}
 	return NewBatch(r.cur.Columns(), vecs), nil
 }

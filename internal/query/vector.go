@@ -1,27 +1,23 @@
 package query
 
 import (
-	"strconv"
-
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
 
-// Bitmap is a fixed-length bit set — the validity mask of a vector's
-// float mirror. The zero value is unusable; allocate with NewBitmap.
+// Bitmap is the validity mask of a vector's float mirror: bit off+i of
+// bits describes cell i, so a vector can read a stored column's mask in
+// place from any row.
 type Bitmap struct {
 	bits []uint64
+	off  int
 }
-
-// NewBitmap returns an all-zero bitmap of n bits.
-func NewBitmap(n int) *Bitmap {
-	return &Bitmap{bits: make([]uint64, (n+63)/64)}
-}
-
-// Set sets bit i.
-func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 
 // Get reports whether bit i is set.
-func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b *Bitmap) Get(i int) bool {
+	i += b.off
+	return b.bits[i>>6]&(1<<(uint(i)&63)) != 0
+}
 
 // Vector is one column of a Batch: a run of cells and a lazily
 // materialized float64 mirror.
@@ -29,10 +25,12 @@ func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 // The string cells are authoritative: they are zero-copy references
 // into the store snapshot and carry the exact wire representation, so
 // serialization from a vector reproduces the stored text no matter how
-// a numeric cell was spelled ("007", "1.0", "+3"). The Floats mirror is
-// parsed once per vector and serves numeric predicates and sort keys;
-// cells that fail to parse are marked invalid in its bitmap and fall
-// back to string semantics, exactly as Predicate.Matches does.
+// a numeric cell was spelled ("007", "1.0", "+3"). The Floats mirror
+// serves numeric predicates and sort keys; cells that fail to parse are
+// marked invalid in its bitmap and fall back to string semantics,
+// exactly as Predicate.Matches does. A vector over a stored column reads
+// the store's mirror of that column, parsed once per column; any other
+// vector parses its own cells once.
 //
 // Vectors flow through single-consumer pipelines; the lazy mirrors are
 // not synchronized.
@@ -42,8 +40,14 @@ type Vector struct {
 	cells []string
 	n     int
 
+	// mirror, when set, is the stored column the cells were cut from,
+	// starting at its row off.
+	mirror *polystore.FloatMirror
+	off    int
+
+	parsed  bool
 	floats  []float64
-	floatOK *Bitmap
+	floatOK Bitmap
 }
 
 // NewVector wraps a cell run as a vector. The slice is referenced, not
@@ -72,39 +76,28 @@ func (v *Vector) Cell(i int) string {
 
 // Floats returns the float64 mirror and its validity bitmap (a set bit
 // marks a cell that parsed), materialized on first use; read floats[i]
-// only where the bit is set (floats is nil when no cell parsed). Parsing
-// matches Predicate.Matches exactly (plain strconv.ParseFloat, no
-// trimming), so vectorized filters keep its selectivity.
+// only where the bit is set (floats may be nil when no cell parsed).
+// Parsing is table.ParseNumber, which matches Predicate.Matches exactly
+// (plain strconv.ParseFloat, no trimming), so vectorized filters keep
+// its selectivity.
 func (v *Vector) Floats() ([]float64, *Bitmap) {
-	if v.floatOK == nil {
-		v.floatOK = NewBitmap(v.n)
-		for i, c := range v.cells {
-			if c == "" {
-				continue
+	if !v.parsed {
+		v.parsed = true
+		switch {
+		case v.mirror != nil:
+			nums := v.mirror.Numbers()
+			if nums.Vals != nil {
+				v.floats = nums.Vals[v.off : v.off+v.n : v.off+v.n]
 			}
-			// The shape test spares text cells an allocated parse error,
-			// and short integers the general parser: an integer of up to
-			// 15 digits is exact in a float64.
-			var f float64
-			switch shape := table.NumberShape(c); {
-			case shape == 2 && len(c) <= 15:
-				f = smallInt(c)
-			case shape == 0:
-				continue
-			default:
-				var err error
-				if f, err = strconv.ParseFloat(c, 64); err != nil {
-					continue
-				}
-			}
-			if v.floats == nil {
-				v.floats = make([]float64, v.n)
-			}
-			v.floats[i] = f
-			v.floatOK.Set(i)
+			v.floatOK = Bitmap{bits: nums.Valid, off: v.off}
+		case v.cells == nil:
+			v.floatOK = Bitmap{bits: make([]uint64, (v.n+63)/64)}
+		default:
+			nums := table.ParseNumbers(v.cells)
+			v.floats, v.floatOK = nums.Vals, Bitmap{bits: nums.Valid}
 		}
 	}
-	return v.floats, v.floatOK
+	return v.floats, &v.floatOK
 }
 
 // AppendTo appends the vector's cells to dst in selection order (every
@@ -127,21 +120,4 @@ func (v *Vector) AppendTo(dst []string, sel []int) []string {
 		dst = append(dst, v.cells[i])
 	}
 	return dst
-}
-
-// smallInt is strconv.ParseFloat of a signed decimal integer of at most
-// 15 digits, which needs no rounding.
-func smallInt(s string) float64 {
-	neg := s[0] == '-'
-	if s[0] == '-' || s[0] == '+' {
-		s = s[1:]
-	}
-	var n int64
-	for i := 0; i < len(s); i++ {
-		n = n*10 + int64(s[i]-'0')
-	}
-	if neg {
-		return -float64(n)
-	}
-	return float64(n)
 }

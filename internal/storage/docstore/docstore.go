@@ -64,6 +64,12 @@ type Collection struct {
 	docs    map[string]Doc
 	indexes map[string]map[string][]string // path -> canonical value -> doc IDs
 	autoID  int
+
+	// order is every doc ID, sorted: the order Find returns documents
+	// in. Insert and Delete of an ID reset it to nil under mu; the next
+	// Find re-sorts under mu's read lock and orderMu.
+	orderMu sync.Mutex
+	order   []string
 }
 
 // Store holds named collections.
@@ -127,6 +133,8 @@ func (c *Collection) Insert(doc Doc) string {
 	}
 	if old, ok := c.docs[id]; ok {
 		c.unindexLocked(id, old)
+	} else {
+		c.order = nil
 	}
 	c.docs[id] = doc
 	c.indexLocked(id, doc)
@@ -163,6 +171,7 @@ func (c *Collection) Delete(id string) error {
 	}
 	c.unindexLocked(id, d)
 	delete(c.docs, id)
+	c.order = nil
 	return nil
 }
 
@@ -182,8 +191,9 @@ func (c *Collection) CreateIndex(path string) {
 		return
 	}
 	idx := map[string][]string{}
+	segs := strings.Split(path, ".")
 	for id, d := range c.docs {
-		if v, ok := lookup(d, path); ok {
+		if v, ok := lookupPath(d, segs); ok {
 			k := canon(v)
 			idx[k] = append(idx[k], id)
 		}
@@ -228,28 +238,49 @@ func (c *Collection) Find(filters ...Filter) []Doc {
 		}
 		if idx, ok := c.indexes[f.Path]; ok {
 			candidates = append([]string(nil), idx[canon(f.Value)]...)
+			sort.Strings(candidates)
 			usedIndex = true
 			break
 		}
 	}
 	if !usedIndex {
-		candidates = make([]string, 0, len(c.docs))
-		for id := range c.docs {
-			candidates = append(candidates, id)
-		}
+		candidates = c.sortedIDs()
+	}
+	paths := make([][]string, len(filters))
+	for i, f := range filters {
+		paths[i] = strings.Split(f.Path, ".")
 	}
 	var out []Doc
+next:
 	for _, id := range candidates {
 		d, ok := c.docs[id]
 		if !ok {
 			continue
 		}
-		if matchesAll(d, filters) {
-			out = append(out, d)
+		for i, f := range filters {
+			if !matches(d, f, paths[i]) {
+				continue next
+			}
 		}
+		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
+}
+
+// sortedIDs returns every doc ID in order, sorting them first if an
+// Insert or Delete changed the set. The caller holds c.mu's read lock;
+// the slice returned is never written again.
+func (c *Collection) sortedIDs() []string {
+	c.orderMu.Lock()
+	defer c.orderMu.Unlock()
+	if c.order == nil {
+		c.order = make([]string, 0, len(c.docs))
+		for id := range c.docs {
+			c.order = append(c.order, id)
+		}
+		sort.Strings(c.order)
+	}
+	return c.order
 }
 
 // Count returns the number of documents matching the filters.
@@ -258,17 +289,9 @@ func (c *Collection) Count(filters ...Filter) int { return len(c.Find(filters...
 // All returns every document, ordered by ID.
 func (c *Collection) All() []Doc { return c.Find() }
 
-func matchesAll(d Doc, filters []Filter) bool {
-	for _, f := range filters {
-		if !matches(d, f) {
-			return false
-		}
-	}
-	return true
-}
-
-func matches(d Doc, f Filter) bool {
-	v, ok := lookup(d, f.Path)
+// matches evaluates f on d; path is f.Path split at its dots.
+func matches(d Doc, f Filter, path []string) bool {
+	v, ok := lookupPath(d, path)
 	if f.Op == OpExists {
 		want, _ := f.Value.(bool)
 		return ok == want || (f.Value == nil && ok)
@@ -319,8 +342,13 @@ func matches(d Doc, f Filter) bool {
 // lookup resolves a dotted path ("a.b.c") inside nested maps; array
 // elements are addressed by numeric segments.
 func lookup(d Doc, path string) (any, bool) {
+	return lookupPath(d, strings.Split(path, "."))
+}
+
+// lookupPath is lookup of a path already split at its dots.
+func lookupPath(d Doc, path []string) (any, bool) {
 	var cur any = map[string]any(d)
-	for _, seg := range strings.Split(path, ".") {
+	for _, seg := range path {
 		switch node := cur.(type) {
 		case map[string]any:
 			v, ok := node[seg]

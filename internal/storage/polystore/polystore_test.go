@@ -215,16 +215,6 @@ func TestRelStoreIsolationAndCRUD(t *testing.T) {
 	if got2.Columns[0].Cells[0] != "1" {
 		t.Error("Table did not return a copy")
 	}
-	if err := r.Insert("t", [][]string{{"2"}}); err != nil {
-		t.Fatal(err)
-	}
-	got3, _ := r.Table("t")
-	if got3.NumRows() != 2 {
-		t.Errorf("rows after insert = %d", got3.NumRows())
-	}
-	if err := r.Insert("t", [][]string{{"x", "y"}}); err == nil {
-		t.Error("ragged insert should fail")
-	}
 	if names := r.Names(); len(names) != 1 || names[0] != "t" {
 		t.Errorf("Names = %v", names)
 	}

@@ -20,22 +20,54 @@ var ErrNoTable = errors.New("polystore: no such table")
 
 // RelStore is an in-process relational store (the MySQL/PostgreSQL
 // stand-in): named tables with scan and predicate evaluation. Predicate
-// pushdown in the federated query engine lands here.
+// pushdown in the federated query engine lands here. A stored table
+// never changes after Create (a second Create replaces it whole), so
+// what a scan derives from a column can be kept with it.
 type RelStore struct {
 	mu     sync.RWMutex
-	tables map[string]*table.Table
+	tables map[string]*storedTable
+}
+
+// storedTable is a table as the store keeps it: a private copy and one
+// float mirror per column.
+type storedTable struct {
+	*table.Table
+	mirrors []FloatMirror
+}
+
+// FloatMirror is the float mirror of one stored column
+// (table.ParseNumbers of its cells), built on its first numeric read
+// and kept for the table's life: 8 bytes per cell plus one bit, and
+// only the bits when no cell parses.
+type FloatMirror struct {
+	once  sync.Once
+	cells []string
+	nums  table.Numbers
+}
+
+// Numbers returns the mirror, building it on first use. Safe for
+// concurrent use.
+func (m *FloatMirror) Numbers() *table.Numbers {
+	m.once.Do(func() { m.nums = table.ParseNumbers(m.cells) })
+	return &m.nums
 }
 
 // NewRelStore creates an empty relational store.
 func NewRelStore() *RelStore {
-	return &RelStore{tables: map[string]*table.Table{}}
+	return &RelStore{tables: map[string]*storedTable{}}
 }
 
-// Create registers (or replaces) a table under its name.
+// Create registers (or replaces) a copy of a table under its name.
+// Its mirrors are built later, each on its column's first numeric
+// read, so replaying a lake's tables parses no number.
 func (r *RelStore) Create(t *table.Table) {
+	s := &storedTable{Table: t.Clone(), mirrors: make([]FloatMirror, len(t.Columns))}
+	for j, c := range s.Columns {
+		s.mirrors[j].cells = c.Cells
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tables[t.Name] = t.Clone()
+	r.tables[t.Name] = s
 }
 
 // Table returns a deep copy of the named table.
@@ -60,7 +92,7 @@ func (r *RelStore) View(name string, fn func(*table.Table) error) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	return fn(t)
+	return fn(t.Table)
 }
 
 // ColumnNames returns the column names of a table without copying its
@@ -167,17 +199,21 @@ func (r *RelStore) SelectWhere(name string, preds []CellPredicate, cols []string
 
 // Cursor streams matching rows out of one relational table, one Next
 // call per row — the store-side scan unit of the streaming query
-// pipeline. It reads a snapshot taken at ScanWhere time (captured
-// column slices), so a scan is consistent under concurrent Insert and
-// Create without holding the store lock while the caller drains it.
+// pipeline. It reads the table captured at ScanWhere time, so a scan
+// is consistent under a concurrent Create or Drop of its table without
+// holding the store lock while the caller drains it.
 type Cursor struct {
 	names []string
 	kinds []table.Kind
-	// cells[j] backs output column j; preds carry their own snapshots
-	// so predicate columns need not survive the projection.
-	cells [][]string
-	preds []boundPredicate
-	n, at int
+	// cells[j] backs output column j and mirrors[j] is its float
+	// mirror; preds carry their own cells so predicate columns need not
+	// survive the projection.
+	cells   [][]string
+	mirrors []*FloatMirror
+	preds   []boundPredicate
+	n, at   int
+	// first is the row the last NextBatch's runs start at.
+	first int
 }
 
 type boundPredicate struct {
@@ -212,11 +248,11 @@ rows:
 // NextBatch returns up to max rows column-wise: cells[j] is the run of
 // output column j, n the number of rows (0 when the scan is done).
 // This is the store-side batch scan of the columnar pipeline: without
-// predicates the runs are zero-copy subslices of the snapshot — no
-// cell is copied or re-sliced per row — and with predicates matching
+// predicates the runs are zero-copy subslices of the stored columns —
+// no cell is copied or re-sliced per row — and with predicates matching
 // rows are compacted into fresh runs until max rows match or the
-// snapshot ends. The returned runs stay valid after Close (they alias
-// or copy the snapshot, which concurrent Inserts never mutate).
+// table ends. The returned runs stay valid after Close (they alias
+// or copy cells no one mutates).
 func (c *Cursor) NextBatch(max int) (cells [][]string, n int) {
 	if max <= 0 {
 		max = 1
@@ -224,6 +260,7 @@ func (c *Cursor) NextBatch(max int) (cells [][]string, n int) {
 	if c.at >= c.n {
 		return nil, 0
 	}
+	c.first = c.at
 	if len(c.preds) == 0 {
 		end := c.at + max
 		if end > c.n {
@@ -258,10 +295,22 @@ rows:
 	return cells, n
 }
 
-// Close releases the snapshot. Idempotent.
+// Mirror returns output column j's float mirror and the row the last
+// NextBatch's runs start at in it: cell i of that batch's run j is row
+// off+i of the mirror. It is nil for a cursor with predicates, whose
+// runs compact the matching rows.
+func (c *Cursor) Mirror(j int) (m *FloatMirror, off int) {
+	if len(c.preds) > 0 || j >= len(c.mirrors) {
+		return nil, 0
+	}
+	return c.mirrors[j], c.first
+}
+
+// Close releases the captured table. Idempotent.
 func (c *Cursor) Close() error {
 	c.at = c.n
 	c.cells = nil
+	c.mirrors = nil
 	c.preds = nil
 	return nil
 }
@@ -278,45 +327,52 @@ func (r *RelStore) ScanWhere(name string, preds []CellPredicate, cols []string) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	n := t.NumRows()
-	cur := &Cursor{n: n}
+	cur := &Cursor{n: t.NumRows()}
 	for _, p := range preds {
-		c, err := t.Column(p.Column)
-		if err != nil {
+		j := columnIndex(t.Table, p.Column)
+		if j < 0 {
 			// Predicate on a missing column matches nothing.
-			return emptyCursorLike(t, cols), nil
+			return emptyCursorLike(t.Table, cols), nil
 		}
-		cur.preds = append(cur.preds, boundPredicate{cells: c.Cells[:n], match: p.Match})
+		cur.preds = append(cur.preds, boundPredicate{cells: t.Columns[j].Cells, match: p.Match})
 	}
-	outCols := t.Columns
-	if len(cols) > 0 {
-		outCols = outCols[:0:0]
-		for _, name := range cols {
-			c, err := t.Column(name)
-			if err != nil {
-				continue
-			}
-			outCols = append(outCols, c)
-		}
-	}
-	for _, c := range outCols {
+	add := func(j int) {
+		c := t.Columns[j]
 		cur.names = append(cur.names, c.Name)
 		cur.kinds = append(cur.kinds, c.Kind)
-		// Capture the slice header up to the snapshot length: later
-		// Inserts append past n (or reallocate) without touching the
-		// cells this scan reads.
-		cur.cells = append(cur.cells, c.Cells[:n])
+		cur.cells = append(cur.cells, c.Cells)
+		cur.mirrors = append(cur.mirrors, &t.mirrors[j])
+	}
+	if len(cols) == 0 {
+		for j := range t.Columns {
+			add(j)
+		}
+	}
+	for _, name := range cols {
+		if j := columnIndex(t.Table, name); j >= 0 {
+			add(j)
+		}
 	}
 	return cur, nil
 }
 
-// ScanWhereShards opens the same snapshot scan as ScanWhere split into
-// shards range-partitioned cursors: shard k reads rows [k*n/shards,
-// (k+1)*n/shards) of the snapshot, so draining all of them through a
+// columnIndex is the index of the named column, -1 when there is none.
+func columnIndex(t *table.Table, name string) int {
+	for j, c := range t.Columns {
+		if c.Name == name {
+			return j
+		}
+	}
+	return -1
+}
+
+// ScanWhereShards opens the same scan as ScanWhere split into shards
+// range-partitioned cursors: shard k reads rows [k*n/shards,
+// (k+1)*n/shards) of the table, so draining all of them through a
 // parallel fan-in yields exactly the rows one ScanWhere cursor would —
 // the intra-source parallelism unit of large single-table scans. All
-// shards alias one snapshot (slice headers captured under the store
-// lock once), so the split costs O(shards), not O(rows). shards < 1 is
+// shards alias one capture (slice headers taken under the store lock
+// once), so the split costs O(shards), not O(rows). shards < 1 is
 // treated as 1.
 func (r *RelStore) ScanWhereShards(name string, preds []CellPredicate, cols []string, shards int) ([]*Cursor, error) {
 	if shards < 1 {
@@ -334,12 +390,13 @@ func (r *RelStore) ScanWhereShards(name string, preds []CellPredicate, cols []st
 		start := k * base.n / shards
 		end := (k + 1) * base.n / shards
 		out[k] = &Cursor{
-			names: base.names,
-			kinds: base.kinds,
-			cells: base.cells,
-			preds: base.preds,
-			n:     end,
-			at:    start,
+			names:   base.names,
+			kinds:   base.kinds,
+			cells:   base.cells,
+			mirrors: base.mirrors,
+			preds:   base.preds,
+			n:       end,
+			at:      start,
 		}
 	}
 	return out, nil
@@ -351,20 +408,4 @@ func emptyCursorLike(t *table.Table, cols []string) *Cursor {
 		names = t.ColumnNames()
 	}
 	return &Cursor{names: names, kinds: make([]table.Kind, len(names))}
-}
-
-// Insert appends rows to an existing table.
-func (r *RelStore) Insert(name string, rows [][]string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tables[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	for _, row := range rows {
-		if err := t.AppendRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -61,36 +61,80 @@ func TestScanWhereMissingPredicateColumnMatchesNothing(t *testing.T) {
 	}
 }
 
-// TestScanWhereSnapshotUnderConcurrentInsert pins the cursor's
-// isolation contract: a scan opened before concurrent Inserts sees
-// exactly the rows present at open time, and never tears mid-row.
-func TestScanWhereSnapshotUnderConcurrentInsert(t *testing.T) {
+// TestScanWhereSnapshotUnderConcurrentCreate pins the cursor's
+// isolation contract: a scan opened before its table is replaced (or
+// dropped) reads the old table's cells and the old float mirror to the
+// end, whether or not the mirror was built before the replacement.
+func TestScanWhereSnapshotUnderConcurrentCreate(t *testing.T) {
 	r := scanTable(t)
-	cur, err := r.ScanWhere("orders", nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	curs := make([]*Cursor, 2)
+	for k := range curs {
+		cur, err := r.ScanWhere("orders", nil, []string{"id", "total"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		curs[k] = cur
 	}
-	defer cur.Close()
+	// The first cursor's mirror is built before the replacement, the
+	// second's only after it.
+	if m, _ := curs[0].Mirror(1); m == nil || m.Numbers().Vals[2] != 30 {
+		t.Fatal("old mirror not readable before the replacement")
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if err := r.Insert("orders", [][]string{{fmt.Sprint(100 + i), "new", "0"}}); err != nil {
+			tbl, err := table.ParseCSV("orders", fmt.Sprintf("id,status,total\n%d,new,%d\n", 100+i, -i))
+			if err != nil {
 				t.Error(err)
 				return
 			}
+			r.Create(tbl)
+			if i%50 == 49 {
+				_ = r.Drop("orders")
+			}
 		}
 	}()
-	n := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			break
+	for _, cur := range curs {
+		cells, n := cur.NextBatch(1024)
+		m, off := cur.Mirror(1)
+		if n != 3 || m == nil {
+			t.Fatalf("scan saw %d rows (mirror %v), want the 3-row table", n, m)
 		}
-		n++
+		nums := m.Numbers()
+		for i := 0; i < n; i++ {
+			want := float64(10 * (i + 1))
+			if cells[0][i] != fmt.Sprint(i+1) || nums.Vals[off+i] != want {
+				t.Errorf("row %d: id %q, mirror %v; want the old table's %d, %v", i, cells[0][i], nums.Vals[off+i], i+1, want)
+			}
+		}
 	}
 	wg.Wait()
-	if n != 3 {
-		t.Errorf("scan saw %d rows, want the 3-row snapshot", n)
+}
+
+// TestFloatMirrorSize pins what a mirror keeps resident: 8 bytes per
+// cell plus one bit for a numeric column, only the bits for a column in
+// which no cell parses.
+func TestFloatMirrorSize(t *testing.T) {
+	r := shardStore(t, 1000)
+	tbl, _ := table.ParseCSV("words", "w\nx\ny\n")
+	r.Create(tbl)
+	cur, err := r.ScanWhere("t", nil, []string{"v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := cur.Mirror(0)
+	if nums := m.Numbers(); len(nums.Vals) != 1000 || len(nums.Valid) != 16 {
+		t.Errorf("numeric mirror: %d floats, %d words; want 1000, 16", len(nums.Vals), len(nums.Valid))
+	}
+	cur, err = r.ScanWhere("words", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ = cur.Mirror(0)
+	if nums := m.Numbers(); nums.Vals != nil || len(nums.Valid) != 1 {
+		t.Errorf("text mirror: %d floats, %d words; want none, 1", len(nums.Vals), len(nums.Valid))
 	}
 }

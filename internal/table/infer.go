@@ -97,6 +97,67 @@ func NumberShape(s string) int {
 	return shape
 }
 
+// ParseNumber is strconv.ParseFloat(s, 64) with its error folded into
+// ok: no trimming, so "1.0", "+3" and "NaN" parse and " 5" does not. The
+// shape test spares text the allocated parse error, and short integers
+// the general parser: an integer of up to 15 digits is exact in a
+// float64.
+func ParseNumber(s string) (f float64, ok bool) {
+	if s == "" {
+		return 0, false
+	}
+	switch shape := NumberShape(s); {
+	case shape == 2 && len(s) <= 15:
+		return smallInt(s), true
+	case shape == 0:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// smallInt is strconv.ParseFloat of a signed decimal integer of at most
+// 15 digits, which needs no rounding.
+func smallInt(s string) float64 {
+	neg := s[0] == '-'
+	if s[0] == '-' || s[0] == '+' {
+		s = s[1:]
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		n = n*10 + int64(s[i]-'0')
+	}
+	if neg {
+		return -float64(n)
+	}
+	return float64(n)
+}
+
+// Numbers is the float mirror of a cell run: where bit i of Valid is
+// set, cell i parsed (ParseNumber) and Vals[i] holds its value. Vals is
+// nil when no cell parsed, so a text run costs only its bits.
+type Numbers struct {
+	Vals  []float64
+	Valid []uint64
+}
+
+// ParseNumbers builds the float mirror of cells.
+func ParseNumbers(cells []string) Numbers {
+	m := Numbers{Valid: make([]uint64, (len(cells)+63)/64)}
+	for i, c := range cells {
+		f, ok := ParseNumber(c)
+		if !ok {
+			continue
+		}
+		if m.Vals == nil {
+			m.Vals = make([]float64, len(cells))
+		}
+		m.Vals[i] = f
+		m.Valid[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return m
+}
+
 // isBoolToken folds ASCII case only, as strings.ToLower would decide it:
 // at a token's byte length no other string folds to it.
 func isBoolToken(s string) bool {

@@ -65,6 +65,30 @@ func FuzzInferKind(f *testing.F) {
 	})
 }
 
+// FuzzParseNumber holds ParseNumber — the shape test and the
+// short-integer path every float mirror takes — to strconv.ParseFloat,
+// bit for bit, the sign of zero included.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range inferSeeds() {
+		for _, c := range strings.Split(s, "\x00") {
+			f.Add(c)
+		}
+	}
+	for _, s := range []string{"-0", "+0", "123456789012345", "-12345678901234", "1234567890123456", "9007199254740993"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := ParseNumber(s)
+		want, err := strconv.ParseFloat(s, 64)
+		switch {
+		case ok != (err == nil):
+			t.Fatalf("ParseNumber(%q) ok=%v, ParseFloat err=%v", s, ok, err)
+		case ok && math.Float64bits(got) != math.Float64bits(want):
+			t.Fatalf("ParseNumber(%q) = %v, ParseFloat %v", s, got, want)
+		}
+	})
+}
+
 // genCell draws a cell of the given flavour; the flavours cover every
 // kind, the null tokens, and near misses of each.
 func genCell(rng *rand.Rand, flavour int) string {
