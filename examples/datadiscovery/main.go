@@ -1,7 +1,7 @@
 // Data discovery: the survey's Table 3 systems side by side on one
 // synthetic open-data corpus with known joinability ground truth —
-// which tables can augment a data-science training set, which columns
-// join, which semantic domains the lake contains.
+// which tables relate to a query table, which columns join with its
+// key, and which tables can augment a data-science training set.
 package main
 
 import (
@@ -9,8 +9,6 @@ import (
 	"log"
 
 	"golake/internal/discovery"
-	"golake/internal/enrich"
-	"golake/internal/table"
 	"golake/internal/workload"
 )
 
@@ -68,29 +66,6 @@ func main() {
 	for _, ts := range juneau.RelatedTables(query, 3) {
 		fmt.Printf("  %-30s %.2f\n", ts.Table, ts.Score)
 	}
-
-	// 4. Semantic enrichment: what domains live in this lake?
-	domains := enrich.D4(c.Tables[:8], enrich.DefaultD4Config())
-	fmt.Printf("\nD4 discovered %d semantic domains in the first 8 tables:\n", len(domains))
-	for _, d := range domains {
-		terms := d.Terms
-		if len(terms) > 4 {
-			terms = terms[:4]
-		}
-		fmt.Printf("  %s: %d columns, terms like %v\n", d.Name, len(d.Columns), terms)
-	}
-
-	// 5. Homograph check on a hand-made ambiguity.
-	fruit, _ := table.ParseCSV("fruit", "name\napple\npear\nplum\ngrape\n")
-	brands, _ := table.ParseCSV("brands", "name\napple\nsamsung\nsony\nnokia\n")
-	homs := enrich.DomainNet([]*table.Table{fruit, brands,
-		mustCSV("fruit2", "n\npear\nplum\ngrape\nmelon\napple\n"),
-		mustCSV("brands2", "n\nsamsung\nsony\nnokia\nlg\napple\n"),
-	}, enrich.DefaultDomainNetConfig())
-	fmt.Println("\nDomainNet homographs:")
-	for _, h := range homs {
-		fmt.Printf("  %q spans %d communities (%d attributes)\n", h.Value, h.Communities, len(h.Attributes))
-	}
 }
 
 // discoverers instantiates the survey's Table 3 systems in survey
@@ -106,12 +81,4 @@ func discoverers() []discovery.Discoverer {
 		discovery.NewRNLIM(),
 		discovery.NewDLN(),
 	}
-}
-
-func mustCSV(name, csv string) *table.Table {
-	t, err := table.ParseCSV(name, csv)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return t
 }

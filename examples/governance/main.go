@@ -1,7 +1,6 @@
 // Governance: the concerns the Gartner critique says separate a data
 // lake from a data swamp — roles and access control, provenance and
-// lineage, schema-evolution history, constraint-based cleaning, and
-// validation-rule drift detection.
+// lineage, constraint-based cleaning, and schema-evolution history.
 package main
 
 import (
@@ -91,12 +90,6 @@ s6,rome,it
 		return tr.Predicate == "country" // curator: the country cell is wrong, not the city
 	})
 	fmt.Printf("cleaned %d cells; row 2 country now %q\n", removed, cell(cleaned, "country", 2))
-
-	// Auto-Validate: learn the station-id format, catch upstream drift.
-	col, _ := tbl.Column("station")
-	rule := clean.InferRule(col.Cells, 0.01)
-	rate, flagged := rule.ValidateBatch([]string{"s7", "s8", "STATION-9"}, 0.05)
-	fmt.Printf("validation: violation rate %.2f, drift flagged=%v\n", rate, flagged)
 
 	// Schema evolution: reconstruct the history of an evolving feed.
 	vd := workload.GenerateVersions(workload.SchemaVersionSpec{Versions: 6, DocsPer: 8, Seed: 4})

@@ -11,13 +11,12 @@
 // published system:
 //
 //	storage      polystore routing over file/KV/document/graph stores
-//	ingestion    metadata extraction (GEMMS, DATAMARAN, Skluma) and
-//	             modeling (GEMMS, HANDLE, data vault, Aurum EKG)
-//	maintenance  organization (GOODS, DS-kNN, Nargesian, Juneau),
-//	             discovery (JOSIE, Aurum, D3L, PEXESO, Juneau, DLN),
-//	             integration (Constance, ALITE), enrichment (D4,
-//	             DomainNet, RFDs, CoreDB), cleaning (CLAMS,
-//	             Auto-Validate), schema evolution (Klettke et al.),
+//	ingestion    metadata extraction (GEMMS, DATAMARAN) and
+//	             modeling (GEMMS, HANDLE)
+//	maintenance  organization (GOODS, DS-kNN), discovery (JOSIE,
+//	             Aurum, D3L, PEXESO, Juneau, DLN), integration
+//	             (Constance, ALITE), enrichment (Constance's RFDs),
+//	             cleaning (CLAMS), schema evolution (Klettke et al.),
 //	             provenance (GOODS/CoreDB/Suriarachchi)
 //	exploration  the survey's three query-driven discovery modes and
 //	             federated SQL over the polystore (Constance, CoreDB,

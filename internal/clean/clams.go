@@ -1,8 +1,7 @@
 // Package clean implements the data-cleaning function of the
 // maintenance tier (Sec. 6.5): CLAMS-style constraint-based error
-// detection with hypergraph ranking and user validation, Constance's
-// RFD-violation cleaning, and Auto-Validate's unsupervised inference of
-// pattern-based validation rules for machine-generated data.
+// detection with hypergraph ranking and user validation, over the
+// relaxed functional dependencies Constance discovers.
 package clean
 
 import (

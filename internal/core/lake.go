@@ -921,7 +921,7 @@ func (l *Lake) profileStages(ctx context.Context, rep *MaintenanceReport, knn *o
 			knn.Add(t)
 			rep.IndexedCols += t.NumCols()
 		}},
-		{"rfd", func(t *table.Table) { rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, 0.95)...) }},
+		{"rfd", func(t *table.Table) { rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, rfdMinConfidence)...) }},
 		{"clams", func(t *table.Table) { rep.CleanViolations += cleanViolations(t) }},
 	}
 	for _, st := range stages {
@@ -976,6 +976,10 @@ func (l *Lake) promotePaths(ctx context.Context, paths []string) error {
 	}
 	return nil
 }
+
+// rfdMinConfidence is the confidence a relaxed FD needs to enter a
+// maintenance report.
+const rfdMinConfidence = 0.95
 
 // cleanViolations runs the CLAMS cleaning-function triage over one
 // dataset: discover functional denial constraints from the data and

@@ -2,11 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
-	"golake/internal/clean"
 	"golake/internal/discovery"
 	"golake/internal/enrich"
 	"golake/internal/evolve"
+	"golake/internal/explore"
 	"golake/internal/extract"
 	"golake/internal/integrate"
 	"golake/internal/metamodel"
@@ -42,41 +43,54 @@ type FunctionEntry struct {
 
 // Registry returns the Table 1 classification with runnable entries —
 // tiers (when), functions (what), systems (who), implementations
-// (how). The order follows the survey's Table 1.
+// (how). The order follows the survey's Table 1. Each Run calls the
+// implementation a lake path calls, and Systems names the systems that
+// implementation follows.
 func Registry() []FunctionEntry {
-	fixture := func() []*table.Table {
-		c := workload.GenerateCorpus(workload.CorpusSpec{
+	fixture := func() *workload.Corpus {
+		return workload.GenerateCorpus(workload.CorpusSpec{
 			NumTables: 8, JoinGroups: 2, RowsPerTable: 50,
 			ExtraCols: 1, KeyVocab: 80, KeySample: 45, Seed: 5,
 		})
-		return c.Tables
+	}
+	// demo extracts a small CSV's metadata as ingest does: parsed once,
+	// then described.
+	demo := func() (*extract.Metadata, error) {
+		const csv = "id,city\n1,berlin\n2,paris\n"
+		t, err := table.ParseCSV("demo", csv)
+		if err != nil {
+			return nil, err
+		}
+		return extract.ExtractParsed("demo.csv", []byte(csv), t)
+	}
+	// geo holds city ~> country and country ~> city with one violating
+	// row in twenty, so both dependencies reach the maintenance pass's
+	// confidence.
+	geo := func() (*table.Table, error) {
+		return table.ParseCSV("geo", "city,country\n"+strings.Repeat("berlin,de\n", 10)+
+			"berlin,fr\n"+strings.Repeat("paris,fr\n", 9))
 	}
 	return []FunctionEntry{
 		{
 			Tier: TierIngestion, Function: "metadata extraction",
-			Systems: []string{"GEMMS", "DATAMARAN", "Skluma"},
+			Systems: []string{"GEMMS", "DATAMARAN"},
 			Package: "internal/extract",
 			Run: func() (string, error) {
-				md, err := extract.Extract("demo.csv", []byte("id,city\n1,berlin\n2,paris\n"))
+				md, err := demo()
 				if err != nil {
 					return "", err
 				}
 				gl := workload.GenerateLog(workload.LogSpec{Templates: 3, Records: 120, NoiseRate: 0.05, Seed: 2})
 				tpls := extract.Datamaran(gl.Content, extract.DefaultDatamaranConfig())
-				sk, err := extract.Skluma("demo.csv", []byte("id,city\n1,berlin\n2,paris\n"))
-				if err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("schema=%d cols, log templates=%d, keywords=%d",
-					len(md.Schema), len(tpls), len(sk.Keywords)), nil
+				return fmt.Sprintf("schema=%d cols, log templates=%d", len(md.Schema), len(tpls)), nil
 			},
 		},
 		{
 			Tier: TierIngestion, Function: "metadata modeling",
-			Systems: []string{"GEMMS", "HANDLE", "data vault", "Aurum EKG"},
+			Systems: []string{"GEMMS", "HANDLE"},
 			Package: "internal/metamodel",
 			Run: func() (string, error) {
-				md, err := extract.Extract("demo.csv", []byte("id,city\n1,berlin\n2,paris\n"))
+				md, err := demo()
 				if err != nil {
 					return "", err
 				}
@@ -87,29 +101,29 @@ func Registry() []FunctionEntry {
 				if err := h.ImportGEMMS(obj, ZoneRaw); err != nil {
 					return "", err
 				}
-				v := metamodel.NewVault()
-				t, _ := table.ParseCSV("demo", "id,city\n1,berlin\n2,paris\n")
-				if err := v.LoadTable(t, "id"); err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("gemms objects=%d, handle nodes=%d, vault tables=%d",
-					len(g.IDs()), h.Graph().NumNodes(), len(v.ToRelational())), nil
+				return fmt.Sprintf("gemms objects=%d, handle nodes=%d",
+					len(g.IDs()), h.Graph().NumNodes()), nil
 			},
 		},
 		{
 			Tier: TierMaintenance, Function: "dataset organization",
-			Systems: []string{"GOODS", "DS-Prox/DS-kNN", "Nargesian et al.", "Juneau"},
+			Systems: []string{"GOODS", "DS-Prox/DS-kNN"},
 			Package: "internal/organize",
 			Run: func() (string, error) {
-				tables := fixture()
 				knn := organize.NewDSKNN()
-				for _, t := range tables {
+				cat := organize.NewCatalog(nil)
+				for _, t := range fixture().Tables {
 					knn.Add(t)
+					path := "raw/" + t.Name + ".csv"
+					if _, err := cat.Register(path); err != nil {
+						return "", err
+					}
+					if err := cat.Annotate(path, organize.GroupProvenance, "source", "registry"); err != nil {
+						return "", err
+					}
 				}
-				nav := organize.NewNavDAG(4)
-				nav.Build(tables)
-				return fmt.Sprintf("dsknn categories=%d, navdag leaves=%d, P(find)=%.2f",
-					len(knn.Categories()), len(nav.Leaves()), nav.MeanDiscoveryProbability()), nil
+				return fmt.Sprintf("dsknn categories=%d, catalog entries=%d",
+					len(knn.Categories()), len(cat.List())), nil
 			},
 		},
 		{
@@ -117,7 +131,7 @@ func Registry() []FunctionEntry {
 			Systems: []string{"Aurum", "JOSIE", "D3L", "Juneau", "PEXESO", "RNLIM", "DLN"},
 			Package: "internal/discovery",
 			Run: func() (string, error) {
-				tables := fixture()
+				tables := fixture().Tables
 				j := discovery.NewJOSIE()
 				if err := j.Index(tables); err != nil {
 					return "", err
@@ -131,8 +145,14 @@ func Registry() []FunctionEntry {
 			Systems: []string{"Constance", "ALITE"},
 			Package: "internal/integrate",
 			Run: func() (string, error) {
-				a, _ := table.ParseCSV("a", "city,price\nberlin,10\nparis,20\n")
-				b, _ := table.ParseCSV("b", "city,rating\nberlin,4\nrome,5\n")
+				a, err := table.ParseCSV("a", "city,price\nberlin,10\nparis,20\n")
+				if err != nil {
+					return "", err
+				}
+				b, err := table.ParseCSV("b", "city,rating\nberlin,4\nrome,5\n")
+				if err != nil {
+					return "", err
+				}
 				tables := []*table.Table{a, b}
 				clusters := integrate.Cluster(tables, integrate.MatchAll(tables, integrate.DefaultMatchConfig()))
 				fd := integrate.FullDisjunction(tables, clusters)
@@ -141,25 +161,26 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierMaintenance, Function: "metadata enrichment",
-			Systems: []string{"CoreDB", "D4", "DomainNet", "Constance", "GOODS"},
+			Systems: []string{"Constance"},
 			Package: "internal/enrich",
 			Run: func() (string, error) {
-				tables := fixture()
-				domains := enrich.D4(tables, enrich.DefaultD4Config())
-				f := enrich.ExtractFeatures("The customer ordered from Berlin Plant today", nil)
-				return fmt.Sprintf("d4 domains=%d, features keywords=%d entities=%d",
-					len(domains), len(f.Keywords), len(f.NamedEntities)), nil
+				t, err := geo()
+				if err != nil {
+					return "", err
+				}
+				return fmt.Sprintf("rfds=%v", enrich.DiscoverRFDs(t, rfdMinConfidence)), nil
 			},
 		},
 		{
 			Tier: TierMaintenance, Function: "data cleaning",
-			Systems: []string{"CLAMS", "Constance", "Auto-Validate"},
+			Systems: []string{"CLAMS"},
 			Package: "internal/clean",
 			Run: func() (string, error) {
-				t, _ := table.ParseCSV("geo", "city,country\nberlin,de\nberlin,de\nberlin,fr\nparis,fr\n")
-				ranked := clean.RankViolations(t, clean.DiscoverConstraints(t, 0.7))
-				rule := clean.InferRule([]string{"a-1", "b-2", "c-3"}, 0.01)
-				return fmt.Sprintf("violations=%d, rule patterns=%d", len(ranked), len(rule.Patterns)), nil
+				t, err := geo()
+				if err != nil {
+					return "", err
+				}
+				return fmt.Sprintf("violations=%d", cleanViolations(t)), nil
 			},
 		},
 		{
@@ -194,17 +215,32 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierExploration, Function: "query-driven data discovery",
-			Systems: []string{"JOSIE", "D3L", "Juneau", "Aurum"},
+			Systems: []string{"JOSIE", "D3L", "Juneau"},
 			Package: "internal/explore",
 			Run: func() (string, error) {
-				tables := fixture()
-				a := discovery.NewAurum()
-				if err := a.Index(tables); err != nil {
+				c := fixture()
+				ex := explore.NewExplorer()
+				if err := ex.Index(c.Tables); err != nil {
 					return "", err
 				}
-				res := a.RelatedTables(tables[0], 3)
-				return fmt.Sprintf("aurum top-3: %v (ekg %d cols, %d edges)",
-					res, a.EKG().NumColumns(), a.EKG().NumEdges()), nil
+				q := c.Tables[0]
+				reqs := []explore.Request{
+					{Mode: explore.ModeJoinColumn, Query: q, Column: c.KeyColumn[q.Name], K: 3},
+					{Mode: explore.ModePopulate, Query: q, K: 3},
+					{Mode: explore.ModeTask, Query: q, Task: discovery.TaskAugment, K: 3},
+					{Mode: explore.ModeTask, Query: q, Task: discovery.TaskFeatures, K: 3},
+					{Mode: explore.ModeTask, Query: q, Task: discovery.TaskClean, K: 3},
+				}
+				counts := make([]int, len(reqs))
+				for i, req := range reqs {
+					res, err := ex.Explore(req)
+					if err != nil {
+						return "", err
+					}
+					counts[i] = len(res)
+				}
+				return fmt.Sprintf("answers for %s (join-column, populate, augment, features, clean): %v",
+					q.Name, counts), nil
 			},
 		},
 		{

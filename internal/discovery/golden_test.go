@@ -47,12 +47,10 @@ func renderDiscovery(t *testing.T) string {
 
 	d3l := discovery.NewD3L()
 	josie := discovery.NewJOSIE()
-	juneaus := []*discovery.Juneau{
-		discovery.NewJuneau(discovery.TaskAugment),
-		discovery.NewJuneau(discovery.TaskFeatures),
-		discovery.NewJuneau(discovery.TaskClean),
-	}
-	for _, d := range append([]discovery.Discoverer{d3l, josie}, juneaus[0], juneaus[1], juneaus[2]) {
+	// One Juneau answers all three tasks, as in the explorer.
+	juneau := discovery.NewJuneau(discovery.TaskAugment)
+	tasks := []discovery.SearchTask{discovery.TaskAugment, discovery.TaskFeatures, discovery.TaskClean}
+	for _, d := range []discovery.Discoverer{d3l, josie, juneau} {
 		if err := d.Index(corpus.Tables); err != nil {
 			t.Fatalf("%s.Index: %v", d.Name(), err)
 		}
@@ -69,8 +67,8 @@ func renderDiscovery(t *testing.T) string {
 			b.WriteString(" " + c.Ref.String() + "=" + score(c.Score))
 		}
 		b.WriteByte('\n')
-		for task, j := range juneaus {
-			tables(fmt.Sprintf("Juneau[%d].RelatedTables %s", task, q.Name), j.RelatedTables(q, k))
+		for _, task := range tasks {
+			tables(fmt.Sprintf("Juneau[%d].RelatedTables %s", task, q.Name), juneau.RelatedTablesFor(q, task, k))
 		}
 		tables("JOSIE.RelatedTables "+q.Name, josie.RelatedTables(q, k))
 	}

@@ -32,7 +32,7 @@ const (
 // difference, and an optional provenance similarity supplied by the
 // workflow-graph layer.
 type Juneau struct {
-	// Task selects the signal weighting.
+	// Task selects the signal weighting RelatedTables uses.
 	Task SearchTask
 	// ProvenanceSim, when non-nil, returns the workflow-graph
 	// similarity of two tables in [0,1] (variable-dependency subgraph
@@ -177,9 +177,9 @@ func (j *Juneau) signalsFor(q, c *juneauProfile) juneauSignals {
 	return s
 }
 
-// Score combines signals per the selected task.
-func (j *Juneau) score(s juneauSignals) float64 {
-	switch j.Task {
+// score combines signals per task.
+func score(s juneauSignals, task SearchTask) float64 {
+	switch task {
 	case TaskAugment:
 		// Same schema, overlapping domain, more rows.
 		return 0.35*s.schemaOverlap + 0.25*s.instanceOverlap +
@@ -195,8 +195,15 @@ func (j *Juneau) score(s juneauSignals) float64 {
 	}
 }
 
-// RelatedTables implements Discoverer.
+// RelatedTables implements Discoverer: RelatedTablesFor under j.Task.
 func (j *Juneau) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
+	return j.RelatedTablesFor(query, j.Task, k)
+}
+
+// RelatedTablesFor ranks the indexed tables under task's signal
+// weighting. The profiles do not depend on the task, so one index
+// answers all three.
+func (j *Juneau) RelatedTablesFor(query *table.Table, task SearchTask, k int) []metamodel.TableScore {
 	qp, ok := j.indexed[query.Name]
 	if !ok {
 		qp = juneauProfileOf(query, j.dict.Lookup())
@@ -206,7 +213,7 @@ func (j *Juneau) RelatedTables(query *table.Table, k int) []metamodel.TableScore
 		if name == query.Name {
 			continue
 		}
-		s := j.score(j.signalsFor(qp, j.indexed[name]))
+		s := score(j.signalsFor(qp, j.indexed[name]), task)
 		if s > 0 {
 			scores[name] = s
 		}

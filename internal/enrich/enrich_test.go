@@ -15,89 +15,6 @@ func mustCSV(t *testing.T, name, csv string) *table.Table {
 	return tbl
 }
 
-func TestD4DiscoversColorAndCityDomains(t *testing.T) {
-	t1 := mustCSV(t, "vehicles", "vehicle_color,plant\nred,berlin\nwhite,munich\nblack,berlin\ngreen,hamburg\n")
-	t2 := mustCSV(t, "buildings", "building_color,city\nred,berlin\nwhite,munich\ngray,cologne\ngreen,hamburg\n")
-	t3 := mustCSV(t, "clothes", "cloth_color,size\nred,s\nwhite,m\nblue,l\ngreen,xl\n")
-	domains := D4([]*table.Table{t1, t2, t3}, DefaultD4Config())
-	if len(domains) == 0 {
-		t.Fatal("no domains discovered")
-	}
-	// A color domain should exist containing red/white/green from >= 2
-	// columns.
-	var colorDomain *Domain
-	for i := range domains {
-		for _, term := range domains[i].Terms {
-			if term == "red" {
-				colorDomain = &domains[i]
-			}
-		}
-	}
-	if colorDomain == nil {
-		t.Fatalf("no color domain in %+v", domains)
-	}
-	wantTerms := map[string]bool{"red": true, "white": true, "green": true}
-	got := map[string]bool{}
-	for _, term := range colorDomain.Terms {
-		got[term] = true
-	}
-	for w := range wantTerms {
-		if !got[w] {
-			t.Errorf("color domain misses %q: %v", w, colorDomain.Terms)
-		}
-	}
-	// Terms below support (blue, gray appear once) are excluded.
-	if got["blue"] || got["gray"] {
-		t.Errorf("low-support terms leaked into domain: %v", colorDomain.Terms)
-	}
-	if len(colorDomain.Columns) < 3 {
-		t.Errorf("color domain columns = %v", colorDomain.Columns)
-	}
-}
-
-func TestD4AmbiguousTermInMultipleDomains(t *testing.T) {
-	// "apple" appears in fruit columns and brand columns; the two
-	// clusters are otherwise disjoint, so apple must land in both
-	// domains.
-	f1 := mustCSV(t, "f1", "fruit\napple\npear\nplum\ngrape\n")
-	f2 := mustCSV(t, "f2", "fruit2\napple\npear\nplum\ncherry\n")
-	b1 := mustCSV(t, "b1", "brand\napple\nsamsung\nsony\nnokia\n")
-	b2 := mustCSV(t, "b2", "brand2\napple\nsamsung\nsony\nlg\n")
-	domains := D4([]*table.Table{f1, f2, b1, b2}, D4Config{MinColumnSim: 0.4, MinSupport: 2, MaxValuesPerColumn: 100})
-	got := DomainsOf(domains, "apple")
-	if len(got) != 2 {
-		t.Fatalf("apple domains = %v, want 2 (domains: %+v)", got, domains)
-	}
-	if pear := DomainsOf(domains, "pear"); len(pear) != 1 {
-		t.Errorf("pear domains = %v, want 1", pear)
-	}
-}
-
-func TestDomainNetDetectsHomograph(t *testing.T) {
-	// Two dense communities (fruit tables, brand tables) sharing only
-	// the value "apple".
-	f1 := mustCSV(t, "f1", "fruit\napple\npear\nplum\ngrape\nmelon\n")
-	f2 := mustCSV(t, "f2", "fruit2\npear\nplum\ngrape\nmelon\napple\n")
-	b1 := mustCSV(t, "b1", "brand\napple\nsamsung\nsony\nnokia\nhuawei\n")
-	b2 := mustCSV(t, "b2", "brand2\nsamsung\nsony\nnokia\nhuawei\napple\n")
-	homs := DomainNet([]*table.Table{f1, f2, b1, b2}, DefaultDomainNetConfig())
-	if len(homs) == 0 {
-		t.Fatal("no homographs detected")
-	}
-	if homs[0].Value != "apple" {
-		t.Errorf("top homograph = %+v, want apple", homs[0])
-	}
-	if homs[0].Communities < 2 {
-		t.Errorf("apple communities = %d", homs[0].Communities)
-	}
-	// Unambiguous values are not flagged.
-	for _, h := range homs {
-		if h.Value == "pear" || h.Value == "samsung" {
-			t.Errorf("unambiguous value flagged: %+v", h)
-		}
-	}
-}
-
 func TestDiscoverRFDs(t *testing.T) {
 	// city -> country holds except one violating row (Berlin/France).
 	tbl := mustCSV(t, "geo", "city,country\nberlin,de\nberlin,de\nberlin,fr\nparis,fr\nparis,fr\nrome,it\n")
@@ -142,62 +59,5 @@ func TestRFDViolationsUnknownColumn(t *testing.T) {
 	tbl := mustCSV(t, "t", "a,b\n1,x\n")
 	if _, err := RFDViolations(tbl, RFD{Table: "t", Lhs: "ghost", Rhs: "b"}); err == nil {
 		t.Error("unknown column should error")
-	}
-}
-
-func TestExtractFeatures(t *testing.T) {
-	text := "The customer purchased a car in Berlin Center. The customer paid the price in full. Apple Inc shipped the order."
-	kb := MapKB{"berlin center": "kb:berlin-center", "apple inc": "kb:apple"}
-	f := ExtractFeatures(text, kb)
-	if len(f.Keywords) == 0 || f.Keywords[0] != "customer" {
-		t.Errorf("keywords = %v", f.Keywords)
-	}
-	foundEntity := false
-	for _, e := range f.NamedEntities {
-		if e == "Berlin Center" {
-			foundEntity = true
-		}
-	}
-	if !foundEntity {
-		t.Errorf("entities = %v", f.NamedEntities)
-	}
-	// Synonym expansion for "customer" and "price".
-	hasClient := false
-	for _, e := range f.Expanded {
-		if e == "client" {
-			hasClient = true
-		}
-	}
-	if !hasClient {
-		t.Errorf("expanded = %v, want client synonym", f.Expanded)
-	}
-	if f.Links["Berlin Center"] != "kb:berlin-center" {
-		t.Errorf("links = %v", f.Links)
-	}
-	if f.Links["Apple Inc"] != "kb:apple" {
-		t.Errorf("links = %v", f.Links)
-	}
-}
-
-func TestExtractFeaturesNilKB(t *testing.T) {
-	f := ExtractFeatures("Plain text without entities", nil)
-	if len(f.Links) != 0 {
-		t.Errorf("links with nil KB = %v", f.Links)
-	}
-}
-
-func TestStem(t *testing.T) {
-	cases := map[string]string{
-		"cities":  "city",
-		"running": "runn",
-		"boxes":   "box",
-		"cars":    "car",
-		"glass":   "glass",
-		"car":     "car",
-	}
-	for in, want := range cases {
-		if got := stem(in); got != want {
-			t.Errorf("stem(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

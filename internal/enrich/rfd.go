@@ -1,3 +1,6 @@
+// Package enrich implements the metadata-enrichment function of the
+// maintenance tier (Sec. 6.4): Constance's relaxed-functional-dependency
+// discovery, which every maintenance pass runs over each new dataset.
 package enrich
 
 import (

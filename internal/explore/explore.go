@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"golake/internal/discovery"
-	"golake/internal/metamodel"
 	"golake/internal/table"
 )
 
@@ -75,7 +74,8 @@ type Explorer struct {
 	corpus  map[string]*table.Table
 	josie   *discovery.JOSIE
 	d3l     *discovery.D3L
-	juneau  map[discovery.SearchTask]*discovery.Juneau
+	// juneau answers every task: its profiles do not depend on the task.
+	juneau  *discovery.Juneau
 	indexed bool
 }
 
@@ -91,10 +91,7 @@ func (e *Explorer) reset() {
 	e.corpus = map[string]*table.Table{}
 	e.josie = discovery.NewJOSIE()
 	e.d3l = discovery.NewD3L()
-	e.juneau = map[discovery.SearchTask]*discovery.Juneau{}
-	for _, task := range []discovery.SearchTask{discovery.TaskAugment, discovery.TaskFeatures, discovery.TaskClean} {
-		e.juneau[task] = discovery.NewJuneau(task)
-	}
+	e.juneau = discovery.NewJuneau(discovery.TaskAugment)
 }
 
 // Index rebuilds all mode indexes from scratch over the corpus.
@@ -142,10 +139,8 @@ func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStag
 	if err := e.d3l.Commit(staged); err != nil {
 		return err
 	}
-	for _, j := range e.juneau {
-		if err := j.Index(tables); err != nil {
-			return err
-		}
+	if err := e.juneau.Index(tables); err != nil {
+		return err
 	}
 	e.indexed = true
 	return nil
@@ -165,9 +160,7 @@ func (e *Explorer) Remove(name string) {
 	delete(e.corpus, name)
 	e.josie.Remove(name)
 	e.d3l.Remove(name)
-	for _, j := range e.juneau {
-		j.Remove(name)
-	}
+	e.juneau.Remove(name)
 }
 
 // Tables returns the indexed table names, sorted.
@@ -282,27 +275,28 @@ func (e *Explorer) populate(q *table.Table, k int) ([]Result, error) {
 
 // task is mode 3: Juneau's task-specific relatedness.
 func (e *Explorer) task(q *table.Table, task discovery.SearchTask, k int) ([]Result, error) {
-	j, ok := e.juneau[task]
+	via, ok := taskName(task)
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown task %d", task)
 	}
-	via := taskName(task)
 	var out []Result
-	for _, ts := range j.RelatedTables(q, k) {
+	for _, ts := range e.juneau.RelatedTablesFor(q, task, k) {
 		out = append(out, Result{Table: ts.Table, Score: ts.Score, Via: via})
 	}
 	return out, nil
 }
 
-func taskName(task discovery.SearchTask) string {
+// taskName names a task for Result.Via; ok is false for an unknown one.
+func taskName(task discovery.SearchTask) (name string, ok bool) {
 	switch task {
 	case discovery.TaskAugment:
-		return "augment"
+		return "augment", true
 	case discovery.TaskFeatures:
-		return "features"
-	default:
-		return "clean"
+		return "features", true
+	case discovery.TaskClean:
+		return "clean", true
 	}
+	return "", false
 }
 
 func rankResults(scores map[string]float64, k int, via string) []Result {
@@ -320,10 +314,4 @@ func rankResults(scores map[string]float64, k int, via string) []Result {
 		out = out[:k]
 	}
 	return out
-}
-
-// JoinPaths exposes Aurum-style discovery paths between two tables via
-// any shared discovery signal, delegating to an EKG when available.
-func JoinPaths(ekg *metamodel.EKG, from, to metamodel.ColumnRef, minWeight float64) []metamodel.ColumnRef {
-	return ekg.PathBetween(from, to, minWeight)
 }

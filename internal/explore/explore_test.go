@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -85,6 +86,77 @@ func TestModeTask(t *testing.T) {
 		if r.Via != "augment" {
 			t.Errorf("via = %q", r.Via)
 		}
+	}
+}
+
+// The explorer keeps one Juneau index for all three tasks. Each task's
+// answer must match, bit for bit, a standalone Juneau built for that
+// task over the same tables, after a full Index, an incremental Add
+// and a Remove.
+func TestExplorerTaskModeMatchesJuneau(t *testing.T) {
+	c := workload.GenerateCorpus(workload.CorpusSpec{
+		NumTables: 12, JoinGroups: 3, RowsPerTable: 60,
+		ExtraCols: 1, KeyVocab: 100, KeySample: 50, NoiseRate: 0.02, Seed: 29,
+	})
+	tasks := []discovery.SearchTask{discovery.TaskAugment, discovery.TaskFeatures, discovery.TaskClean}
+	base, last := c.Tables[:len(c.Tables)-1], c.Tables[len(c.Tables)-1]
+	e := NewExplorer()
+	standalone := make([]*discovery.Juneau, len(tasks))
+	for i, task := range tasks {
+		standalone[i] = discovery.NewJuneau(task)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, task := range tasks {
+			for _, q := range c.Tables {
+				got, err := e.Explore(Request{Mode: ModeTask, Query: q, Task: task, K: len(c.Tables)})
+				if err != nil {
+					t.Fatalf("%s: task %d: %v", stage, task, err)
+				}
+				want := standalone[i].RelatedTables(q, len(c.Tables))
+				if len(got) != len(want) {
+					t.Fatalf("%s: task %d, %s: %d answers, standalone Juneau %d", stage, task, q.Name, len(got), len(want))
+				}
+				for r := range got {
+					if got[r].Table != want[r].Table || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
+						t.Errorf("%s: task %d, %s, rank %d: %s=%v, standalone Juneau %s=%v",
+							stage, task, q.Name, r, got[r].Table, got[r].Score, want[r].Table, want[r].Score)
+					}
+				}
+			}
+		}
+	}
+
+	if err := e.Index(base); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range standalone {
+		if err := j.Index(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after Index")
+
+	if err := e.Add(last); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range standalone {
+		if err := j.Index([]*table.Table{last}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after Add")
+
+	victim := c.Tables[2].Name
+	e.Remove(victim)
+	for _, j := range standalone {
+		j.Remove(victim)
+	}
+	check("after Remove")
+
+	_, err := e.Explore(Request{Mode: ModeTask, Query: last, Task: discovery.SearchTask(7), K: 3})
+	if err == nil || err.Error() != "explore: unknown task 7" {
+		t.Errorf("unknown task: %v, want explore: unknown task 7", err)
 	}
 }
 

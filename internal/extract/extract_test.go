@@ -187,66 +187,6 @@ func TestTemplateRecoveryEdge(t *testing.T) {
 	}
 }
 
-func TestSklumaCSV(t *testing.T) {
-	data := []byte("city,population,note\nberlin,3600000,capital city\nparis,2100000,capital city\nlyon,500000,\n")
-	md, err := Skluma("data/cities.csv", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if md.Name != "cities.csv" || md.Extension != "csv" {
-		t.Errorf("context = %+v", md)
-	}
-	agg, ok := md.NumericSummary["population"]
-	if !ok {
-		t.Fatal("population aggregate missing")
-	}
-	if agg.Min != 500000 || agg.Max != 3600000 {
-		t.Errorf("aggregate = %+v", agg)
-	}
-	if md.NullFraction <= 0 {
-		t.Errorf("null fraction = %v, want > 0", md.NullFraction)
-	}
-	// "capital" and "city" should be leading keywords.
-	if len(md.Keywords) == 0 {
-		t.Fatal("no keywords")
-	}
-	found := false
-	for _, kw := range md.Keywords {
-		if kw.Term == "capital" || kw.Term == "city" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("keywords = %+v", md.Keywords)
-	}
-}
-
-func TestSklumaText(t *testing.T) {
-	md, err := Skluma("notes.txt", []byte("sensor telemetry sensor readings from the sensor array"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(md.Keywords) == 0 || md.Keywords[0].Term != "sensor" {
-		t.Errorf("keywords = %+v", md.Keywords)
-	}
-	if md.TopicHint != "sensor" {
-		t.Errorf("topic = %q", md.TopicHint)
-	}
-}
-
-func TestSklumaStopwordsAndNumbers(t *testing.T) {
-	md, err := Skluma("t.txt", []byte("the and 12345 for with"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(md.Keywords) != 0 {
-		t.Errorf("keywords = %+v, want none", md.Keywords)
-	}
-	if md.TopicHint != "unknown" {
-		t.Errorf("topic = %q", md.TopicHint)
-	}
-}
-
 func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
 	path, data := "raw/orders.csv", []byte("id,total,city\n1,9.5,berlin\n2,3.0,paris\n")
 	want, err := Extract(path, data)

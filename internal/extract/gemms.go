@@ -1,9 +1,8 @@
 // Package extract implements the ingestion-tier metadata extraction
 // function of the survey (Sec. 5.1) with one representative per system
 // family: GEMMS-style format detection plus structural metadata parsing
-// (tables for CSV, trees for JSON/XML), DATAMARAN-style unsupervised
-// structure-template extraction from multi-line log files, and
-// Skluma-style content/context profiling.
+// (tables for CSV, trees for JSON/XML) and DATAMARAN-style unsupervised
+// structure-template extraction from multi-line log files.
 package extract
 
 import (

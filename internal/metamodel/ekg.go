@@ -200,61 +200,6 @@ func (g *EKG) Hyperedges() []string {
 	return out
 }
 
-// PathBetween finds a shortest chain of related columns from a to b
-// following edges with weight >= minWeight — Aurum's discovery path
-// primitive.
-func (g *EKG) PathBetween(a, b ColumnRef, minWeight float64) []ColumnRef {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if !g.nodes[a] || !g.nodes[b] {
-		return nil
-	}
-	if a == b {
-		return []ColumnRef{a}
-	}
-	prev := map[ColumnRef]ColumnRef{a: a}
-	queue := []ColumnRef{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		var nbs []ColumnRef
-		for _, k := range g.adj[cur] {
-			e, ok := g.edges[k]
-			if !ok || e.Weight < minWeight {
-				continue
-			}
-			nbs = append(nbs, other(*e, cur))
-		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].String() < nbs[j].String() })
-		for _, nb := range nbs {
-			if _, seen := prev[nb]; seen {
-				continue
-			}
-			prev[nb] = cur
-			if nb == b {
-				return buildRefPath(prev, a, b)
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil
-}
-
-func buildRefPath(prev map[ColumnRef]ColumnRef, a, b ColumnRef) []ColumnRef {
-	var rev []ColumnRef
-	for cur := b; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == a {
-			break
-		}
-	}
-	out := make([]ColumnRef, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
 // TablesRelated returns, for a query table's hyperedge, the tables
 // reachable through at least one column edge with weight >= minWeight,
 // with the strongest edge weight per table, sorted descending.

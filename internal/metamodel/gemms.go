@@ -2,8 +2,7 @@
 // function (Sec. 5.2 of the survey), one representative per method
 // family: the GEMMS generic metamodel (content / structure / semantics
 // separation), the HANDLE generic model (data - metadata - property on
-// a graph), the data vault conceptual model (hubs, links, satellites),
-// and Aurum's enterprise knowledge graph hypergraph.
+// a graph), and Aurum's enterprise knowledge graph hypergraph.
 package metamodel
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"golake/internal/extract"
-	"golake/internal/table"
 )
 
 func sampleObject(t *testing.T) *MetadataObject {
@@ -125,74 +124,6 @@ func TestHANDLEImportGEMMS(t *testing.T) {
 	}
 }
 
-func TestVaultLoadAndRelational(t *testing.T) {
-	v := NewVault()
-	orders, _ := table.ParseCSV("orders", "order_id,customer,total\no1,alice,9.5\no2,bob,3.0\n")
-	custs, _ := table.ParseCSV("customers", "cust_id,city\nalice,berlin\nbob,paris\n")
-	if err := v.LoadTable(orders, "order_id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.LoadTable(custs, "cust_id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.LinkHubs("placed", "customers", "alice", "orders", "o1"); err != nil {
-		t.Fatal(err)
-	}
-	hub, ok := v.Hub("orders")
-	if !ok || len(hub.Keys) != 2 {
-		t.Fatalf("hub = %+v", hub)
-	}
-	sat, ok := v.Satellite("orders_sat")
-	if !ok || len(sat.Attributes) != 2 {
-		t.Fatalf("satellite = %+v", sat)
-	}
-	rel := v.ToRelational()
-	// 2 hubs + 1 link + 2 satellites = 5 tables.
-	if len(rel) != 5 {
-		t.Fatalf("relational tables = %d, want 5", len(rel))
-	}
-	names := map[string]bool{}
-	for _, tb := range rel {
-		names[tb.Name] = true
-	}
-	for _, want := range []string{"hub_orders", "hub_customers", "link_placed", "sat_orders_sat", "sat_customers_sat"} {
-		if !names[want] {
-			t.Errorf("missing table %s in %v", want, names)
-		}
-	}
-}
-
-func TestVaultIncrementalLoadIdempotentKeys(t *testing.T) {
-	v := NewVault()
-	t1, _ := table.ParseCSV("d", "k,v\na,1\nb,2\n")
-	t2, _ := table.ParseCSV("d", "k,v\nb,20\nc,3\n")
-	_ = v.LoadTable(t1, "k")
-	_ = v.LoadTable(t2, "k")
-	hub, _ := v.Hub("d")
-	if len(hub.Keys) != 3 {
-		t.Errorf("keys = %v, want 3 distinct", hub.Keys)
-	}
-	sat, _ := v.Satellite("d_sat")
-	if sat.Rows["b"][0] != "20" {
-		t.Errorf("satellite latest value = %v, want 20", sat.Rows["b"])
-	}
-}
-
-func TestVaultErrors(t *testing.T) {
-	v := NewVault()
-	t1, _ := table.ParseCSV("d", "k,v\na,1\n")
-	if err := v.LoadTable(t1, "ghost"); err == nil {
-		t.Error("unknown key column should fail")
-	}
-	_ = v.LoadTable(t1, "k")
-	if err := v.LoadTable(t1, "v"); err == nil {
-		t.Error("re-keying a hub should fail")
-	}
-	if err := v.LinkHubs("l", "d", "a", "ghost", "x"); err == nil {
-		t.Error("link to unknown hub should fail")
-	}
-}
-
 func TestEKGRelateAndNeighbors(t *testing.T) {
 	g := NewEKG()
 	a := ColumnRef{"t1", "id"}
@@ -231,26 +162,6 @@ func TestEKGRemoveRelations(t *testing.T) {
 	}
 	if nbs := g.Neighbors(b, "", 0); len(nbs) != 0 {
 		t.Errorf("stale adjacency: %+v", nbs)
-	}
-}
-
-func TestEKGPathBetween(t *testing.T) {
-	g := NewEKG()
-	a, b, c := ColumnRef{"t1", "a"}, ColumnRef{"t2", "b"}, ColumnRef{"t3", "c"}
-	g.Relate(a, b, "content", 0.9)
-	g.Relate(b, c, "content", 0.9)
-	path := g.PathBetween(a, c, 0.5)
-	if len(path) != 3 || path[1] != b {
-		t.Errorf("path = %v", path)
-	}
-	if p := g.PathBetween(a, c, 0.95); p != nil {
-		t.Errorf("high-threshold path = %v, want nil", p)
-	}
-	if p := g.PathBetween(a, a, 0); len(p) != 1 {
-		t.Errorf("self path = %v", p)
-	}
-	if p := g.PathBetween(a, ColumnRef{"ghost", "x"}, 0); p != nil {
-		t.Errorf("missing node path = %v", p)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package organize implements the dataset-organization function of the
 // maintenance tier (Sec. 6.1): the GOODS post-hoc metadata catalog, the
-// DS-kNN classification-based organization, the navigation DAG of
-// Nargesian et al. with its Markov navigation model, and Juneau's
-// workflow and variable-dependency graphs (Table 2).
+// DS-kNN classification-based organization, and Juneau's workflow and
+// variable-dependency graphs (Table 2).
 package organize
 
 import (

@@ -126,56 +126,6 @@ func TestDSKNNGraphEdges(t *testing.T) {
 	}
 }
 
-func TestNavDAGBuildAndNavigate(t *testing.T) {
-	corpus := workload.GenerateCorpus(workload.CorpusSpec{
-		NumTables: 8, JoinGroups: 2, RowsPerTable: 60,
-		ExtraCols: 0, KeyVocab: 80, KeySample: 50, Seed: 17,
-	})
-	d := NewNavDAG(4)
-	root := d.Build(corpus.Tables)
-	if root == nil || root.IsLeaf() {
-		t.Fatal("no organization built")
-	}
-	// 8 tables x 3 cols = 24 leaves.
-	if got := len(d.Leaves()); got != 24 {
-		t.Fatalf("leaves = %d, want 24", got)
-	}
-	// Navigation ends at a leaf.
-	path := d.Navigate("g00_key")
-	if len(path) < 2 {
-		t.Fatalf("path = %v", path)
-	}
-	last := path[len(path)-1]
-	if !last.IsLeaf() {
-		t.Error("navigation did not reach a leaf")
-	}
-	// Mean discovery probability must beat uniform random leaf choice.
-	mp := d.MeanDiscoveryProbability()
-	if mp <= 1.0/24 {
-		t.Errorf("mean discovery probability = %v, not better than random", mp)
-	}
-}
-
-func TestNavDAGDiscoveryProbabilitySums(t *testing.T) {
-	a, _ := table.ParseCSV("a", "x,y\nfoo,1\nbar,2\n")
-	d := NewNavDAG(2)
-	d.Build([]*table.Table{a})
-	var sum float64
-	for _, leaf := range d.Leaves() {
-		p := d.DiscoveryProbability(leaf)
-		if p < 0 || p > 1 {
-			t.Errorf("P(%s) = %v out of range", leaf, p)
-		}
-		sum += p
-	}
-	if sum <= 0 {
-		t.Error("all discovery probabilities zero")
-	}
-	if got := d.DiscoveryProbability("ghost.col"); got != 0 {
-		t.Errorf("unknown attribute probability = %v", got)
-	}
-}
-
 func TestWorkflowGraphLineage(t *testing.T) {
 	w := NewWorkflowGraph()
 	if err := w.AddModule("clean", []string{"raw"}, []string{"cleaned"}); err != nil {
@@ -214,36 +164,4 @@ func TestWorkflowGraphProvenanceSimilarity(t *testing.T) {
 	if got := w.ProvenanceSimilarity("base", "unrelated"); got != 0 {
 		t.Errorf("unrelated sim = %v", got)
 	}
-}
-
-// Property: at every internal node, Markov transition probabilities
-// over children sum to 1 for arbitrary query vectors.
-func TestNavDAGTransitionProbabilitiesSum(t *testing.T) {
-	corpus := workload.GenerateCorpus(workload.CorpusSpec{
-		NumTables: 6, JoinGroups: 2, RowsPerTable: 40,
-		ExtraCols: 1, KeyVocab: 60, KeySample: 40, Seed: 41,
-	})
-	d := NewNavDAG(3)
-	root := d.Build(corpus.Tables)
-	var walk func(n *NavNode)
-	walk = func(n *NavNode) {
-		if n.IsLeaf() {
-			return
-		}
-		probs := transitionProbs(n.Vector, n.Children)
-		var sum float64
-		for _, p := range probs {
-			if p < 0 || p > 1 {
-				t.Fatalf("probability %v out of range at %s", p, n.ID)
-			}
-			sum += p
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("probabilities sum to %v at %s", sum, n.ID)
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(root)
 }

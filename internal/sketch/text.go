@@ -208,8 +208,7 @@ func KolmogorovSmirnov(as, bs []float64) float64 {
 // RegexPattern generalizes a value into a character-class pattern:
 // runs of letters become "a+", digits "9+", everything else kept
 // verbatim. DATAMARAN-style structure templates and D3L's format
-// feature both build on this generalization, as does Auto-Validate's
-// pattern language.
+// feature both build on this generalization.
 func RegexPattern(s string) string {
 	var sb strings.Builder
 	var prev rune

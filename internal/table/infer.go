@@ -8,7 +8,7 @@ import (
 
 // InferKind infers the dominant type of a cell sequence. A column is
 // typed K if at least 95% of its non-null cells parse as K, following
-// the tolerant inference used by lake profilers (Skluma, GOODS): raw
+// the tolerant inference used by lake profilers such as GOODS: raw
 // data routinely carries a few mistyped cells.
 //
 // A kind is out of the running once its misses exceed 5% of len(cells),
