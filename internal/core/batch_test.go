@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"golake/internal/query"
+	"golake/internal/table"
 )
 
 // batchLake assembles a lake over two relational sources with
@@ -94,16 +95,58 @@ func TestV1QueryBatchRowsValidation(t *testing.T) {
 	}
 }
 
+// hostileCells are cells every escape of the row line touches: the
+// quote and backslash, the HTML-escaped <, > and &, control bytes with
+// and without a short escape, the line and paragraph separators,
+// invalid UTF-8 (a stray continuation byte, a truncated sequence, an
+// encoded surrogate) and the empty cell.
+var hostileCells = []string{"", `"`, `\`, "<", ">", "&", `<a href="x">&amp;\</a>`, "\x00", "\x01\x1f\x7f",
+	"\b\f\n\r\t", "\u2028", "x\u2029y", "\xff", "a\xc3", "\xed\xa0\x80", "é😀", "plain"}
+
+// addHostile stores a table of hostileCells straight in the relational
+// store, so its cells keep their exact bytes, and ingests a document
+// collection of them (valid UTF-8 only: JSON cannot carry the rest)
+// with a column c the table lacks.
+func addHostile(t *testing.T, l *Lake) {
+	t.Helper()
+	tbl := table.New("hostile")
+	tbl.Columns = []*table.Column{{Name: "id"}, {Name: "a"}, {Name: "b"}}
+	n := len(hostileCells)
+	for i := 0; i < 3*n; i++ {
+		_ = tbl.AppendRow([]string{fmt.Sprint(i), hostileCells[i%n], hostileCells[(i*7+3)%n]})
+	}
+	l.Poly.Rel.Create(tbl)
+	var jsonl strings.Builder
+	for i := 0; i < n; i++ {
+		doc, _ := json.Marshal(map[string]any{"id": 100 + i, "a": hostileCells[i], "c": hostileCells[(i+5)%n]})
+		jsonl.Write(doc)
+		jsonl.WriteByte('\n')
+	}
+	if _, err := l.Ingest(context.Background(), "raw/hostile_docs.jsonl", []byte(jsonl.String()), "erp", "dana"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestV1QueryBatchNDJSONByteIdentity pins the serialization contract:
 // at every batch size, the NDJSON stream's header and row lines are
-// byte-identical to encoding/json over the JSON envelope's columns and
-// rows — only the stats trailer (timings) may differ.
+// byte-identical to what encoding/json wrote for the JSON envelope's
+// columns and rows — only the stats trailer (timings) may differ. The
+// hostile statements read stored columns, whose row lines are copied
+// from the store's encoding, with and without a selection, under a
+// reordered projection, and in one line with null pads and beside
+// document rows, whose cells are encoded as they are written.
 func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
-	_, srv := batchLake(t)
+	l, srv := batchLake(t)
+	addHostile(t, l)
 	for _, sql := range []string{
 		"SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40",
 		"SELECT * FROM rel:hotels_a, rel:hotels_b",
 		"SELECT city, stars FROM rel:hotels_a, rel:hotels_b LIMIT 700",
+		"SELECT id, a, b FROM rel:hostile",
+		"SELECT id, a, b FROM rel:hostile WHERE id > 10",
+		"SELECT b, a, id FROM rel:hostile WHERE id < 40",
+		"SELECT * FROM rel:hostile, doc:hostile_docs",
+		"SELECT c, b, a, id FROM rel:hostile, doc:hostile_docs WHERE id > 5",
 	} {
 		// Fan-in 1 throughout: without an ORDER BY the row sequence is
 		// only defined for the sequential union.
@@ -111,18 +154,22 @@ func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: JSON status = %d (%s)", sql, resp.StatusCode, data)
 		}
+		// The rows stay as encoding/json wrote them: decoding would
+		// turn invalid UTF-8's \ufffd escapes into the rune itself.
 		var env struct {
-			Columns []string   `json:"columns"`
-			Rows    [][]string `json:"rows"`
+			Columns []string          `json:"columns"`
+			Rows    []json.RawMessage `json:"rows"`
 		}
 		if err := json.Unmarshal(data, &env); err != nil {
 			t.Fatal(err)
 		}
+		if len(env.Rows) == 0 {
+			t.Fatalf("%s: no rows", sql)
+		}
 		header, _ := json.Marshal(map[string]any{"columns": env.Columns})
 		wantLines := []string{string(header)}
 		for _, row := range env.Rows {
-			line, _ := json.Marshal(row)
-			wantLines = append(wantLines, string(line))
+			wantLines = append(wantLines, string(row))
 		}
 		for _, batchRows := range []int{1, 7, 1024} {
 			body := fmt.Sprintf(`{"sql":%q,"batch_rows":%d,"fanin":1}`, sql, batchRows)

@@ -15,7 +15,6 @@ import (
 	"golake/internal/discovery"
 	"golake/internal/explore"
 	"golake/internal/maintain"
-	"golake/internal/ndjson"
 	"golake/internal/obs"
 	"golake/internal/query"
 	"golake/internal/table"
@@ -805,19 +804,31 @@ type batchStream interface {
 // (arrays) from the header and trailers (objects) by the first byte of
 // each line.
 //
-// Row lines are appended into one reused buffer (ndjson.AppendRow,
-// byte-identical to json.Encoder) and reach the client one write and
-// one flush per batch. The header is flushed on its own and so is the
-// first batch, so a client holds the columns and the first rows while
-// the scan is still running. Encoding and writing are timed once per
-// write into the stream's "serialize" trace span (when the stream
-// carries one) so the stats trailer accounts for them.
+// Row lines are appended into one reused buffer (Batch.AppendRowJSON,
+// byte-identical to json.Encoder, which copies stored columns' cells
+// from the store's encoding of them) and reach the client one write
+// and one flush per batch. The header is flushed on its own and so is
+// the first batch, so a client holds the columns and the first rows
+// while the scan is still running. Encoding and writing are timed once
+// per write into the stream's "serialize" trace span (when the stream
+// carries one), recorded on every exit and, on a clean end, before the
+// stats trailer so the trailer accounts for it.
 func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, stats func() query.ExecStats) {
 	defer st.Close()
+	var serialize time.Duration
+	spans, _ := st.(interface {
+		AddSpan(string, time.Duration)
+	})
+	recordSpan := func() {
+		if spans != nil {
+			spans.AddSpan("serialize", serialize)
+			spans = nil
+		}
+	}
+	defer recordSpan()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	var serialize time.Duration
 	start := time.Now()
 	err := json.NewEncoder(w).Encode(map[string]any{"columns": orEmpty(st.Columns())})
 	if flusher != nil {
@@ -828,7 +839,6 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, st
 		return
 	}
 	var buf []byte
-	scratch := make([]string, len(st.Columns()))
 	for {
 		b, err := st.NextBatch(ctx)
 		if err == io.EOF {
@@ -843,8 +853,7 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, st
 		start := time.Now()
 		buf = buf[:0]
 		for i := 0; i < b.Len(); i++ {
-			b.CopyRow(scratch, i)
-			buf = ndjson.AppendRow(buf, scratch)
+			buf = b.AppendRowJSON(buf, i)
 		}
 		_, err = w.Write(buf)
 		if flusher != nil {
@@ -855,11 +864,7 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, st
 			return
 		}
 	}
-	if sa, ok := st.(interface {
-		AddSpan(string, time.Duration)
-	}); ok {
-		sa.AddSpan("serialize", serialize)
-	}
+	recordSpan()
 	if stats != nil {
 		_ = json.NewEncoder(w).Encode(map[string]any{"stats": stats()})
 	}

@@ -1,10 +1,15 @@
 // Package ndjson is the row line of the /v1/query NDJSON stream, both
-// directions in one place: AppendRow writes `["a","b"]\n` on the
-// serving side, Cells.DecodeRow reads it back on the federated hop.
-// Header and trailer lines are JSON objects and stay with
-// encoding/json at both ends; only the per-row line — the one that is
-// written and parsed once per row — is hand-rolled, and it is pinned
-// byte-for-byte to what encoding/json would produce and accept.
+// directions in one place: AppendString writes one cell as a JSON
+// string literal, AppendRow a whole `["a","b"]\n` line of them, and
+// Cells.DecodeRow reads a line back on the federated hop. The serving
+// side writes its row lines with query.Batch.AppendRowJSON, which
+// copies a stored column's cells from the literals the relational
+// store encoded once with AppendString (polystore.Mirror.JSON) and
+// encodes any other cell with AppendString as it goes. Header and
+// trailer lines are JSON objects and stay with encoding/json at both
+// ends; only the per-row line — the one that is written and parsed
+// once per row — is hand-rolled, and it is pinned byte-for-byte to
+// what encoding/json would produce and accept.
 package ndjson
 
 import (
@@ -37,16 +42,16 @@ func AppendRow(dst []byte, row []string) []byte {
 		if j > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, cell)
+		dst = AppendString(dst, cell)
 	}
 	return append(dst, ']', '\n')
 }
 
-// appendString appends s as a JSON string literal with encoding/json's
+// AppendString appends s as a JSON string literal with encoding/json's
 // escaping: short escapes for \b \f \n \r \t, \u00XX for the other
 // control bytes and for <, >, &, \u2028 and \u2029 for the line and
 // paragraph separators, and \ufffd for each byte of invalid UTF-8.
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

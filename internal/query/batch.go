@@ -71,18 +71,28 @@ func (b *Batch) Cell(i, j int) string { return b.vecs[j].Cell(b.rowIndex(i)) }
 
 // Row materializes logical row i — RowStream's row cursor.
 func (b *Batch) Row(i int) Row {
+	p := b.rowIndex(i)
 	row := make(Row, len(b.vecs))
-	b.CopyRow(row, i)
+	for j, v := range b.vecs {
+		row[j] = v.Cell(p)
+	}
 	return row
 }
 
-// CopyRow writes logical row i into dst (len >= column count) without
-// allocating — serialization reuses one scratch row across a stream.
-func (b *Batch) CopyRow(dst Row, i int) {
+// AppendRowJSON appends logical row i as one NDJSON row line,
+// byte-identical to ndjson.AppendRow(dst, b.Row(i)): a cell of a stored
+// column is copied from the store's encoding of it, any other cell is
+// encoded as it is written. Nothing is allocated but dst's growth.
+func (b *Batch) AppendRowJSON(dst []byte, i int) []byte {
 	p := b.rowIndex(i)
+	dst = append(dst, '[')
 	for j, v := range b.vecs {
-		dst[j] = v.Cell(p)
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = v.appendJSON(dst, p)
 	}
+	return append(dst, ']', '\n')
 }
 
 // BatchIterator is the engine's stage interface: every leaf and stage

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"golake/internal/ndjson"
 	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
@@ -19,8 +20,9 @@ func (b *Bitmap) Get(i int) bool {
 	return b.bits[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Vector is one column of a Batch: a run of cells and a lazily
-// materialized float64 mirror.
+// Vector is one column of a Batch: a run of cells, a lazily
+// materialized float64 mirror, and the cells' JSON encoding when the
+// store keeps one.
 //
 // The string cells are authoritative: they are zero-copy references
 // into the store snapshot and carry the exact wire representation, so
@@ -30,7 +32,9 @@ func (b *Bitmap) Get(i int) bool {
 // marked invalid in its bitmap and fall back to string semantics,
 // exactly as Predicate.Matches does. A vector over a stored column reads
 // the store's mirror of that column, parsed once per column; any other
-// vector parses its own cells once.
+// vector parses its own cells once. Likewise a row line copies a stored
+// column's cells from the store's encoding of that column, encoded once
+// per column, and encodes any other vector's cells as it writes them.
 //
 // Vectors flow through single-consumer pipelines; the lazy mirrors are
 // not synchronized.
@@ -42,12 +46,18 @@ type Vector struct {
 
 	// mirror, when set, is the stored column the cells were cut from,
 	// starting at its row off.
-	mirror *polystore.FloatMirror
+	mirror *polystore.Mirror
 	off    int
 
 	parsed  bool
 	floats  []float64
 	floatOK Bitmap
+
+	// wired is set once arena and ends hold the mirror's JSON form
+	// (both nil when the vector has none).
+	wired bool
+	arena []byte
+	ends  []uint32
 }
 
 // NewVector wraps a cell run as a vector. The slice is referenced, not
@@ -98,6 +108,23 @@ func (v *Vector) Floats() ([]float64, *Bitmap) {
 		}
 	}
 	return v.floats, &v.floatOK
+}
+
+// appendJSON appends cell i as a JSON string literal: a copy of its
+// stored encoding when the store keeps one, ndjson.AppendString of the
+// cell otherwise. The mirror is consulted once per vector, not per cell.
+func (v *Vector) appendJSON(dst []byte, i int) []byte {
+	if !v.wired {
+		v.wired = true
+		if v.mirror != nil {
+			v.arena, v.ends = v.mirror.JSON()
+		}
+	}
+	if v.ends != nil {
+		k := v.off + i
+		return append(dst, v.arena[v.ends[k]:v.ends[k+1]]...)
+	}
+	return ndjson.AppendString(dst, v.Cell(i))
 }
 
 // AppendTo appends the vector's cells to dst in selection order (every

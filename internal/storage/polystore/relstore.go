@@ -9,9 +9,11 @@ package polystore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
+	"golake/internal/ndjson"
 	"golake/internal/table"
 )
 
@@ -29,27 +31,73 @@ type RelStore struct {
 }
 
 // storedTable is a table as the store keeps it: a private copy and one
-// float mirror per column.
+// mirror per column.
 type storedTable struct {
 	*table.Table
-	mirrors []FloatMirror
+	mirrors []Mirror
 }
 
-// FloatMirror is the float mirror of one stored column
-// (table.ParseNumbers of its cells), built on its first numeric read
-// and kept for the table's life: 8 bytes per cell plus one bit, and
-// only the bits when no cell parses.
-type FloatMirror struct {
-	once  sync.Once
+// Mirror keeps what reads derive from one stored column, each form
+// built on its own first use and kept for the table's life. The float
+// form (table.ParseNumbers of the cells) is built on the column's first
+// numeric read: 8 bytes per cell plus one bit, only the bits when no
+// cell parses. The wire form is built on its first NDJSON read: every
+// cell as a JSON string literal (ndjson.AppendString), back to back in
+// one arena, plus a 4-byte offset per cell.
+type Mirror struct {
 	cells []string
-	nums  table.Numbers
+
+	numsOnce sync.Once
+	nums     table.Numbers
+
+	jsonOnce sync.Once
+	arena    []byte
+	ends     []uint32
 }
 
-// Numbers returns the mirror, building it on first use. Safe for
+// Numbers returns the float form, building it on first use. Safe for
 // concurrent use.
-func (m *FloatMirror) Numbers() *table.Numbers {
-	m.once.Do(func() { m.nums = table.ParseNumbers(m.cells) })
+func (m *Mirror) Numbers() *table.Numbers {
+	m.numsOnce.Do(func() { m.nums = table.ParseNumbers(m.cells) })
 	return &m.nums
+}
+
+// JSON returns the wire form, building it on first use: cell k encodes
+// as arena[ends[k]:ends[k+1]]. Both are nil for a column whose encoding
+// exceeds 4 GiB, which 32-bit offsets cannot address; its readers
+// encode its cells themselves. Safe for concurrent use.
+func (m *Mirror) JSON() (arena []byte, ends []uint32) {
+	m.jsonOnce.Do(func() { m.arena, m.ends = encodeJSON(m.cells, math.MaxUint32) })
+	return m.arena, m.ends
+}
+
+// encodeJSON encodes cells as JSON string literals back to back, or
+// returns nils when they take more than limit bytes. The arena is sized
+// for cells that need no escape, the common case, and copied to its
+// final size when some did, so what stays resident is the encoding and
+// its offsets.
+func encodeJSON(cells []string, limit uint64) ([]byte, []uint32) {
+	// A literal is never shorter than its cell and two quotes.
+	size := uint64(2 * len(cells))
+	for _, c := range cells {
+		size += uint64(len(c))
+	}
+	if size > limit {
+		return nil, nil
+	}
+	arena := make([]byte, 0, size)
+	ends := make([]uint32, 1, len(cells)+1)
+	for _, c := range cells {
+		arena = ndjson.AppendString(arena, c)
+		if uint64(len(arena)) > limit {
+			return nil, nil
+		}
+		ends = append(ends, uint32(len(arena)))
+	}
+	if cap(arena) > len(arena) {
+		arena = append(make([]byte, 0, len(arena)), arena...)
+	}
+	return arena, ends
 }
 
 // NewRelStore creates an empty relational store.
@@ -58,10 +106,11 @@ func NewRelStore() *RelStore {
 }
 
 // Create registers (or replaces) a copy of a table under its name.
-// Its mirrors are built later, each on its column's first numeric
-// read, so replaying a lake's tables parses no number.
+// Its mirrors' forms are built later, each on its column's first
+// numeric or NDJSON read, so replaying a lake's tables parses and
+// encodes no cell.
 func (r *RelStore) Create(t *table.Table) {
-	s := &storedTable{Table: t.Clone(), mirrors: make([]FloatMirror, len(t.Columns))}
+	s := &storedTable{Table: t.Clone(), mirrors: make([]Mirror, len(t.Columns))}
 	for j, c := range s.Columns {
 		s.mirrors[j].cells = c.Cells
 	}
@@ -205,11 +254,11 @@ func (r *RelStore) SelectWhere(name string, preds []CellPredicate, cols []string
 type Cursor struct {
 	names []string
 	kinds []table.Kind
-	// cells[j] backs output column j and mirrors[j] is its float
-	// mirror; preds carry their own cells so predicate columns need not
-	// survive the projection.
+	// cells[j] backs output column j and mirrors[j] is its mirror;
+	// preds carry their own cells so predicate columns need not survive
+	// the projection.
 	cells   [][]string
-	mirrors []*FloatMirror
+	mirrors []*Mirror
 	preds   []boundPredicate
 	n, at   int
 	// first is the row the last NextBatch's runs start at.
@@ -295,11 +344,11 @@ rows:
 	return cells, n
 }
 
-// Mirror returns output column j's float mirror and the row the last
+// Mirror returns output column j's mirror and the row the last
 // NextBatch's runs start at in it: cell i of that batch's run j is row
 // off+i of the mirror. It is nil for a cursor with predicates, whose
 // runs compact the matching rows.
-func (c *Cursor) Mirror(j int) (m *FloatMirror, off int) {
+func (c *Cursor) Mirror(j int) (m *Mirror, off int) {
 	if len(c.preds) > 0 || j >= len(c.mirrors) {
 		return nil, 0
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"golake/internal/ndjson"
 	"golake/internal/table"
 )
 
@@ -136,5 +137,63 @@ func TestFloatMirrorSize(t *testing.T) {
 	m, _ = cur.Mirror(0)
 	if nums := m.Numbers(); nums.Vals != nil || len(nums.Valid) != 1 {
 		t.Errorf("text mirror: %d floats, %d words; want none, 1", len(nums.Vals), len(nums.Valid))
+	}
+}
+
+// TestJSONMirrorSize pins what a mirror's wire form keeps resident: the
+// encoded literals, with no spare capacity even when a cell needed
+// escaping, plus a 4-byte offset per cell and one more.
+func TestJSONMirrorSize(t *testing.T) {
+	r := shardStore(t, 1000)
+	tbl, _ := table.ParseCSV("quoted", "w\n\"a\"\"b\"\nc\n")
+	r.Create(tbl)
+	for _, tc := range []struct {
+		table, col string
+		cells      []string
+		bytes      int
+	}{
+		{"t", "v", nil, 1000 * len(`"0"`)},
+		{"quoted", "w", []string{`a"b`, "c"}, len(`"a\"b"`) + len(`"c"`)},
+	} {
+		cur, err := r.ScanWhere(tc.table, nil, []string{tc.col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, n := cur.NextBatch(1 << 20)
+		m, _ := cur.Mirror(0)
+		arena, ends := m.JSON()
+		if len(arena) != tc.bytes || cap(arena) != tc.bytes || len(ends) != n+1 || cap(ends) != n+1 {
+			t.Errorf("%s.%s: arena %d bytes (cap %d), %d offsets (cap %d); want %d bytes, %d offsets",
+				tc.table, tc.col, len(arena), cap(arena), len(ends), cap(ends), tc.bytes, n+1)
+		}
+		for k, c := range cells[0] {
+			if got, want := string(arena[ends[k]:ends[k+1]]), string(ndjson.AppendString(nil, c)); got != want {
+				t.Fatalf("%s.%s cell %d: %s, want %s", tc.table, tc.col, k, got, want)
+			}
+		}
+		if a2, _ := m.JSON(); &a2[0] != &arena[0] {
+			t.Errorf("%s.%s: a second read built a second arena", tc.table, tc.col)
+		}
+	}
+}
+
+// TestJSONMirrorOffsetGuard: a column whose encoding would not fit the
+// offsets gets no wire form, whether its raw size already says so or
+// only its escapes push it over; one that fits exactly gets one.
+func TestJSONMirrorOffsetGuard(t *testing.T) {
+	cells := []string{"ab", "<>", ""}
+	encoded := len(`"ab"`) + len(`"\u003c\u003e"`) + len(`""`)
+	for _, tc := range []struct {
+		limit uint64
+		built bool
+	}{
+		{5, false},                   // under the unescaped size
+		{uint64(encoded - 1), false}, // over it only once "<>" is escaped
+		{uint64(encoded), true},
+	} {
+		arena, ends := encodeJSON(cells, tc.limit)
+		if built := ends != nil; built != tc.built || built != (arena != nil) {
+			t.Errorf("limit %d: arena %q, %d offsets; want built=%v", tc.limit, arena, len(ends), tc.built)
+		}
 	}
 }
