@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// 2. Column-level joinability with JOSIE (exact top-k overlap).
-	josie := discovery.NewJOSIE()
+	josie := discovery.NewJOSIE(discovery.NewCatalog())
 	if err := josie.Index(c.Tables); err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 	}
 
 	// 3. Juneau task search: find tables to augment a training set.
-	juneau := discovery.NewJuneau(discovery.TaskAugment)
+	juneau := discovery.NewJuneau(discovery.NewCatalog(), discovery.TaskAugment)
 	if err := juneau.Index(c.Tables); err != nil {
 		log.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func main() {
 func discoverers() []discovery.Discoverer {
 	return []discovery.Discoverer{
 		discovery.NewAurum(),
-		discovery.NewJOSIE(),
-		discovery.NewD3L(),
-		discovery.NewJuneau(discovery.TaskAugment),
+		discovery.NewJOSIE(discovery.NewCatalog()),
+		discovery.NewD3L(discovery.NewCatalog()),
+		discovery.NewJuneau(discovery.NewCatalog(), discovery.TaskAugment),
 		discovery.NewPEXESO(),
 		discovery.NewRNLIM(),
 		discovery.NewDLN(),

@@ -132,7 +132,7 @@ func Registry() []FunctionEntry {
 			Package: "internal/discovery",
 			Run: func() (string, error) {
 				tables := fixture().Tables
-				j := discovery.NewJOSIE()
+				j := discovery.NewJOSIE(discovery.NewCatalog())
 				if err := j.Index(tables); err != nil {
 					return "", err
 				}

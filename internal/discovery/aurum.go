@@ -26,12 +26,11 @@ type Aurum struct {
 	// re-indexed column's signature and edges are recomputed.
 	UpdateThreshold float64
 
-	ekg  *metamodel.EKG
-	lsh  *sketch.LSHIndex
-	dict *sketch.Dict // interns the values of sets
-	// slots numbers the profiled columns; the LSH index holds slots and
-	// the per-column profile below is indexed by them.
-	slots *columnSlots
+	ekg *metamodel.EKG
+	lsh *sketch.LSHIndex
+	// cat holds the profiled columns' slots and value Sets; the LSH
+	// index and cols are indexed by slot.
+	cat   *Catalog
 	cols  []aurumColumn
 	tfidf *sketch.TFIDF
 }
@@ -40,7 +39,6 @@ type Aurum struct {
 type aurumColumn struct {
 	sig   *sketch.MinHash
 	bands []uint64 // sig's LSH band hashes
-	set   sketch.Set
 	names []string // name tokens
 	keyed bool     // is candidate key
 }
@@ -53,8 +51,7 @@ func NewAurum() *Aurum {
 		UpdateThreshold: 0.2,
 		ekg:             metamodel.NewEKG(),
 		lsh:             sketch.NewLSHIndex(16, 8),
-		dict:            sketch.NewDict(),
-		slots:           newColumnSlots(),
+		cat:             NewCatalog(),
 	}
 }
 
@@ -102,7 +99,7 @@ func (a *Aurum) Index(tables []*table.Table) error {
 		}
 		ref := a.ref(uint32(slot))
 		for other := range a.cols {
-			if other == slot || a.slots.cols[other].table == a.slots.cols[slot].table {
+			if other == slot || a.cat.cols[other].table == a.cat.cols[slot].table {
 				continue
 			}
 			a.maybePKFK(uint32(slot), uint32(other), ref, a.ref(uint32(other)))
@@ -113,23 +110,22 @@ func (a *Aurum) Index(tables []*table.Table) error {
 
 // profile (re)profiles one column into its slot and the LSH index.
 func (a *Aurum) profile(tableName string, c *table.Column) (uint32, error) {
-	slot := a.slots.add(tableName, c.Name)
+	vals := c.DistinctSlice()
+	slot := a.cat.setColumn(tableName, c.Name, vals)
 	for int(slot) >= len(a.cols) {
 		a.cols = append(a.cols, aurumColumn{})
 	}
-	vals := textualValues(c, 0)
 	sig := sketch.NewMinHash(a.lsh.SignatureLen(), vals)
 	a.cols[slot] = aurumColumn{
 		sig:   sig,
 		bands: a.lsh.Bands(sig),
-		set:   a.dict.Set(vals),
 		names: sketch.Tokenize(c.Name),
 		keyed: c.IsCandidateKey(0.9),
 	}
 	return slot, a.lsh.Add(slot, a.cols[slot].bands)
 }
 
-func (a *Aurum) ref(slot uint32) metamodel.ColumnRef { return a.slots.cols[slot].ref }
+func (a *Aurum) ref(slot uint32) metamodel.ColumnRef { return a.cat.cols[slot].ref }
 
 // aurumCandidate is a column sharing an LSH bucket with another, with
 // their estimated Jaccard similarity.
@@ -157,7 +153,7 @@ func (a *Aurum) similar(slot uint32) []aurumCandidate {
 		if x.jaccard != y.jaccard {
 			return cmp.Compare(y.jaccard, x.jaccard)
 		}
-		return a.slots.compare(x.slot, y.slot)
+		return a.cat.compare(x.slot, y.slot)
 	})
 	return out
 }
@@ -183,7 +179,7 @@ func (a *Aurum) relateByName(slot uint32, ref metamodel.ColumnRef) {
 // it. Empty candidate sets never qualify.
 func (a *Aurum) maybePKFK(k1, k2 uint32, r1, r2 metamodel.ColumnRef) {
 	c1, c2 := &a.cols[k1], &a.cols[k2]
-	s1, s2 := c1.set, c2.set
+	s1, s2 := a.cat.cols[k1].values, a.cat.cols[k2].values
 	if c1.keyed && len(s2) > 0 && sketch.Containment(s2, s1) >= 0.8 {
 		a.ekg.Relate(r1, r2, "pkfk", sketch.Containment(s2, s1))
 	} else if c2.keyed && len(s1) > 0 && sketch.Containment(s1, s2) >= 0.8 {
@@ -196,8 +192,8 @@ func (a *Aurum) maybePKFK(k1, k2 uint32, r1, r2 metamodel.ColumnRef) {
 // when the value drift (Jaccard distance between old and new sets)
 // exceeds UpdateThreshold; otherwise the stored profile stands.
 func (a *Aurum) Update(tableName string, c *table.Column) (changed bool, err error) {
-	if slot := a.slots.slot(tableName, c.Name); slot != sketch.NoSlot {
-		drift := 1 - sketch.ExactJaccard(a.cols[slot].set, a.dict.Set(textualValues(c, 0)))
+	if slot := a.cat.slot(tableName, c.Name); slot != sketch.NoSlot {
+		drift := 1 - sketch.ExactJaccard(a.cat.cols[slot].values, a.cat.dict.Set(c.DistinctSlice()))
 		if drift <= a.UpdateThreshold {
 			return false, nil
 		}

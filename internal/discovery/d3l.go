@@ -29,14 +29,12 @@ type D3L struct {
 	MaxDistance float64
 
 	embedModel *embed.Model
-	// dict interns the name q-grams, values and format patterns of
-	// every indexed column.
-	dict     *sketch.Dict
+	// cat holds the columns' slots and value Sets; name q-grams and
+	// format patterns are interned into its Dict.
+	cat      *Catalog
 	nameLSH  *sketch.LSHIndex
 	valueLSH *sketch.LSHIndex
-	// slots numbers the indexed columns; both LSH indexes hold slots.
-	slots    *columnSlots
-	profiles []*d3lProfile // slot -> profile; nil while free
+	profiles []*d3lProfile // slot -> profile; nil while not indexed
 }
 
 type d3lProfile struct {
@@ -52,16 +50,15 @@ type d3lProfile struct {
 	isNumeric  bool
 }
 
-// NewD3L creates a D3L instance with uniform weights.
-func NewD3L() *D3L {
+// NewD3L creates a D3L instance with uniform weights over a catalog.
+func NewD3L(cat *Catalog) *D3L {
 	return &D3L{
 		Weights:     [5]float64{1, 1, 1, 1, 1},
 		MaxDistance: 1.6,
 		embedModel:  embed.NewModel(64),
-		dict:        sketch.NewDict(),
+		cat:         cat,
 		nameLSH:     sketch.NewLSHIndex(16, 4),
 		valueLSH:    sketch.NewLSHIndex(16, 8),
-		slots:       newColumnSlots(),
 	}
 }
 
@@ -76,6 +73,7 @@ func (d *D3L) Index(tables []*table.Table) error { return d.Commit(d.Stage(table
 // Commit to add it to the index.
 type D3LStaged struct {
 	embed  *embed.Staged
+	batch  []*table.Table
 	tables []string // table of each column
 	cols   []*d3lColumn
 }
@@ -87,12 +85,12 @@ type D3LStaged struct {
 // it may run while readers query the index, but not while anything
 // writes it; Commit the result before the next Stage.
 func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
-	s := &D3LStaged{}
+	s := &D3LStaged{batch: tables}
 	var cols []*table.Column
 	var vals, sample [][]string
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			v := textualValues(c, 0)
+			v := c.DistinctSlice()
 			s.tables = append(s.tables, t.Name)
 			cols = append(cols, c)
 			vals = append(vals, v)
@@ -107,13 +105,16 @@ func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
 }
 
 // Commit adds a staged batch to the index: the embedding model gains
-// its columns, each column takes a slot and has its names, values and
+// its columns, the catalog its tables, each column has its names and
 // formats interned, and its band hashes go into both LSH indexes.
 func (d *D3L) Commit(s *D3LStaged) error {
 	s.embed.Commit()
+	for _, t := range s.batch {
+		d.cat.add(t)
+	}
 	for i, col := range s.cols {
-		p := col.intern(d.dict)
-		slot := d.slots.add(s.tables[i], col.name)
+		slot := d.cat.slot(s.tables[i], col.name)
+		p := col.intern(d.cat.dict, d.cat.cols[slot].values)
 		for int(slot) >= len(d.profiles) {
 			d.profiles = append(d.profiles, nil)
 		}
@@ -129,13 +130,15 @@ func (d *D3L) Commit(s *D3LStaged) error {
 }
 
 // Remove drops every indexed column of one table from the profiles and
-// both LSH indexes and frees their slots. The corpus-trained embedding
-// model keeps the evicted columns' contribution until the next full
-// rebuild — an accepted approximation, squared up when a full pass
-// retrains it.
+// both LSH indexes; the catalog keeps the table. The corpus-trained
+// embedding model keeps the evicted columns' contribution until the
+// next full rebuild — an accepted approximation, squared up when a full
+// pass retrains it.
 func (d *D3L) Remove(tableName string) {
-	for _, slot := range d.slots.removeTable(tableName) {
-		d.profiles[slot] = nil
+	for _, slot := range d.cat.slotsOf(tableName) {
+		if int(slot) < len(d.profiles) {
+			d.profiles[slot] = nil
+		}
 		d.nameLSH.Remove(slot)
 		d.valueLSH.Remove(slot)
 	}
@@ -180,12 +183,12 @@ func (d *D3L) profileColumn(c *table.Column, vals []string, vecs embedder) *d3lC
 	return col
 }
 
-// intern builds the column's profile: Commit passes the dictionary, a
-// read path a Lookup, which writes nothing.
-func (col *d3lColumn) intern(ids interner) *d3lProfile {
+// intern builds the column's profile: Commit passes the catalog's Dict
+// and Set, a read path a Lookup, which writes nothing, and its Set.
+func (col *d3lColumn) intern(ids interner, values sketch.Set) *d3lProfile {
 	return &d3lProfile{
 		nameGrams:  ids.Set(col.grams),
-		values:     ids.Set(col.values),
+		values:     values,
 		nameBands:  col.nameBands,
 		valueBands: col.valueBands,
 		vector:     col.vector,
@@ -293,18 +296,18 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 // two LSH indexes; a candidate table's score is the mean, over query
 // columns, of 1 - minimal distance to any of its columns.
 func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
-	self := d.slots.tableID(query.Name)
+	self := d.cat.tableID(query.Name)
 	// acc is indexed by table id; seen lists the ids that have a score,
 	// in the order they were first seen.
-	acc := make([]d3lTableScore, d.slots.numTables())
-	marks := make([]bool, d.slots.numSlots())
+	acc := make([]d3lTableScore, len(d.cat.tables))
+	marks := make([]bool, len(d.cat.cols))
 	var seen, cands []uint32
 	for ci, c := range query.Columns {
 		qp := d.queryProfile(query.Name, c)
 		col := int32(ci + 1)
 		cands = d.candidates(cands[:0], marks, qp)
 		for _, slot := range cands {
-			tid := d.slots.cols[slot].table
+			tid := d.cat.cols[slot].table
 			if tid == self {
 				continue
 			}
@@ -329,7 +332,7 @@ func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 	for i, tid := range seen {
 		a := &acc[tid]
 		sum := a.sum + (1 - a.best/d.MaxDistance)
-		out[i] = metamodel.TableScore{Table: d.slots.tables[tid].name, Score: sum / float64(len(query.Columns))}
+		out[i] = metamodel.TableScore{Table: d.cat.tables[tid].name, Score: sum / float64(len(query.Columns))}
 	}
 	return rankScores(out, k)
 }
@@ -346,7 +349,7 @@ type d3lTableScore struct {
 
 // indexed returns the profile of an indexed column, or nil.
 func (d *D3L) indexed(tableName, column string) *d3lProfile {
-	if slot := d.slots.slot(tableName, column); slot != sketch.NoSlot {
+	if slot := d.cat.slot(tableName, column); slot != sketch.NoSlot && int(slot) < len(d.profiles) {
 		return d.profiles[slot]
 	}
 	return nil
@@ -358,8 +361,9 @@ func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
 	if p := d.indexed(tableName, c.Name); p != nil {
 		return p
 	}
-	col := d.profileColumn(c, textualValues(c, 0), d.embedModel.Reader())
-	return col.intern(d.dict.Lookup())
+	col := d.profileColumn(c, c.DistinctSlice(), d.embedModel.Reader())
+	ids := d.cat.dict.Lookup()
+	return col.intern(ids, ids.Set(col.values))
 }
 
 // candidates appends to dst, each once, the slots sharing an LSH bucket
@@ -388,11 +392,11 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 	if err != nil {
 		return nil, err
 	}
-	self := d.slots.tableID(query.Name)
+	self := d.cat.tableID(query.Name)
 	qp := d.queryProfile(query.Name, c)
 	var out []ColumnMatch
-	for _, slot := range d.candidates(nil, make([]bool, d.slots.numSlots()), qp) {
-		col := d.slots.cols[slot]
+	for _, slot := range d.candidates(nil, make([]bool, len(d.cat.cols)), qp) {
+		col := d.cat.cols[slot]
 		if col.table == self {
 			continue
 		}
@@ -412,11 +416,4 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 		out = out[:k]
 	}
 	return out, nil
-}
-
-func capped(vals []string, n int) []string {
-	if len(vals) > n {
-		return vals[:n]
-	}
-	return vals
 }

@@ -67,12 +67,11 @@ type embedder interface {
 // logs.
 func columnKey(t, c string) string { return t + "." + c }
 
-// textualValues returns the distinct non-null values of a column,
-// capped at limit to bound index cost (0 = no cap).
-func textualValues(c *table.Column, limit int) []string {
-	vals := c.DistinctSlice()
-	if limit > 0 && len(vals) > limit {
-		vals = vals[:limit]
+// capped returns the first n values at most (n <= 0: all), to bound
+// index cost.
+func capped(vals []string, n int) []string {
+	if n > 0 && len(vals) > n {
+		return vals[:n]
 	}
 	return vals
 }

@@ -56,7 +56,7 @@ func evalDiscoverer(t *testing.T, d Discoverer, c *workload.Corpus, k int) (p, r
 
 func TestJOSIERecoversGroundTruth(t *testing.T) {
 	c := testCorpus(t)
-	p, r := evalDiscoverer(t, NewJOSIE(), c, 3)
+	p, r := evalDiscoverer(t, NewJOSIE(NewCatalog()), c, 3)
 	if p < 0.95 || r < 0.95 {
 		t.Errorf("JOSIE P@3/R@3 = %.2f/%.2f, want >= 0.95", p, r)
 	}
@@ -72,7 +72,7 @@ func TestAurumRecoversGroundTruth(t *testing.T) {
 
 func TestD3LRecoversGroundTruth(t *testing.T) {
 	c := testCorpus(t)
-	p, r := evalDiscoverer(t, NewD3L(), c, 3)
+	p, r := evalDiscoverer(t, NewD3L(NewCatalog()), c, 3)
 	if p < 0.9 || r < 0.9 {
 		t.Errorf("D3L P@3/R@3 = %.2f/%.2f, want >= 0.9", p, r)
 	}
@@ -88,7 +88,7 @@ func TestPEXESORecoversGroundTruth(t *testing.T) {
 
 func TestJuneauRecoversGroundTruth(t *testing.T) {
 	c := testCorpus(t)
-	p, r := evalDiscoverer(t, NewJuneau(TaskAugment), c, 3)
+	p, r := evalDiscoverer(t, NewJuneau(NewCatalog(), TaskAugment), c, 3)
 	if p < 0.9 || r < 0.9 {
 		t.Errorf("Juneau P@3/R@3 = %.2f/%.2f, want >= 0.9", p, r)
 	}
@@ -126,7 +126,7 @@ func TestJOSIEJoinableColumnsExact(t *testing.T) {
 	a, _ := table.ParseCSV("a", "k,v\nx,1\ny,2\nz,3\n")
 	b, _ := table.ParseCSV("b", "kk,w\nx,9\ny,8\nq,7\n")
 	cc, _ := table.ParseCSV("c", "kkk\nq\nr\ns\n")
-	j := NewJOSIE()
+	j := NewJOSIE(NewCatalog())
 	if err := j.Index([]*table.Table{a, b, cc}); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestAurumNameEdges(t *testing.T) {
 
 func TestD3LTrainingImprovesOrKeepsQuality(t *testing.T) {
 	c := testCorpus(t)
-	d := NewD3L()
+	d := NewD3L(NewCatalog())
 	if err := d.Index(c.Tables); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestJuneauTaskWeighting(t *testing.T) {
 	q, _ := table.ParseCSV("q", "k,v\na,1\nb,\nc,\n")
 	clean, _ := table.ParseCSV("clean", "k,v\na,1\nb,2\nc,3\n")
 	other, _ := table.ParseCSV("other", "zz,qq\nfoo,9\nbar,8\n")
-	j := NewJuneau(TaskClean)
+	j := NewJuneau(NewCatalog(), TaskClean)
 	if err := j.Index([]*table.Table{q, clean, other}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestJuneauProvenanceSignal(t *testing.T) {
 	q, _ := table.ParseCSV("q", "a\n1\n2\n")
 	x, _ := table.ParseCSV("x", "b\n7\n8\n")
 	y, _ := table.ParseCSV("y", "c\n9\n10\n")
-	j := NewJuneau(TaskClean)
+	j := NewJuneau(NewCatalog(), TaskClean)
 	j.ProvenanceSim = func(a, b string) float64 {
 		if (a == "q" && b == "x") || (a == "x" && b == "q") {
 			return 1

@@ -63,7 +63,7 @@ func (d *DLN) Index(tables []*table.Table) error {
 				key:       columnKey(t.Name, c.Name),
 				nameGrams: d.dict.Set(sketch.QGrams(c.Name, 3)),
 				isNumeric: c.Kind.Numeric(),
-				sample:    d.dict.Set(textualValues(c, d.SampleSize)),
+				sample:    d.dict.Set(capped(c.DistinctSlice(), d.SampleSize)),
 			}
 			prof := table.Profile(c)
 			p.uniqueness = prof.Uniqueness
@@ -222,7 +222,7 @@ func (d *DLN) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 				nameGrams:  ids.Set(sketch.QGrams(c.Name, 3)),
 				uniqueness: prof.Uniqueness,
 				isNumeric:  c.Kind.Numeric(),
-				sample:     ids.Set(textualValues(c, d.SampleSize)),
+				sample:     ids.Set(capped(c.DistinctSlice(), d.SampleSize)),
 			}
 		}
 		for tbl, keys := range d.tables {
@@ -243,5 +243,5 @@ func (d *DLN) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 			delete(best, tbl)
 		}
 	}
-	return rankTables(best, k)
+	return RankTables(best, k)
 }

@@ -30,8 +30,10 @@ func goldenCorpus() *workload.Corpus {
 // renderDiscovery runs the query-driven discovery and categorisation
 // functions a maintenance pass and the explorer call over one seeded
 // corpus and renders every answer, scores printed exactly (shortest
-// round-tripping decimal), one line per query.
-func renderDiscovery(t *testing.T) string {
+// round-tripping decimal), one line per query. D3L, JOSIE and Juneau
+// are built over one shared catalog, as in the explorer, or over one
+// catalog each.
+func renderDiscovery(t *testing.T, shared bool) string {
 	corpus := goldenCorpus()
 	const k = 5
 
@@ -45,10 +47,17 @@ func renderDiscovery(t *testing.T) string {
 		b.WriteByte('\n')
 	}
 
-	d3l := discovery.NewD3L()
-	josie := discovery.NewJOSIE()
+	cat := discovery.NewCatalog()
+	catalog := func() *discovery.Catalog {
+		if shared {
+			return cat
+		}
+		return discovery.NewCatalog()
+	}
+	d3l := discovery.NewD3L(catalog())
+	josie := discovery.NewJOSIE(catalog())
 	// One Juneau answers all three tasks, as in the explorer.
-	juneau := discovery.NewJuneau(discovery.TaskAugment)
+	juneau := discovery.NewJuneau(catalog(), discovery.TaskAugment)
 	tasks := []discovery.SearchTask{discovery.TaskAugment, discovery.TaskFeatures, discovery.TaskClean}
 	for _, d := range []discovery.Discoverer{d3l, josie, juneau} {
 		if err := d.Index(corpus.Tables); err != nil {
@@ -91,11 +100,20 @@ func renderDiscovery(t *testing.T) string {
 
 // TestDiscoveryGolden pins D3L, Juneau (all three tasks), JOSIE and
 // DS-kNN answers — exact scores and order — on a 60-table, 8-group
-// corpus. A kernel rewrite must leave every line unchanged. If the file
-// is missing the test writes it and fails, so a new golden is only ever
-// taken on purpose and reviewed before it is committed.
+// corpus, rendered with one catalog per index and with the three
+// indexes over one catalog. A kernel rewrite must leave every line of
+// both unchanged. If the file is missing the test writes it and fails,
+// so a new golden is only ever taken on purpose and reviewed before it
+// is committed.
 func TestDiscoveryGolden(t *testing.T) {
-	got := renderDiscovery(t)
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			checkGolden(t, renderDiscovery(t, shared))
+		})
+	}
+}
+
+func checkGolden(t *testing.T, got string) {
 	raw, err := os.ReadFile(goldenPath)
 	if os.IsNotExist(err) {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -137,7 +155,7 @@ func TestDiscoveryGolden(t *testing.T) {
 func TestD3LIncrementalDriftBounded(t *testing.T) {
 	corpus := goldenCorpus()
 	const base, k = 20, 5
-	full, grown := discovery.NewD3L(), discovery.NewD3L()
+	full, grown := discovery.NewD3L(discovery.NewCatalog()), discovery.NewD3L(discovery.NewCatalog())
 	if err := full.Index(corpus.Tables); err != nil {
 		t.Fatal(err)
 	}

@@ -20,23 +20,15 @@ import (
 // top-k semantics, and robustness to skewed posting lists (long lists
 // are walked once, not per candidate).
 type JOSIE struct {
-	// dict interns every indexed value; the index holds ids.
-	dict *sketch.Dict
+	cat *Catalog
 	// index holds each column's distinct set (the "set file" the cost
-	// model would read) in the column's slot.
+	// model would read), the catalog's Set, in the column's slot.
 	index *sketch.InvertedIndex
-	slots *columnSlots
-	// MaxValuesPerColumn caps indexed set size (0 = unlimited).
-	MaxValuesPerColumn int
 }
 
-// NewJOSIE creates an unindexed JOSIE instance.
-func NewJOSIE() *JOSIE {
-	return &JOSIE{
-		dict:  sketch.NewDict(),
-		index: sketch.NewInvertedIndex(),
-		slots: newColumnSlots(),
-	}
+// NewJOSIE creates an unindexed JOSIE instance over a catalog.
+func NewJOSIE(cat *Catalog) *JOSIE {
+	return &JOSIE{cat: cat, index: sketch.NewInvertedIndex()}
 }
 
 // Name implements Discoverer.
@@ -46,9 +38,8 @@ func (j *JOSIE) Name() string { return "JOSIE" }
 // indexed set.
 func (j *JOSIE) Index(tables []*table.Table) error {
 	for _, t := range tables {
-		for _, c := range t.Columns {
-			set := j.dict.Set(textualValues(c, j.MaxValuesPerColumn))
-			j.index.Add(j.slots.add(t.Name, c.Name), set)
+		for _, slot := range j.cat.tables[j.cat.add(t)].slots {
+			j.index.Add(slot, j.cat.cols[slot].values)
 		}
 	}
 	return nil
@@ -56,9 +47,9 @@ func (j *JOSIE) Index(tables []*table.Table) error {
 
 // Remove drops every indexed column of one table — the incremental
 // eviction path, so removing a dataset does not force a corpus-wide
-// re-index.
+// re-index. The catalog keeps the table.
 func (j *JOSIE) Remove(tableName string) {
-	for _, slot := range j.slots.removeTable(tableName) {
+	for _, slot := range j.cat.slotsOf(tableName) {
 		j.index.Remove(slot)
 	}
 }
@@ -70,11 +61,11 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 	if err != nil {
 		return nil, err
 	}
-	self := j.slots.slot(query.Name, column)
-	res := j.index.TopKOverlap(nil, j.querySet(self, c), k, self, j.slots.compare)
+	self := j.cat.slot(query.Name, column)
+	res := j.index.TopKOverlap(nil, j.cat.values(self, c, j.cat.dict.Lookup()), k, self, j.cat.compare)
 	out := make([]ColumnMatch, 0, len(res))
 	for _, r := range res {
-		out = append(out, ColumnMatch{Ref: j.slots.cols[r.Slot].ref, Score: float64(r.Overlap)})
+		out = append(out, ColumnMatch{Ref: j.cat.cols[r.Slot].ref, Score: float64(r.Overlap)})
 	}
 	return out, nil
 }
@@ -83,21 +74,37 @@ func (j *JOSIE) JoinableColumns(query *table.Table, column string, k int) ([]Col
 // query is the maximum column-pair overlap, normalized by the query
 // column's cardinality.
 func (j *JOSIE) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
-	selfTable := j.slots.tableID(query.Name)
+	lookup := j.cat.dict.Lookup()
+	return j.related(query.Name, len(query.Columns), k, func(i int) (uint32, sketch.Set) {
+		self := j.cat.slot(query.Name, query.Columns[i].Name)
+		return self, j.cat.values(self, query.Columns[i], lookup)
+	})
+}
+
+// RelatedTablesOf is RelatedTables for a table the catalog holds.
+func (j *JOSIE) RelatedTablesOf(name string, k int) []metamodel.TableScore {
+	slots := j.cat.slotsOf(name)
+	return j.related(name, len(slots), k, func(i int) (uint32, sketch.Set) {
+		return slots[i], j.cat.cols[slots[i]].values
+	})
+}
+
+// related ranks tables by their best overlap with n query columns.
+func (j *JOSIE) related(name string, n, k int, column func(i int) (uint32, sketch.Set)) []metamodel.TableScore {
+	selfTable := j.cat.tableID(name)
 	// best is indexed by table id; seen lists the ids with a score.
-	best := make([]float64, j.slots.numTables())
+	best := make([]float64, len(j.cat.tables))
 	var seen []uint32
 	var hits []sketch.OverlapResult
-	for _, c := range query.Columns {
-		self := j.slots.slot(query.Name, c.Name)
-		qset := j.querySet(self, c)
+	for i := 0; i < n; i++ {
+		self, qset := column(i)
 		if len(qset) == 0 {
 			continue
 		}
 		// Over-fetch: several columns of one table may hit.
-		hits = j.index.TopKOverlap(hits[:0], qset, 4*k, self, j.slots.compare)
+		hits = j.index.TopKOverlap(hits[:0], qset, 4*k, self, j.cat.compare)
 		for _, r := range hits {
-			tid := j.slots.cols[r.Slot].table
+			tid := j.cat.cols[r.Slot].table
 			if tid == selfTable {
 				continue
 			}
@@ -112,22 +119,14 @@ func (j *JOSIE) RelatedTables(query *table.Table, k int) []metamodel.TableScore 
 	}
 	out := make([]metamodel.TableScore, len(seen))
 	for i, tid := range seen {
-		out[i] = metamodel.TableScore{Table: j.slots.tables[tid].name, Score: best[tid]}
+		out[i] = metamodel.TableScore{Table: j.cat.tables[tid].name, Score: best[tid]}
 	}
 	return rankScores(out, k)
 }
 
-// querySet returns the indexed set of a query column, or builds it
-// without writing the dictionary when the column is not indexed.
-func (j *JOSIE) querySet(slot uint32, c *table.Column) sketch.Set {
-	if slot != sketch.NoSlot {
-		return j.index.Set(slot)
-	}
-	return j.dict.Lookup().Set(textualValues(c, j.MaxValuesPerColumn))
-}
-
-// rankTables converts a score map into a sorted, truncated result list.
-func rankTables(scores map[string]float64, k int) []metamodel.TableScore {
+// RankTables converts a score map into a list sorted by descending
+// score, then name, and truncated to k (k <= 0: all).
+func RankTables(scores map[string]float64, k int) []metamodel.TableScore {
 	out := make([]metamodel.TableScore, 0, len(scores))
 	for t, s := range scores {
 		out = append(out, metamodel.TableScore{Table: t, Score: s})

@@ -39,11 +39,10 @@ type Juneau struct {
 	// similarity in the paper).
 	ProvenanceSim func(a, b string) float64
 
-	// dict interns the column names, values and metadata tokens of
-	// every indexed table.
-	dict    *sketch.Dict
-	indexed map[string]*juneauProfile
-	order   []string
+	// cat holds the tables' value Sets; column names and metadata
+	// tokens are interned into its Dict.
+	cat      *Catalog
+	profiles map[uint32]*juneauProfile // by table id
 }
 
 type juneauProfile struct {
@@ -59,9 +58,9 @@ type juneauProfile struct {
 	metaToks sketch.Set
 }
 
-// NewJuneau creates an instance for the given task.
-func NewJuneau(task SearchTask) *Juneau {
-	return &Juneau{Task: task, dict: sketch.NewDict(), indexed: map[string]*juneauProfile{}}
+// NewJuneau creates an instance for the given task over a catalog.
+func NewJuneau(cat *Catalog, task SearchTask) *Juneau {
+	return &Juneau{Task: task, cat: cat, profiles: map[uint32]*juneauProfile{}}
 }
 
 // Name implements Discoverer.
@@ -70,31 +69,19 @@ func (j *Juneau) Name() string { return "Juneau" }
 // Index implements Discoverer.
 func (j *Juneau) Index(tables []*table.Table) error {
 	for _, t := range tables {
-		p := juneauProfileOf(t, j.dict)
-		j.indexed[t.Name] = p
-		j.order = append(j.order, t.Name)
+		j.profiles[j.cat.add(t)] = j.profileOf(t, j.cat.dict)
 	}
 	return nil
 }
 
-// Remove drops one table's profile.
+// Remove drops one table's profile; the catalog keeps the table.
 func (j *Juneau) Remove(tableName string) {
-	if _, ok := j.indexed[tableName]; !ok {
-		return
-	}
-	delete(j.indexed, tableName)
-	kept := j.order[:0]
-	for _, name := range j.order {
-		if name != tableName {
-			kept = append(kept, name)
-		}
-	}
-	j.order = kept
+	delete(j.profiles, j.cat.tableID(tableName))
 }
 
-// juneauProfileOf profiles a table, interning through ids: the
-// dictionary when indexing, a Lookup on a read path.
-func juneauProfileOf(t *table.Table, ids interner) *juneauProfile {
+// profileOf profiles a table, interning through ids: the catalog's
+// Dict when indexing, a Lookup on a read path.
+func (j *Juneau) profileOf(t *table.Table, ids interner) *juneauProfile {
 	p := &juneauProfile{name: t.Name, rows: t.NumRows()}
 	slot := make(map[string]int, len(t.Columns))
 	var names []string
@@ -109,7 +96,7 @@ func juneauProfileOf(t *table.Table, ids interner) *juneauProfile {
 			p.colSets = append(p.colSets, nil)
 			isKey = append(isKey, false)
 		}
-		p.colSets[i] = ids.Set(c.DistinctSlice())
+		p.colSets[i] = j.cat.values(j.cat.slot(t.Name, c.Name), c, ids)
 		isKey[i] = isKey[i] || c.IsCandidateKey(0.9)
 		totalCells += c.Len()
 		nullCells += c.NullCount()
@@ -204,19 +191,19 @@ func (j *Juneau) RelatedTables(query *table.Table, k int) []metamodel.TableScore
 // weighting. The profiles do not depend on the task, so one index
 // answers all three.
 func (j *Juneau) RelatedTablesFor(query *table.Table, task SearchTask, k int) []metamodel.TableScore {
-	qp, ok := j.indexed[query.Name]
+	self := j.cat.tableID(query.Name)
+	qp, ok := j.profiles[self]
 	if !ok {
-		qp = juneauProfileOf(query, j.dict.Lookup())
+		qp = j.profileOf(query, j.cat.dict.Lookup())
 	}
-	scores := map[string]float64{}
-	for _, name := range j.order {
-		if name == query.Name {
+	var out []metamodel.TableScore
+	for tid, p := range j.profiles {
+		if tid == self {
 			continue
 		}
-		s := score(j.signalsFor(qp, j.indexed[name]), task)
-		if s > 0 {
-			scores[name] = s
+		if s := score(j.signalsFor(qp, p), task); s > 0 {
+			out = append(out, metamodel.TableScore{Table: p.name, Score: s})
 		}
 	}
-	return rankTables(scores, k)
+	return rankScores(out, k)
 }

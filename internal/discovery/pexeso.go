@@ -65,7 +65,7 @@ func (p *PEXESO) Index(tables []*table.Table) error {
 			if c.Kind.Numeric() {
 				continue // PEXESO targets textual attributes
 			}
-			p.model.AddColumn(textualValues(c, 200))
+			p.model.AddColumn(capped(c.DistinctSlice(), 200))
 		}
 	}
 	for _, t := range tables {
@@ -82,7 +82,7 @@ func (p *PEXESO) Index(tables []*table.Table) error {
 }
 
 func (p *PEXESO) embedColumn(tableName string, c *table.Column) *pexColumn {
-	vals := textualValues(c, 300)
+	vals := capped(c.DistinctSlice(), 300)
 	pc := &pexColumn{
 		ref:   metamodel.ColumnRef{Table: tableName, Column: c.Name},
 		exact: map[string]struct{}{},
@@ -201,7 +201,7 @@ func (p *PEXESO) RelatedTables(query *table.Table, k int) []metamodel.TableScore
 			}
 		}
 	}
-	return rankTables(best, k)
+	return RankTables(best, k)
 }
 
 // JoinableColumns implements JoinSearcher with joinability scores.

@@ -72,7 +72,7 @@ func (r *RNLIM) Name() string { return "RNLIM" }
 func (r *RNLIM) Index(tables []*table.Table) error {
 	for _, t := range tables {
 		for _, c := range t.Columns {
-			r.model.AddColumn(textualValues(c, 200))
+			r.model.AddColumn(capped(c.DistinctSlice(), 200))
 		}
 	}
 	for _, t := range tables {
@@ -92,7 +92,7 @@ func (r *RNLIM) profile(tableName string, c *table.Column, ids interner, vecs em
 		ref: metamodel.ColumnRef{Table: tableName, Column: c.Name},
 		// Group 1 of RNLIM's signals: table and attribute names.
 		nameVec: vecs.Vector(tableName + " " + c.Name),
-		values:  ids.Set(textualValues(c, 500)),
+		values:  ids.Set(capped(c.DistinctSlice(), 500)),
 	}
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
@@ -197,7 +197,7 @@ func (r *RNLIM) RelatedTables(query *table.Table, k int) []metamodel.TableScore 
 			delete(best, tbl)
 		}
 	}
-	out := rankTables(best, 0)
+	out := RankTables(best, 0)
 	// Strength ties are common (labels are discrete); break by name
 	// deterministically and truncate.
 	sort.SliceStable(out, func(i, j int) bool {

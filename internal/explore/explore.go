@@ -16,15 +16,12 @@
 package explore
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"golake/internal/discovery"
+	"golake/internal/metamodel"
 	"golake/internal/table"
 )
 
@@ -71,9 +68,10 @@ type Result struct {
 type Explorer struct {
 	writeMu sync.Mutex
 	mu      sync.RWMutex
-	corpus  map[string]*table.Table
-	josie   *discovery.JOSIE
-	d3l     *discovery.D3L
+	// cat is the one column catalog the three indexes read.
+	cat   *discovery.Catalog
+	josie *discovery.JOSIE
+	d3l   *discovery.D3L
 	// juneau answers every task: its profiles do not depend on the task.
 	juneau  *discovery.Juneau
 	indexed bool
@@ -88,10 +86,10 @@ func NewExplorer() *Explorer {
 
 // reset discards every index, leaving the explorer empty.
 func (e *Explorer) reset() {
-	e.corpus = map[string]*table.Table{}
-	e.josie = discovery.NewJOSIE()
-	e.d3l = discovery.NewD3L()
-	e.juneau = discovery.NewJuneau(discovery.TaskAugment)
+	e.cat = discovery.NewCatalog()
+	e.josie = discovery.NewJOSIE(e.cat)
+	e.d3l = discovery.NewD3L(e.cat)
+	e.juneau = discovery.NewJuneau(e.cat, discovery.TaskAugment)
 }
 
 // Index rebuilds all mode indexes from scratch over the corpus.
@@ -117,7 +115,7 @@ func (e *Explorer) Add(tables ...*table.Table) error {
 	defer e.writeMu.Unlock()
 	fresh := make([]*table.Table, 0, len(tables))
 	for _, t := range tables {
-		if _, ok := e.corpus[t.Name]; !ok {
+		if !e.cat.Has(t.Name) {
 			fresh = append(fresh, t)
 		}
 	}
@@ -130,9 +128,6 @@ func (e *Explorer) Add(tables ...*table.Table) error {
 // commitLocked indexes tables, whose D3L profiles are staged, into the
 // live structures; both locks must be held, e.mu exclusively.
 func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStaged) error {
-	for _, t := range tables {
-		e.corpus[t.Name] = t
-	}
 	if err := e.josie.Index(tables); err != nil {
 		return err
 	}
@@ -146,40 +141,32 @@ func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStag
 	return nil
 }
 
-// Remove deletes one table from the corpus and every mode index — the
-// incremental eviction counterpart of Add, so dropping a dataset does
-// not force a full rebuild. Removing an unindexed table is a no-op.
+// Remove deletes one table from every mode index, then the catalog —
+// the incremental eviction counterpart of Add, so dropping a dataset
+// does not force a full rebuild. Removing an unindexed table is a no-op.
 func (e *Explorer) Remove(name string) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.corpus[name]; !ok {
-		return
-	}
-	delete(e.corpus, name)
 	e.josie.Remove(name)
 	e.d3l.Remove(name)
 	e.juneau.Remove(name)
+	e.cat.Remove(name)
 }
 
 // Tables returns the indexed table names, sorted.
 func (e *Explorer) Tables() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.corpus))
-	for name := range e.corpus {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return e.cat.Tables()
 }
 
 // Size reports how many tables the indexes cover.
 func (e *Explorer) Size() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.corpus)
+	return e.cat.Len()
 }
 
 // Explore answers a request in its mode.
@@ -220,8 +207,7 @@ func (e *Explorer) joinColumn(q *table.Table, column string, k int) ([]Result, e
 			best[m.Ref.Table] = m.Score
 		}
 	}
-	out := rankResults(best, k, "overlap")
-	return out, nil
+	return results(make([]Result, 0, len(best)), discovery.RankTables(best, k), "overlap"), nil
 }
 
 // populate is mode 2: D3L-ranked relevant tables, extended with
@@ -229,44 +215,31 @@ func (e *Explorer) joinColumn(q *table.Table, column string, k int) ([]Result, e
 // extension the survey describes for D3L).
 func (e *Explorer) populate(q *table.Table, k int) ([]Result, error) {
 	top := e.d3l.RelatedTables(q, k)
-	out := make([]Result, 0, len(top))
+	out := results(make([]Result, 0, len(top)), top, "populate")
 	inTop := map[string]bool{q.Name: true}
 	covered := map[string]bool{}
+	// cover marks a table's attributes covered, counting the new ones.
+	cover := func(name string) (added int) {
+		e.cat.EachColumn(name, func(column string) {
+			if !covered[column] {
+				covered[column] = true
+				added++
+			}
+		})
+		return added
+	}
 	for _, ts := range top {
 		inTop[ts.Table] = true
-		out = append(out, Result{Table: ts.Table, Score: ts.Score, Via: "populate"})
-		for _, col := range e.corpus[ts.Table].Columns {
-			covered[col.Name] = true
-		}
+		cover(ts.Table)
 	}
 	// Coverage extension: a table not in the top-k that joins with a
 	// top-k table and contributes attributes the result set lacks.
 	for _, ts := range top {
-		member := e.corpus[ts.Table]
-		if member == nil {
-			continue
-		}
-		for _, joined := range e.josie.RelatedTables(member, k) {
-			if inTop[joined.Table] {
-				continue
-			}
-			cand := e.corpus[joined.Table]
-			if cand == nil {
-				continue
-			}
-			adds := 0
-			for _, col := range cand.Columns {
-				if !covered[col.Name] {
-					adds++
-				}
-			}
-			if adds == 0 {
+		for _, joined := range e.josie.RelatedTablesOf(ts.Table, k) {
+			if inTop[joined.Table] || cover(joined.Table) == 0 {
 				continue
 			}
 			inTop[joined.Table] = true
-			for _, col := range cand.Columns {
-				covered[col.Name] = true
-			}
 			out = append(out, Result{Table: joined.Table, Score: joined.Score, Via: "coverage"})
 		}
 	}
@@ -279,11 +252,7 @@ func (e *Explorer) task(q *table.Table, task discovery.SearchTask, k int) ([]Res
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown task %d", task)
 	}
-	var out []Result
-	for _, ts := range e.juneau.RelatedTablesFor(q, task, k) {
-		out = append(out, Result{Table: ts.Table, Score: ts.Score, Via: via})
-	}
-	return out, nil
+	return results(nil, e.juneau.RelatedTablesFor(q, task, k), via), nil
 }
 
 // taskName names a task for Result.Via; ok is false for an unknown one.
@@ -299,19 +268,10 @@ func taskName(task discovery.SearchTask) (name string, ok bool) {
 	return "", false
 }
 
-func rankResults(scores map[string]float64, k int, via string) []Result {
-	out := make([]Result, 0, len(scores))
-	for t, s := range scores {
-		out = append(out, Result{Table: t, Score: s, Via: via})
+// results appends ranked tables to dst, explained by via.
+func results(dst []Result, ranked []metamodel.TableScore, via string) []Result {
+	for _, ts := range ranked {
+		dst = append(dst, Result{Table: ts.Table, Score: ts.Score, Via: via})
 	}
-	slices.SortFunc(out, func(a, b Result) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return strings.Compare(a.Table, b.Table)
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return dst
 }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"golake/internal/discovery"
 	"golake/internal/table"
@@ -103,7 +106,7 @@ func TestExplorerTaskModeMatchesJuneau(t *testing.T) {
 	e := NewExplorer()
 	standalone := make([]*discovery.Juneau, len(tasks))
 	for i, task := range tasks {
-		standalone[i] = discovery.NewJuneau(task)
+		standalone[i] = discovery.NewJuneau(discovery.NewCatalog(), task)
 	}
 	check := func(stage string) {
 		t.Helper()
@@ -437,4 +440,92 @@ func TestRemoveDropsTableFromEveryMode(t *testing.T) {
 	e.Remove("no-such-table")
 	// Removing from a never-indexed explorer is safe too.
 	NewExplorer().Remove("x")
+}
+
+// The explorer keeps no indexed table: its indexes read one column
+// catalog, so once the caller drops the tables it indexed and added,
+// they are collected while the explorer stays live, and it still
+// answers every mode.
+func TestExplorerPinsNoTable(t *testing.T) {
+	spec := workload.CorpusSpec{
+		NumTables: 12, JoinGroups: 3, RowsPerTable: 60,
+		ExtraCols: 1, KeyVocab: 100, KeySample: 50, Seed: 31,
+	}
+	var collected atomic.Int32
+	build := func() (*Explorer, int) {
+		c := workload.GenerateCorpus(spec)
+		for _, tb := range c.Tables {
+			runtime.SetFinalizer(tb, func(*table.Table) { collected.Add(1) })
+		}
+		e := NewExplorer()
+		if err := e.Index(c.Tables[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Add(c.Tables[8:]...); err != nil {
+			t.Fatal(err)
+		}
+		return e, len(c.Tables)
+	}
+	e, n := build()
+	// Finalizers run on their own goroutine after the collection that
+	// finds their object unreachable.
+	for i := 0; i < 50 && int(collected.Load()) < n; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := int(collected.Load()); got != n {
+		t.Fatalf("%d of %d indexed tables collected while the explorer is live: it pins the rest", got, n)
+	}
+	if got := e.Size(); got != n {
+		t.Fatalf("size = %d, want %d", got, n)
+	}
+	c := workload.GenerateCorpus(spec)
+	q := c.Tables[0]
+	for _, req := range []Request{
+		{Mode: ModeJoinColumn, Query: q, Column: c.KeyColumn[q.Name], K: 3},
+		{Mode: ModePopulate, Query: q, K: 3},
+		{Mode: ModeTask, Query: q, Task: discovery.TaskAugment, K: 3},
+	} {
+		res, err := e.Explore(req)
+		if err != nil {
+			t.Fatalf("mode %d: %v", req.Mode, err)
+		}
+		if len(res) == 0 {
+			t.Errorf("mode %d of %s answers nothing", req.Mode, q.Name)
+		}
+		for _, r := range res {
+			if r.Table == q.Name {
+				t.Errorf("mode %d of %s answers the query itself", req.Mode, q.Name)
+			}
+		}
+	}
+}
+
+// One Explorer.Add of a fresh table into a 200-table explorer (the
+// default corpus spec): 2 848 allocations (Go 1.24). Each column's
+// distinct values are listed and interned once, into the catalog all
+// three indexes read; with a dictionary per index, JOSIE and Juneau
+// listing and interning every column again, it took 2 881.
+func TestExplorerAddAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const base, runs = 200, 10
+	spec := workload.DefaultSpec()
+	spec.NumTables = base + runs + 1
+	c := workload.GenerateCorpus(spec)
+	e := NewExplorer()
+	if err := e.Index(c.Tables[:base]); err != nil {
+		t.Fatal(err)
+	}
+	fresh := c.Tables[base:]
+	n := testing.AllocsPerRun(runs, func() {
+		if err := e.Add(fresh[0]); err != nil {
+			t.Fatal(err)
+		}
+		fresh = fresh[1:]
+	})
+	if n > 2990 {
+		t.Errorf("Explorer.Add of one table into %d: %v allocations, want <= 2990", base, n)
+	}
 }
