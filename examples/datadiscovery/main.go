@@ -1,7 +1,7 @@
-// Data discovery: the survey's Table 3 systems side by side on one
-// synthetic open-data corpus with known joinability ground truth —
-// which tables relate to a query table, which columns join with its
-// key, and which tables can augment a data-science training set.
+// Data discovery: the survey's Table 3 systems the lake serves, side by
+// side on one synthetic open-data corpus with known joinability ground
+// truth — which tables relate to a query table, which columns join with
+// its key, and which tables can augment a data-science training set.
 package main
 
 import (
@@ -26,9 +26,6 @@ func main() {
 	for _, d := range discoverers() {
 		if err := d.Index(c.Tables); err != nil {
 			log.Fatal(err)
-		}
-		if dln, ok := d.(*discovery.DLN); ok {
-			dln.Train(workload.JoinQueryLog(c, 0, 3))
 		}
 		res := d.RelatedTables(query, 3)
 		fmt.Printf("%-8s top-3:", d.Name())
@@ -68,17 +65,12 @@ func main() {
 	}
 }
 
-// discoverers instantiates the survey's Table 3 systems in survey
-// order. The DLN instance is returned untrained; it learns from a join
-// query log once the corpus is indexed.
+// discoverers instantiates the survey's Table 3 systems the lake's
+// explorer serves, in survey order.
 func discoverers() []discovery.Discoverer {
 	return []discovery.Discoverer{
-		discovery.NewAurum(),
 		discovery.NewJOSIE(discovery.NewCatalog()),
 		discovery.NewD3L(discovery.NewCatalog()),
 		discovery.NewJuneau(discovery.NewCatalog(), discovery.TaskAugment),
-		discovery.NewPEXESO(),
-		discovery.NewRNLIM(),
-		discovery.NewDLN(),
 	}
 }

@@ -14,7 +14,7 @@
 //	ingestion    metadata extraction (GEMMS, DATAMARAN) and
 //	             modeling (GEMMS, HANDLE)
 //	maintenance  organization (GOODS, DS-kNN), discovery (JOSIE,
-//	             Aurum, D3L, PEXESO, Juneau, DLN), integration
+//	             D3L, Juneau), integration
 //	             (Constance, ALITE), enrichment (Constance's RFDs),
 //	             cleaning (CLAMS), schema evolution (Klettke et al.),
 //	             provenance (GOODS/CoreDB/Suriarachchi)
@@ -366,7 +366,9 @@ type Option = core.Option
 func WithClock(clock func() time.Time) Option { return core.WithClock(clock) }
 
 // WithPushdown toggles predicate/projection pushdown in the federated
-// query engine (on by default).
+// query engine (on by default). Off, predicates and projections are
+// evaluated centrally after full retrieval: the same answer, at the
+// cost pushdown saves.
 func WithPushdown(enabled bool) Option { return core.WithPushdown(enabled) }
 
 // WithMaxResults caps query result rows and exploration K (0 =

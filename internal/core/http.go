@@ -577,9 +577,16 @@ func (l *Lake) handleMetadata(w http.ResponseWriter, r *http.Request) {
 
 func (l *Lake) handleRelated(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("table")
-	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
-	if k <= 0 {
-		k = 5
+	k := 5
+	if s := r.URL.Query().Get("k"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "bad k %q", s))
+			return
+		}
+		if n > 0 {
+			k = n
+		}
 	}
 	res, err := l.RelatedTables(r.Context(), userOf(r), name, k)
 	if err != nil {
@@ -611,6 +618,10 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var body exploreRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Table == "" {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: body needs mode and table"))
+		return
+	}
+	if body.K < 0 {
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: bad k %d", body.K))
 		return
 	}
 	req := explore.Request{K: body.K, Column: body.Column}

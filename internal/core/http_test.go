@@ -256,6 +256,7 @@ func TestV1ExploreValidation(t *testing.T) {
 		{`{"mode":"warp","table":"orders"}`, "dana", http.StatusBadRequest, "invalid_query"},
 		{`{"mode":"join-column","table":"orders"}`, "dana", http.StatusBadRequest, "invalid_query"},
 		{`{"mode":"task","table":"orders","task":"destroy"}`, "dana", http.StatusBadRequest, "invalid_query"},
+		{`{"mode":"populate","table":"orders","k":-5}`, "dana", http.StatusBadRequest, "invalid_query"},
 		{`not json`, "dana", http.StatusBadRequest, "invalid_query"},
 		{`{"mode":"populate","table":"ghost"}`, "dana", http.StatusNotFound, "not_found"},
 		{`{"mode":"populate","table":"orders"}`, "mallory", http.StatusForbidden, "unauthorized"},
@@ -482,6 +483,20 @@ func TestHTTPRelatedThroughV1(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("payments not related: %s", body)
+	}
+	// A malformed or negative k is refused, not answered with the
+	// default; an absent one takes it.
+	for _, k := range []string{"abc", "-3", "2.5"} {
+		resp, body := get(t, srv, "/v1/related?table=orders&k="+k, "dana")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("k=%s: status = %d, want 400", k, resp.StatusCode)
+		}
+		if code, _ := envelope(t, body); code != "invalid_query" {
+			t.Errorf("k=%s: code = %q, want invalid_query", k, code)
+		}
+	}
+	if resp, body := get(t, srv, "/v1/related?table=orders", "dana"); resp.StatusCode != http.StatusOK {
+		t.Errorf("no k: status = %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -107,7 +107,9 @@ func WithClock(clock func() time.Time) Option {
 }
 
 // WithPushdown toggles predicate/projection pushdown in the federated
-// query engine (on by default; the benchmark harness turns it off).
+// query engine (on by default). Off, predicates and projections are
+// evaluated centrally after full retrieval: the same answer, at the
+// cost pushdown saves.
 func WithPushdown(enabled bool) Option {
 	return func(o *options) { o.pushdown = enabled }
 }
@@ -1468,9 +1470,8 @@ func (l *Lake) deriveLocked(activity, user string, inputs []string, output *tabl
 	l.mu.Unlock()
 	// Derived tables are query outputs over already-indexed data; their
 	// columns shift the corpus statistics the discovery indexes were
-	// trained on (D3L's corpus-trained embeddings, Juneau provenance),
-	// so the next pass rebuilds from scratch instead of approximating
-	// an incremental add.
+	// trained on (D3L's corpus-trained embeddings), so the next pass
+	// rebuilds from scratch instead of approximating an incremental add.
 	l.planner.ForceFull("derive")
 	return nil
 }

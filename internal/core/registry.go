@@ -128,7 +128,7 @@ func Registry() []FunctionEntry {
 		},
 		{
 			Tier: TierMaintenance, Function: "related dataset discovery",
-			Systems: []string{"Aurum", "JOSIE", "D3L", "Juneau", "PEXESO", "RNLIM", "DLN"},
+			Systems: []string{"JOSIE", "D3L", "Juneau"},
 			Package: "internal/discovery",
 			Run: func() (string, error) {
 				tables := fixture().Tables

@@ -1,18 +1,14 @@
 // Package discovery implements the related-dataset-discovery function
-// of the maintenance tier (Sec. 6.2 of the survey) with one
-// implementation per system family of Table 3:
+// of the maintenance tier (Sec. 6.2 of the survey) with the three
+// systems of Table 3 the explorer's modes serve, over one column
+// Catalog:
 //
 //   - JOSIE: exact top-k overlap set similarity over an inverted index
-//   - Aurum: LSH-signature profiling into an enterprise knowledge graph
 //   - D3L: five relatedness features combined in a weighted Euclidean
 //     space, with weights trainable from labeled pairs
-//   - PEXESO: semantic joinability of textual columns via
-//     high-dimensional vectors with grid pruning
 //   - Juneau: multi-signal task-specific relatedness for data science
-//   - DLN: scalable feature classifiers trained from join query logs
 //
-// All implementations satisfy the Discoverer interface, which is what
-// the Table 3 benchmark sweeps over.
+// All three satisfy the Discoverer interface.
 package discovery
 
 import (
@@ -55,17 +51,12 @@ type interner interface {
 	Set(values []string) sketch.Set
 }
 
-// embedder embeds a profile's values: the owner's *embed.Model when
+// embedder embeds a column's values: a staged *embed.Staged when
 // indexing, which memoises token vectors, or an embed.Reader on a read
 // path, which writes nothing.
 type embedder interface {
-	Vector(token string) []float64
 	ColumnVector(values []string) []float64
 }
-
-// columnKey renders the "table.column" identifier of DLN's join query
-// logs.
-func columnKey(t, c string) string { return t + "." + c }
 
 // capped returns the first n values at most (n <= 0: all), to bound
 // index cost.

@@ -22,22 +22,18 @@ const (
 	// feature engineering: rewards key overlap plus new columns.
 	TaskFeatures
 	// TaskClean finds cleaner versions of the same data: rewards
-	// instance/schema/provenance overlap and fewer nulls.
+	// instance/schema overlap and fewer nulls.
 	TaskClean
 )
 
 // Juneau implements multi-signal task-aware relatedness (Zhang & Ives):
 // instance overlap, schema overlap, candidate-key match, new-attribute
-// and new-instance rates, descriptive-metadata similarity, null-count
-// difference, and an optional provenance similarity supplied by the
-// workflow-graph layer.
+// and new-instance rates, descriptive-metadata similarity and null-count
+// difference. The paper's provenance signal, a similarity of notebook
+// workflow graphs, is not computed: the lake records no notebooks.
 type Juneau struct {
 	// Task selects the signal weighting RelatedTables uses.
 	Task SearchTask
-	// ProvenanceSim, when non-nil, returns the workflow-graph
-	// similarity of two tables in [0,1] (variable-dependency subgraph
-	// similarity in the paper).
-	ProvenanceSim func(a, b string) float64
 
 	// cat holds the tables' value Sets; column names and metadata
 	// tokens are interned into its Dict.
@@ -128,7 +124,6 @@ type juneauSignals struct {
 	newInstanceRate float64 // candidate rows beyond matched values
 	metaSim         float64 // descriptive metadata Jaccard
 	nullImprovement float64 // positive when candidate has fewer nulls
-	provenanceSim   float64
 }
 
 func (j *Juneau) signalsFor(q, c *juneauProfile) juneauSignals {
@@ -158,9 +153,6 @@ func (j *Juneau) signalsFor(q, c *juneauProfile) juneauSignals {
 	}
 	s.metaSim = sketch.ExactJaccard(q.metaToks, c.metaToks)
 	s.nullImprovement = math.Max(0, q.nullFrac-c.nullFrac)
-	if j.ProvenanceSim != nil {
-		s.provenanceSim = j.ProvenanceSim(q.name, c.name)
-	}
 	return s
 }
 
@@ -170,15 +162,15 @@ func score(s juneauSignals, task SearchTask) float64 {
 	case TaskAugment:
 		// Same schema, overlapping domain, more rows.
 		return 0.35*s.schemaOverlap + 0.25*s.instanceOverlap +
-			0.2*s.newInstanceRate + 0.1*s.metaSim + 0.1*s.provenanceSim
+			0.2*s.newInstanceRate + 0.1*s.metaSim
 	case TaskFeatures:
 		// Joinable keys bringing new attributes.
 		return 0.35*s.keyMatch + 0.25*s.newAttrRate +
-			0.2*s.instanceOverlap + 0.1*s.schemaOverlap + 0.1*s.provenanceSim
+			0.2*s.instanceOverlap + 0.1*s.schemaOverlap
 	default: // TaskClean
-		// Same data, fewer nulls, shared lineage.
+		// Same data, fewer nulls.
 		return 0.3*s.instanceOverlap + 0.25*s.schemaOverlap +
-			0.2*s.nullImprovement + 0.15*s.provenanceSim + 0.1*s.metaSim
+			0.2*s.nullImprovement + 0.1*s.metaSim
 	}
 }
 

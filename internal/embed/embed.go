@@ -1,14 +1,13 @@
 // Package embed provides similarity-preserving vector representations of
 // lake values without external models. The surveyed systems lean on
-// pre-trained embeddings — D3L uses word embeddings, PEXESO
-// high-dimensional vectors, RNLIM and ALITE BERT/TURL — none of which is
-// available offline. This package substitutes a distributional model
-// computed from the lake itself: values that co-occur in the same column
-// receive nearby vectors (positive pointwise mutual information over
-// column contexts, folded into a fixed dimension by a deterministic
-// random projection). The substitution preserves the property the
-// discovery and integration algorithms rely on: values drawn from the
-// same semantic domain embed close together.
+// pre-trained embeddings — D3L uses word embeddings, ALITE BERT/TURL —
+// none of which is available offline. This package substitutes a
+// distributional model computed from the lake itself: values that
+// co-occur in the same column receive nearby vectors (positive pointwise
+// mutual information over column contexts, folded into a fixed dimension
+// by a deterministic random projection). The substitution preserves the
+// property D3L's embedding feature relies on: values drawn from the same
+// semantic domain embed close together.
 package embed
 
 import (
@@ -144,13 +143,6 @@ func (s *Staged) Commit() {
 	m.vecCache = s.vecs
 }
 
-// Vector is Model.Vector over the model with the staged columns added.
-// It memoises token vectors in the Staged.
-func (s *Staged) Vector(token string) []float64 {
-	s.toks = sketch.AppendTokens(s.toks[:0], token)
-	return vector(s, s.m.Dim, s.toks)
-}
-
 // ColumnVector is Model.ColumnVector over the model with the staged
 // columns added. It memoises token vectors in the Staged.
 func (s *Staged) ColumnVector(values []string) []float64 {
@@ -203,12 +195,6 @@ type Reader struct{ m *Model }
 
 // Reader returns a read-only view of the model.
 func (m *Model) Reader() Reader { return Reader{m} }
-
-// Vector is Model.Vector without the memo write.
-func (r Reader) Vector(token string) []float64 {
-	var buf [8]string
-	return vector(r, r.m.Dim, sketch.AppendTokens(buf[:0], token))
-}
 
 // ColumnVector is Model.ColumnVector without the memo write.
 func (r Reader) ColumnVector(values []string) []float64 {
@@ -358,11 +344,6 @@ func isZero(v []float64) bool {
 		}
 	}
 	return true
-}
-
-// Similarity is the cosine similarity of the two embeddings.
-func (m *Model) Similarity(a, b string) float64 {
-	return sketch.Cosine(m.Vector(a), m.Vector(b))
 }
 
 // signWords is the number of uint64 sign words one projection row of

@@ -20,8 +20,8 @@ func TestSameDomainValuesEmbedClose(t *testing.T) {
 	// Mixed column to give shared context noise.
 	m.AddColumn([]string{"red", "berlin"})
 
-	sameDomain := m.Similarity("red", "green")
-	crossDomain := m.Similarity("red", "paris")
+	sameDomain := sketch.Cosine(m.Vector("red"), m.Vector("green"))
+	crossDomain := sketch.Cosine(m.Vector("red"), m.Vector("paris"))
 	if sameDomain <= crossDomain {
 		t.Errorf("same-domain sim %v should exceed cross-domain sim %v", sameDomain, crossDomain)
 	}
@@ -30,7 +30,7 @@ func TestSameDomainValuesEmbedClose(t *testing.T) {
 func TestIdenticalValuesMaxSimilarity(t *testing.T) {
 	m := NewModel(32)
 	m.AddColumn([]string{"alpha", "beta"})
-	if got := m.Similarity("alpha", "alpha"); math.Abs(got-1) > 1e-9 {
+	if got := sketch.Cosine(m.Vector("alpha"), m.Vector("alpha")); math.Abs(got-1) > 1e-9 {
 		t.Errorf("self similarity = %v, want 1", got)
 	}
 }

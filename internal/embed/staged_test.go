@@ -65,7 +65,7 @@ func TestStagedMatchesSequentialAddColumn(t *testing.T) {
 		// Tokens only in old contexts, only in new ones, in both, and
 		// in none; single and multi-token values.
 		for _, tok := range []string{"old0_0", "old3", "new1_2", "new4", "both0", "both5", "both2 new1", "never-seen", "unseen value", ""} {
-			same("Vector("+tok+")", s.Vector(tok), seq.Vector(tok))
+			same("ColumnVector("+tok+")", s.ColumnVector([]string{tok}), seq.ColumnVector([]string{tok}))
 		}
 		for c, col := range append(append([][]string(nil), old...), fresh...) {
 			same(fmt.Sprintf("ColumnVector(column %d)", c), s.ColumnVector(col), seq.ColumnVector(col))

@@ -1,8 +1,8 @@
 // Package metamodel implements the ingestion-tier metadata modeling
 // function (Sec. 5.2 of the survey), one representative per method
 // family: the GEMMS generic metamodel (content / structure / semantics
-// separation), the HANDLE generic model (data - metadata - property on
-// a graph), and Aurum's enterprise knowledge graph hypergraph.
+// separation) and the HANDLE generic model (data - metadata - property
+// on a graph).
 package metamodel
 
 import (

@@ -123,72 +123,3 @@ func TestHANDLEImportGEMMS(t *testing.T) {
 		t.Errorf("city semantics missing: %+v", cityMD)
 	}
 }
-
-func TestEKGRelateAndNeighbors(t *testing.T) {
-	g := NewEKG()
-	a := ColumnRef{"t1", "id"}
-	b := ColumnRef{"t2", "user_id"}
-	c := ColumnRef{"t3", "uid"}
-	g.Relate(a, b, "content", 0.9)
-	g.Relate(a, c, "content", 0.4)
-	g.Relate(a, b, "pkfk", 0.95)
-	if g.NumColumns() != 3 {
-		t.Errorf("columns = %d", g.NumColumns())
-	}
-	if g.NumEdges() != 3 {
-		t.Errorf("edges = %d", g.NumEdges())
-	}
-	nbs := g.Neighbors(a, "content", 0)
-	if len(nbs) != 2 || Other(nbs[0], a) != b {
-		t.Errorf("neighbors = %+v", nbs)
-	}
-	if nbs := g.Neighbors(a, "content", 0.5); len(nbs) != 1 {
-		t.Errorf("weight-filtered neighbors = %+v", nbs)
-	}
-	// Updating an edge keeps one edge.
-	g.Relate(a, b, "content", 0.7)
-	if g.NumEdges() != 3 {
-		t.Errorf("edges after update = %d", g.NumEdges())
-	}
-}
-
-func TestEKGRemoveRelations(t *testing.T) {
-	g := NewEKG()
-	a, b := ColumnRef{"t1", "x"}, ColumnRef{"t2", "y"}
-	g.Relate(a, b, "content", 0.8)
-	g.RemoveRelations(a)
-	if g.NumEdges() != 0 {
-		t.Errorf("edges = %d after remove", g.NumEdges())
-	}
-	if nbs := g.Neighbors(b, "", 0); len(nbs) != 0 {
-		t.Errorf("stale adjacency: %+v", nbs)
-	}
-}
-
-func TestEKGHyperedgesAndTableQuery(t *testing.T) {
-	g := NewEKG()
-	t1a, t1b := ColumnRef{"t1", "a"}, ColumnRef{"t1", "b"}
-	t2a := ColumnRef{"t2", "a"}
-	t3a := ColumnRef{"t3", "a"}
-	g.AddHyperedge("t1", []ColumnRef{t1a, t1b})
-	g.AddHyperedge("t2", []ColumnRef{t2a})
-	g.AddHyperedge("t3", []ColumnRef{t3a})
-	g.Relate(t1a, t2a, "content", 0.9)
-	g.Relate(t1b, t3a, "content", 0.3)
-	got := g.TablesRelated("t1", 0.2)
-	if len(got) != 2 || got[0].Table != "t2" || got[1].Table != "t3" {
-		t.Errorf("TablesRelated = %+v", got)
-	}
-	if got := g.TablesRelated("t1", 0.5); len(got) != 1 {
-		t.Errorf("filtered TablesRelated = %+v", got)
-	}
-	if got := g.TablesRelated("ghost", 0); got != nil {
-		t.Errorf("missing hyperedge = %+v", got)
-	}
-	if members, ok := g.Hyperedge("t1"); !ok || len(members) != 2 {
-		t.Errorf("Hyperedge = %v, %v", members, ok)
-	}
-	if names := g.Hyperedges(); len(names) != 3 {
-		t.Errorf("Hyperedges = %v", names)
-	}
-}

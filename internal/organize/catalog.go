@@ -1,7 +1,6 @@
 // Package organize implements the dataset-organization function of the
-// maintenance tier (Sec. 6.1): the GOODS post-hoc metadata catalog, the
-// DS-kNN classification-based organization, and Juneau's workflow and
-// variable-dependency graphs (Table 2).
+// maintenance tier (Sec. 6.1): the GOODS post-hoc metadata catalog and
+// the DS-kNN classification-based organization.
 package organize
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"golake/internal/sketch"
 	"golake/internal/table"
@@ -13,8 +14,7 @@ import (
 // (Alserafi et al., Sec. 6.1.2): every incoming dataset is profiled
 // into data-based and metadata-based features; its k nearest already
 // categorized neighbors vote on its category; if no neighbor is close
-// enough, a fresh category is opened. The resulting similarity graph
-// serves as a pre-filter for schema matching.
+// enough, a fresh category is opened.
 type DSKNN struct {
 	// K is the number of neighbors consulted.
 	K int
@@ -83,7 +83,7 @@ func dsProfile(t *table.Table, ids *sketch.Dict) *dsFeatures {
 		f.numeric = [4]float64{n, float64(numNumeric) / n, totDistinct / n, totMeanLen / n}
 	}
 	sort.Strings(kinds)
-	f.featString = fmt.Sprintf("%d|%s", t.NumCols(), joinStrings(kinds, ","))
+	f.featString = fmt.Sprintf("%d|%s", t.NumCols(), strings.Join(kinds, ","))
 	return f
 }
 
@@ -187,46 +187,6 @@ func (d *DSKNN) Categories() map[int][]string {
 	}
 	for c := range out {
 		sort.Strings(out[c])
-	}
-	return out
-}
-
-// SimilarityEdge is one weighted edge of the dataset similarity graph
-// DS-kNN visualizes.
-type SimilarityEdge struct {
-	A, B string
-	Sim  float64
-}
-
-// Graph returns all pairwise similarity edges above MinSim, sorted by
-// descending similarity.
-func (d *DSKNN) Graph() []SimilarityEdge {
-	var out []SimilarityEdge
-	for i := 0; i < len(d.order); i++ {
-		for j := i + 1; j < len(d.order); j++ {
-			a, b := d.order[i], d.order[j]
-			sim := d.Similarity(d.features[a], d.features[b])
-			if sim >= d.MinSim {
-				out = append(out, SimilarityEdge{A: a, B: b, Sim: sim})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sim != out[j].Sim {
-			return out[i].Sim > out[j].Sim
-		}
-		return out[i].A+out[i].B < out[j].A+out[j].B
-	})
-	return out
-}
-
-func joinStrings(ss []string, sep string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += sep
-		}
-		out += s
 	}
 	return out
 }

@@ -34,7 +34,6 @@ type Engine struct {
 	// PushDown controls whether selection predicates and projections
 	// are evaluated inside the member stores (the optimization
 	// Constance and Ontario apply) or centrally after full retrieval.
-	// The federated-query benchmark toggles this.
 	PushDown bool
 	// FanIn configures concurrent fan-in across member stores: with
 	// Workers > 1, source scans are opened and drained in parallel

@@ -8,9 +8,9 @@ import (
 
 // LSHIndex is a banding locality-sensitive hash index over MinHash
 // signatures. Two items whose signatures agree on all rows of at least
-// one band become candidate pairs. Aurum builds its enterprise knowledge
-// graph edges from exactly this candidacy test, turning the O(n^2)
-// all-pairs comparison into a linear scan (Sec. 6.2.1 of the survey).
+// one band become candidate pairs. D3L draws its candidate columns from
+// exactly this test, turning the O(n^2) all-pairs comparison into a
+// linear scan (Sec. 6.2.1 of the survey).
 //
 // Items are dense uint32 slots the caller assigns, and a signature enters
 // the index as its band hashes (Bands), which the caller computes once
@@ -81,9 +81,8 @@ func (x *LSHIndex) Add(slot uint32, bands []uint64) error {
 	return nil
 }
 
-// Remove empties a slot; an empty slot is a no-op. Aurum re-signatures a
-// column only when its values drift past a threshold, which maps to
-// Remove+Add here.
+// Remove empties a slot; an empty slot is a no-op. A slot freed by
+// Remove may be added again.
 func (x *LSHIndex) Remove(slot uint32) {
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -1,9 +1,9 @@
 // Package sketch implements the similarity machinery shared by the
-// surveyed discovery systems: MinHash signatures and LSH indexes
-// (Aurum, D3L, Juneau), q-gram and TF-IDF representations (D3L),
-// inverted indexes over set values (JOSIE), random-projection cosine
-// sketches (D3L embeddings), and the Kolmogorov-Smirnov statistic
-// (D3L, RNLIM numeric-domain matching).
+// surveyed discovery systems: MinHash signatures and LSH indexes (D3L),
+// q-gram representations (D3L), inverted indexes over set values
+// (JOSIE), exact set similarity over interned values (JOSIE, D3L,
+// Juneau), cosine over embeddings (D3L), and the Kolmogorov-Smirnov
+// statistic (D3L numeric-domain matching).
 package sketch
 
 import (

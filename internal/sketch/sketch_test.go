@@ -284,19 +284,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestTFIDFRanksDistinctiveTokens(t *testing.T) {
-	corpus := [][]string{
-		{"the", "cat", "sat"},
-		{"the", "dog", "sat"},
-		{"the", "cat", "ran"},
-	}
-	tfidf := NewTFIDF(corpus)
-	v := tfidf.Vector([]string{"the", "cat"})
-	if v["cat"] <= v["the"] {
-		t.Errorf("idf should downweight common tokens: cat=%v the=%v", v["cat"], v["the"])
-	}
-}
-
 func TestCosine(t *testing.T) {
 	if got := Cosine([]float64{1, 0}, []float64{0, 1}); got != 0 {
 		t.Errorf("orthogonal cosine = %v, want 0", got)
@@ -306,11 +293,6 @@ func TestCosine(t *testing.T) {
 	}
 	if got := Cosine([]float64{1}, []float64{1, 2}); got != 0 {
 		t.Errorf("length mismatch cosine = %v, want 0", got)
-	}
-	a := map[string]float64{"x": 1, "y": 2}
-	b := map[string]float64{"x": 2, "y": 4}
-	if got := CosineSparse(a, b); math.Abs(got-1) > 1e-9 {
-		t.Errorf("sparse parallel cosine = %v, want 1", got)
 	}
 }
 

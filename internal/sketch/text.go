@@ -62,71 +62,6 @@ func AppendTokens(dst []string, s string) []string {
 	return dst
 }
 
-// TermFreq counts token occurrences.
-func TermFreq(tokens []string) map[string]float64 {
-	tf := make(map[string]float64, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	return tf
-}
-
-// TFIDF holds document frequencies over a corpus of token multisets and
-// produces TF-IDF weighted vectors. Aurum represents column-name
-// signatures this way before cosine comparison.
-type TFIDF struct {
-	df   map[string]int
-	docs int
-}
-
-// NewTFIDF builds document frequencies from a corpus; each document is a
-// token slice.
-func NewTFIDF(corpus [][]string) *TFIDF {
-	t := &TFIDF{df: map[string]int{}}
-	for _, doc := range corpus {
-		t.docs++
-		seen := map[string]struct{}{}
-		for _, tok := range doc {
-			if _, ok := seen[tok]; ok {
-				continue
-			}
-			seen[tok] = struct{}{}
-			t.df[tok]++
-		}
-	}
-	return t
-}
-
-// Vector returns the TF-IDF weight map for a document.
-func (t *TFIDF) Vector(doc []string) map[string]float64 {
-	tf := TermFreq(doc)
-	out := make(map[string]float64, len(tf))
-	for tok, f := range tf {
-		df := t.df[tok]
-		idf := math.Log(float64(t.docs+1) / float64(df+1))
-		out[tok] = f * idf
-	}
-	return out
-}
-
-// CosineSparse computes cosine similarity between sparse weight maps.
-func CosineSparse(a, b map[string]float64) float64 {
-	var dot, na, nb float64
-	for k, va := range a {
-		na += va * va
-		if vb, ok := b[k]; ok {
-			dot += va * vb
-		}
-	}
-	for _, vb := range b {
-		nb += vb * vb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
 // Cosine computes cosine similarity between dense vectors of equal length.
 func Cosine(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) == 0 {
@@ -173,8 +108,8 @@ func WeightedEuclidean(a, b, w []float64) float64 {
 }
 
 // KolmogorovSmirnov computes the two-sample KS statistic
-// sup_x |F_a(x) - F_b(x)| over empirical CDFs. D3L and RNLIM use it to
-// compare numeric attribute distributions. Both samples must be sorted
+// sup_x |F_a(x) - F_b(x)| over empirical CDFs. D3L uses it to compare
+// numeric attribute distributions. Both samples must be sorted
 // as sort.Float64s orders them; callers sort once when they profile a
 // column, not on every comparison. Returns 1 for empty input.
 func KolmogorovSmirnov(as, bs []float64) float64 {

@@ -2,6 +2,7 @@ package polystore
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"golake/internal/storage/docstore"
@@ -155,17 +156,18 @@ func TestRelStoreSelectPushdown(t *testing.T) {
 	r := NewRelStore()
 	tbl, _ := table.ParseCSV("people", "name,age\nalice,30\nbob,25\ncarol,41\n")
 	r.Create(tbl)
-	got, err := r.Select("people",
-		func(row map[string]string) bool { return row["age"] > "25" },
+	cur, err := r.ScanWhere("people",
+		[]CellPredicate{{Column: "age", Match: func(c string) bool { return c > "25" }}},
 		[]string{"name"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumCols() != 1 || got.NumRows() != 2 {
-		t.Errorf("Select shape = %dx%d", got.NumCols(), got.NumRows())
+	defer cur.Close()
+	if got := cursorRows(cur); len(got) != 2 || len(got[0]) != 1 {
+		t.Errorf("ScanWhere rows = %v, want 2 rows of 1 cell", got)
 	}
-	if _, err := r.Select("ghost", nil, nil); !errors.Is(err, ErrNoTable) {
-		t.Errorf("Select missing = %v", err)
+	if _, err := r.ScanWhere("ghost", nil, nil); !errors.Is(err, ErrNoTable) {
+		t.Errorf("ScanWhere missing = %v", err)
 	}
 }
 
@@ -174,30 +176,22 @@ func TestRelStoreSelectWhere(t *testing.T) {
 	tbl, _ := table.ParseCSV("people", "name,age,city\nalice,30,berlin\nbob,25,paris\ncarol,41,berlin\n")
 	r.Create(tbl)
 	preds := []CellPredicate{{Column: "city", Match: func(c string) bool { return c == "berlin" }}}
-	got, err := r.SelectWhere("people", preds, []string{"name"})
+	cur, err := r.ScanWhere("people", preds, []string{"name"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRows() != 2 || got.NumCols() != 1 {
-		t.Fatalf("SelectWhere shape = %dx%d", got.NumCols(), got.NumRows())
-	}
-	if got.Columns[0].Cells[0] != "alice" || got.Columns[0].Cells[1] != "carol" {
-		t.Errorf("rows = %v", got.Columns[0].Cells)
+	defer cur.Close()
+	if got := cursorRows(cur); fmt.Sprint(got) != "[[alice] [carol]]" {
+		t.Errorf("rows = %v, want [[alice] [carol]]", got)
 	}
 	// Predicate on missing column matches nothing but keeps schema.
-	got, err = r.SelectWhere("people", []CellPredicate{{Column: "ghost", Match: func(string) bool { return true }}}, []string{"name"})
-	if err != nil || got.NumRows() != 0 || got.NumCols() != 1 {
-		t.Errorf("missing pred col = %v rows, %v", got.NumRows(), err)
+	cur, err = r.ScanWhere("people", []CellPredicate{{Column: "ghost", Match: func(string) bool { return true }}}, []string{"name"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Equivalent to Select with a row predicate.
-	viaSelect, _ := r.Select("people",
-		func(row map[string]string) bool { return row["city"] == "berlin" }, []string{"name"})
-	viaWhere, _ := r.SelectWhere("people", preds, []string{"name"})
-	if table.ToCSV(viaSelect) != table.ToCSV(viaWhere) {
-		t.Errorf("Select and SelectWhere disagree:\n%s\n%s", table.ToCSV(viaSelect), table.ToCSV(viaWhere))
-	}
-	if _, err := r.SelectWhere("ghost", nil, nil); !errors.Is(err, ErrNoTable) {
-		t.Errorf("missing table = %v", err)
+	defer cur.Close()
+	if got := cursorRows(cur); len(got) != 0 || len(cur.Columns()) != 1 {
+		t.Errorf("missing pred col = %v rows, header %v", got, cur.Columns())
 	}
 }
 

@@ -187,32 +187,6 @@ func (r *RelStore) Names() []string {
 	return out
 }
 
-// Select scans a table, applying an optional row predicate and column
-// projection in the store — the "pushdown" unit of the federated engine.
-func (r *RelStore) Select(name string, pred func(row map[string]string) bool, cols []string) (*table.Table, error) {
-	r.mu.RLock()
-	t, ok := r.tables[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	names := t.ColumnNames()
-	filtered := t.Filter(func(row []string) bool {
-		if pred == nil {
-			return true
-		}
-		m := make(map[string]string, len(names))
-		for i, n := range names {
-			m[n] = row[i]
-		}
-		return pred(m)
-	})
-	if len(cols) == 0 {
-		return filtered, nil
-	}
-	return filtered.Project(cols...)
-}
-
 // CellPredicate is a compiled single-column predicate evaluated inside
 // the store during the scan — the unit of predicate pushdown.
 type CellPredicate struct {
@@ -220,37 +194,11 @@ type CellPredicate struct {
 	Match  func(cell string) bool
 }
 
-// SelectWhere scans a table with compiled per-column predicates and a
-// projection, both evaluated inside the store: predicate columns are
-// resolved to indexes once, and only projected columns are copied out.
-// This is the materialized form of ScanWhere; Select remains for
-// callers wanting arbitrary row predicates.
-func (r *RelStore) SelectWhere(name string, preds []CellPredicate, cols []string) (*table.Table, error) {
-	cur, err := r.ScanWhere(name, preds, cols)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	out := table.New(name)
-	for i, n := range cur.Columns() {
-		out.Columns = append(out.Columns, &table.Column{Name: n, Kind: cur.kinds[i]})
-	}
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			return out, nil
-		}
-		for j, v := range row {
-			out.Columns[j].Cells = append(out.Columns[j].Cells, v)
-		}
-	}
-}
-
-// Cursor streams matching rows out of one relational table, one Next
-// call per row — the store-side scan unit of the streaming query
-// pipeline. It reads the table captured at ScanWhere time, so a scan
-// is consistent under a concurrent Create or Drop of its table without
-// holding the store lock while the caller drains it.
+// Cursor streams matching rows out of one relational table, a batch of
+// column runs per NextBatch call — the store-side scan unit of the
+// streaming query pipeline. It reads the table captured at ScanWhere
+// time, so a scan is consistent under a concurrent Create or Drop of
+// its table without holding the store lock while the caller drains it.
 type Cursor struct {
 	names []string
 	kinds []table.Kind
@@ -272,27 +220,6 @@ type boundPredicate struct {
 
 // Columns returns the cursor's output header.
 func (c *Cursor) Columns() []string { return c.names }
-
-// Next returns the next matching row, or false when the scan is done.
-// Each call allocates one fresh row slice.
-func (c *Cursor) Next() ([]string, bool) {
-rows:
-	for c.at < c.n {
-		i := c.at
-		c.at++
-		for _, bp := range c.preds {
-			if !bp.match(bp.cells[i]) {
-				continue rows
-			}
-		}
-		row := make([]string, len(c.cells))
-		for j, col := range c.cells {
-			row[j] = col[i]
-		}
-		return row, true
-	}
-	return nil, false
-}
 
 // NextBatch returns up to max rows column-wise: cells[j] is the run of
 // output column j, n the number of rows (0 when the scan is done).

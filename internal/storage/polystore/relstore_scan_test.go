@@ -30,11 +30,7 @@ func TestScanWhereStreamsProjectedMatches(t *testing.T) {
 	}
 	defer cur.Close()
 	var got []string
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			break
-		}
+	for _, row := range cursorRows(cur) {
 		if len(row) != 1 {
 			t.Fatalf("row = %v, want 1 projected cell", row)
 		}
@@ -54,7 +50,7 @@ func TestScanWhereMissingPredicateColumnMatchesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if _, ok := cur.Next(); ok {
+	if _, n := cur.NextBatch(8); n != 0 {
 		t.Error("predicate on a missing column must match nothing")
 	}
 	if cols := cur.Columns(); len(cols) != 1 || cols[0] != "id" {

@@ -24,14 +24,29 @@ func shardStore(t *testing.T, rows int) *RelStore {
 	return r
 }
 
+// cursorRows drains c by NextBatch, in batches of 7 so runs end inside
+// and at the ends of the tables, and returns its rows.
+func cursorRows(c *Cursor) [][]string {
+	var out [][]string
+	for {
+		cells, n := c.NextBatch(7)
+		if n == 0 {
+			return out
+		}
+		for i := 0; i < n; i++ {
+			row := make([]string, len(cells))
+			for j := range cells {
+				row[j] = cells[j][i]
+			}
+			out = append(out, row)
+		}
+	}
+}
+
 func drainCursor(t *testing.T, c *Cursor) []string {
 	t.Helper()
 	var out []string
-	for {
-		row, ok := c.Next()
-		if !ok {
-			break
-		}
+	for _, row := range cursorRows(c) {
 		out = append(out, strings.Join(row, "|"))
 	}
 	if err := c.Close(); err != nil {

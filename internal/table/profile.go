@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// ColumnProfile summarizes a column: the "signatures" Aurum attaches to
-// every column and the data-based features DS-kNN and DLN extract.
+// ColumnProfile summarizes a column: the data-based features DS-kNN
+// extracts, and the schema GEMMS records.
 type ColumnProfile struct {
 	Name     string
 	Kind     Kind
@@ -101,7 +101,6 @@ func moments(xs []float64) (min, max, mean, std float64) {
 }
 
 // Quantiles returns the q-quantiles (q >= 2) of xs; xs is not modified.
-// Used by distribution-aware discovery features (D3L, RNLIM).
 func Quantiles(xs []float64, q int) []float64 {
 	if len(xs) == 0 || q < 2 {
 		return nil

@@ -2,7 +2,7 @@
 // lake: named columns of string-encoded cells with inferred types,
 // column-level statistics, and CSV import/export.
 //
-// The surveyed discovery systems (JOSIE, Aurum, D3L, Juneau, PEXESO) all
+// The surveyed discovery systems (JOSIE, D3L, Juneau) all
 // operate on tables whose cells are treated either as sets of string
 // tokens or as numeric samples; Table keeps the raw string encoding and
 // exposes typed views on demand.
@@ -136,8 +136,8 @@ func (c *Column) Floats() ([]float64, float64) {
 }
 
 // IsCandidateKey reports whether the column's non-null values are unique
-// and cover at least minCoverage of the rows. Aurum and Juneau use this
-// signal to detect primary-key / foreign-key candidates.
+// and cover at least minCoverage of the rows. Juneau uses this signal
+// to detect primary-key / foreign-key candidates.
 func (c *Column) IsCandidateKey(minCoverage float64) bool {
 	if c.Len() == 0 {
 		return false

@@ -1,11 +1,11 @@
 // Package workload generates the synthetic evaluation corpora the tests
 // and the benchmark run on. The surveyed discovery systems were
-// evaluated on corpora we cannot ship — web-table crawls (JOSIE, D3L),
-// 100 GitHub log datasets (DATAMARAN), enterprise query logs (DLN) — so
-// this package produces seeded equivalents *with exact ground truth*:
-// which table pairs are joinable/unionable, which log lines came from
-// which template, which cells were dirtied, and which schema operations
-// happened between versions. Ground truth is what lets the tests report
+// evaluated on corpora we cannot ship — web-table crawls (JOSIE, D3L)
+// and 100 GitHub log datasets (DATAMARAN) — so this package produces
+// seeded equivalents *with exact ground truth*: which table pairs are
+// joinable/unionable, which log lines came from which template, which
+// cells were dirtied, and which schema operations happened between
+// versions. Ground truth is what lets the tests report
 // precision/recall, which the original corpora could only approximate
 // by manual labeling.
 package workload
@@ -302,83 +302,6 @@ func typo(rng *rand.Rand, s string) string {
 		b[i] = byte('z' - (b[i] - 'a')) // force a change
 	}
 	return string(b)
-}
-
-// Notebook models a Juneau data-science workflow for organization
-// and provenance benchmarks: a chain of derived tables with the
-// operation that produced each.
-type Notebook struct {
-	// Steps[i] derives Tables[i+1] from Tables[i].
-	Tables []*table.Table
-	Steps  []string
-}
-
-// GenerateNotebook derives nSteps tables from base by alternating
-// filter/project/append operations; deterministic in seed.
-func GenerateNotebook(base *table.Table, nSteps int, seed int64) *Notebook {
-	rng := rand.New(rand.NewSource(seed))
-	nb := &Notebook{Tables: []*table.Table{base}}
-	cur := base
-	ops := []string{"filter", "project", "sample"}
-	for i := 0; i < nSteps; i++ {
-		op := ops[i%len(ops)]
-		var next *table.Table
-		switch op {
-		case "filter":
-			cut := rng.Intn(cur.NumRows() + 1)
-			n := 0
-			next = cur.Filter(func([]string) bool { n++; return n <= cut })
-		case "project":
-			names := cur.ColumnNames()
-			keep := names[:1+rng.Intn(len(names))]
-			next, _ = cur.Project(keep...)
-		default: // sample every other row
-			n := 0
-			next = cur.Filter(func([]string) bool { n++; return n%2 == 0 })
-		}
-		next.Name = fmt.Sprintf("%s_v%d", base.Name, i+1)
-		nb.Tables = append(nb.Tables, next)
-		nb.Steps = append(nb.Steps, op)
-		cur = next
-	}
-	return nb
-}
-
-// JoinQueryLog synthesizes the enterprise query log DLN trains on: each
-// entry is a pair of column identifiers ("table.column") that appeared
-// together in a JOIN clause. Positive pairs come from ground-truth
-// joinable tables in the corpus.
-func JoinQueryLog(c *Corpus, maxEntries int, seed int64) [][2]string {
-	rng := rand.New(rand.NewSource(seed))
-	var pos [][2]string
-	for p := range c.Joinable {
-		pos = append(pos, [2]string{
-			p.A + "." + c.KeyColumn[p.A],
-			p.B + "." + c.KeyColumn[p.B],
-		})
-	}
-	// Deterministic order before shuffling (map iteration is random).
-	sortPairs(pos)
-	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
-	if maxEntries > 0 && len(pos) > maxEntries {
-		pos = pos[:maxEntries]
-	}
-	return pos
-}
-
-func sortPairs(ps [][2]string) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func less(a, b [2]string) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
 }
 
 // FormatPair renders "a⋈b" for reports.

@@ -214,39 +214,6 @@ func TestGenerateVersions(t *testing.T) {
 	}
 }
 
-func TestGenerateNotebook(t *testing.T) {
-	base, _ := table.ParseCSV("base", "a,b\n1,2\n3,4\n5,6\n7,8\n")
-	nb := GenerateNotebook(base, 4, 2)
-	if len(nb.Tables) != 5 || len(nb.Steps) != 4 {
-		t.Fatalf("notebook shape = %d tables %d steps", len(nb.Tables), len(nb.Steps))
-	}
-	for i, tbl := range nb.Tables[1:] {
-		if tbl.Name != "base_v"+string(rune('1'+i)) {
-			t.Errorf("step %d table name = %q", i, tbl.Name)
-		}
-		if tbl.NumRows() > base.NumRows() {
-			t.Errorf("derived table grew: %d rows", tbl.NumRows())
-		}
-	}
-}
-
-func TestJoinQueryLog(t *testing.T) {
-	c := GenerateCorpus(CorpusSpec{NumTables: 8, JoinGroups: 2, RowsPerTable: 20, KeyVocab: 50, KeySample: 30, Seed: 4})
-	log := JoinQueryLog(c, 5, 1)
-	if len(log) != 5 {
-		t.Fatalf("log entries = %d, want 5", len(log))
-	}
-	for _, e := range log {
-		if !strings.Contains(e[0], ".") || !strings.Contains(e[1], ".") {
-			t.Errorf("entry not table.column: %v", e)
-		}
-	}
-	unlimited := JoinQueryLog(c, 0, 1)
-	if len(unlimited) != len(c.Joinable) {
-		t.Errorf("unlimited log = %d, want %d", len(unlimited), len(c.Joinable))
-	}
-}
-
 func TestFormatPair(t *testing.T) {
 	if got := FormatPair(NewPair("b", "a")); got != "a⋈b" {
 		t.Errorf("FormatPair = %q", got)
