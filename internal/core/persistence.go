@@ -746,9 +746,12 @@ func (l *Lake) replayDerive(p *persister, d deriveMeta, inline string, rs *maint
 // reopened, previously maintained lake answers Explore immediately and
 // its first scheduled pass plans incrementally. Runs at the end of
 // restore — one code path whether the coverage came from the snapshot
-// or from a WAL coverage record. DS-kNN category numbering may differ
-// from the original pass order (tables arrive sorted here); the next
-// full rebuild squares that up.
+// or from a WAL coverage record. The categorizer is built on a second
+// goroutine while the explorer indexes the same tables: both only read
+// them, and share nothing else. The categorizer comes back over a
+// channel, so neither index is installed before both are built. DS-kNN
+// category numbering may differ from the original pass order (tables
+// arrive sorted here); the next full rebuild squares that up.
 func (l *Lake) rebuildIndexesFromCoverage() {
 	if !l.maintained {
 		return
@@ -761,13 +764,19 @@ func (l *Lake) rebuildIndexesFromCoverage() {
 			tables = append(tables, t)
 		}
 	}
+	built := make(chan *organize.DSKNN, 1)
+	go func() {
+		knn := organize.NewDSKNN()
+		for _, t := range tables {
+			knn.Add(t)
+		}
+		built <- knn
+	}()
 	ex := explore.NewExplorer()
-	if err := ex.Index(tables); err == nil {
+	err := ex.Index(tables)
+	knn := <-built
+	if err == nil {
 		l.Explorer = ex
-	}
-	knn := organize.NewDSKNN()
-	for _, t := range tables {
-		knn.Add(t)
 	}
 	l.knn = knn
 	// A derivation that landed after the last committed pass has no

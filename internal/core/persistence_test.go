@@ -10,15 +10,18 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"golake/internal/explore"
+	"golake/internal/organize"
 	"golake/internal/persist"
 	"golake/internal/provenance"
 	"golake/internal/storage/filestore"
 	"golake/internal/table"
+	"golake/internal/workload"
 	"golake/lakeerr"
 )
 
@@ -603,5 +606,66 @@ func TestHTTPDurabilityStatusAndEvict(t *testing.T) {
 	}
 	if resp := del("raw/orders.csv", "carl"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("double evict = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestPersistReopenRebuildsCategoriesAndRelated: reopening a maintained
+// lake builds DS-kNN beside the explorer index. The categories must be
+// those of a DS-kNN built sequentially over the covered tables in the
+// same sorted order, and related-table answers those served before the
+// close, with no goroutine left behind. The lake is maintained by a
+// full pass: after an incremental one the D3L embedding is an
+// approximation that a rebuild squares up, so answers may move.
+func TestPersistReopenRebuildsCategoriesAndRelated(t *testing.T) {
+	leakCheck(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	spec := workload.DefaultSpec()
+	spec.NumTables, spec.RowsPerTable = 24, 40
+	corpus := workload.GenerateCorpus(spec)
+	l := openPersistent(t, dir)
+	l.AddUser("dana", RoleDataScientist)
+	for _, tb := range corpus.Tables {
+		if _, err := l.Ingest(ctx, "raw/"+tb.Name+".csv", []byte(table.ToCSV(tb)), "generator", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.Maintain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	related := func(l *Lake) map[string][]explore.Result {
+		out := map[string][]explore.Result{}
+		for _, tb := range corpus.Tables {
+			res, err := l.RelatedTables(ctx, "dana", tb.Name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[tb.Name] = res
+		}
+		return out
+	}
+	want := related(l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openPersistent(t, dir)
+	defer re.Close()
+	seq := organize.NewDSKNN()
+	for _, name := range re.planner.Covered() {
+		tb, err := re.Poly.Rel.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq.Add(tb)
+	}
+	if got, want := re.knn.Categories(), seq.Categories(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened categories = %v, sequential build = %v", got, want)
+	}
+	if len(seq.Categories()) < 2 {
+		t.Errorf("sequential build has %d categories; the corpus should split", len(seq.Categories()))
+	}
+	if got := related(re); !reflect.DeepEqual(got, want) {
+		t.Errorf("related tables after reopen = %v, before close = %v", got, want)
 	}
 }

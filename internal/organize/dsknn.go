@@ -24,11 +24,33 @@ type DSKNN struct {
 
 	// dict interns the attribute names, tokens and sampled values of
 	// every categorised dataset.
-	dict       *sketch.Dict
-	features   map[string]*dsFeatures
+	dict *sketch.Dict
+	// members lists the categorised datasets in arrival order with
+	// their profiles and categories, so the neighbour scan reads no map.
+	members    []dsMember
 	categories map[string]int
-	order      []string
 	nextCat    int
+}
+
+// dsMember is one categorised dataset: its profile and category.
+type dsMember struct {
+	f   *dsFeatures
+	cat int
+}
+
+// neighbor is a categorised dataset scored against an incoming one.
+type neighbor struct {
+	name string
+	sim  float64
+	cat  int
+}
+
+// before orders neighbours by similarity descending, then name.
+func (a neighbor) before(b neighbor) bool {
+	if a.sim != b.sim {
+		return a.sim > b.sim
+	}
+	return a.name < b.name
 }
 
 type dsFeatures struct {
@@ -52,7 +74,6 @@ func NewDSKNN() *DSKNN {
 		K:          3,
 		MinSim:     0.55,
 		dict:       sketch.NewDict(),
-		features:   map[string]*dsFeatures{},
 		categories: map[string]int{},
 	}
 }
@@ -112,62 +133,80 @@ func (d *DSKNN) Similarity(a, b *dsFeatures) float64 {
 // the assigned category ID — the incremental k-NN step of DS-kNN.
 func (d *DSKNN) Add(t *table.Table) int {
 	f := dsProfile(t, d.dict)
-	type scored struct {
-		name string
-		sim  float64
-	}
-	var neighbors []scored
-	for _, name := range d.order {
-		neighbors = append(neighbors, scored{name: name, sim: d.Similarity(f, d.features[name])})
-	}
-	sort.Slice(neighbors, func(i, j int) bool {
-		if neighbors[i].sim != neighbors[j].sim {
-			return neighbors[i].sim > neighbors[j].sim
+	best := d.nearest(f)
+	cat, bestVotes := -1, 0
+	for _, nb := range best {
+		if nb.sim < d.MinSim {
+			continue
 		}
-		return neighbors[i].name < neighbors[j].name
-	})
-	if len(neighbors) > d.K {
-		neighbors = neighbors[:d.K]
-	}
-	votes := map[int]int{}
-	for _, nb := range neighbors {
-		if nb.sim >= d.MinSim {
-			votes[d.categories[nb.name]]++
+		votes := 0
+		for _, o := range best {
+			if o.sim >= d.MinSim && o.cat == nb.cat {
+				votes++
+			}
 		}
-	}
-	cat := -1
-	bestVotes := 0
-	for c, v := range votes {
-		if v > bestVotes || (v == bestVotes && c < cat) {
-			cat, bestVotes = c, v
+		if votes > bestVotes || (votes == bestVotes && nb.cat < cat) {
+			cat, bestVotes = nb.cat, votes
 		}
 	}
 	if cat < 0 {
 		cat = d.nextCat
 		d.nextCat++
 	}
-	d.features[t.Name] = f
+	if _, ok := d.categories[t.Name]; ok {
+		// A retried maintenance pass adds a dataset again; every entry
+		// it has then scores and votes as its latest profile and category.
+		for i := range d.members {
+			if d.members[i].f.name == t.Name {
+				d.members[i] = dsMember{f: f, cat: cat}
+			}
+		}
+	}
 	d.categories[t.Name] = cat
-	d.order = append(d.order, t.Name)
+	d.members = append(d.members, dsMember{f: f, cat: cat})
 	return cat
+}
+
+// nearest returns the K categorised datasets most similar to f, most
+// similar first and ties by name, kept by insertion into K slots.
+func (d *DSKNN) nearest(f *dsFeatures) []neighbor {
+	k := max(d.K, 0)
+	best := make([]neighbor, 0, k)
+	for _, m := range d.members {
+		nb := neighbor{name: m.f.name, sim: d.Similarity(f, m.f), cat: m.cat}
+		j := len(best)
+		switch {
+		case j < k:
+			best = append(best, nb)
+		case j > 0 && nb.before(best[j-1]):
+			j--
+		default:
+			continue
+		}
+		for ; j > 0 && nb.before(best[j-1]); j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = nb
+	}
+	return best
 }
 
 // Remove drops a dataset's profile and category assignment. Categories
 // opened because of it stay numbered — classification of the remaining
 // members is unaffected.
 func (d *DSKNN) Remove(name string) {
-	if _, ok := d.features[name]; !ok {
+	if _, ok := d.categories[name]; !ok {
 		return
 	}
-	delete(d.features, name)
 	delete(d.categories, name)
-	kept := d.order[:0]
-	for _, n := range d.order {
-		if n != name {
-			kept = append(kept, n)
+	kept := d.members[:0]
+	for _, m := range d.members {
+		if m.f.name != name {
+			kept = append(kept, m)
 		}
 	}
-	d.order = kept
+	clear(d.members[len(kept):])
+	d.members = kept
 }
 
 // Category returns the assigned category of a dataset (-1 if unknown).

@@ -114,12 +114,12 @@ func TestDSKNNGraphEdges(t *testing.T) {
 	d.Add(a)
 	d.Add(b)
 	d.Add(c)
-	twins := d.Similarity(d.features["a"], d.features["b"])
+	twins := d.Similarity(featuresOf(d, "a"), featuresOf(d, "b"))
 	if twins < d.MinSim {
 		t.Fatalf("twin similarity %v below MinSim %v", twins, d.MinSim)
 	}
 	for _, other := range []string{"a", "b"} {
-		if sim := d.Similarity(d.features[other], d.features["c"]); sim >= twins {
+		if sim := d.Similarity(featuresOf(d, other), featuresOf(d, "c")); sim >= twins {
 			t.Errorf("dissimilar dataset c: similarity to %s %v >= twins' %v", other, sim, twins)
 		}
 	}

@@ -70,14 +70,33 @@ func FuzzAppendTokens(f *testing.F) {
 	})
 }
 
-// Levenshtein, ASCII path or not, agrees with the rune-slice body.
+// refLevenshteinSim is LevenshteinSim over refLevenshtein, as it was
+// before the equal-string shortcut.
+func refLevenshteinSim(a, b string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	m := max(len([]rune(a)), len([]rune(b)))
+	return 1 - float64(refLevenshtein(a, b))/float64(m)
+}
+
+// Levenshtein, ASCII path, equal-string shortcut or neither, agrees
+// with the rune-slice body, and LevenshteinSim with its normalisation.
+// Independent inputs almost never collide, so equal pairs are seeded.
 func FuzzLevenshtein(f *testing.F) {
 	for i, a := range textSeeds {
 		f.Add(a, textSeeds[(i+3)%len(textSeeds)])
+		f.Add(a, a)
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if got, want := Levenshtein(a, b), refLevenshtein(a, b); got != want {
 			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		if got := Levenshtein(a, a); got != 0 {
+			t.Fatalf("Levenshtein(%q, itself) = %d, want 0", a, got)
+		}
+		if got, want := LevenshteinSim(a, b), refLevenshteinSim(a, b); got != want {
+			t.Fatalf("LevenshteinSim(%q, %q) = %v, want %v", a, b, got, want)
 		}
 	})
 }

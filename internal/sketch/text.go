@@ -173,8 +173,12 @@ func RegexPattern(s string) string {
 }
 
 // Levenshtein computes the edit distance between two strings. DS-kNN
-// compares dataset feature strings with it.
+// compares dataset feature strings with it; most pairs are equal, and
+// those return before any table is built.
 func Levenshtein(a, b string) int {
+	if a == b {
+		return 0
+	}
 	if len(a) < asciiRow && len(b) < asciiRow && isASCII(a) && isASCII(b) {
 		return levenshteinASCII(a, b)
 	}
@@ -247,7 +251,7 @@ func isASCII(s string) bool {
 
 // LevenshteinSim normalizes edit distance to a similarity in [0,1].
 func LevenshteinSim(a, b string) float64 {
-	if len(a) == 0 && len(b) == 0 {
+	if a == b {
 		return 1
 	}
 	d := Levenshtein(a, b)
