@@ -1,8 +1,8 @@
 // Federation: heterogeneous data living in different member stores of
 // the polystore — relational hotels, document reviews, a property
-// graph of owners — queried through one SQL dialect, then integrated
-// Constance-style (matching -> integrated schema -> rewriting) and
-// ALITE-style (full disjunction).
+// graph of owners — queried through one SQL dialect, then integrated:
+// Constance-style schema matching clusters the columns that agree, and
+// ALITE-style full disjunction merges the tables over those clusters.
 package main
 
 import (
@@ -34,11 +34,6 @@ const reviews = `{"hotel":"adlon","stars":5,"text":"grand"}
 {"hotel":"lutetia","stars":5,"text":"belle"}
 `
 
-const owners = `{"nodes":[
-  {"id":"o1","label":"owner","props":{"name":"kempinski","hotel":"adlon"}},
-  {"id":"o2","label":"owner","props":{"name":"hilton","hotel":"drake"}}],
- "edges":[{"from":"o1","to":"o2","label":"competitor"}]}`
-
 func main() {
 	dir, err := os.MkdirTemp("", "golake-federation-*")
 	if err != nil {
@@ -62,12 +57,17 @@ func main() {
 	fmt.Printf("  %s -> %s\n", "hotels_eu.csv", ingest("raw/hotels_eu.csv", hotelsEU).Target)
 	fmt.Printf("  %s -> %s\n", "hotels_us.csv", ingest("raw/hotels_us.csv", hotelsUS).Target)
 	fmt.Printf("  %s -> %s\n", "reviews.jsonl", ingest("raw/reviews.jsonl", reviews).Target)
-	if _, err := poly.IngestAs("raw/owners.json", []byte(owners), polystore.TargetGraph); err != nil {
+
+	// The property graph of owners goes straight into the graph store.
+	poly.Graph.UpsertNode("o1", "owner", map[string]any{"name": "kempinski", "hotel": "adlon"})
+	poly.Graph.UpsertNode("o2", "owner", map[string]any{"name": "hilton", "hotel": "drake"})
+	if _, err := poly.Graph.AddEdge("o1", "o2", "competitor", nil); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("  owners.json -> graph (user override)")
+	fmt.Println("  owners -> graph (loaded directly)")
 
 	// One language over all stores.
+	ctx := context.Background()
 	engine := query.NewEngine(poly)
 	for _, sql := range []string{
 		"SELECT hotel, price FROM rel:hotels_eu WHERE price > 350",
@@ -75,32 +75,33 @@ func main() {
 		"SELECT name, hotel FROM graph:owner",
 		"SELECT hotel FROM rel:hotels_eu, rel:hotels_us WHERE price >= 300",
 	} {
-		res, err := engine.ExecuteSQL(context.Background(), sql)
+		st, err := engine.Query(ctx, query.Request{SQL: sql, FanIn: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := query.Collect(ctx, st)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s\n%s", sql, table.ToCSV(res))
 	}
 
-	// Constance-style partial integration of the two hotel sources.
-	eu, _ := poly.Rel.Table("hotels_eu")
-	us, _ := poly.Rel.Table("hotels_us")
-	tables := []*table.Table{eu, us}
+	// Constance-style schema matching of the two hotel sources:
+	// columns that agree by name and values fall into one cluster.
+	var tables []*table.Table
+	for _, name := range []string{"hotels_eu", "hotels_us"} {
+		t, err := poly.Rel.Table(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tables = append(tables, t)
+	}
 	corrs := integrate.MatchAll(tables, integrate.DefaultMatchConfig())
 	clusters := integrate.Cluster(tables, corrs)
-	schema := integrate.BuildIntegratedSchema(tables, clusters, 2)
-	fmt.Printf("\nintegrated schema: %s\n", schema)
-	subs, err := schema.Rewrite(schema.AttributeNames(), "", "")
-	if err != nil {
-		log.Fatal(err)
+	fmt.Println("\ncolumn clusters:")
+	for _, cl := range clusters {
+		fmt.Printf("  %v\n", cl)
 	}
-	merged, err := integrate.Execute(subs, func(name string) (*table.Table, error) {
-		return poly.Rel.Table(name)
-	}, schema.AttributeNames())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("integrated result (%d rows):\n%s", merged.NumRows(), table.ToCSV(merged))
 
 	// ALITE-style full disjunction preserves every tuple and connects
 	// the ones that agree.

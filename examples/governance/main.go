@@ -13,7 +13,6 @@ import (
 	"golake"
 	"golake/internal/clean"
 	"golake/internal/evolve"
-	"golake/internal/table"
 	"golake/internal/workload"
 	"golake/lakeerr"
 )
@@ -60,7 +59,10 @@ s6,rome,it
 	}
 
 	// Derivation + lineage.
-	stations, _ := lake.Poly.Rel.Table("stations")
+	stations, err := lake.Poly.Rel.Table("stations")
+	if err != nil {
+		log.Fatal(err)
+	}
 	german := stations.Filter(func(row []string) bool { return row[2] == "de" })
 	german.Name = "german_stations"
 	if err := lake.Derive(ctx, "dana", "filter_de", []string{"raw/stations.csv"}, german); err != nil {
@@ -80,16 +82,14 @@ s6,rome,it
 	fmt.Printf("audit trail for raw/stations.csv: %d events (last: %s by %s)\n",
 		len(events), events[len(events)-1].Kind, events[len(events)-1].User)
 
-	// CLAMS-style cleaning: discover constraints, rank violating
-	// triples, let a (scripted) curator confirm.
-	tbl, _ := lake.Poly.Rel.Table("stations")
-	constraints := clean.DiscoverConstraints(tbl, 0.7)
-	ranked := clean.RankViolations(tbl, constraints)
+	// CLAMS-style cleaning: discover constraints and rank the violating
+	// triples, dirtiest first, for a curator to confirm.
+	constraints := clean.DiscoverConstraints(stations, 0.7)
+	ranked := clean.RankViolations(stations, constraints)
 	fmt.Printf("constraint violations found: %d candidate dirty triples\n", len(ranked))
-	cleaned, removed := clean.CleanWithOracle(tbl, ranked, func(tr clean.Triple) bool {
-		return tr.Predicate == "country" // curator: the country cell is wrong, not the city
-	})
-	fmt.Printf("cleaned %d cells; row 2 country now %q\n", removed, cell(cleaned, "country", 2))
+	for _, v := range ranked {
+		fmt.Printf("  %s in %d violations\n", v.Triple, v.Violations)
+	}
 
 	// Schema evolution: reconstruct the history of an evolving feed.
 	vd := workload.GenerateVersions(workload.SchemaVersionSpec{Versions: 6, DocsPer: 8, Seed: 4})
@@ -102,12 +102,4 @@ s6,rome,it
 		lines = append(lines, op.String())
 	}
 	fmt.Printf("schema evolution history (%d ops):\n  %s\n", len(ops), strings.Join(lines, "\n  "))
-}
-
-func cell(t *table.Table, col string, row int) string {
-	c, err := t.Column(col)
-	if err != nil || row >= c.Len() {
-		return "?"
-	}
-	return c.Cells[row]
 }

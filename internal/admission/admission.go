@@ -206,23 +206,6 @@ func (c *Controller) SetHooks(h Hooks) { c.hooks = h }
 // Config returns the controller's (normalized) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// InFlight reports the global number of admitted, unreleased queries.
-func (c *Controller) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inFlight
-}
-
-// UserInFlight reports one user's admitted, unreleased queries.
-func (c *Controller) UserInFlight(user string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if u := c.users[user]; u != nil {
-		return u.inFlight
-	}
-	return 0
-}
-
 // EffectiveTimeout resolves a request's deadline against the
 // default/clamp knobs: 0 takes DefaultTimeout, and MaxTimeout caps
 // the result (including "unbounded" requests when a clamp is set).

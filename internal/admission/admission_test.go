@@ -89,15 +89,15 @@ func TestAdmissionSaturationBurst(t *testing.T) {
 	// Let the burst settle: 2 running, up to 2 queued, rest shed.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if int(admitted.Load())+int(shed.Load()) >= burst-2 && c.InFlight() == 2 {
+		if int(admitted.Load())+int(shed.Load()) >= burst-2 && inFlight(c) == 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := c.InFlight(); got != 2 {
+	if got := inFlight(c); got != 2 {
 		t.Errorf("in-flight during burst = %d, want exactly 2", got)
 	}
-	if got := c.UserInFlight("alice"); got != 2 {
+	if got := userInFlight(c, "alice"); got != 2 {
 		t.Errorf("user in-flight = %d, want 2", got)
 	}
 	close(release)
@@ -118,7 +118,7 @@ func TestAdmissionSaturationBurst(t *testing.T) {
 	if s := shed.Load(); int(s) != burst-int(admitted.Load()) {
 		t.Errorf("shed = %d, admitted = %d, want them to cover the burst of %d", s, admitted.Load(), burst)
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := inFlight(c); got != 0 {
 		t.Errorf("in-flight after release = %d, want 0", got)
 	}
 	leak()
@@ -155,8 +155,8 @@ func TestQueueHandsSlotToWaiter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("slot was not handed to the waiter")
 	}
-	if c.InFlight() != 0 {
-		t.Errorf("in-flight = %d after both released", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Errorf("in-flight = %d after both released", inFlight(c))
 	}
 }
 
@@ -264,8 +264,8 @@ func TestTicketReleaseIdempotent(t *testing.T) {
 		t.Fatalf("admit after double release: %v", err)
 	}
 	tk2.Release()
-	if c.InFlight() != 0 {
-		t.Errorf("in-flight = %d, want 0 (double Release must not underflow)", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Errorf("in-flight = %d, want 0 (double Release must not underflow)", inFlight(c))
 	}
 }
 
@@ -367,7 +367,24 @@ func TestConcurrentStressInvariant(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.InFlight() != 0 {
-		t.Errorf("in-flight = %d after stress", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Errorf("in-flight = %d after stress", inFlight(c))
 	}
+}
+
+// inFlight reads the global number of admitted, unreleased queries.
+func inFlight(c *Controller) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inFlight
+}
+
+// userInFlight reads one user's admitted, unreleased queries.
+func userInFlight(c *Controller, user string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if u := c.users[user]; u != nil {
+		return u.inFlight
+	}
+	return 0
 }

@@ -1,7 +1,8 @@
 // Package clean implements the data-cleaning function of the
 // maintenance tier (Sec. 6.5): CLAMS-style constraint-based error
-// detection with hypergraph ranking and user validation, over the
-// relaxed functional dependencies Constance discovers.
+// detection, ranking candidate errors on a violation hypergraph for
+// user validation, over the relaxed functional dependencies Constance
+// discovers.
 package clean
 
 import (
@@ -22,20 +23,6 @@ type Triple struct {
 
 // String renders "(s, p, o)".
 func (t Triple) String() string { return fmt.Sprintf("(%s, %s, %s)", t.Subject, t.Predicate, t.Object) }
-
-// TablesToTriples flattens a table into triples: (rowID, column,
-// value), the extraction step CLAMS applies before constraint
-// discovery.
-func TablesToTriples(t *table.Table) []Triple {
-	var out []Triple
-	for i := 0; i < t.NumRows(); i++ {
-		subj := fmt.Sprintf("%s/%d", t.Name, i)
-		for _, c := range t.Columns {
-			out = append(out, Triple{Subject: subj, Predicate: c.Name, Object: c.Cells[i]})
-		}
-	}
-	return out
-}
 
 // DiscoveredConstraint is a functional denial constraint discovered
 // from the data itself: determinant predicate -> dependent predicate
@@ -156,44 +143,4 @@ func eachViolation(t *table.Table, constraints []DiscoveredConstraint, visit fun
 			}
 		}
 	}
-}
-
-// Oracle answers CLAMS's user-validation question: should this
-// candidate dirty triple be removed? Scripted oracles replace the
-// human-in-the-loop in tests and benches.
-type Oracle func(t Triple) bool
-
-// CleanWithOracle removes the cells whose violating triples the oracle
-// confirms, blanking them in a copy of the table. Returns the cleaned
-// table and how many cells were blanked.
-func CleanWithOracle(t *table.Table, ranked []Violation, oracle Oracle) (*table.Table, int) {
-	out := t.Clone()
-	removed := 0
-	for _, v := range ranked {
-		if !oracle(v.Triple) {
-			continue
-		}
-		var row int
-		if n, err := fmt.Sscanf(lastSegment(v.Triple.Subject), "%d", &row); n != 1 || err != nil {
-			continue
-		}
-		col, err := out.Column(v.Triple.Predicate)
-		if err != nil || row >= col.Len() {
-			continue
-		}
-		if col.Cells[row] == v.Triple.Object {
-			col.Cells[row] = ""
-			removed++
-		}
-	}
-	return out, removed
-}
-
-func lastSegment(s string) string {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return s[i+1:]
-		}
-	}
-	return s
 }

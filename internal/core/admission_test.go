@@ -143,10 +143,16 @@ func TestHTTPBurstShedsWith429(t *testing.T) {
 		RetryAfter:           2 * time.Second,
 	})
 	// Hold every running query on its first row until released, so the
-	// burst observes a stable saturated state.
+	// burst observes a stable saturated state. A query reaches its first
+	// row only after admission has counted it.
 	block := make(chan struct{})
+	running := make(chan struct{}, 2)
 	l.Engine.Fault = func(stage string) error {
 		if stage == "next" {
+			select {
+			case running <- struct{}{}:
+			default:
+			}
 			<-block
 		}
 		return nil
@@ -198,8 +204,15 @@ func TestHTTPBurstShedsWith429(t *testing.T) {
 			t.Errorf("429 body lacks typed code: %s", o.body)
 		}
 	}
-	if g := l.adm.InFlight(); g != 2 {
-		t.Errorf("in-flight during saturation = %d, want exactly 2", g)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-running:
+		case <-time.After(5 * time.Second):
+			t.Fatal("admitted queries never reached their first row")
+		}
+	}
+	if g := l.metrics.admInFlight.With("dana").Value(); g != 2 {
+		t.Errorf("in-flight during saturation = %v, want exactly 2", g)
 	}
 	close(block)
 	wg.Wait()

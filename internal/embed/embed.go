@@ -84,10 +84,6 @@ func (c *contexts) open(values []string, dim int, total *float64, toks []string)
 	return toks
 }
 
-// AddColumn feeds one column of values into the co-occurrence model.
-// Each column is one context; tokens inside values share that context.
-func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
-
 // Staged is a batch of columns counted against a model without changing
 // it: the new contexts are numbered after the model's, and the staged
 // view embeds exactly as the model will once Commit appends them. The
@@ -123,9 +119,9 @@ func (m *Model) Stage(columns [][]string) *Staged {
 
 // Commit appends the staged contexts to the model and installs the
 // token vectors the staged view computed as the model's memo: after it,
-// the model is what AddColumn of each staged column would have left,
-// with those vectors memoised. It panics if the model gained contexts
-// since Stage. The Staged must not be used after Commit.
+// the model is what committing each staged column on its own would
+// have left, with those vectors memoised. It panics if the model gained
+// contexts since Stage. The Staged must not be used after Commit.
 func (s *Staged) Commit() {
 	m := s.m
 	if len(m.contextCnt) != s.base {
@@ -163,7 +159,7 @@ func (s *Staged) tokenVector(tok string) []float64 {
 // Vector returns the embedding of a single token (lowercased). Unknown
 // tokens get a deterministic hash-based vector so that equal unknown
 // strings still match each other. The token vectors it computes are
-// memoised in the model until the next AddColumn, so Vector writes the
+// memoised in the model until the next Commit, so Vector writes the
 // model; readers that share it use a Reader.
 func (m *Model) Vector(token string) []float64 {
 	var buf [8]string

@@ -8,6 +8,11 @@ import (
 	"golake/internal/sketch"
 )
 
+// AddColumn feeds one column of values into the co-occurrence model: the
+// sequential reference the staged path must match. Each column is one
+// context; tokens inside values share that context.
+func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
+
 func TestSameDomainValuesEmbedClose(t *testing.T) {
 	m := NewModel(64)
 	colors := []string{"red", "green", "blue", "red", "green"}

@@ -90,47 +90,3 @@ func DiscoverRFDs(t *table.Table, minConfidence float64) []RFD {
 	})
 	return out
 }
-
-// RFDViolations returns the row indexes violating a discovered RFD —
-// the rows whose RHS value differs from their LHS group's majority.
-// Constance flags exactly these as potentially erroneous (Sec. 6.5.1).
-func RFDViolations(t *table.Table, dep RFD) ([]int, error) {
-	lhs, err := t.Column(dep.Lhs)
-	if err != nil {
-		return nil, err
-	}
-	rhs, err := t.Column(dep.Rhs)
-	if err != nil {
-		return nil, err
-	}
-	groups := map[string][]int{}
-	for i, v := range lhs.Cells {
-		groups[v] = append(groups[v], i)
-	}
-	var out []int
-	for _, rows := range groups {
-		freq := map[string]int{}
-		for _, ri := range rows {
-			freq[rhs.Cells[ri]]++
-		}
-		var majority string
-		best := -1
-		var vals []string
-		for v := range freq {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		for _, v := range vals {
-			if freq[v] > best {
-				majority, best = v, freq[v]
-			}
-		}
-		for _, ri := range rows {
-			if rhs.Cells[ri] != majority {
-				out = append(out, ri)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}

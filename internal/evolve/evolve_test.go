@@ -63,23 +63,6 @@ func TestDiffVersionsRenameByName(t *testing.T) {
 	}
 }
 
-func TestValidateOps(t *testing.T) {
-	ops := []Operation{
-		{FromVersion: 0, Kind: "rename", Field: "a", NewField: "b", Ambiguous: true},
-		{FromVersion: 0, Kind: "add", Field: "c"},
-	}
-	// User rejects the rename.
-	out := ValidateOps(ops, func(Operation) bool { return false })
-	if len(out) != 3 {
-		t.Fatalf("validated ops = %+v", out)
-	}
-	// User accepts.
-	out = ValidateOps(ops, func(Operation) bool { return true })
-	if len(out) != 2 || out[0].Kind != "rename" {
-		t.Fatalf("accepted ops = %+v", out)
-	}
-}
-
 func TestHistoryAgainstGeneratedGroundTruth(t *testing.T) {
 	spec := workload.SchemaVersionSpec{Versions: 8, DocsPer: 10, Seed: 19}
 	vd := workload.GenerateVersions(spec)
@@ -132,56 +115,5 @@ func TestHistoryAgainstGeneratedGroundTruth(t *testing.T) {
 	rate := float64(recovered) / float64(len(vd.Ops))
 	if rate < 0.85 {
 		t.Errorf("op recovery = %.2f (%d/%d)\n got: %v\nwant: %v", rate, recovered, len(vd.Ops), ops, vd.Ops)
-	}
-}
-
-func TestDetectInclusions(t *testing.T) {
-	// Orders reference customer ids: orders.cust ⊆ customers.id.
-	customers, _ := ExtractEntityType(0, []string{
-		`{"id":"c1","city":"berlin"}`, `{"id":"c2","city":"paris"}`, `{"id":"c3","city":"rome"}`,
-	})
-	orders, _ := ExtractEntityType(1, []string{
-		`{"cust":"c1","total":10}`, `{"cust":"c2","total":20}`, `{"cust":"c1","total":30}`,
-	})
-	inds := DetectInclusions(orders, customers, 1, 1.0)
-	found := false
-	for _, ind := range inds {
-		if len(ind.Lhs) == 1 && ind.Lhs[0] == "cust" && ind.Rhs[0] == "id" && ind.Coverage == 1.0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("cust⊆id not detected: %+v", inds)
-	}
-}
-
-func TestDetectBinaryInclusions(t *testing.T) {
-	// The k-ary case: (a,b) pairs of t1 contained in (x,y) pairs of t2.
-	t1, _ := ExtractEntityType(0, []string{`{"a":"1","b":"x"}`, `{"a":"2","b":"y"}`})
-	t2, _ := ExtractEntityType(1, []string{
-		`{"x":"1","y":"x"}`, `{"x":"2","y":"y"}`, `{"x":"3","y":"z"}`,
-	})
-	inds := DetectInclusions(t1, t2, 2, 1.0)
-	foundBinary := false
-	for _, ind := range inds {
-		if len(ind.Lhs) == 2 {
-			foundBinary = true
-		}
-	}
-	if !foundBinary {
-		t.Errorf("no binary IND detected: %+v", inds)
-	}
-}
-
-func TestCombinations(t *testing.T) {
-	got := combinations([]string{"a", "b", "c"}, 2)
-	if len(got) != 3 {
-		t.Errorf("C(3,2) = %d", len(got))
-	}
-	if combinations([]string{"a"}, 2) != nil {
-		t.Error("k > n should be nil")
-	}
-	if combinations([]string{"a"}, 0) != nil {
-		t.Error("k = 0 should be nil")
 	}
 }

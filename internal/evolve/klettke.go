@@ -1,10 +1,9 @@
 // Package evolve implements the schema-evolution function of the
 // maintenance tier (Sec. 6.6), following Klettke et al.: entity types
 // (the structures of persisted JSON objects) are extracted per loaded
-// batch with timestamps; consecutive structure versions are diffed into
-// evolution operations (add / delete / rename, with user validation for
-// ambiguous alternatives); and k-ary inclusion dependencies are
-// detected across entity types of "less normalized" NoSQL data.
+// batch with timestamps, and consecutive structure versions are diffed
+// into evolution operations (add / delete / rename, with ambiguous
+// renames marked for user validation).
 package evolve
 
 import (
@@ -20,8 +19,7 @@ import (
 type EntityType struct {
 	Version int
 	Fields  map[string]bool
-	// FieldValues samples values per field for rename detection and
-	// inclusion dependencies.
+	// FieldValues samples values per field for rename detection.
 	FieldValues map[string][]string
 }
 
@@ -152,129 +150,4 @@ func History(batches [][]string) ([]*EntityType, []Operation, error) {
 		}
 	}
 	return types, ops, nil
-}
-
-// Validator resolves ambiguous operations; Klettke et al. put the user
-// in this role. Returning false turns a proposed rename into the
-// delete+add pair.
-type Validator func(op Operation) bool
-
-// ValidateOps applies the validator to ambiguous operations.
-func ValidateOps(ops []Operation, validate Validator) []Operation {
-	var out []Operation
-	for _, op := range ops {
-		if op.Kind == "rename" && op.Ambiguous && !validate(op) {
-			out = append(out,
-				Operation{FromVersion: op.FromVersion, Kind: "delete", Field: op.Field},
-				Operation{FromVersion: op.FromVersion, Kind: "add", Field: op.NewField},
-			)
-			continue
-		}
-		out = append(out, op)
-	}
-	return out
-}
-
-// InclusionDependency records that the value combinations of Lhs
-// (fields of one entity type) are contained in those of Rhs (fields of
-// another) — the k-ary INDs of Klettke et al.
-type InclusionDependency struct {
-	LhsType int // version/index of the entity type
-	Lhs     []string
-	RhsType int
-	Rhs     []string
-	// Coverage is the contained fraction (1.0 = strict IND).
-	Coverage float64
-}
-
-// DetectInclusions finds k-ary inclusion dependencies between two
-// entity types for k in 1..maxK, keeping those with coverage >=
-// minCoverage. Field tuples are compared positionally after sorting
-// field names.
-func DetectInclusions(a, b *EntityType, maxK int, minCoverage float64) []InclusionDependency {
-	var out []InclusionDependency
-	ids := sketch.NewDict()
-	aFields := sortedFields(a)
-	bFields := sortedFields(b)
-	for k := 1; k <= maxK; k++ {
-		for _, lhs := range combinations(aFields, k) {
-			lhsTuples := tuples(a, lhs, ids)
-			if len(lhsTuples) == 0 {
-				continue
-			}
-			for _, rhs := range combinations(bFields, k) {
-				rhsTuples := tuples(b, rhs, ids)
-				if len(rhsTuples) == 0 {
-					continue
-				}
-				cov := sketch.Containment(lhsTuples, rhsTuples)
-				if cov >= minCoverage {
-					out = append(out, InclusionDependency{
-						LhsType: a.Version, Lhs: lhs,
-						RhsType: b.Version, Rhs: rhs,
-						Coverage: cov,
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Coverage != out[j].Coverage {
-			return out[i].Coverage > out[j].Coverage
-		}
-		return fmt.Sprint(out[i].Lhs, out[i].Rhs) < fmt.Sprint(out[j].Lhs, out[j].Rhs)
-	})
-	return out
-}
-
-func sortedFields(et *EntityType) []string {
-	out := make([]string, 0, len(et.Fields))
-	for f := range et.Fields {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// tuples renders the distinct per-document value tuples of the given
-// fields, interned through ids.
-func tuples(et *EntityType, fields []string, ids *sketch.Dict) sketch.Set {
-	n := -1
-	for _, f := range fields {
-		vs := et.FieldValues[f]
-		if n < 0 || len(vs) < n {
-			n = len(vs)
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		key := ""
-		for _, f := range fields {
-			key += et.FieldValues[f][i] + "\x00"
-		}
-		out[i] = key
-	}
-	return ids.Set(out)
-}
-
-func combinations(items []string, k int) [][]string {
-	if k <= 0 || k > len(items) {
-		return nil
-	}
-	var out [][]string
-	var rec func(start int, cur []string)
-	rec = func(start int, cur []string) {
-		if len(cur) == k {
-			out = append(out, append([]string(nil), cur...))
-			return
-		}
-		for i := start; i < len(items); i++ {
-			rec(i+1, append(cur, items[i]))
-		}
-	}
-	rec(0, nil)
-	return out
 }

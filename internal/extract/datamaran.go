@@ -229,23 +229,3 @@ func contains(seq, sub []string) bool {
 	}
 	return false
 }
-
-// TemplateRecovery scores extracted templates against ground-truth
-// skeleton patterns: the fraction of true templates for which some
-// extracted template matches the generalized pattern sequence.
-func TemplateRecovery(extracted []StructureTemplate, truth [][]string) float64 {
-	if len(truth) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, want := range truth {
-		wantKey := strings.Join(want, "↵")
-		for _, ex := range extracted {
-			if ex.Key() == wantKey {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(truth))
-}

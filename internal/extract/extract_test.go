@@ -112,7 +112,7 @@ func TestDatamaranRecoversTemplates(t *testing.T) {
 	// realized from the actual log lines. Build them by generalizing
 	// the first record of each template ID.
 	truth := truthPatterns(gl)
-	rec := TemplateRecovery(got, truth)
+	rec := templateRecovery(got, truth)
 	if rec < 0.75 {
 		t.Errorf("template recovery = %.2f, want >= 0.75 (extracted %d templates)", rec, len(got))
 	}
@@ -182,7 +182,7 @@ func TestDatamaranSingleTemplate(t *testing.T) {
 }
 
 func TestTemplateRecoveryEdge(t *testing.T) {
-	if got := TemplateRecovery(nil, nil); got != 0 {
+	if got := templateRecovery(nil, nil); got != 0 {
 		t.Errorf("empty recovery = %v", got)
 	}
 }
@@ -209,4 +209,24 @@ func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
 	if err != nil || tree.Table != nil || tree.Tree == nil {
 		t.Errorf("json with a table: %+v, %v", tree, err)
 	}
+}
+
+// templateRecovery scores extracted templates against ground-truth
+// skeleton patterns: the fraction of true templates for which some
+// extracted template matches the generalized pattern sequence.
+func templateRecovery(extracted []StructureTemplate, truth [][]string) float64 {
+	if len(truth) == 0 {
+		return 0
+	}
+	hit := 0
+	for _, want := range truth {
+		wantKey := strings.Join(want, "↵")
+		for _, ex := range extracted {
+			if ex.Key() == wantKey {
+				hit++
+				break
+			}
+		}
+	}
+	return float64(hit) / float64(len(truth))
 }

@@ -80,75 +80,6 @@ func TestClusterConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestIntegratedSchemaAndRewrite(t *testing.T) {
-	a := mustCSV(t, "a", "city,price\nberlin,100\nparis,150\nrome,90\n")
-	b := mustCSV(t, "b", "town,price\nberlin,110\nparis,140\nlyon,80\n")
-	tables := []*table.Table{a, b}
-	corrs := MatchAll(tables, DefaultMatchConfig())
-	clusters := Cluster(tables, corrs)
-	schema := BuildIntegratedSchema(tables, clusters, 2)
-	// Two shared attributes: city-ish and price.
-	if len(schema.Attributes) != 2 {
-		t.Fatalf("integrated attrs = %v", schema.AttributeNames())
-	}
-	if _, ok := schema.Attribute("price"); !ok {
-		t.Errorf("no price attribute: %v", schema.AttributeNames())
-	}
-	// Rewrite a selection over all attrs with a predicate on the city
-	// attribute.
-	cityAttr := schema.AttributeNames()[0]
-	if cityAttr == "price" {
-		cityAttr = schema.AttributeNames()[1]
-	}
-	subs, err := schema.Rewrite([]string{cityAttr, "price"}, cityAttr, "berlin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 2 {
-		t.Fatalf("subqueries = %d, want 2", len(subs))
-	}
-	lookup := func(name string) (*table.Table, error) {
-		for _, tb := range tables {
-			if tb.Name == name {
-				return tb, nil
-			}
-		}
-		return nil, table.ErrNoSuchColumn
-	}
-	res, err := Execute(subs, lookup, []string{cityAttr, "price"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// berlin appears in both sources.
-	if res.NumRows() != 2 {
-		t.Errorf("result rows = %d, want 2:\n%s", res.NumRows(), table.ToCSV(res))
-	}
-	for i := 0; i < res.NumRows(); i++ {
-		if res.Row(i)[0] != "berlin" {
-			t.Errorf("row %d = %v", i, res.Row(i))
-		}
-	}
-}
-
-func TestRewriteSkipsSourcesWithoutPredicate(t *testing.T) {
-	a := mustCSV(t, "a", "city,price\nberlin,100\n")
-	b := mustCSV(t, "b", "price\n90\n") // no city column
-	tables := []*table.Table{a, b}
-	schema := BuildIntegratedSchema(tables, Cluster(tables, MatchAll(tables, DefaultMatchConfig())), 1)
-	subs, err := schema.Rewrite([]string{"price"}, "city", "berlin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sq := range subs {
-		if sq.Table == "b" {
-			t.Error("source b cannot evaluate city predicate and must be skipped")
-		}
-	}
-	if _, err := schema.Rewrite([]string{"ghost"}, "", ""); err == nil {
-		t.Error("unknown attribute should error")
-	}
-}
-
 func TestFullDisjunctionTextbook(t *testing.T) {
 	// Classic 3-table FD example: chains connect via shared attributes.
 	r := mustCSV(t, "r", "a,b\n1,2\n")
@@ -277,14 +208,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return digits
-}
-
-func TestIntegratedSchemaString(t *testing.T) {
-	a := mustCSV(t, "a", "city\nberlin\n")
-	b := mustCSV(t, "b", "city\nparis\n")
-	tables := []*table.Table{a, b}
-	schema := BuildIntegratedSchema(tables, Cluster(tables, MatchAll(tables, DefaultMatchConfig())), 2)
-	if got := schema.String(); !strings.Contains(got, "city<-{a.city,b.city}") {
-		t.Errorf("String = %q", got)
-	}
 }

@@ -1,8 +1,7 @@
 // Package integrate implements the data-integration function of the
-// maintenance tier (Sec. 6.3): Constance's pipeline — schema matching,
-// integrated schema generation, schema mappings, and query rewriting
-// with conflict resolution — and ALITE's holistic integration of
-// discovered tables via column clustering and Full Disjunction.
+// maintenance tier (Sec. 6.3): Constance's schema matching, and ALITE's
+// holistic integration of discovered tables via column clustering and
+// Full Disjunction.
 package integrate
 
 import (

@@ -126,60 +126,3 @@ func (m *GEMMSModel) Annotate(id, element, term string) error {
 	obj.Semantics[element] = append(obj.Semantics[element], term)
 	return nil
 }
-
-// FindByProperty returns the IDs of objects whose property key equals
-// value, sorted.
-func (m *GEMMSModel) FindByProperty(key, value string) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for id, obj := range m.objects {
-		if obj.Properties[key] == value {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FindBySemantic returns the IDs of objects with the given ontology
-// term on any element, sorted.
-func (m *GEMMSModel) FindBySemantic(term string) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for id, obj := range m.objects {
-		for _, terms := range obj.Semantics {
-			if containsStr(terms, term) {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FindByAttribute returns the IDs of objects having an attribute with
-// the given name, sorted.
-func (m *GEMMSModel) FindByAttribute(name string) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for id, obj := range m.objects {
-		if _, ok := obj.Attributes[name]; ok {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func containsStr(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}

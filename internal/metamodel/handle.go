@@ -2,7 +2,6 @@ package metamodel
 
 import (
 	"fmt"
-	"sort"
 
 	"golake/internal/storage/graphstore"
 )
@@ -144,44 +143,6 @@ func (h *HANDLE) Remove(id string) {
 	for _, n := range append(doomed, data...) {
 		_ = h.g.RemoveNode(n)
 	}
-}
-
-// MetadataEntry is one resolved metadata record with its properties.
-type MetadataEntry struct {
-	ID       string
-	Category string
-	Props    map[string]any
-}
-
-// MetadataOf returns all metadata entities describing a data entity,
-// with their properties resolved, sorted by ID.
-func (h *HANDLE) MetadataOf(dataNodeID string) []MetadataEntry {
-	var out []MetadataEntry
-	for _, e := range h.g.InEdges(dataID(dataNodeID)) {
-		if e.Label != edgeDescribes {
-			continue
-		}
-		mn, err := h.g.Node(e.From)
-		if err != nil {
-			continue
-		}
-		entry := MetadataEntry{ID: mn.ID, Props: map[string]any{}}
-		entry.Category, _ = mn.Props["category"].(string)
-		for _, pe := range h.g.OutEdges(mn.ID) {
-			if pe.Label != edgeHasProperty {
-				continue
-			}
-			pn, err := h.g.Node(pe.To)
-			if err != nil {
-				continue
-			}
-			key, _ := pn.Props["key"].(string)
-			entry.Props[key] = pn.Props["value"]
-		}
-		out = append(out, entry)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // ImportGEMMS maps a GEMMS metadata object onto HANDLE entities — the

@@ -2,6 +2,7 @@ package metamodel
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"golake/internal/extract"
@@ -27,14 +28,8 @@ func TestGEMMSRegisterAndFind(t *testing.T) {
 	if got.Attributes["total"] != "float" {
 		t.Errorf("attribute type = %q", got.Attributes["total"])
 	}
-	if ids := m.FindByProperty("format", "csv"); len(ids) != 1 {
-		t.Errorf("FindByProperty = %v", ids)
-	}
-	if ids := m.FindByAttribute("city"); len(ids) != 1 {
-		t.Errorf("FindByAttribute = %v", ids)
-	}
-	if ids := m.FindByAttribute("ghost"); len(ids) != 0 {
-		t.Errorf("FindByAttribute ghost = %v", ids)
+	if got.Properties["format"] != "csv" {
+		t.Errorf("format property = %q", got.Properties["format"])
 	}
 	if _, err := m.Object("nope"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("Object missing = %v", err)
@@ -47,8 +42,12 @@ func TestGEMMSAnnotateAndSemanticSearch(t *testing.T) {
 	if err := m.Annotate("raw/orders.csv", "city", "schema.org/City"); err != nil {
 		t.Fatal(err)
 	}
-	if ids := m.FindBySemantic("schema.org/City"); len(ids) != 1 {
-		t.Errorf("FindBySemantic = %v", ids)
+	got, err := m.Object("raw/orders.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if terms := got.Semantics["city"]; len(terms) != 1 || terms[0] != "schema.org/City" {
+		t.Errorf("city semantics = %v", terms)
 	}
 	if err := m.Annotate("ghost", "", "x"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("Annotate missing = %v", err)
@@ -80,7 +79,7 @@ func TestHANDLEZonesAndMetadata(t *testing.T) {
 	if err := h.SetProperty(mid, "source", "sensor-17"); err != nil {
 		t.Fatal(err)
 	}
-	entries := h.MetadataOf("ds1")
+	entries := metadataOf(h, "ds1")
 	if len(entries) != 1 || entries[0].Category != "provenance" {
 		t.Fatalf("MetadataOf = %+v", entries)
 	}
@@ -103,16 +102,16 @@ func TestHANDLEImportGEMMS(t *testing.T) {
 	if got := h.DataInZone("raw"); len(got) != 1 {
 		t.Errorf("DataInZone = %v", got)
 	}
-	md := h.MetadataOf(obj.ID)
+	md := metadataOf(h, obj.ID)
 	if len(md) == 0 {
 		t.Fatal("no metadata imported")
 	}
 	// Attribute-level schema metadata exists at fine granularity.
-	attrMD := h.MetadataOf(obj.ID + "#total")
+	attrMD := metadataOf(h, obj.ID+"#total")
 	if len(attrMD) != 1 || attrMD[0].Props["type"] != "float" {
 		t.Errorf("attribute metadata = %+v", attrMD)
 	}
-	cityMD := h.MetadataOf(obj.ID + "#city")
+	cityMD := metadataOf(h, obj.ID+"#city")
 	foundSem := false
 	for _, e := range cityMD {
 		if e.Category == "semantics" {
@@ -122,4 +121,42 @@ func TestHANDLEImportGEMMS(t *testing.T) {
 	if !foundSem {
 		t.Errorf("city semantics missing: %+v", cityMD)
 	}
+}
+
+// metadataEntry is one resolved metadata record with its properties.
+type metadataEntry struct {
+	ID       string
+	Category string
+	Props    map[string]any
+}
+
+// metadataOf returns all metadata entities describing a data entity,
+// with their properties resolved, sorted by ID.
+func metadataOf(h *HANDLE, dataNodeID string) []metadataEntry {
+	var out []metadataEntry
+	for _, e := range h.g.InEdges(dataID(dataNodeID)) {
+		if e.Label != edgeDescribes {
+			continue
+		}
+		mn, err := h.g.Node(e.From)
+		if err != nil {
+			continue
+		}
+		entry := metadataEntry{ID: mn.ID, Props: map[string]any{}}
+		entry.Category, _ = mn.Props["category"].(string)
+		for _, pe := range h.g.OutEdges(mn.ID) {
+			if pe.Label != edgeHasProperty {
+				continue
+			}
+			pn, err := h.g.Node(pe.To)
+			if err != nil {
+				continue
+			}
+			key, _ := pn.Props["key"].(string)
+			entry.Props[key] = pn.Props["value"]
+		}
+		out = append(out, entry)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

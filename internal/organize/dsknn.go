@@ -209,15 +209,6 @@ func (d *DSKNN) Remove(name string) {
 	d.members = kept
 }
 
-// Category returns the assigned category of a dataset (-1 if unknown).
-func (d *DSKNN) Category(name string) int {
-	c, ok := d.categories[name]
-	if !ok {
-		return -1
-	}
-	return c
-}
-
 // Categories returns category -> member datasets, members sorted.
 func (d *DSKNN) Categories() map[int][]string {
 	out := map[int][]string{}

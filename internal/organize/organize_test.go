@@ -124,3 +124,12 @@ func TestDSKNNGraphEdges(t *testing.T) {
 		}
 	}
 }
+
+// Category returns the assigned category of a dataset (-1 if unknown).
+func (d *DSKNN) Category(name string) int {
+	c, ok := d.categories[name]
+	if !ok {
+		return -1
+	}
+	return c
+}

@@ -225,24 +225,6 @@ func (t *Tracker) Upstream(entity string) ([]string, error) {
 	return out, nil
 }
 
-// Downstream returns the entities transitively derived from the given
-// entity, sorted — the impact question "what depends on this".
-func (t *Tracker) Downstream(entity string) ([]string, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.g.HasNode("e:" + entity) {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownEntity, entity)
-	}
-	var out []string
-	for _, n := range t.g.Reachable("e:"+entity, graphstore.Out) {
-		if len(n) > 2 && n[:2] == "e:" {
-			out = append(out, n[2:])
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Path returns a lineage chain (entities and activities) from ancestor
 // to descendant, or nil — GOODS's path-based provenance query.
 func (t *Tracker) Path(ancestor, descendant string) []string {
@@ -273,48 +255,9 @@ func (t *Tracker) AccessLog(entity string) []Event {
 	return out
 }
 
-// EventsBySystem groups event counts per emitting system — the
-// integration view over heterogeneous engines.
-func (t *Tracker) EventsBySystem() map[string]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := map[string]int{}
-	for _, ev := range t.events {
-		out[ev.System]++
-	}
-	return out
-}
-
 // Events returns a copy of the full normalized event log.
 func (t *Tracker) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// DOT exports the provenance graph in Graphviz syntax, the
-// visualization hook GOODS provides for its provenance graphs.
-func (t *Tracker) DOT() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return graphstore.DOT(t.g, "provenance")
-}
-
-// Activities returns the activities that touched an entity (as reader
-// or writer), sorted.
-func (t *Tracker) Activities(entity string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	set := map[string]struct{}{}
-	for _, ev := range t.events {
-		if ev.Entity == entity && ev.Activity != "" {
-			set[ev.Activity] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

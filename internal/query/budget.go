@@ -27,7 +27,6 @@ var ErrBudgetExceeded = errors.New("query: memory budget exceeded")
 type MemBudget struct {
 	limit int64
 	used  atomic.Int64
-	high  atomic.Int64
 }
 
 // NewMemBudget builds a budget of `rows` buffered rows; rows <= 0
@@ -50,12 +49,7 @@ func (b *MemBudget) Acquire(n int) error {
 		b.used.Add(-int64(n))
 		return fmt.Errorf("%w: %d buffered rows over the %d-row budget", ErrBudgetExceeded, used, b.limit)
 	}
-	for {
-		h := b.high.Load()
-		if used <= h || b.high.CompareAndSwap(h, used) {
-			return nil
-		}
-	}
+	return nil
 }
 
 // Release returns n rows to the budget.
@@ -73,13 +67,4 @@ func (b *MemBudget) Limit() int {
 		return 0
 	}
 	return int(b.limit)
-}
-
-// HighWater reports the peak number of rows charged at once — the
-// query's observed buffered-row footprint.
-func (b *MemBudget) HighWater() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.high.Load()
 }

@@ -28,9 +28,6 @@ func TestMemBudgetAccounting(t *testing.T) {
 	if err := b.Acquire(10); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
-	if hw := b.HighWater(); hw != 10 {
-		t.Errorf("high water = %d, want 10", hw)
-	}
 	if b.Limit() != 10 {
 		t.Errorf("limit = %d", b.Limit())
 	}

@@ -13,7 +13,6 @@ import (
 
 	"golake/internal/storage/docstore"
 	"golake/internal/storage/polystore"
-	"golake/internal/table"
 )
 
 // ErrUnknownSource classifies FROM items that resolve to no member
@@ -300,23 +299,6 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 		p.Sources = append(p.Sources, sp)
 	}
 	return p, nil
-}
-
-// ExecuteSQL parses and executes a statement, materializing the full
-// result — Collect over Query at the engine's configured fan-in
-// (sequential when unset), never the CPU-wide Request default. The
-// context cancels execution between batches. EXPLAIN has no row result
-// here; use Query.
-func (e *Engine) ExecuteSQL(ctx context.Context, sql string) (*table.Table, error) {
-	st, err := e.Query(ctx, Request{SQL: sql, FanIn: max(e.FanIn.Workers, 1)})
-	if err != nil {
-		return nil, err
-	}
-	if st.ExplainOnly() {
-		_ = st.Close()
-		return nil, fmt.Errorf("%w: EXPLAIN has no row result on this entry point; use Query", ErrSyntax)
-	}
-	return Collect(ctx, st)
 }
 
 // streamBatches assembles a query's pipeline: every FROM item opens as

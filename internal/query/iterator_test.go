@@ -107,10 +107,11 @@ func TestCloseMidStreamReleasesAllSources(t *testing.T) {
 	}
 }
 
-// TestExecuteMatchesStreamCollect pins the contract that ExecuteSQL is
-// a pure collector over Query: both agree on a federated union with
-// heterogeneous columns, predicates, and a limit.
-func TestExecuteMatchesStreamCollect(t *testing.T) {
+// TestCollectMatchesStreamDrain pins the contract that Collect is a
+// pure collector over Query: it agrees with the drained row stream on
+// a federated union with heterogeneous columns, predicates, and a
+// limit.
+func TestCollectMatchesStreamDrain(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -127,25 +128,24 @@ func TestExecuteMatchesStreamCollect(t *testing.T) {
 		"SELECT city, price FROM rel:hotels_a, doc:hotels_b WHERE price > 12 LIMIT 2",
 		"SELECT city, stars FROM rel:hotels_a, doc:hotels_b",
 	} {
-		res, err := e.ExecuteSQL(context.Background(), sql)
+		res, err := collectSQL(context.Background(), e, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		// ExecuteSQL runs at the engine's fan-in, sequential when unset.
 		st, err := e.Query(context.Background(), Request{SQL: sql, FanIn: 1})
 		if err != nil {
 			t.Fatalf("%s: stream: %v", sql, err)
 		}
 		if got, want := st.Columns(), res.ColumnNames(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: stream header %v, execute header %v", sql, got, want)
+			t.Errorf("%s: stream header %v, collect header %v", sql, got, want)
 		}
 		rows := drain(t, st)
 		if len(rows) != res.NumRows() {
-			t.Fatalf("%s: stream %d rows, execute %d", sql, len(rows), res.NumRows())
+			t.Fatalf("%s: stream %d rows, collect %d", sql, len(rows), res.NumRows())
 		}
 		for i, row := range rows {
 			if !reflect.DeepEqual(row, res.Row(i)) {
-				t.Errorf("%s: row %d stream %v, execute %v", sql, i, row, res.Row(i))
+				t.Errorf("%s: row %d stream %v, collect %v", sql, i, row, res.Row(i))
 			}
 		}
 		if err := st.Close(); err != nil {

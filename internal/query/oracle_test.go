@@ -103,9 +103,7 @@ func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 		nodes = append(nodes, map[string]any{"id": fmt.Sprintf("g%d", i), "label": "node", "props": props})
 	}
 	graph, _ := json.Marshal(map[string]any{"nodes": nodes, "edges": []any{}})
-	if _, err := p.IngestAs("raw/g.json", graph, polystore.TargetGraph); err != nil {
-		t.Fatal(err)
-	}
+	ingestGraph(t, p, "raw/g.json", graph)
 	return NewEngine(p)
 }
 

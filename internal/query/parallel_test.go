@@ -31,9 +31,7 @@ func federatedEngine(t *testing.T) *Engine {
 		{"id":"h1","label":"hotel","props":{"city":"kyoto","price":70}},
 		{"id":"h2","label":"hotel","props":{"city":"lima","price":25}}],
 		"edges":[]}`)
-	if _, err := p.IngestAs("raw/hotels_g.json", graph, polystore.TargetGraph); err != nil {
-		t.Fatal(err)
-	}
+	ingestGraph(t, p, "raw/hotels_g.json", graph)
 	return NewEngine(p)
 }
 
@@ -429,7 +427,7 @@ func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 func TestEngineParallelOpenSurfacesFirstError(t *testing.T) {
 	e := federatedEngine(t)
 	e.FanIn = FanInOptions{Workers: 4}
-	_, err := e.ExecuteSQL(context.Background(), "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b")
+	_, err := collectSQL(context.Background(), e, "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b")
 	if !errors.Is(err, polystore.ErrNoTable) {
 		t.Fatalf("parallel open err = %v, want %v", err, polystore.ErrNoTable)
 	}

@@ -2,14 +2,56 @@ package query
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
+
+// collectSQL runs a statement at the engine's fan-in, sequential when
+// unset, and materializes its result.
+func collectSQL(ctx context.Context, e *Engine, sql string) (*table.Table, error) {
+	st, err := e.Query(ctx, Request{SQL: sql, FanIn: max(e.FanIn.Workers, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return Collect(ctx, st)
+}
+
+// ingestGraph stores a raw object and loads its JSON
+// {"nodes":[...], "edges":[...]} into the graph member store.
+func ingestGraph(t *testing.T, p *polystore.Poly, path string, data []byte) {
+	t.Helper()
+	if _, err := p.Files.Put(path, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	var g struct {
+		Nodes []struct {
+			ID, Label string
+			Props     map[string]any
+		}
+		Edges []struct {
+			From, To, Label string
+			Props           map[string]any
+		}
+	}
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		p.Graph.UpsertNode(n.ID, n.Label, n.Props)
+	}
+	for _, e := range g.Edges {
+		if _, err := p.Graph.AddEdge(e.From, e.To, e.Label, e.Props); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func setupPoly(t *testing.T) *polystore.Poly {
 	t.Helper()
@@ -27,9 +69,7 @@ func setupPoly(t *testing.T) *polystore.Poly {
 		{"id":"p1","label":"person","props":{"name":"alice","age":30}},
 		{"id":"p2","label":"person","props":{"name":"bob","age":25}}],
 		"edges":[{"from":"p1","to":"p2","label":"knows"}]}`)
-	if _, err := p.IngestAs("raw/people.json", graph, polystore.TargetGraph); err != nil {
-		t.Fatal(err)
-	}
+	ingestGraph(t, p, "raw/people.json", graph)
 	return p
 }
 
@@ -79,14 +119,14 @@ func TestParseErrors(t *testing.T) {
 
 func TestExecuteRelationalWithPredicates(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT id, total FROM rel:orders WHERE status = 'open'")
+	res, err := collectSQL(context.Background(), e, "SELECT id, total FROM rel:orders WHERE status = 'open'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 2 || res.NumCols() != 2 {
 		t.Fatalf("result = %dx%d\n%s", res.NumRows(), res.NumCols(), tableCSV(res))
 	}
-	res, err = e.ExecuteSQL(context.Background(), "SELECT * FROM rel:orders WHERE total > 10 AND total < 20")
+	res, err = collectSQL(context.Background(), e, "SELECT * FROM rel:orders WHERE total > 10 AND total < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +147,11 @@ func TestPushdownEquivalence(t *testing.T) {
 		with := NewEngine(p)
 		without := NewEngine(p)
 		without.PushDown = false
-		a, err := with.ExecuteSQL(context.Background(), sql)
+		a, err := collectSQL(context.Background(), with, sql)
 		if err != nil {
 			t.Fatalf("%s (pushdown): %v", sql, err)
 		}
-		b, err := without.ExecuteSQL(context.Background(), sql)
+		b, err := collectSQL(context.Background(), without, sql)
 		if err != nil {
 			t.Fatalf("%s (central): %v", sql, err)
 		}
@@ -123,7 +163,7 @@ func TestPushdownEquivalence(t *testing.T) {
 
 func TestExecuteDocument(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT kind, n FROM doc:events WHERE n >= 2")
+	res, err := collectSQL(context.Background(), e, "SELECT kind, n FROM doc:events WHERE n >= 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +174,21 @@ func TestExecuteDocument(t *testing.T) {
 
 func TestExecuteGraph(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT * FROM graph:person")
+	res, err := collectSQL(context.Background(), e, "SELECT * FROM graph:person")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 2 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	if !res.HasColumn("id") || !res.HasColumn("name") {
+	if cols := res.ColumnNames(); !slices.Contains(cols, "id") || !slices.Contains(cols, "name") {
 		t.Errorf("columns = %v", res.ColumnNames())
 	}
 }
 
 func TestExecuteFiles(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT path, format FROM file:raw/")
+	res, err := collectSQL(context.Background(), e, "SELECT path, format FROM file:raw/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +203,7 @@ func TestUnionAcrossSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(p)
-	res, err := e.ExecuteSQL(context.Background(), "SELECT id, status FROM rel:orders, rel:more_orders WHERE status = 'open'")
+	res, err := collectSQL(context.Background(), e, "SELECT id, status FROM rel:orders, rel:more_orders WHERE status = 'open'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +214,19 @@ func TestUnionAcrossSources(t *testing.T) {
 
 func TestBareSourceResolution(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM orders"); err != nil {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM orders"); err != nil {
 		t.Errorf("bare relational: %v", err)
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM events"); err != nil {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM events"); err != nil {
 		t.Errorf("bare document: %v", err)
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM person"); err != nil {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM person"); err != nil {
 		t.Errorf("bare graph: %v", err)
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM ghost"); err == nil {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM ghost"); err == nil {
 		t.Error("unknown source should error")
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM bad:orders"); err == nil {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM bad:orders"); err == nil {
 		t.Error("unknown prefix should error")
 	}
 }
@@ -195,21 +235,21 @@ func TestPredicateOnUnprojectedColumn(t *testing.T) {
 	// Regression: predicates must work on columns that are not in the
 	// SELECT list, for every member store.
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT kind FROM doc:events WHERE n >= 2")
+	res, err := collectSQL(context.Background(), e, "SELECT kind FROM doc:events WHERE n >= 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 2 || res.NumCols() != 1 {
 		t.Errorf("doc result = %dx%d\n%s", res.NumRows(), res.NumCols(), tableCSV(res))
 	}
-	res, err = e.ExecuteSQL(context.Background(), "SELECT name FROM graph:person WHERE age > 26")
+	res, err = collectSQL(context.Background(), e, "SELECT name FROM graph:person WHERE age > 26")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 1 || res.Row(0)[0] != "alice" {
 		t.Errorf("graph result:\n%s", tableCSV(res))
 	}
-	res, err = e.ExecuteSQL(context.Background(), "SELECT id FROM rel:orders WHERE status = 'open'")
+	res, err = collectSQL(context.Background(), e, "SELECT id FROM rel:orders WHERE status = 'open'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +260,7 @@ func TestPredicateOnUnprojectedColumn(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := e.ExecuteSQL(context.Background(), "SELECT * FROM rel:orders LIMIT 2")
+	res, err := collectSQL(context.Background(), e, "SELECT * FROM rel:orders LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +336,10 @@ func TestErrorSentinels(t *testing.T) {
 	if _, err := Parse("SELEKT a FROM t"); !errors.Is(err, ErrSyntax) {
 		t.Errorf("parse error = %v, want ErrSyntax", err)
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM ghost"); !errors.Is(err, ErrUnknownSource) {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM ghost"); !errors.Is(err, ErrUnknownSource) {
 		t.Errorf("unknown source = %v, want ErrUnknownSource", err)
 	}
-	if _, err := e.ExecuteSQL(context.Background(), "SELECT * FROM bad:orders"); !errors.Is(err, ErrUnknownSource) {
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM bad:orders"); !errors.Is(err, ErrUnknownSource) {
 		t.Errorf("unknown prefix = %v, want ErrUnknownSource", err)
 	}
 }
@@ -308,7 +348,7 @@ func TestExecuteCanceled(t *testing.T) {
 	e := NewEngine(setupPoly(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ExecuteSQL(ctx, "SELECT * FROM rel:orders"); !errors.Is(err, context.Canceled) {
+	if _, err := collectSQL(ctx, e, "SELECT * FROM rel:orders"); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled execute = %v", err)
 	}
 }
@@ -325,12 +365,10 @@ func TestNullFieldsReadAsEmptyCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	graph := []byte(`{"nodes":[{"id":"n1","label":"thing","props":{"a":null,"b":2.5}}],"edges":[]}`)
-	if _, err := p.IngestAs("raw/things.json", graph, polystore.TargetGraph); err != nil {
-		t.Fatal(err)
-	}
+	ingestGraph(t, p, "raw/things.json", graph)
 	e := NewEngine(p)
 	for _, sql := range []string{"SELECT a, b FROM doc:nulls", "SELECT a, b FROM graph:thing"} {
-		res, err := e.ExecuteSQL(context.Background(), sql)
+		res, err := collectSQL(context.Background(), e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -388,20 +388,6 @@ func TestOrderByUnprojectedColumnErrors(t *testing.T) {
 	ex.Close()
 }
 
-// TestExplainRejectedOnEngineRowEndpoints: the table-shaped engine
-// entry point refuses EXPLAIN (and EXPLAIN ANALYZE) instead of
-// returning an empty table (pre-Request, EXPLAIN was a parse error
-// here).
-func TestExplainRejectedOnEngineRowEndpoints(t *testing.T) {
-	e := multiSourcePoly(t)
-	ctx := context.Background()
-	for _, sql := range []string{"EXPLAIN SELECT id FROM rel:more_orders", "EXPLAIN ANALYZE SELECT id FROM rel:more_orders"} {
-		if _, err := e.ExecuteSQL(ctx, sql); !errors.Is(err, ErrSyntax) {
-			t.Errorf("ExecuteSQL %q = %v, want ErrSyntax", sql, err)
-		}
-	}
-}
-
 // TestSortHonorsCancellationMidEmission: cancelling between batches
 // stops a sorted stream even though the buffer is already filled.
 func TestSortHonorsCancellationMidEmission(t *testing.T) {

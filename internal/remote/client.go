@@ -99,9 +99,6 @@ func New(member, baseURL string, opts Options) *Client {
 	return &Client{member: member, baseURL: baseURL, opts: opts, http: hc}
 }
 
-// Member returns the member name this client serves.
-func (c *Client) Member() string { return c.member }
-
 // Describe implements query.RemoteOpener: the plan's access-path label.
 func (c *Client) Describe() string { return c.baseURL }
 

@@ -17,8 +17,7 @@ const DefaultVnodes = 64
 // move). The engine's Locate hook uses it to resolve bare dataset names
 // that live on no local store.
 type Ring struct {
-	points  []ringPoint
-	members []string
+	points []ringPoint
 }
 
 type ringPoint struct {
@@ -33,9 +32,8 @@ func NewRing(members []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	r := &Ring{members: append([]string(nil), members...)}
-	sort.Strings(r.members)
-	for _, m := range r.members {
+	r := &Ring{}
+	for _, m := range members {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(m + "#" + strconv.Itoa(i)), member: m})
 		}
@@ -48,9 +46,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Members returns the ring's member names, sorted.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
 // Locate returns the member owning key: the first virtual node at or
 // clockwise after the key's hash. ok is false on an empty ring.

@@ -20,7 +20,6 @@ type InvertedIndex struct {
 	postings [][]uint32 // value id -> slots of the sets holding it
 	sets     []Set      // slot -> indexed set; nil while free
 	n        int
-	values   int // non-empty posting lists
 	// counts holds *[]uint32 overlap counters, one per slot, all zero
 	// between queries, so concurrent queries count without allocating.
 	counts sync.Pool
@@ -48,9 +47,6 @@ func (ix *InvertedIndex) Add(slot uint32, values Set) {
 		for int(v) >= len(ix.postings) {
 			ix.postings = append(ix.postings, nil)
 		}
-		if len(ix.postings[v]) == 0 {
-			ix.values++
-		}
 		ix.postings[v] = append(ix.postings[v], slot)
 	}
 }
@@ -71,9 +67,6 @@ func (ix *InvertedIndex) removeLocked(slot uint32) {
 		i := slices.Index(list, slot)
 		list[i] = list[len(list)-1]
 		ix.postings[v] = list[:len(list)-1]
-		if len(list) == 1 {
-			ix.values--
-		}
 	}
 	ix.sets[slot] = nil
 	ix.n--
@@ -149,11 +142,4 @@ func (ix *InvertedIndex) TopKOverlap(dst []OverlapResult, query Set, k int, skip
 		out = out[:k]
 	}
 	return dst[:start+len(out)]
-}
-
-// Values returns the number of distinct indexed values.
-func (ix *InvertedIndex) Values() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.values
 }

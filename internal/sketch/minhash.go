@@ -86,18 +86,3 @@ func (m *MinHash) K() int { return len(m.sig) }
 
 // Signature exposes the raw signature values (read-only by convention).
 func (m *MinHash) Signature() []uint64 { return m.sig }
-
-// Jaccard estimates the Jaccard similarity between the two sets
-// underlying the signatures. Both signatures must have the same length.
-func (m *MinHash) Jaccard(o *MinHash) float64 {
-	if len(m.sig) != len(o.sig) || len(m.sig) == 0 {
-		return 0
-	}
-	match := 0
-	for i := range m.sig {
-		if m.sig[i] == o.sig[i] {
-			match++
-		}
-	}
-	return float64(match) / float64(len(m.sig))
-}

@@ -79,34 +79,6 @@ func Cosine(a, b []float64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// Euclidean computes the Euclidean distance between dense vectors.
-func Euclidean(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var ss float64
-	for i := range a {
-		d := a[i] - b[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss)
-}
-
-// WeightedEuclidean computes sqrt(sum w_i*(a_i-b_i)^2); D3L combines its
-// five per-feature distances this way, with weights learned from labeled
-// pairs.
-func WeightedEuclidean(a, b, w []float64) float64 {
-	if len(a) != len(b) || len(a) != len(w) {
-		return math.Inf(1)
-	}
-	var ss float64
-	for i := range a {
-		d := a[i] - b[i]
-		ss += w[i] * d * d
-	}
-	return math.Sqrt(ss)
-}
-
 // KolmogorovSmirnov computes the two-sample KS statistic
 // sup_x |F_a(x) - F_b(x)| over empirical CDFs. D3L uses it to compare
 // numeric attribute distributions. Both samples must be sorted

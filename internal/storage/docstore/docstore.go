@@ -2,8 +2,7 @@
 // the MongoDB sink the surveyed polystore lakes (Constance, CoreDB,
 // Squerall) route semi-structured data to (Sec. 4.2/4.3). Documents are
 // schemaless JSON objects grouped into named collections; queries are
-// conjunctive field filters over dotted paths, optionally accelerated
-// by hash indexes on equality predicates.
+// conjunctive field filters over dotted paths.
 package docstore
 
 import (
@@ -53,17 +52,13 @@ type Filter struct {
 	Value any
 }
 
-// Eq is shorthand for an equality filter.
-func Eq(path string, value any) Filter { return Filter{Path: path, Op: OpEq, Value: value} }
-
-// Collection is a set of documents with optional hash indexes.
+// Collection is a set of documents.
 type Collection struct {
 	name string
 
-	mu      sync.RWMutex
-	docs    map[string]Doc
-	indexes map[string]map[string][]string // path -> canonical value -> doc IDs
-	autoID  int
+	mu     sync.RWMutex
+	docs   map[string]Doc
+	autoID int
 
 	// order is every doc ID, sorted: the order Find returns documents
 	// in. Insert and Delete of an ID reset it to nil under mu; the next
@@ -87,7 +82,7 @@ func (s *Store) Collection(name string) *Collection {
 	defer s.mu.Unlock()
 	c, ok := s.collections[name]
 	if !ok {
-		c = &Collection{name: name, docs: map[string]Doc{}, indexes: map[string]map[string][]string{}}
+		c = &Collection{name: name, docs: map[string]Doc{}}
 		s.collections[name] = c
 	}
 	return c
@@ -131,13 +126,10 @@ func (c *Collection) Insert(doc Doc) string {
 		id = fmt.Sprintf("%s-%d", c.name, c.autoID)
 		doc["_id"] = id
 	}
-	if old, ok := c.docs[id]; ok {
-		c.unindexLocked(id, old)
-	} else {
+	if _, ok := c.docs[id]; !ok {
 		c.order = nil
 	}
 	c.docs[id] = doc
-	c.indexLocked(id, doc)
 	return id
 }
 
@@ -165,11 +157,9 @@ func (c *Collection) Get(id string) (Doc, error) {
 func (c *Collection) Delete(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
+	if _, ok := c.docs[id]; !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
 	}
-	c.unindexLocked(id, d)
 	delete(c.docs, id)
 	c.order = nil
 	return nil
@@ -182,81 +172,18 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// CreateIndex builds a hash index on a dotted path; equality filters on
-// that path use it instead of a full scan.
-func (c *Collection) CreateIndex(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[path]; ok {
-		return
-	}
-	idx := map[string][]string{}
-	segs := strings.Split(path, ".")
-	for id, d := range c.docs {
-		if v, ok := lookupPath(d, segs); ok {
-			k := canon(v)
-			idx[k] = append(idx[k], id)
-		}
-	}
-	c.indexes[path] = idx
-}
-
-func (c *Collection) indexLocked(id string, d Doc) {
-	for path, idx := range c.indexes {
-		if v, ok := lookup(d, path); ok {
-			k := canon(v)
-			idx[k] = append(idx[k], id)
-		}
-	}
-}
-
-func (c *Collection) unindexLocked(id string, d Doc) {
-	for path, idx := range c.indexes {
-		if v, ok := lookup(d, path); ok {
-			k := canon(v)
-			list := idx[k]
-			for i, x := range list {
-				if x == id {
-					idx[k] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-}
-
 // Find returns all documents satisfying every filter, ordered by ID.
 func (c *Collection) Find(filters ...Filter) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Use an index for the first indexed equality filter, if any.
-	var candidates []string
-	usedIndex := false
-	for _, f := range filters {
-		if f.Op != OpEq {
-			continue
-		}
-		if idx, ok := c.indexes[f.Path]; ok {
-			candidates = append([]string(nil), idx[canon(f.Value)]...)
-			sort.Strings(candidates)
-			usedIndex = true
-			break
-		}
-	}
-	if !usedIndex {
-		candidates = c.sortedIDs()
-	}
 	paths := make([][]string, len(filters))
 	for i, f := range filters {
 		paths[i] = strings.Split(f.Path, ".")
 	}
 	var out []Doc
 next:
-	for _, id := range candidates {
-		d, ok := c.docs[id]
-		if !ok {
-			continue
-		}
+	for _, id := range c.sortedIDs() {
+		d := c.docs[id]
 		for i, f := range filters {
 			if !matches(d, f, paths[i]) {
 				continue next
@@ -339,13 +266,8 @@ func matches(d Doc, f Filter, path []string) bool {
 	return false
 }
 
-// lookup resolves a dotted path ("a.b.c") inside nested maps; array
-// elements are addressed by numeric segments.
-func lookup(d Doc, path string) (any, bool) {
-	return lookupPath(d, strings.Split(path, "."))
-}
-
-// lookupPath is lookup of a path already split at its dots.
+// lookupPath resolves a dotted path ("a.b.c"), split at its dots,
+// inside nested maps; array elements are addressed by numeric segments.
 func lookupPath(d Doc, path []string) (any, bool) {
 	var cur any = map[string]any(d)
 	for _, seg := range path {

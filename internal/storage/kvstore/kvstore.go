@@ -10,7 +10,6 @@ package kvstore
 import (
 	"errors"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -241,7 +240,3 @@ func (s *Store) Keys(prefix string) []string {
 	}
 	return out
 }
-
-// JoinKey composes a multi-part key with '/' separators; the convention
-// used by the catalog ("dataset/<id>/meta" etc.).
-func JoinKey(parts ...string) string { return strings.Join(parts, "/") }

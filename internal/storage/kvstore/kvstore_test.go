@@ -224,9 +224,3 @@ func TestStoreMatchesMapModel(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestJoinKey(t *testing.T) {
-	if got := JoinKey("dataset", "42", "meta"); got != "dataset/42/meta" {
-		t.Errorf("JoinKey = %q", got)
-	}
-}

@@ -22,7 +22,6 @@ type Target string
 const (
 	TargetRelational Target = "relational"
 	TargetDocument   Target = "document"
-	TargetGraph      Target = "graph"
 	TargetFile       Target = "file"
 )
 
@@ -39,8 +38,8 @@ type Placement struct {
 
 // Poly bundles the member stores and routes ingested objects. Every
 // raw object is recorded in Files (the lake keeps originals); parsed
-// forms go to the model store chosen by Route or by explicit override —
-// exactly Constance's strategy (Sec. 4.3).
+// forms go to the model store chosen by Route — Constance's strategy
+// (Sec. 4.3).
 type Poly struct {
 	Files *filestore.Store
 	KV    *kvstore.Store
@@ -81,8 +80,7 @@ func Route(f filestore.Format) Target {
 }
 
 // Ingest stores the raw object, keeping a copy of its bytes in memory,
-// and routes its parsed form to the model store chosen by Route. Use
-// IngestAs to override the target.
+// and routes its parsed form to the model store chosen by Route.
 func (p *Poly) Ingest(path string, data []byte) (Placement, error) {
 	pl, _, err := p.IngestParsed(path, data, nil)
 	return pl, err
@@ -98,24 +96,13 @@ func (p *Poly) IngestParsed(path string, data []byte, read filestore.ReadFunc) (
 	if err != nil {
 		return Placement{}, nil, err
 	}
-	pl, t := p.place(path, data, info.Format, Route(info.Format))
+	pl, t := p.place(path, data, info.Format)
 	return pl, t, nil
 }
 
-// IngestAs stores the raw object and forces the given target, the
-// user-override Constance exposes in its UI.
-func (p *Poly) IngestAs(path string, data []byte, target Target) (Placement, error) {
-	info, err := p.Files.Put(path, data, nil)
-	if err != nil {
-		return Placement{}, err
-	}
-	pl, _ := p.place(path, data, info.Format, target)
-	return pl, nil
-}
-
-func (p *Poly) place(path string, data []byte, format filestore.Format, target Target) (pl Placement, parsed *table.Table) {
+func (p *Poly) place(path string, data []byte, format filestore.Format) (pl Placement, parsed *table.Table) {
 	pl = Placement{Path: path, Format: format, Target: TargetFile}
-	switch target {
+	switch Route(format) {
 	case TargetRelational:
 		t, err := table.ReadCSV(tableName(path), data)
 		if err != nil {
@@ -136,12 +123,6 @@ func (p *Poly) place(path string, data []byte, format filestore.Format, target T
 		}
 		pl.Target = TargetDocument
 		pl.Collection = coll
-	case TargetGraph:
-		// Graph ingestion expects JSON {"nodes":[...], "edges":[...]}.
-		if err := p.ingestGraphJSON(data); err != nil {
-			break
-		}
-		pl.Target = TargetGraph
 	}
 	p.mu.Lock()
 	p.placements[path] = pl
@@ -182,44 +163,9 @@ func (p *Poly) ingestJSONDocs(coll string, data []byte, format filestore.Format)
 	return 1, nil
 }
 
-type graphDoc struct {
-	Nodes []struct {
-		ID    string         `json:"id"`
-		Label string         `json:"label"`
-		Props map[string]any `json:"props"`
-	} `json:"nodes"`
-	Edges []struct {
-		From  string         `json:"from"`
-		To    string         `json:"to"`
-		Label string         `json:"label"`
-		Props map[string]any `json:"props"`
-	} `json:"edges"`
-}
-
-func (p *Poly) ingestGraphJSON(data []byte) error {
-	var gd graphDoc
-	if err := json.Unmarshal(data, &gd); err != nil {
-		return fmt.Errorf("polystore: graph json: %w", err)
-	}
-	if len(gd.Nodes) == 0 {
-		return fmt.Errorf("polystore: graph json has no nodes")
-	}
-	for _, n := range gd.Nodes {
-		p.Graph.UpsertNode(n.ID, n.Label, n.Props)
-	}
-	for _, e := range gd.Edges {
-		if _, err := p.Graph.AddEdge(e.From, e.To, e.Label, e.Props); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Remove deletes an ingested object everywhere it landed: the raw
-// bytes, any parsed model-store form, and the placement record. Graph
-// placements keep their merged nodes (the graph has no per-source
-// attribution to unmerge). Removing an unknown path returns
-// filestore.ErrNotFound.
+// bytes, any parsed model-store form, and the placement record.
+// Removing an unknown path returns filestore.ErrNotFound.
 func (p *Poly) Remove(path string) error {
 	p.mu.Lock()
 	pl, ok := p.placements[path]

@@ -66,7 +66,7 @@ func TestIngestJSONGoesDocument(t *testing.T) {
 	if pl.Target != TargetDocument || pl.Collection != "event" {
 		t.Fatalf("placement = %+v", pl)
 	}
-	if got := p.Docs.Collection("event").Count(docstore.Eq("kind", "click")); got != 1 {
+	if got := p.Docs.Collection("event").Count(docstore.Filter{Path: "kind", Op: docstore.OpEq, Value: "click"}); got != 1 {
 		t.Errorf("doc count = %d", got)
 	}
 }
@@ -101,38 +101,6 @@ func TestIngestUnparseableCSVFallsBackToFile(t *testing.T) {
 	}
 	if _, err := p.Files.Get("raw/broken.csv"); err != nil {
 		t.Error("raw bytes should still be stored")
-	}
-}
-
-func TestIngestAsGraph(t *testing.T) {
-	p := newPoly(t)
-	data := []byte(`{"nodes":[{"id":"a","label":"person"},{"id":"b","label":"person"}],
-		"edges":[{"from":"a","to":"b","label":"knows"}]}`)
-	pl, err := p.IngestAs("raw/social.json", data, TargetGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Target != TargetGraph {
-		t.Fatalf("placement = %+v", pl)
-	}
-	if p.Graph.NumNodes() != 2 || p.Graph.NumEdges() != 1 {
-		t.Errorf("graph = %d nodes %d edges", p.Graph.NumNodes(), p.Graph.NumEdges())
-	}
-}
-
-func TestIngestAsOverridesRouting(t *testing.T) {
-	p := newPoly(t)
-	// CSV forced into the file-only tier (e.g. a huge stream the user
-	// wants raw).
-	pl, err := p.IngestAs("raw/huge.csv", []byte("a,b\n1,2\n"), TargetFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Target != TargetFile {
-		t.Errorf("placement = %+v", pl)
-	}
-	if p.Rel.Has("huge") {
-		t.Error("override ignored: table was created")
 	}
 }
 

@@ -2,7 +2,6 @@ package table
 
 import (
 	"math"
-	"sort"
 )
 
 // ColumnProfile summarizes a column: the data-based features DS-kNN
@@ -98,23 +97,4 @@ func moments(xs []float64) (min, max, mean, std float64) {
 	}
 	std = math.Sqrt(ss / float64(len(xs)))
 	return min, max, mean, std
-}
-
-// Quantiles returns the q-quantiles (q >= 2) of xs; xs is not modified.
-func Quantiles(xs []float64, q int) []float64 {
-	if len(xs) == 0 || q < 2 {
-		return nil
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, q-1)
-	for i := 1; i < q; i++ {
-		pos := float64(i) / float64(q) * float64(len(sorted)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		frac := pos - float64(lo)
-		out[i-1] = sorted[lo]*(1-frac) + sorted[hi]*frac
-	}
-	return out
 }

@@ -72,9 +72,6 @@ type Column struct {
 // Len returns the number of cells (including nulls).
 func (c *Column) Len() int { return len(c.Cells) }
 
-// IsNull reports whether cell i is null (empty or a recognized null token).
-func (c *Column) IsNull(i int) bool { return isNullToken(c.Cells[i]) }
-
 // NullCount returns the number of null cells.
 func (c *Column) NullCount() int {
 	n := 0
@@ -205,12 +202,6 @@ func (t *Table) Column(name string) (*Column, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, name, t.Name)
-}
-
-// HasColumn reports whether a column with the given name exists.
-func (t *Table) HasColumn(name string) bool {
-	_, err := t.Column(name)
-	return err == nil
 }
 
 // ColumnNames returns the column names in order.

@@ -194,23 +194,6 @@ func TestProfileStringColumnHasNaNMoments(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	q := Quantiles(xs, 4)
-	if len(q) != 3 {
-		t.Fatalf("Quantiles len = %d, want 3", len(q))
-	}
-	if q[1] != 2.5 {
-		t.Errorf("median = %v, want 2.5", q[1])
-	}
-	if Quantiles(nil, 4) != nil {
-		t.Error("Quantiles(nil) should be nil")
-	}
-	if Quantiles(xs, 1) != nil {
-		t.Error("Quantiles(q=1) should be nil")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tbl := mustTable(t, sampleCSV)
 	out := ToCSV(tbl)
