@@ -1,6 +1,6 @@
 // Federation: heterogeneous data living in different member stores of
-// the polystore — relational hotels, document reviews, a property
-// graph of owners — queried through one SQL dialect, then integrated:
+// the polystore — relational hotels, document reviews, the raw file
+// listing — queried through one SQL dialect, then integrated:
 // Constance-style schema matching clusters the columns that agree, and
 // ALITE-style full disjunction merges the tables over those clusters.
 package main
@@ -58,21 +58,13 @@ func main() {
 	fmt.Printf("  %s -> %s\n", "hotels_us.csv", ingest("raw/hotels_us.csv", hotelsUS).Target)
 	fmt.Printf("  %s -> %s\n", "reviews.jsonl", ingest("raw/reviews.jsonl", reviews).Target)
 
-	// The property graph of owners goes straight into the graph store.
-	poly.Graph.UpsertNode("o1", "owner", map[string]any{"name": "kempinski", "hotel": "adlon"})
-	poly.Graph.UpsertNode("o2", "owner", map[string]any{"name": "hilton", "hotel": "drake"})
-	if _, err := poly.Graph.AddEdge("o1", "o2", "competitor", nil); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("  owners -> graph (loaded directly)")
-
 	// One language over all stores.
 	ctx := context.Background()
 	engine := query.NewEngine(poly)
 	for _, sql := range []string{
 		"SELECT hotel, price FROM rel:hotels_eu WHERE price > 350",
 		"SELECT hotel, stars FROM doc:reviews WHERE stars >= 5",
-		"SELECT name, hotel FROM graph:owner",
+		"SELECT path, format FROM file:raw/",
 		"SELECT hotel FROM rel:hotels_eu, rel:hotels_us WHERE price >= 300",
 	} {
 		st, err := engine.Query(ctx, query.Request{SQL: sql, FanIn: 1})

@@ -63,7 +63,10 @@ s6,rome,it
 	if err != nil {
 		log.Fatal(err)
 	}
-	german := stations.Filter(func(row []string) bool { return row[2] == "de" })
+	german, err := lake.QuerySQL(ctx, "dana", "SELECT * FROM rel:stations WHERE country = 'de'")
+	if err != nil {
+		log.Fatal(err)
+	}
 	german.Name = "german_stations"
 	if err := lake.Derive(ctx, "dana", "filter_de", []string{"raw/stations.csv"}, german); err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@
 // implementation of every function, each following a representative
 // published system:
 //
-//	storage      polystore routing over file/KV/document/graph stores
+//	storage      polystore routing over file/document/relational stores
 //	ingestion    metadata extraction (GEMMS, DATAMARAN) and
 //	             modeling (GEMMS, HANDLE)
 //	maintenance  organization (GOODS, DS-kNN), discovery (JOSIE,
@@ -358,18 +358,12 @@ func NewLocalBackend(dir string, opts ...LocalBackendOption) (*LocalBackend, err
 // WithSync sets the local backend's fsync policy (default SyncNone).
 func WithSync(s SyncPolicy) LocalBackendOption { return persist.WithSync(s) }
 
-// Option configures an assembled lake (see WithClock, WithPushdown,
-// WithMaxResults, WithLogger, WithAutoMaintain, WithPersistence).
+// Option configures an assembled lake (see WithClock, WithMaxResults,
+// WithLogger, WithAutoMaintain, WithPersistence).
 type Option = core.Option
 
 // WithClock substitutes the lake's time source (tests, replays).
 func WithClock(clock func() time.Time) Option { return core.WithClock(clock) }
-
-// WithPushdown toggles predicate/projection pushdown in the federated
-// query engine (on by default). Off, predicates and projections are
-// evaluated centrally after full retrieval: the same answer, at the
-// cost pushdown saves.
-func WithPushdown(enabled bool) Option { return core.WithPushdown(enabled) }
 
 // WithMaxResults caps query result rows and exploration K (0 =
 // unlimited).

@@ -203,9 +203,6 @@ func New(cfg Config, clock func() time.Time) *Controller {
 // SetHooks installs observation callbacks; call before serving.
 func (c *Controller) SetHooks(h Hooks) { c.hooks = h }
 
-// Config returns the controller's (normalized) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // EffectiveTimeout resolves a request's deadline against the
 // default/clamp knobs: 0 takes DefaultTimeout, and MaxTimeout caps
 // the result (including "unbounded" requests when a clamp is set).

@@ -407,12 +407,9 @@ func TestMaintainSafeUnderConcurrentIngest(t *testing.T) {
 
 func TestOpenOptions(t *testing.T) {
 	ctx := context.Background()
-	l, err := Open(t.TempDir(), WithMaxResults(2), WithPushdown(false))
+	l, err := Open(t.TempDir(), WithMaxResults(2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if l.Engine.PushDown {
-		t.Error("WithPushdown(false) ignored")
 	}
 	l.AddUser("dana", RoleDataScientist)
 	if _, err := l.Ingest(ctx, "raw/nums.csv", []byte("n\n1\n2\n3\n4\n5\n"), "s", "dana"); err != nil {

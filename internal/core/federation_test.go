@@ -250,10 +250,11 @@ func TestFederationRemoteErrors(t *testing.T) {
 		t.Errorf("unknown remote dataset: %v (code %s), want not_found", err, lakeerr.CodeOf(err))
 	}
 
-	// Unknown member locally: not_found before any network hop.
+	// Unknown member locally: a prefix naming no store or member is an
+	// invalid query, refused before any network hop.
 	_, err = fed.QuerySQL(ctx, "dana", "SELECT city FROM nowhere:hotels_a")
-	if lakeerr.CodeOf(err) != lakeerr.CodeNotFound {
-		t.Errorf("unknown member: %v (code %s), want not_found", err, lakeerr.CodeOf(err))
+	if lakeerr.CodeOf(err) != lakeerr.CodeInvalidQuery {
+		t.Errorf("unknown member: %v (code %s), want invalid_query", err, lakeerr.CodeOf(err))
 	}
 
 	// A user the member does not know: the forwarded identity is

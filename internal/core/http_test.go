@@ -302,7 +302,11 @@ func TestV1QueryAndTypedErrors(t *testing.T) {
 		{"syntax", `{"sql":"SELEKT id FROM rel:orders"}`, "dana", http.StatusBadRequest, "invalid_query"},
 		{"empty body", `not json`, "dana", http.StatusBadRequest, "invalid_query"},
 		{"unknown source", `{"sql":"SELECT * FROM rel:ghost"}`, "dana", http.StatusNotFound, "not_found"},
-		{"unknown prefix", `{"sql":"SELECT * FROM bad:orders"}`, "dana", http.StatusNotFound, "not_found"},
+		{"unknown prefix", `{"sql":"SELECT * FROM bad:orders"}`, "dana", http.StatusBadRequest, "invalid_query"},
+		// The polystore has no graph member: graph: is an unknown prefix.
+		{"graph source", `{"sql":"SELECT * FROM graph:person"}`, "dana", http.StatusBadRequest, "invalid_query"},
+		{"graph source explain", `{"sql":"EXPLAIN SELECT * FROM graph:person"}`, "dana", http.StatusBadRequest, "invalid_query"},
+		{"graph source explain flag", `{"sql":"SELECT id FROM graph:person","explain":true}`, "dana", http.StatusBadRequest, "invalid_query"},
 		{"unknown user", `{"sql":"SELECT * FROM rel:orders"}`, "mallory", http.StatusForbidden, "unauthorized"},
 	}
 	for _, tc := range cases {

@@ -80,7 +80,6 @@ type Option func(*options)
 
 type options struct {
 	clock         func() time.Time
-	pushdown      bool
 	maxResults    int
 	logger        *slog.Logger
 	autoMaintain  time.Duration
@@ -104,14 +103,6 @@ type remoteSpec struct {
 // WithClock substitutes the lake's time source (tests, replays).
 func WithClock(clock func() time.Time) Option {
 	return func(o *options) { o.clock = clock }
-}
-
-// WithPushdown toggles predicate/projection pushdown in the federated
-// query engine (on by default). Off, predicates and projections are
-// evaluated centrally after full retrieval: the same answer, at the
-// cost pushdown saves.
-func WithPushdown(enabled bool) Option {
-	return func(o *options) { o.pushdown = enabled }
 }
 
 // WithMaxResults caps the row count of QuerySQL results and the K of
@@ -191,14 +182,13 @@ func WithAdmission(cfg admission.Config) Option {
 // WithRemoteStore federates another golake into this one as a member
 // store named name: queries addressing "name:dataset" open a streaming
 // POST /v1/query against baseURL, with predicates, projections, and
-// ORDER BY+LIMIT pushed down as an ordinary SELECT (pushdown follows
-// WithPushdown). To the fan-in machinery the remote lake is just a slow
-// member store — scatter-gather across N members is the same
-// ParallelUnion that drains local scans. Remote failures are typed: the
-// member's error envelope keeps its lakeerr code, connect failures
-// retry with capped backoff and then classify as unavailable, and a
-// connection dropped mid-stream is an unavailable error, never a silent
-// short result.
+// ORDER BY+LIMIT pushed down as an ordinary SELECT. To the fan-in
+// machinery the remote lake is just a slow member store —
+// scatter-gather across N members is the same ParallelUnion that
+// drains local scans. Remote failures are typed: the member's error
+// envelope keeps its lakeerr code, connect failures retry with capped
+// backoff and then classify as unavailable, and a connection dropped
+// mid-stream is an unavailable error, never a silent short result.
 func WithRemoteStore(name, baseURL string, opts remote.Options) Option {
 	return func(o *options) {
 		o.remotes = append(o.remotes, remoteSpec{name: name, baseURL: baseURL, opts: opts})
@@ -317,7 +307,7 @@ const defaultSnapshotEvery = 4 << 20
 // resumes with its datasets, users, audit trail, and maintenance
 // coverage intact.
 func Open(dir string, opts ...Option) (*Lake, error) {
-	o := options{pushdown: true, snapshotEvery: defaultSnapshotEvery}
+	o := options{snapshotEvery: defaultSnapshotEvery}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -360,7 +350,6 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		}
 	}
 	l.Engine = query.NewEngine(poly)
-	l.Engine.PushDown = o.pushdown
 	l.Engine.FanIn = o.fanIn
 	if len(o.remotes) > 0 {
 		l.Engine.Remotes = make(map[string]query.RemoteOpener, len(o.remotes))
@@ -535,9 +524,11 @@ type IngestResult struct {
 // Ingest runs the full ingestion-tier workflow for one object: store
 // raw bytes (routing the parsed form to the matching member store),
 // extract metadata, register it in the GEMMS model, map it onto HANDLE
-// in the raw zone, catalog it, and record provenance. Re-ingesting an
-// existing path is a conflict, and a path with a ".." element, an empty
-// one or one under .golake is invalid; either way nothing is written.
+// in the raw zone, catalog it, and record provenance. The dataset is
+// known by its path's canonical form (filestore.CleanPath), the key its
+// raw bytes are stored under. Re-ingesting an existing path is a
+// conflict, and a path with a ".." element, an empty one or one under
+// .golake is invalid; either way nothing is written.
 // On a persistent lake the raw bytes are stored once, as a segment,
 // before anything is applied: if that fails, or the lake is closed, the
 // ingest is unavailable and changes nothing.
@@ -545,7 +536,8 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if _, err := filestore.CleanPath(path); err != nil {
+	path, err := filestore.CleanPath(path)
+	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInvalidQuery, err)
 	}
 	// The segment is put before ingestMu, so concurrent ingests overlap
@@ -1233,11 +1225,12 @@ func (l *Lake) QuerySQL(ctx context.Context, user, sql string) (*table.Table, er
 }
 
 // classifyQueryErr maps engine failures onto the taxonomy: syntax
-// errors are invalid queries, missing sources/tables are not-found,
-// a blown memory budget is resource-exhausted, a missed deadline is
-// deadline-exceeded, and cancellation is unavailable. An error already
-// carrying a classification — the remote client decodes member error
-// envelopes into typed errors — passes through so the member's verdict
+// errors, an unknown source prefix among them, are invalid queries,
+// missing sources/tables are not-found, a blown memory budget is
+// resource-exhausted, a missed deadline is deadline-exceeded, and
+// cancellation is unavailable. An error already carrying a
+// classification — the remote client decodes member error envelopes
+// into typed errors — passes through so the member's verdict
 // (unauthorized, not_found, unavailable, ...) survives the hop.
 func classifyQueryErr(err error) error {
 	var typed *lakeerr.Error

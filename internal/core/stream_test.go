@@ -180,7 +180,7 @@ func (f *failingStream) NextBatch(ctx context.Context) (*query.Batch, error) {
 		return nil, f.err
 	}
 	f.rows--
-	return query.NewBatch(f.Columns(), []*query.Vector{query.NewVector([]string{"x"})}), nil
+	return query.NewBatch([]*query.Vector{query.NewVector([]string{"x"})}), nil
 }
 
 func (f *failingStream) Close() error { return nil }

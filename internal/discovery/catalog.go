@@ -1,7 +1,6 @@
 package discovery
 
 import (
-	"sort"
 	"strings"
 
 	"golake/internal/metamodel"
@@ -119,19 +118,6 @@ func (c *Catalog) Remove(name string) {
 
 // Has reports whether the catalog holds a table.
 func (c *Catalog) Has(name string) bool { return c.tableID(name) != sketch.NoSlot }
-
-// Len returns the number of tables held.
-func (c *Catalog) Len() int { return len(c.byName) }
-
-// Tables returns the names of the tables held, sorted.
-func (c *Catalog) Tables() []string {
-	out := make([]string, 0, len(c.byName))
-	for name := range c.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // EachColumn calls fn with each column name of a table, first-seen first.
 func (c *Catalog) EachColumn(name string, fn func(column string)) {

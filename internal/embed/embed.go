@@ -156,19 +156,12 @@ func (s *Staged) tokenVector(tok string) []float64 {
 	return v
 }
 
-// Vector returns the embedding of a single token (lowercased). Unknown
+// ColumnVector embeds a whole column as the normalized mean of its
+// value vectors. This is how D3L and ALITE summarize attributes. Unknown
 // tokens get a deterministic hash-based vector so that equal unknown
 // strings still match each other. The token vectors it computes are
-// memoised in the model until the next Commit, so Vector writes the
-// model; readers that share it use a Reader.
-func (m *Model) Vector(token string) []float64 {
-	var buf [8]string
-	return vector(m, m.Dim, sketch.AppendTokens(buf[:0], token))
-}
-
-// ColumnVector embeds a whole column as the normalized mean of its
-// value vectors. This is how D3L and ALITE summarize attributes. Like
-// Vector, it memoises token vectors.
+// memoised in the model until the next Commit, so ColumnVector writes
+// the model; readers that share it use a Reader.
 func (m *Model) ColumnVector(values []string) []float64 {
 	var buf [8]string
 	out, _ := columnVector(m, m.Dim, values, buf[:0])

@@ -13,6 +13,16 @@ import (
 // context; tokens inside values share that context.
 func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
 
+// Vector returns the embedding of a single token (lowercased). Unknown
+// tokens get a deterministic hash-based vector so that equal unknown
+// strings still match each other. The token vectors it computes are
+// memoised in the model until the next Commit, so Vector writes the
+// model; readers that share it use a Reader.
+func (m *Model) Vector(token string) []float64 {
+	var buf [8]string
+	return vector(m, m.Dim, sketch.AppendTokens(buf[:0], token))
+}
+
 func TestSameDomainValuesEmbedClose(t *testing.T) {
 	m := NewModel(64)
 	colors := []string{"red", "green", "blue", "red", "green"}

@@ -155,20 +155,6 @@ func (e *Explorer) Remove(name string) {
 	e.cat.Remove(name)
 }
 
-// Tables returns the indexed table names, sorted.
-func (e *Explorer) Tables() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cat.Tables()
-}
-
-// Size reports how many tables the indexes cover.
-func (e *Explorer) Size() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cat.Len()
-}
-
 // Explore answers a request in its mode.
 func (e *Explorer) Explore(req Request) ([]Result, error) {
 	e.mu.RLock()

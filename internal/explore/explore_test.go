@@ -218,8 +218,8 @@ func TestAddIndexesIncrementally(t *testing.T) {
 	if err := e.Add(last); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Size(); got != len(c.Tables) {
-		t.Fatalf("size = %d, want %d", got, len(c.Tables))
+	if got := len(indexed(e, c.Tables)); got != len(c.Tables) {
+		t.Fatalf("indexed %d tables, want %d", got, len(c.Tables))
 	}
 	// The added table is discoverable both as a query and as a result.
 	res, err := e.Explore(Request{Mode: ModePopulate, Query: last, K: 3})
@@ -264,8 +264,8 @@ func TestAddSkipsAlreadyIndexedTables(t *testing.T) {
 	if err := e.Add(a); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Size(); got != 1 {
-		t.Errorf("size after duplicate add = %d", got)
+	if got := indexed(e, []*table.Table{a}); len(got) != 1 {
+		t.Errorf("indexed after duplicate add = %v", got)
 	}
 }
 
@@ -310,8 +310,8 @@ func TestConcurrentAddAndExplore(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Size(); got != len(c.Tables) {
-		t.Errorf("size = %d, want %d", got, len(c.Tables))
+	if got := len(indexed(e, c.Tables)); got != len(c.Tables) {
+		t.Errorf("indexed %d tables, want %d", got, len(c.Tables))
 	}
 }
 
@@ -387,7 +387,7 @@ func TestConcurrentExploreDuringAddAndRemove(t *testing.T) {
 	if err := build(quiet); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := e.Tables(), quiet.Tables(); !reflect.DeepEqual(got, want) {
+	if got, want := indexed(e, c.Tables), indexed(quiet, c.Tables); !reflect.DeepEqual(got, want) {
 		t.Fatalf("tables = %v, want %v", got, want)
 	}
 	for _, q := range c.Tables {
@@ -411,10 +411,11 @@ func TestRemoveDropsTableFromEveryMode(t *testing.T) {
 	e, c := indexedExplorer(t)
 	victim := c.Tables[1].Name
 	e.Remove(victim)
-	if got := e.Size(); got != len(c.Tables)-1 {
-		t.Errorf("size = %d, want %d", got, len(c.Tables)-1)
+	got := indexed(e, c.Tables)
+	if len(got) != len(c.Tables)-1 {
+		t.Errorf("indexed %d tables, want %d", len(got), len(c.Tables)-1)
 	}
-	for _, name := range e.Tables() {
+	for _, name := range got {
 		if name == victim {
 			t.Fatal("removed table still listed")
 		}
@@ -476,10 +477,10 @@ func TestExplorerPinsNoTable(t *testing.T) {
 	if got := int(collected.Load()); got != n {
 		t.Fatalf("%d of %d indexed tables collected while the explorer is live: it pins the rest", got, n)
 	}
-	if got := e.Size(); got != n {
-		t.Fatalf("size = %d, want %d", got, n)
-	}
 	c := workload.GenerateCorpus(spec)
+	if got := len(indexed(e, c.Tables)); got != n {
+		t.Fatalf("indexed %d tables, want %d", got, n)
+	}
 	q := c.Tables[0]
 	for _, req := range []Request{
 		{Mode: ModeJoinColumn, Query: q, Column: c.KeyColumn[q.Name], K: 3},
@@ -528,4 +529,18 @@ func TestExplorerAddAllocationCeiling(t *testing.T) {
 	if n > 2990 {
 		t.Errorf("Explorer.Add of one table into %d: %v allocations, want <= 2990", base, n)
 	}
+}
+
+// indexed returns the names of the tables the explorer's catalog
+// holds, in the order given.
+func indexed(e *Explorer, tables []*table.Table) []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []string
+	for _, t := range tables {
+		if e.cat.Has(t.Name) {
+			out = append(out, t.Name)
+		}
+	}
+	return out
 }

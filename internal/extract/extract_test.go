@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestExtractJSONTree(t *testing.T) {
 	if md.Tree == nil {
 		t.Fatal("no tree")
 	}
-	paths := md.Tree.Paths()
+	paths := treePaths(md.Tree)
 	want := []string{"/$", "/$/active", "/$/user", "/$/user/name", "/$/user/tags", "/$/user/tags/item"}
 	if len(paths) != len(want) {
 		t.Fatalf("paths = %v", paths)
@@ -229,4 +230,21 @@ func templateRecovery(extracted []StructureTemplate, truth [][]string) float64 {
 		}
 	}
 	return float64(hit) / float64(len(truth))
+}
+
+// treePaths returns all root-to-node paths of a tree as slash-joined
+// names, sorted.
+func treePaths(n *TreeNode) []string {
+	var out []string
+	var walk func(node *TreeNode, prefix string)
+	walk = func(node *TreeNode, prefix string) {
+		p := prefix + "/" + node.Name
+		out = append(out, p)
+		for _, c := range node.Children {
+			walk(c, p)
+		}
+	}
+	walk(n, "")
+	sort.Strings(out)
+	return out
 }

@@ -50,23 +50,6 @@ func (n *TreeNode) CountNodes() int {
 	return total
 }
 
-// Paths returns all root-to-node paths as slash-joined names, sorted.
-// These are the "structural metadata" GEMMS stores for querying.
-func (n *TreeNode) Paths() []string {
-	var out []string
-	var walk func(node *TreeNode, prefix string)
-	walk = func(node *TreeNode, prefix string) {
-		p := prefix + "/" + node.Name
-		out = append(out, p)
-		for _, c := range node.Children {
-			walk(c, p)
-		}
-	}
-	walk(n, "")
-	sort.Strings(out)
-	return out
-}
-
 // Metadata is the extraction result for one ingested object, mirroring
 // the GEMMS metamodel's separation of structure, properties and
 // semantics.

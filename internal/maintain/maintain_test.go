@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// Plan is PlanAt at the current force snapshot.
+func (p *Planner) Plan(current []string) Plan {
+	return p.PlanAt(p.Snapshot(), current)
+}
+
 func TestPlannerFirstPassIsFull(t *testing.T) {
 	p := NewPlanner()
 	plan := p.Plan([]string{"a", "b"})

@@ -77,15 +77,9 @@ func (p *Planner) Snapshot() uint64 {
 	return p.forceSeq
 }
 
-// Plan computes the pass plan for the current dataset listing. It does
-// not change coverage; call Commit after the pass succeeds. Use PlanAt
-// with a pre-listing Snapshot when the listing can race a ForceFull.
-func (p *Planner) Plan(current []string) Plan {
-	return p.PlanAt(p.Snapshot(), current)
-}
-
-// PlanAt is Plan with an explicit force snapshot taken before the
-// caller gathered the current listing.
+// PlanAt computes the pass plan for the current dataset listing, given
+// the force Snapshot taken before the caller gathered it. It does not
+// change coverage; call Commit after the pass succeeds.
 func (p *Planner) PlanAt(seq uint64, current []string) Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -126,30 +125,12 @@ func (c *Catalog) put(e *CatalogEntry) error {
 		return fmt.Errorf("organize: encode entry %s: %w", e.ID, err)
 	}
 	c.kv.Put("entry/"+e.ID, raw)
-	c.kv.Put(fmt.Sprintf("cluster/%s/%s", e.Cluster, e.ID), nil)
 	return nil
 }
 
-// Remove deletes a dataset's entry and its cluster membership. Removing
-// an uncataloged dataset is a no-op.
-func (c *Catalog) Remove(id string) {
-	if e, err := c.Entry(id); err == nil {
-		c.kv.Delete(fmt.Sprintf("cluster/%s/%s", e.Cluster, e.ID))
-	}
-	c.kv.Delete("entry/" + id)
-}
-
-// Versions lists the dataset IDs in a cluster, sorted — the "cluster
-// different versions of the same dataset" organization of GOODS.
-func (c *Catalog) Versions(cluster string) []string {
-	prefix := fmt.Sprintf("cluster/%s/", cluster)
-	keys := c.kv.Keys(prefix)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = strings.TrimPrefix(k, prefix)
-	}
-	return out
-}
+// Remove deletes a dataset's entry. Removing an uncataloged dataset is
+// a no-op.
+func (c *Catalog) Remove(id string) { c.kv.Delete("entry/" + id) }
 
 // List returns all dataset IDs in the catalog, sorted.
 func (c *Catalog) List() []string {
@@ -158,23 +139,5 @@ func (c *Catalog) List() []string {
 	for i, k := range keys {
 		out[i] = strings.TrimPrefix(k, "entry/")
 	}
-	return out
-}
-
-// Search returns the IDs of datasets whose group metadata contains the
-// given key=value, sorted. GOODS serves such lookups from its catalog
-// rather than the data.
-func (c *Catalog) Search(group MetadataGroup, key, value string) []string {
-	var out []string
-	for _, id := range c.List() {
-		e, err := c.Entry(id)
-		if err != nil {
-			continue
-		}
-		if g, ok := e.Groups[group]; ok && g[key] == value {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

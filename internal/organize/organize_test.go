@@ -35,12 +35,6 @@ func TestCatalogRegisterAnnotateSearch(t *testing.T) {
 	if err != nil || e.Groups[GroupUser]["owner"] != "ops-team" {
 		t.Fatalf("Entry = %+v, %v", e, err)
 	}
-	if got := c.Search(GroupUser, "owner", "ops-team"); len(got) != 1 || got[0] != "tables/users" {
-		t.Errorf("Search = %v", got)
-	}
-	if got := c.Search(GroupUser, "owner", "nobody"); len(got) != 0 {
-		t.Errorf("Search miss = %v", got)
-	}
 	if err := c.Annotate("ghost", GroupBasic, "k", "v"); !errors.Is(err, ErrNoEntry) {
 		t.Errorf("Annotate missing = %v", err)
 	}
@@ -51,15 +45,13 @@ func TestCatalogRegisterAnnotateSearch(t *testing.T) {
 
 func TestCatalogVersionClustering(t *testing.T) {
 	c := NewCatalog(fixedClock())
-	_, _ = c.Register("logs/clicks/2026-06-11")
-	_, _ = c.Register("logs/clicks/2026-06-12")
-	_, _ = c.Register("tables/users")
-	got := c.Versions("logs/clicks")
-	if len(got) != 2 {
-		t.Fatalf("Versions = %v", got)
-	}
-	if got[0] != "logs/clicks/2026-06-11" {
-		t.Errorf("first version = %q", got[0])
+	for _, id := range []string{"logs/clicks/2026-06-11", "logs/clicks/2026-06-12"} {
+		if e, err := c.Register(id); err != nil || e.Cluster != "logs/clicks" {
+			t.Fatalf("Register(%s) = %+v, %v; want cluster logs/clicks", id, e, err)
+		}
+		if e, err := c.Entry(id); err != nil || e.Cluster != "logs/clicks" {
+			t.Errorf("Entry(%s) = %+v, %v; want cluster logs/clicks", id, e, err)
+		}
 	}
 	// Non-generation paths cluster to themselves.
 	if ClusterOf("tables/users") != "tables/users" {

@@ -65,9 +65,6 @@ func NewLocal(dir string, opts ...LocalOption) (*Local, error) {
 // Name implements Backend.
 func (l *Local) Name() string { return "local" }
 
-// Dir returns the backing directory.
-func (l *Local) Dir() string { return l.dir }
-
 // ReadSnapshot implements Backend.
 func (l *Local) ReadSnapshot() ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, snapshotFile))

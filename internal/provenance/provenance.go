@@ -225,22 +225,6 @@ func (t *Tracker) Upstream(entity string) ([]string, error) {
 	return out, nil
 }
 
-// Path returns a lineage chain (entities and activities) from ancestor
-// to descendant, or nil — GOODS's path-based provenance query.
-func (t *Tracker) Path(ancestor, descendant string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	raw := t.g.ShortestPath("e:"+ancestor, "e:"+descendant, graphstore.Out)
-	out := make([]string, len(raw))
-	for i, n := range raw {
-		out[i] = n[2:]
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // AccessLog returns the events touching an entity, in order — CoreDB's
 // "who queried this entity" audit.
 func (t *Tracker) AccessLog(entity string) []Event {

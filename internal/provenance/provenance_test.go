@@ -45,20 +45,6 @@ func TestUpstream(t *testing.T) {
 	}
 }
 
-func TestPathQuery(t *testing.T) {
-	tr := buildPipeline(t)
-	path := tr.Path("tweets_raw", "category_summary")
-	if len(path) != 5 {
-		t.Fatalf("path = %v", path)
-	}
-	if path[0] != "tweets_raw" || path[4] != "category_summary" {
-		t.Errorf("path endpoints = %v", path)
-	}
-	if p := tr.Path("category_summary", "tweets_raw"); p != nil {
-		t.Errorf("reverse lineage = %v, want nil", p)
-	}
-}
-
 func TestAccessLogAndQuery(t *testing.T) {
 	tr := buildPipeline(t)
 	if err := tr.Query("category_summary", "dashboard", "ceo"); err != nil {

@@ -14,15 +14,14 @@ import (
 // profiles.
 const DefaultBatchRows = 1024
 
-// Batch is the columnar unit of vectorized execution: a header, one
-// typed Vector per column, and an optional selection. All vectors have
-// the same physical length; Sel, when non-nil, lists the physical row
-// indexes that are logically present (what a vectorized filter
-// produces — no row is copied to drop a row). Stages hand whole
+// Batch is the columnar unit of vectorized execution: one typed Vector
+// per column of its stage's header, and an optional selection. All
+// vectors have the same physical length; Sel, when non-nil, lists the
+// physical row indexes that are logically present (what a vectorized
+// filter produces — no row is copied to drop a row). Stages hand whole
 // batches downstream, so per-row interface dispatch and allocation are
 // paid once per ~1024 rows instead of once per row.
 type Batch struct {
-	cols []string
 	vecs []*Vector
 	// n is the physical row count of the vectors.
 	n int
@@ -32,17 +31,14 @@ type Batch struct {
 }
 
 // NewBatch builds a batch over vectors (one per column, equal
-// lengths). The slices are referenced, not copied.
-func NewBatch(cols []string, vecs []*Vector) *Batch {
+// lengths). The slice is referenced, not copied.
+func NewBatch(vecs []*Vector) *Batch {
 	n := 0
 	if len(vecs) > 0 {
 		n = vecs[0].Len()
 	}
-	return &Batch{cols: cols, vecs: vecs, n: n}
+	return &Batch{vecs: vecs, n: n}
 }
-
-// Columns is the batch header.
-func (b *Batch) Columns() []string { return b.cols }
 
 // Len returns the logical (selected) row count.
 func (b *Batch) Len() int {
@@ -151,12 +147,13 @@ func (b *batchesIterator) Close() error {
 	return b.in.Close()
 }
 
-// buildBatch fills a k-row batch over cols column by column through
-// cell(i, j), carving every column run out of one backing array — how
-// the snapshot leaves and the sort stage turn records into vectors.
-func buildBatch(cols []string, k int, cell func(i, j int) string) *Batch {
-	cells := make([]string, k*len(cols))
-	vecs := make([]*Vector, len(cols))
+// buildBatch fills a k-row batch of width columns column by column
+// through cell(i, j), carving every column run out of one backing array
+// — how the snapshot leaves and the sort stage turn records into
+// vectors.
+func buildBatch(width, k int, cell func(i, j int) string) *Batch {
+	cells := make([]string, k*width)
+	vecs := make([]*Vector, width)
 	for j := range vecs {
 		run := cells[j*k : (j+1)*k : (j+1)*k]
 		for i := range run {
@@ -165,7 +162,7 @@ func buildBatch(cols []string, k int, cell func(i, j int) string) *Batch {
 		vecs[j] = NewVector(run)
 	}
 	// n is set explicitly: a record set with no columns still has rows.
-	return &Batch{cols: cols, vecs: vecs, n: k}
+	return &Batch{vecs: vecs, n: k}
 }
 
 // batchMeter instruments the top of a batch pipeline: batches and rows

@@ -34,7 +34,7 @@ func batchMapping(from, to []string) []int {
 // precomputed mapping: whole vectors are rearranged (missing columns
 // become all-null pads), no cell is touched, and the selection carries
 // over unchanged. nil src is the identity and returns the batch as-is.
-func remapBatch(b *Batch, cols []string, src []int) *Batch {
+func remapBatch(b *Batch, src []int) *Batch {
 	if src == nil {
 		return b
 	}
@@ -46,13 +46,13 @@ func remapBatch(b *Batch, cols []string, src []int) *Batch {
 			vecs[i] = NullVector(b.n)
 		}
 	}
-	return &Batch{cols: cols, vecs: vecs, n: b.n, sel: b.sel}
+	return &Batch{vecs: vecs, n: b.n, sel: b.sel}
 }
 
 // withSel derives a batch sharing this batch's vectors under a new
 // selection.
 func (b *Batch) withSel(sel []int) *Batch {
-	return &Batch{cols: b.cols, vecs: b.vecs, n: b.n, sel: sel}
+	return &Batch{vecs: b.vecs, n: b.n, sel: sel}
 }
 
 // head returns the batch truncated to its first k logical rows.
@@ -385,7 +385,7 @@ func (u *unionBatchIterator) Next(ctx context.Context) (*Batch, error) {
 			_ = u.Close()
 			return nil, err
 		}
-		return remapBatch(b, u.cols, u.src), nil
+		return remapBatch(b, u.src), nil
 	}
 	return nil, io.EOF
 }

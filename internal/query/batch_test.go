@@ -56,7 +56,7 @@ func drainStream(t *testing.T, st *RowStream) [][]string {
 // a source's length.
 func TestBatchAdapterRoundTrip(t *testing.T) {
 	e := federatedEngine(t)
-	const sql = "SELECT * FROM rel:hotels_a, doc:hotels_b, graph:hotel"
+	const sql = "SELECT * FROM rel:hotels_a, doc:hotels_b, doc:hotels_g"
 	for _, n := range []int{1, 2, 3, 5, 100} {
 		req := Request{SQL: sql, BatchRows: n, FanIn: 1}
 		st, err := e.Query(context.Background(), req)
@@ -177,7 +177,7 @@ type ctxBlindBatchSource struct {
 func (s *ctxBlindBatchSource) Columns() []string { return s.cols }
 
 func (s *ctxBlindBatchSource) Next(context.Context) (*Batch, error) {
-	return NewBatch(s.cols, []*Vector{NewVector([]string{"x"})}), nil
+	return NewBatch([]*Vector{NewVector([]string{"x"})}), nil
 }
 
 func (s *ctxBlindBatchSource) Close() error { return nil }
@@ -232,7 +232,7 @@ func TestBatchPlanAndStats(t *testing.T) {
 	}
 	for _, sql := range []string{
 		"SELECT city FROM rel:hotels_a",
-		"SELECT city FROM rel:hotels_a, doc:hotels_d, graph:hotel, file:raw/",
+		"SELECT city FROM rel:hotels_a, doc:hotels_d, file:raw/",
 	} {
 		st, err := e.Query(ctx, Request{SQL: sql, Explain: true})
 		if err != nil {
@@ -292,7 +292,7 @@ func TestBatchEarlyCloseReleasesSources(t *testing.T) {
 func TestCollectUsesBatchFace(t *testing.T) {
 	e := federatedEngine(t)
 	ctx := context.Background()
-	req := Request{SQL: "SELECT city, price FROM rel:hotels_a, doc:hotels_b, graph:hotel WHERE price > 20", FanIn: 1, BatchRows: 2}
+	req := Request{SQL: "SELECT city, price FROM rel:hotels_a, doc:hotels_b, doc:hotels_g WHERE price > 20", FanIn: 1, BatchRows: 2}
 	st, err := e.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -59,12 +59,3 @@ func (b *MemBudget) Release(n int) {
 	}
 	b.used.Add(-int64(n))
 }
-
-// Limit reports the budget's row limit (0 for an unlimited nil
-// budget).
-func (b *MemBudget) Limit() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.limit)
-}

@@ -16,24 +16,21 @@ import (
 )
 
 // ErrUnknownSource classifies FROM items that resolve to no member
-// store (or carry an unrecognized prefix).
+// store. One whose prefix names neither a store nor a remote member
+// wraps ErrSyntax too: the statement is malformed, not just unmatched.
 var ErrUnknownSource = errors.New("query: unknown source")
 
 // Engine executes parsed queries over a polystore as one pull-based
 // columnar pipeline: every FROM item opens as a batch leaf (a
 // relational cursor, a remote member's stream, or column runs built
-// from a document, graph or file-listing snapshot) with the WHERE
-// filter at the leaf; a streaming union or parallel fan-in remaps the
-// leaves onto the result header; ORDER BY or LIMIT caps the result.
+// from a document or file-listing snapshot) with the WHERE filter at
+// the leaf; a streaming union or parallel fan-in remaps the leaves onto
+// the result header; ORDER BY or LIMIT caps the result.
 // Rows exist only at the output — a LIMIT n query stops pulling from
 // the source scans after n rows, and memory stays bounded by a few
 // batches per stage rather than the full federated result.
 type Engine struct {
 	Poly *polystore.Poly
-	// PushDown controls whether selection predicates and projections
-	// are evaluated inside the member stores (the optimization
-	// Constance and Ontario apply) or centrally after full retrieval.
-	PushDown bool
 	// FanIn configures concurrent fan-in across member stores: with
 	// Workers > 1, source scans are opened and drained in parallel
 	// behind bounded per-source buffers (ParallelUnionBatches), so a
@@ -74,9 +71,11 @@ type execEnv struct {
 	shards int
 }
 
-// NewEngine creates an engine with pushdown enabled.
+// NewEngine creates an engine over a polystore. Selection predicates
+// and projections are evaluated inside the member stores that can
+// (the optimization Constance and Ontario apply).
 func NewEngine(p *polystore.Poly) *Engine {
-	return &Engine{Poly: p, PushDown: true}
+	return &Engine{Poly: p}
 }
 
 // Query is the engine's single entry point: it parses the request's
@@ -267,32 +266,24 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 			if shards > 1 {
 				sp.Access = fmt.Sprintf("table %s (%d range shards)", name, shards)
 			}
-			if e.PushDown {
-				for _, pr := range q.Where {
-					sp.Pushdown = append(sp.Pushdown, pr.String())
-				}
-				sp.Project = batchPushableColumns(name, q, e)
+			for _, pr := range q.Where {
+				sp.Pushdown = append(sp.Pushdown, pr.String())
 			}
+			sp.Project = batchPushableColumns(name, q, e)
 		case "remote":
 			member, ds := remoteMember(name)
 			sp.Access = "remote lake " + member + " (" + e.Remotes[member].Describe() + "), dataset " + ds
-			if e.PushDown {
-				for _, pr := range q.Where {
-					sp.Pushdown = append(sp.Pushdown, pr.String())
-				}
-				sp.Project = withPredicateColumns(q)
+			for _, pr := range q.Where {
+				sp.Pushdown = append(sp.Pushdown, pr.String())
 			}
+			sp.Project = withPredicateColumns(q)
 		case "doc":
 			sp.Access = "collection " + name
-			if e.PushDown {
-				for _, pr := range q.Where {
-					if _, ok := docFilter(pr); ok {
-						sp.Pushdown = append(sp.Pushdown, pr.String())
-					}
+			for _, pr := range q.Where {
+				if _, ok := docFilter(pr); ok {
+					sp.Pushdown = append(sp.Pushdown, pr.String())
 				}
 			}
-		case "graph":
-			sp.Access = "label " + name
 		case "file":
 			sp.Access = "prefix " + name
 		}
@@ -388,7 +379,7 @@ func (r *relBatchIterator) Next(ctx context.Context) (*Batch, error) {
 		vecs[j] = NewVector(cells[j])
 		vecs[j].mirror, vecs[j].off = r.cur.Mirror(j)
 	}
-	return NewBatch(r.cur.Columns(), vecs), nil
+	return NewBatch(vecs), nil
 }
 
 func (r *relBatchIterator) Close() error { return r.cur.Close() }
@@ -424,13 +415,6 @@ func (e *Engine) starColumns(q *Query) []string {
 			}
 		case "doc":
 			add(docFields(e.Poly.Docs.Collection(name).All(), nil)...)
-		case "graph":
-			add("id")
-			for _, n := range e.Poly.Graph.NodesByLabel(name) {
-				for k := range n.Props {
-					add(k)
-				}
-			}
 		case "file":
 			add("path", "size", "format")
 		}
@@ -519,8 +503,6 @@ func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execE
 		}
 	case "doc":
 		leaves[0] = e.scanDocument(name, q, batchRows)
-	case "graph":
-		leaves[0] = e.scanGraph(name, q, batchRows)
 	default:
 		leaves[0] = e.scanFiles(name, batchRows)
 	}
@@ -534,11 +516,9 @@ func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execE
 }
 
 // openRemote opens the pushed-down sub-query stream against the member
-// lake a resolved "member:dataset" name addresses. With pushdown the
-// member already filtered and projected; the pushed projection includes
-// the predicate columns, so the leaf filter re-evaluates exactly what
-// the member did. Without pushdown the member streams the bare dataset
-// and the leaf filter and the union's projection do the work.
+// lake a resolved "member:dataset" name addresses. The member already
+// filtered and projected; the pushed projection includes the predicate
+// columns, so the leaf filter re-evaluates exactly what the member did.
 func (e *Engine) openRemote(ctx context.Context, name string, q *Query, env execEnv) (BatchScanner, error) {
 	member, ds := remoteMember(name)
 	opener := e.Remotes[member]
@@ -559,11 +539,11 @@ func shardLabel(src string, k, of int) string {
 // resolveKind resolves one FROM item to its member store without
 // opening a scan — shared by execution and the planner, so EXPLAIN
 // reports exactly the access path execution would take. Bare names
-// resolve relational, then document, then graph.
+// resolve relational, then document.
 func (e *Engine) resolveKind(src string) (kind, name string, err error) {
 	kind, name = splitSource(src)
 	switch kind {
-	case "rel", "doc", "graph", "file":
+	case "rel", "doc", "file":
 		return kind, name, nil
 	case "":
 		if e.Poly.Rel.Has(name) {
@@ -573,9 +553,6 @@ func (e *Engine) resolveKind(src string) (kind, name string, err error) {
 			if coll == name {
 				return "doc", name, nil
 			}
-		}
-		if len(e.Poly.Graph.NodesByLabel(name)) > 0 {
-			return "graph", name, nil
 		}
 		// Not local anywhere: consult the placement helper — a bare
 		// dataset name routes to the consistent-hash member that owns
@@ -597,7 +574,7 @@ func (e *Engine) resolveKind(src string) (kind, name string, err error) {
 		if _, ok := e.Remotes[kind]; ok {
 			return "remote", kind + ":" + name, nil
 		}
-		return "", name, fmt.Errorf("%w: bad prefix %q", ErrUnknownSource, kind)
+		return "", name, fmt.Errorf("%w: %w: bad prefix %q", ErrSyntax, ErrUnknownSource, kind)
 	}
 }
 
@@ -612,13 +589,9 @@ func splitSource(src string) (kind, name string) {
 // cursors over one snapshot (one cursor when shards <= 1), each a leaf
 // labeled for stats. Draining all shards yields exactly the rows the
 // single-cursor scan would — the fan-in just overlaps the ranges in
-// time. With pushdown the store projects during the scan.
+// time. The store projects during the scan.
 func (e *Engine) scanRelational(src, name string, q *Query, shards, batchRows int) ([]BatchIterator, []string, error) {
-	var proj []string
-	if e.PushDown {
-		proj = batchPushableColumns(name, q, e)
-	}
-	curs, err := e.Poly.Rel.ScanWhereShards(name, nil, proj, shards)
+	curs, err := e.Poly.Rel.ScanWhereShards(name, nil, batchPushableColumns(name, q, e), shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -636,19 +609,13 @@ func (e *Engine) scanRelational(src, name string, q *Query, shards, batchRows in
 // re-checks them with the dialect's semantics), and the matched
 // documents' fields become column runs batch by batch.
 func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterator {
-	coll := e.Poly.Docs.Collection(name)
-	var docs []docstore.Doc
-	if e.PushDown {
-		var filters []docstore.Filter
-		for _, p := range q.Where {
-			if f, ok := docFilter(p); ok {
-				filters = append(filters, f)
-			}
+	var filters []docstore.Filter
+	for _, p := range q.Where {
+		if f, ok := docFilter(p); ok {
+			filters = append(filters, f)
 		}
-		docs = coll.Find(filters...)
-	} else {
-		docs = coll.All()
 	}
+	docs := e.Poly.Docs.Collection(name).Find(filters...)
 	fields := docFields(docs, withPredicateColumns(q))
 	return &snapshotIterator{cols: fields, n: len(docs), rows: batchRows, cell: func(i, j int) string {
 		return cellText(docs[i][fields[j]])
@@ -737,36 +704,6 @@ func docFields(docs []docstore.Doc, want []string) []string {
 	return fields
 }
 
-// scanGraph opens the nodes of one label as a leaf: id plus the
-// requested (or all) properties as column runs.
-func (e *Engine) scanGraph(label string, q *Query, batchRows int) BatchIterator {
-	nodes := e.Poly.Graph.NodesByLabel(label)
-	fieldSet := map[string]bool{}
-	if cols := withPredicateColumns(q); cols != nil {
-		for _, c := range cols {
-			fieldSet[c] = true
-		}
-	} else {
-		fieldSet["id"] = true
-		for _, n := range nodes {
-			for k := range n.Props {
-				fieldSet[k] = true
-			}
-		}
-	}
-	fields := make([]string, 0, len(fieldSet))
-	for f := range fieldSet {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	return &snapshotIterator{cols: fields, n: len(nodes), rows: batchRows, cell: func(i, j int) string {
-		if fields[j] == "id" {
-			return nodes[i].ID
-		}
-		return cellText(nodes[i].Props[fields[j]])
-	}}
-}
-
 // scanFiles opens the raw objects under a prefix as a (path, size,
 // format) leaf.
 func (e *Engine) scanFiles(prefix string, batchRows int) BatchIterator {
@@ -782,10 +719,9 @@ func (e *Engine) scanFiles(prefix string, batchRows int) BatchIterator {
 	}}
 }
 
-// cellText renders a document field or node property as a cell: a
-// string as itself, a number in its shortest form (fmt's %v), and null
-// — like a missing field — as the empty cell, the pipeline's null
-// encoding.
+// cellText renders a document field as a cell: a string as itself, a
+// number in its shortest form (fmt's %v), and null — like a missing
+// field — as the empty cell, the pipeline's null encoding.
 func cellText(v any) string {
 	switch x := v.(type) {
 	case nil:
@@ -799,8 +735,8 @@ func cellText(v any) string {
 }
 
 // snapshotIterator serves the n records of a store snapshot (documents,
-// graph nodes, file listings) as batches of up to rows rows, building
-// each batch's column runs through cell.
+// file listings) as batches of up to rows rows, building each batch's
+// column runs through cell.
 type snapshotIterator struct {
 	cols    []string
 	n, rows int
@@ -819,7 +755,7 @@ func (s *snapshotIterator) Next(ctx context.Context) (*Batch, error) {
 	}
 	base := s.pos
 	s.pos = min(base+s.rows, s.n)
-	return buildBatch(s.cols, s.pos-base, func(i, j int) string { return s.cell(base+i, j) }), nil
+	return buildBatch(len(s.cols), s.pos-base, func(i, j int) string { return s.cell(base+i, j) }), nil
 }
 
 func (s *snapshotIterator) Close() error {

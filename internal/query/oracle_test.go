@@ -31,12 +31,12 @@ var oracleCells = []string{"", "0", "7", "007", "1.0", "-3", "1e3", "9.5", "NaN"
 // "ghost" exists nowhere.
 var oracleColumns = []string{"id", "v", "city", "w", "size", "ghost"}
 
-var oracleSources = []string{"rel:t0", "rel:t1", "rel:t2", "doc:ev", "graph:node", "file:raw/"}
+var oracleSources = []string{"rel:t0", "rel:t1", "rel:t2", "doc:ev", "file:raw/"}
 
 // oracleEngine ingests a seeded mixed-store lake: three relational
 // tables with ragged headers, a document collection whose documents
-// carry different field sets (and a nested field SELECT * skips), a
-// graph label, and the raw-object listing over all of them.
+// carry different field sets (and a nested field SELECT * skips), and
+// the raw-object listing over all of them.
 func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	p, err := polystore.New(t.TempDir())
@@ -92,18 +92,6 @@ func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 	if _, err := p.Ingest("raw/ev.jsonl", []byte(docs.String())); err != nil {
 		t.Fatal(err)
 	}
-	var nodes []map[string]any
-	for i, n := 0, 1+rng.Intn(12); i < n; i++ {
-		props := map[string]any{}
-		for _, c := range []string{"v", "city", "w"} {
-			if rng.Intn(3) > 0 {
-				props[c] = value()
-			}
-		}
-		nodes = append(nodes, map[string]any{"id": fmt.Sprintf("g%d", i), "label": "node", "props": props})
-	}
-	graph, _ := json.Marshal(map[string]any{"nodes": nodes, "edges": []any{}})
-	ingestGraph(t, p, "raw/g.json", graph)
 	return NewEngine(p)
 }
 
@@ -175,33 +163,6 @@ func oracle(e *Engine, q *Query) ([]string, [][]string) {
 			s.cols = docFields(docs, withPredicateColumns(q))
 			for _, d := range docs {
 				s.rows = append(s.rows, oracleRow(s.cols, func(c string) (any, bool) { v, ok := d[c]; return v, ok }))
-			}
-		case "graph":
-			nodes := e.Poly.Graph.NodesByLabel(name)
-			set := map[string]bool{}
-			for _, c := range withPredicateColumns(q) {
-				set[c] = true
-			}
-			if len(set) == 0 {
-				set["id"] = true
-				for _, n := range nodes {
-					for k := range n.Props {
-						set[k] = true
-					}
-				}
-			}
-			for c := range set {
-				s.cols = append(s.cols, c)
-			}
-			sort.Strings(s.cols)
-			for _, n := range nodes {
-				s.rows = append(s.rows, oracleRow(s.cols, func(c string) (any, bool) {
-					if c == "id" {
-						return n.ID, true
-					}
-					v, ok := n.Props[c]
-					return v, ok
-				}))
 			}
 		case "file":
 			s.cols = []string{"path", "size", "format"}
@@ -378,7 +339,7 @@ func subMultiset(sub, of [][]string) bool {
 
 // TestBatchRowEquivalence checks the engine, at every batch size and
 // fan-in width, against the naive row-at-a-time evaluator on generated
-// mixed rel/doc/graph/file statements without ORDER BY: exact at
+// mixed rel/doc/file statements without ORDER BY: exact at
 // fan-in 1, the row multiset at wider fan-in, and count plus
 // membership when a bare LIMIT makes the surviving rows
 // arrival-order-dependent.

@@ -178,7 +178,7 @@ func (p *fanInUnion) pull(ctx context.Context, i int, src BatchIterator, sem cha
 			p.send(ctx, i, batchHop{err: err})
 			return
 		}
-		if !p.send(ctx, i, batchHop{b: remapBatch(b, p.cols, srcMap)}) {
+		if !p.send(ctx, i, batchHop{b: remapBatch(b, srcMap)}) {
 			return
 		}
 	}

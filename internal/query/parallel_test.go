@@ -12,9 +12,9 @@ import (
 	"golake/internal/storage/polystore"
 )
 
-// federatedEngine builds an engine over one source per member-store
-// kind (relational, document, graph) sharing overlapping headers, so
-// fan-in is exercised across genuinely heterogeneous scans.
+// federatedEngine builds an engine over a relational table and two
+// document collections sharing overlapping headers, so fan-in is
+// exercised across genuinely heterogeneous scans.
 func federatedEngine(t *testing.T) *Engine {
 	t.Helper()
 	p, err := polystore.New(t.TempDir())
@@ -27,11 +27,9 @@ func federatedEngine(t *testing.T) *Engine {
 	if _, err := p.Ingest("raw/hotels_b.jsonl", []byte("{\"city\":\"oslo\",\"price\":15,\"stars\":4}\n{\"city\":\"bern\",\"price\":50}\n")); err != nil {
 		t.Fatal(err)
 	}
-	graph := []byte(`{"nodes":[
-		{"id":"h1","label":"hotel","props":{"city":"kyoto","price":70}},
-		{"id":"h2","label":"hotel","props":{"city":"lima","price":25}}],
-		"edges":[]}`)
-	ingestGraph(t, p, "raw/hotels_g.json", graph)
+	if _, err := p.Ingest("raw/hotels_g.jsonl", []byte("{\"city\":\"kyoto\",\"price\":70}\n{\"city\":\"lima\",\"price\":25}\n")); err != nil {
+		t.Fatal(err)
+	}
 	return NewEngine(p)
 }
 
@@ -307,7 +305,7 @@ func (c *concurrencyProbe) Next(context.Context) (*Batch, error) {
 	}
 	c.left--
 	time.Sleep(time.Millisecond)
-	return NewBatch([]string{"a"}, []*Vector{NewVector([]string{"x"})}), nil
+	return NewBatch([]*Vector{NewVector([]string{"x"})}), nil
 }
 
 func (c *concurrencyProbe) Close() error { return nil }
@@ -391,11 +389,11 @@ func TestUnionCloseIdempotent(t *testing.T) {
 }
 
 // TestEngineParallelFanInMatchesSequential runs a real federated query
-// (relational + document + graph sources) both ways and asserts header
+// (relational + document sources) both ways and asserts header
 // equality and row-multiset equality.
 func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 	e := federatedEngine(t)
-	sql := "SELECT city, price FROM rel:hotels_a, doc:hotels_b, graph:hotel"
+	sql := "SELECT city, price FROM rel:hotels_a, doc:hotels_b, doc:hotels_g"
 	seq, err := e.Query(context.Background(), Request{SQL: sql, FanIn: 1})
 	if err != nil {
 		t.Fatal(err)

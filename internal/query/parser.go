@@ -10,14 +10,14 @@
 //
 //	SELECT a, b FROM rel:orders WHERE status = 'open' AND total > 10 LIMIT 5
 //	SELECT * FROM doc:events WHERE kind = 'click'
-//	SELECT * FROM graph:person
+//	SELECT path, size FROM file:raw/
 //	SELECT city, price FROM rel:hotels_a, rel:hotels_b   -- union-all
 //	SELECT city, price FROM rel:hotels_a ORDER BY price DESC, city LIMIT 3
 //	EXPLAIN SELECT city FROM rel:hotels_a, doc:hotels_b WHERE price > 40
 //
 // Source prefixes select the member store: rel: (relational), doc:
-// (document), graph: (node label), file: (raw object listing). A bare
-// name resolves against the stores in that order. String literals
+// (document), file: (raw object listing). A bare name resolves
+// relational, then document. String literals
 // escape an embedded quote by doubling it ('o”brien').
 package query
 
@@ -82,7 +82,7 @@ type Query struct {
 	// Columns to project; empty means SELECT *.
 	Columns []string
 	// Sources are the FROM items, possibly prefixed (rel:, doc:,
-	// graph:, file:).
+	// file:).
 	Sources []string
 	// Where holds the conjunctive predicates.
 	Where []Predicate

@@ -11,7 +11,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM rel:t WHERE name = 'o''brien'",
 		"SELECT a FROM rel:t, doc:u WHERE a > 1 ORDER BY b DESC, a ASC, c LIMIT 4",
 		"EXPLAIN ANALYZE SELECT id FROM rel:orders LIMIT 3",
-		"SELECT name FROM graph:person WHERE age > 26",
+		"SELECT name FROM doc:person WHERE age > 26",
 		"SELECT path, format FROM file:raw/",
 		"SELEKT a FROM t",
 		"SELECT",

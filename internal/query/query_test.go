@@ -2,10 +2,8 @@ package query
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,36 +21,6 @@ func collectSQL(ctx context.Context, e *Engine, sql string) (*table.Table, error
 	return Collect(ctx, st)
 }
 
-// ingestGraph stores a raw object and loads its JSON
-// {"nodes":[...], "edges":[...]} into the graph member store.
-func ingestGraph(t *testing.T, p *polystore.Poly, path string, data []byte) {
-	t.Helper()
-	if _, err := p.Files.Put(path, data, nil); err != nil {
-		t.Fatal(err)
-	}
-	var g struct {
-		Nodes []struct {
-			ID, Label string
-			Props     map[string]any
-		}
-		Edges []struct {
-			From, To, Label string
-			Props           map[string]any
-		}
-	}
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range g.Nodes {
-		p.Graph.UpsertNode(n.ID, n.Label, n.Props)
-	}
-	for _, e := range g.Edges {
-		if _, err := p.Graph.AddEdge(e.From, e.To, e.Label, e.Props); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func setupPoly(t *testing.T) *polystore.Poly {
 	t.Helper()
 	p, err := polystore.New(t.TempDir())
@@ -65,11 +33,6 @@ func setupPoly(t *testing.T) *polystore.Poly {
 	if _, err := p.Ingest("raw/events.jsonl", []byte("{\"kind\":\"click\",\"n\":1}\n{\"kind\":\"view\",\"n\":2}\n{\"kind\":\"click\",\"n\":3}\n")); err != nil {
 		t.Fatal(err)
 	}
-	graph := []byte(`{"nodes":[
-		{"id":"p1","label":"person","props":{"name":"alice","age":30}},
-		{"id":"p2","label":"person","props":{"name":"bob","age":25}}],
-		"edges":[{"from":"p1","to":"p2","label":"knows"}]}`)
-	ingestGraph(t, p, "raw/people.json", graph)
 	return p
 }
 
@@ -135,32 +98,6 @@ func TestExecuteRelationalWithPredicates(t *testing.T) {
 	}
 }
 
-func TestPushdownEquivalence(t *testing.T) {
-	p := setupPoly(t)
-	queries := []string{
-		"SELECT id, total FROM rel:orders WHERE status = 'open'",
-		"SELECT * FROM doc:events WHERE kind = 'click'",
-		"SELECT name FROM graph:person WHERE age > 26",
-		"SELECT id FROM rel:orders WHERE total <= 10.5 LIMIT 1",
-	}
-	for _, sql := range queries {
-		with := NewEngine(p)
-		without := NewEngine(p)
-		without.PushDown = false
-		a, err := collectSQL(context.Background(), with, sql)
-		if err != nil {
-			t.Fatalf("%s (pushdown): %v", sql, err)
-		}
-		b, err := collectSQL(context.Background(), without, sql)
-		if err != nil {
-			t.Fatalf("%s (central): %v", sql, err)
-		}
-		if tableCSV(a) != tableCSV(b) {
-			t.Errorf("pushdown changed semantics for %q:\nwith:\n%s\nwithout:\n%s", sql, tableCSV(a), tableCSV(b))
-		}
-	}
-}
-
 func TestExecuteDocument(t *testing.T) {
 	e := NewEngine(setupPoly(t))
 	res, err := collectSQL(context.Background(), e, "SELECT kind, n FROM doc:events WHERE n >= 2")
@@ -172,17 +109,15 @@ func TestExecuteDocument(t *testing.T) {
 	}
 }
 
+// TestExecuteGraph: the polystore has no graph member, so a graph:
+// source fails as an unknown prefix does — a syntax error naming an
+// unknown source — in execution and in EXPLAIN alike.
 func TestExecuteGraph(t *testing.T) {
 	e := NewEngine(setupPoly(t))
-	res, err := collectSQL(context.Background(), e, "SELECT * FROM graph:person")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 2 {
-		t.Fatalf("rows = %d", res.NumRows())
-	}
-	if cols := res.ColumnNames(); !slices.Contains(cols, "id") || !slices.Contains(cols, "name") {
-		t.Errorf("columns = %v", res.ColumnNames())
+	for _, sql := range []string{"SELECT * FROM graph:person", "EXPLAIN SELECT name FROM rel:orders, graph:person"} {
+		if _, err := collectSQL(context.Background(), e, sql); !errors.Is(err, ErrUnknownSource) || !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s = %v, want ErrUnknownSource and ErrSyntax", sql, err)
+		}
 	}
 }
 
@@ -192,8 +127,8 @@ func TestExecuteFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumRows() != 3 {
-		t.Fatalf("rows = %d\n%s", res.NumRows(), tableCSV(res))
+	if got := tableCSV(res); got != "path,format\nraw/events.jsonl,jsonl\nraw/orders.csv,csv\n" {
+		t.Fatalf("listing:\n%s", got)
 	}
 }
 
@@ -220,15 +155,13 @@ func TestBareSourceResolution(t *testing.T) {
 	if _, err := collectSQL(context.Background(), e, "SELECT * FROM events"); err != nil {
 		t.Errorf("bare document: %v", err)
 	}
-	if _, err := collectSQL(context.Background(), e, "SELECT * FROM person"); err != nil {
-		t.Errorf("bare graph: %v", err)
-	}
 	if _, err := collectSQL(context.Background(), e, "SELECT * FROM ghost"); err == nil {
 		t.Error("unknown source should error")
 	}
-	if _, err := collectSQL(context.Background(), e, "SELECT * FROM bad:orders"); err == nil {
-		t.Error("unknown prefix should error")
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM bad:orders"); !errors.Is(err, ErrUnknownSource) {
+		t.Errorf("unknown prefix = %v, want ErrUnknownSource", err)
 	}
+
 }
 
 func TestPredicateOnUnprojectedColumn(t *testing.T) {
@@ -241,13 +174,6 @@ func TestPredicateOnUnprojectedColumn(t *testing.T) {
 	}
 	if res.NumRows() != 2 || res.NumCols() != 1 {
 		t.Errorf("doc result = %dx%d\n%s", res.NumRows(), res.NumCols(), tableCSV(res))
-	}
-	res, err = collectSQL(context.Background(), e, "SELECT name FROM graph:person WHERE age > 26")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 1 || res.Row(0)[0] != "alice" {
-		t.Errorf("graph result:\n%s", tableCSV(res))
 	}
 	res, err = collectSQL(context.Background(), e, "SELECT id FROM rel:orders WHERE status = 'open'")
 	if err != nil {
@@ -353,9 +279,9 @@ func TestExecuteCanceled(t *testing.T) {
 	}
 }
 
-// TestNullFieldsReadAsEmptyCells: a JSON null in a document field or a
-// node property is the pipeline's null — the empty cell, like a missing
-// field — not the text "<nil>"; other values keep their %v text.
+// TestNullFieldsReadAsEmptyCells: a JSON null in a document field is
+// the pipeline's null — the empty cell, like a missing field — not the
+// text "<nil>"; other values keep their %v text.
 func TestNullFieldsReadAsEmptyCells(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -364,19 +290,14 @@ func TestNullFieldsReadAsEmptyCells(t *testing.T) {
 	if _, err := p.Ingest("raw/nulls.jsonl", []byte(`{"a":null,"b":1000000}`+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	graph := []byte(`{"nodes":[{"id":"n1","label":"thing","props":{"a":null,"b":2.5}}],"edges":[]}`)
-	ingestGraph(t, p, "raw/things.json", graph)
-	e := NewEngine(p)
-	for _, sql := range []string{"SELECT a, b FROM doc:nulls", "SELECT a, b FROM graph:thing"} {
-		res, err := collectSQL(context.Background(), e, sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NumRows() != 1 {
-			t.Fatalf("%s: %d rows", sql, res.NumRows())
-		}
-		if got := res.Row(0); got[0] != "" || (got[1] != "1e+06" && got[1] != "2.5") {
-			t.Errorf("%s: row %q, want [\"\" 1e+06] / [\"\" 2.5]", sql, got)
-		}
+	res, err := collectSQL(context.Background(), NewEngine(p), "SELECT a, b FROM doc:nulls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 1 {
+		t.Fatalf("%d rows", res.NumRows())
+	}
+	if got := res.Row(0); got[0] != "" || got[1] != "1e+06" {
+		t.Errorf("row %q, want [\"\" 1e+06]", got)
 	}
 }

@@ -44,23 +44,17 @@ func remoteMember(name string) (member, dataset string) {
 }
 
 // remoteStatement builds the sub-query pushed to a member lake for one
-// FROM item. With pushdown the statement carries the predicates and the
-// projection (extended with predicate columns, so the central batch
-// filter can re-evaluate them without a second fetch); when a limit
-// bounds the result, ORDER BY + LIMIT ride along — each member's top-k
-// is a superset of its contribution to the global top-k, so the central
-// sort stage stays correct while members ship k rows instead of all.
-// Without pushdown the member streams the bare dataset and every stage
-// runs centrally.
+// FROM item. The statement carries the predicates and the projection
+// (extended with predicate columns, so the central batch filter can
+// re-evaluate them without a second fetch); when a limit bounds the
+// result, ORDER BY + LIMIT ride along — each member's top-k is a
+// superset of its contribution to the global top-k, so the central sort
+// stage stays correct while members ship k rows instead of all.
 func (e *Engine) remoteStatement(dataset string, q *Query, env execEnv) string {
-	rq := Query{Sources: []string{dataset}}
-	if e.PushDown {
-		rq.Columns = withPredicateColumns(q)
-		rq.Where = q.Where
-		if env.limit > 0 {
-			rq.Order = env.order
-			rq.Limit = env.limit
-		}
+	rq := Query{Sources: []string{dataset}, Columns: withPredicateColumns(q), Where: q.Where}
+	if env.limit > 0 {
+		rq.Order = env.order
+		rq.Limit = env.limit
 	}
 	return rq.String()
 }

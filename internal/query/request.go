@@ -108,7 +108,7 @@ type Plan struct {
 type SourcePlan struct {
 	// Source is the FROM item as written.
 	Source string `json:"source"`
-	// Store is the member store serving it (rel, doc, graph, file).
+	// Store is the member store serving it (rel, doc, file, remote).
 	Store string `json:"store"`
 	// Access names the store-native access path.
 	Access string `json:"access"`

@@ -323,23 +323,6 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
-// TestExplainWithoutPushdown: the central-evaluation plan advertises no
-// pushed predicates.
-func TestExplainWithoutPushdown(t *testing.T) {
-	e := multiSourcePoly(t)
-	e.PushDown = false
-	st, err := e.Query(context.Background(), Request{
-		SQL: "EXPLAIN SELECT id FROM rel:orders WHERE total > 10",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if len(st.Plan().Sources[0].Pushdown) != 0 {
-		t.Errorf("pushdown advertised with PushDown off: %+v", st.Plan().Sources[0])
-	}
-}
-
 // TestExplainUnknownSourceErrors: planning resolves sources, so
 // EXPLAIN of a missing table fails like execution would.
 func TestExplainUnknownSourceErrors(t *testing.T) {

@@ -27,9 +27,7 @@ func shardEngine(t *testing.T) *Engine {
 	if _, err := p.Ingest("raw/sharded.csv", []byte(sb.String())); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(p)
-	e.PushDown = true
-	return e
+	return NewEngine(p)
 }
 
 func drainSorted(t *testing.T, st *RowStream) []string {

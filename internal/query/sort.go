@@ -130,7 +130,7 @@ func (s *sortIterator) Next(ctx context.Context) (*Batch, error) {
 		return nil, io.EOF
 	}
 	out := s.buf[s.pos:min(s.pos+s.rows, len(s.buf))]
-	b := buildBatch(s.in.Columns(), len(out), func(i, j int) string { return out[i].cells[j] })
+	b := buildBatch(s.width, len(out), func(i, j int) string { return out[i].cells[j] })
 	clear(out)
 	s.pos += len(out)
 	if n := min(len(out), s.charged); n > 0 {

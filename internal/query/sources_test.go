@@ -53,7 +53,7 @@ func (p *probeSource) Next(ctx context.Context) (*Batch, error) {
 	if at >= end {
 		return nil, io.EOF
 	}
-	b := buildBatch(p.cols, end-at, func(i, j int) string { return p.cell(at+i, j) })
+	b := buildBatch(len(p.cols), end-at, func(i, j int) string { return p.cell(at+i, j) })
 	p.pulled.Store(int64(end))
 	return b, nil
 }
@@ -85,7 +85,7 @@ func (g *gatedSource) Next(ctx context.Context) (*Batch, error) {
 		return nil, io.EOF
 	}
 	g.pos++
-	return NewBatch(g.cols, []*Vector{NewVector(g.rows[g.pos-1])}), nil
+	return NewBatch([]*Vector{NewVector(g.rows[g.pos-1])}), nil
 }
 
 func (g *gatedSource) Close() error {

@@ -190,7 +190,7 @@ func (s *stream) NextBatch(ctx context.Context, rows int) (*query.Batch, error) 
 	for j, run := range runs {
 		vecs[j] = query.NewVector(run)
 	}
-	return query.NewBatch(s.cols, vecs), nil
+	return query.NewBatch(vecs), nil
 }
 
 // Next implements query.RowIterator, one row of the current batch per

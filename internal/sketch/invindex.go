@@ -79,16 +79,6 @@ func (ix *InvertedIndex) Len() int {
 	return ix.n
 }
 
-// Set returns the set indexed in a slot, nil if the slot is empty.
-func (ix *InvertedIndex) Set(slot uint32) Set {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if int(slot) < len(ix.sets) {
-		return ix.sets[slot]
-	}
-	return nil
-}
-
 // OverlapResult is one ranked answer of a top-k overlap query.
 type OverlapResult struct {
 	Slot    uint32

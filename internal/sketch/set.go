@@ -10,12 +10,6 @@ import "slices"
 // on the order, and nothing may modify a Set once built.
 type Set []uint32
 
-// Has reports whether id is a member.
-func (s Set) Has(id uint32) bool {
-	_, ok := slices.BinarySearch(s, id)
-	return ok
-}
-
 // sorted turns a list of ids into a Set in place.
 func (s Set) sorted() Set {
 	slices.Sort(s)
@@ -28,8 +22,7 @@ func (s Set) sorted() Set {
 // not safe for concurrent writes; read paths that share it use a
 // Lookup, which never writes.
 type Dict struct {
-	ids    map[string]uint32
-	values []string
+	ids map[string]uint32
 }
 
 // NewDict creates an empty dictionary.
@@ -39,16 +32,7 @@ func NewDict() *Dict {
 
 // Len returns the number of interned values; every interned id is
 // below it.
-func (d *Dict) Len() int { return len(d.values) }
-
-// Value returns the value interned as id, which must be below Len.
-func (d *Dict) Value(id uint32) string { return d.values[id] }
-
-// ID returns the id of an interned value.
-func (d *Dict) ID(value string) (uint32, bool) {
-	id, ok := d.ids[value]
-	return id, ok
-}
+func (d *Dict) Len() int { return len(d.ids) }
 
 // Set interns the values and returns their Set. values is not
 // modified.
@@ -57,9 +41,8 @@ func (d *Dict) Set(values []string) Set {
 	for i, v := range values {
 		id, ok := d.ids[v]
 		if !ok {
-			id = uint32(len(d.values))
+			id = uint32(len(d.ids))
 			d.ids[v] = id
-			d.values = append(d.values, v)
 		}
 		s[i] = id
 	}

@@ -23,17 +23,13 @@ func TestDictSetSortsAndDedupes(t *testing.T) {
 	if fmt.Sprint(in) != fmt.Sprint([]string{"b", "a", "b", "", "a"}) {
 		t.Errorf("Set modified its input: %q", in)
 	}
-	var values []string
-	for _, id := range got {
-		values = append(values, d.Value(id))
+	want := Set{d.ids[""], d.ids["a"], d.ids["b"]}
+	slices.Sort(want)
+	if !slices.Equal(got, want) || d.Len() != 3 {
+		t.Errorf("Set = %v, Len %d; want the ids of [\"\" a b] %v, 3", got, d.Len(), want)
 	}
-	slices.Sort(values)
-	if fmt.Sprint(values) != fmt.Sprint([]string{"", "a", "b"}) || d.Len() != 3 {
-		t.Errorf("members %q, Len %d; want [\"\" a b], 3", values, d.Len())
-	}
-	b, _ := d.ID("b")
-	if _, ok := d.ID("c"); ok || !got.Has(b) || got.Has(uint32(d.Len())) {
-		t.Errorf("Has on %v is wrong", got)
+	if _, ok := d.ids["c"]; ok {
+		t.Error("Set interned a value it was not given")
 	}
 }
 
@@ -55,7 +51,7 @@ func TestLookupLeavesTheDictAlone(t *testing.T) {
 			t.Errorf("unseen value got interned-range id %d", id)
 		}
 	}
-	if again := l.Set([]string{"new"}); !s.Has(again[0]) {
+	if again := l.Set([]string{"new"}); !slices.Contains(s, again[0]) {
 		t.Errorf("unseen value changed id within one Lookup: %v not in %v", again, s)
 	}
 }
@@ -388,19 +384,19 @@ func TestInvertedIndexRemoveAndReplace(t *testing.T) {
 	ix := NewInvertedIndex()
 	ix.Add(4, setOf("a", "b"))
 	ix.Add(4, setOf("c"))
-	if n := len(ix.Set(4)); n != 1 {
+	if n := len(ix.sets[4]); n != 1 {
 		t.Errorf("set size after replace = %d, want 1", n)
 	}
 	if got := ix.TopKOverlap(nil, setOf("a"), 5, NoSlot, bySlot); len(got) != 0 {
 		t.Errorf("old values still indexed: %v", got)
 	}
 	ix.Remove(4)
-	if ix.Len() != 0 || ix.Set(4) != nil {
+	if ix.Len() != 0 || ix.sets[4] != nil {
 		t.Errorf("index not empty after remove: len=%d", ix.Len())
 	}
 	// An empty set still takes its slot.
 	ix.Add(2, nil)
-	if ix.Len() != 1 || ix.Set(2) == nil {
+	if ix.Len() != 1 || ix.sets[2] == nil {
 		t.Errorf("empty set not indexed: len=%d", ix.Len())
 	}
 	ix.Remove(2)

@@ -15,11 +15,8 @@ import (
 	"sync"
 )
 
-// Errors returned by the store.
-var (
-	ErrNotFound     = errors.New("docstore: document not found")
-	ErrNoCollection = errors.New("docstore: no such collection")
-)
+// ErrNoCollection is returned by Drop for a missing collection.
+var ErrNoCollection = errors.New("docstore: no such collection")
 
 // Doc is a parsed JSON object.
 type Doc map[string]any
@@ -61,7 +58,7 @@ type Collection struct {
 	autoID int
 
 	// order is every doc ID, sorted: the order Find returns documents
-	// in. Insert and Delete of an ID reset it to nil under mu; the next
+	// in. Insert of a new ID resets it to nil under mu; the next
 	// Find re-sorts under mu's read lock and orderMu.
 	orderMu sync.Mutex
 	order   []string
@@ -112,9 +109,6 @@ func (s *Store) Drop(name string) error {
 	return nil
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
 // Insert adds a document. If it has no "_id", one is assigned.
 // The returned string is the document ID.
 func (c *Collection) Insert(doc Doc) string {
@@ -140,29 +134,6 @@ func (c *Collection) InsertJSON(raw []byte) (string, error) {
 		return "", fmt.Errorf("docstore: insert json: %w", err)
 	}
 	return c.Insert(doc), nil
-}
-
-// Get returns the document with the given ID.
-func (c *Collection) Get(id string) (Doc, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
-	}
-	return d, nil
-}
-
-// Delete removes a document by ID.
-func (c *Collection) Delete(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.docs[id]; !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
-	}
-	delete(c.docs, id)
-	c.order = nil
-	return nil
 }
 
 // Len returns the number of documents.
@@ -195,7 +166,7 @@ next:
 }
 
 // sortedIDs returns every doc ID in order, sorting them first if an
-// Insert or Delete changed the set. The caller holds c.mu's read lock;
+// Insert changed the set. The caller holds c.mu's read lock;
 // the slice returned is never written again.
 func (c *Collection) sortedIDs() []string {
 	c.orderMu.Lock()
@@ -209,9 +180,6 @@ func (c *Collection) sortedIDs() []string {
 	}
 	return c.order
 }
-
-// Count returns the number of documents matching the filters.
-func (c *Collection) Count(filters ...Filter) int { return len(c.Find(filters...)) }
 
 // All returns every document, ordered by ID.
 func (c *Collection) All() []Doc { return c.Find() }

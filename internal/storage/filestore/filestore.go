@@ -117,21 +117,6 @@ func (s *Store) Get(path string) ([]byte, error) {
 	return data, nil
 }
 
-// Stat returns the recorded info for an object.
-func (s *Store) Stat(path string) (ObjectInfo, error) {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	obj, ok := s.objs[clean]
-	if !ok {
-		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return obj.info, nil
-}
-
 // Delete removes an object; deleting a missing object returns
 // ErrNotFound.
 func (s *Store) Delete(path string) error {

@@ -31,9 +31,8 @@ func TestPutGetStatDelete(t *testing.T) {
 	if string(got) != string(data) {
 		t.Errorf("Get = %q, want %q", got, data)
 	}
-	st, err := s.Stat("raw/orders.csv")
-	if err != nil || st.Checksum != info.Checksum {
-		t.Errorf("Stat = %+v err=%v", st, err)
+	if st := s.List("raw/orders.csv"); len(st) != 1 || st[0] != info {
+		t.Errorf("List = %+v, want [%+v]", st, info)
 	}
 	if err := s.Delete("raw/orders.csv"); err != nil {
 		t.Fatalf("Delete: %v", err)

@@ -1,10 +1,8 @@
 // Package graphstore is an in-process labeled property graph, stand-in
-// for the Neo4j instances the surveyed lakes use: the personal data lake
-// stores flattened JSON fragments in it, HANDLE implements its metadata
-// model on it, and Juneau keeps workflow/variable graphs in it
-// (Sec. 4.2, 5.2, 6.1.3). It supports node/edge CRUD, label and
-// property lookup, neighbor traversal, BFS shortest paths and simple
-// node-edge-node pattern matching.
+// for the Neo4j instances the surveyed lakes use: HANDLE implements its
+// metadata model on it and the provenance tracker keeps lineage in it
+// (Sec. 5.2, 6.7). It supports node/edge CRUD, label and property
+// lookup, and neighbor traversal.
 package graphstore
 
 import (
@@ -17,7 +15,6 @@ import (
 // Errors returned by the graph.
 var (
 	ErrNodeNotFound = errors.New("graphstore: node not found")
-	ErrEdgeNotFound = errors.New("graphstore: edge not found")
 	ErrDuplicateID  = errors.New("graphstore: duplicate node id")
 )
 
@@ -156,19 +153,6 @@ func (g *Graph) AddEdge(from, to, label string, props Props) (int, error) {
 	return e.ID, nil
 }
 
-// Edge returns a copy of the edge.
-func (g *Graph) Edge(id int) (Edge, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	e, ok := g.edges[id]
-	if !ok {
-		return Edge{}, fmt.Errorf("%w: %d", ErrEdgeNotFound, id)
-	}
-	out := *e
-	out.Props = e.Props.clone()
-	return out, nil
-}
-
 func (g *Graph) removeEdgeLocked(id int) {
 	e, ok := g.edges[id]
 	if !ok {
@@ -193,20 +177,6 @@ func (g *Graph) NumNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.nodes)
-}
-
-// NodesByLabel returns copies of all nodes with the label, sorted by ID.
-func (g *Graph) NodesByLabel(label string) []Node {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Node
-	for _, n := range g.nodes {
-		if n.Label == label {
-			out = append(out, Node{ID: n.ID, Label: n.Label, Props: n.Props.clone()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // NodeIDsWhere returns the IDs of the nodes with the label whose
@@ -266,40 +236,6 @@ func (g *Graph) InEdges(id string) []Edge {
 	return out
 }
 
-// ShortestPath returns a minimal-hop node path from src to dst following
-// edges per dir, or nil when unreachable. Provenance queries ("how was
-// this dataset derived?") are path queries of exactly this shape.
-func (g *Graph) ShortestPath(src, dst string, dir Direction) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.nodes[src]; !ok {
-		return nil
-	}
-	if _, ok := g.nodes[dst]; !ok {
-		return nil
-	}
-	if src == dst {
-		return []string{src}
-	}
-	prev := map[string]string{src: src}
-	queue := []string{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.neighborsLocked(cur, dir) {
-			if _, seen := prev[nb]; seen {
-				continue
-			}
-			prev[nb] = cur
-			if nb == dst {
-				return buildPath(prev, src, dst)
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil
-}
-
 func (g *Graph) neighborsLocked(id string, dir Direction) []string {
 	seen := map[string]struct{}{}
 	if dir == Out || dir == Both {
@@ -317,21 +253,6 @@ func (g *Graph) neighborsLocked(id string, dir Direction) []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func buildPath(prev map[string]string, src, dst string) []string {
-	var rev []string
-	for cur := dst; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
 	return out
 }
 
@@ -359,47 +280,5 @@ func (g *Graph) Reachable(src string, dir Direction) []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Triple is one node-edge-node pattern match.
-type Triple struct {
-	From Node
-	Edge Edge
-	To   Node
-}
-
-// Match returns all (from)-[edge]->(to) triples whose labels equal the
-// given ones; empty strings are wildcards. Results are ordered by edge
-// ID.
-func (g *Graph) Match(fromLabel, edgeLabel, toLabel string) []Triple {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ids := make([]int, 0, len(g.edges))
-	for id := range g.edges {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var out []Triple
-	for _, id := range ids {
-		e := g.edges[id]
-		from, to := g.nodes[e.From], g.nodes[e.To]
-		if fromLabel != "" && from.Label != fromLabel {
-			continue
-		}
-		if edgeLabel != "" && e.Label != edgeLabel {
-			continue
-		}
-		if toLabel != "" && to.Label != toLabel {
-			continue
-		}
-		ec := *e
-		ec.Props = e.Props.clone()
-		out = append(out, Triple{
-			From: Node{ID: from.ID, Label: from.Label, Props: from.Props.clone()},
-			Edge: ec,
-			To:   Node{ID: to.ID, Label: to.Label, Props: to.Props.clone()},
-		})
-	}
 	return out
 }

@@ -3,8 +3,8 @@
 // (Sec. 4.2/6.1.1 of the survey): writes land in a sorted memtable,
 // which flushes into immutable sorted segments; reads consult the
 // memtable first, then segments newest-to-oldest; deletes write
-// tombstones; Compact merges all levels. Ordered prefix and range scans
-// are the operations the catalog and provenance layers rely on.
+// tombstones. Ordered prefix and range scans are the operations the
+// catalog and provenance layers rely on.
 package kvstore
 
 import (
@@ -103,12 +103,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Has reports whether key exists.
-func (s *Store) Has(key string) bool {
-	_, err := s.Get(key)
-	return err == nil
-}
-
 // Flush forces the memtable into a new immutable segment.
 func (s *Store) Flush() {
 	s.mu.Lock()
@@ -127,39 +121,6 @@ func (s *Store) flushLocked() {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	s.segments = append(s.segments, &segment{entries: entries})
 	s.mem = map[string]entry{}
-}
-
-// Compact merges all segments and the memtable into a single segment,
-// dropping tombstones and shadowed versions.
-func (s *Store) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-	merged := map[string]entry{}
-	for _, seg := range s.segments { // oldest first; later wins
-		for _, e := range seg.entries {
-			merged[e.key] = e
-		}
-	}
-	entries := make([]entry, 0, len(merged))
-	for _, e := range merged {
-		if !e.tombstone {
-			entries = append(entries, e)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	if len(entries) == 0 {
-		s.segments = nil
-		return
-	}
-	s.segments = []*segment{{entries: entries}}
-}
-
-// Segments returns the current number of immutable segments.
-func (s *Store) Segments() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.segments)
 }
 
 // KV is one scan result.

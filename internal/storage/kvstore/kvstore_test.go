@@ -20,9 +20,6 @@ func TestPutGetDelete(t *testing.T) {
 	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after delete err = %v, want ErrNotFound", err)
 	}
-	if s.Has("a") {
-		t.Error("Has after delete = true")
-	}
 	// Missing key.
 	if _, err := s.Get("zzz"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get missing err = %v", err)
@@ -56,13 +53,6 @@ func TestTombstoneShadowsSegment(t *testing.T) {
 	s.Flush()
 	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("tombstone in newer segment should shadow: %v", err)
-	}
-	s.Compact()
-	if s.Segments() > 1 {
-		t.Errorf("Segments after compact = %d", s.Segments())
-	}
-	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("compact resurrected deleted key: %v", err)
 	}
 }
 
@@ -115,29 +105,16 @@ func TestAutoFlushAtLimit(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		s.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)})
 	}
-	if s.Segments() < 2 {
-		t.Errorf("Segments = %d, want >= 2 after 25 puts with limit 10", s.Segments())
+	if len(s.segments) < 2 {
+		t.Errorf("segments = %d, want >= 2 after 25 puts with limit 10", len(s.segments))
 	}
 	for i := 0; i < 25; i++ {
-		if !s.Has(fmt.Sprintf("k%02d", i)) {
+		if _, err := s.Get(fmt.Sprintf("k%02d", i)); err != nil {
 			t.Fatalf("key k%02d lost after auto flush", i)
 		}
 	}
 	if s.Len() != 25 {
 		t.Errorf("Len = %d, want 25", s.Len())
-	}
-}
-
-func TestCompactEmpties(t *testing.T) {
-	s := New()
-	s.Put("a", []byte("1"))
-	s.Delete("a")
-	s.Compact()
-	if s.Segments() != 0 {
-		t.Errorf("Segments after compacting everything away = %d, want 0", s.Segments())
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d, want 0", s.Len())
 	}
 }
 
@@ -181,7 +158,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // Property: the store behaves like a map under arbitrary sequences of
-// put/delete/flush/compact.
+// put/delete/flush.
 func TestStoreMatchesMapModel(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -202,11 +179,7 @@ func TestStoreMatchesMapModel(t *testing.T) {
 				s.Delete(k)
 				delete(model, k)
 			case 3:
-				if o.Value%2 == 0 {
-					s.Flush()
-				} else {
-					s.Compact()
-				}
+				s.Flush()
 			}
 		}
 		if s.Len() != len(model) {

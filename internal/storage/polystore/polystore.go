@@ -10,8 +10,6 @@ import (
 
 	"golake/internal/storage/docstore"
 	"golake/internal/storage/filestore"
-	"golake/internal/storage/graphstore"
-	"golake/internal/storage/kvstore"
 	"golake/internal/table"
 )
 
@@ -42,9 +40,7 @@ type Placement struct {
 // (Sec. 4.3).
 type Poly struct {
 	Files *filestore.Store
-	KV    *kvstore.Store
 	Docs  *docstore.Store
-	Graph *graphstore.Graph
 	Rel   *RelStore
 
 	mu         sync.RWMutex
@@ -57,9 +53,7 @@ type Poly struct {
 func New(dir string) (*Poly, error) {
 	return &Poly{
 		Files:      filestore.New(),
-		KV:         kvstore.New(),
 		Docs:       docstore.New(),
-		Graph:      graphstore.New(),
 		Rel:        NewRelStore(),
 		placements: map[string]Placement{},
 	}, nil

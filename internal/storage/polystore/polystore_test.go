@@ -66,7 +66,7 @@ func TestIngestJSONGoesDocument(t *testing.T) {
 	if pl.Target != TargetDocument || pl.Collection != "event" {
 		t.Fatalf("placement = %+v", pl)
 	}
-	if got := p.Docs.Collection("event").Count(docstore.Filter{Path: "kind", Op: docstore.OpEq, Value: "click"}); got != 1 {
+	if got := len(p.Docs.Collection("event").Find(docstore.Filter{Path: "kind", Op: docstore.OpEq, Value: "click"})); got != 1 {
 		t.Errorf("doc count = %d", got)
 	}
 }

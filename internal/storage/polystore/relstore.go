@@ -1,5 +1,5 @@
 // Package polystore provides integrated access to a hybrid of data
-// stores — relational, document, graph, and raw files — following the
+// stores — relational, document, and raw files — following the
 // polystore storage tier of Constance and CoreDB (Sec. 4.3 of the
 // survey): each ingested dataset is routed to the store matching its
 // original data model, with raw files as the fallback, and users may

@@ -233,45 +233,6 @@ func (t *Table) AppendRow(row []string) error {
 	return nil
 }
 
-// Project returns a new table with only the named columns, in the given
-// order. Unknown names return ErrNoSuchColumn.
-func (t *Table) Project(names ...string) (*Table, error) {
-	out := New(t.Name)
-	for k, v := range t.Meta {
-		out.Meta[k] = v
-	}
-	for _, n := range names {
-		c, err := t.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cells := make([]string, len(c.Cells))
-		copy(cells, c.Cells)
-		out.Columns = append(out.Columns, &Column{Name: c.Name, Kind: c.Kind, Cells: cells})
-	}
-	return out, nil
-}
-
-// Filter returns a new table with the rows for which keep returns true.
-func (t *Table) Filter(keep func(row []string) bool) *Table {
-	out := New(t.Name)
-	for k, v := range t.Meta {
-		out.Meta[k] = v
-	}
-	for _, c := range t.Columns {
-		out.Columns = append(out.Columns, &Column{Name: c.Name, Kind: c.Kind})
-	}
-	for i := 0; i < t.NumRows(); i++ {
-		row := t.Row(i)
-		if keep(row) {
-			for j, v := range row {
-				out.Columns[j].Cells = append(out.Columns[j].Cells, v)
-			}
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
 	out := New(t.Name)

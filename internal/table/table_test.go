@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mustTable(t *testing.T, csvText string) *Table {
@@ -112,25 +111,6 @@ func TestCandidateKey(t *testing.T) {
 	}
 }
 
-func TestProjectAndFilter(t *testing.T) {
-	tbl := mustTable(t, sampleCSV)
-	p, err := tbl.Project("name", "score")
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if p.NumCols() != 2 || p.NumRows() != 4 {
-		t.Fatalf("Project shape = %dx%d, want 2x4", p.NumCols(), p.NumRows())
-	}
-	if _, err := tbl.Project("nope"); !errors.Is(err, ErrNoSuchColumn) {
-		t.Errorf("Project unknown column err = %v, want ErrNoSuchColumn", err)
-	}
-
-	f := tbl.Filter(func(row []string) bool { return row[4] == "true" })
-	if f.NumRows() != 3 {
-		t.Errorf("Filter rows = %d, want 3", f.NumRows())
-	}
-}
-
 func TestAppendRowAndRaggedDetection(t *testing.T) {
 	tbl := mustTable(t, "a,b\n1,2\n")
 	if err := tbl.AppendRow([]string{"3", "4"}); err != nil {
@@ -219,44 +199,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ParseCSV("t", "a,b\n1\n"); !errors.Is(err, ErrRagged) {
 		t.Errorf("ragged csv err = %v, want ErrRagged", err)
-	}
-}
-
-// Property: Filter(always true) preserves the table; Filter(always false)
-// empties it; projection of all columns preserves the cell matrix.
-func TestFilterProjectProperties(t *testing.T) {
-	f := func(rowsRaw [][2]string) bool {
-		rows := make([][]string, len(rowsRaw))
-		for i, r := range rowsRaw {
-			rows[i] = []string{r[0], r[1]}
-		}
-		tbl, err := FromRows("p", []string{"a", "b"}, rows)
-		if err != nil {
-			return false
-		}
-		all := tbl.Filter(func([]string) bool { return true })
-		if all.NumRows() != tbl.NumRows() {
-			return false
-		}
-		none := tbl.Filter(func([]string) bool { return false })
-		if none.NumRows() != 0 {
-			return false
-		}
-		proj, err := tbl.Project("a", "b")
-		if err != nil || proj.NumRows() != tbl.NumRows() {
-			return false
-		}
-		for i := 0; i < tbl.NumRows(); i++ {
-			for j := range tbl.Columns {
-				if proj.Columns[j].Cells[i] != tbl.Columns[j].Cells[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
