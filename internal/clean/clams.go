@@ -107,8 +107,19 @@ func CountViolations(t *table.Table, constraints []DiscoveredConstraint) int {
 // eachViolation walks the violation hypergraph: for every constraint
 // and every row whose dependent value is not its determinant group's
 // majority (the smallest value among tied ones), it visits the
-// violating hyperedge's two cells, dependent first.
+// violating hyperedge's two cells, dependent first. Rows are grouped by
+// determinant value through one map of group ids and a counting sort
+// into one row array, reused across constraints, so a call allocates
+// the same few buffers however many groups the table has.
 func eachViolation(t *table.Table, constraints []DiscoveredConstraint, visit func(row int, predicate, object string)) {
+	var (
+		ids   = map[string]int32{}
+		freq  = map[string]int{}
+		group []int32 // row -> group id
+		// bound[g] ends, and after the sort starts, group g's run in rows.
+		bound []int32
+		rows  []int32 // row ids, grouped, ascending within a group
+	)
 	for _, dc := range constraints {
 		lhs, err := t.Column(dc.Determinant)
 		if err != nil {
@@ -118,14 +129,34 @@ func eachViolation(t *table.Table, constraints []DiscoveredConstraint, visit fun
 		if err != nil {
 			continue
 		}
-		groups := map[string][]int{}
-		for i, v := range lhs.Cells {
-			groups[v] = append(groups[v], i)
+		clear(ids)
+		group, bound = group[:0], bound[:0]
+		for _, v := range lhs.Cells {
+			g, ok := ids[v]
+			if !ok {
+				g = int32(len(bound))
+				ids[v] = g
+				bound = append(bound, 0)
+			}
+			group = append(group, g)
+			bound[g]++
 		}
-		freq := map[string]int{}
-		for gv, rows := range groups {
+		var end int32
+		for g, n := range bound {
+			end += n
+			bound[g] = end
+		}
+		rows = append(rows[:0], make([]int32, len(group))...)
+		for i := len(group) - 1; i >= 0; i-- {
+			g := group[i]
+			bound[g]--
+			rows[bound[g]] = int32(i)
+		}
+		bound = append(bound, int32(len(rows)))
+		for g := 0; g+1 < len(bound); g++ {
+			members := rows[bound[g]:bound[g+1]]
 			clear(freq)
-			for _, ri := range rows {
+			for _, ri := range members {
 				freq[rhs.Cells[ri]]++
 			}
 			var majority string
@@ -135,10 +166,11 @@ func eachViolation(t *table.Table, constraints []DiscoveredConstraint, visit fun
 					majority, best = v, n
 				}
 			}
-			for _, ri := range rows {
+			gv := lhs.Cells[members[0]]
+			for _, ri := range members {
 				if rhs.Cells[ri] != majority {
-					visit(ri, dc.Dependent, rhs.Cells[ri])
-					visit(ri, dc.Determinant, gv)
+					visit(int(ri), dc.Dependent, rhs.Cells[ri])
+					visit(int(ri), dc.Determinant, gv)
 				}
 			}
 		}

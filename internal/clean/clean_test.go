@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"golake/internal/table"
+	"golake/internal/workload"
 )
 
 func mustCSV(t *testing.T, name, csv string) *table.Table {
@@ -40,5 +41,25 @@ func TestDiscoverConstraintsAndRankViolations(t *testing.T) {
 	top := ranked[0]
 	if !strings.HasPrefix(top.Triple.Subject, "geo/2") {
 		t.Errorf("top violation = %+v, want row 2", top)
+	}
+}
+
+// TestCountViolationsAllocationCeiling: counting a 100-row corpus
+// table's violations allocates a fixed set of buffers, not one row
+// list per determinant value (877 allocations when it did).
+func TestCountViolationsAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	spec := workload.DefaultSpec()
+	spec.NumTables, spec.RowsPerTable = 1, 100
+	tbl := workload.GenerateCorpus(spec).Tables[0]
+	cs := DiscoverConstraints(tbl, 0.9)
+	if tbl.NumRows() != 100 || len(cs) == 0 || CountViolations(tbl, cs) == 0 {
+		t.Fatalf("%d rows, %d constraints, %d violations: the table exercises nothing",
+			tbl.NumRows(), len(cs), CountViolations(tbl, cs))
+	}
+	if n := testing.AllocsPerRun(20, func() { CountViolations(tbl, cs) }); n > 35 {
+		t.Errorf("CountViolations over %d constraints: %v allocations, want <= 35 (measured 33)", len(cs), n)
 	}
 }

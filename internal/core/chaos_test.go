@@ -2,16 +2,19 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"golake/internal/admission"
 	"golake/internal/persist"
 	"golake/internal/persist/faulty"
+	"golake/internal/provenance"
 	"golake/internal/query"
 	"golake/internal/storage/filestore"
 	"golake/internal/table"
@@ -285,5 +288,88 @@ func TestChaosSegmentPutFailureIsUnavailable(t *testing.T) {
 	}
 	if got := segmentFiles(t, dir); len(got) != 2 {
 		t.Errorf("segment files = %v, want raw/orders.csv's and %s's", got, path)
+	}
+}
+
+// TestChaosRetryBackoffOutsideLock: a writer whose WAL append failed
+// sleeps its backoff without holding the persister's lock, so a query
+// (whose own audit append meets the second programmed failure and
+// retries too) and a status probe both complete while the writer is
+// still inside its backoff; the writer's record then lands after the
+// query's.
+func TestChaosRetryBackoffOutsideLock(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l.pers.sleep = func(d time.Duration) {
+		first := false
+		once.Do(func() { first = true })
+		if !first {
+			time.Sleep(d)
+			return
+		}
+		close(held)
+		<-release
+	}
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	f.FailNextAppends(2)
+	ingested := make(chan error, 1)
+	go func() {
+		_, err := l.Ingest(ctx, "raw/late.csv", []byte("id,total\n9,90\n"), "erp", "dana")
+		ingested <- err
+	}()
+	<-held
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.QuerySQL(ctx, "dana", "SELECT id FROM orders")
+		if err == nil && l.MaintenanceStatus().Durability == nil {
+			err = fmt.Errorf("no durability status")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query and a status probe waited on a writer's retry backoff")
+	}
+	select {
+	case err := <-ingested:
+		t.Fatalf("the writer returned (%v) while held in its backoff", err)
+	default:
+	}
+	unblock()
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if f.Injected() != 2 {
+		t.Errorf("injected %d faults, want 2", f.Injected())
+	}
+	wal, err := f.ReadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	frames, _ := persist.DecodeFrames(wal)
+	for _, payload := range frames {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Kind == recIngest && rec.Path == "raw/late.csv":
+			kinds = append(kinds, "ingest")
+		case rec.Kind == recAudit && rec.Event.Kind == provenance.EventQuery:
+			kinds = append(kinds, "query")
+		}
+	}
+	if fmt.Sprint(kinds) != "[query ingest]" {
+		t.Errorf("wal holds %v, want the query's audit record before the held writer's ingest record", kinds)
 	}
 }

@@ -368,7 +368,7 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		}
 	}
 	if o.backend != nil {
-		l.pers = &persister{backend: o.backend, threshold: o.snapshotEvery}
+		l.pers = &persister{backend: o.backend, threshold: o.snapshotEvery, sleep: time.Sleep}
 		if err := l.pers.restore(l); err != nil {
 			return nil, err
 		}
@@ -1162,7 +1162,9 @@ func (l *Lake) Query(ctx context.Context, user string, req query.Request) (*quer
 		}
 	}
 	// The engine already parsed the statement; the plan's source list
-	// drives the audit trail.
+	// drives the audit trail, one event for the whole statement.
+	var entities []string
+	l.mu.RLock()
 	for _, sp := range st.Plan().Sources {
 		if sp.Store == "remote" {
 			// The member lake owns the dataset and records the access
@@ -1178,13 +1180,15 @@ func (l *Lake) Query(ctx context.Context, user string, req query.Request) (*quer
 		// Queries address model-store names; provenance entities are
 		// ingest paths. Resolve through the placement index so the
 		// audit trail stays on the dataset.
-		l.mu.RLock()
 		entity, ok := l.nameToPath[name]
-		l.mu.RUnlock()
 		if !ok {
 			entity = name
 		}
-		_ = l.Tracker.Query(entity, "sql", user)
+		entities = append(entities, entity)
+	}
+	l.mu.RUnlock()
+	_ = l.Tracker.Query(entities, "sql", user)
+	for _, entity := range entities {
 		l.logAudit(ctx, "query", entity, user)
 	}
 	return st, nil

@@ -145,6 +145,9 @@ var errDamaged = errors.New("segment missing or damaged")
 type persister struct {
 	backend   persist.Backend
 	threshold int64
+	// sleep waits out an append's retry backoff (time.Sleep; tests hold
+	// a writer inside its backoff through it).
+	sleep func(time.Duration)
 	// lastSeg is the number of the last segment name handed out; restore
 	// seeds it above every stored name, so no name is ever reused.
 	lastSeg atomic.Uint64
@@ -197,39 +200,53 @@ const (
 // crossed the snapshot threshold. A failed append is retried with
 // capped exponential backoff (the same shape as the maintenance
 // scheduler's backoffDelay) — transient backend faults, the
-// fail-every-Nth kind the chaos harness injects, recover without
-// losing the record. Only after the retries run out does the failure
-// degrade to a logged warning and a dropped-record counter bump — the
-// in-memory lake stays correct, it just loses crash durability for
-// that record. On a closed lake nothing is appended and the write is
-// refused.
+// fail-every-Nth kind the chaos harness injects, recover without losing
+// the record. The backoff sleeps outside p.mu, so other appends, a
+// checkpoint and status probes proceed meanwhile. Only after the
+// retries run out does the failure degrade to a logged warning and a
+// dropped-record counter bump — the in-memory lake stays correct, it
+// just loses crash durability for that record. On a closed lake nothing
+// is appended and the write is refused.
 func (p *persister) append(l *Lake, rec *walRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return lakeerr.Wrap(lakeerr.CodeInternal, fmt.Errorf("core: encode wal record: %w", err))
 	}
 	frame := persist.EncodeFrame(payload)
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			l.metrics.observeWALRetry()
+			delay := walRetryBase << (attempt - 1)
+			if delay > walRetryMax {
+				delay = walRetryMax
+			}
+			p.sleep(delay)
+		}
+		err = p.tryAppend(l, frame)
+		if err == nil || err == errLakeClosed {
+			return err
+		}
+		if attempt == walRetries {
+			break
+		}
+	}
+	l.metrics.observeWALDropped()
+	p.warn(l, "persist: append wal record dropped after retries",
+		"kind", rec.Kind, "retries", walRetries, "error", err)
+	return nil
+}
+
+// tryAppend makes one attempt at appending frame under p.mu and, once
+// it lands, checkpoints if the log crossed the threshold.
+func (p *persister) tryAppend(l *Lake, frame []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
 		return errLakeClosed
 	}
 	start := time.Now()
-	appendErr := p.backend.AppendWAL(frame)
-	for attempt := 1; appendErr != nil && attempt <= walRetries; attempt++ {
-		l.metrics.observeWALRetry()
-		delay := walRetryBase << (attempt - 1)
-		if delay > walRetryMax {
-			delay = walRetryMax
-		}
-		time.Sleep(delay)
-		appendErr = p.backend.AppendWAL(frame)
-	}
-	if appendErr != nil {
-		l.metrics.observeWALDropped()
-		p.warn(l, "persist: append wal record dropped after retries",
-			"kind", rec.Kind, "retries", walRetries, "error", appendErr)
-		return nil
+	if err := p.backend.AppendWAL(frame); err != nil {
+		return err
 	}
 	l.metrics.observeWALAppend(len(frame), time.Since(start))
 	p.walRecords++

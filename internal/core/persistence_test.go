@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,46 +197,65 @@ func TestPersistTornWALTailDroppedNotFatal(t *testing.T) {
 }
 
 // TestPersistKillAtEveryWALByte is the kill-at-every-record harness:
-// the WAL of a small lake is truncated at every frame boundary and at
-// every byte offset inside the tail record, beside every segment the
-// lake wrote, and each truncation must reopen cleanly with exactly the
-// datasets whose ingest records survived complete — the torn tail is
-// dropped, never fatal — and keep only their segments: a segment whose
-// record was cut away is an orphan, deleted at open.
+// the WAL of a small lake — two ingests, a two-source query's grouped
+// audit record, a third ingest — is truncated at every frame boundary
+// and at every byte offset from the query's record on, beside every
+// segment the lake wrote, and each truncation must reopen cleanly with
+// exactly the datasets whose ingest records survived complete — the
+// torn tail is dropped, never fatal — and keep only their segments: a
+// segment whose record was cut away is an orphan, deleted at open. The
+// audit trail of every dataset is exactly the entries of the audit
+// records that survived.
 func TestPersistKillAtEveryWALByte(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	l := openPersistent(t, dir)
 	l.AddUser("dana", RoleDataScientist)
-	if _, err := l.Ingest(ctx, "raw/a.csv", []byte("x,y\n1,2\n"), "src", "dana"); err != nil {
+	ingest := func(path, csv string) {
+		t.Helper()
+		if _, err := l.Ingest(ctx, path, []byte(csv), "src", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest("raw/a.csv", "x,y\n1,2\n")
+	ingest("raw/b.csv", "x,z\n1,3\n")
+	if _, err := l.QuerySQL(ctx, "dana", "SELECT x FROM a, b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Ingest(ctx, "raw/b.csv", []byte("x,z\n1,3\n"), "src", "dana"); err != nil {
-		t.Fatal(err)
-	}
+	ingest("raw/c.csv", "x,w\n1,4\n")
 	wal, err := os.ReadFile(filepath.Join(dir, filestore.PersistDir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	segDir := filepath.Join(dir, filestore.PersistDir, "segments")
 	segs, err := os.ReadDir(segDir)
-	if err != nil || len(segs) != 2 {
+	if err != nil || len(segs) != 3 {
 		t.Fatalf("segments = %v, %v; want one per ingest", segs, err)
 	}
 	var ends []int
+	queryAt := -1 // where the grouped audit record's frame starts
 	for off := 0; off+8 <= len(wal); {
 		n := int(binary.LittleEndian.Uint32(wal[off:]))
 		if off+8+n > len(wal) {
 			break
 		}
+		var rec walRecord
+		if json.Unmarshal(wal[off+8:off+8+n], &rec) == nil && rec.Event != nil && len(rec.Event.Entities) == 2 {
+			queryAt = off
+		}
 		off += 8 + n
 		ends = append(ends, off)
 	}
-	if len(ends) < 3 || ends[len(ends)-1] != len(wal) {
-		t.Fatalf("unexpected wal shape: %d frames over %d bytes", len(ends), len(wal))
+	if queryAt < 0 || ends[len(ends)-1] != len(wal) {
+		t.Fatalf("unexpected wal shape: %d frames over %d bytes, grouped query record at %d", len(ends), len(wal), queryAt)
 	}
-	cuts := append([]int{0}, ends[:len(ends)-1]...)
-	for c := ends[len(ends)-2] + 1; c <= len(wal); c++ {
+	cuts := []int{0}
+	for _, end := range ends {
+		if end < queryAt {
+			cuts = append(cuts, end)
+		}
+	}
+	for c := queryAt; c <= len(wal); c++ {
 		cuts = append(cuts, c)
 	}
 	for _, cut := range cuts {
@@ -258,13 +279,24 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 			}
 		}
 		wantIngests := 0
+		wantAudit := map[string][]provenance.Event{}
 		frames, _ := persist.DecodeFrames(wal[:cut])
 		for _, payload := range frames {
-			var rec struct {
-				Kind string `json:"kind"`
+			var rec walRecord
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				t.Fatal(err)
 			}
-			if json.Unmarshal(payload, &rec) == nil && rec.Kind == "ingest" {
+			switch {
+			case rec.Kind == recIngest:
 				wantIngests++
+			case rec.Kind == recAudit && rec.Event.Entity != "":
+				wantAudit[rec.Event.Entity] = append(wantAudit[rec.Event.Entity], *rec.Event)
+			case rec.Kind == recAudit:
+				for _, e := range rec.Event.Entities {
+					one := *rec.Event
+					one.Entity, one.Entities = e, nil
+					wantAudit[e] = append(wantAudit[e], one)
+				}
 			}
 		}
 		re := openPersistent(t, cdir) // Fatal inside if the open fails
@@ -274,9 +306,104 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 		if got := re.MaintenanceStatus().Durability.Segments; got != wantIngests {
 			t.Errorf("cut at %d/%d: %d segments kept, want %d", cut, len(wal), got, wantIngests)
 		}
+		for _, entity := range []string{"raw/a.csv", "raw/b.csv", "raw/c.csv"} {
+			if got := re.Tracker.AccessLog(entity); !reflect.DeepEqual(got, wantAudit[entity]) {
+				t.Errorf("cut at %d/%d: audit of %s = %+v, want %+v", cut, len(wal), entity, got, wantAudit[entity])
+			}
+		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("cut at %d: close: %v", cut, err)
 		}
+	}
+}
+
+// TestPersistAuditOldAndGroupedFormsReplay: a WAL written by hand with
+// a two-source statement's audit in the old per-source form (one record
+// per source) and a grouped record (one record, both entities) reopens
+// to the audit trail a live lake answers after the same history — two
+// single-source queries write the old form's records exactly — and the
+// trail survives a checkpoint round trip, the manifest holding the
+// grouped event as one event.
+func TestPersistAuditOldAndGroupedFormsReplay(t *testing.T) {
+	ctx := context.Background()
+	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
+	clock := WithClock(func() time.Time { return at })
+	live, err := Open(t.TempDir(), WithPersistence(persist.NewMemory()), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	live.AddUser("dana", RoleDataScientist)
+	live.AddUser("gov", RoleGovernance)
+	for _, p := range []string{"raw/a.csv", "raw/b.csv"} {
+		if _, err := live.Ingest(ctx, p, []byte("x\n1\n"), "erp", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{"SELECT x FROM a", "SELECT x FROM b", "SELECT x FROM a, b"} {
+		if _, err := live.QuerySQL(ctx, "dana", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trail := func(l *Lake) [][]provenance.Event {
+		t.Helper()
+		var out [][]provenance.Event
+		for _, p := range []string{"raw/a.csv", "raw/b.csv"} {
+			evs, err := l.Audit(ctx, "gov", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, evs)
+		}
+		return out
+	}
+	want := trail(live)
+	if len(want[0]) != 3 || want[0][2].Seq != want[1][2].Seq {
+		t.Fatalf("live audit trail = %+v, want ingest and two queries each, the last sharing its seq", want)
+	}
+
+	mem := persist.NewMemory()
+	for _, rec := range []string{
+		`{"kind":"user","name":"gov","role":"governance"}`,
+		`{"kind":"audit","event":{"seq":1,"kind":"ingest","entity":"raw/a.csv","system":"erp","user":"dana","at":"2026-06-12T10:00:00Z"}}`,
+		`{"kind":"audit","event":{"seq":2,"kind":"ingest","entity":"raw/b.csv","system":"erp","user":"dana","at":"2026-06-12T10:00:00Z"}}`,
+		`{"kind":"audit","event":{"seq":3,"kind":"query","entity":"raw/a.csv","system":"sql","user":"dana","at":"2026-06-12T10:00:00Z"}}`,
+		`{"kind":"audit","event":{"seq":4,"kind":"query","entity":"raw/b.csv","system":"sql","user":"dana","at":"2026-06-12T10:00:00Z"}}`,
+		`{"kind":"audit","event":{"seq":5,"kind":"query","entities":["raw/a.csv","raw/b.csv"],"system":"sql","user":"dana","at":"2026-06-12T10:00:00Z"}}`,
+	} {
+		if err := mem.AppendWAL(persist.EncodeFrame([]byte(rec))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trail(re); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed audit trail = %+v, want the live lake's %+v", got, want)
+	}
+	if err := re.Close(); err != nil { // final checkpoint, WAL truncated
+		t.Fatal(err)
+	}
+	if wal, _ := mem.ReadWAL(); len(wal) != 0 {
+		t.Fatalf("wal after close = %d bytes, want a checkpointed empty log", len(wal))
+	}
+	snap, err := mem.ReadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest lakeSnapshot
+	if err := json.Unmarshal(snap, &manifest); err != nil || len(manifest.Events) != 5 ||
+		!reflect.DeepEqual(manifest.Events[4].Entities, []string{"raw/a.csv", "raw/b.csv"}) {
+		t.Fatalf("manifest events = %+v (%v), want five, the last grouped", manifest.Events, err)
+	}
+	re, err = Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := trail(re); !reflect.DeepEqual(got, want) {
+		t.Errorf("audit trail after a checkpoint round trip = %+v, want %+v", got, want)
 	}
 }
 
@@ -667,5 +794,60 @@ func TestPersistReopenRebuildsCategoriesAndRelated(t *testing.T) {
 	}
 	if got := related(re); !reflect.DeepEqual(got, want) {
 		t.Errorf("related tables after reopen = %v, before close = %v", got, want)
+	}
+}
+
+// TestDurabilityQueryAppendsOneRecordPerStatement: on a SyncAlways lake,
+// ten two-source queries append ten audit records, one per statement,
+// not one per source; each statement shows up once in both datasets'
+// trails.
+func TestDurabilityQueryAppendsOneRecordPerStatement(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b, err := persist.NewLocal(filepath.Join(dir, filestore.PersistDir), persist.WithSync(persist.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, WithPersistence(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AddUser("dana", RoleDataScientist)
+	l.AddUser("gov", RoleGovernance)
+	for _, p := range []string{"raw/orders.csv", "raw/refunds.csv"} {
+		if _, err := l.Ingest(ctx, p, []byte("id,total\n1,10\n2,20\n"), "erp", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(l.HTTPHandler())
+	defer srv.Close()
+	appends := func() int {
+		_, body := scrape(t, srv)
+		for _, ln := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(ln, "golake_wal_appends_total "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("golake_wal_appends_total %q: %v", v, err)
+				}
+				return n
+			}
+		}
+		t.Fatal("no golake_wal_appends_total in the scrape")
+		return 0
+	}
+	before := appends()
+	for i := 0; i < 10; i++ {
+		if _, err := l.QuerySQL(ctx, "dana", "SELECT id FROM orders, refunds"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := appends() - before; n != 10 {
+		t.Errorf("ten two-source queries appended %d WAL records, want 10", n)
+	}
+	for _, p := range []string{"raw/orders.csv", "raw/refunds.csv"} {
+		if evs, err := l.Audit(ctx, "gov", p); err != nil || len(evs) != 11 {
+			t.Errorf("audit of %s = %d entries, %v; want the ingest and ten queries", p, len(evs), err)
+		}
 	}
 }

@@ -36,10 +36,14 @@ const (
 // encoding/json matches keys case-insensitively, so events written
 // with the field names as keys still decode.
 type Event struct {
-	Seq      int       `json:"seq"`
-	Kind     EventKind `json:"kind"`
-	Entity   string    `json:"entity"`
-	Activity string    `json:"activity,omitempty"`
+	Seq    int       `json:"seq"`
+	Kind   EventKind `json:"kind"`
+	Entity string    `json:"entity,omitempty"`
+	// Entities is set instead of Entity on an EventQuery that read more
+	// than one entity: one statement is one event. AccessLog expands it
+	// into one entry per entity.
+	Entities []string `json:"entities,omitempty"`
+	Activity string   `json:"activity,omitempty"`
 	// System identifies the engine that emitted the event (the
 	// cross-system dimension of integrated provenance).
 	System string    `json:"system,omitempty"`
@@ -66,8 +70,10 @@ type Tracker struct {
 // SetHook installs a callback fired once per newly captured event, in
 // capture order. The lake's persistence layer uses it to append audit
 // records to the WAL. The hook runs after the tracker's own lock is
-// released, so it may call back into Tracker methods; it must not block
-// for long (it is on the Ingest/Derive/Query path).
+// released, so it may call back into Tracker methods. It runs inline on
+// the Ingest, Derive and Query paths, so whatever it waits for, those
+// wait for too: under SyncAlways the lake's hook waits for one WAL
+// fsync per event, which is why a statement records one event.
 func (t *Tracker) SetHook(hook func(Event)) {
 	t.hookMu.Lock()
 	defer t.hookMu.Unlock()
@@ -100,8 +106,14 @@ func NewTracker(clock func() time.Time) *Tracker {
 
 // record appends a normalized event.
 func (t *Tracker) record(kind EventKind, entity, activity, system, user string) Event {
+	return t.add(Event{Kind: kind, Entity: entity, Activity: activity, System: system, User: user})
+}
+
+// add stamps ev with the next sequence number and the clock, and
+// appends it.
+func (t *Tracker) add(ev Event) Event {
 	t.seq++
-	ev := Event{Seq: t.seq, Kind: kind, Entity: entity, Activity: activity, System: system, User: user, At: t.clock()}
+	ev.Seq, ev.At = t.seq, t.clock()
 	t.events = append(t.events, ev)
 	return ev
 }
@@ -167,31 +179,54 @@ func (t *Tracker) Derive(activity, system, user string, inputs []string, output 
 	return nil
 }
 
-// Query records a read-only access (who queried the entity).
-func (t *Tracker) Query(entity, system, user string) error {
+// Query records one statement's read-only access to entities (who
+// queried them) as a single event, and fires the hook once. Entities
+// the tracker has never seen are left out and reported in the error;
+// when none is left, nothing is recorded. An entity named twice is
+// recorded twice.
+func (t *Tracker) Query(entities []string, system, user string) error {
+	var known []string
+	var err error
 	t.mu.Lock()
-	if !t.g.HasNode("e:" + entity) {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownEntity, entity)
+	for _, e := range entities {
+		if t.g.HasNode("e:" + e) {
+			known = append(known, e)
+		} else if err == nil {
+			err = fmt.Errorf("%w: %s", ErrUnknownEntity, e)
+		}
 	}
-	ev := t.record(EventQuery, entity, "", system, user)
+	if len(known) == 0 {
+		t.mu.Unlock()
+		return err
+	}
+	ev := Event{Kind: EventQuery, Entity: known[0], System: system, User: user}
+	if len(known) > 1 {
+		ev.Entity, ev.Entities = "", known
+	}
+	ev = t.add(ev)
 	t.mu.Unlock()
 	t.fire([]Event{ev})
-	return nil
+	return err
 }
 
 // Inject replays one persisted event into the tracker: the event is
 // appended verbatim (its Seq and At are preserved, the sequence counter
 // advanced past it) and the graph structure it implies is rebuilt —
-// EventRead adds the entity->activity edge, EventWrite the
-// activity->entity edge. EventDerive carries no edge of its own (its
-// Write twin already did), so injecting a full replayed log never
-// duplicates edges. The hook is NOT fired: replay must not re-append
+// every entity it names (Entity, or each of a grouped query's
+// Entities) is registered, EventRead adds the entity->activity edge,
+// EventWrite the activity->entity edge. EventDerive carries no edge of
+// its own (its Write twin already did), so injecting a full replayed
+// log never duplicates edges. The hook is NOT fired: replay must not re-append
 // what the WAL already holds.
 func (t *Tracker) Inject(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ensureEntity(ev.Entity)
+	if len(ev.Entities) == 0 {
+		t.ensureEntity(ev.Entity)
+	}
+	for _, e := range ev.Entities {
+		t.ensureEntity(e)
+	}
 	if ev.Activity != "" {
 		t.ensureActivity(ev.Activity)
 	}
@@ -226,7 +261,9 @@ func (t *Tracker) Upstream(entity string) ([]string, error) {
 }
 
 // AccessLog returns the events touching an entity, in order — CoreDB's
-// "who queried this entity" audit.
+// "who queried this entity" audit. A statement that read several
+// entities contributes one entry per mention of this one, each with
+// Entity set and Entities empty, all sharing the statement's Seq.
 func (t *Tracker) AccessLog(entity string) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -234,6 +271,13 @@ func (t *Tracker) AccessLog(entity string) []Event {
 	for _, ev := range t.events {
 		if ev.Entity == entity {
 			out = append(out, ev)
+		}
+		for _, e := range ev.Entities {
+			if e == entity {
+				one := ev
+				one.Entity, one.Entities = e, nil
+				out = append(out, one)
+			}
 		}
 	}
 	return out

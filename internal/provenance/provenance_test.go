@@ -47,10 +47,10 @@ func TestUpstream(t *testing.T) {
 
 func TestAccessLogAndQuery(t *testing.T) {
 	tr := buildPipeline(t)
-	if err := tr.Query("category_summary", "dashboard", "ceo"); err != nil {
+	if err := tr.Query([]string{"category_summary"}, "dashboard", "ceo"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Query("ghost", "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) {
+	if err := tr.Query([]string{"ghost"}, "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) {
 		t.Errorf("Query ghost = %v", err)
 	}
 	log := tr.AccessLog("category_summary")
@@ -95,7 +95,7 @@ func TestHookFiresPerEvent(t *testing.T) {
 	if err := tr.Derive("job", "spark", "bob", []string{"a"}, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Query("b", "sql", "carol"); err != nil {
+	if err := tr.Query([]string{"b"}, "sql", "carol"); err != nil {
 		t.Fatal(err)
 	}
 	tr.Discard("a", "core", "ops")
@@ -143,5 +143,55 @@ func TestInjectRebuildsGraphWithoutHookOrDuplicateEdges(t *testing.T) {
 	last := evs[len(evs)-1]
 	if last.Seq <= evs[len(evs)-2].Seq {
 		t.Fatalf("seq did not advance past injected events: %+v", last)
+	}
+}
+
+// One statement over several entities is one event and one hook call;
+// AccessLog expands it into one entry per mention, sharing its Seq,
+// with unknown entities left out and reported, and Inject replays the
+// grouped form to the same answers.
+func TestQueryGroupsEntitiesIntoOneEvent(t *testing.T) {
+	tr := newTracker()
+	tr.Ingest("a", "files", "alice")
+	tr.Ingest("b", "files", "alice")
+	fired := 0
+	tr.SetHook(func(Event) { fired++ })
+	err := tr.Query([]string{"a", "ghost", "b", "a"}, "sql", "carol")
+	if !errors.Is(err, ErrUnknownEntity) {
+		t.Errorf("Query with an unknown entity = %v, want ErrUnknownEntity", err)
+	}
+	if fired != 1 {
+		t.Fatalf("hook fired %d times for one statement, want 1", fired)
+	}
+	evs := tr.Events()
+	grouped := evs[len(evs)-1]
+	if len(evs) != 3 || grouped.Entity != "" || !reflect.DeepEqual(grouped.Entities, []string{"a", "b", "a"}) {
+		t.Fatalf("events = %+v, want two ingests and one event over [a b a]", evs)
+	}
+	if err := tr.Query([]string{"ghost"}, "sql", "carol"); !errors.Is(err, ErrUnknownEntity) || fired != 1 {
+		t.Errorf("Query over unknown entities only = %v, hook fired %d times; want ErrUnknownEntity, nothing recorded", err, fired)
+	}
+	single := func(e string) Event {
+		return Event{Seq: grouped.Seq, Kind: EventQuery, Entity: e, System: "sql", User: "carol", At: grouped.At}
+	}
+	wantA := []Event{evs[0], single("a"), single("a")}
+	if got := tr.AccessLog("a"); !reflect.DeepEqual(got, wantA) {
+		t.Errorf("AccessLog(a) = %+v, want %+v", got, wantA)
+	}
+	wantB := []Event{evs[1], single("b")}
+	if got := tr.AccessLog("b"); !reflect.DeepEqual(got, wantB) {
+		t.Errorf("AccessLog(b) = %+v, want %+v", got, wantB)
+	}
+	dst := newTracker()
+	for _, ev := range evs {
+		dst.Inject(ev)
+	}
+	if got := dst.AccessLog("a"); !reflect.DeepEqual(got, wantA) {
+		t.Errorf("injected AccessLog(a) = %+v, want %+v", got, wantA)
+	}
+	only := newTracker()
+	only.Inject(grouped)
+	if err := only.Query([]string{"a", "b"}, "sql", "carol"); err != nil {
+		t.Errorf("an injected grouped event did not register its entities: %v", err)
 	}
 }
