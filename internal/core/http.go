@@ -46,7 +46,9 @@ import (
 //	                                     JSON rows + stats,
 //	                                     the typed plan when explaining,
 //	                                     or chunked NDJSON streaming
-//	                                     with Accept: application/x-ndjson
+//	                                     with Accept: application/x-ndjson,
+//	                                     its rows as batch frames with
+//	                                     application/x-golake-batch
 //	GET  /v1/lineage?entity=NAME         upstream provenance, paginated
 //	GET  /v1/audit?entity=NAME           access log (governance role)
 //	GET  /v1/swamp                       metadata-coverage report
@@ -124,7 +126,7 @@ func (l *Lake) recoverMW(next http.Handler) http.Handler {
 					l.logger.Error("panic", "method", r.Method, "path", r.URL.Path, "panic", rec)
 				}
 				err := lakeerr.Errorf(lakeerr.CodeInternal, "internal error")
-				if sw.started && strings.HasPrefix(sw.Header().Get("Content-Type"), ndjsonContentType) {
+				if ct := sw.Header().Get("Content-Type"); sw.started && (ct == ndjsonContentType || ct == batchContentType) {
 					writeNDJSONError(sw, err)
 					return
 				}
@@ -660,8 +662,12 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 }
 
 // ndjsonContentType selects chunked streaming on POST /v1/query via
-// the Accept header.
-const ndjsonContentType = "application/x-ndjson"
+// the Accept header; batchContentType selects it with the rows in
+// batch frames, what a coordinator lake asks its members for.
+const (
+	ndjsonContentType = "application/x-ndjson"
+	batchContentType  = "application/x-golake-batch"
+)
 
 // Per-request fan-in bounds: a request may widen concurrency only up to
 // these caps, so one query cannot ask the server for unbounded
@@ -782,8 +788,9 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"plan": st.Plan()})
 		return
 	}
-	if strings.Contains(r.Header.Get("Accept"), ndjsonContentType) {
-		streamNDJSON(w, r.Context(), st, st.Stats)
+	accept := r.Header.Get("Accept")
+	if framed := strings.Contains(accept, batchContentType); framed || strings.Contains(accept, ndjsonContentType) {
+		streamNDJSON(w, r.Context(), st, st.Stats, framed)
 		return
 	}
 	res, err := query.Collect(r.Context(), st)
@@ -813,18 +820,22 @@ type batchStream interface {
 // with a {"stats":{...}} trailer carrying the per-source execution
 // counters when the caller supplies them — clients distinguish rows
 // (arrays) from the header and trailers (objects) by the first byte of
-// each line.
+// each line. With framed set, the rows travel as batch frames
+// (query.FrameEncoder) between the same header and trailer lines, each
+// frame filled to a full batch across the stream's batches.
 //
 // Row lines are appended into one reused buffer (Batch.AppendRowJSON,
 // byte-identical to json.Encoder, which copies stored columns' cells
 // from the store's encoding of them) and reach the client one write
-// and one flush per batch. The header is flushed on its own and so is
-// the first batch, so a client holds the columns and the first rows
-// while the scan is still running. Encoding and writing are timed once
-// per write into the stream's "serialize" trace span (when the stream
-// carries one), recorded on every exit and, on a clean end, before the
-// stats trailer so the trailer accounts for it.
-func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, stats func() query.ExecStats) {
+// and one flush per batch; frames are written as they fill, and the
+// last one, full or not, before the trailer. The header is flushed on
+// its own and so is the first batch (the first frame), so a client
+// holds the columns and the first rows while the scan is still
+// running. Encoding and writing are timed once per write into the
+// stream's "serialize" trace span (when the stream carries one),
+// recorded on every exit and, on a clean end, before the stats trailer
+// so the trailer accounts for it.
+func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, stats func() query.ExecStats, framed bool) {
 	defer st.Close()
 	var serialize time.Duration
 	spans, _ := st.(interface {
@@ -837,7 +848,12 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, st
 		}
 	}
 	defer recordSpan()
-	w.Header().Set("Content-Type", ndjsonContentType)
+	contentType := ndjsonContentType
+	var frames *query.FrameEncoder
+	if framed {
+		contentType, frames = batchContentType, query.NewFrameEncoder(len(st.Columns()))
+	}
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	start := time.Now()
@@ -852,26 +868,36 @@ func streamNDJSON(w http.ResponseWriter, ctx context.Context, st batchStream, st
 	var buf []byte
 	for {
 		b, err := st.NextBatch(ctx)
+		start := time.Now()
+		switch {
+		case err == nil && frames != nil:
+			buf = frames.AppendBatch(buf, b)
+		case err == nil:
+			for i := 0; i < b.Len(); i++ {
+				buf = b.AppendRowJSON(buf, i)
+			}
+		case frames != nil:
+			// The rows before the end, or before the failure.
+			buf = frames.AppendPending(buf)
+		}
+		// What a batch adds is one flushed write. A failed write means
+		// the client is gone and nobody is left to read a trailer.
+		if len(buf) > 0 {
+			_, werr := w.Write(buf)
+			if flusher != nil {
+				flusher.Flush()
+			}
+			buf = buf[:0]
+			serialize += time.Since(start)
+			if werr != nil {
+				return
+			}
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			writeNDJSONError(w, err)
-			return
-		}
-		// One batch is one flushed write. A failed write means the
-		// client is gone and nobody is left to read a trailer.
-		start := time.Now()
-		buf = buf[:0]
-		for i := 0; i < b.Len(); i++ {
-			buf = b.AppendRowJSON(buf, i)
-		}
-		_, err = w.Write(buf)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		serialize += time.Since(start)
-		if err != nil {
 			return
 		}
 	}

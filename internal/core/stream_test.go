@@ -188,7 +188,7 @@ func (f *failingStream) Close() error { return nil }
 func TestNDJSONMidStreamErrorEmitsTrailerLine(t *testing.T) {
 	rec := httptest.NewRecorder()
 	st := &failingStream{rows: 2, err: lakeerr.Errorf(lakeerr.CodeUnavailable, "store went away")}
-	streamNDJSON(rec, context.Background(), st, nil)
+	streamNDJSON(rec, context.Background(), st, nil, false)
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 4 { // header + 2 rows + trailer
 		t.Fatalf("lines = %q", lines)
@@ -208,6 +208,85 @@ func TestNDJSONMidStreamErrorEmitsTrailerLine(t *testing.T) {
 	// The stream already committed a 200; the failure is in-band only.
 	if rec.Code != http.StatusOK {
 		t.Errorf("status = %d", rec.Code)
+	}
+
+	// Framed, the rows before the failure leave as one frame, ahead of
+	// the same trailer line.
+	rec = httptest.NewRecorder()
+	streamNDJSON(rec, context.Background(), &failingStream{rows: 2, err: lakeerr.Errorf(lakeerr.CodeUnavailable, "store went away")}, nil, true)
+	br := bufio.NewReader(rec.Body)
+	if header, _ := br.ReadString('\n'); header != `{"columns":["a"]}`+"\n" {
+		t.Fatalf("framed header = %q", header)
+	}
+	var f query.DecodedFrame
+	if err := f.Read(br, 1); err != nil || f.Left() != 2 {
+		t.Fatalf("framed rows before the failure: %d, err %v", f.Left(), err)
+	}
+	if last, _ := br.ReadString('\n'); !strings.HasPrefix(last, `{"error":{"code":"unavailable"`) || br.Buffered() != 0 {
+		t.Errorf("framed trailer = %q, %d bytes after it", last, br.Buffered())
+	}
+}
+
+// TestV1QueryBatchFrameNegotiation: asked for batch frames, /v1/query
+// keeps its JSON header and stats trailer and sends the rows in frames
+// filled to a full batch across the half-empty batches the filter
+// leaves; the rows are the NDJSON answer's.
+func TestV1QueryBatchFrameNegotiation(t *testing.T) {
+	srv := httptest.NewServer(bigTableLake(t, 3000).HTTPHandler())
+	t.Cleanup(srv.Close)
+	post := func(accept string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/query",
+			strings.NewReader(`{"sql":"SELECT payload, id FROM rel:big WHERE id > 1500"}`))
+		req.Header.Set("X-Lake-User", "dana")
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = resp.Body.Close() })
+		return resp
+	}
+	var want []string
+	sc := bufio.NewScanner(post("application/x-ndjson").Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "[") {
+			want = append(want, sc.Text())
+		}
+	}
+
+	resp := post("application/x-golake-batch, application/x-ndjson")
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-golake-batch" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	br := bufio.NewReader(resp.Body)
+	if header, _ := br.ReadString('\n'); header != `{"columns":["payload","id"]}`+"\n" {
+		t.Fatalf("header = %q", header)
+	}
+	var got []string
+	var sizes []int
+	for {
+		if next, err := br.Peek(1); err != nil || next[0] != query.FrameMarker {
+			break
+		}
+		var f query.DecodedFrame
+		if err := f.Read(br, 2); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, f.Left())
+		b := f.NextBatch(f.Left())
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, strings.TrimSuffix(string(b.AppendRowJSON(nil, i)), "\n"))
+		}
+	}
+	if trailer, _ := br.ReadString('\n'); !strings.HasPrefix(trailer, `{"stats":`) {
+		t.Errorf("trailer = %q", trailer)
+	}
+	if fmt.Sprint(sizes) != "[1024 475]" {
+		t.Errorf("frame sizes = %v, want [1024 475]", sizes)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("framed rows (%d) differ from the NDJSON rows (%d)", len(got), len(want))
 	}
 }
 
@@ -442,7 +521,7 @@ func TestNDJSONSerializeSpanOnEveryExit(t *testing.T) {
 		streamNDJSON(w, context.Background(), st, func() query.ExecStats {
 			spansAtTrailer = len(st.spans)
 			return query.ExecStats{}
-		})
+		}, false)
 		if len(st.spans) != 1 || st.spans[0] != "serialize" {
 			t.Errorf("%s: spans %q, want one serialize span", tc.name, st.spans)
 		}

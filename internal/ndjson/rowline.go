@@ -1,7 +1,8 @@
 // Package ndjson is the row line of the /v1/query NDJSON stream, both
 // directions in one place: AppendString writes one cell as a JSON
 // string literal, AppendRow a whole `["a","b"]\n` line of them, and
-// Cells.DecodeRow reads a line back on the federated hop. The serving
+// Cells.DecodeRow reads a line back on the federated hop from a member
+// that answers row lines rather than batch frames. The serving
 // side writes its row lines with query.Batch.AppendRowJSON, which
 // copies a stored column's cells from the literals the relational
 // store encoded once with AppendString (polystore.Mirror.JSON) and

@@ -276,7 +276,7 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 			for _, pr := range q.Where {
 				sp.Pushdown = append(sp.Pushdown, pr.String())
 			}
-			sp.Project = withPredicateColumns(q)
+			sp.Project = q.Columns
 		case "doc":
 			sp.Access = "collection " + name
 			for _, pr := range q.Where {
@@ -293,12 +293,12 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 }
 
 // streamBatches assembles a query's pipeline: every FROM item opens as
-// one or more filtered batch leaves (in parallel, see
-// openSourcesParallel), each metered for Stats; the union remaps whole
-// vectors onto the result header (null-padding what a source lacks —
-// the projection stage); a meter counts its batches; ORDER BY runs the
-// sort stage (which subsumes LIMIT), otherwise LIMIT slices the final
-// batch. Source resolution errors surface here, before any rows flow;
+// one or more batch leaves, filtered at the leaf or by the member lake
+// (in parallel, see openSourcesParallel), each metered for Stats; the
+// union remaps whole vectors onto the result header (null-padding what
+// a source lacks — the projection stage); a meter counts its batches;
+// ORDER BY runs the sort stage (which subsumes LIMIT), otherwise LIMIT
+// slices the final batch. Source resolution errors surface here, before any rows flow;
 // row-level failures (including cancellation) surface from the stream.
 func (e *Engine) streamBatches(ctx context.Context, q *Query, env execEnv, opts FanInOptions, batchRows int) (*RowStream, error) {
 	sources, labels, err := e.openSourcesParallel(ctx, q, env, opts.Workers, batchRows)
@@ -483,10 +483,11 @@ func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv,
 	return flatSources, flatLabels, nil
 }
 
-// openSource routes one FROM item to its member store's leaves, each
-// with the WHERE filter on top: most sources open exactly one, a
-// relational source with env.shards > 1 opens one per range shard of
-// the same snapshot.
+// openSource routes one FROM item to its member store's leaves: most
+// sources open exactly one, a relational source with env.shards > 1
+// opens one per range shard of the same snapshot. Local leaves carry
+// the WHERE filter on top; a remote leaf does not, because the member
+// evaluated the same predicates before its rows left it.
 func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execEnv, batchRows int) ([]BatchIterator, []string, error) {
 	kind, name, err := e.resolveKind(src)
 	if err != nil {
@@ -499,7 +500,7 @@ func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execE
 	case "remote":
 		var it BatchScanner
 		if it, err = e.openRemote(ctx, name, q, env); err == nil {
-			leaves[0] = Batches(it, batchRows)
+			return []BatchIterator{Batches(it, batchRows)}, labels, nil
 		}
 	case "doc":
 		leaves[0] = e.scanDocument(name, q, batchRows)
@@ -516,9 +517,8 @@ func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execE
 }
 
 // openRemote opens the pushed-down sub-query stream against the member
-// lake a resolved "member:dataset" name addresses. The member already
-// filtered and projected; the pushed projection includes the predicate
-// columns, so the leaf filter re-evaluates exactly what the member did.
+// lake a resolved "member:dataset" name addresses. The member filters
+// and projects; its rows are the source's rows.
 func (e *Engine) openRemote(ctx context.Context, name string, q *Query, env execEnv) (BatchScanner, error) {
 	member, ds := remoteMember(name)
 	opener := e.Remotes[member]
@@ -623,8 +623,8 @@ func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterato
 }
 
 // withPredicateColumns returns the projection extended with predicate
-// columns (nil for SELECT *), so central predicate evaluation still
-// sees the cells it needs.
+// columns (nil for SELECT *), so a local leaf's filter still sees the
+// cells it needs.
 func withPredicateColumns(q *Query) []string {
 	if len(q.Columns) == 0 {
 		return nil

@@ -22,10 +22,11 @@ type RemoteSpec struct {
 }
 
 // RemoteOpener opens streaming scans against one remote member lake.
-// Implementations (internal/remote) speak the /v1/query NDJSON protocol;
-// the engine only requires the returned stream to know its header
-// eagerly (Columns callable before the first batch), because the union
-// stage computes the SELECT * result header from the source headers.
+// Implementations (internal/remote) speak the /v1/query streaming
+// protocol; the engine only requires the returned stream to know its
+// header eagerly (Columns callable before the first batch), because
+// the union stage computes the SELECT * result header from the source
+// headers.
 type RemoteOpener interface {
 	// OpenStream executes the sub-query on the member lake; the stream
 	// joins the pipeline as a leaf through its batch face. It must
@@ -44,14 +45,15 @@ func remoteMember(name string) (member, dataset string) {
 }
 
 // remoteStatement builds the sub-query pushed to a member lake for one
-// FROM item. The statement carries the predicates and the projection
-// (extended with predicate columns, so the central batch filter can
-// re-evaluate them without a second fetch); when a limit bounds the
-// result, ORDER BY + LIMIT ride along — each member's top-k is a
-// superset of its contribution to the global top-k, so the central sort
-// stage stays correct while members ship k rows instead of all.
+// FROM item. The statement carries the predicates and the query's own
+// projection: the member filters with the engine this one runs, so no
+// predicate is evaluated again here and no predicate column needs to
+// cross the hop. When a limit bounds the result, ORDER BY + LIMIT ride
+// along — each member's top-k is a superset of its contribution to the
+// global top-k, so the central sort stage stays correct while members
+// ship k rows instead of all.
 func (e *Engine) remoteStatement(dataset string, q *Query, env execEnv) string {
-	rq := Query{Sources: []string{dataset}, Columns: withPredicateColumns(q), Where: q.Where}
+	rq := Query{Sources: []string{dataset}, Columns: q.Columns, Where: q.Where}
 	if env.limit > 0 {
 		rq.Order = env.order
 		rq.Limit = env.limit

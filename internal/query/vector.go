@@ -22,7 +22,8 @@ func (b *Bitmap) Get(i int) bool {
 
 // Vector is one column of a Batch: a run of cells, a lazily
 // materialized float64 mirror, and the cells' JSON encoding when the
-// store keeps one.
+// store keeps one, or per-cell plain flags when a batch frame carried
+// them.
 //
 // The string cells are authoritative: they are zero-copy references
 // into the store snapshot and carry the exact wire representation, so
@@ -34,7 +35,8 @@ func (b *Bitmap) Get(i int) bool {
 // the store's mirror of that column, parsed once per column; any other
 // vector parses its own cells once. Likewise a row line copies a stored
 // column's cells from the store's encoding of that column, encoded once
-// per column, and encodes any other vector's cells as it writes them.
+// per column, quotes a cell a batch frame flagged plain as it stands,
+// and encodes any other cell as it writes it.
 //
 // Vectors flow through single-consumer pipelines; the lazy mirrors are
 // not synchronized.
@@ -58,6 +60,11 @@ type Vector struct {
 	wired bool
 	arena []byte
 	ends  []uint32
+
+	// plain, when not empty, holds one flag per cell from a batch
+	// frame: a non-zero byte marks a cell whose JSON literal is the
+	// cell between two quotes.
+	plain string
 }
 
 // NewVector wraps a cell run as a vector. The slice is referenced, not
@@ -110,19 +117,30 @@ func (v *Vector) Floats() ([]float64, *Bitmap) {
 	return v.floats, &v.floatOK
 }
 
-// appendJSON appends cell i as a JSON string literal: a copy of its
-// stored encoding when the store keeps one, ndjson.AppendString of the
-// cell otherwise. The mirror is consulted once per vector, not per cell.
-func (v *Vector) appendJSON(dst []byte, i int) []byte {
+// wire loads the stored column's JSON encoding, once per vector.
+func (v *Vector) wire() {
 	if !v.wired {
 		v.wired = true
 		if v.mirror != nil {
 			v.arena, v.ends = v.mirror.JSON()
 		}
 	}
-	if v.ends != nil {
+}
+
+// appendJSON appends cell i as a JSON string literal: a copy of its
+// stored encoding when the store keeps one, the cell between quotes
+// when a frame flagged it plain, ndjson.AppendString of the cell
+// otherwise.
+func (v *Vector) appendJSON(dst []byte, i int) []byte {
+	v.wire()
+	switch {
+	case v.ends != nil:
 		k := v.off + i
 		return append(dst, v.arena[v.ends[k]:v.ends[k+1]]...)
+	case v.plain != "" && v.plain[i] != 0:
+		dst = append(dst, '"')
+		dst = append(dst, v.cells[i]...)
+		return append(dst, '"')
 	}
 	return ndjson.AppendString(dst, v.Cell(i))
 }

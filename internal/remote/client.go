@@ -1,13 +1,16 @@
 // Package remote makes another golake a member store of this one: a
-// Client speaks the existing POST /v1/query NDJSON protocol to a member
-// lake's base URL and adapts the framed stream (header line, row
-// arrays, stats/error trailer) into the query engine's iterator
-// contracts — batches for the columnar pipeline, rows for the rest.
-// The engine pushes predicates, projections, and limits down as an
-// ordinary SELECT statement, so to the member the federated hop is
-// just another query — and to the engine's fan-in machinery a remote
-// lake is just a slow member store, which is exactly what the
-// backpressure design was built for.
+// Client speaks the existing POST /v1/query streaming protocol to a
+// member lake's base URL and adapts the response into the query
+// engine's iterator contracts — batches for the columnar pipeline, rows
+// for the rest. It asks for batch frames (column-major, length- and
+// CRC-framed, query.FrameEncoder) and reads NDJSON row lines as well,
+// which is what a member that predates the frame answers; header and
+// trailer are JSON lines either way. The engine pushes predicates,
+// projections, and limits down as an ordinary SELECT statement, so to
+// the member the federated hop is just another query, and the member's
+// filter is the only one its rows pass — and to the engine's fan-in
+// machinery a remote lake is just a slow member store, which is exactly
+// what the backpressure design was built for.
 package remote
 
 import (
@@ -34,6 +37,9 @@ const (
 	// retry doubles it, capped at maxRetryBackoff.
 	DefaultRetryBackoff = 50 * time.Millisecond
 	maxRetryBackoff     = time.Second
+	// streamAccept asks a member for batch frames and lets one that
+	// predates them answer NDJSON.
+	streamAccept = "application/x-golake-batch, application/x-ndjson"
 	// idleConnsPerMember is each client's keep-alive pool: wide enough
 	// that a coordinator's concurrent streams to one member (fan-in
 	// pullers, sharded scans) each find their connection again.
@@ -128,7 +134,8 @@ func (c *Client) backoff() time.Duration {
 }
 
 // OpenStream implements query.RemoteOpener: it POSTs the pushed-down
-// statement to the member's /v1/query with the NDJSON accept header and
+// statement to the member's /v1/query with the streaming accept header
+// (batch frames preferred, NDJSON rows accepted) and
 // returns the decoded stream. The open is eager — it reads the header
 // line before returning, so Columns is known to the union stage without
 // a single row having moved. Connect failures retry with capped
@@ -197,7 +204,7 @@ func (c *Client) connect(ctx context.Context, spec query.RemoteSpec, body []byte
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept", "application/x-ndjson")
+		req.Header.Set("Accept", streamAccept)
 		if spec.User != "" {
 			req.Header.Set("X-Lake-User", spec.User)
 		}
@@ -280,7 +287,7 @@ func (c *Client) finish(outcome lakeerr.Code, rows int64, start time.Time) {
 }
 
 // truncatedErr is the mid-stream connection-drop classification: the
-// NDJSON framing ends with a stats trailer on success and an error
+// stream ends with a stats trailer on success and an error
 // trailer on failure, so running out of bytes before either one means
 // the member (or the network) died — a typed unavailable error, never a
 // silent short result.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -18,24 +19,33 @@ import (
 // per refill. A line longer than this is assembled in a side buffer.
 const readBufferSize = 32 << 10
 
-// stream decodes one member lake's NDJSON response. The framing
-// contract (objects are metadata, arrays are rows, every line ends in
-// a newline):
+// stream decodes one member lake's response to POST /v1/query. The
+// framing contract (objects are metadata, every line ends in a
+// newline):
 //
 //	{"columns":["city","price"]}   header — read eagerly at open
+//	<batch frame>                  rows, column-major (query.FrameEncoder)
 //	["ams","10"]                   one row per line
 //	{"stats":{...}}                clean-end trailer → io.EOF
 //	{"error":{"code","message"}}   in-band failure → typed sticky error
 //
-// Running out of bytes before either trailer means the connection
-// dropped mid-stream; that surfaces as a typed unavailable error, never
-// a silent short result.
+// Between header and trailer each item is told apart by its first
+// byte: query.FrameMarker opens a batch frame, '[' a row line. A
+// member that understands the Accept header answers frames; an older
+// member, or any other server of the NDJSON protocol, answers row
+// lines, and the stream reads both. Running out of bytes before either
+// trailer means the connection dropped mid-stream; that surfaces as a
+// typed unavailable error, never a silent short result. A frame that
+// fails its size caps, its checksum or its offsets is a typed internal
+// error naming the member.
 //
-// The stream is batch-native: NextBatch scans row lines straight into
-// column runs (ndjson.Cells), so the engine's remote leaf gets a
-// *query.Batch without a row ever being materialized. Next is a cursor
-// over the current batch for row-shaped consumers; a consumer uses one
-// face or the other, not both.
+// The stream is batch-native: NextBatch hands out a frame's rows as
+// vectors over one string holding the frame's payload, and scans row
+// lines straight into column runs (ndjson.Cells), so the engine's
+// remote leaf gets a *query.Batch without a row ever being
+// materialized. Next is a cursor over the current batch for
+// row-shaped consumers; a consumer uses one face or the other, not
+// both.
 type stream struct {
 	client *Client
 	resp   *http.Response
@@ -43,6 +53,7 @@ type stream struct {
 	br     *bufio.Reader
 	long   []byte // assembles a line longer than br's buffer
 	cells  *ndjson.Cells
+	frame  query.DecodedFrame
 	cols   []string
 	start  time.Time
 
@@ -145,13 +156,16 @@ func (s *stream) terminal() error {
 	return nil
 }
 
-// NextBatch implements query.BatchScanner: it decodes up to rows row
-// lines into one batch. A trailer or a failure met with rows already
+// NextBatch implements query.BatchScanner: it hands out up to rows
+// rows of the current frame, or decodes up to rows row lines into one
+// batch. A frame, a trailer or a failure met with row lines already
 // decoded ends the batch there and is delivered by the next call.
 // Errors are sticky; a clean end is terminal.
 func (s *stream) NextBatch(ctx context.Context, rows int) (*query.Batch, error) {
-	if err := s.terminal(); err != nil {
-		return nil, err
+	if s.frame.Left() == 0 {
+		if err := s.terminal(); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		// Transient (the stream may be resumed with a live context), so
@@ -159,7 +173,14 @@ func (s *stream) NextBatch(ctx context.Context, rows int) (*query.Batch, error) 
 		return nil, err
 	}
 	s.cells.Reset()
-	for s.cells.Rows() < rows && s.err == nil && !s.done {
+	for s.cells.Rows() < rows && s.frame.Left() == 0 && s.err == nil && !s.done {
+		if next, err := s.br.Peek(1); err == nil && next[0] == query.FrameMarker {
+			if s.cells.Rows() > 0 {
+				break
+			}
+			s.err = s.readBatchFrame()
+			continue
+		}
 		line, err := s.readLine()
 		switch {
 		case err != nil:
@@ -180,17 +201,35 @@ func (s *stream) NextBatch(ctx context.Context, rows int) (*query.Batch, error) 
 			}
 		}
 	}
-	n := s.cells.Rows()
-	if n == 0 {
+	var b *query.Batch
+	if n := s.cells.Rows(); n > 0 {
+		runs := s.cells.Columns()
+		vecs := make([]*query.Vector, len(runs))
+		for j, run := range runs {
+			vecs[j] = query.NewVector(run)
+		}
+		b = query.NewBatch(vecs)
+	} else if s.frame.Left() > 0 {
+		b = s.frame.NextBatch(rows)
+	} else {
 		return nil, s.terminal()
 	}
-	s.rows += int64(n)
-	runs := s.cells.Columns()
-	vecs := make([]*query.Vector, len(runs))
-	for j, run := range runs {
-		vecs[j] = query.NewVector(run)
+	s.rows += int64(b.Len())
+	return b, nil
+}
+
+// readBatchFrame reads the batch frame at the reader into s.frame. A
+// frame cut short is a truncation; one that breaks a bound, fails its
+// checksum or does not parse is a typed internal error.
+func (s *stream) readBatchFrame() error {
+	err := s.frame.Read(s.br, len(s.cols))
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, query.ErrFrame):
+		return lakeerr.Errorf(lakeerr.CodeInternal, "remote %s: %v", s.client.member, err)
 	}
-	return query.NewBatch(vecs), nil
+	return s.client.truncatedErr(err)
 }
 
 // Next implements query.RowIterator, one row of the current batch per

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,27 +27,30 @@ var offline = New("east", "http://unused.invalid", Options{})
 
 // decodeStream opens a stream over raw bytes — no HTTP — through a
 // line reader of bufSize, and drains it through the batch face at
-// batchRows rows a batch.
-func decodeStream(r io.Reader, bufSize, batchRows int) ([]string, [][]string, error) {
+// batchRows rows a batch, returning the rows and the row lines the
+// batches write, as a coordinator would write them.
+func decodeStream(r io.Reader, bufSize, batchRows int) ([]string, [][]string, []byte, error) {
 	st := &stream{client: offline, br: bufio.NewReaderSize(r, bufSize)}
 	ctx := context.Background()
 	if err := st.readHeader(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var rows [][]string
+	var lines []byte
 	for {
 		b, err := st.NextBatch(ctx, batchRows)
 		if errors.Is(err, io.EOF) {
-			return st.Columns(), rows, nil
+			return st.Columns(), rows, lines, nil
 		}
 		if err != nil {
-			return st.Columns(), rows, err
+			return st.Columns(), rows, lines, err
 		}
 		if b.Len() == 0 || b.Len() > batchRows {
-			return nil, nil, fmt.Errorf("batch of %d rows at batchRows %d", b.Len(), batchRows)
+			return nil, nil, nil, fmt.Errorf("batch of %d rows at batchRows %d", b.Len(), batchRows)
 		}
 		for i := 0; i < b.Len(); i++ {
 			rows = append(rows, b.Row(i))
+			lines = b.AppendRowJSON(lines, i)
 		}
 	}
 }
@@ -72,7 +76,7 @@ func TestDecodeAcrossRefillsAndBatchSizes(t *testing.T) {
 
 	check := func(name string, r io.Reader, bufSize, batchRows int) {
 		t.Helper()
-		cols, got, err := decodeStream(r, bufSize, batchRows)
+		cols, got, _, err := decodeStream(r, bufSize, batchRows)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -94,7 +98,7 @@ func TestDecodeAcrossRefillsAndBatchSizes(t *testing.T) {
 	// Cut short anywhere before the trailer's newline, the stream is a
 	// typed truncation holding a prefix of the rows — never a clean end.
 	for cut := 0; cut < len(wire); cut++ {
-		_, got, err := decodeStream(bytes.NewReader(wire[:cut]), 64, 7)
+		_, got, _, err := decodeStream(bytes.NewReader(wire[:cut]), 64, 7)
 		if lakeerr.CodeOf(err) != lakeerr.CodeUnavailable || !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("cut at %d: err = %v, want a typed truncation", cut, err)
 		}
@@ -126,6 +130,60 @@ func TestBadRowFramesAreTypedErrors(t *testing.T) {
 		}
 		if _, err2 := it.Next(context.Background()); !errors.Is(err2, err) {
 			t.Errorf("%s: error is not sticky: %v", bad, err2)
+		}
+		_ = it.Close()
+	}
+
+	// Batch frames whose header or payload breaks a bound: the length
+	// prefix over the ceiling (refused before anything is allocated for
+	// it), a row count over the cap, a column whose offsets and flags
+	// run past the payload, offsets that run backwards or past the
+	// payload, a flag that is neither 0 nor 1, bytes after the last
+	// column.
+	header := func(n uint32) []byte {
+		h := []byte{query.FrameMarker}
+		h = binary.LittleEndian.AppendUint32(h, n)
+		return binary.LittleEndian.AppendUint32(h, 0)
+	}
+	le := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, bad := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"length over the ceiling", "over the 67108864-byte ceiling", header(query.MaxFramePayload + 1)},
+		{"length 4 GiB", "4294967295-byte payload", header(0xFFFFFFFF)},
+		{"rows over the cap", "over the 65536-row limit", refFrameOf(le(query.MaxFrameRows + 1))},
+		{"rows past the payload", "do not fit", refFrameOf(le(1000, 1))},
+		{"second column past the payload", "run past", refFrameOf(cat(le(1, 1), []byte{1, '0'}, []byte("0000")))},
+		{"offsets backwards", "outside", refFrameOf(cat(le(2, 2, 1), []byte{0, 0, 'a', 'b'}, le(0, 0), []byte{0, 0}))},
+		{"offset past the payload", "outside", refFrameOf(cat(le(1, 9), []byte{0, 'a'}, le(0), []byte{0}))},
+		{"flag out of range", "flag 2", refFrameOf(cat(le(1, 1), []byte{2, 'a'}, le(0), []byte{0}))},
+		{"trailing bytes", "after the last column", refFrameOf(cat(le(1, 1), []byte{0, 'a'}, le(0), []byte{0, 'x'}))},
+	} {
+		h := &memberHandler{
+			cols:  `{"columns":["c","d"]}`,
+			lines: []string{`["r1","1"]`, `["r2","2"]`, string(bad.frame), `["r3","3"]`, `{"stats":{}}`},
+		}
+		it, err := openStream(t, h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := drain(t, it)
+		if len(rows) != 2 || rows[1][0] != "r2" {
+			t.Errorf("%s: rows before the bad frame = %q", bad.name, rows)
+		}
+		if lakeerr.CodeOf(err) != lakeerr.CodeInternal || !strings.Contains(err.Error(), "remote east: bad batch frame") || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: err = %v, want a typed bad-batch-frame error saying %q", bad.name, err, bad.want)
+		}
+		if _, err2 := it.Next(context.Background()); !errors.Is(err2, err) {
+			t.Errorf("%s: error is not sticky: %v", bad.name, err2)
 		}
 		_ = it.Close()
 	}
