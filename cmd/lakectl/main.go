@@ -33,14 +33,13 @@
 // Federated queries fan in by default: member-store sources are
 // drained in parallel (one puller per CPU) behind bounded per-source
 // buffers, and an ORDER BY — in the SQL or via -order — keeps the
-// output order deterministic at any width. -fanin pins the width
-// (-fanin 1 forces the sequential union), -fanin-buffer sizes the
-// per-source window, -batch-rows sizes the columnar batches the
-// pipeline moves (0 = engine default), -explain prints the typed plan
-// without running,
-// and -stats prints per-source execution counters and the trace spans
-// (plan, open-sources, execute, sort) to stderr after the query. The
-// flags build one query.Request behind the scenes.
+// output order deterministic at any width. For the query command,
+// -fanin pins the width (-fanin 1 forces the sequential union),
+// -explain prints the typed plan without running, and -stats prints
+// per-source execution counters and the trace spans (plan,
+// open-sources, execute, sort) to stderr after the query. The flags
+// build one query.Request behind the scenes; serve-mode queries carry
+// their own "fanin" in the request body.
 //
 // Operability: the server exports Prometheus metrics at GET
 // /v1/metrics (status -metrics prints the same dump locally), tags
@@ -60,9 +59,8 @@
 // golake as a remote member store, so queries address its datasets as
 // "NAME:dataset" and scatter-gather across members through the same
 // fan-in that drains local scans. -remote-token forwards a bearer token
-// on every remote hop, -remote-route resolves bare dataset names
-// through a consistent-hash ring over the members, and -shards K
-// range-partitions each local relational scan into K parallel cursors.
+// on every remote hop, and -remote-route resolves bare dataset names
+// through a consistent-hash ring over the members.
 package main
 
 import (
@@ -101,11 +99,7 @@ func main() {
 	fsync := flag.Bool("fsync", false,
 		"with -persist, fsync every WAL append (crash-durable, slower)")
 	fanIn := flag.Int("fanin", 0,
-		"federated-query fan-in width (0 = one puller per CPU, 1 = sequential)")
-	fanInBuffer := flag.Int("fanin-buffer", 0,
-		"per-source fan-in buffer in rows (0 = default)")
-	batchRows := flag.Int("batch-rows", 0,
-		"rows per columnar batch for federated queries (0 = engine default)")
+		"query command: fan-in width (0 = one puller per CPU, 1 = sequential)")
 	orderBy := flag.String("order", "",
 		"ORDER BY passthrough for query: col[:desc][,col...]")
 	explain := flag.Bool("explain", false,
@@ -133,8 +127,6 @@ func main() {
 		"bearer token forwarded on every remote member hop (Authorization: Bearer)")
 	remoteRoute := flag.Bool("remote-route", false,
 		"route bare dataset names to remote members via consistent hashing")
-	shards := flag.Int("shards", 0,
-		"range-partition each relational scan into N parallel shard cursors (0 = off)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -163,15 +155,13 @@ func main() {
 	if *remoteRoute {
 		remoteOpts = append(remoteOpts, golake.WithRemoteRouting(true))
 	}
-	lake, err := loadLake(ctx, *dataDir, *user, *autoMaintain, *fanIn, *fanInBuffer, *persistFlag, *fsync, *maxConcurrent, *rateLimit, remoteOpts)
+	lake, err := loadLake(ctx, *dataDir, *user, *autoMaintain, *persistFlag, *fsync, *maxConcurrent, *rateLimit, remoteOpts)
 	if err != nil {
 		fatal(err)
 	}
 	defer lake.Close()
 	qf := queryFlags{
-		fanIn: *fanIn, bufferRows: *fanInBuffer, batchRows: *batchRows,
-		shards: *shards,
-		order:  *orderBy, explain: *explain, stats: *stats,
+		fanIn: *fanIn, order: *orderBy, explain: *explain, stats: *stats,
 		metrics: *metricsFlag, pprofAddr: *pprofAddr,
 		timeout: *queryTimeout, memoryRows: *memBudget,
 		shutdownGrace: *shutdownGrace,
@@ -184,20 +174,18 @@ func main() {
 // queryFlags bundles the per-command flags: the query knobs folded
 // into one query.Request, plus the status/serve operability switches.
 type queryFlags struct {
-	fanIn, bufferRows int
-	batchRows         int
-	shards            int
-	order             string
-	explain, stats    bool
-	metrics           bool
-	pprofAddr         string
-	timeout           time.Duration
-	memoryRows        int
-	shutdownGrace     time.Duration
+	fanIn          int
+	order          string
+	explain, stats bool
+	metrics        bool
+	pprofAddr      string
+	timeout        time.Duration
+	memoryRows     int
+	shutdownGrace  time.Duration
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lakectl [-data DIR] [-user NAME] [-persist] [-fsync] [-auto-maintain 5s] [-fanin N] [-fanin-buffer ROWS] [-batch-rows ROWS] [-shards N] [-order COLS] [-timeout DUR] [-memory-budget ROWS] [-max-concurrent N] [-rate QPS] [-shutdown-grace DUR] [-remote NAME=URL] [-remote-token TOKEN] [-remote-route] [-explain] [-stats] [-metrics] [-pprof ADDR] COMMAND [ARGS]")
+	fmt.Fprintln(os.Stderr, "usage: lakectl [-data DIR] [-user NAME] [-persist] [-fsync] [-auto-maintain 5s] [-fanin N] [-order COLS] [-timeout DUR] [-memory-budget ROWS] [-max-concurrent N] [-rate QPS] [-shutdown-grace DUR] [-remote NAME=URL] [-remote-token TOKEN] [-remote-route] [-explain] [-stats] [-metrics] [-pprof ADDR] COMMAND [ARGS]")
 	fmt.Fprintln(os.Stderr, "commands: profile catalog discover join query swamp lineage status serve registry demo")
 	os.Exit(2)
 }
@@ -231,7 +219,7 @@ func parseRemoteFlags(remotes []string, token string) ([]golake.Option, error) {
 // a rerun replays the previous invocation's state, files already
 // cataloged are skipped, and the maintenance pass resumes
 // incrementally over just the new data.
-func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration, fanIn, fanInBuffer int, persistLake, fsync bool, maxConcurrent int, rateLimit float64, extra []golake.Option) (*golake.Lake, error) {
+func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration, persistLake, fsync bool, maxConcurrent int, rateLimit float64, extra []golake.Option) (*golake.Lake, error) {
 	opts := []golake.Option{
 		golake.WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil))),
 	}
@@ -245,12 +233,6 @@ func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration,
 			RatePerSec:           rateLimit,
 			MaxQueueWait:         2 * time.Second,
 		}))
-	}
-	if fanIn > 0 || fanInBuffer > 0 {
-		// Pins the lake-level default (what serve-mode HTTP queries
-		// inherit); the query command threads the same flags through
-		// its per-request query.Request instead.
-		opts = append(opts, golake.WithFanIn(fanIn, fanInBuffer))
 	}
 	if persistLake {
 		sync := golake.SyncNone
@@ -431,9 +413,6 @@ func streamQuery(ctx context.Context, lake *golake.Lake, user, sql string, qf qu
 		SQL:        sql,
 		Order:      order,
 		FanIn:      qf.fanIn,
-		BufferRows: qf.bufferRows,
-		BatchRows:  qf.batchRows,
-		Shards:     qf.shards,
 		Explain:    qf.explain,
 		Timeout:    qf.timeout,
 		MemoryRows: qf.memoryRows,

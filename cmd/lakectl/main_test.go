@@ -27,7 +27,7 @@ func writeDataDir(t *testing.T) string {
 }
 
 func TestLoadLakeIngestsAndMaintains(t *testing.T) {
-	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, 0, 0, false, false, 0, 0, nil)
+	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, false, false, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLoadLakeLeavesDataFilesUnmodified(t *testing.T) {
 			}
 		}
 		before := dataFiles(t, dir)
-		lake, err := loadLake(context.Background(), dir, "cli", 0, 0, 0, persist, false, 0, 0, nil)
+		lake, err := loadLake(context.Background(), dir, "cli", 0, persist, false, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestLoadLakeLeavesDataFilesUnmodified(t *testing.T) {
 func TestLoadLakePersistRerunIngestsOnlyNewFiles(t *testing.T) {
 	ctx := context.Background()
 	dir := writeDataDir(t)
-	lake, err := loadLake(ctx, dir, "cli", 0, 0, 0, true, false, 0, 0, nil)
+	lake, err := loadLake(ctx, dir, "cli", 0, true, false, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLoadLakePersistRerunIngestsOnlyNewFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "items.csv"), []byte("sku,qty\na,1\nb,2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lake, err = loadLake(ctx, dir, "cli", 0, 0, 0, true, false, 0, 0, nil)
+	lake, err = loadLake(ctx, dir, "cli", 0, true, false, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestLoadLakePersistRerunIngestsOnlyNewFiles(t *testing.T) {
 }
 
 func TestDispatchCommands(t *testing.T) {
-	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, 0, 0, false, false, 0, 0, nil)
+	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, false, false, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +197,14 @@ func TestParseOrderFlag(t *testing.T) {
 // TestQueryFlagsDispatch drives the query command through the -order,
 // -explain and fan-in flags — the one-Request plumbing.
 func TestQueryFlagsDispatch(t *testing.T) {
-	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, 0, 0, false, false, 0, 0, nil)
+	lake, err := loadLake(context.Background(), writeDataDir(t), "cli", 0, false, false, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, qf := range []queryFlags{
 		{order: "total:desc", fanIn: 2, stats: true},
 		{explain: true},
-		{order: "id", bufferRows: 16},
+		{order: "id", fanIn: 1},
 	} {
 		if err := dispatch(context.Background(), lake, "cli",
 			"query", []string{"SELECT id, total FROM rel:orders"}, qf); err != nil {

@@ -77,15 +77,15 @@
 // of sources. An ORDER BY — in the SQL or via QueryRequest.Order —
 // makes the output order deterministic at any width (numeric-aware
 // keys plus a whole-row tiebreak); without one, rows interleave in
-// arrival order. QueryRequest.FanIn pins the width (1 forces the
-// sequential source-concatenation union), WithFanIn pins a lake-wide
-// default, and QueryRequest.BufferRows sizes the per-source window.
+// arrival order, and a LIMIT keeps whichever rows arrived first.
+// Result sets never change with the width. QueryRequest.FanIn pins
+// the width (1 forces the sequential source-concatenation union); it
+// is the one execution width a query carries.
 //
 // Every query runs on one columnar batch pipeline, whatever mix of
-// stores its FROM list names — column vectors moved ~1024 rows at a
+// stores its FROM list names — column vectors moved 1024 rows at a
 // time, vectorized filtering, fan-in shipping whole batches; rows are
-// materialized only at the output. QueryRequest.BatchRows sizes the
-// batches.
+// materialized only at the output.
 //
 // Plan introspection rides on the same request: EXPLAIN SELECT ... (or
 // QueryRequest.Explain) returns a rowless stream whose Plan() carries
@@ -96,10 +96,10 @@
 // QuerySQL is the materializing collector over the same pipeline.
 //
 // Over REST, POST /v1/query accepts {"sql", "order", "limit", "fanin",
-// "buffer_rows", "batch_rows", "explain"} and streams chunked NDJSON when the
-// request carries Accept: application/x-ndjson (header line, one JSON
-// row per line, a {"stats":{...}} trailer on clean end, a final
-// {"error":{...}} line on mid-stream failure). With "explain": true it
+// "timeout_ms", "memory_rows", "explain"} and streams chunked NDJSON
+// when the request carries Accept: application/x-ndjson (header line,
+// one JSON row per line, a {"stats":{...}} trailer on clean end, a
+// final {"error":{...}} line on mid-stream failure). With "explain": true it
 // returns {"plan": {...}} instead of rows.
 //
 // # Distributed federation
@@ -112,11 +112,9 @@
 // predicates, projections, and ORDER BY+LIMIT pushed down to the
 // member; to the fan-in machinery a remote lake is just a slow member
 // store, so scatter-gather across N members is the ordinary parallel
-// union. QueryRequest.Shards additionally range-partitions each local
-// relational scan into K cursors drained through the same fan-in.
-// Remote failures keep their lakeerr codes end to end, and a connection
-// dropped mid-stream surfaces as a typed unavailable error, never a
-// silent short result:
+// union. Remote failures keep their lakeerr codes end to end, and a
+// connection dropped mid-stream surfaces as a typed unavailable error,
+// never a silent short result:
 //
 //	lake, _ := golake.Open(dir,
 //		golake.WithRemoteStore("east", "http://east.lake:8080",
@@ -380,17 +378,6 @@ func WithLogger(l *slog.Logger) Option { return core.WithLogger(l) }
 // Lake.Metrics exposes it in-process. Disabling removes all metric
 // bookkeeping and turns the endpoint into a 503.
 func WithMetrics(enabled bool) Option { return core.WithMetrics(enabled) }
-
-// WithFanIn pins the lake-wide fan-in default for Lake.Query requests
-// that leave QueryRequest.FanIn unset: workers member-store scans
-// drained in parallel (1 = sequential union), each buffering roughly
-// bufferRows rows ahead of the consumer (0 = default window). Unset,
-// requests default to one puller per CPU. Result sets never change
-// with the width; without an ORDER BY the interleaving of rows across
-// sources does (arrival order), and a LIMIT keeps whichever rows
-// arrived first. With an ORDER BY the output is deterministic at any
-// width.
-func WithFanIn(workers, bufferRows int) Option { return core.WithFanIn(workers, bufferRows) }
 
 // WithAutoMaintain starts a background maintenance scheduler: every
 // interval the lake checks for new data and runs an incremental

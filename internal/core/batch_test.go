@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,9 +18,9 @@ import (
 
 // batchLake assembles a lake over two relational sources with
 // overlapping headers, 600 rows in all.
-func batchLake(t *testing.T, opts ...Option) (*Lake, *httptest.Server) {
+func batchLake(t *testing.T) (*Lake, *httptest.Server) {
 	t.Helper()
-	l, err := Open(t.TempDir(), opts...)
+	l, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,33 +67,35 @@ func ndjsonQuery(t *testing.T, srv *httptest.Server, body string) (int, []string
 	return resp.StatusCode, strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 }
 
-// TestV1QueryBatchRowsValidation: out-of-range batch_rows is an
-// invalid query (400), not a silent clamp — mirroring the fan-in
-// knobs.
+// TestV1QueryBatchRowsValidation: batch_rows, like shards and
+// buffer_rows, is no longer a body field. The decoder ignores all three
+// at any value, in range or not, so the NDJSON answer is byte-identical
+// to the one for the body without them.
 func TestV1QueryBatchRowsValidation(t *testing.T) {
 	_, srv := batchLake(t)
-	for _, body := range []string{
-		`{"sql":"SELECT city FROM rel:hotels_a","batch_rows":-1}`,
-		`{"sql":"SELECT city FROM rel:hotels_a","batch_rows":9999999}`,
-	} {
-		resp, data := do(t, srv, http.MethodPost, "/v1/query", "dana", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400 (%s)", body, resp.StatusCode, data)
-		}
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != "invalid_query" {
-			t.Errorf("%s: envelope = %s (%v)", body, data, err)
-		}
+	// Fan-in 1 fixes the row sequence; only the stats trailer's timings
+	// may differ.
+	const base = `{"sql":"SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40","fanin":1`
+	code, want := ndjsonQuery(t, srv, base+"}")
+	if code != http.StatusOK || len(want) < 3 {
+		t.Fatalf("base query: status %d, %d lines", code, len(want))
 	}
-	// In-range values pass through.
-	resp, data := do(t, srv, http.MethodPost, "/v1/query", "dana",
-		`{"sql":"SELECT city FROM rel:hotels_a","batch_rows":64}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch_rows=64: status = %d (%s)", resp.StatusCode, data)
+	for _, extra := range []string{
+		`"shards":4,"buffer_rows":64,"batch_rows":7`,
+		`"shards":-1,"buffer_rows":-1,"batch_rows":-1`,
+		`"shards":9999999,"buffer_rows":9999999,"batch_rows":9999999`,
+	} {
+		code, got := ndjsonQuery(t, srv, base+","+extra+"}")
+		if code != http.StatusOK {
+			t.Errorf("%s: status = %d, want 200", extra, code)
+			continue
+		}
+		if last := got[len(got)-1]; !strings.HasPrefix(last, `{"stats":`) {
+			t.Errorf("%s: last line %q, want the stats trailer", extra, last)
+		}
+		if strings.Join(got[:len(got)-1], "\n") != strings.Join(want[:len(want)-1], "\n") {
+			t.Errorf("%s: %d lines differ from the answer without them (%d lines)", extra, len(got), len(want))
+		}
 	}
 }
 
@@ -128,9 +132,10 @@ func addHostile(t *testing.T, l *Lake) {
 }
 
 // TestV1QueryBatchNDJSONByteIdentity pins the serialization contract:
-// at every batch size, the NDJSON stream's header and row lines are
-// byte-identical to what encoding/json wrote for the JSON envelope's
-// columns and rows — only the stats trailer (timings) may differ. The
+// at every batch size, the NDJSON stream's header and row lines, and
+// the rows of its batch frames, are byte-identical to what
+// encoding/json wrote for the JSON envelope's columns and rows — only
+// the stats trailer (timings) may differ. The
 // hostile statements read stored columns, whose row lines are copied
 // from the store's encoding, with and without a selection, under a
 // reordered projection, and in one line with null pads and beside
@@ -172,22 +177,59 @@ func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
 			wantLines = append(wantLines, string(row))
 		}
 		for _, batchRows := range []int{1, 7, 1024} {
-			body := fmt.Sprintf(`{"sql":%q,"batch_rows":%d,"fanin":1}`, sql, batchRows)
-			code, gotLines := ndjsonQuery(t, srv, body)
-			if code != http.StatusOK {
-				t.Fatalf("%s batch_rows=%d: status = %d", sql, batchRows, code)
-			}
-			// Everything but the final stats trailer must match byte for
-			// byte; an error trailer anywhere fails the length check or
-			// the comparison.
-			if len(gotLines) != len(wantLines)+1 {
-				t.Fatalf("%s batch_rows=%d: %d lines, want %d rows plus header and trailer", sql, batchRows, len(gotLines), len(env.Rows))
-			}
-			for i, want := range wantLines {
-				if gotLines[i] != want {
-					t.Fatalf("%s batch_rows=%d: line %d = %q, want %q", sql, batchRows, i, gotLines[i], want)
+			for _, framed := range []bool{false, true} {
+				st, err := l.Query(context.Background(), "dana", query.Request{SQL: sql, BatchRows: batchRows, FanIn: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				streamNDJSON(rec, context.Background(), st, st.Stats, framed)
+				gotLines := streamLines(t, rec.Body.Bytes(), len(env.Columns))
+				// Everything but the final stats trailer must match byte
+				// for byte; an error trailer anywhere fails the length
+				// check or the comparison.
+				if len(gotLines) != len(wantLines)+1 {
+					t.Fatalf("%s batch=%d framed=%v: %d lines, want %d rows plus header and trailer", sql, batchRows, framed, len(gotLines), len(env.Rows))
+				}
+				for i, want := range wantLines {
+					if gotLines[i] != want {
+						t.Fatalf("%s batch=%d framed=%v: line %d = %q, want %q", sql, batchRows, framed, i, gotLines[i], want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// streamLines splits a /v1/query stream body into lines without their
+// newlines, a batch frame's rows becoming their NDJSON row lines.
+func streamLines(t *testing.T, body []byte, width int) []string {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(body))
+	var lines []string
+	for {
+		next, err := br.Peek(1)
+		if err == io.EOF {
+			return lines
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next[0] != query.FrameMarker {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("unterminated line %q: %v", line, err)
+			}
+			lines = append(lines, strings.TrimSuffix(line, "\n"))
+			continue
+		}
+		var f query.DecodedFrame
+		if err := f.Read(br, width); err != nil {
+			t.Fatal(err)
+		}
+		b := f.NextBatch(f.Left())
+		for i := 0; i < b.Len(); i++ {
+			lines = append(lines, strings.TrimSuffix(string(b.AppendRowJSON(nil, i)), "\n"))
 		}
 	}
 }
@@ -197,7 +239,7 @@ func TestV1QueryBatchNDJSONByteIdentity(t *testing.T) {
 func TestMetricsBatchSeries(t *testing.T) {
 	_, srv := batchLake(t)
 	resp, _ := do(t, srv, http.MethodPost, "/v1/query", "dana",
-		`{"sql":"SELECT city FROM rel:hotels_a, rel:hotels_b","batch_rows":64}`)
+		`{"sql":"SELECT city FROM rel:hotels_a, rel:hotels_b"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
@@ -210,7 +252,7 @@ func TestMetricsBatchSeries(t *testing.T) {
 			t.Errorf("missing %q in scrape:\n%s", want, grepLines(body, "golake_query_batch"))
 		}
 	}
-	// 600 rows at 64 rows/batch is at least 10 batches observed.
+	// Two 300-row sources are at least two batches observed.
 	if strings.Contains(body, "golake_query_batch_rows_count 0") {
 		t.Errorf("batch histogram has no samples:\n%s", grepLines(body, "golake_query_batch"))
 	}
@@ -220,11 +262,12 @@ func TestMetricsBatchSeries(t *testing.T) {
 // (Collect, draining batch-wise) returns exactly the rows the row
 // cursor of Lake.Query serves for the same statement.
 func TestQuerySQLBatchMatchesRow(t *testing.T) {
-	// Fan-in 1: cell-for-cell equality needs the sequential union's row
-	// order, not arrival order.
-	l, _ := batchLake(t, WithFanIn(1, 0))
+	// QuerySQL runs at the default fan-in: cell-for-cell equality needs
+	// an order that does not depend on arrival, and every city is
+	// distinct.
+	l, _ := batchLake(t)
 	ctx := context.Background()
-	const sql = "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40"
+	const sql = "SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40 ORDER BY city"
 	st, err := l.Query(ctx, "dana", query.Request{SQL: sql, BatchRows: 7})
 	if err != nil {
 		t.Fatal(err)

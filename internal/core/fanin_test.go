@@ -19,9 +19,9 @@ import (
 
 // fanInLake assembles a lake with parallel fan-in on and three member
 // stores holding overlapping datasets.
-func fanInLake(t *testing.T, opts ...Option) *Lake {
+func fanInLake(t *testing.T) *Lake {
 	t.Helper()
-	l, err := Open(t.TempDir(), opts...)
+	l, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,39 +64,38 @@ func collectSorted(t *testing.T, it query.RowIterator) []string {
 	return out
 }
 
-// TestLakeWithFanInMatchesSequential pins end-to-end equivalence at the
-// Lake level: the fan-in width, per request or lake-wide, changes
+// TestLakeRequestFanInMatchesSequential pins end-to-end equivalence at
+// the Lake level: the request's fan-in width, set or defaulted, changes
 // interleaving, never the result set.
-func TestLakeWithFanInMatchesSequential(t *testing.T) {
-	seqLake := fanInLake(t, WithFanIn(1, 0))
-	parLake := fanInLake(t, WithFanIn(8, 64))
+func TestLakeRequestFanInMatchesSequential(t *testing.T) {
+	l := fanInLake(t)
 	const sql = "SELECT city, price FROM rel:hotels_rel, doc:hotels_doc WHERE price > 40"
-	run := func(l *Lake, req query.Request, width int) []string {
+	run := func(req query.Request, width int) []string {
 		t.Helper()
 		st, err := l.Query(context.Background(), "dana", req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := st.Plan().FanIn; got != width {
-			t.Fatalf("fanin %d/%d: plan width %d, want %d", req.FanIn, l.Engine.FanIn.Workers, got, width)
+			t.Fatalf("fanin %d: plan width %d, want %d", req.FanIn, got, width)
 		}
 		return collectSorted(t, st)
 	}
-	want := run(seqLake, query.Request{SQL: sql}, 1)
+	want := run(query.Request{SQL: sql, FanIn: 1}, 1)
 	if len(want) == 0 {
 		t.Fatal("fixture returned no rows")
 	}
 	for _, c := range []struct {
-		l     *Lake
 		req   query.Request
 		width int
 	}{
-		{parLake, query.Request{SQL: sql}, 2},
-		// The per-request width wins over the lake default both ways.
-		{seqLake, query.Request{SQL: sql, FanIn: 4, BufferRows: 32}, 2},
-		{parLake, query.Request{SQL: sql, FanIn: 1}, 1},
+		// Unset, the width is one puller per CPU, capped at the two
+		// sources.
+		{query.Request{SQL: sql}, min(query.DefaultFanIn(), 2)},
+		{query.Request{SQL: sql, FanIn: 8}, 2},
+		{query.Request{SQL: sql, FanIn: 4}, 2},
 	} {
-		got := run(c.l, c.req, c.width)
+		got := run(c.req, c.width)
 		if len(got) != len(want) {
 			t.Fatalf("fanin %d: %d rows, sequential %d", c.req.FanIn, len(got), len(want))
 		}
@@ -121,7 +120,7 @@ func fanInServer(t *testing.T) *httptest.Server {
 // through NDJSON streaming: full result set, valid framing.
 func TestV1QueryPerRequestFanInNDJSON(t *testing.T) {
 	srv := fanInServer(t)
-	body := `{"sql":"SELECT city, price FROM rel:hotels_rel, doc:hotels_doc","fanin":8,"buffer_rows":64}`
+	body := `{"sql":"SELECT city, price FROM rel:hotels_rel, doc:hotels_doc","fanin":8}`
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -171,15 +170,13 @@ func TestV1QueryPerRequestFanInNDJSON(t *testing.T) {
 	}
 }
 
-// TestV1QueryFanInValidation: out-of-range knobs are invalid queries,
-// not silent clamps, on both the JSON and NDJSON paths.
+// TestV1QueryFanInValidation: an out-of-range fanin is an invalid
+// query, not a silent clamp, on both the JSON and NDJSON paths.
 func TestV1QueryFanInValidation(t *testing.T) {
 	srv := fanInServer(t)
 	for _, body := range []string{
 		`{"sql":"SELECT city FROM rel:hotels_rel","fanin":-1}`,
 		`{"sql":"SELECT city FROM rel:hotels_rel","fanin":10000}`,
-		`{"sql":"SELECT city FROM rel:hotels_rel","buffer_rows":-5}`,
-		`{"sql":"SELECT city FROM rel:hotels_rel","buffer_rows":99999999}`,
 	} {
 		resp, data := do(t, srv, http.MethodPost, "/v1/query", "dana", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -224,7 +221,7 @@ func TestQueryStreamFanInCancelReleases(t *testing.T) {
 	l := fanInLake(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	it, err := l.Query(ctx, "dana", query.Request{
-		SQL: "SELECT city FROM rel:hotels_rel, doc:hotels_doc", FanIn: 8, BufferRows: 16,
+		SQL: "SELECT city FROM rel:hotels_rel, doc:hotels_doc", FanIn: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -575,8 +575,8 @@ func TestTokenPersistence(t *testing.T) {
 }
 
 // TestFederationCancelNoGoroutineLeak pins leak-free teardown: early
-// Close and context cancellation mid-stream release every remote stream
-// and shard cursor.
+// Close and context cancellation mid-stream release every remote
+// stream.
 func TestFederationCancelNoGoroutineLeak(t *testing.T) {
 	_, eastSrv := memberLake(t, "hotels_a", 2000, 97)
 	_, westSrv := memberLake(t, "hotels_b", 2000, 89)
@@ -585,7 +585,7 @@ func TestFederationCancelNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// Early Close after a few rows.
 		st, err := fed.Query(context.Background(), "dana", query.Request{
-			SQL: "SELECT city, price FROM east:hotels_a, west:hotels_b", FanIn: 8, BufferRows: 8,
+			SQL: "SELECT city, price FROM east:hotels_a, west:hotels_b", FanIn: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -594,10 +594,10 @@ func TestFederationCancelNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = st.Close()
-		// Context cancellation mid-stream, sharded local scan included.
+		// Context cancellation mid-stream.
 		ctx, cancel := context.WithCancel(context.Background())
 		st2, err := fed.Query(ctx, "dana", query.Request{
-			SQL: "SELECT city FROM east:hotels_a", FanIn: 4, Shards: 4,
+			SQL: "SELECT city FROM east:hotels_a", FanIn: 4,
 		})
 		if err != nil {
 			cancel()
@@ -618,54 +618,6 @@ func TestFederationCancelNoGoroutineLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutine leak: %d before, %d after", before, after)
-	}
-}
-
-// TestHTTPShardsKnob drives the REST shards knob: valid widths return
-// the identical row set, out-of-range widths are invalid queries.
-func TestHTTPShardsKnob(t *testing.T) {
-	_, srv := memberLake(t, "hotels_a", 120, 11)
-	post := func(body string) (*http.Response, []byte) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/query", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Lake-User", "dana")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp, b
-	}
-	resp, base := post(`{"sql":"SELECT city FROM rel:hotels_a ORDER BY city"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("base query: %d %s", resp.StatusCode, base)
-	}
-	resp, sharded := post(`{"sql":"SELECT city FROM rel:hotels_a ORDER BY city","shards":4,"fanin":4}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded query: %d %s", resp.StatusCode, sharded)
-	}
-	var a, b struct {
-		Rows [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(base, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(sharded, &b); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) == 0 || fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) {
-		t.Errorf("sharded HTTP rows diverged: %d vs %d", len(b.Rows), len(a.Rows))
-	}
-	for _, bad := range []string{
-		`{"sql":"SELECT city FROM rel:hotels_a","shards":-1}`,
-		`{"sql":"SELECT city FROM rel:hotels_a","shards":9999}`,
-	} {
-		resp, body := post(bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%s), want 400", bad, resp.StatusCode, body)
-		}
 	}
 }
 

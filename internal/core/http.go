@@ -40,8 +40,7 @@ import (
 //	GET  /v1/related?table=NAME&k=5      populate-mode discovery
 //	POST /v1/explore                     any discovery mode (JSON body)
 //	POST /v1/query                       body: {"sql", "order", "limit",
-//	                                     "fanin", "buffer_rows",
-//	                                     "batch_rows", "timeout_ms",
+//	                                     "fanin", "timeout_ms",
 //	                                     "memory_rows", "explain"};
 //	                                     JSON rows + stats,
 //	                                     the typed plan when explaining,
@@ -669,31 +668,19 @@ const (
 	batchContentType  = "application/x-golake-batch"
 )
 
-// Per-request fan-in bounds: a request may widen concurrency only up to
-// these caps, so one query cannot ask the server for unbounded
-// goroutines or buffer memory. batch_rows is capped for the same
-// reason — a batch is materialized per source, so its size bounds
-// per-query memory.
-const (
-	maxQueryFanIn      = 64
-	maxQueryBufferRows = 1 << 16
-	maxQueryBatchRows  = 1 << 16
-	maxQueryShards     = 64
-)
+// maxQueryFanIn caps the per-request fan-in width, so one query cannot
+// ask the server for unbounded goroutines.
+const maxQueryFanIn = 64
 
 // queryRequest is the POST /v1/query body: one statement plus the
-// typed execution options of query.Request. fanin/buffer_rows absent
-// means the lake default (fan-in on, one puller per CPU, unless
-// WithFanIn pinned a width); fanin 1 forces the sequential union.
-// batch_rows sizes the pipeline's batches (absent = the lake
-// default). shards
-// range-partitions each relational scan into that many cursors drained
-// through the same fan-in (absent or 1 = one cursor per table). order
-// entries sort the result ({"column": ..., "desc": ...}); explain
-// returns the typed plan instead of executing. timeout_ms bounds the
-// query's wall-clock time and memory_rows its buffered-row footprint —
-// both are clamped by the lake's admission configuration (absent = the
-// admission defaults; ignored without WithAdmission).
+// typed execution options of query.Request. fanin absent means the
+// default (one puller per CPU); fanin 1 forces the sequential union.
+// The decoder ignores fields it does not know. order entries sort the
+// result ({"column": ..., "desc": ...}); explain returns the typed plan
+// instead of executing. timeout_ms bounds the query's wall-clock time
+// and memory_rows its buffered-row footprint — both are clamped by the
+// lake's admission configuration (absent = the admission defaults;
+// ignored without WithAdmission).
 type queryRequest struct {
 	SQL   string `json:"sql"`
 	Order []struct {
@@ -704,9 +691,6 @@ type queryRequest struct {
 	Explain    bool `json:"explain"`
 	Analyze    bool `json:"analyze"`
 	FanIn      *int `json:"fanin"`
-	BufferRows *int `json:"buffer_rows"`
-	BatchRows  *int `json:"batch_rows"`
-	Shards     *int `json:"shards"`
 	TimeoutMS  *int `json:"timeout_ms"`
 	MemoryRows *int `json:"memory_rows"`
 }
@@ -729,24 +713,6 @@ func (b queryRequest) request() (query.Request, error) {
 			return req, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: fanin must be 0..%d", maxQueryFanIn)
 		}
 		req.FanIn = *b.FanIn
-	}
-	if b.BufferRows != nil {
-		if *b.BufferRows < 0 || *b.BufferRows > maxQueryBufferRows {
-			return req, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: buffer_rows must be 0..%d", maxQueryBufferRows)
-		}
-		req.BufferRows = *b.BufferRows
-	}
-	if b.BatchRows != nil {
-		if *b.BatchRows < 0 || *b.BatchRows > maxQueryBatchRows {
-			return req, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: batch_rows must be 0..%d", maxQueryBatchRows)
-		}
-		req.BatchRows = *b.BatchRows
-	}
-	if b.Shards != nil {
-		if *b.Shards < 0 || *b.Shards > maxQueryShards {
-			return req, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: shards must be 0..%d", maxQueryShards)
-		}
-		req.Shards = *b.Shards
 	}
 	if b.TimeoutMS != nil {
 		if *b.TimeoutMS < 0 {

@@ -83,7 +83,6 @@ type options struct {
 	maxResults    int
 	logger        *slog.Logger
 	autoMaintain  time.Duration
-	fanIn         query.FanInOptions
 	backend       persist.Backend
 	snapshotEvery int64
 	metricsOff    bool
@@ -124,21 +123,6 @@ func WithLogger(l *slog.Logger) Option {
 // benchmark's baseline.
 func WithMetrics(enabled bool) Option {
 	return func(o *options) { o.metricsOff = !enabled }
-}
-
-// WithFanIn pins the lake-wide fan-in default for query requests that
-// leave their FanIn unset: up to workers member-store scans are opened
-// and drained in parallel (workers = 1 forces the sequential union),
-// each buffering roughly bufferRows rows ahead of the consumer (the
-// backpressure window, approximate by up to one in-flight batch; 0
-// means the default). Without this option, Lake.Query requests default
-// to one puller per CPU. Result sets are identical at any width; the
-// interleaving of rows across sources is arrival order unless the
-// query carries an ORDER BY, which makes the output deterministic.
-func WithFanIn(workers, bufferRows int) Option {
-	return func(o *options) {
-		o.fanIn = query.FanInOptions{Workers: workers, BufferRows: bufferRows}
-	}
 }
 
 // WithPersistence attaches a durability backend: every mutating
@@ -350,7 +334,6 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		}
 	}
 	l.Engine = query.NewEngine(poly)
-	l.Engine.FanIn = o.fanIn
 	if len(o.remotes) > 0 {
 		l.Engine.Remotes = make(map[string]query.RemoteOpener, len(o.remotes))
 		names := make([]string, 0, len(o.remotes))
@@ -1065,17 +1048,17 @@ func (l *Lake) Explore(ctx context.Context, user string, req explore.Request) ([
 
 // Query executes a federated query described by one structured
 // request — statement plus typed options (ORDER BY keys, row cap,
-// fan-in width, buffer window, explain) — on behalf of a user, and is
-// the single query entry point (QuerySQL collects over it). The
-// returned stream is pull-based (header from Columns, one row per
-// Next, cancellation honored between rows) and carries introspection:
-// Plan() is the typed execution plan, Stats() the live per-source
-// execution counters (rows pulled, time blocked).
+// fan-in width, explain) — on behalf of a user, and is the single
+// query entry point (QuerySQL collects over it). The returned stream
+// is pull-based (header from Columns, one row per Next, cancellation
+// honored between rows) and carries introspection: Plan() is the typed
+// execution plan, Stats() the live per-source execution counters (rows
+// pulled, time blocked).
 //
-// Fan-in is on by default: with Request.FanIn zero and no lake-level
-// WithFanIn configuration, member-store scans are drained with one
-// puller per CPU, and an ORDER BY sort stage keeps the output order
-// deterministic at any width. FanIn: 1 forces the sequential union.
+// Fan-in is on by default: with Request.FanIn zero, member-store scans
+// are drained with one puller per CPU, and an ORDER BY sort stage
+// keeps the output order deterministic at any width. FanIn: 1 forces
+// the sequential union.
 // WithMaxResults composes with the statement's LIMIT and the request's
 // Limit — the strictest cap wins and bounds the top-K sort heap, not
 // just the rows returned. An explain request (Request.Explain or an
@@ -1208,7 +1191,7 @@ func (l *Lake) logAudit(ctx context.Context, action, entity, user string) {
 // bounds the work done, not just the rows returned. Like every Query
 // request, fan-in is on by default — multi-source results without an
 // ORDER BY arrive in arrival order, not source-concatenation order;
-// add an ORDER BY (or open the lake WithFanIn(1, 0)) where row order
+// add an ORDER BY (or call Query with FanIn: 1) where row order
 // matters. EXPLAIN statements have no row result here; use Query.
 func (l *Lake) QuerySQL(ctx context.Context, user, sql string) (*table.Table, error) {
 	st, err := l.Query(ctx, user, query.Request{SQL: sql})

@@ -16,8 +16,7 @@ var fanInBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 // heapRowBuckets bracket the sort stage's heap high-water mark.
 var heapRowBuckets = []float64{10, 100, 1000, 10000, 100000, 1000000}
 
-// batchRowBuckets bracket the logical rows per columnar batch, up to
-// the request cap on batch_rows.
+// batchRowBuckets bracket the logical rows per columnar batch.
 var batchRowBuckets = []float64{1, 8, 64, 256, 512, 1024, 4096, 16384, 65536}
 
 // fillRatioBuckets bracket how full each columnar batch is relative to

@@ -94,7 +94,7 @@ func TestSortTopKUnderBudget(t *testing.T) {
 func TestFanInBudgetSurfacesInBand(t *testing.T) {
 	// Budget of 1 row: the very first queued batch overruns it.
 	it := ParallelUnionBatches(context.Background(), []BatchIterator{countSource("", 500, 8), countSource("", 500, 8)}, nil,
-		FanInOptions{Workers: 2, BufferRows: 64, Budget: NewMemBudget(1)}, 8)
+		FanInOptions{Workers: 2, Budget: NewMemBudget(1)}, 8)
 	var err error
 	for {
 		_, err = it.Next(context.Background())

@@ -31,15 +31,6 @@ var ErrUnknownSource = errors.New("query: unknown source")
 // batches per stage rather than the full federated result.
 type Engine struct {
 	Poly *polystore.Poly
-	// FanIn configures concurrent fan-in across member stores: with
-	// Workers > 1, source scans are opened and drained in parallel
-	// behind bounded per-source buffers (ParallelUnionBatches), so a
-	// slow member store no longer stalls the whole federated stream.
-	// Request.FanIn overrides it per query.
-	FanIn FanInOptions
-	// BatchRows sizes the pipeline's batches (0 = DefaultBatchRows);
-	// Request.BatchRows overrides it per query.
-	BatchRows int
 	// Fault is the chaos-test stage hook: when set, it is consulted at
 	// named pipeline points ("open" before the source scans, "next"
 	// before each batch the stream serves) and a non-nil return is
@@ -62,13 +53,12 @@ type Engine struct {
 
 // execEnv carries the per-request execution context the per-source
 // scans need beyond the statement: the effective order and limit (for
-// remote ORDER BY/LIMIT pushdown), the identity to forward to member
-// lakes, and the intra-source shard width for relational scans.
+// remote ORDER BY/LIMIT pushdown) and the identity to forward to
+// member lakes.
 type execEnv struct {
-	order  []OrderKey
-	limit  int
-	user   string
-	shards int
+	order []OrderKey
+	limit int
+	user  string
 }
 
 // NewEngine creates an engine over a polystore. Selection predicates
@@ -81,10 +71,10 @@ func NewEngine(p *polystore.Poly) *Engine {
 // Query is the engine's single entry point: it parses the request's
 // statement, composes the typed options with what the statement says
 // (request Order overrides, the stricter Limit wins, FanIn 0 resolves
-// to the engine default or one puller per CPU), builds the typed plan,
-// and opens the instrumented pipeline. An EXPLAIN statement — or
-// Request.Explain — plans without opening any source scan and returns
-// a rowless stream whose Plan carries the answer.
+// to one puller per CPU), builds the typed plan, and opens the
+// instrumented pipeline. An EXPLAIN statement — or Request.Explain —
+// plans without opening any source scan and returns a rowless stream
+// whose Plan carries the answer.
 func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 	planStart := time.Now()
 	q, err := Parse(req.SQL)
@@ -96,19 +86,23 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 		order = req.Order
 	}
 	limit := CombineLimit(q.Limit, req.Limit)
-	opts := e.resolveFanIn(req)
 	// The memory budget is shared by every buffering stage of this one
 	// query: fan-in queues and the sort heap charge against it.
-	opts.Budget = NewMemBudget(req.MemoryRows)
-	env := execEnv{order: order, limit: limit, user: req.User, shards: req.Shards}
-	plan, err := e.plan(q, order, limit, opts, env.shards)
+	opts := FanInOptions{Workers: req.FanIn, Budget: NewMemBudget(req.MemoryRows)}
+	if opts.Workers <= 0 {
+		opts.Workers = DefaultFanIn()
+	}
+	batchRows := req.BatchRows
+	if batchRows <= 0 {
+		batchRows = DefaultBatchRows
+	}
+	env := execEnv{order: order, limit: limit, user: req.User}
+	plan, err := e.plan(q, order, limit, opts, batchRows)
 	if err != nil {
 		return nil, err
 	}
 	plan.MemoryRows = req.MemoryRows
 	plan.Timeout = req.Timeout
-	batchRows := e.resolveBatchRows(req)
-	plan.Batch = fmt.Sprintf("columnar (%d rows/batch)", batchRows)
 	analyze := q.Analyze || req.Analyze
 	if (q.Explain || req.Explain) && !analyze {
 		// plan validated sort keys against an explicit projection; for
@@ -161,37 +155,6 @@ func (e *Engine) Query(ctx context.Context, req Request) (*RowStream, error) {
 	return &RowStream{cols: st.Columns(), plan: plan, explain: true}, nil
 }
 
-// resolveFanIn resolves a request's fan-in against the engine
-// configuration: an explicit request width wins (1 = sequential), then
-// the engine's configured fan-in, then the CPU-wide default.
-func (e *Engine) resolveFanIn(req Request) FanInOptions {
-	w := req.FanIn
-	if w <= 0 {
-		w = e.FanIn.Workers
-	}
-	if w <= 0 {
-		w = DefaultFanIn()
-	}
-	b := req.BufferRows
-	if b <= 0 {
-		b = e.FanIn.BufferRows
-	}
-	return FanInOptions{Workers: w, BufferRows: b}
-}
-
-// resolveBatchRows resolves a request's batch size against the engine
-// configuration: an explicit request size wins, then the engine's, then
-// DefaultBatchRows.
-func (e *Engine) resolveBatchRows(req Request) int {
-	if req.BatchRows > 0 {
-		return req.BatchRows
-	}
-	if e.BatchRows > 0 {
-		return e.BatchRows
-	}
-	return DefaultBatchRows
-}
-
 // CombineLimit composes two row caps; zero means unbounded, otherwise
 // the stricter cap wins. The Lake uses it to fold WithMaxResults into
 // a request's limit before the engine sees it.
@@ -210,8 +173,9 @@ func CombineLimit(a, b int) int {
 // union width, and the sort strategy. Source resolution failures
 // surface here, so EXPLAIN of an unknown source errors like execution
 // would.
-func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, shards int) (*Plan, error) {
-	p := &Plan{Statement: q.String(), FanIn: 1, Sort: "none", Limit: limit}
+func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, batchRows int) (*Plan, error) {
+	p := &Plan{Statement: q.String(), FanIn: 1, Sort: "none", Limit: limit,
+		Batch: fmt.Sprintf("columnar (%d rows/batch)", batchRows)}
 	// With an explicit projection the result header is known before any
 	// source opens; reject unsortable keys here so EXPLAIN reports the
 	// same failure execution would. (SELECT * headers depend on the
@@ -231,23 +195,9 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 			p.Sort = "full sort"
 		}
 	}
-	// The effective union width counts shard cursors too: one rel source
-	// scanned in K shards feeds K iterators into the same fan-in.
-	effective := 0
-	for _, src := range q.Sources {
-		if kind, _, err := e.resolveKind(src); err == nil && kind == "rel" && shards > 1 {
-			effective += shards
-		} else {
-			effective++
-		}
-	}
-	if !opts.sequential() && effective >= 2 {
-		w := opts.Workers
-		if w > effective {
-			w = effective
-		}
-		p.FanIn = w
-		p.BufferRows = opts.bufferRows()
+	if n := len(q.Sources); !opts.sequential() && n >= 2 {
+		p.FanIn = min(opts.Workers, n)
+		p.BufferRows = fanInDepth(batchRows) * batchRows
 	}
 	for _, src := range q.Sources {
 		kind, name, err := e.resolveKind(src)
@@ -263,9 +213,6 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 				return nil, fmt.Errorf("%w: %s", polystore.ErrNoTable, name)
 			}
 			sp.Access = "table " + name
-			if shards > 1 {
-				sp.Access = fmt.Sprintf("table %s (%d range shards)", name, shards)
-			}
 			for _, pr := range q.Where {
 				sp.Pushdown = append(sp.Pushdown, pr.String())
 			}
@@ -293,7 +240,7 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 }
 
 // streamBatches assembles a query's pipeline: every FROM item opens as
-// one or more batch leaves, filtered at the leaf or by the member lake
+// one batch leaf, filtered at the leaf or by the member lake
 // (in parallel, see openSourcesParallel), each metered for Stats; the
 // union remaps whole vectors onto the result header (null-padding what
 // a source lacks — the projection stage); a meter counts its batches;
@@ -301,13 +248,13 @@ func (e *Engine) plan(q *Query, order []OrderKey, limit int, opts FanInOptions, 
 // slices the final batch. Source resolution errors surface here, before any rows flow;
 // row-level failures (including cancellation) surface from the stream.
 func (e *Engine) streamBatches(ctx context.Context, q *Query, env execEnv, opts FanInOptions, batchRows int) (*RowStream, error) {
-	sources, labels, err := e.openSourcesParallel(ctx, q, env, opts.Workers, batchRows)
+	sources, err := e.openSourcesParallel(ctx, q, env, opts.Workers, batchRows)
 	if err != nil {
 		return nil, err
 	}
 	st := &RowStream{counters: make([]*sourceCounter, len(sources))}
 	for i, src := range sources {
-		st.counters[i] = &sourceCounter{source: labels[i]}
+		st.counters[i] = &sourceCounter{source: q.Sources[i]}
 		sources[i] = &meteredBatchIterator{in: src, c: st.counters[i]}
 	}
 	u := ParallelUnionBatches(ctx, sources, q.Columns, opts, batchRows)
@@ -440,17 +387,15 @@ func validateOrder(order []OrderKey, cols []string) error {
 // workers at a time — member-store snapshots are taken under their
 // stores' read locks and remote opens are network round-trips, so
 // opening is safe and worthwhile to overlap, and a store that is slow
-// to open no longer delays the others. It returns the opened leaves
-// in FROM order plus a per-leaf stats label (a relational source
-// scanned in K shards contributes K leaves). On failure every opened
-// leaf is closed and the error of the lowest-indexed failing source is
-// returned, so the error does not depend on scheduling.
-func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv, workers, batchRows int) ([]BatchIterator, []string, error) {
+// to open no longer delays the others. It returns one leaf per FROM
+// item, in FROM order. On failure every opened leaf is closed and the
+// error of the lowest-indexed failing source is returned, so the error
+// does not depend on scheduling.
+func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv, workers, batchRows int) ([]BatchIterator, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sources := make([][]BatchIterator, len(q.Sources))
-	labels := make([][]string, len(q.Sources))
+	sources := make([]BatchIterator, len(q.Sources))
 	errs := make([]error, len(q.Sources))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -460,60 +405,49 @@ func (e *Engine) openSourcesParallel(ctx context.Context, q *Query, env execEnv,
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			sources[i], labels[i], errs[i] = e.openSource(ctx, src, q, env, batchRows)
+			sources[i], errs[i] = e.openSource(ctx, src, q, env, batchRows)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			for _, group := range sources {
-				for _, s := range group {
+			for _, s := range sources {
+				if s != nil {
 					_ = s.Close()
 				}
 			}
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	var flatSources []BatchIterator
-	var flatLabels []string
-	for i := range sources {
-		flatSources = append(flatSources, sources[i]...)
-		flatLabels = append(flatLabels, labels[i]...)
-	}
-	return flatSources, flatLabels, nil
+	return sources, nil
 }
 
-// openSource routes one FROM item to its member store's leaves: most
-// sources open exactly one, a relational source with env.shards > 1
-// opens one per range shard of the same snapshot. Local leaves carry
-// the WHERE filter on top; a remote leaf does not, because the member
-// evaluated the same predicates before its rows left it.
-func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execEnv, batchRows int) ([]BatchIterator, []string, error) {
+// openSource routes one FROM item to its member store's leaf. A local
+// leaf carries the WHERE filter on top; a remote leaf does not, because
+// the member evaluated the same predicates before its rows left it.
+func (e *Engine) openSource(ctx context.Context, src string, q *Query, env execEnv, batchRows int) (BatchIterator, error) {
 	kind, name, err := e.resolveKind(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	leaves, labels := make([]BatchIterator, 1), []string{src}
+	var leaf BatchIterator
 	switch kind {
 	case "rel":
-		leaves, labels, err = e.scanRelational(src, name, q, env.shards, batchRows)
+		leaf, err = e.scanRelational(name, q, batchRows)
 	case "remote":
 		var it BatchScanner
 		if it, err = e.openRemote(ctx, name, q, env); err == nil {
-			return []BatchIterator{Batches(it, batchRows)}, labels, nil
+			return Batches(it, batchRows), nil
 		}
 	case "doc":
-		leaves[0] = e.scanDocument(name, q, batchRows)
+		leaf = e.scanDocument(name, q, batchRows)
 	default:
-		leaves[0] = e.scanFiles(name, batchRows)
+		leaf = e.scanFiles(name, batchRows)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for i, leaf := range leaves {
-		leaves[i] = FilterBatches(leaf, q.Where)
-	}
-	return leaves, labels, nil
+	return FilterBatches(leaf, q.Where), nil
 }
 
 // openRemote opens the pushed-down sub-query stream against the member
@@ -526,14 +460,6 @@ func (e *Engine) openRemote(ctx context.Context, name string, q *Query, env exec
 		return nil, fmt.Errorf("%w: no remote member %q", ErrUnknownSource, member)
 	}
 	return opener.OpenStream(ctx, RemoteSpec{SQL: e.remoteStatement(ds, q, env), User: env.user})
-}
-
-// shardLabel names one shard's stats counter: "rel:big[shard 2/4]".
-func shardLabel(src string, k, of int) string {
-	if of <= 1 {
-		return src
-	}
-	return fmt.Sprintf("%s[shard %d/%d]", src, k+1, of)
 }
 
 // resolveKind resolves one FROM item to its member store without
@@ -585,23 +511,14 @@ func splitSource(src string) (kind, name string) {
 	return "", src
 }
 
-// scanRelational opens a relational scan as shards range-partitioned
-// cursors over one snapshot (one cursor when shards <= 1), each a leaf
-// labeled for stats. Draining all shards yields exactly the rows the
-// single-cursor scan would — the fan-in just overlaps the ranges in
-// time. The store projects during the scan.
-func (e *Engine) scanRelational(src, name string, q *Query, shards, batchRows int) ([]BatchIterator, []string, error) {
-	curs, err := e.Poly.Rel.ScanWhereShards(name, nil, batchPushableColumns(name, q, e), shards)
+// scanRelational opens a relational scan as one cursor over the
+// table's snapshot; the store projects during the scan.
+func (e *Engine) scanRelational(name string, q *Query, batchRows int) (BatchIterator, error) {
+	cur, err := e.Poly.Rel.ScanWhere(name, nil, batchPushableColumns(name, q, e))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	its := make([]BatchIterator, len(curs))
-	labels := make([]string, len(curs))
-	for k, cur := range curs {
-		its[k] = &relBatchIterator{cur: cur, rows: batchRows}
-		labels[k] = shardLabel(src, k, len(curs))
-	}
-	return its, labels, nil
+	return &relBatchIterator{cur: cur, rows: batchRows}, nil
 }
 
 // scanDocument opens a document collection as a leaf: pushable

@@ -28,9 +28,9 @@ var mirrorCells = []string{"", "0", "-0", "+7", "007", "-3", "123456789012345", 
 
 // TestStoreMirrorMatchesVectorParse checks vectors over a stored table
 // against NewVector over the same cells: the same validity bits, and
-// the same float bits where valid. Batch sizes 1, 7 and 1024 and range
-// shards 1 to 5 over 2 500 rows start batches off 64-bit word
-// boundaries of the store's validity bits.
+// the same float bits where valid. Batch sizes 1, 7 and 1024 over
+// 2 500 rows start batches off 64-bit word boundaries of the store's
+// validity bits.
 func TestStoreMirrorMatchesVectorParse(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -50,43 +50,39 @@ func TestStoreMirrorMatchesVectorParse(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, batchRows := range []int{1, 7, 1024} {
-		for shards := 1; shards <= 5; shards++ {
-			leaves, _, err := e.scanRelational("rel:m", "m", q, shards, batchRows)
+		leaf, err := e.scanRelational("m", q, batchRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		for {
+			b, err := leaf.Next(ctx)
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen := 0
-			for _, leaf := range leaves {
-				for {
-					b, err := leaf.Next(ctx)
-					if errors.Is(err, io.EOF) {
-						break
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j, v := range b.vecs {
-						if v.mirror == nil {
-							t.Fatalf("batch=%d shards=%d: column %d has no stored mirror", batchRows, shards, j)
-						}
-						got, gotOK := v.Floats()
-						want, wantOK := NewVector(v.cells).Floats()
-						for i := 0; i < v.Len(); i++ {
-							if gotOK.Get(i) != wantOK.Get(i) || gotOK.Get(i) && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("batch=%d shards=%d: cell %q at row %d: mirror (%v, %v), parse (%v, %v)",
-									batchRows, shards, v.Cell(i), v.off+i, gotOK.Get(i), got, wantOK.Get(i), want)
-							}
-						}
-					}
-					seen += b.Len()
+			for j, v := range b.vecs {
+				if v.mirror == nil {
+					t.Fatalf("batch=%d: column %d has no stored mirror", batchRows, j)
 				}
-				if err := leaf.Close(); err != nil {
-					t.Fatal(err)
+				got, gotOK := v.Floats()
+				want, wantOK := NewVector(v.cells).Floats()
+				for i := 0; i < v.Len(); i++ {
+					if gotOK.Get(i) != wantOK.Get(i) || gotOK.Get(i) && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("batch=%d: cell %q at row %d: mirror (%v, %v), parse (%v, %v)",
+							batchRows, v.Cell(i), v.off+i, gotOK.Get(i), got, wantOK.Get(i), want)
+					}
 				}
 			}
-			if seen != rows {
-				t.Fatalf("batch=%d shards=%d: %d rows, want %d", batchRows, shards, seen, rows)
-			}
+			seen += b.Len()
+		}
+		if err := leaf.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != rows {
+			t.Fatalf("batch=%d: %d rows, want %d", batchRows, seen, rows)
 		}
 	}
 }
@@ -114,7 +110,7 @@ func queryRows(e *Engine, req Request) ([]string, error) {
 }
 
 // TestMirrorConcurrentScans starts many scans of one never-read column
-// at once, at several fan-in and shard widths, while another table is
+// at once, at several fan-in widths, while another table is
 // dropped and re-created under scans of it and documents are inserted
 // into a collection being read. Every scan of the never-read column
 // must answer the same rows; a scan of the replaced table must see one
@@ -173,7 +169,7 @@ func TestMirrorConcurrentScans(t *testing.T) {
 		go func(g int) {
 			defer scans.Done()
 			<-start
-			rows, err := queryRows(e, Request{SQL: "SELECT id, v FROM rel:big WHERE v > 500", FanIn: 1 + g%3, Shards: 1 + g%4})
+			rows, err := queryRows(e, Request{SQL: "SELECT id, v FROM rel:big WHERE v > 500", FanIn: 1 + g%3})
 			if err != nil {
 				t.Error(err)
 				return
@@ -342,12 +338,13 @@ func rowLines(e *Engine, req Request) ([]string, []*byte, error) {
 }
 
 // TestMirrorConcurrentNDJSONReads has many statements write the first
-// row lines of a never-read column at once, at several fan-in and shard
-// widths, while another table is dropped and re-created under reads of
-// its row lines. Every reader of the never-read column must write the
-// same lines, copied from one encoding of each column; a reader of the
-// replaced table must write one whole version of it or none. Under
-// -race this also checks the encoding is built once, without a race.
+// row lines of a never-read column at once, at several fan-in widths
+// and batch sizes, while another table is dropped and re-created under
+// reads of its row lines. Every reader of the never-read column must
+// write the same lines, copied from one encoding of each column; a
+// reader of the replaced table must write one whole version of it or
+// none. Under -race this also checks the encoding is built once,
+// without a race.
 func TestMirrorConcurrentNDJSONReads(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -389,7 +386,7 @@ func TestMirrorConcurrentNDJSONReads(t *testing.T) {
 		go func(g int) {
 			defer readers.Done()
 			<-start
-			lines, a, err := rowLines(e, Request{SQL: "SELECT id, v FROM rel:big", FanIn: 1 + g%3, Shards: 1 + g%4, BatchRows: []int{1, 7, 1024}[g%3]})
+			lines, a, err := rowLines(e, Request{SQL: "SELECT id, v FROM rel:big", FanIn: 1 + g%3, BatchRows: []int{1, 7, 1024}[g%3]})
 			if err != nil {
 				t.Error(err)
 				return

@@ -7,9 +7,14 @@ import (
 )
 
 // DefaultFanInBufferRows is the per-source backpressure window of
-// ParallelUnionBatches when FanInOptions.BufferRows is unset: how many
-// rows a puller may run ahead of the consumer before it blocks.
+// ParallelUnionBatches: how many rows a puller may run ahead of the
+// consumer before it blocks, rounded to whole batches (fanInDepth).
 const DefaultFanInBufferRows = 256
+
+// fanInDepth is how many batches of batchRows rows each source's
+// queue holds: DefaultFanInBufferRows rounded down to whole batches,
+// never below one. The queue and EXPLAIN's window both read it here.
+func fanInDepth(batchRows int) int { return max(DefaultFanInBufferRows/batchRows, 1) }
 
 // FanInOptions configures how a federated union drains its member
 // sources.
@@ -19,11 +24,6 @@ type FanInOptions struct {
 	// order); values above the source count are clamped to one puller
 	// per source.
 	Workers int
-	// BufferRows bounds how many rows each source may buffer ahead of
-	// the consumer (the backpressure window), rounded to whole batches
-	// and never below one; a puller may additionally hold the batch it
-	// is about to queue. 0 means DefaultFanInBufferRows.
-	BufferRows int
 	// Budget, when set, is the query's shared memory budget: rows are
 	// charged while they sit in the fan-in queues and released as the
 	// consumer dequeues them. A puller whose charge would exceed the
@@ -35,14 +35,6 @@ type FanInOptions struct {
 // sequential reports whether the options degenerate to the sequential
 // union.
 func (o FanInOptions) sequential() bool { return o.Workers <= 1 }
-
-// bufferRows resolves the per-source window.
-func (o FanInOptions) bufferRows() int {
-	if o.BufferRows <= 0 {
-		return DefaultFanInBufferRows
-	}
-	return o.BufferRows
-}
 
 // batchHop is the unit crossing a puller→consumer channel hop: one
 // already-remapped batch, or the source's terminal state (io.EOF or a
@@ -59,9 +51,9 @@ type batchHop struct {
 // batches in arrival order. Semantics match UnionBatches except for
 // order, which is arrival order rather than source-concatenation order:
 //
-//   - Backpressure: a source may run at most BufferRows rows (at least
-//     one batch of batchRows) ahead of the consumer; full queues block
-//     the puller, not the consumer.
+//   - Backpressure: a source may run at most fanInDepth(batchRows)
+//     batches ahead of the consumer; full queues block the puller, not
+//     the consumer.
 //   - A slow source never stalls the others — their batches keep
 //     flowing while it blocks, so wall-clock tracks the slowest source
 //     instead of the sum of sources.
@@ -83,7 +75,7 @@ func ParallelUnionBatches(ctx context.Context, sources []BatchIterator, want []s
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
-	depth := max(opts.bufferRows()/batchRows, 1)
+	depth := fanInDepth(batchRows)
 	pctx, cancel := context.WithCancel(ctx)
 	p := &fanInUnion{
 		cols:   unionBatchColumns(sources, want),

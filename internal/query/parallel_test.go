@@ -34,7 +34,7 @@ func federatedEngine(t *testing.T) *Engine {
 }
 
 // TestParallelUnionSetEqualsSequential pins the semantics contract:
-// across fan-in widths and buffer sizes, the parallel union yields
+// across fan-in widths and queue depths, the parallel union yields
 // exactly the sequential union's header and row multiset —
 // heterogeneous headers, null padding, and explicit projections
 // included. Only the interleaving may differ.
@@ -55,15 +55,17 @@ func TestParallelUnionSetEqualsSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			for _, buffer := range []int{1, 3, 256} {
+			// The batch size sets the queue depth: 128 batches at 2 rows,
+			// one at DefaultFanInBufferRows.
+			for _, batch := range []int{2, DefaultFanInBufferRows} {
 				it := ParallelUnionBatches(context.Background(), mkSources(), want,
-					FanInOptions{Workers: workers, BufferRows: buffer}, 2)
+					FanInOptions{Workers: workers}, batch)
 				if got := it.Columns(); !reflect.DeepEqual(got, wantHeader) {
-					t.Fatalf("workers=%d buffer=%d: header %v, want %v", workers, buffer, got, wantHeader)
+					t.Fatalf("workers=%d batch=%d: header %v, want %v", workers, batch, got, wantHeader)
 				}
 				got := sortedRows(drainBatches(t, it))
 				if !reflect.DeepEqual(got, wantRows) {
-					t.Errorf("workers=%d buffer=%d want=%v: rows %v, want %v", workers, buffer, want, got, wantRows)
+					t.Errorf("workers=%d batch=%d want=%v: rows %v, want %v", workers, batch, want, got, wantRows)
 				}
 				if err := it.Close(); err != nil {
 					t.Fatal(err)
@@ -101,7 +103,7 @@ func TestParallelUnionSlowSourceDoesNotStallOthers(t *testing.T) {
 	fast1 := countSource("x", 5, 1)
 	fast2 := countSource("y", 5, 1)
 	it := ParallelUnionBatches(context.Background(), []BatchIterator{blocked, fast1, fast2}, nil,
-		FanInOptions{Workers: 3, BufferRows: 8}, 1)
+		FanInOptions{Workers: 3}, 1)
 	defer it.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -121,13 +123,14 @@ func TestParallelUnionSlowSourceDoesNotStallOthers(t *testing.T) {
 
 // TestParallelUnionBackpressure pins the bounded-buffer contract: a
 // paused consumer must cap how far a fast source can run ahead at
-// roughly BufferRows, not drain it to completion.
+// roughly the fan-in window, not drain it to completion.
 func TestParallelUnionBackpressure(t *testing.T) {
-	const window, batch = 32, 8
+	const batch = 8
+	window := fanInDepth(batch) * batch
 	src := countSource("x", 100000, batch)
 	other := countSource("y", 1, batch)
 	it := ParallelUnionBatches(context.Background(), []BatchIterator{src, other}, nil,
-		FanInOptions{Workers: 2, BufferRows: window}, batch)
+		FanInOptions{Workers: 2}, batch)
 	defer it.Close()
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
@@ -142,7 +145,7 @@ func TestParallelUnionBackpressure(t *testing.T) {
 	// The puller may hold one batch in hand beside a full queue, and the
 	// consumer holds the batch it was served.
 	if limit := int64(window + 2*batch); most > limit {
-		t.Errorf("paused consumer: source ran %d rows ahead, want <= %d (BufferRows=%d)", most, limit, window)
+		t.Errorf("paused consumer: source ran %d rows ahead, want <= %d (window %d rows)", most, limit, window)
 	}
 }
 
@@ -157,7 +160,7 @@ func TestParallelUnionErrorPropagatesAndClosesAll(t *testing.T) {
 	good := countSource("x", 100000, 1)
 	slow := &gatedSource{cols: []string{"a"}, gate: make(chan struct{})}
 	it := ParallelUnionBatches(context.Background(), []BatchIterator{bad, good, slow}, nil,
-		FanInOptions{Workers: 3, BufferRows: 8}, 1)
+		FanInOptions{Workers: 3}, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var err error
@@ -191,7 +194,7 @@ func TestParallelUnionCloseMidStreamIsLeakFree(t *testing.T) {
 	fast := countSource("x", 1000000, 4)
 	blocked := &gatedSource{cols: []string{"a"}, gate: make(chan struct{})}
 	it := ParallelUnionBatches(context.Background(), []BatchIterator{fast, blocked}, nil,
-		FanInOptions{Workers: 2, BufferRows: 4}, 4)
+		FanInOptions{Workers: 2}, 4)
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestParallelUnionCloseMidStreamIsLeakFree(t *testing.T) {
 func TestParallelUnionConsumerCancelUnblocksAndTearsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	it := ParallelUnionBatches(ctx, []BatchIterator{countSource("x", 1000000, 4), countSource("y", 1000000, 4)}, nil,
-		FanInOptions{Workers: 2, BufferRows: 4}, 4)
+		FanInOptions{Workers: 2}, 4)
 	if _, err := it.Next(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestParallelUnionConsumerCancelUnblocksAndTearsDown(t *testing.T) {
 func TestParallelUnionOpenCtxCancelDoesNotHangNext(t *testing.T) {
 	openCtx, cancel := context.WithCancel(context.Background())
 	sources := []BatchIterator{countSource("x", 1000000, 8), countSource("y", 1000000, 8)}
-	it := ParallelUnionBatches(openCtx, sources, nil, FanInOptions{Workers: 2, BufferRows: 8}, 8)
+	it := ParallelUnionBatches(openCtx, sources, nil, FanInOptions{Workers: 2}, 8)
 	defer it.Close()
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
@@ -318,7 +321,7 @@ func TestParallelUnionWorkersCapLimitsConcurrency(t *testing.T) {
 	for i := range sources {
 		sources[i] = &concurrencyProbe{left: 5, inFlight: &inFlight, peak: &peak}
 	}
-	it := ParallelUnionBatches(context.Background(), sources, nil, FanInOptions{Workers: 2, BufferRows: 4}, 1)
+	it := ParallelUnionBatches(context.Background(), sources, nil, FanInOptions{Workers: 2}, 1)
 	drainBatches(t, it)
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
@@ -402,7 +405,7 @@ func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 	wantRows := sortedRows(drain(t, seq))
 	_ = seq.Close()
 	for _, workers := range []int{2, 4, 8} {
-		st, err := e.Query(context.Background(), Request{SQL: sql, FanIn: workers, BufferRows: 16})
+		st, err := e.Query(context.Background(), Request{SQL: sql, FanIn: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,8 +427,7 @@ func TestEngineParallelFanInMatchesSequential(t *testing.T) {
 // sources released.
 func TestEngineParallelOpenSurfacesFirstError(t *testing.T) {
 	e := federatedEngine(t)
-	e.FanIn = FanInOptions{Workers: 4}
-	_, err := collectSQL(context.Background(), e, "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b")
+	_, err := e.Query(context.Background(), Request{SQL: "SELECT city FROM rel:hotels_a, rel:ghost, doc:hotels_b", FanIn: 4})
 	if !errors.Is(err, polystore.ErrNoTable) {
 		t.Fatalf("parallel open err = %v, want %v", err, polystore.ErrNoTable)
 	}

@@ -11,10 +11,10 @@ import (
 	"golake/internal/table"
 )
 
-// collectSQL runs a statement at the engine's fan-in, sequential when
-// unset, and materializes its result.
+// collectSQL runs a statement through the sequential union and
+// materializes its result.
 func collectSQL(ctx context.Context, e *Engine, sql string) (*table.Table, error) {
-	st, err := e.Query(ctx, Request{SQL: sql, FanIn: max(e.FanIn.Workers, 1)})
+	st, err := e.Query(ctx, Request{SQL: sql, FanIn: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -19,14 +19,12 @@ import (
 //   - Order, when set, overrides the statement's ORDER BY.
 //   - Limit composes with the statement's LIMIT; the stricter bound
 //     wins.
-//   - FanIn selects the union strategy: 0 picks the default (the
-//     engine's configured fan-in, else one puller per CPU), 1 forces
-//     the sequential source-concatenation union, n > 1 drains up to n
-//     sources concurrently.
-//   - BufferRows sizes the per-source backpressure window (0 =
-//     engine default).
-//   - BatchRows sizes the pipeline's batches (0 = engine default,
-//     then DefaultBatchRows).
+//   - FanIn selects the union strategy: 0 picks the default (one
+//     puller per CPU), 1 forces the sequential source-concatenation
+//     union, n > 1 drains up to n sources concurrently.
+//   - BatchRows sizes the pipeline's batches (0 = DefaultBatchRows).
+//     No answer depends on it; tests set it to cross batch
+//     boundaries.
 //   - Explain plans the query without executing it, like an EXPLAIN
 //     statement.
 //   - Analyze (EXPLAIN ANALYZE) executes the query to completion,
@@ -41,10 +39,6 @@ import (
 //     0 means unlimited (again modulo admission defaults). Exceeding
 //     it fails the query fast with a typed resource_exhausted error
 //     instead of letting an unbounded ORDER BY grow the heap.
-//   - Shards range-partitions each relational scan into that many
-//     cursors over one snapshot, drained through the same fan-in —
-//     intra-source parallelism for one large table. 0/1 keeps the
-//     single-cursor scan; other store kinds ignore it.
 //   - User is the requesting identity, forwarded to remote member
 //     lakes so a federated hop authorizes as the original caller.
 //     Lake.Query stamps it; engine-only callers may set it directly.
@@ -53,20 +47,18 @@ type Request struct {
 	Order      []OrderKey
 	Limit      int
 	FanIn      int
-	BufferRows int
 	BatchRows  int
 	Explain    bool
 	Analyze    bool
 	Timeout    time.Duration
 	MemoryRows int
-	Shards     int
 	User       string
 }
 
-// DefaultFanIn is the fan-in width used when neither the request nor
-// the engine configures one: one puller per CPU. Since ORDER BY makes
-// parallel output deterministic, fan-in is on by default; sequential
-// remains reachable as the FanIn: 1 degenerate case.
+// DefaultFanIn is the fan-in width used when the request sets none:
+// one puller per CPU. Since ORDER BY makes parallel output
+// deterministic, fan-in is on by default; sequential remains reachable
+// as the FanIn: 1 degenerate case.
 func DefaultFanIn() int { return runtime.NumCPU() }
 
 // Plan is the typed execution plan of one query — what EXPLAIN (and
@@ -81,7 +73,8 @@ type Plan struct {
 	// concurrently.
 	FanIn int `json:"fanin"`
 	// BufferRows is the per-source backpressure window of a parallel
-	// union (0 when sequential).
+	// union in rows, whole batches of the plan's batch size (0 when
+	// sequential).
 	BufferRows int `json:"buffer_rows,omitempty"`
 	// Batch describes the execution mode: "columnar (N rows/batch)".
 	Batch string `json:"batch,omitempty"`

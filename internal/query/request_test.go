@@ -310,7 +310,7 @@ func TestExplainGolden(t *testing.T) {
 	}
 	golden := strings.Join([]string{
 		"EXPLAIN SELECT id, total FROM rel:orders, doc:events WHERE total > 10 ORDER BY total DESC LIMIT 5",
-		"  union: parallel fan-in 2 (buffer 256 rows/source)",
+		"  union: parallel fan-in 2 (buffer 1024 rows/source)",
 		"  batch: columnar (1024 rows/batch)",
 		"  sort: top-k heap (k=5) [total DESC]",
 		"  limit: 5",

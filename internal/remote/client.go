@@ -42,7 +42,7 @@ const (
 	streamAccept = "application/x-golake-batch, application/x-ndjson"
 	// idleConnsPerMember is each client's keep-alive pool: wide enough
 	// that a coordinator's concurrent streams to one member (fan-in
-	// pullers, sharded scans) each find their connection again.
+	// pullers) each find their connection again.
 	idleConnsPerMember = 32
 )
 

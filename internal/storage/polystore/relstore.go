@@ -342,42 +342,6 @@ func columnIndex(t *table.Table, name string) int {
 	return -1
 }
 
-// ScanWhereShards opens the same scan as ScanWhere split into shards
-// range-partitioned cursors: shard k reads rows [k*n/shards,
-// (k+1)*n/shards) of the table, so draining all of them through a
-// parallel fan-in yields exactly the rows one ScanWhere cursor would —
-// the intra-source parallelism unit of large single-table scans. All
-// shards alias one capture (slice headers taken under the store lock
-// once), so the split costs O(shards), not O(rows). shards < 1 is
-// treated as 1.
-func (r *RelStore) ScanWhereShards(name string, preds []CellPredicate, cols []string, shards int) ([]*Cursor, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	base, err := r.ScanWhere(name, preds, cols)
-	if err != nil {
-		return nil, err
-	}
-	if shards == 1 {
-		return []*Cursor{base}, nil
-	}
-	out := make([]*Cursor, shards)
-	for k := 0; k < shards; k++ {
-		start := k * base.n / shards
-		end := (k + 1) * base.n / shards
-		out[k] = &Cursor{
-			names:   base.names,
-			kinds:   base.kinds,
-			cells:   base.cells,
-			mirrors: base.mirrors,
-			preds:   base.preds,
-			n:       end,
-			at:      start,
-		}
-	}
-	return out, nil
-}
-
 func emptyCursorLike(t *table.Table, cols []string) *Cursor {
 	names := cols
 	if len(names) == 0 {

@@ -2,6 +2,7 @@ package polystore
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,6 +19,43 @@ func scanTable(t *testing.T) *RelStore {
 	}
 	r.Create(tbl)
 	return r
+}
+
+// numberedStore holds one table t of rows rows: id counts up, v is
+// id mod 5.
+func numberedStore(t *testing.T, rows int) *RelStore {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("id,v\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "%d,%d\n", i, i%5)
+	}
+	tbl, err := table.ParseCSV("t", sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelStore()
+	r.Create(tbl)
+	return r
+}
+
+// cursorRows drains c by NextBatch, in batches of 7 so runs end inside
+// and at the ends of the tables, and returns its rows.
+func cursorRows(c *Cursor) [][]string {
+	var out [][]string
+	for {
+		cells, n := c.NextBatch(7)
+		if n == 0 {
+			return out
+		}
+		for i := 0; i < n; i++ {
+			row := make([]string, len(cells))
+			for j := range cells {
+				row[j] = cells[j][i]
+			}
+			out = append(out, row)
+		}
+	}
 }
 
 func TestScanWhereStreamsProjectedMatches(t *testing.T) {
@@ -115,7 +153,7 @@ func TestScanWhereSnapshotUnderConcurrentCreate(t *testing.T) {
 // cell plus one bit for a numeric column, only the bits for a column in
 // which no cell parses.
 func TestFloatMirrorSize(t *testing.T) {
-	r := shardStore(t, 1000)
+	r := numberedStore(t, 1000)
 	tbl, _ := table.ParseCSV("words", "w\nx\ny\n")
 	r.Create(tbl)
 	cur, err := r.ScanWhere("t", nil, []string{"v"})
@@ -140,7 +178,7 @@ func TestFloatMirrorSize(t *testing.T) {
 // encoded literals, with no spare capacity even when a cell needed
 // escaping, plus a 4-byte offset per cell and one more.
 func TestJSONMirrorSize(t *testing.T) {
-	r := shardStore(t, 1000)
+	r := numberedStore(t, 1000)
 	tbl, _ := table.ParseCSV("quoted", "w\n\"a\"\"b\"\nc\n")
 	r.Create(tbl)
 	for _, tc := range []struct {
