@@ -47,10 +47,12 @@ func chaosLake(t *testing.T, dir string, opts ...Option) (*Lake, *faulty.Backend
 }
 
 // TestChaosWALFaultsUnderConcurrentIngestAndQuery: with every 3rd WAL
-// append failing, concurrent ingest and query traffic completes
-// without a single lost ack — the append retry machinery absorbs the
-// transient faults — and a hard-stopped reopen serves byte-identical
-// results with every acked dataset present.
+// append failing, concurrent ingest and query traffic completes without
+// a single lost ack — the append retry machinery absorbs the transient
+// faults, and an ingest whose record still cannot land is refused as
+// unavailable and undone — and a hard-stopped reopen serves
+// byte-identical results with every acked dataset present and every
+// refused one absent.
 func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -58,6 +60,7 @@ func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
 	f.FailEveryNthAppend(3)
 
 	const writers, perWriter, readers, queries = 4, 5, 4, 10
+	var acked [writers][perWriter]bool
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -65,7 +68,9 @@ func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				path := fmt.Sprintf("raw/chaos_%d_%d.csv", w, i)
-				if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n2,3\n"), "erp", "dana"); err != nil {
+				_, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n2,3\n"), "erp", "dana")
+				acked[w][i] = err == nil
+				if err != nil && !lakeerr.IsUnavailable(err) {
 					t.Errorf("ingest %s under WAL faults: %v", path, err)
 				}
 			}
@@ -101,14 +106,66 @@ func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
 	if table.ToCSV(got) != table.ToCSV(want) {
 		t.Errorf("reopened query differs:\n got %q\nwant %q", table.ToCSV(got), table.ToCSV(want))
 	}
-	// No partial acks: every ingest that returned success is present.
+	// No partial acks: every ingest that returned success is present,
+	// and every refused one is absent, live and after reopen.
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			path := fmt.Sprintf("raw/chaos_%d_%d.csv", w, i)
-			if _, err := re.Metadata(ctx, path); err != nil {
-				t.Errorf("acked dataset %s missing after reopen: %v", path, err)
+			for name, lake := range map[string]*Lake{"live": l, "reopened": re} {
+				_, err := lake.Metadata(ctx, path)
+				if acked[w][i] && err != nil {
+					t.Errorf("acked dataset %s missing %s: %v", path, name, err)
+				}
+				if !acked[w][i] && err == nil {
+					t.Errorf("refused dataset %s present %s", path, name)
+				}
 			}
 		}
+	}
+}
+
+// TestChaosFailNextAppendsRefusesIngest: an ingest whose one WAL record
+// fails every attempt is refused as unavailable and undone — absent from
+// the catalog, the metadata, the placements and the audit trail, live and
+// after a hard-stopped reopen, its segment swept — and the path ingests
+// fine once the backend heals.
+func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	const path = "raw/refused.csv"
+	f.FailNextAppends(walRetries + 1)
+	if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); !lakeerr.IsUnavailable(err) {
+		t.Fatalf("ingest with every append failing = %v, want unavailable", err)
+	}
+	if f.Injected() != walRetries+1 {
+		t.Fatalf("injected %d faults, want %d", f.Injected(), walRetries+1)
+	}
+	absent := func(name string, lake *Lake) {
+		t.Helper()
+		if _, err := lake.Metadata(ctx, path); err == nil {
+			t.Errorf("%s: refused dataset has metadata", name)
+		}
+		if _, err := lake.Catalog.Entry(path); err == nil {
+			t.Errorf("%s: refused dataset is catalogued", name)
+		}
+		if _, ok := lake.Poly.PlacementOf(path); ok {
+			t.Errorf("%s: refused dataset is placed", name)
+		}
+		if log := lake.Tracker.AccessLog(path); len(log) != 0 {
+			t.Errorf("%s: refused dataset's audit trail = %+v, want empty", name, log)
+		}
+	}
+	absent("live", l)
+
+	re := openPersistent(t, dir)
+	defer re.Close()
+	absent("reopened", re)
+	if got := segmentFiles(t, dir); len(got) != 1 {
+		t.Errorf("segment files = %v, want raw/orders.csv's only", got)
+	}
+	if _, err := re.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); err != nil {
+		t.Fatalf("ingest after the refusal: %v", err)
 	}
 }
 
@@ -206,12 +263,15 @@ func TestChaosShedQueriesNeverCorruptState(t *testing.T) {
 			}
 		}()
 	}
+	var acked [4]bool
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			path := fmt.Sprintf("raw/shed_%d.csv", i)
-			if _, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana"); err != nil {
+			_, err := l.Ingest(ctx, path, []byte("id,v\n1,2\n"), "erp", "dana")
+			acked[i] = err == nil
+			if err != nil && !lakeerr.IsUnavailable(err) {
 				t.Errorf("ingest during shedding: %v", err)
 			}
 		}(i)
@@ -225,8 +285,8 @@ func TestChaosShedQueriesNeverCorruptState(t *testing.T) {
 	defer re.Close()
 	for i := 0; i < 4; i++ {
 		path := fmt.Sprintf("raw/shed_%d.csv", i)
-		if _, err := re.Metadata(ctx, path); err != nil {
-			t.Errorf("acked dataset %s missing after reopen: %v", path, err)
+		if _, err := re.Metadata(ctx, path); acked[i] != (err == nil) {
+			t.Errorf("dataset %s acked %v, present after reopen %v", path, acked[i], err == nil)
 		}
 	}
 	got, err := re.QuerySQL(ctx, "dana", "SELECT id, total FROM orders ORDER BY id")

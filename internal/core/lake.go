@@ -126,12 +126,12 @@ func WithMetrics(enabled bool) Option {
 }
 
 // WithPersistence attaches a durability backend: every mutating
-// operation (ingest, derive, evict, user registration, provenance
-// event, maintenance coverage) appends a checksummed record to the
-// backend's write-ahead log, a periodic snapshot truncates the log, and
-// Open replays snapshot + WAL so a reopened lake — even one that was
-// hard-stopped without Close — serves the same query results and
-// resumes maintenance incrementally. A torn WAL tail (crash mid-append)
+// operation (ingest, derive, evict, user registration, query audit,
+// maintenance coverage) appends one checksummed record, carrying the
+// provenance events it captured, to the backend's write-ahead log, a
+// periodic snapshot truncates the log, and Open replays snapshot + WAL
+// so a reopened lake — even one that was hard-stopped without Close —
+// serves the same query results and resumes maintenance incrementally. A torn WAL tail (crash mid-append)
 // is detected by per-record checksums and dropped with a warning, never
 // a failed open. Close flushes a final snapshot.
 func WithPersistence(backend persist.Backend) Option {
@@ -355,13 +355,6 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		if err := l.pers.restore(l); err != nil {
 			return nil, err
 		}
-		// The hook persists every provenance event as an audit record;
-		// installed after replay so restored events are not re-appended.
-		// An event raised after Close has no log to land in; the
-		// operation that raised it has already reported the closed lake.
-		l.Tracker.SetHook(func(ev provenance.Event) {
-			_ = l.persistRecord(&walRecord{Kind: recAudit, Event: &ev})
-		})
 	}
 	if o.autoMaintain > 0 {
 		l.sched = maintain.NewScheduler(schedTarget{l}, maintain.Config{
@@ -461,7 +454,7 @@ func (l *Lake) AddToken(user, token string) error {
 	l.mu.Lock()
 	l.tokens[h] = user
 	l.mu.Unlock()
-	return l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h})
+	return acked(l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h}))
 }
 
 // userForToken resolves a bearer token to its registered user.
@@ -514,7 +507,9 @@ type IngestResult struct {
 // .golake is invalid; either way nothing is written.
 // On a persistent lake the raw bytes are stored once, as a segment,
 // before anything is applied: if that fails, or the lake is closed, the
-// ingest is unavailable and changes nothing.
+// ingest is unavailable and changes nothing. The ingest then commits as
+// one WAL record carrying its provenance event; if that record cannot be
+// logged, the ingest is undone and unavailable too.
 func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, user string) (*IngestResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -543,15 +538,24 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 		l.dropSegment(seg)
 		return nil, err
 	}
-	// The WAL record precedes the provenance event so replay sees the
-	// dataset before its audit trail; both land while ingestMu is held,
-	// keeping the log in commit order.
-	err = l.persistRecord(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user})
+	// The event is captured before the record that carries it, so a
+	// checkpoint the append triggers holds both or neither.
+	ev := l.Tracker.Ingest(path, source, user)
+	err = l.persistRecord(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev})
+	if err != nil {
+		// Nothing logged the ingest: take it back, as Evict would. It
+		// cannot miss, as ingestMu has kept the dataset in place. The
+		// segment is retired, not dropped, because a checkpoint may have
+		// named it meanwhile; the next one deletes it.
+		l.maintMu.Lock()
+		_ = l.evictLocked(path)
+		l.maintMu.Unlock()
+		l.Tracker.Retract(ev.Seq)
+	}
 	l.ingestMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	l.Tracker.Ingest(path, source, user)
 	l.logAudit(ctx, "ingest", path, user)
 	return res, nil
 }
@@ -1170,7 +1174,10 @@ func (l *Lake) Query(ctx context.Context, user string, req query.Request) (*quer
 		entities = append(entities, entity)
 	}
 	l.mu.RUnlock()
-	_ = l.Tracker.Query(entities, "sql", user)
+	// A query whose audit record is dropped still runs (ROADMAP item 9a).
+	if ev, _ := l.Tracker.Query(entities, "sql", user); ev.Seq != 0 {
+		_ = l.persistRecord(&walRecord{Kind: recAudit, Event: &ev})
+	}
 	for _, entity := range entities {
 		l.logAudit(ctx, "query", entity, user)
 	}
@@ -1401,16 +1408,14 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 		l.dropSegment(seg)
 		return err
 	}
-	err = l.persistRecord(&walRecord{
+	evs := l.Tracker.Derive(activity, "lake", user, inputs, output.Name)
+	err = acked(l.persistRecord(&walRecord{
 		Kind: recDerive, Name: output.Name, Activity: activity, User: user,
-		Inputs: inputs, Segment: seg,
-	})
+		Inputs: inputs, Segment: seg, Events: evs,
+	}))
 	l.ingestMu.Unlock()
 	if err != nil {
 		return err
-	}
-	if err := l.Tracker.Derive(activity, "lake", user, inputs, output.Name); err != nil {
-		return lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
 	l.logAudit(ctx, "derive", output.Name, user)
 	return nil
@@ -1418,7 +1423,7 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 
 // deriveLocked stores a derived table and updates the bookkeeping —
 // the shared body of live Derive and persistence replay (which rebuilds
-// the lineage edges from audit records instead of Tracker.Derive).
+// the lineage edges from the record's events instead of Tracker.Derive).
 // seg names the segment holding the output as CSV ("" without
 // persistence). ingestMu must be held in live operation.
 func (l *Lake) deriveLocked(activity, user string, inputs []string, output *table.Table, seg string) error {
@@ -1487,13 +1492,13 @@ func (l *Lake) Evict(ctx context.Context, user, path string) error {
 		l.ingestMu.Unlock()
 		return err
 	}
-	err = l.persistRecord(&walRecord{Kind: recEvict, Path: path, User: user})
+	ev := l.Tracker.Discard(path, "lake", user)
+	err = acked(l.persistRecord(&walRecord{Kind: recEvict, Path: path, User: user, Event: &ev}))
 	l.maintMu.Unlock()
 	l.ingestMu.Unlock()
 	if err != nil {
 		return err
 	}
-	l.Tracker.Discard(path, "lake", user)
 	l.logAudit(ctx, "evict", path, user)
 	return nil
 }

@@ -22,14 +22,15 @@ import (
 
 // The lake's durability rides on logical WAL records: each mutating
 // operation appends one JSON record describing the operation (not the
-// resulting state), and recovery replays them through the same code
-// paths that executed them live. A table's bytes are written once, raw,
-// as an immutable segment before the operation that adds the table
-// commits; its WAL record and every later manifest carry only the
-// segment's name. A periodic checkpoint installs a manifest of the full
-// logical state and truncates the log; crash recovery is manifest + WAL
-// tail, with duplicate records (a crash between manifest install and
-// log truncation) skipped idempotently.
+// resulting state) together with the provenance events it captured, and
+// recovery replays them through the same code paths that executed them
+// live. A table's bytes are written once, raw, as an immutable segment
+// before the operation that adds the table commits; its WAL record and
+// every later manifest carry only the segment's name. A periodic
+// checkpoint installs a manifest of the full logical state and
+// truncates the log; crash recovery is manifest + WAL tail, with
+// duplicate records (a crash between manifest install and log
+// truncation) skipped idempotently.
 const (
 	recUser     = "user"
 	recToken    = "token"
@@ -64,13 +65,24 @@ type walRecord struct {
 	// written before segments; replay still reads them.
 	Data []byte `json:"data,omitempty"`
 	CSV  string `json:"csv,omitempty"`
-	// audit: one provenance event.
-	Event *provenance.Event `json:"event,omitempty"`
+	// Event is an ingest's or evict's provenance event, or an audit
+	// record's: a query's, or, in logs written before writes carried
+	// their events, any write's. Events are a derive's, in capture order.
+	Event  *provenance.Event  `json:"event,omitempty"`
+	Events []provenance.Event `json:"events,omitempty"`
 	// coverage: the committed maintenance state after a pass.
 	Covered    []string `json:"covered,omitempty"`
 	Promoted   []string `json:"promoted,omitempty"`
 	Pending    []string `json:"pending,omitempty"`
 	Generation uint64   `json:"generation,omitempty"`
+}
+
+// events returns the provenance events the record carries.
+func (r *walRecord) events() []provenance.Event {
+	if r.Event != nil {
+		return append(r.Events, *r.Event)
+	}
+	return r.Events
 }
 
 // lakeSnapshot is the manifest a checkpoint installs: the full logical
@@ -135,6 +147,10 @@ var errLakeClosed = lakeerr.Wrap(lakeerr.CodeUnavailable, persist.ErrClosed)
 
 // errDamaged marks a segment that is missing or fails its checksum.
 var errDamaged = errors.New("segment missing or damaged")
+
+// errWALDropped marks a record that append gave up on after its
+// retries.
+var errWALDropped = errors.New("core: wal record dropped after retries")
 
 // persister owns the lake's persistence backend: it serializes WAL
 // appends against checkpoints (so a record can neither be lost between
@@ -202,11 +218,11 @@ const (
 // scheduler's backoffDelay) — transient backend faults, the
 // fail-every-Nth kind the chaos harness injects, recover without losing
 // the record. The backoff sleeps outside p.mu, so other appends, a
-// checkpoint and status probes proceed meanwhile. Only after the
-// retries run out does the failure degrade to a logged warning and a
-// dropped-record counter bump — the in-memory lake stays correct, it
-// just loses crash durability for that record. On a closed lake nothing
-// is appended and the write is refused.
+// checkpoint and status probes proceed meanwhile. Once the retries run
+// out the record is dropped: a logged warning, a dropped-record counter
+// bump, and an unavailable errWALDropped, which Ingest answers by
+// undoing the write and the other writes by degrading (see acked). On a
+// closed lake nothing is appended and the write is refused.
 func (p *persister) append(l *Lake, rec *walRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -233,7 +249,17 @@ func (p *persister) append(l *Lake, rec *walRecord) error {
 	l.metrics.observeWALDropped()
 	p.warn(l, "persist: append wal record dropped after retries",
 		"kind", rec.Kind, "retries", walRetries, "error", err)
-	return nil
+	return lakeerr.Wrap(lakeerr.CodeUnavailable, fmt.Errorf("%w: %v", errWALDropped, err))
+}
+
+// acked maps a dropped record to success: the write holds in memory
+// only, without crash durability (ROADMAP item 9a). Every write but
+// Ingest, which undoes itself instead, still acknowledges it.
+func acked(err error) error {
+	if errors.Is(err, errWALDropped) {
+		return nil
+	}
+	return err
 }
 
 // tryAppend makes one attempt at appending frame under p.mu and, once
@@ -615,7 +641,7 @@ func (p *persister) sweep(l *Lake, named map[string]bool) {
 }
 
 // applySnapshot restores the serialized logical state; returns the
-// highest provenance sequence number it injected so WAL audit records
+// highest provenance sequence number it injected so WAL records' events
 // already contained in the snapshot can be recognized as duplicates.
 func (l *Lake) applySnapshot(p *persister, snap *lakeSnapshot, rs *maintain.ReplayStats) (int, error) {
 	for name, role := range snap.Users {
@@ -659,8 +685,17 @@ func (l *Lake) applySnapshot(p *persister, snap *lakeSnapshot, rs *maintain.Repl
 
 // applyRecord replays one WAL record; the false return marks a skip
 // (a duplicate of snapshot state or a dataset that could not be
-// restored), not a failure. Only backend I/O fails it.
+// restored), not a failure. Only backend I/O fails it. The events a
+// record carries are injected whether or not its operation applies,
+// unless the snapshot's event log already holds them.
 func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *maintain.ReplayStats) (bool, error) {
+	injected := false
+	for _, ev := range rec.events() {
+		if ev.Seq > snapMaxSeq {
+			l.Tracker.Inject(ev)
+			injected = true
+		}
+	}
 	switch rec.Kind {
 	case recUser:
 		l.users[rec.Name] = Role(rec.Role)
@@ -674,14 +709,7 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 		dm := deriveMeta{name: rec.Name, activity: rec.Activity, user: rec.User, segment: rec.Segment, inputs: rec.Inputs}
 		return l.replayDerive(p, dm, rec.CSV, rs)
 	case recAudit:
-		if rec.Event == nil {
-			return false, nil
-		}
-		if rec.Event.Seq <= snapMaxSeq {
-			return false, nil // the snapshot's event log already has it
-		}
-		l.Tracker.Inject(*rec.Event)
-		return true, nil
+		return injected, nil
 	case recEvict:
 		if err := l.evictLocked(rec.Path); err != nil {
 			if lakeerr.CodeOf(err) != lakeerr.CodeNotFound {
@@ -706,7 +734,7 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 }
 
 // replayIngest restores one dataset through the live pipeline, without
-// re-recording provenance (audit records replay separately) or
+// re-recording provenance (applyRecord injects the record's event) or
 // re-appending to the WAL; restore runs before the lake is shared, so
 // the ingest lock discipline is not needed. A dataset whose segment is
 // damaged is counted and not served, but keeps its ingest-log entry:

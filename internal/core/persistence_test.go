@@ -160,6 +160,9 @@ func TestPersistCleanCloseReopenResumesIncrementally(t *testing.T) {
 	}
 }
 
+// TestPersistTornWALTailDroppedNotFatal: tearing the WAL's tail, as a
+// crashed partial write would, tears b's one record, so reopen drops
+// raw/b.csv together with its ingest event, and raw/a.csv keeps its own.
 func TestPersistTornWALTailDroppedNotFatal(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -187,12 +190,17 @@ func TestPersistTornWALTailDroppedNotFatal(t *testing.T) {
 	if st.Durability == nil || st.Durability.Replay == nil || st.Durability.Replay.TornBytes == 0 {
 		t.Errorf("replay = %+v, want torn bytes reported", st.Durability.Replay)
 	}
-	// The torn record was the tail (b's audit event); both datasets
-	// themselves survived.
-	for _, p := range []string{"raw/a.csv", "raw/b.csv"} {
-		if _, ok := re.Poly.PlacementOf(p); !ok {
-			t.Errorf("%s lost in torn-tail recovery", p)
-		}
+	if _, ok := re.Poly.PlacementOf("raw/a.csv"); !ok {
+		t.Error("raw/a.csv lost in torn-tail recovery")
+	}
+	if log := re.Tracker.AccessLog("raw/a.csv"); len(log) != 1 || log[0].Kind != provenance.EventIngest {
+		t.Errorf("audit of raw/a.csv = %+v, want its ingest event", log)
+	}
+	if _, ok := re.Poly.PlacementOf("raw/b.csv"); ok {
+		t.Error("raw/b.csv survived its torn record")
+	}
+	if log := re.Tracker.AccessLog("raw/b.csv"); len(log) != 0 {
+		t.Errorf("audit of raw/b.csv = %+v, want none: its event went with its record", log)
 	}
 }
 
@@ -204,8 +212,9 @@ func TestPersistTornWALTailDroppedNotFatal(t *testing.T) {
 // exactly the datasets whose ingest records survived complete — the
 // torn tail is dropped, never fatal — and keep only their segments: a
 // segment whose record was cut away is an orphan, deleted at open. The
-// audit trail of every dataset is exactly the entries of the audit
-// records that survived.
+// audit trail of every dataset is exactly the events of the records that
+// survived, and no cut leaves a dataset without its ingest event, or an
+// ingest event without its dataset.
 func TestPersistKillAtEveryWALByte(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -286,14 +295,16 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				t.Fatal(err)
 			}
-			switch {
-			case rec.Kind == recIngest:
+			if rec.Kind == recIngest {
 				wantIngests++
-			case rec.Kind == recAudit && rec.Event.Entity != "":
-				wantAudit[rec.Event.Entity] = append(wantAudit[rec.Event.Entity], *rec.Event)
-			case rec.Kind == recAudit:
-				for _, e := range rec.Event.Entities {
-					one := *rec.Event
+			}
+			for _, ev := range rec.events() {
+				entities := ev.Entities
+				if len(entities) == 0 {
+					entities = []string{ev.Entity}
+				}
+				for _, e := range entities {
+					one := ev
 					one.Entity, one.Entities = e, nil
 					wantAudit[e] = append(wantAudit[e], one)
 				}
@@ -307,8 +318,13 @@ func TestPersistKillAtEveryWALByte(t *testing.T) {
 			t.Errorf("cut at %d/%d: %d segments kept, want %d", cut, len(wal), got, wantIngests)
 		}
 		for _, entity := range []string{"raw/a.csv", "raw/b.csv", "raw/c.csv"} {
-			if got := re.Tracker.AccessLog(entity); !reflect.DeepEqual(got, wantAudit[entity]) {
+			got := re.Tracker.AccessLog(entity)
+			if !reflect.DeepEqual(got, wantAudit[entity]) {
 				t.Errorf("cut at %d/%d: audit of %s = %+v, want %+v", cut, len(wal), entity, got, wantAudit[entity])
+			}
+			_, served := re.Poly.PlacementOf(entity)
+			if logged := len(got) > 0 && got[0].Kind == provenance.EventIngest; served != logged {
+				t.Errorf("cut at %d/%d: %s served %v, its ingest event logged %v", cut, len(wal), entity, served, logged)
 			}
 		}
 		if err := re.Close(); err != nil {
@@ -404,6 +420,169 @@ func TestPersistAuditOldAndGroupedFormsReplay(t *testing.T) {
 	defer re.Close()
 	if got := trail(re); !reflect.DeepEqual(got, want) {
 		t.Errorf("audit trail after a checkpoint round trip = %+v, want %+v", got, want)
+	}
+}
+
+// TestPersistOneAppendPerWrite: an ingest, a derive and an evict each
+// commit as exactly one WAL record, which carries the provenance events
+// the write captured; no audit record follows any of them.
+func TestPersistOneAppendPerWrite(t *testing.T) {
+	ctx := context.Background()
+	mem := persist.NewMemory()
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AddUser("dana", RoleDataScientist)
+	l.AddUser("carl", RoleCurator)
+	walBefore, _ := mem.ReadWAL()
+	step := func(name string, write func() error) {
+		t.Helper()
+		before := l.metrics.walAppends.Value()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := l.metrics.walAppends.Value() - before; n != 1 {
+			t.Errorf("%s appended %v WAL records, want 1", name, n)
+		}
+	}
+	step("ingest", func() error {
+		_, err := l.Ingest(ctx, "raw/orders.csv", []byte("id,total\n1,10\n2,30\n"), "erp", "dana")
+		return err
+	})
+	derived, _ := table.ParseCSV("big_orders", "id,total\n2,30\n")
+	step("derive", func() error { return l.Derive(ctx, "dana", "filter_big", []string{"raw/orders.csv"}, derived) })
+	step("evict", func() error { return l.Evict(ctx, "carl", "raw/orders.csv") })
+
+	wal, _ := mem.ReadWAL()
+	frames, _ := persist.DecodeFrames(wal[len(walBefore):])
+	var got []string
+	for _, payload := range frames {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		evs := rec.events()
+		kinds := make([]string, len(evs))
+		for i, ev := range evs {
+			kinds[i] = string(ev.Kind)
+		}
+		got = append(got, rec.Kind+strings.Join(kinds, "+"))
+	}
+	want := []string{"ingestingest", "deriveread+write+derive", "evictdiscard"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("wal records = %q, want %q", got, want)
+	}
+}
+
+// TestPersistIngestOldAndOneRecordFormsReplay: a lake's history of
+// ingests, a derive, a query and an evict, logged in the one-record form
+// and rewritten by hand into the older form — each write's record
+// without its events, then one audit record per event — replays to the
+// audit trail and lineage the live lake answers, from either form, and
+// again after a checkpoint round trip.
+func TestPersistIngestOldAndOneRecordFormsReplay(t *testing.T) {
+	ctx := context.Background()
+	at := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
+	mem := persist.NewMemory()
+	live, err := Open(t.TempDir(), WithPersistence(mem), WithClock(func() time.Time { return at }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.AddUser("dana", RoleDataScientist)
+	live.AddUser("carl", RoleCurator)
+	for _, p := range []string{"raw/a.csv", "raw/b.csv"} {
+		if _, err := live.Ingest(ctx, p, []byte("x\n1\n"), "erp", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derived, _ := table.ParseCSV("ab", "x\n1\n")
+	if err := live.Derive(ctx, "dana", "union", []string{"raw/a.csv", "raw/b.csv"}, derived); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.QuerySQL(ctx, "dana", "SELECT x FROM a, b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Evict(ctx, "carl", "raw/b.csv"); err != nil {
+		t.Fatal(err)
+	}
+	entities := []string{"raw/a.csv", "raw/b.csv", "ab"}
+	type answers struct {
+		Trails  [][]provenance.Event
+		Lineage []string
+		Served  []bool
+	}
+	answer := func(l *Lake) answers {
+		t.Helper()
+		var a answers
+		for _, e := range entities {
+			a.Trails = append(a.Trails, l.Tracker.AccessLog(e))
+			_, ok := l.Poly.PlacementOf(e)
+			a.Served = append(a.Served, ok || l.Poly.Rel.Has(e))
+		}
+		var err error
+		if a.Lineage, err = l.Lineage(ctx, "ab"); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	want := answer(live)
+	if len(want.Trails[1]) != 4 || !reflect.DeepEqual(want.Served, []bool{true, false, true}) {
+		t.Fatalf("live answers = %+v, want b ingested, read, queried and discarded", want)
+	}
+
+	wal, _ := mem.ReadWAL()
+	frames, _ := persist.DecodeFrames(wal)
+	var oneRecord, old [][]byte
+	for _, payload := range frames {
+		oneRecord = append(oneRecord, payload)
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		evs := rec.events()
+		if rec.Kind == recAudit || len(evs) == 0 {
+			old = append(old, payload)
+			continue
+		}
+		rec.Event, rec.Events = nil, nil
+		op, _ := json.Marshal(&rec)
+		old = append(old, op)
+		for _, ev := range evs {
+			audit, _ := json.Marshal(&walRecord{Kind: recAudit, Event: &ev})
+			old = append(old, audit)
+		}
+	}
+	if len(old) != len(oneRecord)+7 {
+		t.Fatalf("old form has %d records, one-record form %d; want 7 more audit records", len(old), len(oneRecord))
+	}
+	for name, recs := range map[string][][]byte{"one-record": oneRecord, "old": old} {
+		b := persist.NewMemory()
+		segs, _ := mem.ListSegments()
+		for _, sg := range segs {
+			data, _ := mem.ReadSegment(sg.Name)
+			if err := b.PutSegment(sg.Name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rec := range recs {
+			if err := b.AppendWAL(persist.EncodeFrame(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, round := range []string{"replay", "checkpoint round trip"} {
+			re, err := Open(t.TempDir(), WithPersistence(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := answer(re); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s form, %s: answers = %+v, want the live lake's %+v", name, round, got, want)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

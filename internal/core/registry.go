@@ -203,9 +203,7 @@ func Registry() []FunctionEntry {
 			Run: func() (string, error) {
 				tr := provenance.NewTracker(nil)
 				tr.Ingest("raw", "flume", "ops")
-				if err := tr.Derive("job", "spark", "ops", []string{"raw"}, "out"); err != nil {
-					return "", err
-				}
+				tr.Derive("job", "spark", "ops", []string{"raw"}, "out")
 				up, err := tr.Upstream("out")
 				if err != nil {
 					return "", err

@@ -59,7 +59,7 @@ type Metadata struct {
 	// Properties are key-value metadata (file size, header fields, ...).
 	Properties map[string]string
 	// Schema is set for tabular formats.
-	Schema []table.ColumnProfile
+	Schema []Column
 	// Tree is set for hierarchical formats.
 	Tree *TreeNode
 	// Table is the parsed table for tabular formats (callers may drop
@@ -68,6 +68,13 @@ type Metadata struct {
 	// SemanticTags are ontology-term annotations; extraction leaves
 	// them empty, enrichment fills them in later (Sec. 6.4).
 	SemanticTags []string
+}
+
+// Column is one column of a tabular object's schema: its name and
+// inferred kind, what the metamodel records of it.
+type Column struct {
+	Name string
+	Kind table.Kind
 }
 
 // Extract runs GEMMS-style extraction: detect the format, then dispatch
@@ -97,7 +104,10 @@ func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) 
 				return nil, fmt.Errorf("extract: %s: %w", path, err)
 			}
 		}
-		md.Schema = table.ProfileTable(t).Columns
+		md.Schema = make([]Column, len(t.Columns))
+		for i, c := range t.Columns {
+			md.Schema[i] = Column{Name: c.Name, Kind: c.Kind}
+		}
 		md.Table = t
 		md.Properties["rows"] = fmt.Sprintf("%d", t.NumRows())
 		md.Properties["columns"] = fmt.Sprintf("%d", t.NumCols())

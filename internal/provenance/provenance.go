@@ -32,7 +32,7 @@ const (
 )
 
 // Event is one captured provenance event. Its JSON keys are short and
-// lowercase because the lake writes one audit record per event;
+// lowercase because the lake's WAL records carry events;
 // encoding/json matches keys case-insensitively, so events written
 // with the field names as keys still decode.
 type Event struct {
@@ -62,38 +62,6 @@ type Tracker struct {
 	events []Event
 	clock  func() time.Time
 	seq    int
-
-	hookMu sync.RWMutex
-	hook   func(Event)
-}
-
-// SetHook installs a callback fired once per newly captured event, in
-// capture order. The lake's persistence layer uses it to append audit
-// records to the WAL. The hook runs after the tracker's own lock is
-// released, so it may call back into Tracker methods. It runs inline on
-// the Ingest, Derive and Query paths, so whatever it waits for, those
-// wait for too: under SyncAlways the lake's hook waits for one WAL
-// fsync per event, which is why a statement records one event.
-func (t *Tracker) SetHook(hook func(Event)) {
-	t.hookMu.Lock()
-	defer t.hookMu.Unlock()
-	t.hook = hook
-}
-
-// fire delivers captured events to the hook, outside t.mu.
-func (t *Tracker) fire(evs []Event) {
-	if len(evs) == 0 {
-		return
-	}
-	t.hookMu.RLock()
-	hook := t.hook
-	t.hookMu.RUnlock()
-	if hook == nil {
-		return
-	}
-	for _, ev := range evs {
-		hook(ev)
-	}
 }
 
 // NewTracker creates a tracker; clock may be nil (wall clock).
@@ -130,64 +98,58 @@ func (t *Tracker) ensureActivity(id string) {
 	}
 }
 
-// Ingest records the arrival of a new entity from a source system.
-func (t *Tracker) Ingest(entity, system, user string) {
+// Ingest records the arrival of a new entity from a source system and
+// returns the event, numbered and stamped, for the caller to persist.
+func (t *Tracker) Ingest(entity, system, user string) Event {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.ensureEntity(entity)
-	ev := t.record(EventIngest, entity, "", system, user)
-	t.mu.Unlock()
-	t.fire([]Event{ev})
+	return t.record(EventIngest, entity, "", system, user)
 }
 
-// Discard records the removal of an entity from the lake (eviction).
-// The graph node stays — lineage outlives the data, so downstream
-// entities keep their ancestry — but the audit trail shows who dropped
-// it and when.
-func (t *Tracker) Discard(entity, system, user string) {
+// Discard records the removal of an entity from the lake (eviction) and
+// returns the event. The graph node stays — lineage outlives the data,
+// so downstream entities keep their ancestry — but the audit trail
+// shows who dropped it and when.
+func (t *Tracker) Discard(entity, system, user string) Event {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.ensureEntity(entity)
-	ev := t.record(EventDiscard, entity, "", system, user)
-	t.mu.Unlock()
-	t.fire([]Event{ev})
+	return t.record(EventDiscard, entity, "", system, user)
 }
 
 // Derive records that an activity consumed the input entities and
 // produced the output entity — the core lineage edge; the provenance
 // graph gains input->activity->output edges like GOODS's provenance
-// graphs.
-func (t *Tracker) Derive(activity, system, user string, inputs []string, output string) error {
+// graphs. It returns the events in capture order: one read per input,
+// then the write and the derive.
+func (t *Tracker) Derive(activity, system, user string, inputs []string, output string) []Event {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.ensureActivity(activity)
 	t.ensureEntity(output)
-	var evs []Event
+	// AddEdge fails only on a missing node, and every node is ensured.
+	evs := make([]Event, 0, len(inputs)+2)
 	for _, in := range inputs {
 		t.ensureEntity(in)
-		if _, err := t.g.AddEdge("e:"+in, "a:"+activity, "usedBy", nil); err != nil {
-			t.mu.Unlock()
-			return err
-		}
+		_, _ = t.g.AddEdge("e:"+in, "a:"+activity, "usedBy", nil)
 		evs = append(evs, t.record(EventRead, in, activity, system, user))
 	}
-	if _, err := t.g.AddEdge("a:"+activity, "e:"+output, "generated", nil); err != nil {
-		t.mu.Unlock()
-		return err
-	}
+	_, _ = t.g.AddEdge("a:"+activity, "e:"+output, "generated", nil)
 	evs = append(evs, t.record(EventWrite, output, activity, system, user))
-	evs = append(evs, t.record(EventDerive, output, activity, system, user))
-	t.mu.Unlock()
-	t.fire(evs)
-	return nil
+	return append(evs, t.record(EventDerive, output, activity, system, user))
 }
 
 // Query records one statement's read-only access to entities (who
-// queried them) as a single event, and fires the hook once. Entities
-// the tracker has never seen are left out and reported in the error;
-// when none is left, nothing is recorded. An entity named twice is
-// recorded twice.
-func (t *Tracker) Query(entities []string, system, user string) error {
+// queried them) as a single event and returns it. Entities the tracker
+// has never seen are left out and reported in the error; when none is
+// left, nothing is recorded and the zero Event is returned. An entity
+// named twice is recorded twice.
+func (t *Tracker) Query(entities []string, system, user string) (Event, error) {
 	var known []string
 	var err error
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, e := range entities {
 		if t.g.HasNode("e:" + e) {
 			known = append(known, e)
@@ -196,17 +158,27 @@ func (t *Tracker) Query(entities []string, system, user string) error {
 		}
 	}
 	if len(known) == 0 {
-		t.mu.Unlock()
-		return err
+		return Event{}, err
 	}
 	ev := Event{Kind: EventQuery, Entity: known[0], System: system, User: user}
 	if len(known) > 1 {
 		ev.Entity, ev.Entities = "", known
 	}
-	ev = t.add(ev)
-	t.mu.Unlock()
-	t.fire([]Event{ev})
-	return err
+	return t.add(ev), err
+}
+
+// Retract takes back the event numbered seq, which a write captured but
+// could not persist. The graph nodes and edges it implied stay, as a
+// discarded entity's do.
+func (t *Tracker) Retract(seq int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := len(t.events) - 1; i >= 0; i-- {
+		if t.events[i].Seq == seq {
+			t.events = append(t.events[:i], t.events[i+1:]...)
+			return
+		}
+	}
 }
 
 // Inject replays one persisted event into the tracker: the event is
@@ -216,8 +188,7 @@ func (t *Tracker) Query(entities []string, system, user string) error {
 // Entities) is registered, EventRead adds the entity->activity edge,
 // EventWrite the activity->entity edge. EventDerive carries no edge of
 // its own (its Write twin already did), so injecting a full replayed
-// log never duplicates edges. The hook is NOT fired: replay must not re-append
-// what the WAL already holds.
+// log never duplicates edges.
 func (t *Tracker) Inject(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -22,12 +22,8 @@ func buildPipeline(t *testing.T) *Tracker {
 	t.Helper()
 	tr := newTracker()
 	tr.Ingest("tweets_raw", "flume", "collector")
-	if err := tr.Derive("count_hashtags", "hadoop", "analyst", []string{"tweets_raw"}, "hashtag_counts"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Derive("aggregate_by_cat", "spark", "analyst", []string{"hashtag_counts"}, "category_summary"); err != nil {
-		t.Fatal(err)
-	}
+	tr.Derive("count_hashtags", "hadoop", "analyst", []string{"tweets_raw"}, "hashtag_counts")
+	tr.Derive("aggregate_by_cat", "spark", "analyst", []string{"hashtag_counts"}, "category_summary")
 	return tr
 }
 
@@ -47,11 +43,11 @@ func TestUpstream(t *testing.T) {
 
 func TestAccessLogAndQuery(t *testing.T) {
 	tr := buildPipeline(t)
-	if err := tr.Query([]string{"category_summary"}, "dashboard", "ceo"); err != nil {
+	if _, err := tr.Query([]string{"category_summary"}, "dashboard", "ceo"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Query([]string{"ghost"}, "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) {
-		t.Errorf("Query ghost = %v", err)
+	if ev, err := tr.Query([]string{"ghost"}, "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) || ev.Seq != 0 {
+		t.Errorf("Query ghost = %+v, %v", ev, err)
 	}
 	log := tr.AccessLog("category_summary")
 	// write + derive + query = 3 events.
@@ -74,9 +70,7 @@ func TestMultiInputDerivation(t *testing.T) {
 	tr := newTracker()
 	tr.Ingest("a", "s", "u")
 	tr.Ingest("b", "s", "u")
-	if err := tr.Derive("join", "spark", "u", []string{"a", "b"}, "joined"); err != nil {
-		t.Fatal(err)
-	}
+	tr.Derive("join", "spark", "u", []string{"a", "b"}, "joined")
 	up, _ := tr.Upstream("joined")
 	if len(up) != 2 {
 		t.Errorf("Upstream of join = %v", up)
@@ -87,45 +81,57 @@ func TestMultiInputDerivation(t *testing.T) {
 	}
 }
 
-func TestHookFiresPerEvent(t *testing.T) {
+// Each capture returns the events it recorded, numbered and stamped, in
+// the order the tracker's own log holds them: the caller persists
+// exactly what the tracker answers from.
+func TestCaptureReturnsEachEvent(t *testing.T) {
 	tr := newTracker()
-	var got []Event
-	tr.SetHook(func(ev Event) { got = append(got, ev) })
-	tr.Ingest("a", "files", "alice")
-	if err := tr.Derive("job", "spark", "bob", []string{"a"}, "b"); err != nil {
+	got := []Event{tr.Ingest("a", "files", "alice")}
+	got = append(got, tr.Derive("job", "spark", "bob", []string{"a"}, "b")...)
+	ev, err := tr.Query([]string{"b"}, "sql", "carol")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Query([]string{"b"}, "sql", "carol"); err != nil {
-		t.Fatal(err)
-	}
-	tr.Discard("a", "core", "ops")
+	got = append(got, ev, tr.Discard("a", "core", "ops"))
 	kinds := make([]EventKind, len(got))
 	for i, ev := range got {
 		kinds[i] = ev.Kind
 	}
 	want := []EventKind{EventIngest, EventRead, EventWrite, EventDerive, EventQuery, EventDiscard}
 	if !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("hook kinds = %v, want %v", kinds, want)
+		t.Fatalf("captured kinds = %v, want %v", kinds, want)
 	}
-	// Hooks may call back into the tracker: firing outside the lock.
-	tr.SetHook(func(ev Event) { _ = tr.Events() })
-	tr.Ingest("c", "files", "alice")
+	if !reflect.DeepEqual(got, tr.Events()) {
+		t.Fatalf("captured %+v, tracker holds %+v", got, tr.Events())
+	}
 }
 
-func TestInjectRebuildsGraphWithoutHookOrDuplicateEdges(t *testing.T) {
+// Retract takes back one event and leaves the rest, and the sequence
+// counter, where they were: the next event is numbered past the gap.
+func TestRetractTakesBackOneEvent(t *testing.T) {
+	tr := newTracker()
+	a := tr.Ingest("a", "files", "alice")
+	b := tr.Ingest("b", "files", "alice")
+	tr.Retract(b.Seq)
+	tr.Retract(b.Seq + 7) // unknown: nothing happens
+	if got := tr.Events(); !reflect.DeepEqual(got, []Event{a}) {
+		t.Fatalf("events after retract = %+v, want only %+v", got, a)
+	}
+	if log := tr.AccessLog("b"); len(log) != 0 {
+		t.Errorf("AccessLog(b) = %+v, want empty", log)
+	}
+	if c := tr.Ingest("c", "files", "alice"); c.Seq != b.Seq+1 {
+		t.Errorf("next seq = %d, want %d", c.Seq, b.Seq+1)
+	}
+}
+
+func TestInjectRebuildsGraphWithoutDuplicateEdges(t *testing.T) {
 	src := newTracker()
 	src.Ingest("a", "files", "alice")
-	if err := src.Derive("job", "spark", "bob", []string{"a"}, "b"); err != nil {
-		t.Fatal(err)
-	}
+	src.Derive("job", "spark", "bob", []string{"a"}, "b")
 	dst := newTracker()
-	fired := 0
-	dst.SetHook(func(Event) { fired++ })
 	for _, ev := range src.Events() {
 		dst.Inject(ev)
-	}
-	if fired != 0 {
-		t.Fatalf("hook fired %d times during Inject", fired)
 	}
 	if !reflect.DeepEqual(dst.Events(), src.Events()) {
 		t.Fatalf("events diverge after inject:\n%+v\n%+v", dst.Events(), src.Events())
@@ -146,30 +152,25 @@ func TestInjectRebuildsGraphWithoutHookOrDuplicateEdges(t *testing.T) {
 	}
 }
 
-// One statement over several entities is one event and one hook call;
-// AccessLog expands it into one entry per mention, sharing its Seq,
+// One statement over several entities is one event, the one Query
+// returns; AccessLog expands it into one entry per mention, sharing its Seq,
 // with unknown entities left out and reported, and Inject replays the
 // grouped form to the same answers.
 func TestQueryGroupsEntitiesIntoOneEvent(t *testing.T) {
 	tr := newTracker()
 	tr.Ingest("a", "files", "alice")
 	tr.Ingest("b", "files", "alice")
-	fired := 0
-	tr.SetHook(func(Event) { fired++ })
-	err := tr.Query([]string{"a", "ghost", "b", "a"}, "sql", "carol")
+	grouped, err := tr.Query([]string{"a", "ghost", "b", "a"}, "sql", "carol")
 	if !errors.Is(err, ErrUnknownEntity) {
 		t.Errorf("Query with an unknown entity = %v, want ErrUnknownEntity", err)
 	}
-	if fired != 1 {
-		t.Fatalf("hook fired %d times for one statement, want 1", fired)
-	}
 	evs := tr.Events()
-	grouped := evs[len(evs)-1]
-	if len(evs) != 3 || grouped.Entity != "" || !reflect.DeepEqual(grouped.Entities, []string{"a", "b", "a"}) {
-		t.Fatalf("events = %+v, want two ingests and one event over [a b a]", evs)
+	if len(evs) != 3 || !reflect.DeepEqual(evs[2], grouped) || grouped.Entity != "" ||
+		!reflect.DeepEqual(grouped.Entities, []string{"a", "b", "a"}) {
+		t.Fatalf("events = %+v, returned %+v; want two ingests and one event over [a b a]", evs, grouped)
 	}
-	if err := tr.Query([]string{"ghost"}, "sql", "carol"); !errors.Is(err, ErrUnknownEntity) || fired != 1 {
-		t.Errorf("Query over unknown entities only = %v, hook fired %d times; want ErrUnknownEntity, nothing recorded", err, fired)
+	if ev, err := tr.Query([]string{"ghost"}, "sql", "carol"); !errors.Is(err, ErrUnknownEntity) || ev.Seq != 0 || len(tr.Events()) != 3 {
+		t.Errorf("Query over unknown entities only = %+v, %v; want ErrUnknownEntity, nothing recorded", ev, err)
 	}
 	single := func(e string) Event {
 		return Event{Seq: grouped.Seq, Kind: EventQuery, Entity: e, System: "sql", User: "carol", At: grouped.At}
@@ -191,7 +192,7 @@ func TestQueryGroupsEntitiesIntoOneEvent(t *testing.T) {
 	}
 	only := newTracker()
 	only.Inject(grouped)
-	if err := only.Query([]string{"a", "b"}, "sql", "carol"); err != nil {
+	if _, err := only.Query([]string{"a", "b"}, "sql", "carol"); err != nil {
 		t.Errorf("an injected grouped event did not register its entities: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -115,51 +114,15 @@ func refDistinct(c *Column) map[string]struct{} {
 	return set
 }
 
-func refFloats(c *Column) ([]float64, float64) {
-	out := make([]float64, 0, len(c.Cells))
-	nonNull := 0
-	for _, v := range c.Cells {
-		if refIsNullToken(v) {
-			continue
-		}
-		nonNull++
-		if f, ok := parseFloat(v); ok {
-			out = append(out, f)
-		}
-	}
-	if nonNull == 0 {
-		return out, 0
-	}
-	return out, float64(len(out)) / float64(nonNull)
-}
-
-func refIsCandidateKey(c *Column, minCoverage float64) bool {
-	if c.Len() == 0 {
-		return false
-	}
-	distinct := refDistinct(c)
-	nonNull := c.Len() - refNullCount(c)
-	if nonNull == 0 || len(distinct) != nonNull {
-		return false
-	}
-	return float64(nonNull)/float64(c.Len()) >= minCoverage
-}
-
 func refProfile(c *Column) ColumnProfile {
 	p := ColumnProfile{
-		Name:   c.Name,
-		Kind:   c.Kind,
-		Count:  c.Len(),
-		Nulls:  refNullCount(c),
-		Min:    math.NaN(),
-		Max:    math.NaN(),
-		Mean:   math.NaN(),
-		StdDev: math.NaN(),
+		Name:     c.Name,
+		Kind:     c.Kind,
+		Count:    c.Len(),
+		Nulls:    refNullCount(c),
+		Distinct: len(refDistinct(c)),
 	}
-	p.Distinct = len(refDistinct(c))
-	nonNull := p.Count - p.Nulls
-	if nonNull > 0 {
-		p.Uniqueness = float64(p.Distinct) / float64(nonNull)
+	if nonNull := p.Count - p.Nulls; nonNull > 0 {
 		total := 0
 		for _, v := range c.Cells {
 			if !refIsNullToken(v) {
@@ -168,11 +131,5 @@ func refProfile(c *Column) ColumnProfile {
 		}
 		p.MeanLen = float64(total) / float64(nonNull)
 	}
-	if c.Kind.Numeric() {
-		if xs, frac := refFloats(c); len(xs) > 0 && frac > 0.5 {
-			p.Min, p.Max, p.Mean, p.StdDev = moments(xs)
-		}
-	}
-	p.IsKey = refIsCandidateKey(c, 0.9)
 	return p
 }
