@@ -272,7 +272,7 @@ func loadLake(ctx context.Context, dir, user string, autoMaintain time.Duration,
 		path := filepath.ToSlash(rel)
 		// A persistent lake already restored earlier invocations'
 		// ingests; re-ingesting them would conflict.
-		if _, err := lake.Catalog.Entry(path); err == nil {
+		if _, ok := lake.Catalog.Entry(path); ok {
 			return nil
 		}
 		data, err := os.ReadFile(p)
@@ -521,11 +521,9 @@ func profile(lake *golake.Lake) error {
 
 func catalog(lake *golake.Lake) error {
 	for _, id := range lake.Catalog.List() {
-		e, err := lake.Catalog.Entry(id)
-		if err != nil {
-			return err
+		if e, ok := lake.Catalog.Entry(id); ok {
+			fmt.Printf("%s cluster=%s\n", e.ID, e.Cluster)
 		}
-		fmt.Printf("%s cluster=%s groups=%d\n", e.ID, e.Cluster, len(e.Groups))
 	}
 	return nil
 }

@@ -146,7 +146,7 @@ func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
 		if _, err := lake.Metadata(ctx, path); err == nil {
 			t.Errorf("%s: refused dataset has metadata", name)
 		}
-		if _, err := lake.Catalog.Entry(path); err == nil {
+		if _, ok := lake.Catalog.Entry(path); ok {
 			t.Errorf("%s: refused dataset is catalogued", name)
 		}
 		if _, ok := lake.Poly.PlacementOf(path); ok {
@@ -333,7 +333,7 @@ func TestChaosSegmentPutFailureIsUnavailable(t *testing.T) {
 	if walAfter, _ := f.WALSize(); walAfter != walBefore || f.Appends() != appendsBefore {
 		t.Errorf("wal %d -> %d bytes, %d -> %d appends; want unchanged", walBefore, walAfter, appendsBefore, f.Appends())
 	}
-	if _, err := l.Catalog.Entry(path); err == nil {
+	if _, ok := l.Catalog.Entry(path); ok {
 		t.Error("a failed ingest reached the catalog")
 	}
 

@@ -59,17 +59,24 @@ func TestIngestFullWorkflow(t *testing.T) {
 	if err != nil || obj.Attributes["total"] == "" {
 		t.Errorf("GEMMS object = %+v, %v", obj, err)
 	}
+	// The content metadata (rows, format, ...) is GEMMS's.
+	if obj != nil && obj.Properties["rows"] != "2" {
+		t.Errorf("GEMMS properties = %v", obj.Properties)
+	}
 	// HANDLE has it in the raw zone.
+	if z, err := l.Handle.Zone("raw/orders.csv"); err != nil || z != ZoneRaw {
+		t.Errorf("zone = %q, %v", z, err)
+	}
 	if got := l.Handle.DataInZone(ZoneRaw); len(got) != 1 {
 		t.Errorf("raw zone = %v", got)
 	}
-	// Catalog entry with content group.
-	e, err := l.Catalog.Entry("raw/orders.csv")
-	if err != nil || e.Groups["content"]["rows"] != "2" {
-		t.Errorf("catalog = %+v, %v", e, err)
+	// The catalog has its entry.
+	if e, ok := l.Catalog.Entry("raw/orders.csv"); !ok || e.Cluster != "raw/orders.csv" {
+		t.Errorf("catalog = %+v, %v", e, ok)
 	}
-	// Provenance ingest event.
-	if log := l.Tracker.AccessLog("raw/orders.csv"); len(log) != 1 {
+	// Provenance ingest event, with the source the catalog no longer
+	// duplicates.
+	if log := l.Tracker.AccessLog("raw/orders.csv"); len(log) != 1 || log[0].System != "erp" {
 		t.Errorf("provenance log = %+v", log)
 	}
 }

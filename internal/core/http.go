@@ -16,6 +16,7 @@ import (
 	"golake/internal/explore"
 	"golake/internal/maintain"
 	"golake/internal/obs"
+	"golake/internal/organize"
 	"golake/internal/query"
 	"golake/internal/table"
 	"golake/lakeerr"
@@ -480,20 +481,13 @@ func paginatePositional[T any](items []T, p pageParams) (page[T], error) {
 	return pg, nil
 }
 
-// datasetEntry is one catalog row on the wire.
-type datasetEntry struct {
-	ID      string `json:"id"`
-	Cluster string `json:"cluster"`
-}
-
-func (l *Lake) listDatasets() []datasetEntry {
-	out := []datasetEntry{}
+func (l *Lake) listDatasets() []organize.CatalogEntry {
+	out := []organize.CatalogEntry{}
 	for _, id := range l.Catalog.List() {
-		e, err := l.Catalog.Entry(id)
-		if err != nil {
-			continue
+		// An entry evicted since List is skipped.
+		if e, ok := l.Catalog.Entry(id); ok {
+			out = append(out, e)
 		}
-		out = append(out, datasetEntry{ID: e.ID, Cluster: e.Cluster})
 	}
 	return out
 }
@@ -506,7 +500,7 @@ func (l *Lake) handleDatasetsV1(w http.ResponseWriter, r *http.Request) {
 	}
 	// Catalog listings are ID-sorted, so dataset pages walk the keyset:
 	// concurrent ingests shift positions but not cursors.
-	pg, err := paginateKeyset(l.listDatasets(), func(e datasetEntry) string { return e.ID }, p)
+	pg, err := paginateKeyset(l.listDatasets(), func(e organize.CatalogEntry) string { return e.ID }, p)
 	if err != nil {
 		writeErr(w, err)
 		return

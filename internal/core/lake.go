@@ -306,7 +306,7 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		Poly:       poly,
 		GEMMS:      metamodel.NewGEMMS(),
 		Handle:     metamodel.NewHANDLE(),
-		Catalog:    organize.NewCatalog(o.clock),
+		Catalog:    organize.NewCatalog(),
 		Tracker:    provenance.NewTracker(o.clock),
 		Explorer:   explore.NewExplorer(),
 		planner:    maintain.NewPlanner(),
@@ -499,8 +499,8 @@ type IngestResult struct {
 
 // Ingest runs the full ingestion-tier workflow for one object: store
 // raw bytes (routing the parsed form to the matching member store),
-// extract metadata, register it in the GEMMS model, map it onto HANDLE
-// in the raw zone, catalog it, and record provenance. The dataset is
+// extract metadata, register it in the GEMMS model, place it in HANDLE's
+// raw zone, catalog it, and record provenance. The dataset is
 // known by its path's canonical form (filestore.CleanPath), the key its
 // raw bytes are stored under. Re-ingesting an existing path is a
 // conflict, and a path with a ".." element, an empty one or one under
@@ -565,7 +565,7 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 // seg names the segment holding data ("" without persistence). ingestMu
 // must be held in live operation.
 func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) (*IngestResult, error) {
-	if _, err := l.Catalog.Entry(path); err == nil {
+	if _, ok := l.Catalog.Entry(path); ok {
 		return nil, lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
 	}
 	// Distinct paths sharing a basename would land on the same
@@ -592,22 +592,11 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) 
 		// object catalogued as swamp-risk (detectable by SwampAudit).
 		md = &extract.Metadata{Path: path, Format: pl.Format, Properties: map[string]string{}}
 	}
-	obj := metamodel.FromExtraction(md)
-	l.GEMMS.Register(obj)
-	if err := l.Handle.ImportGEMMS(obj, ZoneRaw); err != nil {
+	l.GEMMS.Register(metamodel.FromExtraction(md))
+	if err := l.Handle.AddData(path, ZoneRaw); err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	if _, err := l.Catalog.Register(path); err != nil {
-		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
-	}
-	for k, v := range md.Properties {
-		if err := l.Catalog.Annotate(path, organize.GroupContent, k, v); err != nil {
-			return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
-		}
-	}
-	if err := l.Catalog.Annotate(path, organize.GroupProvenance, "source", source); err != nil {
-		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
-	}
+	l.Catalog.Register(path)
 	l.mu.Lock()
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
@@ -1401,7 +1390,8 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 	// and so Close cannot run between the check below and the record.
 	l.ingestMu.Lock()
 	if err = l.writable(); err == nil {
-		err = l.deriveLocked(activity, user, inputs, output, seg)
+		// The store keeps the table it is given; the caller keeps output.
+		err = l.deriveLocked(activity, user, inputs, output.Clone(), seg)
 	}
 	if err != nil {
 		l.ingestMu.Unlock()

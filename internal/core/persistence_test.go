@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -761,7 +763,7 @@ func TestEvictKeepsMaintenanceIncremental(t *testing.T) {
 	if l.Poly.Rel.Has("users") {
 		t.Error("table survived eviction")
 	}
-	if _, err := l.Catalog.Entry("raw/users.csv"); err == nil {
+	if _, ok := l.Catalog.Entry("raw/users.csv"); ok {
 		t.Error("catalog entry survived eviction")
 	}
 	if _, err := l.GEMMS.Object("raw/users.csv"); err == nil {
@@ -1027,6 +1029,106 @@ func TestDurabilityQueryAppendsOneRecordPerStatement(t *testing.T) {
 	for _, p := range []string{"raw/orders.csv", "raw/refunds.csv"} {
 		if evs, err := l.Audit(ctx, "gov", p); err != nil || len(evs) != 11 {
 			t.Errorf("audit of %s = %d entries, %v; want the ingest and ten queries", p, len(evs), err)
+		}
+	}
+}
+
+// After a seeded mix of ingests (tables, documents, files, an
+// unparseable CSV), evictions, maintenance passes, hard stops and clean
+// reopens, the catalog lists exactly the placed datasets, and HANDLE's
+// raw and curated zones partition them: a dataset a pass has covered is
+// curated, one ingested since is raw.
+func TestPersistCatalogAndZonesMatchPlacements(t *testing.T) {
+	ctx := context.Background()
+	mem := persist.NewMemory()
+	open := func() *Lake {
+		t.Helper()
+		l, err := Open(t.TempDir(), WithPersistence(mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l := open()
+	l.AddUser("dana", RoleDataScientist)
+	l.AddUser("carl", RoleCurator)
+	bodies := []struct{ dir, ext, body string }{
+		{"raw", "csv", "id,v\n1,2\n2,3\n"},
+		{"docs", "json", `{"kind":"click","n":1}`},
+		{"notes", "txt", "hello"},
+		{"bad", "csv", "a,b\n1\n"},
+	}
+	zones := map[string]string{} // the model: live dataset -> zone
+	rng := rand.New(rand.NewSource(42))
+	counts := map[string]int{}
+	for step := 0; step < 80; step++ {
+		op := rng.Intn(10)
+		switch {
+		case op < 5 || len(zones) == 0:
+			b := bodies[rng.Intn(len(bodies))]
+			path := fmt.Sprintf("%s/%s%03d.%s", b.dir, b.dir[:1], step, b.ext)
+			if _, err := l.Ingest(ctx, path, []byte(b.body), "src", "dana"); err != nil {
+				t.Fatalf("step %d: ingest %s: %v", step, path, err)
+			}
+			zones[path] = ZoneRaw
+			counts["ingest"]++
+		case op < 7:
+			live := make([]string, 0, len(zones))
+			for p := range zones {
+				live = append(live, p)
+			}
+			sort.Strings(live)
+			path := live[rng.Intn(len(live))]
+			if err := l.Evict(ctx, "carl", path); err != nil {
+				t.Fatalf("step %d: evict %s: %v", step, path, err)
+			}
+			delete(zones, path)
+			counts["evict"]++
+		case op < 8:
+			if _, err := l.Maintain(ctx); err != nil {
+				t.Fatalf("step %d: maintain: %v", step, err)
+			}
+			for p := range zones {
+				zones[p] = ZoneCurated
+			}
+			counts["maintain"]++
+		case op < 9:
+			l = open() // hard stop: the old lake is abandoned unclosed
+			counts["hard stop"]++
+		default:
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l = open()
+			counts["clean reopen"]++
+		}
+		placed := []string{}
+		for _, pl := range l.Poly.Placements() {
+			placed = append(placed, pl.Path)
+		}
+		if got := l.Catalog.List(); !reflect.DeepEqual(got, placed) {
+			t.Fatalf("step %d: catalog %v, placements %v", step, got, placed)
+		}
+		raw, curated := l.Handle.DataInZone(ZoneRaw), l.Handle.DataInZone(ZoneCurated)
+		zoned := append(append([]string{}, raw...), curated...)
+		sort.Strings(zoned)
+		if !reflect.DeepEqual(zoned, placed) {
+			t.Fatalf("step %d: raw %v + curated %v do not partition placements %v", step, raw, curated, placed)
+		}
+		for _, p := range placed {
+			if z, err := l.Handle.Zone(p); err != nil || z != zones[p] {
+				t.Fatalf("step %d: zone of %s = %q, %v; want %q", step, p, z, err, zones[p])
+			}
+		}
+		if len(placed) != len(zones) {
+			t.Fatalf("step %d: %d placed, model holds %d", step, len(placed), len(zones))
+		}
+	}
+	l.Close()
+	t.Logf("ops: %v", counts)
+	for _, op := range []string{"ingest", "evict", "maintain", "hard stop", "clean reopen"} {
+		if counts[op] == 0 {
+			t.Errorf("the seeded mix never ran %s: %v", op, counts)
 		}
 	}
 }

@@ -98,11 +98,11 @@ func Registry() []FunctionEntry {
 				g := metamodel.NewGEMMS()
 				g.Register(obj)
 				h := metamodel.NewHANDLE()
-				if err := h.ImportGEMMS(obj, ZoneRaw); err != nil {
+				if err := h.AddData(obj.ID, ZoneRaw); err != nil {
 					return "", err
 				}
-				return fmt.Sprintf("gemms objects=%d, handle nodes=%d",
-					len(g.IDs()), h.Graph().NumNodes()), nil
+				return fmt.Sprintf("gemms objects=%d, handle raw zone=%d",
+					len(g.IDs()), len(h.DataInZone(ZoneRaw))), nil
 			},
 		},
 		{
@@ -111,16 +111,10 @@ func Registry() []FunctionEntry {
 			Package: "internal/organize",
 			Run: func() (string, error) {
 				knn := organize.NewDSKNN()
-				cat := organize.NewCatalog(nil)
+				cat := organize.NewCatalog()
 				for _, t := range fixture().Tables {
 					knn.Add(t)
-					path := "raw/" + t.Name + ".csv"
-					if _, err := cat.Register(path); err != nil {
-						return "", err
-					}
-					if err := cat.Annotate(path, organize.GroupProvenance, "source", "registry"); err != nil {
-						return "", err
-					}
+					cat.Register("raw/" + t.Name + ".csv")
 				}
 				return fmt.Sprintf("dsknn categories=%d, catalog entries=%d",
 					len(knn.Categories()), len(cat.List())), nil

@@ -8,6 +8,7 @@ import (
 
 	"golake/internal/sketch"
 	"golake/internal/storage/filestore"
+	"golake/internal/table"
 	"golake/internal/workload"
 )
 
@@ -28,8 +29,8 @@ func TestExtractCSV(t *testing.T) {
 	if md.Properties["rows"] != "2" || md.Properties["columns"] != "3" {
 		t.Errorf("properties = %v", md.Properties)
 	}
-	if md.Table == nil || md.Table.Name != "orders" {
-		t.Errorf("table = %v", md.Table)
+	if md.Properties["header"] != "id,total,city" {
+		t.Errorf("header = %q", md.Properties["header"])
 	}
 }
 
@@ -194,20 +195,26 @@ func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractParsed(path, data, want.Table)
+	parsed, err := table.ReadCSV("orders", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Table != want.Table {
-		t.Error("ExtractParsed parsed again instead of describing the table it was given")
+	got, err := ExtractParsed(path, data, parsed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Rendered, because a string column's moments are NaN.
 	if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
 		t.Errorf("ExtractParsed = %s\nExtract       = %s", g, w)
 	}
+	// The description is of the table given, not of a second parse of
+	// the bytes.
+	parsed.Columns[2].Name = "town"
+	if got, err := ExtractParsed(path, data, parsed); err != nil || got.Properties["header"] != "id,total,town" || got.Schema[2].Name != "town" {
+		t.Errorf("ExtractParsed of a renamed column = %+v, %v: it parsed again", got, err)
+	}
 	// The table is for CSV objects only; a tree format ignores it.
-	tree, err := ExtractParsed("raw/user.json", []byte(`{"a":1}`), want.Table)
-	if err != nil || tree.Table != nil || tree.Tree == nil {
+	tree, err := ExtractParsed("raw/user.json", []byte(`{"a":1}`), parsed)
+	if err != nil || tree.Schema != nil || tree.Tree == nil {
 		t.Errorf("json with a table: %+v, %v", tree, err)
 	}
 }

@@ -62,9 +62,6 @@ type Metadata struct {
 	Schema []Column
 	// Tree is set for hierarchical formats.
 	Tree *TreeNode
-	// Table is the parsed table for tabular formats (callers may drop
-	// it after registering the dataset).
-	Table *table.Table
 	// SemanticTags are ontology-term annotations; extraction leaves
 	// them empty, enrichment fills them in later (Sec. 6.4).
 	SemanticTags []string
@@ -85,7 +82,8 @@ func Extract(path string, data []byte) (*Metadata, error) {
 
 // ExtractParsed is Extract for a caller that may already hold the table
 // a CSV object parses into (nil: parse it here), as ingest does once
-// placement has parsed it; t is not consulted for any other format.
+// placement has parsed it. t is only read, and not consulted for any
+// other format.
 func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) {
 	format := filestore.Detect(path, data)
 	md := &Metadata{
@@ -108,7 +106,6 @@ func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) 
 		for i, c := range t.Columns {
 			md.Schema[i] = Column{Name: c.Name, Kind: c.Kind}
 		}
-		md.Table = t
 		md.Properties["rows"] = fmt.Sprintf("%d", t.NumRows())
 		md.Properties["columns"] = fmt.Sprintf("%d", t.NumCols())
 		md.Properties["header"] = strings.Join(t.ColumnNames(), ",")

@@ -1,8 +1,7 @@
 // Package metamodel implements the ingestion-tier metadata modeling
 // function (Sec. 5.2 of the survey), one representative per method
 // family: the GEMMS generic metamodel (content / structure / semantics
-// separation) and the HANDLE generic model (data - metadata - property
-// on a graph).
+// separation) and the zones of the HANDLE generic model.
 package metamodel
 
 import (

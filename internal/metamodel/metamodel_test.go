@@ -2,7 +2,7 @@ package metamodel
 
 import (
 	"errors"
-	"sort"
+	"fmt"
 	"testing"
 
 	"golake/internal/extract"
@@ -54,13 +54,16 @@ func TestGEMMSAnnotateAndSemanticSearch(t *testing.T) {
 	}
 }
 
-func TestHANDLEZonesAndMetadata(t *testing.T) {
+func TestHANDLEZones(t *testing.T) {
 	h := NewHANDLE()
 	if err := h.AddData("ds1", "raw"); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.AddData("ds2", "curated"); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.AddData("ds1", "curated"); err == nil {
+		t.Error("AddData of a registered dataset should fail")
 	}
 	z, err := h.Zone("ds1")
 	if err != nil || z != "raw" {
@@ -69,94 +72,21 @@ func TestHANDLEZonesAndMetadata(t *testing.T) {
 	if err := h.MoveZone("ds1", "curated"); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.DataInZone("curated"); len(got) != 2 {
-		t.Errorf("DataInZone = %v", got)
+	if got := h.DataInZone("curated"); fmt.Sprint(got) != "[ds1 ds2]" {
+		t.Errorf("DataInZone(curated) = %v, want [ds1 ds2]", got)
 	}
-	mid, err := h.AttachMetadata("ds1", "provenance")
-	if err != nil {
-		t.Fatal(err)
+	if got := h.DataInZone("raw"); got != nil {
+		t.Errorf("DataInZone(raw) = %v, want nil", got)
 	}
-	if err := h.SetProperty(mid, "source", "sensor-17"); err != nil {
-		t.Fatal(err)
+	h.Remove("ds1")
+	h.Remove("ghost")
+	if _, err := h.Zone("ds1"); !errors.Is(err, ErrNoData) {
+		t.Errorf("Zone after Remove = %v, want ErrNoData", err)
 	}
-	entries := metadataOf(h, "ds1")
-	if len(entries) != 1 || entries[0].Category != "provenance" {
-		t.Fatalf("MetadataOf = %+v", entries)
+	if err := h.MoveZone("ghost", "raw"); !errors.Is(err, ErrNoData) {
+		t.Errorf("MoveZone of a missing dataset = %v, want ErrNoData", err)
 	}
-	if entries[0].Props["source"] != "sensor-17" {
-		t.Errorf("props = %v", entries[0].Props)
+	if got := h.DataInZone("curated"); fmt.Sprint(got) != "[ds2]" {
+		t.Errorf("DataInZone after Remove = %v, want [ds2]", got)
 	}
-	if _, err := h.AttachMetadata("ghost", "x"); err == nil {
-		t.Error("AttachMetadata on missing data should fail")
-	}
-}
-
-func TestHANDLEImportGEMMS(t *testing.T) {
-	h := NewHANDLE()
-	obj := sampleObject(t)
-	obj.Semantics["city"] = []string{"schema.org/City"}
-	if err := h.ImportGEMMS(obj, "raw"); err != nil {
-		t.Fatal(err)
-	}
-	// Dataset node plus one element node per attribute.
-	if got := h.DataInZone("raw"); len(got) != 1 {
-		t.Errorf("DataInZone = %v", got)
-	}
-	md := metadataOf(h, obj.ID)
-	if len(md) == 0 {
-		t.Fatal("no metadata imported")
-	}
-	// Attribute-level schema metadata exists at fine granularity.
-	attrMD := metadataOf(h, obj.ID+"#total")
-	if len(attrMD) != 1 || attrMD[0].Props["type"] != "float" {
-		t.Errorf("attribute metadata = %+v", attrMD)
-	}
-	cityMD := metadataOf(h, obj.ID+"#city")
-	foundSem := false
-	for _, e := range cityMD {
-		if e.Category == "semantics" {
-			foundSem = true
-		}
-	}
-	if !foundSem {
-		t.Errorf("city semantics missing: %+v", cityMD)
-	}
-}
-
-// metadataEntry is one resolved metadata record with its properties.
-type metadataEntry struct {
-	ID       string
-	Category string
-	Props    map[string]any
-}
-
-// metadataOf returns all metadata entities describing a data entity,
-// with their properties resolved, sorted by ID.
-func metadataOf(h *HANDLE, dataNodeID string) []metadataEntry {
-	var out []metadataEntry
-	for _, e := range h.g.InEdges(dataID(dataNodeID)) {
-		if e.Label != edgeDescribes {
-			continue
-		}
-		mn, err := h.g.Node(e.From)
-		if err != nil {
-			continue
-		}
-		entry := metadataEntry{ID: mn.ID, Props: map[string]any{}}
-		entry.Category, _ = mn.Props["category"].(string)
-		for _, pe := range h.g.OutEdges(mn.ID) {
-			if pe.Label != edgeHasProperty {
-				continue
-			}
-			pn, err := h.g.Node(pe.To)
-			if err != nil {
-				continue
-			}
-			key, _ := pn.Props["key"].(string)
-			entry.Props[key] = pn.Props["value"]
-		}
-		out = append(out, entry)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

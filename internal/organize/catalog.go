@@ -4,73 +4,40 @@
 package organize
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
+	"sort"
 	"strings"
-	"time"
-
-	"golake/internal/storage/kvstore"
+	"sync"
 )
 
-// MetadataGroup is one of the six GOODS catalog categories (Sec. 6.1.1).
-type MetadataGroup string
-
-// The GOODS metadata groups.
-const (
-	GroupBasic      MetadataGroup = "basic"
-	GroupContent    MetadataGroup = "content"
-	GroupProvenance MetadataGroup = "provenance"
-	GroupUser       MetadataGroup = "user"
-	GroupTeam       MetadataGroup = "team"
-	GroupTemporal   MetadataGroup = "temporal"
-)
-
-// ErrNoEntry is returned for datasets missing from the catalog.
-var ErrNoEntry = errors.New("organize: no catalog entry")
-
-// CatalogEntry is the metadata record of one dataset in the catalog.
+// CatalogEntry is the catalog record of one dataset, as GET
+// /v1/datasets lists it.
 type CatalogEntry struct {
 	// ID is the dataset identifier (its lake path).
 	ID string `json:"id"`
 	// Cluster groups versions of the same logical dataset; GOODS
 	// clusters by path convention (e.g. dated generations).
 	Cluster string `json:"cluster"`
-	// Groups holds the six metadata categories as key-value maps.
-	Groups map[MetadataGroup]map[string]string `json:"groups"`
-	// Registered is the catalog insertion time.
-	Registered time.Time `json:"registered"`
 }
 
-// Catalog is a GOODS-style post-hoc metadata catalog on the ordered KV
-// store: datasets are created first and cataloged afterwards, one entry
-// per dataset, organized for prefix scans.
+// Catalog is a GOODS-style post-hoc metadata catalog: datasets are
+// created first and cataloged afterwards, one entry per dataset. The
+// content and provenance metadata GOODS also groups per entry is kept
+// by the GEMMS model and the provenance tracker.
 type Catalog struct {
-	kv    *kvstore.Store
-	clock func() time.Time
+	mu      sync.RWMutex
+	entries map[string]CatalogEntry
 }
 
-// NewCatalog creates a catalog on a fresh store. clock may be nil.
-func NewCatalog(clock func() time.Time) *Catalog {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Catalog{kv: kvstore.New(), clock: clock}
-}
+// NewCatalog creates an empty catalog.
+func NewCatalog() *Catalog { return &Catalog{entries: map[string]CatalogEntry{}} }
 
 // Register inserts (or refreshes) a dataset entry. The cluster defaults
 // to the path with a trailing date/generation segment stripped.
-func (c *Catalog) Register(id string) (*CatalogEntry, error) {
-	e := &CatalogEntry{
-		ID:         id,
-		Cluster:    ClusterOf(id),
-		Groups:     map[MetadataGroup]map[string]string{},
-		Registered: c.clock(),
-	}
-	if err := c.put(e); err != nil {
-		return nil, err
-	}
-	return e, nil
+func (c *Catalog) Register(id string) {
+	e := CatalogEntry{ID: id, Cluster: ClusterOf(id)}
+	c.mu.Lock()
+	c.entries[id] = e
+	c.mu.Unlock()
 }
 
 // ClusterOf strips a trailing generation segment (digits, dates) from a
@@ -93,51 +60,31 @@ func ClusterOf(id string) string {
 	return id
 }
 
-// Annotate sets one metadata key in a group for a dataset.
-func (c *Catalog) Annotate(id string, group MetadataGroup, key, value string) error {
-	e, err := c.Entry(id)
-	if err != nil {
-		return err
-	}
-	if e.Groups[group] == nil {
-		e.Groups[group] = map[string]string{}
-	}
-	e.Groups[group][key] = value
-	return c.put(e)
-}
-
-// Entry fetches a dataset's catalog entry.
-func (c *Catalog) Entry(id string) (*CatalogEntry, error) {
-	raw, err := c.kv.Get("entry/" + id)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEntry, id)
-	}
-	var e CatalogEntry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, fmt.Errorf("organize: decode entry %s: %w", id, err)
-	}
-	return &e, nil
-}
-
-func (c *Catalog) put(e *CatalogEntry) error {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("organize: encode entry %s: %w", e.ID, err)
-	}
-	c.kv.Put("entry/"+e.ID, raw)
-	return nil
+// Entry fetches a dataset's catalog entry and reports whether the
+// dataset is cataloged.
+func (c *Catalog) Entry(id string) (CatalogEntry, bool) {
+	c.mu.RLock()
+	e, ok := c.entries[id]
+	c.mu.RUnlock()
+	return e, ok
 }
 
 // Remove deletes a dataset's entry. Removing an uncataloged dataset is
 // a no-op.
-func (c *Catalog) Remove(id string) { c.kv.Delete("entry/" + id) }
+func (c *Catalog) Remove(id string) {
+	c.mu.Lock()
+	delete(c.entries, id)
+	c.mu.Unlock()
+}
 
 // List returns all dataset IDs in the catalog, sorted.
 func (c *Catalog) List() []string {
-	keys := c.kv.Keys("entry/")
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = strings.TrimPrefix(k, "entry/")
+	c.mu.RLock()
+	out := make([]string, 0, len(c.entries))
+	for id := range c.entries {
+		out = append(out, id)
 	}
+	c.mu.RUnlock()
+	sort.Strings(out)
 	return out
 }

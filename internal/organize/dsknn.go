@@ -84,16 +84,15 @@ func dsProfile(t *table.Table, ids *sketch.Dict) *dsFeatures {
 	var totDistinct, totMeanLen float64
 	var kinds, names, tokens, values []string
 	for _, c := range t.Columns {
-		p := table.Profile(c)
 		if c.Kind.Numeric() {
 			numNumeric++
 		}
-		totDistinct += float64(p.Distinct)
-		totMeanLen += p.MeanLen
+		distinct := c.DistinctSlice()
+		totDistinct += float64(len(distinct))
+		totMeanLen += c.MeanLen()
 		kinds = append(kinds, c.Kind.String())
 		names = append(names, c.Name)
 		tokens = append(tokens, sketch.Tokenize(c.Name)...)
-		distinct := c.DistinctSlice()
 		values = append(values, distinct[:min(len(distinct), 100)]...)
 	}
 	f.attrNames = ids.Set(names)

@@ -1,56 +1,41 @@
 package organize
 
 import (
-	"errors"
+	"fmt"
 	"testing"
-	"time"
 
 	"golake/internal/table"
 	"golake/internal/workload"
 )
 
-func fixedClock() func() time.Time {
-	t0 := time.Date(2026, 6, 12, 9, 0, 0, 0, time.UTC)
-	return func() time.Time { return t0 }
-}
-
-func TestCatalogRegisterAnnotateSearch(t *testing.T) {
-	c := NewCatalog(fixedClock())
-	if _, err := c.Register("logs/clicks/2026-06-11"); err != nil {
-		t.Fatal(err)
+func TestCatalogRegisterEntryRemove(t *testing.T) {
+	c := NewCatalog()
+	for _, id := range []string{"tables/users", "logs/clicks/2026-06-12", "logs/clicks/2026-06-11"} {
+		c.Register(id)
 	}
-	if _, err := c.Register("logs/clicks/2026-06-12"); err != nil {
-		t.Fatal(err)
+	e, ok := c.Entry("tables/users")
+	if !ok || e != (CatalogEntry{ID: "tables/users", Cluster: "tables/users"}) {
+		t.Fatalf("Entry = %+v, %v", e, ok)
 	}
-	if _, err := c.Register("tables/users"); err != nil {
-		t.Fatal(err)
+	if e, ok := c.Entry("ghost"); ok {
+		t.Errorf("Entry of an uncataloged dataset = %+v, true", e)
 	}
-	if err := c.Annotate("tables/users", GroupUser, "owner", "ops-team"); err != nil {
-		t.Fatal(err)
+	if got := c.List(); fmt.Sprint(got) != "[logs/clicks/2026-06-11 logs/clicks/2026-06-12 tables/users]" {
+		t.Errorf("List = %v, want sorted IDs", got)
 	}
-	if err := c.Annotate("tables/users", GroupContent, "rows", "1000"); err != nil {
-		t.Fatal(err)
-	}
-	e, err := c.Entry("tables/users")
-	if err != nil || e.Groups[GroupUser]["owner"] != "ops-team" {
-		t.Fatalf("Entry = %+v, %v", e, err)
-	}
-	if err := c.Annotate("ghost", GroupBasic, "k", "v"); !errors.Is(err, ErrNoEntry) {
-		t.Errorf("Annotate missing = %v", err)
-	}
-	if got := c.List(); len(got) != 3 {
-		t.Errorf("List = %v", got)
+	c.Remove("logs/clicks/2026-06-11")
+	c.Remove("ghost")
+	if got := c.List(); fmt.Sprint(got) != "[logs/clicks/2026-06-12 tables/users]" {
+		t.Errorf("List after Remove = %v", got)
 	}
 }
 
 func TestCatalogVersionClustering(t *testing.T) {
-	c := NewCatalog(fixedClock())
+	c := NewCatalog()
 	for _, id := range []string{"logs/clicks/2026-06-11", "logs/clicks/2026-06-12"} {
-		if e, err := c.Register(id); err != nil || e.Cluster != "logs/clicks" {
-			t.Fatalf("Register(%s) = %+v, %v; want cluster logs/clicks", id, e, err)
-		}
-		if e, err := c.Entry(id); err != nil || e.Cluster != "logs/clicks" {
-			t.Errorf("Entry(%s) = %+v, %v; want cluster logs/clicks", id, e, err)
+		c.Register(id)
+		if e, ok := c.Entry(id); !ok || e.Cluster != "logs/clicks" {
+			t.Errorf("Entry(%s) = %+v, %v; want cluster logs/clicks", id, e, ok)
 		}
 	}
 	// Non-generation paths cluster to themselves.

@@ -1,11 +1,13 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // Local is the directory-on-disk Backend: the WAL is one append-only
@@ -140,7 +142,9 @@ func (l *Local) Checkpoint(snapshot []byte) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("persist: checkpoint rename: %w", err)
 	}
-	syncDir(l.dir)
+	if err := syncDir(l.dir); err != nil {
+		return fmt.Errorf("persist: checkpoint sync dir: %w", err)
+	}
 	if err := l.wal.Truncate(0); err != nil {
 		return fmt.Errorf("persist: truncate wal: %w", err)
 	}
@@ -224,7 +228,9 @@ func (l *Local) PutSegment(name string, data []byte) error {
 		return fmt.Errorf("persist: close segment %s: %w", name, err)
 	}
 	if l.sync == SyncAlways {
-		syncDir(filepath.Dir(path))
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			return fmt.Errorf("persist: sync segment dir %s: %w", name, err)
+		}
 	}
 	return nil
 }
@@ -291,15 +297,26 @@ func (l *Local) Close() error {
 	return l.wal.Close()
 }
 
-// syncDir best-effort fsyncs a directory so a checkpoint's rename, or a
-// new segment's entry, is itself durable; filesystems that reject
-// directory fsync (some
-// network mounts) degrade to the OS's own flush.
-func syncDir(dir string) {
+// syncDir fsyncs a directory so a checkpoint's rename, or a new
+// segment's entry, is itself durable. A filesystem that does not
+// support directory fsync (some network mounts) degrades to the OS's
+// own flush; any other failure is returned, because the entry may not
+// be on disk.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
+	err = d.Sync()
 	_ = d.Close()
+	if err != nil && !dirSyncUnsupported(err) {
+		return err
+	}
+	return nil
+}
+
+// dirSyncUnsupported reports whether a directory fsync failed only
+// because the filesystem does not support it (EINVAL, ENOTSUP).
+func dirSyncUnsupported(err error) bool {
+	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -299,5 +300,32 @@ func TestLocalCheckpointLeavesNoTemp(t *testing.T) {
 	snap, _ := b.ReadSnapshot()
 	if string(snap) != "snap-2" {
 		t.Fatalf("snapshot = %q", snap)
+	}
+}
+
+// Only "directory fsync is not supported" is excused; any other failure
+// of a directory fsync, EIO above all, must reach the caller, or an
+// entry that never reached the disk would be acknowledged as durable.
+func TestDirSyncUnsupportedExcusesOnlyUnsupported(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EINVAL}, true},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.ENOTSUP}, true},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EIO}, false},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.ENOSPC}, false},
+		{&os.PathError{Op: "open", Path: "d", Err: syscall.ENOENT}, false},
+		{errors.New("sync d: input/output error"), false},
+	} {
+		if got := dirSyncUnsupported(tc.err); got != tc.want {
+			t.Errorf("dirSyncUnsupported(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Errorf("syncDir of a fresh directory = %v", err)
+	}
+	if err := syncDir(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("syncDir of a missing directory = %v, want ErrNotExist", err)
 	}
 }

@@ -1,19 +1,18 @@
 // Package filestore is the lake's raw-file storage tier, stand-in for
 // the HDFS/Azure-Data-Lake-Store file systems the surveyed lakes use
 // (Sec. 4.1). Objects are immutable byte blobs addressed by a
-// slash-separated logical path; the store records size, a FNV-64a
-// checksum and a detected format for every object, which the ingestion
-// tier reads instead of re-sniffing files. The store itself writes
-// nothing to disk: each object is read back through the ReadFunc it was
-// put with — on a durable lake, from the segment that already holds its
-// bytes — or, without one, from a copy the store keeps in memory.
+// slash-separated logical path; the store records size and a detected
+// format for every object, which the ingestion tier reads instead of
+// re-sniffing files. The store itself writes nothing to disk: each
+// object is read back through the ReadFunc it was put with — on a
+// durable lake, from the segment that already holds its bytes — or,
+// without one, from a copy the store keeps in memory.
 package filestore
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path"
 	"sort"
 	"strings"
@@ -49,11 +48,10 @@ const PersistDir = ".golake"
 
 // ObjectInfo describes a stored object.
 type ObjectInfo struct {
-	Path     string
-	Size     int64
-	Checksum uint64
-	Format   Format
-	Stored   time.Time
+	Path   string
+	Size   int64
+	Format Format
+	Stored time.Time
 }
 
 // ReadFunc reads an object's bytes back from wherever they are kept.
@@ -86,11 +84,10 @@ func (s *Store) Put(path string, data []byte, read ReadFunc) (ObjectInfo, error)
 		read = func() ([]byte, error) { return bytes.Clone(kept), nil }
 	}
 	info := ObjectInfo{
-		Path:     clean,
-		Size:     int64(len(data)),
-		Checksum: checksum(data),
-		Format:   Detect(clean, data),
-		Stored:   time.Now(),
+		Path:   clean,
+		Size:   int64(len(data)),
+		Format: Detect(clean, data),
+		Stored: time.Now(),
 	}
 	s.mu.Lock()
 	s.objs[clean] = object{info: info, read: read}
@@ -173,10 +170,4 @@ func CleanPath(p string) (string, error) {
 		return "", fmt.Errorf("%w %q: it is reserved for lake persistence", ErrInvalidPath, p)
 	}
 	return clean, nil
-}
-
-func checksum(data []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(data)
-	return h.Sum64()
 }

@@ -1,8 +1,7 @@
 // Package graphstore is an in-process labeled property graph, stand-in
-// for the Neo4j instances the surveyed lakes use: HANDLE implements its
-// metadata model on it and the provenance tracker keeps lineage in it
-// (Sec. 5.2, 6.7). It supports node/edge CRUD, label and property
-// lookup, and neighbor traversal.
+// for the Neo4j instances the surveyed lakes use: the provenance tracker
+// keeps lineage in it (Sec. 6.7). It supports node and edge insertion
+// and reachability traversal.
 package graphstore
 
 import (
@@ -77,61 +76,12 @@ func (g *Graph) AddNode(id, label string, props Props) error {
 	return nil
 }
 
-// UpsertNode inserts or replaces a node, preserving its edges.
-func (g *Graph) UpsertNode(id, label string, props Props) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nodes[id] = &Node{ID: id, Label: label, Props: props.clone()}
-}
-
-// Node returns a copy of the node.
-func (g *Graph) Node(id string) (Node, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return Node{}, fmt.Errorf("%w: %s", ErrNodeNotFound, id)
-	}
-	return Node{ID: n.ID, Label: n.Label, Props: n.Props.clone()}, nil
-}
-
 // HasNode reports whether the node exists.
 func (g *Graph) HasNode(id string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	_, ok := g.nodes[id]
 	return ok
-}
-
-// SetProp sets one property on a node.
-func (g *Graph) SetProp(id, key string, value any) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeNotFound, id)
-	}
-	if n.Props == nil {
-		n.Props = Props{}
-	}
-	n.Props[key] = value
-	return nil
-}
-
-// RemoveNode deletes a node and all incident edges.
-func (g *Graph) RemoveNode(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.nodes[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrNodeNotFound, id)
-	}
-	for _, eid := range append(append([]int{}, g.out[id]...), g.in[id]...) {
-		g.removeEdgeLocked(eid)
-	}
-	delete(g.nodes, id)
-	delete(g.out, id)
-	delete(g.in, id)
-	return nil
 }
 
 // AddEdge inserts a directed edge and returns its ID. Both endpoints
@@ -153,49 +103,6 @@ func (g *Graph) AddEdge(from, to, label string, props Props) (int, error) {
 	return e.ID, nil
 }
 
-func (g *Graph) removeEdgeLocked(id int) {
-	e, ok := g.edges[id]
-	if !ok {
-		return
-	}
-	g.out[e.From] = removeInt(g.out[e.From], id)
-	g.in[e.To] = removeInt(g.in[e.To], id)
-	delete(g.edges, id)
-}
-
-func removeInt(list []int, v int) []int {
-	for i, x := range list {
-		if x == v {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
-
-// NodeIDsWhere returns the IDs of the nodes with the label whose
-// properties satisfy keep, sorted. keep runs under the graph's read lock
-// on the stored bag, which it must not modify or retain; nothing is
-// copied.
-func (g *Graph) NodeIDsWhere(label string, keep func(Props) bool) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []string
-	for _, n := range g.nodes {
-		if n.Label == label && keep(n.Props) {
-			out = append(out, n.ID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Direction selects traversal direction.
 type Direction int
 
@@ -205,36 +112,6 @@ const (
 	In
 	Both
 )
-
-// OutEdges returns copies of the outgoing edges of a node, sorted by ID.
-func (g *Graph) OutEdges(id string) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Edge
-	for _, eid := range g.out[id] {
-		e := g.edges[eid]
-		c := *e
-		c.Props = e.Props.clone()
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// InEdges returns copies of the incoming edges of a node, sorted by ID.
-func (g *Graph) InEdges(id string) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Edge
-	for _, eid := range g.in[id] {
-		e := g.edges[eid]
-		c := *e
-		c.Props = e.Props.clone()
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 func (g *Graph) neighborsLocked(id string, dir Direction) []string {
 	seen := map[string]struct{}{}

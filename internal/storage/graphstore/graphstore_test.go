@@ -26,37 +26,23 @@ func buildChain(t *testing.T, n int) *Graph {
 
 func TestNodeCRUD(t *testing.T) {
 	g := New()
-	if err := g.AddNode("a", "dataset", Props{"rows": 10}); err != nil {
+	props := Props{"rows": 10}
+	if err := g.AddNode("a", "dataset", props); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddNode("a", "dataset", nil); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("duplicate AddNode = %v", err)
 	}
-	n, err := g.Node("a")
-	if err != nil || n.Label != "dataset" || n.Props["rows"] != 10 {
-		t.Fatalf("Node = %+v, %v", n, err)
+	if !g.HasNode("a") || g.HasNode("b") {
+		t.Errorf("HasNode(a), HasNode(b) = %v, %v; want true, false", g.HasNode("a"), g.HasNode("b"))
 	}
-	// Returned props are a copy.
-	n.Props["rows"] = 99
-	n2, _ := g.Node("a")
-	if n2.Props["rows"] != 10 {
-		t.Error("Node returned shared props")
-	}
-	if err := g.SetProp("a", "owner", "ops"); err != nil {
-		t.Fatal(err)
-	}
-	n3, _ := g.Node("a")
-	if n3.Props["owner"] != "ops" {
-		t.Error("SetProp lost")
-	}
-	if err := g.RemoveNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasNode("a") {
-		t.Error("node still present after remove")
-	}
-	if err := g.RemoveNode("a"); !errors.Is(err, ErrNodeNotFound) {
-		t.Errorf("double remove = %v", err)
+	// The stored props are a copy of the caller's.
+	props["rows"] = 99
+	g.mu.RLock()
+	n := *g.nodes["a"]
+	g.mu.RUnlock()
+	if n.Label != "dataset" || n.Props["rows"] != 10 {
+		t.Errorf("stored node = %+v", n)
 	}
 }
 
@@ -67,29 +53,16 @@ func TestEdgeCRUDAndEndpointChecks(t *testing.T) {
 	if _, err := g.AddEdge("a", "missing", "l", nil); !errors.Is(err, ErrNodeNotFound) {
 		t.Errorf("AddEdge missing dst = %v", err)
 	}
+	if _, err := g.AddEdge("missing", "b", "l", nil); !errors.Is(err, ErrNodeNotFound) {
+		t.Errorf("AddEdge missing src = %v", err)
+	}
 	id, err := g.AddEdge("a", "b", "rel", Props{"w": 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := g.OutEdges("a")
+	out := outEdges(g, "a")
 	if len(out) != 1 || out[0].ID != id || out[0].To != "b" || out[0].Props["w"] != 0.5 {
-		t.Fatalf("OutEdges = %+v", out)
-	}
-}
-
-func TestRemoveNodeCascadesEdges(t *testing.T) {
-	g := buildChain(t, 3)
-	if n := edgeCount(g); n != 2 {
-		t.Fatalf("edges = %d", n)
-	}
-	if err := g.RemoveNode("n1"); err != nil {
-		t.Fatal(err)
-	}
-	if n := edgeCount(g); n != 0 {
-		t.Errorf("edges not cascaded: %d", n)
-	}
-	if got := g.OutEdges("n0"); len(got) != 0 {
-		t.Errorf("dangling edge: %v", got)
+		t.Fatalf("out edges = %+v", out)
 	}
 }
 
@@ -101,21 +74,6 @@ func TestReachable(t *testing.T) {
 	}
 	if got := g.Reachable("n3", Out); len(got) != 0 {
 		t.Errorf("Reachable sink = %v", got)
-	}
-}
-
-func TestNodeIDsWhere(t *testing.T) {
-	g := New()
-	_ = g.AddNode("z", "ds", Props{"zone": "raw"})
-	_ = g.AddNode("a", "ds", Props{"zone": "raw"})
-	_ = g.AddNode("b", "ds", Props{"zone": "curated"})
-	_ = g.AddNode("m", "other", Props{"zone": "raw"})
-	inRaw := func(p Props) bool { return p["zone"] == "raw" }
-	if got := g.NodeIDsWhere("ds", inRaw); fmt.Sprint(got) != "[a z]" {
-		t.Errorf("NodeIDsWhere(ds, raw) = %v, want [a z]", got)
-	}
-	if got := g.NodeIDsWhere("none", inRaw); len(got) != 0 {
-		t.Errorf("NodeIDsWhere(none) = %v, want empty", got)
 	}
 }
 
@@ -135,9 +93,10 @@ func TestGraphInvariants(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, id := range g.Nodes() {
-			total += len(g.OutEdges(id))
-			for _, e := range g.OutEdges(id) {
+		for i := 0; i < 10; i++ {
+			out := outEdges(g, fmt.Sprintf("n%d", i))
+			total += len(out)
+			for _, e := range out {
 				if !g.HasNode(e.From) || !g.HasNode(e.To) {
 					return false
 				}
@@ -150,27 +109,17 @@ func TestGraphInvariants(t *testing.T) {
 	}
 }
 
+// Traversal follows edges forwards, backwards, or both ways.
 func TestInOutEdges(t *testing.T) {
 	g := buildChain(t, 3)
-	out := g.OutEdges("n0")
-	if len(out) != 1 || out[0].To != "n1" {
-		t.Errorf("OutEdges = %+v", out)
+	if got := g.Reachable("n1", Out); fmt.Sprint(got) != "[n2]" {
+		t.Errorf("Reachable(n1, Out) = %v", got)
 	}
-	in := g.InEdges("n1")
-	if len(in) != 1 || in[0].From != "n0" {
-		t.Errorf("InEdges = %+v", in)
+	if got := g.Reachable("n1", In); fmt.Sprint(got) != "[n0]" {
+		t.Errorf("Reachable(n1, In) = %v", got)
 	}
-}
-
-func TestUpsertNode(t *testing.T) {
-	g := buildChain(t, 2)
-	g.UpsertNode("n0", "renamed", Props{"x": 1})
-	n, _ := g.Node("n0")
-	if n.Label != "renamed" {
-		t.Errorf("label = %q", n.Label)
-	}
-	if edgeCount(g) != 1 {
-		t.Error("upsert dropped edges")
+	if got := g.Reachable("n1", Both); fmt.Sprint(got) != "[n0 n2]" {
+		t.Errorf("Reachable(n1, Both) = %v", got)
 	}
 }
 
@@ -181,14 +130,14 @@ func edgeCount(g *Graph) int {
 	return len(g.edges)
 }
 
-// Nodes returns all node IDs, sorted.
-func (g *Graph) Nodes() []string {
+// outEdges reads the stored outgoing edges of a node, sorted by ID.
+func outEdges(g *Graph, id string) []Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		out = append(out, id)
+	var out []Edge
+	for _, eid := range g.out[id] {
+		out = append(out, *g.edges[eid])
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

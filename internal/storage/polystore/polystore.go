@@ -83,8 +83,9 @@ func (p *Poly) Ingest(path string, data []byte) (Placement, error) {
 // IngestParsed is Ingest for a caller that keeps the raw bytes itself:
 // Files reads them back through read (a nil read keeps a copy in
 // memory). It also hands back the table it parsed for the relational
-// store (nil for any other placement), the caller's own copy, so that
-// describing the object next needs no second parse.
+// store (nil for any other placement), so that describing the object
+// next needs no second parse. That table is the store's own, as View
+// lends it: the caller must not modify it or keep it.
 func (p *Poly) IngestParsed(path string, data []byte, read filestore.ReadFunc) (Placement, *table.Table, error) {
 	info, err := p.Files.Put(path, data, read)
 	if err != nil {

@@ -167,12 +167,17 @@ func TestRelStoreIsolationAndCRUD(t *testing.T) {
 	r := NewRelStore()
 	tbl, _ := table.ParseCSV("t", "a\n1\n")
 	r.Create(tbl)
-	tbl.Columns[0].Cells[0] = "mutated"
-	got, _ := r.Table("t")
-	if got.Columns[0].Cells[0] != "1" {
-		t.Error("Create did not copy the table")
+	// The store keeps the table it was given, not a copy of it.
+	if err := r.View("t", func(v *table.Table) error {
+		if v != tbl {
+			t.Error("Create copied the table it was given")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	got.Columns[0].Cells[0] = "also-mutated"
+	got, _ := r.Table("t")
+	got.Columns[0].Cells[0] = "mutated"
 	got2, _ := r.Table("t")
 	if got2.Columns[0].Cells[0] != "1" {
 		t.Error("Table did not return a copy")
@@ -197,10 +202,14 @@ func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 	if tbl.Name != "orders" || tbl.NumRows() != 2 || tbl.Meta["source"] != "raw/orders.csv" {
 		t.Errorf("csv: table %v meta %v", tbl, tbl.Meta)
 	}
-	// The table handed back is the caller's; the store has its own copy.
-	tbl.Columns[0].Cells[0] = "clobbered"
-	if stored, _ := p.Rel.Table("orders"); stored.Columns[0].Cells[0] != "1" {
-		t.Error("the table handed back aliases the stored one")
+	// The table handed back is the store's own: the parse is not copied.
+	if err := p.Rel.View("orders", func(stored *table.Table) error {
+		if stored != tbl {
+			t.Error("the table handed back is a copy of the stored one")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	for path, body := range map[string]string{
 		"raw/broken.csv": "a,b\n1\n",

@@ -30,8 +30,8 @@ type RelStore struct {
 	tables map[string]*storedTable
 }
 
-// storedTable is a table as the store keeps it: a private copy and one
-// mirror per column.
+// storedTable is a table as the store keeps it: the table Create was
+// given and one mirror per column.
 type storedTable struct {
 	*table.Table
 	mirrors []Mirror
@@ -105,12 +105,13 @@ func NewRelStore() *RelStore {
 	return &RelStore{tables: map[string]*storedTable{}}
 }
 
-// Create registers (or replaces) a copy of a table under its name.
-// Its mirrors' forms are built later, each on its column's first
-// numeric or NDJSON read, so replaying a lake's tables parses and
-// encodes no cell.
+// Create registers (or replaces) a table under its name. The store
+// takes ownership of t: the caller must not modify it afterwards, and
+// hands the store a Clone of any table it goes on changing. Its
+// mirrors' forms are built later, each on its column's first numeric or
+// NDJSON read, so replaying a lake's tables parses and encodes no cell.
 func (r *RelStore) Create(t *table.Table) {
-	s := &storedTable{Table: t.Clone(), mirrors: make([]Mirror, len(t.Columns))}
+	s := &storedTable{Table: t, mirrors: make([]Mirror, len(t.Columns))}
 	for j, c := range s.Columns {
 		s.mirrors[j].cells = c.Cells
 	}

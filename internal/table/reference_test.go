@@ -114,22 +114,16 @@ func refDistinct(c *Column) map[string]struct{} {
 	return set
 }
 
-func refProfile(c *Column) ColumnProfile {
-	p := ColumnProfile{
-		Name:     c.Name,
-		Kind:     c.Kind,
-		Count:    c.Len(),
-		Nulls:    refNullCount(c),
-		Distinct: len(refDistinct(c)),
+func refMeanLen(c *Column) float64 {
+	nonNull := c.Len() - refNullCount(c)
+	if nonNull == 0 {
+		return 0
 	}
-	if nonNull := p.Count - p.Nulls; nonNull > 0 {
-		total := 0
-		for _, v := range c.Cells {
-			if !refIsNullToken(v) {
-				total += len(v)
-			}
+	total := 0
+	for _, v := range c.Cells {
+		if !refIsNullToken(v) {
+			total += len(v)
 		}
-		p.MeanLen = float64(total) / float64(nonNull)
 	}
-	return p
+	return float64(total) / float64(nonNull)
 }

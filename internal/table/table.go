@@ -83,6 +83,22 @@ func (c *Column) NullCount() int {
 	return n
 }
 
+// MeanLen returns the mean string length of the non-null cells (0 when
+// there are none), in one walk over them.
+func (c *Column) MeanLen() float64 {
+	total, nonNull := 0, 0
+	for _, v := range c.Cells {
+		if !isNullToken(v) {
+			total += len(v)
+			nonNull++
+		}
+	}
+	if nonNull == 0 {
+		return 0
+	}
+	return float64(total) / float64(nonNull)
+}
+
 // Distinct returns the set of distinct non-null cell values.
 func (c *Column) Distinct() map[string]struct{} {
 	set := make(map[string]struct{}, len(c.Cells))

@@ -142,21 +142,33 @@ func TestCloneIsDeep(t *testing.T) {
 func TestProfileNumeric(t *testing.T) {
 	tbl := mustTable(t, "v\n1\n2\n30\nNA\n")
 	c, _ := tbl.Column("v")
-	want := ColumnProfile{Name: "v", Kind: KindInt, Count: 4, Nulls: 1, Distinct: 3, MeanLen: 4.0 / 3}
-	if p := Profile(c); p != want {
-		t.Errorf("Profile = %+v, want %+v", p, want)
+	if c.Name != "v" || c.Kind != KindInt || c.Len() != 4 || c.NullCount() != 1 {
+		t.Errorf("column = %s %v len=%d nulls=%d, want v int len=4 nulls=1",
+			c.Name, c.Kind, c.Len(), c.NullCount())
+	}
+	if d := len(c.DistinctSlice()); d != 3 {
+		t.Errorf("distinct = %d, want 3", d)
+	}
+	if m := c.MeanLen(); m != 4.0/3 {
+		t.Errorf("MeanLen = %v, want %v", m, 4.0/3)
 	}
 }
 
 func TestProfileStringColumn(t *testing.T) {
 	tbl := mustTable(t, "s\nfoo\nbar\nfoo\n")
 	c, _ := tbl.Column("s")
-	p := Profile(c)
-	if p.Distinct != 2 {
-		t.Errorf("Distinct = %d, want 2", p.Distinct)
+	if d := len(c.DistinctSlice()); d != 2 {
+		t.Errorf("distinct = %d, want 2", d)
 	}
-	if p.MeanLen != 3 {
-		t.Errorf("MeanLen = %v, want 3", p.MeanLen)
+	if m := c.MeanLen(); m != 3 {
+		t.Errorf("MeanLen = %v, want 3", m)
+	}
+}
+
+func TestColumnMeanLenAllNull(t *testing.T) {
+	tbl := mustTable(t, "s\nNA\n-\n")
+	if m := tbl.Columns[0].MeanLen(); m != 0 {
+		t.Errorf("MeanLen of an all-null column = %v, want 0", m)
 	}
 }
 
