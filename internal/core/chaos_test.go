@@ -169,6 +169,49 @@ func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
 	}
 }
 
+// TestChaosFailNextAppendsRefusesToken: a token registration whose WAL
+// record fails every attempt is refused as unavailable and undone — a
+// fresh token does not authenticate, a re-registered one keeps its old
+// owner, live and after a hard-stopped reopen — and the registration
+// succeeds once the backend heals.
+func TestChaosFailNextAppendsRefusesToken(t *testing.T) {
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	l.AddUser("erin", RoleDataScientist)
+	if err := l.AddToken("dana", "known"); err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range []struct{ user, token string }{{"dana", "fresh"}, {"erin", "known"}} {
+		f.FailNextAppends(walRetries + 1)
+		if err := l.AddToken(reg.user, reg.token); !lakeerr.IsUnavailable(err) {
+			t.Fatalf("AddToken(%s, %s) with every append failing = %v, want unavailable", reg.user, reg.token, err)
+		}
+	}
+	if f.Injected() != 2*(walRetries+1) {
+		t.Fatalf("injected %d faults, want %d", f.Injected(), 2*(walRetries+1))
+	}
+	refused := func(name string, lake *Lake) {
+		t.Helper()
+		if u, ok := lake.userForToken("fresh"); ok {
+			t.Errorf("%s: refused token authenticates as %q", name, u)
+		}
+		if u, ok := lake.userForToken("known"); !ok || u != "dana" {
+			t.Errorf("%s: re-registered token authenticates as %q (%v), want its old owner dana", name, u, ok)
+		}
+	}
+	refused("live", l)
+
+	re := openPersistent(t, dir)
+	defer re.Close()
+	refused("reopened", re)
+	if err := re.AddToken("dana", "fresh"); err != nil {
+		t.Fatalf("AddToken after the refusal: %v", err)
+	}
+	if u, ok := re.userForToken("fresh"); !ok || u != "dana" {
+		t.Errorf("retried token authenticates as %q (%v), want dana", u, ok)
+	}
+}
+
 // TestChaosTornWriteTailDroppedOnReopen: a crash mid-append leaves
 // half a frame at the WAL tail; reopen drops the torn tail instead of
 // failing, and everything before it is intact.

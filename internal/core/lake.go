@@ -436,7 +436,9 @@ func (l *Lake) AddUser(name string, role Role) {
 // the WAL nor a snapshot ever holds the plaintext. Requests carrying
 // "Authorization: Bearer <token>" authenticate as the user; a remote
 // member lake configured with the token authenticates federated hops
-// the same way, so the remote path is never an auth bypass.
+// the same way, so the remote path is never an auth bypass. If the
+// registration's WAL record cannot be logged, it is undone — the token
+// keeps its previous owner, or none — and the error is unavailable.
 func (l *Lake) AddToken(user, token string) error {
 	if _, err := l.roleOf(user); err != nil {
 		return err
@@ -452,9 +454,22 @@ func (l *Lake) AddToken(user, token string) error {
 	}
 	h := hashToken(token)
 	l.mu.Lock()
+	prev, had := l.tokens[h]
 	l.tokens[h] = user
 	l.mu.Unlock()
-	return acked(l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h}))
+	if err := l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h}); err != nil {
+		// Nothing logged the registration: take it back, as Ingest does,
+		// so a token that would not survive a reopen never authenticates.
+		l.mu.Lock()
+		if had {
+			l.tokens[h] = prev
+		} else {
+			delete(l.tokens, h)
+		}
+		l.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // userForToken resolves a bearer token to its registered user.

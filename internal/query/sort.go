@@ -11,10 +11,12 @@ import (
 	"time"
 )
 
-// sortBatches wraps a batch stream with the ORDER BY stage. With limit
-// > 0 it keeps a bounded top-K heap — memory never exceeds limit rows
-// no matter how many the input yields, and the stage subsumes the LIMIT
-// — otherwise it buffers and sorts the full input. Either way the input
+// sortBatches wraps a batch stream with the ORDER BY stage; keys is not
+// empty. With limit > 0 it keeps a bounded top-K heap — memory never
+// exceeds limit rows no matter how many the input yields, the stage
+// subsumes the LIMIT, and once the heap is full most rows are turned
+// away on their first key's vector alone (see drain) — otherwise it
+// buffers and sorts the full input. Either way the input
 // is drained on the first Next and closed eagerly, and the order is
 // total (keys, then the whole row as tiebreak), so the output is
 // byte-identical regardless of the arrival order a parallel fan-in
@@ -53,7 +55,8 @@ type sortKey struct {
 
 // sortRow is one row as the sort stage orders it. A row the stage holds
 // owns its cells; a candidate still being compared reads them from its
-// batch (b set), so a row the heap rejects is never copied.
+// batch (b set), so a row the heap rejects is never copied. A row a full
+// heap turns away on its first key never becomes a candidate at all.
 type sortRow struct {
 	keys  []sortKey
 	cells []string
@@ -168,11 +171,20 @@ func (s *sortIterator) fill(ctx context.Context) error {
 	return nil
 }
 
-// drain offers every input row to the heap. Each candidate's keys come
-// from the vectors' float mirrors; its cells stay in the batch until
-// the heap admits it.
+// drain offers every input row to the heap. Each key column's vector,
+// float mirror and bitmap are read once per batch. Once the heap holds
+// limit rows, a row whose first key alone sorts strictly after the
+// root's is turned away on that key — a row the root compare would
+// refuse anyway — before any candidate is built for it; every other
+// row becomes a candidate whose cells stay in the batch until the heap
+// admits it.
 func (s *sortIterator) drain(ctx context.Context, h *sortHeap) error {
 	cand := sortRow{keys: make([]sortKey, len(s.keys))}
+	vecs := make([]keyVec, len(s.keys))
+	// root is the heap root's first key once the heap is full, nil
+	// before; desc is that key's direction.
+	var root *sortKey
+	desc := s.keys[0].Desc
 	for {
 		b, err := s.in.Next(ctx)
 		if err == io.EOF {
@@ -181,27 +193,72 @@ func (s *sortIterator) drain(ctx context.Context, h *sortHeap) error {
 		if err != nil {
 			return err
 		}
+		for k, j := range s.keyCol {
+			vecs[k] = keyVec{}
+			if j >= 0 {
+				vecs[k].v = b.vecs[j]
+				vecs[k].f, vecs[k].ok = vecs[k].v.Floats()
+			}
+		}
 		for i, n := 0, b.Len(); i < n; i++ {
 			p := b.rowIndex(i)
-			for k, j := range s.keyCol {
-				cand.keys[k] = sortKey{}
-				if j < 0 {
-					continue
-				}
-				v := b.vecs[j]
-				cand.keys[k].text = v.Cell(p)
-				// NaN parses but is kept non-numeric: it would break the
-				// order's transitivity.
-				if f, ok := v.Floats(); ok.Get(p) && !math.IsNaN(f[p]) {
-					cand.keys[k].num, cand.keys[k].isNum = f[p], true
-				}
+			if root != nil && vecs[0].after(p, root, desc) {
+				continue
+			}
+			for k := range vecs {
+				cand.keys[k] = vecs[k].key(p)
 			}
 			cand.b, cand.i = b, i
 			if err := s.admit(h, &cand); err != nil {
 				return err
 			}
+			if s.limit > 0 && len(h.rows) >= s.limit {
+				root = &h.rows[0].keys[0]
+			}
 		}
 	}
+}
+
+// keyVec is one key column of the batch being drained: its vector and
+// the vector's float mirror (v nil when the column is absent, whose
+// cells read as "").
+type keyVec struct {
+	v  *Vector
+	f  []float64
+	ok *Bitmap
+}
+
+// key is physical row p's key cell. NaN parses but is kept
+// non-numeric: it would break the order's transitivity.
+func (kv *keyVec) key(p int) sortKey {
+	if kv.v == nil {
+		return sortKey{}
+	}
+	k := sortKey{text: kv.v.Cell(p)}
+	if kv.ok.Get(p) && !math.IsNaN(kv.f[p]) {
+		k.num, k.isNum = kv.f[p], true
+	}
+	return k
+}
+
+// after reports whether physical row p's key sorts strictly after root
+// (reversed when desc). A parsed cell against a numeric root is one
+// float compare: a numeric tie is not "after", as compareKeys would go
+// on to the text, and neither is NaN, which compares false both ways
+// and is left to admit to order as text. Anything else goes through
+// compareKeys.
+func (kv *keyVec) after(p int, root *sortKey, desc bool) bool {
+	if root.isNum && kv.v != nil && kv.ok.Get(p) {
+		if desc {
+			return kv.f[p] < root.num
+		}
+		return kv.f[p] > root.num
+	}
+	c := compareKeys(kv.key(p), *root)
+	if desc {
+		c = -c
+	}
+	return c > 0
 }
 
 // admit offers one candidate to the heap under the top-K bound, copying
