@@ -169,6 +169,61 @@ func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
 	}
 }
 
+// TestChaosFailNextAppendsRefusesDerive: a derive whose WAL record
+// fails every attempt is refused as unavailable and undone — its output
+// is not queryable and GET /v1/audit shows no event for it, live and
+// after a hard-stopped reopen, and its segment is deleted — and the
+// same derive succeeds once the backend heals.
+func TestChaosFailNextAppendsRefusesDerive(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	const name = "big_orders"
+	derived, err := table.ParseCSV(name, "id,total\n2,20\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.FailNextAppends(walRetries + 1)
+	if err := l.Derive(ctx, "dana", "filter_big", []string{"raw/orders.csv"}, derived); !lakeerr.IsUnavailable(err) {
+		t.Fatalf("derive with every append failing = %v, want unavailable", err)
+	}
+	if f.Injected() != walRetries+1 {
+		t.Fatalf("injected %d faults, want %d", f.Injected(), walRetries+1)
+	}
+	absent := func(what string, lake *Lake) {
+		t.Helper()
+		if _, err := lake.QuerySQL(ctx, "dana", "SELECT id FROM "+name); err == nil {
+			t.Errorf("%s: refused derive's output is queryable", what)
+		}
+		lake.AddUser("gov", RoleGovernance)
+		srv := httptest.NewServer(lake.HTTPHandler())
+		defer srv.Close()
+		resp, body := get(t, srv, "/v1/audit?entity="+name, "gov")
+		var pg pageOf
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pg) != nil || pg.Total != 0 {
+			t.Errorf("%s: audit of the refused derive's output = %d %s, want no events", what, resp.StatusCode, body)
+		}
+	}
+	absent("live", l)
+	if _, err := l.Maintain(ctx); err != nil {
+		t.Fatalf("pass after the refusal: %v", err)
+	}
+
+	re := openPersistent(t, dir)
+	defer re.Close()
+	re.AddUser("dana", RoleDataScientist)
+	absent("reopened", re)
+	if got := segmentFiles(t, dir); len(got) != 1 {
+		t.Errorf("segment files = %v, want raw/orders.csv's only", got)
+	}
+	if err := re.Derive(ctx, "dana", "filter_big", []string{"raw/orders.csv"}, derived); err != nil {
+		t.Fatalf("derive after the refusal: %v", err)
+	}
+	if got, err := re.QuerySQL(ctx, "dana", "SELECT id FROM "+name); err != nil || got.NumRows() != 1 {
+		t.Errorf("retried derive's output: %v, %v; want one row", got, err)
+	}
+}
+
 // TestChaosFailNextAppendsRefusesToken: a token registration whose WAL
 // record fails every attempt is refused as unavailable and undone — a
 // fresh token does not authenticate, a re-registered one keeps its old

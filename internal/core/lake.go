@@ -754,6 +754,10 @@ func (l *Lake) maintainLocked(ctx context.Context, wantFull bool) (*MaintenanceR
 		l.metrics.observeMaintPass("", 0, 0, true)
 	} else {
 		l.metrics.observeMaintPass(rep.Mode, rep.Duration, rep.DatasetsReindexed, false)
+		l.mu.RLock()
+		ex := l.Explorer
+		l.mu.RUnlock()
+		l.metrics.setResidentBytes("token_sums", ex.TokenSumBytes())
 	}
 	if err == nil {
 		// Checkpoint the planner coverage so a reopened lake resumes
@@ -1386,7 +1390,9 @@ func (l *Lake) Lineage(ctx context.Context, entity string) ([]string, error) {
 
 // Derive records a derivation and stores the derived table
 // relationally, keeping provenance consistent with storage. Deriving
-// onto an existing table name is a conflict.
+// onto an existing table name is a conflict. The derive commits as one
+// WAL record carrying its events; if that record cannot be logged, the
+// derive is undone and unavailable.
 func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []string, output *table.Table) error {
 	if _, err := l.roleOf(user); err != nil {
 		return err
@@ -1414,10 +1420,17 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 		return err
 	}
 	evs := l.Tracker.Derive(activity, "lake", user, inputs, output.Name)
-	err = acked(l.persistRecord(&walRecord{
+	err = l.persistRecord(&walRecord{
 		Kind: recDerive, Name: output.Name, Activity: activity, User: user,
 		Inputs: inputs, Segment: seg, Events: evs,
-	}))
+	})
+	if err != nil {
+		// Nothing logged the derive: take it back, as Ingest does.
+		// ingestMu has kept the output in place.
+		l.maintMu.Lock()
+		l.undoDeriveLocked(output.Name, evs)
+		l.maintMu.Unlock()
+	}
 	l.ingestMu.Unlock()
 	if err != nil {
 		return err
@@ -1464,6 +1477,36 @@ func (l *Lake) deriveLocked(activity, user string, inputs []string, output *tabl
 	// rebuilds from scratch instead of approximating an incremental add.
 	l.planner.ForceFull("derive")
 	return nil
+}
+
+// undoDeriveLocked takes back a derive whose record was not logged: the
+// output table, its name and its deriveLog entry go, and so do its
+// events and any index a pass built for it meanwhile. Its segment is
+// retired, not dropped, because a checkpoint may have named it during
+// the append's retries; the next one deletes it. The lineage edges
+// Tracker.Derive added stay in the live graph until the lake reopens
+// from its events. ingestMu and maintMu must be held.
+func (l *Lake) undoDeriveLocked(name string, evs []provenance.Event) {
+	_ = l.Poly.Rel.Drop(name)
+	l.mu.Lock()
+	delete(l.nameToPath, name)
+	for i, d := range l.deriveLog {
+		if d.name == name {
+			if d.segment != "" {
+				l.retired = append(l.retired, d.segment)
+			}
+			l.deriveLog = append(l.deriveLog[:i], l.deriveLog[i+1:]...)
+			break
+		}
+	}
+	ex := l.Explorer
+	l.mu.Unlock()
+	ex.Remove(name)
+	l.planner.Evict(name)
+	l.knn.Remove(name)
+	for _, ev := range evs {
+		l.Tracker.Retract(ev.Seq)
+	}
 }
 
 // Evict removes an ingested dataset from the lake: raw bytes, parsed

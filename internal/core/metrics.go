@@ -95,6 +95,9 @@ type lakeMetrics struct {
 	replayWALSkip   *obs.Gauge
 	replayTornBytes *obs.Gauge
 	replayDuration  *obs.Gauge
+
+	// Resident memory, computed from the structures' own counts.
+	residentBytes *obs.GaugeVec // structure
 }
 
 func newLakeMetrics() *lakeMetrics {
@@ -198,6 +201,9 @@ func newLakeMetrics() *lakeMetrics {
 			"Bytes dropped from a torn WAL tail at the last open."),
 		replayDuration: r.Gauge("golake_replay_duration_seconds",
 			"How long the last open spent replaying snapshot and WAL, in seconds."),
+		residentBytes: r.GaugeVec("golake_resident_bytes",
+			"Bytes a structure holds in memory, computed from its counts after each maintenance pass: token_sums (the discovery embedding's per-token PPMI sums).",
+			"structure"),
 	}
 }
 
@@ -390,6 +396,14 @@ func (m *lakeMetrics) setSegmentBytes(n int64) {
 		return
 	}
 	m.segmentBytes.Set(float64(n))
+}
+
+// setResidentBytes records the bytes one structure holds.
+func (m *lakeMetrics) setResidentBytes(structure string, n int64) {
+	if m == nil {
+		return
+	}
+	m.residentBytes.With(structure).Set(float64(n))
 }
 
 // observeReplay records the crash-recovery stats of the last open.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,6 +136,51 @@ func TestMaintenanceStageHistogram(t *testing.T) {
 			t.Errorf("missing %s (one full and one incremental pass):\n%s", want, grepLines(body, "golake_maintenance_stage_duration_seconds_count"))
 		}
 	}
+}
+
+// golake_resident_bytes{structure="token_sums"} is, after every pass,
+// what a recount of the distinct tokens in the indexed tables' cells
+// gives at D3L's 64 dimensions and 12 bytes each: the seeded ingests
+// share a vocabulary, so later passes add known and new tokens.
+func TestResidentTokenSumsGauge(t *testing.T) {
+	l, srv := metricsLake(t)
+	ctx := context.Background()
+	tokens := map[string]bool{}
+	for _, cell := range []string{"1", "2", "10", "20"} {
+		tokens[cell] = true
+	}
+	rng := rand.New(rand.NewSource(5))
+	check := func(pass string) {
+		t.Helper()
+		_, body := scrape(t, srv)
+		want := fmt.Sprintf(`golake_resident_bytes{structure="token_sums"} %d`+"\n", len(tokens)*64*12)
+		if !strings.Contains(body, want) {
+			t.Errorf("%s: want %q, scrape has %q", pass, want, grepLines(body, "golake_resident_bytes"))
+		}
+	}
+	check("first full pass")
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 3; i++ {
+			var csv strings.Builder
+			csv.WriteString("id,word\n")
+			for r := 0; r < 5+rng.Intn(10); r++ {
+				id, word := fmt.Sprint(rng.Intn(40)), fmt.Sprintf("w%d", rng.Intn(15+10*round))
+				fmt.Fprintf(&csv, "%s,%s\n", id, word)
+				tokens[id], tokens[word] = true, true
+			}
+			if _, err := l.Ingest(ctx, fmt.Sprintf("raw/r%d_%d.csv", round, i), []byte(csv.String()), "erp", "dana"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep, err := l.MaintainIncremental(ctx); err != nil || rep.Mode != "incremental" {
+			t.Fatalf("round %d: pass %+v, %v; want incremental", round, rep, err)
+		}
+		check(fmt.Sprintf("incremental pass %d", round))
+	}
+	if _, err := l.Maintain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("second full pass")
 }
 
 func TestMetricsDisabledReturns503(t *testing.T) {

@@ -220,10 +220,10 @@ const (
 // the record. The backoff sleeps outside p.mu, so other appends, a
 // checkpoint and status probes proceed meanwhile. Once the retries run
 // out the record is dropped: a logged warning, a dropped-record counter
-// bump, and an unavailable errWALDropped, which Ingest and AddToken
-// answer by undoing the write and the other writes by degrading (see
-// acked). On a closed lake nothing is appended and the write is
-// refused.
+// bump, and an unavailable errWALDropped, which Ingest, Derive and
+// AddToken answer by undoing the write and the other writes by
+// degrading (see acked). On a closed lake nothing is appended and the
+// write is refused.
 func (p *persister) append(l *Lake, rec *walRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -254,8 +254,9 @@ func (p *persister) append(l *Lake, rec *walRecord) error {
 }
 
 // acked maps a dropped record to success: the write holds in memory
-// only, without crash durability (ROADMAP item 9a). Derive and Evict
-// still acknowledge it; Ingest and AddToken undo themselves instead.
+// only, without crash durability (ROADMAP item 9a). Evict still
+// acknowledges it, because the stores have dropped the dataset before
+// it appends; Ingest, Derive and AddToken undo themselves instead.
 func acked(err error) error {
 	if errors.Is(err, errWALDropped) {
 		return nil
@@ -823,6 +824,7 @@ func (l *Lake) rebuildIndexesFromCoverage() {
 	knn := <-built
 	if err == nil {
 		l.Explorer = ex
+		l.metrics.setResidentBytes("token_sums", ex.TokenSumBytes())
 	}
 	l.knn = knn
 	// A derivation that landed after the last committed pass has no

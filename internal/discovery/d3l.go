@@ -129,6 +129,10 @@ func (d *D3L) Commit(s *D3LStaged) error {
 	return nil
 }
 
+// TokenSumBytes is the memory the embedding model keeps in per-token
+// sums.
+func (d *D3L) TokenSumBytes() int64 { return d.embedModel.TokenSumBytes() }
+
 // Remove drops every indexed column of one table from the profiles and
 // both LSH indexes; the catalog keeps the table. The corpus-trained
 // embedding model keeps the evicted columns' contribution until the
@@ -156,9 +160,8 @@ type d3lColumn struct {
 }
 
 // profileColumn profiles one column whose distinct values are vals.
-// Stage passes the staged embedding, which memoises privately; a read
-// path profiling a query column that is not indexed passes a Reader,
-// which writes nothing.
+// Stage passes the staged embedding; a read path profiling a query
+// column that is not indexed passes the model, which it only reads.
 func (d *D3L) profileColumn(c *table.Column, vals []string, vecs embedder) *d3lColumn {
 	col := &d3lColumn{
 		name:     c.Name,
@@ -304,7 +307,7 @@ func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
 	if p := d.indexed(tableName, c.Name); p != nil {
 		return p
 	}
-	col := d.profileColumn(c, c.DistinctSlice(), d.embedModel.Reader())
+	col := d.profileColumn(c, c.DistinctSlice(), d.embedModel)
 	ids := d.cat.dict.Lookup()
 	return col.intern(ids, ids.Set(col.values))
 }

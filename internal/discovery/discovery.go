@@ -52,8 +52,8 @@ type interner interface {
 }
 
 // embedder embeds a column's values: a staged *embed.Staged when
-// indexing, which memoises token vectors, or an embed.Reader on a read
-// path, which writes nothing.
+// indexing, or the *embed.Model on a read path. Neither writes the
+// model.
 type embedder interface {
 	ColumnVector(values []string) []float64
 }

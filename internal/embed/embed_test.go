@@ -3,6 +3,8 @@ package embed
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"golake/internal/sketch"
@@ -13,14 +15,18 @@ import (
 // context; tokens inside values share that context.
 func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
 
-// Vector returns the embedding of a single token (lowercased). Unknown
-// tokens get a deterministic hash-based vector so that equal unknown
-// strings still match each other. The token vectors it computes are
-// memoised in the model until the next Commit, so Vector writes the
-// model; readers that share it use a Reader.
-func (m *Model) Vector(token string) []float64 {
-	var buf [8]string
-	return vector(m, m.Dim, sketch.AppendTokens(buf[:0], token))
+// Vector returns the embedding of a single value: its token's vector,
+// or the mean of its tokens' vectors. Unknown tokens get a
+// deterministic hash-based vector so that equal unknown strings still
+// match each other.
+func (m *Model) Vector(value string) []float64 {
+	e := embedding{m: m, total: m.total, v: make([]float64, m.Dim), val: make([]float64, m.Dim)}
+	out := make([]float64, m.Dim)
+	vec, f := e.value(sketch.AppendTokens(nil, value))
+	for i := range vec {
+		out[i] = vec[i] * f
+	}
+	return out
 }
 
 func TestSameDomainValuesEmbedClose(t *testing.T) {
@@ -121,20 +127,27 @@ func TestEmptyValueVector(t *testing.T) {
 	}
 }
 
-// A token's PPMI terms are summed in one fixed order, so recomputing
-// its vector (every AddColumn drops the cache) gives the same bits.
+// A token's vector is a pure function of the counts: the same bits on
+// every call, from a model built column by column and from one that
+// staged every column at once.
 func TestTokenVectorIsDeterministic(t *testing.T) {
-	m := NewModel(64)
+	seq, once := NewModel(64), NewModel(64)
+	var cols [][]string
 	for i := 0; i < 24; i++ {
 		col := []string{"shared"}
 		for j := 0; j <= i%5; j++ {
 			col = append(col, fmt.Sprintf("v%d", i*7+j), "shared")
 		}
-		m.AddColumn(col)
+		cols = append(cols, col)
+		seq.AddColumn(col)
 	}
-	want := m.Vector("shared")
+	once.Stage(cols).Commit()
+	want := seq.Vector("shared")
 	for round := 0; round < 50; round++ {
-		m.vecCache = map[string][]float64{}
+		m := seq
+		if round%2 == 1 {
+			m = once
+		}
 		got := m.Vector("shared")
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -144,30 +157,31 @@ func TestTokenVectorIsDeterministic(t *testing.T) {
 	}
 }
 
-// A Reader embeds bit for bit as the model does and stores nothing, so
-// readers sharing a model write no shared state.
-func TestReaderMatchesModelAndWritesNothing(t *testing.T) {
-	m := NewModel(32)
-	m.AddColumn([]string{"red", "green"})
-	m.AddColumn([]string{"berlin", "paris green"})
-	cols := [][]string{{"red", "paris green"}, {"never-seen"}}
-	var read [][]float64
-	for _, col := range cols {
-		read = append(read, m.Reader().ColumnVector(col))
+// ColumnVector only reads the model, so readers sharing a model write
+// no shared state: readers on several goroutines at once (run under
+// -race) leave the model deep-equal to its twin after embedding known,
+// multi-token and unseen values.
+func TestColumnVectorWritesNothing(t *testing.T) {
+	m, twin := NewModel(32), NewModel(32)
+	for _, col := range [][]string{{"red", "green"}, {"berlin", "paris green"}, {"red", "red", "red", "blue"}} {
+		m.AddColumn(col)
+		twin.AddColumn(col)
 	}
-	if len(m.vecCache) != 0 {
-		t.Fatalf("Reader wrote %d memoised vectors", len(m.vecCache))
-	}
-	for c, col := range cols {
-		want := m.ColumnVector(col)
-		for i := range want {
-			if math.Float64bits(read[c][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("column %d component %d: Reader %v, Model %v", c, i, read[c][i], want[i])
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, col := range [][]string{{"red", "paris green"}, {"never-seen"}, {"blue", "red"}} {
+				if v := m.ColumnVector(col); len(v) != 32 {
+					t.Errorf("ColumnVector(%q) has %d components", col, len(v))
+				}
 			}
-		}
+		}()
 	}
-	if len(m.vecCache) == 0 {
-		t.Error("Model.ColumnVector memoised nothing")
+	wg.Wait()
+	if !reflect.DeepEqual(m, twin) {
+		t.Error("ColumnVector wrote the model")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // A staged view embeds bit for bit as the model does after AddColumn of
 // each staged column, leaves the model alone until Commit, and after
-// Commit the model deep-equals the one built column by column, memo
-// included.
+// Commit the model deep-equals the one built column by column, every
+// token's sums included.
 func TestStagedMatchesSequentialAddColumn(t *testing.T) {
 	for _, dim := range []int{32, 64, 100} {
 		rng := rand.New(rand.NewSource(int64(dim)))

@@ -155,6 +155,13 @@ func (e *Explorer) Remove(name string) {
 	e.cat.Remove(name)
 }
 
+// TokenSumBytes is the memory D3L's embedding keeps in per-token sums.
+func (e *Explorer) TokenSumBytes() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.d3l.TokenSumBytes()
+}
+
 // Explore answers a request in its mode.
 func (e *Explorer) Explore(req Request) ([]Result, error) {
 	e.mu.RLock()
