@@ -267,6 +267,56 @@ func TestChaosFailNextAppendsRefusesToken(t *testing.T) {
 	}
 }
 
+// TestChaosFailNextAppendsRefusesEvict: an evict whose WAL record fails
+// every attempt is refused as unavailable and removes nothing — the
+// dataset stays catalogued, placed and queryable, with no discard event,
+// live and after a hard-stopped reopen — and the evict succeeds once the
+// backend heals.
+func TestChaosFailNextAppendsRefusesEvict(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	l, f := chaosLake(t, dir)
+	l.AddUser("carl", RoleCurator)
+	const path = "raw/orders.csv"
+	f.FailNextAppends(walRetries + 1)
+	if err := l.Evict(ctx, "carl", path); !lakeerr.IsUnavailable(err) {
+		t.Fatalf("evict with every append failing = %v, want unavailable", err)
+	}
+	if f.Injected() != walRetries+1 {
+		t.Fatalf("injected %d faults, want %d", f.Injected(), walRetries+1)
+	}
+	present := func(name string, lake *Lake) {
+		t.Helper()
+		if _, ok := lake.Catalog.Entry(path); !ok {
+			t.Errorf("%s: refused evict removed the catalog entry", name)
+		}
+		if _, ok := lake.Poly.PlacementOf(path); !ok {
+			t.Errorf("%s: refused evict removed the placement", name)
+		}
+		if got, err := lake.QuerySQL(ctx, "dana", "SELECT id FROM orders"); err != nil || got.NumRows() != 3 {
+			t.Errorf("%s: query after the refused evict = %v, %v; want three rows", name, got, err)
+		}
+		for _, ev := range lake.Tracker.AccessLog(path) {
+			if ev.Kind == provenance.EventDiscard {
+				t.Errorf("%s: refused evict left a discard event %+v", name, ev)
+			}
+		}
+	}
+	present("live", l)
+
+	re := openPersistent(t, dir)
+	defer re.Close()
+	re.AddUser("dana", RoleDataScientist)
+	re.AddUser("carl", RoleCurator)
+	present("reopened", re)
+	if err := re.Evict(ctx, "carl", path); err != nil {
+		t.Fatalf("evict after the refusal: %v", err)
+	}
+	if _, ok := re.Poly.PlacementOf(path); ok {
+		t.Error("dataset still placed after the healed evict")
+	}
+}
+
 // TestChaosTornWriteTailDroppedOnReopen: a crash mid-append leaves
 // half a frame at the WAL tail; reopen drops the torn tail instead of
 // failing, and everything before it is intact.

@@ -260,6 +260,7 @@ func (l *Lake) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeUnavailable, "metrics: disabled on this lake (WithMetrics(false))"))
 		return
 	}
+	l.metrics.observeRuntime()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = reg.WritePrometheus(w)

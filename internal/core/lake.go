@@ -1514,7 +1514,9 @@ func (l *Lake) undoDeriveLocked(name string, evs []provenance.Event) {
 // to the discovery indexes. The index updates are in-place, so the next
 // maintenance pass stays incremental — eviction no longer forces a full
 // rebuild. Only curators and operations may evict; the removal is
-// recorded in provenance as a discard event and in the WAL.
+// recorded in provenance as a discard event and in the WAL. The record
+// is logged before anything is removed: if it cannot be, the evict is
+// unavailable and the dataset stays, live and after a reopen.
 func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	role, err := l.roleOf(user)
 	if err != nil {
@@ -1533,15 +1535,28 @@ func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	l.ingestMu.Lock()
 	l.maintMu.Lock()
 	if err = l.writable(); err == nil {
-		err = l.evictLocked(path)
+		if _, ok := l.Poly.PlacementOf(path); !ok {
+			err = lakeerr.Errorf(lakeerr.CodeNotFound, "core: no dataset at %s", path)
+		}
 	}
 	if err != nil {
 		l.maintMu.Unlock()
 		l.ingestMu.Unlock()
 		return err
 	}
+	// The event is captured before the record that carries it, as for
+	// Ingest. The removal runs once the record has landed and before a
+	// checkpoint the append triggers, which would otherwise snapshot the
+	// dataset and truncate the log that evicts it.
 	ev := l.Tracker.Discard(path, "lake", user)
-	err = acked(l.persistRecord(&walRecord{Kind: recEvict, Path: path, User: user, Event: &ev}))
+	var evictErr error
+	err = l.persistThen(&walRecord{Kind: recEvict, Path: path, User: user, Event: &ev},
+		func() { evictErr = l.evictLocked(path) })
+	if err != nil {
+		l.Tracker.Retract(ev.Seq)
+	} else {
+		err = evictErr
+	}
 	l.maintMu.Unlock()
 	l.ingestMu.Unlock()
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -98,6 +100,12 @@ type lakeMetrics struct {
 
 	// Resident memory, computed from the structures' own counts.
 	residentBytes *obs.GaugeVec // structure
+
+	// Go runtime gauges, read from runtime/metrics at scrape time.
+	goHeapBytes   *obs.Gauge
+	goGCCycles    *obs.Gauge
+	goGCPauseSecs *obs.Gauge
+	goGoroutines  *obs.Gauge
 }
 
 func newLakeMetrics() *lakeMetrics {
@@ -204,7 +212,62 @@ func newLakeMetrics() *lakeMetrics {
 		residentBytes: r.GaugeVec("golake_resident_bytes",
 			"Bytes a structure holds in memory, computed from its counts after each maintenance pass: token_sums (the discovery embedding's per-token PPMI sums).",
 			"structure"),
+		goHeapBytes: r.Gauge("golake_go_heap_bytes",
+			"Heap bytes held by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes)."),
+		goGCCycles: r.Gauge("golake_go_gc_cycles",
+			"Garbage collection cycles completed since the process started."),
+		goGCPauseSecs: r.Gauge("golake_go_gc_pause_seconds",
+			"Stop-the-world GC pause time since the process started, in seconds, summed from the runtime's pause histogram at bucket midpoints."),
+		goGoroutines: r.Gauge("golake_go_goroutines",
+			"Live goroutines."),
 	}
+}
+
+// runtimeSamples names the runtime/metrics series observeRuntime reads,
+// in the order it reads them.
+var runtimeSamples = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/gc/cycles/total:gc-cycles",
+	"/sched/pauses/total/gc:seconds",
+	"/sched/goroutines:goroutines",
+}
+
+// observeRuntime sets the Go runtime gauges from runtime/metrics. It
+// runs once per scrape, so requests pay nothing for them.
+func (m *lakeMetrics) observeRuntime() {
+	if m == nil {
+		return
+	}
+	var samples [len(runtimeSamples)]metrics.Sample
+	for i, name := range runtimeSamples {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	m.goHeapBytes.Set(float64(samples[0].Value.Uint64()))
+	m.goGCCycles.Set(float64(samples[1].Value.Uint64()))
+	m.goGCPauseSecs.Set(histogramSum(samples[2].Value.Float64Histogram()))
+	m.goGoroutines.Set(float64(samples[3].Value.Uint64()))
+}
+
+// histogramSum estimates the sum of a runtime histogram's samples from
+// its bucket midpoints, or from the finite bound of an open bucket.
+func histogramSum(h *metrics.Float64Histogram) float64 {
+	sum := 0.0
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		v := (lo + hi) / 2
+		switch {
+		case math.IsInf(lo, -1):
+			v = hi
+		case math.IsInf(hi, 1):
+			v = lo
+		}
+		sum += float64(n) * v
+	}
+	return sum
 }
 
 // observeQuery folds one finished stream's stats into the registry:

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +183,40 @@ func TestResidentTokenSumsGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("second full pass")
+}
+
+// The Go runtime gauges are read at scrape time: each is present, and a
+// forced collection between two scrapes shows in the GC cycle count.
+func TestMetricsRuntimeGauges(t *testing.T) {
+	_, srv := metricsLake(t)
+	gauges := func() map[string]float64 {
+		t.Helper()
+		_, body := scrape(t, srv)
+		out := map[string]float64{}
+		for _, name := range []string{"golake_go_heap_bytes", "golake_go_gc_cycles",
+			"golake_go_gc_pause_seconds", "golake_go_goroutines"} {
+			if !strings.Contains(body, "# TYPE "+name+" gauge\n") {
+				t.Fatalf("scrape has no gauge %s:\n%s", name, grepLines(body, "golake_go_"))
+			}
+			_, line, _ := strings.Cut(body, "\n"+name+" ")
+			line, _, _ = strings.Cut(line, "\n")
+			v, err := strconv.ParseFloat(line, 64)
+			if err != nil {
+				t.Fatalf("%s: %v in %q", name, err, grepLines(body, name))
+			}
+			out[name] = v
+		}
+		return out
+	}
+	before := gauges()
+	runtime.GC()
+	after := gauges()
+	if after["golake_go_gc_cycles"] <= before["golake_go_gc_cycles"] {
+		t.Errorf("gc cycles %v before runtime.GC, %v after; want a rise", before["golake_go_gc_cycles"], after["golake_go_gc_cycles"])
+	}
+	if after["golake_go_gc_pause_seconds"] <= 0 || after["golake_go_heap_bytes"] <= 0 || after["golake_go_goroutines"] < 1 {
+		t.Errorf("runtime gauges after a collection = %v", after)
+	}
 }
 
 func TestMetricsDisabledReturns503(t *testing.T) {

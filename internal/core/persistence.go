@@ -221,10 +221,11 @@ const (
 // checkpoint and status probes proceed meanwhile. Once the retries run
 // out the record is dropped: a logged warning, a dropped-record counter
 // bump, and an unavailable errWALDropped, which Ingest, Derive and
-// AddToken answer by undoing the write and the other writes by
-// degrading (see acked). On a closed lake nothing is appended and the
-// write is refused.
-func (p *persister) append(l *Lake, rec *walRecord) error {
+// AddToken answer by undoing the write and Evict by never making it;
+// audit and coverage records degrade. On a closed lake nothing is
+// appended and the write is refused. A non-nil apply runs under p.mu
+// once the record lands, before any checkpoint the append triggers.
+func (p *persister) append(l *Lake, rec *walRecord, apply func()) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return lakeerr.Wrap(lakeerr.CodeInternal, fmt.Errorf("core: encode wal record: %w", err))
@@ -239,7 +240,7 @@ func (p *persister) append(l *Lake, rec *walRecord) error {
 			}
 			p.sleep(delay)
 		}
-		err = p.tryAppend(l, frame)
+		err = p.tryAppend(l, frame, apply)
 		if err == nil || err == errLakeClosed {
 			return err
 		}
@@ -253,20 +254,10 @@ func (p *persister) append(l *Lake, rec *walRecord) error {
 	return lakeerr.Wrap(lakeerr.CodeUnavailable, fmt.Errorf("%w: %v", errWALDropped, err))
 }
 
-// acked maps a dropped record to success: the write holds in memory
-// only, without crash durability (ROADMAP item 9a). Evict still
-// acknowledges it, because the stores have dropped the dataset before
-// it appends; Ingest, Derive and AddToken undo themselves instead.
-func acked(err error) error {
-	if errors.Is(err, errWALDropped) {
-		return nil
-	}
-	return err
-}
-
 // tryAppend makes one attempt at appending frame under p.mu and, once
-// it lands, checkpoints if the log crossed the threshold.
-func (p *persister) tryAppend(l *Lake, frame []byte) error {
+// it lands, runs apply (if any) and checkpoints if the log crossed the
+// threshold.
+func (p *persister) tryAppend(l *Lake, frame []byte, apply func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
@@ -278,6 +269,9 @@ func (p *persister) tryAppend(l *Lake, frame []byte) error {
 	}
 	l.metrics.observeWALAppend(len(frame), time.Since(start))
 	p.walRecords++
+	if apply != nil {
+		apply()
+	}
 	if p.threshold > 0 {
 		if sz, err := p.backend.WALSize(); err == nil && sz >= p.threshold {
 			if err := p.checkpointLocked(l); err != nil {
@@ -882,10 +876,23 @@ func (l *Lake) writable() error {
 // Call sites sit outside l.mu and the component stores' locks (the
 // record may trigger a checkpoint); ingestMu/maintMu are safe to hold.
 func (l *Lake) persistRecord(rec *walRecord) error {
+	return l.persistThen(rec, nil)
+}
+
+// persistThen is persistRecord for a write applied only once its record
+// is logged: apply runs after the record lands and before any
+// checkpoint the append triggers, so no manifest holds the state from
+// before a logged write, and not at all if the record is dropped.
+// apply may take l.mu and the component stores' locks. Without
+// persistence it just runs.
+func (l *Lake) persistThen(rec *walRecord, apply func()) error {
 	if l.pers == nil {
+		if apply != nil {
+			apply()
+		}
 		return nil
 	}
-	return l.pers.append(l, rec)
+	return l.pers.append(l, rec, apply)
 }
 
 // persistCoverage appends the committed maintenance state after a

@@ -1,6 +1,10 @@
 package table
 
 import (
+	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -126,4 +130,35 @@ func refMeanLen(c *Column) float64 {
 		}
 	}
 	return float64(total) / float64(nonNull)
+}
+
+// refReadCSV is ReadCSV as it stood on encoding/csv, kept as the oracle
+// FuzzReadCSV holds the in-place parser to: the same header, cells and
+// kinds, or the same error.
+func refReadCSV(name string, data []byte) (*Table, error) {
+	data = bytes.TrimPrefix(data, []byte("\xef\xbb\xbf"))
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	t := New(name)
+	for i := -1; ; i++ { // record -1 is the header
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("table: parse csv %q: %w", name, err)
+		}
+		if i < 0 {
+			for _, h := range rec {
+				t.Columns = append(t.Columns, &Column{Name: h})
+			}
+		} else if err := t.AppendRow(rec); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	if len(t.Columns) == 0 {
+		return nil, fmt.Errorf("table: csv %q: %w", name, ErrEmpty)
+	}
+	t.InferTypes()
+	return t, nil
 }
