@@ -50,7 +50,7 @@ func chaosLake(t *testing.T, dir string, opts ...Option) (*Lake, *faulty.Backend
 // append failing, concurrent ingest and query traffic completes without
 // a single lost ack — the append retry machinery absorbs the transient
 // faults, and an ingest whose record still cannot land is refused as
-// unavailable and undone — and a hard-stopped reopen serves
+// unavailable with nothing published — and a hard-stopped reopen serves
 // byte-identical results with every acked dataset present and every
 // refused one absent.
 func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
@@ -125,10 +125,10 @@ func TestChaosWALFaultsUnderConcurrentIngestAndQuery(t *testing.T) {
 }
 
 // TestChaosFailNextAppendsRefusesIngest: an ingest whose one WAL record
-// fails every attempt is refused as unavailable and undone — absent from
-// the catalog, the metadata, the placements and the audit trail, live and
-// after a hard-stopped reopen, its segment swept — and the path ingests
-// fine once the backend heals.
+// fails every attempt is refused as unavailable and publishes nothing —
+// absent from the catalog, the metadata, the placements and the audit
+// trail, live and after a hard-stopped reopen, its segment deleted — and
+// the path ingests fine once the backend heals.
 func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -170,10 +170,10 @@ func TestChaosFailNextAppendsRefusesIngest(t *testing.T) {
 }
 
 // TestChaosFailNextAppendsRefusesDerive: a derive whose WAL record
-// fails every attempt is refused as unavailable and undone — its output
-// is not queryable and GET /v1/audit shows no event for it, live and
-// after a hard-stopped reopen, and its segment is deleted — and the
-// same derive succeeds once the backend heals.
+// fails every attempt is refused as unavailable and publishes nothing —
+// its output is not queryable and GET /v1/audit shows no event for it,
+// live and after a hard-stopped reopen, and its segment is deleted —
+// and the same derive succeeds once the backend heals.
 func TestChaosFailNextAppendsRefusesDerive(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -225,10 +225,10 @@ func TestChaosFailNextAppendsRefusesDerive(t *testing.T) {
 }
 
 // TestChaosFailNextAppendsRefusesToken: a token registration whose WAL
-// record fails every attempt is refused as unavailable and undone — a
-// fresh token does not authenticate, a re-registered one keeps its old
-// owner, live and after a hard-stopped reopen — and the registration
-// succeeds once the backend heals.
+// record fails every attempt is refused as unavailable and publishes
+// nothing — a fresh token does not authenticate, a re-registered one
+// keeps its old owner, live and after a hard-stopped reopen — and the
+// registration succeeds once the backend heals.
 func TestChaosFailNextAppendsRefusesToken(t *testing.T) {
 	dir := t.TempDir()
 	l, f := chaosLake(t, dir)
@@ -509,21 +509,7 @@ func TestChaosRetryBackoffOutsideLock(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	l, f := chaosLake(t, dir)
-	held, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	l.pers.sleep = func(d time.Duration) {
-		first := false
-		once.Do(func() { first = true })
-		if !first {
-			time.Sleep(d)
-			return
-		}
-		close(held)
-		<-release
-	}
-	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(unblock)
+	held, unblock := holdFirstBackoff(t, l)
 	f.FailNextAppends(2)
 	ingested := make(chan error, 1)
 	go func() {

@@ -54,6 +54,9 @@ import (
 //	GET  /v1/swamp                       metadata-coverage report
 //	GET  /v1/maintenance                 maintenance status snapshot
 //	POST /v1/maintenance                 run a pass now (409 if running)
+//	GET  /v1/healthz                     200 while the process serves
+//	GET  /v1/readyz                      200 when the lake takes writes,
+//	                                     503 when closed or WAL degraded
 //
 // List endpoints paginate with limit and an opaque cursor (next_cursor
 // in the envelope); an offset parameter is an invalid query. A path
@@ -74,6 +77,8 @@ func (l *Lake) HTTPHandler() http.Handler {
 	mux.HandleFunc("GET /v1/maintenance", l.handleMaintenanceStatus)
 	mux.HandleFunc("POST /v1/maintenance", l.handleMaintenanceTrigger)
 	mux.HandleFunc("GET /v1/metrics", l.handleMetrics)
+	mux.HandleFunc("GET /v1/healthz", l.handleHealthz)
+	mux.HandleFunc("GET /v1/readyz", l.handleReadyz)
 	return l.recoverMW(l.obsMW(mux))
 }
 
@@ -939,6 +944,26 @@ func (l *Lake) handleSwamp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
+}
+
+// healthStatus is the GET /v1/healthz and GET /v1/readyz body.
+type healthStatus struct {
+	Status string `json:"status"`
+}
+
+// handleHealthz answers 200 for as long as the process serves requests.
+func (l *Lake) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, healthStatus{Status: "ok"})
+}
+
+// handleReadyz answers 200 when the lake takes writes, and 503 with the
+// error envelope when it does not (see Lake.ready).
+func (l *Lake) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if err := l.ready(); err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, healthStatus{Status: "ready"})
 }
 
 func (l *Lake) handleMaintenanceStatus(w http.ResponseWriter, r *http.Request) {

@@ -68,11 +68,11 @@ func TestIngestDescribesTheTableItPlaced(t *testing.T) {
 }
 
 // Lake.Ingest of the benchmark-shaped 1000 x 5 body on a memory-backed
-// lake: about 65 allocations (Go 1.24). The one CSV parse copies the
+// lake: about 63 allocations (Go 1.24). The one CSV parse copies the
 // body once and cuts every cell from that copy (about 20); the WAL
 // record, the segment, GEMMS, HANDLE's zone, the catalog entry and the
 // provenance event share the rest. The ceiling is the measure plus
-// 10 %, so a string per record coming back fails here (about 1 080 with
+// 10–15 %, so a string per record coming back fails here (about 1 080 with
 // encoding/csv), as does a second parse, a copy of the parsed table
 // (16), HANDLE mirroring the metadata into graph nodes again or a JSON
 // round trip per catalog write (about 500 between them), or a parser

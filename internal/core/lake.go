@@ -229,6 +229,12 @@ type Lake struct {
 	// collection) back to ingest paths, so per-query provenance
 	// resolution is O(1) instead of O(placements).
 	nameToPath map[string]string
+	// busyPaths and busyNames are the dataset paths and model-store names
+	// reserved by writes in flight: a write takes them before it
+	// prepares and lets them go once it is published or refused, so two
+	// writes can never publish one path or name.
+	busyPaths map[string]struct{}
+	busyNames map[string]struct{}
 	// pendingPromote accumulates paths ingested since the last
 	// maintenance pass, so an incremental pass promotes zones in
 	// O(new data) instead of rescanning every placement.
@@ -242,11 +248,8 @@ type Lake struct {
 	// (guarded by mu).
 	retired []string
 
-	maintMu sync.Mutex // serializes Maintain passes
-	// ingestMu makes the duplicate-path check atomic. Close takes it
-	// too, so a write that finds the lake writable under it is logged
-	// before the lake closes; taken before maintMu.
-	ingestMu sync.Mutex
+	// maintMu serializes Maintain passes; Evict and Close take it too.
+	maintMu sync.Mutex
 
 	// Incremental-maintenance state. planner tracks per-dataset
 	// coverage; knn is the persistent DS-kNN categorizer incremental
@@ -314,6 +317,8 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		users:      map[string]Role{},
 		tokens:     map[string]string{},
 		nameToPath: map[string]string{},
+		busyPaths:  map[string]struct{}{},
+		busyNames:  map[string]struct{}{},
 		clock:      o.clock,
 		maxResults: o.maxResults,
 		logger:     o.logger,
@@ -375,11 +380,13 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 
 // Close shuts the lake down cleanly: the background maintenance
 // scheduler is stopped first and fully drained (an in-flight pass
-// observes cancellation and returns), and only then — with ingestMu and
-// maintMu held so no write or pass can slip in between — is the final
-// persistence snapshot flushed and the backend closed. Safe to call
-// more than once; a lake opened without WithAutoMaintain or
-// WithPersistence closes trivially.
+// observes cancellation and returns), and only then — with maintMu held
+// so no pass can slip in — is the final persistence snapshot flushed
+// and the backend closed. A write logs and publishes under the
+// persister's lock, which the final snapshot holds too: a write that
+// races Close is either in that snapshot or refused with nothing
+// published. Safe to call more than once; a lake opened without
+// WithAutoMaintain or WithPersistence closes trivially.
 func (l *Lake) Close() error {
 	if l.sched != nil {
 		l.sched.Stop()
@@ -390,8 +397,6 @@ func (l *Lake) Close() error {
 		}
 	}
 	if l.pers != nil {
-		l.ingestMu.Lock()
-		defer l.ingestMu.Unlock()
 		l.maintMu.Lock()
 		defer l.maintMu.Unlock()
 		return l.pers.close(l)
@@ -436,9 +441,10 @@ func (l *Lake) AddUser(name string, role Role) {
 // the WAL nor a snapshot ever holds the plaintext. Requests carrying
 // "Authorization: Bearer <token>" authenticate as the user; a remote
 // member lake configured with the token authenticates federated hops
-// the same way, so the remote path is never an auth bypass. If the
-// registration's WAL record cannot be logged, it is undone — the token
-// keeps its previous owner, or none — and the error is unavailable.
+// the same way, so the remote path is never an auth bypass. The
+// registration takes effect only once its WAL record lands; if the
+// record cannot be logged, the token keeps its previous owner, or none,
+// and the error is unavailable.
 func (l *Lake) AddToken(user, token string) error {
 	if _, err := l.roleOf(user); err != nil {
 		return err
@@ -446,30 +452,16 @@ func (l *Lake) AddToken(user, token string) error {
 	if token == "" {
 		return lakeerr.Errorf(lakeerr.CodeInvalidQuery, "core: empty bearer token")
 	}
-	// ingestMu orders the registration against Close, as for Ingest.
-	l.ingestMu.Lock()
-	defer l.ingestMu.Unlock()
-	if err := l.writable(); err != nil {
-		return err
-	}
 	h := hashToken(token)
+	return l.persistThen(&walRecord{Kind: recToken, Name: user, Token: h}, func() { l.publishToken(h, user) })
+}
+
+// publishToken registers a token digest for user — the shared publish
+// of live AddToken and persistence replay.
+func (l *Lake) publishToken(digest, user string) {
 	l.mu.Lock()
-	prev, had := l.tokens[h]
-	l.tokens[h] = user
+	l.tokens[digest] = user
 	l.mu.Unlock()
-	if err := l.persistRecord(&walRecord{Kind: recToken, Name: user, Token: h}); err != nil {
-		// Nothing logged the registration: take it back, as Ingest does,
-		// so a token that would not survive a reopen never authenticates.
-		l.mu.Lock()
-		if had {
-			l.tokens[h] = prev
-		} else {
-			delete(l.tokens, h)
-		}
-		l.mu.Unlock()
-		return err
-	}
-	return nil
 }
 
 // userForToken resolves a bearer token to its registered user.
@@ -518,13 +510,18 @@ type IngestResult struct {
 // raw zone, catalog it, and record provenance. The dataset is
 // known by its path's canonical form (filestore.CleanPath), the key its
 // raw bytes are stored under. Re-ingesting an existing path is a
-// conflict, and a path with a ".." element, an empty one or one under
-// .golake is invalid; either way nothing is written.
-// On a persistent lake the raw bytes are stored once, as a segment,
-// before anything is applied: if that fails, or the lake is closed, the
-// ingest is unavailable and changes nothing. The ingest then commits as
-// one WAL record carrying its provenance event; if that record cannot be
-// logged, the ingest is undone and unavailable too.
+// conflict, as is a path whose model-store name (its basename) the lake
+// already holds, and a path with a ".." element, an empty one or one
+// under .golake is invalid; either way nothing is written.
+//
+// The ingest is prepared off to the side, logged, then published. It
+// reserves its path and name (one an in-flight write holds is a
+// conflict); on a persistent lake it stores the raw bytes once, as a
+// segment; and it parses, places and describes the object where nothing
+// can see it. It then commits as one WAL record carrying its provenance
+// event, and only once that record lands is any of it published. A
+// failed segment put, a closed lake, or a record that cannot be logged
+// leaves nothing behind, and the ingest is unavailable.
 func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, user string) (*IngestResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -533,89 +530,127 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInvalidQuery, err)
 	}
-	// The segment is put before ingestMu, so concurrent ingests overlap
-	// their segment writes and fsyncs.
+	name := polystore.DerivedName(path)
+	if err := l.reserve(path, name); err != nil {
+		return nil, err
+	}
+	defer l.release(path, name)
+	if err := l.ingestConflict(path, name); err != nil {
+		return nil, err
+	}
 	seg, err := l.putSegment(data)
 	if err != nil {
 		return nil, err
 	}
-	// Hold ingestMu across the existence check and the store writes so
-	// two concurrent ingests of the same path cannot both pass the
-	// check and silently overwrite each other. Close may have run since
-	// the put; under ingestMu it cannot run before the record is logged.
-	l.ingestMu.Lock()
-	var res *IngestResult
-	if err = l.writable(); err == nil {
-		res, err = l.ingestLocked(path, data, source, user, seg)
+	w, err := l.prepareIngest(ingestMeta{path: path, source: source, user: user, segment: seg}, data)
+	if err == nil {
+		ev := provenance.IngestEvent(path, source, user)
+		err = l.persistThen(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev},
+			func() { l.publishIngest(w) })
 	}
 	if err != nil {
-		l.ingestMu.Unlock()
+		// Nothing was published, so no manifest names the segment.
 		l.dropSegment(seg)
 		return nil, err
 	}
-	// The event is captured before the record that carries it, so a
-	// checkpoint the append triggers holds both or neither.
-	ev := l.Tracker.Ingest(path, source, user)
-	err = l.persistRecord(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev})
-	if err != nil {
-		// Nothing logged the ingest: take it back, as Evict would. It
-		// cannot miss, as ingestMu has kept the dataset in place. The
-		// segment is retired, not dropped, because a checkpoint may have
-		// named it meanwhile; the next one deletes it.
-		l.maintMu.Lock()
-		_ = l.evictLocked(path)
-		l.maintMu.Unlock()
-		l.Tracker.Retract(ev.Seq)
-	}
-	l.ingestMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	l.logAudit(ctx, "ingest", path, user)
-	return res, nil
+	return &IngestResult{Placement: w.staged.Placement, Metadata: w.md}, nil
 }
 
-// ingestLocked runs the ingestion pipeline minus provenance capture and
-// WAL append — the shared body of live Ingest and persistence replay;
-// seg names the segment holding data ("" without persistence). ingestMu
-// must be held in live operation.
-func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) (*IngestResult, error) {
+// reserve takes a dataset path and a model-store name ("" for none) for
+// a write in flight, or answers conflict when another write in flight
+// holds either. The write checks the lake's published state only once
+// it holds them, so no other write can publish them in between; release
+// lets them go.
+func (l *Lake) reserve(path, name string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// "" is never reserved, so it is never busy.
+	if _, busy := l.busyPaths[path]; busy {
+		return lakeerr.Errorf(lakeerr.CodeConflict, "core: a write in flight holds path %s", path)
+	}
+	if _, busy := l.busyNames[name]; busy {
+		return lakeerr.Errorf(lakeerr.CodeConflict, "core: a write in flight holds name %q", name)
+	}
+	if path != "" {
+		l.busyPaths[path] = struct{}{}
+	}
+	if name != "" {
+		l.busyNames[name] = struct{}{}
+	}
+	return nil
+}
+
+// release lets go of what reserve took.
+func (l *Lake) release(path, name string) {
+	l.mu.Lock()
+	delete(l.busyPaths, path)
+	delete(l.busyNames, name)
+	l.mu.Unlock()
+}
+
+// ingestConflict is a conflict when the lake holds path already, or
+// holds name for another dataset: distinct paths sharing a basename
+// would land on the same model-store name and clobber each other's
+// table.
+func (l *Lake) ingestConflict(path, name string) error {
 	if _, ok := l.Catalog.Entry(path); ok {
-		return nil, lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
+		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
 	}
-	// Distinct paths sharing a basename would land on the same
-	// model-store name and silently clobber each other's table — treat
-	// that as a conflict too.
 	l.mu.RLock()
-	prev, taken := l.nameToPath[polystore.DerivedName(path)]
+	prev, taken := l.nameToPath[name]
 	l.mu.RUnlock()
-	if taken && prev != path {
-		return nil, lakeerr.Errorf(lakeerr.CodeConflict,
-			"%w: %s collides with %s on name %q", ErrExists, path, prev, polystore.DerivedName(path))
+	if taken {
+		return lakeerr.Errorf(lakeerr.CodeConflict,
+			"%w: %s collides with %s on name %q", ErrExists, path, prev, name)
 	}
-	// A CSV is parsed and typed once: placement hands the table it
-	// parsed (nil for anything else, an unparseable CSV included) on to
-	// extraction. A durable lake's file store reads the raw bytes back
-	// from their segment instead of keeping a copy.
-	pl, parsed, err := l.Poly.IngestParsed(path, data, l.segmentReader(seg))
+	return nil
+}
+
+// ingestWrite is an ingest prepared off to the side: its object placed
+// and its metadata extracted where nothing can see them until
+// publishIngest.
+type ingestWrite struct {
+	meta   ingestMeta
+	staged polystore.Staged
+	md     *extract.Metadata
+	obj    *metamodel.MetadataObject
+}
+
+// prepareIngest runs the ingestion pipeline up to publication — the
+// shared body of live Ingest and persistence replay. A CSV is parsed
+// and typed once: placement hands the table it parsed (nil for
+// anything else, an unparseable CSV included) on to extraction. A
+// durable lake's file store reads the raw bytes back from their segment
+// instead of keeping a copy.
+func (l *Lake) prepareIngest(in ingestMeta, data []byte) (*ingestWrite, error) {
+	st, err := polystore.Prepare(in.path, data, l.segmentReader(in.segment))
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	md, err := extract.ExtractParsed(path, data, parsed)
+	md, err := extract.ExtractParsed(in.path, data, st.Table)
 	if err != nil {
 		// Raw bytes stay; metadata extraction failure leaves the
 		// object catalogued as swamp-risk (detectable by SwampAudit).
-		md = &extract.Metadata{Path: path, Format: pl.Format, Properties: map[string]string{}}
+		md = &extract.Metadata{Path: in.path, Format: st.Placement.Format, Properties: map[string]string{}}
 	}
-	l.GEMMS.Register(metamodel.FromExtraction(md))
-	if err := l.Handle.AddData(path, ZoneRaw); err != nil {
-		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
-	}
+	return &ingestWrite{meta: in, staged: st, md: md, obj: metamodel.FromExtraction(md)}, nil
+}
+
+// publishIngest makes a prepared ingest visible: placement, metadata,
+// raw zone, catalog entry and the lake's own indexes.
+func (l *Lake) publishIngest(w *ingestWrite) {
+	path, pl := w.meta.path, w.staged.Placement
+	l.Poly.Publish(&w.staged)
+	l.GEMMS.Register(w.obj)
+	// The path was free when the ingest reserved it, so HANDLE holds no
+	// zone for it.
+	_ = l.Handle.AddData(path, ZoneRaw)
 	l.Catalog.Register(path)
 	l.mu.Lock()
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
-	l.ingestLog = append(l.ingestLog, ingestMeta{path: path, source: source, user: user, segment: seg})
+	l.ingestLog = append(l.ingestLog, w.meta)
 	if pl.TableName != "" {
 		l.nameToPath[pl.TableName] = path
 	}
@@ -623,7 +658,6 @@ func (l *Lake) ingestLocked(path string, data []byte, source, user, seg string) 
 		l.nameToPath[pl.Collection] = path
 	}
 	l.mu.Unlock()
-	return &IngestResult{Placement: pl, Metadata: md}, nil
 }
 
 // IngestItem is one object of a bulk load.
@@ -1183,7 +1217,7 @@ func (l *Lake) Query(ctx context.Context, user string, req query.Request) (*quer
 	}
 	l.mu.RUnlock()
 	// A query whose audit record is dropped still runs (ROADMAP item 9a).
-	if ev, _ := l.Tracker.Query(entities, "sql", user); ev.Seq != 0 {
+	if ev, _ := l.Tracker.QueryEvent(entities, "sql", user); ev.Kind != "" {
 		_ = l.persistRecord(&walRecord{Kind: recAudit, Event: &ev})
 	}
 	for _, entity := range entities {
@@ -1390,9 +1424,11 @@ func (l *Lake) Lineage(ctx context.Context, entity string) ([]string, error) {
 
 // Derive records a derivation and stores the derived table
 // relationally, keeping provenance consistent with storage. Deriving
-// onto an existing table name is a conflict. The derive commits as one
-// WAL record carrying its events; if that record cannot be logged, the
-// derive is undone and unavailable.
+// onto a name the lake holds, or one an in-flight write holds, is a
+// conflict. Like Ingest, the derive is prepared off to the side, logged
+// as one WAL record carrying its events, then published; if that record
+// cannot be logged, nothing is published — no table, no name, no
+// lineage — and the derive is unavailable.
 func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []string, output *table.Table) error {
 	if _, err := l.roleOf(user); err != nil {
 		return err
@@ -1400,113 +1436,70 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
+	name := output.Name
+	if err := l.reserve("", name); err != nil {
+		return err
+	}
+	defer l.release("", name)
+	if err := l.deriveConflict(name); err != nil {
+		return err
+	}
 	// The output is stored as a CSV segment the way Ingest stores its
-	// bytes: once, before ingestMu.
+	// bytes.
 	seg, err := l.putSegment([]byte(table.ToCSV(output)))
 	if err != nil {
 		return err
 	}
-	// Share ingestMu with Ingest so a concurrent ingest cannot slip a
-	// same-named table in between the existence check and the Create,
-	// and so Close cannot run between the check below and the record.
-	l.ingestMu.Lock()
-	if err = l.writable(); err == nil {
-		// The store keeps the table it is given; the caller keeps output.
-		err = l.deriveLocked(activity, user, inputs, output.Clone(), seg)
-	}
+	d := deriveMeta{name: name, activity: activity, user: user, segment: seg, inputs: append([]string(nil), inputs...)}
+	// The store keeps the table it is given; the caller keeps output.
+	t := output.Clone()
+	err = l.persistThen(&walRecord{
+		Kind: recDerive, Name: name, Activity: activity, User: user, Inputs: inputs, Segment: seg,
+		Events: provenance.DeriveEvents(activity, "lake", user, inputs, name),
+	}, func() { l.publishDerive(d, t) })
 	if err != nil {
-		l.ingestMu.Unlock()
 		l.dropSegment(seg)
 		return err
 	}
-	evs := l.Tracker.Derive(activity, "lake", user, inputs, output.Name)
-	err = l.persistRecord(&walRecord{
-		Kind: recDerive, Name: output.Name, Activity: activity, User: user,
-		Inputs: inputs, Segment: seg, Events: evs,
-	})
-	if err != nil {
-		// Nothing logged the derive: take it back, as Ingest does.
-		// ingestMu has kept the output in place.
-		l.maintMu.Lock()
-		l.undoDeriveLocked(output.Name, evs)
-		l.maintMu.Unlock()
-	}
-	l.ingestMu.Unlock()
-	if err != nil {
-		return err
-	}
-	l.logAudit(ctx, "derive", output.Name, user)
+	l.logAudit(ctx, "derive", name, user)
 	return nil
 }
 
-// deriveLocked stores a derived table and updates the bookkeeping —
-// the shared body of live Derive and persistence replay (which rebuilds
-// the lineage edges from the record's events instead of Tracker.Derive).
-// seg names the segment holding the output as CSV ("" without
-// persistence). ingestMu must be held in live operation.
-func (l *Lake) deriveLocked(activity, user string, inputs []string, output *table.Table, seg string) error {
-	if l.Poly.Rel.Has(output.Name) {
-		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: table %s", ErrExists, output.Name)
+// deriveConflict is a conflict when the lake holds name already: as a
+// table, or as any model-store name, document collections included,
+// which the relational store cannot see.
+func (l *Lake) deriveConflict(name string) error {
+	if l.Poly.Rel.Has(name) {
+		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: table %s", ErrExists, name)
 	}
 	l.mu.RLock()
-	prev, taken := l.nameToPath[output.Name]
+	prev, taken := l.nameToPath[name]
 	l.mu.RUnlock()
-	// The name index also covers document collections, which Rel.Has
-	// cannot see — deriving onto one would corrupt its provenance
-	// resolution.
-	if taken && prev != output.Name {
+	if taken {
 		return lakeerr.Errorf(lakeerr.CodeConflict,
-			"%w: name %q already maps to %s", ErrExists, output.Name, prev)
+			"%w: name %q already maps to %s", ErrExists, name, prev)
 	}
+	return nil
+}
+
+// publishDerive stores a derived table and updates the bookkeeping —
+// the shared publish of live Derive and persistence replay.
+func (l *Lake) publishDerive(d deriveMeta, output *table.Table) {
 	l.Poly.Rel.Create(output)
 	l.mu.Lock()
 	// Register the derived table under its own name so Ingest's
 	// collision guard also protects it from basename clashes, and bump
 	// the ingest generation: the new table is unindexed until the next
 	// Maintain pass, so the lake is stale.
-	l.nameToPath[output.Name] = output.Name
+	l.nameToPath[d.name] = d.name
 	l.ingestGen++
-	l.deriveLog = append(l.deriveLog, deriveMeta{
-		name: output.Name, activity: activity, user: user, segment: seg,
-		inputs: append([]string(nil), inputs...),
-	})
+	l.deriveLog = append(l.deriveLog, d)
 	l.mu.Unlock()
 	// Derived tables are query outputs over already-indexed data; their
 	// columns shift the corpus statistics the discovery indexes were
 	// trained on (D3L's corpus-trained embeddings), so the next pass
 	// rebuilds from scratch instead of approximating an incremental add.
 	l.planner.ForceFull("derive")
-	return nil
-}
-
-// undoDeriveLocked takes back a derive whose record was not logged: the
-// output table, its name and its deriveLog entry go, and so do its
-// events and any index a pass built for it meanwhile. Its segment is
-// retired, not dropped, because a checkpoint may have named it during
-// the append's retries; the next one deletes it. The lineage edges
-// Tracker.Derive added stay in the live graph until the lake reopens
-// from its events. ingestMu and maintMu must be held.
-func (l *Lake) undoDeriveLocked(name string, evs []provenance.Event) {
-	_ = l.Poly.Rel.Drop(name)
-	l.mu.Lock()
-	delete(l.nameToPath, name)
-	for i, d := range l.deriveLog {
-		if d.name == name {
-			if d.segment != "" {
-				l.retired = append(l.retired, d.segment)
-			}
-			l.deriveLog = append(l.deriveLog[:i], l.deriveLog[i+1:]...)
-			break
-		}
-	}
-	ex := l.Explorer
-	l.mu.Unlock()
-	ex.Remove(name)
-	l.planner.Evict(name)
-	l.knn.Remove(name)
-	for _, ev := range evs {
-		l.Tracker.Retract(ev.Seq)
-	}
 }
 
 // Evict removes an ingested dataset from the lake: raw bytes, parsed
@@ -1514,9 +1507,10 @@ func (l *Lake) undoDeriveLocked(name string, evs []provenance.Event) {
 // to the discovery indexes. The index updates are in-place, so the next
 // maintenance pass stays incremental — eviction no longer forces a full
 // rebuild. Only curators and operations may evict; the removal is
-// recorded in provenance as a discard event and in the WAL. The record
-// is logged before anything is removed: if it cannot be, the evict is
-// unavailable and the dataset stays, live and after a reopen.
+// recorded in provenance as a discard event and in the WAL. Evicting a
+// path an in-flight write holds is a conflict. The record is logged
+// before anything is removed: if it cannot be, the evict is unavailable
+// and the dataset stays, live and after a reopen.
 func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	role, err := l.roleOf(user)
 	if err != nil {
@@ -1529,36 +1523,24 @@ func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	// ingestMu serializes against a re-ingest of the same path and
-	// against Close; maintMu keeps a maintenance pass from indexing the
-	// dataset mid-removal.
-	l.ingestMu.Lock()
-	l.maintMu.Lock()
-	if err = l.writable(); err == nil {
-		if _, ok := l.Poly.PlacementOf(path); !ok {
-			err = lakeerr.Errorf(lakeerr.CodeNotFound, "core: no dataset at %s", path)
-		}
-	}
-	if err != nil {
-		l.maintMu.Unlock()
-		l.ingestMu.Unlock()
+	if err := l.reserve(path, ""); err != nil {
 		return err
 	}
-	// The event is captured before the record that carries it, as for
-	// Ingest. The removal runs once the record has landed and before a
-	// checkpoint the append triggers, which would otherwise snapshot the
-	// dataset and truncate the log that evicts it.
-	ev := l.Tracker.Discard(path, "lake", user)
+	defer l.release(path, "")
+	// maintMu keeps a maintenance pass from indexing the dataset
+	// mid-removal.
+	l.maintMu.Lock()
+	defer l.maintMu.Unlock()
+	if _, ok := l.Poly.PlacementOf(path); !ok {
+		return lakeerr.Errorf(lakeerr.CodeNotFound, "core: no dataset at %s", path)
+	}
+	ev := provenance.DiscardEvent(path, "lake", user)
 	var evictErr error
 	err = l.persistThen(&walRecord{Kind: recEvict, Path: path, User: user, Event: &ev},
 		func() { evictErr = l.evictLocked(path) })
-	if err != nil {
-		l.Tracker.Retract(ev.Seq)
-	} else {
+	if err == nil {
 		err = evictErr
 	}
-	l.maintMu.Unlock()
-	l.ingestMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -1566,9 +1548,10 @@ func (l *Lake) Evict(ctx context.Context, user, path string) error {
 	return nil
 }
 
-// evictLocked removes the dataset everywhere — the shared body of live
-// Evict and persistence replay. In live operation ingestMu and maintMu
-// must both be held; replay runs it before the lake is shared, lockless.
+// evictLocked removes the dataset everywhere — the shared publish of
+// live Evict and persistence replay. In live operation maintMu must be
+// held and the path reserved; replay runs it before the lake is shared,
+// lockless.
 func (l *Lake) evictLocked(path string) error {
 	pl, ok := l.Poly.PlacementOf(path)
 	if !ok {

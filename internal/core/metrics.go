@@ -88,6 +88,7 @@ type lakeMetrics struct {
 	walAppendDur    *obs.Histogram
 	walRetries      *obs.Counter
 	walDropped      *obs.Counter
+	walDegraded     *obs.Gauge
 	checkpoints     *obs.Counter
 	checkpointDur   *obs.Histogram
 	segmentPutDur   *obs.Histogram
@@ -190,6 +191,8 @@ func newLakeMetrics() *lakeMetrics {
 			"WAL appends retried after a transient backend failure."),
 		walDropped: r.Counter("golake_wal_dropped_records_total",
 			"WAL records dropped after exhausting append retries (durability degraded for those records)."),
+		walDegraded: r.Gauge("golake_wal_degraded",
+			"1 from a WAL record dropped after its retries until the next append lands, else 0: while it is 1, writes are being refused and GET /v1/readyz answers 503."),
 		checkpoints: r.Counter("golake_checkpoints_total",
 			"Snapshot checkpoints taken (WAL truncations)."),
 		checkpointDur: r.Histogram("golake_checkpoint_duration_seconds",
@@ -418,6 +421,7 @@ func (m *lakeMetrics) observeWALAppend(bytes int, d time.Duration) {
 	m.walAppends.Inc()
 	m.walAppendBytes.Add(float64(bytes))
 	m.walAppendDur.Observe(d.Seconds())
+	m.walDegraded.Set(0)
 }
 
 // observeWALRetry records one retried WAL append.
@@ -428,12 +432,14 @@ func (m *lakeMetrics) observeWALRetry() {
 	m.walRetries.Inc()
 }
 
-// observeWALDropped records one record dropped after retries ran out.
+// observeWALDropped records one record dropped after retries ran out;
+// the WAL reads degraded until the next append lands.
 func (m *lakeMetrics) observeWALDropped() {
 	if m == nil {
 		return
 	}
 	m.walDropped.Inc()
+	m.walDegraded.Set(1)
 }
 
 // observeCheckpoint records one snapshot checkpoint.

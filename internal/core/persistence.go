@@ -16,6 +16,7 @@ import (
 	"golake/internal/persist"
 	"golake/internal/provenance"
 	"golake/internal/storage/filestore"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/lakeerr"
 )
@@ -83,6 +84,22 @@ func (r *walRecord) events() []provenance.Event {
 		return append(r.Events, *r.Event)
 	}
 	return r.Events
+}
+
+// stamp numbers the record's events on from the tracker's last
+// sequence number, in the order events lists them, and dates them now.
+func (r *walRecord) stamp(l *Lake) {
+	if r.Event == nil && len(r.Events) == 0 {
+		return
+	}
+	seq, at := l.Tracker.LastSeq(), l.clock()
+	for i := range r.Events {
+		seq++
+		r.Events[i].Seq, r.Events[i].At = seq, at
+	}
+	if r.Event != nil {
+		r.Event.Seq, r.Event.At = seq+1, at
+	}
 }
 
 // lakeSnapshot is the manifest a checkpoint installs: the full logical
@@ -170,6 +187,9 @@ type persister struct {
 	// closed is set under mu but read without it, so a segment put never
 	// waits on another writer's WAL fsync to learn the lake is open.
 	closed atomic.Bool
+	// degraded is set when a record is dropped after its retries and
+	// cleared when the next append lands.
+	degraded atomic.Bool
 
 	mu           sync.Mutex
 	walRecords   uint64
@@ -202,6 +222,24 @@ func (p *persister) writable() error {
 	return nil
 }
 
+// ready reports whether the lake takes writes. Open returns only once
+// replay is done, so a persistent lake is ready unless it is closed or
+// its WAL is degraded: a record was dropped after its retries and no
+// append has landed since. Either is unavailable. A lake without
+// persistence is always ready.
+func (l *Lake) ready() error {
+	if l.pers == nil {
+		return nil
+	}
+	if err := l.pers.writable(); err != nil {
+		return err
+	}
+	if l.pers.degraded.Load() {
+		return lakeerr.Wrap(lakeerr.CodeUnavailable, errWALDropped)
+	}
+	return nil
+}
+
 // walRetry bounds the transient-failure retry loop of append: up to
 // walRetries re-attempts, sleeping backoffDelay-style (base doubled per
 // attempt, capped) between them. The delays are short because append
@@ -212,25 +250,22 @@ const (
 	walRetryMax  = 20 * time.Millisecond
 )
 
-// append frames one record onto the WAL and checkpoints if the log
-// crossed the snapshot threshold. A failed append is retried with
-// capped exponential backoff (the same shape as the maintenance
-// scheduler's backoffDelay) — transient backend faults, the
-// fail-every-Nth kind the chaos harness injects, recover without losing
-// the record. The backoff sleeps outside p.mu, so other appends, a
-// checkpoint and status probes proceed meanwhile. Once the retries run
-// out the record is dropped: a logged warning, a dropped-record counter
-// bump, and an unavailable errWALDropped, which Ingest, Derive and
-// AddToken answer by undoing the write and Evict by never making it;
-// audit and coverage records degrade. On a closed lake nothing is
-// appended and the write is refused. A non-nil apply runs under p.mu
-// once the record lands, before any checkpoint the append triggers.
+// append logs one record and publishes the write it carries. Each
+// attempt, under p.mu, numbers the record's events, frames the record
+// onto the WAL and, once it lands, publishes: apply (if any) runs and
+// the events are recorded, before any checkpoint the append triggers.
+// A failed append is retried with capped exponential backoff (the same
+// shape as the maintenance scheduler's backoffDelay) — transient
+// backend faults, the fail-every-Nth kind the chaos harness injects,
+// recover without losing the record. The backoff sleeps outside p.mu,
+// so other appends, a checkpoint and status probes proceed meanwhile.
+// Once the retries run out the record is dropped: a logged warning, a
+// dropped-record counter bump, the WAL marked degraded until the next
+// append lands, and an unavailable errWALDropped. A dropped record has
+// published nothing and used no sequence number. On a closed lake
+// nothing is appended or published and the write is refused.
 func (p *persister) append(l *Lake, rec *walRecord, apply func()) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return lakeerr.Wrap(lakeerr.CodeInternal, fmt.Errorf("core: encode wal record: %w", err))
-	}
-	frame := persist.EncodeFrame(payload)
+	var err error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			l.metrics.observeWALRetry()
@@ -240,38 +275,50 @@ func (p *persister) append(l *Lake, rec *walRecord, apply func()) error {
 			}
 			p.sleep(delay)
 		}
-		err = p.tryAppend(l, frame, apply)
-		if err == nil || err == errLakeClosed {
+		if err = p.tryAppend(l, rec, apply); err == nil {
+			return nil
+		}
+		// A typed error (a closed lake, an unencodable record) is final;
+		// a backend's is retried.
+		var final *lakeerr.Error
+		if errors.As(err, &final) {
 			return err
 		}
 		if attempt == walRetries {
 			break
 		}
 	}
+	p.degraded.Store(true)
 	l.metrics.observeWALDropped()
 	p.warn(l, "persist: append wal record dropped after retries",
 		"kind", rec.Kind, "retries", walRetries, "error", err)
 	return lakeerr.Wrap(lakeerr.CodeUnavailable, fmt.Errorf("%w: %v", errWALDropped, err))
 }
 
-// tryAppend makes one attempt at appending frame under p.mu and, once
-// it lands, runs apply (if any) and checkpoints if the log crossed the
-// threshold.
-func (p *persister) tryAppend(l *Lake, frame []byte, apply func()) error {
+// tryAppend makes one attempt at appending rec under p.mu and, once it
+// lands, publishes and checkpoints if the log crossed the threshold.
+// The events take their numbers here: under p.mu no other record can
+// take the same ones before publish records them.
+func (p *persister) tryAppend(l *Lake, rec *walRecord, apply func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
 		return errLakeClosed
 	}
+	rec.stamp(l)
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return lakeerr.Wrap(lakeerr.CodeInternal, fmt.Errorf("core: encode wal record: %w", err))
+	}
+	frame := persist.EncodeFrame(payload)
 	start := time.Now()
 	if err := p.backend.AppendWAL(frame); err != nil {
 		return err
 	}
+	p.degraded.Store(false)
 	l.metrics.observeWALAppend(len(frame), time.Since(start))
 	p.walRecords++
-	if apply != nil {
-		apply()
-	}
+	l.publish(rec, apply)
 	if p.threshold > 0 {
 		if sz, err := p.backend.WALSize(); err == nil && sz >= p.threshold {
 			if err := p.checkpointLocked(l); err != nil {
@@ -283,9 +330,10 @@ func (p *persister) tryAppend(l *Lake, frame []byte, apply func()) error {
 }
 
 // putSegment stores data, framed so a checksum catches corruption, as a
-// new segment and returns its name. Callers put before they take
-// ingestMu, so concurrent writers overlap their segment I/O. A failed
-// put is typed unavailable, and the caller has applied nothing.
+// new segment and returns its name. Writers put while they prepare,
+// outside every lake-wide lock, so concurrent writers overlap their
+// segment I/O. A failed put is typed unavailable, and the caller has
+// published nothing.
 func (p *persister) putSegment(l *Lake, data []byte) (string, error) {
 	if err := p.writable(); err != nil {
 		return "", err
@@ -377,9 +425,8 @@ func (p *persister) checkpoint(l *Lake) error {
 	return p.checkpointLocked(l)
 }
 
-// checkpointLocked requires p.mu. It may take l.mu (shared) and the
-// component stores' own locks, but never ingestMu or maintMu — callers
-// may hold either.
+// checkpointLocked requires p.mu. It may take l.mu and the component
+// stores' own locks, but never maintMu — callers may hold it.
 func (p *persister) checkpointLocked(l *Lake) error {
 	start := time.Now()
 	snap, retired := l.buildSnapshot()
@@ -456,7 +503,9 @@ func (p *persister) status() *maintain.DurabilityStatus {
 
 // buildSnapshot serializes the lake's logical state, and returns the
 // retired segments the manifest no longer names. It takes l.mu shared
-// plus the component stores' own locks; never ingestMu or maintMu.
+// plus the component stores' own locks; never maintMu. It sees only
+// published writes, so a write still in flight, or refused, is in no
+// manifest.
 func (l *Lake) buildSnapshot() (*lakeSnapshot, []string) {
 	l.mu.RLock()
 	snap := &lakeSnapshot{
@@ -697,7 +746,7 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 		l.users[rec.Name] = Role(rec.Role)
 		return true, nil
 	case recToken:
-		l.tokens[rec.Token] = rec.Name
+		l.publishToken(rec.Token, rec.Name)
 		return true, nil
 	case recIngest:
 		return l.replayIngest(p, ingestMeta{path: rec.Path, source: rec.Source, user: rec.User, segment: rec.Segment}, rec.Data, rs)
@@ -729,10 +778,10 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 	}
 }
 
-// replayIngest restores one dataset through the live pipeline, without
-// re-recording provenance (applyRecord injects the record's event) or
-// re-appending to the WAL; restore runs before the lake is shared, so
-// the ingest lock discipline is not needed. A dataset whose segment is
+// replayIngest restores one dataset through the live prepare and
+// publish, without re-recording provenance (applyRecord injects the
+// record's event) or re-appending to the WAL; restore runs before the
+// lake is shared, so nothing is reserved. A dataset whose segment is
 // damaged is counted and not served, but keeps its ingest-log entry:
 // the next manifest still names the segment, so its bytes stay for
 // inspection instead of being swept.
@@ -747,12 +796,16 @@ func (l *Lake) replayIngest(p *persister, in ingestMeta, inline []byte, rs *main
 	if err != nil {
 		return false, err
 	}
-	if _, err := l.ingestLocked(in.path, data, in.source, in.user, in.segment); err != nil {
-		if lakeerr.CodeOf(err) != lakeerr.CodeConflict { // a conflict is state the snapshot restored
-			p.warn(l, "persist: replay ingest", "path", in.path, "error", err)
-		}
+	// A conflict is state the snapshot restored.
+	if l.ingestConflict(in.path, polystore.DerivedName(in.path)) != nil {
 		return false, nil
 	}
+	w, err := l.prepareIngest(in, data)
+	if err != nil {
+		p.warn(l, "persist: replay ingest", "path", in.path, "error", err)
+		return false, nil
+	}
+	l.publishIngest(w)
 	return true, nil
 }
 
@@ -769,16 +822,15 @@ func (l *Lake) replayDerive(p *persister, d deriveMeta, inline string, rs *maint
 	if err != nil {
 		return false, err
 	}
-	t, err := table.ParseCSV(d.name, string(data))
-	if err == nil {
-		err = l.deriveLocked(d.activity, d.user, d.inputs, t, d.segment)
-	}
-	if err != nil {
-		if lakeerr.CodeOf(err) != lakeerr.CodeConflict {
-			p.warn(l, "persist: replay derive", "name", d.name, "error", err)
-		}
+	if l.deriveConflict(d.name) != nil {
 		return false, nil
 	}
+	t, err := table.ParseCSV(d.name, string(data))
+	if err != nil {
+		p.warn(l, "persist: replay derive", "name", d.name, "error", err)
+		return false, nil
+	}
+	l.publishDerive(d, t)
 	return true, nil
 }
 
@@ -854,45 +906,50 @@ func (l *Lake) segmentReader(seg string) filestore.ReadFunc {
 	return func() ([]byte, error) { return l.pers.readSegment(seg) }
 }
 
-// dropSegment deletes the segment of an operation that failed before it
-// was logged.
+// dropSegment deletes the segment of a write that was not published;
+// no manifest can name it.
 func (l *Lake) dropSegment(name string) {
 	if l.pers != nil && name != "" {
 		l.pers.deleteSegment(l, name)
 	}
 }
 
-// writable reports whether a persistent lake still accepts writes:
-// after Close a write could not be logged, so it is refused as
-// unavailable instead of acknowledged and lost.
-func (l *Lake) writable() error {
-	if l.pers == nil {
-		return nil
-	}
-	return l.pers.writable()
-}
-
 // persistRecord appends one WAL record when persistence is configured.
 // Call sites sit outside l.mu and the component stores' locks (the
-// record may trigger a checkpoint); ingestMu/maintMu are safe to hold.
+// record may trigger a checkpoint); maintMu is safe to hold.
 func (l *Lake) persistRecord(rec *walRecord) error {
 	return l.persistThen(rec, nil)
 }
 
-// persistThen is persistRecord for a write applied only once its record
-// is logged: apply runs after the record lands and before any
-// checkpoint the append triggers, so no manifest holds the state from
-// before a logged write, and not at all if the record is dropped.
-// apply may take l.mu and the component stores' locks. Without
-// persistence it just runs.
+// persistThen logs rec, then publishes the write it carries: apply
+// (if any) runs after the record lands and before any checkpoint the
+// append triggers, so no manifest holds the state from before a logged
+// write, and not at all if the record is dropped; the record's events
+// are recorded with it. apply may take l.mu and the component stores'
+// locks. Without persistence it just publishes.
 func (l *Lake) persistThen(rec *walRecord, apply func()) error {
 	if l.pers == nil {
-		if apply != nil {
-			apply()
-		}
+		l.publish(rec, apply)
 		return nil
 	}
 	return l.pers.append(l, rec, apply)
+}
+
+// publish makes a logged write visible: apply's state, then the
+// record's events and the lineage they imply, through the same
+// Tracker.Inject that replay calls, in the order events lists them.
+// Without persistence the events are unnumbered, and Inject numbers
+// them.
+func (l *Lake) publish(rec *walRecord, apply func()) {
+	if apply != nil {
+		apply()
+	}
+	if len(rec.Events) > 0 {
+		l.Tracker.Inject(rec.Events...)
+	}
+	if rec.Event != nil {
+		l.Tracker.Inject(*rec.Event)
+	}
 }
 
 // persistCoverage appends the committed maintenance state after a

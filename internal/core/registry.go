@@ -196,8 +196,8 @@ func Registry() []FunctionEntry {
 			Package: "internal/provenance",
 			Run: func() (string, error) {
 				tr := provenance.NewTracker(nil)
-				tr.Ingest("raw", "flume", "ops")
-				tr.Derive("job", "spark", "ops", []string{"raw"}, "out")
+				tr.Inject(provenance.IngestEvent("raw", "flume", "ops"))
+				tr.Inject(provenance.DeriveEvents("job", "spark", "ops", []string{"raw"}, "out")...)
 				up, err := tr.Upstream("out")
 				if err != nil {
 					return "", err

@@ -5,6 +5,11 @@
 // (Suriarachchi & Plale's integrated provenance), DAG-based lineage
 // queries (GOODS, CoreDB), and per-entity audit trails answering "who
 // queried this entity" (CoreDB's temporal provenance).
+//
+// Events are built first and recorded second: the constructors below
+// and Tracker.QueryEvent build an event without touching the tracker,
+// and Inject records it, so a caller that logs its events durably
+// records only what it logged.
 package provenance
 
 import (
@@ -13,8 +18,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"golake/internal/storage/graphstore"
 )
 
 // EventKind classifies captured provenance events.
@@ -54,14 +57,46 @@ type Event struct {
 // ErrUnknownEntity is returned by queries on unrecorded entities.
 var ErrUnknownEntity = errors.New("provenance: unknown entity")
 
-// Tracker is the integrated provenance store: an activity-entity graph
-// plus the normalized event log.
+// IngestEvent is the arrival of a new entity from a source system.
+func IngestEvent(entity, system, user string) Event {
+	return Event{Kind: EventIngest, Entity: entity, System: system, User: user}
+}
+
+// DiscardEvent is the removal of an entity from the lake (eviction).
+// Recording it keeps the entity's lineage — downstream entities keep
+// their ancestry — and the audit trail shows who dropped it and when.
+func DiscardEvent(entity, system, user string) Event {
+	return Event{Kind: EventDiscard, Entity: entity, System: system, User: user}
+}
+
+// DeriveEvents are an activity consuming the input entities and
+// producing the output entity, in capture order: one read per input,
+// then the write and the derive. Recorded, the reads and the write are
+// the lineage edges input->activity->output, like GOODS's provenance
+// graphs.
+func DeriveEvents(activity, system, user string, inputs []string, output string) []Event {
+	evs := make([]Event, 0, len(inputs)+2)
+	for _, in := range inputs {
+		evs = append(evs, Event{Kind: EventRead, Entity: in, Activity: activity, System: system, User: user})
+	}
+	return append(evs,
+		Event{Kind: EventWrite, Entity: output, Activity: activity, System: system, User: user},
+		Event{Kind: EventDerive, Entity: output, Activity: activity, System: system, User: user})
+}
+
+// Tracker is the integrated provenance store: the normalized event log
+// and the lineage graph its events imply.
 type Tracker struct {
 	mu     sync.Mutex
-	g      *graphstore.Graph
 	events []Event
-	clock  func() time.Time
-	seq    int
+	// entities holds every entity an event named. inputs maps an
+	// activity to the entities it read, writers an entity to the
+	// activities that wrote it: the graph's in-edges, all Upstream walks.
+	entities map[string]bool
+	inputs   map[string][]string
+	writers  map[string][]string
+	clock    func() time.Time
+	seq      int
 }
 
 // NewTracker creates a tracker; clock may be nil (wall clock).
@@ -69,94 +104,31 @@ func NewTracker(clock func() time.Time) *Tracker {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Tracker{g: graphstore.New(), clock: clock}
-}
-
-// record appends a normalized event.
-func (t *Tracker) record(kind EventKind, entity, activity, system, user string) Event {
-	return t.add(Event{Kind: kind, Entity: entity, Activity: activity, System: system, User: user})
-}
-
-// add stamps ev with the next sequence number and the clock, and
-// appends it.
-func (t *Tracker) add(ev Event) Event {
-	t.seq++
-	ev.Seq, ev.At = t.seq, t.clock()
-	t.events = append(t.events, ev)
-	return ev
-}
-
-func (t *Tracker) ensureEntity(id string) {
-	if !t.g.HasNode("e:" + id) {
-		_ = t.g.AddNode("e:"+id, "entity", nil)
+	return &Tracker{
+		entities: map[string]bool{},
+		inputs:   map[string][]string{},
+		writers:  map[string][]string{},
+		clock:    clock,
 	}
 }
 
-func (t *Tracker) ensureActivity(id string) {
-	if !t.g.HasNode("a:" + id) {
-		_ = t.g.AddNode("a:"+id, "activity", nil)
-	}
-}
-
-// Ingest records the arrival of a new entity from a source system and
-// returns the event, numbered and stamped, for the caller to persist.
-func (t *Tracker) Ingest(entity, system, user string) Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureEntity(entity)
-	return t.record(EventIngest, entity, "", system, user)
-}
-
-// Discard records the removal of an entity from the lake (eviction) and
-// returns the event. The graph node stays — lineage outlives the data,
-// so downstream entities keep their ancestry — but the audit trail
-// shows who dropped it and when.
-func (t *Tracker) Discard(entity, system, user string) Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureEntity(entity)
-	return t.record(EventDiscard, entity, "", system, user)
-}
-
-// Derive records that an activity consumed the input entities and
-// produced the output entity — the core lineage edge; the provenance
-// graph gains input->activity->output edges like GOODS's provenance
-// graphs. It returns the events in capture order: one read per input,
-// then the write and the derive.
-func (t *Tracker) Derive(activity, system, user string, inputs []string, output string) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureActivity(activity)
-	t.ensureEntity(output)
-	// AddEdge fails only on a missing node, and every node is ensured.
-	evs := make([]Event, 0, len(inputs)+2)
-	for _, in := range inputs {
-		t.ensureEntity(in)
-		_, _ = t.g.AddEdge("e:"+in, "a:"+activity, "usedBy", nil)
-		evs = append(evs, t.record(EventRead, in, activity, system, user))
-	}
-	_, _ = t.g.AddEdge("a:"+activity, "e:"+output, "generated", nil)
-	evs = append(evs, t.record(EventWrite, output, activity, system, user))
-	return append(evs, t.record(EventDerive, output, activity, system, user))
-}
-
-// Query records one statement's read-only access to entities (who
-// queried them) as a single event and returns it. Entities the tracker
-// has never seen are left out and reported in the error; when none is
-// left, nothing is recorded and the zero Event is returned. An entity
-// named twice is recorded twice.
-func (t *Tracker) Query(entities []string, system, user string) (Event, error) {
+// QueryEvent builds the event of one statement's read-only access to
+// entities (who queried them), without recording it. Entities the
+// tracker has never seen are left out and reported in the error; when
+// none is left, the zero Event is returned. An entity named twice is
+// named twice in the event.
+func (t *Tracker) QueryEvent(entities []string, system, user string) (Event, error) {
 	var known []string
 	var err error
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, e := range entities {
-		if t.g.HasNode("e:" + e) {
+		if t.entities[e] {
 			known = append(known, e)
 		} else if err == nil {
 			err = fmt.Errorf("%w: %s", ErrUnknownEntity, e)
 		}
 	}
+	t.mu.Unlock()
 	if len(known) == 0 {
 		return Event{}, err
 	}
@@ -164,52 +136,47 @@ func (t *Tracker) Query(entities []string, system, user string) (Event, error) {
 	if len(known) > 1 {
 		ev.Entity, ev.Entities = "", known
 	}
-	return t.add(ev), err
+	return ev, err
 }
 
-// Retract takes back the event numbered seq, which a write captured but
-// could not persist. The graph nodes and edges it implied stay, as a
-// discarded entity's do.
-func (t *Tracker) Retract(seq int) {
+// LastSeq returns the sequence number of the last recorded event; the
+// next one Inject numbers takes LastSeq()+1.
+func (t *Tracker) LastSeq() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := len(t.events) - 1; i >= 0; i-- {
-		if t.events[i].Seq == seq {
-			t.events = append(t.events[:i], t.events[i+1:]...)
-			return
+	return t.seq
+}
+
+// Inject records events in order. An event with a Seq keeps it and its
+// At (a replayed or logged event), and the sequence counter advances
+// past it; an event without one is numbered next and dated by the
+// tracker's clock. Each entity an event names (Entity, or each of a
+// grouped query's Entities) becomes known, an EventRead adds the
+// entity->activity edge and an EventWrite the activity->entity edge.
+// EventDerive carries no edge of its own (its Write twin already did).
+func (t *Tracker) Inject(evs ...Event) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ev := range evs {
+		if ev.Seq == 0 {
+			ev.Seq, ev.At = t.seq+1, t.clock()
 		}
-	}
-}
-
-// Inject replays one persisted event into the tracker: the event is
-// appended verbatim (its Seq and At are preserved, the sequence counter
-// advanced past it) and the graph structure it implies is rebuilt —
-// every entity it names (Entity, or each of a grouped query's
-// Entities) is registered, EventRead adds the entity->activity edge,
-// EventWrite the activity->entity edge. EventDerive carries no edge of
-// its own (its Write twin already did), so injecting a full replayed
-// log never duplicates edges.
-func (t *Tracker) Inject(ev Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(ev.Entities) == 0 {
-		t.ensureEntity(ev.Entity)
-	}
-	for _, e := range ev.Entities {
-		t.ensureEntity(e)
-	}
-	if ev.Activity != "" {
-		t.ensureActivity(ev.Activity)
-	}
-	switch ev.Kind {
-	case EventRead:
-		_, _ = t.g.AddEdge("e:"+ev.Entity, "a:"+ev.Activity, "usedBy", nil)
-	case EventWrite:
-		_, _ = t.g.AddEdge("a:"+ev.Activity, "e:"+ev.Entity, "generated", nil)
-	}
-	t.events = append(t.events, ev)
-	if ev.Seq > t.seq {
-		t.seq = ev.Seq
+		if len(ev.Entities) == 0 {
+			t.entities[ev.Entity] = true
+		}
+		for _, e := range ev.Entities {
+			t.entities[e] = true
+		}
+		switch ev.Kind {
+		case EventRead:
+			t.inputs[ev.Activity] = append(t.inputs[ev.Activity], ev.Entity)
+		case EventWrite:
+			t.writers[ev.Entity] = append(t.writers[ev.Entity], ev.Activity)
+		}
+		t.events = append(t.events, ev)
+		if ev.Seq > t.seq {
+			t.seq = ev.Seq
+		}
 	}
 }
 
@@ -218,13 +185,20 @@ func (t *Tracker) Inject(ev Event) {
 func (t *Tracker) Upstream(entity string) ([]string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.g.HasNode("e:" + entity) {
+	if !t.entities[entity] {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEntity, entity)
 	}
+	seen := map[string]bool{entity: true}
 	var out []string
-	for _, n := range t.g.Reachable("e:"+entity, graphstore.In) {
-		if len(n) > 2 && n[:2] == "e:" {
-			out = append(out, n[2:])
+	for queue := []string{entity}; len(queue) > 0; queue = queue[1:] {
+		for _, act := range t.writers[queue[0]] {
+			for _, in := range t.inputs[act] {
+				if !seen[in] {
+					seen[in] = true
+					out = append(out, in)
+					queue = append(queue, in)
+				}
+			}
 		}
 	}
 	sort.Strings(out)

@@ -21,9 +21,9 @@ func newTracker() *Tracker {
 func buildPipeline(t *testing.T) *Tracker {
 	t.Helper()
 	tr := newTracker()
-	tr.Ingest("tweets_raw", "flume", "collector")
-	tr.Derive("count_hashtags", "hadoop", "analyst", []string{"tweets_raw"}, "hashtag_counts")
-	tr.Derive("aggregate_by_cat", "spark", "analyst", []string{"hashtag_counts"}, "category_summary")
+	tr.Inject(IngestEvent("tweets_raw", "flume", "collector"))
+	tr.Inject(DeriveEvents("count_hashtags", "hadoop", "analyst", []string{"tweets_raw"}, "hashtag_counts")...)
+	tr.Inject(DeriveEvents("aggregate_by_cat", "spark", "analyst", []string{"hashtag_counts"}, "category_summary")...)
 	return tr
 }
 
@@ -39,14 +39,24 @@ func TestUpstream(t *testing.T) {
 	if _, err := tr.Upstream("ghost"); !errors.Is(err, ErrUnknownEntity) {
 		t.Errorf("Upstream ghost = %v", err)
 	}
+	// A second input two hops up, found last and sorting first: the
+	// answer is the whole chain, sorted, not in the order it was walked.
+	tr.Inject(IngestEvent("a_lexicon", "flume", "collector"))
+	tr.Inject(DeriveEvents("count_hashtags", "hadoop", "analyst", []string{"a_lexicon"}, "hashtag_counts")...)
+	up, err = tr.Upstream("category_summary")
+	if want := []string{"a_lexicon", "hashtag_counts", "tweets_raw"}; err != nil || !reflect.DeepEqual(up, want) {
+		t.Errorf("Upstream with a second input = %v, %v; want %v", up, err, want)
+	}
 }
 
 func TestAccessLogAndQuery(t *testing.T) {
 	tr := buildPipeline(t)
-	if _, err := tr.Query([]string{"category_summary"}, "dashboard", "ceo"); err != nil {
+	ev, err := tr.QueryEvent([]string{"category_summary"}, "dashboard", "ceo")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ev, err := tr.Query([]string{"ghost"}, "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) || ev.Seq != 0 {
+	tr.Inject(ev)
+	if ev, err := tr.QueryEvent([]string{"ghost"}, "dashboard", "ceo"); !errors.Is(err, ErrUnknownEntity) || ev.Kind != "" {
 		t.Errorf("Query ghost = %+v, %v", ev, err)
 	}
 	log := tr.AccessLog("category_summary")
@@ -68,9 +78,8 @@ func TestAccessLogAndQuery(t *testing.T) {
 
 func TestMultiInputDerivation(t *testing.T) {
 	tr := newTracker()
-	tr.Ingest("a", "s", "u")
-	tr.Ingest("b", "s", "u")
-	tr.Derive("join", "spark", "u", []string{"a", "b"}, "joined")
+	tr.Inject(IngestEvent("a", "s", "u"), IngestEvent("b", "s", "u"))
+	tr.Inject(DeriveEvents("join", "spark", "u", []string{"a", "b"}, "joined")...)
 	up, _ := tr.Upstream("joined")
 	if len(up) != 2 {
 		t.Errorf("Upstream of join = %v", up)
@@ -81,54 +90,45 @@ func TestMultiInputDerivation(t *testing.T) {
 	}
 }
 
-// Each capture returns the events it recorded, numbered and stamped, in
-// the order the tracker's own log holds them: the caller persists
-// exactly what the tracker answers from.
+// The constructors build events in capture order, and Inject numbers
+// and dates the unnumbered ones in the order it is given them: the
+// tracker's log holds exactly what was injected, its seqs dense.
 func TestCaptureReturnsEachEvent(t *testing.T) {
 	tr := newTracker()
-	got := []Event{tr.Ingest("a", "files", "alice")}
-	got = append(got, tr.Derive("job", "spark", "bob", []string{"a"}, "b")...)
-	ev, err := tr.Query([]string{"b"}, "sql", "carol")
+	built := []Event{IngestEvent("a", "files", "alice")}
+	built = append(built, DeriveEvents("job", "spark", "bob", []string{"a"}, "b")...)
+	tr.Inject(built...)
+	ev, err := tr.QueryEvent([]string{"b"}, "sql", "carol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, ev, tr.Discard("a", "core", "ops"))
+	built = append(built, ev, DiscardEvent("a", "core", "ops"))
+	tr.Inject(built[len(built)-2:]...)
+	got := tr.Events()
 	kinds := make([]EventKind, len(got))
 	for i, ev := range got {
 		kinds[i] = ev.Kind
 	}
 	want := []EventKind{EventIngest, EventRead, EventWrite, EventDerive, EventQuery, EventDiscard}
 	if !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("captured kinds = %v, want %v", kinds, want)
+		t.Fatalf("recorded kinds = %v, want %v", kinds, want)
 	}
-	if !reflect.DeepEqual(got, tr.Events()) {
-		t.Fatalf("captured %+v, tracker holds %+v", got, tr.Events())
+	for i := range got {
+		stamped := built[i]
+		stamped.Seq, stamped.At = i+1, got[i].At
+		if got[i].At.IsZero() || !reflect.DeepEqual(got[i], stamped) {
+			t.Errorf("event %d = %+v, want %+v numbered %d and dated", i, got[i], built[i], i+1)
+		}
 	}
-}
-
-// Retract takes back one event and leaves the rest, and the sequence
-// counter, where they were: the next event is numbered past the gap.
-func TestRetractTakesBackOneEvent(t *testing.T) {
-	tr := newTracker()
-	a := tr.Ingest("a", "files", "alice")
-	b := tr.Ingest("b", "files", "alice")
-	tr.Retract(b.Seq)
-	tr.Retract(b.Seq + 7) // unknown: nothing happens
-	if got := tr.Events(); !reflect.DeepEqual(got, []Event{a}) {
-		t.Fatalf("events after retract = %+v, want only %+v", got, a)
-	}
-	if log := tr.AccessLog("b"); len(log) != 0 {
-		t.Errorf("AccessLog(b) = %+v, want empty", log)
-	}
-	if c := tr.Ingest("c", "files", "alice"); c.Seq != b.Seq+1 {
-		t.Errorf("next seq = %d, want %d", c.Seq, b.Seq+1)
+	if tr.LastSeq() != len(want) {
+		t.Errorf("LastSeq = %d, want %d", tr.LastSeq(), len(want))
 	}
 }
 
 func TestInjectRebuildsGraphWithoutDuplicateEdges(t *testing.T) {
 	src := newTracker()
-	src.Ingest("a", "files", "alice")
-	src.Derive("job", "spark", "bob", []string{"a"}, "b")
+	src.Inject(IngestEvent("a", "files", "alice"))
+	src.Inject(DeriveEvents("job", "spark", "bob", []string{"a"}, "b")...)
 	dst := newTracker()
 	for _, ev := range src.Events() {
 		dst.Inject(ev)
@@ -144,7 +144,7 @@ func TestInjectRebuildsGraphWithoutDuplicateEdges(t *testing.T) {
 		t.Fatalf("Upstream(b) = %v, want %v", up, want)
 	}
 	// New events continue past the injected sequence numbers.
-	dst.Ingest("c", "files", "alice")
+	dst.Inject(IngestEvent("c", "files", "alice"))
 	evs := dst.Events()
 	last := evs[len(evs)-1]
 	if last.Seq <= evs[len(evs)-2].Seq {
@@ -152,24 +152,28 @@ func TestInjectRebuildsGraphWithoutDuplicateEdges(t *testing.T) {
 	}
 }
 
-// One statement over several entities is one event, the one Query
-// returns; AccessLog expands it into one entry per mention, sharing its Seq,
+// One statement over several entities is one event, the one QueryEvent
+// builds; AccessLog expands it into one entry per mention, sharing its Seq,
 // with unknown entities left out and reported, and Inject replays the
 // grouped form to the same answers.
 func TestQueryGroupsEntitiesIntoOneEvent(t *testing.T) {
 	tr := newTracker()
-	tr.Ingest("a", "files", "alice")
-	tr.Ingest("b", "files", "alice")
-	grouped, err := tr.Query([]string{"a", "ghost", "b", "a"}, "sql", "carol")
+	tr.Inject(IngestEvent("a", "files", "alice"), IngestEvent("b", "files", "alice"))
+	grouped, err := tr.QueryEvent([]string{"a", "ghost", "b", "a"}, "sql", "carol")
 	if !errors.Is(err, ErrUnknownEntity) {
 		t.Errorf("Query with an unknown entity = %v, want ErrUnknownEntity", err)
 	}
+	tr.Inject(grouped)
 	evs := tr.Events()
-	if len(evs) != 3 || !reflect.DeepEqual(evs[2], grouped) || grouped.Entity != "" ||
+	if len(evs) != 3 || evs[2].Seq != 3 || evs[2].At.IsZero() {
+		t.Fatalf("events = %+v; want two ingests and the statement's event, numbered 3 and dated", evs)
+	}
+	grouped.Seq, grouped.At = evs[2].Seq, evs[2].At
+	if !reflect.DeepEqual(evs[2], grouped) || grouped.Entity != "" ||
 		!reflect.DeepEqual(grouped.Entities, []string{"a", "b", "a"}) {
 		t.Fatalf("events = %+v, returned %+v; want two ingests and one event over [a b a]", evs, grouped)
 	}
-	if ev, err := tr.Query([]string{"ghost"}, "sql", "carol"); !errors.Is(err, ErrUnknownEntity) || ev.Seq != 0 || len(tr.Events()) != 3 {
+	if ev, err := tr.QueryEvent([]string{"ghost"}, "sql", "carol"); !errors.Is(err, ErrUnknownEntity) || ev.Kind != "" || len(tr.Events()) != 3 {
 		t.Errorf("Query over unknown entities only = %+v, %v; want ErrUnknownEntity, nothing recorded", ev, err)
 	}
 	single := func(e string) Event {
@@ -192,7 +196,7 @@ func TestQueryGroupsEntitiesIntoOneEvent(t *testing.T) {
 	}
 	only := newTracker()
 	only.Inject(grouped)
-	if _, err := only.Query([]string{"a", "b"}, "sql", "carol"); err != nil {
+	if _, err := only.QueryEvent([]string{"a", "b"}, "sql", "carol"); err != nil {
 		t.Errorf("an injected grouped event did not register its entities: %v", err)
 	}
 }

@@ -73,16 +73,29 @@ type Store struct {
 // New creates an empty document store.
 func New() *Store { return &Store{collections: map[string]*Collection{}} }
 
+// NewCollection creates an empty collection that belongs to no store
+// until Add stores it.
+func NewCollection(name string) *Collection {
+	return &Collection{name: name, docs: map[string]Doc{}}
+}
+
 // Collection returns (creating if needed) the named collection.
 func (s *Store) Collection(name string) *Collection {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.collections[name]
 	if !ok {
-		c = &Collection{name: name, docs: map[string]Doc{}}
+		c = NewCollection(name)
 		s.collections[name] = c
 	}
 	return c
+}
+
+// Add stores c under its name, replacing any collection of that name.
+func (s *Store) Add(c *Collection) {
+	s.mu.Lock()
+	s.collections[c.name] = c
+	s.mu.Unlock()
 }
 
 // Collections lists collection names, sorted.

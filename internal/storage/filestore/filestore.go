@@ -57,27 +57,29 @@ type ObjectInfo struct {
 // ReadFunc reads an object's bytes back from wherever they are kept.
 type ReadFunc func() ([]byte, error)
 
-type object struct {
-	info ObjectInfo
+// Object is an object described and ready to store: its info, and
+// the function that reads its bytes back.
+type Object struct {
+	Info ObjectInfo
 	read ReadFunc
 }
 
 // Store is a concurrency-safe object store.
 type Store struct {
 	mu   sync.RWMutex
-	objs map[string]object
+	objs map[string]Object
 }
 
 // New returns an empty store.
-func New() *Store { return &Store{objs: map[string]object{}} }
+func New() *Store { return &Store{objs: map[string]Object{}} }
 
-// Put records data under the logical path, overwriting any previous
-// object, and returns its info. Get reads the bytes back through read;
-// with a nil read the store keeps a copy of data itself.
-func (s *Store) Put(path string, data []byte, read ReadFunc) (ObjectInfo, error) {
+// NewObject describes data as the object at the logical path, for Add
+// to store. Get reads the bytes back through read; with a nil read the
+// object keeps a copy of data itself.
+func NewObject(path string, data []byte, read ReadFunc) (Object, error) {
 	clean, err := CleanPath(path)
 	if err != nil {
-		return ObjectInfo{}, err
+		return Object{}, err
 	}
 	if read == nil {
 		kept := bytes.Clone(data)
@@ -89,10 +91,14 @@ func (s *Store) Put(path string, data []byte, read ReadFunc) (ObjectInfo, error)
 		Format: Detect(clean, data),
 		Stored: time.Now(),
 	}
+	return Object{Info: info, read: read}, nil
+}
+
+// Add stores obj, replacing any object at its path.
+func (s *Store) Add(obj Object) {
 	s.mu.Lock()
-	s.objs[clean] = object{info: info, read: read}
+	s.objs[obj.Info.Path] = obj
 	s.mu.Unlock()
-	return info, nil
 }
 
 // Get returns the object bytes.
@@ -138,7 +144,7 @@ func (s *Store) List(prefix string) []ObjectInfo {
 	var out []ObjectInfo
 	for p, obj := range s.objs {
 		if strings.HasPrefix(p, prefix) {
-			out = append(out, obj.info)
+			out = append(out, obj.Info)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })

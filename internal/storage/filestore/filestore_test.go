@@ -11,10 +11,20 @@ func newStore(t *testing.T) *Store {
 	return New()
 }
 
+// put describes data as an object and stores it.
+func put(s *Store, path string, data []byte, read ReadFunc) (ObjectInfo, error) {
+	obj, err := NewObject(path, data, read)
+	if err != nil {
+		return ObjectInfo{}, err
+	}
+	s.Add(obj)
+	return obj.Info, nil
+}
+
 func TestPutGetStatDelete(t *testing.T) {
 	s := newStore(t)
 	data := []byte("a,b\n1,2\n3,4\n")
-	info, err := s.Put("raw/orders.csv", data, nil)
+	info, err := put(s, "raw/orders.csv", data, nil)
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -48,7 +58,7 @@ func TestPutGetStatDelete(t *testing.T) {
 func TestListPrefix(t *testing.T) {
 	s := newStore(t)
 	for _, p := range []string{"zone-raw/a.csv", "zone-raw/b.csv", "zone-clean/c.csv"} {
-		if _, err := s.Put(p, []byte("x,y\n1,2\n"), nil); err != nil {
+		if _, err := put(s, p, []byte("x,y\n1,2\n"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +80,7 @@ func TestListPrefix(t *testing.T) {
 func TestInvalidPaths(t *testing.T) {
 	s := newStore(t)
 	for _, p := range []string{"", ".", "/", "../escape", "a/../../b", "a/..", ".golake", ".golake/wal.log", "/.golake/segments/x"} {
-		if _, err := s.Put(p, []byte("x"), nil); !errors.Is(err, ErrInvalidPath) {
+		if _, err := put(s, p, []byte("x"), nil); !errors.Is(err, ErrInvalidPath) {
 			t.Errorf("Put(%q) err = %v, want ErrInvalidPath", p, err)
 		}
 	}
@@ -83,7 +93,7 @@ func TestInvalidPaths(t *testing.T) {
 		"raw/./y.csv":    "raw/y.csv",
 		".golake2/z":     ".golake2/z",
 	} {
-		info, err := s.Put(p, []byte("x"), nil)
+		info, err := put(s, p, []byte("x"), nil)
 		if err != nil || info.Path != want {
 			t.Errorf("Put(%q) = %q, %v; want %q", p, info.Path, err, want)
 		}
@@ -97,7 +107,7 @@ func TestGetReadsThroughReadFunc(t *testing.T) {
 	backing := []byte("a,b\n1,2\n")
 	reads := 0
 	read := func() ([]byte, error) { reads++; return backing, nil }
-	info, err := s.Put("raw/t.csv", backing, read)
+	info, err := put(s, "raw/t.csv", backing, read)
 	if err != nil || info.Format != FormatCSV || info.Size != int64(len(backing)) {
 		t.Fatalf("Put = %+v, %v", info, err)
 	}
@@ -105,7 +115,7 @@ func TestGetReadsThroughReadFunc(t *testing.T) {
 		t.Errorf("Get = %q, %v after %d reads", got, err, reads)
 	}
 	gone := errors.New("segment gone")
-	if _, err := s.Put("raw/u.csv", backing, func() ([]byte, error) { return nil, gone }); err != nil {
+	if _, err := put(s, "raw/u.csv", backing, func() ([]byte, error) { return nil, gone }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get("raw/u.csv"); !errors.Is(err, gone) {
@@ -118,7 +128,7 @@ func TestGetReadsThroughReadFunc(t *testing.T) {
 func TestPutWithoutReadFuncKeepsACopy(t *testing.T) {
 	s := newStore(t)
 	data := []byte("v1")
-	if _, err := s.Put("k", data, nil); err != nil {
+	if _, err := put(s, "k", data, nil); err != nil {
 		t.Fatal(err)
 	}
 	data[0] = 'X'
@@ -131,10 +141,10 @@ func TestPutWithoutReadFuncKeepsACopy(t *testing.T) {
 
 func TestPutOverwrite(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.Put("k", []byte("v1"), nil); err != nil {
+	if _, err := put(s, "k", []byte("v1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.Put("k", []byte("v2-longer"), nil)
+	info, err := put(s, "k", []byte("v2-longer"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		i++
 		p := "obj/" + string(rune('a'+i%26)) + "x"
-		if _, err := s.Put(p, data, nil); err != nil {
+		if _, err := put(s, p, data, nil); err != nil {
 			return false
 		}
 		got, err := s.Get(p)

@@ -76,28 +76,38 @@ func Route(f filestore.Format) Target {
 // Ingest stores the raw object, keeping a copy of its bytes in memory,
 // and routes its parsed form to the model store chosen by Route.
 func (p *Poly) Ingest(path string, data []byte) (Placement, error) {
-	pl, _, err := p.IngestParsed(path, data, nil)
-	return pl, err
-}
-
-// IngestParsed is Ingest for a caller that keeps the raw bytes itself:
-// Files reads them back through read (a nil read keeps a copy in
-// memory). It also hands back the table it parsed for the relational
-// store (nil for any other placement), so that describing the object
-// next needs no second parse. That table is the store's own, as View
-// lends it: the caller must not modify it or keep it.
-func (p *Poly) IngestParsed(path string, data []byte, read filestore.ReadFunc) (Placement, *table.Table, error) {
-	info, err := p.Files.Put(path, data, read)
+	st, err := Prepare(path, data, nil)
 	if err != nil {
-		return Placement{}, nil, err
+		return Placement{}, err
 	}
-	pl, t := p.place(path, data, info.Format)
-	return pl, t, nil
+	p.Publish(&st)
+	return st.Placement, nil
 }
 
-func (p *Poly) place(path string, data []byte, format filestore.Format) (pl Placement, parsed *table.Table) {
-	pl = Placement{Path: path, Format: format, Target: TargetFile}
-	switch Route(format) {
+// Staged is an object placed off to the side: its raw bytes described
+// and its parsed form built, none of it visible in any store until
+// Publish.
+type Staged struct {
+	Placement Placement
+	// Table is the parsed relational form, nil for any other placement.
+	// Once published it is the store's own, as View lends it: the
+	// caller must not modify it or keep it.
+	Table *table.Table
+	obj   filestore.Object
+	docs  *docstore.Collection
+}
+
+// Prepare describes and parses an object for Publish, touching no
+// store. Files will read the raw bytes back through read (a nil read
+// keeps a copy in memory). The parsed table comes back in Staged.Table
+// so that describing the object next needs no second parse.
+func Prepare(path string, data []byte, read filestore.ReadFunc) (Staged, error) {
+	obj, err := filestore.NewObject(path, data, read)
+	if err != nil {
+		return Staged{}, err
+	}
+	st := Staged{Placement: Placement{Path: path, Format: obj.Info.Format, Target: TargetFile}, obj: obj}
+	switch Route(obj.Info.Format) {
 	case TargetRelational:
 		t, err := table.ReadCSV(tableName(path), data)
 		if err != nil {
@@ -106,27 +116,37 @@ func (p *Poly) place(path string, data []byte, format filestore.Format) (pl Plac
 			break
 		}
 		t.Meta["source"] = path
-		p.Rel.Create(t)
-		pl.Target = TargetRelational
-		pl.TableName = t.Name
-		parsed = t
+		st.Placement.Target = TargetRelational
+		st.Placement.TableName = t.Name
+		st.Table = t
 	case TargetDocument:
-		coll := tableName(path)
-		n, err := p.ingestJSONDocs(coll, data, format)
-		if err != nil || n == 0 {
+		c := docstore.NewCollection(tableName(path))
+		if n, err := insertJSONDocs(c, data, obj.Info.Format); err != nil || n == 0 {
 			break
 		}
-		pl.Target = TargetDocument
-		pl.Collection = coll
+		st.Placement.Target = TargetDocument
+		st.Placement.Collection = tableName(path)
+		st.docs = c
 	}
-	p.mu.Lock()
-	p.placements[path] = pl
-	p.mu.Unlock()
-	return pl, parsed
+	return st, nil
 }
 
-func (p *Poly) ingestJSONDocs(coll string, data []byte, format filestore.Format) (int, error) {
-	c := p.Docs.Collection(coll)
+// Publish makes a prepared object visible: its raw bytes in Files, its
+// parsed form in its model store, and its placement.
+func (p *Poly) Publish(st *Staged) {
+	p.Files.Add(st.obj)
+	switch {
+	case st.Table != nil:
+		p.Rel.Create(st.Table)
+	case st.docs != nil:
+		p.Docs.Add(st.docs)
+	}
+	p.mu.Lock()
+	p.placements[st.Placement.Path] = st.Placement
+	p.mu.Unlock()
+}
+
+func insertJSONDocs(c *docstore.Collection, data []byte, format filestore.Format) (int, error) {
 	if format == filestore.FormatJSONL {
 		n := 0
 		for _, line := range strings.Split(string(data), "\n") {

@@ -193,15 +193,22 @@ func TestRelStoreIsolationAndCRUD(t *testing.T) {
 	}
 }
 
+// Prepare hands back the table it parsed (and only when it parsed
+// one) and makes nothing visible; Publish stores that very table.
 func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 	p := newPoly(t)
-	pl, tbl, err := p.IngestParsed("raw/orders.csv", []byte("id,total\n1,9.5\n2,3.25\n"), nil)
-	if err != nil || pl.Target != TargetRelational || tbl == nil {
-		t.Fatalf("csv: placement %+v, table %v, err %v", pl, tbl, err)
+	st, err := Prepare("raw/orders.csv", []byte("id,total\n1,9.5\n2,3.25\n"), nil)
+	if err != nil || st.Placement.Target != TargetRelational || st.Table == nil {
+		t.Fatalf("csv: staged %+v, err %v", st, err)
 	}
+	tbl := st.Table
 	if tbl.Name != "orders" || tbl.NumRows() != 2 || tbl.Meta["source"] != "raw/orders.csv" {
 		t.Errorf("csv: table %v meta %v", tbl, tbl.Meta)
 	}
+	if _, ok := p.PlacementOf("raw/orders.csv"); ok || p.Rel.Has("orders") || p.Files.Len() != 0 {
+		t.Error("a prepared object is visible before Publish")
+	}
+	p.Publish(&st)
 	// The table handed back is the store's own: the parse is not copied.
 	if err := p.Rel.View("orders", func(stored *table.Table) error {
 		if stored != tbl {
@@ -211,13 +218,16 @@ func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if pl, ok := p.PlacementOf("raw/orders.csv"); !ok || pl != st.Placement {
+		t.Errorf("published placement = %+v, %v; want %+v", pl, ok, st.Placement)
+	}
 	for path, body := range map[string]string{
 		"raw/broken.csv": "a,b\n1\n",
 		"raw/event.json": `{"kind":"click"}`,
 		"raw/notes.txt":  "hello",
 	} {
-		if _, tbl, err := p.IngestParsed(path, []byte(body), nil); err != nil || tbl != nil {
-			t.Errorf("%s: table %v, err %v, want neither", path, tbl, err)
+		if st, err := Prepare(path, []byte(body), nil); err != nil || st.Table != nil {
+			t.Errorf("%s: staged %+v, err %v, want no table", path, st, err)
 		}
 	}
 }
