@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -398,23 +399,6 @@ func (p *persister) reserve(name string) {
 	}
 }
 
-// load returns the bytes a manifest entry or WAL record stands for: its
-// segment's payload or, in the format before segments, its inline
-// bytes, which it moves into a new segment named in *seg so the next
-// checkpoint writes no inline bytes.
-func (p *persister) load(l *Lake, seg *string, inline []byte) ([]byte, error) {
-	if *seg != "" {
-		p.reserve(*seg)
-		return p.readSegment(*seg)
-	}
-	name, err := p.putSegment(l, inline)
-	if err != nil {
-		return nil, err
-	}
-	*seg = name
-	return inline, nil
-}
-
 // checkpoint installs a manifest and truncates the WAL.
 func (p *persister) checkpoint(l *Lake) error {
 	p.mu.Lock()
@@ -553,6 +537,11 @@ func (l *Lake) buildSnapshot() (*lakeSnapshot, []string) {
 // failures and a corrupt manifest blob (impossible under the atomic
 // checkpoint protocol) abort the open. Once the WAL is empty, segments
 // nothing names are deleted.
+//
+// Replay is a parallel prepare and a serial publish: workers decode the
+// WAL frames and read, check and parse the segments (see replayer),
+// while this goroutine publishes each unit in log order, so the lake
+// comes out as a one-at-a-time replay leaves it.
 func (p *persister) restore(l *Lake) error {
 	start := time.Now()
 	stored, err := p.backend.ListSegments()
@@ -572,56 +561,46 @@ func (p *persister) restore(l *Lake) error {
 	}
 	p.manifestBytes = int64(len(snapBytes))
 	rs := maintain.ReplayStats{}
-	snapMaxSeq := 0
 	// named holds the segments the installed manifest names; inline is
 	// set when it holds table bytes in the format before segments.
 	named := map[string]bool{}
 	inline := false
+	var snap *lakeSnapshot
+	var units []replayUnit
 	if len(snapBytes) > 0 {
-		var snap lakeSnapshot
-		if err := json.Unmarshal(snapBytes, &snap); err != nil {
+		snap = &lakeSnapshot{}
+		if err := json.Unmarshal(snapBytes, snap); err != nil {
 			return lakeerr.Errorf(lakeerr.CodeInternal, "core: corrupt snapshot: %v", err)
 		}
 		for _, d := range snap.Datasets {
 			named[d.Segment] = true
 			inline = inline || d.Segment == ""
+			units = append(units, replayUnit{rec: walRecord{
+				Kind: recIngest, Path: d.Path, Source: d.Source, User: d.User, Segment: d.Segment, Data: d.Data}})
 		}
 		for _, d := range snap.Derived {
 			named[d.Segment] = true
 			inline = inline || d.Segment == ""
-		}
-		if snapMaxSeq, err = l.applySnapshot(p, &snap, &rs); err != nil {
-			return err
+			units = append(units, replayUnit{rec: walRecord{
+				Kind: recDerive, Name: d.Name, Activity: d.Activity, User: d.User, Inputs: d.Inputs, Segment: d.Segment, CSV: d.CSV}})
 		}
 	}
-	walBytes, err := p.backend.ReadWAL()
+	// A failed WAL read fails the open only once the manifest's units
+	// are published, so an earlier failure in log order still wins.
+	walBytes, walErr := p.backend.ReadWAL()
+	var torn int64
+	if walErr == nil {
+		var frames [][]byte
+		frames, torn = persist.DecodeFrames(walBytes)
+		for _, f := range frames {
+			units = append(units, replayUnit{frame: f})
+		}
+	}
+	r := p.startReplay(l, units)
+	err = l.replay(p, r, snap, walErr, torn, &rs)
+	r.stop()
 	if err != nil {
-		return lakeerr.Wrap(lakeerr.CodeUnavailable, err)
-	}
-	frames, torn := persist.DecodeFrames(walBytes)
-	rs.TornBytes = torn
-	if torn > 0 {
-		p.warn(l, "persist: dropped torn wal tail", "bytes", torn)
-	}
-	for _, payload := range frames {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// A framed-but-unparseable record: count it skipped instead of
-			// failing the open; the frame checksum says the bytes are what
-			// was written, so this is a version skew, not corruption.
-			p.warn(l, "persist: undecodable wal record", "error", err)
-			rs.WALRecords++
-			rs.WALSkipped++
-			continue
-		}
-		rs.WALRecords++
-		applied, err := l.applyRecord(p, &rec, snapMaxSeq, &rs)
-		if err != nil {
-			return err
-		}
-		if !applied {
-			rs.WALSkipped++
-		}
+		return err
 	}
 	l.rebuildIndexesFromCoverage()
 	if len(snapBytes) > 0 || len(walBytes) > 0 {
@@ -685,30 +664,186 @@ func (p *persister) sweep(l *Lake, named map[string]bool) {
 	}
 }
 
-// applySnapshot restores the serialized logical state; returns the
-// highest provenance sequence number it injected so WAL records' events
-// already contained in the snapshot can be recognized as duplicates.
-func (l *Lake) applySnapshot(p *persister, snap *lakeSnapshot, rs *maintain.ReplayStats) (int, error) {
+// replayUnit is one step of replay: a dataset or derived table the
+// manifest names, or a WAL record. Its prepared half is filled in on
+// whichever goroutine prepares it; the publisher reads it only once
+// ready is done.
+type replayUnit struct {
+	// frame is a WAL record's payload, decoded into rec by prepare; a
+	// manifest entry arrives as rec, with no frame.
+	frame []byte
+	rec   walRecord
+	// decodeErr is why frame did not decode; readErr why the segment
+	// could not be read: errDamaged, or the backend's failure.
+	decodeErr error
+	readErr   error
+	// w is an ingest prepared, t a derived table parsed, and buildErr
+	// why neither could be.
+	w        *ingestWrite
+	t        *table.Table
+	buildErr error
+	ready    sync.WaitGroup
+}
+
+// ingestMeta and deriveMeta are the ingest or derive a record logs.
+func (r *walRecord) ingestMeta() ingestMeta {
+	return ingestMeta{path: r.Path, source: r.Source, user: r.User, segment: r.Segment}
+}
+
+func (r *walRecord) deriveMeta() deriveMeta {
+	return deriveMeta{name: r.Name, activity: r.Activity, user: r.User, segment: r.Segment, inputs: r.Inputs}
+}
+
+// replayer prepares replay's units on GOMAXPROCS workers, each claiming
+// the next unit in log order from a shared counter. Preparing touches
+// no lake state, so units prepare in any order; the publisher waits for
+// each in turn. With one unit or one processor no worker starts, and
+// each unit is prepared inline when the publisher reaches it.
+type replayer struct {
+	l      *Lake
+	p      *persister
+	units  []replayUnit
+	pooled bool
+	next   atomic.Int64
+	halted atomic.Bool
+	wg     sync.WaitGroup
+}
+
+func (p *persister) startReplay(l *Lake, units []replayUnit) *replayer {
+	r := &replayer{l: l, p: p, units: units}
+	workers := min(runtime.GOMAXPROCS(0), len(units))
+	if workers <= 1 {
+		return r
+	}
+	r.pooled = true
+	for i := range units {
+		units[i].ready.Add(1)
+	}
+	r.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer r.wg.Done()
+			for !r.halted.Load() {
+				i := int(r.next.Add(1)) - 1
+				if i >= len(r.units) {
+					return
+				}
+				r.prepare(&r.units[i])
+				r.units[i].ready.Done()
+			}
+		}()
+	}
+	return r
+}
+
+// unit returns unit i, prepared.
+func (r *replayer) unit(i int) *replayUnit {
+	u := &r.units[i]
+	if r.pooled {
+		u.ready.Wait()
+	} else {
+		r.prepare(u)
+	}
+	return u
+}
+
+// stop halts the workers and waits for them to return, so none
+// outlives restore, whether or not every unit was published.
+func (r *replayer) stop() {
+	r.halted.Store(true)
+	r.wg.Wait()
+}
+
+// prepare does the half of a unit's replay that needs no lake state:
+// it decodes a WAL frame and, for an ingest or derive that names a
+// segment, reads and checksums the segment and builds from it. Inline
+// bytes, from the format before segments, are left to the publisher,
+// which must first store them as a segment in log order.
+func (r *replayer) prepare(u *replayUnit) {
+	if u.frame != nil {
+		if err := json.Unmarshal(u.frame, &u.rec); err != nil {
+			u.decodeErr = err
+			return
+		}
+	}
+	if (u.rec.Kind != recIngest && u.rec.Kind != recDerive) || u.rec.Segment == "" {
+		return
+	}
+	data, err := r.p.readSegment(u.rec.Segment)
+	if err != nil {
+		u.readErr = err
+		return
+	}
+	r.l.build(u, data)
+}
+
+// build runs an ingest's prepare, or parses a derived table, from the
+// bytes its segment holds.
+func (l *Lake) build(u *replayUnit, data []byte) {
+	if u.rec.Kind == recDerive {
+		u.t, u.buildErr = table.ParseCSV(u.rec.Name, string(data))
+		return
+	}
+	u.w, u.buildErr = l.prepareIngest(u.rec.ingestMeta(), data)
+}
+
+// replay publishes the prepared units in log order: the manifest's
+// datasets and derived tables, the rest of the manifest, then the WAL's
+// records. It stops at the first failure in that order.
+func (l *Lake) replay(p *persister, r *replayer, snap *lakeSnapshot, walErr error, torn int64, rs *maintain.ReplayStats) error {
+	i, snapMaxSeq := 0, 0
+	if snap != nil {
+		for n := len(snap.Datasets) + len(snap.Derived); i < n; i++ {
+			u := r.unit(i)
+			applied, err := l.publishReplayed(p, u, rs)
+			if err != nil {
+				return err
+			}
+			if applied && u.rec.Kind == recIngest {
+				rs.SnapshotDatasets++
+			}
+		}
+		snapMaxSeq = l.applySnapshot(snap)
+	}
+	if walErr != nil {
+		return lakeerr.Wrap(lakeerr.CodeUnavailable, walErr)
+	}
+	rs.TornBytes = torn
+	if torn > 0 {
+		p.warn(l, "persist: dropped torn wal tail", "bytes", torn)
+	}
+	for ; i < len(r.units); i++ {
+		u := r.unit(i)
+		rs.WALRecords++
+		if u.decodeErr != nil {
+			// A framed-but-unparseable record: count it skipped instead of
+			// failing the open; the frame checksum says the bytes are what
+			// was written, so this is a version skew, not corruption.
+			p.warn(l, "persist: undecodable wal record", "error", u.decodeErr)
+			rs.WALSkipped++
+			continue
+		}
+		applied, err := l.applyRecord(p, u, snapMaxSeq, rs)
+		if err != nil {
+			return err
+		}
+		if !applied {
+			rs.WALSkipped++
+		}
+	}
+	return nil
+}
+
+// applySnapshot restores the manifest's state beyond its datasets and
+// derived tables; returns the highest provenance sequence number it
+// injected so WAL records' events already contained in the snapshot can
+// be recognized as duplicates.
+func (l *Lake) applySnapshot(snap *lakeSnapshot) int {
 	for name, role := range snap.Users {
 		l.users[name] = Role(role)
 	}
 	for digest, user := range snap.Tokens {
 		l.tokens[digest] = user
-	}
-	for _, d := range snap.Datasets {
-		applied, err := l.replayIngest(p, ingestMeta{path: d.Path, source: d.Source, user: d.User, segment: d.Segment}, d.Data, rs)
-		if err != nil {
-			return 0, err
-		}
-		if applied {
-			rs.SnapshotDatasets++
-		}
-	}
-	for _, d := range snap.Derived {
-		dm := deriveMeta{name: d.Name, activity: d.Activity, user: d.User, segment: d.Segment, inputs: d.Inputs}
-		if _, err := l.replayDerive(p, dm, d.CSV, rs); err != nil {
-			return 0, err
-		}
 	}
 	for path, zone := range snap.Zones {
 		_ = l.Handle.MoveZone(path, zone)
@@ -725,7 +860,7 @@ func (l *Lake) applySnapshot(p *persister, snap *lakeSnapshot, rs *maintain.Repl
 	l.ingestGen = snap.IngestGen
 	l.maintainedGen = snap.MaintainedGen
 	l.pendingPromote = append([]string(nil), snap.Pending...)
-	return maxSeq, nil
+	return maxSeq
 }
 
 // applyRecord replays one WAL record; the false return marks a skip
@@ -733,7 +868,8 @@ func (l *Lake) applySnapshot(p *persister, snap *lakeSnapshot, rs *maintain.Repl
 // restored), not a failure. Only backend I/O fails it. The events a
 // record carries are injected whether or not its operation applies,
 // unless the snapshot's event log already holds them.
-func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *maintain.ReplayStats) (bool, error) {
+func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int, rs *maintain.ReplayStats) (bool, error) {
+	rec := &u.rec
 	injected := false
 	for _, ev := range rec.events() {
 		if ev.Seq > snapMaxSeq {
@@ -748,11 +884,8 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 	case recToken:
 		l.publishToken(rec.Token, rec.Name)
 		return true, nil
-	case recIngest:
-		return l.replayIngest(p, ingestMeta{path: rec.Path, source: rec.Source, user: rec.User, segment: rec.Segment}, rec.Data, rs)
-	case recDerive:
-		dm := deriveMeta{name: rec.Name, activity: rec.Activity, user: rec.User, segment: rec.Segment, inputs: rec.Inputs}
-		return l.replayDerive(p, dm, rec.CSV, rs)
+	case recIngest, recDerive:
+		return l.publishReplayed(p, u, rs)
 	case recAudit:
 		return injected, nil
 	case recEvict:
@@ -778,59 +911,68 @@ func (l *Lake) applyRecord(p *persister, rec *walRecord, snapMaxSeq int, rs *mai
 	}
 }
 
-// replayIngest restores one dataset through the live prepare and
-// publish, without re-recording provenance (applyRecord injects the
-// record's event) or re-appending to the WAL; restore runs before the
-// lake is shared, so nothing is reserved. A dataset whose segment is
-// damaged is counted and not served, but keeps its ingest-log entry:
-// the next manifest still names the segment, so its bytes stay for
-// inspection instead of being swept.
-func (l *Lake) replayIngest(p *persister, in ingestMeta, inline []byte, rs *maintain.ReplayStats) (bool, error) {
-	data, err := p.load(l, &in.segment, inline)
-	if errors.Is(err, errDamaged) {
+// publishReplayed restores one prepared dataset or derived table
+// through the live publish, without re-recording provenance
+// (applyRecord injects the record's events) or re-appending to the
+// WAL; restore runs before the lake is shared, so no path or name is
+// reserved. It first raises the segment counter to the name the unit
+// names or, for inline bytes, stores them as a new segment and builds
+// from them: both in log order, so every segment name comes out as a
+// one-at-a-time replay hands it out. A unit whose segment is damaged is counted and not served, but
+// keeps its log entry: the next manifest still names the segment, so
+// its bytes stay for inspection instead of being swept. A conflict is
+// state replay already restored.
+func (l *Lake) publishReplayed(p *persister, u *replayUnit, rs *maintain.ReplayStats) (bool, error) {
+	rec := &u.rec
+	if rec.Segment != "" {
+		p.reserve(rec.Segment)
+	} else {
+		inline := rec.Data
+		if rec.Kind == recDerive {
+			inline = []byte(rec.CSV)
+		}
+		name, err := p.putSegment(l, inline)
+		if err != nil {
+			return false, err
+		}
+		rec.Segment = name
+		l.build(u, inline)
+	}
+	if rec.Kind == recDerive {
+		d := rec.deriveMeta()
+		switch {
+		case errors.Is(u.readErr, errDamaged):
+			rs.DamagedSegments++
+			p.warn(l, "persist: derived table not served", "name", d.name, "error", u.readErr)
+			l.deriveLog = append(l.deriveLog, d)
+			return false, nil
+		case u.readErr != nil:
+			return false, u.readErr
+		case l.deriveConflict(d.name) != nil:
+			return false, nil
+		case u.buildErr != nil:
+			p.warn(l, "persist: replay derive", "name", d.name, "error", u.buildErr)
+			return false, nil
+		}
+		l.publishDerive(d, u.t)
+		return true, nil
+	}
+	in := rec.ingestMeta()
+	switch {
+	case errors.Is(u.readErr, errDamaged):
 		rs.DamagedSegments++
-		p.warn(l, "persist: dataset not served", "path", in.path, "error", err)
+		p.warn(l, "persist: dataset not served", "path", in.path, "error", u.readErr)
 		l.ingestLog = append(l.ingestLog, in)
 		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	// A conflict is state the snapshot restored.
-	if l.ingestConflict(in.path, polystore.DerivedName(in.path)) != nil {
+	case u.readErr != nil:
+		return false, u.readErr
+	case l.ingestConflict(in.path, polystore.DerivedName(in.path)) != nil:
+		return false, nil
+	case u.buildErr != nil:
+		p.warn(l, "persist: replay ingest", "path", in.path, "error", u.buildErr)
 		return false, nil
 	}
-	w, err := l.prepareIngest(in, data)
-	if err != nil {
-		p.warn(l, "persist: replay ingest", "path", in.path, "error", err)
-		return false, nil
-	}
-	l.publishIngest(w)
-	return true, nil
-}
-
-// replayDerive restores one derived table from its CSV, as replayIngest
-// restores a dataset.
-func (l *Lake) replayDerive(p *persister, d deriveMeta, inline string, rs *maintain.ReplayStats) (bool, error) {
-	data, err := p.load(l, &d.segment, []byte(inline))
-	if errors.Is(err, errDamaged) {
-		rs.DamagedSegments++
-		p.warn(l, "persist: derived table not served", "name", d.name, "error", err)
-		l.deriveLog = append(l.deriveLog, d)
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if l.deriveConflict(d.name) != nil {
-		return false, nil
-	}
-	t, err := table.ParseCSV(d.name, string(data))
-	if err != nil {
-		p.warn(l, "persist: replay derive", "name", d.name, "error", err)
-		return false, nil
-	}
-	l.publishDerive(d, t)
+	l.publishIngest(u.w)
 	return true, nil
 }
 

@@ -154,7 +154,8 @@ func TestMirrorConcurrentScans(t *testing.T) {
 		answers[k] = strings.Join(ans, "\n")
 	}
 	p.Rel.Create(versions[0])
-	coll := p.Docs.Collection("ev")
+	coll := docstore.NewCollection("ev")
+	p.Docs.Add(coll)
 	for i := 0; i < 200; i++ {
 		coll.Insert(docstore.Doc{"_id": fmt.Sprintf("d%06d", i), "id": fmt.Sprintf("d%06d", i), "v": float64(i % 1000)})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,31 @@ func TestBareSourceResolution(t *testing.T) {
 		t.Errorf("unknown prefix = %v, want ErrUnknownSource", err)
 	}
 
+}
+
+// A query only reads the document store: asking for a collection the
+// lake does not hold answers 0 rows, as before, and leaves no empty
+// collection behind for a bare name to resolve to.
+func TestDocQueryCreatesNoCollection(t *testing.T) {
+	p := setupPoly(t)
+	e := NewEngine(p)
+	before := p.Docs.Collections()
+	res, err := collectSQL(context.Background(), e, "SELECT * FROM doc:ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 0 {
+		t.Errorf("doc:ghost rows = %d, want 0", res.NumRows())
+	}
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM doc:ghost WHERE n >= 2"); err != nil {
+		t.Errorf("doc:ghost with a predicate: %v", err)
+	}
+	if after := p.Docs.Collections(); !reflect.DeepEqual(after, before) {
+		t.Errorf("collections = %v after the query, want %v", after, before)
+	}
+	if _, err := collectSQL(context.Background(), e, "SELECT * FROM ghost"); !errors.Is(err, ErrUnknownSource) {
+		t.Errorf("bare ghost after doc:ghost = %v, want ErrUnknownSource", err)
+	}
 }
 
 func TestPredicateOnUnprojectedColumn(t *testing.T) {

@@ -79,16 +79,13 @@ func NewCollection(name string) *Collection {
 	return &Collection{name: name, docs: map[string]Doc{}}
 }
 
-// Collection returns (creating if needed) the named collection.
+// Collection returns the named collection, or nil when the store holds
+// none of that name. A lookup creates nothing; a nil collection reads
+// as empty.
 func (s *Store) Collection(name string) *Collection {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.collections[name]
-	if !ok {
-		c = NewCollection(name)
-		s.collections[name] = c
-	}
-	return c
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.collections[name]
 }
 
 // Add stores c under its name, replacing any collection of that name.
@@ -149,15 +146,22 @@ func (c *Collection) InsertJSON(raw []byte) (string, error) {
 	return c.Insert(doc), nil
 }
 
-// Len returns the number of documents.
+// Len returns the number of documents; 0 for a nil collection.
 func (c *Collection) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.docs)
 }
 
-// Find returns all documents satisfying every filter, ordered by ID.
+// Find returns all documents satisfying every filter, ordered by ID;
+// none for a nil collection.
 func (c *Collection) Find(filters ...Filter) []Doc {
+	if c == nil {
+		return nil
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	paths := make([][]string, len(filters))

@@ -8,8 +8,7 @@ import (
 )
 
 func TestExplicitIDUpsert(t *testing.T) {
-	s := New()
-	c := s.Collection("c")
+	c := NewCollection("c")
 	c.Insert(Doc{"_id": "x", "v": 1.0})
 	c.Insert(Doc{"_id": "x", "v": 2.0})
 	if c.Len() != 1 {
@@ -22,8 +21,7 @@ func TestExplicitIDUpsert(t *testing.T) {
 }
 
 func TestInsertJSON(t *testing.T) {
-	s := New()
-	c := s.Collection("j")
+	c := NewCollection("j")
 	id, err := c.InsertJSON([]byte(`{"kind":"sensor","reading":{"temp":21.5}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +36,7 @@ func TestInsertJSON(t *testing.T) {
 }
 
 func TestFindFilters(t *testing.T) {
-	s := New()
-	c := s.Collection("readings")
+	c := NewCollection("readings")
 	for i := 0; i < 10; i++ {
 		c.Insert(Doc{"_id": fmt.Sprintf("r%02d", i), "v": float64(i), "tag": map[string]any{"site": fmt.Sprintf("s%d", i%2)}})
 	}
@@ -64,8 +61,7 @@ func TestFindFilters(t *testing.T) {
 }
 
 func TestContainsFilter(t *testing.T) {
-	s := New()
-	c := s.Collection("c")
+	c := NewCollection("c")
 	c.Insert(Doc{"_id": "1", "desc": "sensor data from berlin plant"})
 	c.Insert(Doc{"_id": "2", "desc": "sales figures"})
 	got := c.Find(Filter{Path: "desc", Op: OpContains, Value: "berlin"})
@@ -75,8 +71,7 @@ func TestContainsFilter(t *testing.T) {
 }
 
 func TestIntFloatEquality(t *testing.T) {
-	s := New()
-	c := s.Collection("n")
+	c := NewCollection("n")
 	c.Insert(Doc{"_id": "a", "v": 1.0}) // JSON numbers decode as float64
 	if got := c.Find(eq("v", 1)); len(got) != 1 {
 		t.Errorf("int filter should match float64 value, got %d", len(got))
@@ -84,8 +79,7 @@ func TestIntFloatEquality(t *testing.T) {
 }
 
 func TestArrayPathLookup(t *testing.T) {
-	s := New()
-	c := s.Collection("a")
+	c := NewCollection("a")
 	id, err := c.InsertJSON([]byte(`{"tags":["x","y","z"]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +98,8 @@ func TestArrayPathLookup(t *testing.T) {
 
 func TestCollectionsAndDrop(t *testing.T) {
 	s := New()
-	s.Collection("b")
-	s.Collection("a")
+	s.Add(NewCollection("b"))
+	s.Add(NewCollection("a"))
 	got := s.Collections()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Collections = %v", got)
@@ -123,3 +117,22 @@ func eq(path string, value any) Filter { return Filter{Path: path, Op: OpEq, Val
 
 // lookup resolves an unsplit dotted path.
 func lookup(d Doc, path string) (any, bool) { return lookupPath(d, strings.Split(path, ".")) }
+
+func TestCollectionLookupCreatesNothing(t *testing.T) {
+	s := New()
+	c := s.Collection("ghost")
+	if c != nil {
+		t.Fatalf("Collection(ghost) = %v, want nil", c)
+	}
+	if got := c.Find(); got != nil || c.Len() != 0 || c.All() != nil {
+		t.Errorf("a nil collection reads %v, Len %d; want empty", got, c.Len())
+	}
+	if got := s.Collections(); len(got) != 0 {
+		t.Errorf("Collections = %v after a lookup, want none", got)
+	}
+	added := NewCollection("real")
+	s.Add(added)
+	if s.Collection("real") != added {
+		t.Error("Collection(real) is not the collection Add stored")
+	}
+}
