@@ -131,6 +131,75 @@ func addHostile(t *testing.T, l *Lake) {
 	}
 }
 
+// TestV1QueryJSONBodyEquivalence: the plain JSON answer of POST
+// /v1/query is, byte for byte, what encoding/json writes for the map
+// {"columns", "rows", "stats"} of the collected result: at every batch
+// size, over cells with quotes, backslashes, <>&, control bytes, U+2028
+// and invalid UTF-8, from stored columns and documents, and for an
+// empty result ("rows":[]). The stats are taken from the body, since
+// their timings differ from run to run.
+func TestV1QueryJSONBodyEquivalence(t *testing.T) {
+	l, srv := batchLake(t)
+	addHostile(t, l)
+	ctx := context.Background()
+	oldBody := func(t *testing.T, sql string, body []byte) string {
+		t.Helper()
+		var env struct {
+			Stats json.RawMessage `json:"stats"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil || env.Stats == nil {
+			t.Fatalf("%s: body %.200q: %v", sql, body, err)
+		}
+		st, err := l.Query(ctx, "dana", query.Request{SQL: sql, FanIn: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := query.Collect(ctx, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]string, 0, res.NumRows())
+		for i := 0; i < res.NumRows(); i++ {
+			rows = append(rows, res.Row(i))
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(map[string]any{"columns": orEmpty(res.ColumnNames()), "rows": rows, "stats": env.Stats}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, sql := range []string{
+		"SELECT id, a, b FROM rel:hostile",
+		"SELECT b, a, id FROM rel:hostile WHERE id < 40",
+		"SELECT * FROM rel:hostile, doc:hostile_docs",
+		"SELECT city, price FROM rel:hotels_a, rel:hotels_b WHERE price > 40",
+		"SELECT id, a FROM rel:hostile WHERE id > 100000",
+	} {
+		resp, body := do(t, srv, http.MethodPost, "/v1/query", "dana", fmt.Sprintf(`{"sql":%q,"fanin":1}`, sql))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, content type %q (%s)", sql, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		}
+		if want := oldBody(t, sql, body); string(body) != want {
+			t.Errorf("%s: body\n%q\nwant\n%q", sql, body, want)
+		}
+		for _, batchRows := range []int{1, 7, 1024} {
+			st, err := l.Query(ctx, "dana", query.Request{SQL: sql, BatchRows: batchRows, FanIn: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			writeQueryJSON(rec, ctx, st)
+			body := rec.Body.Bytes()
+			if want := oldBody(t, sql, body); string(body) != want {
+				t.Errorf("%s batch=%d: body\n%q\nwant\n%q", sql, batchRows, body, want)
+			}
+		}
+	}
+	if _, body := do(t, srv, http.MethodPost, "/v1/query", "dana", `{"sql":"SELECT id FROM rel:hostile WHERE id > 100000"}`); !bytes.Contains(body, []byte(`"rows":[],"stats":`)) {
+		t.Errorf("empty result body = %s", body)
+	}
+}
+
 // TestV1QueryBatchNDJSONByteIdentity pins the serialization contract:
 // at every batch size, the NDJSON stream's header and row lines, and
 // the rows of its batch frames, are byte-identical to what

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -18,7 +19,6 @@ import (
 	"golake/internal/obs"
 	"golake/internal/organize"
 	"golake/internal/query"
-	"golake/internal/table"
 	"golake/lakeerr"
 )
 
@@ -759,16 +759,45 @@ func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
 		streamNDJSON(w, r.Context(), st, st.Stats, framed)
 		return
 	}
-	res, err := query.Collect(r.Context(), st)
-	if err != nil {
-		writeErr(w, err)
-		return
+	writeQueryJSON(w, r.Context(), st)
+}
+
+// writeQueryJSON writes a query stream as the plain JSON answer: the
+// bytes encoding/json writes for {"columns", "rows", "stats"}, the rows
+// appended by Batch.AppendRowJSON, the encoder of the streamed shapes.
+// The body is built whole before any of it is written, so a failure part
+// way still answers the error envelope with its status.
+func writeQueryJSON(w http.ResponseWriter, ctx context.Context, st *query.RowStream) {
+	defer st.Close()
+	// Column names and the stats, strings and integers, always marshal.
+	cols, _ := json.Marshal(orEmpty(st.Columns()))
+	buf := append(append([]byte(`{"columns":`), cols...), `,"rows":[`...)
+	var serialize time.Duration
+	for {
+		b, err := st.NextBatch(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		start := time.Now()
+		for i := 0; i < b.Len(); i++ {
+			// A row line ends in a newline; in the array, in a comma.
+			buf = b.AppendRowJSON(buf, i)
+			buf[len(buf)-1] = ','
+		}
+		serialize += time.Since(start)
 	}
-	serStart := time.Now()
-	out := tableJSON(res)
-	st.AddSpan("serialize", time.Since(serStart))
-	out["stats"] = st.Stats()
-	writeJSON(w, http.StatusOK, out)
+	buf = bytes.TrimSuffix(buf, []byte(","))
+	// Stats are final once the stream is closed.
+	_ = st.Close()
+	st.AddSpan("serialize", serialize)
+	stats, _ := json.Marshal(st.Stats())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(append(append(buf, `],"stats":`...), stats...), "}\n"...))
 }
 
 // batchStream is what streamNDJSON drains: a query stream's header and
@@ -886,15 +915,6 @@ func writeNDJSONError(w http.ResponseWriter, err error) {
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// tableJSON renders a table as {columns: [...], rows: [[...], ...]}.
-func tableJSON(t *table.Table) map[string]any {
-	rows := make([][]string, 0, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		rows = append(rows, t.Row(i))
-	}
-	return map[string]any{"columns": orEmpty(t.ColumnNames()), "rows": rows}
 }
 
 func (l *Lake) handleLineageV1(w http.ResponseWriter, r *http.Request) {

@@ -239,10 +239,13 @@ type Lake struct {
 	// maintenance pass, so an incremental pass promotes zones in
 	// O(new data) instead of rescanning every placement.
 	pendingPromote []string
-	// ingestLog / deriveLog record the mutating operations in commit
-	// order; the persistence manifest serializes them (guarded by mu).
-	ingestLog []ingestMeta
-	deriveLog []deriveMeta
+	// ingestLog / deriveLog hold the WAL records of the lake's ingests
+	// and derives in commit order, as logEntry leaves them (guarded by mu).
+	ingestLog []walRecord
+	deriveLog []walRecord
+	// damaged counts the log entries replay kept for datasets whose
+	// segment is damaged, until writes replace them (guarded by mu).
+	damaged int
 	// retired lists the segments of evicted datasets, in eviction order;
 	// a checkpoint deletes them once its manifest no longer names them
 	// (guarded by mu).
@@ -309,7 +312,7 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		Poly:       poly,
 		GEMMS:      metamodel.NewGEMMS(),
 		Handle:     metamodel.NewHANDLE(),
-		Catalog:    organize.NewCatalog(),
+		Catalog:    organize.NewCatalog(poly),
 		Tracker:    provenance.NewTracker(o.clock),
 		Explorer:   explore.NewExplorer(),
 		planner:    maintain.NewPlanner(),
@@ -542,11 +545,10 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 	if err != nil {
 		return nil, err
 	}
-	w, err := l.prepareIngest(ingestMeta{path: path, source: source, user: user, segment: seg}, data)
+	ev := provenance.IngestEvent(path, source, user)
+	w, err := l.prepareIngest(walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev}, data)
 	if err == nil {
-		ev := provenance.IngestEvent(path, source, user)
-		err = l.persistThen(&walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev},
-			func() { l.publishIngest(w) })
+		err = l.persistThen(&w.rec, func() { l.publishIngest(w) })
 	}
 	if err != nil {
 		// Nothing was published, so no manifest names the segment.
@@ -594,7 +596,7 @@ func (l *Lake) release(path, name string) {
 // would land on the same model-store name and clobber each other's
 // table.
 func (l *Lake) ingestConflict(path, name string) error {
-	if _, ok := l.Catalog.Entry(path); ok {
+	if _, ok := l.Poly.PlacementOf(path); ok {
 		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
 	}
 	l.mu.RLock()
@@ -609,9 +611,9 @@ func (l *Lake) ingestConflict(path, name string) error {
 
 // ingestWrite is an ingest prepared off to the side: its object placed
 // and its metadata extracted where nothing can see them until
-// publishIngest.
+// publishIngest, beside the WAL record that commits it.
 type ingestWrite struct {
-	meta   ingestMeta
+	rec    walRecord
 	staged polystore.Staged
 	md     *extract.Metadata
 	obj    *metamodel.MetadataObject
@@ -623,34 +625,38 @@ type ingestWrite struct {
 // anything else, an unparseable CSV included) on to extraction. A
 // durable lake's file store reads the raw bytes back from their segment
 // instead of keeping a copy.
-func (l *Lake) prepareIngest(in ingestMeta, data []byte) (*ingestWrite, error) {
-	st, err := polystore.Prepare(in.path, data, l.segmentReader(in.segment))
+func (l *Lake) prepareIngest(rec walRecord, data []byte) (*ingestWrite, error) {
+	st, err := polystore.Prepare(rec.Path, data, l.segmentReader(rec.Segment))
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	md, err := extract.ExtractParsed(in.path, data, st.Table)
+	md, err := extract.ExtractParsed(rec.Path, data, st.Table)
 	if err != nil {
 		// Raw bytes stay; metadata extraction failure leaves the
 		// object catalogued as swamp-risk (detectable by SwampAudit).
-		md = &extract.Metadata{Path: in.path, Format: st.Placement.Format, Properties: map[string]string{}}
+		md = &extract.Metadata{Path: rec.Path, Format: st.Placement.Format, Properties: map[string]string{}}
 	}
-	return &ingestWrite{meta: in, staged: st, md: md, obj: metamodel.FromExtraction(md)}, nil
+	return &ingestWrite{rec: rec, staged: st, md: md, obj: metamodel.FromExtraction(md)}, nil
 }
 
-// publishIngest makes a prepared ingest visible: placement, metadata,
-// raw zone, catalog entry and the lake's own indexes.
+// publishIngest makes a prepared ingest visible: placement (which the
+// catalog reads), metadata, raw zone and the lake's own indexes.
 func (l *Lake) publishIngest(w *ingestWrite) {
-	path, pl := w.meta.path, w.staged.Placement
+	path, pl := w.rec.Path, w.staged.Placement
 	l.Poly.Publish(&w.staged)
 	l.GEMMS.Register(w.obj)
 	// The path was free when the ingest reserved it, so HANDLE holds no
 	// zone for it.
 	_ = l.Handle.AddData(path, ZoneRaw)
-	l.Catalog.Register(path)
 	l.mu.Lock()
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
-	l.ingestLog = append(l.ingestLog, w.meta)
+	if l.damaged > 0 {
+		var n int
+		l.ingestLog, n = l.dropEntries(l.ingestLog, &w.rec)
+		l.damaged -= n
+	}
+	l.ingestLog = append(l.ingestLog, w.rec.logEntry())
 	if pl.TableName != "" {
 		l.nameToPath[pl.TableName] = path
 	}
@@ -1450,13 +1456,13 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 	if err != nil {
 		return err
 	}
-	d := deriveMeta{name: name, activity: activity, user: user, segment: seg, inputs: append([]string(nil), inputs...)}
+	rec := walRecord{
+		Kind: recDerive, Name: name, Activity: activity, User: user, Inputs: append([]string(nil), inputs...), Segment: seg,
+		Events: provenance.DeriveEvents(activity, "lake", user, inputs, name),
+	}
 	// The store keeps the table it is given; the caller keeps output.
 	t := output.Clone()
-	err = l.persistThen(&walRecord{
-		Kind: recDerive, Name: name, Activity: activity, User: user, Inputs: inputs, Segment: seg,
-		Events: provenance.DeriveEvents(activity, "lake", user, inputs, name),
-	}, func() { l.publishDerive(d, t) })
+	err = l.persistThen(&rec, func() { l.publishDerive(&rec, t) })
 	if err != nil {
 		l.dropSegment(seg)
 		return err
@@ -1484,16 +1490,21 @@ func (l *Lake) deriveConflict(name string) error {
 
 // publishDerive stores a derived table and updates the bookkeeping —
 // the shared publish of live Derive and persistence replay.
-func (l *Lake) publishDerive(d deriveMeta, output *table.Table) {
+func (l *Lake) publishDerive(rec *walRecord, output *table.Table) {
 	l.Poly.Rel.Create(output)
 	l.mu.Lock()
 	// Register the derived table under its own name so Ingest's
 	// collision guard also protects it from basename clashes, and bump
 	// the ingest generation: the new table is unindexed until the next
 	// Maintain pass, so the lake is stale.
-	l.nameToPath[d.name] = d.name
+	l.nameToPath[rec.Name] = rec.Name
 	l.ingestGen++
-	l.deriveLog = append(l.deriveLog, d)
+	if l.damaged > 0 {
+		var n int
+		l.deriveLog, n = l.dropEntries(l.deriveLog, rec)
+		l.damaged -= n
+	}
+	l.deriveLog = append(l.deriveLog, rec.logEntry())
 	l.mu.Unlock()
 	// Derived tables are query outputs over already-indexed data; their
 	// columns shift the corpus statistics the discovery indexes were
@@ -1564,23 +1575,13 @@ func (l *Lake) evictLocked(path string) error {
 	if err := l.Poly.Remove(path); err != nil {
 		return lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	l.Catalog.Remove(path)
 	l.GEMMS.Remove(path)
 	l.Handle.Remove(path)
 	l.mu.Lock()
 	if name != "" {
 		delete(l.nameToPath, name)
 	}
-	kept := l.ingestLog[:0]
-	for _, m := range l.ingestLog {
-		switch {
-		case m.path != path:
-			kept = append(kept, m)
-		case m.segment != "":
-			l.retired = append(l.retired, m.segment)
-		}
-	}
-	l.ingestLog = kept
+	l.ingestLog, _ = l.dropEntries(l.ingestLog, &walRecord{Path: path})
 	pend := l.pendingPromote[:0]
 	for _, p := range l.pendingPromote {
 		if p != path {

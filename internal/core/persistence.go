@@ -44,9 +44,10 @@ const (
 )
 
 // walRecord is one logical WAL entry. Kind selects which fields are
-// meaningful.
+// meaningful. It is the one description of a write: the lake's logs and
+// manifests keep an ingest's or derive's record, as logEntry leaves it.
 type walRecord struct {
-	Kind string `json:"kind"`
+	Kind string `json:"kind,omitempty"`
 	// ingest / evict: the dataset path. ingest and derive name the
 	// segment holding the raw bytes or the derived table's CSV.
 	Path    string `json:"path,omitempty"`
@@ -79,6 +80,29 @@ type walRecord struct {
 	Generation uint64   `json:"generation,omitempty"`
 }
 
+// logEntry is an ingest or derive record as the lake's logs keep it:
+// without its kind (the log says that), events (the tracker keeps them)
+// or inline bytes (replay moved them into the segment it names).
+func (r walRecord) logEntry() walRecord {
+	r.Kind, r.Event, r.Events, r.Data, r.CSV = "", nil, nil, nil, ""
+	return r
+}
+
+// dropEntries removes the entries of rec's dataset or derived table
+// from log, retires their segments and counts them. l.mu must be held.
+func (l *Lake) dropEntries(log []walRecord, rec *walRecord) ([]walRecord, int) {
+	kept := log[:0]
+	for _, e := range log {
+		switch {
+		case e.Path != rec.Path || e.Name != rec.Name:
+			kept = append(kept, e)
+		case e.Segment != "":
+			l.retired = append(l.retired, e.Segment)
+		}
+	}
+	return kept, len(log) - len(kept)
+}
+
 // events returns the provenance events the record carries.
 func (r *walRecord) events() []provenance.Event {
 	if r.Event != nil {
@@ -109,14 +133,15 @@ func (r *walRecord) stamp(l *Lake) {
 // raw bytes and derivation CSVs), not index structures: restore re-runs
 // the ingest/derive pipelines and rebuilds the exploration indexes from
 // the restored coverage, so the format survives index-implementation
-// changes.
+// changes. Datasets and Derived are the lake's ingest and derive logs;
+// before segments, their entries held inline bytes (Data, CSV).
 type lakeSnapshot struct {
 	Version int               `json:"version"`
 	Users   map[string]string `json:"users,omitempty"`
 	// Tokens maps bearer-token digests to user names.
 	Tokens   map[string]string `json:"tokens,omitempty"`
-	Datasets []snapDataset     `json:"datasets,omitempty"`
-	Derived  []snapDerived     `json:"derived,omitempty"`
+	Datasets []walRecord       `json:"datasets,omitempty"`
+	Derived  []walRecord       `json:"derived,omitempty"`
 	// Zones records non-raw zone assignments (path -> zone).
 	Zones  map[string]string  `json:"zones,omitempty"`
 	Events []provenance.Event `json:"events,omitempty"`
@@ -127,36 +152,6 @@ type lakeSnapshot struct {
 	IngestGen     uint64   `json:"ingest_gen"`
 	MaintainedGen uint64   `json:"maintained_gen"`
 	Pending       []string `json:"pending,omitempty"`
-}
-
-// snapDataset and snapDerived name their segment; Data and CSV are the
-// inline bytes of snapshots written before segments.
-type snapDataset struct {
-	Path    string `json:"path"`
-	Source  string `json:"source,omitempty"`
-	User    string `json:"user,omitempty"`
-	Segment string `json:"segment,omitempty"`
-	Data    []byte `json:"data,omitempty"`
-}
-
-type snapDerived struct {
-	Name     string   `json:"name"`
-	Activity string   `json:"activity,omitempty"`
-	User     string   `json:"user,omitempty"`
-	Inputs   []string `json:"inputs,omitempty"`
-	Segment  string   `json:"segment,omitempty"`
-	CSV      string   `json:"csv,omitempty"`
-}
-
-// ingestMeta / deriveMeta are the in-memory operation logs the manifest
-// builder serializes (guarded by Lake.mu, appended in commit order).
-type ingestMeta struct {
-	path, source, user, segment string
-}
-
-type deriveMeta struct {
-	name, activity, user, segment string
-	inputs                        []string
 }
 
 // errLakeClosed is what a write to a closed persistent lake returns: it
@@ -508,21 +503,14 @@ func (l *Lake) buildSnapshot() (*lakeSnapshot, []string) {
 	for digest, user := range l.tokens {
 		snap.Tokens[digest] = user
 	}
-	ingests := append([]ingestMeta(nil), l.ingestLog...)
-	derives := append([]deriveMeta(nil), l.deriveLog...)
+	snap.Datasets = append([]walRecord(nil), l.ingestLog...)
+	snap.Derived = append([]walRecord(nil), l.deriveLog...)
 	retired := append([]string(nil), l.retired...)
 	l.mu.RUnlock()
-	for _, in := range ingests {
-		snap.Datasets = append(snap.Datasets, snapDataset{Path: in.path, Source: in.source, User: in.user, Segment: in.segment})
-		if z, err := l.Handle.Zone(in.path); err == nil && z != ZoneRaw {
-			snap.Zones[in.path] = z
+	for _, in := range snap.Datasets {
+		if z, err := l.Handle.Zone(in.Path); err == nil && z != ZoneRaw {
+			snap.Zones[in.Path] = z
 		}
-	}
-	for _, d := range derives {
-		snap.Derived = append(snap.Derived, snapDerived{
-			Name: d.name, Activity: d.activity, User: d.user,
-			Inputs: append([]string(nil), d.inputs...), Segment: d.segment,
-		})
 	}
 	snap.Events = l.Tracker.Events()
 	snap.Covered = l.planner.Covered()
@@ -572,17 +560,16 @@ func (p *persister) restore(l *Lake) error {
 		if err := json.Unmarshal(snapBytes, snap); err != nil {
 			return lakeerr.Errorf(lakeerr.CodeInternal, "core: corrupt snapshot: %v", err)
 		}
-		for _, d := range snap.Datasets {
-			named[d.Segment] = true
-			inline = inline || d.Segment == ""
-			units = append(units, replayUnit{rec: walRecord{
-				Kind: recIngest, Path: d.Path, Source: d.Source, User: d.User, Segment: d.Segment, Data: d.Data}})
-		}
-		for _, d := range snap.Derived {
-			named[d.Segment] = true
-			inline = inline || d.Segment == ""
-			units = append(units, replayUnit{rec: walRecord{
-				Kind: recDerive, Name: d.Name, Activity: d.Activity, User: d.User, Inputs: d.Inputs, Segment: d.Segment, CSV: d.CSV}})
+		// An entry is its write's record without the kind: the list it
+		// sits in says which.
+		kinds := [2]string{recIngest, recDerive}
+		for k, list := range [2][]walRecord{snap.Datasets, snap.Derived} {
+			for _, rec := range list {
+				rec.Kind = kinds[k]
+				named[rec.Segment] = true
+				inline = inline || rec.Segment == ""
+				units = append(units, replayUnit{rec: rec})
+			}
 		}
 	}
 	// A failed WAL read fails the open only once the manifest's units
@@ -642,11 +629,10 @@ func (p *persister) restore(l *Lake) error {
 // a segment put and its WAL record, or of a delete that did not finish.
 // It runs only with the WAL empty, so no record can name one.
 func (p *persister) sweep(l *Lake, named map[string]bool) {
-	for _, in := range l.ingestLog {
-		named[in.segment] = true
-	}
-	for _, d := range l.deriveLog {
-		named[d.segment] = true
+	for _, log := range [][]walRecord{l.ingestLog, l.deriveLog} {
+		for _, e := range log {
+			named[e.Segment] = true
+		}
 	}
 	var orphans []string
 	p.segMu.Lock()
@@ -683,15 +669,6 @@ type replayUnit struct {
 	t        *table.Table
 	buildErr error
 	ready    sync.WaitGroup
-}
-
-// ingestMeta and deriveMeta are the ingest or derive a record logs.
-func (r *walRecord) ingestMeta() ingestMeta {
-	return ingestMeta{path: r.Path, source: r.Source, user: r.User, segment: r.Segment}
-}
-
-func (r *walRecord) deriveMeta() deriveMeta {
-	return deriveMeta{name: r.Name, activity: r.Activity, user: r.User, segment: r.Segment, inputs: r.Inputs}
 }
 
 // replayer prepares replay's units on GOMAXPROCS workers, each claiming
@@ -784,7 +761,7 @@ func (l *Lake) build(u *replayUnit, data []byte) {
 		u.t, u.buildErr = table.ParseCSV(u.rec.Name, string(data))
 		return
 	}
-	u.w, u.buildErr = l.prepareIngest(u.rec.ingestMeta(), data)
+	u.w, u.buildErr = l.prepareIngest(u.rec, data)
 }
 
 // replay publishes the prepared units in log order: the manifest's
@@ -918,10 +895,11 @@ func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int, rs *main
 // reserved. It first raises the segment counter to the name the unit
 // names or, for inline bytes, stores them as a new segment and builds
 // from them: both in log order, so every segment name comes out as a
-// one-at-a-time replay hands it out. A unit whose segment is damaged is counted and not served, but
-// keeps its log entry: the next manifest still names the segment, so
-// its bytes stay for inspection instead of being swept. A conflict is
-// state replay already restored.
+// one-at-a-time replay hands it out. A unit whose segment is damaged is
+// counted and not served, but keeps its log entry: the next manifest
+// still names the segment, so its bytes stay for inspection instead of
+// being swept, until a write of the same dataset or derived table
+// replaces it. A conflict is state replay already restored.
 func (l *Lake) publishReplayed(p *persister, u *replayUnit, rs *maintain.ReplayStats) (bool, error) {
 	rec := &u.rec
 	if rec.Segment != "" {
@@ -938,38 +916,37 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit, rs *maintain.ReplayS
 		rec.Segment = name
 		l.build(u, inline)
 	}
+	if errors.Is(u.readErr, errDamaged) {
+		rs.DamagedSegments++
+		l.damaged++
+		if rec.Kind == recDerive {
+			p.warn(l, "persist: derived table not served", "name", rec.Name, "error", u.readErr)
+			l.deriveLog = append(l.deriveLog, rec.logEntry())
+		} else {
+			p.warn(l, "persist: dataset not served", "path", rec.Path, "error", u.readErr)
+			l.ingestLog = append(l.ingestLog, rec.logEntry())
+		}
+		return false, nil
+	}
+	if u.readErr != nil {
+		return false, u.readErr
+	}
 	if rec.Kind == recDerive {
-		d := rec.deriveMeta()
 		switch {
-		case errors.Is(u.readErr, errDamaged):
-			rs.DamagedSegments++
-			p.warn(l, "persist: derived table not served", "name", d.name, "error", u.readErr)
-			l.deriveLog = append(l.deriveLog, d)
-			return false, nil
-		case u.readErr != nil:
-			return false, u.readErr
-		case l.deriveConflict(d.name) != nil:
+		case l.deriveConflict(rec.Name) != nil:
 			return false, nil
 		case u.buildErr != nil:
-			p.warn(l, "persist: replay derive", "name", d.name, "error", u.buildErr)
+			p.warn(l, "persist: replay derive", "name", rec.Name, "error", u.buildErr)
 			return false, nil
 		}
-		l.publishDerive(d, u.t)
+		l.publishDerive(rec, u.t)
 		return true, nil
 	}
-	in := rec.ingestMeta()
 	switch {
-	case errors.Is(u.readErr, errDamaged):
-		rs.DamagedSegments++
-		p.warn(l, "persist: dataset not served", "path", in.path, "error", u.readErr)
-		l.ingestLog = append(l.ingestLog, in)
-		return false, nil
-	case u.readErr != nil:
-		return false, u.readErr
-	case l.ingestConflict(in.path, polystore.DerivedName(in.path)) != nil:
+	case l.ingestConflict(rec.Path, polystore.DerivedName(rec.Path)) != nil:
 		return false, nil
 	case u.buildErr != nil:
-		p.warn(l, "persist: replay ingest", "path", in.path, "error", u.buildErr)
+		p.warn(l, "persist: replay ingest", "path", rec.Path, "error", u.buildErr)
 		return false, nil
 	}
 	l.publishIngest(u.w)
@@ -1018,11 +995,8 @@ func (l *Lake) rebuildIndexesFromCoverage() {
 	// A derivation that landed after the last committed pass has no
 	// coverage; live operation would have left a pending ForceFull, which
 	// planner.Restore cleared — reinstate it.
-	l.mu.RLock()
-	derives := append([]deriveMeta(nil), l.deriveLog...)
-	l.mu.RUnlock()
-	for _, d := range derives {
-		if !covered[d.name] {
+	for _, d := range l.deriveLog {
+		if !covered[d.Name] {
 			l.planner.ForceFull("derive")
 			break
 		}

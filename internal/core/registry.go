@@ -14,6 +14,7 @@ import (
 	"golake/internal/organize"
 	"golake/internal/provenance"
 	"golake/internal/query"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/internal/workload"
 )
@@ -111,11 +112,14 @@ func Registry() []FunctionEntry {
 			Package: "internal/organize",
 			Run: func() (string, error) {
 				knn := organize.NewDSKNN()
-				cat := organize.NewCatalog()
+				poly, _ := polystore.New("")
 				for _, t := range fixture().Tables {
 					knn.Add(t)
-					cat.Register("raw/" + t.Name + ".csv")
+					if _, err := poly.Ingest("raw/"+t.Name+".csv", []byte(table.ToCSV(t))); err != nil {
+						return "", err
+					}
 				}
+				cat := organize.NewCatalog(poly)
 				return fmt.Sprintf("dsknn categories=%d, catalog entries=%d",
 					len(knn.Categories()), len(cat.List())), nil
 			},

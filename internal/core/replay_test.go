@@ -60,7 +60,7 @@ func writeLogOrderLake(t *testing.T, b persist.Backend) {
 	snap := lakeSnapshot{
 		Version: 2,
 		Users:   map[string]string{"dana": string(RoleDataScientist), "carl": string(RoleCurator)},
-		Datasets: []snapDataset{
+		Datasets: []walRecord{
 			{Path: "raw/m1.csv", Source: "erp", User: "dana", Segment: seg(1, "k,v\nm1,1\nm1,2\n")},
 			{Path: "raw/m2.csv", Source: "erp", User: "dana", Segment: seg(2, "k,v\nm2,1\n")},
 		},
@@ -122,10 +122,10 @@ func replayView(t *testing.T, l *Lake, logs *bytes.Buffer) string {
 		names = append(names, name+"="+path)
 	}
 	for _, in := range l.ingestLog {
-		fmt.Fprintf(&sb, "ingest %s %s\n", in.path, in.segment)
+		fmt.Fprintf(&sb, "ingest %s %s\n", in.Path, in.Segment)
 	}
 	for _, d := range l.deriveLog {
-		fmt.Fprintf(&sb, "derive %s %s\n", d.name, d.segment)
+		fmt.Fprintf(&sb, "derive %s %s\n", d.Name, d.Segment)
 	}
 	l.mu.RUnlock()
 	sort.Strings(names)
@@ -242,7 +242,7 @@ func TestPersistReplayFailsOnFirstSegmentInLogOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		live.mu.RLock()
-		segs = append(segs, live.ingestLog[len(live.ingestLog)-1].segment)
+		segs = append(segs, live.ingestLog[len(live.ingestLog)-1].Segment)
 		live.mu.RUnlock()
 	}
 	// live is abandoned unclosed: every dataset replays from the WAL.

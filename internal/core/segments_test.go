@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -366,6 +367,108 @@ func TestPersistDamagedSegmentNotServed(t *testing.T) {
 	}
 }
 
+// Ingesting a dataset again, or deriving a table again, whose segment
+// is damaged replaces the entry replay kept for it: the manifest names
+// it once, the old segment goes at the next checkpoint, and whether the
+// lake that wrote again was closed or abandoned, the reopens after it
+// warn of nothing, count no damaged segment and serve the new rows (an
+// abandoned lake's first reopen still meets the damaged entry in its
+// manifest before the WAL record that replaces it).
+func TestPersistReingestReplacesDamagedEntry(t *testing.T) {
+	ctx := context.Background()
+	for _, stop := range []string{"close", "hard stop"} {
+		t.Run(stop, func(t *testing.T) {
+			mem := persist.NewMemory()
+			var logs bytes.Buffer
+			open := func() *Lake {
+				t.Helper()
+				logs.Reset()
+				l, err := Open(t.TempDir(), WithPersistence(mem), WithLogger(quietTimeLogger(&logs)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l
+			}
+			write := func(l *Lake, body string) {
+				t.Helper()
+				if _, err := l.Ingest(ctx, "raw/a.csv", []byte(body), "src", "dana"); err != nil {
+					t.Fatal(err)
+				}
+				d, _ := table.ParseCSV("d", body)
+				if err := l.Derive(ctx, "dana", "copy", []string{"raw/a.csv"}, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l := open()
+			l.AddUser("dana", RoleDataScientist)
+			write(l, "x\n1\n")
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			old := manifestSegments(t, mem)
+			for _, key := range []string{"raw/a.csv", "d"} {
+				frame, err := mem.ReadSegment(old[key])
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame[len(frame)-1] ^= 0x01
+				if err := mem.PutSegment(old[key], frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l = open()
+			if r := l.MaintenanceStatus().Durability.Replay; r == nil || r.DamagedSegments != 2 {
+				t.Fatalf("replay = %+v, want 2 damaged segments", r)
+			}
+			write(l, "x\n2\n")
+			if stop == "close" {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for reopen := 0; reopen < 2; reopen++ {
+				re := open()
+				if stop == "close" || reopen > 0 {
+					if r := re.MaintenanceStatus().Durability.Replay; r == nil || r.DamagedSegments != 0 {
+						t.Errorf("reopen %d: replay = %+v, want no damaged segment", reopen, r)
+					}
+					if strings.Contains(logs.String(), "level=WARN") {
+						t.Errorf("reopen %d: warnings:\n%s", reopen, logs.String())
+					}
+				}
+				for _, sql := range []string{"SELECT x FROM a", "SELECT x FROM d"} {
+					got, err := re.QuerySQL(ctx, "dana", sql)
+					if err != nil {
+						t.Fatalf("reopen %d: %s: %v", reopen, sql, err)
+					}
+					if csv := table.ToCSV(got); csv != "x\n2\n" {
+						t.Errorf("reopen %d: %s = %q, want the new rows", reopen, sql, csv)
+					}
+				}
+				data, err := mem.ReadSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m lakeSnapshot
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				if len(m.Datasets) != 1 || len(m.Derived) != 1 {
+					t.Errorf("reopen %d: manifest datasets %+v, derived %+v; want one of each", reopen, m.Datasets, m.Derived)
+				}
+				for key, seg := range old {
+					if _, err := mem.ReadSegment(seg); !errors.Is(err, persist.ErrNoSegment) {
+						t.Errorf("reopen %d: the damaged segment of %s is still stored (%v)", reopen, key, err)
+					}
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // A missing segment keeps its name reserved even though nothing on disk
 // holds it: a later ingest gets a fresh name, so the damaged dataset
 // never reads another dataset's bytes after the next reopen.
@@ -528,5 +631,100 @@ func TestPersistLegacyInlineFormatOpens(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinnedManifest is a manifest in the exact bytes the lake wrote before
+// its manifest entries became WAL records, plus the inline entries of
+// the format before segments: raw/a.csv and ab name segments 1 and 2,
+// raw/b.csv and ba carry their bytes inline.
+const pinnedManifest = `{"version":2,"users":{"carl":"curator","dana":"data-scientist"},` +
+	`"datasets":[{"path":"raw/a.csv","source":"erp","user":"dana","segment":"0000000000000001"},` +
+	`{"path":"raw/b.csv","source":"erp","user":"dana","data":"ayx2CmIsMQo="}],` +
+	`"derived":[{"name":"ab","activity":"copy","user":"dana","inputs":["raw/a.csv"],"segment":"0000000000000002"},` +
+	`{"name":"ba","activity":"copy","user":"dana","inputs":["raw/b.csv"],"csv":"k,v\nba,1\n"}],` +
+	`"events":[{"seq":1,"kind":"ingest","entity":"raw/a.csv","system":"erp","user":"dana","at":"2026-10-01T12:00:00Z"}],` +
+	`"maintained":false,"ingest_gen":4,"maintained_gen":0,"pending":["raw/a.csv","raw/b.csv"]}`
+
+// The manifest format is pinned both ways. A manifest in the bytes
+// written before its entries became WAL records, in segment and inline
+// form, opens to its datasets and derived tables; and the manifest
+// written after an ingest, a derive, an evict and the move of those
+// inline bytes into segments gives each entry exactly the keys it had
+// then: no kind, events or inline bytes.
+func TestPersistManifestFormatUnchanged(t *testing.T) {
+	ctx := context.Background()
+	mem := persist.NewMemory()
+	for name, body := range map[string]string{"0000000000000001": "k,v\na,1\n", "0000000000000002": "k,v\nab,1\n"} {
+		if err := mem.PutSegment(name, persist.EncodeFrame([]byte(body))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mem.Checkpoint([]byte(pinnedManifest)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(l.Catalog.List()); got != "[raw/a.csv raw/b.csv]" {
+		t.Errorf("catalog = %s", got)
+	}
+	got, err := l.QuerySQL(ctx, "dana", "SELECT k, v FROM a, b, ab, ba ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csv := table.ToCSV(got); csv != "k,v\na,1\nab,1\nb,1\nba,1\n" {
+		t.Errorf("rows = %q", csv)
+	}
+
+	if _, err := l.Ingest(ctx, "raw/c.csv", []byte("k,v\nc,1\n"), "erp", "dana"); err != nil {
+		t.Fatal(err)
+	}
+	cd, _ := table.ParseCSV("cd", "k,v\ncd,1\n")
+	if err := l.Derive(ctx, "dana", "copy", []string{"raw/c.csv"}, cd); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Evict(ctx, "carl", "raw/a.csv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mem.ReadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Datasets []map[string]json.RawMessage `json:"datasets"`
+		Derived  []map[string]json.RawMessage `json:"derived"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(e map[string]json.RawMessage) string {
+		out := make([]string, 0, len(e))
+		for k := range e {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	for _, list := range []struct {
+		name, want string
+		entries    []map[string]json.RawMessage
+		n          int
+	}{
+		{"datasets", "path,segment,source,user", m.Datasets, 2},
+		{"derived", "activity,inputs,name,segment,user", m.Derived, 3},
+	} {
+		if len(list.entries) != list.n {
+			t.Errorf("manifest %s = %d entries, want %d: %s", list.name, len(list.entries), list.n, data)
+		}
+		for _, e := range list.entries {
+			if got := keys(e); got != list.want {
+				t.Errorf("manifest %s entry has keys %s, want %s", list.name, got, list.want)
+			}
+		}
 	}
 }

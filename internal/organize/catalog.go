@@ -4,9 +4,9 @@
 package organize
 
 import (
-	"sort"
 	"strings"
-	"sync"
+
+	"golake/internal/storage/polystore"
 )
 
 // CatalogEntry is the catalog record of one dataset, as GET
@@ -20,25 +20,18 @@ type CatalogEntry struct {
 }
 
 // Catalog is a GOODS-style post-hoc metadata catalog: datasets are
-// created first and cataloged afterwards, one entry per dataset. The
-// content and provenance metadata GOODS also groups per entry is kept
-// by the GEMMS model and the provenance tracker.
+// created first and cataloged afterwards, one entry per dataset. Like
+// GOODS, it is built from what storage already holds: it keeps nothing
+// of its own and reads the polystore's placements, so a dataset is
+// cataloged exactly while it is placed. The content and provenance
+// metadata GOODS also groups per entry is kept by the GEMMS model and
+// the provenance tracker.
 type Catalog struct {
-	mu      sync.RWMutex
-	entries map[string]CatalogEntry
+	poly *polystore.Poly
 }
 
-// NewCatalog creates an empty catalog.
-func NewCatalog() *Catalog { return &Catalog{entries: map[string]CatalogEntry{}} }
-
-// Register inserts (or refreshes) a dataset entry. The cluster defaults
-// to the path with a trailing date/generation segment stripped.
-func (c *Catalog) Register(id string) {
-	e := CatalogEntry{ID: id, Cluster: ClusterOf(id)}
-	c.mu.Lock()
-	c.entries[id] = e
-	c.mu.Unlock()
-}
+// NewCatalog creates the catalog of the datasets p holds.
+func NewCatalog(p *polystore.Poly) *Catalog { return &Catalog{poly: p} }
 
 // ClusterOf strips a trailing generation segment (digits, dates) from a
 // dataset path, the GOODS version-clustering heuristic.
@@ -61,30 +54,21 @@ func ClusterOf(id string) string {
 }
 
 // Entry fetches a dataset's catalog entry and reports whether the
-// dataset is cataloged.
+// dataset is cataloged. The cluster is the path with a trailing
+// date/generation segment stripped.
 func (c *Catalog) Entry(id string) (CatalogEntry, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[id]
-	c.mu.RUnlock()
-	return e, ok
-}
-
-// Remove deletes a dataset's entry. Removing an uncataloged dataset is
-// a no-op.
-func (c *Catalog) Remove(id string) {
-	c.mu.Lock()
-	delete(c.entries, id)
-	c.mu.Unlock()
+	if _, ok := c.poly.PlacementOf(id); !ok {
+		return CatalogEntry{}, false
+	}
+	return CatalogEntry{ID: id, Cluster: ClusterOf(id)}, true
 }
 
 // List returns all dataset IDs in the catalog, sorted.
 func (c *Catalog) List() []string {
-	c.mu.RLock()
-	out := make([]string, 0, len(c.entries))
-	for id := range c.entries {
-		out = append(out, id)
+	pls := c.poly.Placements()
+	out := make([]string, len(pls))
+	for i, pl := range pls {
+		out[i] = pl.Path
 	}
-	c.mu.RUnlock()
-	sort.Strings(out)
 	return out
 }

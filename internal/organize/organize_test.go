@@ -4,15 +4,25 @@ import (
 	"fmt"
 	"testing"
 
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/internal/workload"
 )
 
-func TestCatalogRegisterEntryRemove(t *testing.T) {
-	c := NewCatalog()
-	for _, id := range []string{"tables/users", "logs/clicks/2026-06-12", "logs/clicks/2026-06-11"} {
-		c.Register(id)
+// place ingests a small CSV at each path into p.
+func place(t *testing.T, p *polystore.Poly, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		if _, err := p.Ingest(id, []byte("k,v\n1,2\n")); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+func TestCatalogReadsPlacements(t *testing.T) {
+	p, _ := polystore.New("")
+	c := NewCatalog(p)
+	place(t, p, "tables/users", "logs/clicks/2026-06-12", "logs/clicks/2026-06-11")
 	e, ok := c.Entry("tables/users")
 	if !ok || e != (CatalogEntry{ID: "tables/users", Cluster: "tables/users"}) {
 		t.Fatalf("Entry = %+v, %v", e, ok)
@@ -23,17 +33,22 @@ func TestCatalogRegisterEntryRemove(t *testing.T) {
 	if got := c.List(); fmt.Sprint(got) != "[logs/clicks/2026-06-11 logs/clicks/2026-06-12 tables/users]" {
 		t.Errorf("List = %v, want sorted IDs", got)
 	}
-	c.Remove("logs/clicks/2026-06-11")
-	c.Remove("ghost")
+	if err := p.Remove("logs/clicks/2026-06-11"); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.List(); fmt.Sprint(got) != "[logs/clicks/2026-06-12 tables/users]" {
 		t.Errorf("List after Remove = %v", got)
+	}
+	if e, ok := c.Entry("logs/clicks/2026-06-11"); ok {
+		t.Errorf("Entry of a removed dataset = %+v, true", e)
 	}
 }
 
 func TestCatalogVersionClustering(t *testing.T) {
-	c := NewCatalog()
+	p, _ := polystore.New("")
+	c := NewCatalog(p)
 	for _, id := range []string{"logs/clicks/2026-06-11", "logs/clicks/2026-06-12"} {
-		c.Register(id)
+		place(t, p, id)
 		if e, ok := c.Entry(id); !ok || e.Cluster != "logs/clicks" {
 			t.Errorf("Entry(%s) = %+v, %v; want cluster logs/clicks", id, e, ok)
 		}
