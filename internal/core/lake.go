@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -239,13 +240,12 @@ type Lake struct {
 	// maintenance pass, so an incremental pass promotes zones in
 	// O(new data) instead of rescanning every placement.
 	pendingPromote []string
-	// ingestLog / deriveLog hold the WAL records of the lake's ingests
-	// and derives in commit order, as logEntry leaves them (guarded by mu).
-	ingestLog []walRecord
-	deriveLog []walRecord
-	// damaged counts the log entries replay kept for datasets whose
-	// segment is damaged, until writes replace them (guarded by mu).
-	damaged int
+	// entries holds the lake's ingests and derives, one per key, and
+	// commits numbers their commits. unserved lists the keys of those
+	// replay found damaged, until writes replace them (guarded by mu).
+	entries  map[entryKey]entry
+	commits  uint64
+	unserved []entryKey
 	// retired lists the segments of evicted datasets, in eviction order;
 	// a checkpoint deletes them once its manifest no longer names them
 	// (guarded by mu).
@@ -320,6 +320,7 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 		users:      map[string]Role{},
 		tokens:     map[string]string{},
 		nameToPath: map[string]string{},
+		entries:    map[entryKey]entry{},
 		busyPaths:  map[string]struct{}{},
 		busyNames:  map[string]struct{}{},
 		clock:      o.clock,
@@ -538,7 +539,7 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 		return nil, err
 	}
 	defer l.release(path, name)
-	if err := l.ingestConflict(path, name); err != nil {
+	if err := l.conflict(path, name); err != nil {
 		return nil, err
 	}
 	seg, err := l.putSegment(data)
@@ -591,11 +592,11 @@ func (l *Lake) release(path, name string) {
 	l.mu.Unlock()
 }
 
-// ingestConflict is a conflict when the lake holds path already, or
-// holds name for another dataset: distinct paths sharing a basename
-// would land on the same model-store name and clobber each other's
-// table.
-func (l *Lake) ingestConflict(path, name string) error {
+// conflict is a conflict when the lake holds path already ("" for a
+// derive, which has none), or holds name: nameToPath indexes every
+// table and collection the lake publishes, so no two datasets or
+// derived tables land on one model-store name and clobber each other.
+func (l *Lake) conflict(path, name string) error {
 	if _, ok := l.Poly.PlacementOf(path); ok {
 		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: %s", ErrExists, path)
 	}
@@ -603,8 +604,7 @@ func (l *Lake) ingestConflict(path, name string) error {
 	prev, taken := l.nameToPath[name]
 	l.mu.RUnlock()
 	if taken {
-		return lakeerr.Errorf(lakeerr.CodeConflict,
-			"%w: %s collides with %s on name %q", ErrExists, path, prev, name)
+		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: name %q is held by %s", ErrExists, name, prev)
 	}
 	return nil
 }
@@ -651,12 +651,7 @@ func (l *Lake) publishIngest(w *ingestWrite) {
 	l.mu.Lock()
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
-	if l.damaged > 0 {
-		var n int
-		l.ingestLog, n = l.dropEntries(l.ingestLog, &w.rec)
-		l.damaged -= n
-	}
-	l.ingestLog = append(l.ingestLog, w.rec.logEntry())
+	l.putEntry(&w.rec, false)
 	if pl.TableName != "" {
 		l.nameToPath[pl.TableName] = path
 	}
@@ -1447,7 +1442,7 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 		return err
 	}
 	defer l.release("", name)
-	if err := l.deriveConflict(name); err != nil {
+	if err := l.conflict("", name); err != nil {
 		return err
 	}
 	// The output is stored as a CSV segment the way Ingest stores its
@@ -1471,23 +1466,6 @@ func (l *Lake) Derive(ctx context.Context, user, activity string, inputs []strin
 	return nil
 }
 
-// deriveConflict is a conflict when the lake holds name already: as a
-// table, or as any model-store name, document collections included,
-// which the relational store cannot see.
-func (l *Lake) deriveConflict(name string) error {
-	if l.Poly.Rel.Has(name) {
-		return lakeerr.Errorf(lakeerr.CodeConflict, "%w: table %s", ErrExists, name)
-	}
-	l.mu.RLock()
-	prev, taken := l.nameToPath[name]
-	l.mu.RUnlock()
-	if taken {
-		return lakeerr.Errorf(lakeerr.CodeConflict,
-			"%w: name %q already maps to %s", ErrExists, name, prev)
-	}
-	return nil
-}
-
 // publishDerive stores a derived table and updates the bookkeeping —
 // the shared publish of live Derive and persistence replay.
 func (l *Lake) publishDerive(rec *walRecord, output *table.Table) {
@@ -1499,12 +1477,7 @@ func (l *Lake) publishDerive(rec *walRecord, output *table.Table) {
 	// Maintain pass, so the lake is stale.
 	l.nameToPath[rec.Name] = rec.Name
 	l.ingestGen++
-	if l.damaged > 0 {
-		var n int
-		l.deriveLog, n = l.dropEntries(l.deriveLog, rec)
-		l.damaged -= n
-	}
-	l.deriveLog = append(l.deriveLog, rec.logEntry())
+	l.putEntry(rec, false)
 	l.mu.Unlock()
 	// Derived tables are query outputs over already-indexed data; their
 	// columns shift the corpus statistics the discovery indexes were
@@ -1581,14 +1554,8 @@ func (l *Lake) evictLocked(path string) error {
 	if name != "" {
 		delete(l.nameToPath, name)
 	}
-	l.ingestLog, _ = l.dropEntries(l.ingestLog, &walRecord{Path: path})
-	pend := l.pendingPromote[:0]
-	for _, p := range l.pendingPromote {
-		if p != path {
-			pend = append(pend, p)
-		}
-	}
-	l.pendingPromote = pend
+	l.dropEntry(entryKey{path: path}, "")
+	l.pendingPromote = slices.DeleteFunc(l.pendingPromote, func(p string) bool { return p == path })
 	ex := l.Explorer
 	l.mu.Unlock()
 	if name != "" {

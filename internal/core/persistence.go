@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,8 +46,8 @@ const (
 )
 
 // walRecord is one logical WAL entry. Kind selects which fields are
-// meaningful. It is the one description of a write: the lake's logs and
-// manifests keep an ingest's or derive's record, as logEntry leaves it.
+// meaningful. It is the one description of a write: the lake's entries
+// and manifests keep an ingest's or derive's record, as entry leaves it.
 type walRecord struct {
 	Kind string `json:"kind,omitempty"`
 	// ingest / evict: the dataset path. ingest and derive name the
@@ -80,27 +82,59 @@ type walRecord struct {
 	Generation uint64   `json:"generation,omitempty"`
 }
 
-// logEntry is an ingest or derive record as the lake's logs keep it:
-// without its kind (the log says that), events (the tracker keeps them)
-// or inline bytes (replay moved them into the segment it names).
-func (r walRecord) logEntry() walRecord {
-	r.Kind, r.Event, r.Events, r.Data, r.CSV = "", nil, nil, nil, ""
-	return r
+// entryKey names one of the lake's entries by its record's Path and
+// Name: an ingest by its path, a derive (which has no path) by its name.
+type entryKey struct{ path, name string }
+
+// claim is the model-store name an entry claims: a derive's name, or
+// the basename its ingest reserved.
+func (k entryKey) claim() string {
+	if k.path == "" {
+		return k.name
+	}
+	return polystore.DerivedName(k.path)
 }
 
-// dropEntries removes the entries of rec's dataset or derived table
-// from log, retires their segments and counts them. l.mu must be held.
-func (l *Lake) dropEntries(log []walRecord, rec *walRecord) ([]walRecord, int) {
-	kept := log[:0]
-	for _, e := range log {
-		switch {
-		case e.Path != rec.Path || e.Name != rec.Name:
-			kept = append(kept, e)
-		case e.Segment != "":
-			l.retired = append(l.retired, e.Segment)
+// entry is an ingest or derive record as the lake keeps it, without its
+// kind (its key says that), events (the tracker keeps them) or inline
+// bytes (replay moved them into its segment), and its commit ordinal.
+type entry struct {
+	walRecord
+	ord uint64
+}
+
+// putEntry makes rec the entry at its key, in place of the one there
+// and of every damaged entry that claims rec's name, of either kind: it
+// scans only the damaged entries. A replaced entry's segment is retired
+// unless rec names it too. l.mu must be held, or the lake not shared.
+func (l *Lake) putEntry(rec *walRecord, damaged bool) {
+	k := entryKey{rec.Path, rec.Name}
+	name := k.claim()
+	kept := l.unserved[:0]
+	for _, d := range l.unserved {
+		if d.claim() == name {
+			l.dropEntry(d, rec.Segment)
+		} else {
+			kept = append(kept, d)
 		}
 	}
-	return kept, len(log) - len(kept)
+	if damaged {
+		kept = append(kept, k)
+	}
+	l.unserved = kept
+	l.commits++
+	e := entry{*rec, l.commits}
+	e.Kind, e.Event, e.Events, e.Data, e.CSV = "", nil, nil, nil, ""
+	l.entries[k] = e
+}
+
+// dropEntry deletes the entry at k and retires its segment unless that
+// is keep. l.mu must be held, or the lake not shared.
+func (l *Lake) dropEntry(k entryKey, keep string) {
+	if seg := l.entries[k].Segment; seg != "" && seg != keep {
+		l.retired = append(l.retired, seg)
+	}
+	delete(l.entries, k)
 }
 
 // events returns the provenance events the record carries.
@@ -133,8 +167,9 @@ func (r *walRecord) stamp(l *Lake) {
 // raw bytes and derivation CSVs), not index structures: restore re-runs
 // the ingest/derive pipelines and rebuilds the exploration indexes from
 // the restored coverage, so the format survives index-implementation
-// changes. Datasets and Derived are the lake's ingest and derive logs;
-// before segments, their entries held inline bytes (Data, CSV).
+// changes. Datasets and Derived are the lake's entries, split by kind,
+// each list in commit order; before segments, they held inline bytes
+// (Data, CSV).
 type lakeSnapshot struct {
 	Version int               `json:"version"`
 	Users   map[string]string `json:"users,omitempty"`
@@ -503,13 +538,21 @@ func (l *Lake) buildSnapshot() (*lakeSnapshot, []string) {
 	for digest, user := range l.tokens {
 		snap.Tokens[digest] = user
 	}
-	snap.Datasets = append([]walRecord(nil), l.ingestLog...)
-	snap.Derived = append([]walRecord(nil), l.deriveLog...)
+	entries := make([]entry, 0, len(l.entries))
+	for _, e := range l.entries {
+		entries = append(entries, e)
+	}
 	retired := append([]string(nil), l.retired...)
 	l.mu.RUnlock()
-	for _, in := range snap.Datasets {
-		if z, err := l.Handle.Zone(in.Path); err == nil && z != ZoneRaw {
-			snap.Zones[in.Path] = z
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.ord, b.ord) })
+	for _, e := range entries {
+		if e.Path == "" {
+			snap.Derived = append(snap.Derived, e.walRecord)
+			continue
+		}
+		snap.Datasets = append(snap.Datasets, e.walRecord)
+		if z, err := l.Handle.Zone(e.Path); err == nil && z != ZoneRaw {
+			snap.Zones[e.Path] = z
 		}
 	}
 	snap.Events = l.Tracker.Events()
@@ -589,6 +632,7 @@ func (p *persister) restore(l *Lake) error {
 	if err != nil {
 		return err
 	}
+	rs.DamagedSegments = len(l.unserved)
 	l.rebuildIndexesFromCoverage()
 	if len(snapBytes) > 0 || len(walBytes) > 0 {
 		rs.Duration = time.Since(start)
@@ -629,10 +673,8 @@ func (p *persister) restore(l *Lake) error {
 // a segment put and its WAL record, or of a delete that did not finish.
 // It runs only with the WAL empty, so no record can name one.
 func (p *persister) sweep(l *Lake, named map[string]bool) {
-	for _, log := range [][]walRecord{l.ingestLog, l.deriveLog} {
-		for _, e := range log {
-			named[e.Segment] = true
-		}
+	for _, e := range l.entries {
+		named[e.Segment] = true
 	}
 	var orphans []string
 	p.segMu.Lock()
@@ -772,7 +814,7 @@ func (l *Lake) replay(p *persister, r *replayer, snap *lakeSnapshot, walErr erro
 	if snap != nil {
 		for n := len(snap.Datasets) + len(snap.Derived); i < n; i++ {
 			u := r.unit(i)
-			applied, err := l.publishReplayed(p, u, rs)
+			applied, err := l.publishReplayed(p, u)
 			if err != nil {
 				return err
 			}
@@ -800,7 +842,7 @@ func (l *Lake) replay(p *persister, r *replayer, snap *lakeSnapshot, walErr erro
 			rs.WALSkipped++
 			continue
 		}
-		applied, err := l.applyRecord(p, u, snapMaxSeq, rs)
+		applied, err := l.applyRecord(p, u, snapMaxSeq)
 		if err != nil {
 			return err
 		}
@@ -845,7 +887,7 @@ func (l *Lake) applySnapshot(snap *lakeSnapshot) int {
 // restored), not a failure. Only backend I/O fails it. The events a
 // record carries are injected whether or not its operation applies,
 // unless the snapshot's event log already holds them.
-func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int, rs *maintain.ReplayStats) (bool, error) {
+func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int) (bool, error) {
 	rec := &u.rec
 	injected := false
 	for _, ev := range rec.events() {
@@ -862,7 +904,7 @@ func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int, rs *main
 		l.publishToken(rec.Token, rec.Name)
 		return true, nil
 	case recIngest, recDerive:
-		return l.publishReplayed(p, u, rs)
+		return l.publishReplayed(p, u)
 	case recAudit:
 		return injected, nil
 	case recEvict:
@@ -895,12 +937,11 @@ func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int, rs *main
 // reserved. It first raises the segment counter to the name the unit
 // names or, for inline bytes, stores them as a new segment and builds
 // from them: both in log order, so every segment name comes out as a
-// one-at-a-time replay hands it out. A unit whose segment is damaged is
-// counted and not served, but keeps its log entry: the next manifest
-// still names the segment, so its bytes stay for inspection instead of
-// being swept, until a write of the same dataset or derived table
-// replaces it. A conflict is state replay already restored.
-func (l *Lake) publishReplayed(p *persister, u *replayUnit, rs *maintain.ReplayStats) (bool, error) {
+// one-at-a-time replay hands it out. A conflict is state replay already
+// restored. A unit whose segment is damaged is not served, but its
+// entry is put, marked damaged, so the segment's bytes stay for
+// inspection until a write that claims its name replaces it.
+func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 	rec := &u.rec
 	if rec.Segment != "" {
 		p.reserve(rec.Segment)
@@ -916,40 +957,29 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit, rs *maintain.ReplayS
 		rec.Segment = name
 		l.build(u, inline)
 	}
-	if errors.Is(u.readErr, errDamaged) {
-		rs.DamagedSegments++
-		l.damaged++
-		if rec.Kind == recDerive {
-			p.warn(l, "persist: derived table not served", "name", rec.Name, "error", u.readErr)
-			l.deriveLog = append(l.deriveLog, rec.logEntry())
-		} else {
-			p.warn(l, "persist: dataset not served", "path", rec.Path, "error", u.readErr)
-			l.ingestLog = append(l.ingestLog, rec.logEntry())
-		}
-		return false, nil
-	}
-	if u.readErr != nil {
+	damaged := errors.Is(u.readErr, errDamaged)
+	if u.readErr != nil && !damaged {
 		return false, u.readErr
 	}
+	what, attr, id := "dataset", "path", rec.Path
 	if rec.Kind == recDerive {
-		switch {
-		case l.deriveConflict(rec.Name) != nil:
-			return false, nil
-		case u.buildErr != nil:
-			p.warn(l, "persist: replay derive", "name", rec.Name, "error", u.buildErr)
-			return false, nil
-		}
-		l.publishDerive(rec, u.t)
-		return true, nil
+		what, attr, id = "derived table", "name", rec.Name
 	}
 	switch {
-	case l.ingestConflict(rec.Path, polystore.DerivedName(rec.Path)) != nil:
+	case l.conflict(rec.Path, entryKey{rec.Path, rec.Name}.claim()) != nil:
+		return false, nil
+	case damaged:
+		p.warn(l, "persist: "+what+" not served", attr, id, "error", u.readErr)
+		l.putEntry(rec, true)
 		return false, nil
 	case u.buildErr != nil:
-		p.warn(l, "persist: replay ingest", "path", rec.Path, "error", u.buildErr)
+		p.warn(l, "persist: replay "+rec.Kind, attr, id, "error", u.buildErr)
 		return false, nil
+	case rec.Kind == recDerive:
+		l.publishDerive(rec, u.t)
+	default:
+		l.publishIngest(u.w)
 	}
-	l.publishIngest(u.w)
 	return true, nil
 }
 
@@ -995,8 +1025,8 @@ func (l *Lake) rebuildIndexesFromCoverage() {
 	// A derivation that landed after the last committed pass has no
 	// coverage; live operation would have left a pending ForceFull, which
 	// planner.Restore cleared — reinstate it.
-	for _, d := range l.deriveLog {
-		if !covered[d.Name] {
+	for k := range l.entries {
+		if k.path == "" && !covered[k.name] {
 			l.planner.ForceFull("derive")
 			break
 		}

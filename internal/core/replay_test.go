@@ -116,16 +116,17 @@ func replayView(t *testing.T, l *Lake, logs *bytes.Buffer) string {
 	t.Helper()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "catalog %v\n", l.Catalog.List())
+	snap, _ := l.buildSnapshot()
+	for _, in := range snap.Datasets {
+		fmt.Fprintf(&sb, "ingest %s %s\n", in.Path, in.Segment)
+	}
+	for _, d := range snap.Derived {
+		fmt.Fprintf(&sb, "derive %s %s\n", d.Name, d.Segment)
+	}
 	l.mu.RLock()
 	names := make([]string, 0, len(l.nameToPath))
 	for name, path := range l.nameToPath {
 		names = append(names, name+"="+path)
-	}
-	for _, in := range l.ingestLog {
-		fmt.Fprintf(&sb, "ingest %s %s\n", in.Path, in.Segment)
-	}
-	for _, d := range l.deriveLog {
-		fmt.Fprintf(&sb, "derive %s %s\n", d.Name, d.Segment)
 	}
 	l.mu.RUnlock()
 	sort.Strings(names)
@@ -242,7 +243,7 @@ func TestPersistReplayFailsOnFirstSegmentInLogOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		live.mu.RLock()
-		segs = append(segs, live.ingestLog[len(live.ingestLog)-1].Segment)
+		segs = append(segs, live.entries[entryKey{path: fmt.Sprintf("raw/t%02d.csv", i)}].Segment)
 		live.mu.RUnlock()
 	}
 	// live is abandoned unclosed: every dataset replays from the WAL.

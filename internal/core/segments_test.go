@@ -18,6 +18,7 @@ import (
 
 	"golake/internal/persist"
 	"golake/internal/storage/filestore"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/lakeerr"
 )
@@ -346,6 +347,7 @@ func TestPersistDamagedSegmentNotServed(t *testing.T) {
 	for open := 0; open < 2; open++ {
 		var logs bytes.Buffer
 		re := openPersistent(t, dir, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+		checkOneEntryPerName(t, re)
 		if r := re.MaintenanceStatus().Durability.Replay; r == nil || r.DamagedSegments != 1 {
 			t.Errorf("open %d: replay = %+v, want 1 damaged segment", open, r)
 		}
@@ -428,6 +430,7 @@ func TestPersistReingestReplacesDamagedEntry(t *testing.T) {
 			}
 			for reopen := 0; reopen < 2; reopen++ {
 				re := open()
+				checkOneEntryPerName(t, re)
 				if stop == "close" || reopen > 0 {
 					if r := re.MaintenanceStatus().Durability.Replay; r == nil || r.DamagedSegments != 0 {
 						t.Errorf("reopen %d: replay = %+v, want no damaged segment", reopen, r)
@@ -464,6 +467,223 @@ func TestPersistReingestReplacesDamagedEntry(t *testing.T) {
 				if err := re.Close(); err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// checkOneEntryPerName fails if l's installed manifest holds two entries
+// with one ingest path, one derive name or one claimed name. A derive
+// claims its name. A dataset l places claims its table or collection
+// name, and a file-only one claims none; a dataset l does not place
+// (its segment is damaged) claims its basename, the name its ingest
+// reserved.
+func checkOneEntryPerName(t *testing.T, l *Lake) {
+	t.Helper()
+	data, err := l.pers.backend.ReadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m lakeSnapshot
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("manifest %s: %v", data, err)
+	}
+	seen := map[string]bool{}
+	once := func(what, key string) {
+		if seen[what+" "+key] {
+			t.Errorf("manifest holds %s %q in two entries:\ndatasets %+v\nderived %+v", what, key, m.Datasets, m.Derived)
+		}
+		seen[what+" "+key] = true
+	}
+	for _, d := range m.Datasets {
+		once("path", d.Path)
+		claim := polystore.DerivedName(d.Path)
+		if pl, ok := l.Poly.PlacementOf(d.Path); ok {
+			claim = pl.TableName + pl.Collection
+		}
+		if claim != "" {
+			once("name", claim)
+		}
+	}
+	for _, d := range m.Derived {
+		once("derive", d.Name)
+		once("name", d.Name)
+	}
+}
+
+// Every served name has one entry, whichever kind of write claims it
+// and whichever kind of entry it replaces: a WAL record that duplicates
+// a damaged manifest entry (a crash between the manifest install and
+// the WAL truncate) leaves one entry and one damaged segment, and an
+// ingest or derive over a damaged entry that claims its name, of either
+// kind, replaces it, so the reopens after it warn of nothing. Two
+// file-only objects that share a basename claim no name and both stay.
+func TestPersistOneEntryPerServedName(t *testing.T) {
+	ctx := context.Background()
+	open := func(t *testing.T, mem *persist.Memory, logs *bytes.Buffer) *Lake {
+		t.Helper()
+		logs.Reset()
+		l, err := Open(t.TempDir(), WithPersistence(mem), WithLogger(quietTimeLogger(logs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	ingest := func(t *testing.T, l *Lake, path, body string) {
+		t.Helper()
+		if _, err := l.Ingest(ctx, path, []byte(body), "src", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derive := func(t *testing.T, l *Lake, name, body string) {
+		t.Helper()
+		d, _ := table.ParseCSV(name, body)
+		if err := l.Derive(ctx, "dana", "copy", nil, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeLake := func(t *testing.T, l *Lake) {
+		t.Helper()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// damage flips a bit in the segment the manifest names for key.
+	damage := func(t *testing.T, mem *persist.Memory, key string) {
+		t.Helper()
+		seg := manifestSegments(t, mem)[key]
+		frame, err := mem.ReadSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[len(frame)-1] ^= 0x01
+		if err := mem.PutSegment(seg, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// overDamage writes first on a lake, closes it, damages the segment
+	// of key, then writes then on the lake that opens over the damage.
+	overDamage := func(key string, first, then func(*testing.T, *Lake)) func(*testing.T, *persist.Memory) {
+		return func(t *testing.T, mem *persist.Memory) {
+			var logs bytes.Buffer
+			l := open(t, mem, &logs)
+			l.AddUser("dana", RoleDataScientist)
+			first(t, l)
+			closeLake(t, l)
+			damage(t, mem, key)
+			l = open(t, mem, &logs)
+			then(t, l)
+			closeLake(t, l)
+		}
+	}
+	rows := []struct {
+		name  string
+		write func(*testing.T, *persist.Memory)
+		// damaged is the damaged_segments every reopen reports, entries
+		// the number of manifest entries; served maps a statement to the
+		// rows it answers, and placed lists paths the lake must place.
+		damaged int
+		entries int
+		served  map[string]string
+		placed  []string
+	}{
+		{
+			name: "wal duplicate of a damaged manifest entry",
+			write: func(t *testing.T, mem *persist.Memory) {
+				var logs bytes.Buffer
+				l := open(t, mem, &logs)
+				l.AddUser("dana", RoleDataScientist)
+				ingest(t, l, "raw/a.csv", "x\n1\n")
+				wal, err := mem.ReadWAL()
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames, _ := persist.DecodeFrames(wal)
+				closeLake(t, l)
+				if err := mem.DeleteSegment(manifestSegments(t, mem)["raw/a.csv"]); err != nil {
+					t.Fatal(err)
+				}
+				// The crash left the ingest's record in the WAL beside the
+				// manifest that holds it.
+				if err := mem.AppendWAL(persist.EncodeFrame(frames[len(frames)-1])); err != nil {
+					t.Fatal(err)
+				}
+			},
+			damaged: 1,
+			entries: 1,
+		},
+		{
+			name: "ingest over a damaged derive",
+			write: overDamage("d",
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/a.csv", "x\n1\n"); derive(t, l, "d", "x\n1\n") },
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/d.csv", "x\n2\n") }),
+			entries: 2,
+			served:  map[string]string{"SELECT x FROM d": "x\n2\n", "SELECT x FROM a": "x\n1\n"},
+		},
+		{
+			name: "derive over a damaged ingest",
+			write: overDamage("raw/a/x.csv",
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/a/x.csv", "x\n1\n") },
+				func(t *testing.T, l *Lake) { derive(t, l, "x", "x\n2\n") }),
+			entries: 1,
+			served:  map[string]string{"SELECT x FROM x": "x\n2\n"},
+		},
+		{
+			name: "ingest of the same basename over a damaged ingest",
+			write: overDamage("raw/a/x.csv",
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/a/x.csv", "x\n1\n") },
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/b/x.csv", "x\n2\n") }),
+			entries: 1,
+			served:  map[string]string{"SELECT x FROM x": "x\n2\n"},
+			placed:  []string{"raw/b/x.csv"},
+		},
+		{
+			name: "two live file-only objects of one basename",
+			write: func(t *testing.T, mem *persist.Memory) {
+				var logs bytes.Buffer
+				l := open(t, mem, &logs)
+				l.AddUser("dana", RoleDataScientist)
+				ingest(t, l, "raw/a/x.bin", "\x00\x01a")
+				ingest(t, l, "raw/b/x.bin", "\x00\x01b")
+				closeLake(t, l)
+			},
+			entries: 2,
+			placed:  []string{"raw/a/x.bin", "raw/b/x.bin"},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			mem := persist.NewMemory()
+			row.write(t, mem)
+			for reopen := 0; reopen < 3; reopen++ {
+				var logs bytes.Buffer
+				l := open(t, mem, &logs)
+				if r := l.MaintenanceStatus().Durability.Replay; r == nil || r.DamagedSegments != row.damaged {
+					t.Errorf("reopen %d: replay = %+v, want %d damaged segments", reopen, r, row.damaged)
+				}
+				if row.damaged == 0 && strings.Contains(logs.String(), "not served") {
+					t.Errorf("reopen %d: warnings:\n%s", reopen, logs.String())
+				}
+				m := manifestSegments(t, mem)
+				if len(m) != row.entries {
+					t.Errorf("reopen %d: manifest entries %v, want %d", reopen, m, row.entries)
+				}
+				checkOneEntryPerName(t, l)
+				for sql, want := range row.served {
+					got, err := l.QuerySQL(ctx, "dana", sql)
+					if err != nil {
+						t.Errorf("reopen %d: %s: %v", reopen, sql, err)
+					} else if csv := table.ToCSV(got); csv != want {
+						t.Errorf("reopen %d: %s = %q, want %q", reopen, sql, csv, want)
+					}
+				}
+				for _, path := range row.placed {
+					_, placed := l.Poly.PlacementOf(path)
+					if _, listed := m[path]; !placed || !listed {
+						t.Errorf("reopen %d: %s placed %v, listed in the manifest %v", reopen, path, placed, listed)
+					}
+				}
+				closeLake(t, l)
 			}
 		})
 	}

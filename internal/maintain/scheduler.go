@@ -74,8 +74,9 @@ type ReplayStats struct {
 	// TornBytes is the size of the corrupt/incomplete log tail dropped by
 	// checksum verification; non-zero means the process died mid-append.
 	TornBytes int64 `json:"torn_bytes"`
-	// DamagedSegments counts datasets whose segment was missing or
-	// failed its checksum: they are not served.
+	// DamagedSegments counts the datasets and derived tables whose
+	// segment was missing or failed its checksum when replay ended, each
+	// once: they are not served.
 	DamagedSegments int `json:"damaged_segments"`
 	// Duration is how long the recovery took, snapshot read to indexes
 	// rebuilt (the post-replay checkpoint not included).
