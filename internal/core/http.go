@@ -266,6 +266,11 @@ func (l *Lake) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l.metrics.observeRuntime()
+	if l.pers != nil {
+		if b, ok := l.pers.backend.(fsyncCounter); ok {
+			l.metrics.observeFsyncs(b)
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = reg.WritePrometheus(w)
@@ -514,7 +519,8 @@ func (l *Lake) handleDatasetsV1(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pg)
 }
 
-// ingestRequest is the POST /v1/datasets body.
+// ingestRequest is the POST /v1/datasets body, as encoding/json
+// decodes it when decodeIngest's hand decoder declines the body.
 type ingestRequest struct {
 	Path    string `json:"path"`
 	Source  string `json:"source"`
@@ -527,15 +533,20 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var body ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Path == "" {
+	var path, source string
+	var data []byte
+	body, err := readBody(r)
+	if err == nil {
+		path, source, data, err = decodeIngest(body)
+	}
+	if err != nil || path == "" {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body needs path and content"))
 		return
 	}
-	if body.Source == "" {
-		body.Source = "http"
+	if source == "" {
+		source = "http"
 	}
-	res, err := l.Ingest(r.Context(), body.Path, []byte(body.Content), body.Source, user)
+	res, err := l.Ingest(r.Context(), path, data, source, user)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,0 +1,142 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// FuzzIngestBody holds decodeIngest to encoding/json, the decoder POST
+// /v1/datasets used alone before: the same path, source and content,
+// and an error exactly where encoding/json fails. The hand decoder
+// must also leave a body it declines as it found it, since
+// encoding/json reads that same buffer next. And it must take what an
+// encoder writes: the fuzzed bytes, marshalled as a body's content,
+// decode by hand, \u escapes included, to what encoding/json reads
+// back.
+func FuzzIngestBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"path":"raw/refunds.csv","source":"erp","content":"id,amt\n1,5\n"}`,
+		` {"content" : "a\tb\\c\/d\"e\bf\fg\rh" , "path":"x.csv"} ` + "\n",
+		`{"path":"raw/ü.csv","content":"€,ß\n"}`,
+		`{}`,
+		`{"path":""}`,
+		`{"PATH":"raw/a.csv","content":"x"}`,
+		`{"Path":"raw/a.csv","Content":"x"}`,
+		`{"path":"raw/a.csv","ſource":"folded","content":"x"}`,
+		`{"path":"raw/a.csv","Kontent":"not a fold","content":"x"}`,
+		`{"path":"raw/a.csv","content":"x","Key":"kelvin"}`,
+		`{"path":"raw/a.csv","path":"raw/b.csv","content":"x"}`,
+		`{"path":"raw/a.csv","content":"x","content":"y"}`,
+		`{"path":"raw/a.csv","content":"\ud800"}`,
+		`{"path":"raw/a.csv","content":"\udc00x"}`,
+		`{"path":"raw/a.csv","content":"\ud83d\ude00 \uD83D\uDE00"}`,
+		`{"path":"raw/a.csv","content":"\ud83d\u0041\ude00\ud83d"}`,
+		`{"path":"raw/a.csv","content":"\ud83d\n\ude00\ud83d\ud83d\ude00"}`,
+		`{"path":"raw/a.csv","content":"R\u0026D \u003cb\u003e caf\u00e9 \u20ac \u0000 \ufffd"}`,
+		`{"path":"raw/\u00fc.csv","source":"\u0065rp","content":"x"}`,
+		`{"\u0070ath":"raw/a.csv","content":"x"}`,
+		`{"path":"raw/a.csv","content":"\u12"}`,
+		`{"path":"raw/a.csv","content":"\u12g4"}`,
+		`{"path":"raw/a.csv","content":"\U1234"}`,
+		`{"path":"raw/a.csv","content":"😀"}`,
+		`{"path":"raw/a.csv","content":"éA"}`,
+		"{\"path\":\"raw/a.csv\",\"content\":\"\xff\xfe\"}",
+		"{\"path\":\"raw/a.csv\",\"content\":\"\xed\xa0\x80\"}",
+		"{\"path\":\"raw/a.csv\",\"content\":\"a\x01b\"}",
+		// Raw bytes inside runs of plain ones, where the decoder tests
+		// eight bytes at a time.
+		"{\"path\":\"raw/a.csv\",\"content\":\"0123456789abcdef\x1f0123456789abcdef\"}",
+		"{\"path\":\"raw/a.csv\",\"content\":\"0123456789abcdef\x7f0123456789abcdef\"}",
+		"{\"path\":\"raw/a.csv\",\"content\":\"0123456789abcdef\x800123456789abcdef\"}",
+		"{\"path\":\"raw/a.csv\",\"content\":\"0123456789abcdef\xc3\xa90123456789abcdef\"}",
+		`{"path":"raw/a.csv","content":"0123456789abcdef\"0123456789abcdef\\0123456789abcdef"}`,
+		`null`,
+		`{"path":null,"content":"x"}`,
+		`{"path":"raw/a.csv","content":null}`,
+		`{"path":"raw/a.csv","content":5}`,
+		`{"path":"raw/a.csv","extra":1,"content":"x"}`,
+		`{"path":"raw/a.csv","nested":{"content":"y"},"content":"x"}`,
+		`{"path":"raw/a.csv","content":"x"} trailing`,
+		`{"path":"raw/a.csv","content":"x"}{"path":"raw/b.csv"}`,
+		`{"path":"raw/a.csv","content":"x",}`,
+		`{"path":"raw/a.csv" "content":"x"}`,
+		`{"path":"raw/a.csv","content":"x\q"}`,
+		`{"path":"raw/a.csv","content":"x\`,
+		`{"path":"raw/a.csv","content":"x`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		orig := bytes.Clone(body)
+		var want ingestRequest
+		wantErr := json.NewDecoder(bytes.NewReader(orig)).Decode(&want)
+		path, source, data, err := decodeIngest(body)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("body %q: error %v, encoding/json %v", orig, err, wantErr)
+		case err == nil && (path != want.Path || source != want.Source || string(data) != want.Content):
+			t.Fatalf("body %q: (%q, %q, %q), encoding/json (%q, %q, %q)", orig, path, source, data, want.Path, want.Source, want.Content)
+		}
+
+		enc, err := json.Marshal(ingestRequest{Path: "raw/x.csv", Source: "fuzz", Content: string(orig)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		path, source, data, ok := fastIngest(enc)
+		if !ok || path != "raw/x.csv" || source != "fuzz" || string(data) != want.Content {
+			t.Fatalf("encoded body %q: fast path (%q, %q, %q, %v), want %q", enc, path, source, data, ok, want.Content)
+		}
+	})
+}
+
+// A body is read whole whether or not the request declares its length,
+// and whether or not that length is past what readBody sizes its
+// buffer from: a chunked upload (no Content-Length), a declared one and
+// a declared one over maxPreallocBody all land, with the content as it
+// was sent.
+func TestIngestBodyWithAndWithoutLength(t *testing.T) {
+	l := testLake(t)
+	h := l.HTTPHandler()
+	small := "id,note\n1,\"a\\b\"\n"
+	large := "id,note\n" + strings.Repeat("1,\"a\\b\"\n", maxPreallocBody/8)
+	for _, tc := range []struct {
+		path, content string
+		declared      bool
+	}{
+		{"raw/declared.csv", small, true},
+		{"raw/chunked.csv", small, false},
+		{"raw/large.csv", large, true},
+	} {
+		body, err := json.Marshal(ingestRequest{Path: tc.path, Content: tc.content})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rd io.Reader = bytes.NewReader(body)
+		if !tc.declared {
+			rd = io.MultiReader(rd) // a reader of unknown length
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/datasets", rd)
+		req.Header.Set("X-Lake-User", "dana")
+		if (req.ContentLength >= 0) != tc.declared {
+			t.Fatalf("%s: Content-Length %d", tc.path, req.ContentLength)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("%s: %d %s", tc.path, rec.Code, rec.Body)
+		}
+		if raw, err := l.Poly.Files.Get(tc.path); err != nil || string(raw) != tc.content {
+			t.Errorf("%s: stored %d bytes, want %d (%v)", tc.path, len(raw), len(tc.content), err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"golake/internal/maintain"
 	"golake/internal/obs"
+	"golake/internal/persist"
 	"golake/internal/query"
 )
 
@@ -93,6 +94,8 @@ type lakeMetrics struct {
 	checkpointDur   *obs.Histogram
 	segmentPutDur   *obs.Histogram
 	segmentBytes    *obs.Gauge
+	fsyncs          *obs.CounterVec // file
+	fsyncMu         sync.Mutex
 	replaySnapshot  *obs.Gauge
 	replayWALRecs   *obs.Gauge
 	replayWALSkip   *obs.Gauge
@@ -202,6 +205,9 @@ func newLakeMetrics() *lakeMetrics {
 			nil),
 		segmentBytes: r.Gauge("golake_segment_bytes",
 			"Bytes the stored segments hold, framing included."),
+		fsyncs: r.CounterVec("golake_fsyncs_total",
+			"Fsyncs the persistence backend issued, by file: wal, segment, segment_dir, manifest or manifest_dir. Only the local directory backend fsyncs.",
+			"file"),
 		replaySnapshot: r.Gauge("golake_replay_snapshot_datasets",
 			"Datasets restored from the snapshot at the last open."),
 		replayWALRecs: r.Gauge("golake_replay_wal_records",
@@ -233,6 +239,26 @@ var runtimeSamples = [...]string{
 	"/gc/cycles/total:gc-cycles",
 	"/sched/pauses/total/gc:seconds",
 	"/sched/goroutines:goroutines",
+}
+
+// fsyncCounter is a backend that counts its fsyncs (persist.Local).
+type fsyncCounter interface {
+	Fsyncs() [len(persist.FsyncFiles)]uint64
+}
+
+// observeFsyncs brings golake_fsyncs_total up to the backend's own
+// counts. It runs once per scrape, so a write pays only the backend's
+// atomic add. The counts are read under the lock, so each scrape reads
+// counts no older than the last one's, and the difference it adds is
+// never negative and never added twice.
+func (m *lakeMetrics) observeFsyncs(b fsyncCounter) {
+	m.fsyncMu.Lock()
+	defer m.fsyncMu.Unlock()
+	n := b.Fsyncs()
+	for i, file := range persist.FsyncFiles {
+		c := m.fsyncs.With(file)
+		c.Add(float64(n[i]) - c.Value())
+	}
 }
 
 // observeRuntime sets the Go runtime gauges from runtime/metrics. It

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -495,4 +496,157 @@ func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	if time.Duration(logged.Duration) != replay.Duration {
 		t.Errorf("log line duration = %v, want %v", time.Duration(logged.Duration), replay.Duration)
 	}
+}
+
+// golake_fsyncs_total counts what a local SyncAlways backend fsyncs:
+// one ingest adds one WAL fsync, its segment's file and its directory
+// entry, and no checkpoint. A memory backend reports no fsyncs.
+func TestFsyncsPerIngest(t *testing.T) {
+	// ingest returns each file's fsyncs before and after one ingest.
+	ingest := func(t *testing.T, b persist.Backend) (before, after map[string]float64) {
+		t.Helper()
+		l, err := Open(t.TempDir(), WithPersistence(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		l.AddUser("dana", RoleDataScientist)
+		srv := httptest.NewServer(l.HTTPHandler())
+		defer srv.Close()
+		fsyncs := func() map[string]float64 {
+			_, body := scrape(t, srv)
+			out := map[string]float64{}
+			for _, ln := range strings.Split(grepLines(body, `golake_fsyncs_total{file="`), "\n") {
+				if file, v, ok := strings.Cut(strings.TrimPrefix(ln, `golake_fsyncs_total{file="`), `"} `); ok {
+					n, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatalf("%q: %v", ln, err)
+					}
+					out[file] = n
+				}
+			}
+			return out
+		}
+		before = fsyncs()
+		resp, body := do(t, srv, http.MethodPost, "/v1/datasets", "dana", `{"path":"raw/a.csv","content":"x\n1\n"}`)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+		}
+		return before, fsyncs()
+	}
+	local, err := persist.NewLocal(t.TempDir(), persist.WithSync(persist.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := ingest(t, local)
+	want := map[string]float64{"wal": 1, "segment": 1, "segment_dir": 1, "manifest": 0, "manifest_dir": 0}
+	if len(after) != len(want) {
+		t.Errorf("local SyncAlways: fsyncs by file %v, want the files of %v", after, want)
+	}
+	for file, n := range want {
+		if got := after[file] - before[file]; got != n {
+			t.Errorf("local SyncAlways: one ingest added %v %s fsyncs, want %v (before %v, after %v)", got, file, n, before, after)
+		}
+	}
+	if _, after := ingest(t, persist.NewMemory()); len(after) != 0 {
+		t.Errorf("memory backend: fsyncs %v, want none", after)
+	}
+}
+
+// yieldingFsyncs counts one more fsync of each file per read, and
+// yields between taking the count and returning it, so that another
+// scrape's read can overtake this one.
+type yieldingFsyncs struct{ n atomic.Uint64 }
+
+func (c *yieldingFsyncs) Fsyncs() (out [len(persist.FsyncFiles)]uint64) {
+	v := c.n.Add(1)
+	runtime.Gosched()
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// Concurrent scrapes keep golake_fsyncs_total whole. A scrape reads the
+// backend's counts under the lock that orders its update, so a scrape
+// that read older counts cannot apply them after one that read newer
+// ones: that would add a negative difference, which obs.Counter refuses
+// with a panic, a 500 for the scrape. Scrapes beside ingests on a local
+// SyncAlways lake all answer 200, and the counts each scraper reads
+// never fall.
+func TestFsyncsScrapedConcurrently(t *testing.T) {
+	m, b := newLakeMetrics(), &yieldingFsyncs{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("observeFsyncs: %v", p)
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				m.observeFsyncs(b)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := m.fsyncs.With("wal").Value(), float64(b.n.Load()); got != want {
+		t.Errorf("fsyncs_total{wal} = %v after the last scrape, want %v", got, want)
+	}
+
+	local, err := persist.NewLocal(t.TempDir(), persist.WithSync(persist.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(t.TempDir(), WithPersistence(local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AddUser("dana", RoleDataScientist)
+	h := l.HTTPHandler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("X-Lake-User", "dana")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	const walLine = `golake_fsyncs_total{file="wal"} `
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				body := fmt.Sprintf(`{"path":"raw/w%d_%d.csv","content":"x\n%d\n"}`, w, i, i)
+				if rec := serve(http.MethodPost, "/v1/datasets", body); rec.Code != http.StatusCreated {
+					t.Errorf("ingest: %d %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := -1.0
+			for i := 0; i < 40; i++ {
+				rec := serve(http.MethodGet, "/v1/metrics", "")
+				if rec.Code != http.StatusOK {
+					t.Errorf("scrape: %d %s", rec.Code, rec.Body)
+					return
+				}
+				v, err := strconv.ParseFloat(strings.TrimPrefix(grepLines(rec.Body.String(), walLine), walLine), 64)
+				if err != nil || v < last {
+					t.Errorf("scrape %d: wal fsyncs %v (%v), the previous scrape read %v", i, v, err, last)
+					return
+				}
+				last = v
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -940,7 +940,8 @@ func (l *Lake) applyRecord(p *persister, u *replayUnit, snapMaxSeq int) (bool, e
 // one-at-a-time replay hands it out. A conflict is state replay already
 // restored. A unit whose segment is damaged is not served, but its
 // entry is put, marked damaged, so the segment's bytes stay for
-// inspection until a write that claims its name replaces it.
+// inspection until a write that claims its name replaces it. Each
+// damaged entry is warned of once, however many units repeat it.
 func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 	rec := &u.rec
 	if rec.Segment != "" {
@@ -969,7 +970,11 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 	case l.conflict(rec.Path, entryKey{rec.Path, rec.Name}.claim()) != nil:
 		return false, nil
 	case damaged:
-		p.warn(l, "persist: "+what+" not served", attr, id, "error", u.readErr)
+		// A WAL duplicate of a damaged entry (its key and segment) is
+		// the same entry, warned of once.
+		if e, ok := l.entries[entryKey{rec.Path, rec.Name}]; !ok || e.Segment != rec.Segment {
+			p.warn(l, "persist: "+what+" not served", attr, id, "error", u.readErr)
+		}
 		l.putEntry(rec, true)
 		return false, nil
 	case u.buildErr != nil:

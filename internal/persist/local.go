@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -25,6 +26,39 @@ type Local struct {
 	wal     *os.File
 	walSize int64
 	closed  bool
+
+	fsyncs [len(FsyncFiles)]atomic.Uint64
+}
+
+// FsyncFiles names what Local fsyncs, in the order Fsyncs counts it:
+// the WAL (at an append and at a checkpoint's truncation), a new
+// segment's file and its directory entry, and the manifest (the
+// snapshot file) and its directory entry.
+var FsyncFiles = [...]string{"wal", "segment", "segment_dir", "manifest", "manifest_dir"}
+
+// Indexes into FsyncFiles.
+const (
+	fsyncWAL = iota
+	fsyncSegment
+	fsyncSegmentDir
+	fsyncManifest
+	fsyncManifestDir
+)
+
+// Fsyncs returns how many fsyncs the backend has issued on each of
+// FsyncFiles, failed ones included.
+func (l *Local) Fsyncs() [len(FsyncFiles)]uint64 {
+	var n [len(FsyncFiles)]uint64
+	for i := range n {
+		n[i] = l.fsyncs[i].Load()
+	}
+	return n
+}
+
+// fsync fsyncs f, counting it as one of FsyncFiles.
+func (l *Local) fsync(f *os.File, file int) error {
+	l.fsyncs[file].Add(1)
+	return f.Sync()
 }
 
 // LocalOption configures a Local backend.
@@ -103,7 +137,7 @@ func (l *Local) AppendWAL(frame []byte) error {
 	}
 	l.walSize += int64(len(frame))
 	if l.sync == SyncAlways {
-		if err := l.wal.Sync(); err != nil {
+		if err := l.fsync(l.wal, fsyncWAL); err != nil {
 			return fmt.Errorf("persist: sync wal: %w", err)
 		}
 	}
@@ -132,7 +166,7 @@ func (l *Local) Checkpoint(snapshot []byte) error {
 		_ = f.Close()
 		return fmt.Errorf("persist: checkpoint write: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.fsync(f, fsyncManifest); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("persist: checkpoint sync: %w", err)
 	}
@@ -142,7 +176,7 @@ func (l *Local) Checkpoint(snapshot []byte) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("persist: checkpoint rename: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := l.syncDir(l.dir, fsyncManifestDir); err != nil {
 		return fmt.Errorf("persist: checkpoint sync dir: %w", err)
 	}
 	if err := l.wal.Truncate(0); err != nil {
@@ -150,7 +184,7 @@ func (l *Local) Checkpoint(snapshot []byte) error {
 	}
 	l.walSize = 0
 	if l.sync == SyncAlways {
-		if err := l.wal.Sync(); err != nil {
+		if err := l.fsync(l.wal, fsyncWAL); err != nil {
 			return fmt.Errorf("persist: sync wal: %w", err)
 		}
 	}
@@ -219,7 +253,7 @@ func (l *Local) PutSegment(name string, data []byte) error {
 		return fmt.Errorf("persist: put segment %s: %w", name, err)
 	}
 	if l.sync == SyncAlways {
-		if err := f.Sync(); err != nil {
+		if err := l.fsync(f, fsyncSegment); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("persist: sync segment %s: %w", name, err)
 		}
@@ -228,7 +262,7 @@ func (l *Local) PutSegment(name string, data []byte) error {
 		return fmt.Errorf("persist: close segment %s: %w", name, err)
 	}
 	if l.sync == SyncAlways {
-		if err := syncDir(filepath.Dir(path)); err != nil {
+		if err := l.syncDir(filepath.Dir(path), fsyncSegmentDir); err != nil {
 			return fmt.Errorf("persist: sync segment dir %s: %w", name, err)
 		}
 	}
@@ -298,16 +332,16 @@ func (l *Local) Close() error {
 }
 
 // syncDir fsyncs a directory so a checkpoint's rename, or a new
-// segment's entry, is itself durable. A filesystem that does not
-// support directory fsync (some network mounts) degrades to the OS's
-// own flush; any other failure is returned, because the entry may not
-// be on disk.
-func syncDir(dir string) error {
+// segment's entry, is itself durable, counting it as file. A filesystem
+// that does not support directory fsync (some network mounts) degrades
+// to the OS's own flush; any other failure is returned, because the
+// entry may not be on disk.
+func (l *Local) syncDir(dir string, file int) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = l.fsync(d, file)
 	_ = d.Close()
 	if err != nil && !dirSyncUnsupported(err) {
 		return err

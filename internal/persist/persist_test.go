@@ -322,10 +322,11 @@ func TestDirSyncUnsupportedExcusesOnlyUnsupported(t *testing.T) {
 			t.Errorf("dirSyncUnsupported(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
-	if err := syncDir(t.TempDir()); err != nil {
+	var l Local
+	if err := l.syncDir(t.TempDir(), fsyncSegmentDir); err != nil {
 		t.Errorf("syncDir of a fresh directory = %v", err)
 	}
-	if err := syncDir(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+	if err := l.syncDir(filepath.Join(t.TempDir(), "missing"), fsyncSegmentDir); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("syncDir of a missing directory = %v, want ErrNotExist", err)
 	}
 }

@@ -15,13 +15,17 @@ import (
 // which the non-null count cannot outgrow. A parser runs only while its
 // kind is in and on a cell shaped like its input: a failed strconv or
 // time parse allocates its error, eight of them per cell of plain words.
+// A number's shape alone decides it where it can: an integer of at most
+// 18 digits fits an int64, and a plain decimal (plainDecimal) is a
+// float, so strconv sees only exponents, hex, underscores, inf and nan,
+// and long digit runs.
 func InferKind(cells []string) Kind {
 	const tolerance = 0.95
 	maxMiss := len(cells) / 20
 	var nonNull, ints, floats, bools, times int
 	for _, v := range cells {
 		s := strings.TrimSpace(v)
-		if isNullToken(s) {
+		if isTrimmedNull(s) {
 			continue
 		}
 		// nonNull counts the cells before this one, so these are misses.
@@ -33,10 +37,10 @@ func InferKind(cells []string) Kind {
 		// a parser that is out never hands its cell to a later one.
 		shape := NumberShape(s)
 		switch {
-		case shape == 2 && !out(ints) && parses(strconv.ParseInt(s, 10, 64)):
+		case shape == 2 && !out(ints) && (len(s) <= 18 || parses(strconv.ParseInt(s, 10, 64))):
 			ints++
 			floats++ // every int is a float
-		case shape >= 1 && !out(floats) && parses(strconv.ParseFloat(s, 64)):
+		case shape >= 1 && !out(floats) && (plainDecimal(s) || parses(strconv.ParseFloat(s, 64))):
 			floats++
 		case isBoolToken(s):
 			bools++
@@ -85,8 +89,10 @@ func NumberShape(s string) int {
 	}
 	shape := 2
 	for i := 0; i < len(s); i++ {
+		if '0' <= s[i] && s[i] <= '9' {
+			continue
+		}
 		switch c, prev := s[i]|0x20, s[max(i, 1)-1]|0x20; {
-		case '0' <= s[i] && s[i] <= '9':
 		case s[i] == '.', s[i] == '_', 'a' <= c && c <= 'f', c == 'x', c == 'p',
 			(s[i] == '+' || s[i] == '-') && (prev == 'e' || prev == 'p'):
 			shape = 1
@@ -95,6 +101,32 @@ func NumberShape(s string) int {
 		}
 	}
 	return shape
+}
+
+// plainDecimal reports whether s is an optional sign and then digits
+// with at most one '.' among them ("12.5", "-.5", "5."), in at most 300
+// bytes: a form strconv.ParseFloat always takes. Its one refusal of a
+// well-formed decimal is overflow, past 1e308, and it rounds an
+// underflow to zero without one.
+func plainDecimal(s string) bool {
+	if s == "" || len(s) > 300 {
+		return false
+	}
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	digits, dot := 0, false
+	for i := 0; i < len(s); i++ {
+		switch {
+		case '0' <= s[i] && s[i] <= '9':
+			digits++
+		case s[i] == '.' && !dot:
+			dot = true
+		default:
+			return false
+		}
+	}
+	return digits > 0
 }
 
 // ParseNumber is strconv.ParseFloat(s, 64) with its error folded into

@@ -26,6 +26,8 @@ func inferSeeds() []string {
 		col("1", "+2", "-3", " 4 ", "0007"),
 		col("+", "-", "+-1", "1-", "--1"),
 		col("1e5", ".5", "5.", "-.5e-3", "1E+9", "0x1p-2", "0X1.8P+3", "1_000", "0x_1p0", "1e", "e5", ".", "1e999", "99999999999999999999"),
+		col("123456789012345678", "-12345678901234567", "+12345678901234567", "1234567890123456789", "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809"),
+		col("0.5", "+.5", "-5.", ".", "+.", "-", "1.2.3", "1..2", "..5", "0.000", strings.Repeat("9", 298)+".5", strings.Repeat("9", 299)+".5", strings.Repeat("9", 400), "0."+strings.Repeat("0", 400)+"1"),
 		col("inf", "+Inf", "-INF", "Infinity", "-infinity", "+INFINITY", "NaN", "nan", "+nan", "infinit", "nana", "in", "n12"),
 		col("true", "FALSE", "yes", "No", "T", "f", "y", "tRuE", "falſe", "true "),
 		col("2024-01-02T15:04:05Z", "2024-01-02T15:04:05.123+02:00", "2024-01-02t15:04:05Z", "2024-01-02 15:04:05", "2024-01-02  15:04:05", "2024-01-02 15:04:05.5"),

@@ -276,9 +276,13 @@ func (t *Table) String() string {
 }
 
 // isNullToken reports whether v, spaces aside, is a value treated as
-// missing data. (The switch compiles to a search by length first.)
-func isNullToken(v string) bool {
-	switch strings.TrimSpace(v) {
+// missing data.
+func isNullToken(v string) bool { return isTrimmedNull(strings.TrimSpace(v)) }
+
+// isTrimmedNull is isNullToken of a cell already trimmed of spaces. (The
+// switch compiles to a search by length first.)
+func isTrimmedNull(s string) bool {
+	switch s {
 	case "", "null", "NULL", "na", "NA", "n/a", "N/A", "nil", "-":
 		return true
 	}
