@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,6 +166,10 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 	return s.ResponseWriter.Write(b)
 }
 
+// Unwrap returns the underlying writer, so http.ResponseController
+// reaches the connection through the middleware chain.
+func (s *statusWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 // Flush forwards to the underlying writer so chunked streaming works
 // through the middleware chain.
 func (s *statusWriter) Flush() {
@@ -266,6 +272,7 @@ func (l *Lake) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l.metrics.observeRuntime()
+	l.metrics.setResidentBytes("doc_columns", l.Poly.Docs.FormBytes())
 	if l.pers != nil {
 		if b, ok := l.pers.backend.(fsyncCounter); ok {
 			l.metrics.observeFsyncs(b)
@@ -535,7 +542,11 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var path, source string
 	var data []byte
-	body, err := readBody(r)
+	body, err := readBody(w, r)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body stalled for more than %s", bodyReadTimeout))
+		return
+	}
 	if err == nil {
 		path, source, data, err = decodeIngest(body)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
+	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -16,16 +19,42 @@ import (
 // grows the buffer as its bytes arrive.
 const maxPreallocBody = 64 << 10
 
+// bodyReadTimeout bounds the wait for each read of a request body: a
+// client that stalls its body longer than this between two reads is
+// answered deadline_exceeded instead of holding its handler.
+var bodyReadTimeout = 30 * time.Second
+
 // readBody reads a request body whole: into one buffer of the declared
 // Content-Length, when that is at most maxPreallocBody, where io.ReadAll
 // would start at 512 bytes and grow, copying what it has read, until
 // the body fits. The MinRead spare bytes let the read that meets the
-// end of the body land without growing the buffer.
-func readBody(r *http.Request) ([]byte, error) {
+// end of the body land without growing the buffer. Before each read it
+// sets the connection's read deadline bodyReadTimeout ahead, unless w
+// reaches no connection; a read past it fails with an error that
+// errors.Is os.ErrDeadlineExceeded.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rc := http.NewResponseController(w)
 	var buf bytes.Buffer
 	buf.Grow(int(min(max(r.ContentLength, 0), maxPreallocBody)) + bytes.MinRead)
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
+	for renew := true; ; {
+		if renew {
+			err := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+			if err != nil && !errors.Is(err, http.ErrNotSupported) {
+				return nil, err
+			}
+			renew = err == nil
+		}
+		buf.Grow(bytes.MinRead)
+		free := buf.AvailableBuffer()
+		n, err := r.Body.Read(free[:cap(free)])
+		buf.Write(free[:n])
+		if err == io.EOF {
+			return buf.Bytes(), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // decodeIngest decodes a POST /v1/datasets body into its path, source

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzIngestBody holds decodeIngest to encoding/json, the decoder POST
@@ -138,5 +142,54 @@ func TestIngestBodyWithAndWithoutLength(t *testing.T) {
 		if raw, err := l.Poly.Files.Get(tc.path); err != nil || string(raw) != tc.content {
 			t.Errorf("%s: stored %d bytes, want %d (%v)", tc.path, len(raw), len(tc.content), err)
 		}
+	}
+}
+
+// A client that stalls its body past bodyReadTimeout between two reads
+// is answered deadline_exceeded and its handler returns; one that
+// trickles its body, each piece within the bound, still lands.
+func TestIngestBodyStallTimesOut(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 300 * time.Millisecond
+	l := testLake(t)
+	srv := httptest.NewServer(l.HTTPHandler())
+	defer srv.Close()
+	body := `{"path":"raw/slow.csv","content":"id,v\n1,2\n"}`
+	send := func(pieces []string, pause time.Duration) (*http.Response, []byte, time.Duration) {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		start := time.Now()
+		fmt.Fprintf(conn, "POST /v1/datasets HTTP/1.1\r\nHost: lake\r\nX-Lake-User: dana\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+		for i, p := range pieces {
+			if i > 0 {
+				time.Sleep(pause)
+			}
+			if _, err := io.WriteString(conn, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp, out, time.Since(start)
+	}
+	resp, out, took := send([]string{body[:10]}, 0)
+	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
+		t.Errorf("stalled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
+	}
+	if took < bodyReadTimeout || took > 5*time.Second {
+		t.Errorf("stalled body answered after %v, want just past %v", took, bodyReadTimeout)
+	}
+	resp, out, _ = send([]string{body[:10], body[10:20], body[20:]}, bodyReadTimeout/2)
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("trickled body: %d %s, want 201", resp.StatusCode, out)
 	}
 }

@@ -219,7 +219,7 @@ func newLakeMetrics() *lakeMetrics {
 		replayDuration: r.Gauge("golake_replay_duration_seconds",
 			"How long the last open spent replaying snapshot and WAL, in seconds."),
 		residentBytes: r.GaugeVec("golake_resident_bytes",
-			"Bytes a structure holds in memory, computed from its counts after each maintenance pass: token_sums (the discovery embedding's per-token PPMI sums).",
+			"Bytes a structure holds in memory, computed from its counts: token_sums (the discovery embedding's per-token PPMI sums), after each maintenance pass; doc_columns (the columnar forms document scans read, 0 until a collection's first scan), at each scrape.",
 			"structure"),
 		goHeapBytes: r.Gauge("golake_go_heap_bytes",
 			"Heap bytes held by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes)."),

@@ -650,3 +650,41 @@ func TestFsyncsScrapedConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// golake_resident_bytes{structure="doc_columns"} reads 0 until a
+// document scan builds its collection's columns, more after it, and 0
+// again once the collection's dataset is evicted.
+func TestResidentDocColumnsGauge(t *testing.T) {
+	l, srv := metricsLake(t)
+	ctx := context.Background()
+	l.AddUser("cura", RoleCurator)
+	if _, err := l.Ingest(ctx, "raw/events.jsonl", []byte("{\"kind\":\"a\",\"n\":1}\n{\"kind\":\"b\",\"n\":2}\n"), "app", "dana"); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() float64 {
+		t.Helper()
+		_, body := scrape(t, srv)
+		line := grepLines(body, `golake_resident_bytes{structure="doc_columns"} `)
+		v, err := strconv.ParseFloat(strings.TrimPrefix(line, `golake_resident_bytes{structure="doc_columns"} `), 64)
+		if err != nil {
+			t.Fatalf("doc_columns gauge: %q: %v", line, err)
+		}
+		return v
+	}
+	if v := gauge(); v != 0 {
+		t.Errorf("before any document scan: %v bytes, want 0", v)
+	}
+	resp, _ := do(t, srv, http.MethodPost, "/v1/query", "dana", `{"sql":"SELECT kind FROM doc:events WHERE n > 1"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d", resp.StatusCode)
+	}
+	if v := gauge(); v <= 0 {
+		t.Errorf("after a document scan: %v bytes, want more than 0", v)
+	}
+	if err := l.Evict(ctx, "cura", "raw/events.jsonl"); err != nil {
+		t.Fatal(err)
+	}
+	if v := gauge(); v != 0 {
+		t.Errorf("after the eviction: %v bytes, want 0", v)
+	}
+}

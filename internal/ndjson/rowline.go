@@ -4,8 +4,8 @@
 // Cells.DecodeRow reads a line back on the federated hop from a member
 // that answers row lines rather than batch frames. The serving
 // side writes its row lines with query.Batch.AppendRowJSON, which
-// copies a stored column's cells from the literals the relational
-// store encoded once with AppendString (polystore.Mirror.JSON) and
+// copies a stored column's cells from the literals its mirror encoded
+// once with AppendString (table.Mirror.JSON) and
 // encodes any other cell with AppendString as it goes. Header and
 // trailer lines are JSON objects and stay with encoding/json at both
 // ends; only the per-row line — the one that is written and parsed

@@ -22,8 +22,9 @@ var ErrUnknownSource = errors.New("query: unknown source")
 
 // Engine executes parsed queries over a polystore as one pull-based
 // columnar pipeline: every FROM item opens as a batch leaf (a
-// relational cursor, a remote member's stream, or column runs built
-// from a document or file-listing snapshot) with the WHERE filter at
+// relational cursor, a remote member's stream, runs of a document
+// collection's columnar form, or column runs built from a file-listing
+// snapshot) with the WHERE filter at
 // the leaf; a streaming union or parallel fan-in remaps the leaves onto
 // the result header; ORDER BY or LIMIT caps the result.
 // Rows exist only at the output — a LIMIT n query stops pulling from
@@ -361,7 +362,8 @@ func (e *Engine) starColumns(q *Query) []string {
 				add(names...)
 			}
 		case "doc":
-			add(docFields(e.Poly.Docs.Collection(name).All(), nil)...)
+			form, _ := e.Poly.Docs.Collection(name).Select()
+			add(form.ScalarFields(nil)...)
 		case "file":
 			add("path", "size", "format")
 		}
@@ -475,10 +477,8 @@ func (e *Engine) resolveKind(src string) (kind, name string, err error) {
 		if e.Poly.Rel.Has(name) {
 			return "rel", name, nil
 		}
-		for _, coll := range e.Poly.Docs.Collections() {
-			if coll == name {
-				return "doc", name, nil
-			}
+		if e.Poly.Docs.Collection(name) != nil {
+			return "doc", name, nil
 		}
 		// Not local anywhere: consult the placement helper — a bare
 		// dataset name routes to the consistent-hash member that owns
@@ -521,10 +521,10 @@ func (e *Engine) scanRelational(name string, q *Query, batchRows int) (BatchIter
 	return &relBatchIterator{cur: cur, rows: batchRows}, nil
 }
 
-// scanDocument opens a document collection as a leaf: pushable
-// predicates are evaluated by the store's Find (the leaf filter
-// re-checks them with the dialect's semantics), and the matched
-// documents' fields become column runs batch by batch.
+// scanDocument opens a document collection as a leaf over its
+// columnar form: pushable predicates are evaluated by the store's
+// Select (the leaf filter re-checks them with the dialect's semantics),
+// and the selected rows are served as runs of the form's columns.
 func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterator {
 	var filters []docstore.Filter
 	for _, p := range q.Where {
@@ -532,11 +532,68 @@ func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterato
 			filters = append(filters, f)
 		}
 	}
-	docs := e.Poly.Docs.Collection(name).Find(filters...)
-	fields := docFields(docs, withPredicateColumns(q))
-	return &snapshotIterator{cols: fields, n: len(docs), rows: batchRows, cell: func(i, j int) string {
-		return cellText(docs[i][fields[j]])
-	}}
+	form, rows := e.Poly.Docs.Collection(name).Select(filters...)
+	cols := withPredicateColumns(q)
+	if cols == nil {
+		cols = form.ScalarFields(rows)
+	} else {
+		sort.Strings(cols)
+	}
+	d := &docBatchIterator{cols: cols, runs: make([]*docstore.Column, len(cols)), rows: rows, n: form.Len(), max: batchRows}
+	if rows != nil {
+		d.n = len(rows)
+	}
+	for j, c := range cols {
+		d.runs[j] = form.Column(c)
+	}
+	return d
+}
+
+// docBatchIterator serves a document scan's selected rows, up to max
+// per batch, zero-copy as relBatchIterator does: each vector is a run
+// of a form column that reads the column's mirror in place, and the
+// batch's selection is the scan's own. A batch of a selecting scan
+// spans its column from row 0, so the selection needs no rebasing.
+type docBatchIterator struct {
+	cols []string
+	// runs[j] backs output column j; nil pads a field no document has.
+	runs   []*docstore.Column
+	rows   []int // selected rows; nil selects every row
+	n, pos int   // selected rows, and those served
+	max    int
+}
+
+func (d *docBatchIterator) Columns() []string { return d.cols }
+
+func (d *docBatchIterator) Next(ctx context.Context) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if d.pos >= d.n {
+		return nil, io.EOF
+	}
+	lo, hi := d.pos, min(d.pos+d.max, d.n)
+	d.pos = hi
+	var sel []int
+	if d.rows != nil {
+		sel = d.rows[lo:hi:hi]
+		lo, hi = 0, sel[len(sel)-1]+1
+	}
+	vecs, slab := make([]*Vector, len(d.runs)), make([]Vector, len(d.runs))
+	for j, c := range d.runs {
+		v := &slab[j]
+		v.n = hi - lo
+		if c != nil {
+			v.cells, v.mirror, v.off = c.Cells[lo:hi:hi], &c.Mirror, lo
+		}
+		vecs[j] = v
+	}
+	return &Batch{vecs: vecs, n: hi - lo, sel: sel}, nil
+}
+
+func (d *docBatchIterator) Close() error {
+	d.pos = d.n
+	return nil
 }
 
 // withPredicateColumns returns the projection extended with predicate
@@ -590,37 +647,6 @@ func docFilter(p Predicate) (docstore.Filter, bool) {
 	return docstore.Filter{Path: p.Column, Op: op, Value: val}, true
 }
 
-// docFields computes the row header for a document scan: the requested
-// columns, or the sorted union of the documents' top-level scalar
-// fields.
-func docFields(docs []docstore.Doc, want []string) []string {
-	fieldSet := map[string]bool{}
-	if len(want) > 0 {
-		for _, c := range want {
-			fieldSet[c] = true
-		}
-	} else {
-		for _, d := range docs {
-			for k, v := range d {
-				if k == "_id" {
-					continue
-				}
-				switch v.(type) {
-				case map[string]any, []any:
-				default:
-					fieldSet[k] = true
-				}
-			}
-		}
-	}
-	fields := make([]string, 0, len(fieldSet))
-	for f := range fieldSet {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	return fields
-}
-
 // scanFiles opens the raw objects under a prefix as a (path, size,
 // format) leaf.
 func (e *Engine) scanFiles(prefix string, batchRows int) BatchIterator {
@@ -636,23 +662,8 @@ func (e *Engine) scanFiles(prefix string, batchRows int) BatchIterator {
 	}}
 }
 
-// cellText renders a document field as a cell: a string as itself, a
-// number in its shortest form (fmt's %v), and null — like a missing
-// field — as the empty cell, the pipeline's null encoding.
-func cellText(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case string:
-		return x
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	}
-	return fmt.Sprint(v)
-}
-
-// snapshotIterator serves the n records of a store snapshot (documents,
-// file listings) as batches of up to rows rows, building each batch's
+// snapshotIterator serves the n records of a store snapshot (a file
+// listing) as batches of up to rows rows, building each batch's
 // column runs through cell.
 type snapshotIterator struct {
 	cols    []string

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,16 +28,22 @@ import (
 // ParseFloat, not to the sort), and plain strings.
 var oracleCells = []string{"", "0", "7", "007", "1.0", "-3", "1e3", "9.5", "NaN", "inf", "abc", "x y", "10", "b"}
 
-// oracleColumns is the column pool of the fixtures and the statements;
-// "ghost" exists nowhere.
-var oracleColumns = []string{"id", "v", "city", "w", "size", "ghost"}
+// oracleColumns is the column pool of the statements: the fixtures'
+// columns, the documents' "_id", a dotted path into their nested
+// "meta" object (which some documents also carry as a top-level key),
+// and "ghost", which exists nowhere.
+var oracleColumns = []string{"id", "v", "city", "w", "size", "_id", "meta.a", "ghost"}
 
 var oracleSources = []string{"rel:t0", "rel:t1", "rel:t2", "doc:ev", "file:raw/"}
 
 // oracleEngine ingests a seeded mixed-store lake: three relational
 // tables with ragged headers, a document collection whose documents
-// carry different field sets (and a nested field SELECT * skips), and
-// the raw-object listing over all of them.
+// carry different field sets, and the raw-object listing over all of
+// them. A document value may be JSON null, a boolean, a number (-0
+// among them) or a string (the digits of a number among them), or a
+// nested array; a document may carry its own "_id", a nested "meta"
+// object, a top-level "meta.a" and a "tags" array, the nested values
+// being what SELECT * skips.
 func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	p, err := polystore.New(t.TempDir())
@@ -45,8 +52,13 @@ func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 	}
 	pick := func() string { return oracleCells[rng.Intn(len(oracleCells))] }
 	value := func() any {
-		if rng.Intn(2) == 0 {
-			return []float64{7, 1000000, -3.5, 0.1, 10, 0}[rng.Intn(6)]
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			return []float64{7, 1000000, -3.5, 0.1, 10, 0, math.Copysign(0, -1)}[rng.Intn(7)]
+		case 3:
+			return []any{nil, true, false}[rng.Intn(3)]
+		case 4:
+			return []any{7, "x"}
 		}
 		return pick()
 	}
@@ -83,8 +95,17 @@ func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 				d[c] = value()
 			}
 		}
+		if rng.Intn(3) == 0 {
+			d["_id"] = fmt.Sprintf("e%02d", i)
+		}
+		if rng.Intn(3) == 0 {
+			d["meta"] = map[string]any{"a": value()}
+		}
+		if rng.Intn(5) == 0 {
+			d["meta.a"] = value()
+		}
 		if rng.Intn(4) == 0 {
-			d["meta"] = map[string]any{"a": 1}
+			d["tags"] = []any{"a", value()}
 		}
 		line, _ := json.Marshal(d)
 		docs.Write(append(line, '\n'))
@@ -112,9 +133,9 @@ func oracleStatement(e *Engine, rng *rand.Rand, ordered bool) *Query {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		p := Predicate{Column: oracleColumns[rng.Intn(len(oracleColumns))], Op: ops[rng.Intn(len(ops))]}
 		if rng.Intn(2) == 0 {
-			p.Value, p.Numeric = []string{"0", "7", "9.5", "-3", "1e3", "10"}[rng.Intn(6)], true
+			p.Value, p.Numeric = []string{"0", "-0", "7", "9.5", "-3", "1e3", "10"}[rng.Intn(7)], true
 		} else {
-			p.Value = []string{"abc", "b", "x y", "10", "007", ""}[rng.Intn(6)]
+			p.Value = []string{"abc", "b", "x y", "10", "007", "", "true", "[7 x]", "<nil>", "e03"}[rng.Intn(10)]
 		}
 		q.Where = append(q.Where, p)
 	}
@@ -153,17 +174,7 @@ func oracle(e *Engine, q *Query) ([]string, [][]string) {
 				s.rows = append(s.rows, tbl.Row(i))
 			}
 		case "doc":
-			var filters []docstore.Filter
-			for _, p := range q.Where {
-				if f, ok := docFilter(p); ok {
-					filters = append(filters, f)
-				}
-			}
-			docs := e.Poly.Docs.Collection(name).Find(filters...)
-			s.cols = docFields(docs, withPredicateColumns(q))
-			for _, d := range docs {
-				s.rows = append(s.rows, oracleRow(s.cols, func(c string) (any, bool) { v, ok := d[c]; return v, ok }))
-			}
+			s.cols, s.rows = oracleDocs(e, name, q)
 		case "file":
 			s.cols = []string{"path", "size", "format"}
 			for _, info := range e.Poly.Files.List(name) {
@@ -222,6 +233,92 @@ func oracle(e *Engine, q *Query) ([]string, [][]string) {
 	}
 	if q.Limit > 0 && len(rows) > q.Limit {
 		rows = rows[:q.Limit]
+	}
+	return cols, rows
+}
+
+// oracleDocs evaluates a document source from its raw bytes, apart
+// from the store's columnar form: it decodes each JSON line, names the
+// documents as Insert does (its own "_id", else "<collection>-<n>"),
+// keeps, in ID order, those that every pushable predicate's filter
+// matches one document at a time, and derives the header itself: the
+// projection and the predicate columns, or the top-level fields other
+// than "_id" that some kept document holds a non-nested value in.
+func oracleDocs(e *Engine, name string, q *Query) ([]string, [][]string) {
+	var raw []byte
+	for _, pl := range e.Poly.Placements() {
+		if pl.Collection == name {
+			raw, _ = e.Poly.Files.Get(pl.Path)
+		}
+	}
+	byID := map[string]docstore.Doc{}
+	auto := 0
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var d docstore.Doc
+		if err := json.Unmarshal(line, &d); err != nil {
+			panic(err)
+		}
+		id, _ := d["_id"].(string)
+		if id == "" {
+			auto++
+			id = fmt.Sprintf("%s-%d", name, auto)
+			d["_id"] = id
+		}
+		byID[id] = d
+	}
+	ids := make([]string, 0, len(byID))
+	for id := range byID {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var filters []docstore.Filter
+	for _, p := range q.Where {
+		if f, ok := docFilter(p); ok {
+			filters = append(filters, f)
+		}
+	}
+	var docs []docstore.Doc
+next:
+	for _, id := range ids {
+		for _, f := range filters {
+			if !f.Match(byID[id]) {
+				continue next
+			}
+		}
+		docs = append(docs, byID[id])
+	}
+	header := map[string]bool{}
+	if len(q.Columns) > 0 {
+		for _, c := range q.Columns {
+			header[c] = true
+		}
+		for _, p := range q.Where {
+			header[p.Column] = true
+		}
+	} else {
+		for _, d := range docs {
+			for k, v := range d {
+				switch v.(type) {
+				case map[string]any, []any:
+				default:
+					header[k] = k != "_id"
+				}
+			}
+		}
+	}
+	var cols []string
+	for c, in := range header {
+		if in {
+			cols = append(cols, c)
+		}
+	}
+	sort.Strings(cols)
+	var rows [][]string
+	for _, d := range docs {
+		rows = append(rows, oracleRow(cols, func(c string) (any, bool) { v, ok := d[c]; return v, ok }))
 	}
 	return cols, rows
 }

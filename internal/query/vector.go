@@ -2,7 +2,6 @@ package query
 
 import (
 	"golake/internal/ndjson"
-	"golake/internal/storage/polystore"
 	"golake/internal/table"
 )
 
@@ -48,7 +47,7 @@ type Vector struct {
 
 	// mirror, when set, is the stored column the cells were cut from,
 	// starting at its row off.
-	mirror *polystore.Mirror
+	mirror *table.Mirror
 	off    int
 
 	parsed  bool

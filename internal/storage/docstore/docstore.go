@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,11 +56,12 @@ type Collection struct {
 	docs   map[string]Doc
 	autoID int
 
-	// order is every doc ID, sorted: the order Find returns documents
-	// in. Insert of a new ID resets it to nil under mu; the next
-	// Find re-sorts under mu's read lock and orderMu.
-	orderMu sync.Mutex
-	order   []string
+	// form is the documents column by column, what Select reads. Insert
+	// resets it to nil under mu; the next Select builds it under mu's
+	// read lock and formMu. A built form is never written again, so a
+	// reader keeps the one it took while later Inserts go on.
+	formMu sync.Mutex
+	form   *Form
 }
 
 // Store holds named collections.
@@ -95,18 +95,6 @@ func (s *Store) Add(c *Collection) {
 	s.mu.Unlock()
 }
 
-// Collections lists collection names, sorted.
-func (s *Store) Collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Drop removes a collection; dropping a missing one returns
 // ErrNoCollection.
 func (s *Store) Drop(name string) error {
@@ -130,10 +118,8 @@ func (c *Collection) Insert(doc Doc) string {
 		id = fmt.Sprintf("%s-%d", c.name, c.autoID)
 		doc["_id"] = id
 	}
-	if _, ok := c.docs[id]; !ok {
-		c.order = nil
-	}
 	c.docs[id] = doc
+	c.form = nil
 	return id
 }
 
@@ -156,54 +142,70 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// Find returns all documents satisfying every filter, ordered by ID;
-// none for a nil collection.
-func (c *Collection) Find(filters ...Filter) []Doc {
+// Select returns the collection's columnar form and the positions, in
+// ascending order, of the documents in it that satisfy every filter,
+// with exactly Filter.Match's semantics. rows is nil when there are no
+// filters: every row is selected. A nil collection has an empty form.
+//
+// A filter on a top-level field reads the field's type bytes and cell
+// texts; only the null, nested or non-JSON values of a field it
+// compares, and every document under a dotted path, are matched on the
+// document itself.
+func (c *Collection) Select(filters ...Filter) (form *Form, rows []int) {
 	if c == nil {
-		return nil
+		return &Form{}, nil
 	}
 	c.mu.RLock()
+	form = c.columns()
+	c.mu.RUnlock()
+	for _, f := range filters {
+		rows = form.narrow(f, rows)
+	}
+	return form, rows
+}
+
+// columns returns the form, building it first if an Insert reset it.
+// The caller holds c.mu's read lock.
+func (c *Collection) columns() *Form {
+	c.formMu.Lock()
+	defer c.formMu.Unlock()
+	if c.form == nil {
+		c.form = buildForm(c.docs)
+	}
+	return c.form
+}
+
+// formSize is the bytes the collection's form holds, 0 while none is
+// built.
+func (c *Collection) formSize() int64 {
+	c.mu.RLock()
 	defer c.mu.RUnlock()
-	paths := make([][]string, len(filters))
-	for i, f := range filters {
-		paths[i] = strings.Split(f.Path, ".")
-	}
-	var out []Doc
-next:
-	for _, id := range c.sortedIDs() {
-		d := c.docs[id]
-		for i, f := range filters {
-			if !matches(d, f, paths[i]) {
-				continue next
-			}
-		}
-		out = append(out, d)
-	}
-	return out
+	c.formMu.Lock()
+	defer c.formMu.Unlock()
+	return c.form.Size()
 }
 
-// sortedIDs returns every doc ID in order, sorting them first if an
-// Insert changed the set. The caller holds c.mu's read lock;
-// the slice returned is never written again.
-func (c *Collection) sortedIDs() []string {
-	c.orderMu.Lock()
-	defer c.orderMu.Unlock()
-	if c.order == nil {
-		c.order = make([]string, 0, len(c.docs))
-		for id := range c.docs {
-			c.order = append(c.order, id)
-		}
-		sort.Strings(c.order)
+// FormBytes is the bytes the built columnar forms of the store's
+// collections hold (Form.Size): 0 before any Select, and a collection's
+// share leaves with it when it is dropped or its form is reset.
+func (s *Store) FormBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for _, c := range s.collections {
+		n += c.formSize()
 	}
-	return c.order
+	return n
 }
 
-// All returns every document, ordered by ID.
-func (c *Collection) All() []Doc { return c.Find() }
-
-// matches evaluates f on d; path is f.Path split at its dots.
-func matches(d Doc, f Filter, path []string) bool {
-	v, ok := lookupPath(d, path)
+// Match reports whether d satisfies f. A missing field satisfies only
+// OpExists with a Value other than true; any other operator needs the
+// field. OpEq and OpNe compare canonical texts (a number in its
+// shortest form, so float64(1) equals int 1); the ordering operators
+// compare numbers when both sides are numbers and canonical texts
+// otherwise; OpContains needs two strings.
+func (f Filter) Match(d Doc) bool {
+	v, ok := lookupPath(d, f.Path)
 	if f.Op == OpExists {
 		want, _ := f.Value.(bool)
 		return ok == want || (f.Value == nil && ok)
@@ -224,38 +226,48 @@ func matches(d Doc, f Filter, path []string) bool {
 		a, okA := toFloat(v)
 		b, okB := toFloat(f.Value)
 		if !okA || !okB {
-			// fall back to string comparison
-			sa, sb := canon(v), canon(f.Value)
-			switch f.Op {
-			case OpGt:
-				return sa > sb
-			case OpGte:
-				return sa >= sb
-			case OpLt:
-				return sa < sb
-			default:
-				return sa <= sb
-			}
+			return compareText(f.Op, canon(v), canon(f.Value))
 		}
-		switch f.Op {
-		case OpGt:
-			return a > b
-		case OpGte:
-			return a >= b
-		case OpLt:
-			return a < b
-		default:
-			return a <= b
-		}
+		return compareFloat(f.Op, a, b)
 	}
 	return false
 }
 
-// lookupPath resolves a dotted path ("a.b.c"), split at its dots,
-// inside nested maps; array elements are addressed by numeric segments.
-func lookupPath(d Doc, path []string) (any, bool) {
+// compareText is an ordering operator on canonical texts.
+func compareText(op Op, a, b string) bool {
+	switch op {
+	case OpGt:
+		return a > b
+	case OpGte:
+		return a >= b
+	case OpLt:
+		return a < b
+	default:
+		return a <= b
+	}
+}
+
+// compareFloat is an ordering operator on numbers.
+func compareFloat(op Op, a, b float64) bool {
+	switch op {
+	case OpGt:
+		return a > b
+	case OpGte:
+		return a >= b
+	case OpLt:
+		return a < b
+	default:
+		return a <= b
+	}
+}
+
+// lookupPath resolves a dotted path ("a.b.c") inside nested maps;
+// array elements are addressed by numeric segments.
+func lookupPath(d Doc, path string) (any, bool) {
 	var cur any = map[string]any(d)
-	for _, seg := range path {
+	for more := true; more; {
+		var seg string
+		seg, path, more = strings.Cut(path, ".")
 		switch node := cur.(type) {
 		case map[string]any:
 			v, ok := node[seg]

@@ -3,7 +3,7 @@ package docstore
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"sort"
 	"testing"
 )
 
@@ -40,22 +40,22 @@ func TestFindFilters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Insert(Doc{"_id": fmt.Sprintf("r%02d", i), "v": float64(i), "tag": map[string]any{"site": fmt.Sprintf("s%d", i%2)}})
 	}
-	if got := c.Find(eq("tag.site", "s0")); len(got) != 5 {
+	if got := find(c, eq("tag.site", "s0")); len(got) != 5 {
 		t.Errorf("Eq find = %d docs, want 5", len(got))
 	}
-	if got := c.Find(Filter{Path: "v", Op: OpGte, Value: 7.0}); len(got) != 3 {
+	if got := find(c, Filter{Path: "v", Op: OpGte, Value: 7.0}); len(got) != 3 {
 		t.Errorf("Gte find = %d docs, want 3", len(got))
 	}
-	if got := c.Find(eq("tag.site", "s1"), Filter{Path: "v", Op: OpLt, Value: 4.0}); len(got) != 2 {
+	if got := find(c, eq("tag.site", "s1"), Filter{Path: "v", Op: OpLt, Value: 4.0}); len(got) != 2 {
 		t.Errorf("conjunctive find = %d docs, want 2", len(got))
 	}
-	if got := c.Find(Filter{Path: "missing", Op: OpExists, Value: false}); len(got) != 10 {
+	if got := find(c, Filter{Path: "missing", Op: OpExists, Value: false}); len(got) != 10 {
 		t.Errorf("not-exists find = %d docs, want 10", len(got))
 	}
-	if got := c.Find(Filter{Path: "v", Op: OpExists, Value: true}); len(got) != 10 {
+	if got := find(c, Filter{Path: "v", Op: OpExists, Value: true}); len(got) != 10 {
 		t.Errorf("exists find = %d, want 10", len(got))
 	}
-	if got := len(c.Find(Filter{Path: "v", Op: OpNe, Value: 3.0})); got != 9 {
+	if got := len(find(c, Filter{Path: "v", Op: OpNe, Value: 3.0})); got != 9 {
 		t.Errorf("Ne count = %d, want 9", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestContainsFilter(t *testing.T) {
 	c := NewCollection("c")
 	c.Insert(Doc{"_id": "1", "desc": "sensor data from berlin plant"})
 	c.Insert(Doc{"_id": "2", "desc": "sales figures"})
-	got := c.Find(Filter{Path: "desc", Op: OpContains, Value: "berlin"})
+	got := find(c, Filter{Path: "desc", Op: OpContains, Value: "berlin"})
 	if len(got) != 1 || got[0].ID() != "1" {
 		t.Errorf("Contains = %v", got)
 	}
@@ -73,7 +73,7 @@ func TestContainsFilter(t *testing.T) {
 func TestIntFloatEquality(t *testing.T) {
 	c := NewCollection("n")
 	c.Insert(Doc{"_id": "a", "v": 1.0}) // JSON numbers decode as float64
-	if got := c.Find(eq("v", 1)); len(got) != 1 {
+	if got := find(c, eq("v", 1)); len(got) != 1 {
 		t.Errorf("int filter should match float64 value, got %d", len(got))
 	}
 }
@@ -100,7 +100,7 @@ func TestCollectionsAndDrop(t *testing.T) {
 	s := New()
 	s.Add(NewCollection("b"))
 	s.Add(NewCollection("a"))
-	got := s.Collections()
+	got := names(s)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Collections = %v", got)
 	}
@@ -115,8 +115,32 @@ func TestCollectionsAndDrop(t *testing.T) {
 // eq is an equality filter.
 func eq(path string, value any) Filter { return Filter{Path: path, Op: OpEq, Value: value} }
 
-// lookup resolves an unsplit dotted path.
-func lookup(d Doc, path string) (any, bool) { return lookupPath(d, strings.Split(path, ".")) }
+// names lists the store's collection names, sorted.
+func names(s *Store) []string {
+	var out []string
+	for n := range s.collections {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lookup resolves a dotted path.
+func lookup(d Doc, path string) (any, bool) { return lookupPath(d, path) }
+
+// find returns the documents Select picks, in ID order; none for a nil
+// collection.
+func find(c *Collection, filters ...Filter) []Doc {
+	form, rows := c.Select(filters...)
+	if rows == nil && len(filters) == 0 {
+		return form.docs
+	}
+	var out []Doc
+	for _, i := range rows {
+		out = append(out, form.docs[i])
+	}
+	return out
+}
 
 func TestCollectionLookupCreatesNothing(t *testing.T) {
 	s := New()
@@ -124,10 +148,10 @@ func TestCollectionLookupCreatesNothing(t *testing.T) {
 	if c != nil {
 		t.Fatalf("Collection(ghost) = %v, want nil", c)
 	}
-	if got := c.Find(); got != nil || c.Len() != 0 || c.All() != nil {
+	if got := find(c); got != nil || c.Len() != 0 || len(find(c)) != 0 {
 		t.Errorf("a nil collection reads %v, Len %d; want empty", got, c.Len())
 	}
-	if got := s.Collections(); len(got) != 0 {
+	if got := names(s); len(got) != 0 {
 		t.Errorf("Collections = %v after a lookup, want none", got)
 	}
 	added := NewCollection("real")

@@ -66,8 +66,8 @@ func TestIngestJSONGoesDocument(t *testing.T) {
 	if pl.Target != TargetDocument || pl.Collection != "event" {
 		t.Fatalf("placement = %+v", pl)
 	}
-	if got := len(p.Docs.Collection("event").Find(docstore.Filter{Path: "kind", Op: docstore.OpEq, Value: "click"})); got != 1 {
-		t.Errorf("doc count = %d", got)
+	if _, rows := p.Docs.Collection("event").Select(docstore.Filter{Path: "kind", Op: docstore.OpEq, Value: "click"}); len(rows) != 1 {
+		t.Errorf("doc count = %d", len(rows))
 	}
 }
 

@@ -9,11 +9,9 @@ package polystore
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
-	"golake/internal/ndjson"
 	"golake/internal/table"
 )
 
@@ -34,70 +32,7 @@ type RelStore struct {
 // given and one mirror per column.
 type storedTable struct {
 	*table.Table
-	mirrors []Mirror
-}
-
-// Mirror keeps what reads derive from one stored column, each form
-// built on its own first use and kept for the table's life. The float
-// form (table.ParseNumbers of the cells) is built on the column's first
-// numeric read: 8 bytes per cell plus one bit, only the bits when no
-// cell parses. The wire form is built on its first NDJSON read: every
-// cell as a JSON string literal (ndjson.AppendString), back to back in
-// one arena, plus a 4-byte offset per cell.
-type Mirror struct {
-	cells []string
-
-	numsOnce sync.Once
-	nums     table.Numbers
-
-	jsonOnce sync.Once
-	arena    []byte
-	ends     []uint32
-}
-
-// Numbers returns the float form, building it on first use. Safe for
-// concurrent use.
-func (m *Mirror) Numbers() *table.Numbers {
-	m.numsOnce.Do(func() { m.nums = table.ParseNumbers(m.cells) })
-	return &m.nums
-}
-
-// JSON returns the wire form, building it on first use: cell k encodes
-// as arena[ends[k]:ends[k+1]]. Both are nil for a column whose encoding
-// exceeds 4 GiB, which 32-bit offsets cannot address; its readers
-// encode its cells themselves. Safe for concurrent use.
-func (m *Mirror) JSON() (arena []byte, ends []uint32) {
-	m.jsonOnce.Do(func() { m.arena, m.ends = encodeJSON(m.cells, math.MaxUint32) })
-	return m.arena, m.ends
-}
-
-// encodeJSON encodes cells as JSON string literals back to back, or
-// returns nils when they take more than limit bytes. The arena is sized
-// for cells that need no escape, the common case, and copied to its
-// final size when some did, so what stays resident is the encoding and
-// its offsets.
-func encodeJSON(cells []string, limit uint64) ([]byte, []uint32) {
-	// A literal is never shorter than its cell and two quotes.
-	size := uint64(2 * len(cells))
-	for _, c := range cells {
-		size += uint64(len(c))
-	}
-	if size > limit {
-		return nil, nil
-	}
-	arena := make([]byte, 0, size)
-	ends := make([]uint32, 1, len(cells)+1)
-	for _, c := range cells {
-		arena = ndjson.AppendString(arena, c)
-		if uint64(len(arena)) > limit {
-			return nil, nil
-		}
-		ends = append(ends, uint32(len(arena)))
-	}
-	if cap(arena) > len(arena) {
-		arena = append(make([]byte, 0, len(arena)), arena...)
-	}
-	return arena, ends
+	mirrors []table.Mirror
 }
 
 // NewRelStore creates an empty relational store.
@@ -111,9 +46,9 @@ func NewRelStore() *RelStore {
 // mirrors' forms are built later, each on its column's first numeric or
 // NDJSON read, so replaying a lake's tables parses and encodes no cell.
 func (r *RelStore) Create(t *table.Table) {
-	s := &storedTable{Table: t, mirrors: make([]Mirror, len(t.Columns))}
+	s := &storedTable{Table: t, mirrors: make([]table.Mirror, len(t.Columns))}
 	for j, c := range s.Columns {
-		s.mirrors[j].cells = c.Cells
+		s.mirrors[j] = table.MirrorOf(c.Cells)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -207,7 +142,7 @@ type Cursor struct {
 	// preds carry their own cells so predicate columns need not survive
 	// the projection.
 	cells   [][]string
-	mirrors []*Mirror
+	mirrors []*table.Mirror
 	preds   []boundPredicate
 	n, at   int
 	// first is the row the last NextBatch's runs start at.
@@ -276,7 +211,7 @@ rows:
 // NextBatch's runs start at in it: cell i of that batch's run j is row
 // off+i of the mirror. It is nil for a cursor with predicates, whose
 // runs compact the matching rows.
-func (c *Cursor) Mirror(j int) (m *Mirror, off int) {
+func (c *Cursor) Mirror(j int) (m *table.Mirror, off int) {
 	if len(c.preds) > 0 || j >= len(c.mirrors) {
 		return nil, 0
 	}
