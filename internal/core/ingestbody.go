@@ -31,7 +31,10 @@ var bodyReadTimeout = 30 * time.Second
 // end of the body land without growing the buffer. Before each read it
 // sets the connection's read deadline bodyReadTimeout ahead, unless w
 // reaches no connection; a read past it fails with an error that
-// errors.Is os.ErrDeadlineExceeded.
+// errors.Is os.ErrDeadlineExceeded. At the end of the body it clears
+// the deadline: the server then reads the connection in the background,
+// and a deadline passing there would cancel the request's context while
+// the handler still runs.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	rc := http.NewResponseController(w)
 	var buf bytes.Buffer
@@ -49,6 +52,11 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		n, err := r.Body.Read(free[:cap(free)])
 		buf.Write(free[:n])
 		if err == io.EOF {
+			if renew {
+				if err := rc.SetReadDeadline(time.Time{}); err != nil {
+					return nil, err
+				}
+			}
 			return buf.Bytes(), nil
 		}
 		if err != nil {

@@ -193,3 +193,34 @@ func TestIngestBodyStallTimesOut(t *testing.T) {
 		t.Errorf("trickled body: %d %s, want 201", resp.StatusCode, out)
 	}
 }
+
+// TestIngestBodyDeadlineCleared: a handler that runs on past the read
+// bound after reading its body keeps its request context. The server
+// reads the connection in the background once the body is read, and
+// for an empty body it starts that read before the handler runs: with
+// the deadline left armed, that read times out and cancels the
+// context.
+func TestIngestBodyDeadlineCleared(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := readBody(w, r); err != nil {
+			fmt.Fprintf(w, "read: %v", err)
+			return
+		}
+		time.Sleep(4 * bodyReadTimeout)
+		fmt.Fprintf(w, "context: %v", r.Context().Err())
+	}))
+	defer srv.Close()
+	for _, body := range []string{"", `{"path":"raw/a.csv","content":"id\n1\n"}`} {
+		resp, err := srv.Client().Post(srv.URL, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if string(out) != "context: <nil>" {
+			t.Errorf("body %q: handler saw %q, want an uncancelled context", body, out)
+		}
+	}
+}

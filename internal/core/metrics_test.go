@@ -688,3 +688,32 @@ func TestResidentDocColumnsGauge(t *testing.T) {
 		t.Errorf("after the eviction: %v bytes, want 0", v)
 	}
 }
+
+// An unfiltered SELECT * over documents that each carry their own key
+// leaves doc_columns at the document list and the columns of the
+// fields enough documents hold (_id and kind), not a column per key.
+func TestResidentDocColumnsSparseKeys(t *testing.T) {
+	l, srv := metricsLake(t)
+	const n = 400
+	var body strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&body, "{\"kind\":\"a\",\"k%d\":%d}\n", i, i)
+	}
+	if _, err := l.Ingest(context.Background(), "raw/sparse.jsonl", []byte(body.String()), "app", "dana"); err != nil {
+		t.Fatal(err)
+	}
+	resp, out := do(t, srv, http.MethodPost, "/v1/query", "dana", `{"sql":"SELECT * FROM doc:sparse"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d", resp.StatusCode)
+	}
+	if !strings.Contains(string(out), `"k399"`) || !strings.Contains(string(out), `"399"`) {
+		t.Fatalf("SELECT * answer lacks the last key or its cell: %.200s", out)
+	}
+	_, metrics := scrape(t, srv)
+	// 8 bytes per document for the list, 17 per cell of _id and of kind,
+	// whose string cells share the documents' texts.
+	want := fmt.Sprintf(`golake_resident_bytes{structure="doc_columns"} %d`, 8*n+2*17*n)
+	if line := grepLines(metrics, `golake_resident_bytes{structure="doc_columns"} `); line != want {
+		t.Errorf("after SELECT *: %q, want %q", line, want)
+	}
+}

@@ -524,7 +524,8 @@ func (e *Engine) scanRelational(name string, q *Query, batchRows int) (BatchIter
 // scanDocument opens a document collection as a leaf over its
 // columnar form: pushable predicates are evaluated by the store's
 // Select (the leaf filter re-checks them with the dialect's semantics),
-// and the selected rows are served as runs of the form's columns.
+// and the selected rows are served as runs of the form's columns, or
+// built batch by batch when a field they read has no kept column.
 func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterator {
 	var filters []docstore.Filter
 	for _, p := range q.Where {
@@ -539,12 +540,13 @@ func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterato
 	} else {
 		sort.Strings(cols)
 	}
-	d := &docBatchIterator{cols: cols, runs: make([]*docstore.Column, len(cols)), rows: rows, n: form.Len(), max: batchRows}
+	d := &docBatchIterator{cols: cols, form: form, runs: make([]*docstore.Column, len(cols)), rows: rows, n: form.Len(), max: batchRows}
 	if rows != nil {
 		d.n = len(rows)
 	}
 	for j, c := range cols {
 		d.runs[j] = form.Column(c)
+		d.gather = d.gather || d.runs[j] == nil
 	}
 	return d
 }
@@ -554,10 +556,17 @@ func (e *Engine) scanDocument(name string, q *Query, batchRows int) BatchIterato
 // of a form column that reads the column's mirror in place, and the
 // batch's selection is the scan's own. A batch of a selecting scan
 // spans its column from row 0, so the selection needs no rebasing.
+// When a field has no kept column (gather), each batch instead copies
+// its rows' cells and reads that field's off the documents, so a
+// sparse field's cells live one batch at a time, not with the
+// collection.
 type docBatchIterator struct {
 	cols []string
-	// runs[j] backs output column j; nil pads a field no document has.
+	form *docstore.Form
+	// runs[j] backs output column j; nil when the form keeps no column
+	// of the field.
 	runs   []*docstore.Column
+	gather bool  // some run is nil
 	rows   []int // selected rows; nil selects every row
 	n, pos int   // selected rows, and those served
 	max    int
@@ -574,6 +583,18 @@ func (d *docBatchIterator) Next(ctx context.Context) (*Batch, error) {
 	}
 	lo, hi := d.pos, min(d.pos+d.max, d.n)
 	d.pos = hi
+	if d.gather {
+		return buildBatch(len(d.cols), hi-lo, func(i, j int) string {
+			row := lo + i
+			if d.rows != nil {
+				row = d.rows[row]
+			}
+			if c := d.runs[j]; c != nil {
+				return c.Cells[row]
+			}
+			return d.form.Cell(row, d.cols[j])
+		}), nil
+	}
 	var sel []int
 	if d.rows != nil {
 		sel = d.rows[lo:hi:hi]

@@ -42,8 +42,8 @@ var oracleSources = []string{"rel:t0", "rel:t1", "rel:t2", "doc:ev", "file:raw/"
 // them. A document value may be JSON null, a boolean, a number (-0
 // among them) or a string (the digits of a number among them), or a
 // nested array; a document may carry its own "_id", a nested "meta"
-// object, a top-level "meta.a" and a "tags" array, the nested values
-// being what SELECT * skips.
+// object, a top-level "meta.a", a "tags" array, the nested values
+// being what SELECT * skips, and, rarely, a "size".
 func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	p, err := polystore.New(t.TempDir())
@@ -106,6 +106,11 @@ func oracleEngine(t *testing.T, rng *rand.Rand) *Engine {
 		}
 		if rng.Intn(4) == 0 {
 			d["tags"] = []any{"a", value()}
+		}
+		if rng.Intn(16) == 0 {
+			// Rare enough that the collection's form keeps no column
+			// of it, and the leaf reads its cells off the documents.
+			d["size"] = value()
 		}
 		line, _ := json.Marshal(d)
 		docs.Write(append(line, '\n'))

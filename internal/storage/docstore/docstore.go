@@ -55,13 +55,11 @@ type Collection struct {
 	mu     sync.RWMutex
 	docs   map[string]Doc
 	autoID int
-
-	// form is the documents column by column, what Select reads. Insert
-	// resets it to nil under mu; the next Select builds it under mu's
-	// read lock and formMu. A built form is never written again, so a
-	// reader keeps the one it took while later Inserts go on.
-	formMu sync.Mutex
-	form   *Form
+	// form is the documents column by column, what Select reads: built
+	// by the first Select after an Insert, which resets it. A built
+	// form is never written again, so a reader keeps the one it took
+	// while later Inserts go on.
+	form *Form
 }
 
 // Store holds named collections.
@@ -147,32 +145,29 @@ func (c *Collection) Len() int {
 // with exactly Filter.Match's semantics. rows is nil when there are no
 // filters: every row is selected. A nil collection has an empty form.
 //
-// A filter on a top-level field reads the field's type bytes and cell
-// texts; only the null, nested or non-JSON values of a field it
-// compares, and every document under a dotted path, are matched on the
-// document itself.
+// A filter on a top-level field the form keeps a column of reads the
+// field's type bytes and cell texts; only the null, nested or non-JSON
+// values of a field it compares, and every document under a dotted
+// path or a sparse field, are matched on the document itself.
 func (c *Collection) Select(filters ...Filter) (form *Form, rows []int) {
 	if c == nil {
 		return &Form{}, nil
 	}
 	c.mu.RLock()
-	form = c.columns()
+	form = c.form
 	c.mu.RUnlock()
+	if form == nil {
+		c.mu.Lock()
+		if c.form == nil {
+			c.form = buildForm(c.docs)
+		}
+		form = c.form
+		c.mu.Unlock()
+	}
 	for _, f := range filters {
 		rows = form.narrow(f, rows)
 	}
 	return form, rows
-}
-
-// columns returns the form, building it first if an Insert reset it.
-// The caller holds c.mu's read lock.
-func (c *Collection) columns() *Form {
-	c.formMu.Lock()
-	defer c.formMu.Unlock()
-	if c.form == nil {
-		c.form = buildForm(c.docs)
-	}
-	return c.form
 }
 
 // formSize is the bytes the collection's form holds, 0 while none is
@@ -180,8 +175,6 @@ func (c *Collection) columns() *Form {
 func (c *Collection) formSize() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.formMu.Lock()
-	defer c.formMu.Unlock()
 	return c.form.Size()
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"golake/internal/table"
 )
@@ -26,21 +25,25 @@ const (
 
 // Form is a collection's documents column by column, the way the
 // relational store keeps a table: the documents in ID order, and for
-// each top-level field one cell text and one type byte per document
-// plus a table.Mirror of the texts. The document list is built once per
-// set of documents; a field's column is built on its first read, so a
-// collection whose documents carry many sparse fields pays only for
-// the fields its queries touch. Nothing built is written again.
+// each top-level field that at least one document in keepFill holds,
+// one cell text and one type byte per document plus a table.Mirror of
+// the texts. A sparser field keeps no column: a column costs 17 bytes
+// per document whether or not the document holds the field, so the
+// kept columns cost at most 17*keepFill bytes per value the documents
+// hold. A scan reads a sparse field's cells off the documents (Cell).
+// A form is built whole and never written again.
 type Form struct {
 	docs   []Doc
-	fields []string // sorted; fields[j]'s column is cols[j]
+	fields []string  // sorted: every top-level field a document holds
+	cols   []*Column // cols[j] is fields[j]'s column; nil when sparse
 	// scalar lists, sorted, the fields other than "_id" that hold a
 	// value other than an object or an array in some document.
 	scalar []string
-
-	mu   sync.Mutex
-	cols []*Column // under mu; nil until the field's first read
 }
+
+// keepFill is the sparsest a kept column may be: at least one document
+// in keepFill holds its field.
+const keepFill = 8
 
 // Column is one top-level field of a form. Cells[i] is document i's
 // value as text: a string as itself, a number in its shortest form
@@ -56,7 +59,8 @@ type Column struct {
 	size int64
 }
 
-// buildForm lists docs in ID order and gathers their top-level fields.
+// buildForm lists docs in ID order, gathers their top-level fields and
+// builds the columns of the fields dense enough to keep.
 func buildForm(docs map[string]Doc) *Form {
 	ids := make([]string, 0, len(docs))
 	for id := range docs {
@@ -64,25 +68,32 @@ func buildForm(docs map[string]Doc) *Form {
 	}
 	sort.Strings(ids)
 	f := &Form{docs: make([]Doc, len(ids))}
-	scalar := map[string]bool{} // every field, true once it holds a scalar
+	type seen struct {
+		n      int  // documents that hold the field
+		scalar bool // one of them holds a scalar
+	}
+	held := map[string]seen{}
 	for i, id := range ids {
 		d := docs[id]
 		f.docs[i] = d
 		for k, v := range d {
-			was, seen := scalar[k]
-			if !seen {
+			s, ok := held[k]
+			if !ok {
 				f.fields = append(f.fields, k)
 			}
-			scalar[k] = was || !nested(v)
+			held[k] = seen{s.n + 1, s.scalar || !nested(v)}
 		}
 	}
 	sort.Strings(f.fields)
-	for _, k := range f.fields {
-		if k != "_id" && scalar[k] {
+	f.cols = make([]*Column, len(f.fields))
+	for j, k := range f.fields {
+		if held[k].n*keepFill >= len(f.docs) {
+			f.cols[j] = f.column(k)
+		}
+		if k != "_id" && held[k].scalar {
 			f.scalar = append(f.scalar, k)
 		}
 	}
-	f.cols = make([]*Column, len(f.fields))
 	return f
 }
 
@@ -129,20 +140,30 @@ func cellOf(v any) (string, valueType) {
 // Len returns the number of documents.
 func (f *Form) Len() int { return len(f.docs) }
 
-// Column returns the named top-level field's column, building it on
-// first use, or nil when no document has the field. Safe for
-// concurrent use.
-func (f *Form) Column(field string) *Column {
+// field returns field's index in fields, or -1 when no document holds
+// it.
+func (f *Form) field(field string) int {
 	j := sort.SearchStrings(f.fields, field)
 	if j == len(f.fields) || f.fields[j] != field {
-		return nil
+		return -1
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.cols[j] == nil {
-		f.cols[j] = f.column(field)
+	return j
+}
+
+// Column returns the named top-level field's column, or nil when the
+// form keeps none: no document holds the field, or too few do.
+func (f *Form) Column(field string) *Column {
+	if j := f.field(field); j >= 0 {
+		return f.cols[j]
 	}
-	return f.cols[j]
+	return nil
+}
+
+// Cell returns document i's cell text of the named top-level field,
+// read off the document under Column's rules.
+func (f *Form) Cell(i int, field string) string {
+	text, _ := cellOf(f.docs[i][field])
+	return text
 }
 
 // ScalarFields returns, sorted, the top-level fields other than "_id"
@@ -170,16 +191,14 @@ func (f *Form) ScalarFields(rows []int) []string {
 }
 
 // Size returns the bytes the form holds: 8 per document for its list,
-// and for each column built so far 17 per cell for the text's header
-// and the type byte, the texts it formatted (a string cell shares the
+// and for each kept column 17 per cell for the text's header and the
+// type byte, the texts it formatted (a string cell shares the
 // document's), and the forms its mirror has built. 0 for a nil form.
 // Safe for concurrent use.
 func (f *Form) Size() int64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	n := int64(8 * len(f.docs))
 	for _, c := range f.cols {
 		if c != nil {
@@ -212,17 +231,22 @@ func (f *Form) narrow(flt Filter, in []int) []int {
 }
 
 // matcher compiles flt against the form: Filter.Match of document i,
-// read from the column where the type byte and the text decide it.
+// read from the field's kept column where the type byte and the text
+// decide it, and off the document otherwise.
 func (f *Form) matcher(flt Filter) func(i int) bool {
 	onDoc := func(i int) bool { return flt.Match(f.docs[i]) }
 	if strings.Contains(flt.Path, ".") {
 		return onDoc
 	}
 	want, _ := flt.Value.(bool)
-	col := f.Column(flt.Path)
-	if col == nil {
+	j := f.field(flt.Path)
+	if j < 0 {
 		// Every document misses the field.
 		return func(int) bool { return flt.Op == OpExists && !want }
+	}
+	col := f.cols[j]
+	if col == nil {
+		return onDoc
 	}
 	types, cells := col.types, col.Cells
 	switch flt.Op {

@@ -22,9 +22,12 @@ var fuzzValues = []any{
 	7, json.Number("1e3"), Doc{"a": "z"},
 }
 
+// fuzzFields "u" stands for a field only document i holds, "u<i>", so
+// that a collection of more than keepFill documents has fields the form
+// keeps no column of.
 var (
-	fuzzFields = []string{"a", "b", "c", "_id", "a.b", ""}
-	fuzzPaths  = []string{"a", "b", "c", "_id", "", "missing", "a.a", "a.b", "a.0", "b.1", "c.b.1", "a.b.0"}
+	fuzzFields = []string{"a", "b", "c", "_id", "a.b", "", "u"}
+	fuzzPaths  = []string{"a", "b", "c", "_id", "", "missing", "a.a", "a.b", "a.0", "b.1", "c.b.1", "a.b.0", "u0", "u3", "u9.a"}
 )
 
 // fuzzCollection builds a filter list and a collection from data, one
@@ -51,9 +54,12 @@ func fuzzCollection(data []byte) (*Collection, []Filter) {
 		d := Doc{}
 		for k, m := 0, next(5); k < m; k++ {
 			field := fuzzFields[next(len(fuzzFields))]
-			if field == "_id" {
+			switch field {
+			case "_id":
 				d[field] = fmt.Sprintf("id%d", next(12))
 				continue
+			case "u":
+				field = fmt.Sprint("u", i)
 			}
 			d[field] = fuzzValues[next(len(fuzzValues))]
 		}
@@ -91,16 +97,24 @@ func checkSelect(t *testing.T, c *Collection, filters []Filter) {
 		t.Fatalf("filters %+v: Select %v, per-document Match %v", filters, rows, want)
 	}
 	for _, field := range form.fields {
-		col := form.Column(field)
+		col, held := form.Column(field), 0
 		for i, d := range form.docs {
 			v, ok := d[field]
 			text, typ := cellOf(v)
 			if !ok {
 				text, typ = "", typeMissing
+			} else {
+				held++
 			}
-			if col.Cells[i] != text || col.types[i] != typ {
+			if got := form.Cell(i, field); got != text {
+				t.Fatalf("field %q doc %d: Cell %q, want %q", field, i, got, text)
+			}
+			if col != nil && (col.Cells[i] != text || col.types[i] != typ) {
 				t.Fatalf("field %q doc %d: cell %q type %d, want %q type %d", field, i, col.Cells[i], col.types[i], text, typ)
 			}
+		}
+		if kept := held*keepFill >= form.Len(); kept != (col != nil) {
+			t.Fatalf("field %q held by %d of %d documents: column kept %v", field, held, form.Len(), col != nil)
 		}
 	}
 }
@@ -136,8 +150,7 @@ func TestSelectMatchesDocuments(t *testing.T) {
 }
 
 // TestSelectKeepsItsForm: Selects keep reading the form each took
-// while Inserts go on, several of them building one form's columns at
-// once, and the next Select sees the inserts.
+// while Inserts go on, and the next Select sees the inserts.
 func TestSelectKeepsItsForm(t *testing.T) {
 	c := NewCollection("k")
 	doc := func(i int) Doc { return Doc{"_id": fmt.Sprintf("d%04d", i), "v": float64(i), "s": fmt.Sprint(i)} }
@@ -182,26 +195,33 @@ func TestSelectKeepsItsForm(t *testing.T) {
 }
 
 // TestFormBytes: a store holds no form bytes until a Select builds a
-// form, a form holds only its document list until a column is read,
-// and the store holds none once the collection is dropped.
+// form, a form holds its document list and the columns of the fields
+// at least one document in keepFill holds, and the store holds none
+// once the collection is dropped.
 func TestFormBytes(t *testing.T) {
 	s := New()
 	c := NewCollection("b")
-	for i := 0; i < 10; i++ {
-		c.Insert(Doc{"v": float64(i), "s": "x"})
+	for i := 0; i < 16; i++ {
+		d := Doc{"v": float64(i % 10), "s": "x"}
+		if i < 2 {
+			d["dense"] = 1.5 // 2 of 16: kept
+		}
+		d[fmt.Sprint("sparse", i)] = 2.5 // 1 of 16 each: not kept
+		c.Insert(d)
 	}
 	s.Add(c)
 	if n := s.FormBytes(); n != 0 {
 		t.Fatalf("before any Select: %d bytes", n)
 	}
 	c.Select()
-	if n := s.FormBytes(); n != 8*10 {
-		t.Errorf("form with no column read: %d bytes, want %d", n, 8*10)
+	// _id, s, v and dense: 17 bytes per cell each, v's formatted
+	// numbers "0".."9","0".."5" and dense's two "1.5".
+	if n, want := s.FormBytes(), int64(8*16+4*17*16+16+2*3); n != want {
+		t.Errorf("built form: %d bytes, want %d", n, want)
 	}
 	c.Select(Filter{Path: "v", Op: OpGt, Value: 4.0})
-	// v's column: 17 bytes per cell and the formatted numbers "0".."9";
-	// its float mirror: 8 bytes per cell and one word of bits.
-	if n, want := s.FormBytes(), int64(8*10+17*10+10+8*10+8); n != want {
+	// v's float mirror: 8 bytes per cell and one word of bits.
+	if n, want := s.FormBytes(), int64(8*16+4*17*16+16+2*3+8*16+8); n != want {
 		t.Errorf("after a numeric filter on v: %d bytes, want %d", n, want)
 	}
 	if err := s.Drop("b"); err != nil {
