@@ -10,6 +10,7 @@ import (
 
 	"golake/internal/discovery"
 	"golake/internal/explore"
+	"golake/internal/persist"
 	"golake/internal/table"
 	"golake/internal/workload"
 	"golake/lakeerr"
@@ -517,6 +518,51 @@ func TestIngestBasenameCollisionConflict(t *testing.T) {
 	}
 	if res.NumRows() != 1 || res.Row(0)[0] != "1" {
 		t.Errorf("original table clobbered: %v", res.Row(0))
+	}
+}
+
+// A file-only object holds no model-store name, so it and a table or
+// collection of its basename both land, in either order, and both are
+// back after a reopen. Two tables of one basename still conflict.
+func TestFileOnlyObjectHoldsNoName(t *testing.T) {
+	ctx := context.Background()
+	mem := persist.NewMemory()
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AddUser("dana", RoleDataScientist)
+	objects := []struct{ path, body string }{
+		{"raw/a/y.bin", "\x00\x01y"}, {"raw/b/y.csv", "id\n1\n"},
+		{"raw/b/z.csv", "id\n2\n"}, {"raw/a/z.bin", "\x00\x01z"},
+		{"raw/c/e.jsonl", "null\n"}, {"raw/d/e.jsonl", "{\"id\":3}\n"},
+	}
+	for _, o := range objects {
+		if _, err := l.Ingest(ctx, o.path, []byte(o.body), "src", "dana"); err != nil {
+			t.Fatalf("ingest %s after the one before: %v", o.path, err)
+		}
+	}
+	if _, err := l.Ingest(ctx, "raw/c/z.csv", []byte("id\n9\n"), "src", "dana"); !lakeerr.IsConflict(err) {
+		t.Errorf("a second table named z = %v, want conflict", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, o := range objects {
+		if raw, err := l.Poly.Files.Get(o.path); err != nil || string(raw) != o.body {
+			t.Errorf("after a reopen %s reads %q, %v; want %q", o.path, raw, err, o.body)
+		}
+	}
+	for sql, want := range map[string]string{"SELECT id FROM rel:y": "1", "SELECT id FROM rel:z": "2", "SELECT id FROM doc:e": "3"} {
+		res, err := l.QuerySQL(ctx, "dana", sql)
+		if err != nil || res.NumRows() != 1 || res.Row(0)[0] != want {
+			t.Errorf("after a reopen %s: %v, want one row %s", sql, err, want)
+		}
 	}
 }
 

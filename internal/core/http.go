@@ -31,10 +31,11 @@ import (
 // with AddToken; an unknown token is a typed unauthorized rejection,
 // never a fallthrough), and from the X-Lake-User header otherwise; role
 // checks apply as in the Go API. Every request runs through a
-// middleware chain (panic recovery, request logging via WithLogger,
-// bearer resolution, user resolution), and every failure is rendered as
-// the structured envelope {"error":{"code","message"}} with the code
-// drawn from the lakeerr taxonomy.
+// middleware chain (a cap on the body, panic recovery, request logging
+// via WithLogger, bearer resolution, user resolution), and every
+// failure is rendered as the structured envelope
+// {"error":{"code","message"}} with the code drawn from the lakeerr
+// taxonomy.
 //
 //	DELETE /v1/datasets?path=PATH        evict a dataset (curator/operations)
 //	GET  /v1/datasets?cursor=&limit=     paginated catalog entries
@@ -81,7 +82,20 @@ func (l *Lake) HTTPHandler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", l.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", l.handleHealthz)
 	mux.HandleFunc("GET /v1/readyz", l.handleReadyz)
-	return l.recoverMW(l.obsMW(mux))
+	return limitMW(l.recoverMW(l.obsMW(mux)))
+}
+
+// maxBodyBytes caps every request body: 256 MiB.
+var maxBodyBytes int64 = 256 << 20
+
+// limitMW caps every request body at maxBodyBytes. A read past the cap
+// fails with *http.MaxBytesError, and the server closes the connection
+// after the reply instead of reading on.
+func limitMW(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		next.ServeHTTP(w, r)
+	})
 }
 
 type ctxKey int
@@ -545,6 +559,11 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body stalled for more than %s", bodyReadTimeout))
+		return
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body exceeds the %d-byte cap", tooBig.Limit))
 		return
 	}
 	if err == nil {

@@ -111,6 +111,7 @@ func FuzzV1DatasetsBody(f *testing.F) {
 		`{"path":"raw/orders.csv","content":"dup"}`,
 		`{"content":"no path"}`,
 		`[]`,
+		`{"path":"raw/n.jsonl","content":"null\n"}`,
 	} {
 		f.Add([]byte(seed))
 	}

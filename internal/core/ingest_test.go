@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"golake/internal/persist"
+	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/internal/workload"
 )
@@ -223,5 +224,36 @@ func TestMaintainIncrementalAllocationCeiling(t *testing.T) {
 	})
 	if n > 3600 {
 		t.Errorf("Ingest + MaintainIncremental of one table into %d: %v allocations, want <= 3600 (measured 3 390)", lakeTables, n)
+	}
+}
+
+// POST /v1/datasets of JSON Lines whose document is null lands the
+// object file-only, as any JSON that is not objects does, and a reopen
+// brings it back.
+func TestHTTPIngestNullDocument(t *testing.T) {
+	mem := persist.NewMemory()
+	l, err := Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AddUser("dana", RoleDataScientist)
+	req := httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader(`{"path":"raw/n.jsonl","content":"null\n"}`))
+	req.Header.Set("X-Lake-User", "dana")
+	rec := httptest.NewRecorder()
+	l.HTTPHandler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusCreated || !strings.Contains(rec.Body.String(), `"store":"file"`) {
+		t.Fatalf("null document: %d %s, want 201 in the file store", rec.Code, rec.Body)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(t.TempDir(), WithPersistence(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	pl, ok := l.Poly.PlacementOf("raw/n.jsonl")
+	if raw, err := l.Poly.Files.Get("raw/n.jsonl"); !ok || pl.Target != polystore.TargetFile || err != nil || string(raw) != "null\n" {
+		t.Errorf("after a reopen: placement %+v (%v), bytes %q (%v)", pl, ok, raw, err)
 	}
 }

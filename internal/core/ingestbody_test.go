@@ -224,3 +224,30 @@ func TestIngestBodyDeadlineCleared(t *testing.T) {
 		}
 	}
 }
+
+// A body past maxBodyBytes is answered invalid_query, naming the cap,
+// on the ingest route; under the cap it lands. The query route refuses
+// such a body too.
+func TestIngestBodyOverCap(t *testing.T) {
+	defer func(n int64) { maxBodyBytes = n }(maxBodyBytes)
+	maxBodyBytes = 64
+	h := testLake(t).HTTPHandler()
+	post := func(route, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, route, strings.NewReader(body))
+		req.Header.Set("X-Lake-User", "dana")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post("/v1/datasets", `{"path":"raw/a.csv","content":"id\n1\n"}`); rec.Code != http.StatusCreated {
+		t.Errorf("body under the cap: %d %s, want 201", rec.Code, rec.Body)
+	}
+	big := `{"path":"raw/b.csv","content":"id\n` + strings.Repeat("1\n", 40) + `"}`
+	rec := post("/v1/datasets", big)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"code":"invalid_query"`) || !strings.Contains(rec.Body.String(), "64-byte cap") {
+		t.Errorf("body over the cap: %d %s, want 400 invalid_query naming the 64-byte cap", rec.Code, rec.Body)
+	}
+	if rec := post("/v1/query", `{"sql":"SELECT id FROM rel:a WHERE id = '`+strings.Repeat("1", 64)+`'"}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("query body over the cap: %d %s, want 400", rec.Code, rec.Body)
+	}
+}

@@ -514,18 +514,20 @@ type IngestResult struct {
 // raw zone, catalog it, and record provenance. The dataset is
 // known by its path's canonical form (filestore.CleanPath), the key its
 // raw bytes are stored under. Re-ingesting an existing path is a
-// conflict, as is a path whose model-store name (its basename) the lake
-// already holds, and a path with a ".." element, an empty one or one
-// under .golake is invalid; either way nothing is written.
+// conflict, as is an object placed in a table or a collection whose
+// name (the path's basename) the lake already holds; a file-only object
+// holds no name. A path with a ".." element, an empty one or one under
+// .golake is invalid; either way nothing is written.
 //
 // The ingest is prepared off to the side, logged, then published. It
-// reserves its path and name (one an in-flight write holds is a
-// conflict); on a persistent lake it stores the raw bytes once, as a
-// segment; and it parses, places and describes the object where nothing
-// can see it. It then commits as one WAL record carrying its provenance
-// event, and only once that record lands is any of it published. A
-// failed segment put, a closed lake, or a record that cannot be logged
-// leaves nothing behind, and the ingest is unavailable.
+// reserves its path (one an in-flight write holds is a conflict); on a
+// persistent lake it stores the raw bytes once, as a segment; it
+// parses, places and describes the object where nothing can see it;
+// and it reserves the name its placement holds, if any. It then
+// commits as one WAL record carrying its provenance event, and only
+// once that record lands is any of it published. A failed segment put,
+// a closed lake, or a record that cannot be logged leaves nothing
+// behind, and the ingest is unavailable.
 func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, user string) (*IngestResult, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -534,12 +536,11 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInvalidQuery, err)
 	}
-	name := polystore.DerivedName(path)
-	if err := l.reserve(path, name); err != nil {
+	if err := l.reserve(path, ""); err != nil {
 		return nil, err
 	}
-	defer l.release(path, name)
-	if err := l.conflict(path, name); err != nil {
+	defer l.release(path, "")
+	if err := l.conflict(path, ""); err != nil {
 		return nil, err
 	}
 	seg, err := l.putSegment(data)
@@ -548,6 +549,15 @@ func (l *Lake) Ingest(ctx context.Context, path string, data []byte, source, use
 	}
 	ev := provenance.IngestEvent(path, source, user)
 	w, err := l.prepareIngest(walRecord{Kind: recIngest, Path: path, Segment: seg, Source: source, User: user, Event: &ev}, data)
+	var name string // "" for a file-only object, which holds none
+	if err == nil {
+		name = w.staged.Placement.Name()
+		err = l.reserve("", name)
+	}
+	if err == nil {
+		defer l.release("", name)
+		err = l.conflict("", name)
+	}
 	if err == nil {
 		err = l.persistThen(&w.rec, func() { l.publishIngest(w) })
 	}
@@ -652,11 +662,8 @@ func (l *Lake) publishIngest(w *ingestWrite) {
 	l.ingestGen++
 	l.pendingPromote = append(l.pendingPromote, path)
 	l.putEntry(&w.rec, false)
-	if pl.TableName != "" {
-		l.nameToPath[pl.TableName] = path
-	}
-	if pl.Collection != "" {
-		l.nameToPath[pl.Collection] = path
+	if name := pl.Name(); name != "" {
+		l.nameToPath[name] = path
 	}
 	l.mu.Unlock()
 }
@@ -1541,10 +1548,7 @@ func (l *Lake) evictLocked(path string) error {
 	if !ok {
 		return lakeerr.Errorf(lakeerr.CodeNotFound, "core: no dataset at %s", path)
 	}
-	name := pl.TableName
-	if name == "" {
-		name = pl.Collection
-	}
+	name := pl.Name()
 	if err := l.Poly.Remove(path); err != nil {
 		return lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}

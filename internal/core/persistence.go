@@ -966,8 +966,13 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 	if rec.Kind == recDerive {
 		what, attr, id = "derived table", "name", rec.Name
 	}
+	// A damaged unit's kind is unknown, so it claims its basename.
+	name := entryKey{rec.Path, rec.Name}.claim()
+	if u.w != nil {
+		name = u.w.staged.Placement.Name()
+	}
 	switch {
-	case l.conflict(rec.Path, entryKey{rec.Path, rec.Name}.claim()) != nil:
+	case l.conflict(rec.Path, name) != nil:
 		return false, nil
 	case damaged:
 		// A WAL duplicate of a damaged entry (its key and segment) is

@@ -111,12 +111,13 @@ func queryRows(e *Engine, req Request) ([]string, error) {
 
 // TestMirrorConcurrentScans starts many scans of one never-read column
 // at once, at several fan-in widths, while another table is
-// dropped and re-created under scans of it and documents are inserted
-// into a collection being read. Every scan of the never-read column
-// must answer the same rows; a scan of the replaced table must see one
-// whole version of it or none; a document read must see its documents
-// in _id order. Under -race this also checks the mirror is built once,
-// without a race.
+// dropped and re-created under scans of it and a collection being read
+// is replaced by larger versions of itself. Every scan of the never-read
+// column must answer the same rows; a scan of the replaced table must
+// see one whole version of it or none; a document read must see one
+// version's documents in _id order, never fewer than the read before.
+// Under -race this also checks the mirror and the form are each built
+// once, without a race.
 func TestMirrorConcurrentScans(t *testing.T) {
 	p, err := polystore.New(t.TempDir())
 	if err != nil {
@@ -154,11 +155,22 @@ func TestMirrorConcurrentScans(t *testing.T) {
 		answers[k] = strings.Join(ans, "\n")
 	}
 	p.Rel.Create(versions[0])
-	coll := docstore.NewCollection("ev")
-	p.Docs.Add(coll)
-	for i := 0; i < 200; i++ {
-		coll.Insert(docstore.Doc{"_id": fmt.Sprintf("d%06d", i), "id": fmt.Sprintf("d%06d", i), "v": float64(i % 1000)})
+	// events[:ends[k]] is the JSONL of ev's k-th version, 200+100k
+	// documents.
+	var events []byte
+	var ends []int
+	for i := 0; i < 5000; i++ {
+		events = fmt.Appendf(events, "{\"_id\":\"d%06d\",\"id\":\"d%06d\",\"v\":%d}\n", i, i, i%1000)
+		if i >= 199 && (i+1)%100 == 0 {
+			ends = append(ends, len(events))
+		}
 	}
+	version := func(k int) (*docstore.Collection, error) { return docstore.Decode("ev", events[:ends[k]], true) }
+	ev, err := version(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Docs.Add(ev)
 	e := NewEngine(p)
 
 	start, stop := make(chan struct{}), make(chan struct{})
@@ -211,15 +223,20 @@ func TestMirrorConcurrentScans(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // insert into the collection the next goroutine reads
+	go func() { // replace the collection the next goroutine reads
 		defer others.Done()
-		for i := 200; i < 5000; i++ {
+		for k := 1; k < len(ends); k++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			coll.Insert(docstore.Doc{"_id": fmt.Sprintf("d%06d", i), "id": fmt.Sprintf("d%06d", i), "v": float64(i % 1000)})
+			ev, err := version(k)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Docs.Add(ev)
 		}
 	}()
 	go func() {

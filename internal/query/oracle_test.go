@@ -244,11 +244,12 @@ func oracle(e *Engine, q *Query) ([]string, [][]string) {
 
 // oracleDocs evaluates a document source from its raw bytes, apart
 // from the store's columnar form: it decodes each JSON line, names the
-// documents as Insert does (its own "_id", else "<collection>-<n>"),
-// keeps, in ID order, those that every pushable predicate's filter
-// matches one document at a time, and derives the header itself: the
-// projection and the predicate columns, or the top-level fields other
-// than "_id" that some kept document holds a non-nested value in.
+// documents as docstore.Decode does (its own "_id", else
+// "<collection>-<n>"), keeps, in ID order, those that every pushable
+// predicate's filter matches one document at a time, and derives the
+// header itself: the projection and the predicate columns, or the
+// top-level fields other than "_id" that some kept document holds a
+// non-nested value in.
 func oracleDocs(e *Engine, name string, q *Query) ([]string, [][]string) {
 	var raw []byte
 	for _, pl := range e.Poly.Placements() {

@@ -6,12 +6,15 @@
 package docstore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNoCollection is returned by Drop for a missing collection.
@@ -48,18 +51,18 @@ type Filter struct {
 	Value any
 }
 
-// Collection is a set of documents.
+// Collection is a named set of documents, decoded from JSON once
+// (Decode) and never written again: a new version is a new collection
+// that Store.Add swaps in whole, so a reader keeps the one it looked up.
 type Collection struct {
 	name string
-
-	mu     sync.RWMutex
-	docs   map[string]Doc
-	autoID int
+	// docs are the documents as decoded, in input order, until the
+	// first Select builds form from them.
+	docs []Doc
+	once sync.Once
 	// form is the documents column by column, what Select reads: built
-	// by the first Select after an Insert, which resets it. A built
-	// form is never written again, so a reader keeps the one it took
-	// while later Inserts go on.
-	form *Form
+	// once, by the first Select, and never written again.
+	form atomic.Pointer[Form]
 }
 
 // Store holds named collections.
@@ -71,10 +74,55 @@ type Store struct {
 // New creates an empty document store.
 func New() *Store { return &Store{collections: map[string]*Collection{}} }
 
-// NewCollection creates an empty collection that belongs to no store
-// until Add stores it.
-func NewCollection(name string) *Collection {
-	return &Collection{name: name, docs: map[string]Doc{}}
+// Decode makes the collection name from JSON, which belongs to no store
+// until Store.Add stores it. data holds one document per non-blank line
+// when lines is set, else an array of documents or one document. A document without
+// an "_id" string is given "<name>-<n>", n counting such documents from
+// 1; of documents that share an ID the last wins. A document that is
+// not a JSON object is an error, and so is no document at all.
+func Decode(name string, data []byte, lines bool) (*Collection, error) {
+	var vals []any
+	decode := func(b []byte) error {
+		var v any
+		if err := json.Unmarshal(b, &v); err != nil {
+			return fmt.Errorf("docstore: %s: %w", name, err)
+		}
+		vals = append(vals, v)
+		return nil
+	}
+	if lines {
+		for rest := data; len(rest) > 0; {
+			var line []byte
+			line, rest, _ = bytes.Cut(rest, []byte("\n"))
+			if line = bytes.TrimSpace(line); len(line) == 0 {
+				continue
+			}
+			if err := decode(line); err != nil {
+				return nil, err
+			}
+		}
+	} else if err := decode(data); err != nil {
+		return nil, err
+	} else if arr, ok := vals[0].([]any); ok {
+		vals = arr
+	}
+	if len(vals) == 0 {
+		return nil, fmt.Errorf("docstore: %s holds no document", name)
+	}
+	c := &Collection{name: name, docs: make([]Doc, len(vals))}
+	auto := 0
+	for i, v := range vals {
+		d, ok := v.(map[string]any)
+		if !ok {
+			return nil, fmt.Errorf("docstore: %s: document %d is not a JSON object", name, i+1)
+		}
+		if Doc(d).ID() == "" {
+			auto++
+			d["_id"] = name + "-" + strconv.Itoa(auto)
+		}
+		c.docs[i] = d
+	}
+	return c, nil
 }
 
 // Collection returns the named collection, or nil when the store holds
@@ -86,7 +134,8 @@ func (s *Store) Collection(name string) *Collection {
 	return s.collections[name]
 }
 
-// Add stores c under its name, replacing any collection of that name.
+// Add stores c under its name, replacing any collection of that name
+// whole.
 func (s *Store) Add(c *Collection) {
 	s.mu.Lock()
 	s.collections[c.name] = c
@@ -105,64 +154,25 @@ func (s *Store) Drop(name string) error {
 	return nil
 }
 
-// Insert adds a document. If it has no "_id", one is assigned.
-// The returned string is the document ID.
-func (c *Collection) Insert(doc Doc) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := doc.ID()
-	if id == "" {
-		c.autoID++
-		id = fmt.Sprintf("%s-%d", c.name, c.autoID)
-		doc["_id"] = id
-	}
-	c.docs[id] = doc
-	c.form = nil
-	return id
-}
-
-// InsertJSON parses and inserts a JSON object.
-func (c *Collection) InsertJSON(raw []byte) (string, error) {
-	var doc Doc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return "", fmt.Errorf("docstore: insert json: %w", err)
-	}
-	return c.Insert(doc), nil
-}
-
-// Len returns the number of documents; 0 for a nil collection.
-func (c *Collection) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.docs)
-}
-
 // Select returns the collection's columnar form and the positions, in
 // ascending order, of the documents in it that satisfy every filter,
 // with exactly Filter.Match's semantics. rows is nil when there are no
 // filters: every row is selected. A nil collection has an empty form.
+// The first Select builds the form; every later one reads it.
 //
 // A filter on a top-level field the form keeps a column of reads the
-// field's type bytes and cell texts; only the null, nested or non-JSON
-// values of a field it compares, and every document under a dotted
-// path or a sparse field, are matched on the document itself.
+// field's type bytes and cell texts; only the null or nested values of
+// a field it compares, and every document under a dotted path or a
+// sparse field, are matched on the document itself.
 func (c *Collection) Select(filters ...Filter) (form *Form, rows []int) {
 	if c == nil {
-		return &Form{}, nil
-	}
-	c.mu.RLock()
-	form = c.form
-	c.mu.RUnlock()
-	if form == nil {
-		c.mu.Lock()
-		if c.form == nil {
-			c.form = buildForm(c.docs)
-		}
-		form = c.form
-		c.mu.Unlock()
+		form = &Form{}
+	} else {
+		c.once.Do(func() {
+			c.form.Store(buildForm(c.docs))
+			c.docs = nil
+		})
+		form = c.form.Load()
 	}
 	for _, f := range filters {
 		rows = form.narrow(f, rows)
@@ -170,23 +180,15 @@ func (c *Collection) Select(filters ...Filter) (form *Form, rows []int) {
 	return form, rows
 }
 
-// formSize is the bytes the collection's form holds, 0 while none is
-// built.
-func (c *Collection) formSize() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.form.Size()
-}
-
 // FormBytes is the bytes the built columnar forms of the store's
 // collections hold (Form.Size): 0 before any Select, and a collection's
-// share leaves with it when it is dropped or its form is reset.
+// share leaves with it when it is dropped or replaced.
 func (s *Store) FormBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var n int64
 	for _, c := range s.collections {
-		n += c.formSize()
+		n += c.form.Load().Size()
 	}
 	return n
 }
@@ -194,7 +196,7 @@ func (s *Store) FormBytes() int64 {
 // Match reports whether d satisfies f. A missing field satisfies only
 // OpExists with a Value other than true; any other operator needs the
 // field. OpEq and OpNe compare canonical texts (a number in its
-// shortest form, so float64(1) equals int 1); the ordering operators
+// shortest form, so JSON's 1.0 equals 1 and "1"); the ordering operators
 // compare numbers when both sides are numbers and canonical texts
 // otherwise; OpContains needs two strings.
 func (f Filter) Match(d Doc) bool {
@@ -216,32 +218,18 @@ func (f Filter) Match(d Doc) bool {
 		sub, ok2 := f.Value.(string)
 		return ok1 && ok2 && strings.Contains(s, sub)
 	case OpGt, OpGte, OpLt, OpLte:
-		a, okA := toFloat(v)
-		b, okB := toFloat(f.Value)
+		a, okA := v.(float64)
+		b, okB := f.Value.(float64)
 		if !okA || !okB {
-			return compareText(f.Op, canon(v), canon(f.Value))
+			return compare(f.Op, canon(v), canon(f.Value))
 		}
-		return compareFloat(f.Op, a, b)
+		return compare(f.Op, a, b)
 	}
 	return false
 }
 
-// compareText is an ordering operator on canonical texts.
-func compareText(op Op, a, b string) bool {
-	switch op {
-	case OpGt:
-		return a > b
-	case OpGte:
-		return a >= b
-	case OpLt:
-		return a < b
-	default:
-		return a <= b
-	}
-}
-
-// compareFloat is an ordering operator on numbers.
-func compareFloat(op Op, a, b float64) bool {
+// compare is an ordering operator on canonical texts or on numbers.
+func compare[T cmp.Ordered](op Op, a, b T) bool {
 	switch op {
 	case OpGt:
 		return a > b
@@ -268,12 +256,6 @@ func lookupPath(d Doc, path string) (any, bool) {
 				return nil, false
 			}
 			cur = v
-		case Doc:
-			v, ok := node[seg]
-			if !ok {
-				return nil, false
-			}
-			cur = v
 		case []any:
 			i, err := strconv.Atoi(seg)
 			if err != nil || i < 0 || i >= len(node) {
@@ -287,10 +269,10 @@ func lookupPath(d Doc, path string) (any, bool) {
 	return cur, true
 }
 
-// canon renders a value canonically so that json float64(1) and int(1)
-// compare equal.
+// canon renders a value canonically: a number in its shortest form, so
+// that JSON's 1 and 1.0 compare equal.
 func canon(v any) string {
-	if f, ok := toFloat(v); ok {
+	if f, ok := v.(float64); ok {
 		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	switch x := v.(type) {
@@ -303,23 +285,5 @@ func canon(v any) string {
 	default:
 		b, _ := json.Marshal(x)
 		return string(b)
-	}
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case json.Number:
-		f, err := x.Float64()
-		return f, err == nil
-	default:
-		return 0, false
 	}
 }

@@ -4,42 +4,80 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
-func TestExplicitIDUpsert(t *testing.T) {
-	c := NewCollection("c")
-	c.Insert(Doc{"_id": "x", "v": 1.0})
-	c.Insert(Doc{"_id": "x", "v": 2.0})
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (upsert)", c.Len())
-	}
-	d := c.docs["x"]
-	if d["v"] != 2.0 {
-		t.Errorf("v = %v, want 2", d["v"])
-	}
-}
-
-func TestInsertJSON(t *testing.T) {
-	c := NewCollection("j")
-	id, err := c.InsertJSON([]byte(`{"kind":"sensor","reading":{"temp":21.5}}`))
+// decode builds a collection from JSON Lines, failing the test on an
+// error.
+func decode(t *testing.T, name string, lines ...string) *Collection {
+	t.Helper()
+	c, err := Decode(name, []byte(strings.Join(lines, "\n")), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := c.docs[id]
+	return c
+}
+
+func TestExplicitIDUpsert(t *testing.T) {
+	c := decode(t, "c", `{"_id":"x","v":1}`, `{"v":3}`, `{"_id":"x","v":2}`, `{"_id":"c-1","v":4}`)
+	got := find(c)
+	if len(got) != 2 {
+		t.Fatalf("%d documents, want 2 (upsert): %v", len(got), got)
+	}
+	// The last document of each ID wins, a generated ID ("c-1") too.
+	if got[0]["v"] != 4.0 || got[1]["v"] != 2.0 {
+		t.Errorf("documents %v, want c-1 at 4 and x at 2", got)
+	}
+}
+
+func TestDecode(t *testing.T) {
+	c := decode(t, "j", `{"kind":"sensor","reading":{"temp":21.5}}`)
+	d := find(c)[0]
 	if v, ok := lookup(d, "reading.temp"); !ok || v != 21.5 {
 		t.Errorf("nested lookup = %v, %v", v, ok)
 	}
-	if _, err := c.InsertJSON([]byte(`not json`)); err == nil {
-		t.Error("invalid json should fail")
+	if d.ID() != "j-1" {
+		t.Errorf("ID = %q, want j-1", d.ID())
+	}
+	for _, in := range []struct {
+		data  string
+		lines bool
+		docs  int // 0: an error
+	}{
+		{`[{"a":1},{"_id":"j-1"},{"a":2}]`, false, 2},
+		{" {\"a\":1} ", false, 1},
+		{"\n{\"a\":1}\n\n  {\"a\":2}  \n", true, 2},
+		{`not json`, false, 0},
+		{"{\"a\":1}\nnot json", true, 0},
+		{`null`, false, 0},
+		{"null\n", true, 0},
+		{`[{"a":1},null]`, false, 0},
+		{`[1,2]`, false, 0},
+		{`"x"`, false, 0},
+		{`[]`, false, 0},
+		{"\n\n", true, 0},
+		{`[{"a":1}]`, true, 0},
+	} {
+		c, err := Decode("j", []byte(in.data), in.lines)
+		if in.docs == 0 {
+			if err == nil {
+				t.Errorf("Decode(%q, lines %v): no error", in.data, in.lines)
+			}
+			continue
+		}
+		if err != nil || len(find(c)) != in.docs {
+			t.Errorf("Decode(%q, lines %v): %v, %v; want %d documents", in.data, in.lines, find(c), err, in.docs)
+		}
 	}
 }
 
 func TestFindFilters(t *testing.T) {
-	c := NewCollection("readings")
+	var lines []string
 	for i := 0; i < 10; i++ {
-		c.Insert(Doc{"_id": fmt.Sprintf("r%02d", i), "v": float64(i), "tag": map[string]any{"site": fmt.Sprintf("s%d", i%2)}})
+		lines = append(lines, fmt.Sprintf(`{"_id":"r%02d","v":%d,"tag":{"site":"s%d"}}`, i, i, i%2))
 	}
+	c := decode(t, "readings", lines...)
 	if got := find(c, eq("tag.site", "s0")); len(got) != 5 {
 		t.Errorf("Eq find = %d docs, want 5", len(got))
 	}
@@ -61,30 +99,27 @@ func TestFindFilters(t *testing.T) {
 }
 
 func TestContainsFilter(t *testing.T) {
-	c := NewCollection("c")
-	c.Insert(Doc{"_id": "1", "desc": "sensor data from berlin plant"})
-	c.Insert(Doc{"_id": "2", "desc": "sales figures"})
+	c := decode(t, "c", `{"_id":"1","desc":"sensor data from berlin plant"}`, `{"_id":"2","desc":"sales figures"}`)
 	got := find(c, Filter{Path: "desc", Op: OpContains, Value: "berlin"})
 	if len(got) != 1 || got[0].ID() != "1" {
 		t.Errorf("Contains = %v", got)
 	}
 }
 
+// TestIntFloatEquality: JSON's 1.0 equals a query's 1, as a number and
+// as the text "1".
 func TestIntFloatEquality(t *testing.T) {
-	c := NewCollection("n")
-	c.Insert(Doc{"_id": "a", "v": 1.0}) // JSON numbers decode as float64
-	if got := find(c, eq("v", 1)); len(got) != 1 {
-		t.Errorf("int filter should match float64 value, got %d", len(got))
+	c := decode(t, "n", `{"_id":"a","v":1.0}`)
+	if got := find(c, eq("v", 1.0)); len(got) != 1 {
+		t.Errorf("numeric filter 1 should match 1.0, got %d", len(got))
+	}
+	if got := find(c, eq("v", "1")); len(got) != 1 {
+		t.Errorf("text filter \"1\" should match 1.0, got %d", len(got))
 	}
 }
 
 func TestArrayPathLookup(t *testing.T) {
-	c := NewCollection("a")
-	id, err := c.InsertJSON([]byte(`{"tags":["x","y","z"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := c.docs[id]
+	d := find(decode(t, "a", `{"tags":["x","y","z"]}`))[0]
 	if v, ok := lookup(d, "tags.1"); !ok || v != "y" {
 		t.Errorf("array lookup = %v, %v", v, ok)
 	}
@@ -98,8 +133,8 @@ func TestArrayPathLookup(t *testing.T) {
 
 func TestCollectionsAndDrop(t *testing.T) {
 	s := New()
-	s.Add(NewCollection("b"))
-	s.Add(NewCollection("a"))
+	s.Add(decode(t, "b", `{}`))
+	s.Add(decode(t, "a", `{}`))
 	got := names(s)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Collections = %v", got)
@@ -148,13 +183,13 @@ func TestCollectionLookupCreatesNothing(t *testing.T) {
 	if c != nil {
 		t.Fatalf("Collection(ghost) = %v, want nil", c)
 	}
-	if got := find(c); got != nil || c.Len() != 0 || len(find(c)) != 0 {
-		t.Errorf("a nil collection reads %v, Len %d; want empty", got, c.Len())
+	if got := find(c); got != nil {
+		t.Errorf("a nil collection reads %v, want nothing", got)
 	}
 	if got := names(s); len(got) != 0 {
 		t.Errorf("Collections = %v after a lookup, want none", got)
 	}
-	added := NewCollection("real")
+	added := decode(t, "real", `{}`)
 	s.Add(added)
 	if s.Collection("real") != added {
 		t.Error("Collection(real) is not the collection Add stored")

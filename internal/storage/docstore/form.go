@@ -20,7 +20,7 @@ const (
 	typeString
 	typeNumber // float64, what JSON numbers decode to
 	typeBool
-	typeOther // null, an object, an array, or any other Go value
+	typeOther // null, an object or an array
 )
 
 // Form is a collection's documents column by column, the way the
@@ -59,24 +59,31 @@ type Column struct {
 	size int64
 }
 
-// buildForm lists docs in ID order, gathers their top-level fields and
-// builds the columns of the fields dense enough to keep.
-func buildForm(docs map[string]Doc) *Form {
-	ids := make([]string, 0, len(docs))
-	for id := range docs {
-		ids = append(ids, id)
+// buildForm lists docs in ID order, the last of each ID's documents
+// only, gathers their top-level fields and builds the columns of the
+// fields dense enough to keep.
+func buildForm(docs []Doc) *Form {
+	type idDoc struct {
+		id string
+		d  Doc
 	}
-	sort.Strings(ids)
-	f := &Form{docs: make([]Doc, len(ids))}
+	byID := make([]idDoc, len(docs))
+	for i, d := range docs {
+		byID[i] = idDoc{d.ID(), d}
+	}
+	slices.SortStableFunc(byID, func(a, b idDoc) int { return strings.Compare(a.id, b.id) })
+	f := &Form{docs: make([]Doc, 0, len(byID))}
 	type seen struct {
 		n      int  // documents that hold the field
 		scalar bool // one of them holds a scalar
 	}
 	held := map[string]seen{}
-	for i, id := range ids {
-		d := docs[id]
-		f.docs[i] = d
-		for k, v := range d {
+	for i, e := range byID {
+		if i+1 < len(byID) && byID[i+1].id == e.id {
+			continue
+		}
+		f.docs = append(f.docs, e.d)
+		for k, v := range e.d {
 			s, ok := held[k]
 			if !ok {
 				f.fields = append(f.fields, k)
@@ -266,7 +273,7 @@ func (f *Form) matcher(flt Filter) func(i int) bool {
 		return func(int) bool { return false }
 	}
 	text := canon(flt.Value)
-	num, numOK := toFloat(flt.Value)
+	num, numOK := flt.Value.(float64)
 	var nums *table.Numbers
 	if numOK && (flt.Op == OpGt || flt.Op == OpGte || flt.Op == OpLt || flt.Op == OpLte) {
 		nums = col.Mirror.Numbers()
@@ -288,8 +295,8 @@ func (f *Form) matcher(flt Filter) func(i int) bool {
 			if nums.Valid[i>>6]&(1<<(uint(i)&63)) == 0 {
 				return onDoc(i)
 			}
-			return compareFloat(flt.Op, nums.Vals[i], num)
+			return compare(flt.Op, nums.Vals[i], num)
 		}
-		return compareText(flt.Op, cells[i], text)
+		return compare(flt.Op, cells[i], text)
 	}
 }

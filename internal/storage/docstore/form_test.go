@@ -6,20 +6,18 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // fuzzValues are the field and filter values FuzzDocSelect draws from:
-// what JSON decodes to (null, booleans, strings, float64 numbers, -0,
-// objects, arrays), a number beside the same digits as a string, and
-// Go values only Insert can be handed (NaN, infinity, an int, a
-// json.Number, a nested Doc).
+// what JSON decodes to (null, booleans, strings, numbers, -0, objects,
+// arrays), and a number beside the same digits as a string.
 var fuzzValues = []any{
 	nil, true, false, "", "abc", "b", "10", "7", "-0", "<nil>",
-	10.0, 7.0, 0.0, math.Copysign(0, -1), -3.5, 1e3, 1e21, math.NaN(), math.Inf(1),
+	10.0, 7.0, 0.0, math.Copysign(0, -1), -3.5, 1e3, 1e21,
 	map[string]any{"a": 1.0, "b": []any{"x", 2.0}}, []any{1.0, "y", nil}, []any{},
-	7, json.Number("1e3"), Doc{"a": "z"},
 }
 
 // fuzzFields "u" stands for a field only document i holds, "u<i>", so
@@ -31,8 +29,12 @@ var (
 )
 
 // fuzzCollection builds a filter list and a collection from data, one
-// byte per choice, the filters first.
-func fuzzCollection(data []byte) (*Collection, []Filter) {
+// byte per choice, the filters first. The documents are written as JSON
+// Lines or as one array and decoded by Decode; want is what the
+// collection should hold, worked out apart from it: each document under
+// its ID ("f-<n>" for the n-th without one), the last of each ID, in ID
+// order.
+func fuzzCollection(t *testing.T, data []byte) (c *Collection, filters []Filter, want []Doc) {
 	next := func(n int) int {
 		if len(data) == 0 {
 			return 0
@@ -41,7 +43,6 @@ func fuzzCollection(data []byte) (*Collection, []Filter) {
 		data = data[1:]
 		return int(b) % n
 	}
-	var filters []Filter
 	for k, m := 0, next(4); k < m; k++ {
 		filters = append(filters, Filter{
 			Path:  fuzzPaths[next(len(fuzzPaths))],
@@ -49,7 +50,9 @@ func fuzzCollection(data []byte) (*Collection, []Filter) {
 			Value: fuzzValues[next(len(fuzzValues))],
 		})
 	}
-	c := NewCollection("f")
+	lines := next(2) == 0
+	var raw []string
+	byID, auto := map[string]Doc{}, 0
 	for i, n := 0, next(40); i < n; i++ {
 		d := Doc{}
 		for k, m := 0, next(5); k < m; k++ {
@@ -63,38 +66,61 @@ func fuzzCollection(data []byte) (*Collection, []Filter) {
 			}
 			d[field] = fuzzValues[next(len(fuzzValues))]
 		}
-		c.Insert(d)
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, string(b))
+		if d.ID() == "" {
+			auto++
+			d["_id"] = fmt.Sprintf("f-%d", auto)
+		}
+		byID[d.ID()] = d
 	}
-	return c, filters
+	text := "[" + strings.Join(raw, ",") + "]"
+	if lines {
+		text = strings.Join(raw, "\n")
+	}
+	c, err := Decode("f", []byte(text), lines)
+	if err != nil && len(raw) > 0 {
+		t.Fatalf("Decode(%q, lines %v): %v", text, lines, err)
+	}
+	ids := make([]string, 0, len(byID))
+	for id := range byID {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		want = append(want, byID[id])
+	}
+	return c, filters, want
 }
 
-// checkSelect compares Select with Filter.Match on every document, and
-// the form's columns with the documents they were built from.
-func checkSelect(t *testing.T, c *Collection, filters []Filter) {
+// checkSelect compares the form with want, Select with Filter.Match on
+// every document, and the form's columns with the documents they were
+// built from.
+func checkSelect(t *testing.T, c *Collection, filters []Filter, want []Doc) {
 	t.Helper()
 	form, rows := c.Select(filters...)
-	if form.Len() != c.Len() {
-		t.Fatalf("form holds %d documents, collection %d", form.Len(), c.Len())
+	if !reflect.DeepEqual(form.docs, want) {
+		t.Fatalf("form holds %v, want %v", form.docs, want)
 	}
-	if !sort.SliceIsSorted(form.docs, func(a, b int) bool { return form.docs[a].ID() < form.docs[b].ID() }) {
-		t.Fatal("form documents are not in ID order")
-	}
-	var want []int
+	var match []int
 	for i, d := range form.docs {
 		ok := true
 		for _, f := range filters {
 			ok = ok && f.Match(d)
 		}
 		if ok {
-			want = append(want, i)
+			match = append(match, i)
 		}
 	}
 	if len(filters) == 0 {
 		if rows != nil {
 			t.Fatalf("no filter: rows %v, want nil", rows)
 		}
-	} else if rows == nil || !reflect.DeepEqual(append([]int{}, rows...), append([]int{}, want...)) {
-		t.Fatalf("filters %+v: Select %v, per-document Match %v", filters, rows, want)
+	} else if rows == nil || !reflect.DeepEqual(append([]int{}, rows...), append([]int{}, match...)) {
+		t.Fatalf("filters %+v: Select %v, per-document Match %v", filters, rows, match)
 	}
 	for _, field := range form.fields {
 		col, held := form.Column(field), 0
@@ -127,8 +153,8 @@ func FuzzDocSelect(f *testing.F) {
 	f.Add([]byte{30, 4, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 2, 0, 1, 3, 1, 2, 11})
 	f.Add([]byte("\x14\x03\x00\x0a\x01\x0b\x02\x0d\x04\x00\x02\x05\x01\x06\x00\x0e\x03\x07\x00\x01\x0c\x03\x09\x02\x13"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, filters := fuzzCollection(data)
-		checkSelect(t, c, filters)
+		c, filters, want := fuzzCollection(t, data)
+		checkSelect(t, c, filters, want)
 	})
 }
 
@@ -144,53 +170,57 @@ func TestSelectMatchesDocuments(t *testing.T) {
 			x ^= x << 5
 			data[i] = byte(x)
 		}
-		c, filters := fuzzCollection(data)
-		checkSelect(t, c, filters)
+		c, filters, want := fuzzCollection(t, data)
+		checkSelect(t, c, filters, want)
 	}
 }
 
-// TestSelectKeepsItsForm: Selects keep reading the form each took
-// while Inserts go on, and the next Select sees the inserts.
+// TestSelectKeepsItsForm: concurrent first Selects build one form and
+// share it, and every later Select reads that form.
 func TestSelectKeepsItsForm(t *testing.T) {
-	c := NewCollection("k")
-	doc := func(i int) Doc { return Doc{"_id": fmt.Sprintf("d%04d", i), "v": float64(i), "s": fmt.Sprint(i)} }
-	for i := 0; i < 100; i++ {
-		c.Insert(doc(i))
+	var lines []string
+	for i := 0; i < 1000; i++ {
+		lines = append(lines, fmt.Sprintf(`{"_id":"d%04d","v":%d,"s":"%d"}`, i, i, i))
 	}
+	c := decode(t, "k", lines...)
+	s := New()
+	s.Add(c)
+	start := make(chan struct{})
+	forms := make([]*Form, 8)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 100; i < 1100; i++ {
-			c.Insert(doc(i))
-		}
-	}()
-	for r := 0; r < 4; r++ {
+	for r := range forms {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			last := 0
-			for k := 0; k < 100; k++ {
-				form, rows := c.Select(Filter{Path: "v", Op: OpGte, Value: 50.0})
-				v, s := form.Column("v"), form.Column("s")
-				nums := v.Mirror.Numbers()
-				for n, i := range rows {
-					if nums.Vals[i] != float64(50+n) || s.Cells[i] != fmt.Sprint(50+n) {
-						t.Errorf("reader %d select %d row %d: %v %q, want %d", r, k, n, nums.Vals[i], s.Cells[i], 50+n)
-						return
-					}
-				}
-				if len(rows) < last {
-					t.Errorf("reader %d select %d: %d rows after %d", r, k, len(rows), last)
+			<-start
+			form, rows := c.Select(Filter{Path: "v", Op: OpGte, Value: 50.0})
+			s.FormBytes()
+			v, str := form.Column("v"), form.Column("s")
+			nums := v.Mirror.Numbers()
+			for n, i := range rows {
+				if nums.Vals[i] != float64(50+n) || str.Cells[i] != fmt.Sprint(50+n) {
+					t.Errorf("reader %d row %d: %v %q, want %d", r, n, nums.Vals[i], str.Cells[i], 50+n)
 					return
 				}
-				last = len(rows)
 			}
+			if len(rows) != 950 {
+				t.Errorf("reader %d: %d rows, want 950", r, len(rows))
+			}
+			forms[r] = form
 		}()
 	}
+	close(start)
 	wg.Wait()
-	if _, rows := c.Select(Filter{Path: "v", Op: OpGte, Value: 50.0}); len(rows) != 1050 {
-		t.Errorf("after the inserts: %d rows, want 1050", len(rows))
+	for r, form := range forms {
+		if form != forms[0] {
+			t.Errorf("reader %d read another form than reader 0", r)
+		}
+	}
+	if form, _ := c.Select(); form != forms[0] {
+		t.Error("a later Select read another form")
+	}
+	if n := s.FormBytes(); n != forms[0].Size() || n == 0 {
+		t.Errorf("FormBytes %d, the form holds %d", n, forms[0].Size())
 	}
 }
 
@@ -200,15 +230,16 @@ func TestSelectKeepsItsForm(t *testing.T) {
 // once the collection is dropped.
 func TestFormBytes(t *testing.T) {
 	s := New()
-	c := NewCollection("b")
+	var lines []string
 	for i := 0; i < 16; i++ {
-		d := Doc{"v": float64(i % 10), "s": "x"}
+		dense := ""
 		if i < 2 {
-			d["dense"] = 1.5 // 2 of 16: kept
+			dense = `,"dense":1.5` // 2 of 16: kept
 		}
-		d[fmt.Sprint("sparse", i)] = 2.5 // 1 of 16 each: not kept
-		c.Insert(d)
+		// sparse<i>: 1 of 16 each, not kept.
+		lines = append(lines, fmt.Sprintf(`{"v":%d,"s":"x"%s,"sparse%d":2.5}`, i%10, dense, i))
 	}
+	c := decode(t, "b", lines...)
 	s.Add(c)
 	if n := s.FormBytes(); n != 0 {
 		t.Fatalf("before any Select: %d bytes", n)

@@ -1,8 +1,6 @@
 package polystore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,6 +31,10 @@ type Placement struct {
 	TableName  string
 	Collection string
 }
+
+// Name is the model-store name the object holds: its table's or its
+// collection's, "" for a file-only object.
+func (p Placement) Name() string { return p.TableName + p.Collection }
 
 // Poly bundles the member stores and routes ingested objects. Every
 // raw object is recorded in Files (the lake keeps originals); parsed
@@ -120,8 +122,9 @@ func Prepare(path string, data []byte, read filestore.ReadFunc) (Staged, error) 
 		st.Placement.TableName = t.Name
 		st.Table = t
 	case TargetDocument:
-		c := docstore.NewCollection(tableName(path))
-		if n, err := insertJSONDocs(c, data, obj.Info.Format); err != nil || n == 0 {
+		c, err := docstore.Decode(tableName(path), data, obj.Info.Format == filestore.FormatJSONL)
+		if err != nil {
+			// Not JSON objects: file-only, as an unparseable CSV is.
 			break
 		}
 		st.Placement.Target = TargetDocument
@@ -144,38 +147,6 @@ func (p *Poly) Publish(st *Staged) {
 	p.mu.Lock()
 	p.placements[st.Placement.Path] = st.Placement
 	p.mu.Unlock()
-}
-
-func insertJSONDocs(c *docstore.Collection, data []byte, format filestore.Format) (int, error) {
-	if format == filestore.FormatJSONL {
-		n := 0
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			if _, err := c.InsertJSON([]byte(line)); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
-	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var docs []docstore.Doc
-		if err := json.Unmarshal(trimmed, &docs); err != nil {
-			return 0, err
-		}
-		for _, d := range docs {
-			c.Insert(d)
-		}
-		return len(docs), nil
-	}
-	if _, err := c.InsertJSON(trimmed); err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // Remove deletes an ingested object everywhere it landed: the raw

@@ -76,14 +76,14 @@ func TestIngestJSONLAndArray(t *testing.T) {
 	if _, err := p.Ingest("raw/events.jsonl", []byte("{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n")); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Docs.Collection("events").Len(); got != 3 {
-		t.Errorf("jsonl docs = %d, want 3", got)
+	if form, _ := p.Docs.Collection("events").Select(); form.Len() != 3 {
+		t.Errorf("jsonl docs = %d, want 3", form.Len())
 	}
 	if _, err := p.Ingest("raw/batch.json", []byte(`[{"n":4},{"n":5}]`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Docs.Collection("batch").Len(); got != 2 {
-		t.Errorf("array docs = %d, want 2", got)
+	if form, _ := p.Docs.Collection("batch").Select(); form.Len() != 2 {
+		t.Errorf("array docs = %d, want 2", form.Len())
 	}
 }
 
@@ -228,6 +228,27 @@ func TestIngestParsedHandsBackTheTableOnlyWhenItParsedOne(t *testing.T) {
 	} {
 		if st, err := Prepare(path, []byte(body), nil); err != nil || st.Table != nil {
 			t.Errorf("%s: staged %+v, err %v, want no table", path, st, err)
+		}
+	}
+}
+
+// TestIngestNonObjectJSONStaysFile: JSON with a null document, or
+// with none, lands file-only, with no collection.
+func TestIngestNonObjectJSONStaysFile(t *testing.T) {
+	for path, body := range map[string]string{
+		"raw/n.jsonl":   "null\n",
+		"raw/m.jsonl":   "{\"a\":1}\nnull\n",
+		"raw/arr.json":  `[{"a":1},null]`,
+		"raw/null.json": `null`,
+		"raw/none.json": `[]`,
+	} {
+		p := newPoly(t)
+		pl, err := p.Ingest(path, []byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if pl.Target != TargetFile || p.Docs.Collection(DerivedName(path)) != nil {
+			t.Errorf("%s %q: placement %+v, want file-only and no collection", path, body, pl)
 		}
 	}
 }
