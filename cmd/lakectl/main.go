@@ -577,8 +577,8 @@ func status(lake *golake.Lake, metrics bool) error {
 			fmt.Printf("last snapshot: %s\n", d.LastSnapshot.Format(time.RFC3339))
 		}
 		if r := d.Replay; r != nil {
-			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes, %d damaged segments) in %s\n",
-				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes, r.DamagedSegments, r.Duration.Round(time.Microsecond))
+			fmt.Printf("recovered: %d snapshot datasets + %d wal records (%d skipped, %d torn bytes, %d damaged segments) in %s, %s of it rebuilding indexes\n",
+				r.SnapshotDatasets, r.WALRecords, r.WALSkipped, r.TornBytes, r.DamagedSegments, r.Duration.Round(time.Microsecond), r.IndexRebuild.Round(time.Microsecond))
 		}
 	}
 	if metrics {

@@ -556,9 +556,14 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var path, source string
 	var data []byte
+	start := time.Now()
 	body, err := readBody(w, r)
 	if errors.Is(err, os.ErrDeadlineExceeded) {
-		writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body stalled for more than %s", bodyReadTimeout))
+		if time.Since(start) >= bodyTotalTimeout {
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body not received within %s", bodyTotalTimeout))
+		} else {
+			writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body stalled for more than %s", bodyReadTimeout))
+		}
 		return
 	}
 	var tooBig *http.MaxBytesError

@@ -24,14 +24,21 @@ const maxPreallocBody = 64 << 10
 // answered deadline_exceeded instead of holding its handler.
 var bodyReadTimeout = 30 * time.Second
 
+// bodyTotalTimeout bounds the whole body, from readBody's first read: a
+// client that trickles its body, each piece within bodyReadTimeout, is
+// answered deadline_exceeded once it has passed instead of holding its
+// handler for as long as it keeps trickling.
+var bodyTotalTimeout = 10 * time.Minute
+
 // readBody reads a request body whole: into one buffer of the declared
 // Content-Length, when that is at most maxPreallocBody, where io.ReadAll
 // would start at 512 bytes and grow, copying what it has read, until
 // the body fits. The MinRead spare bytes let the read that meets the
 // end of the body land without growing the buffer. Before each read it
-// sets the connection's read deadline bodyReadTimeout ahead, unless w
-// reaches no connection; a read past it fails with an error that
-// errors.Is os.ErrDeadlineExceeded. At the end of the body it clears
+// sets the connection's read deadline bodyReadTimeout ahead, but never
+// past bodyTotalTimeout after the first read, unless w reaches no
+// connection; a read past it fails with an error that errors.Is
+// os.ErrDeadlineExceeded. At the end of the body it clears
 // the deadline: the server then reads the connection in the background,
 // and a deadline passing there would cancel the request's context while
 // the handler still runs.
@@ -39,9 +46,14 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	rc := http.NewResponseController(w)
 	var buf bytes.Buffer
 	buf.Grow(int(min(max(r.ContentLength, 0), maxPreallocBody)) + bytes.MinRead)
+	end := time.Now().Add(bodyTotalTimeout)
 	for renew := true; ; {
 		if renew {
-			err := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+			deadline := time.Now().Add(bodyReadTimeout)
+			if deadline.After(end) {
+				deadline = end
+			}
+			err := rc.SetReadDeadline(deadline)
 			if err != nil && !errors.Is(err, http.ErrNotSupported) {
 				return nil, err
 			}

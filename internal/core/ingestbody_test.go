@@ -145,52 +145,89 @@ func TestIngestBodyWithAndWithoutLength(t *testing.T) {
 	}
 }
 
+// sendPieces posts body to the lake's ingest route over a raw
+// connection, in pieces with pause between them, and reads the answer.
+// A write the server refuses, having answered, ends the pieces.
+func sendPieces(t *testing.T, srv *httptest.Server, body string, pieces []string, pause time.Duration) (*http.Response, []byte, time.Duration) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/datasets HTTP/1.1\r\nHost: lake\r\nX-Lake-User: dana\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	for i, p := range pieces {
+		if i > 0 {
+			time.Sleep(pause)
+		}
+		if _, err := io.WriteString(conn, p); err != nil {
+			break
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp, out, time.Since(start)
+}
+
 // A client that stalls its body past bodyReadTimeout between two reads
 // is answered deadline_exceeded and its handler returns; one that
-// trickles its body, each piece within the bound, still lands.
+// trickles its body, each piece within the bound and the whole within
+// bodyTotalTimeout, still lands.
 func TestIngestBodyStallTimesOut(t *testing.T) {
-	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
-	bodyReadTimeout = 300 * time.Millisecond
+	defer func(d, total time.Duration) { bodyReadTimeout, bodyTotalTimeout = d, total }(bodyReadTimeout, bodyTotalTimeout)
+	bodyReadTimeout, bodyTotalTimeout = 300*time.Millisecond, 3*time.Second
 	l := testLake(t)
 	srv := httptest.NewServer(l.HTTPHandler())
 	defer srv.Close()
 	body := `{"path":"raw/slow.csv","content":"id,v\n1,2\n"}`
-	send := func(pieces []string, pause time.Duration) (*http.Response, []byte, time.Duration) {
-		t.Helper()
-		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-		start := time.Now()
-		fmt.Fprintf(conn, "POST /v1/datasets HTTP/1.1\r\nHost: lake\r\nX-Lake-User: dana\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
-		for i, p := range pieces {
-			if i > 0 {
-				time.Sleep(pause)
-			}
-			if _, err := io.WriteString(conn, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		return resp, out, time.Since(start)
-	}
-	resp, out, took := send([]string{body[:10]}, 0)
+	resp, out, took := sendPieces(t, srv, body, []string{body[:10]}, 0)
 	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
 		t.Errorf("stalled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
 	}
 	if took < bodyReadTimeout || took > 5*time.Second {
 		t.Errorf("stalled body answered after %v, want just past %v", took, bodyReadTimeout)
 	}
-	resp, out, _ = send([]string{body[:10], body[10:20], body[20:]}, bodyReadTimeout/2)
+	resp, out, _ = sendPieces(t, srv, body, []string{body[:10], body[10:20], body[20:]}, bodyReadTimeout/2)
 	if resp.StatusCode != http.StatusCreated {
 		t.Errorf("trickled body: %d %s, want 201", resp.StatusCode, out)
+	}
+}
+
+// A client that trickles its body, each piece within bodyReadTimeout,
+// for longer than bodyTotalTimeout is answered deadline_exceeded once
+// the whole-body bound has passed: renewing the per-read deadline does
+// not keep its handler.
+func TestIngestBodyTrickleTimesOut(t *testing.T) {
+	defer func(d, total time.Duration) { bodyReadTimeout, bodyTotalTimeout = d, total }(bodyReadTimeout, bodyTotalTimeout)
+	bodyReadTimeout, bodyTotalTimeout = 300*time.Millisecond, 600*time.Millisecond
+	l := testLake(t)
+	srv := httptest.NewServer(l.HTTPHandler())
+	defer srv.Close()
+	body := `{"path":"raw/trickle.csv","content":"id,v\n1,2\n"}`
+	var pieces []string
+	for i := 0; i < len(body); i += 4 {
+		pieces = append(pieces, body[i:min(i+4, len(body))])
+	}
+	// 13 pieces 100 ms apart, 1.2 s in all: each gap is a third of the
+	// per-read bound, the whole twice the whole-body bound.
+	resp, out, took := sendPieces(t, srv, body, pieces, bodyReadTimeout/3)
+	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
+		t.Errorf("trickled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
+	}
+	if !strings.Contains(string(out), "not received within") {
+		t.Errorf("trickled body: message %s, want the whole-body bound", out)
+	}
+	if took < bodyTotalTimeout || took > 5*time.Second {
+		t.Errorf("trickled body answered after %v, want just past %v", took, bodyTotalTimeout)
+	}
+	if _, err := l.Poly.Files.Get("raw/trickle.csv"); err == nil {
+		t.Error("a body cut off by the whole-body bound was stored")
 	}
 }
 

@@ -101,6 +101,7 @@ type lakeMetrics struct {
 	replayWALSkip   *obs.Gauge
 	replayTornBytes *obs.Gauge
 	replayDuration  *obs.Gauge
+	replayIndexes   *obs.Gauge
 
 	// Resident memory, computed from the structures' own counts.
 	residentBytes *obs.GaugeVec // structure
@@ -217,7 +218,9 @@ func newLakeMetrics() *lakeMetrics {
 		replayTornBytes: r.Gauge("golake_replay_torn_bytes",
 			"Bytes dropped from a torn WAL tail at the last open."),
 		replayDuration: r.Gauge("golake_replay_duration_seconds",
-			"How long the last open spent replaying snapshot and WAL, in seconds."),
+			"How long the last open's recovery took, from reading the snapshot until the discovery indexes were rebuilt, in seconds."),
+		replayIndexes: r.Gauge("golake_replay_index_rebuild_seconds",
+			"How much of the last open's recovery went to rebuilding the discovery indexes and DS-kNN categories over the restored maintenance coverage, in seconds; 0 when no pass covered the lake."),
 		residentBytes: r.GaugeVec("golake_resident_bytes",
 			"Bytes a structure holds in memory, computed from its counts: token_sums (the discovery embedding's per-token PPMI sums), after each maintenance pass; doc_columns (the columnar forms document scans read, 0 until a collection's first scan), at each scrape.",
 			"structure"),
@@ -511,6 +514,7 @@ func (m *lakeMetrics) observeReplay(rs maintain.ReplayStats) {
 	m.replayWALSkip.Set(float64(rs.WALSkipped))
 	m.replayTornBytes.Set(float64(rs.TornBytes))
 	m.replayDuration.Set(rs.Duration.Seconds())
+	m.replayIndexes.Set(rs.IndexRebuild.Seconds())
 }
 
 // observeRetry records one scheduler backoff event.

@@ -432,7 +432,9 @@ func grepLines(s, substr string) string {
 
 // The last reopen's duration is one figure in three places: the
 // golake_replay_duration_seconds gauge, GET /v1/maintenance's replay
-// block, and the "persist: replayed" log line.
+// block, and the "persist: replayed" log line. So is the part of it a
+// maintained lake spends rebuilding its discovery indexes, with the
+// golake_replay_index_rebuild_seconds gauge.
 func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	ctx := context.Background()
 	mem := persist.NewMemory()
@@ -447,8 +449,14 @@ func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	srv := httptest.NewServer(l.HTTPHandler())
 	_, body := scrape(t, srv)
 	srv.Close()
-	if line := grepLines(body, "golake_replay_duration_seconds "); !strings.HasSuffix(line, " 0") {
-		t.Errorf("a lake opened on an empty backend replayed nothing, gauge line %q", line)
+	for _, gauge := range []string{"golake_replay_duration_seconds ", "golake_replay_index_rebuild_seconds "} {
+		if line := grepLines(body, gauge); !strings.HasSuffix(line, " 0") {
+			t.Errorf("a lake opened on an empty backend replayed nothing, gauge line %q", line)
+		}
+	}
+	// A maintained lake rebuilds its discovery indexes at reopen.
+	if _, err := l.Maintain(ctx); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -462,20 +470,26 @@ func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	}
 	defer re.Close()
 	replay := re.MaintenanceStatus().Durability.Replay
-	if replay == nil || replay.Duration <= 0 {
-		t.Fatalf("replay stats = %+v, want a positive duration", replay)
+	if replay == nil || replay.Duration <= 0 || replay.IndexRebuild <= 0 {
+		t.Fatalf("replay stats = %+v, want a positive duration and index rebuild", replay)
 	}
 	srv = httptest.NewServer(re.HTTPHandler())
 	defer srv.Close()
 	_, body = scrape(t, srv)
-	want := fmt.Sprintf("golake_replay_duration_seconds %v", replay.Duration.Seconds())
-	if !strings.Contains(body, want+"\n") {
-		t.Errorf("scrape has %q, want %q", grepLines(body, "golake_replay_duration_seconds "), want)
+	for gauge, d := range map[string]time.Duration{
+		"golake_replay_duration_seconds":      replay.Duration,
+		"golake_replay_index_rebuild_seconds": replay.IndexRebuild,
+	} {
+		want := fmt.Sprintf("%s %v", gauge, d.Seconds())
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("scrape has %q, want %q", grepLines(body, gauge+" "), want)
+		}
 	}
 	var status struct {
 		Durability struct {
 			Replay struct {
-				DurationNS int64 `json:"duration_ns"`
+				DurationNS     int64 `json:"duration_ns"`
+				IndexRebuildNS int64 `json:"index_rebuild_ns"`
 			} `json:"replay"`
 		} `json:"durability"`
 	}
@@ -486,8 +500,12 @@ func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	if got := time.Duration(status.Durability.Replay.DurationNS); got != replay.Duration {
 		t.Errorf("GET /v1/maintenance replay duration = %v, want %v", got, replay.Duration)
 	}
+	if got := time.Duration(status.Durability.Replay.IndexRebuildNS); got != replay.IndexRebuild {
+		t.Errorf("GET /v1/maintenance replay index rebuild = %v, want %v", got, replay.IndexRebuild)
+	}
 	var logged struct {
-		Duration int64 `json:"duration"`
+		Duration     int64 `json:"duration"`
+		IndexRebuild int64 `json:"index_rebuild"`
 	}
 	line := grepLines(logs.String(), `"persist: replayed"`)
 	if err := json.Unmarshal([]byte(line), &logged); err != nil {
@@ -495,6 +513,9 @@ func TestReplayDurationIsOneFigureEverywhere(t *testing.T) {
 	}
 	if time.Duration(logged.Duration) != replay.Duration {
 		t.Errorf("log line duration = %v, want %v", time.Duration(logged.Duration), replay.Duration)
+	}
+	if time.Duration(logged.IndexRebuild) != replay.IndexRebuild {
+		t.Errorf("log line index rebuild = %v, want %v", time.Duration(logged.IndexRebuild), replay.IndexRebuild)
 	}
 }
 

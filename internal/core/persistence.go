@@ -633,7 +633,7 @@ func (p *persister) restore(l *Lake) error {
 		return err
 	}
 	rs.DamagedSegments = len(l.unserved)
-	l.rebuildIndexesFromCoverage()
+	rs.IndexRebuild = l.rebuildIndexesFromCoverage()
 	if len(snapBytes) > 0 || len(walBytes) > 0 {
 		rs.Duration = time.Since(start)
 		p.mu.Lock()
@@ -647,7 +647,8 @@ func (p *persister) restore(l *Lake) error {
 				"wal_skipped", rs.WALSkipped,
 				"torn_bytes", rs.TornBytes,
 				"damaged_segments", rs.DamagedSegments,
-				"duration", rs.Duration)
+				"duration", rs.Duration,
+				"index_rebuild", rs.IndexRebuild)
 		}
 	}
 	// Compact what was just replayed so the next open starts from a
@@ -999,15 +1000,18 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 // its first scheduled pass plans incrementally. Runs at the end of
 // restore — one code path whether the coverage came from the snapshot
 // or from a WAL coverage record. The categorizer is built on a second
-// goroutine while the explorer indexes the same tables: both only read
-// them, and share nothing else. The categorizer comes back over a
-// channel, so neither index is installed before both are built. DS-kNN
-// category numbering may differ from the original pass order (tables
-// arrive sorted here); the next full rebuild squares that up.
-func (l *Lake) rebuildIndexesFromCoverage() {
+// goroutine while the explorer indexes the same tables, itself on
+// every core (Explorer.Index): both only read them, and share nothing
+// else. The categorizer comes back over a channel, so neither index is
+// installed before both are built. DS-kNN category numbering may
+// differ from the original pass order (tables arrive sorted here); the
+// next full rebuild squares that up. It returns how long the rebuild
+// took, 0 for a lake never maintained.
+func (l *Lake) rebuildIndexesFromCoverage() time.Duration {
 	if !l.maintained {
-		return
+		return 0
 	}
+	start := time.Now()
 	var tables []*table.Table
 	covered := make(map[string]bool)
 	for _, name := range l.planner.Covered() {
@@ -1041,6 +1045,7 @@ func (l *Lake) rebuildIndexesFromCoverage() {
 			break
 		}
 	}
+	return time.Since(start)
 }
 
 // putSegment stores a table's bytes as a new segment before the

@@ -1015,6 +1015,45 @@ func TestPersistReopenRebuildsCategoriesAndRelated(t *testing.T) {
 	}
 }
 
+// A reopen reports how long it spent rebuilding the discovery indexes:
+// on a lake a maintenance pass covered, more than nothing and no more
+// than the whole recovery; on one no pass covered, nothing, since there
+// is nothing to rebuild.
+func TestReopenReportsIndexRebuild(t *testing.T) {
+	ctx := context.Background()
+	for _, maintained := range []bool{true, false} {
+		dir := t.TempDir()
+		l := openPersistent(t, dir)
+		l.AddUser("dana", RoleDataScientist)
+		spec := workload.DefaultSpec()
+		spec.NumTables, spec.RowsPerTable = 6, 20
+		for _, tb := range workload.GenerateCorpus(spec).Tables {
+			if _, err := l.Ingest(ctx, "raw/"+tb.Name+".csv", []byte(table.ToCSV(tb)), "generator", "dana"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if maintained {
+			if _, err := l.Maintain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := openPersistent(t, dir)
+		rs := re.MaintenanceStatus().Durability.Replay
+		re.Close()
+		switch {
+		case rs == nil || rs.Duration <= 0:
+			t.Errorf("maintained %v: replay stats %+v, want a positive duration", maintained, rs)
+		case maintained && (rs.IndexRebuild <= 0 || rs.IndexRebuild > rs.Duration):
+			t.Errorf("maintained lake: index rebuild %v of %v, want more than 0 and at most the whole", rs.IndexRebuild, rs.Duration)
+		case !maintained && rs.IndexRebuild != 0:
+			t.Errorf("unmaintained lake: index rebuild %v, want 0", rs.IndexRebuild)
+		}
+	}
+}
+
 // TestDurabilityQueryAppendsOneRecordPerStatement: on a SyncAlways lake,
 // ten two-source queries append ten audit records, one per statement,
 // not one per source; each statement shows up once in both datasets'

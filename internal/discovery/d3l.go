@@ -8,6 +8,7 @@ import (
 
 	"golake/internal/embed"
 	"golake/internal/metamodel"
+	"golake/internal/pool"
 	"golake/internal/sketch"
 	"golake/internal/table"
 )
@@ -84,23 +85,40 @@ type D3LStaged struct {
 // all from the columns' strings. It writes nothing the index holds, so
 // it may run while readers query the index, but not while anything
 // writes it; Commit the result before the next Stage.
+//
+// Each table is profiled on its own, so the tables are spread over a
+// pool of min(GOMAXPROCS, tables) workers, which also decides the
+// embedding's tokens; one table is profiled on the calling goroutine.
+// Every column lands in its place in table order, so the result is the
+// same at any width.
 func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
-	s := &D3LStaged{batch: tables}
-	var cols []*table.Column
-	var vals, sample [][]string
-	for _, t := range tables {
-		for _, c := range t.Columns {
+	// first[i] is the index of table i's first column.
+	first := make([]int, len(tables)+1)
+	for i, t := range tables {
+		first[i+1] = first[i] + len(t.Columns)
+	}
+	n := first[len(tables)]
+	s := &D3LStaged{batch: tables, tables: make([]string, n), cols: make([]*d3lColumn, n)}
+	vals, sample := make([][]string, n), make([][]string, n)
+	workers := pool.Size(len(tables))
+	pool.Run(workers, len(tables), func(_, i int) {
+		for j, c := range tables[i].Columns {
 			v := c.DistinctSlice()
-			s.tables = append(s.tables, t.Name)
-			cols = append(cols, c)
-			vals = append(vals, v)
-			sample = append(sample, capped(v, 200))
+			s.tables[first[i]+j] = tables[i].Name
+			vals[first[i]+j] = v
+			sample[first[i]+j] = capped(v, 200)
 		}
+	})
+	s.embed = d.embedModel.Stage(sample, workers)
+	readers := make([]*embed.Reader, workers)
+	for w := range readers {
+		readers[w] = s.embed.Reader()
 	}
-	s.embed = d.embedModel.Stage(sample)
-	for i, c := range cols {
-		s.cols = append(s.cols, d.profileColumn(c, vals[i], s.embed))
-	}
+	pool.Run(workers, len(tables), func(w, i int) {
+		for j, c := range tables[i].Columns {
+			s.cols[first[i]+j] = d.profileColumn(c, vals[first[i]+j], readers[w])
+		}
+	})
 	return s
 }
 
@@ -160,8 +178,9 @@ type d3lColumn struct {
 }
 
 // profileColumn profiles one column whose distinct values are vals.
-// Stage passes the staged embedding; a read path profiling a query
-// column that is not indexed passes the model, which it only reads.
+// Stage passes its worker's reader of the staged embedding; a read path
+// profiling a query column that is not indexed passes the model, which
+// it only reads.
 func (d *D3L) profileColumn(c *table.Column, vals []string, vecs embedder) *d3lColumn {
 	col := &d3lColumn{
 		name:     c.Name,

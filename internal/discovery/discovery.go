@@ -51,9 +51,9 @@ type interner interface {
 	Set(values []string) sketch.Set
 }
 
-// embedder embeds a column's values: a staged *embed.Staged when
-// indexing, or the *embed.Model on a read path. Neither writes the
-// model.
+// embedder embeds a column's values: a worker's *embed.Reader of the
+// staged model when indexing, or the *embed.Model on a read path.
+// Neither writes the model.
 type embedder interface {
 	ColumnVector(values []string) []float64
 }

@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"golake/internal/pool"
 	"golake/internal/sketch"
 )
 
@@ -136,7 +137,8 @@ func (m *Model) TokenSumBytes() int64 { return int64(len(m.tokens)) * int64(m.Di
 // view embeds exactly as the model will once Commit appends them. The
 // sums of the tokens the columns touch are copied into the Staged and
 // updated there, so Stage and the view's vectors may run while readers
-// share the model. A Staged is not safe for concurrent use.
+// share the model. A Staged is read-only once staged: any number of
+// goroutines may embed with it, each through a Reader of its own.
 type Staged struct {
 	m *Model
 	contexts
@@ -148,10 +150,9 @@ type Staged struct {
 	toks  []staged
 	sums  []token
 	fresh int // tokens new to the model
-	// folds counts the Dim-wide folds done for this Staged, by Stage
-	// and by its view's vectors.
+	// folds counts the Dim-wide folds Stage did, summed over its
+	// workers; each Reader counts its own.
 	folds int
-	read  embedding
 }
 
 // staged is one token of the staged columns: its counts in the new
@@ -162,18 +163,21 @@ type staged struct {
 	old  *token
 }
 
+// decideChunk is how many tokens one claim of Stage's pool decides.
+const decideChunk = 256
+
 // Stage counts the columns' co-occurrences as new contexts of the model,
-// decides the sums of every token they touch and returns the staged
-// view. It reads the model and writes nothing; nothing else may write
-// the model until the Staged is committed.
-func (m *Model) Stage(columns [][]string) *Staged {
+// decides the sums of every token they touch on up to workers
+// goroutines and returns the staged view. It reads the model and writes
+// nothing; nothing else may write the model until the Staged is
+// committed.
+func (m *Model) Stage(columns [][]string, workers int) *Staged {
 	s := &Staged{
 		m:        m,
 		contexts: contexts{base: len(m.n)},
 		total:    m.total,
 		index:    map[string]int32{},
 	}
-	s.read = embedding{m: m, s: s}
 	// ends[i] is the total after staged context i: a token's sums are
 	// decided at the total after its last context, which is what the
 	// model holds whether the columns are committed together or apart.
@@ -215,24 +219,36 @@ func (m *Model) Stage(columns [][]string) *Staged {
 	copyA, copyB := make([]int64, (len(s.toks)-s.fresh)*d), make([]int32, (len(s.toks)-s.fresh)*d)
 	s.sums = make([]token, len(s.toks))
 	for k := range s.toks {
-		st := &s.toks[k]
-		var a []int64
-		var b []int32
-		if st.old == nil {
-			a, b, freshA, freshB = freshA[:d:d], freshB[:d:d], freshA[d:], freshB[d:]
+		t := &s.sums[k]
+		if s.toks[k].old == nil {
+			t.a, t.b, freshA, freshB = freshA[:d:d], freshB[:d:d], freshA[d:], freshB[d:]
 		} else {
-			a, b, copyA, copyB = copyA[:d:d], copyB[:d:d], copyA[d:], copyB[d:]
+			t.a, t.b, copyA, copyB = copyA[:d:d], copyB[:d:d], copyA[d:], copyB[d:]
 		}
-		s.decide(&s.sums[k], st, a, b, ends[int(st.add[len(st.add)-1].ctx)-s.base])
+	}
+	// Each token's decision writes only its own sums and reads what is
+	// counted above, so the tokens are decided in chunks on the pool.
+	folds := make([]int, max(workers, 1))
+	pool.Run(workers, (len(s.toks)+decideChunk-1)/decideChunk, func(w, c int) {
+		n := 0
+		for k := c * decideChunk; k < min((c+1)*decideChunk, len(s.toks)); k++ {
+			st := &s.toks[k]
+			n += s.decide(&s.sums[k], st, ends[int(st.add[len(st.add)-1].ctx)-s.base])
+		}
+		folds[w] += n
+	})
+	for _, n := range folds {
+		s.folds += n
 	}
 	return s
 }
 
 // decide brings one staged token to nRef, the total after its last
-// context, into t: its sums start as the model's, copied into a and b;
-// the contexts whose side of the threshold n_t/nRef moved are folded in
-// or out, and the new contexts are folded in or listed as excluded.
-func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) {
+// context, into t: its sums start as the model's, copied into t's own
+// arrays; the contexts whose side of the threshold n_t/nRef moved are
+// folded in or out, and the new contexts are folded in or listed as
+// excluded. It returns the number of folds it did.
+func (s *Staged) decide(t *token, st *staged, nRef int64) (folds int) {
 	var old token
 	if st.old != nil {
 		old = *st.old
@@ -241,9 +257,9 @@ func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) 
 	for _, e := range st.add {
 		t.n += int64(e.n)
 	}
-	copy(a, old.a)
-	copy(b, old.b)
-	t.a, t.b, t.low = a, b, old.low
+	copy(t.a, old.a)
+	copy(t.b, old.b)
+	t.low = old.low
 	var moved []share // contexts excluded by this decision
 	if old.low.n > 0 && !old.low.above(t.n, nRef) {
 		// The threshold rose past the lowest included ratio: walk the
@@ -258,6 +274,7 @@ func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) 
 				t.low = lower(t.low, e)
 			default:
 				s.fold(t, e, -1)
+				folds++
 				moved = append(moved, e)
 			}
 		}
@@ -269,6 +286,7 @@ func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) 
 			break
 		}
 		s.fold(t, e, 1)
+		folds++
 		t.low = lower(t.low, e)
 		kept = nil
 	}
@@ -277,6 +295,7 @@ func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) 
 		e := share{ctx: c.ctx, n: c.n, nc: nc}
 		if e.above(t.n, nRef) {
 			s.fold(t, e, 1)
+			folds++
 			t.low = lower(t.low, e)
 		} else {
 			moved = append(moved, e)
@@ -284,6 +303,7 @@ func (s *Staged) decide(t *token, st *staged, a []int64, b []int32, nRef int64) 
 	}
 	slices.SortFunc(moved, byRatio)
 	t.out = mergeByRatio(kept, moved)
+	return folds
 }
 
 // lower returns whichever of low and e has the smaller ratio, the
@@ -328,7 +348,6 @@ func (s *Staged) context(ctx int32) (int64, []uint64) {
 func (s *Staged) fold(t *token, e share, d int32) {
 	_, signs := s.context(e.ctx)
 	fold(t.a, t.b, int64(d)*term(e.n, e.nc), d, signs)
-	s.folds++
 }
 
 // Commit appends the staged contexts to the model and installs the
@@ -365,12 +384,21 @@ func (s *Staged) Commit() {
 	m.total = s.total
 }
 
+// Reader embeds over the model with a Staged's columns added, as the
+// model will once the Staged is committed. Its buffers are scratch, so
+// each goroutine that embeds with the Staged takes a Reader of its own.
+type Reader struct {
+	e embedding
+}
+
+// Reader returns a new Reader of the staged model.
+func (s *Staged) Reader() *Reader {
+	return &Reader{e: embedding{m: s.m, s: s, total: s.total}}
+}
+
 // ColumnVector is Model.ColumnVector over the model with the staged
 // columns added.
-func (s *Staged) ColumnVector(values []string) []float64 {
-	s.read.total = s.total
-	return s.read.column(values)
-}
+func (r *Reader) ColumnVector(values []string) []float64 { return r.e.column(values) }
 
 // ColumnVector embeds a whole column as the normalized mean of its
 // value vectors. This is how D3L and ALITE summarize attributes. Unknown
@@ -388,6 +416,8 @@ type embedding struct {
 	m     *Model
 	s     *Staged // nil: the model alone
 	total int64
+	// folds counts the Dim-wide folds of crossed contexts it did.
+	folds int
 	toks  []string
 	v     []float64 // one token's vector
 	val   []float64 // one value's vector
@@ -475,9 +505,7 @@ func (e *embedding) token(tok string) ([]float64, float64) {
 		}
 		_, signs := e.context(c.ctx)
 		fold(a, b, term(c.n, c.nc), 1, signs)
-		if e.s != nil {
-			e.s.folds++
-		}
+		e.folds++
 	}
 	l := math.Log(float64(e.total) / float64(t.n))
 	a, b = a[:len(v)], b[:len(v)]

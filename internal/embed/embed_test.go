@@ -13,7 +13,7 @@ import (
 // AddColumn feeds one column of values into the co-occurrence model: the
 // sequential reference the staged path must match. Each column is one
 // context; tokens inside values share that context.
-func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}).Commit() }
+func (m *Model) AddColumn(values []string) { m.Stage([][]string{values}, 1).Commit() }
 
 // Vector returns the embedding of a single value: its token's vector,
 // or the mean of its tokens' vectors. Unknown tokens get a
@@ -141,7 +141,7 @@ func TestTokenVectorIsDeterministic(t *testing.T) {
 		cols = append(cols, col)
 		seq.AddColumn(col)
 	}
-	once.Stage(cols).Commit()
+	once.Stage(cols, 1).Commit()
 	want := seq.Vector("shared")
 	for round := 0; round < 50; round++ {
 		m := seq

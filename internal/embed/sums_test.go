@@ -58,17 +58,17 @@ func FuzzTokenSums(f *testing.F) {
 			all = append(all, b...)
 		}
 		once, apart := NewModel(64), NewModel(64)
-		once.Stage(all).Commit()
+		once.Stage(all, 4).Commit()
 		var last *Staged
 		for _, b := range batches {
-			last = apart.Stage(b)
+			last = apart.Stage(b, 1)
 			if len(apart.n)+len(b) < len(all) {
 				last.Commit()
 			}
 		}
 		toks := []string{"a", "b", "c", "d", "e", "even", "unseen"}
 		for _, tok := range toks {
-			view := last.ColumnVector([]string{tok})
+			view := last.Reader().ColumnVector([]string{tok})
 			if want := once.ColumnVector([]string{tok}); !sameBits(view, want) {
 				t.Fatalf("%q: staged view %v, one Stage %v", tok, view, want)
 			}
@@ -127,14 +127,15 @@ func TestStageFoldsFlatInLakeSize(t *testing.T) {
 	var folds []int
 	for _, size := range []int{40, 340} {
 		m := NewModel(64)
-		m.Stage(scalingColumns(rand.New(rand.NewSource(1)), size)).Commit()
+		m.Stage(scalingColumns(rand.New(rand.NewSource(1)), size), 1).Commit()
 		before := map[string]token{}
 		for tok, tk := range m.tokens {
 			before[tok] = *tk
 		}
-		s := m.Stage(fresh)
-		s.ColumnVector(fresh[0])
-		touched, n := len(s.toks), s.folds
+		s := m.Stage(fresh, 1)
+		r := s.Reader()
+		r.ColumnVector(fresh[0])
+		touched, n := len(s.toks), s.folds+r.e.folds
 		total := s.total
 		s.Commit()
 		crossings := 0
@@ -191,7 +192,7 @@ func TestTokenSumBytesMatchesRecount(t *testing.T) {
 			}
 			cols = append(cols, col)
 		}
-		m.Stage(cols).Commit()
+		m.Stage(cols, 1).Commit()
 		var recount int64
 		for _, tk := range m.tokens {
 			recount += int64(8*len(tk.a) + 4*len(tk.b))

@@ -22,6 +22,7 @@ import (
 
 	"golake/internal/discovery"
 	"golake/internal/metamodel"
+	"golake/internal/pool"
 	"golake/internal/table"
 )
 
@@ -92,14 +93,30 @@ func (e *Explorer) reset() {
 	e.juneau = discovery.NewJuneau(e.cat, discovery.TaskAugment)
 }
 
-// Index rebuilds all mode indexes from scratch over the corpus.
+// Index rebuilds all mode indexes from scratch over the corpus. D3L
+// profiles the tables on a pool of workers (D3L.Stage) while a second
+// lane builds the catalog and JOSIE's postings: profiling reads
+// neither. D3L and then Juneau commit after both, in the order Add
+// commits, so every Dict id, LSH bucket and answer is what indexing the
+// tables one lane at a time leaves.
 func (e *Explorer) Index(tables []*table.Table) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.reset()
-	return e.commitLocked(tables, e.d3l.Stage(tables))
+	josied := make(chan error, 1)
+	lane := func() { josied <- e.josie.Index(tables) }
+	if pool.Size(len(tables)) == 1 {
+		lane()
+	} else {
+		go lane()
+	}
+	staged := e.d3l.Stage(tables)
+	if err := <-josied; err != nil {
+		return err
+	}
+	return e.commitLocked(tables, staged)
 }
 
 // Add indexes additional tables incrementally — O(new tables) instead
@@ -122,15 +139,16 @@ func (e *Explorer) Add(tables ...*table.Table) error {
 	staged := e.d3l.Stage(fresh)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.josie.Index(fresh); err != nil {
+		return err
+	}
 	return e.commitLocked(fresh, staged)
 }
 
-// commitLocked indexes tables, whose D3L profiles are staged, into the
-// live structures; both locks must be held, e.mu exclusively.
+// commitLocked indexes tables, which JOSIE and the catalog hold and
+// whose D3L profiles are staged, into D3L and Juneau; both locks must
+// be held, e.mu exclusively.
 func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStaged) error {
-	if err := e.josie.Index(tables); err != nil {
-		return err
-	}
 	if err := e.d3l.Commit(staged); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"golake/internal/discovery"
+	"golake/internal/metamodel"
 	"golake/internal/table"
 	"golake/internal/workload"
 )
@@ -546,4 +548,71 @@ func indexed(e *Explorer, tables []*table.Table) []string {
 		}
 	}
 	return out
+}
+
+// TestExplorerIndexSameAtAnyWidth: Index profiles the tables on a pool
+// as wide as GOMAXPROCS and builds the catalog and JOSIE beside it, yet
+// answers as the one-lane build does. Over three seeded corpora, an
+// explorer indexed at GOMAXPROCS 1 and one indexed at 4 answer every
+// mode, and D3L's, JOSIE's and Juneau's RelatedTables, bit for bit, for
+// indexed query tables and for two the explorer never indexed, and
+// keep the same embedding sums.
+func TestExplorerIndexSameAtAnyWidth(t *testing.T) {
+	tasks := []discovery.SearchTask{discovery.TaskAugment, discovery.TaskFeatures, discovery.TaskClean}
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := workload.DefaultSpec()
+		spec.NumTables, spec.Seed = 50, seed
+		c := workload.GenerateCorpus(spec)
+		corpus := c.Tables[:len(c.Tables)-2]
+		// answers renders every answer the explorer gives, scores as
+		// their bits, with the embedding's sum bytes.
+		answers := func(procs int) []string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			e := NewExplorer()
+			if err := e.Index(corpus); err != nil {
+				t.Fatal(err)
+			}
+			out := []string{fmt.Sprint("token sums ", e.TokenSumBytes())}
+			k := len(c.Tables)
+			add := func(what string, rs []Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("seed %d, %s: %v", seed, what, err)
+				}
+				line := what + ":"
+				for _, r := range rs {
+					line += fmt.Sprintf(" %s=%x/%s", r.Table, math.Float64bits(r.Score), r.Via)
+				}
+				out = append(out, line)
+			}
+			ranked := func(what string, ts []metamodel.TableScore) {
+				add(what, results(nil, ts, ""), nil)
+			}
+			for _, q := range c.Tables {
+				rs, err := e.Explore(Request{Mode: ModePopulate, Query: q, K: k})
+				add(q.Name+" populate", rs, err)
+				for _, task := range tasks {
+					rs, err := e.Explore(Request{Mode: ModeTask, Query: q, Task: task, K: k})
+					add(fmt.Sprintf("%s task %d", q.Name, task), rs, err)
+				}
+				for _, col := range q.Columns {
+					rs, err := e.Explore(Request{Mode: ModeJoinColumn, Query: q, Column: col.Name, K: k})
+					add(q.Name+" join "+col.Name, rs, err)
+				}
+				ranked(q.Name+" D3L", e.d3l.RelatedTables(q, k))
+				ranked(q.Name+" JOSIE", e.josie.RelatedTables(q, k))
+				ranked(q.Name+" Juneau", e.juneau.RelatedTables(q, k))
+			}
+			return out
+		}
+		one, four := answers(1), answers(4)
+		if len(one) != len(four) {
+			t.Fatalf("seed %d: %d answers at width 1, %d at width 4", seed, len(one), len(four))
+		}
+		for i := range one {
+			if one[i] != four[i] {
+				t.Errorf("seed %d: width 1 %q, width 4 %q", seed, one[i], four[i])
+			}
+		}
+	}
 }

@@ -81,6 +81,10 @@ type ReplayStats struct {
 	// Duration is how long the recovery took, snapshot read to indexes
 	// rebuilt (the post-replay checkpoint not included).
 	Duration time.Duration `json:"duration_ns"`
+	// IndexRebuild is the part of Duration spent rebuilding the
+	// discovery indexes and DS-kNN categories over the restored
+	// coverage; 0 for a lake no maintenance pass covered.
+	IndexRebuild time.Duration `json:"index_rebuild_ns"`
 }
 
 // Target is the maintenance surface the scheduler drives. Pass must be

@@ -30,6 +30,9 @@ type DSKNN struct {
 	members    []dsMember
 	categories map[string]int
 	nextCat    int
+	// probe holds the incoming dataset's value sample while Add scores
+	// the members against it.
+	probe sketch.Probe
 }
 
 // dsMember is one categorised dataset: its profile and category.
@@ -107,10 +110,11 @@ func dsProfile(t *table.Table, ids *sketch.Dict) *dsFeatures {
 	return f
 }
 
-// Similarity combines the Levenshtein similarity of the metadata
+// similarity combines the Levenshtein similarity of the metadata
 // feature strings, attribute-name overlap, numeric feature closeness,
-// and the data-based value-sample overlap DS-kNN extracts per column.
-func (d *DSKNN) Similarity(a, b *dsFeatures) float64 {
+// and values, the data-based value-sample overlap (Jaccard) DS-kNN
+// extracts per column, which the caller computes.
+func similarity(a, b *dsFeatures, values float64) float64 {
 	lev := sketch.LevenshteinSim(a.featString, b.featString)
 	attr := 0.7*sketch.ExactJaccard(a.attrNames, b.attrNames) +
 		0.3*sketch.ExactJaccard(a.attrTokens, b.attrTokens)
@@ -124,7 +128,6 @@ func (d *DSKNN) Similarity(a, b *dsFeatures) float64 {
 		num += 1 - math.Abs(a.numeric[i]-b.numeric[i])/den
 	}
 	num /= float64(len(a.numeric))
-	values := sketch.ExactJaccard(a.valueSample, b.valueSample)
 	return 0.2*lev + 0.35*attr + 0.2*num + 0.25*values
 }
 
@@ -167,12 +170,15 @@ func (d *DSKNN) Add(t *table.Table) int {
 }
 
 // nearest returns the K categorised datasets most similar to f, most
-// similar first and ties by name, kept by insertion into K slots.
+// similar first and ties by name, kept by insertion into K slots. Each
+// member's value sample is intersected with f's through d.probe.
 func (d *DSKNN) nearest(f *dsFeatures) []neighbor {
 	k := max(d.K, 0)
 	best := make([]neighbor, 0, k)
+	d.probe.Reset(f.valueSample)
 	for _, m := range d.members {
-		nb := neighbor{name: m.f.name, sim: d.Similarity(f, m.f), cat: m.cat}
+		sim := similarity(f, m.f, d.probe.Jaccard(m.f.valueSample))
+		nb := neighbor{name: m.f.name, sim: sim, cat: m.cat}
 		j := len(best)
 		switch {
 		case j < k:

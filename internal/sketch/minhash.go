@@ -6,10 +6,7 @@
 // statistic (D3L numeric-domain matching).
 package sketch
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // MinHash is a fixed-size signature of a set of strings whose
 // coordinate-wise collision probability estimates Jaccard similarity.
@@ -67,18 +64,38 @@ func NewMinHash(k int, values []string) *MinHash {
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
+	as, bs = as[:len(sig)], bs[:len(sig)]
 	for _, v := range values {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(v))
-		base := h.Sum64() % mersenne61
-		for i := 0; i < k; i++ {
-			hv := (as[i]*base + bs[i]) % mersenne61
-			if hv < sig[i] {
+		base := mod61(fnv64a(v))
+		for i, a := range as {
+			if hv := mod61(a*base + bs[i]); hv < sig[i] {
 				sig[i] = hv
 			}
 		}
 	}
 	return &MinHash{sig: sig}
+}
+
+// fnv64a is the 64-bit FNV-1a hash of s, hash/fnv's New64a without
+// the hasher or the copy of s into bytes.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// mod61 is x % mersenne61 without a division: 2⁶¹ ≡ 1, so x is
+// congruent to its low 61 bits plus its top 3, a sum below
+// 2·mersenne61 that one subtraction brings into range.
+func mod61(x uint64) uint64 {
+	r := x&mersenne61 + x>>61
+	if r >= mersenne61 {
+		r -= mersenne61
+	}
+	return r
 }
 
 // K returns the signature length.
