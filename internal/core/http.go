@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -554,26 +552,12 @@ func (l *Lake) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var path, source string
-	var data []byte
-	start := time.Now()
 	body, err := readBody(w, r)
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		if time.Since(start) >= bodyTotalTimeout {
-			writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body not received within %s", bodyTotalTimeout))
-		} else {
-			writeErr(w, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "ingest: body stalled for more than %s", bodyReadTimeout))
-		}
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body exceeds the %d-byte cap", tooBig.Limit))
-		return
-	}
-	if err == nil {
-		path, source, data, err = decodeIngest(body)
-	}
+	path, source, data, err := decodeIngest(body)
 	if err != nil || path == "" {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "ingest: body needs path and content"))
 		return
@@ -662,8 +646,13 @@ func (l *Lake) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	raw, err := readBody(w, r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	var body exploreRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Table == "" {
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&body); err != nil || body.Table == "" {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "explore: body needs mode and table"))
 		return
 	}
@@ -776,8 +765,13 @@ func (b queryRequest) request() (query.Request, error) {
 }
 
 func (l *Lake) handleQuery(w http.ResponseWriter, r *http.Request) {
+	raw, err := readBody(w, r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	var body queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.SQL == "" {
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&body); err != nil || body.SQL == "" {
 		writeErr(w, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "query: bad request body"))
 		return
 	}

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"golake/lakeerr"
 )
 
 // maxPreallocBody bounds the buffer readBody sizes from a declared
@@ -37,11 +40,12 @@ var bodyTotalTimeout = 10 * time.Minute
 // end of the body land without growing the buffer. Before each read it
 // sets the connection's read deadline bodyReadTimeout ahead, but never
 // past bodyTotalTimeout after the first read, unless w reaches no
-// connection; a read past it fails with an error that errors.Is
-// os.ErrDeadlineExceeded. At the end of the body it clears
-// the deadline: the server then reads the connection in the background,
-// and a deadline passing there would cancel the request's context while
-// the handler still runs.
+// connection. A read past a deadline fails deadline_exceeded, naming the
+// bound that passed, and any other failed read, one past the body cap
+// among them, invalid_query. At the end of the body it clears the
+// deadline: the server then reads the connection in the background, and
+// a deadline passing there would cancel the request's context while the
+// handler still runs.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	rc := http.NewResponseController(w)
 	var buf bytes.Buffer
@@ -71,8 +75,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 			}
 			return buf.Bytes(), nil
 		}
-		if err != nil {
-			return nil, err
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded) && !time.Now().Before(end):
+			return nil, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "body not received within %s", bodyTotalTimeout)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return nil, lakeerr.Errorf(lakeerr.CodeDeadlineExceeded, "body stalled for more than %s", bodyReadTimeout)
+		case errors.As(err, &tooBig):
+			return nil, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "body exceeds the %d-byte cap", tooBig.Limit)
+		case err != nil:
+			return nil, lakeerr.Errorf(lakeerr.CodeInvalidQuery, "body not read: %v", err)
 		}
 	}
 }

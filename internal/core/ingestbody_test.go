@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -145,10 +146,10 @@ func TestIngestBodyWithAndWithoutLength(t *testing.T) {
 	}
 }
 
-// sendPieces posts body to the lake's ingest route over a raw
+// sendPieces posts body to the lake's route at path over a raw
 // connection, in pieces with pause between them, and reads the answer.
 // A write the server refuses, having answered, ends the pieces.
-func sendPieces(t *testing.T, srv *httptest.Server, body string, pieces []string, pause time.Duration) (*http.Response, []byte, time.Duration) {
+func sendPieces(t *testing.T, srv *httptest.Server, path, body string, pieces []string, pause time.Duration) (*http.Response, []byte, time.Duration) {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
@@ -157,7 +158,7 @@ func sendPieces(t *testing.T, srv *httptest.Server, body string, pieces []string
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	start := time.Now()
-	fmt.Fprintf(conn, "POST /v1/datasets HTTP/1.1\r\nHost: lake\r\nX-Lake-User: dana\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: lake\r\nX-Lake-User: dana\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", path, len(body))
 	for i, p := range pieces {
 		if i > 0 {
 			time.Sleep(pause)
@@ -175,59 +176,89 @@ func sendPieces(t *testing.T, srv *httptest.Server, body string, pieces []string
 	return resp, out, time.Since(start)
 }
 
+// bodyRoute is a route that reads a JSON body: a body of at least 48
+// bytes, and the status the route answers once all of it has arrived.
+type bodyRoute struct {
+	path, body string
+	status     int
+}
+
+// bodyRoutes serves a lake holding one maintained table, t, and returns
+// every route that reads a body, each with a body for it: the ingest's
+// stores raw/<name>.csv, the query's and the explore's read t.
+func bodyRoutes(t *testing.T, name string) (*Lake, *httptest.Server, []bodyRoute) {
+	t.Helper()
+	l := testLake(t)
+	if _, err := l.Ingest(context.Background(), "raw/t.csv", []byte("id,v\n1,2\n2,3\n"), "test", "dana"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Maintain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(l.HTTPHandler())
+	t.Cleanup(srv.Close)
+	return l, srv, []bodyRoute{
+		{"/v1/datasets", `{"path":"raw/` + name + `.csv","content":"id,v\n1,2\n"}`, http.StatusCreated},
+		{"/v1/query", `{"sql":"SELECT id FROM rel:t WHERE id >= 1","limit":5}`, http.StatusOK},
+		{"/v1/explore", `{"mode":"task","table":"t","task":"augment","k":3}`, http.StatusOK},
+	}
+}
+
 // A client that stalls its body past bodyReadTimeout between two reads
 // is answered deadline_exceeded and its handler returns; one that
 // trickles its body, each piece within the bound and the whole within
-// bodyTotalTimeout, still lands.
+// bodyTotalTimeout, still lands. Every route that reads a body.
 func TestIngestBodyStallTimesOut(t *testing.T) {
 	defer func(d, total time.Duration) { bodyReadTimeout, bodyTotalTimeout = d, total }(bodyReadTimeout, bodyTotalTimeout)
 	bodyReadTimeout, bodyTotalTimeout = 300*time.Millisecond, 3*time.Second
-	l := testLake(t)
-	srv := httptest.NewServer(l.HTTPHandler())
-	defer srv.Close()
-	body := `{"path":"raw/slow.csv","content":"id,v\n1,2\n"}`
-	resp, out, took := sendPieces(t, srv, body, []string{body[:10]}, 0)
-	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
-		t.Errorf("stalled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
-	}
-	if took < bodyReadTimeout || took > 5*time.Second {
-		t.Errorf("stalled body answered after %v, want just past %v", took, bodyReadTimeout)
-	}
-	resp, out, _ = sendPieces(t, srv, body, []string{body[:10], body[10:20], body[20:]}, bodyReadTimeout/2)
-	if resp.StatusCode != http.StatusCreated {
-		t.Errorf("trickled body: %d %s, want 201", resp.StatusCode, out)
+	_, srv, routes := bodyRoutes(t, "slow")
+	for _, rt := range routes {
+		t.Run(strings.TrimPrefix(rt.path, "/v1/"), func(t *testing.T) {
+			resp, out, took := sendPieces(t, srv, rt.path, rt.body, []string{rt.body[:10]}, 0)
+			if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
+				t.Errorf("stalled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
+			}
+			if took < bodyReadTimeout || took > 5*time.Second {
+				t.Errorf("stalled body answered after %v, want just past %v", took, bodyReadTimeout)
+			}
+			resp, out, _ = sendPieces(t, srv, rt.path, rt.body, []string{rt.body[:10], rt.body[10:20], rt.body[20:]}, bodyReadTimeout/2)
+			if resp.StatusCode != rt.status {
+				t.Errorf("trickled body: %d %s, want %d", resp.StatusCode, out, rt.status)
+			}
+		})
 	}
 }
 
 // A client that trickles its body, each piece within bodyReadTimeout,
 // for longer than bodyTotalTimeout is answered deadline_exceeded once
 // the whole-body bound has passed: renewing the per-read deadline does
-// not keep its handler.
+// not keep its handler. Every route that reads a body.
 func TestIngestBodyTrickleTimesOut(t *testing.T) {
 	defer func(d, total time.Duration) { bodyReadTimeout, bodyTotalTimeout = d, total }(bodyReadTimeout, bodyTotalTimeout)
 	bodyReadTimeout, bodyTotalTimeout = 300*time.Millisecond, 600*time.Millisecond
-	l := testLake(t)
-	srv := httptest.NewServer(l.HTTPHandler())
-	defer srv.Close()
-	body := `{"path":"raw/trickle.csv","content":"id,v\n1,2\n"}`
-	var pieces []string
-	for i := 0; i < len(body); i += 4 {
-		pieces = append(pieces, body[i:min(i+4, len(body))])
-	}
-	// 13 pieces 100 ms apart, 1.2 s in all: each gap is a third of the
-	// per-read bound, the whole twice the whole-body bound.
-	resp, out, took := sendPieces(t, srv, body, pieces, bodyReadTimeout/3)
-	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
-		t.Errorf("trickled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
-	}
-	if !strings.Contains(string(out), "not received within") {
-		t.Errorf("trickled body: message %s, want the whole-body bound", out)
-	}
-	if took < bodyTotalTimeout || took > 5*time.Second {
-		t.Errorf("trickled body answered after %v, want just past %v", took, bodyTotalTimeout)
-	}
-	if _, err := l.Poly.Files.Get("raw/trickle.csv"); err == nil {
-		t.Error("a body cut off by the whole-body bound was stored")
+	l, srv, routes := bodyRoutes(t, "trickle")
+	for _, rt := range routes {
+		t.Run(strings.TrimPrefix(rt.path, "/v1/"), func(t *testing.T) {
+			// 13 pieces 100 ms apart, 1.2 s in all: each gap is a third
+			// of the per-read bound, the whole twice the whole-body bound.
+			var pieces []string
+			for i := range 13 {
+				pieces = append(pieces, rt.body[i*len(rt.body)/13:(i+1)*len(rt.body)/13])
+			}
+			resp, out, took := sendPieces(t, srv, rt.path, rt.body, pieces, bodyReadTimeout/3)
+			if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(out), `"code":"deadline_exceeded"`) {
+				t.Errorf("trickled body: %d %s, want 504 deadline_exceeded", resp.StatusCode, out)
+			}
+			if !strings.Contains(string(out), "not received within") {
+				t.Errorf("trickled body: message %s, want the whole-body bound", out)
+			}
+			if took < bodyTotalTimeout || took > 5*time.Second {
+				t.Errorf("trickled body answered after %v, want just past %v", took, bodyTotalTimeout)
+			}
+			if _, err := l.Poly.Files.Get("raw/trickle.csv"); err == nil {
+				t.Error("a body cut off by the whole-body bound was stored")
+			}
+		})
 	}
 }
 

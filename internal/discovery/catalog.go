@@ -48,14 +48,14 @@ func NewCatalog() *Catalog {
 	return &Catalog{dict: sketch.NewDict(), byRef: map[metamodel.ColumnRef]uint32{}, byName: map[string]uint32{}}
 }
 
-// add returns a table's id, profiling the columns it does not hold. A
-// column name repeated within a new table holds one slot, with its last
-// column's values.
-func (c *Catalog) add(t *table.Table) uint32 {
+// add returns a table's id, interning the columns it does not hold
+// from their profiles, cols (Profiles). A column name repeated within a
+// new table holds one slot, with its last column's values.
+func (c *Catalog) add(t *table.Table, cols []table.Profile) uint32 {
 	held := c.Has(t.Name)
-	for _, col := range t.Columns {
+	for i, col := range t.Columns {
 		if !held || c.slot(t.Name, col.Name) == sketch.NoSlot {
-			c.setColumn(t.Name, col.Name, col.DistinctSlice())
+			c.setColumn(t.Name, col.Name, cols[i].Distinct)
 		}
 	}
 	return c.addTable(t.Name)
@@ -140,7 +140,7 @@ func (c *Catalog) values(slot uint32, col *table.Column, ids interner) sketch.Se
 	if slot != sketch.NoSlot {
 		return c.cols[slot].values
 	}
-	return ids.Set(col.DistinctSlice())
+	return ids.Set(col.Profile().Distinct)
 }
 
 // slot returns the slot of a table's column, or sketch.NoSlot.

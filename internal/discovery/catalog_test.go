@@ -99,7 +99,7 @@ func (x *catalogIndexes) index(batch []*table.Table, first int, stage bool) erro
 		switch (first + i) % 3 {
 		case 0:
 			if stage {
-				err = x.d3l.Commit(x.d3l.Stage(batch))
+				err = x.d3l.Commit(x.d3l.Stage(batch, Profiles(batch)))
 			} else {
 				err = x.d3l.Index(batch)
 			}

@@ -68,56 +68,50 @@ func (d *D3L) Name() string { return "D3L" }
 
 // Index implements Discoverer: profile every column on the five
 // features and index names and values in LSH.
-func (d *D3L) Index(tables []*table.Table) error { return d.Commit(d.Stage(tables)) }
+func (d *D3L) Index(tables []*table.Table) error { return d.Commit(d.Stage(tables, Profiles(tables))) }
 
 // D3LStaged is a batch of tables profiled by D3L.Stage, waiting for
 // Commit to add it to the index.
 type D3LStaged struct {
-	embed  *embed.Staged
-	batch  []*table.Table
-	tables []string // table of each column
-	cols   []*d3lColumn
+	embed   *embed.Staged
+	batch   []*table.Table
+	listing [][]table.Profile
+	cols    [][]*d3lColumn // by table, then column
 }
 
-// Stage profiles the tables' columns against the index as it stands:
-// signatures, embedding vectors (the model extended by these columns,
-// as it is corpus-trained), format patterns and sorted numeric samples,
-// all from the columns' strings. It writes nothing the index holds, so
-// it may run while readers query the index, but not while anything
-// writes it; Commit the result before the next Stage.
+// Stage profiles the tables' columns for D3L against the index as it
+// stands, from their listing cols (Profiles): signatures, embedding
+// vectors (the model extended by these columns, as it is
+// corpus-trained), format patterns and sorted numeric samples, all from
+// the columns' strings. It writes nothing the index holds, so it may
+// run while readers query the index, but not while anything writes it;
+// Commit the result before the next Stage.
 //
 // Each table is profiled on its own, so the tables are spread over a
 // pool of min(GOMAXPROCS, tables) workers, which also decides the
 // embedding's tokens; one table is profiled on the calling goroutine.
 // Every column lands in its place in table order, so the result is the
 // same at any width.
-func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
-	// first[i] is the index of table i's first column.
-	first := make([]int, len(tables)+1)
-	for i, t := range tables {
-		first[i+1] = first[i] + len(t.Columns)
-	}
-	n := first[len(tables)]
-	s := &D3LStaged{batch: tables, tables: make([]string, n), cols: make([]*d3lColumn, n)}
-	vals, sample := make([][]string, n), make([][]string, n)
-	workers := pool.Size(len(tables))
-	pool.Run(workers, len(tables), func(_, i int) {
-		for j, c := range tables[i].Columns {
-			v := c.DistinctSlice()
-			s.tables[first[i]+j] = tables[i].Name
-			vals[first[i]+j] = v
-			sample[first[i]+j] = capped(v, 200)
+func (d *D3L) Stage(tables []*table.Table, cols [][]table.Profile) *D3LStaged {
+	s := &D3LStaged{batch: tables, listing: cols, cols: make([][]*d3lColumn, len(tables))}
+	var sample [][]string
+	for _, ps := range cols {
+		for _, p := range ps {
+			sample = append(sample, capped(p.Distinct, 200))
 		}
-	})
+	}
+	workers := pool.Size(len(tables))
 	s.embed = d.embedModel.Stage(sample, workers)
 	readers := make([]*embed.Reader, workers)
 	for w := range readers {
 		readers[w] = s.embed.Reader()
 	}
 	pool.Run(workers, len(tables), func(w, i int) {
+		staged := make([]*d3lColumn, len(tables[i].Columns))
 		for j, c := range tables[i].Columns {
-			s.cols[first[i]+j] = d.profileColumn(c, vals[first[i]+j], readers[w])
+			staged[j] = d.profileColumn(c, cols[i][j].Distinct, readers[w])
 		}
+		s.cols[i] = staged
 	})
 	return s
 }
@@ -127,21 +121,23 @@ func (d *D3L) Stage(tables []*table.Table) *D3LStaged {
 // formats interned, and its band hashes go into both LSH indexes.
 func (d *D3L) Commit(s *D3LStaged) error {
 	s.embed.Commit()
-	for _, t := range s.batch {
-		d.cat.add(t)
+	for i, t := range s.batch {
+		d.cat.add(t, s.listing[i])
 	}
-	for i, col := range s.cols {
-		slot := d.cat.slot(s.tables[i], col.name)
-		p := col.intern(d.cat.dict, d.cat.cols[slot].values)
-		for int(slot) >= len(d.profiles) {
-			d.profiles = append(d.profiles, nil)
-		}
-		d.profiles[slot] = p
-		if err := d.nameLSH.Add(slot, p.nameBands); err != nil {
-			return err
-		}
-		if err := d.valueLSH.Add(slot, p.valueBands); err != nil {
-			return err
+	for i, t := range s.batch {
+		for _, col := range s.cols[i] {
+			slot := d.cat.slot(t.Name, col.name)
+			p := col.intern(d.cat.dict, d.cat.cols[slot].values)
+			for int(slot) >= len(d.profiles) {
+				d.profiles = append(d.profiles, nil)
+			}
+			d.profiles[slot] = p
+			if err := d.nameLSH.Add(slot, p.nameBands); err != nil {
+				return err
+			}
+			if err := d.valueLSH.Add(slot, p.valueBands); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -326,7 +322,7 @@ func (d *D3L) queryProfile(tableName string, c *table.Column) *d3lProfile {
 	if p := d.indexed(tableName, c.Name); p != nil {
 		return p
 	}
-	col := d.profileColumn(c, c.DistinctSlice(), d.embedModel)
+	col := d.profileColumn(c, c.Profile().Distinct, d.embedModel)
 	ids := d.cat.dict.Lookup()
 	return col.intern(ids, ids.Set(col.values))
 }

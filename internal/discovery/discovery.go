@@ -13,6 +13,7 @@ package discovery
 
 import (
 	"golake/internal/metamodel"
+	"golake/internal/pool"
 	"golake/internal/sketch"
 	"golake/internal/table"
 )
@@ -56,6 +57,23 @@ type interner interface {
 // Neither writes the model.
 type embedder interface {
 	ColumnVector(values []string) []float64
+}
+
+// Profiles lists every column of the tables once: cols[i][j] profiles
+// tables[i].Columns[j]. The tables are spread over a pool of
+// min(GOMAXPROCS, tables) workers, one table per claim; one table is
+// profiled on the calling goroutine. Every index a build feeds reads
+// these profiles instead of listing a column again.
+func Profiles(tables []*table.Table) [][]table.Profile {
+	cols := make([][]table.Profile, len(tables))
+	pool.Run(pool.Size(len(tables)), len(tables), func(_, i int) {
+		ps := make([]table.Profile, len(tables[i].Columns))
+		for j, c := range tables[i].Columns {
+			ps[j] = c.Profile()
+		}
+		cols[i] = ps
+	})
+	return cols
 }
 
 // capped returns the first n values at most (n <= 0: all), to bound

@@ -180,3 +180,56 @@ func TestJuneauTaskWeighting(t *testing.T) {
 		t.Fatalf("TaskClean ranking = %+v", got)
 	}
 }
+
+// A column name repeated within a table is a candidate key when any of
+// its columns is one, whichever comes first, indexed or on a read path;
+// its key set is then its last column's values, the ones the catalog
+// holds. Only when no copy is a key does the table offer no key.
+func TestJuneauKeyOfRepeatedColumnName(t *testing.T) {
+	unique := []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10"}
+	dup := []string{"1", "1", "2", "2", "3", "3", "4", "4", "5", "5"}
+	build := func(name string, cols ...[]string) *table.Table {
+		t.Helper()
+		header := make([]string, len(cols))
+		rows := make([][]string, len(cols[0]))
+		for i, c := range cols {
+			header[i] = "id"
+			for r, v := range c {
+				rows[r] = append(rows[r], v)
+			}
+		}
+		tb, err := table.FromRows(name, header, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	cand := build("cand", unique)
+	cases := []struct {
+		q    *table.Table
+		want float64
+	}{
+		{build("keyFirst", unique, dup), 1},
+		{build("keyLast", dup, unique), 1},
+		{build("noKey", dup, dup), 0},
+	}
+	j := NewJuneau(NewCatalog(), TaskFeatures)
+	indexed := []*table.Table{cand}
+	for _, c := range cases {
+		indexed = append(indexed, c.q)
+	}
+	if err := j.Index(indexed); err != nil {
+		t.Fatal(err)
+	}
+	cp := j.profiles[j.cat.tableID("cand")]
+	for _, c := range cases {
+		if got := j.signalsFor(j.profiles[j.cat.tableID(c.q.Name)], cp).keyMatch; got != c.want {
+			t.Errorf("%s indexed: key match %v, want %v", c.q.Name, got, c.want)
+		}
+		unindexed := build(c.q.Name+"Read", c.q.Columns[0].Cells, c.q.Columns[1].Cells)
+		qp := j.profileOf(unindexed, Profiles([]*table.Table{unindexed})[0], j.cat.dict.Lookup())
+		if got := j.signalsFor(qp, cp).keyMatch; got != c.want {
+			t.Errorf("%s on a read path: key match %v, want %v", c.q.Name, got, c.want)
+		}
+	}
+}

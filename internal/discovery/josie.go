@@ -37,12 +37,18 @@ func (j *JOSIE) Name() string { return "JOSIE" }
 // Index implements Discoverer: every column of every table becomes one
 // indexed set.
 func (j *JOSIE) Index(tables []*table.Table) error {
-	for _, t := range tables {
-		for _, slot := range j.cat.tables[j.cat.add(t)].slots {
+	j.Add(tables, Profiles(tables))
+	return nil
+}
+
+// Add indexes tables whose columns' profiles are cols (Profiles): every
+// column becomes one indexed set.
+func (j *JOSIE) Add(tables []*table.Table, cols [][]table.Profile) {
+	for i, t := range tables {
+		for _, slot := range j.cat.tables[j.cat.add(t, cols[i])].slots {
 			j.index.Add(slot, j.cat.cols[slot].values)
 		}
 	}
-	return nil
 }
 
 // Remove drops every indexed column of one table — the incremental

@@ -64,10 +64,15 @@ func (j *Juneau) Name() string { return "Juneau" }
 
 // Index implements Discoverer.
 func (j *Juneau) Index(tables []*table.Table) error {
-	for _, t := range tables {
-		j.profiles[j.cat.add(t)] = j.profileOf(t, j.cat.dict)
-	}
+	j.Add(tables, Profiles(tables))
 	return nil
+}
+
+// Add indexes tables whose columns' profiles are cols (Profiles).
+func (j *Juneau) Add(tables []*table.Table, cols [][]table.Profile) {
+	for i, t := range tables {
+		j.profiles[j.cat.add(t, cols[i])] = j.profileOf(t, cols[i], j.cat.dict)
+	}
 }
 
 // Remove drops one table's profile; the catalog keeps the table.
@@ -75,15 +80,15 @@ func (j *Juneau) Remove(tableName string) {
 	delete(j.profiles, j.cat.tableID(tableName))
 }
 
-// profileOf profiles a table, interning through ids: the catalog's
-// Dict when indexing, a Lookup on a read path.
-func (j *Juneau) profileOf(t *table.Table, ids interner) *juneauProfile {
+// profileOf profiles a table whose columns' profiles are cols, interning
+// through ids: the catalog's Dict when indexing, a Lookup on a read path.
+func (j *Juneau) profileOf(t *table.Table, cols []table.Profile, ids interner) *juneauProfile {
 	p := &juneauProfile{name: t.Name, rows: t.NumRows()}
 	slot := make(map[string]int, len(t.Columns))
 	var names []string
 	var isKey []bool
-	totalCells, nullCells := 0, 0
-	for _, c := range t.Columns {
+	nonNull := 0
+	for k, c := range t.Columns {
 		i, seen := slot[c.Name]
 		if !seen {
 			i = len(names)
@@ -93,9 +98,8 @@ func (j *Juneau) profileOf(t *table.Table, ids interner) *juneauProfile {
 			isKey = append(isKey, false)
 		}
 		p.colSets[i] = j.cat.values(j.cat.slot(t.Name, c.Name), c, ids)
-		isKey[i] = isKey[i] || c.IsCandidateKey(0.9)
-		totalCells += c.Len()
-		nullCells += c.NullCount()
+		isKey[i] = isKey[i] || cols[k].IsKey(c.Len(), 0.9)
+		nonNull += cols[k].NonNull
 	}
 	p.colNames = ids.Set(names)
 	for i, key := range isKey {
@@ -103,8 +107,8 @@ func (j *Juneau) profileOf(t *table.Table, ids interner) *juneauProfile {
 			p.keySets = append(p.keySets, p.colSets[i])
 		}
 	}
-	if totalCells > 0 {
-		p.nullFrac = float64(nullCells) / float64(totalCells)
+	if cells := p.rows * len(t.Columns); cells > 0 {
+		p.nullFrac = float64(cells-nonNull) / float64(cells)
 	}
 	var toks []string
 	for _, v := range t.Meta {
@@ -186,7 +190,7 @@ func (j *Juneau) RelatedTablesFor(query *table.Table, task SearchTask, k int) []
 	self := j.cat.tableID(query.Name)
 	qp, ok := j.profiles[self]
 	if !ok {
-		qp = j.profileOf(query, j.cat.dict.Lookup())
+		qp = j.profileOf(query, Profiles([]*table.Table{query})[0], j.cat.dict.Lookup())
 	}
 	var out []metamodel.TableScore
 	for tid, p := range j.profiles {

@@ -93,9 +93,10 @@ func (e *Explorer) reset() {
 	e.juneau = discovery.NewJuneau(e.cat, discovery.TaskAugment)
 }
 
-// Index rebuilds all mode indexes from scratch over the corpus. D3L
-// profiles the tables on a pool of workers (D3L.Stage) while a second
-// lane builds the catalog and JOSIE's postings: profiling reads
+// Index rebuilds all mode indexes from scratch over the corpus. Each
+// column is listed once, on a pool (discovery.Profiles), for every
+// index; D3L then profiles the tables on the pool (D3L.Stage) while a
+// second lane builds the catalog and JOSIE's postings: profiling reads
 // neither. D3L and then Juneau commit after both, in the order Add
 // commits, so every Dict id, LSH bucket and answer is what indexing the
 // tables one lane at a time leaves.
@@ -105,18 +106,17 @@ func (e *Explorer) Index(tables []*table.Table) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.reset()
-	josied := make(chan error, 1)
-	lane := func() { josied <- e.josie.Index(tables) }
+	cols := discovery.Profiles(tables)
+	josied := make(chan struct{})
+	lane := func() { e.josie.Add(tables, cols); close(josied) }
 	if pool.Size(len(tables)) == 1 {
 		lane()
 	} else {
 		go lane()
 	}
-	staged := e.d3l.Stage(tables)
-	if err := <-josied; err != nil {
-		return err
-	}
-	return e.commitLocked(tables, staged)
+	staged := e.d3l.Stage(tables, cols)
+	<-josied
+	return e.commitLocked(tables, cols, staged)
 }
 
 // Add indexes additional tables incrementally — O(new tables) instead
@@ -124,9 +124,9 @@ func (e *Explorer) Index(tables []*table.Table) error {
 // datasets. Tables already indexed are skipped, so a retried pass
 // cannot double-index. The D3L embedding model is corpus-trained;
 // incremental adds extend it without re-embedding older columns, an
-// approximation the next full rebuild squares up. D3L profiles the
-// tables before Add takes the exclusive lock, so queries keep being
-// answered meanwhile.
+// approximation the next full rebuild squares up. Add lists the
+// tables' columns and D3L profiles them before Add takes the exclusive
+// lock, so queries keep being answered meanwhile.
 func (e *Explorer) Add(tables ...*table.Table) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -136,25 +136,22 @@ func (e *Explorer) Add(tables ...*table.Table) error {
 			fresh = append(fresh, t)
 		}
 	}
-	staged := e.d3l.Stage(fresh)
+	cols := discovery.Profiles(fresh)
+	staged := e.d3l.Stage(fresh, cols)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.josie.Index(fresh); err != nil {
-		return err
-	}
-	return e.commitLocked(fresh, staged)
+	e.josie.Add(fresh, cols)
+	return e.commitLocked(fresh, cols, staged)
 }
 
-// commitLocked indexes tables, which JOSIE and the catalog hold and
-// whose D3L profiles are staged, into D3L and Juneau; both locks must
-// be held, e.mu exclusively.
-func (e *Explorer) commitLocked(tables []*table.Table, staged *discovery.D3LStaged) error {
+// commitLocked indexes tables, which JOSIE and the catalog hold, whose
+// columns' profiles are cols and whose D3L profiles are staged, into D3L
+// and Juneau; both locks must be held, e.mu exclusively.
+func (e *Explorer) commitLocked(tables []*table.Table, cols [][]table.Profile, staged *discovery.D3LStaged) error {
 	if err := e.d3l.Commit(staged); err != nil {
 		return err
 	}
-	if err := e.juneau.Index(tables); err != nil {
-		return err
-	}
+	e.juneau.Add(tables, cols)
 	e.indexed = true
 	return nil
 }

@@ -505,13 +505,17 @@ func TestExplorerPinsNoTable(t *testing.T) {
 }
 
 // One Explorer.Add of a fresh table into a 200-table explorer (the
-// default corpus spec): 2 026 allocations (Go 1.24). Each column's
-// distinct values are listed and interned once, into the catalog all
+// default corpus spec): 1 980 allocations (Go 1.24). Each column's
+// distinct values are listed once (discovery.Profiles), for the
+// catalog, D3L and Juneau, and interned once, into the catalog all
 // three indexes read, and the embedding keeps every token's sums, so a
 // Stage copies the touched tokens' sums into one slab and computes
-// their vectors into scratch. With a vector allocated and memoised per
-// touched token it took 2 848; with a dictionary per index as well,
-// JOSIE and Juneau listing and interning every column again, 2 881.
+// their vectors into scratch. One more listing of every column costs
+// 20, so the ceiling sits 19 above the measure. With the catalog and
+// D3L each listing the columns and Juneau's key test building a map of
+// them it took 2 017; with a vector allocated and memoised per touched
+// token, 2 848; with a dictionary per index as well, JOSIE and Juneau
+// listing and interning every column again, 2 881.
 func TestExplorerAddAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -531,8 +535,8 @@ func TestExplorerAddAllocationCeiling(t *testing.T) {
 		}
 		fresh = fresh[1:]
 	})
-	if n > 2168 {
-		t.Errorf("Explorer.Add of one table into %d: %v allocations, want <= 2168", base, n)
+	if n > 1999 {
+		t.Errorf("Explorer.Add of one table into %d: %v allocations, want <= 1999", base, n)
 	}
 }
 

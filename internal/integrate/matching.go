@@ -47,7 +47,7 @@ func MatchColumns(a, b *table.Column, cfg MatchConfig) float64 {
 		ids.Set(sketch.QGrams(a.Name, 3)),
 		ids.Set(sketch.QGrams(b.Name, 3)),
 	) + 0.5*sketch.LevenshteinSim(a.Name, b.Name)
-	instSim := sketch.ExactJaccard(ids.Set(a.DistinctSlice()), ids.Set(b.DistinctSlice()))
+	instSim := sketch.ExactJaccard(ids.Set(a.Profile().Distinct), ids.Set(b.Profile().Distinct))
 	den := cfg.NameWeight + cfg.InstanceWeight
 	if den == 0 {
 		return 0

@@ -90,13 +90,13 @@ func dsProfile(t *table.Table, ids *sketch.Dict) *dsFeatures {
 		if c.Kind.Numeric() {
 			numNumeric++
 		}
-		distinct := c.DistinctSlice()
-		totDistinct += float64(len(distinct))
-		totMeanLen += c.MeanLen()
+		p := c.Profile()
+		totDistinct += float64(len(p.Distinct))
+		totMeanLen += p.MeanLen
 		kinds = append(kinds, c.Kind.String())
 		names = append(names, c.Name)
 		tokens = append(tokens, sketch.Tokenize(c.Name)...)
-		values = append(values, distinct[:min(len(distinct), 100)]...)
+		values = append(values, p.Distinct[:min(len(p.Distinct), 100)]...)
 	}
 	f.attrNames = ids.Set(names)
 	f.attrTokens = ids.Set(tokens)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,16 +290,49 @@ func TestReadCSVStripsByteOrderMark(t *testing.T) {
 	}
 }
 
+// refFirstSeen lists refDistinct's values in the order the cells first
+// hold them.
+func refFirstSeen(c *Column) []string {
+	set := refDistinct(c)
+	var out []string
+	for _, v := range c.Cells {
+		if _, ok := set[v]; ok {
+			out = append(out, v)
+			delete(set, v)
+		}
+	}
+	return out
+}
+
+// TestMeanLenMatchesReferenceOnGeneratedColumns holds Profile, one walk
+// over a column, to the one-walk-per-field references: the distinct
+// values in first-seen order, the non-null count, the mean length, and
+// the candidate-key rule at Juneau's 0.9 coverage against the rule as
+// it stood on the reference's map.
 func TestMeanLenMatchesReferenceOnGeneratedColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	keys, checked := 0, 0
 	check := func(c *Column) {
 		t.Helper()
-		if got, want := c.MeanLen(), refMeanLen(c); got != want {
+		p := c.Profile()
+		if got, want := p.MeanLen, refMeanLen(c); got != want {
 			t.Fatalf("MeanLen = %v, reference %v, cells %q", got, want, c.Cells)
 		}
-		if got, want := len(c.DistinctSlice()), len(refDistinct(c)); got != want {
-			t.Fatalf("len(DistinctSlice) = %d, reference %d, cells %q", got, want, c.Cells)
+		nonNull := c.Len() - refNullCount(c)
+		if p.NonNull != nonNull {
+			t.Fatalf("NonNull = %d, reference %d, cells %q", p.NonNull, nonNull, c.Cells)
 		}
+		if want := refFirstSeen(c); !slices.Equal(p.Distinct, want) {
+			t.Fatalf("Distinct = %q, reference %q, cells %q", p.Distinct, want, c.Cells)
+		}
+		wantKey := nonNull > 0 && len(refDistinct(c)) == nonNull && float64(nonNull)/float64(c.Len()) >= 0.9
+		if got := p.IsKey(c.Len(), 0.9); got != wantKey {
+			t.Fatalf("IsKey = %v, reference %v, cells %q", got, wantKey, c.Cells)
+		}
+		if wantKey {
+			keys++
+		}
+		checked++
 	}
 	for i := 0; i < 2000; i++ {
 		c := &Column{Name: "c", Cells: genColumn(rng, rng.Intn(130))}
@@ -319,4 +353,7 @@ func TestMeanLenMatchesReferenceOnGeneratedColumns(t *testing.T) {
 		check(c)
 	}
 	check(&Column{Name: "empty"})
+	if keys == 0 || keys == checked {
+		t.Fatalf("%d of %d columns are keys: the rule is checked on one side only", keys, checked)
+	}
 }

@@ -72,59 +72,35 @@ type Column struct {
 // Len returns the number of cells (including nulls).
 func (c *Column) Len() int { return len(c.Cells) }
 
-// NullCount returns the number of null cells.
-func (c *Column) NullCount() int {
-	n := 0
-	for _, v := range c.Cells {
-		if isNullToken(v) {
-			n++
-		}
-	}
-	return n
+// Profile is what one walk over a column finds: its distinct non-null
+// values in first-seen order, how many of its cells are not null, and
+// their mean length (0 when there are none).
+type Profile struct {
+	Distinct []string
+	NonNull  int
+	MeanLen  float64
 }
 
-// MeanLen returns the mean string length of the non-null cells (0 when
-// there are none), in one walk over them.
-func (c *Column) MeanLen() float64 {
-	total, nonNull := 0, 0
-	for _, v := range c.Cells {
-		if !isNullToken(v) {
-			total += len(v)
-			nonNull++
-		}
-	}
-	if nonNull == 0 {
-		return 0
-	}
-	return float64(total) / float64(nonNull)
-}
-
-// Distinct returns the set of distinct non-null cell values.
-func (c *Column) Distinct() map[string]struct{} {
-	set := make(map[string]struct{}, len(c.Cells))
-	for _, v := range c.Cells {
-		if !isNullToken(v) {
-			set[v] = struct{}{}
-		}
-	}
-	return set
-}
-
-// DistinctSlice returns distinct non-null values in first-seen order.
-func (c *Column) DistinctSlice() []string {
+// Profile walks the column once.
+func (c *Column) Profile() Profile {
 	seen := make(map[string]struct{}, len(c.Cells))
-	out := make([]string, 0, len(c.Cells))
+	p := Profile{Distinct: make([]string, 0, len(c.Cells))}
+	total := 0
 	for _, v := range c.Cells {
 		if isNullToken(v) {
 			continue
 		}
-		if _, ok := seen[v]; ok {
-			continue
+		p.NonNull++
+		total += len(v)
+		if _, ok := seen[v]; !ok {
+			seen[v] = struct{}{}
+			p.Distinct = append(p.Distinct, v)
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
 	}
-	return out
+	if p.NonNull > 0 {
+		p.MeanLen = float64(total) / float64(p.NonNull)
+	}
+	return p
 }
 
 // Floats returns the numeric interpretation of all non-null cells,
@@ -148,19 +124,15 @@ func (c *Column) Floats() ([]float64, float64) {
 	return out, float64(len(out)) / float64(nonNull)
 }
 
-// IsCandidateKey reports whether the column's non-null values are unique
-// and cover at least minCoverage of the rows. Juneau uses this signal
-// to detect primary-key / foreign-key candidates.
-func (c *Column) IsCandidateKey(minCoverage float64) bool {
-	if c.Len() == 0 {
+// IsKey reports whether the profiled column, of rows cells, is a
+// candidate key: its non-null values are unique and cover at least
+// minCoverage of the rows. Juneau uses this signal to detect
+// primary-key / foreign-key candidates.
+func (p Profile) IsKey(rows int, minCoverage float64) bool {
+	if p.NonNull == 0 || len(p.Distinct) != p.NonNull {
 		return false
 	}
-	distinct := c.Distinct()
-	nonNull := c.Len() - c.NullCount()
-	if nonNull == 0 || len(distinct) != nonNull {
-		return false
-	}
-	return float64(nonNull)/float64(c.Len()) >= minCoverage
+	return float64(p.NonNull)/float64(rows) >= minCoverage
 }
 
 // Table is a named collection of equally long columns.

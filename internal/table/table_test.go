@@ -82,31 +82,31 @@ func TestInferKindTolerance(t *testing.T) {
 
 func TestColumnNullsAndDistinct(t *testing.T) {
 	c := &Column{Name: "x", Cells: []string{"a", "", "a", "NULL", "b", "n/a"}}
-	if got := c.NullCount(); got != 3 {
-		t.Errorf("NullCount = %d, want 3", got)
+	p := c.Profile()
+	if p.NonNull != 3 {
+		t.Errorf("NonNull = %d, want 3", p.NonNull)
 	}
-	d := c.Distinct()
-	if len(d) != 2 {
-		t.Errorf("Distinct size = %d, want 2", len(d))
-	}
-	ds := c.DistinctSlice()
-	if len(ds) != 2 || ds[0] != "a" || ds[1] != "b" {
-		t.Errorf("DistinctSlice = %v, want [a b]", ds)
+	if len(p.Distinct) != 2 || p.Distinct[0] != "a" || p.Distinct[1] != "b" {
+		t.Errorf("Distinct = %v, want [a b]", p.Distinct)
 	}
 }
 
 func TestCandidateKey(t *testing.T) {
-	key := &Column{Name: "id", Cells: []string{"1", "2", "3", "4"}}
-	if !key.IsCandidateKey(0.9) {
+	isKey := func(cells ...string) bool {
+		c := &Column{Name: "id", Cells: cells}
+		return c.Profile().IsKey(c.Len(), 0.9)
+	}
+	if !isKey("1", "2", "3", "4") {
 		t.Error("unique column should be a candidate key")
 	}
-	dup := &Column{Name: "id", Cells: []string{"1", "2", "2", "4"}}
-	if dup.IsCandidateKey(0.9) {
+	if isKey("1", "2", "2", "4") {
 		t.Error("column with duplicates should not be a candidate key")
 	}
-	sparse := &Column{Name: "id", Cells: []string{"1", "", "", ""}}
-	if sparse.IsCandidateKey(0.9) {
+	if isKey("1", "", "", "") {
 		t.Error("mostly-null column should not be a candidate key")
+	}
+	if isKey() {
+		t.Error("empty column should not be a candidate key")
 	}
 }
 
@@ -142,14 +142,15 @@ func TestCloneIsDeep(t *testing.T) {
 func TestProfileNumeric(t *testing.T) {
 	tbl := mustTable(t, "v\n1\n2\n30\nNA\n")
 	c, _ := tbl.Column("v")
-	if c.Name != "v" || c.Kind != KindInt || c.Len() != 4 || c.NullCount() != 1 {
-		t.Errorf("column = %s %v len=%d nulls=%d, want v int len=4 nulls=1",
-			c.Name, c.Kind, c.Len(), c.NullCount())
+	p := c.Profile()
+	if c.Name != "v" || c.Kind != KindInt || c.Len() != 4 || p.NonNull != 3 {
+		t.Errorf("column = %s %v len=%d non-null=%d, want v int len=4 non-null=3",
+			c.Name, c.Kind, c.Len(), p.NonNull)
 	}
-	if d := len(c.DistinctSlice()); d != 3 {
+	if d := len(p.Distinct); d != 3 {
 		t.Errorf("distinct = %d, want 3", d)
 	}
-	if m := c.MeanLen(); m != 4.0/3 {
+	if m := p.MeanLen; m != 4.0/3 {
 		t.Errorf("MeanLen = %v, want %v", m, 4.0/3)
 	}
 }
@@ -157,17 +158,18 @@ func TestProfileNumeric(t *testing.T) {
 func TestProfileStringColumn(t *testing.T) {
 	tbl := mustTable(t, "s\nfoo\nbar\nfoo\n")
 	c, _ := tbl.Column("s")
-	if d := len(c.DistinctSlice()); d != 2 {
+	p := c.Profile()
+	if d := len(p.Distinct); d != 2 {
 		t.Errorf("distinct = %d, want 2", d)
 	}
-	if m := c.MeanLen(); m != 3 {
+	if m := p.MeanLen; m != 3 {
 		t.Errorf("MeanLen = %v, want 3", m)
 	}
 }
 
 func TestColumnMeanLenAllNull(t *testing.T) {
 	tbl := mustTable(t, "s\nNA\n-\n")
-	if m := tbl.Columns[0].MeanLen(); m != 0 {
+	if m := tbl.Columns[0].Profile().MeanLen; m != 0 {
 		t.Errorf("MeanLen of an all-null column = %v, want 0", m)
 	}
 }

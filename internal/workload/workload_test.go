@@ -54,7 +54,7 @@ func TestCorpusKeyOverlapMatchesGroundTruth(t *testing.T) {
 			ka, _ := a.Column(c.KeyColumn[a.Name])
 			kb, _ := b.Column(c.KeyColumn[b.Name])
 			ids := sketch.NewDict()
-			ov := sketch.Overlap(ids.Set(ka.DistinctSlice()), ids.Set(kb.DistinctSlice()))
+			ov := sketch.Overlap(ids.Set(ka.Profile().Distinct), ids.Set(kb.Profile().Distinct))
 			if c.Joinable[NewPair(a.Name, b.Name)] {
 				sameOverlap += ov
 				if ov == 0 {

@@ -59,6 +59,7 @@ var reachAllow = map[string]string{
 	"discovery.D3L.Name":             "discovery.Discoverer, which the discovery referees index and rank through",
 	"discovery.D3L.Index":            "discovery.Discoverer, which the discovery referees index and rank through",
 	"discovery.JOSIE.Name":           "discovery.Discoverer, which the discovery referees index and rank through",
+	"discovery.Juneau.Index":         "discovery.Discoverer, which the discovery referees index and rank through",
 	"discovery.Juneau.Name":          "discovery.Discoverer, which the discovery referees index and rank through",
 	"discovery.Juneau.RelatedTables": "discovery.Discoverer, which the discovery referees index and rank through",
 	"discovery.D3L.JoinableColumns":  "discovery.JoinSearcher: the golden file pins its answers",
