@@ -39,8 +39,15 @@ type DiscoveredConstraint struct {
 // discovering possible schemata from the data and corresponding
 // constraints".
 func DiscoverConstraints(t *table.Table, minConfidence float64) []DiscoveredConstraint {
+	return ConstraintsOf(enrich.DiscoverRFDs(t, minConfidence))
+}
+
+// ConstraintsOf turns discovered relaxed FDs into functional denial
+// constraints, in their order, for a caller that has discovered them
+// already.
+func ConstraintsOf(rfds []enrich.RFD) []DiscoveredConstraint {
 	var out []DiscoveredConstraint
-	for _, rfd := range enrich.DiscoverRFDs(t, minConfidence) {
+	for _, rfd := range rfds {
 		out = append(out, DiscoveredConstraint{
 			Determinant: rfd.Lhs,
 			Dependent:   rfd.Rhs,

@@ -941,27 +941,35 @@ func (l *Lake) incrementalPass(ctx context.Context, corpusSize int, fresh []*tab
 
 // profileStages runs a pass's per-dataset stages over tables, one stage
 // after the other so each is timed once: DS-kNN categorisation, relaxed
-// FD discovery, and the CLAMS cleaning triage. It fills the report's
-// columns, categories, RFDs and violations.
+// FD discovery, and the CLAMS cleaning triage. A table's RFDs are
+// discovered once, at the lower of the two confidences: the report
+// keeps those at rfdMinConfidence, and CLAMS counts the violations of
+// all of them. It fills the report's columns, categories, RFDs and
+// violations.
 func (l *Lake) profileStages(ctx context.Context, rep *MaintenanceReport, knn *organize.DSKNN, tables []*table.Table) error {
+	constraints := make([][]clean.DiscoveredConstraint, len(tables))
 	stages := []struct {
 		name string
-		run  func(t *table.Table)
+		run  func(i int, t *table.Table)
 	}{
-		{"knn", func(t *table.Table) {
+		{"knn", func(_ int, t *table.Table) {
 			knn.Add(t)
 			rep.IndexedCols += t.NumCols()
 		}},
-		{"rfd", func(t *table.Table) { rep.RFDs = append(rep.RFDs, enrich.DiscoverRFDs(t, rfdMinConfidence)...) }},
-		{"clams", func(t *table.Table) { rep.CleanViolations += cleanViolations(t) }},
+		{"rfd", func(i int, t *table.Table) {
+			report, all := enrich.DiscoverRFDsAt(t, rfdMinConfidence, clamsMinConfidence)
+			rep.RFDs = append(rep.RFDs, report...)
+			constraints[i] = clean.ConstraintsOf(all)
+		}},
+		{"clams", func(i int, t *table.Table) { rep.CleanViolations += clean.CountViolations(t, constraints[i]) }},
 	}
 	for _, st := range stages {
 		err := l.timeStage(st.name, func() error {
-			for _, t := range tables {
+			for i, t := range tables {
 				if err := ctxErr(ctx); err != nil {
 					return err
 				}
-				st.run(t)
+				st.run(i, t)
 			}
 			return nil
 		})
@@ -1009,14 +1017,18 @@ func (l *Lake) promotePaths(ctx context.Context, paths []string) error {
 }
 
 // rfdMinConfidence is the confidence a relaxed FD needs to enter a
-// maintenance report.
-const rfdMinConfidence = 0.95
+// maintenance report; clamsMinConfidence the one it needs to become a
+// CLAMS constraint.
+const (
+	rfdMinConfidence   = 0.95
+	clamsMinConfidence = 0.9
+)
 
 // cleanViolations runs the CLAMS cleaning-function triage over one
 // dataset: discover functional denial constraints from the data and
 // count the triples violating them.
 func cleanViolations(t *table.Table) int {
-	return clean.CountViolations(t, clean.DiscoverConstraints(t, 0.9))
+	return clean.CountViolations(t, clean.DiscoverConstraints(t, clamsMinConfidence))
 }
 
 // MaintenanceStatus snapshots the maintenance subsystem: pass counters

@@ -258,10 +258,11 @@ func TestJoinableColumnsAttributeDottedColumns(t *testing.T) {
 }
 
 // D3L.RelatedTables of an indexed table on the 60-table golden-corpus
-// spec: 15 allocations (Go 1.24) — the per-call table scores and slot
-// marks, the candidate and seen lists as they grow, the answer. With
-// candidates as "table.column" keys, sorted as strings, and the scores
-// in two string-keyed maps, it took 56.
+// spec: 1 allocation (Go 1.24), the answer. The table scores, slot
+// marks, candidate and seen lists and the query column's probes come
+// from a pool; made per call, they took 15. With candidates as
+// "table.column" keys, sorted as strings, and the scores in two
+// string-keyed maps, it took 56.
 func TestD3LRelatedTablesAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -281,8 +282,39 @@ func TestD3LRelatedTablesAllocationCeiling(t *testing.T) {
 			t.Fatalf("RelatedTables(%s) found nothing", q.Name)
 		}
 	})
-	if n > 20 {
-		t.Errorf("D3L.RelatedTables on %d tables: %v allocations, want <= 20", len(c.Tables), n)
+	if n > 5 {
+		t.Errorf("D3L.RelatedTables on %d tables: %v allocations, want <= 5", len(c.Tables), n)
+	}
+}
+
+// Juneau.RelatedTablesFor of an indexed table on the 60-table
+// golden-corpus spec, in all three tasks: 21 allocations (Go 1.24), as
+// at the parent, which scored by merge walks: the answers as they grow.
+// Its probes come from a pool; preparing them in a fresh scratch per
+// call took 46.
+func TestJuneauRelatedTablesAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	spec := workload.DefaultSpec()
+	spec.NumTables, spec.JoinGroups, spec.Seed = 60, 8, 23
+	c := workload.GenerateCorpus(spec)
+	j := NewJuneau(NewCatalog(), TaskAugment)
+	if err := j.Index(c.Tables); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	n := testing.AllocsPerRun(50, func() {
+		q := c.Tables[next%len(c.Tables)]
+		next += 7
+		for _, task := range []SearchTask{TaskAugment, TaskFeatures, TaskClean} {
+			if len(j.RelatedTablesFor(q, task, 5)) == 0 {
+				t.Fatalf("RelatedTablesFor(%s, %d) found nothing", q.Name, task)
+			}
+		}
+	})
+	if n > 30 {
+		t.Errorf("Juneau.RelatedTablesFor in three tasks on %d tables: %v allocations, want <= 30", len(c.Tables), n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"golake/internal/embed"
 	"golake/internal/metamodel"
@@ -46,8 +47,9 @@ type d3lProfile struct {
 	nameBands  []uint64
 	valueBands []uint64
 	vector     []float64
+	norm       float64 // sketch.Norm(vector)
 	formats    sketch.Set
-	numeric    []float64 // sorted, for KolmogorovSmirnov
+	numeric    sketch.CDF // the numeric sample's steps, when isNumeric
 	isNumeric  bool
 }
 
@@ -82,7 +84,7 @@ type D3LStaged struct {
 // Stage profiles the tables' columns for D3L against the index as it
 // stands, from their listing cols (Profiles): signatures, embedding
 // vectors (the model extended by these columns, as it is
-// corpus-trained), format patterns and sorted numeric samples, all from
+// corpus-trained), format patterns and numeric samples' CDF steps, all from
 // the columns' strings. It writes nothing the index holds, so it may
 // run while readers query the index, but not while anything writes it;
 // Commit the result before the next Stage.
@@ -169,7 +171,8 @@ type d3lColumn struct {
 	grams, values, patterns []string
 	nameBands, valueBands   []uint64
 	vector                  []float64
-	numeric                 []float64
+	norm                    float64
+	numeric                 sketch.CDF
 	isNumeric               bool
 }
 
@@ -179,26 +182,43 @@ type d3lColumn struct {
 // it only reads.
 func (d *D3L) profileColumn(c *table.Column, vals []string, vecs embedder) *d3lColumn {
 	col := &d3lColumn{
-		name:     c.Name,
-		grams:    sketch.QGrams(c.Name, 3),
-		values:   vals,
-		vector:   vecs.ColumnVector(capped(vals, 100)),
-		patterns: make([]string, len(capped(vals, 200))),
+		name:   c.Name,
+		grams:  sketch.QGrams(c.Name, 3),
+		values: vals,
+		vector: vecs.ColumnVector(capped(vals, 100)),
 	}
+	col.norm = sketch.Norm(col.vector)
 	col.nameBands = d.nameLSH.Bands(sketch.NewMinHash(d.nameLSH.SignatureLen(), col.grams))
 	col.valueBands = d.valueLSH.Bands(sketch.NewMinHash(d.valueLSH.SignatureLen(), vals))
-	for i := range col.patterns {
-		col.patterns[i] = sketch.RegexPattern(vals[i])
-	}
+	col.patterns = distinctPatterns(capped(vals, 200))
 	if c.Kind.Numeric() {
 		xs, frac := c.Floats()
 		if frac > 0.5 {
 			sort.Float64s(xs)
-			col.numeric = xs
+			col.numeric = sketch.NewCDF(xs)
 			col.isNumeric = true
 		}
 	}
 	return col
+}
+
+// distinctPatterns returns the distinct format patterns of vals in
+// first-seen order, one string each: a Dict or Lookup hands them the
+// ids it would hand the pattern of every value, so the Set is the same.
+func distinctPatterns(vals []string) []string {
+	var out []string
+	buf := make([]byte, 0, 64)
+next:
+	for _, v := range vals {
+		buf = sketch.AppendRegexPattern(buf[:0], v)
+		for _, p := range out {
+			if p == string(buf) {
+				continue next
+			}
+		}
+		out = append(out, string(buf))
+	}
+	return out
 }
 
 // intern builds the column's profile: Commit passes the catalog's Dict
@@ -210,18 +230,36 @@ func (col *d3lColumn) intern(ids interner, values sketch.Set) *d3lProfile {
 		nameBands:  col.nameBands,
 		valueBands: col.valueBands,
 		vector:     col.vector,
+		norm:       col.norm,
 		formats:    ids.Set(col.patterns),
 		numeric:    col.numeric,
 		isNumeric:  col.isNumeric,
 	}
 }
 
-// featureDistances returns the 5 per-feature distances in [0,1].
-func featureDistances(a, b *d3lProfile) [5]float64 {
+// d3lQuery is a query column prepared to be scored against many
+// candidates: its profile, and probes over its name q-grams and its
+// values.
+type d3lQuery struct {
+	p             *d3lProfile
+	names, values sketch.Probe
+}
+
+// reset prepares p as the query column.
+func (q *d3lQuery) reset(p *d3lProfile) {
+	q.p = p
+	q.names.Reset(p.nameGrams)
+	q.values.Reset(p.values)
+}
+
+// features returns the 5 per-feature distances in [0,1] from the query
+// column to b.
+func (q *d3lQuery) features(b *d3lProfile) [5]float64 {
+	a := q.p
 	var out [5]float64
-	out[0] = 1 - sketch.ExactJaccard(a.nameGrams, b.nameGrams)
-	out[1] = 1 - sketch.ExactJaccard(a.values, b.values)
-	cos := sketch.Cosine(a.vector, b.vector)
+	out[0] = 1 - q.names.Jaccard(b.nameGrams)
+	out[1] = 1 - q.values.Jaccard(b.values)
+	cos := sketch.Cosine(a.vector, b.vector, a.norm, b.norm)
 	if cos < 0 {
 		cos = 0
 	}
@@ -237,11 +275,10 @@ func featureDistances(a, b *d3lProfile) [5]float64 {
 	return out
 }
 
-// Distance is the combined weighted Euclidean distance between two
-// indexed columns, normalized by the weight mass so trained and uniform
-// weights stay comparable.
-func (d *D3L) Distance(a, b *d3lProfile) float64 {
-	f := featureDistances(a, b)
+// distance combines a column pair's feature distances f into their
+// weighted Euclidean distance, normalized by the weight mass so trained
+// and uniform weights stay comparable.
+func (d *D3L) distance(f [5]float64) float64 {
 	var ss, wsum float64
 	for i, w := range d.Weights {
 		ss += w * f[i] * f[i]
@@ -253,26 +290,52 @@ func (d *D3L) Distance(a, b *d3lProfile) float64 {
 	return math.Sqrt(ss / wsum * 5)
 }
 
+// d3lScratch is one read's working state: the prepared query column, the
+// per-table scores and slot marks, and the candidate and seen lists. A
+// read takes one from d3lScratches and puts it back, so readers that
+// share the explorer's lock never share one.
+type d3lScratch struct {
+	query       d3lQuery
+	acc         []d3lTableScore
+	marks       []bool
+	cands, seen []uint32
+}
+
+var d3lScratches = sync.Pool{New: func() any { return new(d3lScratch) }}
+
+// zeroed returns s resized to n zero values, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // RelatedTables implements Discoverer: candidate columns come from the
 // two LSH indexes; a candidate table's score is the mean, over query
 // columns, of 1 - minimal distance to any of its columns.
 func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
+	s := d3lScratches.Get().(*d3lScratch)
+	defer d3lScratches.Put(s)
 	self := d.cat.tableID(query.Name)
 	// acc is indexed by table id; seen lists the ids that have a score,
 	// in the order they were first seen.
-	acc := make([]d3lTableScore, len(d.cat.tables))
-	marks := make([]bool, len(d.cat.cols))
-	var seen, cands []uint32
+	s.acc = zeroed(s.acc, len(d.cat.tables))
+	s.marks = zeroed(s.marks, len(d.cat.cols))
+	acc, seen := s.acc, s.seen[:0]
 	for ci, c := range query.Columns {
-		qp := d.queryProfile(query.Name, c)
+		s.query.reset(d.queryProfile(query.Name, c))
 		col := int32(ci + 1)
-		cands = d.candidates(cands[:0], marks, qp)
-		for _, slot := range cands {
+		s.cands = d.candidates(s.cands[:0], s.marks, s.query.p)
+		for _, slot := range s.cands {
 			tid := d.cat.cols[slot].table
 			if tid == self {
 				continue
 			}
-			dist := d.Distance(qp, d.profiles[slot])
+			dist := d.distance(s.query.features(d.profiles[slot]))
 			if dist > d.MaxDistance {
 				continue
 			}
@@ -289,6 +352,7 @@ func (d *D3L) RelatedTables(query *table.Table, k int) []metamodel.TableScore {
 			}
 		}
 	}
+	s.seen = seen
 	out := make([]metamodel.TableScore, len(seen))
 	for i, tid := range seen {
 		a := &acc[tid]
@@ -353,15 +417,20 @@ func (d *D3L) JoinableColumns(query *table.Table, column string, k int) ([]Colum
 	if err != nil {
 		return nil, err
 	}
+	s := d3lScratches.Get().(*d3lScratch)
+	defer d3lScratches.Put(s)
 	self := d.cat.tableID(query.Name)
 	qp := d.queryProfile(query.Name, c)
+	s.query.values.Reset(qp.values)
+	s.marks = zeroed(s.marks, len(d.cat.cols))
+	s.cands = d.candidates(s.cands[:0], s.marks, qp)
 	var out []ColumnMatch
-	for _, slot := range d.candidates(nil, make([]bool, len(d.cat.cols)), qp) {
+	for _, slot := range s.cands {
 		col := d.cat.cols[slot]
 		if col.table == self {
 			continue
 		}
-		sim := sketch.ExactJaccard(qp.values, d.profiles[slot].values)
+		sim := s.query.values.Jaccard(d.profiles[slot].values)
 		if sim <= 0 {
 			continue
 		}

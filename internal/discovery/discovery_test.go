@@ -223,12 +223,12 @@ func TestJuneauKeyOfRepeatedColumnName(t *testing.T) {
 	}
 	cp := j.profiles[j.cat.tableID("cand")]
 	for _, c := range cases {
-		if got := j.signalsFor(j.profiles[j.cat.tableID(c.q.Name)], cp).keyMatch; got != c.want {
+		if got := querySignals(j.profiles[j.cat.tableID(c.q.Name)], cp).keyMatch; got != c.want {
 			t.Errorf("%s indexed: key match %v, want %v", c.q.Name, got, c.want)
 		}
 		unindexed := build(c.q.Name+"Read", c.q.Columns[0].Cells, c.q.Columns[1].Cells)
 		qp := j.profileOf(unindexed, Profiles([]*table.Table{unindexed})[0], j.cat.dict.Lookup())
-		if got := j.signalsFor(qp, cp).keyMatch; got != c.want {
+		if got := querySignals(qp, cp).keyMatch; got != c.want {
 			t.Errorf("%s on a read path: key match %v, want %v", c.q.Name, got, c.want)
 		}
 	}

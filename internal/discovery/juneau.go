@@ -2,6 +2,8 @@ package discovery
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"golake/internal/metamodel"
 	"golake/internal/sketch"
@@ -97,7 +99,13 @@ func (j *Juneau) profileOf(t *table.Table, cols []table.Profile, ids interner) *
 			p.colSets = append(p.colSets, nil)
 			isKey = append(isKey, false)
 		}
-		p.colSets[i] = j.cat.values(j.cat.slot(t.Name, c.Name), c, ids)
+		// A column the catalog holds keeps its Set there; another's is
+		// built from its listing, not by listing it again.
+		if slot := j.cat.slot(t.Name, c.Name); slot != sketch.NoSlot {
+			p.colSets[i] = j.cat.cols[slot].values
+		} else {
+			p.colSets[i] = ids.Set(cols[k].Distinct)
+		}
 		isKey[i] = isKey[i] || cols[k].IsKey(c.Len(), 0.9)
 		nonNull += cols[k].NonNull
 	}
@@ -130,33 +138,63 @@ type juneauSignals struct {
 	nullImprovement float64 // positive when candidate has fewer nulls
 }
 
-func (j *Juneau) signalsFor(q, c *juneauProfile) juneauSignals {
+// juneauQuery is a query table's profile prepared to be scored against
+// every indexed table: one probe over each of its column Sets and one
+// over each of its key Sets. A read takes one from juneauQueries and
+// puts it back, so readers that share the explorer's lock never share
+// one.
+type juneauQuery struct {
+	p          *juneauProfile
+	cols, keys []sketch.Probe
+}
+
+var juneauQueries = sync.Pool{New: func() any { return new(juneauQuery) }}
+
+// reset prepares p as the query.
+func (q *juneauQuery) reset(p *juneauProfile) {
+	q.p = p
+	q.cols = probes(q.cols, p.colSets)
+	q.keys = probes(q.keys, p.keySets)
+}
+
+// probes returns ps resized to one probe per Set, each reset to its Set.
+func probes(ps []sketch.Probe, sets []sketch.Set) []sketch.Probe {
+	ps = slices.Grow(ps[:0], len(sets))[:len(sets)]
+	for i, s := range sets {
+		ps[i].Reset(s)
+	}
+	return ps
+}
+
+// signals computes the raw relatedness signals between the query and a
+// candidate profile.
+func (q *juneauQuery) signals(c *juneauProfile) juneauSignals {
 	var s juneauSignals
-	s.schemaOverlap = sketch.ExactJaccard(q.colNames, c.colNames)
+	s.schemaOverlap = sketch.ExactJaccard(q.p.colNames, c.colNames)
 	// Best instance overlap across shared or all column pairs.
-	for _, qs := range q.colSets {
+	for i := range q.cols {
 		for _, cs := range c.colSets {
-			if sim := sketch.ExactJaccard(qs, cs); sim > s.instanceOverlap {
+			if sim := q.cols[i].Jaccard(cs); sim > s.instanceOverlap {
 				s.instanceOverlap = sim
 			}
 		}
 	}
-	for _, qk := range q.keySets {
+	for i := range q.keys {
 		for _, ck := range c.keySets {
-			if sketch.Containment(qk, ck) >= 0.3 {
+			if q.keys[i].Containment(ck) >= 0.3 {
 				s.keyMatch = 1
 			}
 		}
 	}
 	if len(c.colNames) > 0 {
-		newAttrs := len(c.colNames) - sketch.Overlap(c.colNames, q.colNames)
+		newAttrs := len(c.colNames) - sketch.Overlap(c.colNames, q.p.colNames)
 		s.newAttrRate = float64(newAttrs) / float64(len(c.colNames))
 	}
-	if c.rows > q.rows {
-		s.newInstanceRate = math.Min(1, float64(c.rows-q.rows)/float64(q.rows+1))
+	if c.rows > q.p.rows {
+		s.newInstanceRate = math.Min(1, float64(c.rows-q.p.rows)/float64(q.p.rows+1))
 	}
-	s.metaSim = sketch.ExactJaccard(q.metaToks, c.metaToks)
-	s.nullImprovement = math.Max(0, q.nullFrac-c.nullFrac)
+	s.metaSim = sketch.ExactJaccard(q.p.metaToks, c.metaToks)
+	s.nullImprovement = math.Max(0, q.p.nullFrac-c.nullFrac)
 	return s
 }
 
@@ -192,12 +230,15 @@ func (j *Juneau) RelatedTablesFor(query *table.Table, task SearchTask, k int) []
 	if !ok {
 		qp = j.profileOf(query, Profiles([]*table.Table{query})[0], j.cat.dict.Lookup())
 	}
+	q := juneauQueries.Get().(*juneauQuery)
+	defer juneauQueries.Put(q)
+	q.reset(qp)
 	var out []metamodel.TableScore
 	for tid, p := range j.profiles {
 		if tid == self {
 			continue
 		}
-		if s := score(j.signalsFor(qp, p), task); s > 0 {
+		if s := score(q.signals(p), task); s > 0 {
 			out = append(out, metamodel.TableScore{Table: p.name, Score: s})
 		}
 	}

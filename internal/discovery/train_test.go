@@ -25,6 +25,7 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 		y float64
 	}
 	var data []example
+	var q d3lQuery
 	for _, p := range pairs {
 		a, b := d.indexed(p.A.Table, p.A.Column), d.indexed(p.B.Table, p.B.Column)
 		if a == nil || b == nil {
@@ -34,7 +35,8 @@ func (d *D3L) Train(pairs []LabeledPair, epochs int, lr float64) int {
 		if p.Related {
 			y = 1
 		}
-		data = append(data, example{f: featureDistances(a, b), y: y})
+		q.reset(a)
+		data = append(data, example{f: q.features(b), y: y})
 	}
 	if len(data) == 0 {
 		return 0

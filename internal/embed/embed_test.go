@@ -29,6 +29,9 @@ func (m *Model) Vector(value string) []float64 {
 	return out
 }
 
+// cosine is sketch.Cosine over the vectors' own norms.
+func cosine(a, b []float64) float64 { return sketch.Cosine(a, b, sketch.Norm(a), sketch.Norm(b)) }
+
 func TestSameDomainValuesEmbedClose(t *testing.T) {
 	m := NewModel(64)
 	colors := []string{"red", "green", "blue", "red", "green"}
@@ -41,8 +44,8 @@ func TestSameDomainValuesEmbedClose(t *testing.T) {
 	// Mixed column to give shared context noise.
 	m.AddColumn([]string{"red", "berlin"})
 
-	sameDomain := sketch.Cosine(m.Vector("red"), m.Vector("green"))
-	crossDomain := sketch.Cosine(m.Vector("red"), m.Vector("paris"))
+	sameDomain := cosine(m.Vector("red"), m.Vector("green"))
+	crossDomain := cosine(m.Vector("red"), m.Vector("paris"))
 	if sameDomain <= crossDomain {
 		t.Errorf("same-domain sim %v should exceed cross-domain sim %v", sameDomain, crossDomain)
 	}
@@ -51,7 +54,7 @@ func TestSameDomainValuesEmbedClose(t *testing.T) {
 func TestIdenticalValuesMaxSimilarity(t *testing.T) {
 	m := NewModel(32)
 	m.AddColumn([]string{"alpha", "beta"})
-	if got := sketch.Cosine(m.Vector("alpha"), m.Vector("alpha")); math.Abs(got-1) > 1e-9 {
+	if got := cosine(m.Vector("alpha"), m.Vector("alpha")); math.Abs(got-1) > 1e-9 {
 		t.Errorf("self similarity = %v, want 1", got)
 	}
 }
@@ -60,11 +63,11 @@ func TestUnknownTokensAreDeterministic(t *testing.T) {
 	m := NewModel(32)
 	v1 := m.Vector("never-seen-token")
 	v2 := m.Vector("never-seen-token")
-	if got := sketch.Cosine(v1, v2); math.Abs(got-1) > 1e-9 {
+	if got := cosine(v1, v2); math.Abs(got-1) > 1e-9 {
 		t.Errorf("unknown token not deterministic: cos = %v", got)
 	}
 	other := m.Vector("different-unknown")
-	if got := sketch.Cosine(v1, other); got > 0.9 {
+	if got := cosine(v1, other); got > 0.9 {
 		t.Errorf("different unknown tokens too similar: %v", got)
 	}
 }
@@ -93,8 +96,8 @@ func TestColumnVectorSimilarColumnsAlign(t *testing.T) {
 		m.AddColumn(fruits2)
 		m.AddColumn(nums)
 	}
-	simFruit := sketch.Cosine(m.ColumnVector(fruits1), m.ColumnVector(fruits2))
-	simCross := sketch.Cosine(m.ColumnVector(fruits1), m.ColumnVector(nums))
+	simFruit := cosine(m.ColumnVector(fruits1), m.ColumnVector(fruits2))
+	simCross := cosine(m.ColumnVector(fruits1), m.ColumnVector(nums))
 	if simFruit <= simCross {
 		t.Errorf("fruit/fruit sim %v should exceed fruit/nums sim %v", simFruit, simCross)
 	}
@@ -110,8 +113,8 @@ func TestMultiTokenValueAveraging(t *testing.T) {
 	}
 	// "new york" should be more similar to "new" than a random word is,
 	// because it contains that token.
-	simShared := sketch.Cosine(v, m.Vector("new"))
-	simOther := sketch.Cosine(v, m.Vector("zzz-unrelated"))
+	simShared := cosine(v, m.Vector("new"))
+	simOther := cosine(v, m.Vector("zzz-unrelated"))
 	if simShared <= simOther {
 		t.Errorf("shared-token sim %v should exceed unrelated sim %v", simShared, simOther)
 	}

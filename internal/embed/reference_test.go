@@ -137,7 +137,7 @@ func TestColumnVectorMatchesPerCallProjection(t *testing.T) {
 				}
 				continue
 			}
-			if c := sketch.Cosine(got, want); c < oracleCosine {
+			if c := cosine(got, want); c < oracleCosine {
 				t.Fatalf("dim %d column %d: cosine to the oracle %v, want >= %v", dim, ci, c, oracleCosine)
 			}
 		}

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"golake/internal/sketch"
 )
 
 // fuzzValues are the values FuzzTokenSums builds columns from: five
@@ -82,7 +80,7 @@ func FuzzTokenSums(f *testing.F) {
 			if !sameBits(got, want) {
 				t.Fatalf("%q: one Stage %v, batch by batch %v", tok, got, want)
 			}
-			if c := sketch.Cosine(got, ppmiVector(once, tok)); c < oracleCosine {
+			if c := cosine(got, ppmiVector(once, tok)); c < oracleCosine {
 				t.Fatalf("%q: cosine to the oracle %v, want >= %v", tok, c, oracleCosine)
 			}
 		}

@@ -36,11 +36,36 @@ func (r RFD) String() string {
 // nontrivial evidence exists: at least one LHS group with more than one
 // row.
 func DiscoverRFDs(t *table.Table, minConfidence float64) []RFD {
+	out := discoverRFDs(t, minConfidence)
+	sortRFDs(out)
+	return out
+}
+
+// DiscoverRFDsAt returns DiscoverRFDs(t, hi) and DiscoverRFDs(t, lo),
+// hi >= lo, from one discovery at lo. Each list is the one discovery
+// at its own confidence finds, sorted alike, so the order sort.Slice
+// leaves ties in is the same too.
+func DiscoverRFDsAt(t *table.Table, hi, lo float64) (atHi, atLo []RFD) {
+	atLo = discoverRFDs(t, lo)
+	for _, r := range atLo {
+		if r.Confidence >= hi {
+			atHi = append(atHi, r)
+		}
+	}
+	sortRFDs(atHi)
+	sortRFDs(atLo)
+	return atHi, atLo
+}
+
+// discoverRFDs returns the RFDs of confidence >= minConfidence in the
+// order it finds them: by determinant column, then dependent column.
+func discoverRFDs(t *table.Table, minConfidence float64) []RFD {
 	var out []RFD
 	n := t.NumRows()
 	if n == 0 {
 		return nil
 	}
+	freq := map[string]int{}
 	for _, lhs := range t.Columns {
 		groups := map[string][]int{}
 		for i, v := range lhs.Cells {
@@ -64,7 +89,7 @@ func DiscoverRFDs(t *table.Table, minConfidence float64) []RFD {
 			for _, rows := range groups {
 				// Majority value of rhs within the group counts as
 				// consistent; the rest are violations.
-				freq := map[string]int{}
+				clear(freq)
 				for _, ri := range rows {
 					freq[rhs.Cells[ri]]++
 				}
@@ -82,11 +107,15 @@ func DiscoverRFDs(t *table.Table, minConfidence float64) []RFD {
 			}
 		}
 	}
+	return out
+}
+
+// sortRFDs orders RFDs by descending confidence, then by Lhs+Rhs.
+func sortRFDs(out []RFD) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {
 			return out[i].Confidence > out[j].Confidence
 		}
 		return out[i].Lhs+out[i].Rhs < out[j].Lhs+out[j].Rhs
 	})
-	return out
 }

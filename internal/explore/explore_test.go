@@ -409,6 +409,108 @@ func TestConcurrentExploreDuringAddAndRemove(t *testing.T) {
 	}
 }
 
+// Four readers explore in every mode, indexed query tables and tables
+// not indexed yet alike, while a writer adds tables one at a time. Each
+// read takes its own scratch (probes, per-table scores, slot marks), so
+// every answer must be the one a lone reader gets from the same index:
+// from the state after an Add that finished before the read began, or
+// one that began before the read ended. Run with -race; CI runs it
+// repeatedly.
+func TestConcurrentReadersDuringAdd(t *testing.T) {
+	c := workload.GenerateCorpus(workload.CorpusSpec{
+		NumTables: 20, JoinGroups: 4, RowsPerTable: 30,
+		ExtraCols: 1, KeyVocab: 80, KeySample: 25, Seed: 19,
+	})
+	base, adds := c.Tables[:12], c.Tables[12:]
+	var requests []Request
+	for _, q := range c.Tables {
+		requests = append(requests,
+			Request{Mode: ModeJoinColumn, Query: q, Column: c.KeyColumn[q.Name], K: 4},
+			Request{Mode: ModePopulate, Query: q, K: 4},
+			Request{Mode: ModeTask, Query: q, Task: discovery.TaskAugment, K: 4},
+			Request{Mode: ModeTask, Query: q, Task: discovery.TaskFeatures, K: 4},
+			Request{Mode: ModeTask, Query: q, Task: discovery.TaskClean, K: 4})
+	}
+	type answer struct {
+		res []Result
+		err string
+	}
+	ask := func(e *Explorer, req Request) answer {
+		res, err := e.Explore(req)
+		if err != nil {
+			return answer{err: err.Error()}
+		}
+		return answer{res: res}
+	}
+	// lone[k][i] answers requests[i] after the first k adds.
+	lone := make([][]answer, len(adds)+1)
+	quiet := NewExplorer()
+	if err := quiet.Index(base); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= len(adds); k++ {
+		if k > 0 {
+			if err := quiet.Add(adds[k-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, req := range requests {
+			lone[k] = append(lone[k], ask(quiet, req))
+		}
+	}
+
+	e := NewExplorer()
+	if err := e.Index(base); err != nil {
+		t.Fatal(err)
+	}
+	// An Add counts in started before it begins and in added once it
+	// returns, so a read between the two loads sees the state after
+	// some k adds, added-before <= k <= started-after.
+	var started, added atomic.Int32
+	done := make(chan struct{})
+	readerErr := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		go func(r int) {
+			var err error
+			defer func() { readerErr <- err }()
+			for i := r; ; i += 4 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				at := i % len(requests)
+				from := int(added.Load())
+				got := ask(e, requests[at])
+				to := int(started.Load())
+				match := false
+				for k := from; k <= to && !match; k++ {
+					match = reflect.DeepEqual(got, lone[k][at])
+				}
+				if !match {
+					req := requests[at]
+					err = fmt.Errorf("reader %d: %s mode %d task %d between adds %d and %d: %+v, no lone reader's answer", r, req.Query.Name, req.Mode, req.Task, from, to, got)
+					return
+				}
+			}
+		}(r)
+	}
+	for _, tb := range adds {
+		started.Add(1)
+		if err := e.Add(tb); err != nil {
+			t.Fatal(err)
+		}
+		added.Add(1)
+		time.Sleep(time.Millisecond)
+	}
+	close(done)
+	for r := 0; r < 4; r++ {
+		if err := <-readerErr; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestRemoveDropsTableFromEveryMode(t *testing.T) {
 	e, c := indexedExplorer(t)
 	victim := c.Tables[1].Name

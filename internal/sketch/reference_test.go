@@ -12,6 +12,16 @@ import (
 	"unicode"
 )
 
+// Containment computes |A∩B| / |A| by the merge walk Overlap: the
+// kernel Juneau's key containment read before it scored through a
+// Probe, kept as an oracle.
+func Containment(a, b Set) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	return float64(Overlap(a, b)) / float64(len(a))
+}
+
 // refTokenize and refLevenshtein are Tokenize and Levenshtein as they
 // were before AppendTokens and the ASCII path, kept verbatim as oracles.
 
@@ -341,7 +351,7 @@ func probePair(rng *rand.Rand, d *Dict, shape int) (a, b []string, sa, sb Set) {
 }
 
 // Probe's kernels agree with the merge walk and with the map oracles,
-// Jaccard bit for bit, on generated Sets: empty ones, single ids, id 0,
+// Jaccard and Containment bit for bit, on generated Sets: empty ones, single ids, id 0,
 // disjoint and touching ranges, one range inside the other, and ids a
 // Lookup hands out above the Dict. One Probe serves every case, so a
 // Reset to a narrower query must forget the wider one's bits.
@@ -360,8 +370,15 @@ func TestProbeMatchesMergeAndMapReference(t *testing.T) {
 		shape := i % 6
 		a, b, sa, sb := probePair(rng, d, shape)
 		ma, mb := refToSet(a), refToSet(b)
-		for _, q := range [][2]Set{{sa, sb}, {sb, sa}} {
+		for k, q := range [][2]Set{{sa, sb}, {sb, sa}} {
 			p.Reset(q[0])
+			mq, mc := ma, mb
+			if k == 1 {
+				mq, mc = mb, ma
+			}
+			if got, merge, ref := p.Containment(q[1]), Containment(q[0], q[1]), refContainment(mq, mc); bits(got) != bits(merge) || bits(got) != bits(ref) {
+				t.Fatalf("seed %d case %d (shape %d): Probe(%v).Containment(%v) = %v, merge %v, map %v", seed, i, shape, q[0], q[1], got, merge, ref)
+			}
 			if got, merge, ref := p.Overlap(q[1]), Overlap(q[0], q[1]), refOverlap(ma, mb); got != merge || got != ref {
 				t.Fatalf("seed %d case %d (shape %d): Probe(%v).Overlap(%v) = %d, merge %d, map %d", seed, i, shape, q[0], q[1], got, merge, ref)
 			}
@@ -372,7 +389,7 @@ func TestProbeMatchesMergeAndMapReference(t *testing.T) {
 	}
 }
 
-// FuzzProbeOverlap: Probe's Overlap and Jaccard against the merge walk
+// FuzzProbeOverlap: Probe's Overlap, Jaccard and Containment against the merge walk
 // and the map oracles on two Sets decoded from bytes. The first byte
 // splits the rest between the Sets; each following pair of bytes is
 // one id below 1024, so Sets start, end and meet anywhere in a 64-bit
@@ -410,6 +427,9 @@ func FuzzProbeOverlap(f *testing.F) {
 		}
 		if got, merge, ref := p.Jaccard(b), ExactJaccard(a, b), refExactJaccard(ma, mb); math.Float64bits(got) != math.Float64bits(merge) || math.Float64bits(got) != math.Float64bits(ref) {
 			t.Fatalf("Probe(%v).Jaccard(%v) = %v, merge %v, map %v", a, b, got, merge, ref)
+		}
+		if got, merge, ref := p.Containment(b), Containment(a, b), refContainment(ma, mb); math.Float64bits(got) != math.Float64bits(merge) || math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("Probe(%v).Containment(%v) = %v, merge %v, map %v", a, b, got, merge, ref)
 		}
 	})
 }
@@ -468,6 +488,196 @@ func TestMinHashMatchesDivisionReference(t *testing.T) {
 	for _, x := range edges {
 		if got, want := mod61(x), x%mersenne61; got != want {
 			t.Fatalf("mod61(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+}
+
+// refCosine, refKolmogorovSmirnov and refRegexPattern are Cosine,
+// KolmogorovSmirnov and RegexPattern as they were before cached norms,
+// CDF steps and AppendRegexPattern, kept verbatim as oracles.
+
+func refCosine(a, b []float64) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+}
+
+// refKolmogorovSmirnov never returns when bs holds a NaN and as is not
+// empty: NaN <= x is false, so neither index passes it.
+func refKolmogorovSmirnov(as, bs []float64) float64 {
+	if len(as) == 0 || len(bs) == 0 {
+		return 1
+	}
+	var i, j int
+	var d float64
+	for i < len(as) && j < len(bs) {
+		var x float64
+		if as[i] <= bs[j] {
+			x = as[i]
+		} else {
+			x = bs[j]
+		}
+		for i < len(as) && as[i] <= x {
+			i++
+		}
+		for j < len(bs) && bs[j] <= x {
+			j++
+		}
+		fa := float64(i) / float64(len(as))
+		fb := float64(j) / float64(len(bs))
+		if diff := math.Abs(fa - fb); diff > d {
+			d = diff
+		}
+	}
+	return d
+}
+
+func refRegexPattern(s string) string {
+	var sb strings.Builder
+	var prev rune
+	for _, r := range s {
+		var class rune
+		switch {
+		case unicode.IsLetter(r):
+			class = 'a'
+		case unicode.IsDigit(r):
+			class = '9'
+		default:
+			class = r
+		}
+		if class == prev && (class == 'a' || class == '9') {
+			continue // collapse runs
+		}
+		if class == 'a' {
+			sb.WriteString("a+")
+		} else if class == '9' {
+			sb.WriteString("9+")
+		} else {
+			sb.WriteRune(class)
+		}
+		prev = class
+	}
+	return sb.String()
+}
+
+// Cosine over norms taken once answers as the oracle that sums both
+// norms beside the dot product, bit for bit, on vectors with zeros,
+// negative zero, infinities, NaN, subnormals and mismatched lengths.
+func TestCosineMatchesReference(t *testing.T) {
+	const seed = 20261020
+	rng := rand.New(rand.NewSource(seed))
+	special := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e-300}
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(6) {
+			case 0:
+				v[i] = special[rng.Intn(len(special))]
+			case 1:
+				v[i] = 0
+			default:
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	for i := 0; i < 20000; i++ {
+		n := rng.Intn(9)
+		a, b := vec(n), vec(n)
+		if i%7 == 0 {
+			b = vec(rng.Intn(9))
+		}
+		if got, want := Cosine(a, b, Norm(a), Norm(b)), refCosine(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d case %d: Cosine(%v, %v) = %v, want %v", seed, i, a, b, got, want)
+		}
+	}
+}
+
+// FuzzKSSteps checks KolmogorovSmirnov over two samples' CDF steps
+// against the walk over the sorted samples themselves, bit for bit. The
+// samples are arbitrary float64 bit patterns, or, with small set, small
+// multiples of 1/4 with -0 beside 0, so that values repeat within and
+// across the samples. A sample with a NaN compares at 1: the oracle
+// answers so when only its first sample has one, and never returns
+// otherwise, so it is not asked then.
+func FuzzKSSteps(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{3, 4}, true)
+	f.Add([]byte{0, 0x80, 0, 4}, []byte{0x80, 0, 8}, true)
+	f.Add([]byte{7, 7, 7}, []byte{7}, true)
+	f.Add([]byte{}, []byte{1}, true)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, false) // NaN, 1 against 1
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, false) // +Inf against -Inf, +Inf
+	f.Fuzz(func(t *testing.T, ra, rb []byte, small bool) {
+		if len(ra) > 4096 || len(rb) > 4096 {
+			return
+		}
+		sample := func(raw []byte) []float64 {
+			var xs []float64
+			if small {
+				for _, c := range raw {
+					x := float64(int8(c)) / 4
+					if c == 0x80 {
+						x = math.Copysign(0, -1)
+					}
+					xs = append(xs, x)
+				}
+			} else {
+				for i := 0; i+8 <= len(raw); i += 8 {
+					xs = append(xs, math.Float64frombits(uint64(raw[i])|uint64(raw[i+1])<<8|uint64(raw[i+2])<<16|uint64(raw[i+3])<<24|
+						uint64(raw[i+4])<<32|uint64(raw[i+5])<<40|uint64(raw[i+6])<<48|uint64(raw[i+7])<<56))
+				}
+			}
+			sort.Float64s(xs)
+			return xs
+		}
+		as, bs := sample(ra), sample(rb)
+		got := KolmogorovSmirnov(NewCDF(as), NewCDF(bs))
+		hasNaN := func(xs []float64) bool { return len(xs) > 0 && math.IsNaN(xs[0]) }
+		switch {
+		case hasNaN(as) || hasNaN(bs):
+			if got != 1 {
+				t.Fatalf("KS(%v, %v) = %v, want 1 beside a NaN", as, bs, got)
+			}
+			if !hasNaN(bs) {
+				if want := refKolmogorovSmirnov(as, bs); want != 1 {
+					t.Fatalf("oracle KS(%v, %v) = %v, want 1 beside a NaN", as, bs, want)
+				}
+			}
+		default:
+			if want := refKolmogorovSmirnov(as, bs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("KS(%v, %v) = %v, walk over the samples %v", as, bs, got, want)
+			}
+		}
+	})
+}
+
+// AppendRegexPattern, reusing one buffer, writes the pattern the
+// strings.Builder oracle builds, over letters, digits, punctuation,
+// non-ASCII letters and digits, invalid UTF-8 and the empty string.
+func TestRegexPatternMatchesBuilderReference(t *testing.T) {
+	const seed = 20261020
+	rng := rand.New(rand.NewSource(seed))
+	pieces := []string{"a", "Z", "7", "-", " ", "é", "ß", "٣", "€", "\xff", "\xe2\x82", "ab12", "::", ""}
+	var buf []byte
+	for i := 0; i < 5000; i++ {
+		var sb strings.Builder
+		for n := rng.Intn(8); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		s := sb.String()
+		buf = AppendRegexPattern(buf[:0], s)
+		if got, want := string(buf), refRegexPattern(s); got != want || RegexPattern(s) != want {
+			t.Fatalf("seed %d: AppendRegexPattern(%q) = %q, RegexPattern %q, want %q", seed, s, got, RegexPattern(s), want)
 		}
 	}
 }

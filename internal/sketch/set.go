@@ -116,22 +116,15 @@ func Overlap(a, b Set) int {
 	return inter
 }
 
-// Containment computes |A∩B| / |A|: how much of A is covered by B.
-// Used for PK-FK candidate detection and unionability.
-func Containment(a, b Set) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return float64(Overlap(a, b)) / float64(len(a))
-}
-
 // Probe answers overlaps with one Set, its query, through a bitmap over
 // the query's id range: an id of the other Set costs one bit test where
 // a merge walk costs a compare and a branch per step of either Set, and
 // the ids outside the range cost one binary search. DS-kNN scores every
-// categorised dataset against one incoming dataset this way. A zero
+// categorised dataset against one incoming dataset this way, and D3L
+// and Juneau every candidate column against a query column. A zero
 // Probe's query is empty; Reset points it at another, reusing its
-// bitmap. Its answers are Overlap's and ExactJaccard's, bit for bit.
+// bitmap. Its answers are the merge walks' (Overlap, ExactJaccard and
+// |query∩b| / |query| over Overlap), bit for bit.
 type Probe struct {
 	query Set
 	lo    uint32
@@ -174,6 +167,15 @@ func (p *Probe) Overlap(b Set) int {
 		inter += int(p.words[d>>6] >> (d & 63) & 1)
 	}
 	return inter
+}
+
+// Containment computes |query∩b| / |query|: how much of the query is
+// covered by b. Juneau matches key columns by it.
+func (p *Probe) Containment(b Set) float64 {
+	if len(p.query) == 0 {
+		return 0
+	}
+	return float64(p.Overlap(b)) / float64(len(p.query))
 }
 
 // Jaccard is ExactJaccard(query, b).

@@ -285,29 +285,45 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestCosine(t *testing.T) {
-	if got := Cosine([]float64{1, 0}, []float64{0, 1}); got != 0 {
+	cos := func(a, b []float64) float64 { return Cosine(a, b, Norm(a), Norm(b)) }
+	if got := cos([]float64{1, 0}, []float64{0, 1}); got != 0 {
 		t.Errorf("orthogonal cosine = %v, want 0", got)
 	}
-	if got := Cosine([]float64{1, 2}, []float64{2, 4}); math.Abs(got-1) > 1e-9 {
+	if got := cos([]float64{1, 2}, []float64{2, 4}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("parallel cosine = %v, want 1", got)
 	}
-	if got := Cosine([]float64{1}, []float64{1, 2}); got != 0 {
+	if got := cos([]float64{1}, []float64{1, 2}); got != 0 {
 		t.Errorf("length mismatch cosine = %v, want 0", got)
+	}
+	if got := cos([]float64{0, 0}, []float64{1, 2}); got != 0 {
+		t.Errorf("zero-vector cosine = %v, want 0", got)
 	}
 }
 
 func TestKolmogorovSmirnov(t *testing.T) {
+	ks := func(a, b []float64) float64 { return KolmogorovSmirnov(NewCDF(a), NewCDF(b)) }
 	same := []float64{1, 2, 3, 4, 5}
-	if got := KolmogorovSmirnov(same, same); got != 0 {
+	if got := ks(same, same); got != 0 {
 		t.Errorf("KS(same,same) = %v, want 0", got)
 	}
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	if got := KolmogorovSmirnov(a, b); got != 1 {
+	if got := ks(a, b); got != 1 {
 		t.Errorf("KS(disjoint ranges) = %v, want 1", got)
 	}
-	if got := KolmogorovSmirnov(nil, a); got != 1 {
+	if got := ks(nil, a); got != 1 {
 		t.Errorf("KS(empty) = %v, want 1", got)
+	}
+	// sort.Float64s puts a NaN first. A walk over the samples never
+	// passed it, so it never returned when the second sample held one.
+	if got := ks([]float64{math.NaN(), 1}, a); got != 1 {
+		t.Errorf("KS(with NaN, a) = %v, want 1", got)
+	}
+	if got := ks(a, []float64{math.NaN(), 1}); got != 1 {
+		t.Errorf("KS(a, with NaN) = %v, want 1", got)
+	}
+	if got := ks([]float64{1, 1, 2, 2}, []float64{1, 2}); got != 0 {
+		t.Errorf("KS(duplicates, same distribution) = %v, want 0", got)
 	}
 }
 

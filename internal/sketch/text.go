@@ -62,49 +62,88 @@ func AppendTokens(dst []string, s string) []string {
 	return dst
 }
 
-// Cosine computes cosine similarity between dense vectors of equal length.
-func Cosine(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
+// Norm returns v's Euclidean norm, math.Sqrt of Σ v[i]² summed in
+// index order. A caller that compares one vector many times keeps its
+// norm beside it and hands it to Cosine.
+func Norm(v []float64) float64 {
+	var ss float64
+	for _, x := range v {
+		ss += x * x
+	}
+	return math.Sqrt(ss)
+}
+
+// Cosine computes the cosine similarity of dense vectors of equal
+// length whose norms (Norm) are na and nb: their dot product over the
+// product of the norms. It is 0 when the lengths differ or either
+// vector is empty or all zeros.
+func Cosine(a, b []float64, na, nb float64) float64 {
+	if len(a) != len(b) || len(a) == 0 || na == 0 || nb == 0 {
 		return 0
 	}
-	var dot, na, nb float64
+	var dot float64
 	for i := range a {
 		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
 	}
-	if na == 0 || nb == 0 {
-		return 0
+	return dot / (na * nb)
+}
+
+// CDF is a numeric sample's empirical distribution function, held as
+// its steps: each distinct value, ascending, and the share of the
+// sample at or below it, float64(count)/float64(len(sample)). D3L
+// compares numeric attribute distributions on it. A sample is turned
+// into steps once, when its column is profiled; a comparison then
+// reads each step's share instead of dividing it out again.
+type CDF struct {
+	vals, fracs []float64
+}
+
+// NewCDF returns the steps of a sample sorted as sort.Float64s orders
+// it. A sample holding a NaN keeps no steps, as an empty one: a walk
+// over the sample could never pass its NaN, and KolmogorovSmirnov puts
+// it at distance 1 from any other.
+func NewCDF(sorted []float64) CDF {
+	if len(sorted) == 0 || math.IsNaN(sorted[0]) {
+		return CDF{}
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	steps := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] != sorted[i-1] {
+			steps++
+		}
+	}
+	buf := make([]float64, 2*steps)
+	c := CDF{vals: buf[:0:steps], fracs: buf[steps:steps]}
+	for i := 0; i < len(sorted); {
+		x := sorted[i]
+		for i < len(sorted) && sorted[i] <= x {
+			i++
+		}
+		c.vals = append(c.vals, x)
+		c.fracs = append(c.fracs, float64(i)/float64(len(sorted)))
+	}
+	return c
 }
 
 // KolmogorovSmirnov computes the two-sample KS statistic
-// sup_x |F_a(x) - F_b(x)| over empirical CDFs. D3L uses it to compare
-// numeric attribute distributions. Both samples must be sorted
-// as sort.Float64s orders them; callers sort once when they profile a
-// column, not on every comparison. Returns 1 for empty input.
-func KolmogorovSmirnov(as, bs []float64) float64 {
-	if len(as) == 0 || len(bs) == 0 {
+// sup_x |F_a(x) - F_b(x)| over two empirical CDFs; 1 when either has
+// no steps.
+func KolmogorovSmirnov(a, b CDF) float64 {
+	if len(a.vals) == 0 || len(b.vals) == 0 {
 		return 1
 	}
 	var i, j int
-	var d float64
-	for i < len(as) && j < len(bs) {
-		var x float64
-		if as[i] <= bs[j] {
-			x = as[i]
-		} else {
-			x = bs[j]
-		}
-		for i < len(as) && as[i] <= x {
+	var fa, fb, d float64
+	for i < len(a.vals) && j < len(b.vals) {
+		x, y := a.vals[i], b.vals[j]
+		if x <= y {
+			fa = a.fracs[i]
 			i++
 		}
-		for j < len(bs) && bs[j] <= x {
+		if y <= x {
+			fb = b.fracs[j]
 			j++
 		}
-		fa := float64(i) / float64(len(as))
-		fb := float64(j) / float64(len(bs))
 		if diff := math.Abs(fa - fb); diff > d {
 			d = diff
 		}
@@ -116,8 +155,12 @@ func KolmogorovSmirnov(as, bs []float64) float64 {
 // runs of letters become "a+", digits "9+", everything else kept
 // verbatim. DATAMARAN-style structure templates and D3L's format
 // feature both build on this generalization.
-func RegexPattern(s string) string {
-	var sb strings.Builder
+func RegexPattern(s string) string { return string(AppendRegexPattern(nil, s)) }
+
+// AppendRegexPattern appends RegexPattern(s) to dst and returns the
+// extended slice, so a caller that reuses dst and keeps only distinct
+// patterns allocates one string per pattern, not one per value.
+func AppendRegexPattern(dst []byte, s string) []byte {
 	var prev rune
 	for _, r := range s {
 		var class rune
@@ -133,15 +176,15 @@ func RegexPattern(s string) string {
 			continue // collapse runs
 		}
 		if class == 'a' {
-			sb.WriteString("a+")
+			dst = append(dst, "a+"...)
 		} else if class == '9' {
-			sb.WriteString("9+")
+			dst = append(dst, "9+"...)
 		} else {
-			sb.WriteRune(class)
+			dst = utf8.AppendRune(dst, class)
 		}
 		prev = class
 	}
-	return sb.String()
+	return dst
 }
 
 // Levenshtein computes the edit distance between two strings. DS-kNN
