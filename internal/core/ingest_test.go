@@ -106,6 +106,43 @@ func TestIngestAllocationCeiling(t *testing.T) {
 	}
 }
 
+// Lake.Ingest of a 2 000-document JSON Lines body shaped like the
+// benchmark's collection (three fields per document, no "_id") on a
+// memory-backed lake: about 24 000 allocations (Go 1.24), some 12 per
+// document, nearly all of them its one decode; extraction merges each
+// decoded document into the structure tree in place. Extraction
+// decoding the bytes a second time took about 52 000; doing that and
+// building each document's whole subtree before merging it, about
+// 76 000. The ceiling is the measure plus 10 %, so a second decode
+// coming back fails here.
+func TestJSONLIngestAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	l, err := Open(t.TempDir(), WithPersistence(persist.NewMemory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AddUser("dana", RoleDataScientist)
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&sb, "{\"id\":\"events_%07d\",\"v\":%d,\"kind\":\"k%d\"}\n", i, i*7919%9973, i%7)
+	}
+	body := []byte(sb.String())
+	ctx := context.Background()
+	seq := 0
+	n := testing.AllocsPerRun(20, func() {
+		seq++
+		if _, err := l.Ingest(ctx, fmt.Sprintf("raw/e_%04d.jsonl", seq), body, "bench", "dana"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 26500 {
+		t.Errorf("Lake.Ingest of 2000 documents: %v allocations, want <= 26500", n)
+	}
+}
+
 // allocCeilingBody is the benchmark-shaped 1000 x 5 CSV body of the
 // ingest allocation ceilings.
 func allocCeilingBody() []byte {

@@ -631,16 +631,20 @@ type ingestWrite struct {
 
 // prepareIngest runs the ingestion pipeline up to publication — the
 // shared body of live Ingest and persistence replay. A CSV is parsed
-// and typed once: placement hands the table it parsed (nil for
-// anything else, an unparseable CSV included) on to extraction. A
-// durable lake's file store reads the raw bytes back from their segment
-// instead of keeping a copy.
+// and typed once, and a JSON or JSON Lines object decoded once:
+// placement hands the table or the documents it parsed on to
+// extraction, which parses the bytes again only for an object
+// placement left file-only. Such an object's record says so
+// (FileOnly), so its entry claims no name. A durable lake's file store
+// reads the raw bytes back from their segment instead of keeping a
+// copy.
 func (l *Lake) prepareIngest(rec walRecord, data []byte) (*ingestWrite, error) {
 	st, err := polystore.Prepare(rec.Path, data, l.segmentReader(rec.Segment))
 	if err != nil {
 		return nil, lakeerr.Wrap(lakeerr.CodeInternal, err)
 	}
-	md, err := extract.ExtractParsed(rec.Path, data, st.Table)
+	rec.FileOnly = st.Placement.Name() == ""
+	md, err := extract.ExtractParsed(rec.Path, data, &st)
 	if err != nil {
 		// Raw bytes stay; metadata extraction failure leaves the
 		// object catalogued as swamp-risk (detectable by SwampAudit).

@@ -56,6 +56,9 @@ type walRecord struct {
 	Segment string `json:"segment,omitempty"`
 	Source  string `json:"source,omitempty"`
 	User    string `json:"user,omitempty"`
+	// FileOnly marks an ingest that placement left file-only, which
+	// holds no table or collection and so claims no name.
+	FileOnly bool `json:"file_only,omitempty"`
 	// user: registered name + role.
 	Name string `json:"name,omitempty"`
 	Role string `json:"role,omitempty"`
@@ -86,13 +89,18 @@ type walRecord struct {
 // Name: an ingest by its path, a derive (which has no path) by its name.
 type entryKey struct{ path, name string }
 
-// claim is the model-store name an entry claims: a derive's name, or
-// the basename its ingest reserved.
-func (k entryKey) claim() string {
-	if k.path == "" {
-		return k.name
+// claim is the model-store name a record's entry claims: a derive's
+// name, none for a file-only ingest, or else the ingest's basename,
+// which its table or collection takes. A record written before
+// FileOnly was claims its basename whatever it placed.
+func (r *walRecord) claim() string {
+	switch {
+	case r.Path == "":
+		return r.Name
+	case r.FileOnly:
+		return ""
 	}
-	return polystore.DerivedName(k.path)
+	return polystore.DerivedName(r.Path)
 }
 
 // entry is an ingest or derive record as the lake keeps it, without its
@@ -104,15 +112,17 @@ type entry struct {
 }
 
 // putEntry makes rec the entry at its key, in place of the one there
-// and of every damaged entry that claims rec's name, of either kind: it
-// scans only the damaged entries. A replaced entry's segment is retired
-// unless rec names it too. l.mu must be held, or the lake not shared.
+// and of every damaged entry that claims rec's name, if it claims one,
+// of either kind: it scans only the damaged entries. A replaced entry's
+// segment is retired unless rec names it too. l.mu must be held, or
+// the lake not shared.
 func (l *Lake) putEntry(rec *walRecord, damaged bool) {
 	k := entryKey{rec.Path, rec.Name}
-	name := k.claim()
+	name := rec.claim()
 	kept := l.unserved[:0]
 	for _, d := range l.unserved {
-		if d.claim() == name {
+		e := l.entries[d]
+		if d == k || (name != "" && e.claim() == name) {
 			l.dropEntry(d, rec.Segment)
 		} else {
 			kept = append(kept, d)
@@ -967,8 +977,9 @@ func (l *Lake) publishReplayed(p *persister, u *replayUnit) (bool, error) {
 	if rec.Kind == recDerive {
 		what, attr, id = "derived table", "name", rec.Name
 	}
-	// A damaged unit's kind is unknown, so it claims its basename.
-	name := entryKey{rec.Path, rec.Name}.claim()
+	// A damaged unit's placement is unknown, so it claims what its
+	// record says it claims.
+	name := rec.claim()
 	if u.w != nil {
 		name = u.w.staged.Placement.Name()
 	}

@@ -55,14 +55,14 @@ func Registry() []FunctionEntry {
 		})
 	}
 	// demo extracts a small CSV's metadata as ingest does: parsed once,
-	// then described.
+	// by placement, then described.
 	demo := func() (*extract.Metadata, error) {
-		const csv = "id,city\n1,berlin\n2,paris\n"
-		t, err := table.ParseCSV("demo", csv)
+		csv := []byte("id,city\n1,berlin\n2,paris\n")
+		st, err := polystore.Prepare("demo.csv", csv, nil)
 		if err != nil {
 			return nil, err
 		}
-		return extract.ExtractParsed("demo.csv", []byte(csv), t)
+		return extract.ExtractParsed("demo.csv", csv, &st)
 	}
 	// geo holds city ~> country and country ~> city with one violating
 	// row in twenty, so both dependencies reach the maintenance pass's

@@ -18,7 +18,6 @@ import (
 
 	"golake/internal/persist"
 	"golake/internal/storage/filestore"
-	"golake/internal/storage/polystore"
 	"golake/internal/table"
 	"golake/lakeerr"
 )
@@ -476,8 +475,8 @@ func TestPersistReingestReplacesDamagedEntry(t *testing.T) {
 // with one ingest path, one derive name or one claimed name. A derive
 // claims its name. A dataset l places claims its table or collection
 // name, and a file-only one claims none; a dataset l does not place
-// (its segment is damaged) claims its basename, the name its ingest
-// reserved.
+// (its segment is damaged) claims what its record says: none when it
+// was file-only, else its basename.
 func checkOneEntryPerName(t *testing.T, l *Lake) {
 	t.Helper()
 	data, err := l.pers.backend.ReadSnapshot()
@@ -497,7 +496,7 @@ func checkOneEntryPerName(t *testing.T, l *Lake) {
 	}
 	for _, d := range m.Datasets {
 		once("path", d.Path)
-		claim := polystore.DerivedName(d.Path)
+		claim := d.claim()
 		if pl, ok := l.Poly.PlacementOf(d.Path); ok {
 			claim = pl.TableName + pl.Collection
 		}
@@ -517,7 +516,8 @@ func checkOneEntryPerName(t *testing.T, l *Lake) {
 // the WAL truncate) leaves one entry and one damaged segment, and an
 // ingest or derive over a damaged entry that claims its name, of either
 // kind, replaces it, so the reopens after it warn of nothing. Two
-// file-only objects that share a basename claim no name and both stay.
+// file-only objects that share a basename claim no name and both stay,
+// live or with one of them damaged.
 func TestPersistOneEntryPerServedName(t *testing.T) {
 	ctx := context.Background()
 	open := func(t *testing.T, mem *persist.Memory, logs *bytes.Buffer) *Lake {
@@ -636,6 +636,15 @@ func TestPersistOneEntryPerServedName(t *testing.T) {
 			entries: 1,
 			served:  map[string]string{"SELECT x FROM x": "x\n2\n"},
 			placed:  []string{"raw/b/x.csv"},
+		},
+		{
+			name: "file-only ingest of the same basename over a damaged file-only ingest",
+			write: overDamage("raw/a/x.bin",
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/a/x.bin", "\x00\x01a") },
+				func(t *testing.T, l *Lake) { ingest(t, l, "raw/b/x.bin", "\x00\x01b") }),
+			damaged: 1,
+			entries: 2,
+			placed:  []string{"raw/b/x.bin"},
 		},
 		{
 			name: "two live file-only objects of one basename",

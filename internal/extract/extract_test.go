@@ -8,7 +8,7 @@ import (
 
 	"golake/internal/sketch"
 	"golake/internal/storage/filestore"
-	"golake/internal/table"
+	"golake/internal/storage/polystore"
 	"golake/internal/workload"
 )
 
@@ -195,11 +195,11 @@ func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := table.ReadCSV("orders", data)
+	st, err := polystore.Prepare(path, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractParsed(path, data, parsed)
+	got, err := ExtractParsed(path, data, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +208,12 @@ func TestExtractParsedDescribesTheCallersTable(t *testing.T) {
 	}
 	// The description is of the table given, not of a second parse of
 	// the bytes.
-	parsed.Columns[2].Name = "town"
-	if got, err := ExtractParsed(path, data, parsed); err != nil || got.Properties["header"] != "id,total,town" || got.Schema[2].Name != "town" {
+	st.Table.Columns[2].Name = "town"
+	if got, err := ExtractParsed(path, data, &st); err != nil || got.Properties["header"] != "id,total,town" || got.Schema[2].Name != "town" {
 		t.Errorf("ExtractParsed of a renamed column = %+v, %v: it parsed again", got, err)
 	}
 	// The table is for CSV objects only; a tree format ignores it.
-	tree, err := ExtractParsed("raw/user.json", []byte(`{"a":1}`), parsed)
+	tree, err := ExtractParsed("raw/user.json", []byte(`{"a":1}`), &polystore.Staged{Table: st.Table})
 	if err != nil || tree.Schema != nil || tree.Tree == nil {
 		t.Errorf("json with a table: %+v, %v", tree, err)
 	}

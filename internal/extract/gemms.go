@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"golake/internal/storage/docstore"
 	"golake/internal/storage/filestore"
 	"golake/internal/storage/polystore"
 	"golake/internal/table"
@@ -80,11 +81,17 @@ func Extract(path string, data []byte) (*Metadata, error) {
 	return ExtractParsed(path, data, nil)
 }
 
-// ExtractParsed is Extract for a caller that may already hold the table
-// a CSV object parses into (nil: parse it here), as ingest does once
-// placement has parsed it. t is only read, and not consulted for any
-// other format.
-func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) {
+// ExtractParsed is Extract for a caller that holds the object as
+// placement prepared it (nil: parse it here), as ingest does: a CSV's
+// table and a JSON or JSON Lines object's documents are described as
+// placement parsed them, and the bytes are parsed again only when
+// placement left the object file-only. st is only read.
+func ExtractParsed(path string, data []byte, st *polystore.Staged) (*Metadata, error) {
+	var t *table.Table
+	var docs []docstore.Doc
+	if st != nil {
+		t, docs = st.Table, st.Docs
+	}
 	format := filestore.Detect(path, data)
 	md := &Metadata{
 		Path:   path,
@@ -109,21 +116,16 @@ func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) 
 		md.Properties["rows"] = fmt.Sprintf("%d", t.NumRows())
 		md.Properties["columns"] = fmt.Sprintf("%d", t.NumCols())
 		md.Properties["header"] = strings.Join(t.ColumnNames(), ",")
-	case filestore.FormatJSON:
-		tree, err := JSONTree(data)
+	case filestore.FormatJSON, filestore.FormatJSONL:
+		tree, err := jsonTree(data, docs, format == filestore.FormatJSONL)
 		if err != nil {
 			return nil, fmt.Errorf("extract: %s: %w", path, err)
 		}
 		md.Tree = tree
 		md.Properties["depth"] = fmt.Sprintf("%d", tree.Depth())
-		md.Properties["nodes"] = fmt.Sprintf("%d", tree.CountNodes())
-	case filestore.FormatJSONL:
-		tree, err := JSONLTree(data)
-		if err != nil {
-			return nil, fmt.Errorf("extract: %s: %w", path, err)
+		if format == filestore.FormatJSON {
+			md.Properties["nodes"] = fmt.Sprintf("%d", tree.CountNodes())
 		}
-		md.Tree = tree
-		md.Properties["depth"] = fmt.Sprintf("%d", tree.Depth())
 	case filestore.FormatXML:
 		tree, err := XMLTree(data)
 		if err != nil {
@@ -138,15 +140,41 @@ func ExtractParsed(path string, data []byte, t *table.Table) (*Metadata, error) 
 	return md, nil
 }
 
-// JSONTree infers the structure tree of a JSON document breadth-first,
-// the GEMMS tree-inference algorithm: object keys become child nodes,
-// arrays contribute the union of their element structures.
+// jsonTree is the structure tree of a JSON object (lines unset) or a
+// JSON Lines one: built from the documents placement decoded from data,
+// or from data itself when placement decoded none, the object being
+// file-only. It is JSONTree's or JSONLTree's tree of data either way.
+func jsonTree(data []byte, docs []docstore.Doc, lines bool) (*TreeNode, error) {
+	switch {
+	case docs == nil && lines:
+		return JSONLTree(data)
+	case docs == nil:
+		return JSONTree(data)
+	}
+	if !lines && bytes.TrimLeft(data, " \t\r\n")[0] != '[' {
+		// One document, not an array of them.
+		root := &TreeNode{Name: "$", Kind: "object"}
+		mergeInto(root, map[string]any(docs[0]))
+		return root, nil
+	}
+	root := &TreeNode{Name: "$", Kind: "array"}
+	for _, d := range docs {
+		mergeValue(root, "item", map[string]any(d))
+	}
+	return root, nil
+}
+
+// JSONTree infers the structure tree of a JSON document, the GEMMS
+// tree-inference algorithm: object keys become child nodes, arrays
+// contribute the union of their element structures.
 func JSONTree(data []byte) (*TreeNode, error) {
 	var v any
 	if err := json.Unmarshal(data, &v); err != nil {
 		return nil, fmt.Errorf("json tree: %w", err)
 	}
-	return jsonNode("$", v), nil
+	root := &TreeNode{Name: "$", Kind: kindOf(v)}
+	mergeInto(root, v)
+	return root, nil
 }
 
 // JSONLTree merges the structure of every line of a JSON-lines file
@@ -162,47 +190,71 @@ func JSONLTree(data []byte) (*TreeNode, error) {
 		if err := json.Unmarshal([]byte(line), &v); err != nil {
 			return nil, fmt.Errorf("jsonl tree: %w", err)
 		}
-		mergeChild(root, jsonNode("item", v))
+		mergeValue(root, "item", v)
 	}
 	return root, nil
 }
 
-func jsonNode(name string, v any) *TreeNode {
+// mergeValue merges the structure of the JSON value v into parent's
+// child of the given name and of v's kind, adding that child when
+// parent has none. A node lists its children in the order they first
+// appear, an object's new keys in key order: the tree that building
+// each value's whole subtree and then merging it would give, without
+// building the subtree.
+func mergeValue(parent *TreeNode, name string, v any) {
+	kind := kindOf(v)
+	n := find(parent, name, kind)
+	if n == nil {
+		n = &TreeNode{Name: name, Kind: kind}
+		parent.Children = append(parent.Children, n)
+	}
+	mergeInto(n, v)
+}
+
+// mergeInto merges the structure of v into n, v's own node. An object's
+// keys n already has a child for add no child to n, so they merge in
+// map order; the others then add theirs in key order.
+func mergeInto(n *TreeNode, v any) {
 	switch x := v.(type) {
 	case map[string]any:
-		n := &TreeNode{Name: name, Kind: "object"}
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
+		var added []string
+		for k, fv := range x {
+			if c := find(n, k, kindOf(fv)); c != nil {
+				mergeInto(c, fv)
+			} else {
+				added = append(added, k)
+			}
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			n.Children = append(n.Children, jsonNode(k, x[k]))
+		sort.Strings(added)
+		for _, k := range added {
+			mergeValue(n, k, x[k])
 		}
-		return n
 	case []any:
-		n := &TreeNode{Name: name, Kind: "array"}
 		for _, el := range x {
-			mergeChild(n, jsonNode("item", el))
+			mergeValue(n, "item", el)
 		}
-		return n
-	default:
-		return &TreeNode{Name: name, Kind: "value"}
 	}
 }
 
-// mergeChild adds child to parent, merging with an existing child of
-// the same name (union of structures, as array elements share shape).
-func mergeChild(parent, child *TreeNode) {
-	for _, existing := range parent.Children {
-		if existing.Name == child.Name && existing.Kind == child.Kind {
-			for _, gc := range child.Children {
-				mergeChild(existing, gc)
-			}
-			return
+// kindOf is the tree node kind of a JSON value.
+func kindOf(v any) string {
+	switch v.(type) {
+	case map[string]any:
+		return "object"
+	case []any:
+		return "array"
+	}
+	return "value"
+}
+
+// find returns parent's child of the given name and kind, or nil.
+func find(parent *TreeNode, name, kind string) *TreeNode {
+	for _, c := range parent.Children {
+		if c.Name == name && c.Kind == kind {
+			return c
 		}
 	}
-	parent.Children = append(parent.Children, child)
+	return nil
 }
 
 // XMLTree infers the element structure of an XML document.
@@ -223,16 +275,10 @@ func XMLTree(data []byte) (*TreeNode, error) {
 			n := &TreeNode{Name: t.Name.Local, Kind: "element"}
 			if len(stack) == 0 {
 				root = n
+			} else if c := find(stack[len(stack)-1], n.Name, n.Kind); c != nil {
+				n = c
 			} else {
-				mergeChild(stack[len(stack)-1], n)
-				// mergeChild may have merged into an existing node; find it.
-				parent := stack[len(stack)-1]
-				for _, c := range parent.Children {
-					if c.Name == n.Name && c.Kind == n.Kind {
-						n = c
-						break
-					}
-				}
+				stack[len(stack)-1].Children = append(stack[len(stack)-1].Children, n)
 			}
 			stack = append(stack, n)
 		case xml.EndElement:

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"golake/internal/pool"
 )
 
 // ErrNoCollection is returned by Drop for a missing collection.
@@ -57,7 +59,7 @@ type Filter struct {
 type Collection struct {
 	name string
 	// docs are the documents as decoded, in input order, until the
-	// first Select builds form from them.
+	// first Select builds form from them (Docs).
 	docs []Doc
 	once sync.Once
 	// form is the documents column by column, what Select reads: built
@@ -76,54 +78,133 @@ func New() *Store { return &Store{collections: map[string]*Collection{}} }
 
 // Decode makes the collection name from JSON, which belongs to no store
 // until Store.Add stores it. data holds one document per non-blank line
-// when lines is set, else an array of documents or one document. A document without
-// an "_id" string is given "<name>-<n>", n counting such documents from
-// 1; of documents that share an ID the last wins. A document that is
-// not a JSON object is an error, and so is no document at all.
+// when lines is set, else an array of documents or one document. The
+// documents are kept as the bytes hold them: one without an "_id"
+// string is given its ID when the form is built (buildForm). A
+// document that is not a JSON object is an error, and so is no
+// document at all; a bad body reports its first bad document's error.
+//
+// A JSON Lines body is cut into line-aligned chunks (lineChunks),
+// decoded on pool.Size workers and joined in input order, so the
+// documents and the error are the same at any width.
 func Decode(name string, data []byte, lines bool) (*Collection, error) {
-	var vals []any
-	decode := func(b []byte) error {
-		var v any
-		if err := json.Unmarshal(b, &v); err != nil {
-			return fmt.Errorf("docstore: %s: %w", name, err)
-		}
-		vals = append(vals, v)
-		return nil
-	}
+	var docs []Doc
 	if lines {
-		for rest := data; len(rest) > 0; {
-			var line []byte
-			line, rest, _ = bytes.Cut(rest, []byte("\n"))
-			if line = bytes.TrimSpace(line); len(line) == 0 {
-				continue
-			}
-			if err := decode(line); err != nil {
-				return nil, err
+		chunks := lineChunks(data, pool.Size(len(data)/minChunk))
+		parts := make([]decoded, len(chunks))
+		pool.Run(len(chunks), len(chunks), func(_, i int) { parts[i] = decodeLines(chunks[i]) })
+		for _, p := range parts {
+			switch {
+			case p.err == errNotObject:
+				return nil, notObject(name, len(docs)+len(p.docs))
+			case p.err != nil:
+				return nil, fmt.Errorf("docstore: %s: %w", name, p.err)
+			case docs == nil:
+				docs = p.docs
+			default:
+				docs = append(docs, p.docs...)
 			}
 		}
-	} else if err := decode(data); err != nil {
-		return nil, err
-	} else if arr, ok := vals[0].([]any); ok {
-		vals = arr
+	} else {
+		var v any
+		if err := json.Unmarshal(data, &v); err != nil {
+			return nil, fmt.Errorf("docstore: %s: %w", name, err)
+		}
+		vals, ok := v.([]any)
+		if !ok {
+			vals = []any{v}
+		}
+		docs = make([]Doc, len(vals))
+		for i, v := range vals {
+			d, ok := v.(map[string]any)
+			if !ok {
+				return nil, notObject(name, i)
+			}
+			docs[i] = d
+		}
 	}
-	if len(vals) == 0 {
+	if len(docs) == 0 {
 		return nil, fmt.Errorf("docstore: %s holds no document", name)
 	}
-	c := &Collection{name: name, docs: make([]Doc, len(vals))}
-	auto := 0
-	for i, v := range vals {
+	return &Collection{name: name, docs: docs}, nil
+}
+
+// minChunk is the fewest bytes of a JSON Lines body a decode worker
+// takes: a smaller body is decoded on the calling goroutine.
+const minChunk = 64 << 10
+
+// lineChunks cuts data into at most n chunks of about equal size, each
+// ending just after a newline except the last: a cut moves forward to
+// the next line break, so no line is split and a line longer than a
+// chunk stays whole in one. One chunk (data itself) when n <= 1.
+func lineChunks(data []byte, n int) [][]byte {
+	if n <= 1 {
+		return [][]byte{data}
+	}
+	size := (len(data) + n - 1) / n
+	chunks := make([][]byte, 0, n)
+	for len(data) > 0 {
+		end := len(data)
+		if size < len(data) {
+			if j := bytes.IndexByte(data[size-1:], '\n'); j >= 0 {
+				end = size + j
+			}
+		}
+		chunks = append(chunks, data[:end])
+		data = data[end:]
+	}
+	return chunks
+}
+
+// decoded is one chunk's documents in input order, up to its first bad
+// line, if any; err is that line's syntax error, or errNotObject.
+type decoded struct {
+	docs []Doc
+	err  error
+}
+
+// errNotObject marks a line that holds JSON other than an object.
+var errNotObject = errors.New("not a JSON object")
+
+// notObject is the error of the body's document i, counted from 0,
+// which is JSON but not an object.
+func notObject(name string, i int) error {
+	return fmt.Errorf("docstore: %s: document %d is not a JSON object", name, i+1)
+}
+
+// decodeLines decodes the documents of chunk's non-blank lines, up to
+// the first line that is not a JSON object.
+func decodeLines(chunk []byte) decoded {
+	p := decoded{docs: make([]Doc, 0, bytes.Count(chunk, []byte("\n"))+1)}
+	var v any // one box for every line's value
+	for rest := chunk; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		v = nil
+		if err := json.Unmarshal(line, &v); err != nil {
+			p.err = err
+			return p
+		}
 		d, ok := v.(map[string]any)
 		if !ok {
-			return nil, fmt.Errorf("docstore: %s: document %d is not a JSON object", name, i+1)
+			p.err = errNotObject
+			return p
 		}
-		if Doc(d).ID() == "" {
-			auto++
-			d["_id"] = name + "-" + strconv.Itoa(auto)
-		}
-		c.docs[i] = d
+		p.docs = append(p.docs, d)
 	}
-	return c, nil
+	return p
 }
+
+// Docs returns the documents as Decode decoded them, in input order:
+// what describing the collection reads, so that it needs no second
+// decode. The first Select builds the form from them, giving each one
+// without an "_id" string its ID, and lets them go. So a caller reads
+// them only before Store.Add stores the collection, and must not
+// modify them.
+func (c *Collection) Docs() []Doc { return c.docs }
 
 // Collection returns the named collection, or nil when the store holds
 // none of that name. A lookup creates nothing; a nil collection reads
@@ -169,7 +250,7 @@ func (c *Collection) Select(filters ...Filter) (form *Form, rows []int) {
 		form = &Form{}
 	} else {
 		c.once.Do(func() {
-			c.form.Store(buildForm(c.docs))
+			c.form.Store(buildForm(c.name, c.docs))
 			c.docs = nil
 		})
 		form = c.form.Load()

@@ -61,14 +61,22 @@ type Column struct {
 
 // buildForm lists docs in ID order, the last of each ID's documents
 // only, gathers their top-level fields and builds the columns of the
-// fields dense enough to keep.
-func buildForm(docs []Doc) *Form {
+// fields dense enough to keep. First it gives each document without an
+// "_id" string the ID "<name>-<n>", n counting such documents in input
+// order from 1. By then the documents are the collection's alone
+// (Collection.Docs), so the form may write them.
+func buildForm(name string, docs []Doc) *Form {
 	type idDoc struct {
 		id string
 		d  Doc
 	}
 	byID := make([]idDoc, len(docs))
+	auto := 0
 	for i, d := range docs {
+		if d.ID() == "" {
+			auto++
+			d["_id"] = name + "-" + strconv.Itoa(auto)
+		}
 		byID[i] = idDoc{d.ID(), d}
 	}
 	slices.SortStableFunc(byID, func(a, b idDoc) int { return strings.Compare(a.id, b.id) })

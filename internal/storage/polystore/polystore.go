@@ -95,14 +95,20 @@ type Staged struct {
 	// Once published it is the store's own, as View lends it: the
 	// caller must not modify it or keep it.
 	Table *table.Table
-	obj   filestore.Object
-	docs  *docstore.Collection
+	// Docs are the decoded documents, in input order, nil for any other
+	// placement. The caller may only read them, and only before
+	// Publish: once published, the collection's first Select writes
+	// them (docstore.Collection.Docs).
+	Docs []docstore.Doc
+	obj  filestore.Object
+	docs *docstore.Collection
 }
 
 // Prepare describes and parses an object for Publish, touching no
 // store. Files will read the raw bytes back through read (a nil read
-// keeps a copy in memory). The parsed table comes back in Staged.Table
-// so that describing the object next needs no second parse.
+// keeps a copy in memory). The parsed table or documents come back in
+// Staged.Table or Staged.Docs, so that describing the object next needs
+// no second parse.
 func Prepare(path string, data []byte, read filestore.ReadFunc) (Staged, error) {
 	obj, err := filestore.NewObject(path, data, read)
 	if err != nil {
@@ -129,14 +135,16 @@ func Prepare(path string, data []byte, read filestore.ReadFunc) (Staged, error) 
 		}
 		st.Placement.Target = TargetDocument
 		st.Placement.Collection = tableName(path)
-		st.docs = c
+		st.docs, st.Docs = c, c.Docs()
 	}
 	return st, nil
 }
 
 // Publish makes a prepared object visible: its raw bytes in Files, its
-// parsed form in its model store, and its placement.
+// parsed form in its model store, and its placement. It clears
+// st.Docs, which are the store's from then on.
 func (p *Poly) Publish(st *Staged) {
+	st.Docs = nil
 	p.Files.Add(st.obj)
 	switch {
 	case st.Table != nil:
